@@ -138,21 +138,30 @@ fn assert_mirrors_converged(a: &S4Array<Disk>) {
     }
 }
 
+/// Create+Write+Sync rounds in the member-death workloads. Each round
+/// commits once — one device write — on the shard that owns the new
+/// object, and `Create` alternates between the two shards, so every
+/// member sees `ROUNDS / 2` writes.
+const ROUNDS: u8 = 8;
+/// A member that is to die mid-workload dies at the write after this one:
+/// half-way through its share of the commits.
+const WRITES_BEFORE_DEATH: u64 = ROUNDS as u64 / 2 / 2;
+
 #[test]
 fn member_death_mid_workload_is_invisible_to_clients() {
     let clock = SimClock::new();
     clock.advance(SimDuration::from_secs(1));
-    // Shard 0, member 0 dies after a handful of post-mount disk writes;
+    // Shard 0, member 0 dies half-way through its post-mount commits;
     // everyone else stays healthy.
     let mut plans = vec![FaultPlan::none(); 4];
-    plans[0] = FaultPlan::member_death_after_requests(5, RequestClassMask::WRITES);
+    plans[0] = FaultPlan::member_death_after_requests(WRITES_BEFORE_DEATH, RequestClassMask::WRITES);
     let a = array_with_plans(2, 2, &clock, plans);
     let ctx = user();
 
     // Mixed workload: every operation must succeed from the client's
     // point of view even as the member dies mid-stream.
     let mut oids = Vec::new();
-    for i in 0..8u8 {
+    for i in 0..ROUNDS {
         let oid = create(&a, &ctx);
         write(&a, &ctx, oid, &[i; 64]);
         oids.push(oid);
@@ -184,12 +193,12 @@ fn resync_restores_redundancy_and_mirrors_reconverge() {
     let clock = SimClock::new();
     clock.advance(SimDuration::from_secs(1));
     let mut plans = vec![FaultPlan::none(); 4];
-    plans[2] = FaultPlan::member_death_after_requests(5, RequestClassMask::WRITES);
+    plans[2] = FaultPlan::member_death_after_requests(WRITES_BEFORE_DEATH, RequestClassMask::WRITES);
     let a = array_with_plans(2, 2, &clock, plans);
     let ctx = user();
 
     let mut oids = Vec::new();
-    for i in 0..8u8 {
+    for i in 0..ROUNDS {
         let oid = create(&a, &ctx);
         write(&a, &ctx, oid, &[i; 32]);
         oids.push(oid);

@@ -19,8 +19,9 @@ use s4_simdisk::MemDisk;
 const WARMUP: Duration = Duration::from_millis(200);
 const MEASURE: Duration = Duration::from_millis(800);
 
-/// Runs `op` repeatedly for the measurement budget and prints ns/op.
-fn bench<R>(name: &str, mut op: impl FnMut() -> R) {
+/// Runs `op` repeatedly for the measurement budget, prints ns/op and
+/// returns it.
+fn bench<R>(name: &str, mut op: impl FnMut() -> R) -> f64 {
     let mut spin = |budget: Duration| -> (u64, Duration) {
         let start = Instant::now();
         let mut iters = 0u64;
@@ -36,6 +37,7 @@ fn bench<R>(name: &str, mut op: impl FnMut() -> R) {
     let (iters, elapsed) = spin(MEASURE);
     let ns = elapsed.as_nanos() as f64 / iters as f64;
     println!("{name:<34} {ns:>12.1} ns/op   ({iters} iters)");
+    ns
 }
 
 fn sample_entries(n: u64) -> Vec<JournalEntry> {
@@ -66,9 +68,17 @@ fn bench_journal() {
     });
 }
 
-fn bench_crc() {
-    let block = vec![0xA5u8; 4096];
-    bench("lfs/crc32_4k", || s4_lfs::crc::crc32(black_box(&block)));
+/// The two checksums on the commit path: every flush CRCs its 4 KiB
+/// summary block and XXH64s its data blocks (64 KiB here; up to a
+/// segment's worth per flush). Prints throughput next to ns/op.
+fn bench_checksums() {
+    fn case<R>(name: &str, len: usize, sum: impl Fn(&[u8]) -> R) {
+        let buf = vec![0xA5u8; len];
+        let ns = bench(name, || sum(black_box(&buf)));
+        println!("{name:<34} {:>12.2} GB/s", len as f64 / ns);
+    }
+    case("lfs/crc32_4k", 4096, s4_lfs::crc::crc32);
+    case("lfs/batch_checksum_64k", 64 << 10, s4_lfs::crc::xxh64);
 }
 
 fn bench_delta() {
@@ -142,7 +152,7 @@ fn main() {
         "journal codec, crc32, delta, block cache, drive write/read",
     );
     bench_journal();
-    bench_crc();
+    bench_checksums();
     bench_delta();
     bench_cache();
     bench_drive();

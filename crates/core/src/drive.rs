@@ -26,7 +26,7 @@ use s4_clock::{CpuModel, HybridClock, HybridTimestamp, SimClock, SimDuration, Si
 use s4_journal::txn::{self as txnlog, TxnRecord};
 use s4_journal::{decode_sector, encode_sectors, redo, undo, JournalEntry, ObjectMeta, PtrChange};
 use s4_lfs::{
-    BlockAddr, BlockKind, BlockTag, CleanOutcome, Cleaner, CleanerConfig, Log, LogConfig,
+    BlockAddr, BlockKind, BlockTag, CleanOutcome, Cleaner, CleanerConfig, Log, LogConfig, Mounted,
     RelocationCallbacks, BLOCK_SIZE,
 };
 use s4_obs::{FlightRecorder, Histogram, Registry, TraceRecord};
@@ -263,6 +263,10 @@ pub struct RecoveryReport {
     pub anchored_objects: usize,
     /// Log batches flushed after the anchor that roll-forward replayed.
     pub replayed_batches: usize,
+    /// Trailing batches roll-forward dropped because their data did not
+    /// match the summary's checksum (a torn commit whose summary
+    /// persisted); 0 or 1, since the log ends at the first.
+    pub torn_batches: usize,
     /// Journal sub-sectors re-applied from those batches.
     pub replayed_sectors: usize,
     /// Journal entries re-applied from those sectors.
@@ -489,7 +493,13 @@ impl<D: BlockDev> S4Drive<D> {
         config: DriveConfig,
         clock: SimClock,
     ) -> Result<(S4Drive<D>, RecoveryReport)> {
-        let (log, payload, batches, sb) = Log::mount(dev, config.log.cache_blocks)?;
+        let Mounted {
+            log,
+            payload,
+            batches,
+            superblock: sb,
+            torn_batches,
+        } = Log::mount(dev, config.log.cache_blocks)?;
         clock.advance_to(SimTime::from_micros(sb.anchor_time_us));
 
         let (mut inner, records) = decode_anchor_payload(&payload, &config)?;
@@ -497,6 +507,7 @@ impl<D: BlockDev> S4Drive<D> {
             anchor_time: SimTime::from_micros(sb.anchor_time_us),
             anchored_objects: records.len(),
             replayed_batches: batches.len(),
+            torn_batches,
             ..RecoveryReport::default()
         };
 

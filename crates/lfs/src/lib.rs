@@ -12,14 +12,15 @@
 //! * [`summary`] — partial-segment summary blocks, chained by epoch, that
 //!   describe every block appended to the log.
 //! * [`log`] — the [`Log`]: buffered append, flush (one sequential write
-//!   per batch plus a summary), read-through block cache, anchor
+//!   per batch, summary first), read-through block cache, anchor
 //!   checkpointing, and crash-recovery roll-forward.
 //! * [`usage`] — the segment usage table tracking live blocks per segment.
 //! * [`cleaner`] — the S4 cleaner: reclaims segments whose contents have
 //!   aged out of the detection window, copying still-live blocks forward
 //!   through upper-layer callbacks.
 //! * [`cache`] — the block (buffer) cache.
-//! * [`crc`] — CRC-32 used by all on-disk structures.
+//! * [`crc`] — the format's checksums: CRC-32 over each superblock and
+//!   summary block, XXH64 over each batch's data blocks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +39,7 @@ pub use bytes::Bytes;
 pub use cache::BlockCache;
 pub use cleaner::{CleanOutcome, Cleaner, CleanerConfig, RelocationCallbacks};
 pub use layout::{BlockAddr, BlockKind, BlockTag, Geometry, SegmentId, BLOCK_SIZE};
-pub use log::{FlushStats, Log, LogConfig, RecoveredBatch};
+pub use log::{FlushStats, Log, LogConfig, Mounted, RecoveredBatch};
 pub use summary::SummaryEntry;
 pub use superblock::Superblock;
 pub use usage::{SegmentState, SegmentUsageTable};

@@ -1,21 +1,24 @@
 //! The log: buffered append, batch flush, anchoring, and crash recovery.
 //!
 //! Writes are buffered into a *batch*; [`Log::flush`] lays the batch out as
-//! one summary block followed by the data blocks, written with (at most)
-//! two sequential device transfers. This is the LFS write path that makes
-//! comprehensive versioning nearly free (§4.2.1): many small object
+//! one summary block followed by the data blocks and commits it with a
+//! single sequential device transfer. This is the LFS write path that
+//! makes comprehensive versioning nearly free (§4.2.1): many small object
 //! updates coalesce into large sequential writes, and old versions are
 //! never moved because nothing is ever overwritten.
 //!
-//! Durability protocol: data blocks are written first, the summary last,
-//! so a torn flush leaves an unreadable summary and recovery cleanly stops
-//! at the previous batch. The *anchor* (superblock + system-state batches)
-//! is written periodically, not per-sync; recovery rolls forward from the
-//! anchored cursor, re-discovering every batch flushed after it. Segments
-//! reclaimed since the last anchor are only *pending* free — they become
-//! allocatable once the next anchor makes the reclamation durable, so a
-//! crash can never observe a reused segment whose old contents the anchored
-//! object map still references.
+//! Durability protocol: the summary carries a checksum of the batch's data
+//! blocks, and `[summary | data]` is one device write. A torn commit —
+//! whichever of its sectors reached the platter — leaves either a summary
+//! that fails its own CRC or data that fails the summary's checksum, and
+//! roll-forward stops at the previous batch either way. The *anchor*
+//! (superblock + system-state batches) is written periodically, not
+//! per-sync; recovery rolls forward from the anchored cursor,
+//! re-discovering every batch flushed after it. Segments reclaimed since
+//! the last anchor are only *pending* free — they become allocatable once
+//! the next anchor makes the reclamation durable, so a crash can never
+//! observe a reused segment whose old contents the anchored object map
+//! still references.
 
 use std::collections::HashMap;
 
@@ -25,6 +28,7 @@ use s4_clock::sync::Mutex;
 use s4_simdisk::BlockDev;
 
 use crate::cache::BlockCache;
+use crate::crc::xxh64;
 use crate::layout::{BlockAddr, BlockKind, BlockTag, Geometry, SegmentId, BLOCK_SIZE};
 use crate::summary::{Summary, SummaryEntry, MAX_ENTRIES, NO_NEXT_SEGMENT};
 use crate::superblock::{Superblock, NO_STATE};
@@ -66,9 +70,24 @@ pub struct FlushStats {
     pub sealed: bool,
 }
 
-/// Everything [`Log::mount`] recovers: the log, the anchored upper-layer
-/// payload, the post-anchor batches to re-apply, and the superblock.
-pub type Mounted<D> = (Log<D>, Vec<u8>, Vec<RecoveredBatch>, Superblock);
+/// Everything [`Log::mount`] recovers.
+pub struct Mounted<D: BlockDev> {
+    /// The log, positioned after the last complete batch.
+    pub log: Log<D>,
+    /// The upper layer's opaque anchor payload (empty if the log was
+    /// never anchored).
+    pub payload: Vec<u8>,
+    /// The batches flushed *after* the anchor state, for the upper layer
+    /// to re-apply. Their blocks are left in the block cache.
+    pub batches: Vec<RecoveredBatch>,
+    /// The recovered superblock.
+    pub superblock: Superblock,
+    /// Trailing batches dropped because their data did not match the
+    /// summary's checksum — a torn commit whose summary sectors all
+    /// persisted. Roll-forward stops at the first, so this is 0 or 1; a
+    /// missing or invalid summary ends the log without counting here.
+    pub torn_batches: usize,
+}
 
 /// One batch re-discovered by crash-recovery roll-forward, delivered to
 /// the upper layer so it can re-apply journal entries.
@@ -158,78 +177,90 @@ impl<D: BlockDev> Log<D> {
     /// Mounts an existing log: reads the latest superblock, rolls the log
     /// forward to the last complete batch, and loads the anchored system
     /// state.
-    ///
-    /// Returns the log, the upper layer's opaque anchor payload (empty if
-    /// the log was never anchored), the batches flushed *after* the anchor
-    /// state (for the upper layer to re-apply), and the recovered
-    /// superblock.
     pub fn mount(dev: D, cache_blocks: usize) -> Result<Mounted<D>> {
         let sb = Superblock::read_latest(&dev)?;
         let geo = sb.geometry();
+        let cache = BlockCache::new(cache_blocks);
+        let anchored = |epoch: u64| !sb.has_no_state() && epoch <= sb.state_epoch_last;
 
         // Phase 1: scan forward from the anchored cursor, collecting every
-        // complete batch in epoch order.
+        // complete batch in epoch order. Each segment's tail is one device
+        // read, summaries and data together; a batch counts only if its
+        // data matches the summary's checksum. The anchor's state batches
+        // come first (the anchored cursor is where they start) and are
+        // gathered into `blob`; the verified blocks of every later batch go
+        // to the cache, where the upper layer's replay finds them.
         let mut seg = sb.cursor_segment;
         let mut cursor = sb.cursor_block;
         let mut epoch = sb.next_summary_epoch;
         let mut scanned: Vec<(RecoveredBatch, SegmentId, Option<SegmentId>)> = Vec::new();
-        loop {
-            if cursor >= geo.blocks_per_segment {
-                break;
-            }
-            let addr = geo.addr_of(seg, cursor);
-            let mut buf = vec![0u8; BLOCK_SIZE];
-            if dev.read(geo.sector_of(addr), &mut buf).is_err() {
-                break;
-            }
-            let summary = match Summary::decode(&buf) {
-                Ok(s) => s,
-                Err(_) => break,
-            };
-            if summary.epoch != epoch || summary.segment != seg || summary.offset != cursor {
-                break;
-            }
-            let n = summary.entries.len() as u32;
-            let blocks: Vec<(BlockAddr, BlockTag)> = summary
-                .entries
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (geo.addr_of(seg, cursor + 1 + i as u32), e.tag))
-                .collect();
-            let seal = summary.seals_segment().then_some(summary.next_segment);
-            scanned.push((RecoveredBatch { epoch, blocks }, seg, seal));
-            epoch += 1;
-            match seal {
-                Some(next) => {
-                    seg = next;
-                    cursor = 0;
+        let mut state_addrs = Vec::new();
+        let mut blob = Vec::new();
+        let mut torn_batches = 0;
+        let mut tail = Vec::new();
+        'segments: while cursor < geo.blocks_per_segment {
+            let base = cursor;
+            tail.resize((geo.blocks_per_segment - base) as usize * BLOCK_SIZE, 0);
+            // A device error fails the mount: treating it as the end of
+            // the log would let the next append overwrite a valid tail.
+            dev.read(geo.sector_of(geo.addr_of(seg, base)), &mut tail)?;
+            while cursor < geo.blocks_per_segment {
+                let at = (cursor - base) as usize * BLOCK_SIZE;
+                let Ok(summary) = Summary::decode(&tail[at..at + BLOCK_SIZE]) else {
+                    break 'segments;
+                };
+                if summary.epoch != epoch || summary.segment != seg || summary.offset != cursor {
+                    break 'segments;
                 }
-                None => cursor += 1 + n,
+                let n = summary.entries.len();
+                let Some(data) = tail.get(at + BLOCK_SIZE..at + (1 + n) * BLOCK_SIZE) else {
+                    break 'segments;
+                };
+                if xxh64(data) != summary.data_checksum {
+                    // The superblock naming the state batches was written
+                    // after them, so a mismatch there is damage, not a
+                    // torn commit: fail rather than truncate.
+                    if anchored(epoch) {
+                        return Err(LfsError::Corrupt("anchor state checksum"));
+                    }
+                    torn_batches += 1;
+                    break 'segments;
+                }
+                let blocks: Vec<(BlockAddr, BlockTag)> = summary
+                    .entries
+                    .iter()
+                    .enumerate()
+                    .map(|(i, e)| (geo.addr_of(seg, cursor + 1 + i as u32), e.tag))
+                    .collect();
+                if anchored(epoch) {
+                    if blocks.iter().any(|(_, t)| t.kind != BlockKind::SystemState) {
+                        return Err(LfsError::Corrupt("non-state block in state batch"));
+                    }
+                    blob.extend_from_slice(data);
+                    state_addrs.extend(blocks.iter().map(|&(a, _)| a));
+                } else {
+                    for (&(addr, _), block) in blocks.iter().zip(data.chunks_exact(BLOCK_SIZE)) {
+                        cache.insert(addr, Bytes::from(block));
+                    }
+                }
+                let seal = summary.seals_segment().then_some(summary.next_segment);
+                scanned.push((RecoveredBatch { epoch, blocks }, seg, seal));
+                epoch += 1;
+                match seal {
+                    Some(next) => {
+                        seg = next;
+                        cursor = 0;
+                        continue 'segments;
+                    }
+                    None => cursor += 1 + n as u32,
+                }
             }
         }
 
-        // Phase 2: reassemble the anchored system state from the batches in
-        // the recorded epoch range.
-        let mut state_addrs = Vec::new();
-        let mut blob = Vec::new();
-        if !sb.has_no_state() {
-            for (batch, _, _) in &scanned {
-                if batch.epoch < sb.state_epoch_first || batch.epoch > sb.state_epoch_last {
-                    continue;
-                }
-                for &(addr, tag) in &batch.blocks {
-                    if tag.kind != BlockKind::SystemState {
-                        return Err(LfsError::Corrupt("non-state block in state batch"));
-                    }
-                    let mut b = vec![0u8; BLOCK_SIZE];
-                    dev.read(geo.sector_of(addr), &mut b)?;
-                    blob.extend_from_slice(&b);
-                    state_addrs.push(addr);
-                }
-            }
-            if state_addrs.is_empty() {
-                return Err(LfsError::Corrupt("anchor state batches missing"));
-            }
+        // Phase 2: split the anchored system state into the upper layer's
+        // payload and the usage table.
+        if anchored(epoch) {
+            return Err(LfsError::Corrupt("anchor state batches missing"));
         }
         let (payload, mut usage) = if blob.is_empty() {
             (Vec::new(), SegmentUsageTable::new(&geo))
@@ -268,13 +299,13 @@ impl<D: BlockDev> Log<D> {
         let upper_batches: Vec<RecoveredBatch> = scanned
             .into_iter()
             .map(|(b, _, _)| b)
-            .filter(|b| sb.has_no_state() || b.epoch > sb.state_epoch_last)
+            .filter(|b| !anchored(b.epoch))
             .collect();
 
         let log = Log {
             dev,
             geo,
-            cache: BlockCache::new(cache_blocks),
+            cache,
             readahead: 32,
             state: Mutex::new(WriterState {
                 seg,
@@ -288,7 +319,13 @@ impl<D: BlockDev> Log<D> {
             }),
             usage: Mutex::new(usage),
         };
-        Ok((log, payload, upper_batches, sb))
+        Ok(Mounted {
+            log,
+            payload,
+            batches: upper_batches,
+            superblock: sb,
+            torn_batches,
+        })
     }
 
     /// Device geometry.
@@ -353,9 +390,9 @@ impl<D: BlockDev> Log<D> {
         Ok(addr)
     }
 
-    /// Flushes the open batch: one sequential write for the data blocks,
-    /// then the summary block. Seals the segment (allocating the next one)
-    /// if fewer than two blocks would remain.
+    /// Flushes the open batch: one sequential write of the summary block
+    /// followed by the data blocks. Seals the segment (allocating the next
+    /// one) if fewer than two blocks would remain.
     pub fn flush(&self) -> Result<FlushStats> {
         let mut st = self.state.lock();
         self.flush_locked(&mut st)
@@ -379,33 +416,33 @@ impl<D: BlockDev> Log<D> {
             (NO_NEXT_SEGMENT, false)
         };
 
-        // Write data blocks as one contiguous transfer. Device time
+        // Lay the batch out as `[summary | data]` and commit it with one
+        // transfer; the summary's checksum of the data is what lets
+        // recovery tell a complete commit from a torn one. Device time
         // spent inside the flush is also charged to the Lfs span layer,
         // so per-request latency decomposes segment-write cost out of
         // total disk cost.
-        let disk_before = s4_obs::span::charged(s4_obs::Layer::Disk);
-        let mut data_buf = Vec::with_capacity(st.pending.len() * BLOCK_SIZE);
+        let mut buf = Vec::with_capacity((1 + st.pending.len()) * BLOCK_SIZE);
+        buf.resize(BLOCK_SIZE, 0);
         for p in &st.pending {
-            data_buf.extend_from_slice(&p.data);
+            buf.extend_from_slice(&p.data);
         }
-        let first_data = self.geo.addr_of(seg, batch_start + 1);
-        self.dev.write(self.geo.sector_of(first_data), &data_buf)?;
-
-        // Then the summary, making the batch durable.
         let summary = Summary {
             epoch: st.next_epoch,
             segment: seg,
             offset: batch_start,
             next_segment,
+            data_checksum: xxh64(&buf[BLOCK_SIZE..]),
             entries: st
                 .pending
                 .iter()
                 .map(|p| SummaryEntry { tag: p.tag })
                 .collect(),
         };
+        buf[..BLOCK_SIZE].copy_from_slice(&summary.encode());
+        let disk_before = s4_obs::span::charged(s4_obs::Layer::Disk);
         let sum_addr = self.geo.addr_of(seg, batch_start);
-        self.dev
-            .write(self.geo.sector_of(sum_addr), &summary.encode())?;
+        self.dev.write(self.geo.sector_of(sum_addr), &buf)?;
         s4_obs::span::charge(
             s4_obs::Layer::Lfs,
             s4_obs::span::charged(s4_obs::Layer::Disk) - disk_before,
@@ -722,7 +759,12 @@ mod tests {
         log.flush().unwrap();
         // No anchor written: recovery must roll forward from format.
         let dev = log.into_device();
-        let (log2, payload, batches, _sb) = Log::mount(dev, 64).unwrap();
+        let Mounted {
+            log: log2,
+            payload,
+            batches,
+            ..
+        } = Log::mount(dev, 64).unwrap();
         assert!(payload.is_empty());
         let recovered: Vec<(BlockAddr, BlockTag)> =
             batches.iter().flat_map(|b| b.blocks.clone()).collect();
@@ -755,7 +797,13 @@ mod tests {
         log.flush().unwrap();
 
         let dev = log.into_device();
-        let (log2, payload, batches, sb) = Log::mount(dev, 64).unwrap();
+        let Mounted {
+            log: log2,
+            payload,
+            batches,
+            superblock: sb,
+            ..
+        } = Log::mount(dev, 64).unwrap();
         assert_eq!(payload, b"OBJECT-MAP-STATE");
         assert_eq!(sb.next_stamp_seq, 555);
         assert_eq!(sb.anchor_time_us, 42);
@@ -779,36 +827,208 @@ mod tests {
         let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
         log.write_anchor(&payload, 9, 9).unwrap();
         let dev = log.into_device();
-        let (_log2, restored, batches, _) = Log::mount(dev, 64).unwrap();
+        let Mounted {
+            payload: restored,
+            batches,
+            ..
+        } = Log::mount(dev, 64).unwrap();
         assert_eq!(restored, payload);
         assert!(batches.is_empty());
     }
 
+    /// The `aux` tag of every recovered block, in log order.
+    fn recovered_aux<D: BlockDev>(m: &Mounted<D>) -> Vec<u64> {
+        m.batches
+            .iter()
+            .flat_map(|b| b.blocks.iter().map(|(_, t)| t.aux))
+            .collect()
+    }
+
+    /// A block whose every sector differs from a formatted disk's zeros,
+    /// so no torn sector can pass for a written one.
+    fn solid(fill: u8) -> Vec<u8> {
+        vec![fill; BLOCK_SIZE]
+    }
+
     #[test]
-    fn torn_flush_recovers_to_previous_batch() {
-        use s4_simdisk::{FaultPlan, FaultyDisk};
+    fn torn_commit_recovers_to_previous_batch_under_every_pattern() {
+        use s4_simdisk::{FaultPlan, FaultyDisk, RequestClassMask, TornPattern};
+        const SUMMARY_SECTORS: u64 = (BLOCK_SIZE / s4_simdisk::SECTOR_SIZE) as u64;
+        // The torn commit is `[summary | 3 data blocks]`: 32 sectors.
+        let patterns = [
+            TornPattern::Prefix(0),
+            TornPattern::Prefix(4),
+            TornPattern::Interleaved { phase: 0 },
+            TornPattern::Interleaved { phase: 1 },
+            TornPattern::Holed { start: 1, len: 2 },
+            // The whole summary persists; data is missing.
+            TornPattern::Prefix(SUMMARY_SECTORS),
+            TornPattern::Prefix(SUMMARY_SECTORS + 1),
+            TornPattern::Prefix(4 * SUMMARY_SECTORS - 1),
+            TornPattern::Holed {
+                start: SUMMARY_SECTORS,
+                len: 1,
+            },
+            TornPattern::Holed {
+                start: 2 * SUMMARY_SECTORS + 3,
+                len: 1,
+            },
+            TornPattern::Holed {
+                start: 4 * SUMMARY_SECTORS - 1,
+                len: 1,
+            },
+        ];
         let cfg = LogConfig {
             blocks_per_segment: 16,
             cache_blocks: 64,
             readahead_blocks: 1,
         };
-        let log = Log::format(MemDisk::new(200_000), cfg).unwrap();
-        let a = log.append(tag(1, 0), b"durable").unwrap();
+        for torn in patterns {
+            let log = Log::format(MemDisk::new(200_000), cfg).unwrap();
+            let a = log.append(tag(1, 0), b"durable").unwrap();
+            log.flush().unwrap();
+            // Stale bytes where the commit will land (a reused segment),
+            // so that every sector it loses differs from what it meant to
+            // write — a summary is mostly zeros past its entries.
+            let geo = *log.geometry();
+            let dev = log.into_device();
+            dev.write(
+                geo.sector_of(BlockAddr(a.0 + 1)),
+                &vec![0xEE; 4 * BLOCK_SIZE],
+            )
+            .unwrap();
+            let plan = FaultPlan::power_loss_with_pattern(0, torn, RequestClassMask::WRITES);
+            let dev = FaultyDisk::new(dev, plan);
+            let log = Log::mount(dev, 64).unwrap().log;
+            for i in 1..=3u64 {
+                log.append(tag(1, i), &solid(i as u8)).unwrap();
+            }
+            assert!(log.flush().is_err(), "{torn:?}: the commit tears");
+            let dev = log.into_device();
+            dev.revive();
+
+            // Mount stops at the previous batch; a data mismatch is
+            // reported only when the summary itself survived.
+            let summary_survived = (0..SUMMARY_SECTORS).all(|i| torn.keeps(i));
+            let first = Log::mount(dev, 64).unwrap();
+            assert_eq!(recovered_aux(&first), vec![0], "{torn:?}");
+            assert_eq!(first.torn_batches, summary_survived as usize, "{torn:?}");
+            assert_eq!(&first.log.read_block(a).unwrap()[..7], b"durable");
+
+            // A second mount of the untouched image is identical.
+            let second = Log::mount(first.log.into_device(), 64).unwrap();
+            assert_eq!(recovered_aux(&second), vec![0], "{torn:?}");
+            assert_eq!(second.torn_batches, first.torn_batches, "{torn:?}");
+
+            // The log takes new appends at the recovered cursor, over the
+            // torn commit's remains.
+            let log = second.log;
+            let b = log.append(tag(1, 9), &solid(9)).unwrap();
+            assert_eq!(b.0, a.0 + 2, "{torn:?}: cursor sits after batch one");
+            log.flush().unwrap();
+            let third = Log::mount(log.into_device(), 64).unwrap();
+            assert_eq!(recovered_aux(&third), vec![0, 9], "{torn:?}");
+            assert_eq!(third.torn_batches, 0, "{torn:?}");
+            assert_eq!(&third.log.read_block(b).unwrap()[..], &solid(9)[..]);
+        }
+    }
+
+    /// Flips one bit of the block at `addr`, behind the log's back.
+    fn flip_bit(dev: &MemDisk, geo: &Geometry, addr: BlockAddr) {
+        let mut block = vec![0u8; BLOCK_SIZE];
+        dev.read(geo.sector_of(addr), &mut block).unwrap();
+        block[BLOCK_SIZE / 2] ^= 0x04;
+        dev.write(geo.sector_of(addr), &block).unwrap();
+    }
+
+    #[test]
+    fn bit_flip_in_last_batch_data_is_rejected() {
+        let log = small_log();
+        log.append(tag(1, 0), &solid(1)).unwrap();
         log.flush().unwrap();
-        let dev = FaultyDisk::new(log.into_device(), FaultPlan::power_loss_after_writes(0, 0));
-        let (log, _, _, _) = Log::mount(dev, 64).unwrap();
-        // This flush tears: its data write is dropped and the device dies.
-        log.append(tag(1, 1), b"lost").unwrap();
-        assert!(log.flush().is_err());
+        log.append(tag(1, 1), &solid(2)).unwrap();
+        let last = log.append(tag(1, 2), &solid(3)).unwrap();
+        log.flush().unwrap();
+        let geo = *log.geometry();
         let dev = log.into_device();
-        dev.revive();
-        let (log2, _, batches, _) = Log::mount(dev, 64).unwrap();
-        let recovered: Vec<u64> = batches
-            .iter()
-            .flat_map(|b| b.blocks.iter().map(|(_, t)| t.aux))
+        flip_bit(&dev, &geo, last);
+        let m = Log::mount(dev, 64).unwrap();
+        assert_eq!(
+            recovered_aux(&m),
+            vec![0],
+            "the damaged batch is dropped whole"
+        );
+        assert_eq!(m.torn_batches, 1);
+    }
+
+    #[test]
+    fn bit_flip_in_anchored_state_batch_is_an_error() {
+        let log = small_log();
+        log.append(tag(1, 0), b"x").unwrap();
+        log.write_anchor(b"OBJECT-MAP-STATE", 1, 1).unwrap();
+        let state = log.state.lock().state_addrs[0];
+        let geo = *log.geometry();
+        let dev = log.into_device();
+        flip_bit(&dev, &geo, state);
+        assert_eq!(
+            Log::mount(dev, 64).err(),
+            Some(LfsError::Corrupt("anchor state checksum")),
+            "an anchored batch is never silently truncated"
+        );
+    }
+
+    #[test]
+    fn device_error_during_mount_fails_it() {
+        use s4_simdisk::{FaultPlan, FaultyDisk, RequestClassMask};
+        let log = small_log();
+        log.append(tag(1, 0), b"x").unwrap();
+        log.write_anchor(b"S", 1, 1).unwrap();
+        let image = log.into_device();
+        // Both superblock copies and the one segment tail, failed in turn:
+        // none may pass for a torn copy or the end of the log.
+        for r in 0..3 {
+            let plan = FaultPlan::power_loss_after_requests(r, 0, RequestClassMask::READS);
+            let dev = FaultyDisk::new(image.clone(), plan);
+            assert!(
+                matches!(Log::mount(dev, 64).err(), Some(LfsError::Disk(_))),
+                "read {r}"
+            );
+        }
+    }
+
+    #[test]
+    fn roll_forward_reads_each_segment_tail_once_and_warms_the_cache() {
+        use s4_simdisk::TraceDisk;
+        let cfg = LogConfig {
+            blocks_per_segment: 16,
+            cache_blocks: 64,
+            readahead_blocks: 1,
+        };
+        let log = Log::format(TraceDisk::new(MemDisk::new(200_000)), cfg).unwrap();
+        // Twenty single-block batches: two sealed segments and a partial.
+        let addrs: Vec<BlockAddr> = (0..20u64)
+            .map(|i| {
+                let a = log.append(tag(7, i), &solid(i as u8 + 1)).unwrap();
+                log.flush().unwrap();
+                a
+            })
             .collect();
-        assert_eq!(recovered, vec![0], "only the durable batch survives");
-        assert_eq!(&log2.read_block(a).unwrap()[..7], b"durable");
+        let segments = log.geometry().segment_of(*addrs.last().unwrap()) + 1;
+        let dev = log.into_device();
+        dev.clear();
+        let m = Log::mount(dev, 64).unwrap();
+        assert_eq!(m.batches.len(), 20);
+        // Two superblock copies plus one transfer per segment.
+        assert_eq!(m.log.device().reads(), 2 + segments as u64);
+        for (i, a) in addrs.iter().enumerate() {
+            assert_eq!(m.log.read_block(*a).unwrap()[0], i as u8 + 1);
+        }
+        assert_eq!(
+            m.log.device().reads(),
+            2 + segments as u64,
+            "replay reads hit the cache"
+        );
+        assert_eq!(m.log.device().writes(), 0, "mount is write-free");
     }
 
     #[test]
@@ -885,7 +1105,7 @@ mod tests {
         log.write_anchor(b"A1", 1, 1).unwrap();
         log.write_anchor(b"A2-bigger-payload", 2, 2).unwrap();
         let dev = log.into_device();
-        let (_log2, payload, _, _) = Log::mount(dev, 16).unwrap();
+        let payload = Log::mount(dev, 16).unwrap().payload;
         assert_eq!(payload, b"A2-bigger-payload");
     }
 
@@ -904,13 +1124,13 @@ mod tests {
             dev = log.into_device();
         }
         for round in 0..3u64 {
-            let (log, payload, _batches, _) = Log::mount(dev, 64).unwrap();
+            let Mounted { log, payload, .. } = Log::mount(dev, 64).unwrap();
             assert_eq!(payload, b"S");
             log.append(tag(2, round), b"more").unwrap();
             log.flush().unwrap();
             dev = log.into_device();
         }
-        let (_, _, batches, _) = Log::mount(dev, 64).unwrap();
+        let batches = Log::mount(dev, 64).unwrap().batches;
         // Three post-anchor data batches survive.
         let n: usize = batches
             .iter()

@@ -1,12 +1,19 @@
 //! Partial-segment summary blocks.
 //!
 //! Every flush of the log writes one summary block at the head of the
-//! batch, describing each block that follows (its [`BlockTag`]). Summaries
-//! carry a strictly increasing epoch; crash recovery rolls forward from
-//! the anchored cursor, accepting summaries only in exact epoch order, so
-//! a torn flush cleanly terminates recovery at the last complete batch
-//! (§4.2.2: "journal sectors are identified by segment summary
-//! information").
+//! batch, describing each block that follows (its [`BlockTag`]) and
+//! carrying a 64-bit checksum of those blocks' contents. Summary and data
+//! reach the device in one transfer, so the checksum — not write order —
+//! is what makes a torn flush detectable. Summaries carry a strictly
+//! increasing epoch; crash recovery rolls forward from the anchored
+//! cursor, accepting summaries only in exact epoch order and only with
+//! matching data, so a torn flush cleanly terminates recovery at the last
+//! complete batch (§4.2.2: "journal sectors are identified by segment
+//! summary information").
+//!
+//! Block layout: magic (0..4), CRC-32 of bytes 8.. (4..8), epoch (8..16),
+//! segment (16..20), offset (20..24), next segment (24..28), entry count
+//! (28..32), data checksum (32..40), reserved (40..44), then the entries.
 
 use crate::crc::crc32;
 use crate::layout::{BlockKind, BlockTag, SegmentId, BLOCK_SIZE};
@@ -38,6 +45,9 @@ pub struct Summary {
     /// If this flush sealed the segment, the segment where the log
     /// continues; otherwise [`NO_NEXT_SEGMENT`].
     pub next_segment: SegmentId,
+    /// [`crate::crc::xxh64`] of the `entries.len()` data blocks that
+    /// follow the summary, concatenated in log order.
+    pub data_checksum: u64,
     /// Descriptions of the `entries.len()` blocks that follow the summary.
     pub entries: Vec<SummaryEntry>,
 }
@@ -62,6 +72,7 @@ impl Summary {
         buf[20..24].copy_from_slice(&self.offset.to_le_bytes());
         buf[24..28].copy_from_slice(&self.next_segment.to_le_bytes());
         buf[28..32].copy_from_slice(&(self.entries.len() as u32).to_le_bytes());
+        buf[32..40].copy_from_slice(&self.data_checksum.to_le_bytes());
         let mut o = HEADER_BYTES;
         for e in &self.entries {
             buf[o] = e.tag.kind as u8;
@@ -91,6 +102,7 @@ impl Summary {
         let offset = u32::from_le_bytes(buf[20..24].try_into().unwrap());
         let next_segment = u32::from_le_bytes(buf[24..28].try_into().unwrap());
         let n = u32::from_le_bytes(buf[28..32].try_into().unwrap()) as usize;
+        let data_checksum = u64::from_le_bytes(buf[32..40].try_into().unwrap());
         if n > MAX_ENTRIES {
             return Err(LfsError::Corrupt("summary entry count"));
         }
@@ -110,6 +122,7 @@ impl Summary {
             segment,
             offset,
             next_segment,
+            data_checksum,
             entries,
         })
     }
@@ -130,6 +143,7 @@ mod tests {
             segment: 3,
             offset: 40,
             next_segment: NO_NEXT_SEGMENT,
+            data_checksum: 0xFEED_FACE_0BAD_F00D,
             entries: (0..10)
                 .map(|i| SummaryEntry {
                     tag: BlockTag::new(BlockKind::Data, 100 + i, i * 7),
@@ -142,6 +156,20 @@ mod tests {
     fn round_trip() {
         let s = sample();
         assert_eq!(Summary::decode(&s.encode()).unwrap(), s);
+    }
+
+    #[test]
+    fn data_checksum_round_trips_and_is_covered_by_the_crc() {
+        let buf = sample().encode();
+        assert_eq!(
+            Summary::decode(&buf).unwrap().data_checksum,
+            0xFEED_FACE_0BAD_F00D
+        );
+        for byte in 32..40 {
+            let mut bad = buf.clone();
+            bad[byte] ^= 0x80;
+            assert!(Summary::decode(&bad).is_err(), "flip at byte {byte}");
+        }
     }
 
     #[test]

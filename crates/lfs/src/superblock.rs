@@ -16,6 +16,14 @@ use crate::{LfsError, Result};
 const MAGIC: u32 = 0x5334_4C46; // "S4LF"
 const SB_BYTES: usize = 96;
 
+/// On-disk format revision, stored at bytes 72..76 (zero padding before
+/// revision 2). Revision 2 commits a batch as one `[summary | data]`
+/// write whose summary carries a checksum of the data; a revision-1 image
+/// has no such checksums, so mounting it would reject every batch as torn
+/// and silently roll forward to an empty log. It is refused instead.
+const FORMAT_VERSION: u32 = 2;
+const UNSUPPORTED_FORMAT: LfsError = LfsError::Corrupt("unsupported on-disk format");
+
 /// Sentinel for "the log has never been anchored".
 pub const NO_STATE: u64 = u64::MAX;
 
@@ -65,6 +73,7 @@ impl Superblock {
         buf[48..56].copy_from_slice(&self.state_epoch_last.to_le_bytes());
         buf[56..64].copy_from_slice(&self.next_stamp_seq.to_le_bytes());
         buf[64..72].copy_from_slice(&self.anchor_time_us.to_le_bytes());
+        buf[72..76].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
         let crc = crc32(&buf[8..SB_BYTES]);
         buf[4..8].copy_from_slice(&crc.to_le_bytes());
         buf
@@ -84,6 +93,9 @@ impl Superblock {
         }
         let u64at = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
         let u32at = |o: usize| u32::from_le_bytes(buf[o..o + 4].try_into().unwrap());
+        if u32at(72) != FORMAT_VERSION {
+            return Err(UNSUPPORTED_FORMAT);
+        }
         Ok(Superblock {
             epoch: u64at(8),
             blocks_per_segment: u32at(16),
@@ -112,20 +124,19 @@ impl Superblock {
     }
 
     /// Reads both copies and returns the valid one with the larger epoch.
+    /// A device error, or an intact copy of another format revision, fails
+    /// the mount outright rather than being skipped like a torn copy.
     pub fn read_latest<D: BlockDev>(dev: &D) -> Result<Superblock> {
         let mut best: Option<Superblock> = None;
         for copy in 0..2u64 {
             let mut buf = vec![0u8; SECTOR_SIZE];
-            if dev
-                .read(copy * Geometry::SUPERBLOCK_COPY_SECTORS, &mut buf)
-                .is_err()
-            {
-                continue;
-            }
-            if let Ok(sb) = Superblock::decode(&buf) {
-                if best.as_ref().is_none_or(|b| sb.epoch > b.epoch) {
-                    best = Some(sb);
-                }
+            // A copy that cannot be read is not a torn copy: falling back
+            // to the other one could resurrect a superseded anchor.
+            dev.read(copy * Geometry::SUPERBLOCK_COPY_SECTORS, &mut buf)?;
+            match Superblock::decode(&buf) {
+                Ok(sb) if best.as_ref().is_none_or(|b| sb.epoch > b.epoch) => best = Some(sb),
+                Err(e) if e == UNSUPPORTED_FORMAT => return Err(e),
+                _ => {}
             }
         }
         best.ok_or(LfsError::Corrupt("no valid superblock"))
@@ -196,6 +207,21 @@ mod tests {
         dev.write(Geometry::SUPERBLOCK_COPY_SECTORS, &garbage)
             .unwrap();
         assert_eq!(Superblock::read_latest(&dev).unwrap().epoch, 4);
+    }
+
+    #[test]
+    fn pre_checksum_format_is_refused_not_skipped() {
+        // A revision-1 superblock: same magic and layout, zero padding
+        // where the format revision now lives, CRC valid.
+        let mut old = sample(3).encode();
+        old[72..76].fill(0);
+        let crc = crc32(&old[8..SB_BYTES]);
+        old[4..8].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(Superblock::decode(&old), Err(UNSUPPORTED_FORMAT));
+
+        let dev = MemDisk::new(1024);
+        dev.write(Geometry::SUPERBLOCK_COPY_SECTORS, &old).unwrap();
+        assert_eq!(Superblock::read_latest(&dev), Err(UNSUPPORTED_FORMAT));
     }
 
     #[test]

@@ -64,8 +64,7 @@ proptest! {
                 }
                 Action::Remount => {
                     let dev = log.take().unwrap().into_device();
-                    let (l, _payload, _batches, _sb) = Log::mount(dev, 16).unwrap();
-                    log = Some(l);
+                    log = Some(Log::mount(dev, 16).unwrap().log);
                     // Unflushed appends are gone.
                     oracle.retain(|(_, _, flushed)| *flushed);
                 }
@@ -109,7 +108,7 @@ proptest! {
         log.append(BlockTag::new(BlockKind::Data, 7, 9999), b"lost").unwrap();
 
         let dev = log.into_device();
-        let (_l, _p, recovered, _sb) = Log::mount(dev, 16).unwrap();
+        let recovered = Log::mount(dev, 16).unwrap().batches;
         let got: Vec<(BlockAddr, u64)> = recovered
             .iter()
             .flat_map(|b| b.blocks.iter().map(|(a, t)| (*a, t.aux)))

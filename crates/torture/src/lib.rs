@@ -125,14 +125,23 @@ pub struct TortureConfig {
 }
 
 /// The standard torn-pattern mix: whole-write loss, a persisted prefix,
-/// alternating sectors of either parity, and a mid-write hole.
-fn standard_patterns() -> Vec<TornPattern> {
+/// alternating sectors of either parity, a mid-write hole — and, since
+/// a log commit is one `[summary | data]` write, the two tears only the
+/// summary's data checksum can catch: the whole summary block persists
+/// and all of the data, or just its first sector, does not.
+pub(crate) fn standard_patterns() -> Vec<TornPattern> {
+    const SUMMARY_SECTORS: u64 = (BLOCK_SIZE / s4_simdisk::SECTOR_SIZE) as u64;
     vec![
         TornPattern::Prefix(0),
         TornPattern::Prefix(4),
         TornPattern::Interleaved { phase: 0 },
         TornPattern::Holed { start: 1, len: 2 },
         TornPattern::Interleaved { phase: 1 },
+        TornPattern::Prefix(SUMMARY_SECTORS),
+        TornPattern::Holed {
+            start: SUMMARY_SECTORS,
+            len: 1,
+        },
     ]
 }
 
@@ -236,6 +245,9 @@ pub struct TortureSummary {
     pub died: usize,
     /// Versions verified readable across all replays.
     pub versions_checked: usize,
+    /// Replays whose recovery dropped a commit for a data-checksum
+    /// mismatch (its summary persisted, its data did not).
+    pub torn_batches: usize,
 }
 
 // ---------------------------------------------------------------------
@@ -276,6 +288,12 @@ struct RunState {
     /// Predicted records audited *before* that sync executed (its own
     /// record is appended after the flush and is volatile).
     records_at_sync: usize,
+    /// The value `records_at_sync` had at the last completed sync that
+    /// also anchored (every `anchor_interval_syncs`-th one). An anchor
+    /// writes the audit and trace tails out as short blocks, so every
+    /// record before it is durable and both streams' block packing
+    /// starts afresh after it.
+    records_at_anchor: usize,
     syncs_ok: usize,
     /// True if a dispatch failed (the injected fault fired).
     stopped_early: bool,
@@ -313,6 +331,7 @@ fn run_workload<D: BlockDev>(
         checkpoints: Vec::new(),
         last_ok_sync: None,
         records_at_sync: 0,
+        records_at_anchor: 0,
         syncs_ok: 0,
         stopped_early: false,
     };
@@ -492,6 +511,10 @@ fn run_workload<D: BlockDev>(
                 // The sync's own record (just pushed) is post-flush.
                 st.records_at_sync = st.predicted.len() - 1;
                 st.syncs_ok += 1;
+                let interval = DriveConfig::small_test().anchor_interval_syncs as usize;
+                if st.syncs_ok.is_multiple_of(interval) {
+                    st.records_at_anchor = st.records_at_sync;
+                }
             }
             _ => unreachable!("workload issues no other requests"),
         }
@@ -607,7 +630,8 @@ fn verify_audit_prefix(recovered: &[AuditRecord], st: &RunState, what: &str) {
         );
     }
     let min_durable = if st.last_ok_sync.is_some() {
-        (st.records_at_sync / RECORDS_PER_BLOCK) * RECORDS_PER_BLOCK
+        let since_anchor = st.records_at_sync - st.records_at_anchor;
+        st.records_at_anchor + (since_anchor / RECORDS_PER_BLOCK) * RECORDS_PER_BLOCK
     } else {
         0
     };
@@ -664,10 +688,11 @@ fn verify_trace_prefix(traces: &[TraceRecord], st: &RunState, what: &str) {
         // would overflow the 4 KiB block spills the buffered records
         // first. Only blocks spilled by requests dispatched *before*
         // the sync are covered by its flush; the open tail is volatile
-        // until the next anchor.
-        let mut durable = 0usize;
+        // until the next anchor, which writes it out and starts a new
+        // block.
+        let mut durable = st.records_at_anchor;
         let (mut in_block, mut pending) = (0usize, 0usize);
-        for trace in &st.predicted_trace[..st.records_at_sync] {
+        for trace in &st.predicted_trace[st.records_at_anchor..st.records_at_sync] {
             let len = trace_blob_len(trace);
             if pending + len > BLOCK_SIZE {
                 durable += in_block;
@@ -789,6 +814,12 @@ pub fn torture_crash_point(cfg: &TortureConfig, k: u64, torn: TornPattern) -> Cr
     assert_eq!(
         report, report2,
         "{what}: remount not idempotent — recovery reports differ"
+    );
+    // Only the one commit in flight when power died can be torn.
+    assert!(
+        report.torn_batches <= 1,
+        "{what}: recovery dropped {} checksum-mismatched batches",
+        report.torn_batches
     );
 
     // Sanity: recovery must not invent mutations from the future.
@@ -1205,6 +1236,7 @@ fn enumerate_with(
         replays: 0,
         died: 0,
         versions_checked: 0,
+        torn_batches: 0,
     };
     let mut k = start;
     let mut j = 0usize;
@@ -1215,6 +1247,7 @@ fn enumerate_with(
             summary.replays += 1;
             summary.died += outcome.died as usize;
             summary.versions_checked += outcome.versions_checked;
+            summary.torn_batches += outcome.report.torn_batches;
         }
         k += step;
         j += 1;

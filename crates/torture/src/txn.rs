@@ -37,6 +37,8 @@ use s4_core::{
     UserId, PARTITION_OBJECT, PHASE_DECIDE, PHASE_NOTE, PHASE_PREPARE,
 };
 use s4_simdisk::{FaultPlan, FaultyDisk, MemDisk, TornPattern};
+
+use crate::standard_patterns;
 use s4_txn::{note_name, TxId};
 
 use crate::CRASH_MASK;
@@ -109,17 +111,6 @@ impl TxnTortureConfig {
     fn devices(&self) -> usize {
         self.shards * self.mirrors
     }
-}
-
-/// The same torn mix the single-drive harness uses.
-fn standard_patterns() -> Vec<TornPattern> {
-    vec![
-        TornPattern::Prefix(0),
-        TornPattern::Prefix(4),
-        TornPattern::Interleaved { phase: 0 },
-        TornPattern::Holed { start: 1, len: 2 },
-        TornPattern::Interleaved { phase: 1 },
-    ]
 }
 
 /// What the golden (fault-free) protocol run established.

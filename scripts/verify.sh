@@ -4,7 +4,8 @@
 # 1. hermetic release build (no registry access required)
 # 2. the full test suite (dev profile is optimized; see Cargo.toml)
 # 3. the bounded crash-torture campaign: fixed seed, ≤64 crash points ×
-#    2 torn prefixes over the S4 write path, all four recovery
+#    2 torn patterns over the S4 write path (including commits whose
+#    summary persists and whose data does not), all five recovery
 #    invariants asserted per replay (crates/torture)
 # 4. the §2 intrusion scenario end-to-end: the online detectors must
 #    flag the staged intrusion and the recovery plan must restore the
@@ -51,6 +52,11 @@
 # 15. the tracing-overhead bench at smoke scale, which asserts request
 #    tracing costs <= 5% of 8-client stress throughput (BENCH_JSON
 #    line; committed baseline in BENCH_trace.json)
+# 16. the wall-clock benchmark's smoke suite (benchmark/, a package of
+#    its own): all four workloads end to end on the real stack, every
+#    read-back checked, including drive_churn_recover's crash -> mount
+#    -> read-back on FileDisk. Only its exit code gates; it compares no
+#    timings (result file: target/benchmark-smoke.json)
 #
 # The exhaustive campaigns (every crash point of a 500-op workload,
 # every second-crash point inside recovery, and every 2PC crash point
@@ -142,5 +148,9 @@ S4_BENCH_SCALE="${S4_BENCH_SCALE:-0.25}" cargo bench -p s4-bench --bench fig_tra
 grep -q '^BENCH_JSON ' target/fig_trace.out \
   || { echo "verify: fig_trace emitted no BENCH_JSON line" >&2; exit 1; }
 grep '^BENCH_JSON ' target/fig_trace.out | sed 's/^BENCH_JSON //' > target/BENCH_trace.json
+
+echo "== benchmark smoke suite (output checks only, no timing gate)"
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+  suite --smoke --out target/benchmark-smoke.json
 
 echo "verify: OK"

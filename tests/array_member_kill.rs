@@ -109,9 +109,10 @@ fn member_kill_under_tcp_stress_is_invisible_and_resyncable() {
     let clock = SimClock::new();
     clock.advance(SimDuration::from_secs(1));
 
-    // Format clean, then re-arm: shard 0's first replica dies after a
-    // handful of post-mount disk writes — mid-run, while the clients
-    // are hammering.
+    // Format clean, then re-arm: shard 0's first replica dies at its
+    // third post-mount commit (one device write each) — mid-run, while
+    // the clients are hammering; the workload commits at least six
+    // times per shard.
     let devices = (0..SHARDS * MIRRORS).map(|_| clean_disk()).collect();
     let a = S4Array::format(devices, DriveConfig::small_test(), array_cfg(), clock.clone())
         .unwrap();
@@ -122,7 +123,7 @@ fn member_kill_under_tcp_stress_is_invisible_and_resyncable() {
         .map(|(i, d)| {
             let plan = if i == 0 {
                 FaultPlan::member_death_after_requests(
-                    5,
+                    2,
                     RequestClassMask::WRITES.union(RequestClassMask::SYNCS),
                 )
             } else {

@@ -2,8 +2,8 @@
 //!
 //! The bounded campaign is the CI gate: a fixed seed, crash points
 //! sampled down to ≤ 64, two torn-sector patterns per point (rotating
-//! through prefix / interleaved / holed tears so the whole mix is
-//! exercised without growing the replay budget). The exhaustive
+//! through prefix / interleaved / holed / summary-only tears so the whole
+//! mix is exercised without growing the replay budget). The exhaustive
 //! campaign (`--ignored`) replays *every* countable device request of a
 //! 500-op workload.
 //!
@@ -35,6 +35,10 @@ fn bounded_crash_enumeration_holds_invariants() {
     // Every sampled crash point is inside the workload, so every replay
     // must actually lose power.
     assert_eq!(summary.died, summary.replays, "some faults never fired: {summary:?}");
+    // The mix includes tears that keep a commit's summary and lose its
+    // data; the campaign must have exercised the checksum that catches
+    // them.
+    assert!(summary.torn_batches > 0, "no torn commit seen: {summary:?}");
 }
 
 #[test]

@@ -238,9 +238,9 @@ fn member_death_mid_prepare_stays_atomic_for_every_client() {
     let clock = SimClock::new();
     clock.advance(SimDuration::from_secs(1));
 
-    // Format clean, then re-arm: shard 2's first replica dies after a
-    // handful of post-mount journal flushes — inside some client's
-    // prepare window, while the batches are flying.
+    // Format clean, then re-arm: shard 2's first replica dies at its
+    // third post-mount journal flush (one device write each) — inside
+    // some client's prepare window, while the batches are flying.
     let devices: Vec<Disk> = (0..SHARDS * MIRRORS)
         .map(|_| FaultyDisk::new(MemDisk::with_capacity_bytes(64 << 20), FaultPlan::none()))
         .collect();
@@ -260,7 +260,7 @@ fn member_death_mid_prepare_stays_atomic_for_every_client() {
             // Device index 2*MIRRORS: shard 2, member 0.
             let plan = if i == 2 * MIRRORS {
                 FaultPlan::member_death_after_requests(
-                    5,
+                    2,
                     RequestClassMask::WRITES.union(RequestClassMask::SYNCS),
                 )
             } else {
