@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use s4_bench::bench_ctx;
+use s4_bench::{bench_ctx, scale};
 use s4_clock::{NetworkModel, SimClock, SimDuration};
 use s4_core::{DriveConfig, S4Drive};
 use s4_fs::{LoopbackTransport, S4FileServer, S4FsConfig};
@@ -23,13 +23,6 @@ use s4_simdisk::{DiskModelParams, MemDisk, TimedDisk};
 use s4_workloads::micro::{micro_benchmark, MicroConfig};
 use s4_workloads::postmark::{self, PostmarkConfig};
 use s4_workloads::replay;
-
-fn scale() -> f64 {
-    std::env::var("S4_BENCH_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0)
-}
 
 fn build(dconf: DriveConfig) -> S4FileServer<LoopbackTransport<TimedDisk<MemDisk>>> {
     let clock = SimClock::new();

@@ -15,10 +15,7 @@ use s4_simdisk::{DiskModelParams, MemDisk, TimedDisk};
 use s4_workloads::srctree::{self, SourceTreeConfig};
 
 fn main() {
-    let scale: f64 = std::env::var("S4_BENCH_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
+    let scale = s4_bench::scale();
     println!();
     println!("================================================================");
     println!("In-drive differencing: history-pool compaction on a live S4 drive");

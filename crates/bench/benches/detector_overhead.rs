@@ -99,10 +99,7 @@ fn run(pm: &postmark::PostmarkPhases, monitor: bool) -> Run {
 }
 
 fn main() {
-    let scale: f64 = std::env::var("S4_BENCH_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
+    let scale = s4_bench::scale();
     let nfiles = ((2_000.0 * scale) as usize).max(100);
     let transactions = ((8_000.0 * scale) as usize).max(400);
     let pm = postmark::generate(&PostmarkConfig {

@@ -9,15 +9,8 @@
 //! 512 B–9 KiB). Set `S4_BENCH_SCALE` (e.g. `0.1`) to shrink for smoke
 //! runs.
 
-use s4_bench::{banner, build_system, run_phase, secs, SystemConfig, SystemKind};
+use s4_bench::{banner, build_system, run_phase, scale, secs, SystemConfig, SystemKind};
 use s4_workloads::postmark::{self, PostmarkConfig};
-
-fn scale() -> f64 {
-    std::env::var("S4_BENCH_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0)
-}
 
 fn main() {
     let s = scale();

@@ -166,10 +166,7 @@ fn run_once(utilization_pct: u64, continuous: bool, transactions: usize) -> (f64
 }
 
 fn main() {
-    let scale: f64 = std::env::var("S4_BENCH_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
+    let scale = s4_bench::scale();
     // Default is a 1/40 scale of the paper's 50,000 transactions: the
     // sweep runs 20 drive-lifetimes (10 utilizations x 2 modes) and the
     // 90% fills dominate; S4_BENCH_SCALE multiplies.

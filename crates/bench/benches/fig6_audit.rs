@@ -40,10 +40,7 @@ fn build(audit: bool, cache_blocks: usize) -> S4FileServer<LoopbackTransport<Tim
 }
 
 fn main() {
-    let scale: f64 = std::env::var("S4_BENCH_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
+    let scale = s4_bench::scale();
     let m = micro_benchmark(&MicroConfig {
         files: ((10_000.0 * scale) as usize).max(100),
         ..MicroConfig::default()

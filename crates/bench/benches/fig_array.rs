@@ -208,10 +208,7 @@ fn run_mirrored(kill_one: bool, nfiles: usize, transactions: usize) -> RunResult
 }
 
 fn main() {
-    let scale: f64 = std::env::var("S4_BENCH_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
+    let scale = s4_bench::scale();
     let nfiles = ((800.0 * scale) as usize).max(64);
     let transactions = ((6_000.0 * scale) as usize).max(400);
     banner(

@@ -129,10 +129,7 @@ fn target_disk(clock: &SimClock) -> TimedDisk<MemDisk> {
 }
 
 fn main() {
-    let scale: f64 = std::env::var("S4_BENCH_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
+    let scale = s4_bench::scale();
     let nfiles = ((600.0 * scale) as usize).max(64);
     let txns = ((4_800.0 * scale) as usize).max(400);
     let start = SimDuration::from_secs(1);

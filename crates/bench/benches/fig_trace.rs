@@ -110,10 +110,7 @@ fn run(trace: bool, ops_per_client: u64) -> (f64, Arc<S4Array<MemDisk>>) {
 }
 
 fn main() {
-    let scale: f64 = std::env::var("S4_BENCH_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
+    let scale = s4_bench::scale();
     let ops_per_client = ((3_000.0 * scale) as u64).max(500);
     banner(
         "Tracing overhead: 8-client stress, tracing on vs off",

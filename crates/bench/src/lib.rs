@@ -274,6 +274,16 @@ pub fn secs(d: SimDuration) -> String {
     format!("{:8.2}s", d.as_secs_f64())
 }
 
+/// The `S4_BENCH_SCALE` workload multiplier every bench sizes itself by
+/// (e.g. `0.1` for smoke runs): 1.0 when unset or unparsable. Each bench
+/// applies its own floors to the scaled counts.
+pub fn scale() -> f64 {
+    std::env::var("S4_BENCH_SCALE")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1.0)
+}
+
 /// Prints a standard figure header.
 pub fn banner(title: &str, subtitle: &str) {
     println!();

@@ -5,13 +5,11 @@
 //! modified except by the drive itself. ... Since the audit log may only
 //! be written by the drive front end, it need not be versioned."
 //!
-//! Records accumulate in a buffer; whole 4 KiB blocks are appended to the
-//! log alongside data blocks at sync time, which is exactly what produces
-//! the Figure 6 effect (audit blocks interleave with data in segments,
-//! reducing read locality of the files created around them).
+//! This module is the record codec; buffering, block spill and recovery
+//! are the shared reserved-stream mechanism in [`crate::reserved`].
 
 use s4_clock::SimTime;
-use s4_lfs::{BlockAddr, BLOCK_SIZE};
+use s4_lfs::BLOCK_SIZE;
 
 use crate::ids::{ClientId, ObjectId, UserId};
 use crate::{Result, S4Error};
@@ -104,6 +102,9 @@ pub struct AuditRecord {
 /// 6 pad + 8 object + 8 arg1 + 8 arg2).
 pub const RECORD_BYTES: usize = 48;
 
+/// Bytes of a block usable for whole records.
+pub(crate) const RECORD_BLOCK_BYTES: usize = (BLOCK_SIZE / RECORD_BYTES) * RECORD_BYTES;
+
 impl AuditRecord {
     /// Appends the binary encoding to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
@@ -136,77 +137,18 @@ impl AuditRecord {
     }
 }
 
-/// Drive-internal state of the audit object: the addresses of its full
-/// blocks plus the in-memory tail buffer.
-#[derive(Clone, Debug, Default)]
-pub struct AuditState {
-    /// Addresses of the full audit blocks, in append order.
-    pub blocks: Vec<BlockAddr>,
-    /// Records buffered toward the next full block.
-    pub pending: Vec<u8>,
-    /// Total records ever appended.
-    pub total_records: u64,
-}
+/// Codec for audit block payloads. (The stream's block list and tail
+/// buffer are a [`crate::reserved`] stream, like the alert and trace
+/// objects.)
+pub struct AuditState;
 
 impl AuditState {
-    /// Appends one record to the buffer; returns any full 4 KiB block
-    /// payloads now ready to be written to the log.
-    pub fn push(&mut self, rec: &AuditRecord) -> Vec<Vec<u8>> {
-        rec.encode_into(&mut self.pending);
-        self.total_records += 1;
-        let mut out = Vec::new();
-        while self.pending.len() >= usable_block_bytes() {
-            let rest = self.pending.split_off(usable_block_bytes());
-            let block = std::mem::replace(&mut self.pending, rest);
-            out.push(block);
-        }
-        out
-    }
-
-    /// Serializes the durable part (block list + totals) for the anchor
-    /// payload. The pending tail is volatile by design (§5.1.4 models one
-    /// audit block write per ~hundred operations, not per operation).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + self.blocks.len() * 8);
-        out.extend_from_slice(&self.total_records.to_le_bytes());
-        out.extend_from_slice(&(self.blocks.len() as u32).to_le_bytes());
-        for b in &self.blocks {
-            out.extend_from_slice(&b.0.to_le_bytes());
-        }
-        out
-    }
-
-    /// Deserializes from anchor payload, advancing `pos`.
-    pub fn decode_from(buf: &[u8], pos: &mut usize) -> Result<AuditState> {
-        if *pos + 12 > buf.len() {
-            return Err(S4Error::BadRequest("audit state truncated"));
-        }
-        let total_records = u64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap());
-        let n = u32::from_le_bytes(buf[*pos + 8..*pos + 12].try_into().unwrap()) as usize;
-        *pos += 12;
-        if *pos + n * 8 > buf.len() {
-            return Err(S4Error::BadRequest("audit block list truncated"));
-        }
-        let mut blocks = Vec::with_capacity(n);
-        for _ in 0..n {
-            blocks.push(BlockAddr(u64::from_le_bytes(
-                buf[*pos..*pos + 8].try_into().unwrap(),
-            )));
-            *pos += 8;
-        }
-        Ok(AuditState {
-            blocks,
-            pending: Vec::new(),
-            total_records,
-        })
-    }
-
     /// Decodes every record in an audit block payload. Blocks flushed at
     /// anchor time may be partially filled; zero padding (op byte 0 —
     /// never a valid [`OpKind`]) terminates the scan.
     pub fn decode_block(payload: &[u8]) -> Result<Vec<AuditRecord>> {
         let mut out = Vec::new();
-        let usable = usable_block_bytes().min(payload.len());
+        let usable = RECORD_BLOCK_BYTES.min(payload.len());
         let mut off = 0;
         while off + RECORD_BYTES <= usable {
             if payload[off + 16] == 0 {
@@ -217,20 +159,6 @@ impl AuditState {
         }
         Ok(out)
     }
-
-    /// Takes the buffered (partial) tail as a block payload, if any —
-    /// called at anchor time so audit records survive restarts.
-    pub fn take_pending_block(&mut self) -> Option<Vec<u8>> {
-        if self.pending.is_empty() {
-            return None;
-        }
-        Some(std::mem::take(&mut self.pending))
-    }
-}
-
-/// Bytes of a block usable for whole records.
-fn usable_block_bytes() -> usize {
-    (BLOCK_SIZE / RECORD_BYTES) * RECORD_BYTES
 }
 
 #[cfg(test)]
@@ -258,74 +186,11 @@ mod tests {
     }
 
     #[test]
-    fn push_emits_full_blocks_only() {
-        let mut st = AuditState::default();
-        let per_block = usable_block_bytes() / RECORD_BYTES;
-        let mut emitted = Vec::new();
-        for i in 0..(per_block as u64 * 2 + 3) {
-            emitted.extend(st.push(&rec(i)));
-        }
-        assert_eq!(emitted.len(), 2);
-        assert_eq!(st.total_records, per_block as u64 * 2 + 3);
-        assert!(!st.pending.is_empty());
-        // Each emitted block decodes back to the right records.
-        let first = AuditState::decode_block(&emitted[0]).unwrap();
-        assert_eq!(first.len(), per_block);
-        assert_eq!(first[0], rec(0));
-        let second = AuditState::decode_block(&emitted[1]).unwrap();
-        assert_eq!(second[0], rec(per_block as u64));
-    }
-
-    #[test]
-    fn state_encode_decode() {
-        let mut st = AuditState {
-            blocks: vec![BlockAddr(5), BlockAddr(9)],
-            pending: vec![1, 2, 3],
-            total_records: 42,
-        };
-        let enc = st.encode();
-        let mut pos = 0;
-        let d = AuditState::decode_from(&enc, &mut pos).unwrap();
-        assert_eq!(d.blocks, st.blocks);
-        assert_eq!(d.total_records, 42);
-        assert!(d.pending.is_empty(), "pending tail is volatile");
-        st.pending.clear();
-        assert_eq!(pos, enc.len());
-    }
-
-    #[test]
-    fn record_stream_round_trips_across_block_boundaries() {
-        // Push 2½ blocks of records, then reassemble the whole stream
-        // from the emitted full blocks plus the anchored pending tail:
-        // nothing lost, nothing reordered, nothing altered at the seams.
-        let mut st = AuditState::default();
-        let per_block = usable_block_bytes() / RECORD_BYTES;
-        let total = per_block as u64 * 2 + per_block as u64 / 2;
-        let mut blocks = Vec::new();
-        for i in 0..total {
-            blocks.extend(st.push(&rec(i)));
-        }
-        blocks.extend(st.take_pending_block());
-        assert!(st.take_pending_block().is_none());
-        let decoded: Vec<AuditRecord> = blocks
-            .iter()
-            .map(|b| AuditState::decode_block(b).unwrap())
-            .collect::<Vec<_>>()
-            .concat();
-        assert_eq!(decoded.len() as u64, total);
-        for (i, d) in decoded.iter().enumerate() {
-            assert_eq!(*d, rec(i as u64), "record {i} damaged crossing blocks");
-        }
-    }
-
-    #[test]
     fn decode_block_rejects_corruption_without_panicking() {
-        let mut st = AuditState::default();
         let mut payload = Vec::new();
         for i in 0..3 {
-            st.push(&rec(i));
+            rec(i).encode_into(&mut payload);
         }
-        payload.extend(st.take_pending_block().unwrap());
 
         // Corrupt the op byte of the middle record: clean error, no panic.
         let mut bad = payload.clone();
@@ -366,7 +231,7 @@ mod tests {
     fn roughly_85_records_fit_per_block() {
         // Sanity check the §5.1.4 shape: audit costs one block write per
         // tens-of-operations, not per operation.
-        let per_block = usable_block_bytes() / RECORD_BYTES;
+        let per_block = RECORD_BLOCK_BYTES / RECORD_BYTES;
         assert!((80..=90).contains(&per_block), "per_block = {per_block}");
     }
 }

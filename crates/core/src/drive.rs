@@ -33,10 +33,10 @@ use s4_obs::{FlightRecorder, Histogram, Registry, TraceRecord};
 use s4_simdisk::BlockDev;
 
 use crate::acl::{AclEntry, AclTable, Perm};
-use crate::alert::AlertState;
-use crate::audit::{AuditRecord, AuditState, OpKind};
+use crate::audit::{AuditRecord, OpKind};
 use crate::ids::{ObjectId, RequestContext};
 use crate::object::{DeltaRef, EvictInfo, ObjectEntry, SectorInfo, Slot};
+use crate::reserved::{Framing, ReservedLog, ResyncStream};
 use crate::stats::DriveStats;
 use crate::throttle::{ThrottleConfig, ThrottleState};
 use crate::{Result, S4Error};
@@ -287,34 +287,21 @@ pub struct RecoveryReport {
     pub max_recovered_stamp: HybridTimestamp,
 }
 
-/// Resume point for incremental alert reads (see
-/// [`S4Drive::read_alerts_from`]). Start from `AlertCursor::default()`;
-/// the drive advances it on every poll.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AlertCursor {
-    /// Flushed alert blocks fully consumed, counted from the start of
-    /// the stream (absolute — stable across retention truncation).
-    pub blocks: usize,
-    /// Blobs of the in-memory pending tail already consumed (they become
-    /// the prefix of the next flushed block when the tail spills).
-    pub tail_blobs: usize,
-}
-
-struct Inner {
+pub(crate) struct Inner {
     table: HashMap<u64, Slot>,
     next_oid: u64,
-    window: SimDuration,
-    audit: AuditState,
-    alerts: AlertState,
-    /// Flight-recorder stream: same spill discipline as alerts (the
-    /// blobs are fixed-size encoded [`TraceRecord`]s).
-    traces: AlertState,
+    pub(crate) window: SimDuration,
+    /// The three reserved streams (see [`crate::reserved`]). Trace blobs
+    /// are encoded [`TraceRecord`]s.
+    pub(crate) audit: ReservedLog,
+    pub(crate) alerts: ReservedLog,
+    pub(crate) traces: ReservedLog,
     /// One-shot latch for the alert-object growth self-alert.
-    alert_growth_warned: bool,
+    pub(crate) alert_growth_warned: bool,
     /// Every reachable block (current data, in-window history, journal
     /// blocks, checkpoints, audit blocks). Rebuilt from first principles
     /// at mount.
-    live: HashSet<u64>,
+    pub(crate) live: HashSet<u64>,
     /// Per journal-block count of sectors still referenced by some
     /// object's sector list; the block is released when it reaches zero.
     jblock_refs: HashMap<u64, u32>,
@@ -362,13 +349,13 @@ pub trait AuditObserver: Send {
 /// reports into, the hot-path latency histograms, and the in-memory
 /// flight-recorder ring (the persisted trace stream lives in
 /// [`Inner::traces`]).
-struct DriveObs {
+pub(crate) struct DriveObs {
     registry: Registry,
     rpc_hist: Histogram,
     journal_hist: Histogram,
     lfs_hist: Histogram,
     disk_hist: Histogram,
-    recorder: FlightRecorder,
+    pub(crate) recorder: FlightRecorder,
 }
 
 impl DriveObs {
@@ -403,20 +390,20 @@ impl DriveObs {
 
 /// The S4 drive.
 pub struct S4Drive<D: BlockDev> {
-    log: Log<D>,
-    clock: SimClock,
+    pub(crate) log: Log<D>,
+    pub(crate) clock: SimClock,
     stamps: HybridClock,
-    config: DriveConfig,
+    pub(crate) config: DriveConfig,
     // The oid residue class new objects are allocated in. Initialized
     // from `config` but runtime-mutable: a reshard flip narrows a
     // source member's class from (N, s) to (2N, s) without a remount.
     oid_stride: AtomicU64,
     oid_offset: AtomicU64,
-    inner: Mutex<Inner>,
-    stats: DriveStats,
+    pub(crate) inner: Mutex<Inner>,
+    pub(crate) stats: DriveStats,
     cleaner: Cleaner,
-    observers: Mutex<Vec<Box<dyn AuditObserver>>>,
-    obs: DriveObs,
+    pub(crate) observers: Mutex<Vec<Box<dyn AuditObserver>>>,
+    pub(crate) obs: DriveObs,
 }
 
 impl<D: BlockDev> S4Drive<D> {
@@ -446,8 +433,18 @@ impl<D: BlockDev> S4Drive<D> {
     fn format_bare(dev: D, config: DriveConfig, clock: SimClock) -> Result<S4Drive<D>> {
         let log = Log::format(dev, config.log)?;
         let stamps = HybridClock::new(clock.clone());
+        Ok(Self::assemble(log, clock, stamps, config, Inner::new(&config)))
+    }
+
+    fn assemble(
+        log: Log<D>,
+        clock: SimClock,
+        stamps: HybridClock,
+        config: DriveConfig,
+        inner: Inner,
+    ) -> S4Drive<D> {
         let obs = DriveObs::new(&config);
-        let drive = S4Drive {
+        S4Drive {
             log,
             clock,
             stamps,
@@ -456,28 +453,10 @@ impl<D: BlockDev> S4Drive<D> {
             oid_stride: AtomicU64::new(config.oid_stride),
             oid_offset: AtomicU64::new(config.oid_offset),
             config,
-            inner: Mutex::new(Inner {
-                table: HashMap::new(),
-                next_oid: FIRST_DYNAMIC_OID,
-                window: config.detection_window,
-                audit: AuditState::default(),
-                alerts: AlertState::default(),
-                traces: AlertState::default(),
-                alert_growth_warned: false,
-                live: HashSet::new(),
-                jblock_refs: HashMap::new(),
-                cpblock_refs: HashMap::new(),
-                dblock_refs: HashMap::new(),
-                throttle: ThrottleState::new(config.throttle),
-                syncs_since_anchor: 0,
-                lru: 0,
-                txn_pending: BTreeMap::new(),
-                txn_locks: BTreeMap::new(),
-            }),
+            inner: Mutex::new(inner),
             observers: Mutex::new(Vec::new()),
             obs,
-        };
-        Ok(drive)
+        }
     }
 
     /// Mounts an existing S4 drive, recovering to the last completed sync.
@@ -587,23 +566,10 @@ impl<D: BlockDev> S4Drive<D> {
                             }
                         }
                     }
-                    BlockKind::Audit if tag.object == ALERT_OBJECT.0 => {
-                        inner.alerts.blocks.push(addr);
-                    }
-                    BlockKind::Audit if tag.object == TRACE_OBJECT.0 => {
-                        // Post-anchor flight-recorder blocks: re-derive
-                        // the record total from the block contents so
-                        // the persisted seq counter stays contiguous
-                        // (the anchored total only covers anchored
-                        // blocks; the volatile tail died with the
-                        // crash).
-                        inner.traces.blocks.push(addr);
-                        let block = log.read_block(addr)?;
-                        inner.traces.total_alerts +=
-                            AlertState::decode_block(&block)?.len() as u64;
-                    }
                     BlockKind::Audit => {
-                        inner.audit.blocks.push(addr);
+                        if let Some(stream) = inner.stream_mut(tag.object) {
+                            stream.replay_block(addr, &log.read_block(addr)?)?;
+                        }
                     }
                     // Data blocks become reachable via the journal entries
                     // referencing them; orphaned post-anchor checkpoints
@@ -618,9 +584,9 @@ impl<D: BlockDev> S4Drive<D> {
         rebuild_liveness(&log, &mut inner)?;
         log.rebuild_live_counts(inner.live.iter().map(|&a| BlockAddr(a)));
 
-        report.audit_blocks = inner.audit.blocks.len();
-        report.alert_blocks = inner.alerts.blocks.len();
-        report.trace_blocks = inner.traces.blocks.len();
+        report.audit_blocks = inner.audit.blocks().len();
+        report.alert_blocks = inner.alerts.blocks().len();
+        report.trace_blocks = inner.traces.blocks().len();
         report.recovered_objects = inner.table.len();
         report.next_oid = inner.next_oid;
 
@@ -636,20 +602,7 @@ impl<D: BlockDev> S4Drive<D> {
         clock.advance_to(report.max_recovered_stamp.time);
 
         let stamps = HybridClock::resuming_from(clock.clone(), max_seq.max(sb.next_stamp_seq));
-        let obs = DriveObs::new(&config);
-        let drive = S4Drive {
-            log,
-            clock,
-            stamps,
-            cleaner: Cleaner::new(config.cleaner),
-            stats: DriveStats::registered(&obs.registry),
-            oid_stride: AtomicU64::new(config.oid_stride),
-            oid_offset: AtomicU64::new(config.oid_offset),
-            config,
-            inner: Mutex::new(inner),
-            observers: Mutex::new(Vec::new()),
-            obs,
-        };
+        let drive = Self::assemble(log, clock, stamps, config, inner);
         // Rebuild in-doubt transaction state from the recovered
         // transaction log (the array resolves them against the
         // coordinator's decision notes before serving traffic).
@@ -1108,77 +1061,6 @@ impl<D: BlockDev> S4Drive<D> {
         Ok(())
     }
 
-    /// Administrative retention for the append-only alert object
-    /// (ROADMAP open item): releases flushed alert blocks whose *newest*
-    /// blob is strictly older than the detection window. In-window
-    /// alerts and the buffered tail are untouched, and the stream keeps
-    /// absolute block numbering (see [`AlertState::flushed_blocks`]) so
-    /// outstanding [`AlertCursor`]s remain valid. Returns the number of
-    /// blocks released back to the free pool.
-    pub fn op_flush_alerts(&self, ctx: &RequestContext) -> Result<u64> {
-        if !self.is_admin(ctx) {
-            return Err(S4Error::AccessDenied);
-        }
-        let mut inner = self.inner.lock();
-        let cutoff = self
-            .clock
-            .now()
-            .as_micros()
-            .saturating_sub(inner.window.as_micros());
-        let k = self.retention_prefix(&inner.alerts.blocks, cutoff, alert_blob_time)?;
-        let freed = inner.alerts.truncate_front(k);
-        Ok(self.release_reserved_blocks(&mut inner, freed))
-    }
-
-    /// Administrative retention for the persisted flight-recorder
-    /// stream: same policy as [`S4Drive::op_flush_alerts`], applied to
-    /// the reserved trace object.
-    pub fn op_flush_traces(&self, ctx: &RequestContext) -> Result<u64> {
-        if !self.is_admin(ctx) {
-            return Err(S4Error::AccessDenied);
-        }
-        let mut inner = self.inner.lock();
-        let cutoff = self
-            .clock
-            .now()
-            .as_micros()
-            .saturating_sub(inner.window.as_micros());
-        let k = self.retention_prefix(&inner.traces.blocks, cutoff, trace_blob_time)?;
-        let freed = inner.traces.truncate_front(k);
-        Ok(self.release_reserved_blocks(&mut inner, freed))
-    }
-
-    /// Longest prefix of `blocks` whose newest blob timestamp is
-    /// strictly below `cutoff_us`. Blob times are monotone across the
-    /// stream, so a block whose newest entry is in-window ends the scan.
-    fn retention_prefix(
-        &self,
-        blocks: &[BlockAddr],
-        cutoff_us: u64,
-        blob_time: fn(&[u8]) -> u64,
-    ) -> Result<usize> {
-        let mut k = 0;
-        for &addr in blocks {
-            let blobs = AlertState::decode_block(&self.log.read_block(addr)?)?;
-            let newest = blobs.iter().map(|b| blob_time(b)).max().unwrap_or(0);
-            if newest >= cutoff_us {
-                break;
-            }
-            k += 1;
-        }
-        Ok(k)
-    }
-
-    /// Drops truncated reserved-object blocks from the live set and
-    /// returns them to the log's free pool.
-    fn release_reserved_blocks(&self, inner: &mut Inner, freed: Vec<BlockAddr>) -> u64 {
-        for a in &freed {
-            inner.live.remove(&a.0);
-        }
-        self.log.release_blocks(freed.iter().copied());
-        freed.len() as u64
-    }
-
     /// Administrative: removes all versions of all objects whose creating
     /// mutation falls in `[from, to]`.
     pub fn op_flush(&self, ctx: &RequestContext, from: SimTime, to: SimTime) -> Result<()> {
@@ -1208,114 +1090,10 @@ impl<D: BlockDev> S4Drive<D> {
         self.flush_object_range(&mut inner, oid, from, to)
     }
 
-    /// Decodes every record currently in the audit log (admin only).
-    pub fn read_audit_records(
-        &self,
-        ctx: &RequestContext,
-    ) -> Result<Vec<crate::audit::AuditRecord>> {
-        if !self.is_admin(ctx) {
-            return Err(S4Error::AccessDenied);
-        }
-        let inner = self.inner.lock();
-        let mut out = Vec::new();
-        for &addr in &inner.audit.blocks {
-            let block = self.log.read_block(addr)?;
-            out.extend(AuditState::decode_block(&block)?);
-        }
-        // Plus the buffered tail.
-        let mut off = 0;
-        while off + crate::audit::RECORD_BYTES <= inner.audit.pending.len() {
-            out.push(crate::audit::AuditRecord::decode(
-                &inner.audit.pending[off..off + crate::audit::RECORD_BYTES],
-            )?);
-            off += crate::audit::RECORD_BYTES;
-        }
-        Ok(out)
-    }
-
-    /// Appends one audit record (called by the RPC dispatcher), then
-    /// feeds it to any registered online detectors and persists the
-    /// alerts they raise.
-    pub(crate) fn audit_append(&self, rec: &crate::audit::AuditRecord) {
-        if !self.config.audit_enabled {
-            return;
-        }
-        {
-            let mut inner = self.inner.lock();
-            self.stats.audit_records(1);
-            let full_blocks = inner.audit.push(rec);
-            for payload in full_blocks {
-                let idx = inner.audit.blocks.len() as u64;
-                if let Ok(addr) = self.log.append(
-                    BlockTag::new(BlockKind::Audit, AUDIT_OBJECT.0, idx),
-                    &payload,
-                ) {
-                    inner.audit.blocks.push(addr);
-                    inner.live.insert(addr.0);
-                    self.stats.audit_blocks(1);
-                }
-            }
-        }
-        // Online detection: run outside the inner lock so persisting
-        // alerts can re-enter the drive.
-        let mut raised: Vec<Vec<u8>> = Vec::new();
-        {
-            let mut observers = self.observers.lock();
-            for obs in observers.iter_mut() {
-                raised.extend(obs.on_record(rec));
-            }
-        }
-        for blob in raised {
-            self.alert_append(&blob);
-        }
-    }
-
     /// Registers an online detector. Every subsequently audited request
     /// is passed to it; returned blobs land in the alert object.
     pub fn register_audit_observer(&self, obs: Box<dyn AuditObserver>) {
         self.observers.lock().push(obs);
-    }
-
-    /// Appends one alert blob to the reserved alert object (drive
-    /// front-end only — there is no client RPC that reaches this).
-    pub(crate) fn alert_append(&self, blob: &[u8]) {
-        let mut inner = self.inner.lock();
-        self.alert_append_locked(&mut inner, blob);
-        // Alert-object growth warning (ROADMAP retention item): the
-        // object is append-only, so a chatty detector can grow it
-        // without bound. When it reaches the configured block
-        // threshold, persist one self-alert — through the same
-        // tamper-evident channel the operator already polls — so the
-        // pressure is visible before the pool fills. Fires once per
-        // mount.
-        let warn = self.config.alert_warn_blocks;
-        if warn > 0 && !inner.alert_growth_warned && inner.alerts.blocks.len() as u64 >= warn {
-            inner.alert_growth_warned = true;
-            let msg = format!(
-                "alert object reached {} flushed blocks (warn threshold {})",
-                inner.alerts.blocks.len(),
-                warn
-            );
-            let self_alert = encode_growth_alert(self.clock.now().as_micros(), msg.as_bytes());
-            self.alert_append_locked(&mut inner, &self_alert);
-        }
-    }
-
-    fn alert_append_locked(&self, inner: &mut Inner, blob: &[u8]) {
-        let spilled = match inner.alerts.push(blob) {
-            Ok(s) => s,
-            Err(_) => return, // oversized blob: drop rather than poison the log
-        };
-        if let Some(payload) = spilled {
-            let idx = inner.alerts.blocks.len() as u64;
-            if let Ok(addr) = self.log.append(
-                BlockTag::new(BlockKind::Audit, ALERT_OBJECT.0, idx),
-                &payload,
-            ) {
-                inner.alerts.blocks.push(addr);
-                inner.live.insert(addr.0);
-            }
-        }
     }
 
     /// Records one per-request trace: always into the in-memory ring,
@@ -1384,53 +1162,6 @@ impl<D: BlockDev> S4Drive<D> {
         });
     }
 
-    /// Assigns the stream sequence number and persists one trace record
-    /// (ring always; spill blocks when the flight recorder is on).
-    fn persist_trace(&self, mut rec: TraceRecord) {
-        if self.config.flight_recorder {
-            let mut inner = self.inner.lock();
-            rec.seq = inner.traces.total_alerts;
-            let blob = rec.encode();
-            if let Ok(Some(payload)) = inner.traces.push(&blob) {
-                let idx = inner.traces.blocks.len() as u64;
-                if let Ok(addr) = self.log.append(
-                    BlockTag::new(BlockKind::Audit, TRACE_OBJECT.0, idx),
-                    &payload,
-                ) {
-                    inner.traces.blocks.push(addr);
-                    inner.live.insert(addr.0);
-                }
-            }
-        } else {
-            rec.seq = self.obs.recorder.total();
-        }
-        self.obs.recorder.push(rec);
-    }
-
-    /// Reads the persisted flight-recorder stream (admin only), oldest
-    /// first: flushed trace blocks, then the in-memory pending tail.
-    pub fn read_traces(&self, ctx: &RequestContext) -> Result<Vec<TraceRecord>> {
-        if !self.is_admin(ctx) {
-            return Err(S4Error::AccessDenied);
-        }
-        let inner = self.inner.lock();
-        let mut out = Vec::new();
-        let mut decode_blobs = |blobs: Vec<Vec<u8>>| -> Result<()> {
-            for b in blobs {
-                out.push(
-                    TraceRecord::decode(&b).ok_or(S4Error::BadRequest("malformed trace record"))?,
-                );
-            }
-            Ok(())
-        };
-        for &addr in &inner.traces.blocks {
-            let block = self.log.read_block(addr)?;
-            decode_blobs(AlertState::decode_block(&block)?)?;
-        }
-        decode_blobs(AlertState::decode_block(&inner.traces.pending)?)?;
-        Ok(out)
-    }
-
     /// The in-memory flight-recorder ring: the last N dispatched
     /// requests with per-layer timings (unauthenticated — it exposes
     /// aggregate operational data, not object contents).
@@ -1483,9 +1214,9 @@ impl<D: BlockDev> S4Drive<D> {
                 .sum();
             (
                 depth,
-                inner.audit.blocks.len(),
-                inner.alerts.blocks.len(),
-                inner.traces.blocks.len(),
+                inner.audit.blocks().len(),
+                inner.alerts.blocks().len(),
+                inner.traces.blocks().len(),
                 inner.table.len(),
                 inner.window.as_micros(),
             )
@@ -1543,79 +1274,6 @@ impl<D: BlockDev> S4Drive<D> {
         .set(headroom);
     }
 
-    /// Reads every persisted alert blob (admin only), oldest first.
-    pub fn read_alerts(&self, ctx: &RequestContext) -> Result<Vec<Vec<u8>>> {
-        if !self.is_admin(ctx) {
-            return Err(S4Error::AccessDenied);
-        }
-        let inner = self.inner.lock();
-        let mut out = Vec::new();
-        for &addr in &inner.alerts.blocks {
-            let block = self.log.read_block(addr)?;
-            out.extend(AlertState::decode_block(&block)?);
-        }
-        out.extend(AlertState::decode_block(&inner.alerts.pending)?);
-        Ok(out)
-    }
-
-    /// Reads only the alert blobs appended since `cursor` (admin only),
-    /// oldest first, and advances the cursor — repeated polls are
-    /// incremental instead of rescanning every alert block.
-    ///
-    /// The cursor exploits the spill discipline of the alert object:
-    /// when the pending tail spills (or is persisted at anchor), the
-    /// previously buffered blobs form the *prefix* of the newly flushed
-    /// block, so `tail_blobs` carries over as a skip count into the
-    /// first unread block. A cursor that is ahead of the drive (e.g.
-    /// reused across a crash that lost un-anchored alert blocks) resets
-    /// and rereads from the start.
-    pub fn read_alerts_from(
-        &self,
-        ctx: &RequestContext,
-        cursor: &mut AlertCursor,
-    ) -> Result<Vec<Vec<u8>>> {
-        if !self.is_admin(ctx) {
-            return Err(S4Error::AccessDenied);
-        }
-        let inner = self.inner.lock();
-        // Cursors count *absolute* stream blocks: retention truncation
-        // (`FlushAlerts`) removes old blocks from the front without
-        // renumbering what remains.
-        let flushed = inner.alerts.flushed_blocks as usize;
-        let total = flushed + inner.alerts.blocks.len();
-        if cursor.blocks > total {
-            *cursor = AlertCursor::default();
-        }
-        let mut out = Vec::new();
-        let mut skip = if cursor.blocks >= flushed {
-            cursor.tail_blobs
-        } else {
-            // The cursor's resume block was truncated by retention; the
-            // blobs it had consumed are gone, so resume at the surviving
-            // front without a partial-block skip.
-            0
-        };
-        let start = cursor.blocks.saturating_sub(flushed);
-        for (i, &addr) in inner.alerts.blocks.iter().enumerate().skip(start) {
-            let blobs = AlertState::decode_block(&self.log.read_block(addr)?)?;
-            let s = if flushed + i == cursor.blocks {
-                skip.min(blobs.len())
-            } else {
-                0
-            };
-            out.extend(blobs.into_iter().skip(s));
-        }
-        if total > cursor.blocks {
-            // The old tail spilled into the first unread block above.
-            skip = 0;
-        }
-        let tail = AlertState::decode_block(&inner.alerts.pending)?;
-        cursor.tail_blobs = tail.len();
-        cursor.blocks = total;
-        out.extend(tail.into_iter().skip(skip.min(cursor.tail_blobs)));
-        Ok(out)
-    }
-
     /// Deterministic digest of the drive's logical state: the object
     /// table (metadata, sector lists, forwarding/delta maps, landmarks,
     /// history floors, pending journal entries), the audit and alert
@@ -1671,26 +1329,9 @@ impl<D: BlockDev> S4Drive<D> {
                 }
             }
         }
-        h.u64(inner.audit.blocks.len() as u64);
-        for a in &inner.audit.blocks {
-            h.u64(a.0);
+        for s in [&inner.audit, &inner.alerts, &inner.traces] {
+            s.digest(|b| h.bytes(b));
         }
-        h.bytes(&inner.audit.pending);
-        h.u64(inner.audit.total_records);
-        h.u64(inner.alerts.blocks.len() as u64);
-        for a in &inner.alerts.blocks {
-            h.u64(a.0);
-        }
-        h.bytes(&inner.alerts.pending);
-        h.u64(inner.alerts.total_alerts);
-        h.u64(inner.alerts.flushed_blocks);
-        h.u64(inner.traces.blocks.len() as u64);
-        for a in &inner.traces.blocks {
-            h.u64(a.0);
-        }
-        h.bytes(&inner.traces.pending);
-        h.u64(inner.traces.total_alerts);
-        h.u64(inner.traces.flushed_blocks);
         // Unresolved-transaction state (the log object itself is hashed
         // with the table; this covers the derived pending/lock maps so
         // a rebuild divergence shows up as a digest mismatch).
@@ -1720,16 +1361,6 @@ impl<D: BlockDev> S4Drive<D> {
             h.u64(*t);
         }
         h.0
-    }
-
-    /// Total records ever appended to the audit log (admin only). A
-    /// mismatch against the decodable record count exposes an audit
-    /// coverage gap (records lost with the volatile tail in a crash).
-    pub fn audit_total_records(&self, ctx: &RequestContext) -> Result<u64> {
-        if !self.is_admin(ctx) {
-            return Err(S4Error::AccessDenied);
-        }
-        Ok(self.inner.lock().audit.total_records)
     }
 
     // ------------------------------------------------------------------
@@ -1786,47 +1417,13 @@ impl<D: BlockDev> S4Drive<D> {
                 objects.push(obj);
             }
         }
-        let read_stream = |blocks: &[BlockAddr],
-                               pending: &[u8],
-                               total: u64,
-                               flushed: u64|
-         -> Result<ResyncStream> {
-            let mut out = Vec::with_capacity(blocks.len());
-            for &addr in blocks {
-                out.push(self.log.read_block(addr)?.to_vec());
-            }
-            Ok(ResyncStream {
-                blocks: out,
-                pending: pending.to_vec(),
-                total,
-                flushed_blocks: flushed,
-            })
-        };
-        let audit = read_stream(
-            &inner.audit.blocks,
-            &inner.audit.pending,
-            inner.audit.total_records,
-            0,
-        )?;
-        let alerts = read_stream(
-            &inner.alerts.blocks,
-            &inner.alerts.pending,
-            inner.alerts.total_alerts,
-            inner.alerts.flushed_blocks,
-        )?;
-        let traces = read_stream(
-            &inner.traces.blocks,
-            &inner.traces.pending,
-            inner.traces.total_alerts,
-            inner.traces.flushed_blocks,
-        )?;
         Ok(ResyncImage {
             next_oid: inner.next_oid,
             window: inner.window,
             objects,
-            audit,
-            alerts,
-            traces,
+            audit: inner.audit.export(&self.log)?,
+            alerts: inner.alerts.export(&self.log)?,
+            traces: inner.traces.export(&self.log)?,
         })
     }
 
@@ -1849,77 +1446,15 @@ impl<D: BlockDev> S4Drive<D> {
             let inner = &mut *guard;
             inner.window = image.window;
             for obj in &image.objects {
-                let created = HybridTimestamp::new(obj.created, drive.stamps.next_seq());
-                let mut entry = ObjectEntry::new(ObjectMeta::new(obj.oid, created));
-                entry.pending.push(JournalEntry::Create { stamp: created });
-                if !obj.acl.is_empty() {
-                    let set = JournalEntry::SetAcl {
-                        stamp: HybridTimestamp::new(obj.created, drive.stamps.next_seq()),
-                        old: Vec::new(),
-                        new: obj.acl.clone(),
-                    };
-                    redo(&mut entry.meta, &set);
-                    entry.pending.push(set);
-                }
-                entry.last_used = inner.bump_lru();
-                let modified = HybridTimestamp::new(obj.modified, drive.stamps.next_seq());
-                if obj.content.is_empty() {
-                    // An empty write is a no-op; stamp the modification
-                    // time with an empty truncate instead.
-                    let e = JournalEntry::Truncate {
-                        stamp: modified,
-                        old_size: 0,
-                        new_size: 0,
-                        freed: Vec::new(),
-                    };
-                    redo(&mut entry.meta, &e);
-                    entry.pending.push(e);
-                } else {
-                    drive.write_extent_stamped(inner, &mut entry, 0, &obj.content, modified)?;
-                }
-                if !obj.attrs.is_empty() {
-                    let e = JournalEntry::SetAttr {
-                        stamp: HybridTimestamp::new(obj.modified, drive.stamps.next_seq()),
-                        old: entry.meta.attrs.clone(),
-                        new: obj.attrs.clone(),
-                    };
-                    redo(&mut entry.meta, &e);
-                    entry.pending.push(e);
-                }
-                entry.dirty = true;
-                inner.table.insert(obj.oid, Slot::Cached(Box::new(entry)));
+                drive.insert_exported(inner, obj)?;
             }
             inner.next_oid = inner.next_oid.max(image.next_oid);
 
-            restore_stream(
-                &drive.log,
-                &mut inner.live,
-                &mut inner.audit.blocks,
-                AUDIT_OBJECT.0,
-                &image.audit.blocks,
-            )?;
-            inner.audit.pending = image.audit.pending.clone();
-            inner.audit.total_records = image.audit.total;
-            restore_stream(
-                &drive.log,
-                &mut inner.live,
-                &mut inner.alerts.blocks,
-                ALERT_OBJECT.0,
-                &image.alerts.blocks,
-            )?;
-            inner.alerts.pending = image.alerts.pending.clone();
-            inner.alerts.total_alerts = image.alerts.total;
-            inner.alerts.flushed_blocks = image.alerts.flushed_blocks;
-            restore_stream(
-                &drive.log,
-                &mut inner.live,
-                &mut inner.traces.blocks,
-                TRACE_OBJECT.0,
-                &image.traces.blocks,
-            )?;
-            inner.traces.pending = image.traces.pending.clone();
-            inner.traces.total_alerts = image.traces.total;
-            inner.traces.flushed_blocks = image.traces.flushed_blocks;
+            let (streams, live) = inner.streams_mut();
+            let images = [&image.audit, &image.alerts, &image.traces];
+            for (s, image) in streams.into_iter().zip(images) {
+                s.restore(&drive.log, live, image)?;
+            }
 
             drive.sync_locked(inner)?;
             drive.anchor_locked(inner)?;
@@ -2018,45 +1553,6 @@ impl<D: BlockDev> S4Drive<D> {
         Ok(())
     }
 
-    /// Decodes the audit records from sequence number `from` onward
-    /// (admin only). The cursor is a record index into the stream that
-    /// [`S4Drive::audit_total_records`] counts; persisted audit blocks
-    /// are always full (records are block-packed before flush), so whole
-    /// blocks below the cursor are skipped without a device read.
-    pub fn read_audit_from(&self, ctx: &RequestContext, from: u64) -> Result<Vec<AuditRecord>> {
-        if !self.is_admin(ctx) {
-            return Err(S4Error::AccessDenied);
-        }
-        let inner = self.inner.lock();
-        let per = (BLOCK_SIZE / crate::audit::RECORD_BYTES) as u64;
-        let mut out = Vec::new();
-        let mut idx = 0u64;
-        for &addr in &inner.audit.blocks {
-            if idx + per <= from {
-                idx += per;
-                continue;
-            }
-            let block = self.log.read_block(addr)?;
-            for rec in AuditState::decode_block(&block)? {
-                if idx >= from {
-                    out.push(rec);
-                }
-                idx += 1;
-            }
-        }
-        let mut off = 0;
-        while off + crate::audit::RECORD_BYTES <= inner.audit.pending.len() {
-            if idx >= from {
-                out.push(AuditRecord::decode(
-                    &inner.audit.pending[off..off + crate::audit::RECORD_BYTES],
-                )?);
-            }
-            idx += 1;
-            off += crate::audit::RECORD_BYTES;
-        }
-        Ok(out)
-    }
-
     /// Exports one object's logical state for reshard migration (admin
     /// only): the version current now (`at == None`) or at the snapshot
     /// instant (`at == Some(t)`, served from the history pool like any
@@ -2126,43 +1622,7 @@ impl<D: BlockDev> S4Drive<D> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         if !inner.table.contains_key(&obj.oid) {
-            let created = HybridTimestamp::new(obj.created, self.stamps.next_seq());
-            let mut entry = ObjectEntry::new(ObjectMeta::new(obj.oid, created));
-            entry.pending.push(JournalEntry::Create { stamp: created });
-            if !obj.acl.is_empty() {
-                let set = JournalEntry::SetAcl {
-                    stamp: HybridTimestamp::new(obj.created, self.stamps.next_seq()),
-                    old: Vec::new(),
-                    new: obj.acl.clone(),
-                };
-                redo(&mut entry.meta, &set);
-                entry.pending.push(set);
-            }
-            entry.last_used = inner.bump_lru();
-            let modified = HybridTimestamp::new(obj.modified, self.stamps.next_seq());
-            if obj.content.is_empty() {
-                let e = JournalEntry::Truncate {
-                    stamp: modified,
-                    old_size: 0,
-                    new_size: 0,
-                    freed: Vec::new(),
-                };
-                redo(&mut entry.meta, &e);
-                entry.pending.push(e);
-            } else {
-                self.write_extent_stamped(inner, &mut entry, 0, &obj.content, modified)?;
-            }
-            if !obj.attrs.is_empty() {
-                let e = JournalEntry::SetAttr {
-                    stamp: HybridTimestamp::new(obj.modified, self.stamps.next_seq()),
-                    old: entry.meta.attrs.clone(),
-                    new: obj.attrs.clone(),
-                };
-                redo(&mut entry.meta, &e);
-                entry.pending.push(e);
-            }
-            entry.dirty = true;
-            inner.table.insert(obj.oid, Slot::Cached(Box::new(entry)));
+            self.insert_exported(inner, obj)?;
             inner.next_oid = inner.next_oid.max(obj.oid + 1);
             self.stats.versions_created(1);
             return Ok(());
@@ -2227,6 +1687,53 @@ impl<D: BlockDev> S4Drive<D> {
         })();
         self.put_back(inner, entry);
         r
+    }
+
+    /// Inserts an exported object under its own id, carrying its
+    /// creation/modification *times* (the stamp sequence component is
+    /// drive-local) — the replay step shared by mirror resync and
+    /// reshard migration.
+    fn insert_exported(&self, inner: &mut Inner, obj: &ResyncObject) -> Result<()> {
+        let created = HybridTimestamp::new(obj.created, self.stamps.next_seq());
+        let mut entry = ObjectEntry::new(ObjectMeta::new(obj.oid, created));
+        entry.pending.push(JournalEntry::Create { stamp: created });
+        if !obj.acl.is_empty() {
+            let set = JournalEntry::SetAcl {
+                stamp: HybridTimestamp::new(obj.created, self.stamps.next_seq()),
+                old: Vec::new(),
+                new: obj.acl.clone(),
+            };
+            redo(&mut entry.meta, &set);
+            entry.pending.push(set);
+        }
+        entry.last_used = inner.bump_lru();
+        let modified = HybridTimestamp::new(obj.modified, self.stamps.next_seq());
+        if obj.content.is_empty() {
+            // An empty write is a no-op; stamp the modification time
+            // with an empty truncate instead.
+            let e = JournalEntry::Truncate {
+                stamp: modified,
+                old_size: 0,
+                new_size: 0,
+                freed: Vec::new(),
+            };
+            redo(&mut entry.meta, &e);
+            entry.pending.push(e);
+        } else {
+            self.write_extent_stamped(inner, &mut entry, 0, &obj.content, modified)?;
+        }
+        if !obj.attrs.is_empty() {
+            let e = JournalEntry::SetAttr {
+                stamp: HybridTimestamp::new(obj.modified, self.stamps.next_seq()),
+                old: entry.meta.attrs.clone(),
+                new: obj.attrs.clone(),
+            };
+            redo(&mut entry.meta, &e);
+            entry.pending.push(e);
+        }
+        entry.dirty = true;
+        inner.table.insert(obj.oid, Slot::Cached(Box::new(entry)));
+        Ok(())
     }
 
     /// Walks an object's retained journal history, oldest first: one
@@ -2314,9 +1821,6 @@ impl<D: BlockDev> S4Drive<D> {
         // Collected payloads: (object, key, base, delta bytes).
         let mut payloads: Vec<(u64, u64, BlockAddr, Vec<u8>)> = Vec::new();
         for oid in oids {
-            if oid == AUDIT_OBJECT.0 {
-                continue;
-            }
             let Ok(entry) = self.take_cached(&mut inner, ObjectId(oid)) else {
                 continue;
             };
@@ -3299,37 +2803,14 @@ impl<D: BlockDev> S4Drive<D> {
             .collect();
         self.pack_checkpoints(inner, &need_cp)?;
 
-        // Persist any buffered audit tail so records survive restarts.
-        if let Some(tail) = inner.audit.take_pending_block() {
-            let idx = inner.audit.blocks.len() as u64;
-            let addr = self
-                .log
-                .append(BlockTag::new(BlockKind::Audit, AUDIT_OBJECT.0, idx), &tail)?;
-            inner.audit.blocks.push(addr);
-            inner.live.insert(addr.0);
-            self.stats.audit_blocks(1);
-        }
-
-        // Likewise the buffered alert tail.
-        if let Some(tail) = inner.alerts.take_pending_block() {
-            let idx = inner.alerts.blocks.len() as u64;
-            let addr = self
-                .log
-                .append(BlockTag::new(BlockKind::Audit, ALERT_OBJECT.0, idx), &tail)?;
-            inner.alerts.blocks.push(addr);
-            inner.live.insert(addr.0);
-        }
-
-        // And the buffered flight-recorder tail, so the persisted trace
-        // stream stays an exact prefix of the request stream across an
-        // orderly shutdown.
-        if let Some(tail) = inner.traces.take_pending_block() {
-            let idx = inner.traces.blocks.len() as u64;
-            let addr = self
-                .log
-                .append(BlockTag::new(BlockKind::Audit, TRACE_OBJECT.0, idx), &tail)?;
-            inner.traces.blocks.push(addr);
-            inner.live.insert(addr.0);
+        // Persist the buffered stream tails so audit records and alerts
+        // survive restarts, and the persisted trace stream stays an exact
+        // prefix of the request stream across an orderly shutdown.
+        let (streams, live) = inner.streams_mut();
+        for s in streams {
+            if s.spill_tail(&self.log, live)? && s.oid() == AUDIT_OBJECT.0 {
+                self.stats.audit_blocks(1);
+            }
         }
 
         let payload = encode_anchor_payload(inner);
@@ -3565,22 +3046,6 @@ impl<D: BlockDev> S4Drive<D> {
         self.put_back(inner, entry);
         self.pack_objects(inner, &[oid_raw])?;
         Ok(())
-    }
-
-    fn read_audit_raw(&self, ctx: &RequestContext, offset: u64, len: u64) -> Result<Vec<u8>> {
-        if !self.is_admin(ctx) {
-            return Err(S4Error::AccessDenied);
-        }
-        let inner = self.inner.lock();
-        let mut stream = Vec::new();
-        for &addr in &inner.audit.blocks {
-            let block = self.log.read_block(addr)?;
-            stream.extend_from_slice(&block);
-        }
-        stream.extend_from_slice(&inner.audit.pending);
-        let off = (offset as usize).min(stream.len());
-        let end = (off + len as usize).min(stream.len());
-        Ok(stream[off..end].to_vec())
     }
 
     fn read_partitions(
@@ -3958,6 +3423,43 @@ impl<D: BlockDev> S4Drive<D> {
 }
 
 impl Inner {
+    pub(crate) fn new(config: &DriveConfig) -> Inner {
+        Inner {
+            table: HashMap::new(),
+            next_oid: FIRST_DYNAMIC_OID,
+            window: config.detection_window,
+            audit: ReservedLog::new(AUDIT_OBJECT, Framing::Records),
+            alerts: ReservedLog::new(ALERT_OBJECT, Framing::Blobs),
+            traces: ReservedLog::new(TRACE_OBJECT, Framing::Blobs),
+            alert_growth_warned: false,
+            live: HashSet::new(),
+            jblock_refs: HashMap::new(),
+            cpblock_refs: HashMap::new(),
+            dblock_refs: HashMap::new(),
+            throttle: ThrottleState::new(config.throttle),
+            syncs_since_anchor: 0,
+            lru: 0,
+            txn_pending: BTreeMap::new(),
+            txn_locks: BTreeMap::new(),
+        }
+    }
+
+    /// The three reserved streams, in the order their blocks reach the
+    /// log at an anchor, beside the reachable-block set their appends
+    /// register in.
+    pub(crate) fn streams_mut(&mut self) -> ([&mut ReservedLog; 3], &mut HashSet<u64>) {
+        (
+            [&mut self.audit, &mut self.alerts, &mut self.traces],
+            &mut self.live,
+        )
+    }
+
+    /// The reserved stream stored as object `oid`, if it is one.
+    fn stream_mut(&mut self, oid: u64) -> Option<&mut ReservedLog> {
+        let (streams, _) = self.streams_mut();
+        streams.into_iter().find(|s| s.oid() == oid)
+    }
+
     fn bump_lru(&mut self) -> u64 {
         self.lru += 1;
         self.lru
@@ -4041,12 +3543,6 @@ impl<D: BlockDev> RelocationCallbacks for DriveCallbacks<'_, D> {
                 let new = drive.log.append(*tag, data)?;
                 inner.live.remove(&addr.0);
                 inner.live.insert(new.0);
-                if tag.object == AUDIT_OBJECT.0 {
-                    if let Some(slot) = inner.audit.blocks.iter_mut().find(|a| **a == addr) {
-                        *slot = new;
-                    }
-                    return Ok(());
-                }
                 if drive
                     .ensure_cached(&mut inner, ObjectId(tag.object))
                     .is_err()
@@ -4069,15 +3565,8 @@ impl<D: BlockDev> RelocationCallbacks for DriveCallbacks<'_, D> {
                 let new = drive.log.append(*tag, data)?;
                 inner.live.remove(&addr.0);
                 inner.live.insert(new.0);
-                let list = if tag.object == ALERT_OBJECT.0 {
-                    &mut inner.alerts.blocks
-                } else if tag.object == TRACE_OBJECT.0 {
-                    &mut inner.traces.blocks
-                } else {
-                    &mut inner.audit.blocks
-                };
-                if let Some(slot) = list.iter_mut().find(|a| **a == addr) {
-                    *slot = new;
+                if let Some(stream) = inner.stream_mut(tag.object) {
+                    stream.relocate(addr, new);
                 }
                 Ok(())
             }
@@ -4250,21 +3739,6 @@ pub struct ResyncObject {
     pub acl: Vec<u8>,
 }
 
-/// One reserved append-only stream (audit, alert, or trace) as exported
-/// by [`S4Drive::resync_image`]: flushed block payloads plus the
-/// buffered tail, with the counters recovery re-derives seq from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResyncStream {
-    /// Flushed block payloads, oldest first.
-    pub blocks: Vec<Vec<u8>>,
-    /// The in-memory pending tail.
-    pub pending: Vec<u8>,
-    /// Total records ever appended (survives retention truncation).
-    pub total: u64,
-    /// Blocks dropped from the front by retention flushes.
-    pub flushed_blocks: u64,
-}
-
 /// A point-in-time export of a drive's logical state, consumed by
 /// [`S4Drive::format_from_image`] to rebuild a failed mirror member
 /// from its surviving peer.
@@ -4282,25 +3756,6 @@ pub struct ResyncImage {
     pub alerts: ResyncStream,
     /// The flight-recorder trace stream.
     pub traces: ResyncStream,
-}
-
-/// Re-appends exported stream block payloads onto a freshly formatted
-/// log, registering each new address as live. Split-borrow helper for
-/// [`S4Drive::format_from_image`].
-fn restore_stream<D: BlockDev>(
-    log: &Log<D>,
-    live: &mut HashSet<u64>,
-    blocks: &mut Vec<BlockAddr>,
-    oid: u64,
-    payloads: &[Vec<u8>],
-) -> Result<()> {
-    for payload in payloads {
-        let idx = blocks.len() as u64;
-        let addr = log.append(BlockTag::new(BlockKind::Audit, oid, idx), payload)?;
-        blocks.push(addr);
-        live.insert(addr.0);
-    }
-    Ok(())
 }
 
 /// Encodes a drive-raised self-alert in the `s4-detect` `Alert` wire
@@ -4324,35 +3779,12 @@ pub(crate) fn encode_system_alert(rule: &[u8], time_us: u64, message: &[u8]) -> 
     out
 }
 
-/// The alert-object growth self-alert (kept as its own function so the
-/// `s4-detect` wire-format pin test has a stable target).
-fn encode_growth_alert(time_us: u64, message: &[u8]) -> Vec<u8> {
-    encode_system_alert(b"alert-object-growth", time_us, message)
-}
-
-/// Timestamp (µs) of one alert blob — every alert the drive or the
-/// `s4-detect` crate writes carries its time at bytes `[1..9]` (after
-/// the severity byte; see [`encode_growth_alert`]). Undated blobs read
-/// as time 0 (oldest), so retention treats them as expired.
-fn alert_blob_time(blob: &[u8]) -> u64 {
-    if blob.len() >= 9 {
-        u64::from_le_bytes(blob[1..9].try_into().unwrap())
-    } else {
-        0
-    }
-}
-
-/// Timestamp (µs) of one persisted flight-recorder blob.
-fn trace_blob_time(blob: &[u8]) -> u64 {
-    TraceRecord::decode(blob).map(|r| r.time_us).unwrap_or(0)
-}
-
 fn encode_anchor_payload(inner: &Inner) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&ANCHOR_MAGIC.to_le_bytes());
     out.extend_from_slice(&inner.next_oid.to_le_bytes());
     out.extend_from_slice(&inner.window.as_micros().to_le_bytes());
-    out.extend_from_slice(&inner.audit.encode());
+    inner.audit.encode_anchor(&mut out);
     out.extend_from_slice(&(inner.table.len() as u32).to_le_bytes());
     for (&oid, slot) in &inner.table {
         out.extend_from_slice(&oid.to_le_bytes());
@@ -4385,11 +3817,9 @@ fn encode_anchor_payload(inner: &Inner) -> Vec<u8> {
             }
         }
     }
-    // Alert-object state trails the table so anchors written before the
-    // alert object existed still decode; the flight-recorder state
-    // trails the alerts for the same reason.
-    out.extend_from_slice(&inner.alerts.encode());
-    out.extend_from_slice(&inner.traces.encode());
+    // The alert and flight-recorder streams trail the table.
+    inner.alerts.encode_anchor(&mut out);
+    inner.traces.encode_anchor(&mut out);
     out
 }
 
@@ -4397,24 +3827,7 @@ fn decode_anchor_payload(
     payload: &[u8],
     config: &DriveConfig,
 ) -> Result<(Inner, Vec<AnchorRecord>)> {
-    let mut inner = Inner {
-        table: HashMap::new(),
-        next_oid: FIRST_DYNAMIC_OID,
-        window: config.detection_window,
-        audit: AuditState::default(),
-        alerts: AlertState::default(),
-        traces: AlertState::default(),
-        alert_growth_warned: false,
-        live: HashSet::new(),
-        jblock_refs: HashMap::new(),
-        cpblock_refs: HashMap::new(),
-        dblock_refs: HashMap::new(),
-        throttle: ThrottleState::new(config.throttle),
-        syncs_since_anchor: 0,
-        lru: 0,
-        txn_pending: BTreeMap::new(),
-        txn_locks: BTreeMap::new(),
-    };
+    let mut inner = Inner::new(config);
     if payload.is_empty() {
         return Ok((inner, Vec::new()));
     }
@@ -4433,7 +3846,7 @@ fn decode_anchor_payload(
     inner.window =
         SimDuration::from_micros(u64::from_le_bytes(payload[12..20].try_into().unwrap()));
     let mut pos = 20;
-    inner.audit = AuditState::decode_from(payload, &mut pos)?;
+    inner.audit.decode_anchor(payload, &mut pos)?;
     need(pos, 4)?;
     let nobj = u32::from_le_bytes(payload[pos..pos + 4].try_into().unwrap()) as usize;
     pos += 4;
@@ -4483,12 +3896,8 @@ fn decode_anchor_payload(
             sectors,
         });
     }
-    if pos < payload.len() {
-        inner.alerts = AlertState::decode_from(payload, &mut pos)?;
-    }
-    if pos < payload.len() {
-        inner.traces = AlertState::decode_from(payload, &mut pos)?;
-    }
+    inner.alerts.decode_anchor(payload, &mut pos)?;
+    inner.traces.decode_anchor(payload, &mut pos)?;
     Ok((inner, records))
 }
 
@@ -4541,16 +3950,9 @@ fn rebuild_liveness<D: BlockDev>(log: &Log<D>, inner: &mut Inner) -> Result<()> 
     inner.jblock_refs.clear();
     inner.cpblock_refs.clear();
     inner.dblock_refs.clear();
-    let audit_blocks: Vec<u64> = inner
-        .audit
-        .blocks
-        .iter()
-        .chain(&inner.alerts.blocks)
-        .chain(&inner.traces.blocks)
-        .map(|a| a.0)
-        .collect();
-    for a in audit_blocks {
-        inner.live.insert(a);
+    let (streams, live) = inner.streams_mut();
+    for s in streams {
+        live.extend(s.blocks().iter().map(|a| a.0));
     }
     let oids: Vec<u64> = inner.table.keys().copied().collect();
     for oid in oids {

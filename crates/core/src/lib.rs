@@ -61,27 +61,26 @@
 #![warn(missing_docs)]
 
 pub mod acl;
-pub mod alert;
 pub mod audit;
 pub mod drive;
 pub mod ids;
 pub mod object;
+pub mod reserved;
 pub mod rpc;
 pub mod stats;
 pub mod throttle;
 
 pub use acl::{AclEntry, AclTable, Perm};
-pub use alert::{AlertState, MAX_ALERT_BYTES};
 pub use audit::{AuditRecord, AuditState, OpKind};
 pub use drive::{
-    AlertCursor, AuditObserver, DriveConfig, RecoveryReport, ResyncImage, ResyncObject,
-    ResyncStream, S4Drive, VersionKind, VersionRecord, ALERT_OBJECT, AUDIT_OBJECT,
-    PARTITION_OBJECT, TRACE_OBJECT, TXN_OBJECT,
+    AuditObserver, DriveConfig, RecoveryReport, ResyncImage, ResyncObject, S4Drive, VersionKind,
+    VersionRecord, ALERT_OBJECT, AUDIT_OBJECT, PARTITION_OBJECT, TRACE_OBJECT, TXN_OBJECT,
 };
 pub use ids::{
     ClientId, ObjectId, RequestContext, TraceCtx, TraceIdGen, UserId, ADMIN_USER, PHASE_APPLY,
     PHASE_CATCHUP, PHASE_CLIENT, PHASE_DECIDE, PHASE_NOTE, PHASE_PREPARE,
 };
+pub use reserved::{ResyncStream, StreamCursor, MAX_ALERT_BYTES};
 pub use rpc::{Request, Response};
 pub use s4_obs::TraceRecord;
 pub use stats::{DriveStats, StatsSnapshot};

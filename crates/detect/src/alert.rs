@@ -2,7 +2,7 @@
 //!
 //! Detectors raise [`Alert`]s; when running online inside the drive the
 //! encoded form is persisted to the reserved alert object (see
-//! `s4_core::alert`), so the format must round-trip byte-exactly.
+//! `s4_core::reserved`), so the format must round-trip byte-exactly.
 
 use s4_clock::SimTime;
 use s4_core::{ClientId, ObjectId, S4Error, UserId};

@@ -1,7 +1,7 @@
 //! The detector pipeline: pluggable rules, offline scans, and the
 //! online monitor that runs inside the drive.
 
-use s4_core::{AlertCursor, AuditObserver, AuditRecord, RequestContext, S4Drive, S4Error};
+use s4_core::{AuditObserver, AuditRecord, RequestContext, S4Drive, S4Error, StreamCursor};
 use s4_simdisk::BlockDev;
 
 use crate::alert::Alert;
@@ -132,14 +132,14 @@ pub fn read_alerts<D: BlockDev>(
 }
 
 /// Incremental alert reader. Where [`read_alerts`] rescans every alert
-/// block on each call, a poller carries an [`AlertCursor`] so each
+/// block on each call, a poller carries a [`StreamCursor`] so each
 /// [`poll`](AlertPoller::poll) decodes only the blobs appended since the
 /// previous one — the natural shape for a monitoring loop that watches a
 /// long-lived drive. Undecodable blobs are skipped, as in
 /// [`read_alerts`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AlertPoller {
-    cursor: AlertCursor,
+    cursor: StreamCursor,
 }
 
 impl AlertPoller {
@@ -160,7 +160,7 @@ impl AlertPoller {
     }
 
     /// The poller's current resume point.
-    pub fn cursor(&self) -> AlertCursor {
+    pub fn cursor(&self) -> StreamCursor {
         self.cursor
     }
 }

@@ -14,12 +14,13 @@
 //! transport mints a fresh trace id when the caller left it 0, so every
 //! request entering over the wire is traceable end to end.
 //!
-//! One out-of-band frame: a request payload equal to
-//! [`STATS_FRAME_MARKER`] (too short to be a valid RPC frame, so it
-//! cannot collide) returns `0u8 || <Prometheus text exposition>`. It is
-//! unauthenticated by design: the exposition carries aggregate
-//! operational metrics only — no object contents, names, or
-//! per-principal data — mirroring how real fleets scrape `/metrics`.
+//! Out-of-band frames: a request payload equal to one of the
+//! `*_FRAME_MARKER`s (too short to be a valid RPC frame, so it cannot
+//! collide) returns `0u8 || <text>` — [`STATS_FRAME_MARKER`] the
+//! Prometheus text exposition, the others a one-line status. They are
+//! unauthenticated by design: the texts carry aggregate operational
+//! metrics only — no object contents, names, or per-principal data —
+//! mirroring how real fleets scrape `/metrics`.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -88,6 +89,18 @@ impl<D: BlockDev> RpcHandler for S4Drive<D> {
     fn stats_text(&self) -> String {
         self.metrics_text()
     }
+}
+
+/// One out-of-band frame: the marker payload and the handler text it
+/// is answered with.
+type OobFrame<H> = (&'static [u8], fn(&H) -> String);
+
+/// A response payload: `0u8 || body` on success, `1u8 || utf8 error`.
+fn reply_frame(status: u8, body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(1 + body.len());
+    out.push(status);
+    out.extend_from_slice(body);
+    out
 }
 
 fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
@@ -181,53 +194,25 @@ impl TcpServerHandle {
                 let Ok(mut stream) = conn else { continue };
                 let handler = handler.clone();
                 let stop3 = stop2.clone();
+                let oob: [OobFrame<H>; 3] = [
+                    (STATS_FRAME_MARKER, H::stats_text),
+                    (RESHARD_FRAME_MARKER, H::reshard_text),
+                    (TXN_FRAME_MARKER, H::txn_text),
+                ];
                 std::thread::spawn(move || {
                     while !stop3.load(Ordering::SeqCst) {
                         let Ok(frame) = read_frame(&mut stream) else {
                             break;
                         };
-                        if frame == STATS_FRAME_MARKER {
-                            let mut out = vec![0u8];
-                            out.extend_from_slice(handler.stats_text().as_bytes());
-                            if write_frame(&mut stream, &out).is_err() {
-                                break;
-                            }
-                            continue;
-                        }
-                        if frame == RESHARD_FRAME_MARKER {
-                            let mut out = vec![0u8];
-                            out.extend_from_slice(handler.reshard_text().as_bytes());
-                            if write_frame(&mut stream, &out).is_err() {
-                                break;
-                            }
-                            continue;
-                        }
-                        if frame == TXN_FRAME_MARKER {
-                            let mut out = vec![0u8];
-                            out.extend_from_slice(handler.txn_text().as_bytes());
-                            if write_frame(&mut stream, &out).is_err() {
-                                break;
-                            }
-                            continue;
-                        }
-                        let reply = match decode_request_frame(&frame) {
-                            Some((ctx, req)) => match handler.handle(&ctx, &req) {
-                                Ok(resp) => {
-                                    let mut out = vec![0u8];
-                                    out.extend_from_slice(&resp.encode());
-                                    out
-                                }
-                                Err(e) => {
-                                    let mut out = vec![1u8];
-                                    out.extend_from_slice(e.to_string().as_bytes());
-                                    out
-                                }
+                        let reply = match oob.iter().find(|(m, _)| frame == *m) {
+                            Some((_, text)) => reply_frame(0, text(&handler).as_bytes()),
+                            None => match decode_request_frame(&frame) {
+                                Some((ctx, req)) => match handler.handle(&ctx, &req) {
+                                    Ok(resp) => reply_frame(0, &resp.encode()),
+                                    Err(e) => reply_frame(1, e.to_string().as_bytes()),
+                                },
+                                None => reply_frame(1, b"malformed request frame"),
                             },
-                            None => {
-                                let mut out = vec![1u8];
-                                out.extend_from_slice(b"malformed request frame");
-                                out
-                            }
                         };
                         if write_frame(&mut stream, &reply).is_err() {
                             break;
@@ -248,20 +233,15 @@ impl TcpServerHandle {
         self.addr
     }
 
-    /// Stops accepting connections and joins the accept thread.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Nudge the blocking accept.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
+    /// Stops accepting connections and joins the accept thread (what
+    /// dropping the handle does).
+    pub fn shutdown(self) {}
 }
 
 impl Drop for TcpServerHandle {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        // Nudge the blocking accept.
         let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
@@ -299,45 +279,35 @@ impl TcpTransport {
     /// Fetches the server's Prometheus text exposition over this
     /// connection (the out-of-band stats frame).
     pub fn fetch_stats(&self) -> FsResult<String> {
-        let mut stream = self.stream.lock();
-        write_frame(&mut *stream, STATS_FRAME_MARKER)
-            .map_err(|e| FsError::Storage(format!("tcp write: {e}")))?;
-        let reply =
-            read_frame(&mut *stream).map_err(|e| FsError::Storage(format!("tcp read: {e}")))?;
-        match reply.first() {
-            Some(0) => String::from_utf8(reply[1..].to_vec())
-                .map_err(|_| FsError::Storage("non-utf8 stats exposition".into())),
-            _ => Err(FsError::Storage("stats frame rejected".into())),
-        }
+        self.fetch_oob(STATS_FRAME_MARKER, "stats")
     }
 
     /// Fetches the server's one-line reshard status over this
     /// connection (the out-of-band reshard frame).
     pub fn fetch_reshard_status(&self) -> FsResult<String> {
-        let mut stream = self.stream.lock();
-        write_frame(&mut *stream, RESHARD_FRAME_MARKER)
-            .map_err(|e| FsError::Storage(format!("tcp write: {e}")))?;
-        let reply =
-            read_frame(&mut *stream).map_err(|e| FsError::Storage(format!("tcp read: {e}")))?;
-        match reply.first() {
-            Some(0) => String::from_utf8(reply[1..].to_vec())
-                .map_err(|_| FsError::Storage("non-utf8 reshard status".into())),
-            _ => Err(FsError::Storage("reshard frame rejected".into())),
-        }
+        self.fetch_oob(RESHARD_FRAME_MARKER, "reshard")
     }
 
     /// Fetches the server's one-line cross-shard transaction status
     /// over this connection (the out-of-band txn frame).
     pub fn fetch_txn_status(&self) -> FsResult<String> {
+        self.fetch_oob(TXN_FRAME_MARKER, "txn")
+    }
+
+    /// One request/response exchange on the connection.
+    fn exchange(&self, payload: &[u8]) -> FsResult<Vec<u8>> {
         let mut stream = self.stream.lock();
-        write_frame(&mut *stream, TXN_FRAME_MARKER)
+        write_frame(&mut *stream, payload)
             .map_err(|e| FsError::Storage(format!("tcp write: {e}")))?;
-        let reply =
-            read_frame(&mut *stream).map_err(|e| FsError::Storage(format!("tcp read: {e}")))?;
+        read_frame(&mut *stream).map_err(|e| FsError::Storage(format!("tcp read: {e}")))
+    }
+
+    fn fetch_oob(&self, marker: &[u8], what: &str) -> FsResult<String> {
+        let reply = self.exchange(marker)?;
         match reply.first() {
             Some(0) => String::from_utf8(reply[1..].to_vec())
-                .map_err(|_| FsError::Storage("non-utf8 txn status".into())),
-            _ => Err(FsError::Storage("txn frame rejected".into())),
+                .map_err(|_| FsError::Storage(format!("non-utf8 {what} text"))),
+            _ => Err(FsError::Storage(format!("{what} frame rejected"))),
         }
     }
 }
@@ -352,12 +322,7 @@ impl Transport for TcpTransport {
         if ctx.trace.trace_id == 0 {
             ctx.trace.trace_id = self.trace_ids.next(self.clock.now().as_micros());
         }
-        let mut stream = self.stream.lock();
-        let frame = encode_request_frame(&ctx, req);
-        write_frame(&mut *stream, &frame)
-            .map_err(|e| FsError::Storage(format!("tcp write: {e}")))?;
-        let reply =
-            read_frame(&mut *stream).map_err(|e| FsError::Storage(format!("tcp read: {e}")))?;
+        let reply = self.exchange(&encode_request_frame(&ctx, req))?;
         if reply.is_empty() {
             return Err(FsError::Storage("empty reply frame".into()));
         }
@@ -512,6 +477,41 @@ mod tests {
             ),
             Ok(Response::Data(_))
         ));
+        server.shutdown();
+    }
+
+    #[test]
+    fn out_of_band_frames_and_malformed_payloads() {
+        struct Texts;
+        impl RpcHandler for Texts {
+            fn handle(&self, _: &RequestContext, _: &Request) -> s4_core::Result<Response> {
+                Ok(Response::Ok)
+            }
+            fn stats_text(&self) -> String {
+                "the stats".into()
+            }
+            fn reshard_text(&self) -> String {
+                "the reshard line".into()
+            }
+            fn txn_text(&self) -> String {
+                "the txn line".into()
+            }
+        }
+        let server = TcpServerHandle::serve(Arc::new(Texts), "127.0.0.1:0").unwrap();
+        let t = TcpTransport::connect(server.addr()).unwrap();
+        assert_eq!(t.fetch_stats().unwrap(), "the stats");
+        assert_eq!(t.fetch_reshard_status().unwrap(), "the reshard line");
+        assert_eq!(t.fetch_txn_status().unwrap(), "the txn line");
+
+        // A 9-byte payload that is no marker is too short to be an RPC
+        // frame: refused, and the connection stays usable.
+        assert_eq!(
+            t.exchange(b"__stat5__").unwrap(),
+            [&[1u8][..], b"malformed request frame"].concat()
+        );
+        let ctx = RequestContext::user(UserId(7), ClientId(1));
+        assert_eq!(t.call(&ctx, &Request::Sync), Ok(Response::Ok));
+        assert_eq!(t.fetch_txn_status().unwrap(), "the txn line");
         server.shutdown();
     }
 }

@@ -233,7 +233,7 @@ pub fn split_shard<D: BlockDev + 'static>(
     // --- Phase 1: snapshot at T via the history pool. The audit cursor
     // is taken *before* T so any mutation the snapshot misses is
     // guaranteed to appear in the catch-up stream.
-    let mut cursor = source.audit_total_records(&admin)?;
+    let mut cursor = source.audit_cursor(&admin)?;
     let t = source.clock().now();
     let mut snapshot_objects = 0usize;
     for oid in source.live_object_ids(&admin)? {
@@ -253,8 +253,7 @@ pub fn split_shard<D: BlockDev + 'static>(
     let mut catchup_rounds = 0usize;
     let mut catchup_objects = 0usize;
     loop {
-        let recs = source.read_audit_from(&admin, cursor)?;
-        cursor += recs.len() as u64;
+        let recs = source.read_audit_from(&admin, &mut cursor)?;
         let dirty: BTreeSet<u64> = recs
             .iter()
             .filter(|r| r.ok && mutates_object(r.op) && moving(r.object.0))
@@ -305,7 +304,7 @@ pub fn split_shard<D: BlockDev + 'static>(
         // different member, fall back to an exact full pass over the
         // moving class instead of trusting a foreign cursor.
         let dirty: BTreeSet<u64> = if std::sync::Arc::ptr_eq(&source, src) {
-            src.read_audit_from(&admin, cursor)?
+            src.read_audit_from(&admin, &mut cursor)?
                 .iter()
                 .filter(|r| r.ok && mutates_object(r.op) && moving(r.object.0))
                 .map(|r| r.object.0)

@@ -10,8 +10,8 @@
 
 use s4_clock::{SimClock, SimDuration};
 use s4_core::{
-    AlertCursor, AuditObserver, AuditRecord, ClientId, DriveConfig, OpKind, Request,
-    RequestContext, Response, S4Drive, UserId,
+    AuditObserver, AuditRecord, ClientId, DriveConfig, OpKind, Request, RequestContext, Response,
+    S4Drive, StreamCursor, UserId,
 };
 use s4_simdisk::MemDisk;
 
@@ -72,7 +72,7 @@ fn flush_alerts_drops_gauge_and_keeps_in_window_records() {
     d.op_sync(&ctx).unwrap();
 
     // A cursor that has consumed everything so far.
-    let mut cursor = AlertCursor::default();
+    let mut cursor = StreamCursor::default();
     let seen = d.read_alerts_from(&admin, &mut cursor).unwrap();
     assert!(seen.len() >= 30);
 
