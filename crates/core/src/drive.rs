@@ -17,7 +17,7 @@
 //! flushed after the anchor, then rebuilds the reachable-block set (and
 //! from it the segment usage counts) from first principles.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use s4_clock::sync::Mutex;
@@ -288,7 +288,7 @@ pub struct RecoveryReport {
 }
 
 pub(crate) struct Inner {
-    table: HashMap<u64, Slot>,
+    table: BTreeMap<u64, Slot>,
     next_oid: u64,
     pub(crate) window: SimDuration,
     /// The three reserved streams (see [`crate::reserved`]). Trace blobs
@@ -301,16 +301,16 @@ pub(crate) struct Inner {
     /// Every reachable block (current data, in-window history, journal
     /// blocks, checkpoints, audit blocks). Rebuilt from first principles
     /// at mount.
-    pub(crate) live: HashSet<u64>,
+    pub(crate) live: BTreeSet<u64>,
     /// Per journal-block count of sectors still referenced by some
     /// object's sector list; the block is released when it reaches zero.
-    jblock_refs: HashMap<u64, u32>,
+    jblock_refs: BTreeMap<u64, u32>,
     /// Per shared-checkpoint-block count of object checkpoints stored in
     /// it; released at zero.
-    cpblock_refs: HashMap<u64, u32>,
+    cpblock_refs: BTreeMap<u64, u32>,
     /// Per shared-delta-block count of delta payloads still referenced;
     /// released at zero.
-    dblock_refs: HashMap<u64, u32>,
+    dblock_refs: BTreeMap<u64, u32>,
     throttle: ThrottleState,
     syncs_since_anchor: u32,
     lru: u64,
@@ -1302,11 +1302,9 @@ impl<D: BlockDev> S4Drive<D> {
         let mut h = Fnv(0xcbf2_9ce4_8422_2325);
         h.u64(inner.next_oid);
         h.u64(inner.window.as_micros());
-        let mut oids: Vec<u64> = inner.table.keys().copied().collect();
-        oids.sort_unstable();
-        for oid in oids {
+        for (&oid, slot) in &inner.table {
             h.u64(oid);
-            match &inner.table[&oid] {
+            match slot {
                 Slot::Cached(entry) => {
                     h.u64(1);
                     h.bytes(&entry.encode());
@@ -1393,8 +1391,7 @@ impl<D: BlockDev> S4Drive<D> {
             return Err(S4Error::AccessDenied);
         }
         let mut inner = self.inner.lock();
-        let mut oids: Vec<u64> = inner.table.keys().copied().collect();
-        oids.sort_unstable();
+        let oids: Vec<u64> = inner.table.keys().copied().collect();
         let mut objects = Vec::new();
         for oid in oids {
             let entry = self.take_cached(&mut inner, ObjectId(oid))?;
@@ -1512,7 +1509,7 @@ impl<D: BlockDev> S4Drive<D> {
             return Err(S4Error::AccessDenied);
         }
         let inner = self.inner.lock();
-        let mut out: Vec<u64> = inner
+        Ok(inner
             .table
             .iter()
             .filter(|(_, slot)| match slot {
@@ -1520,9 +1517,7 @@ impl<D: BlockDev> S4Drive<D> {
                 Slot::Evicted(info) => info.deleted.is_none(),
             })
             .map(|(&oid, _)| oid)
-            .collect();
-        out.sort_unstable();
-        Ok(out)
+            .collect())
     }
 
     // ------------------------------------------------------------------
@@ -1826,7 +1821,7 @@ impl<D: BlockDev> S4Drive<D> {
             };
             // Build per-lbn history chains (oldest first) from the
             // retained journal.
-            let mut chains: HashMap<u64, Vec<BlockAddr>> = HashMap::new();
+            let mut chains: BTreeMap<u64, Vec<BlockAddr>> = BTreeMap::new();
             let mut read_failed = false;
             for s in &entry.sectors {
                 let Ok((_o, entries)) = read_subsector(&self.log, s.addr, s.slot) else {
@@ -3425,17 +3420,17 @@ impl<D: BlockDev> S4Drive<D> {
 impl Inner {
     pub(crate) fn new(config: &DriveConfig) -> Inner {
         Inner {
-            table: HashMap::new(),
+            table: BTreeMap::new(),
             next_oid: FIRST_DYNAMIC_OID,
             window: config.detection_window,
             audit: ReservedLog::new(AUDIT_OBJECT, Framing::Records),
             alerts: ReservedLog::new(ALERT_OBJECT, Framing::Blobs),
             traces: ReservedLog::new(TRACE_OBJECT, Framing::Blobs),
             alert_growth_warned: false,
-            live: HashSet::new(),
-            jblock_refs: HashMap::new(),
-            cpblock_refs: HashMap::new(),
-            dblock_refs: HashMap::new(),
+            live: BTreeSet::new(),
+            jblock_refs: BTreeMap::new(),
+            cpblock_refs: BTreeMap::new(),
+            dblock_refs: BTreeMap::new(),
             throttle: ThrottleState::new(config.throttle),
             syncs_since_anchor: 0,
             lru: 0,
@@ -3447,7 +3442,7 @@ impl Inner {
     /// The three reserved streams, in the order their blocks reach the
     /// log at an anchor, beside the reachable-block set their appends
     /// register in.
-    pub(crate) fn streams_mut(&mut self) -> ([&mut ReservedLog; 3], &mut HashSet<u64>) {
+    pub(crate) fn streams_mut(&mut self) -> ([&mut ReservedLog; 3], &mut BTreeSet<u64>) {
         (
             [&mut self.audit, &mut self.alerts, &mut self.traces],
             &mut self.live,
@@ -3911,7 +3906,7 @@ fn apply_recovered_sector(
     entries: &[JournalEntry],
 ) -> Result<()> {
     // Materialize the object if it was born after the anchor.
-    if let std::collections::hash_map::Entry::Vacant(v) = inner.table.entry(oid) {
+    if let std::collections::btree_map::Entry::Vacant(v) = inner.table.entry(oid) {
         let Some(JournalEntry::Create { stamp }) = entries.first() else {
             return Err(S4Error::BadRequest("recovered sector for unknown object"));
         };

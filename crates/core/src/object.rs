@@ -11,7 +11,7 @@
 //! (only its checkpoint root and expiry hints retained); the paper's 32 MB
 //! object cache corresponds to the cached set.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use s4_clock::{HybridTimestamp, SimTime};
 use s4_journal::{JournalEntry, ObjectMeta};
@@ -73,11 +73,11 @@ pub struct ObjectEntry {
     /// Forwarding for relocated blocks: old address → new address.
     /// Consulted when resolving addresses found in (immutable) historical
     /// journal entries.
-    pub forwards: HashMap<u64, u64>,
+    pub forwards: BTreeMap<u64, u64>,
     /// History blocks whose bytes have been replaced by cross-version
     /// deltas (the cleaner's differencing pass, §4.2.2), keyed by the
     /// forward-resolved block address.
-    pub deltas: HashMap<u64, DeltaRef>,
+    pub deltas: BTreeMap<u64, DeltaRef>,
     /// Landmark versions (§6: "combining self-securing storage with
     /// long-term landmark versioning"): materialized metadata snapshots
     /// whose blocks are pinned past the detection window, newest last.
@@ -107,8 +107,8 @@ impl ObjectEntry {
             checkpoint_root: BlockAddr::NONE,
             checkpoint_slot: u32::MAX,
             checkpoint_blocks: Vec::new(),
-            forwards: HashMap::new(),
-            deltas: HashMap::new(),
+            forwards: BTreeMap::new(),
+            deltas: BTreeMap::new(),
             landmarks: Vec::new(),
             history_floor: HybridTimestamp::ZERO,
             dirty: true,
@@ -171,17 +171,12 @@ impl ObjectEntry {
             push_stamp(&mut out, s.newest);
         }
         out.extend_from_slice(&(self.forwards.len() as u32).to_le_bytes());
-        // Deterministic order for reproducible images.
-        let mut fw: Vec<(u64, u64)> = self.forwards.iter().map(|(&a, &b)| (a, b)).collect();
-        fw.sort_unstable();
-        for (old, new) in fw {
+        for (old, new) in &self.forwards {
             out.extend_from_slice(&old.to_le_bytes());
             out.extend_from_slice(&new.to_le_bytes());
         }
         out.extend_from_slice(&(self.deltas.len() as u32).to_le_bytes());
-        let mut dl: Vec<(u64, DeltaRef)> = self.deltas.iter().map(|(&k, &v)| (k, v)).collect();
-        dl.sort_unstable_by_key(|(k, _)| *k);
-        for (key, d) in dl {
+        for (key, d) in &self.deltas {
             out.extend_from_slice(&key.to_le_bytes());
             out.extend_from_slice(&d.base.0.to_le_bytes());
             out.extend_from_slice(&d.block.0.to_le_bytes());
@@ -235,7 +230,7 @@ impl ObjectEntry {
         let nf = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
         pos += 4;
         need(pos, nf * 16)?;
-        let mut forwards = HashMap::with_capacity(nf.min(buf.len() / 16 + 1));
+        let mut forwards = BTreeMap::new();
         for _ in 0..nf {
             let old = u64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap());
             let new = u64::from_le_bytes(buf[pos + 8..pos + 16].try_into().unwrap());
@@ -246,7 +241,7 @@ impl ObjectEntry {
         let nd = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
         pos += 4;
         need(pos, nd * 28 + 16)?;
-        let mut deltas = HashMap::with_capacity(nd.min(buf.len() / 28 + 1));
+        let mut deltas = BTreeMap::new();
         for _ in 0..nd {
             let key = u64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap());
             let base = BlockAddr(u64::from_le_bytes(

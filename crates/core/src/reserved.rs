@@ -32,7 +32,7 @@
 //! a record gains its trailer, `ReservedLog::replay_block` and the
 //! reader are where it is verified.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use s4_lfs::{BlockAddr, BlockKind, BlockTag, Log, BLOCK_SIZE};
 use s4_obs::TraceRecord;
@@ -175,7 +175,7 @@ impl ReservedLog {
     pub(crate) fn append_block<D: BlockDev>(
         &mut self,
         log: &Log<D>,
-        live: &mut HashSet<u64>,
+        live: &mut BTreeSet<u64>,
         payload: &[u8],
     ) -> Result<()> {
         let tag = BlockTag::new(BlockKind::Audit, self.oid, self.blocks.len() as u64);
@@ -191,7 +191,7 @@ impl ReservedLog {
     pub(crate) fn append_blob<D: BlockDev>(
         &mut self,
         log: &Log<D>,
-        live: &mut HashSet<u64>,
+        live: &mut BTreeSet<u64>,
         blob: &[u8],
     ) {
         if let Ok(Some(block)) = self.push_blob(blob) {
@@ -205,7 +205,7 @@ impl ReservedLog {
     pub(crate) fn spill_tail<D: BlockDev>(
         &mut self,
         log: &Log<D>,
-        live: &mut HashSet<u64>,
+        live: &mut BTreeSet<u64>,
     ) -> Result<bool> {
         if self.pending.is_empty() {
             return Ok(false);
@@ -299,7 +299,7 @@ impl ReservedLog {
     pub(crate) fn restore<D: BlockDev>(
         &mut self,
         log: &Log<D>,
-        live: &mut HashSet<u64>,
+        live: &mut BTreeSet<u64>,
         image: &ResyncStream,
     ) -> Result<()> {
         for payload in &image.blocks {
@@ -840,7 +840,7 @@ mod tests {
     /// Appends `n` numbered blobs, anchoring (spilling the partial tail)
     /// after each index in `anchor_after`.
     fn fill(st: &mut ReservedLog, log: &Log<MemDisk>, from: u32, n: u32, anchor_after: &[u32]) {
-        let mut live = HashSet::new();
+        let mut live = BTreeSet::new();
         for i in from..from + n {
             let mut blob = i.to_le_bytes().to_vec();
             blob.resize(1000, 0);
@@ -954,7 +954,7 @@ mod tests {
         src.truncate_front(1);
         let image = src.export(&src_log).unwrap();
         let mut dst = alerts();
-        let mut live = HashSet::new();
+        let mut live = BTreeSet::new();
         dst.restore(&dst_log, &mut live, &image).unwrap();
         assert_eq!(dst.export(&dst_log).unwrap(), image);
         assert_eq!(live.len(), dst.blocks().len());

@@ -1,0 +1,180 @@
+//! Same requests ⇒ same bytes, on the paths the torture golden run does
+//! not reach: object-cache eviction, detection-window expiry, cleaner
+//! relocation, history compaction, administrative flushes, landmarks,
+//! periodic anchors and a crash → mount in the middle. The drive keeps
+//! every table it walks in key order, so the device image and
+//! [`S4Drive::state_digest`] are pure functions of the request stream;
+//! this pins both for one fixed stream. A change that moves either
+//! constant changed what the drive writes (or made it depend on
+//! something other than the requests) and must say so.
+
+use s4_clock::{SimClock, SimDuration};
+use s4_core::{AclEntry, ClientId, DriveConfig, ObjectId, Perm, RequestContext, S4Drive, UserId};
+use s4_simdisk::{BlockDev, MemDisk};
+
+const ADMIN_TOKEN: u64 = 42;
+
+fn config() -> DriveConfig {
+    let mut cfg = DriveConfig::small_test();
+    cfg.object_cache_entries = 6;
+    cfg.detection_window = SimDuration::from_secs(10);
+    cfg.anchor_interval_syncs = 16;
+    cfg.log.cache_blocks = 32;
+    cfg
+}
+
+/// xorshift64*: the whole workload is a pure function of the seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// Drives the fixed stream and returns `(image hash, state digest,
+/// outcome hash)`; the outcome hash folds every result's success bit so
+/// a behavioural change cannot hide behind an unchanged image.
+fn run() -> (u64, u64, u64) {
+    let clock = SimClock::new();
+    clock.advance(SimDuration::from_secs(1));
+    let user = RequestContext::user(UserId(7), ClientId(1));
+    let admin = RequestContext::admin(ClientId(9), ADMIN_TOKEN);
+    let mut d = S4Drive::format(
+        MemDisk::with_capacity_bytes(24 << 20),
+        config(),
+        clock.clone(),
+    )
+    .expect("format");
+    let mut rng = Rng(0x5EED_0F_5E1F);
+    let mut oids: Vec<ObjectId> = Vec::new();
+    let mut marks: Vec<(ObjectId, s4_clock::SimTime)> = Vec::new();
+    let mut outcome = 0u64;
+    let mut unanchored_maintenance = false;
+    let mut note = |ok: bool| outcome = outcome.wrapping_mul(31).wrapping_add(ok as u64 + 1);
+
+    for step in 0..1_500u32 {
+        clock.advance(SimDuration::from_millis(20 + rng.below(60)));
+        let pick = |rng: &mut Rng, oids: &[ObjectId]| oids[rng.below(oids.len() as u64) as usize];
+        if oids.len() < 4 || rng.below(100) < 6 {
+            let oid = d.op_create(&user, None).expect("create");
+            oids.push(oid);
+            note(d.op_pcreate(&user, &format!("p{}", oid.0), oid).is_ok());
+            continue;
+        }
+        let oid = pick(&mut rng, &oids);
+        let op = rng.below(100);
+        unanchored_maintenance = match op {
+            85..=97 => true,
+            98.. => false,
+            _ => unanchored_maintenance,
+        };
+        match op {
+            0..=39 => {
+                // Text-like payloads so the differencing pass finds deltas.
+                let len = 200 + rng.below(9_000) as usize;
+                let mut data = b"fn handler(conn: &mut Conn) -> io::Result<()> { conn.flush() }\n"
+                    .repeat(len / 64 + 1);
+                data.resize(len, b' ');
+                let at = rng.below(len as u64 - 8) as usize;
+                data[at..at + 8].copy_from_slice(format!("REV{step:05}").as_bytes());
+                note(d.op_write(&user, oid, rng.below(3) * 4096, &data).is_ok());
+            }
+            40..=47 => note(d.op_append(&user, oid, &[step as u8; 300]).is_ok()),
+            48..=53 => note(d.op_truncate(&user, oid, rng.below(6_000)).is_ok()),
+            54..=59 => note(
+                d.op_setattr(&user, oid, vec![step as u8; 1 + (step % 40) as usize])
+                    .is_ok(),
+            ),
+            60..=62 => {
+                let acl = AclEntry {
+                    user: UserId(20 + step % 3),
+                    perm: Perm::READ,
+                };
+                note(d.op_set_acl(&user, oid, acl).is_ok());
+            }
+            63..=64 => {
+                note(d.op_delete(&user, oid).is_ok());
+                note(d.op_pdelete(&user, &format!("p{}", oid.0)).is_ok());
+            }
+            65..=84 => note(d.op_sync(&user).is_ok()),
+            85..=87 => note(d.expire_versions().is_ok()),
+            88..=90 => {
+                note(d.clean().is_ok());
+                note(d.force_anchor().is_ok());
+            }
+            91..=92 => note(d.compact_history().is_ok()),
+            93..=94 => {
+                let now = d.now();
+                let from = now.saturating_sub(SimDuration::from_secs(4));
+                note(
+                    d.op_flusho(
+                        &admin,
+                        oid,
+                        from,
+                        now.saturating_sub(SimDuration::from_secs(1)),
+                    )
+                    .is_ok(),
+                );
+            }
+            95..=96 => {
+                let t = d.now().saturating_sub(SimDuration::from_secs(rng.below(5)));
+                if d.op_mark_landmark(&user, oid, t).is_ok() {
+                    marks.push((oid, t));
+                }
+            }
+            97 => {
+                if let Some((oid, _)) = marks.pop() {
+                    if let Ok(list) = d.landmarks(&user, oid) {
+                        for (modified, _) in list {
+                            note(d.op_unmark_landmark(&user, oid, modified).is_ok());
+                        }
+                    }
+                }
+            }
+            98 => {
+                // Power loss after maintenance that no anchor has covered
+                // yet is ROADMAP item 2's territory (a mount may refuse
+                // the image); this test pins bytes, not that defect, so
+                // it crashes with synced client writes at risk only.
+                if unanchored_maintenance {
+                    note(d.force_anchor().is_ok());
+                }
+                note(d.op_sync(&user).is_ok());
+                d = S4Drive::mount(d.crash(), config(), clock.clone()).expect("mount after crash");
+            }
+            _ => {
+                let dev = d.unmount().expect("unmount");
+                d = S4Drive::mount(dev, config(), clock.clone()).expect("mount");
+            }
+        }
+    }
+    let digest = d.state_digest();
+    let dev = d.unmount().expect("final unmount");
+    let mut image = vec![0u8; dev.capacity_bytes() as usize];
+    dev.read(0, &mut image).expect("image read");
+    (s4_lfs::crc::xxh64(&image), digest, outcome)
+}
+
+#[test]
+fn churn_image_is_one_value_across_runs() {
+    const IMAGE_HASH: u64 = 0x7e50_a72c_e626_e71e;
+    const STATE_DIGEST: u64 = 0x1d89_866f_4ad8_43ee;
+    const OUTCOMES: u64 = 0x4ea5_1f18_a3c0_f7da;
+    let (a, b) = (run(), run());
+    assert_eq!(a, b, "two runs of one request stream diverged");
+    assert_eq!(
+        a,
+        (IMAGE_HASH, STATE_DIGEST, OUTCOMES),
+        "churn image changed: ({:#018x}, {:#018x}, {:#018x})",
+        a.0,
+        a.1,
+        a.2
+    );
+}

@@ -52,10 +52,10 @@
 //! Each replay is *self-contained*: it rebuilds its own oracle and
 //! predicted audit stream while driving the faulty drive, and records
 //! the last sync that returned `Ok` as the durability boundary. The
-//! golden run only supplies the crash-point domain. This keeps replays
-//! immune to request-count drift between runs (block packing iterates a
-//! hash map, so two runs may batch blocks slightly differently): if a
-//! replay's request sequence ends before its crash point fires, the
+//! golden run only supplies the crash-point domain. The drive walks its
+//! tables in key order, so a replay issues the golden run's request
+//! sequence exactly (the golden image hash below pins that); should a
+//! replay's sequence nevertheless end before its crash point fires, the
 //! harness simply verifies the completed workload like a golden run.
 
 #![forbid(unsafe_code)]
@@ -209,6 +209,11 @@ pub struct GoldenSummary {
     pub objects: usize,
     /// Oracle version entries validated.
     pub versions: usize,
+    /// XXH64 of the whole device image after an orderly unmount. Same
+    /// requests produce the same bytes, so this is one value per
+    /// `(seed, ops)` across runs and processes — the byte-level oracle
+    /// for any change that claims to leave the on-disk format alone.
+    pub image_hash: u64,
 }
 
 /// Outcome of one crash-point replay (panics on invariant violation).
@@ -758,6 +763,10 @@ pub fn golden_run(cfg: &TortureConfig) -> GoldenSummary {
     );
     verify_trace_prefix(&traces, &st, "golden");
 
+    let dev = drive.unmount().expect("golden: unmount").into_inner();
+    let mut image = vec![0u8; dev.capacity_bytes() as usize];
+    dev.read(0, &mut image).expect("golden: image read");
+
     GoldenSummary {
         domain: (format_points, end_points),
         audit_records: st.predicted.len(),
@@ -765,6 +774,7 @@ pub fn golden_run(cfg: &TortureConfig) -> GoldenSummary {
         sync_points,
         objects: st.order.len(),
         versions,
+        image_hash: s4_lfs::crc::xxh64(&image),
     }
 }
 
@@ -1281,6 +1291,23 @@ mod tests {
         assert!(g.objects >= 1);
         assert!(g.audit_records >= 100, "every op but ticks is audited");
         assert!(g.syncs >= 1, "workload must sync at least once");
+    }
+
+    /// The device image is a pure function of the request stream: two
+    /// runs agree with each other and with the committed constant. A
+    /// change that moves this value changed the on-disk bytes (or made
+    /// them depend on something other than the requests) and must say so.
+    #[test]
+    fn golden_image_is_one_value_across_runs() {
+        const GOLDEN_IMAGE_HASH: u64 = 0xe8d6_5866_4f40_3c80;
+        let cfg = TortureConfig::bounded(0xB0A710AD);
+        let (a, b) = (golden_run(&cfg), golden_run(&cfg));
+        assert_eq!(a.image_hash, b.image_hash, "two runs, two images");
+        assert_eq!(
+            a.image_hash, GOLDEN_IMAGE_HASH,
+            "golden image changed: {:#018x}",
+            a.image_hash
+        );
     }
 
     #[test]
