@@ -34,8 +34,11 @@ use s4_simdisk::BlockDev;
 
 use crate::acl::{AclEntry, AclTable, Perm};
 use crate::audit::{AuditRecord, OpKind};
-use crate::ids::{ObjectId, RequestContext};
-use crate::object::{DeltaRef, EvictInfo, ObjectEntry, SectorInfo, Slot};
+use crate::ids::{ClientId, ObjectId, RequestContext};
+use crate::object::{
+    push_stamp, read_stamp, DeltaRef, EvictInfo, ObjectEntry, SectorInfo, Slot,
+};
+use crate::packed::{self, PackedBlocks};
 use crate::reserved::{Framing, ReservedLog, ResyncStream};
 use crate::stats::DriveStats;
 use crate::throttle::{ThrottleConfig, ThrottleState};
@@ -77,9 +80,6 @@ pub const TXN_OBJECT: ObjectId = ObjectId(u64::MAX - 4);
 
 const FIRST_DYNAMIC_OID: u64 = 4;
 const ANCHOR_MAGIC: u32 = 0x5334_414E; // "S4AN"
-const JBLOCK_MAGIC: u32 = 0x5334_4A42; // "S4JB"
-const CPBLOCK_MAGIC: u32 = 0x5334_4342; // "S4CB"
-const DBLOCK_MAGIC: u32 = 0x5334_4444; // "S4DD"
 const SHARED_CP_THRESHOLD: usize = 1000;
 const CHECKPOINT_CHUNK: usize = BLOCK_SIZE - 12;
 
@@ -302,15 +302,13 @@ pub(crate) struct Inner {
     /// blocks, checkpoints, audit blocks). Rebuilt from first principles
     /// at mount.
     pub(crate) live: BTreeSet<u64>,
-    /// Per journal-block count of sectors still referenced by some
-    /// object's sector list; the block is released when it reaches zero.
-    jblock_refs: BTreeMap<u64, u32>,
-    /// Per shared-checkpoint-block count of object checkpoints stored in
-    /// it; released at zero.
-    cpblock_refs: BTreeMap<u64, u32>,
-    /// Per shared-delta-block count of delta payloads still referenced;
-    /// released at zero.
-    dblock_refs: BTreeMap<u64, u32>,
+    /// The three shared-container kinds (see [`crate::packed`]): journal
+    /// blocks referenced from objects' sector lists, shared checkpoint
+    /// blocks referenced from checkpoint roots, and delta blocks
+    /// referenced from objects' delta maps.
+    jblocks: PackedBlocks,
+    cpblocks: PackedBlocks,
+    dblocks: PackedBlocks,
     throttle: ThrottleState,
     syncs_since_anchor: u32,
     lru: u64,
@@ -413,13 +411,7 @@ impl<D: BlockDev> S4Drive<D> {
         // Create the partition-table object (versioned like any other).
         {
             let mut inner = drive.inner.lock();
-            let stamp = drive.stamps.next();
-            let meta = ObjectMeta::new(PARTITION_OBJECT.0, stamp);
-            let mut entry = ObjectEntry::new(meta);
-            entry.pending.push(JournalEntry::Create { stamp });
-            inner
-                .table
-                .insert(PARTITION_OBJECT.0, Slot::Cached(Box::new(entry)));
+            drive.insert_new(&mut inner, PARTITION_OBJECT.0, drive.stamps.next());
             drive.sync_locked(&mut inner)?;
             drive.anchor_locked(&mut inner)?;
         }
@@ -506,11 +498,7 @@ impl<D: BlockDev> S4Drive<D> {
                 };
                 ObjectEntry::new(ObjectMeta::new(rec.oid, *stamp))
             } else {
-                let (mut e, blocks) = read_checkpoint_static(&log, rec.root, rec.slot)?;
-                e.checkpoint_root = rec.root;
-                e.checkpoint_slot = rec.slot;
-                e.checkpoint_blocks = blocks;
-                e
+                read_checkpoint(&log, rec.root, rec.slot)?
             };
             if let Some(sectors) = &rec.sectors {
                 entry.sectors = sectors.clone();
@@ -553,7 +541,7 @@ impl<D: BlockDev> S4Drive<D> {
                 match tag.kind {
                     BlockKind::JournalSector => {
                         let block = log.read_block(addr)?;
-                        let subs = split_container(JBLOCK_MAGIC, &block)?;
+                        let subs = packed::JOURNAL.split(&block)?;
                         for (slot, sub) in subs.iter().enumerate() {
                             let (oid, _prev, entries) = decode_sector(sub)?;
                             apply_recovered_sector(&mut inner, oid, addr, slot as u32, &entries)?;
@@ -696,6 +684,15 @@ impl<D: BlockDev> S4Drive<D> {
         ctx.admin_token == Some(self.config.admin_token)
     }
 
+    /// Refuses anyone but the administrator.
+    pub(crate) fn require_admin(&self, ctx: &RequestContext) -> Result<()> {
+        if self.is_admin(ctx) {
+            Ok(())
+        } else {
+            Err(S4Error::AccessDenied)
+        }
+    }
+
     // ------------------------------------------------------------------
     // Object operations (authorization included; auditing happens in the
     // RPC dispatcher).
@@ -721,22 +718,17 @@ impl<D: BlockDev> S4Drive<D> {
             }
         };
         inner.next_oid = oid + 1;
-        let stamp = self.stamps.next();
+        self.insert_new(&mut inner, oid, self.stamps.next());
         let table = acl.unwrap_or_else(|| AclTable::owner_default(ctx.user));
-        let mut entry = ObjectEntry::new(ObjectMeta::new(oid, stamp));
-        entry.pending.push(JournalEntry::Create { stamp });
-        let acl_stamp = self.stamps.next();
-        let set = JournalEntry::SetAcl {
-            stamp: acl_stamp,
-            old: Vec::new(),
-            new: table.encode(),
-        };
-        redo(&mut entry.meta, &set);
-        entry.pending.push(set);
-        entry.last_used = inner.bump_lru();
-        inner.table.insert(oid, Slot::Cached(Box::new(entry)));
-        self.stats.versions_created(1);
-        Ok(ObjectId(oid))
+        self.with_object(&mut inner, ObjectId(oid), |_, entry| {
+            let set = JournalEntry::SetAcl {
+                stamp: self.stamps.next(),
+                old: Vec::new(),
+                new: table.encode(),
+            };
+            self.commit(entry, set);
+            Ok(ObjectId(oid))
+        })
     }
 
     /// Deletes an object (its versions remain recoverable for the
@@ -744,23 +736,15 @@ impl<D: BlockDev> S4Drive<D> {
     pub fn op_delete(&self, ctx: &RequestContext, oid: ObjectId) -> Result<()> {
         self.check_not_reserved(oid)?;
         let mut inner = self.inner.lock();
-        let mut entry = self.take_cached(&mut inner, oid)?;
-        let r = (|| {
-            self.authorize(ctx, &entry, Perm::OWNER)?;
+        self.with_object(&mut inner, oid, |_, entry| {
+            self.authorize(ctx, entry, Perm::OWNER)?;
             if !entry.meta.is_live() {
                 return Err(S4Error::NoSuchObject);
             }
-            let e = JournalEntry::Delete {
-                stamp: self.stamps.next(),
-            };
-            redo(&mut entry.meta, &e);
-            entry.pending.push(e);
-            entry.dirty = true;
-            self.stats.versions_created(1);
+            let stamp = self.stamps.next();
+            self.commit(entry, JournalEntry::Delete { stamp });
             Ok(())
-        })();
-        self.put_back(&mut inner, entry);
-        r
+        })
     }
 
     /// Reads `len` bytes at `offset`, optionally from the version current
@@ -777,33 +761,15 @@ impl<D: BlockDev> S4Drive<D> {
             return self.read_audit_raw(ctx, offset, len);
         }
         let mut inner = self.inner.lock();
-        let entry = self.take_cached(&mut inner, oid)?;
-        let r = (|| {
-            let meta = match time {
-                None => {
-                    self.authorize(ctx, &entry, Perm::READ)?;
-                    if !entry.meta.is_live() {
-                        return Err(S4Error::NoSuchObject);
-                    }
-                    entry.meta.clone()
-                }
-                Some(t) => {
-                    self.stats.time_based_reads(1);
-                    let meta = self.version_at(&entry, t)?;
-                    self.authorize_historical(ctx, &entry, &meta)?;
-                    if !meta.is_live() {
-                        return Err(S4Error::NoSuchObject);
-                    }
-                    meta
-                }
-            };
-            self.read_extent(&entry, &meta, offset, len)
-        })();
-        self.put_back(&mut inner, entry);
-        if let Ok(data) = &r {
-            self.stats.bytes_read(data.len() as u64);
-        }
-        r
+        let data = self.with_object(&mut inner, oid, |_, entry| {
+            let meta = self.version_for(ctx, entry, time)?;
+            if !meta.is_live() {
+                return Err(S4Error::NoSuchObject);
+            }
+            self.read_extent(entry, &meta, offset, len)
+        })?;
+        self.stats.bytes_read(data.len() as u64);
+        Ok(data)
     }
 
     /// Writes `data` at `offset`, creating a new version.
@@ -817,16 +783,13 @@ impl<D: BlockDev> S4Drive<D> {
         self.check_not_reserved(oid)?;
         self.throttle(ctx, data.len() as u64);
         let mut inner = self.inner.lock();
-        let mut entry = self.take_cached(&mut inner, oid)?;
-        let r = (|| {
-            self.authorize(ctx, &entry, Perm::WRITE)?;
+        self.with_object(&mut inner, oid, |inner, entry| {
+            self.authorize(ctx, entry, Perm::WRITE)?;
             if !entry.meta.is_live() {
                 return Err(S4Error::NoSuchObject);
             }
-            self.write_extent(&mut inner, &mut entry, offset, data)
-        })();
-        self.put_back(&mut inner, entry);
-        r
+            self.write_extent(inner, entry, offset, data)
+        })
     }
 
     /// Appends `data` at the end of the object, returning the new size.
@@ -834,34 +797,28 @@ impl<D: BlockDev> S4Drive<D> {
         self.check_not_reserved(oid)?;
         self.throttle(ctx, data.len() as u64);
         let mut inner = self.inner.lock();
-        let mut entry = self.take_cached(&mut inner, oid)?;
-        let r = (|| {
-            self.authorize(ctx, &entry, Perm::WRITE)?;
+        self.with_object(&mut inner, oid, |inner, entry| {
+            self.authorize(ctx, entry, Perm::WRITE)?;
             if !entry.meta.is_live() {
                 return Err(S4Error::NoSuchObject);
             }
             let off = entry.meta.size;
-            self.write_extent(&mut inner, &mut entry, off, data)?;
+            self.write_extent(inner, entry, off, data)?;
             Ok(entry.meta.size)
-        })();
-        self.put_back(&mut inner, entry);
-        r
+        })
     }
 
     /// Truncates (or sparsely extends) the object to `new_len` bytes.
     pub fn op_truncate(&self, ctx: &RequestContext, oid: ObjectId, new_len: u64) -> Result<()> {
         self.check_not_reserved(oid)?;
         let mut inner = self.inner.lock();
-        let mut entry = self.take_cached(&mut inner, oid)?;
-        let r = (|| {
-            self.authorize(ctx, &entry, Perm::WRITE)?;
+        self.with_object(&mut inner, oid, |inner, entry| {
+            self.authorize(ctx, entry, Perm::WRITE)?;
             if !entry.meta.is_live() {
                 return Err(S4Error::NoSuchObject);
             }
-            self.truncate_inner(&mut inner, &mut entry, new_len)
-        })();
-        self.put_back(&mut inner, entry);
-        r
+            self.truncate_inner(inner, entry, new_len)
+        })
     }
 
     /// Returns object attributes, optionally of a historical version.
@@ -872,23 +829,13 @@ impl<D: BlockDev> S4Drive<D> {
         time: Option<SimTime>,
     ) -> Result<ObjectAttrs> {
         let mut inner = self.inner.lock();
-        let entry = self.take_cached(&mut inner, oid)?;
-        let r = (|| {
-            let meta = match time {
-                None => {
-                    self.authorize(ctx, &entry, Perm::READ)?;
-                    if !entry.meta.is_live() {
-                        return Err(S4Error::NoSuchObject);
-                    }
-                    entry.meta.clone()
-                }
-                Some(t) => {
-                    self.stats.time_based_reads(1);
-                    let meta = self.version_at(&entry, t)?;
-                    self.authorize_historical(ctx, &entry, &meta)?;
-                    meta
-                }
-            };
+        self.with_object(&mut inner, oid, |_, entry| {
+            let meta = self.version_for(ctx, entry, time)?;
+            // A historical tombstone still reports its attributes (and
+            // its deletion time); the current version must be live.
+            if time.is_none() && !meta.is_live() {
+                return Err(S4Error::NoSuchObject);
+            }
             Ok(ObjectAttrs {
                 size: meta.size,
                 created: meta.created.time,
@@ -896,9 +843,7 @@ impl<D: BlockDev> S4Drive<D> {
                 deleted: meta.deleted.map(|d| d.time),
                 opaque: meta.attrs,
             })
-        })();
-        self.put_back(&mut inner, entry);
-        r
+        })
     }
 
     /// Replaces the opaque attribute blob.
@@ -906,9 +851,8 @@ impl<D: BlockDev> S4Drive<D> {
         self.check_not_reserved(oid)?;
         self.throttle(ctx, attrs.len() as u64);
         let mut inner = self.inner.lock();
-        let mut entry = self.take_cached(&mut inner, oid)?;
-        let r = (|| {
-            self.authorize(ctx, &entry, Perm::WRITE)?;
+        self.with_object(&mut inner, oid, |_, entry| {
+            self.authorize(ctx, entry, Perm::WRITE)?;
             if !entry.meta.is_live() {
                 return Err(S4Error::NoSuchObject);
             }
@@ -917,14 +861,9 @@ impl<D: BlockDev> S4Drive<D> {
                 old: entry.meta.attrs.clone(),
                 new: attrs,
             };
-            redo(&mut entry.meta, &e);
-            entry.pending.push(e);
-            entry.dirty = true;
-            self.stats.versions_created(1);
+            self.commit(entry, e);
             Ok(())
-        })();
-        self.put_back(&mut inner, entry);
-        r
+        })
     }
 
     /// Looks up the ACL entry for `user`, optionally in a historical
@@ -957,9 +896,8 @@ impl<D: BlockDev> S4Drive<D> {
     pub fn op_set_acl(&self, ctx: &RequestContext, oid: ObjectId, acl: AclEntry) -> Result<()> {
         self.check_not_reserved(oid)?;
         let mut inner = self.inner.lock();
-        let mut entry = self.take_cached(&mut inner, oid)?;
-        let r = (|| {
-            self.authorize(ctx, &entry, Perm::OWNER)?;
+        self.with_object(&mut inner, oid, |_, entry| {
+            self.authorize(ctx, entry, Perm::OWNER)?;
             if !entry.meta.is_live() {
                 return Err(S4Error::NoSuchObject);
             }
@@ -970,14 +908,9 @@ impl<D: BlockDev> S4Drive<D> {
                 old: entry.meta.acl.clone(),
                 new: table.encode(),
             };
-            redo(&mut entry.meta, &e);
-            entry.pending.push(e);
-            entry.dirty = true;
-            self.stats.versions_created(1);
+            self.commit(entry, e);
             Ok(())
-        })();
-        self.put_back(&mut inner, entry);
-        r
+        })
     }
 
     /// Associates `name` with an existing object (persistent mount
@@ -1016,9 +949,6 @@ impl<D: BlockDev> S4Drive<D> {
         time: Option<SimTime>,
     ) -> Result<Vec<(String, ObjectId)>> {
         let mut inner = self.inner.lock();
-        if time.is_some() {
-            self.stats.time_based_reads(1);
-        }
         Ok(self
             .read_partitions(&mut inner, time)?
             .into_iter()
@@ -1035,9 +965,6 @@ impl<D: BlockDev> S4Drive<D> {
         time: Option<SimTime>,
     ) -> Result<ObjectId> {
         let mut inner = self.inner.lock();
-        if time.is_some() {
-            self.stats.time_based_reads(1);
-        }
         self.read_partitions(&mut inner, time)?
             .into_iter()
             .find(|(n, _)| n == name)
@@ -1054,9 +981,7 @@ impl<D: BlockDev> S4Drive<D> {
 
     /// Administrative: adjusts the guaranteed detection window.
     pub fn op_set_window(&self, ctx: &RequestContext, window: SimDuration) -> Result<()> {
-        if !self.is_admin(ctx) {
-            return Err(S4Error::AccessDenied);
-        }
+        self.require_admin(ctx)?;
         self.inner.lock().window = window;
         Ok(())
     }
@@ -1064,9 +989,7 @@ impl<D: BlockDev> S4Drive<D> {
     /// Administrative: removes all versions of all objects whose creating
     /// mutation falls in `[from, to]`.
     pub fn op_flush(&self, ctx: &RequestContext, from: SimTime, to: SimTime) -> Result<()> {
-        if !self.is_admin(ctx) {
-            return Err(S4Error::AccessDenied);
-        }
+        self.require_admin(ctx)?;
         let mut inner = self.inner.lock();
         let oids: Vec<u64> = inner.table.keys().copied().collect();
         for oid in oids {
@@ -1083,9 +1006,7 @@ impl<D: BlockDev> S4Drive<D> {
         from: SimTime,
         to: SimTime,
     ) -> Result<()> {
-        if !self.is_admin(ctx) {
-            return Err(S4Error::AccessDenied);
-        }
+        self.require_admin(ctx)?;
         let mut inner = self.inner.lock();
         self.flush_object_range(&mut inner, oid, from, to)
     }
@@ -1282,24 +1203,8 @@ impl<D: BlockDev> S4Drive<D> {
     /// idempotence invariant. FNV-1a over a canonical (oid-sorted)
     /// serialization; caches, statistics, and LRU state are excluded.
     pub fn state_digest(&self) -> u64 {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        struct Fnv(u64);
-        impl Fnv {
-            fn bytes(&mut self, b: &[u8]) {
-                for &x in b {
-                    self.0 = (self.0 ^ x as u64).wrapping_mul(FNV_PRIME);
-                }
-            }
-            fn u64(&mut self, v: u64) {
-                self.bytes(&v.to_le_bytes());
-            }
-            fn stamp(&mut self, s: HybridTimestamp) {
-                self.u64(s.time.as_micros());
-                self.u64(s.seq);
-            }
-        }
         let inner = self.inner.lock();
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv::new();
         h.u64(inner.next_oid);
         h.u64(inner.window.as_micros());
         for (&oid, slot) in &inner.table {
@@ -1387,32 +1292,13 @@ impl<D: BlockDev> S4Drive<D> {
     /// present (the paper's window guarantee is per-drive; a rebuilt
     /// member's window restarts at the rebuild).
     pub fn resync_image(&self, ctx: &RequestContext) -> Result<ResyncImage> {
-        if !self.is_admin(ctx) {
-            return Err(S4Error::AccessDenied);
-        }
+        self.require_admin(ctx)?;
         let mut inner = self.inner.lock();
         let oids: Vec<u64> = inner.table.keys().copied().collect();
         let mut objects = Vec::new();
         for oid in oids {
-            let entry = self.take_cached(&mut inner, ObjectId(oid))?;
-            let r = (|| -> Result<Option<ResyncObject>> {
-                if !entry.meta.is_live() {
-                    return Ok(None); // deleted: not replayed
-                }
-                let content = self.read_extent(&entry, &entry.meta, 0, entry.meta.size)?;
-                Ok(Some(ResyncObject {
-                    oid,
-                    created: entry.meta.created.time,
-                    modified: entry.meta.modified.time,
-                    content,
-                    attrs: entry.meta.attrs.clone(),
-                    acl: entry.meta.acl.clone(),
-                }))
-            })();
-            self.put_back(&mut inner, entry);
-            if let Some(obj) = r? {
-                objects.push(obj);
-            }
+            // Deleted objects are not replayed.
+            objects.extend(self.export_object(&mut inner, ctx, ObjectId(oid), None)?);
         }
         Ok(ResyncImage {
             next_oid: inner.next_oid,
@@ -1470,44 +1356,31 @@ impl<D: BlockDev> S4Drive<D> {
     /// members — whose layouts differ — can be compared object by object
     /// after a resync.
     pub fn object_digest(&self, ctx: &RequestContext, oid: ObjectId) -> Result<u64> {
-        if !self.is_admin(ctx) {
-            return Err(S4Error::AccessDenied);
-        }
+        self.require_admin(ctx)?;
         let mut inner = self.inner.lock();
-        let entry = self.take_cached(&mut inner, oid)?;
-        let r = (|| {
-            if !entry.meta.is_live() {
+        self.with_object(&mut inner, oid, |_, entry| {
+            let meta = &entry.meta;
+            if !meta.is_live() {
                 return Err(S4Error::NoSuchObject);
             }
-            let content = self.read_extent(&entry, &entry.meta, 0, entry.meta.size)?;
-            const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            let mut eat = |bytes: &[u8]| {
-                for &b in bytes {
-                    h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-                }
-            };
-            eat(&entry.meta.created.time.as_micros().to_le_bytes());
-            eat(&entry.meta.modified.time.as_micros().to_le_bytes());
-            eat(&entry.meta.size.to_le_bytes());
-            eat(&content);
-            eat(&(entry.meta.attrs.len() as u64).to_le_bytes());
-            eat(&entry.meta.attrs);
-            eat(&(entry.meta.acl.len() as u64).to_le_bytes());
-            eat(&entry.meta.acl);
-            Ok(h)
-        })();
-        self.put_back(&mut inner, entry);
-        r
+            let mut h = Fnv::new();
+            h.u64(meta.created.time.as_micros());
+            h.u64(meta.modified.time.as_micros());
+            h.u64(meta.size);
+            h.bytes(&self.read_extent(entry, meta, 0, meta.size)?);
+            h.u64(meta.attrs.len() as u64);
+            h.bytes(&meta.attrs);
+            h.u64(meta.acl.len() as u64);
+            h.bytes(&meta.acl);
+            Ok(h.0)
+        })
     }
 
     /// Ids of every live (non-deleted) object, ascending (admin only) —
     /// the enumeration a resync verification walks, comparing
     /// [`S4Drive::object_digest`] across the mirror pair.
     pub fn live_object_ids(&self, ctx: &RequestContext) -> Result<Vec<u64>> {
-        if !self.is_admin(ctx) {
-            return Err(S4Error::AccessDenied);
-        }
+        self.require_admin(ctx)?;
         let inner = self.inner.lock();
         Ok(inner
             .table
@@ -1531,18 +1404,14 @@ impl<D: BlockDev> S4Drive<D> {
     /// flip raises the target's counter to the source's so oids whose
     /// history lives only on the source are never reissued.
     pub fn next_oid(&self, ctx: &RequestContext) -> Result<u64> {
-        if !self.is_admin(ctx) {
-            return Err(S4Error::AccessDenied);
-        }
+        self.require_admin(ctx)?;
         Ok(self.inner.lock().next_oid)
     }
 
     /// Raises the drive's next-oid counter to at least `v` (admin only).
     /// Never lowers it — oids are single-use for the drive's lifetime.
     pub fn raise_next_oid(&self, ctx: &RequestContext, v: u64) -> Result<()> {
-        if !self.is_admin(ctx) {
-            return Err(S4Error::AccessDenied);
-        }
+        self.require_admin(ctx)?;
         let mut inner = self.inner.lock();
         inner.next_oid = inner.next_oid.max(v);
         Ok(())
@@ -1562,45 +1431,37 @@ impl<D: BlockDev> S4Drive<D> {
         oid: ObjectId,
         at: Option<SimTime>,
     ) -> Result<Option<ResyncObject>> {
-        if !self.is_admin(ctx) {
-            return Err(S4Error::AccessDenied);
-        }
-        let mut inner = self.inner.lock();
-        let entry = match self.take_cached(&mut inner, oid) {
-            Ok(e) => e,
-            Err(S4Error::NoSuchObject) => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let r = (|| -> Result<Option<ResyncObject>> {
-            let meta = match at {
-                None => {
-                    if !entry.meta.is_live() {
-                        return Ok(None);
-                    }
-                    entry.meta.clone()
-                }
-                Some(t) => {
-                    self.stats.time_based_reads(1);
-                    match self.version_at(&entry, t) {
-                        Ok(m) if m.is_live() => m,
-                        Ok(_) => return Ok(None),
-                        Err(S4Error::NoSuchObject) => return Ok(None),
-                        Err(e) => return Err(e),
-                    }
-                }
-            };
-            let content = self.read_extent(&entry, &meta, 0, meta.size)?;
+        self.require_admin(ctx)?;
+        self.export_object(&mut self.inner.lock(), ctx, oid, at)
+    }
+
+    /// [`S4Drive::reshard_export`] under the caller's lock and admin
+    /// check — also each object's share of [`S4Drive::resync_image`].
+    fn export_object(
+        &self,
+        inner: &mut Inner,
+        ctx: &RequestContext,
+        oid: ObjectId,
+        at: Option<SimTime>,
+    ) -> Result<Option<ResyncObject>> {
+        let exported = self.with_object(inner, oid, |_, entry| {
+            let meta = self.version_for(ctx, entry, at)?;
+            if !meta.is_live() {
+                return Ok(None);
+            }
             Ok(Some(ResyncObject {
                 oid: oid.0,
                 created: meta.created.time,
                 modified: meta.modified.time,
-                content,
-                attrs: meta.attrs.clone(),
-                acl: meta.acl.clone(),
+                content: self.read_extent(entry, &meta, 0, meta.size)?,
+                attrs: meta.attrs,
+                acl: meta.acl,
             }))
-        })();
-        self.put_back(&mut inner, entry);
-        r
+        });
+        match exported {
+            Err(S4Error::NoSuchObject) => Ok(None),
+            r => r,
+        }
     }
 
     /// Replays one exported object onto this drive (admin only),
@@ -1611,124 +1472,38 @@ impl<D: BlockDev> S4Drive<D> {
     /// place with a stamped truncate-and-rewrite. A tombstoned oid is an
     /// error — oids are never reused.
     pub fn reshard_apply(&self, ctx: &RequestContext, obj: &ResyncObject) -> Result<()> {
-        if !self.is_admin(ctx) {
-            return Err(S4Error::AccessDenied);
-        }
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
+        self.require_admin(ctx)?;
+        let inner = &mut *self.inner.lock();
         if !inner.table.contains_key(&obj.oid) {
             self.insert_exported(inner, obj)?;
             inner.next_oid = inner.next_oid.max(obj.oid + 1);
-            self.stats.versions_created(1);
             return Ok(());
         }
-        let mut entry = self.take_cached(inner, ObjectId(obj.oid))?;
-        let r = (|| -> Result<()> {
+        self.with_object(inner, ObjectId(obj.oid), |inner, entry| {
             if !entry.meta.is_live() {
                 return Err(S4Error::BadRequest("reshard apply onto a deleted object"));
             }
-            // Wipe, then rewrite, all at the source's modification time.
-            // truncate_inner is unusable here: it self-stamps (and its
-            // partial-block tail zeroing writes at "now"), which would
-            // advance the modification time past the source's.
-            let freed: Vec<PtrChange> = entry
-                .meta
-                .blocks
-                .iter()
-                .map(|(&lbn, &old)| PtrChange {
-                    lbn,
-                    old,
-                    new: BlockAddr::NONE,
-                })
-                .collect();
-            let e = JournalEntry::Truncate {
-                stamp: HybridTimestamp::new(obj.modified, self.stamps.next_seq()),
-                old_size: entry.meta.size,
-                new_size: 0,
-                freed,
-            };
-            redo(&mut entry.meta, &e);
-            entry.pending.push(e);
-            if !obj.content.is_empty() {
-                self.write_extent_stamped(
-                    inner,
-                    &mut entry,
-                    0,
-                    &obj.content,
-                    HybridTimestamp::new(obj.modified, self.stamps.next_seq()),
-                )?;
-            }
-            if entry.meta.attrs != obj.attrs {
-                let e = JournalEntry::SetAttr {
-                    stamp: HybridTimestamp::new(obj.modified, self.stamps.next_seq()),
-                    old: entry.meta.attrs.clone(),
-                    new: obj.attrs.clone(),
-                };
-                redo(&mut entry.meta, &e);
-                entry.pending.push(e);
-            }
-            if entry.meta.acl != obj.acl {
-                let e = JournalEntry::SetAcl {
-                    stamp: HybridTimestamp::new(obj.modified, self.stamps.next_seq()),
-                    old: entry.meta.acl.clone(),
-                    new: obj.acl.clone(),
-                };
-                redo(&mut entry.meta, &e);
-                entry.pending.push(e);
-            }
-            entry.dirty = true;
-            self.stats.versions_created(1);
-            Ok(())
-        })();
-        self.put_back(inner, entry);
-        r
+            self.converge(inner, entry, &obj.content, &obj.attrs, &obj.acl, Some(obj.modified))
+        })
     }
 
     /// Inserts an exported object under its own id, carrying its
-    /// creation/modification *times* (the stamp sequence component is
-    /// drive-local) — the replay step shared by mirror resync and
-    /// reshard migration.
+    /// creation/modification *times* — the replay step shared by mirror
+    /// resync and reshard migration.
     fn insert_exported(&self, inner: &mut Inner, obj: &ResyncObject) -> Result<()> {
-        let created = HybridTimestamp::new(obj.created, self.stamps.next_seq());
-        let mut entry = ObjectEntry::new(ObjectMeta::new(obj.oid, created));
-        entry.pending.push(JournalEntry::Create { stamp: created });
-        if !obj.acl.is_empty() {
-            let set = JournalEntry::SetAcl {
-                stamp: HybridTimestamp::new(obj.created, self.stamps.next_seq()),
-                old: Vec::new(),
-                new: obj.acl.clone(),
-            };
-            redo(&mut entry.meta, &set);
-            entry.pending.push(set);
-        }
-        entry.last_used = inner.bump_lru();
-        let modified = HybridTimestamp::new(obj.modified, self.stamps.next_seq());
-        if obj.content.is_empty() {
-            // An empty write is a no-op; stamp the modification time
-            // with an empty truncate instead.
-            let e = JournalEntry::Truncate {
-                stamp: modified,
-                old_size: 0,
-                new_size: 0,
-                freed: Vec::new(),
-            };
-            redo(&mut entry.meta, &e);
-            entry.pending.push(e);
-        } else {
-            self.write_extent_stamped(inner, &mut entry, 0, &obj.content, modified)?;
-        }
-        if !obj.attrs.is_empty() {
-            let e = JournalEntry::SetAttr {
-                stamp: HybridTimestamp::new(obj.modified, self.stamps.next_seq()),
-                old: entry.meta.attrs.clone(),
-                new: obj.attrs.clone(),
-            };
-            redo(&mut entry.meta, &e);
-            entry.pending.push(e);
-        }
-        entry.dirty = true;
-        inner.table.insert(obj.oid, Slot::Cached(Box::new(entry)));
-        Ok(())
+        self.insert_new(inner, obj.oid, self.stamp_at(Some(obj.created)));
+        self.with_object(inner, ObjectId(obj.oid), |inner, entry| {
+            // The ACL belongs to the creating instant, as in `op_create`.
+            if !obj.acl.is_empty() {
+                let set = JournalEntry::SetAcl {
+                    stamp: self.stamp_at(Some(obj.created)),
+                    old: Vec::new(),
+                    new: obj.acl.clone(),
+                };
+                self.commit(entry, set);
+            }
+            self.converge(inner, entry, &obj.content, &obj.attrs, &obj.acl, Some(obj.modified))
+        })
     }
 
     /// Walks an object's retained journal history, oldest first: one
@@ -1741,28 +1516,16 @@ impl<D: BlockDev> S4Drive<D> {
     ) -> Result<Vec<VersionRecord>> {
         self.check_not_reserved(oid)?;
         let mut inner = self.inner.lock();
-        let entry = self.take_cached(&mut inner, oid)?;
-        let r = (|| {
-            if !self.is_admin(ctx) {
-                let table = AclTable::decode(&entry.meta.acl)?;
-                if !table.perms_of(ctx.user).includes(Perm::RECOVERY) {
-                    return Err(S4Error::AccessDenied);
-                }
-            }
+        self.with_object(&mut inner, oid, |_, entry| {
+            self.authorize(ctx, entry, Perm::RECOVERY)?;
             let mut out = Vec::new();
             for s in &entry.sectors {
                 let (_oid, entries) = read_subsector(&self.log, s.addr, s.slot)?;
-                for e in &entries {
-                    out.push(VersionRecord::from_entry(e));
-                }
+                out.extend(entries.iter().map(VersionRecord::from_entry));
             }
-            for e in &entry.pending {
-                out.push(VersionRecord::from_entry(e));
-            }
+            out.extend(entry.pending.iter().map(VersionRecord::from_entry));
             Ok(out)
-        })();
-        self.put_back(&mut inner, entry);
-        r
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1807,144 +1570,100 @@ impl<D: BlockDev> S4Drive<D> {
     /// (§4.2.2). Only deltas smaller than half a block are kept; other
     /// versions stay plain. Returns `(blocks_encoded, blocks_released)`.
     pub fn compact_history(&self) -> Result<(u64, u64)> {
-        let mut inner = self.inner.lock();
+        let inner = &mut *self.inner.lock();
         // Pack pending entries so the journal reflects every mutation.
         let oids: Vec<u64> = inner.table.keys().copied().collect();
-        self.pack_objects(&mut inner, &oids)?;
-        let mut encoded = 0u64;
-        let mut released = 0u64;
-        // Collected payloads: (object, key, base, delta bytes).
-        let mut payloads: Vec<(u64, u64, BlockAddr, Vec<u8>)> = Vec::new();
+        self.pack_objects(inner, &oids)?;
+        // Collected payloads: object, delta bytes, (key, base).
+        let mut payloads: Vec<packed::Item<(u64, BlockAddr)>> = Vec::new();
         for oid in oids {
-            let Ok(entry) = self.take_cached(&mut inner, ObjectId(oid)) else {
-                continue;
-            };
-            // Build per-lbn history chains (oldest first) from the
-            // retained journal.
-            let mut chains: BTreeMap<u64, Vec<BlockAddr>> = BTreeMap::new();
-            let mut read_failed = false;
-            for s in &entry.sectors {
-                let Ok((_o, entries)) = read_subsector(&self.log, s.addr, s.slot) else {
-                    read_failed = true;
-                    break;
-                };
-                for e in &entries {
-                    let changes = match e {
-                        JournalEntry::Write { changes, .. } => changes,
-                        JournalEntry::Truncate { freed, .. } => freed,
-                        _ => continue,
-                    };
-                    for c in changes {
-                        if !c.old.is_none() {
-                            chains.entry(c.lbn).or_default().push(c.old);
+            // An object that cannot be loaded or read is skipped, not fatal.
+            let _ = self.with_object(inner, ObjectId(oid), |inner, entry| {
+                // Build per-lbn history chains (oldest first) from the
+                // retained journal.
+                let mut chains: BTreeMap<u64, Vec<BlockAddr>> = BTreeMap::new();
+                for s in &entry.sectors {
+                    let (_o, entries) = read_subsector(&self.log, s.addr, s.slot)?;
+                    for c in entries.iter().flat_map(old_blocks) {
+                        chains.entry(c.lbn).or_default().push(c.old);
+                    }
+                }
+                for (lbn, olds) in chains {
+                    // Successor of the newest old is the current block (if
+                    // any); each older version's successor is the next old.
+                    let mut seq: Vec<BlockAddr> = olds;
+                    if let Some(&cur) = entry.meta.blocks.get(&lbn) {
+                        seq.push(cur);
+                    }
+                    if seq.len() < 2 {
+                        continue;
+                    }
+                    // Newest-first pairs: (target = seq[i], base = seq[i+1]).
+                    let mut succ_content: Option<Vec<u8>> = None;
+                    for i in (0..seq.len() - 1).rev() {
+                        let target = entry.resolve_forward(seq[i]);
+                        let base = entry.resolve_forward(seq[i + 1]);
+                        if target == base
+                            || entry.deltas.contains_key(&target.0)
+                            || !inner.live.contains(&target.0)
+                            || entry.is_landmark_block(target)
+                        {
+                            succ_content = None;
+                            continue;
                         }
+                        let base_content = match succ_content.take() {
+                            Some(c) => c,
+                            None => match self.materialize_block(entry, base) {
+                                Ok(c) => c,
+                                Err(_) => continue,
+                            },
+                        };
+                        let Ok(target_content) = self.materialize_block(entry, target) else {
+                            continue;
+                        };
+                        let delta = s4_delta::diff(&base_content, &target_content);
+                        let enc = delta.encode();
+                        if enc.len() + 16 <= BLOCK_SIZE / 2 {
+                            let mut payload = Vec::with_capacity(16 + enc.len());
+                            payload.extend_from_slice(&oid.to_le_bytes());
+                            payload.extend_from_slice(&target.0.to_le_bytes());
+                            payload.extend_from_slice(&enc);
+                            payloads.push((oid, payload, (target.0, base)));
+                        }
+                        succ_content = Some(target_content);
                     }
                 }
-            }
-            if read_failed {
-                self.put_back(&mut inner, entry);
-                continue;
-            }
-            for (lbn, olds) in chains {
-                // Successor of the newest old is the current block (if
-                // any); each older version's successor is the next old.
-                let mut seq: Vec<BlockAddr> = olds;
-                if let Some(&cur) = entry.meta.blocks.get(&lbn) {
-                    seq.push(cur);
-                }
-                if seq.len() < 2 {
-                    continue;
-                }
-                // Newest-first pairs: (target = seq[i], base = seq[i+1]).
-                let mut succ_content: Option<Vec<u8>> = None;
-                for i in (0..seq.len() - 1).rev() {
-                    let target = entry.resolve_forward(seq[i]);
-                    let base = entry.resolve_forward(seq[i + 1]);
-                    if target == base
-                        || entry.deltas.contains_key(&target.0)
-                        || !inner.live.contains(&target.0)
-                        || entry.is_landmark_block(target)
-                    {
-                        succ_content = None;
-                        continue;
-                    }
-                    let base_content = match succ_content.take() {
-                        Some(c) => c,
-                        None => match self.materialize_block(&entry, base) {
-                            Ok(c) => c,
-                            Err(_) => continue,
-                        },
-                    };
-                    let Ok(target_content) = self.materialize_block(&entry, target) else {
-                        continue;
-                    };
-                    let delta = s4_delta::diff(&base_content, &target_content);
-                    let enc = delta.encode();
-                    if enc.len() + 16 <= BLOCK_SIZE / 2 {
-                        let mut payload = Vec::with_capacity(16 + enc.len());
-                        payload.extend_from_slice(&oid.to_le_bytes());
-                        payload.extend_from_slice(&target.0.to_le_bytes());
-                        payload.extend_from_slice(&enc);
-                        payloads.push((oid, target.0, base, payload));
-                    }
-                    succ_content = Some(target_content);
-                }
-            }
-            self.put_back(&mut inner, entry);
+                Ok(())
+            });
         }
 
-        // Pack delta payloads into shared blocks and install references.
-        let mut batch: Vec<(u64, u64, BlockAddr, Vec<u8>)> = Vec::new();
-        let mut used = 6usize;
-        let flush = |inner: &mut Inner,
-                     batch: &mut Vec<(u64, u64, BlockAddr, Vec<u8>)>,
-                     encoded: &mut u64,
-                     released: &mut u64|
-         -> Result<()> {
-            if batch.is_empty() {
-                return Ok(());
-            }
-            let payload =
-                encode_container(DBLOCK_MAGIC, batch.iter().map(|(_, _, _, p)| p.as_slice()));
-            let addr = self.log.append(
-                BlockTag::new(BlockKind::DeltaData, batch[0].0, batch.len() as u64),
-                &payload,
-            )?;
-            inner.live.insert(addr.0);
-            inner.dblock_refs.insert(addr.0, batch.len() as u32);
-            for (slot, (oid, key, base, _)) in batch.drain(..).enumerate() {
-                if let Some(Slot::Cached(entry)) = inner.table.get_mut(&oid) {
-                    entry.deltas.insert(
-                        key,
-                        DeltaRef {
-                            base,
-                            block: addr,
-                            slot: slot as u32,
-                        },
-                    );
+        // Pack delta payloads into shared blocks and install references;
+        // every encoded block releases its original.
+        let mut encoded = 0u64;
+        let Inner {
+            table,
+            live,
+            dblocks,
+            ..
+        } = inner;
+        dblocks.pack(
+            &self.log,
+            live,
+            payloads,
+            |live, block, slot, oid, (key, base)| {
+                if let Some(Slot::Cached(entry)) = table.get_mut(&oid) {
+                    entry.deltas.insert(key, DeltaRef { base, block, slot });
                     entry.needs_checkpoint = true;
                     entry.dirty = true;
                     // The original block's bytes are no longer needed.
-                    inner.live.remove(&key);
+                    live.remove(&key);
                     self.log.release_blocks([BlockAddr(key)]);
-                    *encoded += 1;
-                    *released += 1;
+                    encoded += 1;
                 }
-            }
-            Ok(())
-        };
-        for item in payloads {
-            let need = 4 + item.3.len();
-            if used + need > BLOCK_SIZE {
-                flush(&mut inner, &mut batch, &mut encoded, &mut released)?;
-                used = 6;
-            }
-            used += need;
-            batch.push(item);
-        }
-        flush(&mut inner, &mut batch, &mut encoded, &mut released)?;
+            },
+        )?;
         self.log.flush()?;
-        Ok((encoded, released))
+        Ok((encoded, encoded))
     }
 
     /// Pins the version of `oid` current at `time` as a *landmark*
@@ -1960,10 +1679,9 @@ impl<D: BlockDev> S4Drive<D> {
     ) -> Result<()> {
         self.check_not_reserved(oid)?;
         let mut inner = self.inner.lock();
-        let mut entry = self.take_cached(&mut inner, oid)?;
-        let r = (|| {
-            self.authorize(ctx, &entry, Perm::OWNER)?;
-            let meta = self.version_at(&entry, time)?;
+        self.with_object(&mut inner, oid, |inner, entry| {
+            self.authorize(ctx, entry, Perm::OWNER)?;
+            let meta = self.version_at(entry, time)?;
             if entry.landmarks.iter().any(|m| m.modified == meta.modified) {
                 return Ok(()); // already pinned
             }
@@ -1975,13 +1693,7 @@ impl<D: BlockDev> S4Drive<D> {
                 let addr = meta.blocks[&lbn];
                 let resolved = entry.resolve_forward(addr);
                 if entry.deltas.contains_key(&resolved.0) {
-                    let data = self.materialize_block(&entry, resolved)?;
-                    let trimmed = data.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
-                    let new = self.log.append(
-                        BlockTag::new(BlockKind::Data, entry.meta.id, lbn),
-                        &data[..trimmed],
-                    )?;
-                    inner.live.insert(new.0);
+                    let new = self.rematerialize(inner, entry, resolved, lbn)?;
                     meta.blocks.insert(lbn, new);
                 } else {
                     meta.blocks.insert(lbn, resolved);
@@ -1992,9 +1704,7 @@ impl<D: BlockDev> S4Drive<D> {
             entry.needs_checkpoint = true;
             entry.dirty = true;
             Ok(())
-        })();
-        self.put_back(&mut inner, entry);
-        r
+        })
     }
 
     /// Removes the landmark pinned at exactly `modified` (as reported by
@@ -2008,9 +1718,8 @@ impl<D: BlockDev> S4Drive<D> {
     ) -> Result<()> {
         self.check_not_reserved(oid)?;
         let mut inner = self.inner.lock();
-        let mut entry = self.take_cached(&mut inner, oid)?;
-        let r = (|| {
-            self.authorize(ctx, &entry, Perm::OWNER)?;
+        self.with_object(&mut inner, oid, |inner, entry| {
+            self.authorize(ctx, entry, Perm::OWNER)?;
             let before = entry.landmarks.len();
             let removed: Vec<ObjectMeta> = entry
                 .landmarks
@@ -2041,24 +1750,20 @@ impl<D: BlockDev> S4Drive<D> {
             entry.needs_checkpoint = true;
             entry.dirty = true;
             Ok(())
-        })();
-        self.put_back(&mut inner, entry);
-        r
+        })
     }
 
     /// Lists an object's landmark versions as `(modified, size)` pairs.
     pub fn landmarks(&self, ctx: &RequestContext, oid: ObjectId) -> Result<Vec<(SimTime, u64)>> {
         let mut inner = self.inner.lock();
-        let entry = self.take_cached(&mut inner, oid)?;
-        let r = self.authorize(ctx, &entry, Perm::READ).map(|()| {
-            entry
+        self.with_object(&mut inner, oid, |_, entry| {
+            self.authorize(ctx, entry, Perm::READ)?;
+            Ok(entry
                 .landmarks
                 .iter()
                 .map(|m| (m.modified.time, m.size))
-                .collect()
-        });
-        self.put_back(&mut inner, entry);
-        r
+                .collect())
+        })
     }
 
     /// Forces an anchor now (used by orderly shutdown, tests, and
@@ -2141,24 +1846,9 @@ impl<D: BlockDev> S4Drive<D> {
         time: Option<SimTime>,
     ) -> Result<AclTable> {
         let mut inner = self.inner.lock();
-        let entry = self.take_cached(&mut inner, oid)?;
-        let r = (|| {
-            let meta = match time {
-                None => {
-                    self.authorize(ctx, &entry, Perm::READ)?;
-                    entry.meta.clone()
-                }
-                Some(t) => {
-                    self.stats.time_based_reads(1);
-                    let meta = self.version_at(&entry, t)?;
-                    self.authorize_historical(ctx, &entry, &meta)?;
-                    meta
-                }
-            };
-            AclTable::decode(&meta.acl)
-        })();
-        self.put_back(&mut inner, entry);
-        r
+        self.with_object(&mut inner, oid, |_, entry| {
+            AclTable::decode(&self.version_for(ctx, entry, time)?.acl)
+        })
     }
 
     /// Loads an evicted object back into the cache.
@@ -2168,31 +1858,71 @@ impl<D: BlockDev> S4Drive<D> {
             Some(Slot::Cached(_)) => return Ok(()),
             Some(Slot::Evicted(info)) => *info,
         };
-        let (mut entry, blocks) =
-            read_checkpoint_static(&self.log, info.checkpoint_root, info.checkpoint_slot)?;
-        entry.checkpoint_root = info.checkpoint_root;
-        entry.checkpoint_slot = info.checkpoint_slot;
-        entry.checkpoint_blocks = blocks;
+        let mut entry = read_checkpoint(&self.log, info.checkpoint_root, info.checkpoint_slot)?;
         entry.last_used = inner.bump_lru();
         inner.table.insert(oid.0, Slot::Cached(Box::new(entry)));
         Ok(())
     }
 
-    fn take_cached(&self, inner: &mut Inner, oid: ObjectId) -> Result<ObjectEntry> {
+    /// Runs `f` on the cached entry of `oid` — loaded first if it was
+    /// evicted — lifted out of the table so `f` can use the entry and the
+    /// rest of `inner` at once. The entry goes back on *every* return
+    /// path: an error inside `f` must never cost an object the only
+    /// description of its current state. The two callers that retire an
+    /// entry (full expiry, eviction) do so explicitly after this returns.
+    pub(crate) fn with_object<R>(
+        &self,
+        inner: &mut Inner,
+        oid: ObjectId,
+        f: impl FnOnce(&mut Inner, &mut ObjectEntry) -> Result<R>,
+    ) -> Result<R> {
         self.ensure_cached(inner, oid)?;
-        match inner.table.remove(&oid.0) {
-            Some(Slot::Cached(mut e)) => {
-                e.last_used = inner.bump_lru();
-                Ok(*e)
-            }
-            _ => Err(S4Error::NoSuchObject),
+        let Some(Slot::Cached(mut entry)) = inner.table.remove(&oid.0) else {
+            return Err(S4Error::NoSuchObject);
+        };
+        entry.last_used = inner.bump_lru();
+        let r = f(inner, &mut entry);
+        inner.table.insert(oid.0, Slot::Cached(entry));
+        r
+    }
+
+    /// The cached entry of `oid`, loaded first if it was evicted, for
+    /// callers that re-point an entry in place (no LRU touch: the
+    /// cleaner moving a block is not a use of the object).
+    fn cached_mut<'a>(&self, inner: &'a mut Inner, oid: u64) -> Option<&'a mut ObjectEntry> {
+        self.ensure_cached(inner, ObjectId(oid)).ok()?;
+        match inner.table.get_mut(&oid) {
+            Some(Slot::Cached(entry)) => Some(entry),
+            _ => None,
         }
     }
 
-    fn put_back(&self, inner: &mut Inner, entry: ObjectEntry) {
-        inner
-            .table
-            .insert(entry.meta.id, Slot::Cached(Box::new(entry)));
+    /// Adds a fresh object to the table with its `Create` entry pending.
+    fn insert_new(&self, inner: &mut Inner, oid: u64, stamp: HybridTimestamp) {
+        let mut entry = ObjectEntry::new(ObjectMeta::new(oid, stamp));
+        entry.pending.push(JournalEntry::Create { stamp });
+        entry.last_used = inner.bump_lru();
+        inner.table.insert(oid, Slot::Cached(Box::new(entry)));
+    }
+
+    /// The version of `entry` a request may see: the current one needs
+    /// READ; the one current at `time` is materialized from the history
+    /// pool and needs what [`S4Drive::authorize_historical`] asks.
+    /// Whether a deleted version is an answer is the caller's call.
+    fn version_for(
+        &self,
+        ctx: &RequestContext,
+        entry: &ObjectEntry,
+        time: Option<SimTime>,
+    ) -> Result<ObjectMeta> {
+        let Some(t) = time else {
+            self.authorize(ctx, entry, Perm::READ)?;
+            return Ok(entry.meta.clone());
+        };
+        self.stats.time_based_reads(1);
+        let meta = self.version_at(entry, t)?;
+        self.authorize_historical(ctx, entry, &meta)?;
+        Ok(meta)
     }
 
     /// Reads `[offset, offset+len)` of the given version's data.
@@ -2237,7 +1967,7 @@ impl<D: BlockDev> S4Drive<D> {
         };
         let base = self.materialize_block(entry, dref.base)?;
         let dblock = self.log.read_block(dref.block)?;
-        let subs = split_container(DBLOCK_MAGIC, &dblock)?;
+        let subs = packed::DELTAS.split(&dblock)?;
         let sub = subs
             .get(dref.slot as usize)
             .ok_or(S4Error::BadRequest("delta slot out of range"))?;
@@ -2269,7 +1999,7 @@ impl<D: BlockDev> S4Drive<D> {
         // Delta-encoded: drop the reference; the real bytes were released
         // when the delta was installed.
         if let Some(dref) = entry.deltas.remove(&key.0) {
-            return Ok(self.deref_dblock(inner, dref.block));
+            return Ok(inner.dblocks.release_ref(&self.log, &mut inner.live, dref.block));
         }
         // Blocks whose deltas are based on `key` must be re-materialized
         // before the base disappears.
@@ -2281,15 +2011,9 @@ impl<D: BlockDev> S4Drive<D> {
             .collect();
         let mut released = 0;
         for dep in dependents {
-            let data = self.materialize_block(entry, BlockAddr(dep))?;
-            let trimmed = data.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
-            let new = self.log.append(
-                BlockTag::new(BlockKind::Data, entry.meta.id, 0),
-                &data[..trimmed],
-            )?;
-            inner.live.insert(new.0);
+            let new = self.rematerialize(inner, entry, BlockAddr(dep), 0)?;
             let dref = entry.deltas.remove(&dep).expect("collected above");
-            released += self.deref_dblock(inner, dref.block);
+            released += inner.dblocks.release_ref(&self.log, &mut inner.live, dref.block);
             entry.forwards.insert(dep, new.0);
             entry.needs_checkpoint = true;
         }
@@ -2298,19 +2022,38 @@ impl<D: BlockDev> S4Drive<D> {
         Ok(released + 1)
     }
 
-    /// Drops one reference on a shared delta block.
-    fn deref_dblock(&self, inner: &mut Inner, block: BlockAddr) -> u64 {
-        match inner.dblock_refs.get_mut(&block.0) {
-            Some(n) if *n > 1 => {
-                *n -= 1;
-                0
-            }
-            _ => {
-                inner.dblock_refs.remove(&block.0);
-                inner.live.remove(&block.0);
-                self.log.release_blocks([block]);
-                1
-            }
+    /// Writes the bytes of delta-encoded `addr` back out as a plain data
+    /// block (tagged `lbn`) and returns its address.
+    fn rematerialize(
+        &self,
+        inner: &mut Inner,
+        entry: &ObjectEntry,
+        addr: BlockAddr,
+        lbn: u64,
+    ) -> Result<BlockAddr> {
+        let data = self.materialize_block(entry, addr)?;
+        let trimmed = data.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+        let tag = BlockTag::new(BlockKind::Data, entry.meta.id, lbn);
+        let new = self.log.append(tag, &data[..trimmed])?;
+        inner.live.insert(new.0);
+        Ok(new)
+    }
+
+    /// The one place a mutation becomes a version: applies `e` to the
+    /// current metadata and queues it for the next journal pack.
+    fn commit(&self, entry: &mut ObjectEntry, e: JournalEntry) {
+        redo(&mut entry.meta, &e);
+        entry.pending.push(e);
+        entry.dirty = true;
+        self.stats.versions_created(1);
+    }
+
+    /// A fresh stamp: at `time` when the caller replays a source's
+    /// history (the sequence component is drive-local), else now.
+    fn stamp_at(&self, time: Option<SimTime>) -> HybridTimestamp {
+        match time {
+            Some(t) => HybridTimestamp::new(t, self.stamps.next_seq()),
+            None => self.stamps.next(),
         }
     }
 
@@ -2380,10 +2123,7 @@ impl<D: BlockDev> S4Drive<D> {
             new_size,
             changes,
         };
-        redo(&mut entry.meta, &e);
-        entry.pending.push(e);
-        entry.dirty = true;
-        self.stats.versions_created(1);
+        self.commit(entry, e);
         self.stats.bytes_written(data.len() as u64);
         Ok(())
     }
@@ -2425,10 +2165,67 @@ impl<D: BlockDev> S4Drive<D> {
             new_size: new_len,
             freed,
         };
-        redo(&mut entry.meta, &e);
-        entry.pending.push(e);
-        entry.dirty = true;
-        self.stats.versions_created(1);
+        self.commit(entry, e);
+        Ok(())
+    }
+
+    /// Makes the current version of `entry` equal `content`, `attrs` and
+    /// `acl`, emitting only the journal entries that takes — the replay
+    /// step shared by mirror resync, reshard migration and transaction
+    /// compensation. `at` pins the entries' time: resync and reshard
+    /// reproduce the source's modification *time* (the stamp sequence
+    /// component stays drive-local), which [`S4Drive::object_digest`]
+    /// covers, so a pinned time is itself part of the target. `None`
+    /// stamps with the drive's clock, as compensation must.
+    fn converge(
+        &self,
+        inner: &mut Inner,
+        entry: &mut ObjectEntry,
+        content: &[u8],
+        attrs: &[u8],
+        acl: &[u8],
+        at: Option<SimTime>,
+    ) -> Result<()> {
+        let current = self.read_extent(entry, &entry.meta, 0, entry.meta.size)?;
+        if current != content || at.is_some_and(|t| entry.meta.modified.time != t) {
+            // Wipe, then rewrite whole. truncate_inner is unusable here:
+            // it self-stamps (and its partial-block tail zeroing writes
+            // at "now"), which would move a pinned modification time. A
+            // fresh object has nothing to wipe; an empty target has
+            // nothing to write (an empty write is a no-op), so there the
+            // truncate alone carries the stamp.
+            if entry.meta.size > 0 || content.is_empty() {
+                let freed = entry.meta.blocks.iter().map(|(&lbn, &old)| PtrChange {
+                    lbn,
+                    old,
+                    new: BlockAddr::NONE,
+                });
+                let e = JournalEntry::Truncate {
+                    stamp: self.stamp_at(at),
+                    old_size: entry.meta.size,
+                    new_size: 0,
+                    freed: freed.collect(),
+                };
+                self.commit(entry, e);
+            }
+            self.write_extent_stamped(inner, entry, 0, content, self.stamp_at(at))?;
+        }
+        if entry.meta.attrs != attrs {
+            let e = JournalEntry::SetAttr {
+                stamp: self.stamp_at(at),
+                old: entry.meta.attrs.clone(),
+                new: attrs.to_vec(),
+            };
+            self.commit(entry, e);
+        }
+        if entry.meta.acl != acl {
+            let e = JournalEntry::SetAcl {
+                stamp: self.stamp_at(at),
+                old: entry.meta.acl.clone(),
+                new: acl.to_vec(),
+            };
+            self.commit(entry, e);
+        }
         Ok(())
     }
 
@@ -2492,15 +2289,8 @@ impl<D: BlockDev> S4Drive<D> {
             return;
         }
         if entry.checkpoint_slot != u32::MAX {
-            let addr = entry.checkpoint_root;
-            match inner.cpblock_refs.get_mut(&addr.0) {
-                Some(n) if *n > 1 => *n -= 1,
-                _ => {
-                    inner.cpblock_refs.remove(&addr.0);
-                    inner.live.remove(&addr.0);
-                    self.log.release_blocks([addr]);
-                }
-            }
+            let root = entry.checkpoint_root;
+            inner.cpblocks.release_ref(&self.log, &mut inner.live, root);
         } else {
             for old in entry.checkpoint_blocks.drain(..) {
                 inner.live.remove(&old.0);
@@ -2515,95 +2305,56 @@ impl<D: BlockDev> S4Drive<D> {
     /// Writes fresh metadata checkpoints for `oids`, packing small blobs
     /// into shared checkpoint blocks (several objects per 4 KiB block,
     /// mirroring the paper's sector-sized on-disk inodes) and spilling
-    /// large blobs into dedicated chains.
+    /// large blobs into dedicated chains. The entries are checkpointed
+    /// where they live, in the table: a caller that holds one lifted out
+    /// (see [`S4Drive::with_object`]) calls this before or after, not
+    /// inside.
     fn pack_checkpoints(&self, inner: &mut Inner, oids: &[u64]) -> Result<()> {
-        let mut small: Vec<(u64, Vec<u8>)> = Vec::new();
+        let mut small: Vec<packed::Item<()>> = Vec::new();
         for &oid in oids {
-            let mut entry = match self.take_cached(inner, ObjectId(oid)) {
-                Ok(e) => e,
-                Err(_) => continue,
-            };
-            let blob = entry.encode();
-            self.release_checkpoint(inner, &mut entry);
-            if blob.len() <= SHARED_CP_THRESHOLD {
-                small.push((oid, blob));
+            let shared = self.with_object(inner, ObjectId(oid), |inner, entry| {
+                let blob = entry.encode();
+                self.release_checkpoint(inner, entry);
+                if blob.len() > SHARED_CP_THRESHOLD {
+                    // Dedicated chain, written back-to-front.
+                    let chunks: Vec<&[u8]> = blob.chunks(CHECKPOINT_CHUNK).collect();
+                    let mut next = BlockAddr::NONE;
+                    let mut new_blocks = Vec::with_capacity(chunks.len());
+                    for (i, chunk) in chunks.iter().enumerate().rev() {
+                        let mut payload = Vec::with_capacity(12 + chunk.len());
+                        payload.extend_from_slice(&next.0.to_le_bytes());
+                        payload.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
+                        payload.extend_from_slice(chunk);
+                        next = self.log.append(
+                            BlockTag::new(BlockKind::ObjectCheckpoint, oid, i as u64),
+                            &payload,
+                        )?;
+                        inner.live.insert(next.0);
+                        new_blocks.push(next);
+                    }
+                    entry.checkpoint_root = next;
+                    entry.checkpoint_blocks = new_blocks;
+                    self.stats.checkpoints(1);
+                }
                 entry.dirty = false;
                 entry.needs_checkpoint = false;
-                self.put_back(inner, entry);
-            } else {
-                // Dedicated chain, written back-to-front.
-                let chunks: Vec<&[u8]> = blob.chunks(CHECKPOINT_CHUNK).collect();
-                let mut next = BlockAddr::NONE;
-                let mut new_blocks = Vec::with_capacity(chunks.len());
-                for (i, chunk) in chunks.iter().enumerate().rev() {
-                    let mut payload = Vec::with_capacity(12 + chunk.len());
-                    payload.extend_from_slice(&next.0.to_le_bytes());
-                    payload.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
-                    payload.extend_from_slice(chunk);
-                    let addr = self.log.append(
-                        BlockTag::new(BlockKind::ObjectCheckpoint, oid, i as u64),
-                        &payload,
-                    )?;
-                    inner.live.insert(addr.0);
-                    new_blocks.push(addr);
-                    next = addr;
-                }
-                entry.checkpoint_root = next;
-                entry.checkpoint_slot = u32::MAX;
-                entry.checkpoint_blocks = new_blocks;
-                entry.dirty = false;
-                entry.needs_checkpoint = false;
-                self.stats.checkpoints(1);
-                self.put_back(inner, entry);
-            }
+                Ok((blob.len() <= SHARED_CP_THRESHOLD).then_some(blob))
+            })?;
+            small.extend(shared.map(|blob| (oid, blob, ())));
         }
-        // Pack the small blobs into shared blocks.
-        let mut batch: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut used = 6usize;
-        let flush = |inner: &mut Inner, batch: &mut Vec<(u64, Vec<u8>)>| -> Result<()> {
-            if batch.is_empty() {
-                return Ok(());
+        let Inner {
+            table,
+            live,
+            cpblocks,
+            ..
+        } = inner;
+        cpblocks.pack(&self.log, live, small, |_, addr, slot, oid, ()| {
+            if let Some(Slot::Cached(entry)) = table.get_mut(&oid) {
+                entry.checkpoint_root = addr;
+                entry.checkpoint_slot = slot;
             }
-            let payload = encode_container(CPBLOCK_MAGIC, batch.iter().map(|(_, b)| b.as_slice()));
-            let addr = self.log.append(
-                BlockTag::new(BlockKind::ObjectCheckpoint, batch[0].0, u64::MAX),
-                &payload,
-            )?;
-            inner.live.insert(addr.0);
-            inner.cpblock_refs.insert(addr.0, batch.len() as u32);
-            for (slot, (oid, _)) in batch.drain(..).enumerate() {
-                if let Some(Slot::Cached(entry)) = inner.table.get_mut(&oid) {
-                    entry.checkpoint_root = addr;
-                    entry.checkpoint_slot = slot as u32;
-                }
-                self.stats.checkpoints(1);
-            }
-            Ok(())
-        };
-        for (oid, blob) in small {
-            let need = 4 + blob.len();
-            if used + need > BLOCK_SIZE {
-                flush(inner, &mut batch)?;
-                used = 6;
-            }
-            used += need;
-            batch.push((oid, blob));
-        }
-        flush(inner, &mut batch)?;
-        Ok(())
-    }
-
-    /// Writes a fresh checkpoint for one object (eviction, cleaner
-    /// relocation).
-    fn write_checkpoint(&self, inner: &mut Inner, entry: &mut ObjectEntry) -> Result<()> {
-        let oid = entry.meta.id;
-        self.put_back(
-            inner,
-            std::mem::replace(entry, ObjectEntry::new(ObjectMeta::default())),
-        );
-        self.pack_checkpoints(inner, &[oid])?;
-        *entry = self.take_cached(inner, ObjectId(oid))?;
-        Ok(())
+            self.stats.checkpoints(1);
+        })
     }
 
     /// Packs the pending journal entries of `oids` into shared journal
@@ -2612,13 +2363,8 @@ impl<D: BlockDev> S4Drive<D> {
         // Journal span: simulated time across packing, including any
         // log auto-flush the appends trigger.
         let journal_t0 = self.clock.now().as_micros();
-        struct Item {
-            oid: u64,
-            payload: Vec<u8>,
-            oldest: HybridTimestamp,
-            newest: HybridTimestamp,
-        }
-        let mut items: Vec<Item> = Vec::new();
+        // Per sector: its oldest and newest stamp.
+        let mut items: Vec<packed::Item<(HybridTimestamp, HybridTimestamp)>> = Vec::new();
         for &oid in oids {
             let Some(Slot::Cached(entry)) = inner.table.get_mut(&oid) else {
                 continue;
@@ -2627,13 +2373,11 @@ impl<D: BlockDev> S4Drive<D> {
                 continue;
             }
             for s in encode_sectors(&entry.pending) {
-                let payload = s.finish(oid, entry.meta.journal_head);
-                items.push(Item {
-                    oid,
-                    payload,
-                    oldest: s.entries.first().expect("non-empty").stamp(),
-                    newest: s.entries.last().expect("non-empty").stamp(),
-                });
+                let span = (
+                    s.entries.first().expect("non-empty").stamp(),
+                    s.entries.last().expect("non-empty").stamp(),
+                );
+                items.push((oid, s.finish(oid, entry.meta.journal_head), span));
             }
             entry.pending.clear();
             entry.dirty = true;
@@ -2641,46 +2385,29 @@ impl<D: BlockDev> S4Drive<D> {
         if items.is_empty() {
             return Ok(());
         }
-
-        // Greedily fill journal blocks.
-        let mut block: Vec<Item> = Vec::new();
-        let mut used = 6usize; // magic + count
-        let flush = |inner: &mut Inner, block: &mut Vec<Item>| -> Result<()> {
-            if block.is_empty() {
-                return Ok(());
-            }
-            let payload =
-                encode_container(JBLOCK_MAGIC, block.iter().map(|i| i.payload.as_slice()));
-            let addr = self.log.append(
-                BlockTag::new(BlockKind::JournalSector, block[0].oid, block.len() as u64),
-                &payload,
-            )?;
-            inner.live.insert(addr.0);
-            inner.jblock_refs.insert(addr.0, block.len() as u32);
-            for (slot, item) in block.drain(..).enumerate() {
-                if let Some(Slot::Cached(entry)) = inner.table.get_mut(&item.oid) {
+        let Inner {
+            table,
+            live,
+            jblocks,
+            ..
+        } = inner;
+        jblocks.pack(
+            &self.log,
+            live,
+            items,
+            |_, addr, slot, oid, (oldest, newest)| {
+                if let Some(Slot::Cached(entry)) = table.get_mut(&oid) {
                     entry.sectors.push(SectorInfo {
                         addr,
-                        slot: slot as u32,
-                        oldest: item.oldest,
-                        newest: item.newest,
+                        slot,
+                        oldest,
+                        newest,
                     });
                     entry.meta.journal_head = addr;
                 }
                 self.stats.journal_sectors(1);
-            }
-            Ok(())
-        };
-        for item in items {
-            let need = 4 + item.payload.len();
-            if used + need > BLOCK_SIZE {
-                flush(inner, &mut block)?;
-                used = 6;
-            }
-            used += need;
-            block.push(item);
-        }
-        flush(inner, &mut block)?;
+            },
+        )?;
         s4_obs::span::charge(
             s4_obs::Layer::Journal,
             self.clock.now().as_micros() - journal_t0,
@@ -2688,36 +2415,22 @@ impl<D: BlockDev> S4Drive<D> {
         Ok(())
     }
 
-    /// Drops one reference to the journal block at `addr`, releasing the
-    /// block when no object's sector list points into it anymore.
-    /// Returns 1 if the block itself was released.
-    fn release_sector_ref(&self, inner: &mut Inner, addr: BlockAddr) -> u64 {
-        match inner.jblock_refs.get_mut(&addr.0) {
-            Some(n) if *n > 1 => {
-                *n -= 1;
-                0
-            }
-            _ => {
-                inner.jblock_refs.remove(&addr.0);
-                inner.live.remove(&addr.0);
-                self.log.release_blocks([addr]);
-                1
-            }
-        }
-    }
-
-    /// Sync: pack all pending journal entries, flush the log, and perform
-    /// periodic anchoring / object-cache eviction.
-    fn sync_locked(&self, inner: &mut Inner) -> Result<()> {
-        let oids: Vec<u64> = inner
+    /// Cached objects with journal entries not yet packed to a sector.
+    fn pending_oids(inner: &Inner) -> Vec<u64> {
+        inner
             .table
             .iter()
             .filter_map(|(&oid, slot)| match slot {
                 Slot::Cached(e) if !e.pending.is_empty() => Some(oid),
                 _ => None,
             })
-            .collect();
-        self.pack_objects(inner, &oids)?;
+            .collect()
+    }
+
+    /// Sync: pack all pending journal entries, flush the log, and perform
+    /// periodic anchoring / object-cache eviction.
+    fn sync_locked(&self, inner: &mut Inner) -> Result<()> {
+        self.pack_objects(inner, &Self::pending_oids(inner))?;
         self.log.flush()?;
         self.stats.syncs(1);
         inner.syncs_since_anchor += 1;
@@ -2748,16 +2461,22 @@ impl<D: BlockDev> S4Drive<D> {
             }
             let (_, victim) = cached.iter().copied().min().expect("non-empty");
             self.pack_objects(inner, &[victim])?;
-            let mut entry = self.take_cached(inner, ObjectId(victim))?;
-            if entry.dirty || entry.checkpoint_root.is_none() {
-                self.write_checkpoint(inner, &mut entry)?;
+            let stale = self.with_object(inner, ObjectId(victim), |_, entry| {
+                Ok(entry.dirty || entry.checkpoint_root.is_none())
+            })?;
+            if stale {
+                self.pack_checkpoints(inner, &[victim])?;
             }
-            let info = EvictInfo {
-                checkpoint_root: entry.checkpoint_root,
-                checkpoint_slot: entry.checkpoint_slot,
-                expiry_hint: entry.expiry_hint(),
-                deleted: entry.meta.deleted,
-            };
+            let info = self.with_object(inner, ObjectId(victim), |_, entry| {
+                Ok(EvictInfo {
+                    checkpoint_root: entry.checkpoint_root,
+                    checkpoint_slot: entry.checkpoint_slot,
+                    expiry_hint: entry.expiry_hint(),
+                    deleted: entry.meta.deleted,
+                })
+            })?;
+            // The one place a cached entry is retired on purpose: its
+            // checkpoint now says everything the entry did.
             inner.table.insert(victim, Slot::Evicted(info));
         }
     }
@@ -2769,15 +2488,7 @@ impl<D: BlockDev> S4Drive<D> {
     /// anchor mechanism.
     fn anchor_locked(&self, inner: &mut Inner) -> Result<()> {
         // Pack any pending journal entries first.
-        let pending_oids: Vec<u64> = inner
-            .table
-            .iter()
-            .filter_map(|(&oid, slot)| match slot {
-                Slot::Cached(e) if !e.pending.is_empty() => Some(oid),
-                _ => None,
-            })
-            .collect();
-        self.pack_objects(inner, &pending_oids)?;
+        self.pack_objects(inner, &Self::pending_oids(inner))?;
 
         // Checkpoint objects that a crash could not otherwise recover: a
         // checkpoint-less object is fine as long as its full journal
@@ -2833,58 +2544,56 @@ impl<D: BlockDev> S4Drive<D> {
                 return Ok(0);
             }
         }
-        let mut entry = self.take_cached(inner, oid)?;
         // Dropping journal prefix makes the object unrecoverable from the
         // journal alone: persist a checkpoint first (unless the whole
         // object is about to disappear).
-        let fully_expiring = entry.meta.deleted.is_some_and(|d| d <= cutoff)
-            && entry.pending.is_empty()
-            && entry.sectors.last().is_none_or(|s| s.newest <= cutoff);
-        if !fully_expiring
-            && entry.checkpoint_root.is_none()
-            && entry.sectors.first().is_some_and(|s| s.newest <= cutoff)
-        {
-            self.write_checkpoint(inner, &mut entry)?;
+        let needs_checkpoint = self.with_object(inner, oid, |_, entry| {
+            let fully_expiring = entry.meta.deleted.is_some_and(|d| d <= cutoff)
+                && entry.pending.is_empty()
+                && entry.sectors.last().is_none_or(|s| s.newest <= cutoff);
+            Ok(!fully_expiring
+                && entry.checkpoint_root.is_none()
+                && entry.sectors.first().is_some_and(|s| s.newest <= cutoff))
+        })?;
+        if needs_checkpoint {
+            self.pack_checkpoints(inner, &[oid.0])?;
         }
-        let mut released = 0u64;
-        while let Some(first) = entry.sectors.first().copied() {
-            if first.newest > cutoff {
-                break;
-            }
-            let (_oid, entries) = read_subsector(&self.log, first.addr, first.slot)?;
-            for e in &entries {
-                let olds: Vec<BlockAddr> = match e {
-                    JournalEntry::Write { changes, .. } => changes.iter().map(|c| c.old).collect(),
-                    JournalEntry::Truncate { freed, .. } => freed.iter().map(|c| c.old).collect(),
-                    _ => Vec::new(),
-                };
-                for old in olds {
-                    if old.is_none() {
-                        continue;
-                    }
-                    released += self.release_history_block(inner, &mut entry, old)?;
+        let (released, fully_expired) = self.with_object(inner, oid, |inner, entry| {
+            let mut released = 0u64;
+            while let Some(first) = entry.sectors.first().copied() {
+                if first.newest > cutoff {
+                    break;
                 }
+                let (_oid, entries) = read_subsector(&self.log, first.addr, first.slot)?;
+                for c in entries.iter().flat_map(old_blocks) {
+                    released += self.release_history_block(inner, entry, c.old)?;
+                }
+                released += inner
+                    .jblocks
+                    .release_ref(&self.log, &mut inner.live, first.addr);
+                entry.history_floor = first.newest;
+                entry.sectors.remove(0);
+                entry.dirty = true;
             }
-            released += self.release_sector_ref(inner, first.addr);
-            entry.history_floor = first.newest;
-            entry.sectors.remove(0);
-            entry.dirty = true;
-        }
-        // A deleted object whose entire history has aged out disappears.
-        let fully_expired = entry.meta.deleted.is_some_and(|d| d <= cutoff)
-            && entry.sectors.is_empty()
-            && entry.pending.is_empty()
-            && entry.landmarks.is_empty();
+            // A deleted object whose entire history has aged out disappears.
+            let fully_expired = entry.meta.deleted.is_some_and(|d| d <= cutoff)
+                && entry.sectors.is_empty()
+                && entry.pending.is_empty()
+                && entry.landmarks.is_empty();
+            if fully_expired {
+                let addrs: Vec<BlockAddr> = entry.meta.blocks.values().copied().collect();
+                for a in addrs {
+                    released += self.release_history_block(inner, entry, a)?;
+                }
+                self.release_checkpoint(inner, entry);
+                released += 1;
+            }
+            Ok((released, fully_expired))
+        })?;
         if fully_expired {
-            let addrs: Vec<BlockAddr> = entry.meta.blocks.values().copied().collect();
-            for a in addrs {
-                released += self.release_history_block(inner, &mut entry, a)?;
-            }
-            self.release_checkpoint(inner, &mut entry);
-            released += 1;
-            // Entry intentionally not re-inserted: the object is gone.
-        } else {
-            self.put_back(inner, entry);
+            // The other place an entry is retired on purpose, and only
+            // after everything it referenced was released without error.
+            inner.table.remove(&oid.0);
         }
         Ok(released)
     }
@@ -2900,18 +2609,29 @@ impl<D: BlockDev> S4Drive<D> {
     ) -> Result<()> {
         let lo = HybridTimestamp::new(from, 0);
         let hi = HybridTimestamp::upper_bound_at(to);
-        let mut entry = self.take_cached(inner, oid)?;
+        let rewritten = self.with_object(inner, oid, |inner, entry| {
+            self.drop_versions(inner, entry, lo, hi)
+        })?;
+        if rewritten {
+            self.pack_objects(inner, &[oid.0])?;
+        }
+        Ok(())
+    }
 
+    /// The chain surgery of [`S4Drive::flush_object_range`] on one lifted
+    /// entry; returns whether the history was rewritten (and so waits in
+    /// `pending` to be repacked).
+    fn drop_versions(
+        &self,
+        inner: &mut Inner,
+        entry: &mut ObjectEntry,
+        lo: HybridTimestamp,
+        hi: HybridTimestamp,
+    ) -> Result<bool> {
         // Collect the object's full retained history, oldest first.
         let mut all: Vec<JournalEntry> = Vec::new();
         for s in &entry.sectors {
-            match read_subsector(&self.log, s.addr, s.slot) {
-                Ok((_o, es)) => all.extend(es),
-                Err(e) => {
-                    self.put_back(inner, entry);
-                    return Err(e);
-                }
-            }
+            all.extend(read_subsector(&self.log, s.addr, s.slot)?.1);
         }
         all.extend(entry.pending.iter().cloned());
 
@@ -2960,8 +2680,7 @@ impl<D: BlockDev> S4Drive<D> {
             }
         }
         if !drop_flags.iter().any(|&d| d) {
-            self.put_back(inner, entry);
-            return Ok(());
+            return Ok(false);
         }
 
         // Pass 2 (oldest -> newest): rewrite kept entries' old fields to
@@ -3027,20 +2746,20 @@ impl<D: BlockDev> S4Drive<D> {
 
         // Release dropped data blocks.
         for a in to_release {
-            self.release_history_block(inner, &mut entry, a)?;
+            self.release_history_block(inner, entry, a)?;
         }
-        // Release the old sector chain and repack the rewritten history.
+        // Release the old sector chain; the caller repacks the rewritten
+        // history.
         for s in entry.sectors.drain(..) {
-            self.release_sector_ref(inner, s.addr);
+            inner
+                .jblocks
+                .release_ref(&self.log, &mut inner.live, s.addr);
         }
         entry.meta.journal_head = BlockAddr::NONE;
         entry.pending = kept;
         entry.dirty = true;
         entry.needs_checkpoint = true;
-        let oid_raw = entry.meta.id;
-        self.put_back(inner, entry);
-        self.pack_objects(inner, &[oid_raw])?;
-        Ok(())
+        Ok(true)
     }
 
     fn read_partitions(
@@ -3048,34 +2767,28 @@ impl<D: BlockDev> S4Drive<D> {
         inner: &mut Inner,
         time: Option<SimTime>,
     ) -> Result<Vec<(String, u64)>> {
-        let entry = self.take_cached(inner, PARTITION_OBJECT)?;
-        let r = (|| {
-            let meta = match time {
-                None => entry.meta.clone(),
-                Some(t) => self.version_at(&entry, t)?,
-            };
-            let data = self.read_extent(&entry, &meta, 0, meta.size)?;
+        // The table is the drive's own object (its ACL is empty): the
+        // drive reads it under its own authority, for any caller.
+        let own = RequestContext::admin(ClientId(0), self.config.admin_token);
+        self.with_object(inner, PARTITION_OBJECT, |_, entry| {
+            let meta = self.version_for(&own, entry, time)?;
+            let data = self.read_extent(entry, &meta, 0, meta.size)?;
             decode_partition_blob(&data)
-        })();
-        self.put_back(inner, entry);
-        r
+        })
     }
 
     fn write_partitions(&self, inner: &mut Inner, parts: &[(String, u64)]) -> Result<()> {
         let blob = encode_partition_blob(parts);
-        let mut entry = self.take_cached(inner, PARTITION_OBJECT)?;
-        let r = (|| {
+        self.with_object(inner, PARTITION_OBJECT, |inner, entry| {
             let old_size = entry.meta.size;
             if !blob.is_empty() {
-                self.write_extent(inner, &mut entry, 0, &blob)?;
+                self.write_extent(inner, entry, 0, &blob)?;
             }
             if old_size > blob.len() as u64 {
-                self.truncate_inner(inner, &mut entry, blob.len() as u64)?;
+                self.truncate_inner(inner, entry, blob.len() as u64)?;
             }
             Ok(())
-        })();
-        self.put_back(&mut *inner, entry);
-        r
+        })
     }
 
     // ------------------------------------------------------------------
@@ -3202,19 +2915,14 @@ impl<D: BlockDev> S4Drive<D> {
     /// is a reserved sentinel).
     fn txn_append_record(&self, inner: &mut Inner, rec: &TxnRecord) -> Result<()> {
         if !inner.table.contains_key(&TXN_OBJECT.0) {
-            let stamp = self.stamps.next();
-            let mut entry = ObjectEntry::new(ObjectMeta::new(TXN_OBJECT.0, stamp));
-            entry.pending.push(JournalEntry::Create { stamp });
-            entry.last_used = inner.bump_lru();
-            inner.table.insert(TXN_OBJECT.0, Slot::Cached(Box::new(entry)));
+            self.insert_new(inner, TXN_OBJECT.0, self.stamps.next());
         }
         let mut bytes = Vec::new();
         rec.encode_into(&mut bytes);
-        let mut entry = self.take_cached(inner, TXN_OBJECT)?;
-        let off = entry.meta.size;
-        let r = self.write_extent(inner, &mut entry, off, &bytes);
-        self.put_back(inner, entry);
-        r?;
+        self.with_object(inner, TXN_OBJECT, |inner, entry| {
+            let off = entry.meta.size;
+            self.write_extent(inner, entry, off, &bytes)
+        })?;
         self.sync_locked(inner)
     }
 
@@ -3225,14 +2933,12 @@ impl<D: BlockDev> S4Drive<D> {
         if !inner.table.contains_key(&TXN_OBJECT.0) {
             return Ok(());
         }
-        let mut entry = self.take_cached(inner, TXN_OBJECT)?;
-        let r = if entry.meta.size > 0 {
-            self.truncate_inner(inner, &mut entry, 0)
-        } else {
+        self.with_object(inner, TXN_OBJECT, |inner, entry| {
+            if entry.meta.size > 0 {
+                self.truncate_inner(inner, entry, 0)?;
+            }
             Ok(())
-        };
-        self.put_back(inner, entry);
-        r
+        })
     }
 
     /// Rebuilds `txn_pending`/`txn_locks` from the recovered transaction
@@ -3244,10 +2950,10 @@ impl<D: BlockDev> S4Drive<D> {
         if !inner.table.contains_key(&TXN_OBJECT.0) {
             return Ok(());
         }
-        let entry = self.take_cached(&mut inner, TXN_OBJECT)?;
-        let r = self.read_extent(&entry, &entry.meta, 0, entry.meta.size);
-        self.put_back(&mut inner, entry);
-        let records = txnlog::scan(&r?)
+        let log = self.with_object(&mut inner, TXN_OBJECT, |_, entry| {
+            self.read_extent(entry, &entry.meta, 0, entry.meta.size)
+        })?;
+        let records = txnlog::scan(&log)
             .map_err(|_| S4Error::BadRequest("corrupt transaction log"))?;
         for t in txnlog::in_doubt(&records) {
             if let Some((oids, _)) = &t.touched {
@@ -3324,96 +3030,41 @@ impl<D: BlockDev> S4Drive<D> {
             return Ok(());
         }
         let bound = HybridTimestamp::upper_bound_at(t0);
-        let mut entry = self.take_cached(inner, oid)?;
-        let r = (|| {
+        self.with_object(inner, oid, |inner, entry| {
             let touched_after = entry.meta.modified > bound
                 || entry.meta.created > bound
                 || entry.meta.deleted.is_some_and(|d| d > bound);
             if !touched_after {
                 return Ok(());
             }
-            let old = match self.version_at(&entry, t0) {
+            let old = match self.version_at(entry, t0) {
                 Ok(m) => Some(m),
                 Err(S4Error::NoSuchObject) => None,
                 Err(e) => return Err(e),
             };
             match old {
-                None => {
-                    // Created inside the transaction: make it dead again
-                    // (its id is never reused, so history stays sound).
-                    if entry.meta.is_live() {
-                        let e = JournalEntry::Delete {
-                            stamp: self.stamps.next(),
-                        };
-                        redo(&mut entry.meta, &e);
-                        entry.pending.push(e);
-                        entry.dirty = true;
-                        self.stats.versions_created(1);
-                    }
-                }
                 Some(old) if old.is_live() => {
-                    if !entry.meta.is_live() {
-                        let e = JournalEntry::Revive {
-                            stamp: self.stamps.next(),
-                            was_deleted: entry.meta.deleted.expect("dead object has a stamp"),
-                        };
-                        redo(&mut entry.meta, &e);
-                        entry.pending.push(e);
-                        entry.dirty = true;
-                        self.stats.versions_created(1);
+                    if let Some(was_deleted) = entry.meta.deleted {
+                        let stamp = self.stamps.next();
+                        self.commit(entry, JournalEntry::Revive { stamp, was_deleted });
                     }
-                    let old_content = self.read_extent(&entry, &old, 0, old.size)?;
-                    let cur_content =
-                        self.read_extent(&entry, &entry.meta, 0, entry.meta.size)?;
-                    if cur_content != old_content || entry.meta.size != old.size {
-                        self.write_extent(inner, &mut entry, 0, &old_content)?;
-                        if entry.meta.size != old.size {
-                            self.truncate_inner(inner, &mut entry, old.size)?;
-                        }
-                    }
-                    if entry.meta.attrs != old.attrs {
-                        let e = JournalEntry::SetAttr {
-                            stamp: self.stamps.next(),
-                            old: entry.meta.attrs.clone(),
-                            new: old.attrs.clone(),
-                        };
-                        redo(&mut entry.meta, &e);
-                        entry.pending.push(e);
-                        entry.dirty = true;
-                        self.stats.versions_created(1);
-                    }
-                    if entry.meta.acl != old.acl {
-                        let e = JournalEntry::SetAcl {
-                            stamp: self.stamps.next(),
-                            old: entry.meta.acl.clone(),
-                            new: old.acl.clone(),
-                        };
-                        redo(&mut entry.meta, &e);
-                        entry.pending.push(e);
-                        entry.dirty = true;
-                        self.stats.versions_created(1);
-                    }
+                    let content = self.read_extent(entry, &old, 0, old.size)?;
+                    self.converge(inner, entry, &content, &old.attrs, &old.acl, None)
                 }
-                Some(_) => {
-                    // Dead at t0: re-delete if the transaction revived or
-                    // recreated it (content of a dead object is
-                    // unreachable through live reads, so liveness is the
-                    // whole restore).
+                // Created inside the transaction: make it dead again (its
+                // id is never reused, so history stays sound). Or dead at
+                // t0: re-delete if the transaction revived or recreated
+                // it (content of a dead object is unreachable through
+                // live reads, so liveness is the whole restore).
+                _ => {
                     if entry.meta.is_live() {
-                        let e = JournalEntry::Delete {
-                            stamp: self.stamps.next(),
-                        };
-                        redo(&mut entry.meta, &e);
-                        entry.pending.push(e);
-                        entry.dirty = true;
-                        self.stats.versions_created(1);
+                        let stamp = self.stamps.next();
+                        self.commit(entry, JournalEntry::Delete { stamp });
                     }
+                    Ok(())
                 }
             }
-            Ok(())
-        })();
-        self.put_back(inner, entry);
-        r
+        })
     }
 }
 
@@ -3428,9 +3079,9 @@ impl Inner {
             traces: ReservedLog::new(TRACE_OBJECT, Framing::Blobs),
             alert_growth_warned: false,
             live: BTreeSet::new(),
-            jblock_refs: BTreeMap::new(),
-            cpblock_refs: BTreeMap::new(),
-            dblock_refs: BTreeMap::new(),
+            jblocks: packed::JOURNAL,
+            cpblocks: packed::CHECKPOINTS,
+            dblocks: packed::DELTAS,
             throttle: ThrottleState::new(config.throttle),
             syncs_since_anchor: 0,
             lru: 0,
@@ -3461,47 +3112,6 @@ impl Inner {
     }
 }
 
-// ----------------------------------------------------------------------
-// Journal-block packing (several objects' sectors per 4 KiB block).
-// ----------------------------------------------------------------------
-
-fn encode_container<'a, I: Iterator<Item = &'a [u8]>>(magic: u32, subs: I) -> Vec<u8> {
-    let mut out = Vec::with_capacity(BLOCK_SIZE);
-    out.extend_from_slice(&magic.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes()); // count patched below
-    let mut count = 0u16;
-    for sub in subs {
-        out.extend_from_slice(&(sub.len() as u32).to_le_bytes());
-        out.extend_from_slice(sub);
-        count += 1;
-    }
-    out[4..6].copy_from_slice(&count.to_le_bytes());
-    debug_assert!(out.len() <= BLOCK_SIZE, "journal block overflow");
-    out
-}
-
-fn split_container(magic: u32, buf: &[u8]) -> Result<Vec<Vec<u8>>> {
-    if buf.len() < 6 || buf[0..4] != magic.to_le_bytes() {
-        return Err(S4Error::BadRequest("container block magic"));
-    }
-    let count = u16::from_le_bytes(buf[4..6].try_into().unwrap()) as usize;
-    let mut pos = 6;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        if pos + 4 > buf.len() {
-            return Err(S4Error::BadRequest("journal block truncated"));
-        }
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 4;
-        if pos + len > buf.len() {
-            return Err(S4Error::BadRequest("journal sub-sector truncated"));
-        }
-        out.push(buf[pos..pos + len].to_vec());
-        pos += len;
-    }
-    Ok(out)
-}
-
 /// Reads one object's sector out of a shared journal block.
 fn read_subsector<D: BlockDev>(
     log: &Log<D>,
@@ -3509,12 +3119,23 @@ fn read_subsector<D: BlockDev>(
     slot: u32,
 ) -> Result<(u64, Vec<JournalEntry>)> {
     let block = log.read_block(addr)?;
-    let subs = split_container(JBLOCK_MAGIC, &block)?;
+    let subs = packed::JOURNAL.split(&block)?;
     let sub = subs
         .get(slot as usize)
         .ok_or(S4Error::BadRequest("journal slot out of range"))?;
     let (oid, _prev, entries) = decode_sector(sub)?;
     Ok((oid, entries))
+}
+
+/// The block pointers a `Write` or `Truncate` entry superseded — the
+/// history blocks its version keeps alive.
+fn old_blocks(e: &JournalEntry) -> impl Iterator<Item = &PtrChange> {
+    let changes = match e {
+        JournalEntry::Write { changes, .. } => changes.as_slice(),
+        JournalEntry::Truncate { freed, .. } => freed.as_slice(),
+        _ => &[],
+    };
+    changes.iter().filter(|c| !c.old.is_none())
 }
 
 // ----------------------------------------------------------------------
@@ -3532,19 +3153,19 @@ impl<D: BlockDev> RelocationCallbacks for DriveCallbacks<'_, D> {
 
     fn relocate(&self, tag: &BlockTag, addr: BlockAddr, data: &[u8]) -> s4_lfs::Result<()> {
         let drive = self.drive;
-        let mut inner = drive.inner.lock();
+        let inner = &mut *drive.inner.lock();
+        // Every kind but checkpoints moves by copy.
+        let copy = |inner: &mut Inner| -> s4_lfs::Result<BlockAddr> {
+            let new = drive.log.append(*tag, data)?;
+            inner.live.remove(&addr.0);
+            inner.live.insert(new.0);
+            Ok(new)
+        };
         match tag.kind {
             BlockKind::Data => {
-                let new = drive.log.append(*tag, data)?;
-                inner.live.remove(&addr.0);
-                inner.live.insert(new.0);
-                if drive
-                    .ensure_cached(&mut inner, ObjectId(tag.object))
-                    .is_err()
-                {
-                    return Ok(()); // object vanished; block was stale
-                }
-                if let Some(Slot::Cached(entry)) = inner.table.get_mut(&tag.object) {
+                let new = copy(inner)?;
+                // No entry: the object vanished and the block was stale.
+                if let Some(entry) = drive.cached_mut(inner, tag.object) {
                     // Current map pointer, if it is this address.
                     if entry.meta.blocks.get(&tag.aux) == Some(&addr) {
                         entry.meta.blocks.insert(tag.aux, new);
@@ -3554,55 +3175,40 @@ impl<D: BlockDev> RelocationCallbacks for DriveCallbacks<'_, D> {
                     entry.dirty = true;
                     entry.needs_checkpoint = true;
                 }
-                Ok(())
             }
             BlockKind::Audit => {
-                let new = drive.log.append(*tag, data)?;
-                inner.live.remove(&addr.0);
-                inner.live.insert(new.0);
+                let new = copy(inner)?;
                 if let Some(stream) = inner.stream_mut(tag.object) {
                     stream.relocate(addr, new);
                 }
-                Ok(())
             }
             BlockKind::JournalSector => {
-                let new = drive.log.append(*tag, data)?;
-                inner.live.remove(&addr.0);
-                inner.live.insert(new.0);
-                if let Some(refs) = inner.jblock_refs.remove(&addr.0) {
-                    inner.jblock_refs.insert(new.0, refs);
-                }
+                let new = copy(inner)?;
+                inner.jblocks.relocated(addr, new);
                 // Every object with a sector in this block must re-point.
-                let oids: Vec<u64> = match split_container(JBLOCK_MAGIC, data) {
-                    Ok(subs) => subs
-                        .iter()
-                        .filter_map(|sub| decode_sector(sub).ok().map(|(oid, _, _)| oid))
-                        .collect(),
-                    Err(_) => Vec::new(),
-                };
-                for oid in oids {
-                    if drive.ensure_cached(&mut inner, ObjectId(oid)).is_err() {
+                for sub in packed::JOURNAL.split(data).unwrap_or_default() {
+                    let Ok((oid, _, _)) = decode_sector(&sub) else {
                         continue;
+                    };
+                    let Some(entry) = drive.cached_mut(inner, oid) else {
+                        continue;
+                    };
+                    for info in entry.sectors.iter_mut().filter(|s| s.addr == addr) {
+                        info.addr = new;
                     }
-                    if let Some(Slot::Cached(entry)) = inner.table.get_mut(&oid) {
-                        for info in entry.sectors.iter_mut().filter(|s| s.addr == addr) {
-                            info.addr = new;
-                        }
-                        if entry.meta.journal_head == addr {
-                            entry.meta.journal_head = new;
-                        }
-                        entry.dirty = true;
+                    if entry.meta.journal_head == addr {
+                        entry.meta.journal_head = new;
                     }
+                    entry.dirty = true;
                 }
-                Ok(())
             }
             BlockKind::ObjectCheckpoint => {
                 // Rewrite fresh checkpoints for every object whose
                 // checkpoint lives in this block, instead of copying the
                 // stale bytes.
                 inner.live.remove(&addr.0);
-                inner.cpblock_refs.remove(&addr.0);
-                let oids: Vec<u64> = match split_container(CPBLOCK_MAGIC, data) {
+                inner.cpblocks.forget(addr);
+                let oids: Vec<u64> = match packed::CHECKPOINTS.split(data) {
                     Ok(subs) => subs
                         .iter()
                         .filter_map(|b| ObjectEntry::decode(b).ok().map(|e| e.meta.id))
@@ -3612,22 +3218,16 @@ impl<D: BlockDev> RelocationCallbacks for DriveCallbacks<'_, D> {
                 };
                 let mut repack: Vec<u64> = Vec::new();
                 for oid in oids {
-                    if drive.ensure_cached(&mut inner, ObjectId(oid)).is_err() {
+                    let Some(entry) = drive.cached_mut(inner, oid) else {
                         continue;
-                    }
-                    let stale_chain: Vec<BlockAddr> = match inner.table.get_mut(&oid) {
-                        Some(Slot::Cached(entry)) => {
-                            if entry.checkpoint_root != addr {
-                                continue; // superseded since
-                            }
-                            let chain = entry.checkpoint_blocks.drain(..).collect();
-                            entry.checkpoint_root = BlockAddr::NONE;
-                            entry.checkpoint_slot = u32::MAX;
-                            repack.push(oid);
-                            chain
-                        }
-                        _ => continue,
                     };
+                    if entry.checkpoint_root != addr {
+                        continue; // superseded since
+                    }
+                    let stale_chain: Vec<BlockAddr> = entry.checkpoint_blocks.drain(..).collect();
+                    entry.checkpoint_root = BlockAddr::NONE;
+                    entry.checkpoint_slot = u32::MAX;
+                    repack.push(oid);
                     // Drop the stale chain without touching the block
                     // being reclaimed.
                     for cp in stale_chain {
@@ -3638,50 +3238,35 @@ impl<D: BlockDev> RelocationCallbacks for DriveCallbacks<'_, D> {
                     }
                 }
                 drive
-                    .pack_checkpoints(&mut inner, &repack)
+                    .pack_checkpoints(inner, &repack)
                     .map_err(|_| s4_lfs::LfsError::Corrupt("checkpoint rewrite"))?;
-                Ok(())
             }
             BlockKind::DeltaData => {
-                let new = drive.log.append(*tag, data)?;
-                inner.live.remove(&addr.0);
-                inner.live.insert(new.0);
-                if let Some(refs) = inner.dblock_refs.remove(&addr.0) {
-                    inner.dblock_refs.insert(new.0, refs);
-                }
+                let new = copy(inner)?;
+                inner.dblocks.relocated(addr, new);
                 // Re-point every (object, key) delta reference into the
                 // relocated block.
-                let pairs: Vec<(u64, u64)> = match split_container(DBLOCK_MAGIC, data) {
-                    Ok(subs) => subs
-                        .iter()
-                        .filter(|sub| sub.len() >= 16)
-                        .map(|sub| {
-                            (
-                                u64::from_le_bytes(sub[0..8].try_into().unwrap()),
-                                u64::from_le_bytes(sub[8..16].try_into().unwrap()),
-                            )
-                        })
-                        .collect(),
-                    Err(_) => Vec::new(),
-                };
-                for (oid, key) in pairs {
-                    if drive.ensure_cached(&mut inner, ObjectId(oid)).is_err() {
+                for sub in packed::DELTAS.split(data).unwrap_or_default() {
+                    if sub.len() < 16 {
                         continue;
                     }
-                    if let Some(Slot::Cached(entry)) = inner.table.get_mut(&oid) {
-                        if let Some(dref) = entry.deltas.get_mut(&key) {
-                            if dref.block == addr {
-                                dref.block = new;
-                                entry.needs_checkpoint = true;
-                                entry.dirty = true;
-                            }
+                    let oid = u64::from_le_bytes(sub[0..8].try_into().unwrap());
+                    let key = u64::from_le_bytes(sub[8..16].try_into().unwrap());
+                    let Some(entry) = drive.cached_mut(inner, oid) else {
+                        continue;
+                    };
+                    if let Some(dref) = entry.deltas.get_mut(&key) {
+                        if dref.block == addr {
+                            dref.block = new;
+                            entry.needs_checkpoint = true;
+                            entry.dirty = true;
                         }
                     }
                 }
-                Ok(())
             }
-            BlockKind::SystemState => Ok(()),
+            BlockKind::SystemState => {}
         }
+        Ok(())
     }
 }
 
@@ -3700,19 +3285,26 @@ struct AnchorRecord {
     sectors: Option<Vec<SectorInfo>>,
 }
 
-fn push_stamp(out: &mut Vec<u8>, s: HybridTimestamp) {
-    out.extend_from_slice(&s.time.as_micros().to_le_bytes());
-    out.extend_from_slice(&s.seq.to_le_bytes());
-}
+/// FNV-1a, the hash behind [`S4Drive::state_digest`] and
+/// [`S4Drive::object_digest`].
+struct Fnv(u64);
 
-fn read_stamp(buf: &[u8], pos: &mut usize) -> Result<HybridTimestamp> {
-    if *pos + 16 > buf.len() {
-        return Err(S4Error::BadRequest("anchor stamp truncated"));
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
-    let t = u64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap());
-    let q = u64::from_le_bytes(buf[*pos + 8..*pos + 16].try_into().unwrap());
-    *pos += 16;
-    Ok(HybridTimestamp::new(SimTime::from_micros(t), q))
+    fn bytes(&mut self, b: &[u8]) {
+        for &x in b {
+            self.0 = (self.0 ^ x as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+    fn stamp(&mut self, s: HybridTimestamp) {
+        self.u64(s.time.as_micros());
+        self.u64(s.seq);
+    }
 }
 
 /// One live object's current version as exported by
@@ -3942,9 +3534,9 @@ fn apply_recovered_sector(
 /// recovered object table (mount phase 3).
 fn rebuild_liveness<D: BlockDev>(log: &Log<D>, inner: &mut Inner) -> Result<()> {
     inner.live.clear();
-    inner.jblock_refs.clear();
-    inner.cpblock_refs.clear();
-    inner.dblock_refs.clear();
+    inner.jblocks.clear();
+    inner.cpblocks.clear();
+    inner.dblocks.clear();
     let (streams, live) = inner.streams_mut();
     for s in streams {
         live.extend(s.blocks().iter().map(|a| a.0));
@@ -3968,88 +3560,67 @@ fn rebuild_liveness<D: BlockDev>(log: &Log<D>, inner: &mut Inner) -> Result<()> 
         // Delta-encoded history: the shared delta blocks are reachable.
         for dref in entry.deltas.values() {
             reach.push(dref.block.0);
-            *inner.dblock_refs.entry(dref.block.0).or_insert(0) += 1;
+            inner.dblocks.add_ref(dref.block);
         }
         // Checkpoint storage: chain blocks, or one shared-block reference.
         reach.extend(entry.checkpoint_blocks.iter().map(|a| a.0));
         if !entry.checkpoint_root.is_none() && entry.checkpoint_slot != u32::MAX {
             reach.push(entry.checkpoint_root.0);
-            *inner
-                .cpblock_refs
-                .entry(entry.checkpoint_root.0)
-                .or_insert(0) += 1;
+            inner.cpblocks.add_ref(entry.checkpoint_root);
         }
         // Journal blocks + refcounts, and history old-pointers.
-        let sectors = entry.sectors.clone();
-        let forwards_resolve =
-            |inner_entry: &ObjectEntry, a: BlockAddr| inner_entry.resolve_forward(a).0;
-        let mut history: Vec<u64> = Vec::new();
-        for s in &sectors {
+        for s in &entry.sectors {
             reach.push(s.addr.0);
+            inner.jblocks.add_ref(s.addr);
             let (_o, entries) = read_subsector(log, s.addr, s.slot)?;
-            for e in &entries {
-                let olds: Vec<BlockAddr> = match e {
-                    JournalEntry::Write { changes, .. } => changes.iter().map(|c| c.old).collect(),
-                    JournalEntry::Truncate { freed, .. } => freed.iter().map(|c| c.old).collect(),
-                    _ => Vec::new(),
-                };
-                for old in olds {
-                    if old.is_none() {
-                        continue;
-                    }
-                    let key = forwards_resolve(entry, old);
-                    // Delta-encoded history is accounted through its
-                    // shared delta block, not the (released) original.
-                    if !entry.deltas.contains_key(&key) {
-                        history.push(key);
-                    }
+            for c in entries.iter().flat_map(old_blocks) {
+                let key = entry.resolve_forward(c.old).0;
+                // Delta-encoded history is accounted through its
+                // shared delta block, not the (released) original.
+                if !entry.deltas.contains_key(&key) {
+                    reach.push(key);
                 }
             }
         }
-        for s in &sectors {
-            *inner.jblock_refs.entry(s.addr.0).or_insert(0) += 1;
-        }
-        for a in reach.into_iter().chain(history) {
-            inner.live.insert(a);
-        }
+        inner.live.extend(reach);
     }
     Ok(())
 }
 
-fn read_checkpoint_static<D: BlockDev>(
-    log: &Log<D>,
-    root: BlockAddr,
-    slot: u32,
-) -> Result<(ObjectEntry, Vec<BlockAddr>)> {
+/// Reads the checkpoint at `(root, slot)` back into an entry that knows
+/// where it came from.
+fn read_checkpoint<D: BlockDev>(log: &Log<D>, root: BlockAddr, slot: u32) -> Result<ObjectEntry> {
     if root.is_none() {
         return Err(S4Error::NoSuchObject);
     }
-    if slot != u32::MAX {
-        // Shared checkpoint block.
-        let block = log.read_block(root)?;
-        let subs = split_container(CPBLOCK_MAGIC, &block)?;
-        let blob = subs
-            .get(slot as usize)
-            .ok_or(S4Error::BadRequest("checkpoint slot out of range"))?;
-        let mut entry = ObjectEntry::decode(blob)?;
-        entry.checkpoint_slot = slot;
-        return Ok((entry, Vec::new()));
-    }
     let mut blob = Vec::new();
     let mut blocks = Vec::new();
-    let mut addr = root;
-    while !addr.is_none() {
-        let block = log.read_block(addr)?;
-        let next = BlockAddr(u64::from_le_bytes(block[0..8].try_into().unwrap()));
-        let len = u32::from_le_bytes(block[8..12].try_into().unwrap()) as usize;
-        if 12 + len > block.len() {
-            return Err(S4Error::BadRequest("checkpoint chunk length"));
+    if slot != u32::MAX {
+        // Shared checkpoint block.
+        let subs = packed::CHECKPOINTS.split(&log.read_block(root)?)?;
+        blob = subs
+            .into_iter()
+            .nth(slot as usize)
+            .ok_or(S4Error::BadRequest("checkpoint slot out of range"))?;
+    } else {
+        let mut addr = root;
+        while !addr.is_none() {
+            let block = log.read_block(addr)?;
+            let next = BlockAddr(u64::from_le_bytes(block[0..8].try_into().unwrap()));
+            let len = u32::from_le_bytes(block[8..12].try_into().unwrap()) as usize;
+            if 12 + len > block.len() {
+                return Err(S4Error::BadRequest("checkpoint chunk length"));
+            }
+            blob.extend_from_slice(&block[12..12 + len]);
+            blocks.push(addr);
+            addr = next;
         }
-        blob.extend_from_slice(&block[12..12 + len]);
-        blocks.push(addr);
-        addr = next;
     }
-    Ok((ObjectEntry::decode(&blob)?, blocks))
+    let mut entry = ObjectEntry::decode(&blob)?;
+    entry.checkpoint_root = root;
+    entry.checkpoint_slot = slot;
+    entry.checkpoint_blocks = blocks;
+    Ok(entry)
 }
 
 fn encode_partition_blob(parts: &[(String, u64)]) -> Vec<u8> {

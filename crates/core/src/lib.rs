@@ -65,6 +65,7 @@ pub mod audit;
 pub mod drive;
 pub mod ids;
 pub mod object;
+mod packed;
 pub mod reserved;
 pub mod rpc;
 pub mod stats;

@@ -313,12 +313,12 @@ pub enum Slot {
     Evicted(EvictInfo),
 }
 
-fn push_stamp(out: &mut Vec<u8>, s: HybridTimestamp) {
+pub(crate) fn push_stamp(out: &mut Vec<u8>, s: HybridTimestamp) {
     out.extend_from_slice(&s.time.as_micros().to_le_bytes());
     out.extend_from_slice(&s.seq.to_le_bytes());
 }
 
-fn read_stamp(buf: &[u8], pos: &mut usize) -> Result<HybridTimestamp> {
+pub(crate) fn read_stamp(buf: &[u8], pos: &mut usize) -> Result<HybridTimestamp> {
     if *pos + 16 > buf.len() {
         return Err(S4Error::BadRequest("stamp truncated"));
     }

@@ -414,14 +414,6 @@ fn trace_blob_time(blob: &[u8]) -> u64 {
 // ----------------------------------------------------------------------
 
 impl<D: BlockDev> S4Drive<D> {
-    fn admin_only(&self, ctx: &RequestContext) -> Result<()> {
-        if self.is_admin(ctx) {
-            Ok(())
-        } else {
-            Err(S4Error::AccessDenied)
-        }
-    }
-
     /// Appends one audit record (called by the RPC dispatcher), then
     /// feeds it to any registered online detectors and persists the
     /// alerts they raise.
@@ -505,7 +497,7 @@ impl<D: BlockDev> S4Drive<D> {
     /// later [`S4Drive::read_audit_from`] returns exactly the records
     /// appended after this call.
     pub fn audit_cursor(&self, ctx: &RequestContext) -> Result<StreamCursor> {
-        self.admin_only(ctx)?;
+        self.require_admin(ctx)?;
         self.inner.lock().audit.end_cursor()
     }
 
@@ -517,7 +509,7 @@ impl<D: BlockDev> S4Drive<D> {
         ctx: &RequestContext,
         cursor: &mut StreamCursor,
     ) -> Result<Vec<AuditRecord>> {
-        self.admin_only(ctx)?;
+        self.require_admin(ctx)?;
         let inner = self.inner.lock();
         inner
             .audit
@@ -532,7 +524,7 @@ impl<D: BlockDev> S4Drive<D> {
         offset: u64,
         len: u64,
     ) -> Result<Vec<u8>> {
-        self.admin_only(ctx)?;
+        self.require_admin(ctx)?;
         let inner = self.inner.lock();
         let whole = &mut StreamCursor::default();
         let stream = inner
@@ -547,7 +539,7 @@ impl<D: BlockDev> S4Drive<D> {
     /// mismatch against the decodable record count exposes an audit
     /// coverage gap (a spilled block the log refused).
     pub fn audit_total_records(&self, ctx: &RequestContext) -> Result<u64> {
-        self.admin_only(ctx)?;
+        self.require_admin(ctx)?;
         Ok(self.inner.lock().audit.total())
     }
 
@@ -564,7 +556,7 @@ impl<D: BlockDev> S4Drive<D> {
         ctx: &RequestContext,
         cursor: &mut StreamCursor,
     ) -> Result<Vec<Vec<u8>>> {
-        self.admin_only(ctx)?;
+        self.require_admin(ctx)?;
         let inner = self.inner.lock();
         inner.alerts.read_from(&self.log, cursor, decode_blobs)
     }
@@ -572,7 +564,7 @@ impl<D: BlockDev> S4Drive<D> {
     /// Reads the persisted flight-recorder stream (admin only), oldest
     /// first: flushed trace blocks, then the in-memory pending tail.
     pub fn read_traces(&self, ctx: &RequestContext) -> Result<Vec<TraceRecord>> {
-        self.admin_only(ctx)?;
+        self.require_admin(ctx)?;
         let inner = self.inner.lock();
         let whole = &mut StreamCursor::default();
         inner.traces.read_from(&self.log, whole, decode_traces)
@@ -601,7 +593,7 @@ impl<D: BlockDev> S4Drive<D> {
         stream: fn(&mut Inner) -> &mut ReservedLog,
         blob_time: fn(&[u8]) -> u64,
     ) -> Result<u64> {
-        self.admin_only(ctx)?;
+        self.require_admin(ctx)?;
         let inner = &mut *self.inner.lock();
         let now = self.clock.now().as_micros();
         let cutoff = now.saturating_sub(inner.window.as_micros());

@@ -7,7 +7,9 @@ use s4_core::{
     AclEntry, AuditObserver, AuditRecord, DriveConfig, ObjectId, Perm, Request, RequestContext,
     Response, S4Drive, S4Error, UserId,
 };
-use s4_simdisk::MemDisk;
+use s4_simdisk::{BlockDev, DiskError, MemDisk};
+use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::Arc;
 
 const ADMIN_TOKEN: u64 = 42;
 
@@ -655,4 +657,145 @@ fn audit_cursor_resumes_exactly_across_an_anchor_spilled_block() {
     assert_eq!(d.read_audit_from(&admin(), &mut cursor).unwrap().len(), 1);
     assert_eq!(cursor, d.audit_cursor(&admin()).unwrap());
     assert!(d.audit_cursor(&alice()).is_err(), "admin only");
+}
+
+// ---------------------------------------------------------------------
+// A failed expiry or flush must not delete the object.
+// ---------------------------------------------------------------------
+
+/// A device with a read budget: every read spends one, and once the
+/// budget is gone reads fail (a transient medium error) until the test
+/// restores it. Writes always succeed.
+struct FlakyReads {
+    disk: MemDisk,
+    reads_left: Arc<AtomicI64>,
+}
+
+const HEALTHY: i64 = i64::MAX / 2;
+
+impl BlockDev for FlakyReads {
+    fn num_sectors(&self) -> u64 {
+        self.disk.num_sectors()
+    }
+    fn read(&self, sector: u64, buf: &mut [u8]) -> Result<(), DiskError> {
+        if self.reads_left.fetch_sub(1, Ordering::SeqCst) <= 0 {
+            return Err(DiskError::Io("injected read error".into()));
+        }
+        self.disk.read(sector, buf)
+    }
+    fn write(&self, sector: u64, buf: &[u8]) -> Result<(), DiskError> {
+        self.disk.write(sector, buf)
+    }
+}
+
+/// A drive on a [`FlakyReads`] device with a two-block buffer cache (so
+/// history reads reach the device) and a ten-second window.
+fn flaky_drive() -> (S4Drive<FlakyReads>, DriveConfig, Arc<AtomicI64>) {
+    let mut cfg = DriveConfig::small_test();
+    cfg.log.cache_blocks = 2;
+    cfg.detection_window = SimDuration::from_secs(10);
+    let reads_left = Arc::new(AtomicI64::new(HEALTHY));
+    let disk = FlakyReads {
+        disk: MemDisk::new(400_000),
+        reads_left: reads_left.clone(),
+    };
+    let clock = SimClock::new();
+    clock.advance(SimDuration::from_secs(1));
+    (S4Drive::format(disk, cfg, clock).unwrap(), cfg, reads_left)
+}
+
+#[test]
+fn failed_expiry_keeps_the_object() {
+    let (d, cfg, reads_left) = flaky_drive();
+    let ctx = alice();
+    let a = d.op_create(&ctx, None).unwrap();
+    let b = d.op_create(&ctx, None).unwrap();
+    for i in 0..8u8 {
+        d.clock().advance(SimDuration::from_millis(10));
+        d.op_write(&ctx, a, 0, &[b'a' + i; 100]).unwrap();
+        d.op_write(&ctx, b, 0, &[b'A' + i; 100]).unwrap();
+        d.op_sync(&ctx).unwrap();
+    }
+    let ids = d.live_object_ids(&admin()).unwrap();
+    d.clock().advance(SimDuration::from_secs(3600));
+
+    reads_left.store(0, Ordering::SeqCst);
+    assert!(d.expire_versions().is_err(), "expiry must hit the read error");
+    reads_left.store(HEALTHY, Ordering::SeqCst);
+
+    let intact = |d: &S4Drive<FlakyReads>| {
+        assert_eq!(d.live_object_ids(&admin()).unwrap(), ids);
+        assert_eq!(d.op_read(&ctx, a, 0, 100, None).unwrap(), [b'a' + 7; 100]);
+        assert_eq!(d.op_read(&ctx, b, 0, 100, None).unwrap(), [b'A' + 7; 100]);
+    };
+    intact(&d);
+    let clock = d.clock().clone();
+    let d = S4Drive::mount(d.unmount().unwrap(), cfg, clock).unwrap();
+    intact(&d);
+}
+
+#[test]
+fn failed_flush_keeps_the_object() {
+    let (d, cfg, reads_left) = flaky_drive();
+    let ctx = alice();
+    let oid = d.op_create(&ctx, None).unwrap();
+    // Six one-block versions. The third is noise, so neither it nor its
+    // predecessor delta-encodes (a delta's source is the *next* version);
+    // the first does, against the second. Flushing the second therefore
+    // has to re-materialize the first before its source disappears —
+    // device reads in the middle of `flush_object_range`'s release step.
+    let text = |rev: u8| {
+        let mut v = "fn handler(conn: &mut Conn) -> io::Result<()> { conn.flush() }\n"
+            .repeat(40)
+            .into_bytes();
+        v[64 * rev as usize] = b'0' + rev;
+        v
+    };
+    let mut noise = 0x9E37_79B9_7F4A_7C15u64;
+    let random: Vec<u8> = (0..text(1).len())
+        .map(|_| {
+            noise = noise.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (noise >> 56) as u8
+        })
+        .collect();
+    let versions = [text(1), text(2), random, text(4), text(5), text(6)];
+    let mut times = Vec::new();
+    for v in &versions {
+        d.clock().advance(SimDuration::from_millis(10));
+        d.op_write(&ctx, oid, 0, v).unwrap();
+        d.op_sync(&ctx).unwrap();
+        times.push(d.now());
+    }
+    let (encoded, _) = d.compact_history().unwrap();
+    assert!(encoded >= 2, "text versions must delta-encode, got {encoded}");
+    let ids = d.live_object_ids(&admin()).unwrap();
+
+    // Fail the k-th device read of the flush, for every k until it gets
+    // through: whichever step the error lands in, the object survives.
+    let mut failures = 0;
+    loop {
+        reads_left.store(failures, Ordering::SeqCst);
+        let r = d.op_flusho(&admin(), oid, times[1], times[1]);
+        reads_left.store(HEALTHY, Ordering::SeqCst);
+        assert_eq!(d.live_object_ids(&admin()).unwrap(), ids);
+        let current = d.op_read(&ctx, oid, 0, 4096, None).unwrap();
+        assert!(current == versions[5], "current version damaged after {failures} reads");
+        if r.is_ok() {
+            break;
+        }
+        failures += 1;
+        assert!(failures < 64, "flush never completed");
+    }
+    assert!(failures >= 3, "the sweep must reach past the sector reads");
+    let intact = |d: &S4Drive<FlakyReads>| {
+        assert_eq!(d.live_object_ids(&admin()).unwrap(), ids);
+        for (i, v) in [(0, 0), (1, 0), (2, 2), (5, 5)] {
+            let got = d.op_read(&ctx, oid, 0, 4096, Some(times[i])).unwrap();
+            assert!(got == versions[v], "version {v} damaged by the flush");
+        }
+    };
+    intact(&d);
+    let clock = d.clock().clone();
+    let d = S4Drive::mount(d.unmount().unwrap(), cfg, clock).unwrap();
+    intact(&d);
 }

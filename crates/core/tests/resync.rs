@@ -160,3 +160,87 @@ fn resync_endpoints_require_admin() {
         S4Error::AccessDenied
     );
 }
+
+/// One `converge` behind mirror resync, reshard apply and transaction
+/// compensation: each caller brings an object that is *larger* and
+/// carries different attributes and a different ACL down onto the same
+/// target, and all three end up with one `object_digest`.
+#[test]
+fn converge_reaches_one_digest_through_all_three_callers() {
+    let clock = SimClock::new();
+    clock.advance(SimDuration::from_secs(1));
+    let new_drive = || {
+        S4Drive::format(
+            MemDisk::with_capacity_bytes(64 << 20),
+            DriveConfig::small_test(),
+            clock.clone(),
+        )
+        .unwrap()
+    };
+    let alice = RequestContext::user(UserId(1), ClientId(1));
+    let wide_acl = AclEntry {
+        user: UserId(9),
+        perm: Perm::READ.union(Perm::WRITE),
+    };
+    // Grows an object past two blocks and changes its attributes and ACL.
+    let bloat = |d: &S4Drive<MemDisk>, oid: ObjectId| {
+        d.op_write(&alice, oid, 0, &[0xEE; 9_000]).unwrap();
+        d.op_setattr(&alice, oid, vec![9; 40]).unwrap();
+        d.op_set_acl(&alice, oid, wide_acl).unwrap();
+    };
+
+    let source = new_drive();
+    let oid = source.op_create(&alice, None).unwrap();
+    source.op_write(&alice, oid, 0, b"the target content").unwrap();
+    source.op_setattr(&alice, oid, vec![1, 2, 3]).unwrap();
+    let before = source.reshard_export(&admin(), oid, None).unwrap().unwrap();
+
+    // A reshard target that copied the object at its snapshot and has
+    // since drifted: larger, other attributes, other ACL.
+    let other = new_drive();
+    other.reshard_apply(&admin(), &before).unwrap();
+    clock.advance(SimDuration::from_secs(1));
+    bloat(&other, oid);
+
+    // Transaction compensation: the source object is bloated inside a
+    // transaction, and the abort converges it back onto its t0 version.
+    clock.advance(SimDuration::from_secs(1));
+    source.txn_begin(7).unwrap();
+    bloat(&source, oid);
+    source.txn_vote(7, vec![oid.0], Vec::new()).unwrap();
+    clock.advance(SimDuration::from_secs(1));
+    source.txn_decide(7, false).unwrap();
+    let target = source.reshard_export(&admin(), oid, None).unwrap().unwrap();
+    assert_eq!(
+        (&target.content, &target.attrs, &target.acl),
+        (&before.content, &before.attrs, &before.acl),
+        "compensation restored the t0 version"
+    );
+    assert!(target.modified > before.modified, "by appending, not rewinding");
+    let digest = source.object_digest(&admin(), oid).unwrap();
+
+    // Reshard apply: catch-up brings the drifted copy onto the source's.
+    assert_ne!(other.object_digest(&admin(), oid).unwrap(), digest);
+    other.reshard_apply(&admin(), &target).unwrap();
+    assert_eq!(other.object_digest(&admin(), oid).unwrap(), digest);
+    // Converged is converged: applying again writes nothing.
+    let versions = other.version_history(&admin(), oid).unwrap().len();
+    other.reshard_apply(&admin(), &target).unwrap();
+    assert_eq!(other.version_history(&admin(), oid).unwrap().len(), versions);
+
+    // Mirror resync: a replacement drive built from the source's image.
+    let image = source.resync_image(&admin()).unwrap();
+    let replica = S4Drive::format_from_image(
+        MemDisk::with_capacity_bytes(64 << 20),
+        DriveConfig::small_test(),
+        clock.clone(),
+        &image,
+    )
+    .unwrap();
+    assert_eq!(replica.object_digest(&admin(), oid).unwrap(), digest);
+    // And the replayed ones survive a remount.
+    for d in [other, replica] {
+        let d = S4Drive::mount(d.unmount().unwrap(), DriveConfig::small_test(), clock.clone());
+        assert_eq!(d.unwrap().object_digest(&admin(), oid).unwrap(), digest);
+    }
+}
