@@ -62,14 +62,21 @@
 
 pub mod acl;
 pub mod audit;
+mod codec;
 pub mod drive;
+mod expiry;
 pub mod ids;
+mod image;
 pub mod object;
+mod ops;
 mod packed;
+mod persist;
+mod recovery;
 pub mod reserved;
 pub mod rpc;
 pub mod stats;
 pub mod throttle;
+mod txn;
 
 pub use acl::{AclEntry, AclTable, Perm};
 pub use audit::{AuditRecord, AuditState, OpKind};

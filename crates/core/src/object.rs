@@ -13,11 +13,12 @@
 
 use std::collections::BTreeMap;
 
-use s4_clock::{HybridTimestamp, SimTime};
+use s4_clock::HybridTimestamp;
 use s4_journal::{JournalEntry, ObjectMeta};
 use s4_lfs::BlockAddr;
 
-use crate::{Result, S4Error};
+use crate::codec::{push_stamp, Reader};
+use crate::Result;
 
 /// Where a delta-encoded history block's bytes live: applying the delta
 /// stored at `(block, slot)` to the (possibly itself delta-encoded)
@@ -47,6 +48,26 @@ pub struct SectorInfo {
     pub oldest: HybridTimestamp,
     /// Stamp of the newest entry in the sector.
     pub newest: HybridTimestamp,
+}
+
+impl SectorInfo {
+    /// The 44 bytes a sector list entry takes in a checkpoint blob and
+    /// in the anchor payload.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.addr.0.to_le_bytes());
+        out.extend_from_slice(&self.slot.to_le_bytes());
+        push_stamp(out, self.oldest);
+        push_stamp(out, self.newest);
+    }
+
+    pub(crate) fn decode(r: &mut Reader) -> Result<SectorInfo> {
+        Ok(SectorInfo {
+            addr: BlockAddr(r.u64()?),
+            slot: r.u32()?,
+            oldest: r.stamp()?,
+            newest: r.stamp()?,
+        })
+    }
 }
 
 /// Full in-memory state of one object.
@@ -165,10 +186,7 @@ impl ObjectEntry {
         let mut out = self.meta.encode();
         out.extend_from_slice(&(self.sectors.len() as u32).to_le_bytes());
         for s in &self.sectors {
-            out.extend_from_slice(&s.addr.0.to_le_bytes());
-            out.extend_from_slice(&s.slot.to_le_bytes());
-            push_stamp(&mut out, s.oldest);
-            push_stamp(&mut out, s.newest);
+            s.encode_into(&mut out);
         }
         out.extend_from_slice(&(self.forwards.len() as u32).to_le_bytes());
         for (old, new) in &self.forwards {
@@ -200,75 +218,29 @@ impl ObjectEntry {
     pub fn decode(buf: &[u8]) -> Result<ObjectEntry> {
         let mut pos = 0;
         let meta = ObjectMeta::decode_from(buf, &mut pos)?;
-        let need = |p: usize, n: usize| {
-            if p + n > buf.len() {
-                Err(S4Error::BadRequest("object checkpoint truncated"))
-            } else {
-                Ok(())
-            }
-        };
-        need(pos, 4)?;
-        let ns = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 4;
-        need(pos, ns * 44)?;
-        let mut sectors = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            let addr = BlockAddr(u64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap()));
-            pos += 8;
-            let slot = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap());
-            pos += 4;
-            let oldest = read_stamp(buf, &mut pos)?;
-            let newest = read_stamp(buf, &mut pos)?;
-            sectors.push(SectorInfo {
-                addr,
-                slot,
-                oldest,
-                newest,
-            });
+        let mut r = Reader::new(&buf[pos..], "object checkpoint truncated");
+        // Untrusted counts: collections grow as fields actually decode.
+        let mut sectors = Vec::new();
+        for _ in 0..r.u32()? {
+            sectors.push(SectorInfo::decode(&mut r)?);
         }
-        need(pos, 4)?;
-        let nf = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 4;
-        need(pos, nf * 16)?;
         let mut forwards = BTreeMap::new();
-        for _ in 0..nf {
-            let old = u64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap());
-            let new = u64::from_le_bytes(buf[pos + 8..pos + 16].try_into().unwrap());
-            forwards.insert(old, new);
-            pos += 16;
+        for _ in 0..r.u32()? {
+            forwards.insert(r.u64()?, r.u64()?);
         }
-        need(pos, 4)?;
-        let nd = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 4;
-        need(pos, nd * 28 + 16)?;
         let mut deltas = BTreeMap::new();
-        for _ in 0..nd {
-            let key = u64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap());
-            let base = BlockAddr(u64::from_le_bytes(
-                buf[pos + 8..pos + 16].try_into().unwrap(),
-            ));
-            let block = BlockAddr(u64::from_le_bytes(
-                buf[pos + 16..pos + 24].try_into().unwrap(),
-            ));
-            let slot = u32::from_le_bytes(buf[pos + 24..pos + 28].try_into().unwrap());
+        for _ in 0..r.u32()? {
+            let key = r.u64()?;
+            let (base, block) = (BlockAddr(r.u64()?), BlockAddr(r.u64()?));
+            let slot = r.u32()?;
             deltas.insert(key, DeltaRef { base, block, slot });
-            pos += 28;
         }
-        need(pos, 4)?;
-        let nl = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 4;
-        let mut landmarks = Vec::with_capacity(nl.min(64));
-        for _ in 0..nl {
-            need(pos, 4)?;
-            let blen = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-            pos += 4;
-            need(pos, blen)?;
-            let mut mp = 0;
-            let m = ObjectMeta::decode_from(&buf[pos..pos + blen], &mut mp)?;
-            landmarks.push(m);
-            pos += blen;
+        let mut landmarks = Vec::new();
+        for _ in 0..r.u32()? {
+            let len = r.u32()? as usize;
+            landmarks.push(ObjectMeta::decode_from(r.take(len)?, &mut 0)?);
         }
-        let history_floor = read_stamp(buf, &mut pos)?;
+        let history_floor = r.stamp()?;
         Ok(ObjectEntry {
             meta,
             sectors,
@@ -313,24 +285,10 @@ pub enum Slot {
     Evicted(EvictInfo),
 }
 
-pub(crate) fn push_stamp(out: &mut Vec<u8>, s: HybridTimestamp) {
-    out.extend_from_slice(&s.time.as_micros().to_le_bytes());
-    out.extend_from_slice(&s.seq.to_le_bytes());
-}
-
-pub(crate) fn read_stamp(buf: &[u8], pos: &mut usize) -> Result<HybridTimestamp> {
-    if *pos + 16 > buf.len() {
-        return Err(S4Error::BadRequest("stamp truncated"));
-    }
-    let time = u64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap());
-    let seq = u64::from_le_bytes(buf[*pos + 8..*pos + 16].try_into().unwrap());
-    *pos += 16;
-    Ok(HybridTimestamp::new(SimTime::from_micros(time), seq))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use s4_clock::SimTime;
 
     fn stamp(t: u64) -> HybridTimestamp {
         HybridTimestamp::new(SimTime::from_micros(t), t)

@@ -1,0 +1,429 @@
+//! Making the object table durable: packing pending journal entries
+//! into shared journal blocks, writing metadata checkpoints (shared
+//! blocks for small ones, dedicated chains for large), sync, object-cache
+//! eviction, and the anchor that persists the object map — plus the
+//! codecs that read all of it back. The three `PackedBlocks` instances
+//! in `Inner` are used from here (and released from [`crate::expiry`]).
+//!
+//! The anchor payload (version 2) is the object map with per-object
+//! sector lists; the reachable-block set is rebuilt at mount, not
+//! persisted.
+
+use s4_clock::{HybridTimestamp, SimDuration};
+use s4_journal::{decode_sector, encode_sectors, JournalEntry};
+use s4_lfs::{BlockAddr, BlockKind, BlockTag, Log, BLOCK_SIZE};
+use s4_simdisk::BlockDev;
+
+use crate::codec::{push_stamp, Reader};
+use crate::drive::{DriveConfig, Inner, S4Drive, AUDIT_OBJECT};
+use crate::ids::ObjectId;
+use crate::object::{EvictInfo, ObjectEntry, SectorInfo, Slot};
+use crate::packed;
+use crate::{Result, S4Error};
+
+const ANCHOR_MAGIC: u32 = 0x5334_414E; // "S4AN"
+const SHARED_CP_THRESHOLD: usize = 1000;
+const CHECKPOINT_CHUNK: usize = BLOCK_SIZE - 12;
+
+impl<D: BlockDev> S4Drive<D> {
+    /// Releases an entry's current checkpoint storage (chain blocks, or
+    /// one reference on a shared block).
+    pub(crate) fn release_checkpoint(&self, inner: &mut Inner, entry: &mut ObjectEntry) {
+        if entry.checkpoint_root.is_none() {
+            return;
+        }
+        if entry.checkpoint_slot != u32::MAX {
+            let root = entry.checkpoint_root;
+            inner.cpblocks.release_ref(&self.log, &mut inner.live, root);
+        } else {
+            for old in entry.checkpoint_blocks.drain(..) {
+                inner.live.remove(&old.0);
+                self.log.release_blocks([old]);
+            }
+        }
+        entry.checkpoint_root = BlockAddr::NONE;
+        entry.checkpoint_slot = u32::MAX;
+        entry.checkpoint_blocks.clear();
+    }
+
+    /// Writes fresh metadata checkpoints for `oids`, packing small blobs
+    /// into shared checkpoint blocks (several objects per 4 KiB block,
+    /// mirroring the paper's sector-sized on-disk inodes) and spilling
+    /// large blobs into dedicated chains. The entries are checkpointed
+    /// where they live, in the table: a caller that holds one lifted out
+    /// (see [`S4Drive::with_object`]) calls this before or after, not
+    /// inside.
+    pub(crate) fn pack_checkpoints(&self, inner: &mut Inner, oids: &[u64]) -> Result<()> {
+        let mut small: Vec<packed::Item<()>> = Vec::new();
+        for &oid in oids {
+            let shared = self.with_object(inner, ObjectId(oid), |inner, entry| {
+                let blob = entry.encode();
+                self.release_checkpoint(inner, entry);
+                if blob.len() > SHARED_CP_THRESHOLD {
+                    // Dedicated chain, written back-to-front.
+                    let chunks: Vec<&[u8]> = blob.chunks(CHECKPOINT_CHUNK).collect();
+                    let mut next = BlockAddr::NONE;
+                    let mut new_blocks = Vec::with_capacity(chunks.len());
+                    for (i, chunk) in chunks.iter().enumerate().rev() {
+                        let mut payload = Vec::with_capacity(12 + chunk.len());
+                        payload.extend_from_slice(&next.0.to_le_bytes());
+                        payload.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
+                        payload.extend_from_slice(chunk);
+                        next = self.log.append(
+                            BlockTag::new(BlockKind::ObjectCheckpoint, oid, i as u64),
+                            &payload,
+                        )?;
+                        inner.live.insert(next.0);
+                        new_blocks.push(next);
+                    }
+                    entry.checkpoint_root = next;
+                    entry.checkpoint_blocks = new_blocks;
+                    self.stats.checkpoints(1);
+                }
+                entry.dirty = false;
+                entry.needs_checkpoint = false;
+                Ok((blob.len() <= SHARED_CP_THRESHOLD).then_some(blob))
+            })?;
+            small.extend(shared.map(|blob| (oid, blob, ())));
+        }
+        let Inner {
+            table,
+            live,
+            cpblocks,
+            ..
+        } = inner;
+        cpblocks.pack(&self.log, live, small, |_, addr, slot, oid, ()| {
+            if let Some(Slot::Cached(entry)) = table.get_mut(&oid) {
+                entry.checkpoint_root = addr;
+                entry.checkpoint_slot = slot;
+            }
+            self.stats.checkpoints(1);
+        })
+    }
+
+    /// Packs the pending journal entries of `oids` into shared journal
+    /// blocks (several objects' sectors per 4 KiB block, §4.2.2).
+    pub(crate) fn pack_objects(&self, inner: &mut Inner, oids: &[u64]) -> Result<()> {
+        // Journal span: simulated time across packing, including any
+        // log auto-flush the appends trigger.
+        let journal_t0 = self.clock.now().as_micros();
+        // Per sector: its oldest and newest stamp.
+        let mut items: Vec<packed::Item<(HybridTimestamp, HybridTimestamp)>> = Vec::new();
+        for &oid in oids {
+            let Some(Slot::Cached(entry)) = inner.table.get_mut(&oid) else {
+                continue;
+            };
+            if entry.pending.is_empty() {
+                continue;
+            }
+            for s in encode_sectors(&entry.pending) {
+                let span = (
+                    s.entries.first().expect("non-empty").stamp(),
+                    s.entries.last().expect("non-empty").stamp(),
+                );
+                items.push((oid, s.finish(oid, entry.meta.journal_head), span));
+            }
+            entry.pending.clear();
+            entry.dirty = true;
+        }
+        if items.is_empty() {
+            return Ok(());
+        }
+        let Inner {
+            table,
+            live,
+            jblocks,
+            ..
+        } = inner;
+        jblocks.pack(
+            &self.log,
+            live,
+            items,
+            |_, addr, slot, oid, (oldest, newest)| {
+                if let Some(Slot::Cached(entry)) = table.get_mut(&oid) {
+                    entry.sectors.push(SectorInfo {
+                        addr,
+                        slot,
+                        oldest,
+                        newest,
+                    });
+                    entry.meta.journal_head = addr;
+                }
+                self.stats.journal_sectors(1);
+            },
+        )?;
+        s4_obs::span::charge(
+            s4_obs::Layer::Journal,
+            self.clock.now().as_micros() - journal_t0,
+        );
+        Ok(())
+    }
+
+    /// Cached objects with journal entries not yet packed to a sector.
+    fn pending_oids(inner: &Inner) -> Vec<u64> {
+        inner
+            .table
+            .iter()
+            .filter_map(|(&oid, slot)| match slot {
+                Slot::Cached(e) if !e.pending.is_empty() => Some(oid),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Sync: pack all pending journal entries, flush the log, and perform
+    /// periodic anchoring / object-cache eviction.
+    pub(crate) fn sync_locked(&self, inner: &mut Inner) -> Result<()> {
+        self.pack_objects(inner, &Self::pending_oids(inner))?;
+        self.log.flush()?;
+        self.stats.syncs(1);
+        inner.syncs_since_anchor += 1;
+        if inner.syncs_since_anchor >= self.config.anchor_interval_syncs {
+            self.anchor_locked(inner)?;
+        }
+        self.evict_excess(inner)?;
+        Ok(())
+    }
+
+    /// Evicts least-recently-used objects beyond the object-cache limit,
+    /// checkpointing them first (§4.2.2: "an object's metadata is
+    /// checkpointed to a log segment before being evicted from the
+    /// cache").
+    fn evict_excess(&self, inner: &mut Inner) -> Result<()> {
+        let limit = self.config.object_cache_entries.max(1);
+        loop {
+            let cached: Vec<(u64, u64)> = inner
+                .table
+                .iter()
+                .filter_map(|(&oid, slot)| match slot {
+                    Slot::Cached(e) => Some((e.last_used, oid)),
+                    _ => None,
+                })
+                .collect();
+            if cached.len() <= limit {
+                return Ok(());
+            }
+            let (_, victim) = cached.iter().copied().min().expect("non-empty");
+            self.pack_objects(inner, &[victim])?;
+            let stale = self.with_object(inner, ObjectId(victim), |_, entry| {
+                Ok(entry.dirty || entry.checkpoint_root.is_none())
+            })?;
+            if stale {
+                self.pack_checkpoints(inner, &[victim])?;
+            }
+            let info = self.with_object(inner, ObjectId(victim), |_, entry| {
+                Ok(EvictInfo {
+                    checkpoint_root: entry.checkpoint_root,
+                    checkpoint_slot: entry.checkpoint_slot,
+                    expiry_hint: entry.expiry_hint(),
+                    deleted: entry.meta.deleted,
+                })
+            })?;
+            // The one place a cached entry is retired on purpose: its
+            // checkpoint now says everything the entry did.
+            inner.table.insert(victim, Slot::Evicted(info));
+        }
+    }
+
+    /// Writes a drive anchor: ensures every object is recoverable
+    /// (first-time and relocation-dirtied objects get fresh checkpoints;
+    /// everything else is covered by its checkpoint plus the anchored
+    /// sector list), then persists the object map through the log's
+    /// anchor mechanism.
+    pub(crate) fn anchor_locked(&self, inner: &mut Inner) -> Result<()> {
+        // Pack any pending journal entries first.
+        self.pack_objects(inner, &Self::pending_oids(inner))?;
+
+        // Checkpoint objects that a crash could not otherwise recover: a
+        // checkpoint-less object is fine as long as its full journal
+        // history (starting at its Create entry) is retained.
+        let need_cp: Vec<u64> = inner
+            .table
+            .iter()
+            .filter_map(|(&oid, slot)| match slot {
+                Slot::Cached(e)
+                    if e.needs_checkpoint
+                        || (e.checkpoint_root.is_none()
+                            && e.history_floor != HybridTimestamp::ZERO) =>
+                {
+                    Some(oid)
+                }
+                _ => None,
+            })
+            .collect();
+        self.pack_checkpoints(inner, &need_cp)?;
+
+        // Persist the buffered stream tails so audit records and alerts
+        // survive restarts, and the persisted trace stream stays an exact
+        // prefix of the request stream across an orderly shutdown.
+        let (streams, live) = inner.streams_mut();
+        for s in streams {
+            if s.spill_tail(&self.log, live)? && s.oid() == AUDIT_OBJECT.0 {
+                self.stats.audit_blocks(1);
+            }
+        }
+
+        let payload = encode_anchor_payload(inner);
+        self.log.write_anchor(
+            &payload,
+            self.stamps.peek_seq(),
+            self.clock.now().as_micros(),
+        )?;
+        inner.syncs_since_anchor = 0;
+        self.stats.anchors(1);
+        Ok(())
+    }
+
+    /// Forces an anchor now (used by orderly shutdown, tests, and
+    /// experiments that want pending-free segments promoted).
+    pub fn force_anchor(&self) -> Result<()> {
+        let mut inner = self.inner.lock();
+        self.sync_locked(&mut inner)?;
+        self.anchor_locked(&mut inner)
+    }
+}
+
+pub(crate) struct AnchorRecord {
+    pub(crate) oid: u64,
+    pub(crate) root: BlockAddr,
+    pub(crate) slot: u32,
+    pub(crate) floor: HybridTimestamp,
+    /// `None` means "use the sector list inside the checkpoint blob"
+    /// (always the case for evicted objects, whose checkpoint is exact).
+    pub(crate) sectors: Option<Vec<SectorInfo>>,
+}
+
+fn encode_anchor_payload(inner: &Inner) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&ANCHOR_MAGIC.to_le_bytes());
+    out.extend_from_slice(&inner.next_oid.to_le_bytes());
+    out.extend_from_slice(&inner.window.as_micros().to_le_bytes());
+    inner.audit.encode_anchor(&mut out);
+    out.extend_from_slice(&(inner.table.len() as u32).to_le_bytes());
+    for (&oid, slot) in &inner.table {
+        out.extend_from_slice(&oid.to_le_bytes());
+        match slot {
+            Slot::Cached(e) => {
+                debug_assert!(
+                    e.pending.is_empty()
+                        && !e.needs_checkpoint
+                        && (!e.checkpoint_root.is_none()
+                            || e.history_floor == HybridTimestamp::ZERO),
+                    "anchor with unrecoverable object {oid}"
+                );
+                out.extend_from_slice(&e.checkpoint_root.0.to_le_bytes());
+                out.extend_from_slice(&e.checkpoint_slot.to_le_bytes());
+                push_stamp(&mut out, e.history_floor);
+                out.push(1); // explicit sector list
+                out.extend_from_slice(&(e.sectors.len() as u32).to_le_bytes());
+                for s in &e.sectors {
+                    s.encode_into(&mut out);
+                }
+            }
+            Slot::Evicted(i) => {
+                out.extend_from_slice(&i.checkpoint_root.0.to_le_bytes());
+                out.extend_from_slice(&i.checkpoint_slot.to_le_bytes());
+                push_stamp(&mut out, HybridTimestamp::ZERO); // floor from blob
+                out.push(0); // sector list from blob
+            }
+        }
+    }
+    // The alert and flight-recorder streams trail the table.
+    inner.alerts.encode_anchor(&mut out);
+    inner.traces.encode_anchor(&mut out);
+    out
+}
+
+pub(crate) fn decode_anchor_payload(
+    payload: &[u8],
+    config: &DriveConfig,
+) -> Result<(Inner, Vec<AnchorRecord>)> {
+    let mut inner = Inner::new(config);
+    if payload.is_empty() {
+        return Ok((inner, Vec::new()));
+    }
+    let mut r = Reader::new(payload, "anchor payload truncated");
+    if r.u32()? != ANCHOR_MAGIC {
+        return Err(S4Error::BadRequest("anchor payload magic"));
+    }
+    inner.next_oid = r.u64()?;
+    inner.window = SimDuration::from_micros(r.u64()?);
+    inner.audit.decode_anchor(&mut r)?;
+    let mut records = Vec::new();
+    for _ in 0..r.u32()? {
+        let (oid, root) = (r.u64()?, BlockAddr(r.u64()?));
+        let (slot, floor) = (r.u32()?, r.stamp()?);
+        let explicit = r.u8()? == 1;
+        let mut sectors = explicit.then(Vec::new);
+        if let Some(list) = &mut sectors {
+            for _ in 0..r.u32()? {
+                list.push(SectorInfo::decode(&mut r)?);
+            }
+        }
+        records.push(AnchorRecord {
+            oid,
+            root,
+            slot,
+            floor,
+            sectors,
+        });
+    }
+    inner.alerts.decode_anchor(&mut r)?;
+    inner.traces.decode_anchor(&mut r)?;
+    Ok((inner, records))
+}
+
+/// Reads the checkpoint at `(root, slot)` back into an entry that knows
+/// where it came from.
+pub(crate) fn read_checkpoint<D: BlockDev>(
+    log: &Log<D>,
+    root: BlockAddr,
+    slot: u32,
+) -> Result<ObjectEntry> {
+    if root.is_none() {
+        return Err(S4Error::NoSuchObject);
+    }
+    let mut blob = Vec::new();
+    let mut blocks = Vec::new();
+    if slot != u32::MAX {
+        // Shared checkpoint block.
+        let subs = packed::CHECKPOINTS.split(&log.read_block(root)?)?;
+        blob = subs
+            .into_iter()
+            .nth(slot as usize)
+            .ok_or(S4Error::BadRequest("checkpoint slot out of range"))?;
+    } else {
+        let mut addr = root;
+        while !addr.is_none() {
+            let block = log.read_block(addr)?;
+            let next = BlockAddr(u64::from_le_bytes(block[0..8].try_into().unwrap()));
+            let len = u32::from_le_bytes(block[8..12].try_into().unwrap()) as usize;
+            if 12 + len > block.len() {
+                return Err(S4Error::BadRequest("checkpoint chunk length"));
+            }
+            blob.extend_from_slice(&block[12..12 + len]);
+            blocks.push(addr);
+            addr = next;
+        }
+    }
+    let mut entry = ObjectEntry::decode(&blob)?;
+    entry.checkpoint_root = root;
+    entry.checkpoint_slot = slot;
+    entry.checkpoint_blocks = blocks;
+    Ok(entry)
+}
+
+/// Reads one object's sector out of a shared journal block.
+pub(crate) fn read_subsector<D: BlockDev>(
+    log: &Log<D>,
+    addr: BlockAddr,
+    slot: u32,
+) -> Result<(u64, Vec<JournalEntry>)> {
+    let block = log.read_block(addr)?;
+    let subs = packed::JOURNAL.split(&block)?;
+    let sub = subs
+        .get(slot as usize)
+        .ok_or(S4Error::BadRequest("journal slot out of range"))?;
+    let (oid, _prev, entries) = decode_sector(sub)?;
+    Ok((oid, entries))
+}

@@ -39,7 +39,8 @@ use s4_obs::TraceRecord;
 use s4_simdisk::BlockDev;
 
 use crate::audit::{AuditRecord, AuditState, RECORD_BLOCK_BYTES};
-use crate::drive::{encode_system_alert, Inner, S4Drive};
+use crate::codec::Reader;
+use crate::drive::{Inner, S4Drive, ALERT_OBJECT};
 use crate::ids::{ObjectId, RequestContext};
 use crate::{Result, S4Error};
 
@@ -258,24 +259,15 @@ impl ReservedLog {
     }
 
     /// Restores the durable part from the anchor payload, advancing
-    /// `pos`. A payload that ends early is corruption.
-    pub(crate) fn decode_anchor(&mut self, buf: &[u8], pos: &mut usize) -> Result<()> {
-        let mut word = |n: usize| {
-            let bytes = buf
-                .get(*pos..*pos + n)
-                .ok_or(S4Error::BadRequest("reserved stream state truncated"))?;
-            *pos += n;
-            let mut le = [0u8; 8];
-            le[..n].copy_from_slice(bytes);
-            Ok::<u64, S4Error>(u64::from_le_bytes(le))
-        };
-        self.total = word(8)?;
+    /// the reader. A payload that ends early is corruption.
+    pub(crate) fn decode_anchor(&mut self, r: &mut Reader) -> Result<()> {
+        self.total = r.u64()?;
         if self.framing == Framing::Blobs {
-            self.flushed_blocks = word(8)?;
+            self.flushed_blocks = r.u64()?;
         }
-        let n = word(4)?;
+        let n = r.u32()?;
         self.blocks = (0..n)
-            .map(|_| word(8).map(BlockAddr))
+            .map(|_| r.u64().map(BlockAddr))
             .collect::<Result<_>>()?;
         Ok(())
     }
@@ -409,6 +401,27 @@ fn trace_blob_time(blob: &[u8]) -> u64 {
     TraceRecord::decode(blob).map(|r| r.time_us).unwrap_or(0)
 }
 
+/// Encodes a drive-raised self-alert in the `s4-detect` `Alert` wire
+/// format (severity, time, user, client, object, then length-prefixed
+/// rule and message strings), so the standard alert pollers decode it
+/// like any detector-raised alert. The drive cannot depend on
+/// `s4-detect` (the dependency points the other way), so the format is
+/// reproduced here; `s4-detect` has a test pinning the two together.
+pub(crate) fn encode_system_alert(rule: &[u8], time_us: u64, message: &[u8]) -> Vec<u8> {
+    const SEVERITY_WARNING: u8 = 2;
+    let mut out = Vec::with_capacity(29 + rule.len() + message.len());
+    out.push(SEVERITY_WARNING);
+    out.extend_from_slice(&time_us.to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes()); // user: the drive itself
+    out.extend_from_slice(&0u32.to_le_bytes()); // client: the drive itself
+    out.extend_from_slice(&ALERT_OBJECT.0.to_le_bytes());
+    out.extend_from_slice(&(rule.len() as u16).to_le_bytes());
+    out.extend_from_slice(rule);
+    out.extend_from_slice(&(message.len() as u16).to_le_bytes());
+    out.extend_from_slice(message);
+    out
+}
+
 // ----------------------------------------------------------------------
 // The stream-facing drive surface.
 // ----------------------------------------------------------------------
@@ -445,6 +458,19 @@ impl<D: BlockDev> S4Drive<D> {
         for blob in raised {
             self.alert_append(&blob);
         }
+    }
+
+    /// Raises a drive-originated alert (severity 2, no user/client)
+    /// through the tamper-evident alert object — the channel redundancy
+    /// layers use to surface member death and degraded mode, so the
+    /// operator's existing alert poll sees infrastructure faults too.
+    pub fn system_alert(&self, rule: &str, message: &str) {
+        let blob = encode_system_alert(
+            rule.as_bytes(),
+            self.clock.now().as_micros(),
+            message.as_bytes(),
+        );
+        self.alert_append(&blob);
     }
 
     /// Appends one alert blob to the reserved alert object (drive
@@ -780,9 +806,9 @@ mod tests {
             let mut enc = vec![0xEE]; // the stream state is mid-payload
             st.encode_anchor(&mut enc);
             let mut d = ReservedLog::new(ObjectId(st.oid), st.framing);
-            let mut pos = 1;
-            d.decode_anchor(&enc, &mut pos).unwrap();
-            assert_eq!(pos, enc.len());
+            let mut r = Reader::new(&enc[1..], "truncated");
+            d.decode_anchor(&mut r).unwrap();
+            assert!(r.take(1).is_err(), "the whole trailer is consumed");
             assert_eq!(d.blocks, st.blocks);
             assert_eq!((d.total, d.flushed_blocks), (st.total, st.flushed_blocks));
             assert!(d.pending.is_empty(), "the pending tail is volatile");
@@ -791,7 +817,8 @@ mod tests {
             for cut in 1..enc.len() {
                 let mut d = ReservedLog::new(ObjectId(st.oid), st.framing);
                 assert!(
-                    d.decode_anchor(&enc[..cut], &mut 1).is_err(),
+                    d.decode_anchor(&mut Reader::new(&enc[1..cut], "truncated"))
+                        .is_err(),
                     "{:?} decoded from {cut} of {} bytes",
                     st.framing,
                     enc.len()

@@ -525,6 +525,7 @@ fn substitute_oid(req: &Request, last: Option<ObjectId>) -> Result<Request> {
 
 mod wire {
     use super::*;
+    pub(super) use crate::codec::Reader;
 
     pub(super) fn put_u64(out: &mut Vec<u8>, v: u64) {
         out.extend_from_slice(&v.to_le_bytes());
@@ -546,47 +547,11 @@ mod wire {
         }
     }
 
-    pub(super) struct Reader<'a> {
-        buf: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Reader<'a> {
-        pub(super) fn new(buf: &'a [u8]) -> Self {
-            Reader { buf, pos: 0 }
-        }
-        pub(super) fn u8(&mut self) -> Result<u8> {
-            if self.pos >= self.buf.len() {
-                return Err(S4Error::BadRequest("wire truncated"));
-            }
-            let v = self.buf[self.pos];
-            self.pos += 1;
-            Ok(v)
-        }
-        pub(super) fn u32(&mut self) -> Result<u32> {
-            if self.pos + 4 > self.buf.len() {
-                return Err(S4Error::BadRequest("wire truncated"));
-            }
-            let v = u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().unwrap());
-            self.pos += 4;
-            Ok(v)
-        }
-        pub(super) fn u64(&mut self) -> Result<u64> {
-            if self.pos + 8 > self.buf.len() {
-                return Err(S4Error::BadRequest("wire truncated"));
-            }
-            let v = u64::from_le_bytes(self.buf[self.pos..self.pos + 8].try_into().unwrap());
-            self.pos += 8;
-            Ok(v)
-        }
+    // Wire-only fields on top of the shared little-endian cursor.
+    impl Reader<'_> {
         pub(super) fn bytes(&mut self) -> Result<Vec<u8>> {
             let n = self.u32()? as usize;
-            if self.pos + n > self.buf.len() {
-                return Err(S4Error::BadRequest("wire truncated"));
-            }
-            let v = self.buf[self.pos..self.pos + n].to_vec();
-            self.pos += n;
-            Ok(v)
+            Ok(self.take(n)?.to_vec())
         }
         pub(super) fn string(&mut self) -> Result<String> {
             String::from_utf8(self.bytes()?).map_err(|_| S4Error::BadRequest("wire utf8"))
@@ -716,7 +681,7 @@ impl Request {
 
     /// Deserializes a request from a transport.
     pub fn decode(buf: &[u8]) -> Result<Request> {
-        let mut r = wire::Reader::new(buf);
+        let mut r = wire::Reader::new(buf, "wire truncated");
         Ok(match r.u8()? {
             1 => Request::Create,
             2 => Request::Delete {
@@ -880,7 +845,7 @@ impl Response {
 
     /// Deserializes a response from a transport.
     pub fn decode(buf: &[u8]) -> Result<Response> {
-        let mut r = wire::Reader::new(buf);
+        let mut r = wire::Reader::new(buf, "wire truncated");
         Ok(match r.u8()? {
             1 => Response::Created(ObjectId(r.u64()?)),
             2 => Response::Ok,

@@ -52,7 +52,7 @@ fn run() -> (u64, u64, u64) {
         clock.clone(),
     )
     .expect("format");
-    let mut rng = Rng(0x5EED_0F_5E1F);
+    let mut rng = Rng(0x5E_ED0F_5E1F);
     let mut oids: Vec<ObjectId> = Vec::new();
     let mut marks: Vec<(ObjectId, s4_clock::SimTime)> = Vec::new();
     let mut outcome = 0u64;

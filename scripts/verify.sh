@@ -35,10 +35,13 @@
 #    read-back checked, including drive_churn_recover's crash -> mount
 #    -> read-back on FileDisk. Only its exit code gates; it compares no
 #    timings (result file: target/benchmark-smoke.json)
+# 11. scripts/loc.sh: non-test Rust lines per crate, printed (not gated)
+#    so a simplicity PR quotes a counted figure
 #
 # The exhaustive campaigns (every crash point of a 500-op workload,
 # every second-crash point inside recovery, and every 2PC crash point
-# on both array shapes) are not part of tier-1; run them with:
+# on both array shapes) are not part of tier-1 but are expected green —
+# CI runs them after this script; run them with:
 #   cargo test --test crash_torture -- --ignored
 #   cargo test --test txn_torture -- --ignored
 set -euo pipefail
@@ -105,5 +108,8 @@ grep '^BENCH_JSON ' target/fig_trace.out | sed 's/^BENCH_JSON //' > target/BENCH
 echo "== benchmark smoke suite (output checks only, no timing gate)"
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
   suite --smoke --out target/benchmark-smoke.json
+
+echo "== non-test Rust lines per crate (scripts/loc.sh)"
+scripts/loc.sh
 
 echo "verify: OK"
