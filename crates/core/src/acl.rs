@@ -7,8 +7,9 @@
 //! clear, only the device administrator may read this object version once
 //! it is pushed into the history pool." (§4.1.1)
 
+use crate::codec::Reader;
 use crate::ids::UserId;
-use crate::{Result, S4Error};
+use crate::Result;
 
 /// Permission bits of one ACL entry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -127,20 +128,11 @@ impl AclTable {
 
     /// Deserializes a table.
     pub fn decode(buf: &[u8]) -> Result<AclTable> {
-        if buf.len() < 4 {
-            return Err(S4Error::BadRequest("acl blob too short"));
-        }
-        let n = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-        if buf.len() < 4 + n * 5 {
-            return Err(S4Error::BadRequest("acl blob truncated"));
-        }
-        let mut entries = Vec::with_capacity(n);
-        for i in 0..n {
-            let o = 4 + i * 5;
-            entries.push(AclEntry {
-                user: UserId(u32::from_le_bytes(buf[o..o + 4].try_into().unwrap())),
-                perm: Perm(buf[o + 4]),
-            });
+        let mut r = Reader::new(buf, "acl blob truncated");
+        let mut entries = Vec::new();
+        for _ in 0..r.u32()? {
+            let (user, perm) = (UserId(r.u32()?), Perm(r.u8()?));
+            entries.push(AclEntry { user, perm });
         }
         Ok(AclTable { entries })
     }

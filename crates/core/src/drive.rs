@@ -18,18 +18,12 @@
 //! from it the segment usage counts) from first principles.
 //!
 //! This file holds the configuration, the drive's state (`Inner`, behind
-//! one mutex), the format/mount entry points and accessors, and the
-//! helpers every operation is built from: `with_object` (the only way
-//! an entry leaves the object table, and it always comes back),
-//! `commit` (the one point a mutation becomes a version), `converge`,
-//! `version_for`, and the extent read/write path. The operations
-//! themselves are further `impl S4Drive` blocks, each beside the state
-//! it works on: `ops` (Table 1), `image`
-//! (resync/reshard export and replay), `expiry` (expiry, cleaner,
-//! compaction, flushes), `persist` (journal packing, checkpoints, sync,
-//! anchor), `txn` (2PC participant), `recovery` (mount) and
-//! [`crate::reserved`] (the audit, alert and trace streams). DESIGN §5
-//! has the module map.
+//! one mutex), the format/mount entry points, the accessors, and the
+//! helpers every operation is built from (`with_object`, `commit`,
+//! `converge`, `version_for`, the extent read/write path). The
+//! operations are further `impl S4Drive` blocks in `ops`, `image`,
+//! `expiry`, `persist`, `txn`, `recovery` and [`crate::reserved`], each
+//! beside the state it works on; DESIGN §5 has the module map.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -727,22 +721,13 @@ impl<D: BlockDev> S4Drive<D> {
     }
 
     /// Allows the administrator, and a user whom the encoded table `acl`
-    /// grants `need`.
-    fn check_acl(&self, ctx: &RequestContext, acl: &[u8], need: Perm) -> Result<()> {
+    /// (an object's, or one historical version's) grants `need`.
+    pub(crate) fn authorize(&self, ctx: &RequestContext, acl: &[u8], need: Perm) -> Result<()> {
         if self.is_admin(ctx) || AclTable::decode(acl)?.perms_of(ctx.user).includes(need) {
             Ok(())
         } else {
             Err(S4Error::AccessDenied)
         }
-    }
-
-    pub(crate) fn authorize(
-        &self,
-        ctx: &RequestContext,
-        e: &ObjectEntry,
-        need: Perm,
-    ) -> Result<()> {
-        self.check_acl(ctx, &e.meta.acl, need)
     }
 
     /// What every client mutation needs: the permission, on an object
@@ -753,7 +738,7 @@ impl<D: BlockDev> S4Drive<D> {
         entry: &ObjectEntry,
         need: Perm,
     ) -> Result<()> {
-        self.authorize(ctx, entry, need)?;
+        self.authorize(ctx, &entry.meta.acl, need)?;
         if entry.meta.is_live() {
             Ok(())
         } else {
@@ -776,7 +761,7 @@ impl<D: BlockDev> S4Drive<D> {
         } else {
             Perm::READ.union(Perm::RECOVERY)
         };
-        self.check_acl(ctx, &version.acl, need)
+        self.authorize(ctx, &version.acl, need)
     }
 
     /// Loads an evicted object back into the cache.
@@ -848,7 +833,7 @@ impl<D: BlockDev> S4Drive<D> {
         time: Option<SimTime>,
     ) -> Result<ObjectMeta> {
         let Some(t) = time else {
-            self.authorize(ctx, entry, Perm::READ)?;
+            self.authorize(ctx, &entry.meta.acl, Perm::READ)?;
             return Ok(entry.meta.clone());
         };
         self.stats.time_based_reads(1);

@@ -2,8 +2,9 @@
 //! relocation callbacks, the differencing pass that re-encodes history
 //! blocks as deltas, and the administrative flush that cuts versions out
 //! of the middle of an object's journal. Everything here *releases*
-//! blocks, so everything here runs inside `with_object`: a device error
-//! halfway leaves the entry in the table, never a hole where it was.
+//! blocks, and every path that walks an object's history to do so runs
+//! inside `with_object`: a device error halfway leaves the entry in the
+//! table, never a hole where it was.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 

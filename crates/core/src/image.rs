@@ -263,9 +263,10 @@ impl<D: BlockDev> S4Drive<D> {
     /// preserving its creation/modification *times* so post-reshard
     /// [`S4Drive::object_digest`] comparisons hold (the stamp sequence
     /// component stays drive-local, exactly as in mirror resync). A new
-    /// oid is inserted fresh; an existing live object is overwritten in
-    /// place with a stamped truncate-and-rewrite. A tombstoned oid is an
-    /// error — oids are never reused.
+    /// oid is inserted fresh; an existing live object is converged onto
+    /// `obj` in place (a stamped truncate-and-rewrite when content or
+    /// modification time differ, nothing when they already agree). A
+    /// tombstoned oid is an error — oids are never reused.
     pub fn reshard_apply(&self, ctx: &RequestContext, obj: &ResyncObject) -> Result<()> {
         self.require_admin(ctx)?;
         let inner = &mut *self.inner.lock();

@@ -368,7 +368,7 @@ impl<D: BlockDev> S4Drive<D> {
         self.check_not_reserved(oid)?;
         let mut inner = self.inner.lock();
         self.with_object(&mut inner, oid, |_, entry| {
-            self.authorize(ctx, entry, Perm::RECOVERY)?;
+            self.authorize(ctx, &entry.meta.acl, Perm::RECOVERY)?;
             let mut out = Vec::new();
             for s in &entry.sectors {
                 let (_oid, entries) = read_subsector(&self.log, s.addr, s.slot)?;
@@ -393,7 +393,7 @@ impl<D: BlockDev> S4Drive<D> {
         self.check_not_reserved(oid)?;
         let mut inner = self.inner.lock();
         self.with_object(&mut inner, oid, |inner, entry| {
-            self.authorize(ctx, entry, Perm::OWNER)?;
+            self.authorize(ctx, &entry.meta.acl, Perm::OWNER)?;
             let meta = self.version_at(entry, time)?;
             if entry.landmarks.iter().any(|m| m.modified == meta.modified) {
                 return Ok(()); // already pinned
@@ -432,7 +432,7 @@ impl<D: BlockDev> S4Drive<D> {
         self.check_not_reserved(oid)?;
         let mut inner = self.inner.lock();
         self.with_object(&mut inner, oid, |inner, entry| {
-            self.authorize(ctx, entry, Perm::OWNER)?;
+            self.authorize(ctx, &entry.meta.acl, Perm::OWNER)?;
             let before = entry.landmarks.len();
             let removed: Vec<ObjectMeta> = entry
                 .landmarks
@@ -470,7 +470,7 @@ impl<D: BlockDev> S4Drive<D> {
     pub fn landmarks(&self, ctx: &RequestContext, oid: ObjectId) -> Result<Vec<(SimTime, u64)>> {
         let mut inner = self.inner.lock();
         self.with_object(&mut inner, oid, |_, entry| {
-            self.authorize(ctx, entry, Perm::READ)?;
+            self.authorize(ctx, &entry.meta.acl, Perm::READ)?;
             Ok(entry
                 .landmarks
                 .iter()

@@ -66,8 +66,7 @@ impl<D: BlockDev> S4Drive<D> {
                 entry.history_floor = entry.history_floor.max(rec.floor);
             }
             let cp_modified = entry.meta.modified;
-            let sectors = entry.sectors.clone();
-            for s in &sectors {
+            for s in &entry.sectors {
                 if s.newest <= cp_modified {
                     continue;
                 }

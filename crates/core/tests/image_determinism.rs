@@ -54,21 +54,20 @@ fn run() -> (u64, u64, u64) {
     .expect("format");
     let mut rng = Rng(0x5E_ED0F_5E1F);
     let mut oids: Vec<ObjectId> = Vec::new();
-    let mut marks: Vec<(ObjectId, s4_clock::SimTime)> = Vec::new();
+    let mut marked: Vec<ObjectId> = Vec::new();
     let mut outcome = 0u64;
     let mut unanchored_maintenance = false;
     let mut note = |ok: bool| outcome = outcome.wrapping_mul(31).wrapping_add(ok as u64 + 1);
 
     for step in 0..1_500u32 {
         clock.advance(SimDuration::from_millis(20 + rng.below(60)));
-        let pick = |rng: &mut Rng, oids: &[ObjectId]| oids[rng.below(oids.len() as u64) as usize];
         if oids.len() < 4 || rng.below(100) < 6 {
             let oid = d.op_create(&user, None).expect("create");
             oids.push(oid);
             note(d.op_pcreate(&user, &format!("p{}", oid.0), oid).is_ok());
             continue;
         }
-        let oid = pick(&mut rng, &oids);
+        let oid = oids[rng.below(oids.len() as u64) as usize];
         let op = rng.below(100);
         unanchored_maintenance = match op {
             85..=97 => true,
@@ -126,11 +125,11 @@ fn run() -> (u64, u64, u64) {
             95..=96 => {
                 let t = d.now().saturating_sub(SimDuration::from_secs(rng.below(5)));
                 if d.op_mark_landmark(&user, oid, t).is_ok() {
-                    marks.push((oid, t));
+                    marked.push(oid);
                 }
             }
             97 => {
-                if let Some((oid, _)) = marks.pop() {
+                if let Some(oid) = marked.pop() {
                     if let Ok(list) = d.landmarks(&user, oid) {
                         for (modified, _) in list {
                             note(d.op_unmark_landmark(&user, oid, modified).is_ok());
