@@ -10,7 +10,9 @@ use s4_core::{
     AuditObserver, AuditRecord, ClientId, DriveConfig, ObjectId, Request, RequestContext, Response,
     S4Error, UserId,
 };
-use s4_simdisk::{FaultPlan, FaultyDisk, MemDisk, RequestClassMask};
+use s4_simdisk::{
+    BlockDev, DiskModelParams, FaultPlan, FaultyDisk, MemDisk, RequestClassMask, TimedDisk,
+};
 
 type Disk = FaultyDisk<MemDisk>;
 
@@ -114,7 +116,7 @@ fn array_with_plans(
 }
 
 /// All-InSync digests must agree member-to-member within every shard.
-fn assert_mirrors_converged(a: &S4Array<Disk>) {
+fn assert_mirrors_converged<D: BlockDev + 'static>(a: &S4Array<D>) {
     let adm = admin();
     for s in 0..a.shard_count() {
         let first = a.member_drive(s, 0);
@@ -409,5 +411,98 @@ fn batch_outcomes_map_failures_to_original_indices() {
 
     // All-or-nothing: the even write was rolled back with the batch.
     assert_eq!(read(&a, &ctx, even, 4), b"");
+    assert_mirrors_converged(&a);
+}
+
+/// A drive whose CPU model charges the shared clock for every request:
+/// the clock moves between member 0's execution of a job and member
+/// 1's — which is exactly what another shard's coordinator does to it
+/// under load, forced here without a thread.
+fn charging_cpu() -> DriveConfig {
+    DriveConfig {
+        cpu: DriveConfig::default().cpu,
+        ..DriveConfig::small_test()
+    }
+}
+
+#[test]
+fn mirrors_agree_when_the_clock_moves_between_members() {
+    let clock = SimClock::new();
+    clock.advance(SimDuration::from_secs(1));
+    let a = S4Array::format(vec![clean_disk(), clean_disk()], charging_cpu(), mirrored(2), clock)
+        .unwrap();
+    let ctx = user();
+    let oid = create(&a, &ctx);
+    write(&a, &ctx, oid, b"one instant per job");
+    a.dispatch(&ctx, &Request::Sync).unwrap();
+    assert_mirrors_converged(&a);
+}
+
+/// The configuration every `fig_*` bench runs: timed disks charging the
+/// shared clock, so every device write moves it — between the members
+/// of one job, between sub-requests of one batch, between the formats
+/// of two siblings. Every user of the mirror fan-out is driven once.
+#[test]
+fn mirrors_agree_on_timed_disks_through_every_fan_out_user() {
+    type Timed = TimedDisk<MemDisk>;
+    let cfg = charging_cpu();
+    let clock = SimClock::new();
+    clock.advance(SimDuration::from_secs(1));
+    let devices: Vec<Timed> = (0..4)
+        .map(|_| {
+            TimedDisk::new(
+                MemDisk::with_capacity_bytes(64 << 20),
+                DiskModelParams::cheetah_9gb_10k(),
+                clock.clone(),
+            )
+        })
+        .collect();
+    // Format installs the epoch note on shard 0's members.
+    let a = S4Array::format(devices, cfg, mirrored(2), clock.clone()).unwrap();
+    let ctx = user();
+    let put = |oid: ObjectId, data: &[u8]| Request::Write {
+        oid,
+        offset: 0,
+        data: data.to_vec(),
+    };
+    let created = |resp| match resp {
+        Response::Created(oid) => oid,
+        other => panic!("unexpected response {other:?}"),
+    };
+    let even = created(a.dispatch(&ctx, &Request::Create).unwrap());
+    let odd = created(a.dispatch(&ctx, &Request::Create).unwrap());
+    assert_eq!((even.0 % 2, odd.0 % 2), (0, 1), "one object per shard");
+
+    // Plain mutations.
+    a.dispatch(&ctx, &put(even, b"plain even")).unwrap();
+    a.dispatch(&ctx, &put(odd, b"plain odd")).unwrap();
+    a.dispatch(&ctx, &Request::Sync).unwrap();
+    // One shard's batch on the plain path: the CPU charge moves the
+    // clock between its sub-requests.
+    a.dispatch(&ctx, &Request::Batch(vec![put(even, b"first"), put(even, b"second")]))
+        .unwrap();
+    // The same with a flush in the middle — a device write. `Sync`
+    // inside a batch goes to every shard, so this one runs as a
+    // two-phase commit whose prepare executes `[Write, Sync, Write]`.
+    let flushed = vec![put(even, b"third"), Request::Sync, put(even, b"fourth")];
+    a.dispatch(&ctx, &Request::Batch(flushed)).unwrap();
+    // A cross-shard batch that commits: prepare, decision note on shard
+    // 0, decide, note retired.
+    a.dispatch(&ctx, &Request::Batch(vec![put(even, b"both"), put(odd, b"both")]))
+        .unwrap();
+    // One that aborts on shard 1: shard 0 is compensated.
+    let missing = ObjectId(odd.0 + 1000);
+    a.dispatch(&ctx, &Request::Batch(vec![put(even, b"undone"), put(missing, b"ghost")]))
+        .unwrap_err();
+    assert!(
+        a.txn_status_text().starts_with("committed=2 aborted=1"),
+        "status: {}",
+        a.txn_status_text()
+    );
+    assert_mirrors_converged(&a);
+
+    // The same answer from the devices alone.
+    let devices = a.unmount().unwrap();
+    let (a, _) = S4Array::mount(devices, cfg, mirrored(2), clock).unwrap();
     assert_mirrors_converged(&a);
 }
