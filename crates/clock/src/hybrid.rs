@@ -73,16 +73,20 @@ impl fmt::Display for HybridTimestamp {
 pub struct HybridClock {
     clock: SimClock,
     seq: Arc<AtomicU64>,
+    /// The instant [`HybridClock::pinned`] holds this issuer at, in
+    /// microseconds; [`UNPINNED`] while it follows the clock.
+    pin: Arc<AtomicU64>,
 }
+
+/// No pin set. `SimTime::MAX` is the end-of-time sentinel, never an
+/// instant a clock reaches.
+const UNPINNED: u64 = u64::MAX;
 
 impl HybridClock {
     /// Creates a stamp issuer over `clock`, starting the sequence at 1
     /// (sequence 0 is reserved for [`HybridTimestamp::ZERO`]).
     pub fn new(clock: SimClock) -> Self {
-        HybridClock {
-            clock,
-            seq: Arc::new(AtomicU64::new(1)),
-        }
+        Self::resuming_from(clock, 1)
     }
 
     /// Creates a stamp issuer whose next sequence number is `next_seq`;
@@ -92,24 +96,43 @@ impl HybridClock {
         HybridClock {
             clock,
             seq: Arc::new(AtomicU64::new(next_seq)),
+            pin: Arc::new(AtomicU64::new(UNPINNED)),
         }
+    }
+
+    /// The instant a stamp issued now would carry: the pin while one is
+    /// set, the clock otherwise.
+    pub fn now(&self) -> SimTime {
+        match self.pin.load(Ordering::SeqCst) {
+            UNPINNED => self.clock.now(),
+            at => SimTime::from_micros(at),
+        }
+    }
+
+    /// Runs `f` with every stamp issued, and [`HybridClock::now`], held
+    /// at `at` however far the clock moves meanwhile; the previous
+    /// state returns when `f` does, or unwinds. Two uses: a replayed
+    /// mutation must carry its *original* time (the sequence stays this
+    /// issuer's own), and replicas re-executing one request must all
+    /// stamp it at one instant although they share a clock that each
+    /// one's own charges advance.
+    pub fn pinned<R>(&self, at: SimTime, f: impl FnOnce() -> R) -> R {
+        struct Restore<'a>(&'a AtomicU64, u64);
+        impl Drop for Restore<'_> {
+            fn drop(&mut self) {
+                self.0.store(self.1, Ordering::SeqCst);
+            }
+        }
+        let _restore = Restore(&self.pin, self.pin.swap(at.as_micros(), Ordering::SeqCst));
+        f()
     }
 
     /// Issues the next stamp.
     pub fn next(&self) -> HybridTimestamp {
         HybridTimestamp {
-            time: self.clock.now(),
+            time: self.now(),
             seq: self.seq.fetch_add(1, Ordering::SeqCst),
         }
-    }
-
-    /// Issues just the next sequence number, letting the caller pair it
-    /// with a time of their choosing. Used when replaying state onto a
-    /// replacement drive: the rebuilt stamps must carry the *original*
-    /// mutation times (so time-based reads agree across replicas) while
-    /// the sequence stream stays strictly increasing on this drive.
-    pub fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::SeqCst)
     }
 
     /// Returns the sequence number the next call to [`HybridClock::next`]
@@ -172,6 +195,25 @@ mod tests {
         let saved = hc.peek_seq();
         let resumed = HybridClock::resuming_from(clock, saved);
         assert_eq!(resumed.next().seq, saved);
+    }
+
+    #[test]
+    fn a_pin_holds_the_instant_while_the_clock_moves_and_unwinds_cleanly() {
+        let clock = SimClock::new();
+        let hc = HybridClock::new(clock.clone());
+        let at = SimTime::from_micros(5);
+        let (a, b) = hc.pinned(at, || {
+            let a = hc.next();
+            clock.advance(SimDuration::from_micros(100));
+            (a, hc.next())
+        });
+        assert_eq!((a.time, b.time, hc.now()), (at, at, clock.now()));
+        assert!(a < b, "the sequence still orders stamps of one instant");
+
+        let hc2 = hc.clone();
+        let unwound = std::panic::catch_unwind(move || hc2.pinned(at, || panic!("step failed")));
+        assert!(unwound.is_err());
+        assert_eq!(hc.next().time, clock.now(), "an unwinding step leaves no pin behind");
     }
 
     #[test]

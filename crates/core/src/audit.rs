@@ -43,6 +43,15 @@ pub enum OpKind {
 }
 
 impl OpKind {
+    /// True if an operation of this kind can change drive state — what
+    /// [`crate::Request::mutates`] answers for a request, answerable
+    /// from an audit record too: the records two mirror members share
+    /// are exactly those of mutations.
+    pub fn mutates(self) -> bool {
+        use OpKind::*;
+        !matches!(self, Read | GetAttr | GetAclByUser | GetAclByIndex | PList | PMount)
+    }
+
     /// Parses the on-disk representation.
     pub fn from_u8(v: u8) -> Result<OpKind> {
         if (1..=21).contains(&v) {

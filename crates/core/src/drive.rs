@@ -435,9 +435,22 @@ impl<D: BlockDev> S4Drive<D> {
         &self.clock
     }
 
-    /// Current simulated time.
+    /// The instant this drive persists for what it does now — version
+    /// stamps, audit and alert times: the clock's, unless the drive is
+    /// held [`at`](Self::at) one. Durations and cost-model charges read
+    /// and advance [`S4Drive::clock`] itself.
     pub fn now(&self) -> SimTime {
-        self.clock.now()
+        self.stamps.now()
+    }
+
+    /// Runs `f` with every instant the drive persists held at `t`. A
+    /// mirror group's worker reads the clock once per job and applies
+    /// the job to each member at that instant, so members sharing a
+    /// clock — which each one's own charges advance — still write equal
+    /// bytes. A drive under an array has one mutating caller, its shard
+    /// worker; a lone drive is never held.
+    pub fn at<R>(&self, t: SimTime, f: impl FnOnce(&Self) -> R) -> R {
+        self.stamps.pinned(t, || f(self))
     }
 
     /// Live operation counters.
@@ -562,7 +575,7 @@ impl<D: BlockDev> S4Drive<D> {
         }
         self.persist_trace(TraceRecord {
             seq: 0, // assigned by the persisted stream
-            time_us: self.now().as_micros(),
+            time_us: self.clock.now().as_micros(),
             user: ctx.user.0,
             client: ctx.client.0,
             op: op as u8,
@@ -933,7 +946,7 @@ impl<D: BlockDev> S4Drive<D> {
     /// history (the sequence component is drive-local), else now.
     pub(crate) fn stamp_at(&self, time: Option<SimTime>) -> HybridTimestamp {
         match time {
-            Some(t) => HybridTimestamp::new(t, self.stamps.next_seq()),
+            Some(t) => self.stamps.pinned(t, || self.stamps.next()),
             None => self.stamps.next(),
         }
     }

@@ -467,7 +467,7 @@ impl<D: BlockDev> S4Drive<D> {
     pub fn system_alert(&self, rule: &str, message: &str) {
         let blob = encode_system_alert(
             rule.as_bytes(),
-            self.clock.now().as_micros(),
+            self.now().as_micros(),
             message.as_bytes(),
         );
         self.alert_append(&blob);
@@ -491,7 +491,7 @@ impl<D: BlockDev> S4Drive<D> {
             inner.alert_growth_warned = true;
             let msg =
                 format!("alert object reached {blocks} flushed blocks (warn threshold {warn})");
-            let now = self.clock.now().as_micros();
+            let now = self.now().as_micros();
             let self_alert = encode_system_alert(b"alert-object-growth", now, msg.as_bytes());
             inner
                 .alerts
@@ -621,7 +621,7 @@ impl<D: BlockDev> S4Drive<D> {
     ) -> Result<u64> {
         self.require_admin(ctx)?;
         let inner = &mut *self.inner.lock();
-        let now = self.clock.now().as_micros();
+        let now = self.now().as_micros();
         let cutoff = now.saturating_sub(inner.window.as_micros());
         // Blob times are monotone across the stream, so the first block
         // whose newest entry is in-window ends the prefix to release.

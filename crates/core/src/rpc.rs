@@ -196,17 +196,10 @@ impl Request {
     /// True if this request can change drive state. Redundancy layers
     /// use this to decide which requests must reach every replica
     /// (mutations) versus any one live replica (pure reads). `Batch` is
-    /// conservatively a mutation — its sub-requests usually include one.
+    /// conservatively a mutation — its sub-requests usually include one
+    /// (and its [`OpKind`] stands in as `Sync`, which is one).
     pub fn mutates(&self) -> bool {
-        !matches!(
-            self,
-            Request::Read { .. }
-                | Request::GetAttr { .. }
-                | Request::GetAclByUser { .. }
-                | Request::GetAclByIndex { .. }
-                | Request::PList { .. }
-                | Request::PMount { .. }
-        )
+        self.op_kind().mutates()
     }
 
     /// Approximate request size on the wire, for network cost models.
@@ -252,7 +245,7 @@ impl<D: BlockDev> S4Drive<D> {
         }
         self.stats().requests(1);
         s4_obs::span::begin();
-        let t_start = self.now().as_micros();
+        let t_start = self.clock().now().as_micros();
         let touched = match req {
             Request::Write { data, .. } | Request::Append { data, .. } => data.len(),
             Request::Read { len, .. } => *len as usize,
@@ -300,13 +293,13 @@ impl<D: BlockDev> S4Drive<D> {
         let span = s4_obs::span::take();
         self.record_dispatch(s4_obs::TraceRecord {
             seq: 0, // assigned by the persisted stream
-            time_us: self.now().as_micros(),
+            time_us: self.clock().now().as_micros(),
             user: ctx.user.0,
             client: ctx.client.0,
             op: req.op_kind() as u8,
             ok: result.is_ok(),
             object: object.0,
-            rpc_us: self.now().as_micros() - t_start,
+            rpc_us: self.clock().now().as_micros() - t_start,
             journal_us: span[s4_obs::Layer::Journal as usize],
             lfs_us: span[s4_obs::Layer::Lfs as usize],
             disk_us: span[s4_obs::Layer::Disk as usize],
