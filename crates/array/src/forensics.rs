@@ -9,14 +9,15 @@
 //! so compromising one shard (or the array frontend itself) cannot
 //! rewrite another shard's history.
 
-use s4_core::{AuditRecord, ObjectId, RequestContext, S4Error};
+use s4_core::{AuditRecord, ObjectId, RequestContext, S4Drive, S4Error};
 use s4_detect::{
     assemble_traces, flight_log, install_standard_monitor, object_timeline, FlightEntry,
     TimelineEvent, TraceTree,
 };
 use s4_simdisk::BlockDev;
 
-use crate::array::{MemberState, S4Array};
+use crate::array::S4Array;
+use crate::shard::{first_difference, MemberState};
 
 /// A record tagged with the shard whose log it came from.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -40,23 +41,30 @@ impl<D: BlockDev + 'static> S4Array<D> {
         }
     }
 
+    /// One record stream per shard (read from its first live member by
+    /// `read`), merged into one and sorted by `key` — ties keep shard
+    /// order, the merge is stable.
+    fn merged<T, K: Ord>(
+        &self,
+        read: impl Fn(&S4Drive<D>) -> Result<Vec<T>, S4Error>,
+        key: impl Fn(&T) -> K,
+    ) -> Result<Vec<Sharded<T>>, S4Error> {
+        let mut all = Vec::new();
+        for shard in 0..self.shard_count() {
+            let records = read(&self.shard_drive(shard))?;
+            all.extend(records.into_iter().map(|record| Sharded { shard, record }));
+        }
+        all.sort_by_key(|r| key(&r.record));
+        Ok(all)
+    }
+
     /// Every shard's audit log merged into one stream, sorted by
-    /// record time (ties keep shard order — the merge is stable).
+    /// record time.
     pub fn read_audit_merged(
         &self,
         admin: &RequestContext,
     ) -> Result<Vec<Sharded<AuditRecord>>, S4Error> {
-        let mut all = Vec::new();
-        for s in 0..self.shard_count() {
-            all.extend(
-                self.shard_drive(s)
-                    .read_audit_records(admin)?
-                    .into_iter()
-                    .map(|record| Sharded { shard: s, record }),
-            );
-        }
-        all.sort_by_key(|r| r.record.time);
-        Ok(all)
+        self.merged(|d| d.read_audit_records(admin), |r| r.time)
     }
 
     /// Every shard's alert stream merged, sorted by raise time (the
@@ -65,17 +73,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
         &self,
         admin: &RequestContext,
     ) -> Result<Vec<Sharded<Vec<u8>>>, S4Error> {
-        let mut all = Vec::new();
-        for s in 0..self.shard_count() {
-            all.extend(
-                self.shard_drive(s)
-                    .read_alerts(admin)?
-                    .into_iter()
-                    .map(|record| Sharded { shard: s, record }),
-            );
-        }
-        all.sort_by_key(|r| alert_time(&r.record));
-        Ok(all)
+        self.merged(|d| d.read_alerts(admin), |blob| alert_time(blob))
     }
 
     /// Every shard's flight recorder merged, sorted by completion time.
@@ -83,16 +81,34 @@ impl<D: BlockDev + 'static> S4Array<D> {
         &self,
         admin: &RequestContext,
     ) -> Result<Vec<Sharded<FlightEntry>>, S4Error> {
-        let mut all = Vec::new();
-        for s in 0..self.shard_count() {
-            all.extend(
-                flight_log(&self.shard_drive(s), admin)?
-                    .into_iter()
-                    .map(|record| Sharded { shard: s, record }),
-            );
+        self.merged(|d| flight_log(d, admin), |e| e.time)
+    }
+
+    /// Do the mirrors agree? Compares the in-sync members of every
+    /// shard — live-object set, [`S4Drive::object_digest`] per object,
+    /// the audit records of mutations, and alerts (a read is served,
+    /// audited and traced by one member only, so it is no part of what
+    /// replicas share) — and names the first difference with the fields
+    /// that differ.
+    pub fn check_mirrors(&self, admin: &RequestContext) -> Result<(), String> {
+        for (s, states) in self.member_states().iter().enumerate() {
+            let in_sync: Vec<usize> = (0..states.len())
+                .filter(|&k| states[k] == MemberState::InSync)
+                .collect();
+            // Agreement is transitive: neighbours suffice.
+            for pair in in_sync.windows(2) {
+                let (a, b) = (self.member_drive(s, pair[0]), self.member_drive(s, pair[1]));
+                let diff =
+                    first_difference(&a, &b, admin, false).unwrap_or_else(|e| Some(e.to_string()));
+                if let Some(diff) = diff {
+                    return Err(format!(
+                        "shard {s} members {} and {}: {diff}",
+                        pair[0], pair[1]
+                    ));
+                }
+            }
         }
-        all.sort_by_key(|r| r.record.time);
-        Ok(all)
+        Ok(())
     }
 
     /// Every *member* drive's flight log, labeled `(shard, member,
@@ -122,10 +138,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
     /// reads all member flight logs and joins them on trace id (DESIGN
     /// §6j). Entirely computed from the crash-surviving per-drive
     /// streams, so it works identically on a freshly mounted array.
-    pub fn assemble_all_traces(
-        &self,
-        admin: &RequestContext,
-    ) -> Result<Vec<TraceTree>, S4Error> {
+    pub fn assemble_all_traces(&self, admin: &RequestContext) -> Result<Vec<TraceTree>, S4Error> {
         Ok(assemble_traces(&self.member_flight_logs(admin)?))
     }
 

@@ -47,14 +47,20 @@
 #![warn(missing_docs)]
 
 mod array;
+mod dispatch;
 pub mod epoch;
+mod flip;
 mod forensics;
 mod metrics;
 pub mod router;
+mod shard;
 mod transport;
+mod txn;
 
-pub use array::{ArrayConfig, BatchOutcome, MemberState, S4Array};
+pub use array::{ArrayConfig, S4Array};
+pub use dispatch::BatchOutcome;
 pub use epoch::{EpochInfo, FlipReport, EPOCH_NOTE_PREFIX, RESERVED_NAME_PREFIX};
 pub use forensics::Sharded;
 pub use router::{dense_of, is_reserved, shard_of, slot_of};
+pub use shard::MemberState;
 pub use transport::ArrayTransport;

@@ -11,22 +11,39 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use s4_core::S4Drive;
+use s4_obs::HistogramSnapshot;
 use s4_simdisk::BlockDev;
 
 use crate::array::S4Array;
 
+/// Every shard's samples of one metric kind, by metric name: one
+/// `(slot, value)` per shard, in dense shard order.
+type Samples<V> = BTreeMap<String, Vec<(usize, V)>>;
+
+/// Value of metric `name` in a registry's counter or gauge listing;
+/// zero if it was never touched.
+fn get<V: Copy + Default>(values: &[(String, V)], name: &str) -> V {
+    values
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(V::default(), |(_, v)| *v)
+}
+
 impl<D: BlockDev + 'static> S4Array<D> {
-    /// Prometheus-style text exposition: one `name{shard="i"}` sample
-    /// per member drive plus an unlabeled array total per name.
-    pub fn metrics_text(&self) -> String {
-        let n = self.shard_count();
-        let mut counters: BTreeMap<String, Vec<(usize, u64)>> = BTreeMap::new();
-        let mut gauges: BTreeMap<String, Vec<(usize, f64)>> = BTreeMap::new();
-        let mut hists: BTreeMap<String, Vec<(usize, s4_obs::HistogramSnapshot)>> = BTreeMap::new();
-        for s in 0..n {
+    /// Reads every shard's registry (its first live member's) after
+    /// `refresh` has made the drive bring its operational gauges up to
+    /// date.
+    fn gather(
+        &self,
+        mut refresh: impl FnMut(&S4Drive<D>),
+    ) -> (Samples<u64>, Samples<f64>, Samples<HistogramSnapshot>) {
+        let (mut counters, mut gauges, mut hists) =
+            (Samples::new(), Samples::new(), Samples::new());
+        for s in 0..self.shard_count() {
             let drive = self.shard_drive(s);
             let slot = self.shard_slot(s);
-            drive.metrics_text(); // refresh operational gauges
+            refresh(&drive);
             for (name, v) in drive.registry().counter_values() {
                 counters.entry(name).or_default().push((slot, v));
             }
@@ -37,6 +54,16 @@ impl<D: BlockDev + 'static> S4Array<D> {
                 hists.entry(name).or_default().push((slot, v));
             }
         }
+        (counters, gauges, hists)
+    }
+
+    /// Prometheus-style text exposition: one `name{shard="i"}` sample
+    /// per member drive plus an unlabeled array total per name.
+    pub fn metrics_text(&self) -> String {
+        let n = self.shard_count();
+        let (counters, gauges, hists) = self.gather(|drive| {
+            drive.metrics_text();
+        });
         let mut out = String::new();
         let _ = writeln!(out, "# HELP s4_array_shards mirror groups in the array");
         let _ = writeln!(out, "# TYPE s4_array_shards gauge");
@@ -59,21 +86,25 @@ impl<D: BlockDev + 'static> S4Array<D> {
         let _ = writeln!(out, "s4_array_degraded {degraded_total}");
         for (name, samples) in &counters {
             let _ = writeln!(out, "# TYPE {name} counter");
-            let mut total = 0u64;
             for (s, v) in samples {
-                total += v;
                 let _ = writeln!(out, "{name}{{shard=\"{s}\"}} {v}");
             }
-            let _ = writeln!(out, "{name} {total}");
+            let _ = writeln!(
+                out,
+                "{name} {}",
+                samples.iter().map(|(_, v)| v).sum::<u64>()
+            );
         }
         for (name, samples) in &gauges {
             let _ = writeln!(out, "# TYPE {name} gauge");
-            let mut total = 0.0f64;
             for (s, v) in samples {
-                total += v;
                 let _ = writeln!(out, "{name}{{shard=\"{s}\"}} {v}");
             }
-            let _ = writeln!(out, "{name} {total}");
+            let _ = writeln!(
+                out,
+                "{name} {}",
+                samples.iter().fold(0.0, |sum, (_, v)| sum + v)
+            );
         }
         // Histograms stay per shard: quantiles do not sum, so each
         // shard's summary is exported under its own label and no
@@ -100,47 +131,33 @@ impl<D: BlockDev + 'static> S4Array<D> {
     /// counters plus mount-time recovery counts (served on the TCP txn
     /// frame).
     pub fn txn_status_text(&self) -> String {
-        let get = |name: &str| {
-            self.txn_registry()
-                .counter_values()
-                .into_iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| v)
-                .unwrap_or(0)
-        };
+        let counters = self.txn_registry().counter_values();
         format!(
             "committed={} aborted={} lagging={} recovered_commit={} recovered_abort={}",
-            get("s4_txn_committed_total"),
-            get("s4_txn_aborted_total"),
-            get("s4_txn_lagging_total"),
-            get("s4_txn_recovered_commit_total"),
-            get("s4_txn_recovered_abort_total"),
+            get(&counters, "s4_txn_committed_total"),
+            get(&counters, "s4_txn_aborted_total"),
+            get(&counters, "s4_txn_lagging_total"),
+            get(&counters, "s4_txn_recovered_commit_total"),
+            get(&counters, "s4_txn_recovered_abort_total"),
         )
     }
 
     /// One-line reshard status: the routing epoch plus the progress
     /// gauges of any in-flight split (served on the TCP reshard frame).
     pub fn reshard_status_text(&self) -> String {
-        let get = |name: &str| {
-            self.reshard_registry()
-                .gauge_values()
-                .into_iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| v)
-                .unwrap_or(0.0)
-        };
+        let gauges = self.reshard_registry().gauge_values();
         let e = self.epoch();
         format!(
             "epoch seq={} base={} bits={:#b} active={} source_slot={} snapshot={} catchup={} lag={} rounds={}",
             e.seq,
             e.base,
             e.bits,
-            get("s4_reshard_active") as u64,
-            get("s4_reshard_source_slot") as u64,
-            get("s4_reshard_snapshot_objects") as u64,
-            get("s4_reshard_catchup_objects") as u64,
-            get("s4_reshard_lag") as u64,
-            get("s4_reshard_rounds") as u64,
+            get(&gauges, "s4_reshard_active") as u64,
+            get(&gauges, "s4_reshard_source_slot") as u64,
+            get(&gauges, "s4_reshard_snapshot_objects") as u64,
+            get(&gauges, "s4_reshard_catchup_objects") as u64,
+            get(&gauges, "s4_reshard_lag") as u64,
+            get(&gauges, "s4_reshard_rounds") as u64,
         )
     }
 
@@ -153,23 +170,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
     pub fn metrics_json(&self) -> String {
         let n = self.shard_count();
         let mut per_shard = Vec::with_capacity(n);
-        let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-        let mut gauges: BTreeMap<String, f64> = BTreeMap::new();
-        let mut hists: BTreeMap<String, Vec<(usize, s4_obs::HistogramSnapshot)>> = BTreeMap::new();
-        for s in 0..n {
-            let drive = self.shard_drive(s);
-            let slot = self.shard_slot(s);
-            per_shard.push(drive.metrics_json()); // refreshes gauges too
-            for (name, v) in drive.registry().counter_values() {
-                *counters.entry(name).or_insert(0) += v;
-            }
-            for (name, v) in drive.registry().gauge_values() {
-                *gauges.entry(name).or_insert(0.0) += v;
-            }
-            for (name, v) in drive.registry().histogram_values() {
-                hists.entry(name).or_default().push((slot, v));
-            }
-        }
+        let (counters, gauges, hists) = self.gather(|drive| per_shard.push(drive.metrics_json()));
         // Quantiles do not sum, so the aggregate keeps histograms
         // shard-labeled: {"name":{"<slot>":{count,p50,p90,p99,max}}}.
         let histograms = hists
@@ -191,12 +192,17 @@ impl<D: BlockDev + 'static> S4Array<D> {
             .join(",");
         let counters = counters
             .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
+            .map(|(k, samples)| format!("\"{k}\":{}", samples.iter().map(|(_, v)| v).sum::<u64>()))
             .collect::<Vec<_>>()
             .join(",");
         let gauges = gauges
             .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
+            .map(|(k, samples)| {
+                format!(
+                    "\"{k}\":{}",
+                    samples.iter().fold(0.0, |sum, (_, v)| sum + v)
+                )
+            })
             .collect::<Vec<_>>()
             .join(",");
         let degraded = (0..n)

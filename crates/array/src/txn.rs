@@ -1,0 +1,282 @@
+//! Cross-shard atomic batches (DESIGN §6i): the coordinator's port onto
+//! the shard workers, and the worker-side steps — prepare, decide, and
+//! the decision/epoch notes on shard 0 — each one fan-out at one
+//! instant.
+
+use std::collections::BTreeMap;
+
+use s4_clock::sync::RwLock;
+use s4_clock::{SimClock, SimDuration};
+use s4_core::{
+    ClientId, ObjectId, OpKind, Request, RequestContext, Response, S4Error, TraceCtx,
+    PARTITION_OBJECT, PHASE_DECIDE, PHASE_NOTE, PHASE_PREPARE,
+};
+use s4_obs::Registry;
+use s4_simdisk::BlockDev;
+use s4_txn::{note_name, TwoPhaseOps, TxId, TxnOutcome};
+
+use crate::array::{Routing, S4Array};
+use crate::shard::{in_phase, Shard};
+
+impl<D: BlockDev> Shard<D> {
+    /// Phase 1 of a cross-shard transaction on this shard: execute the
+    /// sub-batch on every in-sync member via
+    /// [`s4_core::S4Drive::txn_prepare_at`] and answer with the
+    /// canonical responses — the yes-vote. The restore point `t0` is
+    /// the job's instant and the clock is advanced past it exactly
+    /// once, so every member stamps the sub-batch's effects at
+    /// `t0 + 1 µs`: strictly after the restore point, identically on
+    /// every mirror. A faulting member is *not* retried — a prepare is
+    /// not idempotent under partial re-execution (the transaction id is
+    /// already open on the member) — it leaves service and the
+    /// survivors carry the shard.
+    pub(crate) fn prepare(
+        &self,
+        ctx: &RequestContext,
+        txid: u64,
+        reqs: &[Request],
+    ) -> s4_core::Result<Vec<Response>> {
+        let tick = SimDuration::from_micros(1);
+        let t0 = self.instant();
+        self.clock.advance(tick);
+        // The sub-requests run through the member's regular dispatch,
+        // so a traced transaction's prepare leaves ordinary trace
+        // records, stamped with the 2PC phase.
+        let ctx = in_phase(ctx, PHASE_PREPARE);
+        self.fan_out(t0 + tick, true, |drive| {
+            drive.txn_prepare_at(&ctx, txid, t0, reqs)
+        })
+    }
+
+    /// Phase 2 on this shard: commit or abort `txid` on every in-sync
+    /// member (an abort's compensation is stamped at the job's
+    /// instant). A traced decide leaves a synthetic span on each
+    /// member's trace stream (`txn_decide` is a direct call, not a
+    /// dispatched request, so no record would exist otherwise); `ok`
+    /// carries the decision. Deciding a transaction a member never saw
+    /// is an idempotent no-op.
+    pub(crate) fn decide(
+        &self,
+        ctx: &RequestContext,
+        txid: u64,
+        commit: bool,
+    ) -> s4_core::Result<()> {
+        let ctx = in_phase(ctx, PHASE_DECIDE);
+        self.fan_out(self.instant(), true, |drive| {
+            drive.txn_decide(txid, commit)?;
+            drive.record_phase_trace(&ctx, OpKind::Sync, ObjectId(txid), commit, 0);
+            Ok(())
+        })
+    }
+
+    /// Installs and/or retires array-internal notes in the shard's
+    /// partition table (shard 0 only): create `create`, remove every
+    /// name in `remove`, then journal-flush. Reshard epoch notes and
+    /// transaction decision notes both ride this — the flush after the
+    /// create *is* their durability commit point (recovery replays the
+    /// journal, so the note survives a crash without paying for a full
+    /// anchor in the caller's window). It runs on the worker like any
+    /// mutation, so the partition object's bytes stay identical across
+    /// mirrors with respect to interleaved client `PCreate`s. Every
+    /// step is idempotent: a crash between members leaves a divergence
+    /// that [`S4Array::mount`] repairs (epoch notes: highest sequence
+    /// wins; transaction notes: any member's note commits the
+    /// transaction). `trace` is the transaction whose decision this is
+    /// (default = untraced: epoch notes, lazy retires).
+    pub(crate) fn note(
+        &self,
+        create: Option<&str>,
+        remove: &[String],
+        trace: TraceCtx,
+    ) -> s4_core::Result<()> {
+        self.fan_out(self.instant(), true, |drive| {
+            let admin = RequestContext::admin(ClientId(0), drive.config().admin_token);
+            if let Some(new) = create {
+                match drive.op_pcreate(&admin, new, PARTITION_OBJECT) {
+                    Ok(_) | Err(S4Error::PartitionExists) => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            for old in remove {
+                match drive.op_pdelete(&admin, old) {
+                    Ok(_) | Err(S4Error::NoSuchPartition) => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            drive.op_sync(&admin)?;
+            // A traced note (a 2PC decision install) leaves a span on
+            // the member's trace stream *after* its durability barrier
+            // — the record's presence means the commit point really
+            // passed here.
+            if create.is_some() {
+                let ctx = in_phase(&admin.with_trace(trace), PHASE_NOTE);
+                drive.record_phase_trace(&ctx, OpKind::PCreate, PARTITION_OBJECT, true, 0);
+            }
+            Ok(())
+        })
+    }
+}
+
+/// The array-side port of the two-phase-commit driver: protocol
+/// messages become shard-worker jobs against a held routing snapshot,
+/// and the decision note lives in shard 0's partition table with the
+/// same flush-is-durability discipline as the reshard epoch note.
+struct ArrayTxn<'a, D: BlockDev> {
+    r: &'a Routing<D>,
+    ctx: RequestContext,
+    subs: &'a [Vec<Request>],
+    responses: BTreeMap<usize, Vec<Response>>,
+    clock: &'a SimClock,
+    reg: &'a Registry,
+}
+
+impl<D: BlockDev + 'static> ArrayTxn<'_, D> {
+    /// Runs one protocol step on `shard`'s worker, recording how long
+    /// the coordinator waited for it under `metric`.
+    fn timed<T: Send + 'static>(
+        &self,
+        shard: usize,
+        (name, help): (&'static str, &'static str),
+        step: impl FnOnce(&Shard<D>) -> s4_core::Result<T> + Send + 'static,
+    ) -> s4_core::Result<T> {
+        let started = self.clock.now();
+        let r = self.r.shards[shard].call(step);
+        let waited = self.clock.now() - started;
+        self.reg.histogram(name, help).record(waited.as_micros());
+        r
+    }
+}
+
+impl<D: BlockDev + 'static> TwoPhaseOps for ArrayTxn<'_, D> {
+    type Err = S4Error;
+
+    fn prepare(&mut self, shard: usize, txid: TxId) -> Result<(), S4Error> {
+        let (ctx, reqs) = (self.ctx, self.subs[shard].clone());
+        let resps = self.timed(
+            shard,
+            (
+                "s4_txn_prepare_us",
+                "per-participant 2PC prepare latency (execute + journal flush)",
+            ),
+            move |s| s.prepare(&ctx, txid.0, &reqs),
+        )?;
+        self.responses.insert(shard, resps);
+        Ok(())
+    }
+
+    fn record_decision(&mut self, txid: TxId) -> Result<(), S4Error> {
+        let (name, trace) = (note_name(txid), self.ctx.trace);
+        let r = self.r.shards[0].call(move |s| s.note(Some(&name), &[], trace));
+        if r.is_err() {
+            // Best-effort scrub of a possibly half-installed note, so
+            // that absence — presumed abort, the decision the driver is
+            // about to fan out — is what recovery reads back. (A fault
+            // model where the note lands durably and this scrub *also*
+            // fails is outside the power-loss discipline the campaigns
+            // exercise; see DESIGN §6i.)
+            let _ = self.retire_decision(txid);
+        }
+        r
+    }
+
+    fn decide(&mut self, shard: usize, txid: TxId, commit: bool) -> Result<(), S4Error> {
+        let ctx = self.ctx;
+        self.timed(
+            shard,
+            (
+                "s4_txn_decide_us",
+                "per-participant 2PC decide latency (commit/abort fan-out)",
+            ),
+            move |s| s.decide(&ctx, txid.0, commit),
+        )
+    }
+
+    fn retire_decision(&mut self, txid: TxId) -> Result<(), S4Error> {
+        // Lazy cleanup after the client already has its answer — not
+        // part of the request's causal story, so it stays untraced.
+        let name = note_name(txid);
+        self.r.shards[0].call(move |s| s.note(None, &[name], TraceCtx::default()))
+    }
+}
+
+impl<D: BlockDev + 'static> S4Array<D> {
+    /// Runs a multi-shard mutating batch (`subs[s]` for each shard `s`
+    /// of `touched`) as one two-phase-commit transaction under the
+    /// routing snapshot `r`: prepare every participant (execute +
+    /// journal-flush the sub-batch), durably write the decision note on
+    /// shard 0 — the commit point — then fan the decision out.
+    /// Participant gates are held for the whole window, so a reshard
+    /// flip of a participant cannot interleave with the transaction.
+    /// Answers like a scatter, one result per touched shard; `None` if
+    /// the epoch moved before the gates were held (the caller replans).
+    pub(crate) fn dispatch_batch_txn(
+        &self,
+        r: &Routing<D>,
+        ctx: &RequestContext,
+        subs: &[Vec<Request>],
+        touched: &[usize],
+    ) -> Option<Vec<s4_core::Result<Response>>> {
+        let gates = self.hold(r, touched, RwLock::read)?;
+        let txid = self.txn_ids.next(self.clock.now().as_micros());
+        let mut ops = ArrayTxn {
+            r,
+            ctx: *ctx,
+            subs,
+            responses: BTreeMap::new(),
+            clock: &self.clock,
+            reg: &self.txn_reg,
+        };
+        let outcome = s4_txn::run(&mut ops, txid, touched);
+        let mut responses = ops.responses;
+        drop(gates);
+
+        let count = |name, help, n: usize| self.txn_reg.counter(name, help).add(n as u64);
+        let voted = |s| Response::Batch(responses.remove(s).unwrap_or_default());
+        match outcome {
+            TxnOutcome::Committed { lagging } => {
+                count(
+                    "s4_txn_committed_total",
+                    "cross-shard transactions committed",
+                    1,
+                );
+                if !lagging.is_empty() {
+                    // A lagging participant missed the commit fan-out
+                    // (its members failed after voting); its effects
+                    // are durable and the decision note survives for
+                    // its next mount, so the batch still succeeded.
+                    count(
+                        "s4_txn_lagging_total",
+                        "participants that missed a commit fan-out (note kept for mount recovery)",
+                        lagging.len(),
+                    );
+                }
+                Some(touched.iter().map(voted).map(Ok).collect())
+            }
+            TxnOutcome::Aborted {
+                failed_shard,
+                error,
+            } => {
+                count(
+                    "s4_txn_aborted_total",
+                    "cross-shard transactions rolled back",
+                    1,
+                );
+                // The rollback undid every participant, so the whole
+                // batch reports as never-executed: nothing completed on
+                // the shard that refused (or shard 0's decision write),
+                // no answer from anyone, nothing in doubt.
+                let refused = touched.iter().position(|&s| Some(s) == failed_shard);
+                let mut results: Vec<_> = touched
+                    .iter()
+                    .map(|_| Ok(Response::Batch(Vec::new())))
+                    .collect();
+                results[refused.unwrap_or(0)] = Err(S4Error::BatchFailed {
+                    completed: 0,
+                    failed_at: 0,
+                    error: Box::new(error),
+                });
+                Some(results)
+            }
+        }
+    }
+}

@@ -168,19 +168,7 @@ fn member_kill_under_tcp_stress_is_invisible_and_resyncable() {
     // the replicas converge object-for-object.
     a.resync_member(0, 0, clean_disk()).unwrap();
     assert!(!a.shard_degraded(0));
-    for s in 0..SHARDS {
-        let first = a.member_drive(s, 0);
-        let second = a.member_drive(s, 1);
-        let ids = first.live_object_ids(&admin).unwrap();
-        assert_eq!(ids, second.live_object_ids(&admin).unwrap());
-        for &oid in &ids {
-            assert_eq!(
-                first.object_digest(&admin, ObjectId(oid)).unwrap(),
-                second.object_digest(&admin, ObjectId(oid)).unwrap(),
-                "shard {s} object {oid} diverged"
-            );
-        }
-    }
+    a.check_mirrors(&admin).unwrap();
 
     // The merged audit stream is still a serializable interleaving…
     let merged: Vec<AuditRecord> = a

@@ -115,29 +115,9 @@ fn check_interleaving(records: &[AuditRecord], oids: &[[ObjectId; SHARDS]]) {
 /// left in doubt or parked in the transaction namespace anywhere.
 fn check_converged_and_clean<D: BlockDev + 'static>(a: &S4Array<D>) {
     let admin = RequestContext::admin(ClientId(0), 42);
-    for s in 0..a.shard_count() {
-        let states = &a.member_states()[s];
-        let insync: Vec<usize> = (0..a.mirror_count())
-            .filter(|&k| states[k] == MemberState::InSync)
-            .collect();
-        let first = a.member_drive(s, insync[0]);
-        let ids = first.live_object_ids(&admin).unwrap();
-        for &k in &insync[1..] {
-            let other = a.member_drive(s, k);
-            assert_eq!(
-                ids,
-                other.live_object_ids(&admin).unwrap(),
-                "shard {s} object sets"
-            );
-            for &oid in &ids {
-                assert_eq!(
-                    first.object_digest(&admin, ObjectId(oid)).unwrap(),
-                    other.object_digest(&admin, ObjectId(oid)).unwrap(),
-                    "shard {s} object {oid} diverged between mirrors"
-                );
-            }
-        }
-        for &k in &insync {
+    a.check_mirrors(&admin).unwrap();
+    for (s, states) in a.member_states().iter().enumerate() {
+        for k in (0..states.len()).filter(|&k| states[k] == MemberState::InSync) {
             assert!(
                 a.member_drive(s, k).txn_in_doubt().is_empty(),
                 "shard {s} member {k} left in doubt"
