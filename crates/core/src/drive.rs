@@ -942,15 +942,6 @@ impl<D: BlockDev> S4Drive<D> {
         self.stats.versions_created(1);
     }
 
-    /// A fresh stamp: at `time` when the caller replays a source's
-    /// history (the sequence component is drive-local), else now.
-    pub(crate) fn stamp_at(&self, time: Option<SimTime>) -> HybridTimestamp {
-        match time {
-            Some(t) => self.stamps.pinned(t, || self.stamps.next()),
-            None => self.stamps.next(),
-        }
-    }
-
     /// Writes `data` at `offset` as one journaled mutation.
     pub(crate) fn write_extent(
         &self,
@@ -959,20 +950,7 @@ impl<D: BlockDev> S4Drive<D> {
         offset: u64,
         data: &[u8],
     ) -> Result<()> {
-        self.write_extent_stamped(inner, entry, offset, data, self.stamps.next())
-    }
-
-    /// [`S4Drive::write_extent`] with a caller-chosen stamp — resync
-    /// replay uses this to reproduce the survivor's mutation *times* on a
-    /// replacement drive (the sequence component is still drive-local).
-    fn write_extent_stamped(
-        &self,
-        inner: &mut Inner,
-        entry: &mut ObjectEntry,
-        offset: u64,
-        data: &[u8],
-        stamp: HybridTimestamp,
-    ) -> Result<()> {
+        let stamp = self.stamps.next();
         if data.is_empty() {
             return Ok(());
         }
@@ -1066,11 +1044,12 @@ impl<D: BlockDev> S4Drive<D> {
     /// Makes the current version of `entry` equal `content`, `attrs` and
     /// `acl`, emitting only the journal entries that takes — the replay
     /// step shared by mirror resync, reshard migration and transaction
-    /// compensation. `at` pins the entries' time: resync and reshard
-    /// reproduce the source's modification *time* (the stamp sequence
-    /// component stays drive-local), which [`S4Drive::object_digest`]
-    /// covers, so a pinned time is itself part of the target. `None`
-    /// stamps with the drive's clock, as compensation must.
+    /// compensation. With `at`, the drive is held at that instant
+    /// meanwhile: resync and reshard reproduce the source's modification
+    /// *time* (the stamp sequence component stays drive-local), which
+    /// [`S4Drive::object_digest`] covers, so a pinned time is itself part
+    /// of the target. `None` stamps at [`S4Drive::now`], as compensation
+    /// must.
     pub(crate) fn converge(
         &self,
         inner: &mut Inner,
@@ -1080,47 +1059,40 @@ impl<D: BlockDev> S4Drive<D> {
         acl: &[u8],
         at: Option<SimTime>,
     ) -> Result<()> {
-        let current = self.read_extent(entry, &entry.meta, 0, entry.meta.size)?;
-        if current != content || at.is_some_and(|t| entry.meta.modified.time != t) {
-            // Wipe, then rewrite whole. truncate_inner is unusable here:
-            // it self-stamps (and its partial-block tail zeroing writes
-            // at "now"), which would move a pinned modification time. A
-            // fresh object has nothing to wipe; an empty target has
-            // nothing to write (an empty write is a no-op), so there the
-            // truncate alone carries the stamp.
-            if entry.meta.size > 0 || content.is_empty() {
-                let freed = entry.meta.blocks.iter().map(|(&lbn, &old)| PtrChange {
-                    lbn,
-                    old,
-                    new: BlockAddr::NONE,
-                });
-                let e = JournalEntry::Truncate {
-                    stamp: self.stamp_at(at),
-                    old_size: entry.meta.size,
-                    new_size: 0,
-                    freed: freed.collect(),
+        let mut run = || {
+            let current = self.read_extent(entry, &entry.meta, 0, entry.meta.size)?;
+            if current != content || (at.is_some() && entry.meta.modified.time != self.now()) {
+                // Wipe, then rewrite whole. A fresh object has nothing to
+                // wipe; an empty target has nothing to write (an empty
+                // write is a no-op), so there the truncate alone carries
+                // the stamp.
+                if entry.meta.size > 0 || content.is_empty() {
+                    self.truncate_inner(inner, entry, 0)?;
+                }
+                self.write_extent(inner, entry, 0, content)?;
+            }
+            if entry.meta.attrs != attrs {
+                let e = JournalEntry::SetAttr {
+                    stamp: self.stamps.next(),
+                    old: entry.meta.attrs.clone(),
+                    new: attrs.to_vec(),
                 };
                 self.commit(entry, e);
             }
-            self.write_extent_stamped(inner, entry, 0, content, self.stamp_at(at))?;
+            if entry.meta.acl != acl {
+                let e = JournalEntry::SetAcl {
+                    stamp: self.stamps.next(),
+                    old: entry.meta.acl.clone(),
+                    new: acl.to_vec(),
+                };
+                self.commit(entry, e);
+            }
+            Ok(())
+        };
+        match at {
+            Some(t) => self.stamps.pinned(t, run),
+            None => run(),
         }
-        if entry.meta.attrs != attrs {
-            let e = JournalEntry::SetAttr {
-                stamp: self.stamp_at(at),
-                old: entry.meta.attrs.clone(),
-                new: attrs.to_vec(),
-            };
-            self.commit(entry, e);
-        }
-        if entry.meta.acl != acl {
-            let e = JournalEntry::SetAcl {
-                stamp: self.stamp_at(at),
-                old: entry.meta.acl.clone(),
-                new: acl.to_vec(),
-            };
-            self.commit(entry, e);
-        }
-        Ok(())
     }
 
     /// Materializes the version of `entry` current at `t`, falling back

@@ -294,12 +294,13 @@ impl<D: BlockDev> S4Drive<D> {
     /// creation/modification *times* — the replay step shared by mirror
     /// resync and reshard migration.
     fn insert_exported(&self, inner: &mut Inner, obj: &ResyncObject) -> Result<()> {
-        self.insert_new(inner, obj.oid, self.stamp_at(Some(obj.created)));
+        let created = || self.stamps.pinned(obj.created, || self.stamps.next());
+        self.insert_new(inner, obj.oid, created());
         self.with_object(inner, ObjectId(obj.oid), |inner, entry| {
             // The ACL belongs to the creating instant, as in `op_create`.
             if !obj.acl.is_empty() {
                 let set = JournalEntry::SetAcl {
-                    stamp: self.stamp_at(Some(obj.created)),
+                    stamp: created(),
                     old: Vec::new(),
                     new: obj.acl.clone(),
                 };

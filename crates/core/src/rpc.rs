@@ -413,7 +413,8 @@ impl<D: BlockDev> S4Drive<D> {
 
     /// [`txn_prepare`](Self::txn_prepare) with a caller-chosen restore
     /// point. Array workers pass the same `t0` to every mirror member
-    /// (after advancing the shared clock past it exactly once) so the
+    /// (after advancing the shared clock past it exactly once) and hold
+    /// each member [`at`](Self::at) `t0 + 1 µs` meanwhile, so the
     /// members re-execute the sub-batch with identical version stamps.
     pub fn txn_prepare_at(
         &self,

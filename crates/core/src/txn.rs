@@ -31,7 +31,7 @@ impl<D: BlockDev> S4Drive<D> {
 
     /// [`txn_begin`](Self::txn_begin) with a caller-chosen `t0`. Mirror
     /// workers use this to record the *same* restore point on every
-    /// member — the shared clock must already be strictly past `t0`, or
+    /// member — [`S4Drive::now`] must already be strictly past `t0`, or
     /// the transaction's effects would not sort after it.
     pub fn txn_begin_at(&self, txid: u64, t0: SimTime) -> Result<()> {
         let mut inner = self.inner.lock();
