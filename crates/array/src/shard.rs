@@ -255,15 +255,12 @@ impl<D: BlockDev> Shard<D> {
         step: impl Fn(&S4Drive<D>) -> s4_core::Result<T>,
     ) -> s4_core::Result<T> {
         let serves = |s| s == MemberState::InSync || (!to_all && s == MemberState::ReadOnly);
-        let serving: Vec<usize> = (0..self.members.len())
-            .filter(|&k| serves(self.members[k].state()))
-            .collect();
-        if serving.is_empty() && self.members.iter().any(|m| m.state() != MemberState::Dead) {
-            return Err(SHARD_READ_ONLY);
-        }
         let mut canonical = None;
         let mut faults = Vec::new();
-        for k in serving {
+        for k in 0..self.members.len() {
+            if !serves(self.members[k].state()) {
+                continue;
+            }
             match self.apply(k, at, &step) {
                 Ok(answer) => {
                     canonical.get_or_insert(answer);
@@ -280,34 +277,44 @@ impl<D: BlockDev> Shard<D> {
         for (k, fault) in &faults {
             self.fail_member(*k, fault, at);
         }
-        canonical.unwrap_or_else(|| Err(faults.pop().map_or(SHARD_DEAD, |(_, fault)| fault)))
+        canonical.unwrap_or_else(|| {
+            Err(match faults.pop() {
+                Some((_, fault)) => fault,
+                // Nobody was asked: no member serves this kind of job.
+                None if self.members.iter().all(|m| m.state() == MemberState::Dead) => SHARD_DEAD,
+                None => SHARD_READ_ONLY,
+            })
+        })
+    }
+
+    /// Raises `rule`, dated `at`, on every live member's tamper-evident
+    /// alert stream — the same channel the operator already polls for
+    /// intrusion alerts.
+    fn announce(&self, at: SimTime, rule: &str, msg: &str) {
+        for m in self
+            .members
+            .iter()
+            .filter(|m| m.state() != MemberState::Dead)
+        {
+            m.drive().at(at, |d| d.system_alert(rule, msg));
+        }
     }
 
     /// Takes member `k` out of service after `error`: the last non-dead
-    /// member of the shard degrades to read-only (reads may still work),
-    /// anyone else goes dead. Raises an `array-degraded` alert, dated
-    /// `at`, on every surviving member's tamper-evident alert stream —
-    /// the same channel the operator already polls for intrusion alerts.
+    /// member of the shard degrades to read-only (reads may still work)
+    /// and alerts through its own stream — it may be the only reachable
+    /// log; anyone else goes dead and the survivors raise the alert.
     fn fail_member(&self, k: usize, error: &S4Error, at: SimTime) {
-        let survivors: Vec<&Arc<MemberSlot<D>>> = self
-            .members
-            .iter()
-            .enumerate()
-            .filter(|(i, m)| *i != k && m.state() != MemberState::Dead)
-            .map(|(_, m)| m)
-            .collect();
-        // A member degraded to read-only alerts through its own stream
-        // — it may be the only reachable log.
-        let (new_state, what, alerted) = if survivors.is_empty() {
-            (MemberState::ReadOnly, "read-only", vec![&self.members[k]])
+        let others_alive =
+            (0..self.members.len()).any(|i| i != k && self.members[i].state() != MemberState::Dead);
+        let (new_state, what) = if others_alive {
+            (MemberState::Dead, "dead")
         } else {
-            (MemberState::Dead, "dead", survivors)
+            (MemberState::ReadOnly, "read-only")
         };
         self.members[k].set_state(new_state);
         let msg = format!("member {k} of shard {} marked {what}: {error}", self.slot);
-        for m in alerted {
-            m.drive().at(at, |d| d.system_alert("array-degraded", &msg));
-        }
+        self.announce(at, "array-degraded", &msg);
     }
 
     /// Processes one client request: mutations apply to every in-sync
@@ -373,7 +380,7 @@ impl<D: BlockDev> Shard<D> {
                 "member {member} of shard {} not resynced: {diff}",
                 self.slot
             );
-            survivor.system_alert("array-resync", &msg);
+            self.announce(self.instant(), "array-resync", &msg);
             return Err(S4Error::BadRequest(
                 "array resync: replica differs from its source",
             ));
@@ -389,10 +396,7 @@ impl<D: BlockDev> Shard<D> {
             "member {member} of shard {} resynced and back in sync",
             self.slot
         );
-        let at = self.instant();
-        for m in members.iter().filter(|m| m.state() == MemberState::InSync) {
-            m.drive().at(at, |d| d.system_alert("array-resync", &msg));
-        }
+        self.announce(self.instant(), "array-resync", &msg);
         Ok(())
     }
 }
