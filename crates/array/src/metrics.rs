@@ -30,6 +30,15 @@ fn get<V: Copy + Default>(values: &[(String, V)], name: &str) -> V {
         .map_or(V::default(), |(_, v)| *v)
 }
 
+/// The aggregate's `"name":sum` members: counters and gauges are
+/// per-drive magnitudes, so they add up across shards.
+fn summed<V: Copy + std::fmt::Display + std::iter::Sum>(samples: &Samples<V>) -> String {
+    let sums = samples
+        .iter()
+        .map(|(name, s)| format!("\"{name}\":{}", s.iter().map(|(_, v)| *v).sum::<V>()));
+    sums.collect::<Vec<_>>().join(",")
+}
+
 impl<D: BlockDev + 'static> S4Array<D> {
     /// Reads every shard's registry (its first live member's) after
     /// `refresh` has made the drive bring its operational gauges up to
@@ -86,25 +95,21 @@ impl<D: BlockDev + 'static> S4Array<D> {
         let _ = writeln!(out, "s4_array_degraded {degraded_total}");
         for (name, samples) in &counters {
             let _ = writeln!(out, "# TYPE {name} counter");
+            let mut total = 0u64;
             for (s, v) in samples {
+                total += v;
                 let _ = writeln!(out, "{name}{{shard=\"{s}\"}} {v}");
             }
-            let _ = writeln!(
-                out,
-                "{name} {}",
-                samples.iter().map(|(_, v)| v).sum::<u64>()
-            );
+            let _ = writeln!(out, "{name} {total}");
         }
         for (name, samples) in &gauges {
             let _ = writeln!(out, "# TYPE {name} gauge");
+            let mut total = 0.0f64;
             for (s, v) in samples {
+                total += v;
                 let _ = writeln!(out, "{name}{{shard=\"{s}\"}} {v}");
             }
-            let _ = writeln!(
-                out,
-                "{name} {}",
-                samples.iter().fold(0.0, |sum, (_, v)| sum + v)
-            );
+            let _ = writeln!(out, "{name} {total}");
         }
         // Histograms stay per shard: quantiles do not sum, so each
         // shard's summary is exported under its own label and no
@@ -190,21 +195,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
             })
             .collect::<Vec<_>>()
             .join(",");
-        let counters = counters
-            .iter()
-            .map(|(k, samples)| format!("\"{k}\":{}", samples.iter().map(|(_, v)| v).sum::<u64>()))
-            .collect::<Vec<_>>()
-            .join(",");
-        let gauges = gauges
-            .iter()
-            .map(|(k, samples)| {
-                format!(
-                    "\"{k}\":{}",
-                    samples.iter().fold(0.0, |sum, (_, v)| sum + v)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
+        let (counters, gauges) = (summed(&counters), summed(&gauges));
         let degraded = (0..n)
             .map(|s| if self.shard_degraded(s) { "1" } else { "0" })
             .collect::<Vec<_>>()
