@@ -105,5 +105,9 @@ mod tests {
         let mut bad_kind = blob.clone();
         *bad_kind.last_mut().unwrap() = 7;
         assert!(decode(&bad_kind).is_err());
+        // A count the blob cannot hold is an error, not a reservation.
+        let mut huge_count = blob.clone();
+        huge_count[..4].copy_from_slice(&0xFFFF_FFFFu32.to_le_bytes());
+        assert!(decode(&huge_count).is_err());
     }
 }

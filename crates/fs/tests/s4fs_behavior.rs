@@ -181,6 +181,28 @@ fn acl_denies_foreign_user_through_the_fs_layer() {
     assert!(matches!(fh, Err(FsError::Denied)));
 }
 
+/// A client holding a directory's credentials can write anything into
+/// it; the next translator to list it gets an error, not an allocation
+/// sized by the blob's own entry count.
+#[test]
+fn hostile_directory_count_is_an_error_not_an_allocation() {
+    let (fs, drive, _c) = setup();
+    let dir = fs.mkdir(fs.root(), "d").unwrap();
+    fs.create(dir, "f").unwrap();
+    fs.write(dir, 0, &0xFFFF_FFFFu32.to_le_bytes()).unwrap();
+
+    let fs2 = S4FileServer::mount(
+        LoopbackTransport::new(drive, NetworkModel::free()),
+        RequestContext::user(UserId(1), ClientId(2)),
+        "t",
+        S4FsConfig::default(),
+    )
+    .unwrap();
+    assert!(matches!(fs2.readdir(dir), Err(FsError::Storage(_))));
+    // The translator is still serving.
+    assert_eq!(fs2.readdir(fs2.root()).unwrap().len(), 1);
+}
+
 #[test]
 fn unsynced_writes_are_lost_on_crash_synced_ones_are_not() {
     // NFSv2 semantics end at the Sync boundary: with sync_per_op off,

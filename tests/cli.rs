@@ -288,5 +288,25 @@ fn cli_trace_assembles_across_invocations() {
     let slowest = run(&["--slowest", "1"]);
     assert!(slowest.starts_with("trace 0x"), "{slowest}");
 
+    // Flags may stand before or after the images, on every subcommand.
+    let txn = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_s4"))
+            .arg("txn")
+            .args(args)
+            .output()
+            .expect("spawn s4");
+        assert!(
+            out.status.success(),
+            "txn {args:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).to_string()
+    };
+    let (t0, t1) = (img("t0.s4"), img("t1.s4"));
+    let (t0, t1) = (t0.to_str().unwrap(), t1.to_str().unwrap());
+    let flags_first = txn(&["--mirrors", "1", t0, t1]);
+    assert!(flags_first.starts_with("committed="), "{flags_first}");
+    assert_eq!(flags_first, txn(&[t0, t1, "--mirrors", "1"]));
+
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -8,9 +8,10 @@ use std::sync::Arc;
 
 use s4_clock::{NetworkModel, SimClock, SimDuration, SimTime};
 use s4_core::{ClientId, DriveConfig, ObjectId, RequestContext, S4Drive, UserId};
+use s4_detect::timeline::is_mutation;
 use s4_detect::{
     execute_plan, install_standard_monitor, plan_recovery, read_alerts, scan_audit, tree_diff,
-    Severity, Suspects,
+    RecoveryAction, Severity, Suspects,
 };
 use s4_fs::tools::read_file_at;
 use s4_fs::{FileServer, LoopbackTransport, S4FileServer, S4FsConfig};
@@ -113,8 +114,39 @@ fn section2_intrusion_is_detected_and_recovered() {
     assert!(t >= pre_scrub);
     let plan = plan_recovery(&drive, &admin, &Suspects::client(ClientId(66)), t).unwrap();
     assert!(!plan.actions.is_empty());
+    let audited_before = drive.read_audit_records(&admin).unwrap().len();
     let outcome = execute_plan(&drive, &admin, &plan).unwrap();
     assert!(outcome.failed.is_empty(), "failed: {:?}", outcome.failed);
+
+    // Recovery is a request like any other: every mutation it made is
+    // in the audit log under the admin principal (a quarantine only
+    // pins a landmark, which has no RPC), and whatever the detectors
+    // make of it names the admin, never the suspect.
+    let records = drive.read_audit_records(&admin).unwrap();
+    let during_recovery = &records[audited_before..];
+    let mutating_actions = plan
+        .actions
+        .iter()
+        .filter(|pa| !matches!(pa.action, RecoveryAction::Quarantine { .. }))
+        .count();
+    let mutations = during_recovery.iter().filter(|r| is_mutation(r.op)).count();
+    assert!(
+        mutating_actions > 0 && mutations >= mutating_actions,
+        "{mutations} audited mutations for {mutating_actions} mutating actions"
+    );
+    assert!(
+        during_recovery
+            .iter()
+            .all(|r| r.user == admin.user && r.client == admin.client),
+        "recovery audited under another principal: {during_recovery:?}"
+    );
+    let after = read_alerts(&drive, &admin).unwrap();
+    assert!(
+        after[alerts.len()..]
+            .iter()
+            .all(|a| a.user == admin.user && a.client == admin.client),
+        "recovery alert blames the wrong principal: {after:?}"
+    );
 
     // Pre-intrusion contents are back (checked via a fresh mount so no
     // client cache can mask drive state).

@@ -2,11 +2,15 @@
 //! dispatchable, audited, and behaves per its row (including which
 //! operations accept time-based access).
 
-use s4_clock::{SimClock, SimDuration, SimTime};
+use std::sync::Arc;
+
+use s4_array::{ArrayConfig, ArrayTransport, S4Array};
+use s4_clock::{NetworkModel, SimClock, SimDuration, SimTime};
 use s4_core::{
     AclEntry, ClientId, DriveConfig, ObjectId, OpKind, Perm, Request, RequestContext, Response,
     S4Drive, UserId,
 };
+use s4_fs::{FsError, LoopbackTransport, TcpServerHandle, TcpTransport, Transport};
 use s4_simdisk::MemDisk;
 
 fn drive() -> S4Drive<MemDisk> {
@@ -247,4 +251,72 @@ fn every_table1_rpc_dispatches() {
     assert_eq!(kinds.len(), 19, "all Table 1 operations audited");
     let _ = OpKind::Create; // type reachable from the umbrella test
     let _ = ObjectId(0);
+}
+
+/// One object owned by user 1, then one failing request per error
+/// kind; returns what the transport made of each.
+fn failures<T: Transport>(t: &T) -> Vec<FsError> {
+    let owner = RequestContext::user(UserId(1), ClientId(1));
+    let stranger = RequestContext::user(UserId(2), ClientId(2));
+    let oid = match t.call(&owner, &Request::Create).unwrap() {
+        Response::Created(oid) => oid,
+        r => panic!("{r:?}"),
+    };
+    let write = Request::Write {
+        oid,
+        offset: 0,
+        data: b"mine".to_vec(),
+    };
+    t.call(&owner, &write).unwrap();
+    [
+        // The translator's shape: a mutation batched with its Sync.
+        (&stranger, Request::Batch(vec![write, Request::Sync])),
+        (
+            &owner,
+            Request::Batch(vec![Request::GetAttr {
+                oid: ObjectId(oid.0 + 1000),
+                time: None,
+            }]),
+        ),
+        (
+            &owner,
+            Request::PMount {
+                name: "nowhere".into(),
+                time: None,
+            },
+        ),
+        (
+            &owner,
+            Request::PCreate {
+                name: String::new(),
+                oid,
+            },
+        ),
+    ]
+    .into_iter()
+    .map(|(ctx, req)| t.call(ctx, &req).unwrap_err())
+    .collect()
+}
+
+/// A failing request is the same `FsError` whichever transport carried
+/// it: in process over a drive, in process over an array, or over TCP.
+#[test]
+fn a_failure_is_the_same_fs_error_on_every_transport() {
+    let expected = vec![
+        FsError::Denied,
+        FsError::NotFound,
+        FsError::NotFound,
+        FsError::Storage("bad request: partition name length".into()),
+    ];
+
+    let loopback = LoopbackTransport::new(Arc::new(drive()), NetworkModel::free());
+    assert_eq!(failures(&loopback), expected, "LoopbackTransport");
+
+    let array = S4Array::from_drives(vec![drive()], ArrayConfig::default()).unwrap();
+    let over_array = ArrayTransport::new(Arc::new(array), NetworkModel::free());
+    assert_eq!(failures(&over_array), expected, "ArrayTransport");
+
+    let server = TcpServerHandle::serve(Arc::new(drive()), "127.0.0.1:0").unwrap();
+    let tcp = TcpTransport::connect(server.addr()).unwrap();
+    assert_eq!(failures(&tcp), expected, "TcpTransport");
 }
