@@ -392,11 +392,11 @@ impl<D: BlockDev + 'static> S4Array<D> {
     /// every record the request leaves on any member drive then joins
     /// into one cross-shard trace (DESIGN §6j).
     pub(crate) fn traced(&self, ctx: &RequestContext) -> RequestContext {
-        let mut ctx = *ctx;
-        if self.cfg.trace && ctx.trace.trace_id == 0 {
-            ctx.trace.trace_id = self.trace_ids.next(self.clock.now().as_micros());
+        if self.cfg.trace {
+            self.trace_ids.stamp(ctx, &self.clock)
+        } else {
+            *ctx
         }
-        ctx
     }
 
     /// Snapshot of the current routing (cheap: one lock, one `Arc`

@@ -287,8 +287,7 @@ fn merge_broadcast(
             all.sort();
             Ok(Response::Partitions(all))
         }
-        Merge::FirstMounted => pick_first_success(results),
-        Merge::AnyOk => pick_first_success(results),
+        Merge::FirstSuccess => pick_first_success(results),
     }
 }
 

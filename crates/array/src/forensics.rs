@@ -11,7 +11,7 @@
 
 use s4_core::{AuditRecord, ObjectId, RequestContext, S4Drive, S4Error};
 use s4_detect::{
-    assemble_traces, flight_log, install_standard_monitor, object_timeline, FlightEntry,
+    assemble_traces, flight_log, install_standard_monitor, object_timeline, Alert, FlightEntry,
     TimelineEvent, TraceTree,
 };
 use s4_simdisk::BlockDev;
@@ -67,13 +67,16 @@ impl<D: BlockDev + 'static> S4Array<D> {
         self.merged(|d| d.read_audit_records(admin), |r| r.time)
     }
 
-    /// Every shard's alert stream merged, sorted by raise time (the
-    /// alert wire format dates each blob at bytes `[1..9]`).
+    /// Every shard's alert stream merged, sorted by raise time as the
+    /// alert codec reads it (a blob it cannot decode sorts first).
     pub fn read_alerts_merged(
         &self,
         admin: &RequestContext,
     ) -> Result<Vec<Sharded<Vec<u8>>>, S4Error> {
-        self.merged(|d| d.read_alerts(admin), |blob| alert_time(blob))
+        self.merged(
+            |d| d.read_alerts(admin),
+            |blob| Alert::decode(blob).ok().map(|a| a.time),
+        )
     }
 
     /// Every shard's flight recorder merged, sorted by completion time.
@@ -151,15 +154,5 @@ impl<D: BlockDev + 'static> S4Array<D> {
     ) -> Result<Vec<TimelineEvent>, S4Error> {
         let s = self.shard_index_of(oid);
         object_timeline(&self.shard_drive(s), admin, oid)
-    }
-}
-
-/// Raise time of an alert blob (µs), per the wire format's dating
-/// convention: severity byte, then the time at bytes `[1..9]`.
-fn alert_time(blob: &[u8]) -> u64 {
-    if blob.len() >= 9 {
-        u64::from_le_bytes(blob[1..9].try_into().unwrap())
-    } else {
-        0
     }
 }

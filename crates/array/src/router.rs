@@ -28,11 +28,9 @@ pub enum Merge {
     SumNewSize,
     /// Concatenate partition listings, sorted by name (PList).
     Partitions,
-    /// First shard that resolves the name wins (PMount).
-    FirstMounted,
-    /// Succeeds if any shard succeeded (PDelete — the association
-    /// lives only on the root object's home shard).
-    AnyOk,
+    /// The one shard that knows the name answers (PMount, PDelete —
+    /// the association lives only on the root object's home shard).
+    FirstSuccess,
 }
 
 /// Where a single (non-batch) request goes.
@@ -92,9 +90,8 @@ pub fn route(req: &Request, e: &EpochInfo) -> Route {
         // home shard (PCreate validates the object exists), so lookups
         // and deletions scatter.
         Request::PCreate { oid, .. } => Route::Shard(dense_of(*oid, e)),
-        Request::PDelete { .. } => Route::Broadcast(Merge::AnyOk),
+        Request::PDelete { .. } | Request::PMount { .. } => Route::Broadcast(Merge::FirstSuccess),
         Request::PList { .. } => Route::Broadcast(Merge::Partitions),
-        Request::PMount { .. } => Route::Broadcast(Merge::FirstMounted),
         // Whole-drive admin/durability ops apply everywhere.
         Request::Sync => Route::Broadcast(Merge::AllOk),
         Request::Flush { .. } => Route::Broadcast(Merge::AllOk),
@@ -228,6 +225,15 @@ mod tests {
             ),
             Route::Shard(1)
         );
+        for by_name in [
+            Request::PMount {
+                name: "p".into(),
+                time: None,
+            },
+            Request::PDelete { name: "p".into() },
+        ] {
+            assert_eq!(route(&by_name, &e), Route::Broadcast(Merge::FirstSuccess));
+        }
         assert_eq!(route(&Request::Batch(Vec::new()), &e), Route::SplitBatch);
     }
 

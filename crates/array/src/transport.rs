@@ -7,7 +7,8 @@ use std::sync::Arc;
 
 use s4_clock::{NetworkModel, SimClock};
 use s4_core::{Request, RequestContext, Response};
-use s4_fs::server::{FsError, FsResult};
+use s4_fs::server::FsResult;
+use s4_fs::transport::call_in_process;
 use s4_fs::Transport;
 use s4_simdisk::BlockDev;
 
@@ -40,15 +41,8 @@ impl<D: BlockDev + 'static> Transport for ArrayTransport<D> {
     }
 
     fn call(&self, ctx: &RequestContext, req: &Request) -> FsResult<Response> {
-        let resp = self.array.dispatch(ctx, req);
-        // Charge the wire: request out, response (or small error) back.
-        let resp_size = resp.as_ref().map(|r| r.wire_size()).unwrap_or(16);
-        self.clock
-            .advance(self.net.rpc_cost(req.wire_size(), resp_size));
-        resp.map_err(|e| match e {
-            s4_core::S4Error::AccessDenied => FsError::Denied,
-            s4_core::S4Error::NoSuchObject | s4_core::S4Error::NoSuchPartition => FsError::NotFound,
-            other => FsError::Storage(other.to_string()),
-        })
+        // No trace id is minted here: the array stamps its own requests
+        // when its `trace` setting is on (`S4Array::traced`).
+        call_in_process(&*self.array, &self.net, &self.clock, ctx, req)
     }
 }

@@ -1,16 +1,17 @@
 //! A bounds-checked little-endian cursor, implemented once: the reader
-//! behind the RPC wire codec and every on-disk decoder of the drive
-//! (object checkpoints, the anchor payload, reserved-stream state, the
-//! partition table). All of them parse untrusted bytes — a hostile
-//! client's frame, a torn block — so no decoder indexes a buffer by
-//! hand: every field comes from `Reader::take`, which either has the
-//! bytes or returns the truncation error the reader was built with.
+//! behind the RPC wire codec, every on-disk decoder of the drive (object
+//! checkpoints, the anchor payload, reserved-stream state, the partition
+//! table) and the client edge's decoders (TCP request frame, directory
+//! blobs, alerts). All of them parse untrusted bytes — a hostile client's
+//! frame, a torn block — so no decoder indexes a buffer by hand: every field
+//! comes from `Reader::take`, which has the bytes or returns its truncation error.
 
 use s4_clock::{HybridTimestamp, SimTime};
 
 use crate::{Result, S4Error};
 
-pub(crate) struct Reader<'a> {
+/// The cursor: a buffer, a position, and the error for running off it.
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
     truncated: &'static str,
@@ -19,7 +20,7 @@ pub(crate) struct Reader<'a> {
 impl<'a> Reader<'a> {
     /// A cursor at the start of `buf`; running off its end is
     /// `BadRequest(truncated)`.
-    pub(crate) fn new(buf: &'a [u8], truncated: &'static str) -> Self {
+    pub fn new(buf: &'a [u8], truncated: &'static str) -> Self {
         Reader {
             buf,
             pos: 0,
@@ -28,7 +29,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next `n` bytes.
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let bytes = self
             .buf
             .get(self.pos..)
@@ -42,19 +43,28 @@ impl<'a> Reader<'a> {
         Ok(self.take(N)?.try_into().expect("take returned N bytes"))
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8> {
+    /// Everything not yet taken.
+    pub fn rest(self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
+    /// The next byte.
+    pub fn u8(&mut self) -> Result<u8> {
         Ok(self.array::<1>()?[0])
     }
 
-    pub(crate) fn u16(&mut self) -> Result<u16> {
+    /// The next two bytes, little-endian.
+    pub fn u16(&mut self) -> Result<u16> {
         self.array().map(u16::from_le_bytes)
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32> {
+    /// The next four bytes, little-endian.
+    pub fn u32(&mut self) -> Result<u32> {
         self.array().map(u32::from_le_bytes)
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64> {
+    /// The next eight bytes, little-endian.
+    pub fn u64(&mut self) -> Result<u64> {
         self.array().map(u64::from_le_bytes)
     }
 

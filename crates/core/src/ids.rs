@@ -100,6 +100,16 @@ impl TraceIdGen {
             .fetch_add(1, core::sync::atomic::Ordering::Relaxed);
         ((now_micros << 16) | (c & 0xFFFF)).max(1)
     }
+
+    /// `ctx`, with a trace id minted at `clock`'s now if it carries none:
+    /// how every entry point (client transports, array) adopts a request.
+    pub fn stamp(&self, ctx: &RequestContext, clock: &s4_clock::SimClock) -> RequestContext {
+        let mut ctx = *ctx;
+        if ctx.trace.trace_id == 0 {
+            ctx.trace.trace_id = self.next(clock.now().as_micros());
+        }
+        ctx
+    }
 }
 
 /// Security context attached to every request.
@@ -172,6 +182,12 @@ mod tests {
         let a = g.next(1_000_000);
         let b = g.next(1_000_000);
         assert_ne!(a, b, "same-microsecond ids must differ");
+
+        // `stamp` mints for an untraced context and leaves a traced one.
+        let clock = s4_clock::SimClock::new();
+        let stamped = g.stamp(&RequestContext::user(UserId(1), ClientId(1)), &clock);
+        assert_ne!(stamped.trace.trace_id, 0);
+        assert_eq!(g.stamp(&stamped, &clock), stamped);
     }
 
     #[test]

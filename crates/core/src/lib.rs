@@ -62,7 +62,7 @@
 
 pub mod acl;
 pub mod audit;
-mod codec;
+pub mod codec;
 pub mod drive;
 mod expiry;
 pub mod ids;

@@ -5,6 +5,7 @@
 //! `s4_core::reserved`), so the format must round-trip byte-exactly.
 
 use s4_clock::SimTime;
+use s4_core::codec::Reader;
 use s4_core::{ClientId, ObjectId, S4Error, UserId};
 
 /// How bad it is.
@@ -69,31 +70,16 @@ impl Alert {
 
     /// Decodes one alert blob (as stored in the alert object).
     pub fn decode(buf: &[u8]) -> Result<Alert, S4Error> {
-        if buf.len() < 27 {
-            return Err(S4Error::BadRequest("alert blob truncated"));
-        }
-        let severity = Severity::from_u8(buf[0])?;
-        let time = SimTime::from_micros(u64::from_le_bytes(buf[1..9].try_into().unwrap()));
-        let user = UserId(u32::from_le_bytes(buf[9..13].try_into().unwrap()));
-        let client = ClientId(u32::from_le_bytes(buf[13..17].try_into().unwrap()));
-        let object = ObjectId(u64::from_le_bytes(buf[17..25].try_into().unwrap()));
-        let mut pos = 25;
-        let mut take_str = |buf: &[u8]| -> Result<String, S4Error> {
-            if pos + 2 > buf.len() {
-                return Err(S4Error::BadRequest("alert string truncated"));
-            }
-            let n = u16::from_le_bytes(buf[pos..pos + 2].try_into().unwrap()) as usize;
-            pos += 2;
-            if pos + n > buf.len() {
-                return Err(S4Error::BadRequest("alert string truncated"));
-            }
-            let s = String::from_utf8(buf[pos..pos + n].to_vec())
-                .map_err(|_| S4Error::BadRequest("alert string utf8"))?;
-            pos += n;
-            Ok(s)
+        let mut r = Reader::new(buf, "alert blob truncated");
+        let severity = Severity::from_u8(r.u8()?)?;
+        let time = SimTime::from_micros(r.u64()?);
+        let (user, client, object) = (UserId(r.u32()?), ClientId(r.u32()?), ObjectId(r.u64()?));
+        let mut string = || -> Result<String, S4Error> {
+            let n = r.u16()? as usize;
+            String::from_utf8(r.take(n)?.to_vec())
+                .map_err(|_| S4Error::BadRequest("alert string utf8"))
         };
-        let rule = take_str(buf)?;
-        let message = take_str(buf)?;
+        let (rule, message) = (string()?, string()?);
         Ok(Alert {
             time,
             severity,

@@ -1,16 +1,26 @@
-//! Decoder for the file server's directory-object format.
+//! The directory-object format, implemented once.
 //!
-//! The drive stores directories as opaque objects; the format below is
-//! the `s4-fs` convention (entry count, then `name, handle, kind`
-//! triples). Forensics needs to *read* that namespace from the drive
-//! side — at historical times, without a live file server — so the
-//! codec is duplicated here rather than importing `s4-fs` (which
-//! depends on this crate). The byte format is pinned by round-trip
-//! tests on both sides.
+//! The drive stores directories as opaque objects; the bytes are a
+//! convention between their readers and writers: the file server
+//! (`s4-fs`, which lists and rewrites them), forensics (which reads the
+//! namespace from the drive side, at historical times, with no file
+//! server mounted) and recovery (which relinks entries). All three use
+//! this codec. It lives here rather than in `s4-fs` only because the one
+//! dependency edge between the two crates points `s4-fs → s4-detect`
+//! and this crate cannot import its dependent.
+//!
+//! Format: `count:u32`, then per entry `name_len:u16 | name | handle:u64
+//! | kind:u8`, little-endian. A directory belongs to whichever client
+//! holds its credentials, so the blob is hostile input: it is read
+//! through the bounds-checked [`Reader`] and nothing is sized by the
+//! count it claims.
 
+use s4_core::codec::Reader;
 use s4_core::S4Error;
 
-/// Directory entry kind byte (the `s4-fs` convention).
+/// What a directory entry (and a file's attribute blob) says its object
+/// is; the discriminant is the on-disk byte. `s4-fs` re-exports this as
+/// its `FileKind`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
 pub enum EntryKind {
@@ -37,39 +47,28 @@ impl EntryKind {
 /// One decoded directory entry: name, target object id, kind.
 pub type DirEntry = (String, u64, EntryKind);
 
+/// Bytes of an entry with an empty name: the least a blob spends on one.
+const MIN_ENTRY_BYTES: usize = 2 + 8 + 1;
+
 /// Decodes a directory blob. An empty blob is an empty directory.
 pub fn decode(data: &[u8]) -> Result<Vec<DirEntry>, S4Error> {
     if data.is_empty() {
         return Ok(Vec::new());
     }
-    if data.len() < 4 {
-        return Err(S4Error::BadRequest("directory blob truncated"));
-    }
-    let n = u32::from_le_bytes(data[0..4].try_into().unwrap()) as usize;
-    let mut pos = 4;
-    let mut out = Vec::with_capacity(n.min(1024));
+    let mut r = Reader::new(data, "directory blob truncated");
+    let n = r.u32()? as usize;
+    // Reserve what the blob can hold, never what it claims.
+    let mut out = Vec::with_capacity(n.min(data.len() / MIN_ENTRY_BYTES));
     for _ in 0..n {
-        if pos + 2 > data.len() {
-            return Err(S4Error::BadRequest("directory entry truncated"));
-        }
-        let nl = u16::from_le_bytes(data[pos..pos + 2].try_into().unwrap()) as usize;
-        pos += 2;
-        if pos + nl + 9 > data.len() {
-            return Err(S4Error::BadRequest("directory name truncated"));
-        }
-        let name = String::from_utf8(data[pos..pos + nl].to_vec())
+        let name_len = r.u16()? as usize;
+        let name = String::from_utf8(r.take(name_len)?.to_vec())
             .map_err(|_| S4Error::BadRequest("directory name utf8"))?;
-        pos += nl;
-        let handle = u64::from_le_bytes(data[pos..pos + 8].try_into().unwrap());
-        pos += 8;
-        let kind = EntryKind::from_u8(data[pos])?;
-        pos += 1;
-        out.push((name, handle, kind));
+        out.push((name, r.u64()?, EntryKind::from_u8(r.u8()?)?));
     }
     Ok(out)
 }
 
-/// Encodes a directory blob (used by recovery to relink entries).
+/// Encodes a directory blob.
 pub fn encode(entries: &[DirEntry]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + entries.len() * 24);
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());

@@ -30,14 +30,17 @@
 //!   reviewable [`RecoveryPlan`]: restore tampered objects to their
 //!   pre-intrusion versions, undelete destroyed ones, remove planted
 //!   ones (landmark-pinned first, as evidence), and quarantine
-//!   already-deleted exploit tools. [`execute_plan`] applies it with
-//!   time-based reads and copy-forward writes — history is never
-//!   rewritten, so recovery itself is auditable and undoable.
+//!   already-deleted exploit tools. [`execute_plan`] applies it
+//!   through the drive's `dispatch` — time-based reads and copy-forward
+//!   writes, audited under the admin principal like any other request
+//!   — so history is never rewritten and recovery is itself on the
+//!   record and undoable.
 //!
 //! The crate deliberately depends only on `s4-core` (drive interface):
 //! it lives with the administrator inside the security perimeter, not
-//! with any file-system client. The file-server layer (`s4-fs`)
-//! re-exports the damage report from here for compatibility.
+//! with any file-system client. It also owns the directory-object
+//! format ([`dirblob`]), which the file-server layer (`s4-fs`) imports
+//! from here — see that module for why.
 
 #![warn(missing_docs)]
 
@@ -60,8 +63,7 @@ pub use forensics::{
     FlightEntry, TimelineEvent, TimelineSource, TraceSpan, TraceTree, TreeDiff, TreeNode,
 };
 pub use recovery::{
-    execute_plan, execute_plan_atomic, execute_plan_atomic_on, plan_recovery, Dispatch, Landmark,
-    PlannedAction, RecoveryAction, RecoveryPlan, RecoveryReport,
-    Suspects,
+    execute_plan, execute_plan_on, plan_recovery, Dispatch, Landmark, PlannedAction,
+    RecoveryAction, RecoveryPlan, RecoveryReport, Suspects,
 };
 pub use timeline::{ActivityTimeline, ObjectProfile, PrincipalActivity};

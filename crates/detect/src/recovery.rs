@@ -15,8 +15,8 @@ use s4_clock::SimTime;
 use s4_core::drive::ObjectAttrs;
 use s4_core::rpc::LAST_CREATED;
 use s4_core::{
-    AclEntry, AclTable, AuditRecord, ClientId, ObjectId, Request, RequestContext, Response,
-    S4Drive, S4Error, UserId,
+    AclEntry, AuditRecord, ClientId, ObjectId, Request, RequestContext, Response, S4Drive, S4Error,
+    UserId,
 };
 use s4_simdisk::BlockDev;
 
@@ -328,11 +328,30 @@ pub fn plan_recovery<D: BlockDev>(
     })
 }
 
-/// Executes a plan with the admin context, continuing past individual
-/// failures (each is reported).
-pub fn execute_plan<D: BlockDev>(
-    drive: &S4Drive<D>,
-    admin: &RequestContext,
+/// Mutation sink for [`execute_plan`]: dispatches one request
+/// (reads included, so a single closure adapts a drive, an array, or a
+/// remote transport).
+pub type Dispatch<'a> = &'a mut dyn FnMut(&Request) -> Result<Response, S4Error>;
+
+/// Landmark sink for [`execute_plan`]. Landmark pinning has no
+/// RPC request variant, so it travels beside the dispatch closure;
+/// `at = None` pins the version current *now*.
+pub type Landmark<'a> = &'a mut dyn FnMut(ObjectId, Option<SimTime>) -> Result<(), S4Error>;
+
+/// Executes a plan through `dispatch`, like any other client: every
+/// read and mutation is verified, audited under the caller's (admin)
+/// principal and seen by the detectors. Each action's mutations go out
+/// as a single [`Request::Batch`].
+///
+/// Routed at an `S4Array`, a multi-shard action (e.g. unlink in one
+/// shard's directory + delete in another) rides the cross-shard
+/// two-phase commit and lands all-or-nothing; on a lone drive the
+/// batch still collapses the action into one dispatch with the
+/// drive's abort-at-first-failure contract. Execution continues past
+/// individual action failures and each is reported.
+pub fn execute_plan(
+    dispatch: Dispatch<'_>,
+    mark_landmark: Landmark<'_>,
     plan: &RecoveryPlan,
 ) -> Result<RecoveryReport, S4Error> {
     let mut report = RecoveryReport::default();
@@ -343,7 +362,7 @@ pub fn execute_plan<D: BlockDev>(
     for (idx, pa) in plan.actions.iter().enumerate() {
         let r = match &pa.action {
             RecoveryAction::RestoreContent { object, to } => {
-                restore_content(drive, admin, *object, *to)
+                restore_content(&mut *dispatch, *object, *to)
             }
             RecoveryAction::Undelete {
                 object,
@@ -354,78 +373,13 @@ pub fn execute_plan<D: BlockDev>(
                 let parent = parent
                     .as_ref()
                     .map(|(dir, name)| (remap.get(&dir.0).copied().unwrap_or(*dir), name.clone()));
-                undelete(drive, admin, *object, *to, parent.as_ref(), *kind).map(|new_oid| {
+                undelete(&mut *dispatch, *object, *to, parent.as_ref(), *kind).map(|new_oid| {
                     remap.insert(object.0, new_oid);
                     report.undeleted.push((*object, new_oid));
                 })
             }
             RecoveryAction::RemovePlanted { object, parent } => {
-                remove_planted(drive, admin, *object, parent.as_ref())
-            }
-            RecoveryAction::Quarantine { object, at } => {
-                drive.op_mark_landmark(admin, *object, *at)
-            }
-        };
-        match r {
-            Ok(()) => report.applied += 1,
-            Err(e) => report.failed.push((idx, e.to_string())),
-        }
-    }
-    Ok(report)
-}
-
-/// Mutation sink for [`execute_plan_atomic`]: dispatches one request
-/// (reads included, so a single closure adapts a drive, an array, or a
-/// remote transport).
-pub type Dispatch<'a> = &'a mut dyn FnMut(&Request) -> Result<Response, S4Error>;
-
-/// Landmark sink for [`execute_plan_atomic`]. Landmark pinning has no
-/// RPC request variant, so it travels beside the dispatch closure;
-/// `at = None` pins the version current *now*.
-pub type Landmark<'a> = &'a mut dyn FnMut(ObjectId, Option<SimTime>) -> Result<(), S4Error>;
-
-/// Executes a plan issuing each action's mutations as a single
-/// [`Request::Batch`] dispatch.
-///
-/// Routed at an `S4Array`, a multi-shard action (e.g. unlink in one
-/// shard's directory + delete in another) rides the cross-shard
-/// two-phase commit and lands all-or-nothing; on a lone drive the
-/// batch still collapses the action into one dispatch with the
-/// drive's abort-at-first-failure contract. Like [`execute_plan`],
-/// execution continues past individual action failures and each is
-/// reported.
-pub fn execute_plan_atomic(
-    dispatch: Dispatch<'_>,
-    mark_landmark: Landmark<'_>,
-    plan: &RecoveryPlan,
-) -> Result<RecoveryReport, S4Error> {
-    let mut report = RecoveryReport::default();
-    // Same remap discipline as execute_plan: relink into resurrected
-    // directories' fresh ids.
-    let mut remap: BTreeMap<u64, ObjectId> = BTreeMap::new();
-    for (idx, pa) in plan.actions.iter().enumerate() {
-        let r = match &pa.action {
-            RecoveryAction::RestoreContent { object, to } => {
-                restore_content_atomic(&mut *dispatch, *object, *to)
-            }
-            RecoveryAction::Undelete {
-                object,
-                to,
-                parent,
-                kind,
-            } => {
-                let parent = parent
-                    .as_ref()
-                    .map(|(dir, name)| (remap.get(&dir.0).copied().unwrap_or(*dir), name.clone()));
-                undelete_atomic(&mut *dispatch, *object, *to, parent.as_ref(), *kind).map(
-                    |new_oid| {
-                        remap.insert(object.0, new_oid);
-                        report.undeleted.push((*object, new_oid));
-                    },
-                )
-            }
-            RecoveryAction::RemovePlanted { object, parent } => {
-                remove_planted_atomic(&mut *dispatch, &mut *mark_landmark, *object, parent.as_ref())
+                remove_planted(&mut *dispatch, &mut *mark_landmark, *object, parent.as_ref())
             }
             RecoveryAction::Quarantine { object, at } => mark_landmark(*object, Some(*at)),
         };
@@ -437,13 +391,13 @@ pub fn execute_plan_atomic(
     Ok(report)
 }
 
-/// [`execute_plan_atomic`] adapted to a single drive's dispatch path.
-pub fn execute_plan_atomic_on<D: BlockDev>(
+/// [`execute_plan`] adapted to a single drive's dispatch path.
+pub fn execute_plan_on<D: BlockDev>(
     drive: &S4Drive<D>,
     admin: &RequestContext,
     plan: &RecoveryPlan,
 ) -> Result<RecoveryReport, S4Error> {
-    execute_plan_atomic(
+    execute_plan(
         &mut |req| drive.dispatch(admin, req),
         &mut |oid, at| drive.op_mark_landmark(admin, oid, at.unwrap_or_else(|| drive.now())),
         plan,
@@ -477,11 +431,7 @@ fn read_version(
     Ok((attrs, data))
 }
 
-fn restore_content_atomic(
-    dispatch: Dispatch<'_>,
-    oid: ObjectId,
-    to: SimTime,
-) -> Result<(), S4Error> {
+fn restore_content(dispatch: Dispatch<'_>, oid: ObjectId, to: SimTime) -> Result<(), S4Error> {
     let (attrs, data) = read_version(&mut *dispatch, oid, Some(to))?;
     let mut batch = Vec::new();
     if !data.is_empty() {
@@ -523,7 +473,7 @@ fn acl_entries_at(
     Ok(entries)
 }
 
-fn undelete_atomic(
+fn undelete(
     dispatch: Dispatch<'_>,
     oid: ObjectId,
     to: SimTime,
@@ -562,12 +512,12 @@ fn undelete_atomic(
         _ => return Err(S4Error::BadRequest("expected Batch response")),
     };
     if let Some((dir, name)) = parent {
-        relink_atomic(&mut *dispatch, *dir, name, Some((new_oid, kind)), Vec::new())?;
+        relink(&mut *dispatch, *dir, name, Some((new_oid, kind)), Vec::new())?;
     }
     Ok(new_oid)
 }
 
-fn remove_planted_atomic(
+fn remove_planted(
     dispatch: Dispatch<'_>,
     mark_landmark: Landmark<'_>,
     oid: ObjectId,
@@ -578,7 +528,7 @@ fn remove_planted_atomic(
     if let Some((dir, name)) = parent {
         // Unlink and delete ride one batch — a failure between the two
         // can no longer leave a dangling directory entry.
-        match relink_atomic(&mut *dispatch, *dir, name, None, vec![Request::Delete { oid }]) {
+        match relink(&mut *dispatch, *dir, name, None, vec![Request::Delete { oid }]) {
             Ok(()) => return Ok(()),
             // The parent directory may itself be a removed plant.
             Err(S4Error::NoSuchObject) => {}
@@ -591,7 +541,7 @@ fn remove_planted_atomic(
 /// Rewrites one directory entry (`target = Some` upserts, `None`
 /// removes) and appends `tail` so callers can make follow-on
 /// mutations part of the same atomic batch.
-fn relink_atomic(
+fn relink(
     dispatch: Dispatch<'_>,
     dir: ObjectId,
     name: &str,
@@ -651,10 +601,7 @@ fn namespace_index<D: BlockDev>(
     for (pname, root) in drive.op_plist(admin, time)? {
         let tree = tree_at(drive, admin, root, time)?;
         for (path, node) in &tree {
-            let (dir_part, name) = match path.rfind('/') {
-                Some(i) => (&path[..i], &path[i + 1..]),
-                None => ("", path.as_str()),
-            };
+            let (dir_part, name) = path.rsplit_once('/').unwrap_or(("", path));
             let parent = if dir_part.is_empty() {
                 root
             } else {
@@ -669,115 +616,6 @@ fn namespace_index<D: BlockDev>(
         }
     }
     Ok(idx)
-}
-
-fn restore_content<D: BlockDev>(
-    drive: &S4Drive<D>,
-    admin: &RequestContext,
-    oid: ObjectId,
-    to: SimTime,
-) -> Result<(), S4Error> {
-    let attrs = drive.op_getattr(admin, oid, Some(to))?;
-    let data = if attrs.size > 0 {
-        drive.op_read(admin, oid, 0, attrs.size, Some(to))?
-    } else {
-        Vec::new()
-    };
-    if !data.is_empty() {
-        drive.op_write(admin, oid, 0, &data)?;
-    }
-    drive.op_truncate(admin, oid, attrs.size)?;
-    drive.op_setattr(admin, oid, attrs.opaque)?;
-    Ok(())
-}
-
-/// Reconstructs the ACL table of `oid`'s version at `to` through the
-/// indexed lookup interface.
-fn acl_at<D: BlockDev>(
-    drive: &S4Drive<D>,
-    admin: &RequestContext,
-    oid: ObjectId,
-    to: SimTime,
-) -> Result<AclTable, S4Error> {
-    let mut table = AclTable::empty();
-    for idx in 0.. {
-        match drive.op_get_acl_by_index(admin, oid, idx, Some(to))? {
-            Some(entry) => table.set(entry),
-            None => break,
-        }
-    }
-    Ok(table)
-}
-
-fn undelete<D: BlockDev>(
-    drive: &S4Drive<D>,
-    admin: &RequestContext,
-    oid: ObjectId,
-    to: SimTime,
-    parent: Option<&(ObjectId, String)>,
-    kind: EntryKind,
-) -> Result<ObjectId, S4Error> {
-    let attrs = drive.op_getattr(admin, oid, Some(to))?;
-    let data = if attrs.size > 0 {
-        drive.op_read(admin, oid, 0, attrs.size, Some(to))?
-    } else {
-        Vec::new()
-    };
-    let acl = acl_at(drive, admin, oid, to)?;
-    let new_oid = drive.op_create(admin, Some(acl))?;
-    if !data.is_empty() {
-        drive.op_write(admin, new_oid, 0, &data)?;
-    }
-    drive.op_setattr(admin, new_oid, attrs.opaque)?;
-    if let Some((dir, name)) = parent {
-        relink(drive, admin, *dir, name, Some((new_oid, kind)))?;
-    }
-    Ok(new_oid)
-}
-
-fn remove_planted<D: BlockDev>(
-    drive: &S4Drive<D>,
-    admin: &RequestContext,
-    oid: ObjectId,
-    parent: Option<&(ObjectId, String)>,
-) -> Result<(), S4Error> {
-    // Evidence first: pin the version being removed past the window.
-    drive.op_mark_landmark(admin, oid, drive.now())?;
-    if let Some((dir, name)) = parent {
-        match relink(drive, admin, *dir, name, None) {
-            // The parent directory may itself be a removed plant.
-            Ok(()) | Err(S4Error::NoSuchObject) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    drive.op_delete(admin, oid)
-}
-
-/// Rewrites one entry of a directory object: `target = Some` upserts
-/// the entry, `None` removes it.
-fn relink<D: BlockDev>(
-    drive: &S4Drive<D>,
-    admin: &RequestContext,
-    dir: ObjectId,
-    name: &str,
-    target: Option<(ObjectId, EntryKind)>,
-) -> Result<(), S4Error> {
-    let attrs = drive.op_getattr(admin, dir, None)?;
-    let data = if attrs.size > 0 {
-        drive.op_read(admin, dir, 0, attrs.size, None)?
-    } else {
-        Vec::new()
-    };
-    let mut entries = dirblob::decode(&data)?;
-    entries.retain(|(n, _, _)| n != name);
-    if let Some((oid, kind)) = target {
-        entries.push((name.to_string(), oid.0, kind));
-    }
-    let blob = dirblob::encode(&entries);
-    if !blob.is_empty() {
-        drive.op_write(admin, dir, 0, &blob)?;
-    }
-    drive.op_truncate(admin, dir, blob.len() as u64)
 }
 
 #[cfg(test)]
@@ -809,7 +647,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_classifies_all_four_shapes() {
+    fn plan_classifies_and_executor_restores_all_four_shapes_via_batches() {
         let (d, admin, user, intruder) = setup();
         // Pre-intrusion state, created through the audited path.
         let tampered = create(&d, &user);
@@ -852,56 +690,15 @@ mod tests {
         assert!(matches!(find(planted).action, RecoveryAction::RemovePlanted { .. }));
         assert!(matches!(find(tool).action, RecoveryAction::Quarantine { .. }));
 
-        // Execute and verify the drive state.
-        let report = execute_plan(&d, &admin, &plan).unwrap();
-        assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
-        assert_eq!(report.applied, plan.actions.len());
-        assert_eq!(d.op_read(&user, tampered, 0, 4, None).unwrap(), b"good");
-        assert!(d.op_getattr(&user, planted, None).is_err(), "planted object removed");
-        let (_, new_oid) = report.undeleted[0];
-        assert_eq!(d.op_read(&user, new_oid, 0, 7, None).unwrap(), b"keep me");
-        // The quarantined tool's last version is pinned as a landmark.
-        let pins = d.landmarks(&admin, tool).unwrap();
-        assert_eq!(pins.len(), 1);
-        // And the removed planted object is pinned too (evidence).
-        assert_eq!(d.landmarks(&admin, planted).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn atomic_executor_restores_all_four_shapes_via_batches() {
-        let (d, admin, user, intruder) = setup();
-        let tampered = create(&d, &user);
-        d.dispatch(&user, &Request::Write { oid: tampered, offset: 0, data: b"good".to_vec() })
-            .unwrap();
-        let destroyed = create(&d, &user);
-        d.dispatch(&user, &Request::Write { oid: destroyed, offset: 0, data: b"keep me".to_vec() })
-            .unwrap();
-        tick(&d);
-        let t = d.now();
-        tick(&d);
-        d.dispatch(&intruder, &Request::Write { oid: tampered, offset: 0, data: b"EVIL".to_vec() })
-            .unwrap();
-        d.dispatch(&intruder, &Request::Delete { oid: destroyed }).unwrap();
-        let planted = create(&d, &intruder);
-        d.dispatch(&intruder, &Request::Write { oid: planted, offset: 0, data: b"backdoor".to_vec() })
-            .unwrap();
-        let tool = create(&d, &intruder);
-        tick(&d);
-        d.dispatch(&intruder, &Request::Delete { oid: tool }).unwrap();
-
-        let plan = plan_recovery(&d, &admin, &Suspects::client(ClientId(66)), t).unwrap();
-        // Count batch dispatches: every action's mutations must arrive
-        // as a single Request::Batch, never as loose writes.
+        // Execute, counting batch dispatches: every action's mutations
+        // must arrive as a single Request::Batch, never as loose writes.
         let mut batches = 0usize;
-        let report = execute_plan_atomic(
+        let report = execute_plan(
             &mut |req| {
                 if matches!(req, Request::Batch(_)) {
                     batches += 1;
                 } else {
-                    assert!(
-                        !req.mutates(),
-                        "atomic executor issued a loose mutation: {req:?}"
-                    );
+                    assert!(!req.mutates(), "executor issued a loose mutation: {req:?}");
                 }
                 d.dispatch(&admin, req)
             },
@@ -912,11 +709,15 @@ mod tests {
         assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
         assert_eq!(report.applied, plan.actions.len());
         assert!(batches >= 3, "restore/undelete/remove each batch once");
+        // The drive state.
         assert_eq!(d.op_read(&user, tampered, 0, 4, None).unwrap(), b"good");
         assert!(d.op_getattr(&user, planted, None).is_err(), "planted object removed");
         let (_, new_oid) = report.undeleted[0];
         assert_eq!(d.op_read(&user, new_oid, 0, 7, None).unwrap(), b"keep me");
-        assert_eq!(d.landmarks(&admin, tool).unwrap().len(), 1);
+        // The quarantined tool's last version is pinned as a landmark.
+        let pins = d.landmarks(&admin, tool).unwrap();
+        assert_eq!(pins.len(), 1);
+        // And the removed planted object is pinned too (evidence).
         assert_eq!(d.landmarks(&admin, planted).unwrap().len(), 1);
     }
 

@@ -20,7 +20,10 @@
 //!   protocol.
 //! * [`tools`] — §3.6's "time-enhanced" administrative utilities
 //!   (`ls`/`cat` at a point in time, file restoration from the history
-//!   pool, and audit-log-driven damage reports).
+//!   pool).
+//!
+//! The directory-object format the translator reads and writes is
+//! `s4_detect::dirblob` (see there for why it lives on that side).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,6 +40,5 @@ pub use tcp::{
     RpcHandler, TcpServerHandle, TcpTransport, RESHARD_FRAME_MARKER, STATS_FRAME_MARKER,
     TXN_FRAME_MARKER,
 };
-#[allow(deprecated)]
-pub use tools::{damage_report, ls_at, read_file_at, restore_file, DamageReport};
+pub use tools::{ls_at, read_file_at, restore_file, split_path};
 pub use transport::{LoopbackTransport, Transport};

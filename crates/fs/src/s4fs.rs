@@ -20,7 +20,9 @@ use std::collections::HashMap;
 use s4_clock::sync::Mutex;
 
 use s4_clock::SimTime;
+use s4_core::codec::Reader;
 use s4_core::{ObjectId, Request, RequestContext, Response};
+use s4_detect::dirblob;
 
 use crate::server::{FileAttr, FileKind, FileServer, FsError, FsResult, Handle};
 use crate::transport::Transport;
@@ -67,82 +69,23 @@ pub struct S4FileServer<T: Transport> {
     caches: Mutex<Caches>,
 }
 
-const DIR_ENTRY_OVERHEAD: usize = 11;
-
-fn encode_dir(entries: &[(String, Handle, FileKind)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + entries.len() * 24);
-    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for (name, h, kind) in entries {
-        out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-        out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(&h.to_le_bytes());
-        out.push(match kind {
-            FileKind::File => 1,
-            FileKind::Dir => 2,
-            FileKind::Symlink => 3,
-        });
-    }
-    out
-}
-
-fn decode_dir(data: &[u8]) -> FsResult<Vec<(String, Handle, FileKind)>> {
-    if data.is_empty() {
-        return Ok(Vec::new());
-    }
-    if data.len() < 4 {
-        return Err(FsError::Storage("directory blob truncated".into()));
-    }
-    let n = u32::from_le_bytes(data[0..4].try_into().unwrap()) as usize;
-    let mut pos = 4;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        if pos + 2 > data.len() {
-            return Err(FsError::Storage("directory entry truncated".into()));
-        }
-        let nl = u16::from_le_bytes(data[pos..pos + 2].try_into().unwrap()) as usize;
-        pos += 2;
-        if pos + nl + 9 > data.len() {
-            return Err(FsError::Storage("directory name truncated".into()));
-        }
-        let name = String::from_utf8(data[pos..pos + nl].to_vec())
-            .map_err(|_| FsError::Storage("directory name utf8".into()))?;
-        pos += nl;
-        let h = u64::from_le_bytes(data[pos..pos + 8].try_into().unwrap());
-        pos += 8;
-        let kind = match data[pos] {
-            1 => FileKind::File,
-            2 => FileKind::Dir,
-            3 => FileKind::Symlink,
-            _ => return Err(FsError::Storage("directory entry kind".into())),
-        };
-        pos += 1;
-        out.push((name, h, kind));
-    }
-    let _ = DIR_ENTRY_OVERHEAD;
-    Ok(out)
-}
-
+/// The attribute blob a translator keeps in an object's opaque
+/// attribute space: the kind byte of the directory format, then the mode.
 fn encode_fattr(kind: FileKind, mode: u16) -> Vec<u8> {
     let mut out = Vec::with_capacity(3);
-    out.push(match kind {
-        FileKind::File => 1,
-        FileKind::Dir => 2,
-        FileKind::Symlink => 3,
-    });
+    out.push(kind as u8);
     out.extend_from_slice(&mode.to_le_bytes());
     out
 }
 
+/// An object no translator wrote (short blob, unknown kind byte) reads
+/// as a plain file.
 fn decode_fattr(blob: &[u8]) -> (FileKind, u16) {
-    if blob.len() < 3 {
-        return (FileKind::File, 0o644);
+    let mut r = Reader::new(blob, "attribute blob truncated");
+    match (r.u8(), r.u16()) {
+        (Ok(kind), Ok(mode)) => (FileKind::from_u8(kind).unwrap_or(FileKind::File), mode),
+        _ => (FileKind::File, 0o644),
     }
-    let kind = match blob[0] {
-        2 => FileKind::Dir,
-        3 => FileKind::Symlink,
-        _ => FileKind::File,
-    };
-    (kind, u16::from_le_bytes(blob[1..3].try_into().unwrap()))
 }
 
 impl<T: Transport> S4FileServer<T> {
@@ -269,8 +212,8 @@ impl<T: Transport> S4FileServer<T> {
         entries: &[(String, Handle, FileKind)],
     ) -> Vec<Request> {
         const BS: usize = 4096;
-        let old_blob = encode_dir(old_entries);
-        let blob = encode_dir(entries);
+        let old_blob = dirblob::encode(old_entries);
+        let blob = dirblob::encode(entries);
         let blocks = blob.len().div_ceil(BS).max(old_blob.len().div_ceil(BS));
         let mut reqs = Vec::new();
         for b in 0..blocks {
@@ -356,7 +299,7 @@ impl<T: Transport> S4FileServer<T> {
             return Err(FsError::NotADirectory);
         }
         let blob = self.read_object(dir, 0, attr.size, None)?;
-        let entries = decode_dir(&blob)?;
+        let entries = dirblob::decode(&blob)?;
         if self.config.dir_cache {
             self.caches.lock().dir.insert(dir, entries.clone());
         }
@@ -439,7 +382,7 @@ impl<T: Transport> S4FileServer<T> {
     ) -> FsResult<Vec<(String, Handle, FileKind)>> {
         let attr = self.getattr_raw(dir, Some(time))?;
         let blob = self.read_object(dir, 0, attr.size, Some(time))?;
-        decode_dir(&blob)
+        Ok(dirblob::decode(&blob)?)
     }
 
     /// Resolves `name` in `dir` as of `time`.
@@ -647,22 +590,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dir_codec_round_trip() {
-        let entries = vec![
-            ("a.txt".to_string(), 10, FileKind::File),
-            ("subdir".to_string(), 11, FileKind::Dir),
-            ("link".to_string(), 12, FileKind::Symlink),
-        ];
-        assert_eq!(decode_dir(&encode_dir(&entries)).unwrap(), entries);
-        assert!(decode_dir(&[]).unwrap().is_empty());
-        assert!(decode_dir(&[1, 2]).is_err());
-    }
-
-    #[test]
     fn fattr_codec() {
         let blob = encode_fattr(FileKind::Dir, 0o755);
         assert_eq!(decode_fattr(&blob), (FileKind::Dir, 0o755));
         // Unknown blobs default sanely.
         assert_eq!(decode_fattr(&[]), (FileKind::File, 0o644));
+        assert_eq!(decode_fattr(&[2, 0]), (FileKind::File, 0o644));
+        assert_eq!(decode_fattr(&[9, 0o55, 0]), (FileKind::File, 0o55));
     }
 }

@@ -9,22 +9,16 @@
 use core::fmt;
 
 use s4_clock::SimTime;
+use s4_core::S4Error;
 
 /// An NFS-style file handle. For the S4 backend this is the ObjectID
 /// (§4.1.2: "the NFS file handle can be directly hashed into the
 /// ObjectID").
 pub type Handle = u64;
 
-/// File type.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FileKind {
-    /// Regular file.
-    File,
-    /// Directory.
-    Dir,
-    /// Symbolic link.
-    Symlink,
-}
+/// File type: the kind byte of the directory-object format, whose one
+/// definition is [`s4_detect::dirblob`].
+pub use s4_detect::dirblob::EntryKind as FileKind;
 
 /// Attributes returned by `getattr`-style operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -73,6 +67,47 @@ impl fmt::Display for FsError {
 }
 
 impl std::error::Error for FsError {}
+
+/// The one `S4Error → FsError` mapping; every transport converts with
+/// `?`, so a failing request is the same `FsError` in process and over
+/// TCP. A failed batch is the kind of the sub-request that failed it.
+impl From<S4Error> for FsError {
+    fn from(e: S4Error) -> FsError {
+        match e {
+            S4Error::AccessDenied => FsError::Denied,
+            S4Error::NoSuchObject | S4Error::NoSuchPartition => FsError::NotFound,
+            S4Error::BatchFailed { ref error, .. } => match FsError::from((**error).clone()) {
+                // Keep the batch position in the message.
+                FsError::Storage(_) => FsError::Storage(e.to_string()),
+                kind => kind,
+            },
+            other => FsError::Storage(other.to_string()),
+        }
+    }
+}
+
+impl FsError {
+    /// Status byte and text of this error's failure reply on the wire
+    /// (0 is success; see the frame format in [`crate::tcp`]).
+    pub(crate) fn to_wire(&self) -> (u8, String) {
+        match self {
+            FsError::Storage(msg) => (1, msg.clone()),
+            FsError::NotFound => (2, self.to_string()),
+            FsError::Denied => (3, self.to_string()),
+            // Raised by the translator, never by a server.
+            other => (1, other.to_string()),
+        }
+    }
+
+    /// The error a failure reply stands for: [`FsError::to_wire`] back.
+    pub(crate) fn from_wire(status: u8, text: &[u8]) -> FsError {
+        match status {
+            2 => FsError::NotFound,
+            3 => FsError::Denied,
+            _ => FsError::Storage(String::from_utf8_lossy(text).into_owned()),
+        }
+    }
+}
 
 /// Result alias for file-server operations.
 pub type FsResult<T> = std::result::Result<T, FsError>;
@@ -145,6 +180,44 @@ pub trait FileServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn s4_errors_map_by_kind_and_survive_the_wire() {
+        let batch = |error| S4Error::BatchFailed {
+            completed: 1,
+            failed_at: 1,
+            error: Box::new(error),
+        };
+        let bad = S4Error::BadRequest("nested batch");
+        for (e, expected) in [
+            (S4Error::AccessDenied, FsError::Denied),
+            (S4Error::NoSuchObject, FsError::NotFound),
+            (S4Error::NoSuchPartition, FsError::NotFound),
+            (batch(S4Error::AccessDenied), FsError::Denied),
+            (batch(S4Error::NoSuchObject), FsError::NotFound),
+            (
+                bad.clone(),
+                FsError::Storage("bad request: nested batch".into()),
+            ),
+            (
+                batch(bad),
+                FsError::Storage(
+                    "batch failed at sub-request 1 after 1 completed: bad request: nested batch"
+                        .into(),
+                ),
+            ),
+            (
+                S4Error::PoolFull,
+                FsError::Storage("history pool exhausted".into()),
+            ),
+        ] {
+            let mapped = FsError::from(e);
+            assert_eq!(mapped, expected);
+            let (status, text) = mapped.to_wire();
+            assert_ne!(status, 0, "0 is the success status");
+            assert_eq!(FsError::from_wire(status, text.as_bytes()), mapped);
+        }
+    }
 
     #[test]
     fn error_display() {

@@ -6,13 +6,18 @@
 //! sockets for deployments and the `nfs_server` example.
 //!
 //! Frame format, both directions: `u32-le length || payload`.
-//! Request payload: `user:u32 || client:u32 || has_token:u8 ||
+//! Request payload: `user:u32 || client:u32 || has_token:u8 (0 or 1) ||
 //! token:u64 || trace_id:u64 || origin:u8 || phase:u8 ||
-//! Request::encode()`. Response payload: `0u8 || Response::encode()`
-//! on success, `1u8 || utf8 error` on failure. The trace triple
-//! propagates the client's causal [`s4_core::TraceCtx`]; the client
-//! transport mints a fresh trace id when the caller left it 0, so every
-//! request entering over the wire is traceable end to end.
+//! Request::encode()`. Response payload: `status:u8 || body` — status 0
+//! and `Response::encode()` on success; on failure the status is the
+//! kind of [`FsError`] the server's `S4Error` maps to (1 `Storage`,
+//! 2 `NotFound`, 3 `Denied`; the pair of functions next to
+//! `impl From<S4Error> for FsError` in [`crate::server`]) and the body
+//! its utf8 text, so the client rebuilds the very error an in-process
+//! transport would have returned and never parses the text. The trace
+//! triple propagates the client's causal [`s4_core::TraceCtx`]; the
+//! client transport mints a fresh trace id when the caller left it 0,
+//! so every request entering over the wire is traceable end to end.
 //!
 //! Out-of-band frames: a request payload equal to one of the
 //! `*_FRAME_MARKER`s (too short to be a valid RPC frame, so it cannot
@@ -31,6 +36,7 @@ use std::thread::JoinHandle;
 use s4_clock::sync::Mutex;
 
 use s4_clock::SimClock;
+use s4_core::codec::Reader;
 use s4_core::{Request, RequestContext, Response, S4Drive};
 use s4_simdisk::BlockDev;
 
@@ -95,12 +101,18 @@ impl<D: BlockDev> RpcHandler for S4Drive<D> {
 /// is answered with.
 type OobFrame<H> = (&'static [u8], fn(&H) -> String);
 
-/// A response payload: `0u8 || body` on success, `1u8 || utf8 error`.
+/// A response payload: `status || body`.
 fn reply_frame(status: u8, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(1 + body.len());
     out.push(status);
     out.extend_from_slice(body);
     out
+}
+
+/// The response payload of a request that failed with `e`.
+fn failure_frame(e: FsError) -> Vec<u8> {
+    let (status, text) = e.to_wire();
+    reply_frame(status, text.as_bytes())
 }
 
 fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
@@ -143,28 +155,30 @@ fn encode_request_frame(ctx: &RequestContext, req: &Request) -> Vec<u8> {
     out
 }
 
-fn decode_request_frame(buf: &[u8]) -> Option<(RequestContext, Request)> {
-    if buf.len() < 27 {
-        return None;
-    }
-    let user = s4_core::UserId(u32::from_le_bytes(buf[0..4].try_into().ok()?));
-    let client = s4_core::ClientId(u32::from_le_bytes(buf[4..8].try_into().ok()?));
-    let token = (buf[8] == 1).then(|| u64::from_le_bytes(buf[9..17].try_into().unwrap()));
-    let trace = s4_core::TraceCtx {
-        trace_id: u64::from_le_bytes(buf[17..25].try_into().ok()?),
-        origin: buf[25],
-        phase: buf[26],
+/// What a payload that is neither a marker nor a request is answered with.
+const MALFORMED: &str = "malformed request frame";
+
+fn decode_request_frame(buf: &[u8]) -> s4_core::Result<(RequestContext, Request)> {
+    let mut r = Reader::new(buf, MALFORMED);
+    let user = s4_core::UserId(r.u32()?);
+    let client = s4_core::ClientId(r.u32()?);
+    let admin_token = match (r.u8()?, r.u64()?) {
+        (0, _) => None,
+        (1, token) => Some(token),
+        _ => return Err(s4_core::S4Error::BadRequest(MALFORMED)),
     };
-    let req = Request::decode(&buf[27..]).ok()?;
-    Some((
-        RequestContext {
-            user,
-            client,
-            admin_token: token,
-            trace,
-        },
-        req,
-    ))
+    let trace = s4_core::TraceCtx {
+        trace_id: r.u64()?,
+        origin: r.u8()?,
+        phase: r.u8()?,
+    };
+    let ctx = RequestContext {
+        user,
+        client,
+        admin_token,
+        trace,
+    };
+    Ok((ctx, Request::decode(r.rest())?))
 }
 
 /// A running TCP server exporting one S4 drive (or drive array).
@@ -207,11 +221,11 @@ impl TcpServerHandle {
                         let reply = match oob.iter().find(|(m, _)| frame == *m) {
                             Some((_, text)) => reply_frame(0, text(&handler).as_bytes()),
                             None => match decode_request_frame(&frame) {
-                                Some((ctx, req)) => match handler.handle(&ctx, &req) {
+                                Ok((ctx, req)) => match handler.handle(&ctx, &req) {
                                     Ok(resp) => reply_frame(0, &resp.encode()),
-                                    Err(e) => reply_frame(1, e.to_string().as_bytes()),
+                                    Err(e) => failure_frame(e.into()),
                                 },
-                                None => reply_frame(1, b"malformed request frame"),
+                                Err(_) => failure_frame(FsError::Storage(MALFORMED.into())),
                             },
                         };
                         if write_frame(&mut stream, &reply).is_err() {
@@ -318,27 +332,14 @@ impl Transport for TcpTransport {
     }
 
     fn call(&self, ctx: &RequestContext, req: &Request) -> FsResult<Response> {
-        let mut ctx = *ctx;
-        if ctx.trace.trace_id == 0 {
-            ctx.trace.trace_id = self.trace_ids.next(self.clock.now().as_micros());
-        }
+        let ctx = self.trace_ids.stamp(ctx, &self.clock);
         let reply = self.exchange(&encode_request_frame(&ctx, req))?;
-        if reply.is_empty() {
-            return Err(FsError::Storage("empty reply frame".into()));
-        }
-        match reply[0] {
-            0 => Response::decode(&reply[1..])
-                .map_err(|e| FsError::Storage(format!("bad response: {e}"))),
-            _ => {
-                let msg = String::from_utf8_lossy(&reply[1..]).to_string();
-                if msg.contains("no such object") || msg.contains("no such partition") {
-                    Err(FsError::NotFound)
-                } else if msg.contains("access denied") {
-                    Err(FsError::Denied)
-                } else {
-                    Err(FsError::Storage(msg))
-                }
+        match reply.split_first() {
+            None => Err(FsError::Storage("empty reply frame".into())),
+            Some((0, body)) => {
+                Response::decode(body).map_err(|e| FsError::Storage(format!("bad response: {e}")))
             }
+            Some((&status, text)) => Err(FsError::from_wire(status, text)),
         }
     }
 }
@@ -361,8 +362,12 @@ mod tests {
         let (dctx, dreq) = decode_request_frame(&frame).unwrap();
         assert_eq!(dctx, ctx);
         assert_eq!(dreq, req);
-        assert!(decode_request_frame(&frame[..10]).is_none());
-        assert!(decode_request_frame(&frame[..26]).is_none());
+        assert!(decode_request_frame(&frame[..10]).is_err());
+        assert!(decode_request_frame(&frame[..26]).is_err());
+        // `has_token` is 0 or 1; anything else is no frame of ours.
+        let mut bad_flag = frame.clone();
+        bad_flag[8] = 2;
+        assert!(decode_request_frame(&bad_flag).is_err());
 
         // The trace triple crosses the wire intact.
         let traced = RequestContext::user(UserId(4), ClientId(8)).with_trace(s4_core::TraceCtx {

@@ -11,18 +11,20 @@
 //!   version of the object can be completely restored by requesting that
 //!   the drive copy forward the old version, thus making a new version"
 //!   (§3.3).
-//! * [`damage_report`] — intrusion diagnosis over the audit log: every
-//!   object a given client (or user) touched in a time interval, split
-//!   into reads and modifications, with crude taint propagation (objects
-//!   written shortly after a tainted read).
+//!
+//! Intrusion diagnosis over the audit log (the damage report) is
+//! drive-level work and lives in `s4_detect::forensics`.
 
-use s4_clock::{SimDuration, SimTime};
-use s4_core::{ClientId, RequestContext, S4Drive};
-use s4_simdisk::BlockDev;
+use s4_clock::SimTime;
 
 use crate::s4fs::S4FileServer;
-use crate::server::{FileKind, FsResult, Handle};
+use crate::server::{FileKind, FileServer, FsError, FsResult, Handle};
 use crate::transport::Transport;
+
+/// Splits `dir/name` at the last `/`; a bare name is in the root (`""`).
+pub fn split_path(path: &str) -> (&str, &str) {
+    path.rsplit_once('/').unwrap_or(("", path))
+}
 
 /// Time-enhanced `ls`: lists `path` as it was at `time`.
 ///
@@ -66,16 +68,12 @@ pub fn restore_file<T: Transport>(
     path: &str,
     time: SimTime,
 ) -> FsResult<Handle> {
-    use crate::server::FileServer;
     let data = read_file_at(fs, path, time)?;
-    let (dir_path, name) = match path.rfind('/') {
-        Some(idx) => (&path[..idx], &path[idx + 1..]),
-        None => ("", path),
-    };
+    let (dir_path, name) = split_path(path);
     let dir = fs.resolve_path(dir_path)?;
     let h = match fs.lookup(dir, name) {
         Ok(h) => h,
-        Err(crate::server::FsError::NotFound) => fs.create(dir, name)?,
+        Err(FsError::NotFound) => fs.create(dir, name)?,
         Err(e) => return Err(e),
     };
     fs.truncate(h, 0)?;
@@ -85,38 +83,15 @@ pub fn restore_file<T: Transport>(
     Ok(h)
 }
 
-/// The outcome of an audit-log damage analysis.
-///
-/// Re-exported from [`s4_detect`], where the analysis now lives.
-pub use s4_detect::DamageReport;
-
-/// Builds a [`DamageReport`] for `suspect` over `[from, to]` from the
-/// drive's audit log (requires the admin context).
-#[deprecated(
-    since = "0.1.0",
-    note = "moved to `s4_detect::forensics::damage_report` (diagnosis is drive-level work and \
-            does not need a file-server mount); this wrapper delegates"
-)]
-pub fn damage_report<D: BlockDev>(
-    drive: &S4Drive<D>,
-    admin: &RequestContext,
-    suspect: ClientId,
-    from: SimTime,
-    to: SimTime,
-    taint_window: SimDuration,
-) -> Result<DamageReport, s4_core::S4Error> {
-    s4_detect::damage_report(drive, admin, suspect, from, to, taint_window)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::s4fs::S4FsConfig;
-    use crate::server::FileServer;
     use crate::transport::LoopbackTransport;
-    use s4_clock::{NetworkModel, SimClock};
-    use s4_core::{DriveConfig, UserId};
-    use s4_simdisk::MemDisk;
+    use s4_clock::{NetworkModel, SimClock, SimDuration};
+    use s4_core::{ClientId, DriveConfig, RequestContext, S4Drive, UserId};
+    use s4_detect::damage_report;
+    use s4_simdisk::{BlockDev, MemDisk};
     use std::sync::Arc;
 
     fn setup() -> (
@@ -175,8 +150,9 @@ mod tests {
         assert_eq!(fs.read(restored, 0, attr.size).unwrap(), b"do not lose me");
     }
 
+    /// `s4_detect::damage_report` over activity made through the
+    /// translator (only this crate can stage that).
     #[test]
-    #[allow(deprecated)] // exercises the compatibility wrapper on purpose
     fn damage_report_finds_intruder_activity() {
         let (fs, drive, admin) = setup();
         let root = fs.root();

@@ -6,7 +6,8 @@ use s4_clock::{NetworkModel, SimClock};
 use s4_core::{Request, RequestContext, Response, S4Drive};
 use s4_simdisk::BlockDev;
 
-use crate::server::{FsError, FsResult};
+use crate::server::FsResult;
+use crate::tcp::RpcHandler;
 
 /// A channel able to deliver one S4 RPC and return its response.
 pub trait Transport: Send + Sync {
@@ -15,6 +16,23 @@ pub trait Transport: Send + Sync {
 
     /// The simulated clock measurements should be taken on.
     fn clock(&self) -> &SimClock;
+}
+
+/// One in-process exchange, the body of every transport without a
+/// socket ([`LoopbackTransport`], `s4_array::ArrayTransport`): dispatch
+/// through `handler`, charge the network cost model for the request
+/// out and the response (or a small error) back, map the error.
+pub fn call_in_process<H: RpcHandler>(
+    handler: &H,
+    net: &NetworkModel,
+    clock: &SimClock,
+    ctx: &RequestContext,
+    req: &Request,
+) -> FsResult<Response> {
+    let resp = handler.handle(ctx, req);
+    let resp_size = resp.as_ref().map(|r| r.wire_size()).unwrap_or(16);
+    clock.advance(net.rpc_cost(req.wire_size(), resp_size));
+    Ok(resp?)
 }
 
 /// In-process transport: invokes the drive directly, charging the network
@@ -61,20 +79,8 @@ impl<D: BlockDev> Transport for LoopbackTransport<D> {
     }
 
     fn call(&self, ctx: &RequestContext, req: &Request) -> FsResult<Response> {
-        let mut ctx = *ctx;
-        if ctx.trace.trace_id == 0 {
-            ctx.trace.trace_id = self.trace_ids.next(self.clock.now().as_micros());
-        }
-        let resp = self.drive.dispatch(&ctx, req);
-        // Charge the wire: request out, response (or small error) back.
-        let resp_size = resp.as_ref().map(|r| r.wire_size()).unwrap_or(16);
-        self.clock
-            .advance(self.net.rpc_cost(req.wire_size(), resp_size));
-        resp.map_err(|e| match e {
-            s4_core::S4Error::AccessDenied => FsError::Denied,
-            s4_core::S4Error::NoSuchObject | s4_core::S4Error::NoSuchPartition => FsError::NotFound,
-            other => FsError::Storage(other.to_string()),
-        })
+        let ctx = self.trace_ids.stamp(ctx, &self.clock);
+        call_in_process(&*self.drive, &self.net, &self.clock, &ctx, req)
     }
 }
 
@@ -124,6 +130,6 @@ mod tests {
                 },
             )
             .unwrap_err();
-        assert_eq!(err, FsError::NotFound);
+        assert_eq!(err, crate::FsError::NotFound);
     }
 }

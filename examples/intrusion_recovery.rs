@@ -17,7 +17,7 @@ use std::sync::Arc;
 use s4_clock::{NetworkModel, SimClock, SimDuration, SimTime};
 use s4_core::{ClientId, DriveConfig, ObjectId, RequestContext, S4Drive, UserId};
 use s4_detect::{
-    damage_report, execute_plan, install_standard_monitor, object_timeline, plan_recovery,
+    damage_report, execute_plan_on, install_standard_monitor, object_timeline, plan_recovery,
     read_alerts, scan_audit, tree_diff, Severity, Suspects,
 };
 use s4_fs::tools::{ls_at, read_file_at};
@@ -193,7 +193,7 @@ fn main() {
     for pa in &plan.actions {
         println!("      {}", pa.action);
     }
-    let outcome = execute_plan(&drive, &admin, &plan).unwrap();
+    let outcome = execute_plan_on(&drive, &admin, &plan).unwrap();
     assert!(
         outcome.failed.is_empty(),
         "recovery failed: {:?}",

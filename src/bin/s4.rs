@@ -23,11 +23,12 @@ use std::io::Read as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use s4_array::{ArrayConfig, S4Array};
 use s4_clock::{NetworkModel, SimClock, SimDuration, SimTime};
 use s4_core::{ClientId, DriveConfig, RequestContext, S4Drive, UserId};
 use s4_fs::tools;
 use s4_fs::{FileKind, FileServer, LoopbackTransport, S4FileServer, S4FsConfig};
-use s4_simdisk::FileDisk;
+use s4_simdisk::{BlockDev, FileDisk};
 
 const PARTITION: &str = "root";
 
@@ -67,32 +68,111 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Collects `--client <id>` / `--user <id>` flags into a suspect set.
-fn parse_suspects(args: &[String]) -> Result<s4_detect::Suspects, String> {
-    let mut suspects = s4_detect::Suspects::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let (set, what) = match a.as_str() {
-            "--client" => (&mut suspects.clients, "client"),
-            "--user" => (&mut suspects.users, "user"),
-            _ => continue,
-        };
-        let id: u32 = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("--{what} needs a numeric id"))?;
-        set.insert(id);
-    }
-    if suspects.clients.is_empty() && suspects.users.is_empty() {
-        return Err("name at least one suspect with --client <id> or --user <id>".into());
-    }
-    Ok(suspects)
+/// The command line after the subcommand, scanned once for every
+/// subcommand: `--json` is a switch, `--targets` takes each argument up
+/// to the next flag, any other `--flag` takes the one argument after
+/// it, and everything else is a positional (the images first) — so a
+/// flag may stand anywhere on the line.
+struct Args<'a> {
+    positional: Vec<&'a str>,
+    /// `(flag, value)` in order; a repeated or multi-valued flag has
+    /// one pair per value, a switch an empty value.
+    flags: Vec<(&'a str, &'a str)>,
 }
 
-fn parse_at(args: &[String]) -> Option<SimTime> {
-    let idx = args.iter().position(|a| a == "--at")?;
-    let secs: f64 = args.get(idx + 1)?.parse().ok()?;
+impl<'a> Args<'a> {
+    fn scan(args: &'a [String]) -> Self {
+        let mut out = Args {
+            positional: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut it = args.iter().map(String::as_str).peekable();
+        while let Some(a) = it.next() {
+            match a {
+                "--json" => out.flags.push((a, "")),
+                "--targets" => {
+                    while let Some(v) = it.next_if(|v| !v.starts_with("--")) {
+                        out.flags.push((a, v));
+                    }
+                }
+                // A flag that ends the line gets the empty value, which
+                // no parser below accepts.
+                _ if a.starts_with("--") => out.flags.push((a, it.next().unwrap_or(""))),
+                _ => out.positional.push(a),
+            }
+        }
+        out
+    }
+
+    /// Every value given for `flag`, in order.
+    fn values(&self, flag: &'a str) -> impl Iterator<Item = &'a str> + '_ {
+        self.flags
+            .iter()
+            .filter(move |(f, _)| *f == flag)
+            .map(|(_, v)| *v)
+    }
+
+    /// The first value of `flag` as a number.
+    fn number(&self, flag: &'a str) -> Option<usize> {
+        self.values(flag).next()?.parse().ok()
+    }
+
+    /// Positional `i` (0 is the image), or `missing` as the error.
+    fn pos(&self, i: usize, missing: &str) -> Result<&'a str, String> {
+        let arg = self.positional.get(i).copied();
+        arg.ok_or_else(|| missing.into())
+    }
+
+    /// Positional `i` as a time in seconds, or `missing` as the error.
+    fn secs(&self, i: usize, missing: &str) -> Result<SimTime, String> {
+        let t = self.positional.get(i).copied().and_then(parse_secs);
+        t.ok_or_else(|| missing.into())
+    }
+
+    /// `--at <secs>`, if given.
+    fn at(&self) -> Option<SimTime> {
+        self.values("--at").next().and_then(parse_secs)
+    }
+
+    /// `--client <id>` / `--user <id>`, each repeatable, as a suspect set.
+    fn suspects(&self) -> Result<s4_detect::Suspects, String> {
+        let mut suspects = s4_detect::Suspects::default();
+        for (flag, set) in [
+            ("--client", &mut suspects.clients),
+            ("--user", &mut suspects.users),
+        ] {
+            for v in self.values(flag) {
+                let id = v.parse();
+                set.insert(id.map_err(|_| format!("{flag} needs a numeric id"))?);
+            }
+        }
+        if suspects.clients.is_empty() && suspects.users.is_empty() {
+            return Err("name at least one suspect with --client <id> or --user <id>".into());
+        }
+        Ok(suspects)
+    }
+}
+
+/// A point on the image's timeline, as `s4 now` prints it (minus the `s`).
+fn parse_secs(s: &str) -> Option<SimTime> {
+    let secs: f64 = s.parse().ok()?;
     Some(SimTime::from_micros((secs * 1e6) as u64))
+}
+
+/// Mounts `images` as one array: every image a member, `mirrors` of
+/// them per shard.
+fn open_array(images: &[&str], mirrors: usize) -> Result<S4Array<FileDisk>, String> {
+    let devices = images
+        .iter()
+        .map(|p| FileDisk::open(p).map_err(|e| format!("open {p}: {e}")))
+        .collect::<Result<Vec<_>, String>>()?;
+    let cfg = ArrayConfig {
+        mirrors,
+        ..ArrayConfig::default()
+    };
+    let (array, _reports) = S4Array::mount(devices, DriveConfig::default(), cfg, SimClock::new())
+        .map_err(|e| format!("mount array: {e}"))?;
+    Ok(array)
 }
 
 fn open_fs(image: &str) -> Result<S4FileServer<LoopbackTransport<FileDisk>>, String> {
@@ -120,15 +200,19 @@ fn close(fs: S4FileServer<LoopbackTransport<FileDisk>>) -> Result<(), String> {
 }
 
 fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cmd, image) = match (args.first(), args.get(1)) {
-        (Some(c), Some(i)) => (c.as_str(), i.as_str()),
-        _ => return Err("missing arguments".into()),
-    };
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.len() < 2 {
+        return Err("missing arguments".into());
+    }
+    let cmd = argv[0].as_str();
+    let args = Args::scan(&argv[1..]);
+    let image = args.pos(0, &format!("{cmd}: need at least one image"))?;
+    let mirrors = args.number("--mirrors").unwrap_or(1);
     match cmd {
         "format" => {
             let mb: u64 = args
-                .get(2)
+                .positional
+                .get(1)
                 .and_then(|s| s.parse().ok())
                 .ok_or("format: need size in MB")?;
             let dev = FileDisk::create(image, mb * 2048).map_err(|e| e.to_string())?;
@@ -149,16 +233,13 @@ fn run() -> Result<(), String> {
             println!("formatted {image}: {mb} MB self-securing image");
         }
         "put" => {
-            let path = args.get(2).ok_or("put: need a path")?;
+            let path = args.pos(1, "put: need a path")?;
             let mut data = Vec::new();
             std::io::stdin()
                 .read_to_end(&mut data)
                 .map_err(|e| e.to_string())?;
             let fs = open_fs(image)?;
-            let (dir_path, name) = match path.rfind('/') {
-                Some(i) => (&path[..i], &path[i + 1..]),
-                None => ("", path.as_str()),
-            };
+            let (dir_path, name) = tools::split_path(path);
             let dir = fs.resolve_path(dir_path).map_err(|e| e.to_string())?;
             let h = match fs.lookup(dir, name) {
                 Ok(h) => h,
@@ -172,9 +253,9 @@ fn run() -> Result<(), String> {
             close(fs)?;
         }
         "cat" => {
-            let path = args.get(2).ok_or("cat: need a path")?;
+            let path = args.pos(1, "cat: need a path")?;
             let fs = open_fs(image)?;
-            let data = match parse_at(&args) {
+            let data = match args.at() {
                 Some(t) => tools::read_file_at(&fs, path, t).map_err(|e| e.to_string())?,
                 None => {
                     let h = fs.resolve_path(path).map_err(|e| e.to_string())?;
@@ -189,13 +270,9 @@ fn run() -> Result<(), String> {
             close(fs)?;
         }
         "ls" => {
-            let default = String::new();
-            let path = args
-                .get(2)
-                .filter(|a| !a.starts_with("--"))
-                .unwrap_or(&default);
+            let path = args.positional.get(1).copied().unwrap_or("");
             let fs = open_fs(image)?;
-            let rows = match parse_at(&args) {
+            let rows = match args.at() {
                 Some(t) => tools::ls_at(&fs, path, t).map_err(|e| e.to_string())?,
                 None => {
                     let dir = fs.resolve_path(path).map_err(|e| e.to_string())?;
@@ -220,47 +297,33 @@ fn run() -> Result<(), String> {
             close(fs)?;
         }
         "rm" => {
-            let path = args.get(2).ok_or("rm: need a path")?;
+            let path = args.pos(1, "rm: need a path")?;
             let fs = open_fs(image)?;
-            let (dir_path, name) = match path.rfind('/') {
-                Some(i) => (&path[..i], &path[i + 1..]),
-                None => ("", path.as_str()),
-            };
+            let (dir_path, name) = tools::split_path(path);
             let dir = fs.resolve_path(dir_path).map_err(|e| e.to_string())?;
             fs.remove(dir, name).map_err(|e| e.to_string())?;
             println!("removed {path} (recoverable until the window expires)");
             close(fs)?;
         }
         "mkdir" => {
-            let path = args.get(2).ok_or("mkdir: need a path")?;
+            let path = args.pos(1, "mkdir: need a path")?;
             let fs = open_fs(image)?;
-            let (dir_path, name) = match path.rfind('/') {
-                Some(i) => (&path[..i], &path[i + 1..]),
-                None => ("", path.as_str()),
-            };
+            let (dir_path, name) = tools::split_path(path);
             let dir = fs.resolve_path(dir_path).map_err(|e| e.to_string())?;
             fs.mkdir(dir, name).map_err(|e| e.to_string())?;
             close(fs)?;
         }
         "restore" => {
-            let path = args.get(2).ok_or("restore: need a path")?;
-            let secs: f64 = args
-                .get(3)
-                .and_then(|s| s.parse().ok())
-                .ok_or("restore: need a time in seconds")?;
-            let t = SimTime::from_micros((secs * 1e6) as u64);
+            let path = args.pos(1, "restore: need a path")?;
+            let t = args.secs(2, "restore: need a time in seconds")?;
             let fs = open_fs(image)?;
             tools::restore_file(&fs, path, t).map_err(|e| e.to_string())?;
             println!("restored {path} to its contents at {t}");
             close(fs)?;
         }
         "pin" => {
-            let path = args.get(2).ok_or("pin: need a path")?;
-            let secs: f64 = args
-                .get(3)
-                .and_then(|s| s.parse().ok())
-                .ok_or("pin: need a time in seconds")?;
-            let t = SimTime::from_micros((secs * 1e6) as u64);
+            let path = args.pos(1, "pin: need a path")?;
+            let t = args.secs(2, "pin: need a time in seconds")?;
             let fs = open_fs(image)?;
             let h = fs.resolve_path_at(path, t).map_err(|e| e.to_string())?;
             {
@@ -273,7 +336,7 @@ fn run() -> Result<(), String> {
             close(fs)?;
         }
         "pins" => {
-            let path = args.get(2).ok_or("pins: need a path")?;
+            let path = args.pos(1, "pins: need a path")?;
             let fs = open_fs(image)?;
             let h = fs.resolve_path(path).map_err(|e| e.to_string())?;
             let rows = {
@@ -310,23 +373,12 @@ fn run() -> Result<(), String> {
             eprintln!("{} records", records.len());
             close(fs)?;
         }
-        "stats" if args.iter().skip(2).any(|a| !a.starts_with("--")) => {
+        "stats" if args.positional.len() > 1 => {
             // Array mode: every image is one shard; metrics aggregate
             // across the member drives and the flight-recorder tail is
             // the time-merged view.
-            let devices = args[1..]
-                .iter()
-                .filter(|a| !a.starts_with("--"))
-                .map(|p| FileDisk::open(p).map_err(|e| format!("open {p}: {e}")))
-                .collect::<Result<Vec<_>, String>>()?;
-            let (array, _reports) = s4_array::S4Array::mount(
-                devices,
-                DriveConfig::default(),
-                s4_array::ArrayConfig::default(),
-                SimClock::new(),
-            )
-            .map_err(|e| format!("mount array: {e}"))?;
-            if args.iter().any(|a| a == "--json") {
+            let array = open_array(&args.positional, ArrayConfig::default().mirrors)?;
+            if args.values("--json").next().is_some() {
                 println!("{}", array.metrics_json());
             } else {
                 print!("{}", array.metrics_text());
@@ -357,48 +409,19 @@ fn run() -> Result<(), String> {
             array.unmount().map_err(|e| format!("unmount array: {e}"))?;
         }
         "reshard" => {
-            let flag = |name: &str| {
-                args.iter()
-                    .position(|a| a == name)
-                    .and_then(|i| args.get(i + 1))
-                    .and_then(|s| s.parse::<usize>().ok())
-            };
-            let mirrors = flag("--mirrors").unwrap_or(1);
-            let slot = flag("--slot");
-            let tpos = args
-                .iter()
-                .position(|a| a == "--targets")
-                .ok_or("reshard: need --targets <new-image>...")?;
-            let sources: Vec<&String> =
-                args[1..tpos].iter().filter(|a| !a.starts_with("--")).collect();
-            let target_paths: Vec<&String> = args[tpos + 1..]
-                .iter()
-                .take_while(|a| !a.starts_with("--"))
-                .collect();
-            let devices = sources
-                .iter()
-                .map(|p| FileDisk::open(p).map_err(|e| format!("open {p}: {e}")))
-                .collect::<Result<Vec<_>, String>>()?;
-            let sectors = devices
-                .first()
-                .map(s4_simdisk::BlockDev::num_sectors)
-                .ok_or("reshard: need at least one source image")?;
-            let (array, _reports) = s4_array::S4Array::mount(
-                devices,
-                DriveConfig::default(),
-                s4_array::ArrayConfig {
-                    mirrors,
-                    ..s4_array::ArrayConfig::default()
-                },
-                SimClock::new(),
-            )
-            .map_err(|e| format!("mount array: {e}"))?;
+            let target_paths: Vec<&str> = args.values("--targets").collect();
+            if target_paths.is_empty() {
+                return Err("reshard: need --targets <new-image>...".into());
+            }
+            let array = open_array(&args.positional, mirrors)?;
+            // Targets are created the size of the members they split.
+            let sectors = array.shard_drive(0).log().device().num_sectors();
             let targets = target_paths
                 .iter()
                 .map(|p| FileDisk::create(p, sectors).map_err(|e| format!("create {p}: {e}")))
                 .collect::<Result<Vec<_>, String>>()?;
             let cfg = s4_reshard::ReshardConfig::default();
-            let reports = match slot {
+            let reports = match args.number("--slot") {
                 Some(s) => vec![s4_reshard::split_shard(&array, s, targets, cfg)
                     .map_err(|e| format!("reshard: {e}"))?],
                 None => {
@@ -438,93 +461,32 @@ fn run() -> Result<(), String> {
             array.unmount().map_err(|e| format!("unmount array: {e}"))?;
         }
         "txn" => {
-            let flag = |name: &str| {
-                args.iter()
-                    .position(|a| a == name)
-                    .and_then(|i| args.get(i + 1))
-                    .and_then(|s| s.parse::<usize>().ok())
-            };
-            let mirrors = flag("--mirrors").unwrap_or(1);
-            let devices = args[1..]
-                .iter()
-                .take_while(|a| !a.starts_with("--"))
-                .map(|p| FileDisk::open(p).map_err(|e| format!("open {p}: {e}")))
-                .collect::<Result<Vec<_>, String>>()?;
-            if devices.is_empty() {
-                return Err("txn: need at least one image".into());
-            }
-            let (array, _reports) = s4_array::S4Array::mount(
-                devices,
-                DriveConfig::default(),
-                s4_array::ArrayConfig {
-                    mirrors,
-                    ..s4_array::ArrayConfig::default()
-                },
-                SimClock::new(),
-            )
-            .map_err(|e| format!("mount array: {e}"))?;
+            let array = open_array(&args.positional, mirrors)?;
             println!("{}", array.txn_status_text());
             array.unmount().map_err(|e| format!("unmount array: {e}"))?;
         }
         "trace" => {
-            let flag = |name: &str| {
-                args.iter()
-                    .position(|a| a == name)
-                    .and_then(|i| args.get(i + 1))
-                    .and_then(|s| s.parse::<usize>().ok())
-            };
-            let mirrors = flag("--mirrors").unwrap_or(1);
-            let slowest = flag("--slowest");
-            let parse_id = |s: &str| u64::from_str_radix(s.trim_start_matches("0x"), 16).ok();
-            let mut positional: Vec<&String> = {
-                let mut out = Vec::new();
-                let mut skip = false;
-                for a in &args[1..] {
-                    if skip {
-                        skip = false;
-                    } else if a == "--mirrors" || a == "--slowest" {
-                        skip = true;
-                    } else if !a.starts_with("--") {
-                        out.push(a);
-                    }
-                }
-                out
-            };
             // The last positional is the trace id when it parses as hex
             // and is not an image on disk; everything before it is a
             // shard image.
-            let mut wanted = None;
-            if let Some(last) = positional.last() {
-                if !std::path::Path::new(last.as_str()).exists() {
-                    if let Some(id) = parse_id(last) {
-                        wanted = Some(id);
-                        positional.pop();
-                    }
-                }
+            let mut images = args.positional.clone();
+            let wanted = images
+                .last()
+                .filter(|last| !std::path::Path::new(last).exists())
+                .and_then(|last| u64::from_str_radix(last.trim_start_matches("0x"), 16).ok());
+            if wanted.is_some() {
+                images.pop();
             }
-            let devices = positional
-                .iter()
-                .map(|p| FileDisk::open(p).map_err(|e| format!("open {p}: {e}")))
-                .collect::<Result<Vec<_>, String>>()?;
-            if devices.is_empty() {
+            if images.is_empty() {
                 return Err("trace: need at least one image".into());
             }
-            let (array, _reports) = s4_array::S4Array::mount(
-                devices,
-                DriveConfig::default(),
-                s4_array::ArrayConfig {
-                    mirrors,
-                    ..s4_array::ArrayConfig::default()
-                },
-                SimClock::new(),
-            )
-            .map_err(|e| format!("mount array: {e}"))?;
+            let array = open_array(&images, mirrors)?;
             let admin =
                 RequestContext::admin(ClientId(0), array.shard_drive(0).config().admin_token);
             let trees = array
                 .assemble_all_traces(&admin)
                 .map_err(|e| format!("trace: {e}"))?;
-            match (wanted, slowest) {
+            match (wanted, args.number("--slowest")) {
                 (Some(id), _) => match trees.iter().find(|t| t.trace_id == id) {
                     Some(t) => print!("{}", s4_detect::render_trace_tree(t)),
                     None => return Err(format!("trace: no spans recorded for id {id:#x}")),
@@ -560,7 +522,7 @@ fn run() -> Result<(), String> {
             let fs = open_fs(image)?;
             {
                 let drive = fs.transport().drive();
-                if args.iter().any(|a| a == "--json") {
+                if args.values("--json").next().is_some() {
                     println!("{}", drive.metrics_json());
                 } else {
                     // Prometheus-style exposition on stdout; the
@@ -613,12 +575,8 @@ fn run() -> Result<(), String> {
             close(fs)?;
         }
         "plan" | "revert" => {
-            let secs: f64 = args
-                .get(2)
-                .and_then(|s| s.parse().ok())
-                .ok_or("plan/revert: need the intrusion time in seconds")?;
-            let t = SimTime::from_micros((secs * 1e6) as u64);
-            let suspects = parse_suspects(&args)?;
+            let t = args.secs(1, "plan/revert: need the intrusion time in seconds")?;
+            let suspects = args.suspects()?;
             let fs = open_fs(image)?;
             {
                 let drive = fs.transport().drive();
@@ -633,7 +591,7 @@ fn run() -> Result<(), String> {
                     println!("     {}", pa.reason);
                 }
                 if cmd == "revert" {
-                    let report = s4_detect::execute_plan_atomic_on(drive, &admin, &plan)
+                    let report = s4_detect::execute_plan_on(drive, &admin, &plan)
                         .map_err(|e| e.to_string())?;
                     for (old, new) in &report.undeleted {
                         println!("undeleted {old} as {new}");

@@ -10,7 +10,7 @@ use s4_clock::{NetworkModel, SimClock, SimDuration, SimTime};
 use s4_core::{ClientId, DriveConfig, ObjectId, RequestContext, S4Drive, UserId};
 use s4_detect::timeline::is_mutation;
 use s4_detect::{
-    execute_plan, install_standard_monitor, plan_recovery, read_alerts, scan_audit, tree_diff,
+    execute_plan_on, install_standard_monitor, plan_recovery, read_alerts, scan_audit, tree_diff,
     RecoveryAction, Severity, Suspects,
 };
 use s4_fs::tools::read_file_at;
@@ -115,7 +115,7 @@ fn section2_intrusion_is_detected_and_recovered() {
     let plan = plan_recovery(&drive, &admin, &Suspects::client(ClientId(66)), t).unwrap();
     assert!(!plan.actions.is_empty());
     let audited_before = drive.read_audit_records(&admin).unwrap().len();
-    let outcome = execute_plan(&drive, &admin, &plan).unwrap();
+    let outcome = execute_plan_on(&drive, &admin, &plan).unwrap();
     assert!(outcome.failed.is_empty(), "failed: {:?}", outcome.failed);
 
     // Recovery is a request like any other: every mutation it made is
