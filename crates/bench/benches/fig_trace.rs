@@ -8,8 +8,11 @@
 //! 5% of client throughput. Eight threads hammer the array in-process
 //! (the transport stamp is one branch and an atomic increment — the
 //! interesting cost is inside the drives), wall clock is taken per
-//! round, and the configs are interleaved best-of-N so background noise
-//! hits both equally.
+//! round, and the configs are interleaved best-of-N, taking turns to
+//! go first, so background noise and whatever the previous run left
+//! behind hit both equally. The op count has a floor: a run much
+//! shorter than a quarter second is decided by one scheduler hiccup,
+//! and 5% of it is below what the box's own jitter resolves.
 //!
 //! The final line is machine-readable: `BENCH_JSON {...}` — the
 //! committed baseline lives in `BENCH_trace.json`.
@@ -25,6 +28,10 @@ use s4_simdisk::MemDisk;
 const SHARDS: usize = 4;
 const CLIENTS: u32 = 8;
 const ROUNDS: usize = 5;
+/// Floor under `S4_BENCH_SCALE` (the full-scale count, so scaling only
+/// ever lengthens this bench): enough work that one measured run lasts
+/// a quarter second or more on the 2-core CI box.
+const MIN_OPS_PER_CLIENT: u64 = 3_000;
 
 /// Deterministic 64-bit LCG (same constants as MMIX).
 struct Lcg(u64);
@@ -111,7 +118,7 @@ fn run(trace: bool, ops_per_client: u64) -> (f64, Arc<S4Array<MemDisk>>) {
 
 fn main() {
     let scale = s4_bench::scale();
-    let ops_per_client = ((3_000.0 * scale) as u64).max(500);
+    let ops_per_client = ((3_000.0 * scale) as u64).max(MIN_OPS_PER_CLIENT);
     banner(
         "Tracing overhead: 8-client stress, tracing on vs off",
         &format!("{SHARDS} shards, {CLIENTS} clients x {ops_per_client} ops, best of {ROUNDS}"),
@@ -119,15 +126,20 @@ fn main() {
 
     // Warm-up round (page-cache, allocator, thread pools) then the
     // interleaved measurement rounds.
-    let _ = run(true, ops_per_client.min(500));
+    let _ = run(true, 500);
 
     let mut traced_walls = Vec::with_capacity(ROUNDS);
     let mut plain_walls = Vec::with_capacity(ROUNDS);
     let mut traces_assembled = 0usize;
     println!("{:<8} {:>14} {:>14}", "round", "traced", "untraced");
     for round in 0..ROUNDS {
-        let (tw, traced_array) = run(true, ops_per_client);
-        let (pw, plain_array) = run(false, ops_per_client);
+        let ((tw, traced_array), (pw, plain_array)) = if round % 2 == 0 {
+            let traced = run(true, ops_per_client);
+            (traced, run(false, ops_per_client))
+        } else {
+            let plain = run(false, ops_per_client);
+            (run(true, ops_per_client), plain)
+        };
         println!("{:<8} {:>13.3}s {:>13.3}s", round, tw, pw);
         traced_walls.push(tw);
         plain_walls.push(pw);

@@ -7,6 +7,7 @@
 #
 #   scripts/loc.sh            # every crate, then the total
 #   scripts/loc.sh core       # one crate, file by file
+#   scripts/loc.sh src        # the root crate (lib.rs, bin/s4.rs), file by file
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,10 +16,12 @@ count() { # lines before the first #[cfg(test)] of each file given
 }
 
 if [ $# -ge 1 ]; then
-  for f in $(find "crates/$1/src" -name '*.rs' | sort); do
+  dir="crates/$1/src"
+  [ "$1" = src ] && dir=src
+  for f in $(find "$dir" -name '*.rs' | sort); do
     printf '%6d  %s\n' "$(count "$f")" "$f"
   done
-  printf '%6d  crates/%s/src (non-test)\n' "$(count $(find "crates/$1/src" -name '*.rs'))" "$1"
+  printf '%6d  %s (non-test)\n' "$(count $(find "$dir" -name '*.rs'))" "$dir"
   exit 0
 fi
 
