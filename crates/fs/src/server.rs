@@ -70,18 +70,18 @@ impl std::error::Error for FsError {}
 
 /// The one `S4Error → FsError` mapping; every transport converts with
 /// `?`, so a failing request is the same `FsError` in process and over
-/// TCP. A failed batch is the kind of the sub-request that failed it.
+/// TCP. A failed batch is the kind of the sub-request that failed it
+/// (a `Storage` text is the whole error's, batch position included).
 impl From<S4Error> for FsError {
     fn from(e: S4Error) -> FsError {
-        match e {
+        let mut cause = &e;
+        while let S4Error::BatchFailed { error, .. } = cause {
+            cause = error;
+        }
+        match cause {
             S4Error::AccessDenied => FsError::Denied,
             S4Error::NoSuchObject | S4Error::NoSuchPartition => FsError::NotFound,
-            S4Error::BatchFailed { ref error, .. } => match FsError::from((**error).clone()) {
-                // Keep the batch position in the message.
-                FsError::Storage(_) => FsError::Storage(e.to_string()),
-                kind => kind,
-            },
-            other => FsError::Storage(other.to_string()),
+            _ => FsError::Storage(e.to_string()),
         }
     }
 }

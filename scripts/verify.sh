@@ -27,9 +27,10 @@
 #    stays within one shard's queue drain and migration keeps >= 0.5x
 #    steady throughput (BENCH_JSON line; committed baseline in
 #    BENCH_reshard.json)
-# 9. the tracing-overhead bench at smoke scale, which asserts request
-#    tracing costs <= 5% of 8-client stress throughput (BENCH_JSON
-#    line; committed baseline in BENCH_trace.json)
+# 9. the tracing-overhead bench (always full length, ~25 s), which
+#    asserts request tracing costs <= 5% of 8-client stress throughput,
+#    median of 30 alternating pairs (BENCH_JSON line; committed baseline
+#    in BENCH_trace.json)
 # 10. the wall-clock benchmark's smoke suite (benchmark/, a package of
 #    its own): all four workloads end to end on the real stack, every
 #    read-back checked, including drive_churn_recover's crash -> mount
@@ -98,7 +99,7 @@ grep -q '^BENCH_JSON ' target/fig_reshard.out \
   || { echo "verify: fig_reshard emitted no BENCH_JSON line" >&2; exit 1; }
 grep '^BENCH_JSON ' target/fig_reshard.out | sed 's/^BENCH_JSON //' > target/BENCH_reshard.json
 
-echo "== fig_trace bench (smoke scale, asserts tracing overhead <= 5%)"
+echo "== fig_trace bench (asserts tracing overhead <= 5%)"
 S4_BENCH_SCALE="${S4_BENCH_SCALE:-0.25}" cargo bench -p s4-bench --bench fig_trace \
   | tee target/fig_trace.out
 grep -q '^BENCH_JSON ' target/fig_trace.out \
