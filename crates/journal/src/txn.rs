@@ -255,6 +255,26 @@ mod tests {
     }
 
     #[test]
+    fn hostile_count_is_an_error_not_an_allocation() {
+        let mut buf = Vec::new();
+        TxnRecord::Touched {
+            txid: 7,
+            oids: vec![4, 5],
+            names: vec!["a".into()],
+        }
+        .encode_into(&mut buf);
+        // tag 1 + txid 8 = 9: the oids count; + 4 + 2 * 8 = 29: the names count.
+        for count_at in [29, 9] {
+            let mut bad = buf.clone();
+            bad[count_at..count_at + 4].fill(0xFF);
+            assert!(
+                matches!(scan(&bad), Err(JournalError::Corrupt(_))),
+                "count at offset {count_at}"
+            );
+        }
+    }
+
+    #[test]
     fn in_doubt_folds_prepared_without_resolved() {
         let mut recs = samples();
         assert!(in_doubt(&recs).is_empty(), "all sample txns resolved");
