@@ -53,6 +53,21 @@ pub struct AclEntry {
     pub perm: Perm,
 }
 
+impl AclEntry {
+    /// Appends the five bytes of an entry, in an ACL blob and on the wire.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.user.0.to_le_bytes());
+        out.push(self.perm.0);
+    }
+
+    pub(crate) fn decode(r: &mut Reader) -> Result<AclEntry> {
+        Ok(AclEntry {
+            user: UserId(r.u32()?),
+            perm: Perm(r.u8()?),
+        })
+    }
+}
+
 /// An object's ACL table: an ordered list of entries, searched by user.
 ///
 /// The table is stored in the object metadata as an opaque blob (the
@@ -120,8 +135,7 @@ impl AclTable {
         let mut out = Vec::with_capacity(4 + self.entries.len() * 5);
         out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
         for e in &self.entries {
-            out.extend_from_slice(&e.user.0.to_le_bytes());
-            out.push(e.perm.0);
+            e.encode_into(&mut out);
         }
         out
     }
@@ -130,9 +144,8 @@ impl AclTable {
     pub fn decode(buf: &[u8]) -> Result<AclTable> {
         let mut r = Reader::new(buf, "acl blob truncated");
         let mut entries = Vec::new();
-        for _ in 0..r.u32()? {
-            let (user, perm) = (UserId(r.u32()?), Perm(r.u8()?));
-            entries.push(AclEntry { user, perm });
+        for _ in 0..r.count(5)? {
+            entries.push(AclEntry::decode(&mut r)?);
         }
         Ok(AclTable { entries })
     }

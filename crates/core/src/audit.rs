@@ -11,6 +11,7 @@
 use s4_clock::SimTime;
 use s4_lfs::BLOCK_SIZE;
 
+use crate::codec::Reader;
 use crate::ids::{ClientId, ObjectId, UserId};
 use crate::{Result, S4Error};
 
@@ -130,18 +131,22 @@ impl AuditRecord {
 
     /// Decodes one record.
     pub fn decode(buf: &[u8]) -> Result<AuditRecord> {
-        if buf.len() < RECORD_BYTES {
-            return Err(S4Error::BadRequest("audit record truncated"));
-        }
+        let mut r = Reader::new(buf, "audit record truncated");
+        let time = SimTime::from_micros(r.u64()?);
+        let user = UserId(r.u32()?);
+        let client = ClientId(r.u32()?);
+        let op = OpKind::from_u8(r.u8()?)?;
+        let ok = r.u8()? != 0;
+        r.take(6)?; // pad
         Ok(AuditRecord {
-            time: SimTime::from_micros(u64::from_le_bytes(buf[0..8].try_into().unwrap())),
-            user: UserId(u32::from_le_bytes(buf[8..12].try_into().unwrap())),
-            client: ClientId(u32::from_le_bytes(buf[12..16].try_into().unwrap())),
-            op: OpKind::from_u8(buf[16])?,
-            ok: buf[17] != 0,
-            object: ObjectId(u64::from_le_bytes(buf[24..32].try_into().unwrap())),
-            arg1: u64::from_le_bytes(buf[32..40].try_into().unwrap()),
-            arg2: u64::from_le_bytes(buf[40..48].try_into().unwrap()),
+            time,
+            user,
+            client,
+            op,
+            ok,
+            object: ObjectId(r.u64()?),
+            arg1: r.u64()?,
+            arg2: r.u64()?,
         })
     }
 }

@@ -13,6 +13,7 @@ use s4_journal::{decode_sector, JournalEntry};
 use s4_lfs::{BlockAddr, BlockKind, BlockTag, CleanOutcome, RelocationCallbacks, BLOCK_SIZE};
 use s4_simdisk::BlockDev;
 
+use crate::codec::Reader;
 use crate::drive::{old_blocks, Inner, S4Drive};
 use crate::ids::ObjectId;
 use crate::object::{DeltaRef, ObjectEntry, Slot};
@@ -533,11 +534,10 @@ impl<D: BlockDev> RelocationCallbacks for DriveCallbacks<'_, D> {
                 // Re-point every (object, key) delta reference into the
                 // relocated block.
                 for sub in packed::DELTAS.split(data).unwrap_or_default() {
-                    if sub.len() < 16 {
+                    let mut r = Reader::new(&sub, "delta slot truncated");
+                    let (Ok(oid), Ok(key)) = (r.u64(), r.u64()) else {
                         continue;
-                    }
-                    let oid = u64::from_le_bytes(sub[0..8].try_into().unwrap());
-                    let key = u64::from_le_bytes(sub[8..16].try_into().unwrap());
+                    };
                     let Some(entry) = drive.cached_mut(inner, oid) else {
                         continue;
                     };

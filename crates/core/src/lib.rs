@@ -197,6 +197,12 @@ impl From<s4_lfs::LfsError> for S4Error {
     }
 }
 
+impl From<codec::Malformed> for S4Error {
+    fn from(e: codec::Malformed) -> Self {
+        S4Error::BadRequest(e.0)
+    }
+}
+
 impl From<s4_journal::JournalError> for S4Error {
     fn from(e: s4_journal::JournalError) -> Self {
         S4Error::Journal(e)

@@ -17,7 +17,7 @@ use s4_clock::HybridTimestamp;
 use s4_journal::{JournalEntry, ObjectMeta};
 use s4_lfs::BlockAddr;
 
-use crate::codec::{push_stamp, Reader};
+use crate::codec::{push_bytes, push_stamp, Reader};
 use crate::Result;
 
 /// Where a delta-encoded history block's bytes live: applying the delta
@@ -51,8 +51,10 @@ pub struct SectorInfo {
 }
 
 impl SectorInfo {
-    /// The 44 bytes a sector list entry takes in a checkpoint blob and
-    /// in the anchor payload.
+    /// What a sector list entry takes in a checkpoint blob and in the
+    /// anchor payload: address, slot, two stamps.
+    pub(crate) const BYTES: usize = 8 + 4 + 16 + 16;
+
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.addr.0.to_le_bytes());
         out.extend_from_slice(&self.slot.to_le_bytes());
@@ -202,9 +204,7 @@ impl ObjectEntry {
         }
         out.extend_from_slice(&(self.landmarks.len() as u32).to_le_bytes());
         for m in &self.landmarks {
-            let blob = m.encode();
-            out.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-            out.extend_from_slice(&blob);
+            push_bytes(&mut out, &m.encode());
         }
         push_stamp(&mut out, self.history_floor);
         out
@@ -218,27 +218,25 @@ impl ObjectEntry {
     pub fn decode(buf: &[u8]) -> Result<ObjectEntry> {
         let mut pos = 0;
         let meta = ObjectMeta::decode_from(buf, &mut pos)?;
-        let mut r = Reader::new(&buf[pos..], "object checkpoint truncated");
-        // Untrusted counts: collections grow as fields actually decode.
+        let mut r = Reader::at(buf, pos, "object checkpoint truncated");
         let mut sectors = Vec::new();
-        for _ in 0..r.u32()? {
+        for _ in 0..r.count(SectorInfo::BYTES)? {
             sectors.push(SectorInfo::decode(&mut r)?);
         }
         let mut forwards = BTreeMap::new();
-        for _ in 0..r.u32()? {
+        for _ in 0..r.count(16)? {
             forwards.insert(r.u64()?, r.u64()?);
         }
         let mut deltas = BTreeMap::new();
-        for _ in 0..r.u32()? {
+        for _ in 0..r.count(8 + 8 + 8 + 4)? {
             let key = r.u64()?;
             let (base, block) = (BlockAddr(r.u64()?), BlockAddr(r.u64()?));
             let slot = r.u32()?;
             deltas.insert(key, DeltaRef { base, block, slot });
         }
         let mut landmarks = Vec::new();
-        for _ in 0..r.u32()? {
-            let len = r.u32()? as usize;
-            landmarks.push(ObjectMeta::decode_from(r.take(len)?, &mut 0)?);
+        for _ in 0..r.count(4)? {
+            landmarks.push(ObjectMeta::decode_from(r.bytes()?, &mut 0)?);
         }
         let history_floor = r.stamp()?;
         Ok(ObjectEntry {

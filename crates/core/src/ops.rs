@@ -497,7 +497,7 @@ fn decode_partition_blob(data: &[u8]) -> Result<Vec<(String, u64)>> {
     }
     let mut r = Reader::new(data, "partition table truncated");
     let mut out = Vec::new();
-    for _ in 0..r.u32()? {
+    for _ in 0..r.count(2 + 8)? {
         let len = r.u16()? as usize;
         let name = String::from_utf8(r.take(len)?.to_vec())
             .map_err(|_| S4Error::BadRequest("partition name utf8"))?;

@@ -27,6 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use s4_lfs::{BlockAddr, BlockKind, BlockTag, Log, BLOCK_SIZE};
 use s4_simdisk::BlockDev;
 
+use crate::codec::{push_bytes, Reader};
 use crate::{Result, S4Error};
 
 /// Container bytes ahead of the first slot: magic and count.
@@ -162,23 +163,14 @@ impl PackedBlocks {
 
     /// Splits a container of this kind back into its slots.
     pub(crate) fn split(&self, buf: &[u8]) -> Result<Vec<Vec<u8>>> {
-        if buf.len() < HEADER || buf[0..4] != self.magic.to_le_bytes() {
+        let mut r = Reader::new(buf, "container block truncated");
+        if r.u32()? != self.magic {
             return Err(S4Error::BadRequest("container block magic"));
         }
-        let count = u16::from_le_bytes(buf[4..6].try_into().unwrap()) as usize;
-        let mut pos = HEADER;
+        let count = r.count16(4)?; // a slot is at least its length
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {
-            if pos + 4 > buf.len() {
-                return Err(S4Error::BadRequest("journal block truncated"));
-            }
-            let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-            pos += 4;
-            if pos + len > buf.len() {
-                return Err(S4Error::BadRequest("journal sub-sector truncated"));
-            }
-            out.push(buf[pos..pos + len].to_vec());
-            pos += len;
+            out.push(r.bytes()?.to_vec());
         }
         Ok(out)
     }
@@ -190,8 +182,7 @@ fn encode_container<'a>(magic: u32, subs: impl Iterator<Item = &'a [u8]>) -> Vec
     out.extend_from_slice(&0u16.to_le_bytes()); // count patched below
     let mut count = 0u16;
     for sub in subs {
-        out.extend_from_slice(&(sub.len() as u32).to_le_bytes());
-        out.extend_from_slice(sub);
+        push_bytes(&mut out, sub);
         count += 1;
     }
     out[4..6].copy_from_slice(&count.to_le_bytes());
@@ -363,17 +354,12 @@ mod tests {
             err(&DELTAS, &block),
             S4Error::BadRequest("container block magic")
         );
-        assert_eq!(
-            err(&JOURNAL, &block[..5]),
-            S4Error::BadRequest("container block magic")
-        );
-        assert_eq!(
-            err(&JOURNAL, &block[..8]),
-            S4Error::BadRequest("journal block truncated")
-        );
-        assert_eq!(
-            err(&JOURNAL, &block[..block.len() - 1]),
-            S4Error::BadRequest("journal sub-sector truncated")
-        );
+        for cut in [3, 5, 8, block.len() - 1] {
+            assert_eq!(
+                err(&JOURNAL, &block[..cut]),
+                S4Error::BadRequest("container block truncated"),
+                "cut at {cut}"
+            );
+        }
     }
 }

@@ -14,7 +14,7 @@ use s4_journal::{decode_sector, encode_sectors, JournalEntry};
 use s4_lfs::{BlockAddr, BlockKind, BlockTag, Log, BLOCK_SIZE};
 use s4_simdisk::BlockDev;
 
-use crate::codec::{push_stamp, Reader};
+use crate::codec::{push_bytes, push_stamp, Reader};
 use crate::drive::{DriveConfig, Inner, S4Drive, AUDIT_OBJECT};
 use crate::ids::ObjectId;
 use crate::object::{EvictInfo, ObjectEntry, SectorInfo, Slot};
@@ -67,8 +67,7 @@ impl<D: BlockDev> S4Drive<D> {
                     for (i, chunk) in chunks.iter().enumerate().rev() {
                         let mut payload = Vec::with_capacity(12 + chunk.len());
                         payload.extend_from_slice(&next.0.to_le_bytes());
-                        payload.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
-                        payload.extend_from_slice(chunk);
+                        push_bytes(&mut payload, chunk);
                         next = self.log.append(
                             BlockTag::new(BlockKind::ObjectCheckpoint, oid, i as u64),
                             &payload,
@@ -350,13 +349,13 @@ pub(crate) fn decode_anchor_payload(
     inner.window = SimDuration::from_micros(r.u64()?);
     inner.audit.decode_anchor(&mut r)?;
     let mut records = Vec::new();
-    for _ in 0..r.u32()? {
+    for _ in 0..r.count(8 + 8 + 4 + 16 + 1)? {
         let (oid, root) = (r.u64()?, BlockAddr(r.u64()?));
         let (slot, floor) = (r.u32()?, r.stamp()?);
         let explicit = r.u8()? == 1;
         let mut sectors = explicit.then(Vec::new);
         if let Some(list) = &mut sectors {
-            for _ in 0..r.u32()? {
+            for _ in 0..r.count(SectorInfo::BYTES)? {
                 list.push(SectorInfo::decode(&mut r)?);
             }
         }
@@ -396,12 +395,9 @@ pub(crate) fn read_checkpoint<D: BlockDev>(
         let mut addr = root;
         while !addr.is_none() {
             let block = log.read_block(addr)?;
-            let next = BlockAddr(u64::from_le_bytes(block[0..8].try_into().unwrap()));
-            let len = u32::from_le_bytes(block[8..12].try_into().unwrap()) as usize;
-            if 12 + len > block.len() {
-                return Err(S4Error::BadRequest("checkpoint chunk length"));
-            }
-            blob.extend_from_slice(&block[12..12 + len]);
+            let mut r = Reader::new(&block, "checkpoint chunk truncated");
+            let next = BlockAddr(r.u64()?);
+            blob.extend_from_slice(r.bytes()?);
             blocks.push(addr);
             addr = next;
         }

@@ -265,9 +265,9 @@ impl ReservedLog {
         if self.framing == Framing::Blobs {
             self.flushed_blocks = r.u64()?;
         }
-        let n = r.u32()?;
+        let n = r.count(8)?;
         self.blocks = (0..n)
-            .map(|_| r.u64().map(BlockAddr))
+            .map(|_| Ok(BlockAddr(r.u64()?)))
             .collect::<Result<_>>()?;
         Ok(())
     }
@@ -360,19 +360,14 @@ impl ReservedLog {
 
 /// Decodes every blob in an alert or trace block payload.
 pub(crate) fn decode_blobs(payload: &[u8]) -> Result<Vec<Vec<u8>>> {
+    let mut r = Reader::new(payload, "alert blob truncated");
     let mut out = Vec::new();
-    let mut off = 0;
-    while off + 2 <= payload.len() {
-        let len = u16::from_le_bytes(payload[off..off + 2].try_into().unwrap()) as usize;
+    // A zero length is padding, and so is a last odd byte.
+    while let Ok(len) = r.u16() {
         if len == 0 {
-            break; // zero padding
+            break;
         }
-        off += 2;
-        if off + len > payload.len() {
-            return Err(S4Error::BadRequest("alert blob truncated"));
-        }
-        out.push(payload[off..off + len].to_vec());
-        off += len;
+        out.push(r.take(len as usize)?.to_vec());
     }
     Ok(out)
 }
@@ -389,11 +384,7 @@ fn decode_traces(payload: &[u8]) -> Result<Vec<TraceRecord>> {
 /// the severity byte; see [`encode_system_alert`]). Undated blobs read
 /// as time 0 (oldest), so retention treats them as expired.
 fn alert_blob_time(blob: &[u8]) -> u64 {
-    if blob.len() >= 9 {
-        u64::from_le_bytes(blob[1..9].try_into().unwrap())
-    } else {
-        0
-    }
+    Reader::at(blob, 1, "undated alert").u64().unwrap_or(0)
 }
 
 /// Timestamp (µs) of one persisted flight-recorder blob.

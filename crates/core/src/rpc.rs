@@ -12,8 +12,9 @@
 use s4_clock::{SimDuration, SimTime};
 use s4_simdisk::BlockDev;
 
-use crate::acl::{AclEntry, Perm};
+use crate::acl::AclEntry;
 use crate::audit::{AuditRecord, OpKind};
+use crate::codec::{push_bytes, push_time_opt, Reader};
 use crate::drive::{ObjectAttrs, S4Drive};
 use crate::ids::{ObjectId, RequestContext, UserId};
 use crate::{Result, S4Error};
@@ -517,52 +518,16 @@ fn substitute_oid(req: &Request, last: Option<ObjectId>) -> Result<Request> {
 // Wire codec (hand-rolled: the wire format should be byte-stable).
 // ----------------------------------------------------------------------
 
-mod wire {
-    use super::*;
-    pub(super) use crate::codec::Reader;
-
-    pub(super) fn put_u64(out: &mut Vec<u8>, v: u64) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(super) fn put_u32(out: &mut Vec<u8>, v: u32) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(super) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-        put_u32(out, b.len() as u32);
-        out.extend_from_slice(b);
-    }
-    pub(super) fn put_time_opt(out: &mut Vec<u8>, t: Option<SimTime>) {
-        match t {
-            Some(t) => {
-                out.push(1);
-                put_u64(out, t.as_micros());
-            }
-            None => out.push(0),
-        }
-    }
-
-    // Wire-only fields on top of the shared little-endian cursor.
-    impl Reader<'_> {
-        pub(super) fn bytes(&mut self) -> Result<Vec<u8>> {
-            let n = self.u32()? as usize;
-            Ok(self.take(n)?.to_vec())
-        }
-        pub(super) fn string(&mut self) -> Result<String> {
-            String::from_utf8(self.bytes()?).map_err(|_| S4Error::BadRequest("wire utf8"))
-        }
-        pub(super) fn time_opt(&mut self) -> Result<Option<SimTime>> {
-            Ok(match self.u8()? {
-                0 => None,
-                _ => Some(SimTime::from_micros(self.u64()?)),
-            })
-        }
-    }
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
 impl Request {
     /// Serializes the request for a transport.
     pub fn encode(&self) -> Vec<u8> {
-        use wire::*;
         let mut out = Vec::new();
         match self {
             Request::Create => out.push(1),
@@ -580,18 +545,18 @@ impl Request {
                 put_u64(&mut out, oid.0);
                 put_u64(&mut out, *offset);
                 put_u64(&mut out, *len);
-                put_time_opt(&mut out, *time);
+                push_time_opt(&mut out, *time);
             }
             Request::Write { oid, offset, data } => {
                 out.push(4);
                 put_u64(&mut out, oid.0);
                 put_u64(&mut out, *offset);
-                put_bytes(&mut out, data);
+                push_bytes(&mut out, data);
             }
             Request::Append { oid, data } => {
                 out.push(5);
                 put_u64(&mut out, oid.0);
-                put_bytes(&mut out, data);
+                push_bytes(&mut out, data);
             }
             Request::Truncate { oid, len } => {
                 out.push(6);
@@ -601,48 +566,47 @@ impl Request {
             Request::GetAttr { oid, time } => {
                 out.push(7);
                 put_u64(&mut out, oid.0);
-                put_time_opt(&mut out, *time);
+                push_time_opt(&mut out, *time);
             }
             Request::SetAttr { oid, attrs } => {
                 out.push(8);
                 put_u64(&mut out, oid.0);
-                put_bytes(&mut out, attrs);
+                push_bytes(&mut out, attrs);
             }
             Request::GetAclByUser { oid, user, time } => {
                 out.push(9);
                 put_u64(&mut out, oid.0);
                 put_u32(&mut out, user.0);
-                put_time_opt(&mut out, *time);
+                push_time_opt(&mut out, *time);
             }
             Request::GetAclByIndex { oid, index, time } => {
                 out.push(10);
                 put_u64(&mut out, oid.0);
                 put_u32(&mut out, *index);
-                put_time_opt(&mut out, *time);
+                push_time_opt(&mut out, *time);
             }
             Request::SetAcl { oid, entry } => {
                 out.push(11);
                 put_u64(&mut out, oid.0);
-                put_u32(&mut out, entry.user.0);
-                out.push(entry.perm.0);
+                entry.encode_into(&mut out);
             }
             Request::PCreate { name, oid } => {
                 out.push(12);
-                put_bytes(&mut out, name.as_bytes());
+                push_bytes(&mut out, name.as_bytes());
                 put_u64(&mut out, oid.0);
             }
             Request::PDelete { name } => {
                 out.push(13);
-                put_bytes(&mut out, name.as_bytes());
+                push_bytes(&mut out, name.as_bytes());
             }
             Request::PList { time } => {
                 out.push(14);
-                put_time_opt(&mut out, *time);
+                push_time_opt(&mut out, *time);
             }
             Request::PMount { name, time } => {
                 out.push(15);
-                put_bytes(&mut out, name.as_bytes());
-                put_time_opt(&mut out, *time);
+                push_bytes(&mut out, name.as_bytes());
+                push_time_opt(&mut out, *time);
             }
             Request::Sync => out.push(16),
             Request::Flush { from, to } => {
@@ -666,7 +630,7 @@ impl Request {
                 out.push(20);
                 put_u32(&mut out, reqs.len() as u32);
                 for r in reqs {
-                    put_bytes(&mut out, &r.encode());
+                    push_bytes(&mut out, &r.encode());
                 }
             }
         }
@@ -675,7 +639,7 @@ impl Request {
 
     /// Deserializes a request from a transport.
     pub fn decode(buf: &[u8]) -> Result<Request> {
-        let mut r = wire::Reader::new(buf, "wire truncated");
+        let mut r = Reader::new(buf, "wire truncated");
         Ok(match r.u8()? {
             1 => Request::Create,
             2 => Request::Delete {
@@ -690,11 +654,11 @@ impl Request {
             4 => Request::Write {
                 oid: ObjectId(r.u64()?),
                 offset: r.u64()?,
-                data: r.bytes()?,
+                data: r.bytes()?.to_vec(),
             },
             5 => Request::Append {
                 oid: ObjectId(r.u64()?),
-                data: r.bytes()?,
+                data: r.bytes()?.to_vec(),
             },
             6 => Request::Truncate {
                 oid: ObjectId(r.u64()?),
@@ -706,7 +670,7 @@ impl Request {
             },
             8 => Request::SetAttr {
                 oid: ObjectId(r.u64()?),
-                attrs: r.bytes()?,
+                attrs: r.bytes()?.to_vec(),
             },
             9 => Request::GetAclByUser {
                 oid: ObjectId(r.u64()?),
@@ -720,10 +684,7 @@ impl Request {
             },
             11 => Request::SetAcl {
                 oid: ObjectId(r.u64()?),
-                entry: AclEntry {
-                    user: UserId(r.u32()?),
-                    perm: Perm(r.u8()?),
-                },
+                entry: AclEntry::decode(&mut r)?,
             },
             12 => Request::PCreate {
                 name: r.string()?,
@@ -751,11 +712,10 @@ impl Request {
                 window: SimDuration::from_micros(r.u64()?),
             },
             20 => {
-                let n = r.u32()? as usize;
-                let mut reqs = Vec::with_capacity(n.min(buf.len() / 2 + 1));
+                let n = r.count(5)?; // a sub-request is at least its length and tag
+                let mut reqs = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let sub = r.bytes()?;
-                    let decoded = Request::decode(&sub)?;
+                    let decoded = Request::decode(r.bytes()?)?;
                     if matches!(decoded, Request::Batch(_)) {
                         return Err(S4Error::BadRequest("nested batch"));
                     }
@@ -773,7 +733,6 @@ impl Request {
 impl Response {
     /// Serializes the response for a transport.
     pub fn encode(&self) -> Vec<u8> {
-        use wire::*;
         let mut out = Vec::new();
         match self {
             Response::Created(oid) => {
@@ -783,7 +742,7 @@ impl Response {
             Response::Ok => out.push(2),
             Response::Data(d) => {
                 out.push(3);
-                put_bytes(&mut out, d);
+                push_bytes(&mut out, d);
             }
             Response::NewSize(s) => {
                 out.push(4);
@@ -794,22 +753,15 @@ impl Response {
                 put_u64(&mut out, a.size);
                 put_u64(&mut out, a.created.as_micros());
                 put_u64(&mut out, a.modified.as_micros());
-                match a.deleted {
-                    Some(d) => {
-                        out.push(1);
-                        put_u64(&mut out, d.as_micros());
-                    }
-                    None => out.push(0),
-                }
-                put_bytes(&mut out, &a.opaque);
+                push_time_opt(&mut out, a.deleted);
+                push_bytes(&mut out, &a.opaque);
             }
             Response::Acl(e) => {
                 out.push(6);
                 match e {
                     Some(e) => {
                         out.push(1);
-                        put_u32(&mut out, e.user.0);
-                        out.push(e.perm.0);
+                        e.encode_into(&mut out);
                     }
                     None => out.push(0),
                 }
@@ -818,7 +770,7 @@ impl Response {
                 out.push(7);
                 put_u32(&mut out, p.len() as u32);
                 for (name, oid) in p {
-                    put_bytes(&mut out, name.as_bytes());
+                    push_bytes(&mut out, name.as_bytes());
                     put_u64(&mut out, oid.0);
                 }
             }
@@ -830,7 +782,7 @@ impl Response {
                 out.push(9);
                 put_u32(&mut out, rs.len() as u32);
                 for r in rs {
-                    put_bytes(&mut out, &r.encode());
+                    push_bytes(&mut out, &r.encode());
                 }
             }
         }
@@ -839,21 +791,18 @@ impl Response {
 
     /// Deserializes a response from a transport.
     pub fn decode(buf: &[u8]) -> Result<Response> {
-        let mut r = wire::Reader::new(buf, "wire truncated");
+        let mut r = Reader::new(buf, "wire truncated");
         Ok(match r.u8()? {
             1 => Response::Created(ObjectId(r.u64()?)),
             2 => Response::Ok,
-            3 => Response::Data(r.bytes()?),
+            3 => Response::Data(r.bytes()?.to_vec()),
             4 => Response::NewSize(r.u64()?),
             5 => {
                 let size = r.u64()?;
                 let created = SimTime::from_micros(r.u64()?);
                 let modified = SimTime::from_micros(r.u64()?);
-                let deleted = match r.u8()? {
-                    0 => None,
-                    _ => Some(SimTime::from_micros(r.u64()?)),
-                };
-                let opaque = r.bytes()?;
+                let deleted = r.time_opt()?;
+                let opaque = r.bytes()?.to_vec();
                 Response::Attrs(ObjectAttrs {
                     size,
                     created,
@@ -864,15 +813,11 @@ impl Response {
             }
             6 => Response::Acl(match r.u8()? {
                 0 => None,
-                _ => Some(AclEntry {
-                    user: UserId(r.u32()?),
-                    perm: Perm(r.u8()?),
-                }),
+                _ => Some(AclEntry::decode(&mut r)?),
             }),
             7 => {
-                // Untrusted wire count: entries are >= 12 bytes each.
-                let n = r.u32()? as usize;
-                let mut p = Vec::with_capacity(n.min(buf.len() / 12 + 1));
+                let n = r.count(12)?; // an entry is at least a name length and an oid
+                let mut p = Vec::with_capacity(n);
                 for _ in 0..n {
                     let name = r.string()?;
                     p.push((name, ObjectId(r.u64()?)));
@@ -881,11 +826,10 @@ impl Response {
             }
             8 => Response::Mounted(ObjectId(r.u64()?)),
             9 => {
-                let n = r.u32()? as usize;
-                let mut rs = Vec::with_capacity(n.min(buf.len() / 2 + 1));
+                let n = r.count(5)?;
+                let mut rs = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let sub = r.bytes()?;
-                    rs.push(Response::decode(&sub)?);
+                    rs.push(Response::decode(r.bytes()?)?);
                 }
                 Response::Batch(rs)
             }
@@ -897,6 +841,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::acl::Perm;
 
     fn all_requests() -> Vec<Request> {
         vec![

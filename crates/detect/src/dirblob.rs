@@ -56,9 +56,8 @@ pub fn decode(data: &[u8]) -> Result<Vec<DirEntry>, S4Error> {
         return Ok(Vec::new());
     }
     let mut r = Reader::new(data, "directory blob truncated");
-    let n = r.u32()? as usize;
-    // Reserve what the blob can hold, never what it claims.
-    let mut out = Vec::with_capacity(n.min(data.len() / MIN_ENTRY_BYTES));
+    let n = r.count(MIN_ENTRY_BYTES)?;
+    let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let name_len = r.u16()? as usize;
         let name = String::from_utf8(r.take(name_len)?.to_vec())

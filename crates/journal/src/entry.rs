@@ -8,7 +8,8 @@
 //! a conventional versioning system's new data block, indirect block(s),
 //! and inode per update.
 
-use s4_clock::{HybridTimestamp, SimTime};
+use s4_clock::HybridTimestamp;
+use s4_lfs::codec::{push_bytes, push_stamp, Reader};
 use s4_lfs::BlockAddr;
 
 use crate::{JournalError, Result};
@@ -153,9 +154,7 @@ impl JournalEntry {
             JournalEntry::Revive { .. } => 8,
         };
         out.push(tag);
-        let s = self.stamp();
-        out.extend_from_slice(&s.time.as_micros().to_le_bytes());
-        out.extend_from_slice(&s.seq.to_le_bytes());
+        push_stamp(out, self.stamp());
         match self {
             JournalEntry::Create { .. } | JournalEntry::Delete { .. } => {}
             JournalEntry::Write {
@@ -180,57 +179,34 @@ impl JournalEntry {
                 }
             }
             JournalEntry::SetAttr { old, new, .. } | JournalEntry::SetAcl { old, new, .. } => {
-                out.extend_from_slice(&(old.len() as u32).to_le_bytes());
-                out.extend_from_slice(old);
-                out.extend_from_slice(&(new.len() as u32).to_le_bytes());
-                out.extend_from_slice(new);
+                push_bytes(out, old);
+                push_bytes(out, new);
             }
             JournalEntry::Checkpoint { root, .. } => {
                 out.extend_from_slice(&root.0.to_le_bytes());
             }
-            JournalEntry::Revive { was_deleted, .. } => {
-                out.extend_from_slice(&was_deleted.time.as_micros().to_le_bytes());
-                out.extend_from_slice(&was_deleted.seq.to_le_bytes());
-            }
+            JournalEntry::Revive { was_deleted, .. } => push_stamp(out, *was_deleted),
         }
     }
 
     /// Decodes one entry from `buf[*pos..]`, advancing `pos`.
     pub fn decode_from(buf: &[u8], pos: &mut usize) -> Result<JournalEntry> {
-        let need = |p: usize, n: usize| {
-            if p + n > buf.len() {
-                Err(JournalError::Corrupt("journal entry truncated"))
-            } else {
-                Ok(())
-            }
-        };
-        need(*pos, 17)?;
-        let tag = buf[*pos];
-        let time = u64::from_le_bytes(buf[*pos + 1..*pos + 9].try_into().unwrap());
-        let seq = u64::from_le_bytes(buf[*pos + 9..*pos + 17].try_into().unwrap());
-        let stamp = HybridTimestamp::new(SimTime::from_micros(time), seq);
-        *pos += 17;
+        let mut r = Reader::at(buf, *pos, "journal entry truncated");
+        let tag = r.u8()?;
+        let stamp = r.stamp()?;
         let e = match tag {
             1 => JournalEntry::Create { stamp },
             2 => JournalEntry::Delete { stamp },
             3 | 4 => {
-                need(*pos, 20)?;
-                let old_size = u64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap());
-                let new_size = u64::from_le_bytes(buf[*pos + 8..*pos + 16].try_into().unwrap());
-                let n = u32::from_le_bytes(buf[*pos + 16..*pos + 20].try_into().unwrap()) as usize;
-                *pos += 20;
-                need(*pos, n * 24)?;
+                let old_size = r.u64()?;
+                let new_size = r.u64()?;
+                let n = r.count(24)?;
                 let mut changes = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let lbn = u64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap());
-                    let old = BlockAddr(u64::from_le_bytes(
-                        buf[*pos + 8..*pos + 16].try_into().unwrap(),
-                    ));
-                    let new = BlockAddr(u64::from_le_bytes(
-                        buf[*pos + 16..*pos + 24].try_into().unwrap(),
-                    ));
+                    let lbn = r.u64()?;
+                    let old = BlockAddr(r.u64()?);
+                    let new = BlockAddr(r.u64()?);
                     changes.push(PtrChange { lbn, old, new });
-                    *pos += 24;
                 }
                 if tag == 3 {
                     JournalEntry::Write {
@@ -249,42 +225,25 @@ impl JournalEntry {
                 }
             }
             5 | 6 => {
-                need(*pos, 4)?;
-                let ol = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().unwrap()) as usize;
-                *pos += 4;
-                need(*pos, ol)?;
-                let old = buf[*pos..*pos + ol].to_vec();
-                *pos += ol;
-                need(*pos, 4)?;
-                let nl = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().unwrap()) as usize;
-                *pos += 4;
-                need(*pos, nl)?;
-                let new = buf[*pos..*pos + nl].to_vec();
-                *pos += nl;
+                let old = r.bytes()?.to_vec();
+                let new = r.bytes()?.to_vec();
                 if tag == 5 {
                     JournalEntry::SetAttr { stamp, old, new }
                 } else {
                     JournalEntry::SetAcl { stamp, old, new }
                 }
             }
-            7 => {
-                need(*pos, 8)?;
-                let root = BlockAddr(u64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap()));
-                *pos += 8;
-                JournalEntry::Checkpoint { stamp, root }
-            }
-            8 => {
-                need(*pos, 16)?;
-                let time = u64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap());
-                let seq = u64::from_le_bytes(buf[*pos + 8..*pos + 16].try_into().unwrap());
-                *pos += 16;
-                JournalEntry::Revive {
-                    stamp,
-                    was_deleted: HybridTimestamp::new(SimTime::from_micros(time), seq),
-                }
-            }
+            7 => JournalEntry::Checkpoint {
+                stamp,
+                root: BlockAddr(r.u64()?),
+            },
+            8 => JournalEntry::Revive {
+                stamp,
+                was_deleted: r.stamp()?,
+            },
             _ => return Err(JournalError::Corrupt("journal entry tag")),
         };
+        *pos = r.pos();
         Ok(e)
     }
 }
@@ -292,6 +251,7 @@ impl JournalEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use s4_clock::SimTime;
 
     fn st(t: u64, s: u64) -> HybridTimestamp {
         HybridTimestamp::new(SimTime::from_micros(t), s)

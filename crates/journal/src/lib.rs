@@ -60,5 +60,11 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
+impl From<s4_lfs::codec::Malformed> for JournalError {
+    fn from(e: s4_lfs::codec::Malformed) -> Self {
+        JournalError::Corrupt(e.0)
+    }
+}
+
 /// Result alias for journal operations.
 pub type Result<T> = std::result::Result<T, JournalError>;

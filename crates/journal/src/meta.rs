@@ -9,7 +9,8 @@
 
 use std::collections::BTreeMap;
 
-use s4_clock::{HybridTimestamp, SimTime};
+use s4_clock::HybridTimestamp;
+use s4_lfs::codec::{push_bytes, push_stamp, Reader};
 use s4_lfs::BlockAddr;
 
 use crate::{JournalError, Result};
@@ -85,10 +86,8 @@ impl ObjectMeta {
             None => out.push(0),
         }
         out.extend_from_slice(&self.size.to_le_bytes());
-        out.extend_from_slice(&(self.attrs.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.attrs);
-        out.extend_from_slice(&(self.acl.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.acl);
+        push_bytes(&mut out, &self.attrs);
+        push_bytes(&mut out, &self.acl);
         out.extend_from_slice(&(self.blocks.len() as u32).to_le_bytes());
         for (&lbn, &addr) in &self.blocks {
             out.extend_from_slice(&lbn.to_le_bytes());
@@ -100,58 +99,24 @@ impl ObjectMeta {
 
     /// Deserializes a record from `buf[*pos..]`, advancing `pos`.
     pub fn decode_from(buf: &[u8], pos: &mut usize) -> Result<ObjectMeta> {
-        let need = |p: usize, n: usize| {
-            if p + n > buf.len() {
-                Err(JournalError::Corrupt("object meta truncated"))
-            } else {
-                Ok(())
-            }
-        };
-        need(*pos, 12)?;
-        if buf[*pos..*pos + 4] != MAGIC.to_le_bytes() {
+        let mut r = Reader::at(buf, *pos, "object meta truncated");
+        if r.u32()? != MAGIC {
             return Err(JournalError::Corrupt("object meta magic"));
         }
-        let id = u64::from_le_bytes(buf[*pos + 4..*pos + 12].try_into().unwrap());
-        *pos += 12;
-        let created = read_stamp(buf, pos)?;
-        let modified = read_stamp(buf, pos)?;
-        need(*pos, 1)?;
-        let has_deleted = buf[*pos] == 1;
-        *pos += 1;
-        let deleted = if has_deleted {
-            Some(read_stamp(buf, pos)?)
-        } else {
-            None
-        };
-        need(*pos, 12)?;
-        let size = u64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap());
-        *pos += 8;
-        let alen = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().unwrap()) as usize;
-        *pos += 4;
-        need(*pos, alen)?;
-        let attrs = buf[*pos..*pos + alen].to_vec();
-        *pos += alen;
-        need(*pos, 4)?;
-        let clen = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().unwrap()) as usize;
-        *pos += 4;
-        need(*pos, clen)?;
-        let acl = buf[*pos..*pos + clen].to_vec();
-        *pos += clen;
-        need(*pos, 4)?;
-        let n = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().unwrap()) as usize;
-        *pos += 4;
-        need(*pos, n * 16 + 8)?;
+        let id = r.u64()?;
+        let created = r.stamp()?;
+        let modified = r.stamp()?;
+        let deleted = if r.u8()? == 1 { Some(r.stamp()?) } else { None };
+        let size = r.u64()?;
+        let attrs = r.bytes()?.to_vec();
+        let acl = r.bytes()?.to_vec();
         let mut blocks = BTreeMap::new();
-        for _ in 0..n {
-            let lbn = u64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap());
-            let addr = BlockAddr(u64::from_le_bytes(
-                buf[*pos + 8..*pos + 16].try_into().unwrap(),
-            ));
-            blocks.insert(lbn, addr);
-            *pos += 16;
+        for _ in 0..r.count(16)? {
+            let lbn = r.u64()?;
+            blocks.insert(lbn, BlockAddr(r.u64()?));
         }
-        let journal_head = BlockAddr(u64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap()));
-        *pos += 8;
+        let journal_head = BlockAddr(r.u64()?);
+        *pos = r.pos();
         Ok(ObjectMeta {
             id,
             created,
@@ -166,24 +131,10 @@ impl ObjectMeta {
     }
 }
 
-fn push_stamp(out: &mut Vec<u8>, s: HybridTimestamp) {
-    out.extend_from_slice(&s.time.as_micros().to_le_bytes());
-    out.extend_from_slice(&s.seq.to_le_bytes());
-}
-
-fn read_stamp(buf: &[u8], pos: &mut usize) -> Result<HybridTimestamp> {
-    if *pos + 16 > buf.len() {
-        return Err(JournalError::Corrupt("stamp truncated"));
-    }
-    let time = u64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap());
-    let seq = u64::from_le_bytes(buf[*pos + 8..*pos + 16].try_into().unwrap());
-    *pos += 16;
-    Ok(HybridTimestamp::new(SimTime::from_micros(time), seq))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use s4_clock::SimTime;
 
     fn sample() -> ObjectMeta {
         let mut m = ObjectMeta::new(99, HybridTimestamp::new(SimTime::from_micros(5), 1));

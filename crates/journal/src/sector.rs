@@ -11,6 +11,7 @@
 //! address the log assigns to sector *k* into the `prev` pointer of sector
 //! *k+1*, so the newest sector always heads the chain.
 
+use s4_lfs::codec::{push_bytes, Reader};
 use s4_lfs::{BlockAddr, BLOCK_SIZE};
 
 use crate::entry::JournalEntry;
@@ -41,8 +42,7 @@ impl SectorPayload {
         out.extend_from_slice(&object.to_le_bytes());
         out.extend_from_slice(&prev.0.to_le_bytes());
         out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.encoded.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.encoded);
+        push_bytes(&mut out, &self.encoded);
         debug_assert!(out.len() <= BLOCK_SIZE);
         out
     }
@@ -79,27 +79,20 @@ pub fn encode_sectors(entries: &[JournalEntry]) -> Vec<SectorPayload> {
 /// Decodes a sector block: returns `(object, prev, entries)` with entries
 /// oldest first.
 pub fn decode_sector(buf: &[u8]) -> Result<(u64, BlockAddr, Vec<JournalEntry>)> {
-    if buf.len() < HEADER_BYTES {
-        return Err(JournalError::Corrupt("sector header"));
-    }
-    if buf[0..4] != MAGIC.to_le_bytes() {
+    let mut r = Reader::new(buf, "sector truncated");
+    if r.u32()? != MAGIC {
         return Err(JournalError::Corrupt("sector magic"));
     }
-    let object = u64::from_le_bytes(buf[4..12].try_into().unwrap());
-    let prev = BlockAddr(u64::from_le_bytes(buf[12..20].try_into().unwrap()));
-    let count = u32::from_le_bytes(buf[20..24].try_into().unwrap()) as usize;
-    let len = u32::from_le_bytes(buf[24..28].try_into().unwrap()) as usize;
-    if HEADER_BYTES + len > buf.len() {
-        return Err(JournalError::Corrupt("sector body length"));
-    }
-    let body = &buf[HEADER_BYTES..HEADER_BYTES + len];
+    let object = r.u64()?;
+    let prev = BlockAddr(r.u64()?);
+    let count = r.count(17)?; // an entry is at least its tag and stamp
+    let body = r.bytes()?;
     let mut pos = 0;
-    // Untrusted count: entries are >= 17 bytes each.
-    let mut entries = Vec::with_capacity(count.min(len / 17 + 1));
+    let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
         entries.push(JournalEntry::decode_from(body, &mut pos)?);
     }
-    if pos != len {
+    if pos != body.len() {
         return Err(JournalError::Corrupt("sector trailing bytes"));
     }
     Ok((object, prev, entries))

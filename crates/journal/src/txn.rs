@@ -27,6 +27,8 @@
 //! [`Touched`]: TxnRecord::Touched
 //! [`Resolved`]: TxnRecord::Resolved
 
+use s4_lfs::codec::{push_bytes, Reader};
+
 use crate::{JournalError, Result};
 
 /// One record of a drive's transaction log.
@@ -88,9 +90,7 @@ impl TxnRecord {
                 }
                 out.extend_from_slice(&(names.len() as u32).to_le_bytes());
                 for n in names {
-                    let b = n.as_bytes();
-                    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-                    out.extend_from_slice(b);
+                    push_bytes(out, n.as_bytes());
                 }
             }
             TxnRecord::Resolved { txid, committed } => {
@@ -103,66 +103,44 @@ impl TxnRecord {
 
     /// Decodes one record from `buf[*pos..]`, advancing `pos`.
     pub fn decode_from(buf: &[u8], pos: &mut usize) -> Result<TxnRecord> {
-        let need = |p: usize, n: usize| {
-            if p + n > buf.len() {
-                Err(JournalError::Corrupt("txn record truncated"))
-            } else {
-                Ok(())
-            }
-        };
-        need(*pos, 9)?;
-        let tag = buf[*pos];
-        let txid = u64::from_le_bytes(buf[*pos + 1..*pos + 9].try_into().unwrap());
-        *pos += 9;
-        let r = match tag {
-            1 => {
-                need(*pos, 8)?;
-                let t0_us = u64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap());
-                *pos += 8;
-                TxnRecord::Prepared { txid, t0_us }
-            }
+        let mut r = Reader::at(buf, *pos, "txn record truncated");
+        let tag = r.u8()?;
+        let txid = r.u64()?;
+        let rec = match tag {
+            1 => TxnRecord::Prepared {
+                txid,
+                t0_us: r.u64()?,
+            },
             2 => {
-                need(*pos, 4)?;
-                let no = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().unwrap()) as usize;
-                *pos += 4;
-                need(*pos, no * 8)?;
-                let mut oids = Vec::with_capacity(no);
-                for _ in 0..no {
-                    oids.push(u64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap()));
-                    *pos += 8;
+                let n = r.count(8)?;
+                let mut oids = Vec::with_capacity(n);
+                for _ in 0..n {
+                    oids.push(r.u64()?);
                 }
-                need(*pos, 4)?;
-                let nn = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().unwrap()) as usize;
-                *pos += 4;
-                let mut names = Vec::with_capacity(nn);
-                for _ in 0..nn {
-                    need(*pos, 4)?;
-                    let l = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().unwrap()) as usize;
-                    *pos += 4;
-                    need(*pos, l)?;
-                    let s = std::str::from_utf8(&buf[*pos..*pos + l])
-                        .map_err(|_| JournalError::Corrupt("txn partition name utf8"))?;
-                    names.push(s.to_string());
-                    *pos += l;
+                let n = r.count(4)?; // a name is at least its length
+                let mut names = Vec::with_capacity(n);
+                for _ in 0..n {
+                    names.push(r.string()?);
                 }
                 TxnRecord::Touched { txid, oids, names }
             }
-            3 => {
-                need(*pos, 1)?;
-                let committed = buf[*pos] == 1;
-                *pos += 1;
-                TxnRecord::Resolved { txid, committed }
-            }
+            3 => TxnRecord::Resolved {
+                txid,
+                committed: r.u8()? == 1,
+            },
             _ => return Err(JournalError::Corrupt("txn record tag")),
         };
-        Ok(r)
+        *pos = r.pos();
+        Ok(rec)
     }
 }
 
 /// Decodes a whole transaction log. The log object is journaled, so its
 /// recovered content is a synced prefix of what was appended — a
-/// truncated or garbled tail therefore cannot happen on the recovery
-/// path, but `scan` still refuses it loudly instead of panicking.
+/// truncated or garbled tail cannot come from a crash, only from rot or
+/// tampering, and `scan` answers either with `Corrupt`: every field and
+/// count is read through the bounds-checked cursor, so no stored number
+/// is indexed with or allocated from.
 pub fn scan(buf: &[u8]) -> Result<Vec<TxnRecord>> {
     let mut out = Vec::new();
     let mut pos = 0;

@@ -21,6 +21,8 @@
 //! * [`cache`] — the block (buffer) cache.
 //! * [`crc`] — the format's checksums: CRC-32 over each superblock and
 //!   summary block, XXH64 over each batch's data blocks.
+//! * [`codec`] — the bounds-checked cursor every decoder of stored or
+//!   received bytes, here and in the crates above, reads through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,6 +30,7 @@
 pub mod bytes;
 pub mod cache;
 pub mod cleaner;
+pub mod codec;
 pub mod crc;
 pub mod layout;
 pub mod log;

@@ -28,6 +28,7 @@ use s4_clock::sync::Mutex;
 use s4_simdisk::BlockDev;
 
 use crate::cache::BlockCache;
+use crate::codec::{push_bytes, Reader};
 use crate::crc::xxh64;
 use crate::layout::{BlockAddr, BlockKind, BlockTag, Geometry, SegmentId, BLOCK_SIZE};
 use crate::summary::{Summary, SummaryEntry, MAX_ENTRIES, NO_NEXT_SEGMENT};
@@ -265,16 +266,9 @@ impl<D: BlockDev> Log<D> {
         let (payload, mut usage) = if blob.is_empty() {
             (Vec::new(), SegmentUsageTable::new(&geo))
         } else {
-            if blob.len() < 4 {
-                return Err(LfsError::Corrupt("anchor state"));
-            }
-            let plen = u32::from_le_bytes(blob[0..4].try_into().unwrap()) as usize;
-            if blob.len() < 4 + plen {
-                return Err(LfsError::Corrupt("anchor payload length"));
-            }
-            let payload = blob[4..4 + plen].to_vec();
-            let usage = SegmentUsageTable::decode(&blob[4 + plen..])?;
-            (payload, usage)
+            let mut r = Reader::new(&blob, "anchor state truncated");
+            let payload = r.bytes()?.to_vec();
+            (payload, SegmentUsageTable::decode(r.rest())?)
         };
 
         // Phase 3: replay usage accounting for every scanned batch on top
@@ -550,8 +544,7 @@ impl<D: BlockDev> Log<D> {
         // Serialize payload + usage table (as of this instant; the state
         // batches themselves are replayed into the table at mount).
         let mut blob = Vec::with_capacity(4 + payload.len());
-        blob.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        blob.extend_from_slice(payload);
+        push_bytes(&mut blob, payload);
         blob.extend_from_slice(&self.usage.lock().encode());
 
         let n_blocks = blob.len().div_ceil(BLOCK_SIZE).max(1) as u32;

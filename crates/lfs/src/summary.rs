@@ -15,6 +15,7 @@
 //! segment (16..20), offset (20..24), next segment (24..28), entry count
 //! (28..32), data checksum (32..40), reserved (40..44), then the entries.
 
+use crate::codec::Reader;
 use crate::crc::crc32;
 use crate::layout::{BlockKind, BlockTag, SegmentId, BLOCK_SIZE};
 use crate::{LfsError, Result};
@@ -93,29 +94,25 @@ impl Summary {
         if buf[0..4] != MAGIC.to_le_bytes() {
             return Err(LfsError::Corrupt("summary magic"));
         }
-        let stored = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-        if crc32(&buf[8..]) != stored {
+        let mut r = Reader::at(buf, 4, "summary truncated");
+        if crc32(&buf[8..]) != r.u32()? {
             return Err(LfsError::Corrupt("summary crc"));
         }
-        let epoch = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-        let segment = u32::from_le_bytes(buf[16..20].try_into().unwrap());
-        let offset = u32::from_le_bytes(buf[20..24].try_into().unwrap());
-        let next_segment = u32::from_le_bytes(buf[24..28].try_into().unwrap());
-        let n = u32::from_le_bytes(buf[28..32].try_into().unwrap()) as usize;
-        let data_checksum = u64::from_le_bytes(buf[32..40].try_into().unwrap());
-        if n > MAX_ENTRIES {
-            return Err(LfsError::Corrupt("summary entry count"));
-        }
+        let epoch = r.u64()?;
+        let segment = r.u32()?;
+        let offset = r.u32()?;
+        let next_segment = r.u32()?;
+        let n = r.count(ENTRY_BYTES)?;
+        let data_checksum = r.u64()?;
+        r.take(4)?; // reserved
         let mut entries = Vec::with_capacity(n);
-        let mut o = HEADER_BYTES;
         for _ in 0..n {
-            let kind = BlockKind::from_u8(buf[o])?;
-            let object = u64::from_le_bytes(buf[o + 1..o + 9].try_into().unwrap());
-            let aux = u64::from_le_bytes(buf[o + 9..o + 17].try_into().unwrap());
+            let kind = BlockKind::from_u8(r.u8()?)?;
+            let object = r.u64()?;
+            let aux = r.u64()?;
             entries.push(SummaryEntry {
                 tag: BlockTag { kind, object, aux },
             });
-            o += ENTRY_BYTES;
         }
         Ok(Summary {
             epoch,

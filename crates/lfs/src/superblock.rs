@@ -9,6 +9,7 @@
 
 use s4_simdisk::{BlockDev, SECTOR_SIZE};
 
+use crate::codec::Reader;
 use crate::crc::crc32;
 use crate::layout::{Geometry, SegmentId};
 use crate::{LfsError, Result};
@@ -87,27 +88,26 @@ impl Superblock {
         if buf[0..4] != MAGIC.to_le_bytes() {
             return Err(LfsError::Corrupt("superblock magic"));
         }
-        let stored = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-        if crc32(&buf[8..SB_BYTES]) != stored {
+        let mut r = Reader::at(buf, 4, "superblock truncated");
+        if crc32(&buf[8..SB_BYTES]) != r.u32()? {
             return Err(LfsError::Corrupt("superblock crc"));
         }
-        let u64at = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
-        let u32at = |o: usize| u32::from_le_bytes(buf[o..o + 4].try_into().unwrap());
-        if u32at(72) != FORMAT_VERSION {
+        let sb = Superblock {
+            epoch: r.u64()?,
+            blocks_per_segment: r.u32()?,
+            num_segments: r.u32()?,
+            cursor_segment: r.u32()?,
+            cursor_block: r.u32()?,
+            next_summary_epoch: r.u64()?,
+            state_epoch_first: r.u64()?,
+            state_epoch_last: r.u64()?,
+            next_stamp_seq: r.u64()?,
+            anchor_time_us: r.u64()?,
+        };
+        if r.u32()? != FORMAT_VERSION {
             return Err(UNSUPPORTED_FORMAT);
         }
-        Ok(Superblock {
-            epoch: u64at(8),
-            blocks_per_segment: u32at(16),
-            num_segments: u32at(20),
-            cursor_segment: u32at(24),
-            cursor_block: u32at(28),
-            next_summary_epoch: u64at(32),
-            state_epoch_first: u64at(40),
-            state_epoch_last: u64at(48),
-            next_stamp_seq: u64at(56),
-            anchor_time_us: u64at(64),
-        })
+        Ok(sb)
     }
 
     /// True if the log has never been anchored.

@@ -8,6 +8,7 @@
 //! copying (§4.2.1). Segments with a few stragglers are reclaimed by the
 //! cleaner, which copies live blocks forward.
 
+use crate::codec::Reader;
 use crate::layout::{Geometry, SegmentId};
 use crate::{LfsError, Result};
 
@@ -230,19 +231,13 @@ impl SegmentUsageTable {
 
     /// Deserializes from anchor system state.
     pub fn decode(buf: &[u8]) -> Result<SegmentUsageTable> {
-        if buf.len() < 8 {
-            return Err(LfsError::Corrupt("usage table header"));
-        }
-        let n = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-        let blocks_per_segment = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-        if buf.len() < 8 + n * 9 {
-            return Err(LfsError::Corrupt("usage table body"));
-        }
+        let mut r = Reader::new(buf, "usage table truncated");
+        let n = r.count(9)?;
+        let blocks_per_segment = r.u32()?;
         let mut segs = Vec::with_capacity(n);
         let mut free_count = 0;
-        for i in 0..n {
-            let o = 8 + i * 9;
-            let state = match buf[o] {
+        for _ in 0..n {
+            let state = match r.u8()? {
                 0 => SegmentState::Free,
                 1 => SegmentState::InUse,
                 2 => SegmentState::PendingFree,
@@ -253,8 +248,8 @@ impl SegmentUsageTable {
             }
             segs.push(SegmentUsage {
                 state,
-                live_blocks: u32::from_le_bytes(buf[o + 1..o + 5].try_into().unwrap()),
-                written_blocks: u32::from_le_bytes(buf[o + 5..o + 9].try_into().unwrap()),
+                live_blocks: r.u32()?,
+                written_blocks: r.u32()?,
             });
         }
         Ok(SegmentUsageTable {
