@@ -7,6 +7,7 @@
 //! `ls` and `cp`."
 //!
 //! * [`ls_at`] / [`read_file_at`] — time-enhanced `ls` and `cat`.
+//! * [`write_file`] — whole-file replace (the CLI's `put`).
 //! * [`restore_file`] — `cp` from the history pool forward: "the old
 //!   version of the object can be completely restored by requesting that
 //!   the drive copy forward the old version, thus making a new version"
@@ -59,16 +60,9 @@ pub fn read_file_at<T: Transport>(
     fs.read_at(h, 0, attr.size, time)
 }
 
-/// Restores `path` to its contents as of `time` by copying the old
-/// version forward (creating a new version — history is never rewritten).
-/// If the file no longer exists at `path`, it is recreated there. Returns
-/// the handle of the restored file.
-pub fn restore_file<T: Transport>(
-    fs: &S4FileServer<T>,
-    path: &str,
-    time: SimTime,
-) -> FsResult<Handle> {
-    let data = read_file_at(fs, path, time)?;
+/// Makes `data` the whole contents of `path`, creating the file if it is
+/// not there. Returns its handle.
+pub fn write_file<T: Transport>(fs: &S4FileServer<T>, path: &str, data: &[u8]) -> FsResult<Handle> {
     let (dir_path, name) = split_path(path);
     let dir = fs.resolve_path(dir_path)?;
     let h = match fs.lookup(dir, name) {
@@ -78,9 +72,21 @@ pub fn restore_file<T: Transport>(
     };
     fs.truncate(h, 0)?;
     if !data.is_empty() {
-        fs.write(h, 0, &data)?;
+        fs.write(h, 0, data)?;
     }
     Ok(h)
+}
+
+/// Restores `path` to its contents as of `time` by copying the old
+/// version forward (creating a new version — history is never rewritten).
+/// If the file no longer exists at `path`, it is recreated there. Returns
+/// the handle of the restored file.
+pub fn restore_file<T: Transport>(
+    fs: &S4FileServer<T>,
+    path: &str,
+    time: SimTime,
+) -> FsResult<Handle> {
+    write_file(fs, path, &read_file_at(fs, path, time)?)
 }
 
 #[cfg(test)]

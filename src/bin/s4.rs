@@ -32,6 +32,23 @@ use s4_simdisk::{BlockDev, FileDisk};
 
 const PARTITION: &str = "root";
 
+/// A failed command: the message `main` prints after `s4: `. Anything
+/// printable converts (`FsError`, `S4Error`, `io::Error`, a literal), so
+/// `?` suffices wherever the error's own text is the message.
+struct CliError(String);
+
+impl<E: std::fmt::Display> From<E> for CliError {
+    fn from(e: E) -> Self {
+        CliError(e.to_string())
+    }
+}
+
+/// The admin context for `drive`: the CLI works on the image itself, so
+/// it holds the drive's own token.
+fn admin_of<D: BlockDev>(drive: &S4Drive<D>) -> RequestContext {
+    RequestContext::admin(ClientId(0), drive.config().admin_token)
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage: s4 <command> <image> [args]\n\
@@ -199,7 +216,7 @@ fn close(fs: S4FileServer<LoopbackTransport<FileDisk>>) -> Result<(), String> {
     Ok(())
 }
 
-fn run() -> Result<(), String> {
+fn run() -> Result<(), CliError> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.len() < 2 {
         return Err("missing arguments".into());
@@ -215,40 +232,26 @@ fn run() -> Result<(), String> {
                 .get(1)
                 .and_then(|s| s.parse().ok())
                 .ok_or("format: need size in MB")?;
-            let dev = FileDisk::create(image, mb * 2048).map_err(|e| e.to_string())?;
+            let dev = FileDisk::create(image, mb * 2048)?;
             let clock = SimClock::new();
             clock.advance(SimDuration::from_secs(1));
-            let drive = Arc::new(
-                S4Drive::format(dev, DriveConfig::default(), clock).map_err(|e| e.to_string())?,
-            );
+            let drive = Arc::new(S4Drive::format(dev, DriveConfig::default(), clock)?);
             // Create the exported root directory.
             let fs = S4FileServer::mount(
                 LoopbackTransport::new(drive, NetworkModel::free()),
                 RequestContext::user(UserId(1), ClientId(1)),
                 PARTITION,
                 S4FsConfig::default(),
-            )
-            .map_err(|e| e.to_string())?;
+            )?;
             close(fs)?;
             println!("formatted {image}: {mb} MB self-securing image");
         }
         "put" => {
             let path = args.pos(1, "put: need a path")?;
             let mut data = Vec::new();
-            std::io::stdin()
-                .read_to_end(&mut data)
-                .map_err(|e| e.to_string())?;
+            std::io::stdin().read_to_end(&mut data)?;
             let fs = open_fs(image)?;
-            let (dir_path, name) = tools::split_path(path);
-            let dir = fs.resolve_path(dir_path).map_err(|e| e.to_string())?;
-            let h = match fs.lookup(dir, name) {
-                Ok(h) => h,
-                Err(_) => fs.create(dir, name).map_err(|e| e.to_string())?,
-            };
-            fs.truncate(h, 0).map_err(|e| e.to_string())?;
-            if !data.is_empty() {
-                fs.write(h, 0, &data).map_err(|e| e.to_string())?;
-            }
+            tools::write_file(&fs, path, &data)?;
             println!("wrote {} bytes to {path} at {}", data.len(), fs.now());
             close(fs)?;
         }
@@ -256,28 +259,25 @@ fn run() -> Result<(), String> {
             let path = args.pos(1, "cat: need a path")?;
             let fs = open_fs(image)?;
             let data = match args.at() {
-                Some(t) => tools::read_file_at(&fs, path, t).map_err(|e| e.to_string())?,
+                Some(t) => tools::read_file_at(&fs, path, t)?,
                 None => {
-                    let h = fs.resolve_path(path).map_err(|e| e.to_string())?;
-                    let size = fs.getattr(h).map_err(|e| e.to_string())?.size;
-                    fs.read(h, 0, size).map_err(|e| e.to_string())?
+                    let h = fs.resolve_path(path)?;
+                    let size = fs.getattr(h)?.size;
+                    fs.read(h, 0, size)?
                 }
             };
             use std::io::Write as _;
-            std::io::stdout()
-                .write_all(&data)
-                .map_err(|e| e.to_string())?;
+            std::io::stdout().write_all(&data)?;
             close(fs)?;
         }
         "ls" => {
             let path = args.positional.get(1).copied().unwrap_or("");
             let fs = open_fs(image)?;
             let rows = match args.at() {
-                Some(t) => tools::ls_at(&fs, path, t).map_err(|e| e.to_string())?,
+                Some(t) => tools::ls_at(&fs, path, t)?,
                 None => {
-                    let dir = fs.resolve_path(path).map_err(|e| e.to_string())?;
-                    fs.readdir(dir)
-                        .map_err(|e| e.to_string())?
+                    let dir = fs.resolve_path(path)?;
+                    fs.readdir(dir)?
                         .into_iter()
                         .map(|(n, h, k)| {
                             let size = fs.getattr(h).map(|a| a.size).unwrap_or(0);
@@ -300,8 +300,8 @@ fn run() -> Result<(), String> {
             let path = args.pos(1, "rm: need a path")?;
             let fs = open_fs(image)?;
             let (dir_path, name) = tools::split_path(path);
-            let dir = fs.resolve_path(dir_path).map_err(|e| e.to_string())?;
-            fs.remove(dir, name).map_err(|e| e.to_string())?;
+            let dir = fs.resolve_path(dir_path)?;
+            fs.remove(dir, name)?;
             println!("removed {path} (recoverable until the window expires)");
             close(fs)?;
         }
@@ -309,15 +309,15 @@ fn run() -> Result<(), String> {
             let path = args.pos(1, "mkdir: need a path")?;
             let fs = open_fs(image)?;
             let (dir_path, name) = tools::split_path(path);
-            let dir = fs.resolve_path(dir_path).map_err(|e| e.to_string())?;
-            fs.mkdir(dir, name).map_err(|e| e.to_string())?;
+            let dir = fs.resolve_path(dir_path)?;
+            fs.mkdir(dir, name)?;
             close(fs)?;
         }
         "restore" => {
             let path = args.pos(1, "restore: need a path")?;
             let t = args.secs(2, "restore: need a time in seconds")?;
             let fs = open_fs(image)?;
-            tools::restore_file(&fs, path, t).map_err(|e| e.to_string())?;
+            tools::restore_file(&fs, path, t)?;
             println!("restored {path} to its contents at {t}");
             close(fs)?;
         }
@@ -325,12 +325,10 @@ fn run() -> Result<(), String> {
             let path = args.pos(1, "pin: need a path")?;
             let t = args.secs(2, "pin: need a time in seconds")?;
             let fs = open_fs(image)?;
-            let h = fs.resolve_path_at(path, t).map_err(|e| e.to_string())?;
+            let h = fs.resolve_path_at(path, t)?;
             {
                 let drive = fs.transport().drive();
-                drive
-                    .op_mark_landmark(fs.context(), s4_core::ObjectId(h), t)
-                    .map_err(|e| e.to_string())?;
+                drive.op_mark_landmark(fs.context(), s4_core::ObjectId(h), t)?;
             }
             println!("pinned {path} @ {t} as a landmark (survives the detection window)");
             close(fs)?;
@@ -338,12 +336,10 @@ fn run() -> Result<(), String> {
         "pins" => {
             let path = args.pos(1, "pins: need a path")?;
             let fs = open_fs(image)?;
-            let h = fs.resolve_path(path).map_err(|e| e.to_string())?;
+            let h = fs.resolve_path(path)?;
             let rows = {
                 let drive = fs.transport().drive();
-                drive
-                    .landmarks(fs.context(), s4_core::ObjectId(h))
-                    .map_err(|e| e.to_string())?
+                drive.landmarks(fs.context(), s4_core::ObjectId(h))?
             };
             for (t, size) in rows {
                 println!("{t}  {size} bytes");
@@ -354,10 +350,8 @@ fn run() -> Result<(), String> {
             let fs = open_fs(image)?;
             let records = {
                 let drive = fs.transport().drive();
-                let admin = RequestContext::admin(ClientId(0), drive.config().admin_token);
-                drive
-                    .read_audit_records(&admin)
-                    .map_err(|e| e.to_string())?
+                let admin = admin_of(drive);
+                drive.read_audit_records(&admin)?
             };
             for r in &records {
                 println!(
@@ -382,11 +376,8 @@ fn run() -> Result<(), String> {
                 println!("{}", array.metrics_json());
             } else {
                 print!("{}", array.metrics_text());
-                let admin = RequestContext::admin(
-                    ClientId(0),
-                    array.shard_drive(0).config().admin_token,
-                );
-                let log = array.flight_log_merged(&admin).map_err(|e| e.to_string())?;
+                let admin = admin_of(&array.shard_drive(0));
+                let log = array.flight_log_merged(&admin)?;
                 eprintln!(
                     "flight recorder: {} persisted traces across {} shards",
                     log.len(),
@@ -432,7 +423,8 @@ fn run() -> Result<(), String> {
                              target images, got {}",
                             base * mirrors,
                             targets.len()
-                        ));
+                        )
+                        .into());
                     }
                     let mut groups = Vec::with_capacity(base);
                     let mut it = targets.into_iter();
@@ -481,15 +473,14 @@ fn run() -> Result<(), String> {
                 return Err("trace: need at least one image".into());
             }
             let array = open_array(&images, mirrors)?;
-            let admin =
-                RequestContext::admin(ClientId(0), array.shard_drive(0).config().admin_token);
+            let admin = admin_of(&array.shard_drive(0));
             let trees = array
                 .assemble_all_traces(&admin)
                 .map_err(|e| format!("trace: {e}"))?;
             match (wanted, args.number("--slowest")) {
                 (Some(id), _) => match trees.iter().find(|t| t.trace_id == id) {
                     Some(t) => print!("{}", s4_detect::render_trace_tree(t)),
-                    None => return Err(format!("trace: no spans recorded for id {id:#x}")),
+                    None => return Err(format!("trace: no spans recorded for id {id:#x}").into()),
                 },
                 (None, Some(k)) => {
                     for t in s4_detect::slowest_traces(&trees, k) {
@@ -528,8 +519,8 @@ fn run() -> Result<(), String> {
                     // Prometheus-style exposition on stdout; the
                     // flight-recorder tail as human context on stderr.
                     print!("{}", drive.metrics_text());
-                    let admin = RequestContext::admin(ClientId(0), drive.config().admin_token);
-                    let log = s4_detect::flight_log(drive, &admin).map_err(|e| e.to_string())?;
+                    let admin = admin_of(drive);
+                    let log = s4_detect::flight_log(drive, &admin)?;
                     eprintln!("flight recorder: {} persisted traces", log.len());
                     for e in log.iter().rev().take(10).rev() {
                         eprintln!(
@@ -556,10 +547,10 @@ fn run() -> Result<(), String> {
             let fs = open_fs(image)?;
             {
                 let drive = fs.transport().drive();
-                let admin = RequestContext::admin(ClientId(0), drive.config().admin_token);
-                let cov = s4_detect::audit_coverage(drive, &admin).map_err(|e| e.to_string())?;
-                let stored = s4_detect::read_alerts(drive, &admin).map_err(|e| e.to_string())?;
-                let alerts = s4_detect::scan_audit(drive, &admin).map_err(|e| e.to_string())?;
+                let admin = admin_of(drive);
+                let cov = s4_detect::audit_coverage(drive, &admin)?;
+                let stored = s4_detect::read_alerts(drive, &admin)?;
+                let alerts = s4_detect::scan_audit(drive, &admin)?;
                 for a in &alerts {
                     println!("{a}");
                 }
@@ -580,9 +571,8 @@ fn run() -> Result<(), String> {
             let fs = open_fs(image)?;
             {
                 let drive = fs.transport().drive();
-                let admin = RequestContext::admin(ClientId(0), drive.config().admin_token);
-                let plan = s4_detect::plan_recovery(drive, &admin, &suspects, t)
-                    .map_err(|e| e.to_string())?;
+                let admin = admin_of(drive);
+                let plan = s4_detect::plan_recovery(drive, &admin, &suspects, t)?;
                 if plan.actions.is_empty() {
                     println!("nothing to recover: no suspect mutations after {t}");
                 }
@@ -591,8 +581,7 @@ fn run() -> Result<(), String> {
                     println!("     {}", pa.reason);
                 }
                 if cmd == "revert" {
-                    let report = s4_detect::execute_plan_on(drive, &admin, &plan)
-                        .map_err(|e| e.to_string())?;
+                    let report = s4_detect::execute_plan_on(drive, &admin, &plan)?;
                     for (old, new) in &report.undeleted {
                         println!("undeleted {old} as {new}");
                     }
@@ -609,7 +598,7 @@ fn run() -> Result<(), String> {
             println!("{}", fs.now());
             close(fs)?;
         }
-        _ => return Err(format!("unknown command {cmd}")),
+        _ => return Err(format!("unknown command {cmd}").into()),
     }
     Ok(())
 }
@@ -617,7 +606,7 @@ fn run() -> Result<(), String> {
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(CliError(e)) => {
             if e == "missing arguments" {
                 return usage();
             }
