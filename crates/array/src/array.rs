@@ -34,13 +34,6 @@ pub struct ArrayConfig {
     /// are served by the first live member, failing over on disk
     /// faults.
     pub mirrors: usize,
-    /// How many times a transient disk fault (an I/O error, as opposed
-    /// to whole-device failure) is retried before the member is
-    /// declared dead.
-    pub retries: u32,
-    /// Base backoff between retries, charged to the simulated clock and
-    /// doubled on each attempt.
-    pub retry_backoff_us: u64,
     /// Assign a causal trace id to every request entering the array
     /// whose context carries none, so member drives persist v2 trace
     /// records joinable across shards (DESIGN §6j). Off, requests the
@@ -54,8 +47,6 @@ impl Default for ArrayConfig {
         ArrayConfig {
             queue_depth: 64,
             mirrors: 1,
-            retries: 3,
-            retry_backoff_us: 100,
             trace: true,
         }
     }

@@ -31,6 +31,14 @@ pub(crate) const SHARD_READ_ONLY: S4Error =
 /// Returned when every member of a shard is dead.
 pub(crate) const SHARD_DEAD: S4Error = S4Error::BadRequest("array shard has no live members");
 
+/// How many times a transient disk fault (an I/O error, as opposed to
+/// whole-device failure) is retried before the member is declared dead.
+const RETRIES: u32 = 3;
+
+/// Base backoff between retries, charged to the simulated clock and
+/// doubled on each attempt.
+const RETRY_BACKOFF_US: u64 = 100;
+
 /// Health of one mirrored member drive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
@@ -328,13 +336,13 @@ impl<D: BlockDev> Shard<D> {
         // whatever record the frontend wrote, if any).
         let ctx = in_phase(ctx, PHASE_APPLY);
         let step = |drive: &S4Drive<D>| {
-            let mut backoff = self.cfg.retry_backoff_us.max(1);
+            let mut backoff = RETRY_BACKOFF_US;
             let mut attempt = 0u32;
             loop {
                 match drive.dispatch(&ctx, req) {
                     Err(e)
                         if e.disk_fault() == Some(DiskFaultKind::Transient)
-                            && attempt < self.cfg.retries =>
+                            && attempt < RETRIES =>
                     {
                         attempt += 1;
                         self.clock.advance(SimDuration::from_micros(backoff));

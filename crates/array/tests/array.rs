@@ -314,6 +314,52 @@ fn metrics_aggregate_across_shards() {
     assert!(text.contains(&format!("\ns4_requests_total {per_shard}\n")));
 }
 
+/// The series contract (DESIGN §6e): a family is one set of series names
+/// and JSON keys, on a lone drive and — plus the `shard` label — on an
+/// array.
+#[test]
+fn a_histogram_is_the_same_series_on_a_lone_drive_and_on_an_array() {
+    const FAMILY: &str = "s4_rpc_latency_us";
+    let a = array(1);
+    let ctx = user();
+    let oid = create(&a, &ctx);
+    let data = vec![7; 64];
+    a.dispatch(&ctx, &Request::Write { oid, offset: 0, data }).unwrap();
+    a.dispatch(&ctx, &Request::Sync).unwrap();
+    let drive = a.shard_drive(0);
+
+    let family = |text: &str| -> Vec<String> {
+        let lines = text.lines().filter(|l| l.contains(FAMILY));
+        lines.map(String::from).collect()
+    };
+    let with_shard = |line: &String| -> String {
+        if line.starts_with('#') {
+            return line.clone();
+        }
+        let (series, value) = line.rsplit_once(' ').unwrap();
+        match series.split_once('{') {
+            Some((name, labels)) => format!("{name}{{shard=\"0\",{labels} {value}"),
+            None => format!("{series}{{shard=\"0\"}} {value}"),
+        }
+    };
+    let lone = family(&drive.metrics_text());
+    let names: Vec<&str> = lone.iter().map(|l| l.split(' ').next().unwrap()).collect();
+    for series in ["{quantile=\"0.5\"}", "{quantile=\"1\"}", "_sum", "_count"] {
+        assert!(names.contains(&format!("{FAMILY}{series}").as_str()), "{names:?}");
+    }
+    let labeled: Vec<String> = lone.iter().map(with_shard).collect();
+    assert_eq!(family(&a.metrics_text()), labeled);
+
+    let lone = drive.metrics_json();
+    let object = lone.split_once(&format!("\"{FAMILY}\":")).unwrap().1;
+    let object = &object[..=object.find('}').unwrap()];
+    for key in ["count", "sum_us", "max_us", "p50_us", "p90_us", "p99_us"] {
+        assert!(object.contains(&format!("\"{key}\":")), "{object}");
+    }
+    let aggregate = format!("\"{FAMILY}\":{{\"0\":{object}}}");
+    assert!(a.metrics_json().contains(&aggregate), "{aggregate}");
+}
+
 #[test]
 fn merged_audit_is_time_sorted_and_shard_tagged() {
     let a = array(2);

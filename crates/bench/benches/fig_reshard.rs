@@ -170,7 +170,7 @@ fn main() {
             &migrating,
             slot,
             vec![target_disk(&clock)],
-            ReshardConfig { lag_threshold: 0, ..ReshardConfig::default() },
+            ReshardConfig { lag_threshold: 0 },
         )
         .unwrap();
         reports.push(report);

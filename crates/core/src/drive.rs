@@ -33,7 +33,7 @@ use s4_clock::sync::Mutex;
 use s4_clock::{CpuModel, HybridClock, HybridTimestamp, SimClock, SimDuration, SimTime};
 use s4_journal::{redo, undo, JournalEntry, ObjectMeta, PtrChange};
 use s4_lfs::{BlockAddr, BlockKind, BlockTag, Cleaner, CleanerConfig, Log, LogConfig, BLOCK_SIZE};
-use s4_obs::{FlightRecorder, Histogram, Registry, TraceRecord};
+use s4_obs::{FlightRecorder, Gauge, Histogram, Registry, TraceRecord};
 use s4_simdisk::BlockDev;
 
 use crate::acl::{AclTable, Perm};
@@ -109,9 +109,6 @@ pub struct DriveConfig {
     pub admin_token: u64,
     /// Cleaner tuning.
     pub cleaner: CleanerConfig,
-    /// Whether to persist per-request trace records to the reserved
-    /// flight-recorder object (the in-memory ring always runs).
-    pub flight_recorder: bool,
     /// Requests retained by the in-memory flight-recorder ring.
     pub flight_recorder_ring: usize,
     /// Fire a self-alert when the append-only alert object reaches this
@@ -139,7 +136,6 @@ impl Default for DriveConfig {
             throttle: ThrottleConfig::default(),
             admin_token: 0x5345_4355_5245_5334, // "SECURES4"
             cleaner: CleanerConfig::default(),
-            flight_recorder: true,
             flight_recorder_ring: 256,
             alert_warn_blocks: 1024, // ~4 MiB of alerts
             oid_stride: 1,
@@ -306,8 +302,41 @@ pub(crate) struct DriveObs {
     journal_hist: Histogram,
     lfs_hist: Histogram,
     disk_hist: Histogram,
+    gauges: [Gauge; GAUGES.len()],
     pub(crate) recorder: FlightRecorder,
 }
+
+/// The operational gauges the paper's admin story cares about (§3.6,
+/// §5) — history-pool occupancy, detection-window headroom, journal
+/// depth, the reserved-object sizes — as `(name, help)`, in the order
+/// [`S4Drive::refresh_gauges`] lists their values.
+const GAUGES: [(&str, &str); 10] = [
+    (
+        "s4_history_pool_occupancy",
+        "fraction of data-area blocks referenced (current + history)",
+    ),
+    ("s4_free_segments", "free log segments remaining"),
+    (
+        "s4_journal_depth",
+        "journal entries pending (not yet packed) across cached objects",
+    ),
+    ("s4_audit_object_blocks", "flushed audit-log blocks"),
+    ("s4_alert_object_blocks", "flushed alert-object blocks"),
+    ("s4_trace_object_blocks", "flushed flight-recorder blocks"),
+    ("s4_objects", "objects in the drive's object table"),
+    (
+        "s4_detection_window_days",
+        "configured guaranteed detection window, days",
+    ),
+    (
+        "s4_write_mb_per_day",
+        "observed object write rate, MB per simulated day",
+    ),
+    (
+        "s4_detection_window_headroom_days",
+        "days the free history pool lasts at the observed write rate (space_factor 1.0)",
+    ),
+];
 
 impl DriveObs {
     fn new(config: &DriveConfig) -> DriveObs {
@@ -329,6 +358,7 @@ impl DriveObs {
             "simulated disk service time per request that touched the device, microseconds",
         );
         DriveObs {
+            gauges: GAUGES.map(|(name, help)| registry.gauge(name, help)),
             registry,
             rpc_hist,
             journal_hist,
@@ -525,10 +555,9 @@ impl<D: BlockDev> S4Drive<D> {
         self.observers.lock().push(obs);
     }
 
-    /// Records one per-request trace: always into the in-memory ring,
-    /// and (when [`DriveConfig::flight_recorder`] is set) appended to
-    /// the reserved trace object so the stream's prefix survives power
-    /// loss. The persisted stream assigns `seq` — record `i` of the
+    /// Records one per-request trace: into the in-memory ring, and
+    /// appended to the reserved trace object so the stream's prefix
+    /// survives power loss. The persisted stream assigns `seq` — record `i` of the
     /// stream always carries seq `i`, which recovery re-derives from
     /// block contents, so forensics can detect gaps.
     pub(crate) fn record_dispatch(&self, rec: TraceRecord) {
@@ -618,19 +647,10 @@ impl<D: BlockDev> S4Drive<D> {
         self.obs.registry.render_json()
     }
 
-    /// Recomputes the operational gauges the paper's admin story cares
-    /// about (§3.6, §5): history-pool occupancy, detection-window
-    /// headroom, journal depth, and the reserved-object sizes.
-    fn refresh_gauges(&self) {
-        let reg = &self.obs.registry;
-        reg.gauge(
-            "s4_history_pool_occupancy",
-            "fraction of data-area blocks referenced (current + history)",
-        )
-        .set(self.log.utilization());
-        reg.gauge("s4_free_segments", "free log segments remaining")
-            .set(self.log.free_segments() as f64);
-
+    /// Recomputes the operational gauges. The two expositions above do
+    /// it before rendering; an aggregator that reads the registry itself
+    /// (the array) calls it first.
+    pub fn refresh_gauges(&self) {
         let (journal_depth, audit_blocks, alert_blocks, trace_blocks, objects, window_us) = {
             let inner = self.inner.lock();
             let depth: usize = inner
@@ -650,24 +670,6 @@ impl<D: BlockDev> S4Drive<D> {
                 inner.window.as_micros(),
             )
         };
-        reg.gauge(
-            "s4_journal_depth",
-            "journal entries pending (not yet packed) across cached objects",
-        )
-        .set(journal_depth as f64);
-        reg.gauge("s4_audit_object_blocks", "flushed audit-log blocks")
-            .set(audit_blocks as f64);
-        reg.gauge("s4_alert_object_blocks", "flushed alert-object blocks")
-            .set(alert_blocks as f64);
-        reg.gauge("s4_trace_object_blocks", "flushed flight-recorder blocks")
-            .set(trace_blocks as f64);
-        reg.gauge("s4_objects", "objects in the drive's object table")
-            .set(objects as f64);
-        reg.gauge(
-            "s4_detection_window_days",
-            "configured guaranteed detection window, days",
-        )
-        .set(window_us as f64 / 86_400e6);
 
         // Detection-window headroom: how long the *free* pool lasts at
         // the observed write rate — the same projection as
@@ -683,11 +685,6 @@ impl<D: BlockDev> S4Drive<D> {
         } else {
             0.0
         };
-        reg.gauge(
-            "s4_write_mb_per_day",
-            "observed object write rate, MB per simulated day",
-        )
-        .set(rate_mb_per_day);
         let free_bytes = self.log.free_segments() as f64
             * self.config.log.blocks_per_segment as f64
             * BLOCK_SIZE as f64;
@@ -696,11 +693,22 @@ impl<D: BlockDev> S4Drive<D> {
         } else {
             MAX_HEADROOM_DAYS
         };
-        reg.gauge(
-            "s4_detection_window_headroom_days",
-            "days the free history pool lasts at the observed write rate (space_factor 1.0)",
-        )
-        .set(headroom);
+
+        let values: [f64; GAUGES.len()] = [
+            self.log.utilization(),
+            self.log.free_segments() as f64,
+            journal_depth as f64,
+            audit_blocks as f64,
+            alert_blocks as f64,
+            trace_blocks as f64,
+            objects as f64,
+            window_us as f64 / 86_400e6,
+            rate_mb_per_day,
+            headroom,
+        ];
+        for (gauge, v) in self.obs.gauges.iter().zip(values) {
+            gauge.set(v);
+        }
     }
 
     // ------------------------------------------------------------------

@@ -491,16 +491,14 @@ impl<D: BlockDev> S4Drive<D> {
     }
 
     /// Assigns the stream sequence number and persists one trace record
-    /// (ring always; spill blocks when the flight recorder is on).
+    /// (the reserved trace object, then the in-memory ring).
     pub(crate) fn persist_trace(&self, mut rec: TraceRecord) {
-        if self.config.flight_recorder {
+        {
             let inner = &mut *self.inner.lock();
             rec.seq = inner.traces.total();
             inner
                 .traces
                 .append_blob(&self.log, &mut inner.live, &rec.encode());
-        } else {
-            rec.seq = self.obs.recorder.total();
         }
         self.obs.recorder.push(rec);
     }

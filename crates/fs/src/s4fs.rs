@@ -27,30 +27,21 @@ use s4_detect::dirblob;
 use crate::server::{FileAttr, FileKind, FileServer, FsError, FsResult, Handle};
 use crate::transport::Transport;
 
-/// Translator configuration.
+/// Translator configuration. The attribute and directory caches and the
+/// batching of one file-system operation's drive requests into one RPC
+/// (§4.1.2: "the drive also supports batching of setattr, getattr, and
+/// sync operations with create, read, write, and append operations ... to
+/// minimize the number of RPC calls") are how the translator works, not
+/// options.
 #[derive(Clone, Copy, Debug)]
 pub struct S4FsConfig {
     /// Send `Sync` after every mutating operation (NFSv2 semantics).
     pub sync_per_op: bool,
-    /// Serve repeated `getattr` calls from a read-only cache.
-    pub attr_cache: bool,
-    /// Serve repeated directory reads from a read-only cache.
-    pub dir_cache: bool,
-    /// Combine the drive operations of one file-system operation into a
-    /// single batched RPC (§4.1.2: "the drive also supports batching of
-    /// setattr, getattr, and sync operations with create, read, write,
-    /// and append operations ... to minimize the number of RPC calls").
-    pub batch_rpcs: bool,
 }
 
 impl Default for S4FsConfig {
     fn default() -> Self {
-        S4FsConfig {
-            sync_per_op: true,
-            attr_cache: true,
-            dir_cache: true,
-            batch_rpcs: true,
-        }
+        S4FsConfig { sync_per_op: true }
     }
 }
 
@@ -170,9 +161,8 @@ impl<T: Transport> S4FileServer<T> {
     }
 
     /// Runs a mutating operation's drive requests, appending the NFSv2
-    /// per-op Sync, as one batched RPC when configured (one network round
-    /// trip) or as individual calls otherwise. Returns the sub-responses
-    /// (exclusive of the Sync).
+    /// per-op Sync, as one batched RPC (one network round trip). Returns
+    /// the sub-responses (exclusive of the Sync).
     fn run_mutation(&self, reqs: Vec<Request>) -> FsResult<Vec<Response>> {
         self.run_requests(reqs, true)
     }
@@ -184,7 +174,7 @@ impl<T: Transport> S4FileServer<T> {
         if sync && self.config.sync_per_op {
             reqs.push(Request::Sync);
         }
-        if self.config.batch_rpcs && reqs.len() > 1 {
+        if reqs.len() > 1 {
             match self.call(&Request::Batch(reqs))? {
                 Response::Batch(mut rs) => {
                     rs.truncate(n);
@@ -247,9 +237,7 @@ impl<T: Transport> S4FileServer<T> {
     fn refresh_dir_caches(&self, dir: Handle, entries: &[(String, Handle, FileKind)]) {
         let mut caches = self.caches.lock();
         caches.attr.remove(&dir);
-        if self.config.dir_cache {
-            caches.dir.insert(dir, entries.to_vec());
-        }
+        caches.dir.insert(dir, entries.to_vec());
     }
 
     fn read_object(
@@ -289,10 +277,8 @@ impl<T: Transport> S4FileServer<T> {
     }
 
     fn load_dir(&self, dir: Handle) -> FsResult<Vec<(String, Handle, FileKind)>> {
-        if self.config.dir_cache {
-            if let Some(hit) = self.caches.lock().dir.get(&dir) {
-                return Ok(hit.clone());
-            }
+        if let Some(hit) = self.caches.lock().dir.get(&dir) {
+            return Ok(hit.clone());
         }
         let attr = self.getattr_cached(dir)?;
         if attr.kind != FileKind::Dir {
@@ -300,9 +286,7 @@ impl<T: Transport> S4FileServer<T> {
         }
         let blob = self.read_object(dir, 0, attr.size, None)?;
         let entries = dirblob::decode(&blob)?;
-        if self.config.dir_cache {
-            self.caches.lock().dir.insert(dir, entries.clone());
-        }
+        self.caches.lock().dir.insert(dir, entries.clone());
         Ok(entries)
     }
 
@@ -324,15 +308,11 @@ impl<T: Transport> S4FileServer<T> {
     }
 
     fn getattr_cached(&self, h: Handle) -> FsResult<FileAttr> {
-        if self.config.attr_cache {
-            if let Some(hit) = self.caches.lock().attr.get(&h) {
-                return Ok(hit.clone());
-            }
+        if let Some(hit) = self.caches.lock().attr.get(&h) {
+            return Ok(hit.clone());
         }
         let attr = self.getattr_raw(h, None)?;
-        if self.config.attr_cache {
-            self.caches.lock().attr.insert(h, attr.clone());
-        }
+        self.caches.lock().attr.insert(h, attr.clone());
         Ok(attr)
     }
 

@@ -221,10 +221,7 @@ fn unsynced_writes_are_lost_on_crash_synced_ones_are_not() {
         LoopbackTransport::new(drive.clone(), NetworkModel::free()),
         RequestContext::user(UserId(1), ClientId(1)),
         "crashy",
-        S4FsConfig {
-            sync_per_op: false,
-            ..S4FsConfig::default()
-        },
+        S4FsConfig { sync_per_op: false },
     )
     .unwrap();
     let root = fs.root();
@@ -267,10 +264,7 @@ fn sync_per_op_costs_more_than_batched() {
             LoopbackTransport::new(drive, NetworkModel::free()),
             RequestContext::user(UserId(1), ClientId(1)),
             "t",
-            S4FsConfig {
-                sync_per_op: sync,
-                ..S4FsConfig::default()
-            },
+            S4FsConfig { sync_per_op: sync },
         )
         .unwrap();
         let root = fs.root();

@@ -33,7 +33,7 @@ pub mod span;
 pub mod trace;
 
 pub use hist::Histogram;
-pub use registry::{Counter, Exemplar, Gauge, HistogramSnapshot, Registry};
+pub use registry::{Counter, Exemplar, Gauge, HistogramSnapshot, Registry, Sample};
 pub use span::Layer;
 pub use trace::{
     FlightRecorder, TraceRecord, TRACE_RECORD_BYTES, TRACE_RECORD_V2_BYTES, TRACE_VERSION_V1,

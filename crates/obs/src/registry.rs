@@ -103,6 +103,71 @@ pub struct HistogramSnapshot {
     pub max: u64,
 }
 
+/// Point-in-time value of one metric. Both expositions — a lone
+/// drive's registry and an array's shard-labeled aggregate — render
+/// their series from this, so a family is the same series in both.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Sample {
+    Counter(u64),
+    Gauge(f64),
+    Histogram(HistogramSnapshot),
+}
+
+impl Sample {
+    /// The family's Prometheus `# TYPE` (histograms render as summaries).
+    pub fn type_name(&self) -> &'static str {
+        match self {
+            Sample::Counter(_) => "counter",
+            Sample::Gauge(_) => "gauge",
+            Sample::Histogram(_) => "summary",
+        }
+    }
+
+    /// Appends this value's series of family `name` in Prometheus text,
+    /// each carrying `label` (`shard="3"`) if there is one: `name value`,
+    /// or for a histogram `name{quantile="…"}` lines (0.5 / 0.9 / 0.99 /
+    /// 1 = max) plus `name_sum` / `name_count`.
+    pub fn write_prometheus(&self, out: &mut String, name: &str, label: Option<&str>) {
+        let braced = label.map(|l| format!("{{{l}}}")).unwrap_or_default();
+        match self {
+            Sample::Counter(v) => {
+                let _ = writeln!(out, "{name}{braced} {v}");
+            }
+            Sample::Gauge(v) => {
+                let _ = writeln!(out, "{name}{braced} {v}");
+            }
+            Sample::Histogram(h) => {
+                let lead = label.map(|l| format!("{l},")).unwrap_or_default();
+                for (q, v) in [
+                    ("0.5", h.p50),
+                    ("0.9", h.p90),
+                    ("0.99", h.p99),
+                    ("1", h.max),
+                ] {
+                    let _ = writeln!(out, "{name}{{{lead}quantile=\"{q}\"}} {v}");
+                }
+                let _ = writeln!(out, "{name}_sum{braced} {}", h.sum);
+                let _ = writeln!(out, "{name}_count{braced} {}", h.count);
+            }
+        }
+    }
+
+    /// The value in JSON: a number (`{}` on a finite f64 prints `12` for
+    /// 12.0, valid in JSON and Prometheus alike), or for a histogram its
+    /// count/sum/max and p50/p90/p99. Hand-rolled — no strings to escape.
+    pub fn to_json(&self) -> String {
+        match self {
+            Sample::Counter(v) => v.to_string(),
+            Sample::Gauge(v) => v.to_string(),
+            Sample::Histogram(h) => format!(
+                "{{\"count\":{},\"sum_us\":{},\"max_us\":{},\
+                 \"p50_us\":{},\"p90_us\":{},\"p99_us\":{}}}",
+                h.count, h.sum, h.max, h.p50, h.p90, h.p99,
+            ),
+        }
+    }
+}
+
 /// One tail-latency exemplar: a traced request slow enough to make the
 /// registry's top-K buffer, carrying the trace id an operator feeds to
 /// `s4 trace` to reconstruct the full cross-shard causal tree.
@@ -211,27 +276,26 @@ impl Registry {
             .collect()
     }
 
-    /// Snapshot of every registered histogram as `(name, snapshot)`,
-    /// name-ordered — the third symmetry alongside
-    /// [`counter_values`](Self::counter_values) and
-    /// [`gauge_values`](Self::gauge_values); array aggregation uses it
-    /// to emit shard-labeled percentiles.
-    pub fn histogram_values(&self) -> Vec<(String, HistogramSnapshot)> {
+    /// Snapshot of every registered metric as `(name, help, value)`,
+    /// name-ordered — what the expositions, here and in an array's
+    /// aggregate, are rendered from.
+    pub fn samples(&self) -> Vec<(String, &'static str, Sample)> {
         let map = self.inner.lock().unwrap();
         map.iter()
-            .filter_map(|(name, e)| match &e.metric {
-                Metric::Histogram(h) => Some((
-                    name.clone(),
-                    HistogramSnapshot {
+            .map(|(name, e)| {
+                let sample = match &e.metric {
+                    Metric::Counter(c) => Sample::Counter(c.get()),
+                    Metric::Gauge(g) => Sample::Gauge(g.get()),
+                    Metric::Histogram(h) => Sample::Histogram(HistogramSnapshot {
                         count: h.count(),
                         sum: h.sum(),
                         p50: h.percentile(0.5),
                         p90: h.percentile(0.9),
                         p99: h.percentile(0.99),
                         max: h.max(),
-                    },
-                )),
-                _ => None,
+                    }),
+                };
+                (name.clone(), e.help, sample)
             })
             .collect()
     }
@@ -266,64 +330,29 @@ impl Registry {
         buf.iter().take(k).copied().collect()
     }
 
-    /// Prometheus text exposition. Histograms render as summaries:
-    /// `name{quantile="…"}` lines (0.5 / 0.9 / 0.99 / 1 = max) plus
-    /// `name_sum` / `name_count`.
+    /// Prometheus text exposition: `# HELP`, `# TYPE` and the series of
+    /// [`Sample::write_prometheus`] per metric.
     pub fn render_prometheus(&self) -> String {
-        let map = self.inner.lock().unwrap();
         let mut out = String::new();
-        for (name, e) in map.iter() {
-            let _ = writeln!(out, "# HELP {name} {}", e.help);
-            match &e.metric {
-                Metric::Counter(c) => {
-                    let _ = writeln!(out, "# TYPE {name} counter");
-                    let _ = writeln!(out, "{name} {}", c.get());
-                }
-                Metric::Gauge(g) => {
-                    let _ = writeln!(out, "# TYPE {name} gauge");
-                    let _ = writeln!(out, "{name} {}", fmt_f64(g.get()));
-                }
-                Metric::Histogram(h) => {
-                    let _ = writeln!(out, "# TYPE {name} summary");
-                    for (q, v) in [
-                        ("0.5", h.percentile(0.5)),
-                        ("0.9", h.percentile(0.9)),
-                        ("0.99", h.percentile(0.99)),
-                        ("1", h.max()),
-                    ] {
-                        let _ = writeln!(out, "{name}{{quantile=\"{q}\"}} {v}");
-                    }
-                    let _ = writeln!(out, "{name}_sum {}", h.sum());
-                    let _ = writeln!(out, "{name}_count {}", h.count());
-                }
-            }
+        for (name, help, sample) in self.samples() {
+            let _ = writeln!(out, "# HELP {name} {help}");
+            let _ = writeln!(out, "# TYPE {name} {}", sample.type_name());
+            sample.write_prometheus(&mut out, &name, None);
         }
         out
     }
 
-    /// JSON exposition: `{"counters":{…},"gauges":{…},"histograms":{…}}`
-    /// with per-histogram count/sum/max and p50/p90/p99. Hand-rolled —
-    /// names are identifier-like, so no escaping is needed.
+    /// JSON exposition: `{"counters":{…},"gauges":{…},"histograms":{…}}`,
+    /// each member `"name":` [`Sample::to_json`].
     pub fn render_json(&self) -> String {
-        let map = self.inner.lock().unwrap();
-        let mut counters = Vec::new();
-        let mut gauges = Vec::new();
-        let mut hists = Vec::new();
-        for (name, e) in map.iter() {
-            match &e.metric {
-                Metric::Counter(c) => counters.push(format!("\"{name}\":{}", c.get())),
-                Metric::Gauge(g) => gauges.push(format!("\"{name}\":{}", fmt_f64(g.get()))),
-                Metric::Histogram(h) => hists.push(format!(
-                    "\"{name}\":{{\"count\":{},\"sum_us\":{},\"max_us\":{},\
-                     \"p50_us\":{},\"p90_us\":{},\"p99_us\":{}}}",
-                    h.count(),
-                    h.sum(),
-                    h.max(),
-                    h.percentile(0.5),
-                    h.percentile(0.9),
-                    h.percentile(0.99),
-                )),
-            }
+        let (mut counters, mut gauges, mut hists) = (Vec::new(), Vec::new(), Vec::new());
+        for (name, _, sample) in self.samples() {
+            let group = match sample {
+                Sample::Counter(_) => &mut counters,
+                Sample::Gauge(_) => &mut gauges,
+                Sample::Histogram(_) => &mut hists,
+            };
+            group.push(format!("\"{name}\":{}", sample.to_json()));
         }
         format!(
             "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
@@ -332,14 +361,6 @@ impl Registry {
             hists.join(",")
         )
     }
-}
-
-/// Formats an f64 so it round-trips as both Prometheus and JSON (always
-/// finite; integral values keep a trailing `.0`? No — Prometheus and
-/// JSON both accept bare integers, and `{}` on f64 prints `12` for
-/// 12.0, which is valid in both).
-fn fmt_f64(v: f64) -> String {
-    format!("{v}")
 }
 
 #[cfg(test)]
@@ -395,16 +416,19 @@ mod tests {
     }
 
     #[test]
-    fn histogram_values_snapshot_percentiles() {
+    fn samples_snapshot_every_metric_with_percentiles() {
         let r = Registry::new();
         let h = r.histogram("s4_lat_us", "lat");
         for v in 1..=100u64 {
             h.record(v);
         }
         r.counter("s4_c_total", "c").inc();
-        let vals = r.histogram_values();
-        assert_eq!(vals.len(), 1, "counters must not leak into histogram_values");
-        let (name, snap) = &vals[0];
+        let vals = r.samples();
+        assert_eq!(vals.len(), 2);
+        assert_eq!(vals[0], ("s4_c_total".into(), "c", Sample::Counter(1)));
+        let (name, _, Sample::Histogram(snap)) = &vals[1] else {
+            panic!("not a histogram: {:?}", vals[1]);
+        };
         assert_eq!(name, "s4_lat_us");
         assert_eq!(snap.count, 100);
         assert_eq!(snap.sum, 5050);

@@ -48,20 +48,17 @@ pub struct ReshardConfig {
     /// this many objects dirty — the flip replays them under quiesce,
     /// so the threshold bounds the pause.
     pub lag_threshold: usize,
-    /// Upper bound on catch-up rounds; if the lag has not converged by
-    /// then, the flip proceeds anyway (its final round is exact, just
-    /// longer).
-    pub max_rounds: usize,
 }
 
 impl Default for ReshardConfig {
     fn default() -> Self {
-        ReshardConfig {
-            lag_threshold: 8,
-            max_rounds: 16,
-        }
+        ReshardConfig { lag_threshold: 8 }
     }
 }
+
+/// Upper bound on catch-up rounds; if the lag has not converged by then,
+/// the flip proceeds anyway (its final round is exact, just longer).
+const MAX_ROUNDS: usize = 16;
 
 /// What one completed split did.
 #[derive(Clone, Copy, Debug)]
@@ -268,7 +265,7 @@ pub fn split_shard<D: BlockDev + 'static>(
         prog.catchup.add(dirty.len() as f64);
         catchup_rounds += 1;
         prog.rounds.set(catchup_rounds as f64);
-        if dirty.len() <= cfg.lag_threshold || catchup_rounds >= cfg.max_rounds {
+        if dirty.len() <= cfg.lag_threshold || catchup_rounds >= MAX_ROUNDS {
             break;
         }
     }
