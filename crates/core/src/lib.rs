@@ -211,3 +211,23 @@ impl From<s4_journal::JournalError> for S4Error {
 
 /// Result alias for drive operations.
 pub type Result<T> = std::result::Result<T, S4Error>;
+
+/// The mutations `tests/decoder_fuzz.rs` feeds the public decoders, for the
+/// unit tests of the crate-private ones: every truncation, every byte set
+/// to `00`/`7F`/`80`/`FF`, every aligned four-byte field set to
+/// `FF FF FF FF`. A decoder passes by returning from each.
+#[cfg(test)]
+pub(crate) fn hostile(valid: &[u8]) -> Vec<Vec<u8>> {
+    let set = |at: usize, len: usize, v: u8| {
+        let mut bad = valid.to_vec();
+        bad[at..at + len].fill(v);
+        bad
+    };
+    let truncations = (0..valid.len()).map(|cut| valid[..cut].to_vec());
+    let bytes = (0..valid.len()).flat_map(|at| [0x00, 0x7F, 0x80, 0xFF].map(|v| set(at, 1, v)));
+    let fields = (0..valid.len().saturating_sub(3)).step_by(4);
+    truncations
+        .chain(bytes)
+        .chain(fields.map(|at| set(at, 4, 0xFF)))
+        .collect()
+}

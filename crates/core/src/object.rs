@@ -353,5 +353,8 @@ mod tests {
         for cut in [0, 10, buf.len() / 2, buf.len() - 1] {
             assert!(ObjectEntry::decode(&buf[..cut]).is_err());
         }
+        for bad in crate::hostile(&buf) {
+            let _ = ObjectEntry::decode(&bad);
+        }
     }
 }

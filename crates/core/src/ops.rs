@@ -505,3 +505,22 @@ fn decode_partition_blob(data: &[u8]) -> Result<Vec<(String, u64)>> {
     }
     Ok(out)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn partition_blob_round_trips_and_hostile_bytes_are_an_error_not_a_panic() {
+        let parts = vec![("root".to_string(), 4), ("спул".to_string(), 9)];
+        let blob = encode_partition_blob(&parts);
+        assert_eq!(decode_partition_blob(&blob).unwrap(), parts);
+        assert!(decode_partition_blob(&[]).unwrap().is_empty());
+        for cut in 1..blob.len() {
+            assert!(decode_partition_blob(&blob[..cut]).is_err());
+        }
+        for bad in crate::hostile(&blob) {
+            let _ = decode_partition_blob(&bad);
+        }
+    }
+}

@@ -354,6 +354,9 @@ mod tests {
             err(&DELTAS, &block),
             S4Error::BadRequest("container block magic")
         );
+        for bad in crate::hostile(&block) {
+            let _ = JOURNAL.split(&bad);
+        }
         for cut in [3, 5, 8, block.len() - 1] {
             assert_eq!(
                 err(&JOURNAL, &block[..cut]),

@@ -423,3 +423,47 @@ pub(crate) fn read_subsector<D: BlockDev>(
     let (oid, _prev, entries) = decode_sector(sub)?;
     Ok((oid, entries))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::object::EvictInfo;
+
+    #[test]
+    fn anchor_payload_round_trips_and_hostile_bytes_are_an_error_not_a_panic() {
+        let config = DriveConfig::small_test();
+        let mut inner = Inner::new(&config);
+        inner.next_oid = 77;
+        let stamp = HybridTimestamp::new(s4_clock::SimTime::from_micros(5), 2);
+        let mut entry = ObjectEntry::new(s4_journal::ObjectMeta::new(9, stamp));
+        entry.checkpoint_root = BlockAddr(40);
+        entry.sectors.push(SectorInfo {
+            addr: BlockAddr(50),
+            slot: 1,
+            oldest: stamp,
+            newest: stamp,
+        });
+        inner.table.insert(9, Slot::Cached(Box::new(entry)));
+        let evicted = EvictInfo {
+            checkpoint_root: BlockAddr(60),
+            checkpoint_slot: 3,
+            expiry_hint: stamp,
+            deleted: None,
+        };
+        inner.table.insert(10, Slot::Evicted(evicted));
+
+        let payload = encode_anchor_payload(&inner);
+        let (decoded, records) = decode_anchor_payload(&payload, &config).unwrap();
+        assert_eq!(decoded.next_oid, 77);
+        let roots: Vec<_> = records.iter().map(|r| (r.oid, r.root, r.slot)).collect();
+        assert_eq!(roots, [(9, BlockAddr(40), u32::MAX), (10, BlockAddr(60), 3)]);
+        assert_eq!(records[0].sectors.as_ref().map(Vec::len), Some(1));
+        assert!(records[1].sectors.is_none());
+        for cut in 1..payload.len() {
+            assert!(decode_anchor_payload(&payload[..cut], &config).is_err());
+        }
+        for bad in crate::hostile(&payload) {
+            let _ = decode_anchor_payload(&bad, &config);
+        }
+    }
+}

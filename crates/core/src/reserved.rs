@@ -747,6 +747,12 @@ mod tests {
         let mut payload = vec![0u8; 16];
         payload[0..2].copy_from_slice(&100u16.to_le_bytes());
         assert!(decode_blobs(&payload).is_err());
+        let mut b = alerts();
+        b.push_blob(b"one").unwrap();
+        b.push_blob(&[7; 40]).unwrap();
+        for bad in crate::hostile(&b.pending) {
+            let _ = decode_blobs(&bad);
+        }
     }
 
     /// The anchor-payload layouts are an on-disk contract: an image

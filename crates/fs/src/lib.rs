@@ -40,5 +40,5 @@ pub use tcp::{
     RpcHandler, TcpServerHandle, TcpTransport, RESHARD_FRAME_MARKER, STATS_FRAME_MARKER,
     TXN_FRAME_MARKER,
 };
-pub use tools::{ls_at, read_file_at, restore_file, split_path};
+pub use tools::{ls_at, read_file_at, restore_file, split_path, write_file};
 pub use transport::{LoopbackTransport, Transport};

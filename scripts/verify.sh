@@ -2,7 +2,12 @@
 # Tier-1 verification: everything a reviewer needs to trust a change.
 #
 # 1. hermetic release build (no registry access required)
-# 2. lint gate: clippy over every target with warnings denied
+# 2. lint gate: clippy over every target with warnings denied, then the
+#    hand-indexing census: a non-test `from_le_bytes(` anywhere but the
+#    cursor itself (crates/lfs/src/codec.rs), the checksum kernels
+#    (crc.rs), the two dependency-free crates the cursor cannot reach
+#    (s4-delta, s4-obs) and the frame length in crates/fs/src/tcp.rs
+#    fails — every other decoder reads through s4_lfs::codec::Reader
 # 3. the full test suite, once (dev profile is optimized; see
 #    Cargo.toml). `--workspace` runs every crate's tests and every root
 #    tests/*.rs, so the bounded torture campaigns (write path with torn
@@ -48,11 +53,36 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Runs bench fig_<name> at smoke scale (its assertions gate), shows its
+# output, and keeps its BENCH_JSON line as target/BENCH_<name>.json.
+bench_json() {
+  S4_BENCH_SCALE="${S4_BENCH_SCALE:-0.25}" cargo bench -p s4-bench --bench "fig_$1" \
+    | tee "target/fig_$1.out"
+  grep -q '^BENCH_JSON ' "target/fig_$1.out" \
+    || { echo "verify: fig_$1 emitted no BENCH_JSON line" >&2; exit 1; }
+  grep '^BENCH_JSON ' "target/fig_$1.out" | sed 's/^BENCH_JSON //' > "target/BENCH_$1.json"
+}
+
 echo "== cargo build --release"
 cargo build --release
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== hand-indexing census (non-test from_le_bytes( outside the cursor)"
+hand_indexed=$(find crates/*/src src -name '*.rs' \
+    ! -path crates/lfs/src/codec.rs ! -path crates/lfs/src/crc.rs \
+    ! -path 'crates/delta/src/*' ! -path 'crates/obs/src/*' \
+    ! -path crates/fs/src/tcp.rs | sort | while read -r f; do
+  # Lines before the file's first #[cfg(test)], as scripts/loc.sh counts.
+  awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+       /from_le_bytes\(/ { print FILENAME ":" FNR ":" $0 }' "$f"
+done)
+[ -z "$hand_indexed" ] || {
+  echo "$hand_indexed" >&2
+  echo "verify: read these fields through s4_lfs::codec::Reader" >&2
+  exit 1
+}
 
 echo "== cargo test --workspace -q"
 cargo test --workspace -q
@@ -81,11 +111,7 @@ rm -rf "$(dirname "$S4_IMG")"
 echo "exposition OK: target/verify-stats.prom"
 
 echo "== fig_array scale-out bench (smoke scale, asserts >=2x at 4 shards)"
-S4_BENCH_SCALE="${S4_BENCH_SCALE:-0.25}" cargo bench -p s4-bench --bench fig_array \
-  | tee target/fig_array.out
-grep -q '^BENCH_JSON ' target/fig_array.out \
-  || { echo "verify: fig_array emitted no BENCH_JSON line" >&2; exit 1; }
-grep '^BENCH_JSON ' target/fig_array.out | sed 's/^BENCH_JSON //' > target/BENCH_array.json
+bench_json array
 
 echo "== 2PC torture campaign (captures the TXN_TORTURE summary artifact)"
 cargo test -q --test txn_torture -- --nocapture | tee target/txn-torture.out
@@ -93,18 +119,10 @@ grep -o 'TXN_TORTURE .*' target/txn-torture.out > target/txn-torture-summary.txt
   || { echo "verify: txn_torture emitted no TXN_TORTURE summary" >&2; exit 1; }
 
 echo "== fig_reshard bench (smoke scale, asserts flip pause <= queue drain)"
-S4_BENCH_SCALE="${S4_BENCH_SCALE:-0.25}" cargo bench -p s4-bench --bench fig_reshard \
-  | tee target/fig_reshard.out
-grep -q '^BENCH_JSON ' target/fig_reshard.out \
-  || { echo "verify: fig_reshard emitted no BENCH_JSON line" >&2; exit 1; }
-grep '^BENCH_JSON ' target/fig_reshard.out | sed 's/^BENCH_JSON //' > target/BENCH_reshard.json
+bench_json reshard
 
 echo "== fig_trace bench (asserts tracing overhead <= 5%)"
-S4_BENCH_SCALE="${S4_BENCH_SCALE:-0.25}" cargo bench -p s4-bench --bench fig_trace \
-  | tee target/fig_trace.out
-grep -q '^BENCH_JSON ' target/fig_trace.out \
-  || { echo "verify: fig_trace emitted no BENCH_JSON line" >&2; exit 1; }
-grep '^BENCH_JSON ' target/fig_trace.out | sed 's/^BENCH_JSON //' > target/BENCH_trace.json
+bench_json trace
 
 echo "== benchmark smoke suite (output checks only, no timing gate)"
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
