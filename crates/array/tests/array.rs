@@ -323,8 +323,12 @@ fn a_histogram_is_the_same_series_on_a_lone_drive_and_on_an_array() {
     let a = array(1);
     let ctx = user();
     let oid = create(&a, &ctx);
-    let data = vec![7; 64];
-    a.dispatch(&ctx, &Request::Write { oid, offset: 0, data }).unwrap();
+    let write = Request::Write {
+        oid,
+        offset: 0,
+        data: vec![7; 64],
+    };
+    a.dispatch(&ctx, &write).unwrap();
     a.dispatch(&ctx, &Request::Sync).unwrap();
     let drive = a.shard_drive(0);
 
@@ -345,7 +349,10 @@ fn a_histogram_is_the_same_series_on_a_lone_drive_and_on_an_array() {
     let lone = family(&drive.metrics_text());
     let names: Vec<&str> = lone.iter().map(|l| l.split(' ').next().unwrap()).collect();
     for series in ["{quantile=\"0.5\"}", "{quantile=\"1\"}", "_sum", "_count"] {
-        assert!(names.contains(&format!("{FAMILY}{series}").as_str()), "{names:?}");
+        assert!(
+            names.contains(&format!("{FAMILY}{series}").as_str()),
+            "{names:?}"
+        );
     }
     let labeled: Vec<String> = lone.iter().map(with_shard).collect();
     assert_eq!(family(&a.metrics_text()), labeled);

@@ -212,11 +212,11 @@ impl From<s4_journal::JournalError> for S4Error {
 /// Result alias for drive operations.
 pub type Result<T> = std::result::Result<T, S4Error>;
 
+#[cfg(test)]
 /// The mutations `tests/decoder_fuzz.rs` feeds the public decoders, for the
 /// unit tests of the crate-private ones: every truncation, every byte set
 /// to `00`/`7F`/`80`/`FF`, every aligned four-byte field set to
 /// `FF FF FF FF`. A decoder passes by returning from each.
-#[cfg(test)]
 pub(crate) fn hostile(valid: &[u8]) -> Vec<Vec<u8>> {
     let set = |at: usize, len: usize, v: u8| {
         let mut bad = valid.to_vec();

@@ -456,7 +456,10 @@ mod tests {
         let (decoded, records) = decode_anchor_payload(&payload, &config).unwrap();
         assert_eq!(decoded.next_oid, 77);
         let roots: Vec<_> = records.iter().map(|r| (r.oid, r.root, r.slot)).collect();
-        assert_eq!(roots, [(9, BlockAddr(40), u32::MAX), (10, BlockAddr(60), 3)]);
+        assert_eq!(
+            roots,
+            [(9, BlockAddr(40), u32::MAX), (10, BlockAddr(60), 3)]
+        );
         assert_eq!(records[0].sectors.as_ref().map(Vec::len), Some(1));
         assert!(records[1].sectors.is_none());
         for cut in 1..payload.len() {

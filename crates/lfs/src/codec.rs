@@ -53,6 +53,7 @@ pub struct Reader<'a> {
 impl<'a> Reader<'a> {
     /// A cursor at the start of `buf`; running off its end is
     /// `Malformed(truncated)`.
+    #[inline]
     pub fn new(buf: &'a [u8], truncated: &'static str) -> Self {
         Reader::at(buf, 0, truncated)
     }
@@ -74,13 +75,15 @@ impl<'a> Reader<'a> {
     }
 
     /// Everything not yet taken.
+    #[inline]
     pub fn rest(self) -> &'a [u8] {
         self.rest
     }
 
-    /// The next `n` bytes. (The per-field readers are `#[inline]` because
-    /// the journal calls them from another crate once per field: without
-    /// it `decode_sector` costs about 10 ns more per entry.)
+    /// The next `n` bytes. (Everything small here is `#[inline]` because
+    /// the journal and the drive call it from another crate once per
+    /// field: without it `decode_sector` costs about 10 ns more per entry
+    /// and `encode_sectors` 20.)
     #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let (bytes, rest) = self
@@ -91,6 +94,7 @@ impl<'a> Reader<'a> {
         Ok(bytes)
     }
 
+    #[inline]
     fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
         Ok(self.take(N)?.try_into().expect("take returned N bytes"))
     }
@@ -102,6 +106,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next two bytes, little-endian.
+    #[inline]
     pub fn u16(&mut self) -> Result<u16> {
         self.array().map(u16::from_le_bytes)
     }
@@ -127,11 +132,13 @@ impl<'a> Reader<'a> {
     }
 
     /// [`Reader::count`] for the container header's two-byte count.
+    #[inline]
     pub fn count16(&mut self, min_item_bytes: usize) -> Result<usize> {
         let n = self.u16()? as usize;
         self.holds(n, min_item_bytes)
     }
 
+    #[inline]
     fn holds(&self, n: usize, min_item_bytes: usize) -> Result<usize> {
         match n.checked_mul(min_item_bytes) {
             Some(bytes) if bytes <= self.rest.len() => Ok(n),
@@ -160,6 +167,7 @@ impl<'a> Reader<'a> {
     }
 
     /// An optional time as [`push_time_opt`] wrote it.
+    #[inline]
     pub fn time_opt(&mut self) -> Result<Option<SimTime>> {
         Ok(match self.u8()? {
             0 => None,
@@ -169,18 +177,21 @@ impl<'a> Reader<'a> {
 }
 
 /// Appends `s` as `time µs u64 | seq u64`.
+#[inline]
 pub fn push_stamp(out: &mut Vec<u8>, s: HybridTimestamp) {
     out.extend_from_slice(&s.time.as_micros().to_le_bytes());
     out.extend_from_slice(&s.seq.to_le_bytes());
 }
 
 /// Appends `b` as `len u32 | bytes`.
+#[inline]
 pub fn push_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(&(b.len() as u32).to_le_bytes());
     out.extend_from_slice(b);
 }
 
 /// Appends `t` as `0`, or `1 | time µs u64`.
+#[inline]
 pub fn push_time_opt(out: &mut Vec<u8>, t: Option<SimTime>) {
     match t {
         Some(t) => {

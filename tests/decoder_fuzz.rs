@@ -142,7 +142,10 @@ fn responses() -> Vec<Response> {
             user: UserId(9),
             perm: Perm::ALL,
         })),
-        Response::Partitions(vec![("root".into(), ObjectId(3)), ("b".into(), ObjectId(4))]),
+        Response::Partitions(vec![
+            ("root".into(), ObjectId(3)),
+            ("b".into(), ObjectId(4)),
+        ]),
         Response::Batch(vec![
             Response::Created(ObjectId(7)),
             Response::Data(vec![1, 2, 3]),
@@ -275,7 +278,9 @@ fn targets() -> Vec<(&'static str, Decoder, Vec<Vec<u8>>)> {
         });
         t
     };
-    let text: Vec<u8> = (0..600u32).map(|i| b"self-securing "[i as usize % 14]).collect();
+    let text: Vec<u8> = (0..600u32)
+        .map(|i| b"self-securing "[i as usize % 14])
+        .collect();
     let mut edited = text.clone();
     edited.splice(100..120, *b"storage");
     vec![
@@ -293,7 +298,9 @@ fn targets() -> Vec<(&'static str, Decoder, Vec<Vec<u8>>)> {
             "JournalEntry::decode_from",
             |b| {
                 let mut out = Vec::new();
-                JournalEntry::decode_from(b, &mut 0).ok()?.encode_into(&mut out);
+                JournalEntry::decode_from(b, &mut 0)
+                    .ok()?
+                    .encode_into(&mut out);
                 Some(out)
             },
             entries()
@@ -323,7 +330,10 @@ fn targets() -> Vec<(&'static str, Decoder, Vec<Vec<u8>>)> {
             "txn::scan",
             |b| {
                 let mut out = Vec::new();
-                txn::scan(b).ok()?.iter().for_each(|r| r.encode_into(&mut out));
+                txn::scan(b)
+                    .ok()?
+                    .iter()
+                    .for_each(|r| r.encode_into(&mut out));
                 Some(out)
             },
             vec![txn_log],
@@ -456,7 +466,10 @@ fn every_decoder_returns_on_fixed_seeds() {
 
 #[test]
 fn every_decoder_returns_on_the_operator_seed() {
-    if let Some(seed) = std::env::var("S4_FUZZ_SEED").ok().and_then(|s| s.parse().ok()) {
+    if let Some(seed) = std::env::var("S4_FUZZ_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+    {
         fuzz(seed);
     }
 }
