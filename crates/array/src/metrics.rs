@@ -21,13 +21,13 @@ use crate::array::S4Array;
 /// per shard, in dense shard order.
 type Families = BTreeMap<String, (&'static str, Vec<(usize, Sample)>)>;
 
-/// Value of metric `name` in a registry's counter or gauge listing;
-/// zero if it was never touched.
-fn get<V: Copy + Default>(values: &[(String, V)], name: &str) -> V {
+/// Value of counter `name` in a registry's counter listing; zero if it
+/// was never touched.
+fn get(values: &[(String, u64)], name: &str) -> u64 {
     values
         .iter()
         .find(|(n, _)| n == name)
-        .map_or(V::default(), |(_, v)| *v)
+        .map_or(0, |(_, v)| *v)
 }
 
 /// The array total of one family: the sum of its shards' counters or
@@ -118,19 +118,23 @@ impl<D: BlockDev + 'static> S4Array<D> {
     /// One-line reshard status: the routing epoch plus the progress
     /// gauges of any in-flight split (served on the TCP reshard frame).
     pub fn reshard_status_text(&self) -> String {
-        let gauges = self.reshard_registry().gauge_values();
+        let samples = self.reshard_registry().samples();
+        let gauge = |name| match samples.iter().find(|(n, ..)| n == name) {
+            Some((_, _, Sample::Gauge(v))) => *v as u64,
+            _ => 0,
+        };
         let e = self.epoch();
         format!(
             "epoch seq={} base={} bits={:#b} active={} source_slot={} snapshot={} catchup={} lag={} rounds={}",
             e.seq,
             e.base,
             e.bits,
-            get(&gauges, "s4_reshard_active") as u64,
-            get(&gauges, "s4_reshard_source_slot") as u64,
-            get(&gauges, "s4_reshard_snapshot_objects") as u64,
-            get(&gauges, "s4_reshard_catchup_objects") as u64,
-            get(&gauges, "s4_reshard_lag") as u64,
-            get(&gauges, "s4_reshard_rounds") as u64,
+            gauge("s4_reshard_active"),
+            gauge("s4_reshard_source_slot"),
+            gauge("s4_reshard_snapshot_objects"),
+            gauge("s4_reshard_catchup_objects"),
+            gauge("s4_reshard_lag"),
+            gauge("s4_reshard_rounds"),
         )
     }
 

@@ -302,41 +302,59 @@ pub(crate) struct DriveObs {
     journal_hist: Histogram,
     lfs_hist: Histogram,
     disk_hist: Histogram,
-    gauges: [Gauge; GAUGES.len()],
+    gauges: Gauges,
     pub(crate) recorder: FlightRecorder,
 }
 
 /// The operational gauges the paper's admin story cares about (§3.6,
 /// §5) — history-pool occupancy, detection-window headroom, journal
-/// depth, the reserved-object sizes — as `(name, help)`, in the order
-/// [`S4Drive::refresh_gauges`] lists their values.
-const GAUGES: [(&str, &str); 10] = [
-    (
-        "s4_history_pool_occupancy",
-        "fraction of data-area blocks referenced (current + history)",
-    ),
-    ("s4_free_segments", "free log segments remaining"),
-    (
-        "s4_journal_depth",
-        "journal entries pending (not yet packed) across cached objects",
-    ),
-    ("s4_audit_object_blocks", "flushed audit-log blocks"),
-    ("s4_alert_object_blocks", "flushed alert-object blocks"),
-    ("s4_trace_object_blocks", "flushed flight-recorder blocks"),
-    ("s4_objects", "objects in the drive's object table"),
-    (
-        "s4_detection_window_days",
-        "configured guaranteed detection window, days",
-    ),
-    (
-        "s4_write_mb_per_day",
-        "observed object write rate, MB per simulated day",
-    ),
-    (
-        "s4_detection_window_headroom_days",
-        "days the free history pool lasts at the observed write rate (space_factor 1.0)",
-    ),
-];
+/// depth, the reserved-object sizes — registered once here and set by
+/// [`S4Drive::refresh_gauges`].
+struct Gauges {
+    history_pool_occupancy: Gauge,
+    free_segments: Gauge,
+    journal_depth: Gauge,
+    audit_object_blocks: Gauge,
+    alert_object_blocks: Gauge,
+    trace_object_blocks: Gauge,
+    objects: Gauge,
+    detection_window_days: Gauge,
+    write_mb_per_day: Gauge,
+    detection_window_headroom_days: Gauge,
+}
+
+impl Gauges {
+    fn new(r: &Registry) -> Gauges {
+        Gauges {
+            history_pool_occupancy: r.gauge(
+                "s4_history_pool_occupancy",
+                "fraction of data-area blocks referenced (current + history)",
+            ),
+            free_segments: r.gauge("s4_free_segments", "free log segments remaining"),
+            journal_depth: r.gauge(
+                "s4_journal_depth",
+                "journal entries pending (not yet packed) across cached objects",
+            ),
+            audit_object_blocks: r.gauge("s4_audit_object_blocks", "flushed audit-log blocks"),
+            alert_object_blocks: r.gauge("s4_alert_object_blocks", "flushed alert-object blocks"),
+            trace_object_blocks: r
+                .gauge("s4_trace_object_blocks", "flushed flight-recorder blocks"),
+            objects: r.gauge("s4_objects", "objects in the drive's object table"),
+            detection_window_days: r.gauge(
+                "s4_detection_window_days",
+                "configured guaranteed detection window, days",
+            ),
+            write_mb_per_day: r.gauge(
+                "s4_write_mb_per_day",
+                "observed object write rate, MB per simulated day",
+            ),
+            detection_window_headroom_days: r.gauge(
+                "s4_detection_window_headroom_days",
+                "days the free history pool lasts at the observed write rate (space_factor 1.0)",
+            ),
+        }
+    }
+}
 
 impl DriveObs {
     fn new(config: &DriveConfig) -> DriveObs {
@@ -358,7 +376,7 @@ impl DriveObs {
             "simulated disk service time per request that touched the device, microseconds",
         );
         DriveObs {
-            gauges: GAUGES.map(|(name, help)| registry.gauge(name, help)),
+            gauges: Gauges::new(&registry),
             registry,
             rpc_hist,
             journal_hist,
@@ -694,21 +712,17 @@ impl<D: BlockDev> S4Drive<D> {
             MAX_HEADROOM_DAYS
         };
 
-        let values: [f64; GAUGES.len()] = [
-            self.log.utilization(),
-            self.log.free_segments() as f64,
-            journal_depth as f64,
-            audit_blocks as f64,
-            alert_blocks as f64,
-            trace_blocks as f64,
-            objects as f64,
-            window_us as f64 / 86_400e6,
-            rate_mb_per_day,
-            headroom,
-        ];
-        for (gauge, v) in self.obs.gauges.iter().zip(values) {
-            gauge.set(v);
-        }
+        let g = &self.obs.gauges;
+        g.history_pool_occupancy.set(self.log.utilization());
+        g.free_segments.set(self.log.free_segments() as f64);
+        g.journal_depth.set(journal_depth as f64);
+        g.audit_object_blocks.set(audit_blocks as f64);
+        g.alert_object_blocks.set(alert_blocks as f64);
+        g.trace_object_blocks.set(trace_blocks as f64);
+        g.objects.set(objects as f64);
+        g.detection_window_days.set(window_us as f64 / 86_400e6);
+        g.write_mb_per_day.set(rate_mb_per_day);
+        g.detection_window_headroom_days.set(headroom);
     }
 
     // ------------------------------------------------------------------

@@ -167,9 +167,8 @@ impl PackedBlocks {
         if r.u32()? != self.magic {
             return Err(S4Error::BadRequest("container block magic"));
         }
-        let count = r.count16(4)?; // a slot is at least its length
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
+        let mut out = Vec::new();
+        for _ in 0..r.u16()? {
             out.push(r.bytes()?.to_vec());
         }
         Ok(out)

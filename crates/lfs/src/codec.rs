@@ -14,7 +14,9 @@
 //! refuses it unless the rest of the buffer can hold that many items of the
 //! caller's stated minimum size. Every decoder uses it, those that reserve
 //! (`Vec::with_capacity(n)`) and those that grow as they decode alike, so
-//! none loops on or reserves from a number it has not checked.
+//! none loops on or reserves from a number it has not checked. (The one
+//! two-byte count, the container header's, is a plain [`Reader::u16`]: it
+//! reserves nothing and each of its at most 65 535 slot reads is checked.)
 //!
 //! **Encoders.** Primitives are written where they are used
 //! (`extend_from_slice(&x.to_le_bytes())`); only the multi-field layouts
@@ -128,18 +130,6 @@ impl<'a> Reader<'a> {
     #[inline]
     pub fn count(&mut self, min_item_bytes: usize) -> Result<usize> {
         let n = self.u32()? as usize;
-        self.holds(n, min_item_bytes)
-    }
-
-    /// [`Reader::count`] for the container header's two-byte count.
-    #[inline]
-    pub fn count16(&mut self, min_item_bytes: usize) -> Result<usize> {
-        let n = self.u16()? as usize;
-        self.holds(n, min_item_bytes)
-    }
-
-    #[inline]
-    fn holds(&self, n: usize, min_item_bytes: usize) -> Result<usize> {
         match n.checked_mul(min_item_bytes) {
             Some(bytes) if bytes <= self.rest.len() => Ok(n),
             _ => Err(Malformed(self.truncated)),
@@ -252,11 +242,6 @@ mod tests {
             Reader::new(&huge, "short").count(usize::MAX),
             Err(Malformed("short"))
         );
-        assert_eq!(
-            Reader::new(&huge, "short").count16(1),
-            Err(Malformed("short"))
-        );
-        assert_eq!(Reader::new(&[2, 0, 7, 7], "short").count16(1), Ok(2));
     }
 
     #[test]

@@ -181,6 +181,25 @@ mod tests {
     }
 
     #[test]
+    fn a_sealed_block_whose_count_overruns_it_is_refused() {
+        // `Reader::count` stands in for a `> MAX_ENTRIES` test: one entry
+        // too many, or a hostile count, runs off the block under a valid
+        // CRC.
+        let mut full = sample();
+        full.entries = vec![full.entries[0]; MAX_ENTRIES];
+        for n in [MAX_ENTRIES as u32 + 1, u32::MAX] {
+            let mut buf = full.encode();
+            buf[28..32].copy_from_slice(&n.to_le_bytes());
+            let crc = crc32(&buf[8..]);
+            buf[4..8].copy_from_slice(&crc.to_le_bytes());
+            assert!(
+                matches!(Summary::decode(&buf), Err(LfsError::Corrupt(_))),
+                "count {n}"
+            );
+        }
+    }
+
+    #[test]
     fn corruption_detected() {
         let mut buf = sample().encode();
         buf[100] ^= 1;

@@ -264,18 +264,6 @@ impl Registry {
             .collect()
     }
 
-    /// Snapshot of every registered gauge as `(name, value)`,
-    /// name-ordered.
-    pub fn gauge_values(&self) -> Vec<(String, f64)> {
-        let map = self.inner.lock().unwrap();
-        map.iter()
-            .filter_map(|(name, e)| match &e.metric {
-                Metric::Gauge(g) => Some((name.clone(), g.get())),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Snapshot of every registered metric as `(name, help, value)`,
     /// name-ordered — what the expositions, here and in an array's
     /// aggregate, are rendered from.
@@ -412,7 +400,6 @@ mod tests {
             r.counter_values(),
             vec![("s4_a_total".into(), 3), ("s4_b_total".into(), 7)]
         );
-        assert_eq!(r.gauge_values(), vec![("s4_g".into(), 1.5)]);
     }
 
     #[test]
