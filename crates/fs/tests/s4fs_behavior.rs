@@ -4,7 +4,9 @@
 use std::sync::Arc;
 
 use s4_clock::{NetworkModel, SimClock, SimDuration};
-use s4_core::{ClientId, DriveConfig, RequestContext, S4Drive, UserId};
+use s4_core::{
+    AclEntry, ClientId, DriveConfig, ObjectId, Perm, RequestContext, S4Drive, UserId,
+};
 use s4_fs::{FileKind, FileServer, FsError, LoopbackTransport, S4FileServer, S4FsConfig};
 use s4_simdisk::MemDisk;
 
@@ -92,6 +94,36 @@ fn rename_within_and_across_directories() {
     assert_eq!(fs.lookup(d2, "dest").unwrap(), f);
     assert_eq!(fs.read(f, 0, 64).unwrap(), b"payload");
     assert!(fs.readdir(d1).unwrap().is_empty());
+}
+
+/// A rename the drive refuses half-way must not cost the file its name:
+/// the target directory is updated before the source, in one batch, so a
+/// denied target write leaves `a/f` where it was.
+#[test]
+fn denied_cross_directory_rename_keeps_the_name() {
+    let (fs, drive, _c) = setup();
+    let ctx = RequestContext::user(UserId(1), ClientId(1));
+    let a = fs.mkdir(fs.root(), "a").unwrap();
+    let b = fs.mkdir(fs.root(), "b").unwrap();
+    let f = fs.create(a, "f").unwrap();
+    let no_write = AclEntry {
+        user: UserId(1),
+        perm: Perm::ALL.without(Perm::WRITE),
+    };
+    drive.op_set_acl(&ctx, ObjectId(b), no_write).unwrap();
+    assert_eq!(fs.rename(a, "f", b, "g").unwrap_err(), FsError::Denied);
+
+    let fresh = S4FileServer::mount(
+        LoopbackTransport::new(drive, NetworkModel::free()),
+        RequestContext::user(UserId(1), ClientId(2)),
+        "t",
+        S4FsConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(fresh.resolve_path("a/f"), Ok(f), "the source name is gone");
+    assert_eq!(fresh.resolve_path("b/g"), Err(FsError::NotFound));
+    // The translator that was refused sees the same thing.
+    assert_eq!(fs.lookup(a, "f"), Ok(f));
 }
 
 #[test]

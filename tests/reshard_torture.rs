@@ -23,7 +23,7 @@ use s4_core::{
     PARTITION_OBJECT,
 };
 use s4_reshard::{split_shard, ReshardConfig};
-use s4_simdisk::MemDisk;
+use s4_simdisk::{BlockDev, DiskModelParams, MemDisk, TimedDisk};
 use std::collections::BTreeMap;
 
 const MIRRORS: usize = 2;
@@ -51,7 +51,7 @@ fn build(shards: usize) -> S4Array<MemDisk> {
 }
 
 /// Creates and writes a synced population; returns oid → digest.
-fn populate(a: &S4Array<MemDisk>, count: u64) -> BTreeMap<ObjectId, u64> {
+fn populate<D: BlockDev + 'static>(a: &S4Array<D>, count: u64) -> BTreeMap<ObjectId, u64> {
     let ctx = RequestContext::user(UserId(9), ClientId(3));
     let mut oids = Vec::new();
     for i in 0..count {
@@ -237,4 +237,20 @@ fn crash_between_note_installs_repairs_divergent_member() {
         S4Array::mount(devices, DriveConfig::small_test(), array_cfg(), SimClock::new()).unwrap();
     assert_eq!(a3.epoch(), new_epoch);
     assert_population(&a3, &digests);
+}
+
+/// A split's target group starts as copies of one formatted member. On
+/// disks that charge the shared clock, members formatted one after
+/// another disagree on when their partition tables were created.
+#[test]
+fn split_targets_on_timed_disks_are_identical_mirrors() {
+    let clock = SimClock::new();
+    clock.advance(SimDuration::from_secs(1));
+    let timed = || TimedDisk::new(disk(), DiskModelParams::cheetah_9gb_10k(), clock.clone());
+    let devices = (0..2 * MIRRORS).map(|_| timed()).collect();
+    let a = S4Array::format(devices, DriveConfig::small_test(), array_cfg(), clock.clone()).unwrap();
+    populate(&a, 12);
+    split_shard(&a, 0, vec![timed(), timed()], ReshardConfig::default()).unwrap();
+    assert_eq!(a.shard_count(), 3);
+    assert_eq!(a.check_mirrors(&admin()), Ok(()));
 }
