@@ -143,19 +143,42 @@ fn within_bitmap(e: EpochInfo) -> s4_core::Result<EpochInfo> {
     Ok(e)
 }
 
+/// Formats `devs` as one mirror group. Only the first device is formatted
+/// from nothing (and handed to `seed` for whatever the group must hold
+/// from birth); its siblings are replayed from the first member's image,
+/// as a resync would build them. Formatting moves the shared clock, so
+/// siblings formatted one after another would disagree on when their
+/// partition tables were created — a replica starts as a copy.
+pub fn format_group<D: BlockDev>(
+    devs: Vec<D>,
+    config: DriveConfig,
+    clock: &SimClock,
+    seed: impl FnOnce(&S4Drive<D>) -> s4_core::Result<()>,
+) -> s4_core::Result<Vec<S4Drive<D>>> {
+    let admin = RequestContext::admin(ClientId(0), config.admin_token);
+    let mut devs = devs.into_iter();
+    let Some(dev) = devs.next() else {
+        return Ok(Vec::new());
+    };
+    let first = S4Drive::format(dev, config, clock.clone())?;
+    seed(&first)?;
+    let image = first.resync_image(&admin)?;
+    let mut drives = vec![first];
+    for dev in devs {
+        let sibling = S4Drive::format_from_image(dev, config, clock.clone(), &image)?;
+        drives.push(sibling);
+    }
+    Ok(drives)
+}
+
 impl<D: BlockDev + 'static> S4Array<D> {
     /// Formats `devices` as a fresh array sharing `clock`. With
     /// `array.mirrors = m`, `devices.len()` must be a positive multiple
     /// of `m`: shard `s` of `n = devices.len()/m` owns devices
     /// `s*m..(s+1)*m`, every member formatted with ObjectID class
-    /// `s (mod n)`. The initial routing epoch is persisted in shard 0's
-    /// partition table before the array serves anything.
-    ///
-    /// Only a group's first device is formatted from nothing; its
-    /// siblings are replayed from the first member's image, as a resync
-    /// would build them. Formatting moves the shared clock, so siblings
-    /// formatted one after another would disagree on when their
-    /// partition tables were created — a replica starts as a copy.
+    /// `s (mod n)` by [`format_group`]. The initial routing epoch is
+    /// persisted in shard 0's partition table before the array serves
+    /// anything.
     pub fn format(
         devices: Vec<D>,
         config: DriveConfig,
@@ -169,21 +192,13 @@ impl<D: BlockDev + 'static> S4Array<D> {
         let mut drives = Vec::with_capacity(devices.len());
         for (s, devs) in group(devices, array.mirrors).into_iter().enumerate() {
             let config = config.with_oid_class(n as u64, s as u64);
-            let mut image = None;
-            for dev in devs {
-                drives.push(match &image {
-                    Some(image) => S4Drive::format_from_image(dev, config, clock.clone(), image)?,
-                    None => {
-                        let first = S4Drive::format(dev, config, clock.clone())?;
-                        if s == 0 {
-                            first.op_pcreate(&admin, &epoch.note_name(), PARTITION_OBJECT)?;
-                            first.force_anchor()?;
-                        }
-                        image = Some(first.resync_image(&admin)?);
-                        first
-                    }
-                });
-            }
+            drives.extend(format_group(devs, config, &clock, |first| {
+                if s == 0 {
+                    first.op_pcreate(&admin, &epoch.note_name(), PARTITION_OBJECT)?;
+                    first.force_anchor()?;
+                }
+                Ok(())
+            })?);
         }
         Ok(Self::spawn(
             Self::shards(drives, &epoch, array),

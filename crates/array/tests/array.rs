@@ -9,9 +9,10 @@ use s4_array::{shard_of, ArrayConfig, ArrayTransport, S4Array};
 use s4_clock::{NetworkModel, SimClock, SimDuration};
 use s4_core::rpc::LAST_CREATED;
 use s4_core::{
-    ClientId, DriveConfig, ObjectId, OpKind, Request, RequestContext, Response, S4Error, UserId,
+    AclEntry, ClientId, DriveConfig, ObjectId, OpKind, Perm, Request, RequestContext, Response,
+    S4Error, UserId,
 };
-use s4_fs::{FileServer, S4FileServer, S4FsConfig};
+use s4_fs::{FileServer, FsError, S4FileServer, S4FsConfig};
 use s4_simdisk::MemDisk;
 
 fn disks(n: usize) -> Vec<MemDisk> {
@@ -490,6 +491,35 @@ fn file_system_runs_array_backed() {
     }
     let listing = fs.readdir(dir).unwrap();
     assert_eq!(listing.len(), 8);
+}
+
+/// Two directories on two shards: a rename is one two-phase commit, so a
+/// source-directory update the drive refuses takes the target's update
+/// (already prepared on the other shard) back with it.
+#[test]
+fn refused_rename_across_shards_is_all_or_nothing() {
+    let a = Arc::new(array(4));
+    let mount = || {
+        let transport = ArrayTransport::new(a.clone(), NetworkModel::free());
+        S4FileServer::mount(transport, user(), "vol", S4FsConfig::default()).unwrap()
+    };
+    let fs = mount();
+    let src = fs.mkdir(fs.root(), "src").unwrap();
+    let dst = fs.mkdir(fs.root(), "dst").unwrap();
+    assert_ne!(shard_of(ObjectId(src), 4), shard_of(ObjectId(dst), 4));
+    let f = fs.create(src, "f").unwrap();
+    let no_write = AclEntry {
+        user: UserId(1),
+        perm: Perm::ALL.without(Perm::WRITE),
+    };
+    let oid = ObjectId(src);
+    a.dispatch(&user(), &Request::SetAcl { oid, entry: no_write }).unwrap();
+    assert_eq!(fs.rename(src, "f", dst, "g"), Err(FsError::Denied));
+
+    let fresh = mount();
+    assert_eq!(fresh.resolve_path("src/f"), Ok(f));
+    assert_eq!(fresh.resolve_path("dst/g"), Err(FsError::NotFound));
+    assert!(a.txn_status_text().contains("aborted=1"), "{}", a.txn_status_text());
 }
 
 #[test]

@@ -42,10 +42,9 @@ impl<D: BlockDev> S4Drive<D> {
     /// Runs one cleaner pass (expiry first, then segment reclamation).
     pub fn clean(&self) -> Result<CleanOutcome> {
         self.expire_versions()?;
-        let cb = DriveCallbacks { drive: self };
         let outcome = self
             .cleaner
-            .clean_pass(&self.log, &cb)
+            .clean_pass(&self.log, self)
             .map_err(S4Error::from)?;
         self.stats
             .cleaner_relocations(outcome.blocks_relocated as u64);
@@ -429,21 +428,16 @@ impl<D: BlockDev> S4Drive<D> {
     }
 }
 
-struct DriveCallbacks<'a, D: BlockDev> {
-    drive: &'a S4Drive<D>,
-}
-
-impl<D: BlockDev> RelocationCallbacks for DriveCallbacks<'_, D> {
+impl<D: BlockDev> RelocationCallbacks for S4Drive<D> {
     fn is_live(&self, _tag: &BlockTag, addr: BlockAddr) -> bool {
-        self.drive.inner.lock().live.contains(&addr.0)
+        self.inner.lock().live.contains(&addr.0)
     }
 
     fn relocate(&self, tag: &BlockTag, addr: BlockAddr, data: &[u8]) -> s4_lfs::Result<()> {
-        let drive = self.drive;
-        let inner = &mut *drive.inner.lock();
+        let inner = &mut *self.inner.lock();
         // Every kind but checkpoints moves by copy.
         let copy = |inner: &mut Inner| -> s4_lfs::Result<BlockAddr> {
-            let new = drive.log.append(*tag, data)?;
+            let new = self.log.append(*tag, data)?;
             inner.live.remove(&addr.0);
             inner.live.insert(new.0);
             Ok(new)
@@ -452,7 +446,7 @@ impl<D: BlockDev> RelocationCallbacks for DriveCallbacks<'_, D> {
             BlockKind::Data => {
                 let new = copy(inner)?;
                 // No entry: the object vanished and the block was stale.
-                if let Some(entry) = drive.cached_mut(inner, tag.object) {
+                if let Some(entry) = self.cached_mut(inner, tag.object) {
                     // Current map pointer, if it is this address.
                     if entry.meta.blocks.get(&tag.aux) == Some(&addr) {
                         entry.meta.blocks.insert(tag.aux, new);
@@ -477,7 +471,7 @@ impl<D: BlockDev> RelocationCallbacks for DriveCallbacks<'_, D> {
                     let Ok((oid, _, _)) = decode_sector(&sub) else {
                         continue;
                     };
-                    let Some(entry) = drive.cached_mut(inner, oid) else {
+                    let Some(entry) = self.cached_mut(inner, oid) else {
                         continue;
                     };
                     for info in entry.sectors.iter_mut().filter(|s| s.addr == addr) {
@@ -505,7 +499,7 @@ impl<D: BlockDev> RelocationCallbacks for DriveCallbacks<'_, D> {
                 };
                 let mut repack: Vec<u64> = Vec::new();
                 for oid in oids {
-                    let Some(entry) = drive.cached_mut(inner, oid) else {
+                    let Some(entry) = self.cached_mut(inner, oid) else {
                         continue;
                     };
                     if entry.checkpoint_root != addr {
@@ -520,12 +514,11 @@ impl<D: BlockDev> RelocationCallbacks for DriveCallbacks<'_, D> {
                     for cp in stale_chain {
                         inner.live.remove(&cp.0);
                         if cp != addr {
-                            drive.log.release_blocks([cp]);
+                            self.log.release_blocks([cp]);
                         }
                     }
                 }
-                drive
-                    .pack_checkpoints(inner, &repack)
+                self.pack_checkpoints(inner, &repack)
                     .map_err(|_| s4_lfs::LfsError::Corrupt("checkpoint rewrite"))?;
             }
             BlockKind::DeltaData => {
@@ -538,7 +531,7 @@ impl<D: BlockDev> RelocationCallbacks for DriveCallbacks<'_, D> {
                     let (Ok(oid), Ok(key)) = (r.u64(), r.u64()) else {
                         continue;
                     };
-                    let Some(entry) = drive.cached_mut(inner, oid) else {
+                    let Some(entry) = self.cached_mut(inner, oid) else {
                         continue;
                     };
                     if let Some(dref) = entry.deltas.get_mut(&key) {

@@ -153,13 +153,6 @@ impl<T: Transport> S4FileServer<T> {
         self.transport.call(&self.ctx, req)
     }
 
-    fn sync_if_configured(&self) -> FsResult<()> {
-        if self.config.sync_per_op {
-            self.call(&Request::Sync)?;
-        }
-        Ok(())
-    }
-
     /// Runs a mutating operation's drive requests, appending the NFSv2
     /// per-op Sync, as one batched RPC (one network round trip). Returns
     /// the sub-responses (exclusive of the Sync).
@@ -194,8 +187,10 @@ impl<T: Transport> S4FileServer<T> {
 
     /// Builds the Write/Truncate requests that update a directory's entry
     /// table from `old_entries` to `entries`, touching only the changed
-    /// 4 KiB blocks. The caller refreshes the caches once the requests
-    /// succeed.
+    /// 4 KiB blocks (as a real file system updates only the affected
+    /// directory blocks; rewriting the whole table would generate
+    /// artificial version churn on the drive). The caller refreshes the
+    /// caches once the requests succeed.
     fn dir_update_requests(
         dir: Handle,
         old_entries: &[(String, Handle, FileKind)],
@@ -288,23 +283,6 @@ impl<T: Transport> S4FileServer<T> {
         let entries = dirblob::decode(&blob)?;
         self.caches.lock().dir.insert(dir, entries.clone());
         Ok(entries)
-    }
-
-    /// Writes a directory's entry table back, touching only the 4 KiB
-    /// blocks that actually changed (as a real file system updates only
-    /// the affected directory blocks; rewriting the whole table would
-    /// generate artificial version churn on the drive).
-    fn store_dir(
-        &self,
-        dir: Handle,
-        old_entries: &[(String, Handle, FileKind)],
-        entries: &[(String, Handle, FileKind)],
-    ) -> FsResult<()> {
-        for req in Self::dir_update_requests(dir, old_entries, entries) {
-            self.call(&req)?;
-        }
-        self.refresh_dir_caches(dir, entries);
-        Ok(())
     }
 
     fn getattr_cached(&self, h: Handle) -> FsResult<FileAttr> {
@@ -513,47 +491,56 @@ impl<T: Transport> FileServer for S4FileServer<T> {
         to_dir: Handle,
         to_name: &str,
     ) -> FsResult<()> {
+        let old_from = self.load_dir(from_dir)?;
+        let mut from_entries = old_from.clone();
+        let idx = from_entries
+            .iter()
+            .position(|(n, _, _)| n == from_name)
+            .ok_or(FsError::NotFound)?;
+        // NFS rename overwrites an existing target: its entry leaves the
+        // table here, its object is deleted last.
+        let mut overwritten = None;
+        // Directory tables to rewrite, `(dir, old, new)` in request order.
+        let mut tables = Vec::new();
         if from_dir == to_dir {
-            let old_entries = self.load_dir(from_dir)?;
-            let mut entries = old_entries.clone();
-            let idx = entries
-                .iter()
-                .position(|(n, _, _)| n == from_name)
-                .ok_or(FsError::NotFound)?;
-            // NFS rename overwrites an existing target.
-            if let Some(tidx) = entries.iter().position(|(n, _, _)| n == to_name) {
-                if tidx != idx {
-                    let (_, th, _) = entries.swap_remove(tidx);
-                    self.call(&Request::Delete { oid: ObjectId(th) })?;
-                    self.invalidate(th);
-                }
+            let tidx = from_entries.iter().position(|(n, _, _)| n == to_name);
+            from_entries[idx].0 = to_name.to_string();
+            if let Some(tidx) = tidx.filter(|&tidx| tidx != idx) {
+                overwritten = Some(from_entries.swap_remove(tidx).1);
             }
-            let idx = entries
-                .iter()
-                .position(|(n, _, _)| n == from_name)
-                .ok_or(FsError::NotFound)?;
-            entries[idx].0 = to_name.to_string();
-            self.store_dir(from_dir, &old_entries, &entries)?;
         } else {
-            let old_from = self.load_dir(from_dir)?;
-            let mut from_entries = old_from.clone();
-            let idx = from_entries
-                .iter()
-                .position(|(n, _, _)| n == from_name)
-                .ok_or(FsError::NotFound)?;
             let (_, h, kind) = from_entries.swap_remove(idx);
             let old_to = self.load_dir(to_dir)?;
             let mut to_entries = old_to.clone();
             if let Some(tidx) = to_entries.iter().position(|(n, _, _)| n == to_name) {
-                let (_, th, _) = to_entries.swap_remove(tidx);
-                self.call(&Request::Delete { oid: ObjectId(th) })?;
-                self.invalidate(th);
+                overwritten = Some(to_entries.swap_remove(tidx).1);
             }
             to_entries.push((to_name.to_string(), h, kind));
-            self.store_dir(from_dir, &old_from, &from_entries)?;
-            self.store_dir(to_dir, &old_to, &to_entries)?;
+            // The name enters the target before it leaves the source: a
+            // lone drive stops a batch at its first refused request, so
+            // the file keeps a name (or two) wherever that is. On an
+            // array two directories on two shards are one two-phase
+            // commit.
+            tables.push((to_dir, old_to, to_entries));
         }
-        self.sync_if_configured()
+        tables.push((from_dir, old_from, from_entries));
+        let mut reqs: Vec<Request> = tables
+            .iter()
+            .flat_map(|(dir, old, new)| Self::dir_update_requests(*dir, old, new))
+            .collect();
+        reqs.extend(overwritten.map(|th| Request::Delete { oid: ObjectId(th) }));
+        let done = self.run_mutation(reqs);
+        for (dir, _, new) in &tables {
+            match done {
+                Ok(_) => self.refresh_dir_caches(*dir, new),
+                // Part of the batch may have been applied.
+                Err(_) => self.invalidate(*dir),
+            }
+        }
+        if let Some(th) = overwritten {
+            self.invalidate(th);
+        }
+        done.map(|_| ())
     }
 
     fn readdir(&self, dir: Handle) -> FsResult<Vec<(String, Handle, FileKind)>> {

@@ -4,9 +4,7 @@
 use std::sync::Arc;
 
 use s4_clock::{NetworkModel, SimClock, SimDuration};
-use s4_core::{
-    AclEntry, ClientId, DriveConfig, ObjectId, Perm, RequestContext, S4Drive, UserId,
-};
+use s4_core::{AclEntry, ClientId, DriveConfig, ObjectId, Perm, RequestContext, S4Drive, UserId};
 use s4_fs::{FileKind, FileServer, FsError, LoopbackTransport, S4FileServer, S4FsConfig};
 use s4_simdisk::MemDisk;
 
@@ -94,6 +92,12 @@ fn rename_within_and_across_directories() {
     assert_eq!(fs.lookup(d2, "dest").unwrap(), f);
     assert_eq!(fs.read(f, 0, 64).unwrap(), b"payload");
     assert!(fs.readdir(d1).unwrap().is_empty());
+
+    // Same-directory rename with overwrite: one entry left, the victim gone.
+    let victim = fs.create(d2, "old").unwrap();
+    fs.rename(d2, "dest", d2, "old").unwrap();
+    assert_eq!(fs.readdir(d2).unwrap(), vec![("old".to_string(), f, FileKind::File)]);
+    assert_eq!(fs.getattr(victim).unwrap_err(), FsError::NotFound);
 }
 
 /// A rename the drive refuses half-way must not cost the file its name:

@@ -33,7 +33,7 @@
 
 use std::collections::BTreeSet;
 
-use s4_array::{is_reserved, FlipReport, S4Array};
+use s4_array::{format_group, is_reserved, FlipReport, S4Array};
 use s4_core::audit::OpKind;
 use s4_core::{
     ClientId, ObjectId, RequestContext, S4Drive, S4Error, TraceCtx, TraceIdGen, PHASE_CATCHUP,
@@ -216,16 +216,8 @@ pub fn split_shard<D: BlockDev + 'static>(
 
     // Targets are formatted in the doubled class so every oid they ever
     // assign (after the flip) stays in the migrated residue.
-    let targets: Vec<S4Drive<D>> = target_devs
-        .into_iter()
-        .map(|dev| {
-            S4Drive::format(
-                dev,
-                drive_cfg.with_oid_class(stride, target_slot as u64),
-                source.clock().clone(),
-            )
-        })
-        .collect::<s4_core::Result<_>>()?;
+    let target_cfg = drive_cfg.with_oid_class(stride, target_slot as u64);
+    let targets = format_group(target_devs, target_cfg, source.clock(), |_| Ok(()))?;
 
     // --- Phase 1: snapshot at T via the history pool. The audit cursor
     // is taken *before* T so any mutation the snapshot misses is

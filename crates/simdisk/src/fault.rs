@@ -17,6 +17,7 @@
 //! fails the request (there is nothing to tear).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::dev::{BlockDev, DiskError};
 use crate::SECTOR_SIZE;
@@ -247,18 +248,28 @@ pub struct FaultyDisk<D: BlockDev> {
     /// so the fault does not re-fire.
     armed_at: AtomicU64,
     requests_seen: AtomicU64,
-    dead: AtomicBool,
+    /// The power rail: every device holding this flag is dead while it
+    /// is set.
+    dead: Arc<AtomicBool>,
 }
 
 impl<D: BlockDev> FaultyDisk<D> {
-    /// Wraps `inner` with the given plan.
+    /// Wraps `inner` with the given plan, on a power rail of its own.
     pub fn new(inner: D, plan: FaultPlan) -> Self {
+        Self::on_rail(inner, plan, Arc::default())
+    }
+
+    /// Wraps `inner` with the given plan on the shared power rail `rail`:
+    /// the instant any device on a rail fires a fault that kills it,
+    /// every device on the rail refuses requests — whole-machine power
+    /// loss — until one of them is [revived](FaultyDisk::revive).
+    pub fn on_rail(inner: D, plan: FaultPlan, rail: Arc<AtomicBool>) -> Self {
         FaultyDisk {
             inner,
             plan,
             armed_at: AtomicU64::new(plan.writes_until_fault),
             requests_seen: AtomicU64::new(0),
-            dead: AtomicBool::new(false),
+            dead: rail,
         }
     }
 
@@ -504,6 +515,36 @@ mod tests {
         assert!(TornPattern::Holed { start: 2, len: 3 }.keeps(1));
         assert!(!TornPattern::Holed { start: 2, len: 3 }.keeps(4));
         assert!(TornPattern::Holed { start: 2, len: 3 }.keeps(5));
+    }
+
+    #[test]
+    fn devices_on_one_rail_die_and_revive_together() {
+        let rail = Arc::default();
+        let plan = FaultPlan::power_loss_after_writes(0, 0);
+        let a = FaultyDisk::on_rail(MemDisk::new(64), plan, Arc::clone(&rail));
+        let b = FaultyDisk::on_rail(MemDisk::new(64), FaultPlan::none(), rail);
+        let alone = FaultyDisk::new(MemDisk::new(64), FaultPlan::none());
+        b.write(0, &[1u8; SECTOR_SIZE]).unwrap();
+        assert!(a.write(0, &[2u8; SECTOR_SIZE]).is_err());
+        assert!(a.is_dead() && b.is_dead(), "one fault cuts the whole rail");
+        assert!(matches!(
+            b.write(1, &[3u8; SECTOR_SIZE]),
+            Err(DiskError::DeviceFailed)
+        ));
+        // A device made by `new` has a rail of its own.
+        assert!(!alone.is_dead());
+        alone.write(0, &[4u8; SECTOR_SIZE]).unwrap();
+        // Power comes back for everyone; what was persisted is intact.
+        a.revive();
+        assert!(!b.is_dead());
+        let mut out = [0u8; SECTOR_SIZE];
+        b.read(0, &mut out).unwrap();
+        assert_eq!(out[0], 1);
+        b.read(1, &mut out).unwrap();
+        assert_eq!(
+            out[0], 0,
+            "a write refused by a dead rail persisted nothing"
+        );
     }
 
     #[test]

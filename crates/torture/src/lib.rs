@@ -56,14 +56,13 @@
 //! tables in key order, so a replay issues the golden run's request
 //! sequence exactly (the golden image hash below pins that); should a
 //! replay's sequence nevertheless end before its crash point fires, the
-//! harness simply verifies the completed workload like a golden run.
+//! harness flushes the completed workload and verifies it like a golden run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod oracle;
 pub mod txn;
-
-use std::collections::HashMap;
 
 use s4_clock::{SimClock, SimDuration, SimTime};
 use s4_core::{
@@ -73,6 +72,8 @@ use s4_core::{
 use s4_lfs::BLOCK_SIZE;
 use s4_simdisk::{BlockDev, FaultPlan, FaultyDisk, MemDisk, RequestClassMask, TornPattern, TraceDisk};
 use s4_workloads::Rng;
+
+use oracle::Oracle;
 
 /// Request classes that count as crash points: the write path plus the
 /// superblock barrier (`BlockDev::sync`, issued when an anchor commits).
@@ -173,21 +174,24 @@ impl TortureConfig {
 
     /// Replays performed per crash point.
     pub fn replays_per_point(&self) -> usize {
-        match self.patterns_per_point {
-            Some(m) => m.min(self.torn_patterns.len()),
-            None => self.torn_patterns.len(),
-        }
+        patterns_at(&self.torn_patterns, self.patterns_per_point, 0).len()
     }
+}
 
-    /// The torn patterns replayed at the `j`-th sampled crash point:
-    /// a deterministic rotating window over `torn_patterns`.
-    pub fn patterns_at(&self, j: usize) -> Vec<TornPattern> {
-        let n = self.torn_patterns.len();
-        let m = self.replays_per_point();
-        (0..m)
-            .map(|i| self.torn_patterns[(j * m + i) % n])
-            .collect()
-    }
+/// The torn patterns replayed at the `j`-th sampled crash point: a
+/// deterministic rotating window over `patterns`, `per_point` wide
+/// (`None`: every pattern at every point).
+pub fn patterns_at(
+    patterns: &[TornPattern],
+    per_point: Option<usize>,
+    j: usize,
+) -> Vec<TornPattern> {
+    let n = patterns.len();
+    let m = match per_point {
+        Some(m) => m.min(n),
+        None => n,
+    };
+    (0..m).map(|i| patterns[(j * m + i) % n]).collect()
 }
 
 /// What the golden (fault-free) run established.
@@ -236,7 +240,7 @@ pub struct CrashOutcome {
 }
 
 /// Outcome of a whole campaign.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TortureSummary {
     /// Crash-point domain the golden run established.
     pub domain: (u64, u64),
@@ -255,39 +259,15 @@ pub struct TortureSummary {
     pub torn_batches: usize,
 }
 
-// ---------------------------------------------------------------------
-// Oracle.
-// ---------------------------------------------------------------------
-
-struct OracleEntry {
-    t: SimTime,
-    data: Vec<u8>,
-    attrs: Vec<u8>,
-    alive: bool,
-}
-
-#[derive(Default)]
-struct OracleObject {
-    history: Vec<OracleEntry>,
-}
-
-impl OracleObject {
-    fn at(&self, t: SimTime) -> Option<&OracleEntry> {
-        self.history.iter().rev().find(|e| e.t <= t)
-    }
-}
-
 /// Everything one workload run produced: the oracle, the predicted audit
 /// stream, and the durability boundary.
+#[derive(Default)]
 struct RunState {
-    oracle: HashMap<u64, OracleObject>,
-    /// Creation order of oracle object ids (deterministic iteration).
-    order: Vec<u64>,
+    oracle: Oracle,
     predicted: Vec<AuditRecord>,
     /// Trace context stamped on request `i` (default = untraced → v1
     /// record); parallel to `predicted`, it is the trace-stream oracle.
     predicted_trace: Vec<TraceCtx>,
-    checkpoints: Vec<SimTime>,
     /// Drive time of the last sync that returned `Ok`.
     last_ok_sync: Option<SimTime>,
     /// Predicted records audited *before* that sync executed (its own
@@ -304,11 +284,11 @@ struct RunState {
     stopped_early: bool,
 }
 
-fn user_ctx() -> RequestContext {
+pub(crate) fn user_ctx() -> RequestContext {
     RequestContext::user(UserId(1), ClientId(1))
 }
 
-fn admin_ctx() -> RequestContext {
+pub(crate) fn admin_ctx() -> RequestContext {
     // small_test()'s admin token.
     RequestContext::admin(ClientId(0), 42)
 }
@@ -328,18 +308,7 @@ fn run_workload<D: BlockDev>(
 ) -> RunState {
     let mut rng = Rng::new(seed);
     let ctx = user_ctx();
-    let mut st = RunState {
-        oracle: HashMap::new(),
-        order: Vec::new(),
-        predicted: Vec::new(),
-        predicted_trace: Vec::new(),
-        checkpoints: Vec::new(),
-        last_ok_sync: None,
-        records_at_sync: 0,
-        records_at_anchor: 0,
-        syncs_ok: 0,
-        stopped_early: false,
-    };
+    let mut st = RunState::default();
     // Alive objects (targets for mutations), plus their oracle state.
     let mut live: Vec<ObjectId> = Vec::new();
 
@@ -395,7 +364,7 @@ fn run_workload<D: BlockDev>(
         let req = match planned {
             Planned::Tick(ms) => {
                 clock.advance(SimDuration::from_millis(ms));
-                st.checkpoints.push(drive.now());
+                st.oracle.checkpoints.push(drive.now());
                 continue;
             }
             Planned::Req(req) => req,
@@ -450,67 +419,15 @@ fn run_workload<D: BlockDev>(
         match (&req, &resp) {
             (Request::Create, Response::Created(oid)) => {
                 live.push(*oid);
-                st.order.push(oid.0);
-                st.oracle.entry(oid.0).or_default().history.push(OracleEntry {
-                    t: now,
-                    data: Vec::new(),
-                    attrs: Vec::new(),
-                    alive: true,
-                });
+                st.oracle.create(*oid, now);
             }
-            (Request::Write { oid, offset, data }, _) => {
-                let o = st.oracle.get_mut(&oid.0).unwrap();
-                let cur = o.at(SimTime::MAX).unwrap();
-                let mut next = cur.data.clone();
-                let attrs = cur.attrs.clone();
-                let end = *offset as usize + data.len();
-                if next.len() < end {
-                    next.resize(end, 0);
-                }
-                next[*offset as usize..end].copy_from_slice(data);
-                o.history.push(OracleEntry {
-                    t: now,
-                    data: next,
-                    attrs,
-                    alive: true,
-                });
-            }
-            (Request::Truncate { oid, len }, _) => {
-                let o = st.oracle.get_mut(&oid.0).unwrap();
-                let cur = o.at(SimTime::MAX).unwrap();
-                let mut next = cur.data.clone();
-                let attrs = cur.attrs.clone();
-                next.resize(*len as usize, 0);
-                o.history.push(OracleEntry {
-                    t: now,
-                    data: next,
-                    attrs,
-                    alive: true,
-                });
-            }
+            (Request::Write { oid, offset, data }, _) => st.oracle.write(*oid, now, *offset, data),
+            (Request::Truncate { oid, len }, _) => st.oracle.truncate(*oid, now, *len),
             (Request::Delete { oid }, _) => {
-                let o = st.oracle.get_mut(&oid.0).unwrap();
-                let cur = o.at(SimTime::MAX).unwrap();
-                let (data, attrs) = (cur.data.clone(), cur.attrs.clone());
-                o.history.push(OracleEntry {
-                    t: now,
-                    data,
-                    attrs,
-                    alive: false,
-                });
+                st.oracle.delete(*oid, now);
                 live.retain(|l| l != oid);
             }
-            (Request::SetAttr { oid, attrs }, _) => {
-                let o = st.oracle.get_mut(&oid.0).unwrap();
-                let cur = o.at(SimTime::MAX).unwrap();
-                let data = cur.data.clone();
-                o.history.push(OracleEntry {
-                    t: now,
-                    data,
-                    attrs: attrs.clone(),
-                    alive: true,
-                });
-            }
+            (Request::SetAttr { oid, attrs }, _) => st.oracle.set_attr(*oid, now, attrs),
             (Request::Sync, _) => {
                 st.last_ok_sync = Some(now);
                 // The sync's own record (just pushed) is post-flush.
@@ -523,7 +440,7 @@ fn run_workload<D: BlockDev>(
             }
             _ => unreachable!("workload issues no other requests"),
         }
-        st.checkpoints.push(now);
+        st.oracle.checkpoints.push(now);
     }
     st
 }
@@ -531,92 +448,6 @@ fn run_workload<D: BlockDev>(
 // ---------------------------------------------------------------------
 // Verification.
 // ---------------------------------------------------------------------
-
-/// Invariant (a): every oracle entry stamped at or before `boundary`
-/// must read back exactly at its historical time. Returns the number of
-/// version checks performed. `what` labels failures.
-fn verify_durable<D: BlockDev>(
-    drive: &S4Drive<D>,
-    st: &RunState,
-    boundary: SimTime,
-    what: &str,
-) -> usize {
-    let admin = admin_ctx();
-    let mut checked = 0;
-    for &raw in &st.order {
-        let oid = ObjectId(raw);
-        for e in &st.oracle[&raw].history {
-            if e.t > boundary {
-                continue;
-            }
-            checked += 1;
-            if !e.alive {
-                assert!(
-                    drive.op_read(&admin, oid, 0, 1 << 16, Some(e.t)).is_err(),
-                    "{what}: {oid} deleted at {} but readable",
-                    e.t
-                );
-                continue;
-            }
-            let got = drive
-                .op_read(&admin, oid, 0, 1 << 16, Some(e.t))
-                .unwrap_or_else(|err| {
-                    panic!(
-                        "{what}: durable version lost — {oid} at {} unreadable: {err:?}",
-                        e.t
-                    )
-                });
-            assert_eq!(
-                got, e.data,
-                "{what}: {oid} content diverged at {} ({} vs {} bytes)",
-                e.t,
-                got.len(),
-                e.data.len()
-            );
-            let attrs = drive
-                .op_getattr(&admin, oid, Some(e.t))
-                .unwrap_or_else(|err| panic!("{what}: {oid} attrs at {} lost: {err:?}", e.t));
-            assert_eq!(attrs.size, e.data.len() as u64, "{what}: {oid} size at {}", e.t);
-            assert_eq!(attrs.opaque, e.attrs, "{what}: {oid} attrs at {}", e.t);
-        }
-    }
-    checked
-}
-
-/// Golden-run cross-product verification: every object at every
-/// checkpoint instant (the strongest oracle validation; replays use the
-/// cheaper per-entry [`verify_durable`]).
-fn verify_full<D: BlockDev>(drive: &S4Drive<D>, st: &RunState) -> usize {
-    let admin = admin_ctx();
-    let mut checked = 0;
-    for &raw in &st.order {
-        let oid = ObjectId(raw);
-        let o = &st.oracle[&raw];
-        for &t in &st.checkpoints {
-            checked += 1;
-            let Some(e) = o.at(t) else {
-                assert!(
-                    drive.op_getattr(&admin, oid, Some(t)).is_err(),
-                    "golden: {oid} should not exist at {t}"
-                );
-                continue;
-            };
-            if !e.alive {
-                assert!(
-                    drive.op_read(&admin, oid, 0, 1 << 16, Some(t)).is_err(),
-                    "golden: {oid} deleted at {t} but readable"
-                );
-                continue;
-            }
-            let got = drive.op_read(&admin, oid, 0, 1 << 16, Some(t)).unwrap();
-            assert_eq!(got, e.data, "golden: {oid} contents at {t}");
-            let attrs = drive.op_getattr(&admin, oid, Some(t)).unwrap();
-            assert_eq!(attrs.size, e.data.len() as u64, "golden: {oid} size at {t}");
-            assert_eq!(attrs.opaque, e.attrs, "golden: {oid} attrs at {t}");
-        }
-    }
-    checked
-}
 
 /// Invariant (b): the recovered audit log must be an exact prefix of the
 /// predicted stream, and at least every record in a full block flushed
@@ -742,7 +573,7 @@ pub fn golden_run(cfg: &TortureConfig) -> GoldenSummary {
 
     // Validate the oracle and predictor against the live drive.
     drive.op_sync(&user_ctx()).expect("golden: final sync");
-    let versions = verify_full(&drive, &st);
+    let versions = st.oracle.verify_full(&drive, "golden");
     let recovered = drive
         .read_audit_records(&admin_ctx())
         .expect("golden: audit read");
@@ -772,22 +603,34 @@ pub fn golden_run(cfg: &TortureConfig) -> GoldenSummary {
         audit_records: st.predicted.len(),
         syncs: st.syncs_ok,
         sync_points,
-        objects: st.order.len(),
+        objects: st.oracle.objects(),
         versions,
         image_hash: s4_lfs::crc::xxh64(&image),
     }
 }
 
 // ---------------------------------------------------------------------
-// Phase 2: one crash-point replay.
+// Phase 2: one crash-point replay, and the three campaigns over it.
 // ---------------------------------------------------------------------
 
-/// Replays the workload with power loss armed at countable request `k`
-/// (tearing the faulting write per `torn`), then remounts and
-/// asserts the five recovery invariants. Panics with a descriptive
-/// message on any violation.
-pub fn torture_crash_point(cfg: &TortureConfig, k: u64, torn: TornPattern) -> CrashOutcome {
-    let what = format!("crash@{k}/{torn:?}");
+/// A workload run to its crash point, with the power back on: what the
+/// run established, against which every later mount of the image is
+/// checked.
+struct Crashed {
+    /// Labels failures: campaign, crash point, torn pattern.
+    what: String,
+    st: RunState,
+    /// Whether the fault fired (false = the request sequence ended
+    /// before the crash point; the workload completed and was flushed).
+    died: bool,
+}
+
+/// Runs the workload on a fresh drive with power loss armed at countable
+/// request `k` (tearing the faulting write per `torn`), drops all
+/// volatile state and revives the device. Returns the device image as
+/// the power cut left it.
+fn crash_at(campaign: &str, cfg: &TortureConfig, k: u64, torn: TornPattern) -> (MemDisk, Crashed) {
+    let what = format!("{campaign}@{k}/{torn:?}");
     let clock = SimClock::new();
     clock.advance(SimDuration::from_secs(1));
     let plan = FaultPlan::power_loss_with_pattern(k, torn, CRASH_MASK);
@@ -796,44 +639,101 @@ pub fn torture_crash_point(cfg: &TortureConfig, k: u64, torn: TornPattern) -> Cr
     let drive = S4Drive::format(dev, DriveConfig::small_test(), clock.clone())
         .unwrap_or_else(|e| panic!("{what}: format failed (crash point inside format?): {e:?}"));
     let st = run_workload(&drive, &clock, cfg.seed, cfg.ops);
-
-    // Power loss: drop all volatile state, revive the device.
+    // A sequence that ended before its crash point is flushed as the
+    // golden run's is, so the power goes off on a completed workload
+    // (unless the flush is what trips the fault).
+    let flushed = !st.stopped_early && drive.op_sync(&user_ctx()).is_ok();
     let faulty = drive.crash();
-    let died = faulty.is_dead() || st.stopped_early;
+    let died = faulty.is_dead() || !flushed;
     faulty.revive();
-    let mem = faulty.into_inner();
+    (faulty.into_inner(), Crashed { what, st, died })
+}
 
-    // Remount; recovery must always succeed — there is always at least
-    // the format-time anchor to fall back to.
-    let (d1, report) =
-        S4Drive::mount_with_report(mem, DriveConfig::small_test(), SimClock::new())
-            .unwrap_or_else(|e| panic!("{what}: recovery failed: {e:?}"));
+/// Mounts `dev` on a fresh clock. Recovery must always succeed — there
+/// is always at least the format-time anchor to fall back to.
+fn mount<D: BlockDev>(dev: D, what: &str, stage: &str) -> (S4Drive<D>, RecoveryReport) {
+    S4Drive::mount_with_report(dev, DriveConfig::small_test(), SimClock::new())
+        .unwrap_or_else(|e| panic!("{what}: {stage} failed: {e:?}"))
+}
 
-    // Invariant (c): journal replay is idempotent. Mount writes nothing,
-    // so remounting the same image must reproduce identical state.
-    let digest1 = d1.state_digest();
-    let mem = d1.crash();
-    let (d2, report2) =
-        S4Drive::mount_with_report(mem, DriveConfig::small_test(), SimClock::new())
-            .unwrap_or_else(|e| panic!("{what}: second recovery failed: {e:?}"));
-    assert_eq!(
-        digest1,
-        d2.state_digest(),
-        "{what}: remount not idempotent — state digests differ"
-    );
-    assert_eq!(
-        report, report2,
-        "{what}: remount not idempotent — recovery reports differ"
-    );
+impl Crashed {
+    /// Invariants (a) and (d), against the durability boundary: the last
+    /// sync that completed before the crash. If the fault never fired,
+    /// the workload completed — hold the replay to the golden bar
+    /// instead (everything readable). Returns the version checks
+    /// performed.
+    fn check_versions<D: BlockDev>(&self, drive: &S4Drive<D>) -> usize {
+        if !self.died {
+            return self.st.oracle.verify_full(drive, &self.what);
+        }
+        match self.st.last_ok_sync {
+            Some(boundary) => self.st.oracle.verify_durable(drive, boundary, &self.what),
+            None => 0,
+        }
+    }
+
+    /// Invariants (b) and (e): the audit log and the flight recorder's
+    /// trace stream are exact prefixes of the predicted request stream.
+    /// Returns the length of the recovered audit prefix.
+    fn check_streams<D: BlockDev>(&self, drive: &S4Drive<D>) -> usize {
+        let what = &self.what;
+        let recovered = drive
+            .read_audit_records(&admin_ctx())
+            .unwrap_or_else(|e| panic!("{what}: audit read failed: {e:?}"));
+        verify_audit_prefix(&recovered, &self.st, what);
+        let traces = drive
+            .read_traces(&admin_ctx())
+            .unwrap_or_else(|e| panic!("{what}: trace read failed: {e:?}"));
+        verify_trace_prefix(&traces, &self.st, what);
+        recovered.len()
+    }
+
+    /// Invariant (c): journal replay is idempotent. Powers `drive` off
+    /// and mounts its image again: the state digest must not move, and
+    /// — mount writes nothing — a second mount of one image must repeat
+    /// the `report` of the first (`None` when `drive` has written since
+    /// it was mounted). Returns the new mount.
+    fn check_remount<D: BlockDev>(
+        &self,
+        drive: S4Drive<D>,
+        report: Option<&RecoveryReport>,
+        stage: &str,
+    ) -> (S4Drive<D>, RecoveryReport) {
+        let what = &self.what;
+        let digest = drive.state_digest();
+        let (again, report2) = mount(drive.crash(), what, stage);
+        assert_eq!(
+            digest,
+            again.state_digest(),
+            "{what}: {stage} not idempotent — state digests differ"
+        );
+        if let Some(report) = report {
+            assert_eq!(
+                *report, report2,
+                "{what}: {stage} not idempotent — recovery reports differ"
+            );
+        }
+        (again, report2)
+    }
+}
+
+/// Replays the workload with power loss armed at countable request `k`
+/// (tearing the faulting write per `torn`), then remounts and
+/// asserts the five recovery invariants. Panics with a descriptive
+/// message on any violation.
+pub fn torture_crash_point(cfg: &TortureConfig, k: u64, torn: TornPattern) -> CrashOutcome {
+    let (image, c) = crash_at("crash", cfg, k, torn);
+    let what = &c.what;
+    let (d1, report) = mount(image, what, "recovery");
+    let (d2, _) = c.check_remount(d1, Some(&report), "second recovery");
     // Only the one commit in flight when power died can be torn.
     assert!(
         report.torn_batches <= 1,
         "{what}: recovery dropped {} checksum-mismatched batches",
         report.torn_batches
     );
-
     // Sanity: recovery must not invent mutations from the future.
-    if let Some(&last_t) = st.checkpoints.last() {
+    if let Some(&last_t) = c.st.oracle.checkpoints.last() {
         assert!(
             report.max_recovered_stamp.time <= last_t,
             "{what}: recovered stamp {} past the last issued op at {last_t}",
@@ -841,65 +741,24 @@ pub fn torture_crash_point(cfg: &TortureConfig, k: u64, torn: TornPattern) -> Cr
         );
     }
 
-    // Invariants (a) and (b) against the durability boundary: the last
-    // sync that completed before the crash. If the fault never fired,
-    // the workload completed — hold the replay to the golden bar
-    // instead (everything readable, full audit stream present).
-    let mut versions_checked = 0;
-    let audit_prefix = if died {
-        if let Some(boundary) = st.last_ok_sync {
-            versions_checked += verify_durable(&d2, &st, boundary, &what);
-        }
-        let recovered = d2
-            .read_audit_records(&admin_ctx())
-            .unwrap_or_else(|e| panic!("{what}: audit read failed: {e:?}"));
-        verify_audit_prefix(&recovered, &st, &what);
-        recovered.len()
-    } else {
-        // Flush so every version is on disk, then verify everything.
-        d2.op_sync(&user_ctx())
-            .unwrap_or_else(|e| panic!("{what}: post-replay sync failed: {e:?}"));
-        versions_checked += verify_full(&d2, &st);
-        let recovered = d2
-            .read_audit_records(&admin_ctx())
-            .unwrap_or_else(|e| panic!("{what}: audit read failed: {e:?}"));
-        verify_audit_prefix(&recovered, &st, &what);
-        recovered.len()
-    };
-
-    // Invariant (e): the flight recorder's persisted trace stream is an
-    // exact prefix of the predicted request stream.
-    let traces = d2
-        .read_traces(&admin_ctx())
-        .unwrap_or_else(|e| panic!("{what}: trace read failed: {e:?}"));
-    verify_trace_prefix(&traces, &st, &what);
-
+    let mut versions_checked = c.check_versions(&d2);
+    let audit_prefix = c.check_streams(&d2);
     // Invariant (d): a cleaner pass must reclaim nothing inside the
     // detection window (the workload spans seconds; the window is an
     // hour) — every durable version must still read back.
     d2.clean()
         .unwrap_or_else(|e| panic!("{what}: post-recovery clean failed: {e:?}"));
-    if died {
-        if let Some(boundary) = st.last_ok_sync {
-            versions_checked += verify_durable(&d2, &st, boundary, &what);
-        }
-    } else {
-        versions_checked += verify_full(&d2, &st);
-    }
+    versions_checked += c.check_versions(&d2);
 
     CrashOutcome {
         crash_point: k,
         torn,
-        died,
+        died: c.died,
         versions_checked,
         audit_prefix,
         report,
     }
 }
-
-// ---------------------------------------------------------------------
-// Satellite 1: cleaner/compaction between crash and final remount.
-// ---------------------------------------------------------------------
 
 /// Like [`torture_crash_point`], but with a full maintenance pass —
 /// cleaner, history compaction, and a forced anchor — wedged between
@@ -908,40 +767,13 @@ pub fn torture_crash_point(cfg: &TortureConfig, k: u64, torn: TornPattern) -> Cr
 /// it runs on freshly recovered (possibly torn-tail) state, and the
 /// compacted, re-anchored image must remount to the identical drive.
 pub fn torture_cleaner_between(cfg: &TortureConfig, k: u64, torn: TornPattern) -> CrashOutcome {
-    let what = format!("cleaner-crash@{k}/{torn:?}");
-    let clock = SimClock::new();
-    clock.advance(SimDuration::from_secs(1));
-    let plan = FaultPlan::power_loss_with_pattern(k, torn, CRASH_MASK);
-    let dev = FaultyDisk::new(MemDisk::with_capacity_bytes(DISK_BYTES), plan);
-    let drive = S4Drive::format(dev, DriveConfig::small_test(), clock.clone())
-        .unwrap_or_else(|e| panic!("{what}: format failed: {e:?}"));
-    let st = run_workload(&drive, &clock, cfg.seed, cfg.ops);
-
-    let faulty = drive.crash();
-    let died = faulty.is_dead() || st.stopped_early;
-    faulty.revive();
-    let mem = faulty.into_inner();
-
-    let (d1, report) =
-        S4Drive::mount_with_report(mem, DriveConfig::small_test(), SimClock::new())
-            .unwrap_or_else(|e| panic!("{what}: recovery failed: {e:?}"));
+    let (image, c) = crash_at("cleaner-crash", cfg, k, torn);
+    let what = &c.what;
+    let (d1, report) = mount(image, what, "recovery");
 
     // Invariants (a)/(b)/(e) hold right after recovery…
-    let mut versions_checked = 0;
-    if died {
-        if let Some(boundary) = st.last_ok_sync {
-            versions_checked += verify_durable(&d1, &st, boundary, &what);
-        }
-    } else {
-        d1.op_sync(&user_ctx())
-            .unwrap_or_else(|e| panic!("{what}: post-replay sync failed: {e:?}"));
-        versions_checked += verify_full(&d1, &st);
-    }
-    let recovered = d1
-        .read_audit_records(&admin_ctx())
-        .unwrap_or_else(|e| panic!("{what}: audit read failed: {e:?}"));
-    verify_audit_prefix(&recovered, &st, &what);
-    let audit_prefix = recovered.len();
+    let mut versions_checked = c.check_versions(&d1);
+    let audit_prefix = c.check_streams(&d1);
 
     // …then the maintenance pass runs on the recovered state…
     d1.clean()
@@ -952,65 +784,27 @@ pub fn torture_cleaner_between(cfg: &TortureConfig, k: u64, torn: TornPattern) -
         .unwrap_or_else(|e| panic!("{what}: anchor failed after maintenance: {e:?}"));
 
     // …and must not have eaten anything inside the window.
-    if died {
-        if let Some(boundary) = st.last_ok_sync {
-            versions_checked += verify_durable(&d1, &st, boundary, &what);
-        }
-    } else {
-        versions_checked += verify_full(&d1, &st);
-    }
+    versions_checked += c.check_versions(&d1);
 
     // Second power-off. The anchor committed everything, so the cleaned
     // and compacted image must remount to the identical logical state,
     // idempotently.
-    let digest = d1.state_digest();
-    let mem = d1.crash();
-    let (d2, report2) =
-        S4Drive::mount_with_report(mem, DriveConfig::small_test(), SimClock::new())
-            .unwrap_or_else(|e| panic!("{what}: remount after maintenance failed: {e:?}"));
-    assert_eq!(
-        digest,
-        d2.state_digest(),
-        "{what}: cleaned state diverged across the second crash"
-    );
-    let digest2 = d2.state_digest();
-    let mem = d2.crash();
-    let (d3, report3) =
-        S4Drive::mount_with_report(mem, DriveConfig::small_test(), SimClock::new())
-            .unwrap_or_else(|e| panic!("{what}: third recovery failed: {e:?}"));
-    assert_eq!(digest2, d3.state_digest(), "{what}: double-crash remount not idempotent");
-    assert_eq!(report2, report3, "{what}: double-crash recovery reports differ");
+    let (d2, report2) = c.check_remount(d1, None, "remount after maintenance");
+    let (d3, _) = c.check_remount(d2, Some(&report2), "third recovery");
 
-    // Durability and audit-prefix integrity survive the whole gauntlet.
-    if died {
-        if let Some(boundary) = st.last_ok_sync {
-            versions_checked += verify_durable(&d3, &st, boundary, &what);
-        }
-    } else {
-        versions_checked += verify_full(&d3, &st);
-    }
-    let recovered = d3
-        .read_audit_records(&admin_ctx())
-        .unwrap_or_else(|e| panic!("{what}: audit read failed: {e:?}"));
-    verify_audit_prefix(&recovered, &st, &what);
-    let traces = d3
-        .read_traces(&admin_ctx())
-        .unwrap_or_else(|e| panic!("{what}: trace read failed: {e:?}"));
-    verify_trace_prefix(&traces, &st, &what);
+    // Durability and stream-prefix integrity survive the whole gauntlet.
+    versions_checked += c.check_versions(&d3);
+    c.check_streams(&d3);
 
     CrashOutcome {
         crash_point: k,
         torn,
-        died,
+        died: c.died,
         versions_checked,
         audit_prefix,
         report,
     }
 }
-
-// ---------------------------------------------------------------------
-// Satellite 2: a second crash *during recovery replay*.
-// ---------------------------------------------------------------------
 
 /// Outcome of one crash-during-recovery probe (panics on violation).
 #[derive(Clone, Copy, Debug)]
@@ -1052,33 +846,18 @@ pub fn torture_crash_during_recovery(
     torn: TornPattern,
     max_second_points: Option<usize>,
 ) -> RecoveryCrashOutcome {
-    let what = format!("recovery-crash@{k}/{torn:?}");
-    let clock = SimClock::new();
-    clock.advance(SimDuration::from_secs(1));
-    let plan = FaultPlan::power_loss_with_pattern(k, torn, CRASH_MASK);
-    let dev = FaultyDisk::new(MemDisk::with_capacity_bytes(DISK_BYTES), plan);
-    let drive = S4Drive::format(dev, DriveConfig::small_test(), clock.clone())
-        .unwrap_or_else(|e| panic!("{what}: format failed: {e:?}"));
-    let st = run_workload(&drive, &clock, cfg.seed, cfg.ops);
-
-    let faulty = drive.crash();
-    let died = faulty.is_dead() || st.stopped_early;
-    faulty.revive();
-    let image = faulty.into_inner();
+    let (image, c) = crash_at("recovery-crash", cfg, k, torn);
+    let what = &c.what;
 
     // Undisturbed recovery: the baseline every interrupted recovery must
     // reproduce. The counting wrapper also measures the second-crash
     // domain and proves recovery writes nothing.
     let probe = FaultyDisk::new(image.clone(), FaultPlan::count_only(RequestClassMask::ALL));
-    let (baseline, base_report) =
-        S4Drive::mount_with_report(probe, DriveConfig::small_test(), SimClock::new())
-            .unwrap_or_else(|e| panic!("{what}: baseline recovery failed: {e:?}"));
+    let (baseline, base_report) = mount(probe, what, "baseline recovery");
     let base_digest = baseline.state_digest();
-    let probe = baseline.crash();
-    let recovery_requests = probe.requests_seen();
+    let recovery_requests = baseline.crash().requests_seen();
     let probe = FaultyDisk::new(image.clone(), FaultPlan::count_only(CRASH_MASK));
-    let (w, _) = S4Drive::mount_with_report(probe, DriveConfig::small_test(), SimClock::new())
-        .unwrap_or_else(|e| panic!("{what}: write-count recovery failed: {e:?}"));
+    let (w, _) = mount(probe, what, "write-count recovery");
     let recovery_writes = w.crash().requests_seen();
     assert_eq!(
         recovery_writes, 0,
@@ -1115,9 +894,7 @@ pub fn torture_crash_during_recovery(
 
         // Reboot after the second crash: recovery wrote nothing (proved
         // above), so the pre-crash image *is* the post-crash image.
-        let (d2, rep2) =
-            S4Drive::mount_with_report(image.clone(), DriveConfig::small_test(), SimClock::new())
-                .unwrap_or_else(|e| panic!("{what}@r{r}: double-crash recovery failed: {e:?}"));
+        let (d2, rep2) = mount(image.clone(), what, &format!("double-crash recovery @r{r}"));
         assert_eq!(
             d2.state_digest(),
             base_digest,
@@ -1126,44 +903,22 @@ pub fn torture_crash_during_recovery(
         assert_eq!(rep2, base_report, "{what}@r{r}: double-crash report diverged");
 
         // Idempotence still holds after the double crash.
-        let mem2 = d2.crash();
-        let (d3, rep3) =
-            S4Drive::mount_with_report(mem2, DriveConfig::small_test(), SimClock::new())
-                .unwrap_or_else(|e| panic!("{what}@r{r}: third recovery failed: {e:?}"));
-        assert_eq!(d3.state_digest(), base_digest, "{what}@r{r}: remount not idempotent");
-        assert_eq!(rep3, base_report, "{what}@r{r}: remount reports differ");
+        let (d3, _) = c.check_remount(d2, Some(&base_report), &format!("third recovery @r{r}"));
 
         // Durability, audit-prefix, trace-prefix, and post-cleaner
         // retention — the same bar as a single crash.
-        if died {
-            if let Some(boundary) = st.last_ok_sync {
-                versions_checked += verify_durable(&d3, &st, boundary, &what);
-            }
-        } else {
-            versions_checked += verify_full(&d3, &st);
-        }
-        let recovered = d3
-            .read_audit_records(&admin_ctx())
-            .unwrap_or_else(|e| panic!("{what}@r{r}: audit read failed: {e:?}"));
-        verify_audit_prefix(&recovered, &st, &what);
-        let traces = d3
-            .read_traces(&admin_ctx())
-            .unwrap_or_else(|e| panic!("{what}@r{r}: trace read failed: {e:?}"));
-        verify_trace_prefix(&traces, &st, &what);
+        versions_checked += c.check_versions(&d3);
+        c.check_streams(&d3);
         d3.clean()
             .unwrap_or_else(|e| panic!("{what}@r{r}: post-recovery clean failed: {e:?}"));
-        if died {
-            if let Some(boundary) = st.last_ok_sync {
-                versions_checked += verify_durable(&d3, &st, boundary, &what);
-            }
-        }
+        versions_checked += c.check_versions(&d3);
         r += step;
     }
 
     RecoveryCrashOutcome {
         crash_point: k,
         torn,
-        died,
+        died: c.died,
         recovery_requests,
         recovery_writes,
         second_replays,
@@ -1173,7 +928,7 @@ pub fn torture_crash_during_recovery(
 }
 
 /// Outcome of a crash-during-recovery campaign.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RecoverySummary {
     /// First-crash points probed.
     pub first_points: usize,
@@ -1200,13 +955,7 @@ pub fn enumerate_recovery_crashes(
     let (start, end) = golden.domain;
     assert!(end > start, "workload issued no countable requests");
     let n = first_points.max(1).min((end - start) as usize);
-    let mut summary = RecoverySummary {
-        first_points: 0,
-        second_replays: 0,
-        second_died: 0,
-        recovery_requests: 0,
-        versions_checked: 0,
-    };
+    let mut summary = RecoverySummary::default();
     for j in 0..n {
         // Midpoints of n equal slices of the domain.
         let k = start + (end - start) * (2 * j as u64 + 1) / (2 * n as u64);
@@ -1242,17 +991,13 @@ fn enumerate_with(
     let mut summary = TortureSummary {
         domain: golden.domain,
         sync_points: golden.sync_points,
-        crash_points: 0,
-        replays: 0,
-        died: 0,
-        versions_checked: 0,
-        torn_batches: 0,
+        ..TortureSummary::default()
     };
     let mut k = start;
     let mut j = 0usize;
     while k < end {
         summary.crash_points += 1;
-        for torn in cfg.patterns_at(j) {
+        for torn in patterns_at(&cfg.torn_patterns, cfg.patterns_per_point, j) {
             let outcome = replay(cfg, k, torn);
             summary.replays += 1;
             summary.died += outcome.died as usize;
@@ -1321,6 +1066,27 @@ mod tests {
         assert!(outcome.report.recovered_objects >= 1, "partition object");
     }
 
+    /// A fault armed past the workload never fires: the run is flushed
+    /// like the golden run, the power goes off anyway, and every
+    /// campaign holds the recovered drive to the golden bar — every
+    /// object at every checkpoint, twice or more.
+    #[test]
+    fn unfired_fault_is_held_to_the_golden_bar() {
+        let cfg = TortureConfig::bounded(0xB0A710AD);
+        let g = golden_run(&cfg);
+        let (k, torn) = (g.domain.1 + 50, TornPattern::Prefix(0));
+        let plain = torture_crash_point(&cfg, k, torn);
+        assert!(!plain.died);
+        assert_eq!(plain.versions_checked, 2 * g.versions);
+        let cleaned = torture_cleaner_between(&cfg, k, torn);
+        assert!(!cleaned.died);
+        assert_eq!(cleaned.versions_checked, 3 * g.versions);
+        let twice = torture_crash_during_recovery(&cfg, k, torn, Some(2));
+        let rounds = twice.second_replays;
+        assert!(!twice.died);
+        assert_eq!(twice.versions_checked, rounds * 2 * g.versions);
+    }
+
     #[test]
     fn torn_write_crash_point_holds_invariants() {
         let cfg = TortureConfig::bounded(0x5EED);
@@ -1353,7 +1119,7 @@ mod tests {
         assert_eq!(cfg.replays_per_point(), 2);
         let mut seen = std::collections::HashSet::new();
         for j in 0..cfg.torn_patterns.len() {
-            for p in cfg.patterns_at(j) {
+            for p in patterns_at(&cfg.torn_patterns, cfg.patterns_per_point, j) {
                 seen.insert(format!("{p:?}"));
             }
         }

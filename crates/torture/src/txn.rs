@@ -4,12 +4,11 @@
 //! The coordinator's window runs: *prepare* each participant shard
 //! (execute + journal-flush the yes-vote), durably install the
 //! *decision note* on shard 0 — the commit point — *fan out* the
-//! decision, then *retire* the note. This module reproduces that exact
-//! on-disk request sequence member-drive by member-drive (the same way
-//! `reshard_torture` reproduces the split protocol's states) and kills
-//! the power at **every countable device request inside the window, on
-//! every device, under every torn-sector pattern**, then remounts and
-//! asserts:
+//! decision, then *retire* the note. This module sends one cross-shard
+//! batch through [`S4Array::dispatch`] — the coordinator that ships —
+//! with every member device on one power rail, and kills the power at
+//! **every countable device request inside the window, on every device,
+//! under every torn-sector pattern**, then remounts and asserts:
 //!
 //! - **all-or-nothing**: after recovery, every participant object holds
 //!   the pre-transaction content or every one holds the
@@ -27,25 +26,21 @@
 //! fresh simulated clock, so campaigns are reproducible request-for-
 //! request.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use s4_array::{ArrayConfig, S4Array};
-use s4_clock::SimDuration;
-use s4_clock::SimClock;
+use s4_clock::{SimClock, SimDuration};
 use s4_core::{
-    ClientId, DriveConfig, ObjectId, OpKind, Request, RequestContext, Response, S4Error, TraceCtx,
-    UserId, PARTITION_OBJECT, PHASE_DECIDE, PHASE_NOTE, PHASE_PREPARE,
+    DriveConfig, ObjectId, Request, Response, TraceCtx, PHASE_DECIDE, PHASE_NOTE, PHASE_PREPARE,
 };
 use s4_simdisk::{FaultPlan, FaultyDisk, MemDisk, TornPattern};
 
-use crate::standard_patterns;
-use s4_txn::{note_name, TxId};
+use crate::{admin_ctx, patterns_at, standard_patterns, user_ctx, CRASH_MASK};
 
-use crate::CRASH_MASK;
-
-/// The fixed transaction id every replay uses: ids only need to be
-/// unique per array lifetime, and pinning it keeps replays
-/// byte-identical.
+/// The trace id every replay's batch carries, so `verify` can pick the
+/// transaction's spans out of each member's stream. (The array mints the
+/// transaction id itself, from the simulated clock: replays stay
+/// byte-identical.)
 const TXN_ID: u64 = 0x7777;
 
 /// Device capacity for every member (sparse in memory).
@@ -95,17 +90,7 @@ impl TxnTortureConfig {
 
     /// Replays performed per crash point.
     pub fn replays_per_point(&self) -> usize {
-        match self.patterns_per_point {
-            Some(m) => m.min(self.torn_patterns.len()),
-            None => self.torn_patterns.len(),
-        }
-    }
-
-    /// The torn patterns replayed at the `j`-th sampled crash point.
-    pub fn patterns_at(&self, j: usize) -> Vec<TornPattern> {
-        let n = self.torn_patterns.len();
-        let m = self.replays_per_point();
-        (0..m).map(|i| self.torn_patterns[(j * m + i) % n]).collect()
+        patterns_at(&self.torn_patterns, self.patterns_per_point, 0).len()
     }
 
     fn devices(&self) -> usize {
@@ -143,7 +128,7 @@ pub struct TxnCrashOutcome {
 }
 
 /// Outcome of a whole campaign.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TxnTortureSummary {
     /// Crash points in the full domain (all devices).
     pub domain: u64,
@@ -167,14 +152,6 @@ struct Rig {
     oids: Vec<ObjectId>,
 }
 
-fn user() -> RequestContext {
-    RequestContext::user(UserId(1), ClientId(1))
-}
-
-fn admin() -> RequestContext {
-    RequestContext::admin(ClientId(0), 42)
-}
-
 fn array_cfg(mirrors: usize) -> ArrayConfig {
     ArrayConfig {
         mirrors,
@@ -191,11 +168,14 @@ fn new_content(shard: usize) -> Vec<u8> {
 }
 
 /// Formats a fresh array, seeds one synced object per shard, then
-/// remounts it with `plans[i]` armed on device `i` — faults never fire
-/// during the seeding phase, and each `FaultyDisk` counter restarts at
-/// zero on the remount wrapper, so crash points index the remount +
-/// protocol requests only. The whole build is a pure function of
-/// `cfg` and `plans`.
+/// remounts it with `plans[i]` armed on device `i` and every device on
+/// one power rail: the instant the armed device dies the whole machine
+/// is dark, and whatever the coordinator tries next — abort fan-out,
+/// note scrub — reaches no platter. Faults never fire during the
+/// seeding phase, and each `FaultyDisk` counter restarts at zero on the
+/// remount wrapper, so crash points index the remount + protocol
+/// requests only. The whole build is a pure function of `cfg` and
+/// `plans`.
 fn build(cfg: &TxnTortureConfig, plans: Vec<FaultPlan>) -> Rig {
     assert_eq!(plans.len(), cfg.devices());
     let clock = SimClock::new();
@@ -213,7 +193,7 @@ fn build(cfg: &TxnTortureConfig, plans: Vec<FaultPlan>) -> Rig {
 
     // One participant object per shard, with synced pre-transaction
     // content.
-    let ctx = user();
+    let ctx = user_ctx();
     let mut oids: Vec<Option<ObjectId>> = vec![None; cfg.shards];
     while oids.iter().any(Option::is_none) {
         let oid = match a.dispatch(&ctx, &Request::Create).unwrap() {
@@ -236,11 +216,13 @@ fn build(cfg: &TxnTortureConfig, plans: Vec<FaultPlan>) -> Rig {
     }
     a.dispatch(&ctx, &Request::Sync).unwrap();
 
-    let devices = a.unmount().unwrap();
-    let devices = devices
+    let rail = Arc::default();
+    let devices = a
+        .unmount()
+        .unwrap()
         .into_iter()
         .zip(plans)
-        .map(|(d, plan)| FaultyDisk::new(d.into_inner(), plan))
+        .map(|(d, plan)| FaultyDisk::on_rail(d.into_inner(), plan, Arc::clone(&rail)))
         .collect();
     let (array, _) = S4Array::mount(
         devices,
@@ -252,74 +234,27 @@ fn build(cfg: &TxnTortureConfig, plans: Vec<FaultPlan>) -> Rig {
     Rig { array, oids }
 }
 
-/// Replays the coordinator's exact on-device request sequence against
-/// the member drives: prepare every shard (one pinned `t0` per shard,
-/// every member), install + sync the decision note on every shard-0
-/// member, fan the commit out, retire the note. Stops at the first
-/// error — once the armed device dies, the power is off and nothing
-/// later in the window runs.
-///
-/// The whole window runs traced (trace id = the pinned transaction id),
-/// mirroring the array workers span for span: prepare sub-requests
-/// dispatch under a `PHASE_PREPARE` context, and synthetic `PHASE_NOTE`
-/// / `PHASE_DECIDE` records land after the note install and the
-/// decision fan-out — so every replay also tortures the v2 trace
-/// records' crash survival alongside the data they annotate.
-fn run_protocol(rig: &Rig, cfg: &TxnTortureConfig) -> Result<(), S4Error> {
-    let trace = |phase| TraceCtx {
+/// Runs the transaction: one batch with a write to every shard's
+/// object, through the array's own dispatch — `split_batch`, the held
+/// gates, `s4_txn::run` and `ArrayTxn`'s abort and scrub branches
+/// included. The window runs traced (trace id = the pinned transaction
+/// id), so the shard workers leave their `PHASE_PREPARE` / `PHASE_NOTE`
+/// / `PHASE_DECIDE` spans and every replay also tortures the v2 trace
+/// records' crash survival alongside the data they annotate. Once the
+/// armed device dies the rail is dark, every later step fails, and the
+/// batch answers with an error.
+fn run_protocol(rig: &Rig) -> s4_core::Result<Response> {
+    let ctx = user_ctx().with_trace(TraceCtx {
         trace_id: TXN_ID,
         origin: 0,
-        phase,
-    };
-    let ctx = user().with_trace(trace(PHASE_PREPARE));
-    let adm = admin();
-    let note = note_name(TxId(TXN_ID));
-    let clock = rig.array.member_drive(0, 0).clock().clone();
-    for (s, &oid) in rig.oids.iter().enumerate() {
-        let reqs = vec![Request::Write {
-            oid,
-            offset: 0,
-            data: new_content(s),
-        }];
-        let t0 = clock.now();
-        clock.advance(SimDuration::from_micros(1));
-        for m in 0..cfg.mirrors {
-            rig.array
-                .member_drive(s, m)
-                .txn_prepare_at(&ctx, TXN_ID, t0, &reqs)?;
-        }
-    }
-    for m in 0..cfg.mirrors {
-        let d = rig.array.member_drive(0, m);
-        d.op_pcreate(&adm, &note, PARTITION_OBJECT)?;
-        d.op_sync(&adm)?;
-        d.record_phase_trace(
-            &adm.with_trace(trace(PHASE_NOTE)),
-            OpKind::PCreate,
-            PARTITION_OBJECT,
-            true,
-            0,
-        );
-    }
-    for s in 0..cfg.shards {
-        for m in 0..cfg.mirrors {
-            let d = rig.array.member_drive(s, m);
-            d.txn_decide(TXN_ID, true)?;
-            d.record_phase_trace(
-                &adm.with_trace(trace(PHASE_DECIDE)),
-                OpKind::Sync,
-                ObjectId(TXN_ID),
-                true,
-                0,
-            );
-        }
-    }
-    for m in 0..cfg.mirrors {
-        let d = rig.array.member_drive(0, m);
-        d.op_pdelete(&adm, &note)?;
-        d.op_sync(&adm)?;
-    }
-    Ok(())
+        phase: 0,
+    });
+    let writes = rig.oids.iter().enumerate().map(|(s, &oid)| Request::Write {
+        oid,
+        offset: 0,
+        data: new_content(s),
+    });
+    rig.array.dispatch(&ctx, &Request::Batch(writes.collect()))
 }
 
 /// Post-recovery invariant check. Returns `true` if the array holds
@@ -327,8 +262,8 @@ fn run_protocol(rig: &Rig, cfg: &TxnTortureConfig) -> Result<(), S4Error> {
 /// mix or any other violation. Also returns the per-object digests so
 /// the caller can assert remount idempotence.
 fn verify(a: &S4Array<Disk>, oids: &[ObjectId], what: &str) -> (bool, Vec<u64>) {
-    let ctx = user();
-    let adm = admin();
+    let ctx = user_ctx();
+    let adm = admin_ctx();
     let mut states = Vec::new();
     for (s, &oid) in oids.iter().enumerate() {
         let data = match a
@@ -414,30 +349,27 @@ fn verify(a: &S4Array<Disk>, oids: &[ObjectId], what: &str) -> (bool, Vec<u64>) 
 /// per-device crash-point windows.
 pub fn txn_golden(cfg: &TxnTortureConfig) -> TxnGoldenSummary {
     let rig = build(cfg, vec![FaultPlan::count_only(CRASH_MASK); cfg.devices()]);
+    let seen = || -> Vec<u64> {
+        let member = |i| rig.array.member_drive(i / cfg.mirrors, i % cfg.mirrors);
+        (0..cfg.devices())
+            .map(|i| member(i).log().device().requests_seen())
+            .collect()
+    };
     // Requests below the post-mount watermark belong to the remount,
     // not the window — the same remount replays see before their fault
     // arms, so it is excluded from the crash-point domain.
-    let devices_at_mount: Vec<u64> = {
-        // Mount already happened inside build(); a second golden build
-        // that skips the protocol measures its cost per device.
-        let idle = build(cfg, vec![FaultPlan::count_only(CRASH_MASK); cfg.devices()]);
-        idle.array
-            .crash()
-            .unwrap()
-            .iter()
-            .map(|d| d.requests_seen())
-            .collect()
-    };
-    run_protocol(&rig, cfg).expect("golden protocol run must not fail");
+    let devices_at_mount = seen();
+    run_protocol(&rig).expect("golden protocol run must not fail");
     let (committed, _) = verify(&rig.array, &rig.oids, "golden");
     assert!(committed, "golden run must commit");
     // Fault-free, the array is still live and no pending tail was lost:
     // the transaction's *complete* causal span set must be present —
     // every member vouches for its own PREPARE and DECIDE, and exactly
     // the shard-0 (coordinator) members for the NOTE commit point.
+    let adm = admin_ctx();
     for s in 0..cfg.shards {
         for m in 0..cfg.mirrors {
-            let traces = rig.array.member_drive(s, m).read_traces(&admin()).unwrap();
+            let traces = rig.array.member_drive(s, m).read_traces(&adm).unwrap();
             let phases: Vec<u8> = traces
                 .iter()
                 .filter(|t| t.trace_id == TXN_ID)
@@ -458,17 +390,19 @@ pub fn txn_golden(cfg: &TxnTortureConfig) -> TxnGoldenSummary {
             );
         }
     }
-    let totals: Vec<u64> = rig
-        .array
-        .crash()
-        .unwrap()
-        .iter()
-        .map(|d| d.requests_seen())
-        .collect();
-    let windows: Vec<(u64, u64)> = devices_at_mount.into_iter().zip(totals).collect();
+    let windows: Vec<(u64, u64)> = devices_at_mount.into_iter().zip(seen()).collect();
     let points = windows.iter().map(|(s, e)| e - s).sum();
     assert!(points > 0, "2PC window issued no countable requests");
     TxnGoldenSummary { windows, points }
+}
+
+/// Power comes back: revives every device and mounts the array on a
+/// fresh clock, running member recovery and in-doubt resolution.
+fn power_on(devices: Vec<Disk>, cfg: &TxnTortureConfig) -> S4Array<Disk> {
+    devices.iter().for_each(FaultyDisk::revive);
+    let (drive_cfg, array_cfg) = (DriveConfig::small_test(), array_cfg(cfg.mirrors));
+    let mounted = S4Array::mount(devices, drive_cfg, array_cfg, SimClock::new());
+    mounted.unwrap().0
 }
 
 /// One replay: arm a power-loss fault at countable request `k` of
@@ -484,7 +418,7 @@ pub fn txn_torture_point(
     let mut plans = vec![FaultPlan::none(); cfg.devices()];
     plans[victim] = FaultPlan::power_loss_with_pattern(k, torn, CRASH_MASK);
     let rig = build(cfg, plans);
-    let result = run_protocol(&rig, cfg);
+    let result = run_protocol(&rig);
 
     let devices = rig.array.crash().unwrap();
     let died = devices[victim].is_dead();
@@ -494,16 +428,7 @@ pub fn txn_torture_point(
             "protocol failed at point {k} on device {victim} without the fault firing: {result:?}"
         );
     }
-    for d in &devices {
-        d.revive();
-    }
-    let (a2, _) = S4Array::mount(
-        devices,
-        DriveConfig::small_test(),
-        array_cfg(cfg.mirrors),
-        SimClock::new(),
-    )
-    .unwrap();
+    let a2 = power_on(devices, cfg);
     let (committed, digests) = verify(&a2, &rig.oids, "first remount");
     if result.is_ok() {
         assert!(committed, "a completed protocol must stay committed");
@@ -511,17 +436,7 @@ pub fn txn_torture_point(
 
     // Idempotence: crash the recovered array and mount again — same
     // decision, byte-identical objects, still nothing in doubt.
-    let devices = a2.crash().unwrap();
-    for d in &devices {
-        d.revive();
-    }
-    let (a3, _) = S4Array::mount(
-        devices,
-        DriveConfig::small_test(),
-        array_cfg(cfg.mirrors),
-        SimClock::new(),
-    )
-    .unwrap();
+    let a3 = power_on(a2.crash().unwrap(), cfg);
     let (committed2, digests2) = verify(&a3, &rig.oids, "second remount");
     assert_eq!(committed, committed2, "remount flipped the decision");
     assert_eq!(digests, digests2, "remount changed recovered objects");
@@ -559,21 +474,16 @@ pub fn txn_campaign(cfg: &TxnTortureConfig) -> TxnTortureSummary {
     let mut summary = TxnTortureSummary {
         domain: golden.points,
         crash_points: picked.len(),
-        replays: 0,
-        died: 0,
-        committed: 0,
-        aborted: 0,
+        ..TxnTortureSummary::default()
     };
-    let mut by_outcome: BTreeMap<bool, u64> = BTreeMap::new();
     for (j, &(v, k)) in picked.iter().enumerate() {
-        for torn in cfg.patterns_at(j) {
+        for torn in patterns_at(&cfg.torn_patterns, cfg.patterns_per_point, j) {
             let out = txn_torture_point(cfg, v, k, torn);
             summary.replays += 1;
             summary.died += usize::from(out.died);
-            *by_outcome.entry(out.committed).or_insert(0) += 1;
+            summary.committed += usize::from(out.committed);
+            summary.aborted += usize::from(!out.committed);
         }
     }
-    summary.committed = by_outcome.get(&true).copied().unwrap_or(0) as usize;
-    summary.aborted = by_outcome.get(&false).copied().unwrap_or(0) as usize;
     summary
 }

@@ -7,7 +7,10 @@
 #    cursor itself (crates/lfs/src/codec.rs), the checksum kernels
 #    (crc.rs), the two dependency-free crates the cursor cannot reach
 #    (s4-delta, s4-obs) and the frame length in crates/fs/src/tcp.rs
-#    fails — every other decoder reads through s4_lfs::codec::Reader
+#    fails — every other decoder reads through s4_lfs::codec::Reader;
+#    and the test-fork census: a `cfg(feature` or an `env::var(` under
+#    tests/ or crates/*/tests/ fails — every test file compiles and runs
+#    in tier-1, and seeds are constants
 # 3. the full test suite, once (dev profile is optimized; see
 #    Cargo.toml). `--workspace` runs every crate's tests and every root
 #    tests/*.rs, so the bounded torture campaigns (write path with torn
@@ -81,6 +84,14 @@ done)
 [ -z "$hand_indexed" ] || {
   echo "$hand_indexed" >&2
   echo "verify: read these fields through s4_lfs::codec::Reader" >&2
+  exit 1
+}
+
+echo "== test-fork census (cfg(feature / env::var( under tests/)"
+forks=$(grep -rnE 'cfg\(feature|env::var\(' tests crates/*/tests || true)
+[ -z "$forks" ] || {
+  echo "$forks" >&2
+  echo "verify: every test file compiles and runs in tier-1; seeds are constants" >&2
   exit 1
 }
 

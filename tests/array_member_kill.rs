@@ -7,19 +7,17 @@
 //! full unmount/remount cycle — must stay a serializable interleaving
 //! of what the clients issued.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{check_interleaving, hammer, unwrap_arc};
 use s4_array::{ArrayConfig, MemberState, S4Array};
 use s4_clock::{SimClock, SimDuration};
-use s4_core::{
-    AuditRecord, ClientId, DriveConfig, ObjectId, OpKind, Request, RequestContext, Response,
-    UserId,
-};
-use s4_fs::{TcpServerHandle, TcpTransport, Transport};
+use s4_core::{AuditRecord, ClientId, DriveConfig, Request, RequestContext, Response, UserId};
+use s4_fs::{TcpServerHandle, TcpTransport};
 use s4_simdisk::{FaultPlan, FaultyDisk, MemDisk, RequestClassMask};
 
-const CLIENTS: u32 = 8;
-const WRITES_PER_CLIENT: u64 = 40;
 const SHARDS: usize = 4;
 const MIRRORS: usize = 2;
 
@@ -33,74 +31,6 @@ fn array_cfg() -> ArrayConfig {
     ArrayConfig {
         mirrors: MIRRORS,
         ..ArrayConfig::default()
-    }
-}
-
-fn unwrap_arc<T>(mut arc: Arc<T>) -> T {
-    for _ in 0..2000 {
-        match Arc::try_unwrap(arc) {
-            Ok(v) => return v,
-            Err(a) => {
-                arc = a;
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-        }
-    }
-    panic!("server threads still hold the handler");
-}
-
-/// 8 client threads: create one object each, write a recognizable
-/// sequence, sync every few writes (syncs force the replicas' disk
-/// traffic, which is what kills the victim mid-run). Every call must
-/// succeed — a dying mirror is the array's problem, not the client's.
-fn hammer(server: &TcpServerHandle) -> Vec<ObjectId> {
-    let addr = server.addr();
-    let threads: Vec<_> = (0..CLIENTS)
-        .map(|c| {
-            std::thread::spawn(move || {
-                let t = TcpTransport::connect(addr).unwrap();
-                let ctx = RequestContext::user(UserId(100 + c), ClientId(c));
-                let oid = match t.call(&ctx, &Request::Create).unwrap() {
-                    Response::Created(oid) => oid,
-                    other => panic!("unexpected response {other:?}"),
-                };
-                for seq in 0..WRITES_PER_CLIENT {
-                    t.call(
-                        &ctx,
-                        &Request::Write {
-                            oid,
-                            offset: seq,
-                            data: vec![c as u8; 8],
-                        },
-                    )
-                    .unwrap();
-                    if seq % 8 == 7 {
-                        t.call(&ctx, &Request::Sync).unwrap();
-                    }
-                }
-                t.call(&ctx, &Request::Sync).unwrap();
-                oid
-            })
-        })
-        .collect();
-    threads.into_iter().map(|t| t.join().unwrap()).collect()
-}
-
-/// Same serializability bar as the healthy-array stress test: per
-/// client, the audited writes form exactly the issued sequence.
-fn check_interleaving(records: &[AuditRecord], oids: &[ObjectId]) {
-    for c in 0..CLIENTS {
-        let issued: Vec<u64> = records
-            .iter()
-            .filter(|r| r.client == ClientId(c) && r.op == OpKind::Write)
-            .map(|r| {
-                assert!(r.ok, "client {c} write denied");
-                assert_eq!(r.object, oids[c as usize], "write audited on wrong object");
-                r.arg1
-            })
-            .collect();
-        let expect: Vec<u64> = (0..WRITES_PER_CLIENT).collect();
-        assert_eq!(issued, expect, "client {c} stream not serial");
     }
 }
 
@@ -138,7 +68,7 @@ fn member_kill_under_tcp_stress_is_invisible_and_resyncable() {
     let array = Arc::new(a);
 
     let server = TcpServerHandle::serve(array.clone(), "127.0.0.1:0").unwrap();
-    let oids = hammer(&server);
+    let oids = hammer(&server, Some(8));
 
     // The kill is visible on the admin plane — and only there: the
     // stats wire shows the degraded shard and the mirror count.

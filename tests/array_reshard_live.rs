@@ -6,21 +6,19 @@
 //! interleaving of what the clients issued, and the doubled array must
 //! survive a full unmount/remount cycle with the persisted epoch.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use common::{check_interleaving, hammer, unwrap_arc};
 use s4_array::{ArrayConfig, S4Array};
 use s4_clock::{SimClock, SimDuration};
-use s4_core::{
-    AuditRecord, ClientId, DriveConfig, ObjectId, OpKind, Request, RequestContext, Response,
-    UserId,
-};
-use s4_fs::{TcpServerHandle, TcpTransport, Transport};
+use s4_core::{AuditRecord, ClientId, DriveConfig, Request, RequestContext, Response, UserId};
+use s4_fs::{TcpServerHandle, TcpTransport};
 use s4_reshard::{double_array, ReshardConfig};
 use s4_simdisk::MemDisk;
 
-const CLIENTS: u32 = 8;
-const WRITES_PER_CLIENT: u64 = 40;
 const SHARDS: usize = 4;
 const MIRRORS: usize = 2;
 const PRELOAD: u64 = 24;
@@ -33,74 +31,6 @@ fn array_cfg() -> ArrayConfig {
     ArrayConfig {
         mirrors: MIRRORS,
         ..ArrayConfig::default()
-    }
-}
-
-fn unwrap_arc<T>(mut arc: Arc<T>) -> T {
-    for _ in 0..2000 {
-        match Arc::try_unwrap(arc) {
-            Ok(v) => return v,
-            Err(a) => {
-                arc = a;
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-        }
-    }
-    panic!("server threads still hold the handler");
-}
-
-/// 8 client threads: create one object each, write a recognizable
-/// sequence with periodic syncs. Every call must succeed — a reshard
-/// in flight is the array's problem, not the client's.
-fn hammer(server: &TcpServerHandle) -> Vec<ObjectId> {
-    let addr = server.addr();
-    let threads: Vec<_> = (0..CLIENTS)
-        .map(|c| {
-            std::thread::spawn(move || {
-                let t = TcpTransport::connect(addr).unwrap();
-                let ctx = RequestContext::user(UserId(100 + c), ClientId(c));
-                let oid = match t.call(&ctx, &Request::Create).unwrap() {
-                    Response::Created(oid) => oid,
-                    other => panic!("unexpected response {other:?}"),
-                };
-                for seq in 0..WRITES_PER_CLIENT {
-                    t.call(
-                        &ctx,
-                        &Request::Write {
-                            oid,
-                            offset: seq,
-                            data: vec![c as u8; 8],
-                        },
-                    )
-                    .unwrap();
-                    if seq % 8 == 7 {
-                        t.call(&ctx, &Request::Sync).unwrap();
-                    }
-                }
-                t.call(&ctx, &Request::Sync).unwrap();
-                oid
-            })
-        })
-        .collect();
-    threads.into_iter().map(|t| t.join().unwrap()).collect()
-}
-
-/// Per client, the audited writes form exactly the issued sequence —
-/// even though the writes may span the old shard's log and the new
-/// shard's log across the flip.
-fn check_interleaving(records: &[AuditRecord], oids: &[ObjectId]) {
-    for c in 0..CLIENTS {
-        let issued: Vec<u64> = records
-            .iter()
-            .filter(|r| r.client == ClientId(c) && r.op == OpKind::Write)
-            .map(|r| {
-                assert!(r.ok, "client {c} write denied");
-                assert_eq!(r.object, oids[c as usize], "write audited on wrong object");
-                r.arg1
-            })
-            .collect();
-        let expect: Vec<u64> = (0..WRITES_PER_CLIENT).collect();
-        assert_eq!(issued, expect, "client {c} stream not serial");
     }
 }
 
@@ -148,7 +78,7 @@ fn live_split_4_to_8_under_tcp_load_is_invisible() {
     let hammer_thread = {
         let s = hammer_server;
         std::thread::spawn(move || {
-            let oids = hammer(&s);
+            let oids = hammer(&s, Some(8));
             s.shutdown();
             oids
         })

@@ -5,93 +5,16 @@
 //! appear in issue order (the drive executed them one at a time in
 //! *some* global order), with no record lost and none duplicated.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{check_interleaving, hammer, unwrap_arc};
 use s4_array::{ArrayConfig, S4Array};
 use s4_clock::{SimClock, SimDuration};
-use s4_core::{
-    AuditRecord, ClientId, DriveConfig, ObjectId, OpKind, Request, RequestContext, Response,
-    S4Drive, UserId,
-};
-use s4_fs::{TcpServerHandle, TcpTransport, Transport};
+use s4_core::{AuditRecord, ClientId, DriveConfig, OpKind, RequestContext, S4Drive};
+use s4_fs::{TcpServerHandle, TcpTransport};
 use s4_simdisk::MemDisk;
-
-const CLIENTS: u32 = 8;
-const WRITES_PER_CLIENT: u64 = 40;
-
-/// Per-connection handler threads exit asynchronously once their client
-/// disconnects; wait them out before reclaiming sole ownership.
-fn unwrap_arc<T>(mut arc: Arc<T>) -> T {
-    for _ in 0..2000 {
-        match Arc::try_unwrap(arc) {
-            Ok(v) => return v,
-            Err(a) => {
-                arc = a;
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-        }
-    }
-    panic!("server threads still hold the handler");
-}
-
-/// Runs `CLIENTS` threads against the served handler. Client `c`
-/// creates one object, then issues `WRITES_PER_CLIENT` writes with
-/// offset = its own sequence number — the audit log records the offset
-/// as `arg1`, which lets the checker reconstruct issue order.
-fn hammer(server: &TcpServerHandle) -> Vec<ObjectId> {
-    let addr = server.addr();
-    let threads: Vec<_> = (0..CLIENTS)
-        .map(|c| {
-            std::thread::spawn(move || {
-                let t = TcpTransport::connect(addr).unwrap();
-                let ctx = RequestContext::user(UserId(100 + c), ClientId(c));
-                let oid = match t.call(&ctx, &Request::Create).unwrap() {
-                    Response::Created(oid) => oid,
-                    other => panic!("unexpected response {other:?}"),
-                };
-                for seq in 0..WRITES_PER_CLIENT {
-                    t.call(
-                        &ctx,
-                        &Request::Write {
-                            oid,
-                            offset: seq,
-                            data: vec![c as u8; 8],
-                        },
-                    )
-                    .unwrap();
-                }
-                t.call(&ctx, &Request::Sync).unwrap();
-                oid
-            })
-        })
-        .collect();
-    threads.into_iter().map(|t| t.join().unwrap()).collect()
-}
-
-/// Asserts the recovered audit stream is a serializable interleaving:
-/// per client, the `Write` records form exactly the issued sequence
-/// (offsets 0..WRITES_PER_CLIENT in order — no loss, no duplication,
-/// no reordering), and every record claims a known client.
-fn check_interleaving(records: &[AuditRecord], oids: &[ObjectId]) {
-    for c in 0..CLIENTS {
-        let issued: Vec<u64> = records
-            .iter()
-            .filter(|r| r.client == ClientId(c) && r.op == OpKind::Write)
-            .map(|r| {
-                assert!(r.ok, "client {c} write denied");
-                assert_eq!(r.object, oids[c as usize], "write audited on wrong object");
-                r.arg1
-            })
-            .collect();
-        let expect: Vec<u64> = (0..WRITES_PER_CLIENT).collect();
-        assert_eq!(issued, expect, "client {c} stream not serial");
-    }
-    let total = records
-        .iter()
-        .filter(|r| r.op == OpKind::Write && r.client.0 < CLIENTS)
-        .count() as u64;
-    assert_eq!(total, CLIENTS as u64 * WRITES_PER_CLIENT, "lost/extra writes");
-}
 
 #[test]
 fn tcp_stress_single_drive_audit_is_serializable() {
@@ -106,7 +29,7 @@ fn tcp_stress_single_drive_audit_is_serializable() {
         .unwrap(),
     );
     let server = TcpServerHandle::serve(drive.clone(), "127.0.0.1:0").unwrap();
-    let oids = hammer(&server);
+    let oids = hammer(&server, None);
     let stats = TcpTransport::connect(server.addr())
         .unwrap()
         .fetch_stats()
@@ -138,7 +61,7 @@ fn tcp_stress_array_merged_audit_is_serializable() {
         .unwrap(),
     );
     let server = TcpServerHandle::serve(array.clone(), "127.0.0.1:0").unwrap();
-    let oids = hammer(&server);
+    let oids = hammer(&server, None);
     // The aggregated exposition is served over the same wire.
     let stats = TcpTransport::connect(server.addr())
         .unwrap()

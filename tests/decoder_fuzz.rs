@@ -12,12 +12,10 @@
 //! so CI is deterministic, and a failure names the decoder, the mutation
 //! and the seed.
 //!
-//! This is where the `entry_decode_never_panics`,
-//! `delta_decode_never_panics` and `lzss_decompress_never_panics`
-//! properties of the `proptest-tests`-gated files actually run (that
-//! feature needs a crate the hermetic build cannot fetch), and the seed of
-//! ROADMAP item 8's structure-aware fuzzer. Core's crate-private decoders
-//! take the same mutations in their own unit tests.
+//! This is the seed of ROADMAP item 8's structure-aware fuzzer; the
+//! round-trip and model properties of the same codecs are in
+//! `tests/properties.rs`. Core's crate-private decoders take the same
+//! mutations in their own unit tests.
 
 use std::io::{Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -12,8 +12,11 @@
 //! mid-prepare from the clients' point of view — and demands the same
 //! guarantees from the survivors.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{unwrap_arc, CLIENTS};
 use s4_array::{ArrayConfig, MemberState, S4Array};
 use s4_clock::{SimClock, SimDuration};
 use s4_core::{
@@ -23,7 +26,6 @@ use s4_core::{
 use s4_fs::{TcpServerHandle, TcpTransport, Transport};
 use s4_simdisk::{BlockDev, FaultPlan, FaultyDisk, MemDisk, RequestClassMask};
 
-const CLIENTS: u32 = 8;
 const BATCHES_PER_CLIENT: u64 = 10;
 const SHARDS: usize = 4;
 const MIRRORS: usize = 2;
@@ -33,19 +35,6 @@ fn array_cfg() -> ArrayConfig {
         mirrors: MIRRORS,
         ..ArrayConfig::default()
     }
-}
-
-fn unwrap_arc<T>(mut arc: Arc<T>) -> T {
-    for _ in 0..2000 {
-        match Arc::try_unwrap(arc) {
-            Ok(v) => return v,
-            Err(a) => {
-                arc = a;
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-        }
-    }
-    panic!("server threads still hold the handler");
 }
 
 /// Each client creates one object per shard (creates round-robin until

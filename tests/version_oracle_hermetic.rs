@@ -1,25 +1,23 @@
-//! Randomized oracle tests for comprehensive versioning — hermetic
-//! edition.
+//! Randomized oracle tests for comprehensive versioning.
 //!
-//! `tests/version_oracle.rs` holds the proptest variant (shrinking,
-//! arbitrary case generation) behind the `proptest-tests` feature,
-//! because the hermetic tier-1 build cannot fetch external crates. This
-//! file runs the same drive-vs-oracle property on every `cargo test`,
-//! generating operation sequences from the in-tree xoshiro256** PRNG
-//! (`s4_workloads::Rng`): fixed seeds keep CI deterministic, and
-//! `S4_ORACLE_SEED=<n>` adds one operator-chosen case without a rebuild.
+//! Operation sequences come from the in-tree xoshiro256** PRNG
+//! (`s4_workloads::Rng`) on fixed seeds — edit `SEEDS` to try another —
+//! plus one fixed case a shrinking fuzzer once minimised. The model the
+//! drive is compared against is `s4_torture::oracle::Oracle`, the one
+//! the crash campaigns use; this file adds what their workload lacks:
+//! operations aimed at deleted objects (which must fail), the
+//! differencing pass (`Compact`, invisible to every read) and clean
+//! remounts mid-sequence.
 //!
-//! The op mix and verification mirror the proptest variant: arbitrary
-//! create/write/truncate/delete/setattr/sync/tick/compact sequences,
-//! then a full cross-product check — every object at every mutation
-//! instant must read back exactly what the oracle recorded, across syncs,
-//! history compaction, and clean remounts.
+//! After arbitrary create/write/truncate/delete/setattr/sync/tick/compact
+//! sequences comes the full cross-product check — every object at every
+//! mutation instant must read back exactly the contents, size and
+//! attribute blob the oracle recorded.
 
-use std::collections::HashMap;
-
-use s4_clock::{SimClock, SimDuration, SimTime};
+use s4_clock::{SimClock, SimDuration};
 use s4_core::{ClientId, DriveConfig, ObjectId, RequestContext, S4Drive, UserId};
 use s4_simdisk::MemDisk;
+use s4_torture::oracle::Oracle;
 use s4_workloads::Rng;
 
 #[derive(Debug, Clone)]
@@ -35,8 +33,7 @@ enum Op {
     Compact,
 }
 
-/// Draws one op with the proptest variant's weights
-/// (1:4:1:1:1:2:2:1 over the eight variants).
+/// Draws one op, weighted 1:4:1:1:1:2:2:1 over the eight variants.
 fn draw_op(rng: &mut Rng) -> Op {
     match rng.below(13) {
         0 => Op::Create,
@@ -68,25 +65,6 @@ fn gen_ops(seed: u64, n: usize) -> Vec<Op> {
     (0..n).map(|_| draw_op(&mut rng)).collect()
 }
 
-/// Oracle: full object states snapshotted at every instant a mutation
-/// happened.
-#[derive(Default, Clone)]
-struct OracleObject {
-    /// (time, contents, attr, alive); reads use the last state at or
-    /// before the query time.
-    history: Vec<(SimTime, Vec<u8>, u8, bool)>,
-}
-
-impl OracleObject {
-    fn at(&self, t: SimTime) -> Option<(&[u8], u8, bool)> {
-        self.history
-            .iter()
-            .rev()
-            .find(|(ht, _, _, _)| *ht <= t)
-            .map(|(_, d, a, alive)| (d.as_slice(), *a, *alive))
-    }
-}
-
 fn run_case(ops: Vec<Op>, remount_each: usize) {
     let clock = SimClock::new();
     clock.advance(SimDuration::from_secs(1));
@@ -99,110 +77,73 @@ fn run_case(ops: Vec<Op>, remount_each: usize) {
         .unwrap(),
     );
     let ctx = RequestContext::user(UserId(1), ClientId(1));
-    let admin = RequestContext::admin(ClientId(0), 42);
 
     let mut oids: Vec<ObjectId> = Vec::new();
-    let mut oracle: HashMap<u64, OracleObject> = HashMap::new();
-    let mut checkpoints: Vec<SimTime> = Vec::new();
+    let mut oracle = Oracle::default();
+    // The op's target and whether the oracle has it alive; `None` while
+    // nothing has been created (the op is skipped).
+    let target = |oids: &[ObjectId], oracle: &Oracle, obj: usize| {
+        let oid = *oids.get(obj % oids.len().max(1))?;
+        Some((oid, oracle.current(oid)?.alive))
+    };
 
     for (i, op) in ops.iter().enumerate() {
         let d = drive.as_ref().unwrap();
         // Mutations at distinct instants keep oracle comparison simple.
         clock.advance(SimDuration::from_millis(1));
-        match op {
+        match *op {
             Op::Create => {
                 let oid = d.op_create(&ctx, None).unwrap();
                 oids.push(oid);
-                let entry = oracle.entry(oid.0).or_default();
-                entry.history.push((d.now(), Vec::new(), 0, true));
+                oracle.create(oid, d.now());
             }
-            Op::Write { obj, offset, len, fill } if !oids.is_empty() => {
-                let oid = oids[obj % oids.len()];
-                let o = oracle.get_mut(&oid.0).unwrap();
-                let Some((data, attr, alive)) =
-                    o.at(SimTime::MAX).map(|(d, a, al)| (d.to_vec(), a, al))
-                else {
-                    continue;
-                };
-                if !alive {
-                    assert!(d
-                        .op_write(&ctx, oid, *offset as u64, &vec![*fill; *len as usize])
-                        .is_err());
-                    continue;
+            Op::Write { obj, offset, len, fill } => {
+                if let Some((oid, alive)) = target(&oids, &oracle, obj) {
+                    let data = vec![fill; len as usize];
+                    let r = d.op_write(&ctx, oid, offset as u64, &data);
+                    assert_eq!(r.is_ok(), alive, "write to {oid}: {r:?}");
+                    if alive {
+                        oracle.write(oid, d.now(), offset as u64, &data);
+                    }
                 }
-                let mut data = data;
-                let end = *offset as usize + *len as usize;
-                if data.len() < end {
-                    data.resize(end, 0);
+            }
+            Op::Truncate { obj, len } => {
+                if let Some((oid, alive)) = target(&oids, &oracle, obj) {
+                    let r = d.op_truncate(&ctx, oid, len as u64);
+                    assert_eq!(r.is_ok(), alive, "truncate of {oid}: {r:?}");
+                    if alive {
+                        oracle.truncate(oid, d.now(), len as u64);
+                    }
                 }
-                data[*offset as usize..end].fill(*fill);
-                d.op_write(&ctx, oid, *offset as u64, &vec![*fill; *len as usize])
-                    .unwrap();
-                o.history.push((d.now(), data, attr, true));
             }
-            Op::Truncate { obj, len } if !oids.is_empty() => {
-                let oid = oids[obj % oids.len()];
-                let o = oracle.get_mut(&oid.0).unwrap();
-                let Some((data, attr, alive)) =
-                    o.at(SimTime::MAX).map(|(d, a, al)| (d.to_vec(), a, al))
-                else {
-                    continue;
-                };
-                if !alive {
-                    assert!(d.op_truncate(&ctx, oid, *len as u64).is_err());
-                    continue;
+            Op::Delete { obj } => {
+                if let Some((oid, alive)) = target(&oids, &oracle, obj) {
+                    let r = d.op_delete(&ctx, oid);
+                    assert_eq!(r.is_ok(), alive, "delete of {oid}: {r:?}");
+                    if alive {
+                        oracle.delete(oid, d.now());
+                    }
                 }
-                let mut data = data;
-                data.resize(*len as usize, 0);
-                d.op_truncate(&ctx, oid, *len as u64).unwrap();
-                o.history.push((d.now(), data, attr, true));
             }
-            Op::Delete { obj } if !oids.is_empty() => {
-                let oid = oids[obj % oids.len()];
-                let o = oracle.get_mut(&oid.0).unwrap();
-                let Some((data, attr, alive)) =
-                    o.at(SimTime::MAX).map(|(d, a, al)| (d.to_vec(), a, al))
-                else {
-                    continue;
-                };
-                if !alive {
-                    assert!(d.op_delete(&ctx, oid).is_err());
-                    continue;
+            Op::SetAttr { obj, attr } => {
+                if let Some((oid, true)) = target(&oids, &oracle, obj) {
+                    d.op_setattr(&ctx, oid, vec![attr]).unwrap();
+                    oracle.set_attr(oid, d.now(), &[attr]);
                 }
-                d.op_delete(&ctx, oid).unwrap();
-                o.history.push((d.now(), data, attr, false));
             }
-            Op::SetAttr { obj, attr } if !oids.is_empty() => {
-                let oid = oids[obj % oids.len()];
-                let o = oracle.get_mut(&oid.0).unwrap();
-                let Some((data, _a, alive)) =
-                    o.at(SimTime::MAX).map(|(d, a, al)| (d.to_vec(), a, al))
-                else {
-                    continue;
-                };
-                if !alive {
-                    continue;
-                }
-                d.op_setattr(&ctx, oid, vec![*attr]).unwrap();
-                o.history.push((d.now(), data, *attr, true));
-            }
-            Op::Sync => {
-                d.op_sync(&ctx).unwrap();
-            }
+            Op::Sync => d.op_sync(&ctx).unwrap(),
             Op::Tick { secs } => {
-                clock.advance(SimDuration::from_secs(*secs as u64));
+                clock.advance(SimDuration::from_secs(secs as u64));
             }
             Op::Compact => {
                 d.compact_history().unwrap();
             }
-            _ => {}
         }
-        checkpoints.push(drive.as_ref().unwrap().now());
+        oracle.checkpoints.push(d.now());
 
         // Periodic remount (clean unmount): everything must survive.
         if remount_each > 0 && i % remount_each == remount_each - 1 {
-            let d = drive.take().unwrap();
-            let dev = d.unmount().unwrap();
+            let dev = drive.take().unwrap().unmount().unwrap();
             drive = Some(S4Drive::mount(dev, DriveConfig::small_test(), clock.clone()).unwrap());
         }
     }
@@ -210,37 +151,7 @@ fn run_case(ops: Vec<Op>, remount_each: usize) {
     // Final verification: every object at every checkpoint instant.
     let d = drive.as_ref().unwrap();
     d.op_sync(&ctx).unwrap();
-    for (&raw_oid, o) in &oracle {
-        let oid = ObjectId(raw_oid);
-        for &t in &checkpoints {
-            let Some((want_data, want_attr, alive)) = o.at(t) else {
-                // Object not yet created at t.
-                assert!(
-                    d.op_getattr(&admin, oid, Some(t)).is_err(),
-                    "{oid} should not exist at {t}"
-                );
-                continue;
-            };
-            if !alive {
-                assert!(
-                    d.op_read(&admin, oid, 0, 1 << 16, Some(t)).is_err(),
-                    "{oid} deleted at {t} but readable"
-                );
-                continue;
-            }
-            let got = d.op_read(&admin, oid, 0, 1 << 16, Some(t)).unwrap();
-            assert_eq!(got, want_data, "{oid} contents at {t}");
-            let attrs = d.op_getattr(&admin, oid, Some(t)).unwrap();
-            assert_eq!(attrs.size, want_data.len() as u64, "{oid} size at {t}");
-            // Attr blob is empty until the first SetAttr.
-            let want_attr_blob: Vec<u8> = if attrs.opaque.is_empty() {
-                Vec::new()
-            } else {
-                vec![want_attr]
-            };
-            assert_eq!(attrs.opaque, want_attr_blob, "{oid} attrs at {t}");
-        }
-    }
+    oracle.verify_full(d, "oracle");
 }
 
 /// Seeds chosen once, arbitrarily; each is a distinct deterministic case.
@@ -267,13 +178,16 @@ fn drive_matches_oracle_across_remounts() {
     }
 }
 
+/// The one failure a shrinking fuzzer recorded against this property
+/// (a write past a truncated tail), kept as a fixed case.
 #[test]
-fn drive_matches_oracle_env_seed() {
-    // One extra operator-chosen case: S4_ORACLE_SEED=<n> cargo test.
-    let seed = std::env::var("S4_ORACLE_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(0x09AC_1E5E_ED00_0000);
-    run_case(gen_ops(seed, 60), 0);
-    run_case(gen_ops(seed, 40), 12);
+fn write_past_a_truncated_tail_matches_oracle() {
+    let ops = vec![
+        Op::Create,
+        Op::Write { obj: 0, offset: 0, len: 3639, fill: 1 },
+        Op::Truncate { obj: 0, len: 1 },
+        Op::Write { obj: 0, offset: 2, len: 1, fill: 0 },
+    ];
+    run_case(ops.clone(), 0);
+    run_case(ops, 2);
 }
