@@ -152,6 +152,68 @@ fn cross_shard_commit_lands_every_sub_request_and_mirrors_agree() {
     assert_eq!(notes, 0, "retired decision notes");
 }
 
+/// Two-phase commit is for batches that *write* two shards. A batched
+/// `Sync` reaches every shard, but syncing a shard nothing was written
+/// to needs no vote: the NFS translator ends every op's batch with one
+/// (§4.1.2), and an op whose file and directory share a shard must cost
+/// one log flush, not a transaction.
+#[test]
+fn a_batch_that_writes_one_shard_and_syncs_is_not_a_transaction() {
+    let (a, _clock) = array(2, 2);
+    let ctx = user();
+    let (dir, odd) = one_per_shard(&a, &ctx);
+    let fresh = |class: u64| loop {
+        let oid = create(&a, &ctx);
+        if oid.0 % 2 == class {
+            break oid;
+        }
+    };
+    let (near, near2, far2) = (fresh(0), fresh(0), fresh(1));
+
+    // The translator's shapes for a file `x` in directory `dir`:
+    // setattr-after-create and remove.
+    let set_attr = |x| {
+        let attrs = vec![7; 8];
+        vec![
+            Request::SetAttr { oid: x, attrs },
+            write_req(dir, b"entry"),
+            Request::Sync,
+        ]
+    };
+    let remove = |x| {
+        vec![
+            Request::Delete { oid: x },
+            write_req(dir, b"gone"),
+            Request::Truncate { oid: dir, len: 2 },
+            Request::Sync,
+        ]
+    };
+    let run = |reqs: Vec<Request>, committed: u32| {
+        let what = format!("{reqs:?}");
+        let resp = a.dispatch(&ctx, &Request::Batch(reqs.clone())).unwrap();
+        let Response::Batch(rs) = resp else {
+            panic!("{what}: unexpected response {resp:?}");
+        };
+        assert_eq!(rs.len(), reqs.len(), "{what}: every slot answered once");
+        assert_eq!(rs.last(), Some(&Response::Ok), "{what}: the Sync slot");
+        let status = a.txn_status_text();
+        assert!(
+            status.starts_with(&format!("committed={committed} aborted=0 ")),
+            "{what}: {status}"
+        );
+        assert_mirrors_converged(&a);
+    };
+
+    // One writer: the plain path, whatever the Sync fans out to.
+    run(vec![write_req(dir, b"plain"), Request::Sync], 0);
+    run(set_attr(near), 0);
+    run(remove(near2), 0);
+    // Two writers: exactly one transaction each.
+    run(set_attr(odd), 1);
+    run(remove(far2), 2);
+    assert_eq!(read(&a, &ctx, dir, 8), b"go");
+}
+
 /// An audit observer that panics on every record — stands in for a
 /// buggy detection rule wedging one member's dispatch path.
 struct PanickingObserver;
