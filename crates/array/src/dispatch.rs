@@ -112,11 +112,9 @@ impl<D: BlockDev + 'static> S4Array<D> {
 
     /// Sends each of `shards` (dense, ascending) the request `job`
     /// builds for it under the routing snapshot `r`, then gathers the
-    /// responses in the same order — all sends complete before the
-    /// first reply is awaited, so distinct shards execute concurrently.
-    /// Blocks while a shard's queue is full — that is the backpressure
-    /// contract. Returns `None` without sending anything if the epoch
-    /// moved (see [`S4Array::hold`]); the caller replans.
+    /// responses in the same order. Returns `None` without sending
+    /// anything if the epoch moved (see [`S4Array::hold`]); the caller
+    /// replans.
     fn try_scatter(
         &self,
         r: &Routing<D>,
@@ -125,19 +123,9 @@ impl<D: BlockDev + 'static> S4Array<D> {
         job: impl Fn(usize) -> Request,
     ) -> Option<Vec<s4_core::Result<Response>>> {
         let gates = self.hold(r, shards, RwLock::read)?;
-        let mut pending = Vec::with_capacity(shards.len());
-        for &s in shards {
-            let (reply, rx) = mpsc::sync_channel(1);
-            let (ctx, req) = (*ctx, job(s));
-            pending.push(r.shards[s].send(Job::Rpc { ctx, req, reply }).then_some(rx));
-        }
+        let pending = send_each(r, ctx, shards, job);
         drop(gates);
-        // A closed queue and a worker that died before answering look
-        // the same from here.
-        let answer = |rx: Option<mpsc::Receiver<_>>| {
-            rx.and_then(|rx| rx.recv().ok()).unwrap_or(Err(WORKER_GONE))
-        };
-        Some(pending.into_iter().map(answer).collect())
+        Some(gather(pending))
     }
 
     /// Splits a batch across shards, runs the sub-batches concurrently,
@@ -147,13 +135,17 @@ impl<D: BlockDev + 'static> S4Array<D> {
     /// reserved for planning failures (nested batch, broadcast op
     /// inside a batch, orphan `LAST_CREATED`).
     ///
-    /// A batch that *mutates* more than one shard is not scattered
-    /// independently — it runs as one two-phase-commit transaction
-    /// (DESIGN §6i), so it takes effect on every shard or on none:
-    /// success looks identical to the scatter path, and failure is a
-    /// single [`BatchOutcome`] with `completed = 0` (the rollback undid
-    /// everything everywhere). Single-shard and read-only batches keep
-    /// the plain scatter path — they are trivially atomic already.
+    /// A batch that *writes* more than one shard ([`BatchPlan::writers`])
+    /// is not scattered independently — it runs as one
+    /// two-phase-commit transaction (DESIGN §6i), so it takes effect on
+    /// every shard or on none: success looks identical to the scatter
+    /// path, and failure is a single [`BatchOutcome`] with
+    /// `completed = 0` (the rollback undid everything everywhere). A
+    /// batch with at most one writer keeps the plain scatter path — it
+    /// is trivially atomic already, however many shards its reads and
+    /// its `Sync` reach.
+    ///
+    /// [`BatchPlan::writers`]: crate::router::BatchPlan::writers
     pub fn dispatch_batch_outcomes(
         &self,
         ctx: &RequestContext,
@@ -168,8 +160,8 @@ impl<D: BlockDev + 'static> S4Array<D> {
             })?;
             let touched: Vec<usize> = (0..n).filter(|&s| !plan.subs[s].is_empty()).collect();
             ctx.trace.origin = touched.first().map_or(0, |&s| s as u8);
-            let results = if touched.len() > 1 && reqs.iter().any(Request::mutates) {
-                self.dispatch_batch_txn(&r, &ctx, &plan.subs, &touched)
+            let results = if plan.writers.len() > 1 {
+                self.dispatch_batch_txn(&r, &ctx, &plan, &touched)
             } else {
                 self.try_scatter(&r, &ctx, &touched, |s| Request::Batch(plan.subs[s].clone()))
             };
@@ -249,6 +241,38 @@ impl<D: BlockDev + 'static> S4Array<D> {
                 .collect(),
         ))
     }
+}
+
+/// Replies owed by the shards a scatter was sent to, in send order
+/// (`None`: the shard's queue was already closed).
+pub(crate) type Pending = Vec<Option<mpsc::Receiver<s4_core::Result<Response>>>>;
+
+/// Queues on each of `shards` the request `job` builds for it; the
+/// caller holds their gates. Every send completes before the first
+/// reply is awaited ([`gather`]), so distinct shards execute
+/// concurrently. Blocks while a shard's queue is full — that is the
+/// backpressure contract.
+pub(crate) fn send_each<D: BlockDev + 'static>(
+    r: &Routing<D>,
+    ctx: &RequestContext,
+    shards: &[usize],
+    job: impl Fn(usize) -> Request,
+) -> Pending {
+    let send = |&s: &usize| {
+        let (reply, rx) = mpsc::sync_channel(1);
+        let (ctx, req) = (*ctx, job(s));
+        r.shards[s].send(Job::Rpc { ctx, req, reply }).then_some(rx)
+    };
+    shards.iter().map(send).collect()
+}
+
+/// Waits for every reply. A closed queue and a worker that died before
+/// answering look the same from here.
+pub(crate) fn gather(pending: Pending) -> Vec<s4_core::Result<Response>> {
+    let answer = |rx: Option<mpsc::Receiver<_>>| {
+        rx.and_then(|rx| rx.recv().ok()).unwrap_or(Err(WORKER_GONE))
+    };
+    pending.into_iter().map(answer).collect()
 }
 
 /// Combines per-shard responses of a broadcast request.

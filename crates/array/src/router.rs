@@ -113,6 +113,11 @@ pub struct BatchPlan {
     pub subs: Vec<Vec<Request>>,
     /// Per-shard slot → original-index map.
     pub slots: Vec<Vec<usize>>,
+    /// Shards (ascending) whose sub-batch holds a mutation other than
+    /// `Sync`. Two or more make the batch a transaction (DESIGN §6i)
+    /// with exactly these as participants: a shard that is only read or
+    /// synced has nothing to roll back, so it casts no vote.
+    pub writers: Vec<usize>,
     /// Number of sub-requests in the original batch.
     pub total: usize,
 }
@@ -138,6 +143,7 @@ pub fn split_batch(
     let mut plan = BatchPlan {
         subs: vec![Vec::new(); n],
         slots: vec![Vec::new(); n],
+        writers: Vec::new(),
         total: reqs.len(),
     };
     let mut last_created: Option<usize> = None;
@@ -174,6 +180,10 @@ pub fn split_batch(
         plan.subs[shard].push(sub.clone());
         plan.slots[shard].push(idx);
     }
+    let writes = |r: &Request| r.mutates() && *r != Request::Sync;
+    plan.writers = (0..n)
+        .filter(|&s| plan.subs[s].iter().any(writes))
+        .collect();
     Ok(plan)
 }
 
@@ -285,6 +295,17 @@ mod tests {
         assert_eq!(plan.slots[0], vec![2, 3]);
         assert_eq!(plan.subs[0][1], Request::Sync);
         assert_eq!(plan.total, 4);
+        assert_eq!(plan.writers, vec![0, 1], "both shards are written");
+
+        // A shard the batch only reads or syncs is touched, not written.
+        let read_6 = Request::GetAttr {
+            oid: ObjectId(6),
+            time: None,
+        };
+        let one_writer = [reqs[0].clone(), read_6, Request::Sync];
+        let plan = split_batch(&one_writer, &EpochInfo::initial(2), || 1).unwrap();
+        assert_eq!(plan.slots, vec![vec![1, 2], vec![0, 2]]);
+        assert_eq!(plan.writers, vec![1]);
     }
 
     #[test]

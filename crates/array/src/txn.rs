@@ -16,6 +16,8 @@ use s4_simdisk::BlockDev;
 use s4_txn::{note_name, TwoPhaseOps, TxId, TxnOutcome};
 
 use crate::array::{Routing, S4Array};
+use crate::dispatch::{gather, send_each};
+use crate::router::BatchPlan;
 use crate::shard::{in_phase, Shard};
 
 impl<D: BlockDev> Shard<D> {
@@ -71,16 +73,20 @@ impl<D: BlockDev> Shard<D> {
 
     /// Installs and/or retires array-internal notes in the shard's
     /// partition table (shard 0 only): create `create`, remove every
-    /// name in `remove`, then journal-flush. Reshard epoch notes and
-    /// transaction decision notes both ride this — the flush after the
-    /// create *is* their durability commit point (recovery replays the
-    /// journal, so the note survives a crash without paying for a full
-    /// anchor in the caller's window). It runs on the worker like any
-    /// mutation, so the partition object's bytes stay identical across
-    /// mirrors with respect to interleaved client `PCreate`s. Every
-    /// step is idempotent: a crash between members leaves a divergence
-    /// that [`S4Array::mount`] repairs (epoch notes: highest sequence
-    /// wins; transaction notes: any member's note commits the
+    /// name in `remove`, and — when something was created —
+    /// journal-flush. Reshard epoch notes and transaction decision
+    /// notes both ride this — the flush after the create *is* their
+    /// durability commit point (recovery replays the journal, so the
+    /// note survives a crash without paying for a full anchor in the
+    /// caller's window). A removal alone commits nothing, so it pays no
+    /// flush: it rides the shard's next one, and a crash that loses it
+    /// leaves a decision note whose transaction nobody is in doubt
+    /// about, which [`S4Array::mount`] retires again. It runs on the
+    /// worker like any mutation, so the partition object's bytes stay
+    /// identical across mirrors with respect to interleaved client
+    /// `PCreate`s. Every step is idempotent: a crash between members
+    /// leaves a divergence that mount repairs (epoch notes: highest
+    /// sequence wins; transaction notes: any member's note commits the
     /// transaction). `trace` is the transaction whose decision this is
     /// (default = untraced: epoch notes, lazy retires).
     pub(crate) fn note(
@@ -103,15 +109,16 @@ impl<D: BlockDev> Shard<D> {
                     Err(e) => return Err(e),
                 }
             }
+            if create.is_none() {
+                return Ok(());
+            }
             drive.op_sync(&admin)?;
             // A traced note (a 2PC decision install) leaves a span on
             // the member's trace stream *after* its durability barrier
             // — the record's presence means the commit point really
             // passed here.
-            if create.is_some() {
-                let ctx = in_phase(&admin.with_trace(trace), PHASE_NOTE);
-                drive.record_phase_trace(&ctx, OpKind::PCreate, PARTITION_OBJECT, true, 0);
-            }
+            let ctx = in_phase(&admin.with_trace(trace), PHASE_NOTE);
+            drive.record_phase_trace(&ctx, OpKind::PCreate, PARTITION_OBJECT, true, 0);
             Ok(())
         })
     }
@@ -192,28 +199,33 @@ impl<D: BlockDev + 'static> TwoPhaseOps for ArrayTxn<'_, D> {
     }
 
     fn retire_decision(&mut self, txid: TxId) -> Result<(), S4Error> {
-        // Lazy cleanup after the client already has its answer — not
-        // part of the request's causal story, so it stays untraced.
+        // Lazy cleanup, in the request's window but not part of its
+        // causal story (untraced) or of its cost (no flush: the
+        // `PDelete` rides shard 0's next one).
         let name = note_name(txid);
         self.r.shards[0].call(move |s| s.note(None, &[name], TraceCtx::default()))
     }
 }
 
 impl<D: BlockDev + 'static> S4Array<D> {
-    /// Runs a multi-shard mutating batch (`subs[s]` for each shard `s`
-    /// of `touched`) as one two-phase-commit transaction under the
-    /// routing snapshot `r`: prepare every participant (execute +
-    /// journal-flush the sub-batch), durably write the decision note on
-    /// shard 0 — the commit point — then fan the decision out.
-    /// Participant gates are held for the whole window, so a reshard
-    /// flip of a participant cannot interleave with the transaction.
-    /// Answers like a scatter, one result per touched shard; `None` if
-    /// the epoch moved before the gates were held (the caller replans).
+    /// Runs a batch that writes several shards as one two-phase-commit
+    /// transaction under the routing snapshot `r`. The participants are
+    /// `plan.writers`: prepare each (execute + journal-flush its
+    /// sub-batch), durably write the decision note on shard 0 — the
+    /// commit point — then fan the decision out. The other `touched`
+    /// shards, which the batch only reads or syncs, have nothing to
+    /// vote on: once the transaction committed they run their
+    /// sub-batches as a plain scatter (so a trailing `Sync` still
+    /// reaches, and is audited on, every shard). The gates of every
+    /// touched shard are held for the whole window, so a reshard flip
+    /// cannot interleave with the transaction. Answers like a scatter,
+    /// one result per touched shard; `None` if the epoch moved before
+    /// the gates were held (the caller replans).
     pub(crate) fn dispatch_batch_txn(
         &self,
         r: &Routing<D>,
         ctx: &RequestContext,
-        subs: &[Vec<Request>],
+        plan: &BatchPlan,
         touched: &[usize],
     ) -> Option<Vec<s4_core::Result<Response>>> {
         let gates = self.hold(r, touched, RwLock::read)?;
@@ -221,17 +233,27 @@ impl<D: BlockDev + 'static> S4Array<D> {
         let mut ops = ArrayTxn {
             r,
             ctx: *ctx,
-            subs,
+            subs: &plan.subs,
             responses: BTreeMap::new(),
             clock: &self.clock,
             reg: &self.txn_reg,
         };
-        let outcome = s4_txn::run(&mut ops, txid, touched);
+        let outcome = s4_txn::run(&mut ops, txid, &plan.writers);
         let mut responses = ops.responses;
+        // Once committed, the shards the batch only reads or syncs run
+        // their sub-batches; after an abort nobody runs anything.
+        let committed = matches!(outcome, TxnOutcome::Committed { .. });
+        let bystanders: Vec<usize> = touched
+            .iter()
+            .copied()
+            .filter(|s| committed && !plan.writers.contains(s))
+            .collect();
+        let after = send_each(r, ctx, &bystanders, |s| {
+            Request::Batch(plan.subs[s].clone())
+        });
         drop(gates);
 
         let count = |name, help, n: usize| self.txn_reg.counter(name, help).add(n as u64);
-        let voted = |s| Response::Batch(responses.remove(s).unwrap_or_default());
         match outcome {
             TxnOutcome::Committed { lagging } => {
                 count(
@@ -250,7 +272,13 @@ impl<D: BlockDev + 'static> S4Array<D> {
                         lagging.len(),
                     );
                 }
-                Some(touched.iter().map(voted).map(Ok).collect())
+                // Every writer voted; everyone else answers now.
+                let mut after = gather(after).into_iter();
+                let answer = |s| match responses.remove(s) {
+                    Some(voted) => Ok(Response::Batch(voted)),
+                    None => after.next().expect("one reply per bystander"),
+                };
+                Some(touched.iter().map(answer).collect())
             }
             TxnOutcome::Aborted {
                 failed_shard,

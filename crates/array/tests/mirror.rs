@@ -463,10 +463,17 @@ fn mirrors_agree_on_timed_disks_through_every_fan_out_user() {
     a.dispatch(&ctx, &Request::Batch(vec![put(even, b"first"), put(even, b"second")]))
         .unwrap();
     // The same with a flush in the middle — a device write. `Sync`
-    // inside a batch goes to every shard, so this one runs as a
-    // two-phase commit whose prepare executes `[Write, Sync, Write]`.
+    // inside a batch goes to every shard, but only shard 0 is written:
+    // still the plain path, `[Write, Sync, Write]` there, `[Sync]` on
+    // shard 1.
     let flushed = vec![put(even, b"third"), Request::Sync, put(even, b"fourth")];
     a.dispatch(&ctx, &Request::Batch(flushed)).unwrap();
+    // Two writers with the `Sync` between them: a two-phase commit
+    // whose prepares execute `[Write, Sync]` and `[Sync, Write]` — the
+    // `Sync` inside a prepare is audited at the job's instant and
+    // satisfied by the vote's flush.
+    let voted = vec![put(even, b"fifth"), Request::Sync, put(odd, b"sixth")];
+    a.dispatch(&ctx, &Request::Batch(voted)).unwrap();
     // A cross-shard batch that commits: prepare, decision note on shard
     // 0, decide, note retired.
     a.dispatch(&ctx, &Request::Batch(vec![put(even, b"both"), put(odd, b"both")]))

@@ -8,8 +8,8 @@ use s4_array::{ArrayConfig, BatchOutcome, S4Array};
 use s4_clock::{SimClock, SimDuration};
 use s4_core::rpc::LAST_CREATED;
 use s4_core::{
-    AuditObserver, AuditRecord, ClientId, DriveConfig, ObjectId, Request, RequestContext, Response,
-    S4Error, UserId,
+    AuditObserver, AuditRecord, ClientId, DriveConfig, ObjectId, OpKind, Request, RequestContext,
+    Response, S4Error, UserId,
 };
 use s4_simdisk::MemDisk;
 
@@ -212,6 +212,66 @@ fn a_batch_that_writes_one_shard_and_syncs_is_not_a_transaction() {
     run(set_attr(odd), 1);
     run(remove(far2), 2);
     assert_eq!(read(&a, &ctx, dir, 8), b"go");
+}
+
+/// The participants of a transaction are its writers. A shard the
+/// batch only reads or syncs casts no vote: it runs its sub-batch once
+/// the transaction has committed — the client's `Sync` is still audited
+/// on every shard it reached — and not at all after an abort.
+#[test]
+fn only_writers_vote_and_the_other_shards_follow_the_decision() {
+    let (a, _clock) = array(3, 2);
+    let ctx = user();
+    let mut oids = [None; 3];
+    while oids.iter().any(Option::is_none) {
+        let oid = create(&a, &ctx);
+        oids[a.shard_index_of(oid)].get_or_insert(oid);
+    }
+    let [x, y, z] = oids.map(Option::unwrap);
+    let syncs_on = |shard: usize| {
+        let audit = a.member_drive(shard, 1).read_audit_records(&admin());
+        let by_client = |r: &&AuditRecord| r.op == OpKind::Sync && r.client == ctx.client;
+        audit.unwrap().iter().filter(by_client).count()
+    };
+    let batch = |first: &[u8], second: ObjectId| {
+        let peek = Request::GetAttr { oid: z, time: None };
+        let reqs = vec![
+            write_req(x, first),
+            write_req(second, b"two"),
+            peek,
+            Request::Sync,
+        ];
+        a.dispatch(&ctx, &Request::Batch(reqs))
+    };
+
+    let Response::Batch(rs) = batch(b"one", y).unwrap() else {
+        panic!("a batch answers with a batch");
+    };
+    assert!(
+        matches!(rs[2], Response::Attrs(_)),
+        "the bystander's read: {:?}",
+        rs[2]
+    );
+    assert_eq!(rs[3], Response::Ok, "one answer for the Sync slot");
+    assert!(a.txn_status_text().starts_with("committed=1 aborted=0 "));
+    assert_eq!(
+        [0, 1, 2].map(syncs_on),
+        [1, 1, 1],
+        "audited where it reached"
+    );
+    assert_mirrors_converged(&a);
+
+    // The same with a write that shard 1 refuses: rolled back on shard
+    // 0, and shard 2 never hears of the batch.
+    let missing = ObjectId(y.0 + 3000);
+    let Err(S4Error::BatchFailed { completed, .. }) = batch(b"ONE", missing) else {
+        panic!("a refused prepare fails the batch");
+    };
+    assert_eq!(completed, 0, "the rollback undid every shard");
+    assert!(a.txn_status_text().starts_with("committed=1 aborted=1 "));
+    assert_eq!(read(&a, &ctx, x, 3), b"one");
+    assert_eq!(syncs_on(2), 1, "nothing ran on the bystander");
+    assert_mirrors_converged(&a);
 }
 
 /// An audit observer that panics on every record — stands in for a

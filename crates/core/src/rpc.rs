@@ -244,6 +244,19 @@ impl<D: BlockDev> S4Drive<D> {
             // re-enters dispatch and gets its own span + trace record.
             return self.dispatch_batch(ctx, reqs);
         }
+        self.audited(ctx, req, |drive| drive.execute(ctx, req))
+    }
+
+    /// The perimeter around one request: charge it, refuse it if its
+    /// object is pinned by a transaction, otherwise `run` it, then audit
+    /// and trace the outcome. `run` is [`Self::execute`] for every
+    /// request but one (see [`Self::txn_prepare_at`]).
+    fn audited(
+        &self,
+        ctx: &RequestContext,
+        req: &Request,
+        run: impl FnOnce(&Self) -> Result<Response>,
+    ) -> Result<Response> {
         self.stats().requests(1);
         s4_obs::span::begin();
         let t_start = self.clock().now().as_micros();
@@ -265,7 +278,7 @@ impl<D: BlockDev> S4Drive<D> {
         let result = if locked {
             Err(S4Error::BadRequest("object locked by an in-flight transaction"))
         } else {
-            self.execute(ctx, req)
+            run(self)
         };
 
         let (arg1, arg2) = req.audit_args();
@@ -401,6 +414,11 @@ impl<D: BlockDev> S4Drive<D> {
     /// are rolled back locally (scoped compensation) before the error
     /// propagates, so a refused prepare leaves no trace beyond audit
     /// records.
+    ///
+    /// A `Sync` among `reqs` is satisfied by the vote: its answer leaves
+    /// the drive only with the prepare's, which follows the vote's
+    /// flush of everything written so far, so it is audited and traced
+    /// like any request but issues no log flush of its own.
     pub fn txn_prepare(
         &self,
         ctx: &RequestContext,
@@ -451,7 +469,10 @@ impl<D: BlockDev> S4Drive<D> {
                     _ => {}
                 }
                 let resolved = substitute_oid(sub, last_created)?;
-                let resp = self.dispatch(ctx, &resolved)?;
+                let resp = match resolved {
+                    Request::Sync => self.audited(ctx, &resolved, |_| Ok(Response::Ok)),
+                    _ => self.dispatch(ctx, &resolved),
+                }?;
                 if let Response::Created(oid) = &resp {
                     last_created = Some(*oid);
                     touched_oids.push(oid.0);

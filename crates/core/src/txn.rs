@@ -59,7 +59,8 @@ impl<D: BlockDev> S4Drive<D> {
     /// touching exactly `oids` and adding partition `names`. The
     /// `Touched` record is flushed (making the effects and their scope
     /// durable) before this returns, so a vote that reached the
-    /// coordinator implies the effects survive any crash.
+    /// coordinator implies the effects survive any crash — which is
+    /// also all a `Sync` inside the sub-batch asked for.
     pub fn txn_vote(&self, txid: u64, oids: Vec<u64>, names: Vec<String>) -> Result<()> {
         let mut inner = self.inner.lock();
         if !inner.txn_pending.contains_key(&txid) {

@@ -2,11 +2,13 @@
 //! (DESIGN §6i).
 //!
 //! The coordinator's window runs: *prepare* each participant shard
-//! (execute + journal-flush the yes-vote), durably install the
-//! *decision note* on shard 0 — the commit point — *fan out* the
-//! decision, then *retire* the note. This module sends one cross-shard
-//! batch through [`S4Array::dispatch`] — the coordinator that ships —
-//! with every member device on one power rail, and kills the power at
+//! (execute + journal-flush the yes-vote, which also satisfies the
+//! batch's `Sync`), durably install the *decision note* on shard 0 —
+//! the commit point — *fan out* the decision, then *retire* the note,
+//! lazily: the removal waits for shard 0's next flush. This module
+//! sends one cross-shard batch through [`S4Array::dispatch`] — the
+//! coordinator that ships — with every member device on one power
+//! rail, and kills the power at
 //! **every countable device request inside the window, on every device,
 //! under every torn-sector pattern**, then remounts and asserts:
 //!
@@ -31,7 +33,8 @@ use std::sync::Arc;
 use s4_array::{ArrayConfig, S4Array};
 use s4_clock::{SimClock, SimDuration};
 use s4_core::{
-    DriveConfig, ObjectId, Request, Response, TraceCtx, PHASE_DECIDE, PHASE_NOTE, PHASE_PREPARE,
+    DriveConfig, ObjectId, Request, Response, S4Drive, TraceCtx, PHASE_DECIDE, PHASE_NOTE,
+    PHASE_PREPARE,
 };
 use s4_simdisk::{FaultPlan, FaultyDisk, MemDisk, TornPattern};
 
@@ -235,9 +238,11 @@ fn build(cfg: &TxnTortureConfig, plans: Vec<FaultPlan>) -> Rig {
 }
 
 /// Runs the transaction: one batch with a write to every shard's
-/// object, through the array's own dispatch — `split_batch`, the held
-/// gates, `s4_txn::run` and `ArrayTxn`'s abort and scrub branches
-/// included. The window runs traced (trace id = the pinned transaction
+/// object and the `Sync` every translator batch ends with (§4.1.2; the
+/// vote's flush stands in for it, so every crash point of that flush is
+/// a crash point of the `Sync`), through the array's own dispatch —
+/// `split_batch`, the held gates, `s4_txn::run` and `ArrayTxn`'s abort
+/// and scrub branches included. The window runs traced (trace id = the pinned transaction
 /// id), so the shard workers leave their `PHASE_PREPARE` / `PHASE_NOTE`
 /// / `PHASE_DECIDE` spans and every replay also tortures the v2 trace
 /// records' crash survival alongside the data they annotate. Once the
@@ -254,7 +259,8 @@ fn run_protocol(rig: &Rig) -> s4_core::Result<Response> {
         offset: 0,
         data: new_content(s),
     });
-    rig.array.dispatch(&ctx, &Request::Batch(writes.collect()))
+    let batch = writes.chain([Request::Sync]).collect();
+    rig.array.dispatch(&ctx, &Request::Batch(batch))
 }
 
 /// Post-recovery invariant check. Returns `true` if the array holds
@@ -448,6 +454,48 @@ pub fn txn_torture_point(
         died,
         committed,
     }
+}
+
+/// The crash no device request marks: the protocol completes — every
+/// participant resolved, the note retired in memory — and the power
+/// goes before shard 0 flushes again, so the lazy retire is lost.
+/// Returns how many shard-0 devices still hold the decision note (each
+/// is mounted alone to be asked, and cut off again). The array's mount
+/// must then find no participant in doubt, retire the note once more
+/// and leave every object new; a second crash and mount must change
+/// nothing.
+pub fn txn_lost_retire(cfg: &TxnTortureConfig) -> usize {
+    let rig = build(cfg, vec![FaultPlan::none(); cfg.devices()]);
+    run_protocol(&rig).expect("fault-free protocol run must not fail");
+    let mut notes_on_disk = 0;
+    let mut devices = Vec::new();
+    for (i, dev) in rig.array.crash().unwrap().into_iter().enumerate() {
+        if i >= cfg.mirrors {
+            devices.push(dev);
+            continue;
+        }
+        let lone = S4Drive::mount(dev, DriveConfig::small_test(), SimClock::new()).unwrap();
+        let listed = lone.op_plist(&admin_ctx(), None).unwrap();
+        notes_on_disk += listed
+            .iter()
+            .filter(|(n, _)| s4_txn::parse_note(n).is_some())
+            .count();
+        devices.push(lone.crash());
+    }
+
+    let a2 = power_on(devices, cfg);
+    let status = a2.txn_status_text();
+    assert!(
+        status.ends_with("recovered_commit=0 recovered_abort=0"),
+        "a lost retire left someone in doubt: {status}"
+    );
+    let (committed, digests) = verify(&a2, &rig.oids, "first remount");
+    assert!(committed, "a completed protocol must stay committed");
+    let a3 = power_on(a2.crash().unwrap(), cfg);
+    let (committed2, digests2) = verify(&a3, &rig.oids, "second remount");
+    assert!(committed2, "remount flipped the decision");
+    assert_eq!(digests, digests2, "remount changed recovered objects");
+    notes_on_disk
 }
 
 /// A full campaign: enumerate (or evenly sample) every `(device,

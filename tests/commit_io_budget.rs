@@ -44,17 +44,16 @@ fn settled_object(h: &impl RpcHandler, traces: &[TraceHandle]) -> ObjectId {
     oid
 }
 
+fn put_4k(oid: ObjectId) -> Request {
+    Request::Write {
+        oid,
+        offset: 0,
+        data: vec![0xA5; 4096],
+    }
+}
+
 fn write_4k(h: &impl RpcHandler, oid: ObjectId) {
-    let data = vec![0xA5; 4096];
-    h.handle(
-        &user(),
-        &Request::Write {
-            oid,
-            offset: 0,
-            data,
-        },
-    )
-    .unwrap();
+    h.handle(&user(), &put_4k(oid)).unwrap();
 }
 
 /// `(writes, reads, syncs)` summed over the traced devices.
@@ -80,21 +79,94 @@ fn write_plus_sync_on_a_lone_drive_is_one_device_write() {
     assert_eq!(io(&traces), (1, 0, 0), "an empty sync touches nothing");
 }
 
-#[test]
-fn write_plus_sync_on_a_mirrored_array_is_one_write_per_mirror() {
-    let (devices, traces): (Vec<Disk>, Vec<TraceHandle>) = (0..4).map(|_| traced_disk()).unzip();
+/// A `shards × mirrors` array on traced devices (device `i` is member
+/// `i % mirrors` of shard `i / mirrors`) with one settled object per
+/// shard, in shard order.
+fn traced_array(shards: usize, mirrors: usize) -> (S4Array<Disk>, Vec<TraceHandle>, Vec<ObjectId>) {
+    let (devices, traces): (Vec<Disk>, Vec<TraceHandle>) =
+        (0..shards * mirrors).map(|_| traced_disk()).unzip();
     let cfg = ArrayConfig {
-        mirrors: 2,
+        mirrors,
         ..ArrayConfig::default()
     };
     let array = S4Array::format(devices, DriveConfig::small_test(), cfg, clock()).unwrap();
-    let oid = settled_object(&array, &traces);
+    // `Create` is assigned round-robin.
+    let oids: Vec<ObjectId> = (0..shards)
+        .map(|_| settled_object(&array, &traces))
+        .collect();
+    let homes: Vec<usize> = oids.iter().map(|&o| array.shard_index_of(o)).collect();
+    assert_eq!(
+        homes,
+        (0..shards).collect::<Vec<_>>(),
+        "one object per shard"
+    );
+    (array, traces, oids)
+}
+
+#[test]
+fn write_plus_sync_on_a_mirrored_array_is_one_write_per_mirror() {
+    let (array, traces, oids) = traced_array(2, 2);
 
     // The write lands on one shard's two members; the sync is broadcast,
     // and the other shard has nothing to commit.
-    write_4k(&array, oid);
+    write_4k(&array, oids[0]);
     array.handle(&user(), &Request::Sync).unwrap();
     assert_eq!(io(&traces), (2, 0, 0));
+
+    // The same as one batch — every NFS op the translator sends (§4.1.2)
+    // — is the same commit, not a transaction.
+    traces.iter().for_each(TraceHandle::clear);
+    let batch = Request::Batch(vec![put_4k(oids[0]), Request::Sync]);
+    array.handle(&user(), &batch).unwrap();
+    assert_eq!(io(&traces), (2, 0, 0));
+    assert_eq!(io(&traces[2..]), (0, 0, 0), "nothing on the idle shard");
+    assert!(array
+        .txn_status_text()
+        .starts_with("committed=0 aborted=0 "));
+}
+
+/// A batch that writes two shards is a two-phase commit, and its budget
+/// is 3 log flushes per participant member (`Prepared`; the vote, which
+/// also satisfies the batch's `Sync`; `Resolved`) plus the decision note
+/// on each member of shard 0. Retiring the note costs nothing of its
+/// own.
+#[test]
+fn a_cross_shard_batch_is_seven_writes_and_its_retire_rides_the_next_flush() {
+    for mirrors in [1, 2] {
+        let (array, traces, oids) = traced_array(2, mirrors);
+        let (shard0, shard1) = traces.split_at(mirrors);
+        let batch = Request::Batch(vec![put_4k(oids[0]), put_4k(oids[1]), Request::Sync]);
+        array.handle(&user(), &batch).unwrap();
+        assert!(array
+            .txn_status_text()
+            .starts_with("committed=1 aborted=0 "));
+        let m = mirrors as u64;
+        assert_eq!(io(shard0), (4 * m, 0, 0), "{mirrors} mirror(s), shard 0");
+        assert_eq!(io(shard1), (3 * m, 0, 0), "{mirrors} mirror(s), shard 1");
+
+        // The note is already gone from shard 0's table (asked of the
+        // members: the array hides its own names from `PList`); the
+        // `PDelete` that removed it is one more entry in shard 0's next
+        // commit.
+        let admin = RequestContext::admin(ClientId(0), DriveConfig::small_test().admin_token);
+        for k in 0..mirrors {
+            let listed = array.member_drive(0, k).op_plist(&admin, None).unwrap();
+            let notes = listed
+                .iter()
+                .filter(|(n, _)| s4_txn::parse_note(n).is_some());
+            assert_eq!(notes.count(), 0, "decision note retired");
+        }
+        assert_eq!(io(&traces), (7 * m, 0, 0), "retiring paid no flush");
+        array.handle(&user(), &Request::Sync).unwrap();
+        // (One commit per member — in one transfer, or two where it
+        // straddles a segment boundary of `small_test`'s log.)
+        for member in shard0 {
+            assert!(
+                (5..=6).contains(&member.writes()),
+                "the retire rides this flush"
+            );
+        }
+    }
 }
 
 #[test]
