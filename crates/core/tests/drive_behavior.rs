@@ -517,6 +517,67 @@ fn object_cache_eviction_round_trips_objects() {
     );
 }
 
+/// An entry mount rebuilt from a checkpoint *plus* newer anchored journal
+/// is ahead of that checkpoint: evicting it must write a fresh one, not
+/// retire it to the stale one.
+#[test]
+fn a_synced_write_survives_mount_then_eviction() {
+    let clock = SimClock::new();
+    clock.advance(SimDuration::from_secs(1));
+    let mut config = DriveConfig::small_test();
+    config.object_cache_entries = 2;
+    let d = S4Drive::format(MemDisk::new(400_000), config, clock.clone()).unwrap();
+    let ctx = alice();
+    let a = d.op_create(&ctx, None).unwrap();
+    d.op_write(&ctx, a, 0, b"version one").unwrap();
+    d.op_sync(&ctx).unwrap();
+    // Three fillers push A out of the two-entry cache: it is
+    // checkpointed as "version one".
+    let fillers: Vec<ObjectId> = (0..3)
+        .map(|_| {
+            let oid = d.op_create(&ctx, None).unwrap();
+            d.op_write(&ctx, oid, 0, b"filler").unwrap();
+            d.op_sync(&ctx).unwrap();
+            oid
+        })
+        .collect();
+    d.op_write(&ctx, a, 0, b"VERSION TWO").unwrap();
+    d.op_sync(&ctx).unwrap();
+    let d = S4Drive::mount(d.unmount().unwrap(), config, clock).unwrap();
+    for oid in &fillers {
+        assert_eq!(d.op_read(&ctx, *oid, 0, 20, None).unwrap(), b"filler");
+    }
+    d.op_sync(&ctx).unwrap(); // evicts A again
+    let read = d.op_read(&ctx, a, 0, 20, None).unwrap();
+    assert_eq!(String::from_utf8_lossy(&read), "VERSION TWO");
+}
+
+/// Expiry may not retire journal the object's checkpoint does not cover
+/// (`benchmark`'s `expire_mount_probe`, in tier-1): write, sync and let
+/// the window pass four times, expire after the second and the fourth,
+/// remount cleanly, read.
+#[test]
+fn four_versions_two_expiries_and_a_clean_remount_read_back_the_fourth() {
+    let clock = SimClock::new();
+    clock.advance(SimDuration::from_secs(1));
+    let mut config = DriveConfig::small_test();
+    config.detection_window = SimDuration::from_secs(1);
+    let d = S4Drive::format(MemDisk::new(400_000), config, clock.clone()).unwrap();
+    let ctx = alice();
+    let oid = d.op_create(&ctx, None).unwrap();
+    for v in 1..=4u8 {
+        d.op_write(&ctx, oid, 0, &[v; 4096]).unwrap();
+        d.op_sync(&ctx).unwrap();
+        clock.advance(SimDuration::from_secs(2));
+        if v % 2 == 0 {
+            d.expire_versions().unwrap();
+        }
+    }
+    let d = S4Drive::mount(d.unmount().unwrap(), config, clock).unwrap();
+    let data = d.op_read(&ctx, oid, 0, 4096, None).unwrap();
+    assert_eq!((data[0], data.len()), (4, 4096), "version read back");
+}
+
 #[test]
 fn set_window_is_admin_only_and_effective() {
     let d = drive();
