@@ -970,6 +970,26 @@ mod tests {
         );
     }
 
+    /// The anchor's own state blocks are live until the next anchor
+    /// releases them, so mount's recount must go on counting them: a
+    /// count that leaves them out sinks one lower at every remount, until
+    /// the cleaner frees a segment that still holds a referenced block.
+    #[test]
+    fn a_recount_at_mount_keeps_the_anchor_state_blocks_counted() {
+        let log = small_log();
+        let a = log.append(tag(1, 0), b"x").unwrap();
+        log.write_anchor(b"OBJECT-MAP-STATE", 1, 1).unwrap();
+        let log = Log::mount(log.into_device(), 64).unwrap().log;
+        log.rebuild_live_counts([a]);
+        log.write_anchor(b"OBJECT-MAP-STATE", 2, 2).unwrap();
+        let usage = log.usage_snapshot();
+        let counted: u32 = (0..usage.num_segments())
+            .map(|s| usage.get(s).live_blocks)
+            .sum();
+        let state = log.state.lock().state_addrs.len() as u32;
+        assert_eq!(counted, 1 + state, "`a` and the current anchor's state");
+    }
+
     #[test]
     fn device_error_during_mount_fails_it() {
         use s4_simdisk::{FaultPlan, FaultyDisk, RequestClassMask};
