@@ -651,11 +651,13 @@ impl<D: BlockDev> Log<D> {
     /// authoritative set of reachable block addresses (used after crash
     /// recovery, when batches replayed from the log may include blocks —
     /// e.g. cleaner relocations or orphaned checkpoints — that the
-    /// recovered object state no longer references).
+    /// recovered object state no longer references). The current anchor's
+    /// own state blocks stay counted: the next anchor releases them.
     pub fn rebuild_live_counts<I: IntoIterator<Item = BlockAddr>>(&self, live: I) {
+        let state = self.state.lock().state_addrs.clone();
         let mut usage = self.usage.lock();
         usage.zero_live();
-        for a in live {
+        for a in live.into_iter().chain(state) {
             usage.add_live(self.geo.segment_of(a), 1);
         }
     }
