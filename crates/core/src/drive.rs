@@ -14,8 +14,8 @@
 //!
 //! Crash recovery (mount) reloads the anchored object map, re-applies
 //! journal sectors newer than each checkpoint and every journal block
-//! flushed after the anchor, then rebuilds the reachable-block set (and
-//! from it the segment usage counts) from first principles.
+//! flushed after the anchor, then derives the ledger of reachable blocks
+//! (and from it the segment usage counts) from the recovered table.
 //!
 //! This file holds the configuration, the drive's state (`Inner`, behind
 //! one mutex), the format/mount entry points, the accessors, and the
@@ -25,7 +25,7 @@
 //! `expiry`, `persist`, `txn`, `recovery` and [`crate::reserved`], each
 //! beside the state it works on; DESIGN §5 has the module map.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use s4_clock::sync::Mutex;
@@ -39,8 +39,9 @@ use s4_simdisk::BlockDev;
 use crate::acl::{AclTable, Perm};
 use crate::audit::{AuditRecord, OpKind};
 use crate::ids::{ObjectId, RequestContext};
+use crate::ledger::Ledger;
 use crate::object::{ObjectEntry, Slot};
-use crate::packed::{self, PackedBlocks};
+use crate::packed;
 use crate::persist::{read_checkpoint, read_subsector};
 use crate::reserved::{Framing, ReservedLog};
 use crate::stats::DriveStats;
@@ -258,16 +259,9 @@ pub(crate) struct Inner {
     /// One-shot latch for the alert-object growth self-alert.
     pub(crate) alert_growth_warned: bool,
     /// Every reachable block (current data, in-window history, journal
-    /// blocks, checkpoints, audit blocks). Rebuilt from first principles
-    /// at mount.
-    pub(crate) live: BTreeSet<u64>,
-    /// The three shared-container kinds (see [`crate::packed`]): journal
-    /// blocks referenced from objects' sector lists, shared checkpoint
-    /// blocks referenced from checkpoint roots, and delta blocks
-    /// referenced from objects' delta maps.
-    pub(crate) jblocks: PackedBlocks,
-    pub(crate) cpblocks: PackedBlocks,
-    pub(crate) dblocks: PackedBlocks,
+    /// blocks, checkpoints, deltas, stream blocks) and the references
+    /// holding it. Derived from the rest of this state at mount.
+    pub(crate) ledger: Ledger,
     throttle: ThrottleState,
     pub(crate) syncs_since_anchor: u32,
     lru: u64,
@@ -950,9 +944,7 @@ impl<D: BlockDev> S4Drive<D> {
         let data = self.materialize_block(entry, addr)?;
         let trimmed = data.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
         let tag = BlockTag::new(BlockKind::Data, entry.meta.id, lbn);
-        let new = self.log.append(tag, &data[..trimmed])?;
-        inner.live.insert(new.0);
-        Ok(new)
+        Ok(inner.ledger.append(&self.log, tag, &data[..trimmed], 1)?)
     }
 
     /// The one place a mutation becomes a version: applies `e` to the
@@ -1001,10 +993,8 @@ impl<D: BlockDev> S4Drive<D> {
             let src = (copy_from - offset) as usize..(copy_to - offset) as usize;
             content[(copy_from - block_start) as usize..(copy_to - block_start) as usize]
                 .copy_from_slice(&data[src]);
-            let new = self
-                .log
-                .append(BlockTag::new(BlockKind::Data, entry.meta.id, lbn), &content)?;
-            inner.live.insert(new.0);
+            let tag = BlockTag::new(BlockKind::Data, entry.meta.id, lbn);
+            let new = inner.ledger.append(&self.log, tag, &content, 1)?;
             changes.push(PtrChange {
                 lbn,
                 old: old.unwrap_or(BlockAddr::NONE),
@@ -1171,10 +1161,7 @@ impl Inner {
             alerts: ReservedLog::new(ALERT_OBJECT, Framing::Blobs),
             traces: ReservedLog::new(TRACE_OBJECT, Framing::Blobs),
             alert_growth_warned: false,
-            live: BTreeSet::new(),
-            jblocks: packed::JOURNAL,
-            cpblocks: packed::CHECKPOINTS,
-            dblocks: packed::DELTAS,
+            ledger: Ledger::default(),
             throttle: ThrottleState::new(config.throttle),
             syncs_since_anchor: 0,
             lru: 0,
@@ -1184,12 +1171,11 @@ impl Inner {
     }
 
     /// The three reserved streams, in the order their blocks reach the
-    /// log at an anchor, beside the reachable-block set their appends
-    /// register in.
-    pub(crate) fn streams_mut(&mut self) -> ([&mut ReservedLog; 3], &mut BTreeSet<u64>) {
+    /// log at an anchor, beside the ledger their appends enter.
+    pub(crate) fn streams_mut(&mut self) -> ([&mut ReservedLog; 3], &mut Ledger) {
         (
             [&mut self.audit, &mut self.alerts, &mut self.traces],
-            &mut self.live,
+            &mut self.ledger,
         )
     }
 

@@ -94,7 +94,7 @@ impl<D: BlockDev> S4Drive<D> {
                         let base = entry.resolve_forward(seq[i + 1]);
                         if target == base
                             || entry.deltas.contains_key(&target.0)
-                            || !inner.live.contains(&target.0)
+                            || !inner.ledger.holds(target)
                             || entry.is_landmark_block(target)
                         {
                             succ_content = None;
@@ -129,24 +129,18 @@ impl<D: BlockDev> S4Drive<D> {
         // Pack delta payloads into shared blocks and install references;
         // every encoded block releases its original.
         let mut encoded = 0u64;
-        let Inner {
-            table,
-            live,
-            dblocks,
-            ..
-        } = inner;
-        dblocks.pack(
+        let Inner { table, ledger, .. } = inner;
+        packed::DELTAS.pack(
             &self.log,
-            live,
+            ledger,
             payloads,
-            |live, block, slot, oid, (key, base)| {
+            |ledger, block, slot, oid, (key, base)| {
                 if let Some(Slot::Cached(entry)) = table.get_mut(&oid) {
                     entry.deltas.insert(key, DeltaRef { base, block, slot });
                     entry.needs_checkpoint = true;
                     entry.dirty = true;
                     // The original block's bytes are no longer needed.
-                    live.remove(&key);
-                    self.log.release_blocks([BlockAddr(key)]);
+                    ledger.release(&self.log, BlockAddr(key), BlockKind::Data);
                     encoded += 1;
                 }
             },
@@ -194,8 +188,8 @@ impl<D: BlockDev> S4Drive<D> {
                     released += self.release_history_block(inner, entry, c.old)?;
                 }
                 released += inner
-                    .jblocks
-                    .release_ref(&self.log, &mut inner.live, first.addr);
+                    .ledger
+                    .release(&self.log, first.addr, BlockKind::JournalSector);
                 entry.history_floor = first.newest;
                 entry.sectors.remove(0);
                 entry.dirty = true;
@@ -241,8 +235,8 @@ impl<D: BlockDev> S4Drive<D> {
         // when the delta was installed.
         if let Some(dref) = entry.deltas.remove(&key.0) {
             return Ok(inner
-                .dblocks
-                .release_ref(&self.log, &mut inner.live, dref.block));
+                .ledger
+                .release(&self.log, dref.block, BlockKind::DeltaData));
         }
         // Blocks whose deltas are based on `key` must be re-materialized
         // before the base disappears.
@@ -257,14 +251,12 @@ impl<D: BlockDev> S4Drive<D> {
             let new = self.rematerialize(inner, entry, BlockAddr(dep), 0)?;
             let dref = entry.deltas.remove(&dep).expect("collected above");
             released += inner
-                .dblocks
-                .release_ref(&self.log, &mut inner.live, dref.block);
+                .ledger
+                .release(&self.log, dref.block, BlockKind::DeltaData);
             entry.forwards.insert(dep, new.0);
             entry.needs_checkpoint = true;
         }
-        inner.live.remove(&key.0);
-        self.log.release_blocks([key]);
-        Ok(released + 1)
+        Ok(released + inner.ledger.release(&self.log, key, BlockKind::Data))
     }
 
     /// Rewrites one object's history with versions in `[from, to]`
@@ -417,8 +409,8 @@ impl<D: BlockDev> S4Drive<D> {
         // history.
         for s in entry.sectors.drain(..) {
             inner
-                .jblocks
-                .release_ref(&self.log, &mut inner.live, s.addr);
+                .ledger
+                .release(&self.log, s.addr, BlockKind::JournalSector);
         }
         entry.meta.journal_head = BlockAddr::NONE;
         entry.pending = kept;
@@ -430,16 +422,15 @@ impl<D: BlockDev> S4Drive<D> {
 
 impl<D: BlockDev> RelocationCallbacks for S4Drive<D> {
     fn is_live(&self, _tag: &BlockTag, addr: BlockAddr) -> bool {
-        self.inner.lock().live.contains(&addr.0)
+        self.inner.lock().ledger.holds(addr)
     }
 
     fn relocate(&self, tag: &BlockTag, addr: BlockAddr, data: &[u8]) -> s4_lfs::Result<()> {
         let inner = &mut *self.inner.lock();
-        // Every kind but checkpoints moves by copy.
+        // Every kind but checkpoints moves by copy, its references with it.
         let copy = |inner: &mut Inner| -> s4_lfs::Result<BlockAddr> {
-            let new = self.log.append(*tag, data)?;
-            inner.live.remove(&addr.0);
-            inner.live.insert(new.0);
+            let new = inner.ledger.append(&self.log, *tag, data, 1)?;
+            inner.ledger.moved(addr, new);
             Ok(new)
         };
         match tag.kind {
@@ -465,7 +456,6 @@ impl<D: BlockDev> RelocationCallbacks for S4Drive<D> {
             }
             BlockKind::JournalSector => {
                 let new = copy(inner)?;
-                inner.jblocks.relocated(addr, new);
                 // Every object with a sector in this block must re-point.
                 for sub in packed::JOURNAL.split(data).unwrap_or_default() {
                     let Ok((oid, _, _)) = decode_sector(&sub) else {
@@ -487,8 +477,7 @@ impl<D: BlockDev> RelocationCallbacks for S4Drive<D> {
                 // Rewrite fresh checkpoints for every object whose
                 // checkpoint lives in this block, instead of copying the
                 // stale bytes.
-                inner.live.remove(&addr.0);
-                inner.cpblocks.forget(addr);
+                inner.ledger.forget(addr);
                 let oids: Vec<u64> = match packed::CHECKPOINTS.split(data) {
                     Ok(subs) => subs
                         .iter()
@@ -511,11 +500,10 @@ impl<D: BlockDev> RelocationCallbacks for S4Drive<D> {
                     repack.push(oid);
                     // Drop the stale chain without touching the block
                     // being reclaimed.
-                    for cp in stale_chain {
-                        inner.live.remove(&cp.0);
-                        if cp != addr {
-                            self.log.release_blocks([cp]);
-                        }
+                    for cp in stale_chain.into_iter().filter(|cp| *cp != addr) {
+                        inner
+                            .ledger
+                            .release(&self.log, cp, BlockKind::ObjectCheckpoint);
                     }
                 }
                 self.pack_checkpoints(inner, &repack)
@@ -523,7 +511,6 @@ impl<D: BlockDev> RelocationCallbacks for S4Drive<D> {
             }
             BlockKind::DeltaData => {
                 let new = copy(inner)?;
-                inner.dblocks.relocated(addr, new);
                 // Re-point every (object, key) delta reference into the
                 // relocated block.
                 for sub in packed::DELTAS.split(data).unwrap_or_default() {

@@ -137,10 +137,10 @@ impl<D: BlockDev> S4Drive<D> {
             }
             inner.next_oid = inner.next_oid.max(image.next_oid);
 
-            let (streams, live) = inner.streams_mut();
+            let (streams, ledger) = inner.streams_mut();
             let images = [&image.audit, &image.alerts, &image.traces];
             for (s, image) in streams.into_iter().zip(images) {
-                s.restore(&drive.log, live, image)?;
+                s.restore(&drive.log, ledger, image)?;
             }
         }
         drive.force_anchor()?;

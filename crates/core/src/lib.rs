@@ -67,6 +67,7 @@ pub mod drive;
 mod expiry;
 pub mod ids;
 mod image;
+mod ledger;
 pub mod object;
 mod ops;
 mod packed;
@@ -88,6 +89,7 @@ pub use ids::{
     ClientId, ObjectId, RequestContext, TraceCtx, TraceIdGen, UserId, ADMIN_USER, PHASE_APPLY,
     PHASE_CATCHUP, PHASE_CLIENT, PHASE_DECIDE, PHASE_NOTE, PHASE_PREPARE,
 };
+pub use ledger::Discrepancy;
 pub use reserved::{ResyncStream, StreamCursor, MAX_ALERT_BYTES};
 pub use rpc::{Request, Response};
 pub use s4_obs::TraceRecord;

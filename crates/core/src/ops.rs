@@ -7,6 +7,7 @@
 
 use s4_clock::{SimDuration, SimTime};
 use s4_journal::{JournalEntry, ObjectMeta};
+use s4_lfs::BlockKind;
 use s4_simdisk::BlockDev;
 
 use crate::acl::{AclEntry, AclTable, Perm};
@@ -455,8 +456,7 @@ impl<D: BlockDev> S4Drive<D> {
                     let current = entry.meta.blocks.values().any(|&a| a == addr);
                     let retained_floor = entry.history_floor;
                     if !current && m.modified <= retained_floor {
-                        inner.live.remove(&addr.0);
-                        self.log.release_blocks([addr]);
+                        inner.ledger.release(&self.log, addr, BlockKind::Data);
                     }
                 }
             }

@@ -1,13 +1,13 @@
-//! Shared containers (§4.2.2), implemented once.
+//! Shared containers (§4.2.2), the format implemented once.
 //!
 //! The paper packs the 512-byte journal sectors of many objects into
 //! shared log blocks, and sizes on-disk inodes the same way. The drive
 //! has three kinds of record too small to deserve a 4 KiB block each —
 //! journal sectors, small metadata checkpoints, and cross-version deltas
-//! — and `PackedBlocks` is the one mechanism behind all of them: fill a
-//! block greedily, append it, register it reachable, count how many of
-//! its slots are still referenced, and release the block when the last
-//! reference goes.
+//! — and `PackedBlocks` is the one format behind all of them: fill a
+//! block greedily, append it held by one reference per slot, and split
+//! it back. How many of a block's slots are still referenced is the
+//! [`Ledger`]'s business, like every other block's.
 //!
 //! What differs between the kinds is what a slot *means* (whose sector
 //! list, checkpoint root or delta map points at it) and what the cleaner
@@ -22,12 +22,11 @@
 //! for shared checkpoint blocks (a dedicated checkpoint chain tags its
 //! blocks with their chunk index, so the cleaner can tell the two apart).
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use s4_lfs::{BlockAddr, BlockKind, BlockTag, Log, BLOCK_SIZE};
 use s4_simdisk::BlockDev;
 
 use crate::codec::{push_bytes, Reader};
+use crate::ledger::Ledger;
 use crate::{Result, S4Error};
 
 /// Container bytes ahead of the first slot: magic and count.
@@ -37,13 +36,11 @@ const HEADER: usize = 6;
 /// its bytes, and whatever the caller wants back at install time.
 pub(crate) type Item<T> = (u64, Vec<u8>, T);
 
-/// The containers of one kind: their identity on disk plus, per block,
-/// the number of slots some object still references.
-#[derive(Clone, Debug)]
+/// The containers of one kind: their identity on disk.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct PackedBlocks {
     magic: u32,
     kind: BlockKind,
-    refs: BTreeMap<u64, u32>,
 }
 
 /// Journal blocks: several objects' journal sectors per block.
@@ -56,46 +53,42 @@ pub(crate) const DELTAS: PackedBlocks = PackedBlocks::of(0x5334_4444, BlockKind:
 
 impl PackedBlocks {
     const fn of(magic: u32, kind: BlockKind) -> PackedBlocks {
-        PackedBlocks {
-            magic,
-            kind,
-            refs: BTreeMap::new(),
-        }
+        PackedBlocks { magic, kind }
     }
 
     /// Packs `items`, in order, into as few blocks as hold them: a block
     /// is appended the moment the next item would not fit. Each placed
-    /// slot goes to `install(live, addr, slot, oid, what)` right after
+    /// slot goes to `install(ledger, addr, slot, oid, what)` right after
     /// its block is appended, so a failing append leaves every earlier
     /// block fully installed.
     pub(crate) fn pack<D: BlockDev, T>(
-        &mut self,
+        self,
         log: &Log<D>,
-        live: &mut BTreeSet<u64>,
+        ledger: &mut Ledger,
         items: Vec<Item<T>>,
-        mut install: impl FnMut(&mut BTreeSet<u64>, BlockAddr, u32, u64, T),
+        mut install: impl FnMut(&mut Ledger, BlockAddr, u32, u64, T),
     ) -> Result<()> {
         let mut batch: Vec<Item<T>> = Vec::new();
         let mut used = HEADER;
         for item in items {
             let need = 4 + item.1.len();
             if used + need > BLOCK_SIZE {
-                self.append(log, live, &mut batch, &mut install)?;
+                self.append(log, ledger, &mut batch, &mut install)?;
                 used = HEADER;
             }
             used += need;
             batch.push(item);
         }
-        self.append(log, live, &mut batch, &mut install)
+        self.append(log, ledger, &mut batch, &mut install)
     }
 
     /// Appends `batch` as one container — the only place one is written.
     fn append<D: BlockDev, T>(
-        &mut self,
+        self,
         log: &Log<D>,
-        live: &mut BTreeSet<u64>,
+        ledger: &mut Ledger,
         batch: &mut Vec<Item<T>>,
-        install: &mut impl FnMut(&mut BTreeSet<u64>, BlockAddr, u32, u64, T),
+        install: &mut impl FnMut(&mut Ledger, BlockAddr, u32, u64, T),
     ) -> Result<()> {
         let Some(first) = batch.first() else {
             return Ok(());
@@ -106,63 +99,16 @@ impl PackedBlocks {
             _ => count as u64,
         };
         let payload = encode_container(self.magic, batch.iter().map(|(_, p, _)| p.as_slice()));
-        let addr = log.append(BlockTag::new(self.kind, first.0, aux), &payload)?;
-        live.insert(addr.0);
-        self.refs.insert(addr.0, count as u32);
+        let tag = BlockTag::new(self.kind, first.0, aux);
+        let addr = ledger.append(log, tag, &payload, count as u32)?;
         for (slot, (oid, _, what)) in batch.drain(..).enumerate() {
-            install(live, addr, slot as u32, oid, what);
+            install(ledger, addr, slot as u32, oid, what);
         }
         Ok(())
     }
 
-    /// Drops one reference to the block at `addr`; the last one releases
-    /// the block. Returns the number of blocks released (0 or 1).
-    pub(crate) fn release_ref<D: BlockDev>(
-        &mut self,
-        log: &Log<D>,
-        live: &mut BTreeSet<u64>,
-        addr: BlockAddr,
-    ) -> u64 {
-        match self.refs.get_mut(&addr.0) {
-            Some(n) if *n > 1 => {
-                *n -= 1;
-                0
-            }
-            _ => {
-                self.refs.remove(&addr.0);
-                live.remove(&addr.0);
-                log.release_blocks([addr]);
-                1
-            }
-        }
-    }
-
-    /// Counts one reference to `addr` (mount rebuilds the counts from the
-    /// recovered object table).
-    pub(crate) fn add_ref(&mut self, addr: BlockAddr) {
-        *self.refs.entry(addr.0).or_insert(0) += 1;
-    }
-
-    /// The cleaner copied the block at `old` to `new`: the count moves.
-    pub(crate) fn relocated(&mut self, old: BlockAddr, new: BlockAddr) {
-        if let Some(n) = self.refs.remove(&old.0) {
-            self.refs.insert(new.0, n);
-        }
-    }
-
-    /// Forgets the block at `addr` without releasing its storage — the
-    /// cleaner is reclaiming the segment under it.
-    pub(crate) fn forget(&mut self, addr: BlockAddr) {
-        self.refs.remove(&addr.0);
-    }
-
-    /// Forgets every count (mount, before recounting).
-    pub(crate) fn clear(&mut self) {
-        self.refs.clear();
-    }
-
     /// Splits a container of this kind back into its slots.
-    pub(crate) fn split(&self, buf: &[u8]) -> Result<Vec<Vec<u8>>> {
+    pub(crate) fn split(self, buf: &[u8]) -> Result<Vec<Vec<u8>>> {
         let mut r = Reader::new(buf, "container block truncated");
         if r.u32()? != self.magic {
             return Err(S4Error::BadRequest("container block magic"));
@@ -194,6 +140,7 @@ mod tests {
     use super::*;
     use s4_lfs::{LogConfig, Mounted};
     use s4_simdisk::MemDisk;
+    use std::collections::BTreeMap;
 
     fn log() -> Log<MemDisk> {
         let config = LogConfig {
@@ -208,13 +155,13 @@ mod tests {
 
     /// Packs `items` and returns where each landed.
     fn pack(
-        p: &mut PackedBlocks,
+        p: PackedBlocks,
         log: &Log<MemDisk>,
-        live: &mut BTreeSet<u64>,
+        ledger: &mut Ledger,
         items: Vec<Item<&'static str>>,
     ) -> Placed {
         let mut placed = Vec::new();
-        p.pack(log, live, items, |_, addr, slot, oid, what| {
+        p.pack(log, ledger, items, |_, addr, slot, oid, what| {
             placed.push((addr, slot, oid, what))
         })
         .unwrap();
@@ -255,11 +202,11 @@ mod tests {
             ),
             (DELTAS, *b"DD4S", BlockTag::new(BlockKind::DeltaData, 7, 2)),
         ] {
-            let (log, mut live, mut p) = (log(), BTreeSet::new(), kind);
-            let placed = pack(&mut p, &log, &mut live, two());
+            let (log, mut ledger, p) = (log(), Ledger::default(), kind);
+            let placed = pack(p, &log, &mut ledger, two());
             let addr = placed[0].0;
             assert_eq!(placed, [(addr, 0, 7, "a"), (addr, 1, 9, "b")]);
-            assert!(live.contains(&addr.0));
+            assert!(ledger.holds(addr));
             let block = log.read_block(addr).unwrap();
             let want: Vec<u8> = magic.iter().chain(&body).copied().collect();
             assert_eq!(block[..want.len()], want[..]);
@@ -274,20 +221,20 @@ mod tests {
 
     #[test]
     fn a_block_overflows_at_exactly_4096_bytes() {
-        let (log, mut live, mut p) = (log(), BTreeSet::new(), JOURNAL);
+        let (log, mut ledger, p) = (log(), Ledger::default(), JOURNAL);
         // 6 + (4 + 2041) + (4 + 2041) = 4096: fits to the last byte.
         let placed = pack(
-            &mut p,
+            p,
             &log,
-            &mut live,
+            &mut ledger,
             vec![(1, vec![1; 2041], "a"), (2, vec![2; 2041], "b")],
         );
         assert_eq!(placed[0].0, placed[1].0, "exact fit shares the block");
         // One byte more and the second item starts a new block.
         let placed = pack(
-            &mut p,
+            p,
             &log,
-            &mut live,
+            &mut ledger,
             vec![
                 (1, vec![1; 2041], "a"),
                 (2, vec![2; 2042], "b"),
@@ -308,49 +255,12 @@ mod tests {
     }
 
     #[test]
-    fn release_frees_at_zero_and_only_at_zero() {
-        let (log, mut live, mut p) = (log(), BTreeSet::new(), DELTAS);
-        let items = vec![(1, vec![1], "a"), (2, vec![2], "b"), (3, vec![3], "c")];
-        let addr = pack(&mut p, &log, &mut live, items)[0].0;
-        assert_eq!(p.release_ref(&log, &mut live, addr), 0);
-        assert_eq!(p.release_ref(&log, &mut live, addr), 0);
-        assert!(live.contains(&addr.0), "one reference left");
-        assert_eq!(p.release_ref(&log, &mut live, addr), 1);
-        assert!(!live.contains(&addr.0) && p.refs.is_empty());
-    }
-
-    #[test]
-    fn relocation_moves_the_count_and_forget_drops_it() {
-        let (log, mut live, mut p) = (log(), BTreeSet::new(), JOURNAL);
-        let addr = pack(
-            &mut p,
-            &log,
-            &mut live,
-            vec![(1, vec![1], "a"), (2, vec![2], "b")],
-        )[0]
-        .0;
-        let new = BlockAddr(addr.0 + 100);
-        p.relocated(addr, new);
-        assert_eq!(p.refs, BTreeMap::from([(new.0, 2)]));
-        p.relocated(BlockAddr(12345), BlockAddr(6)); // unknown block: no-op
-        assert_eq!(p.refs.len(), 1);
-        p.add_ref(new);
-        assert_eq!(p.refs[&new.0], 3);
-        p.forget(new);
-        assert!(p.refs.is_empty());
-        assert!(
-            live.contains(&addr.0),
-            "forget leaves storage to the cleaner"
-        );
-    }
-
-    #[test]
     fn split_rejects_wrong_magic_and_each_truncation() {
         let block = encode_container(0x5334_4A42, [&[1u8, 2, 3][..], &[4u8][..]].into_iter());
         assert_eq!(JOURNAL.split(&block).unwrap().len(), 2);
-        let err = |p: &PackedBlocks, buf: &[u8]| p.split(buf).unwrap_err();
+        let err = |p: PackedBlocks, buf: &[u8]| p.split(buf).unwrap_err();
         assert_eq!(
-            err(&DELTAS, &block),
+            err(DELTAS, &block),
             S4Error::BadRequest("container block magic")
         );
         for bad in crate::hostile(&block) {
@@ -358,7 +268,7 @@ mod tests {
         }
         for cut in [3, 5, 8, block.len() - 1] {
             assert_eq!(
-                err(&JOURNAL, &block[..cut]),
+                err(JOURNAL, &block[..cut]),
                 S4Error::BadRequest("container block truncated"),
                 "cut at {cut}"
             );

@@ -2,12 +2,11 @@
 //! into shared journal blocks, writing metadata checkpoints (shared
 //! blocks for small ones, dedicated chains for large), sync, object-cache
 //! eviction, and the anchor that persists the object map — plus the
-//! codecs that read all of it back. The three `PackedBlocks` instances
-//! in `Inner` are used from here (and released from [`crate::expiry`]).
+//! codecs that read all of it back.
 //!
 //! The anchor payload (version 2) is the object map with per-object
-//! sector lists; the reachable-block set is rebuilt at mount, not
-//! persisted.
+//! sector lists; the ledger of reachable blocks is derived from it at
+//! mount ([`crate::ledger`]), not persisted.
 
 use s4_clock::{HybridTimestamp, SimDuration};
 use s4_journal::{decode_sector, encode_sectors, JournalEntry};
@@ -32,14 +31,12 @@ impl<D: BlockDev> S4Drive<D> {
         if entry.checkpoint_root.is_none() {
             return;
         }
-        if entry.checkpoint_slot != u32::MAX {
-            let root = entry.checkpoint_root;
-            inner.cpblocks.release_ref(&self.log, &mut inner.live, root);
-        } else {
-            for old in entry.checkpoint_blocks.drain(..) {
-                inner.live.remove(&old.0);
-                self.log.release_blocks([old]);
-            }
+        // One reference on a shared block, or every block of a chain.
+        let shared = (entry.checkpoint_slot != u32::MAX).then_some(entry.checkpoint_root);
+        for old in entry.checkpoint_blocks.drain(..).chain(shared) {
+            inner
+                .ledger
+                .release(&self.log, old, BlockKind::ObjectCheckpoint);
         }
         entry.checkpoint_root = BlockAddr::NONE;
         entry.checkpoint_slot = u32::MAX;
@@ -68,11 +65,8 @@ impl<D: BlockDev> S4Drive<D> {
                         let mut payload = Vec::with_capacity(12 + chunk.len());
                         payload.extend_from_slice(&next.0.to_le_bytes());
                         push_bytes(&mut payload, chunk);
-                        next = self.log.append(
-                            BlockTag::new(BlockKind::ObjectCheckpoint, oid, i as u64),
-                            &payload,
-                        )?;
-                        inner.live.insert(next.0);
+                        let tag = BlockTag::new(BlockKind::ObjectCheckpoint, oid, i as u64);
+                        next = inner.ledger.append(&self.log, tag, &payload, 1)?;
                         new_blocks.push(next);
                     }
                     entry.checkpoint_root = next;
@@ -85,13 +79,8 @@ impl<D: BlockDev> S4Drive<D> {
             })?;
             small.extend(shared.map(|blob| (oid, blob, ())));
         }
-        let Inner {
-            table,
-            live,
-            cpblocks,
-            ..
-        } = inner;
-        cpblocks.pack(&self.log, live, small, |_, addr, slot, oid, ()| {
+        let Inner { table, ledger, .. } = inner;
+        packed::CHECKPOINTS.pack(&self.log, ledger, small, |_, addr, slot, oid, ()| {
             if let Some(Slot::Cached(entry)) = table.get_mut(&oid) {
                 entry.checkpoint_root = addr;
                 entry.checkpoint_slot = slot;
@@ -128,15 +117,10 @@ impl<D: BlockDev> S4Drive<D> {
         if items.is_empty() {
             return Ok(());
         }
-        let Inner {
-            table,
-            live,
-            jblocks,
-            ..
-        } = inner;
-        jblocks.pack(
+        let Inner { table, ledger, .. } = inner;
+        packed::JOURNAL.pack(
             &self.log,
-            live,
+            ledger,
             items,
             |_, addr, slot, oid, (oldest, newest)| {
                 if let Some(Slot::Cached(entry)) = table.get_mut(&oid) {
@@ -255,9 +239,9 @@ impl<D: BlockDev> S4Drive<D> {
         // Persist the buffered stream tails so audit records and alerts
         // survive restarts, and the persisted trace stream stays an exact
         // prefix of the request stream across an orderly shutdown.
-        let (streams, live) = inner.streams_mut();
+        let (streams, ledger) = inner.streams_mut();
         for s in streams {
-            if s.spill_tail(&self.log, live)? && s.oid() == AUDIT_OBJECT.0 {
+            if s.spill_tail(&self.log, ledger)? && s.oid() == AUDIT_OBJECT.0 {
                 self.stats.audit_blocks(1);
             }
         }

@@ -1,7 +1,7 @@
 //! Crash recovery: `mount` reloads the anchored object map, re-applies
 //! the journal sectors newer than each checkpoint and every journal
-//! block flushed after the anchor, then rebuilds the reachable-block set
-//! and the container refcounts from first principles. Recovery is
+//! block flushed after the anchor, then derives the ledger of reachable
+//! blocks from the recovered table ([`Ledger::derive`]). Recovery is
 //! strictly read-only — the torture harness crashes the drive again
 //! inside it.
 
@@ -10,7 +10,8 @@ use s4_journal::{decode_sector, redo, JournalEntry, ObjectMeta};
 use s4_lfs::{BlockAddr, BlockKind, Log, Mounted};
 use s4_simdisk::BlockDev;
 
-use crate::drive::{old_blocks, DriveConfig, Inner, S4Drive, TXN_OBJECT};
+use crate::drive::{DriveConfig, Inner, S4Drive, TXN_OBJECT};
+use crate::ledger::{Discrepancy, Ledger};
 use crate::object::{ObjectEntry, SectorInfo, Slot};
 use crate::packed;
 use crate::persist::{decode_anchor_payload, read_checkpoint, read_subsector};
@@ -127,10 +128,10 @@ impl<D: BlockDev> S4Drive<D> {
             }
         }
 
-        // Phase 3: rebuild the reachable-block set and journal-block
-        // refcounts from the recovered object table.
-        rebuild_liveness(&log, &mut inner)?;
-        log.rebuild_live_counts(inner.live.iter().map(|&a| BlockAddr(a)));
+        // Phase 3: derive the ledger of reachable blocks, and from it the
+        // segment usage counts, from the recovered object table.
+        inner.ledger = Ledger::derive(&log, &inner)?;
+        log.rebuild_live_counts(inner.ledger.addrs());
 
         report.audit_blocks = inner.audit.blocks().len();
         report.alert_blocks = inner.alerts.blocks().len();
@@ -156,6 +157,16 @@ impl<D: BlockDev> S4Drive<D> {
         // coordinator's decision notes before serving traffic).
         drive.rebuild_txn_state()?;
         Ok((drive, report))
+    }
+
+    /// Audits the drive's space accounting: recounts the ledger as mount
+    /// would (read-only, nothing flushed) and returns every address the
+    /// running ledger and the recount disagree on, plus the number of
+    /// releases the ledger has refused since mount.
+    pub fn check_image(&self) -> Result<(Vec<Discrepancy>, u64)> {
+        let inner = self.inner.lock();
+        let derived = Ledger::derive(&self.log, &inner)?;
+        Ok((inner.ledger.diff(&derived), inner.ledger.refused()))
     }
 }
 
@@ -234,62 +245,5 @@ fn apply_recovered_sector(
     entry.meta.journal_head = addr;
     entry.dirty = true;
     inner.next_oid = inner.next_oid.max(oid + 1);
-    Ok(())
-}
-
-/// Rebuilds the reachable-block set and journal-block refcounts from the
-/// recovered object table (mount phase 3).
-fn rebuild_liveness<D: BlockDev>(log: &Log<D>, inner: &mut Inner) -> Result<()> {
-    inner.live.clear();
-    inner.jblocks.clear();
-    inner.cpblocks.clear();
-    inner.dblocks.clear();
-    let (streams, live) = inner.streams_mut();
-    for s in streams {
-        live.extend(s.blocks().iter().map(|a| a.0));
-    }
-    let oids: Vec<u64> = inner.table.keys().copied().collect();
-    for oid in oids {
-        let Some(Slot::Cached(entry)) = inner.table.get(&oid) else {
-            continue;
-        };
-        // Current data blocks (resolved through forwarding).
-        let mut reach: Vec<u64> = entry
-            .meta
-            .blocks
-            .values()
-            .map(|a| entry.resolve_forward(*a).0)
-            .collect();
-        // Landmark versions pin their block maps.
-        for m in &entry.landmarks {
-            reach.extend(m.blocks.values().map(|a| a.0));
-        }
-        // Delta-encoded history: the shared delta blocks are reachable.
-        for dref in entry.deltas.values() {
-            reach.push(dref.block.0);
-            inner.dblocks.add_ref(dref.block);
-        }
-        // Checkpoint storage: chain blocks, or one shared-block reference.
-        reach.extend(entry.checkpoint_blocks.iter().map(|a| a.0));
-        if !entry.checkpoint_root.is_none() && entry.checkpoint_slot != u32::MAX {
-            reach.push(entry.checkpoint_root.0);
-            inner.cpblocks.add_ref(entry.checkpoint_root);
-        }
-        // Journal blocks + refcounts, and history old-pointers.
-        for s in &entry.sectors {
-            reach.push(s.addr.0);
-            inner.jblocks.add_ref(s.addr);
-            let (_o, entries) = read_subsector(log, s.addr, s.slot)?;
-            for c in entries.iter().flat_map(old_blocks) {
-                let key = entry.resolve_forward(c.old).0;
-                // Delta-encoded history is accounted through its
-                // shared delta block, not the (released) original.
-                if !entry.deltas.contains_key(&key) {
-                    reach.push(key);
-                }
-            }
-        }
-        inner.live.extend(reach);
-    }
     Ok(())
 }

@@ -32,8 +32,6 @@
 //! a record gains its trailer, `ReservedLog::replay_block` and the
 //! reader are where it is verified.
 
-use std::collections::BTreeSet;
-
 use s4_lfs::{BlockAddr, BlockKind, BlockTag, Log, BLOCK_SIZE};
 use s4_obs::TraceRecord;
 use s4_simdisk::BlockDev;
@@ -42,6 +40,7 @@ use crate::audit::{AuditRecord, AuditState, RECORD_BLOCK_BYTES};
 use crate::codec::Reader;
 use crate::drive::{Inner, S4Drive, ALERT_OBJECT};
 use crate::ids::{ObjectId, RequestContext};
+use crate::ledger::Ledger;
 use crate::{Result, S4Error};
 
 /// Largest alert blob that fits in one block after the length prefix.
@@ -176,13 +175,11 @@ impl ReservedLog {
     pub(crate) fn append_block<D: BlockDev>(
         &mut self,
         log: &Log<D>,
-        live: &mut BTreeSet<u64>,
+        ledger: &mut Ledger,
         payload: &[u8],
     ) -> Result<()> {
         let tag = BlockTag::new(BlockKind::Audit, self.oid, self.blocks.len() as u64);
-        let addr = log.append(tag, payload)?;
-        self.blocks.push(addr);
-        live.insert(addr.0);
+        self.blocks.push(ledger.append(log, tag, payload, 1)?);
         Ok(())
     }
 
@@ -192,11 +189,11 @@ impl ReservedLog {
     pub(crate) fn append_blob<D: BlockDev>(
         &mut self,
         log: &Log<D>,
-        live: &mut BTreeSet<u64>,
+        ledger: &mut Ledger,
         blob: &[u8],
     ) {
         if let Ok(Some(block)) = self.push_blob(blob) {
-            let _ = self.append_block(log, live, &block);
+            let _ = self.append_block(log, ledger, &block);
         }
     }
 
@@ -206,13 +203,13 @@ impl ReservedLog {
     pub(crate) fn spill_tail<D: BlockDev>(
         &mut self,
         log: &Log<D>,
-        live: &mut BTreeSet<u64>,
+        ledger: &mut Ledger,
     ) -> Result<bool> {
         if self.pending.is_empty() {
             return Ok(false);
         }
         let tail = std::mem::take(&mut self.pending);
-        self.append_block(log, live, &tail)?;
+        self.append_block(log, ledger, &tail)?;
         Ok(true)
     }
 
@@ -291,11 +288,11 @@ impl ReservedLog {
     pub(crate) fn restore<D: BlockDev>(
         &mut self,
         log: &Log<D>,
-        live: &mut BTreeSet<u64>,
+        ledger: &mut Ledger,
         image: &ResyncStream,
     ) -> Result<()> {
         for payload in &image.blocks {
-            self.append_block(log, live, payload)?;
+            self.append_block(log, ledger, payload)?;
         }
         self.pending = image.pending.clone();
         self.total = image.total;
@@ -431,8 +428,8 @@ impl<D: BlockDev> S4Drive<D> {
             if let Some(block) = inner.audit.push_record(rec) {
                 // A block the log cannot take is dropped rather than
                 // failing the request it audits.
-                let appended = inner.audit.append_block(&self.log, &mut inner.live, &block);
-                if appended.is_ok() {
+                let Inner { audit, ledger, .. } = inner;
+                if audit.append_block(&self.log, ledger, &block).is_ok() {
                     self.stats.audit_blocks(1);
                 }
             }
@@ -468,7 +465,7 @@ impl<D: BlockDev> S4Drive<D> {
     /// front-end only — there is no client RPC that reaches this).
     pub(crate) fn alert_append(&self, blob: &[u8]) {
         let inner = &mut *self.inner.lock();
-        inner.alerts.append_blob(&self.log, &mut inner.live, blob);
+        inner.alerts.append_blob(&self.log, &mut inner.ledger, blob);
         // Alert-object growth warning (ROADMAP retention item): the
         // object is append-only, so a chatty detector can grow it
         // without bound. When it reaches the configured block
@@ -486,7 +483,7 @@ impl<D: BlockDev> S4Drive<D> {
             let self_alert = encode_system_alert(b"alert-object-growth", now, msg.as_bytes());
             inner
                 .alerts
-                .append_blob(&self.log, &mut inner.live, &self_alert);
+                .append_blob(&self.log, &mut inner.ledger, &self_alert);
         }
     }
 
@@ -498,7 +495,7 @@ impl<D: BlockDev> S4Drive<D> {
             rec.seq = inner.traces.total();
             inner
                 .traces
-                .append_blob(&self.log, &mut inner.live, &rec.encode());
+                .append_blob(&self.log, &mut inner.ledger, &rec.encode());
         }
         self.obs.recorder.push(rec);
     }
@@ -623,11 +620,8 @@ impl<D: BlockDev> S4Drive<D> {
             k += 1;
         }
         let freed = stream(inner).truncate_front(k);
-        for a in &freed {
-            inner.live.remove(&a.0);
-        }
-        self.log.release_blocks(freed.iter().copied());
-        Ok(freed.len() as u64)
+        let release = |a: &BlockAddr| inner.ledger.release(&self.log, *a, BlockKind::Audit);
+        Ok(freed.iter().map(release).sum())
     }
 }
 
@@ -854,13 +848,13 @@ mod tests {
     /// Appends `n` numbered blobs, anchoring (spilling the partial tail)
     /// after each index in `anchor_after`.
     fn fill(st: &mut ReservedLog, log: &Log<MemDisk>, from: u32, n: u32, anchor_after: &[u32]) {
-        let mut live = BTreeSet::new();
+        let mut ledger = Ledger::default();
         for i in from..from + n {
             let mut blob = i.to_le_bytes().to_vec();
             blob.resize(1000, 0);
-            st.append_blob(log, &mut live, &blob);
+            st.append_blob(log, &mut ledger, &blob);
             if anchor_after.contains(&i) {
-                st.spill_tail(log, &mut live).unwrap();
+                st.spill_tail(log, &mut ledger).unwrap();
             }
         }
     }
@@ -968,10 +962,10 @@ mod tests {
         src.truncate_front(1);
         let image = src.export(&src_log).unwrap();
         let mut dst = alerts();
-        let mut live = BTreeSet::new();
-        dst.restore(&dst_log, &mut live, &image).unwrap();
+        let mut ledger = Ledger::default();
+        dst.restore(&dst_log, &mut ledger, &image).unwrap();
         assert_eq!(dst.export(&dst_log).unwrap(), image);
-        assert_eq!(live.len(), dst.blocks().len());
+        assert_eq!(ledger.addrs().count(), dst.blocks().len());
         assert_eq!(dst.end_cursor().unwrap(), src.end_cursor().unwrap());
     }
 }

@@ -163,8 +163,8 @@ fn run() -> (u64, u64, u64) {
 
 #[test]
 fn churn_image_is_one_value_across_runs() {
-    const IMAGE_HASH: u64 = 0xb631_03e7_2dfe_58ef;
-    const STATE_DIGEST: u64 = 0x1d0d_978f_08f9_bb38;
+    const IMAGE_HASH: u64 = 0xcbc3_54fb_86ae_5aed;
+    const STATE_DIGEST: u64 = 0x2098_53d8_9651_0573;
     const OUTCOMES: u64 = 0x4ea5_1f18_a3c0_f7da;
     let (a, b) = (run(), run());
     assert_eq!(a, b, "two runs of one request stream diverged");
