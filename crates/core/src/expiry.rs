@@ -16,7 +16,7 @@ use s4_simdisk::BlockDev;
 use crate::codec::Reader;
 use crate::drive::{old_blocks, Inner, S4Drive};
 use crate::ids::ObjectId;
-use crate::object::{DeltaRef, ObjectEntry, Slot};
+use crate::object::{DeltaRef, ObjectEntry, SectorInfo, Slot};
 use crate::packed;
 use crate::persist::read_subsector;
 use crate::{Result, S4Error};
@@ -163,16 +163,18 @@ impl<D: BlockDev> S4Drive<D> {
                 return Ok(0);
             }
         }
-        // Dropping journal prefix makes the object unrecoverable from the
-        // journal alone: persist a checkpoint first (unless the whole
-        // object is about to disappear).
+        // Never retire the only durable description of current state
+        // before its replacement is durable: a sector about to be dropped
+        // that the checkpoint does not cover (or there is no checkpoint)
+        // gets one first — unless the whole object is about to disappear.
         let needs_checkpoint = self.with_object(inner, oid, |_, entry| {
             let fully_expiring = entry.meta.deleted.is_some_and(|d| d <= cutoff)
                 && entry.pending.is_empty()
                 && entry.sectors.last().is_none_or(|s| s.newest <= cutoff);
-            Ok(!fully_expiring
-                && entry.checkpoint_root.is_none()
-                && entry.sectors.first().is_some_and(|s| s.newest <= cutoff))
+            let uncovered = |s: &SectorInfo| {
+                s.newest <= cutoff && (entry.checkpoint_root.is_none() || s.newest > entry.covered)
+            };
+            Ok(!fully_expiring && entry.sectors.iter().any(uncovered))
         })?;
         if needs_checkpoint {
             self.pack_checkpoints(inner, &[oid.0])?;

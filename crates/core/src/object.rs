@@ -108,6 +108,10 @@ pub struct ObjectEntry {
     /// Versions at or before this stamp have been reclaimed; time-based
     /// reads below it fail with `VersionUnavailable`.
     pub history_floor: HybridTimestamp,
+    /// `meta.modified` as of the last checkpoint (in memory only): the
+    /// checkpoint covers the journal up to this stamp, and no newer
+    /// sector may be retired before a fresh checkpoint is written.
+    pub covered: HybridTimestamp,
     /// True if `meta`/`sectors` changed since the last checkpoint.
     pub dirty: bool,
     /// True if state *not derivable from the journal* changed since the
@@ -124,6 +128,7 @@ impl ObjectEntry {
     /// Fresh entry for a newly created object.
     pub fn new(meta: ObjectMeta) -> Self {
         ObjectEntry {
+            covered: meta.modified,
             meta,
             sectors: Vec::new(),
             pending: Vec::new(),
@@ -240,6 +245,7 @@ impl ObjectEntry {
         }
         let history_floor = r.stamp()?;
         Ok(ObjectEntry {
+            covered: meta.modified,
             meta,
             sectors,
             pending: Vec::new(),

@@ -73,6 +73,7 @@ impl<D: BlockDev> S4Drive<D> {
                     entry.checkpoint_blocks = new_blocks;
                     self.stats.checkpoints(1);
                 }
+                entry.covered = entry.meta.modified;
                 entry.dirty = false;
                 entry.needs_checkpoint = false;
                 Ok((blob.len() <= SHARED_CP_THRESHOLD).then_some(blob))

@@ -63,19 +63,17 @@ impl<D: BlockDev> S4Drive<D> {
                 read_checkpoint(&log, rec.root, rec.slot)?
             };
             if let Some(sectors) = &rec.sectors {
+                // An anchored sector list that has moved on from the
+                // checkpoint's — grown past it, expired or relocated
+                // since — leaves the entry ahead of its checkpoint.
+                entry.dirty |= *sectors != entry.sectors;
                 entry.sectors = sectors.clone();
                 entry.history_floor = entry.history_floor.max(rec.floor);
             }
-            let cp_modified = entry.meta.modified;
-            for s in &entry.sectors {
-                if s.newest <= cp_modified {
-                    continue;
-                }
+            for s in entry.sectors.iter().filter(|s| s.newest > entry.covered) {
                 let (_oid, entries) = read_subsector(&log, s.addr, s.slot)?;
-                for e in &entries {
-                    if e.stamp() > cp_modified {
-                        redo(&mut entry.meta, e);
-                    }
+                for e in entries.iter().filter(|e| e.stamp() > entry.covered) {
+                    redo(&mut entry.meta, e);
                 }
             }
             if let Some(last) = entry.sectors.last() {
@@ -86,7 +84,6 @@ impl<D: BlockDev> S4Drive<D> {
             if let Some(d) = entry.meta.deleted {
                 report.max_recovered_stamp = report.max_recovered_stamp.max(d);
             }
-            entry.dirty = false;
             inner.table.insert(rec.oid, Slot::Cached(Box::new(entry)));
             // High-sentinel reserved objects (the transaction log) must
             // not drag the dynamic id allocator to the top of the space.

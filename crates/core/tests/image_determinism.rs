@@ -7,6 +7,13 @@
 //! this pins both for one fixed stream. A change that moves either
 //! constant changed what the drive writes (or made it depend on
 //! something other than the requests) and must say so.
+//!
+//! The same mix, over eight seeds, is also where the drive's space
+//! accounting is audited: [`S4Drive::check_image`] must find the running
+//! ledger equal to its recount before every unmount or crash and after
+//! every mount.
+
+use std::ops::RangeInclusive;
 
 use s4_clock::{SimClock, SimDuration};
 use s4_core::{AclEntry, ClientId, DriveConfig, ObjectId, Perm, RequestContext, S4Drive, UserId};
@@ -38,10 +45,42 @@ impl Rng {
     }
 }
 
-/// Drives the fixed stream and returns `(image hash, state digest,
+/// The maintenance arms of the mix: everything but these is client
+/// traffic, syncs and remounts.
+const EXPIRE: RangeInclusive<u64> = 85..=87;
+const CLEAN: RangeInclusive<u64> = 88..=90;
+const COMPACT: RangeInclusive<u64> = 91..=92;
+const FLUSHO: RangeInclusive<u64> = 93..=94;
+const LANDMARKS: RangeInclusive<u64> = 95..=97;
+const MAINTENANCE: RangeInclusive<u64> = 85..=97;
+
+/// The seeds every sweep below runs.
+const SEEDS: [u64; 8] = [0x5E_ED0F_5E1F, 1, 2, 3, 4, 5, 6, 7];
+
+/// Requires the running ledger to equal its recount.
+fn audit(d: &S4Drive<MemDisk>) -> Result<(), String> {
+    let (found, refused) = d
+        .check_image()
+        .map_err(|e| format!("the recount failed: {e:?}"))?;
+    match found.first() {
+        None => Ok(()),
+        Some(first) => Err(format!(
+            "{} discrepancies, {refused} releases refused, first {first:?}",
+            found.len()
+        )),
+    }
+}
+
+/// Drives the stream of `seed` and returns `(image hash, state digest,
 /// outcome hash)`; the outcome hash folds every result's success bit so
-/// a behavioural change cannot hide behind an unchanged image.
-fn run() -> (u64, u64, u64) {
+/// a behavioural change cannot hide behind an unchanged image. A
+/// maintenance arm outside `enabled` runs as a `Sync`. With `audited`,
+/// [`audit`] runs before every unmount or crash and after every mount.
+fn run(
+    seed: u64,
+    enabled: &[RangeInclusive<u64>],
+    audited: bool,
+) -> Result<(u64, u64, u64), String> {
     let clock = SimClock::new();
     clock.advance(SimDuration::from_secs(1));
     let user = RequestContext::user(UserId(7), ClientId(1));
@@ -52,14 +91,15 @@ fn run() -> (u64, u64, u64) {
         clock.clone(),
     )
     .expect("format");
-    let mut rng = Rng(0x5E_ED0F_5E1F);
+    let mut rng = Rng(seed);
     let mut oids: Vec<ObjectId> = Vec::new();
     let mut marked: Vec<ObjectId> = Vec::new();
     let mut outcome = 0u64;
-    let mut unanchored_maintenance = false;
     let mut note = |ok: bool| outcome = outcome.wrapping_mul(31).wrapping_add(ok as u64 + 1);
+    let audit = |d: &S4Drive<MemDisk>| if audited { audit(d) } else { Ok(()) };
 
     for step in 0..1_500u32 {
+        let at = |what: &str, e: String| format!("seed {seed:#x} step {step} {what}: {e}");
         clock.advance(SimDuration::from_millis(20 + rng.below(60)));
         if oids.len() < 4 || rng.below(100) < 6 {
             let oid = d.op_create(&user, None).expect("create");
@@ -68,12 +108,10 @@ fn run() -> (u64, u64, u64) {
             continue;
         }
         let oid = oids[rng.below(oids.len() as u64) as usize];
-        let op = rng.below(100);
-        unanchored_maintenance = match op {
-            85..=97 => true,
-            98.. => false,
-            _ => unanchored_maintenance,
-        };
+        let mut op = rng.below(100);
+        if MAINTENANCE.contains(&op) && !enabled.iter().any(|r| r.contains(&op)) {
+            op = 65; // Sync
+        }
         match op {
             0..=39 => {
                 // Text-like payloads so the differencing pass finds deltas.
@@ -138,19 +176,18 @@ fn run() -> (u64, u64, u64) {
                 }
             }
             98 => {
-                // Power loss after maintenance that no anchor has covered
-                // yet is ROADMAP item 2's territory (a mount may refuse
-                // the image); this test pins bytes, not that defect, so
-                // it crashes with synced client writes at risk only.
-                if unanchored_maintenance {
-                    note(d.force_anchor().is_ok());
-                }
                 note(d.op_sync(&user).is_ok());
-                d = S4Drive::mount(d.crash(), config(), clock.clone()).expect("mount after crash");
+                audit(&d).map_err(|e| at("before the crash", e))?;
+                d = S4Drive::mount(d.crash(), config(), clock.clone())
+                    .map_err(|e| at("mount after crash", format!("{e:?}")))?;
+                audit(&d).map_err(|e| at("after mount", e))?;
             }
             _ => {
+                audit(&d).map_err(|e| at("before unmount", e))?;
                 let dev = d.unmount().expect("unmount");
-                d = S4Drive::mount(dev, config(), clock.clone()).expect("mount");
+                d = S4Drive::mount(dev, config(), clock.clone())
+                    .map_err(|e| at("mount", format!("{e:?}")))?;
+                audit(&d).map_err(|e| at("after mount", e))?;
             }
         }
     }
@@ -158,14 +195,15 @@ fn run() -> (u64, u64, u64) {
     let dev = d.unmount().expect("final unmount");
     let mut image = vec![0u8; dev.capacity_bytes() as usize];
     dev.read(0, &mut image).expect("image read");
-    (s4_lfs::crc::xxh64(&image), digest, outcome)
+    Ok((s4_lfs::crc::xxh64(&image), digest, outcome))
 }
 
 #[test]
 fn churn_image_is_one_value_across_runs() {
-    const IMAGE_HASH: u64 = 0xcbc3_54fb_86ae_5aed;
-    const STATE_DIGEST: u64 = 0x2098_53d8_9651_0573;
-    const OUTCOMES: u64 = 0x4ea5_1f18_a3c0_f7da;
+    const IMAGE_HASH: u64 = 0xd88c_69b9_c1d6_7443;
+    const STATE_DIGEST: u64 = 0x0295_bce5_9269_34cc;
+    const OUTCOMES: u64 = 0x7a1d_7af5_6777_6fb7;
+    let run = || run(SEEDS[0], &[MAINTENANCE], false).expect("the pinned stream completes");
     let (a, b) = (run(), run());
     assert_eq!(a, b, "two runs of one request stream diverged");
     assert_eq!(
@@ -176,4 +214,57 @@ fn churn_image_is_one_value_across_runs() {
         a.1,
         a.2
     );
+}
+
+/// Runs every seed with `enabled` maintenance, audited at each remount;
+/// the lowest failing seed's first failure is the message.
+fn sweep(enabled: &[RangeInclusive<u64>]) {
+    for seed in SEEDS {
+        run(seed, enabled, true).unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
+/// Client traffic, syncs, evictions, periodic anchors, crashes and clean
+/// remounts keep the ledger equal to its recount: what mount installs is
+/// what the drive was already running on.
+#[test]
+fn the_ledger_matches_its_recount_at_every_remount() {
+    sweep(&[]);
+}
+
+#[test]
+fn expiry_and_cleaning_keep_the_ledger_equal_to_its_recount() {
+    sweep(&[EXPIRE, CLEAN]);
+}
+
+/// Every seed's full mix runs to its end: no mount refuses an image the
+/// drive itself wrote, with or without an anchor since the last
+/// maintenance pass.
+#[test]
+fn every_mount_of_the_full_mix_succeeds() {
+    for seed in &SEEDS[1..] {
+        run(*seed, &[MAINTENANCE], false).unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
+// One sibling per maintenance operation that still breaks the equality
+// once expiry moves the history floor under it (ROADMAP item 2); CI's
+// named `--ignored` step prints the list, and each fix un-ignores its own.
+
+#[test]
+#[ignore = "ROADMAP item 2: seed 0x5eed0f5e1f step 523 before the crash: block 251 held by 1 reference, reachable from nothing"]
+fn compact_history_keeps_the_ledger_equal_to_its_recount() {
+    sweep(&[EXPIRE, CLEAN, COMPACT]);
+}
+
+#[test]
+#[ignore = "ROADMAP item 2: seed 0x6 step 246 before the crash: block 10 released, still reachable by 1 reference"]
+fn flusho_keeps_the_ledger_equal_to_its_recount() {
+    sweep(&[EXPIRE, CLEAN, FLUSHO]);
+}
+
+#[test]
+#[ignore = "ROADMAP item 2: seed 0x5eed0f5e1f step 1115 before unmount: block 291 released, still reachable by 1 reference (op_unmark_landmark tests the landmark's own stamp against the floor)"]
+fn landmarks_keep_the_ledger_equal_to_its_recount() {
+    sweep(&[EXPIRE, CLEAN, LANDMARKS]);
 }

@@ -688,8 +688,10 @@ impl Crashed {
         recovered.len()
     }
 
-    /// Invariant (c): journal replay is idempotent. Powers `drive` off
-    /// and mounts its image again: the state digest must not move, and
+    /// Invariant (c): journal replay is idempotent, space accounting
+    /// included. Powers `drive` off and mounts its image again: the
+    /// ledger it ran on must equal its recount
+    /// ([`S4Drive::check_image`]), the state digest must not move, and
     /// — mount writes nothing — a second mount of one image must repeat
     /// the `report` of the first (`None` when `drive` has written since
     /// it was mounted). Returns the new mount.
@@ -701,6 +703,13 @@ impl Crashed {
     ) -> (S4Drive<D>, RecoveryReport) {
         let what = &self.what;
         let digest = drive.state_digest();
+        // The ledger this mount has been running on must be the one the
+        // next mount is about to derive.
+        let audit = drive.check_image();
+        assert!(
+            matches!(&audit, Ok((found, _)) if found.is_empty()),
+            "{what}: ledger differs from its recount before {stage}: {audit:?}"
+        );
         let (again, report2) = mount(drive.crash(), what, stage);
         assert_eq!(
             digest,

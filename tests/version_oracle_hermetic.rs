@@ -152,6 +152,8 @@ fn run_case(ops: Vec<Op>, remount_each: usize) {
     let d = drive.as_ref().unwrap();
     d.op_sync(&ctx).unwrap();
     oracle.verify_full(d, "oracle");
+    // ...and the space accounting it ends on is the one a mount would derive.
+    assert_eq!(d.check_image(), Ok((Vec::new(), 0)));
 }
 
 /// Seeds chosen once, arbitrarily; each is a distinct deterministic case.
