@@ -11,8 +11,7 @@
 
 use s4_core::{AuditRecord, ObjectId, RequestContext, S4Drive, S4Error};
 use s4_detect::{
-    assemble_traces, flight_log, install_standard_monitor, object_timeline, Alert, FlightEntry,
-    TimelineEvent, TraceTree,
+    assemble_traces, flight_log, object_timeline, Alert, FlightEntry, TimelineEvent, TraceTree,
 };
 use s4_simdisk::BlockDev;
 
@@ -29,18 +28,6 @@ pub struct Sharded<T> {
 }
 
 impl<D: BlockDev + 'static> S4Array<D> {
-    /// Installs the standard online monitor on every member drive
-    /// (mirrors included, so replicas raise the same alerts and stay
-    /// comparable); each drive detects independently over its own
-    /// audit stream.
-    pub fn install_standard_monitors(&self) {
-        for s in 0..self.shard_count() {
-            for k in 0..self.mirror_count() {
-                install_standard_monitor(&self.member_drive(s, k));
-            }
-        }
-    }
-
     /// One record stream per shard (read from its first live member by
     /// `read`), merged into one and sorted by `key` — ties keep shard
     /// order, the merge is stable.

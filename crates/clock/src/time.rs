@@ -219,14 +219,6 @@ impl SimClock {
         }
     }
 
-    /// Creates a clock positioned at `start` (useful for resuming long-lived
-    /// simulated histories, e.g. multi-day capacity studies).
-    pub fn starting_at(start: SimTime) -> Self {
-        SimClock {
-            now_us: Arc::new(AtomicU64::new(start.0)),
-        }
-    }
-
     /// Returns the current simulated instant.
     pub fn now(&self) -> SimTime {
         SimTime(self.now_us.load(Ordering::SeqCst))

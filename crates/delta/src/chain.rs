@@ -88,15 +88,6 @@ impl DeltaChain {
     pub fn stored_bytes(&self) -> usize {
         self.newest.len() + self.deltas.iter().map(Vec::len).sum::<usize>()
     }
-
-    /// Bytes the same history would occupy with every version whole.
-    pub fn full_copy_bytes(&self) -> usize {
-        // Upper bound estimate requires the original sizes; callers doing
-        // space studies track this externally. Here: newest counted once
-        // per version as an approximation helper is *not* provided to
-        // avoid misuse.
-        self.newest.len()
-    }
 }
 
 #[cfg(test)]

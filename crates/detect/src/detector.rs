@@ -86,11 +86,6 @@ impl OnlineMonitor {
             set: DetectorSet::standard(),
         }
     }
-
-    /// Monitor running a custom rule set.
-    pub fn with_set(set: DetectorSet) -> Self {
-        OnlineMonitor { set }
-    }
 }
 
 impl AuditObserver for OnlineMonitor {

@@ -163,11 +163,6 @@ impl ConventionalMeta {
     pub fn get(&self, lbn: u64) -> Option<BlockAddr> {
         self.data.get(&lbn).copied()
     }
-
-    /// Current inode address.
-    pub fn inode_addr(&self) -> BlockAddr {
-        self.inode
-    }
 }
 
 #[cfg(test)]

@@ -149,18 +149,6 @@ pub fn generate(config: &SourceTreeConfig) -> SourceTree {
     SourceTree { files }
 }
 
-impl SourceTree {
-    /// Total bytes across all versions of all files (the "keep every
-    /// version whole" baseline).
-    pub fn total_bytes(&self) -> u64 {
-        self.files
-            .iter()
-            .flat_map(|f| f.versions.iter())
-            .map(|v| v.len() as u64)
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
