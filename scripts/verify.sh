@@ -10,7 +10,10 @@
 #    fails — every other decoder reads through s4_lfs::codec::Reader;
 #    and the test-fork census: a `cfg(feature` or an `env::var(` under
 #    tests/ or crates/*/tests/ fails — every test file compiles and runs
-#    in tier-1, and seeds are constants
+#    in tier-1, and seeds are constants; and the ledger census: a
+#    non-test `.append(` on the log or `release_blocks(` under
+#    crates/core/src/ outside ledger.rs fails — which blocks are
+#    reachable is said once
 # 3. the full test suite, once (dev profile is optimized; see
 #    Cargo.toml). `--workspace` runs every crate's tests and every root
 #    tests/*.rs, so the bounded torture campaigns (write path with torn
@@ -92,6 +95,19 @@ forks=$(grep -rnE 'cfg\(feature|env::var\(' tests crates/*/tests || true)
 [ -z "$forks" ] || {
   echo "$forks" >&2
   echo "verify: every test file compiles and runs in tier-1; seeds are constants" >&2
+  exit 1
+}
+
+echo "== ledger census (log appends and releases in s4-core outside ledger.rs)"
+unledgered=$(find crates/core/src -name '*.rs' ! -name ledger.rs | sort | while read -r f; do
+  # Every append goes through a Ledger or PackedBlocks method; a bare
+  # `.append(` at the start of a line is a wrapped `self.log.append(`.
+  awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+       /release_blocks\(/ || (/\.append\(/ && !/(ledger|self)\.append\(/) { print FILENAME ":" FNR ":" $0 }' "$f"
+done)
+[ -z "$unledgered" ] || {
+  echo "$unledgered" >&2
+  echo "verify: append and release blocks through crates/core/src/ledger.rs" >&2
   exit 1
 }
 
