@@ -42,7 +42,7 @@ pub struct Discrepancy {
 /// Every reachable block: its kind and the references holding it.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Ledger {
-    held: BTreeMap<u64, (BlockKind, u32)>,
+    held: BTreeMap<BlockAddr, (BlockKind, u32)>,
     refused: u64,
 }
 
@@ -56,7 +56,7 @@ impl Ledger {
         refs: u32,
     ) -> s4_lfs::Result<BlockAddr> {
         let addr = log.append(tag, data)?;
-        self.held.insert(addr.0, (tag.kind, refs));
+        self.held.insert(addr, (tag.kind, refs));
         Ok(addr)
     }
 
@@ -71,7 +71,7 @@ impl Ledger {
         addr: BlockAddr,
         kind: BlockKind,
     ) -> u64 {
-        let Some((_, n)) = self.held.get_mut(&addr.0).filter(|(k, _)| *k == kind) else {
+        let Some((_, n)) = self.held.get_mut(&addr).filter(|(k, _)| *k == kind) else {
             self.refused += 1;
             return 0;
         };
@@ -79,7 +79,7 @@ impl Ledger {
         if *n > 0 {
             return 0;
         }
-        self.held.remove(&addr.0);
+        self.held.remove(&addr);
         log.release_blocks([addr]);
         1
     }
@@ -87,25 +87,25 @@ impl Ledger {
     /// The cleaner copied the block at `old` to `new`: its references
     /// move, and `old`'s storage goes with the segment being reclaimed.
     pub(crate) fn moved(&mut self, old: BlockAddr, new: BlockAddr) {
-        if let Some(held) = self.held.remove(&old.0) {
-            self.held.insert(new.0, held);
+        if let Some(held) = self.held.remove(&old) {
+            self.held.insert(new, held);
         }
     }
 
     /// Forgets the block at `addr` without releasing its storage — the
     /// cleaner is reclaiming the segment under it.
     pub(crate) fn forget(&mut self, addr: BlockAddr) {
-        self.held.remove(&addr.0);
+        self.held.remove(&addr);
     }
 
     /// Whether the block at `addr` is reachable.
     pub(crate) fn holds(&self, addr: BlockAddr) -> bool {
-        self.held.contains_key(&addr.0)
+        self.held.contains_key(&addr)
     }
 
     /// Every reachable address, ascending.
     pub(crate) fn addrs(&self) -> impl Iterator<Item = BlockAddr> + '_ {
-        self.held.keys().map(|&a| BlockAddr(a))
+        self.held.keys().copied()
     }
 
     /// Releases refused since mount.
@@ -115,15 +115,15 @@ impl Ledger {
 
     /// Every address `self` and `derived` hold by different counts.
     pub(crate) fn diff(&self, derived: &Ledger) -> Vec<Discrepancy> {
-        let refs = |l: &Ledger, a: u64| l.held.get(&a).map(|&(_, n)| n);
-        let addrs: BTreeSet<u64> = self.addrs().chain(derived.addrs()).map(|a| a.0).collect();
+        let refs = |l: &Ledger, a| l.held.get(&a).map(|&(_, n)| n);
+        let addrs: BTreeSet<BlockAddr> = self.addrs().chain(derived.addrs()).collect();
         addrs
             .into_iter()
             .filter(|&a| refs(self, a) != refs(derived, a))
-            .map(|a| Discrepancy {
-                addr: BlockAddr(a),
-                held: refs(self, a),
-                derived: refs(derived, a),
+            .map(|addr| Discrepancy {
+                addr,
+                held: refs(self, addr),
+                derived: refs(derived, addr),
             })
             .collect()
     }
@@ -132,8 +132,8 @@ impl Ledger {
     /// the object table: evicted objects through their checkpoints,
     /// cached ones in place.
     pub(crate) fn derive<D: BlockDev>(log: &Log<D>, inner: &Inner) -> Result<Ledger> {
-        let mut held: BTreeMap<u64, (BlockKind, u32)> = BTreeMap::new();
-        let mut slot = |addr: BlockAddr, kind| held.entry(addr.0).or_insert((kind, 0)).1 += 1;
+        let mut held: BTreeMap<BlockAddr, (BlockKind, u32)> = BTreeMap::new();
+        let mut slot = |addr, kind| held.entry(addr).or_insert((kind, 0)).1 += 1;
         let mut plain: Vec<(BlockAddr, BlockKind)> = Vec::new();
         for s in [&inner.audit, &inner.alerts, &inner.traces] {
             plain.extend(s.blocks().iter().map(|&a| (a, BlockKind::Audit)));
@@ -147,22 +147,24 @@ impl Ledger {
                     &loaded
                 }
             };
-            // Current data blocks (resolved through forwarding).
-            let current = entry.meta.blocks.values();
-            let mut data: Vec<BlockAddr> = current.map(|a| entry.resolve_forward(*a)).collect();
-            // Landmark versions pin their block maps.
-            for m in &entry.landmarks {
-                data.extend(m.blocks.values());
-            }
-            // Delta-encoded history: one reference on the shared block.
-            for dref in entry.deltas.values() {
-                slot(dref.block, BlockKind::DeltaData);
-            }
             // Checkpoint storage: chain blocks, or one shared-block reference.
             let chain = entry.checkpoint_blocks.iter();
             plain.extend(chain.map(|&a| (a, BlockKind::ObjectCheckpoint)));
             if !entry.checkpoint_root.is_none() && entry.checkpoint_slot != u32::MAX {
                 slot(entry.checkpoint_root, BlockKind::ObjectCheckpoint);
+            }
+            // Delta-encoded history: one reference on the shared block.
+            for dref in entry.deltas.values() {
+                slot(dref.block, BlockKind::DeltaData);
+            }
+            let mut data = |addr| plain.push((addr, BlockKind::Data));
+            // Current data blocks (resolved through forwarding).
+            for a in entry.meta.blocks.values() {
+                data(entry.resolve_forward(*a));
+            }
+            // Landmark versions pin their block maps.
+            for m in &entry.landmarks {
+                m.blocks.values().for_each(|&a| data(a));
             }
             // Journal blocks, and the history their old-pointers keep.
             let mut history = |entries: &[JournalEntry]| {
@@ -171,7 +173,7 @@ impl Ledger {
                     // Delta-encoded history is accounted through its
                     // shared delta block, not the (released) original.
                     if !entry.deltas.contains_key(&key.0) {
-                        data.push(key);
+                        data(key);
                     }
                 }
             };
@@ -180,12 +182,11 @@ impl Ledger {
                 slot(s.addr, BlockKind::JournalSector);
                 history(&read_subsector(log, s.addr, s.slot)?.1);
             }
-            plain.extend(data.into_iter().map(|a| (a, BlockKind::Data)));
         }
         // A container's count stands where a stale plain pointer shares
         // its address.
         for (addr, kind) in plain {
-            held.entry(addr.0).or_insert((kind, 1));
+            held.entry(addr).or_insert((kind, 1));
         }
         Ok(Ledger { held, refused: 0 })
     }
@@ -244,7 +245,7 @@ mod tests {
         let before = counted(&log, addr);
         let new = BlockAddr(addr.0 + 100);
         l.moved(addr, new);
-        let moved = BTreeMap::from([(new.0, (BlockKind::JournalSector, 2))]);
+        let moved = BTreeMap::from([(new, (BlockKind::JournalSector, 2))]);
         assert_eq!(l.held, moved);
         l.moved(BlockAddr(12345), BlockAddr(6)); // unknown block: no-op
         assert_eq!(l.held, moved);
@@ -267,7 +268,7 @@ mod tests {
         let x = container(DELTAS, &log, &mut l, 3);
         let before = counted(&log, x);
         assert_eq!(l.release(&log, x, BlockKind::Data), 0);
-        assert_eq!(l.held[&x.0], (BlockKind::DeltaData, 3));
+        assert_eq!(l.held[&x], (BlockKind::DeltaData, 3));
         assert_eq!(l.release(&log, BlockAddr(x.0 + 1), BlockKind::Data), 0);
         assert_eq!((counted(&log, x), l.refused()), (before, 2));
     }
@@ -276,10 +277,10 @@ mod tests {
     fn diff_names_every_address_held_by_another_count() {
         let (log, mut a, mut b) = (log(), Ledger::default(), Ledger::default());
         let x = container(DELTAS, &log, &mut a, 3);
-        let y = a.append(&log, BlockTag::new(BlockKind::Data, 1, 0), &[1], 1);
-        b.held.insert(x.0, (BlockKind::DeltaData, 2));
-        b.held.insert(7, (BlockKind::Data, 1));
-        let (y, seven) = (y.unwrap(), BlockAddr(7));
+        let tag = BlockTag::new(BlockKind::Data, 1, 0);
+        let (y, seven) = (a.append(&log, tag, &[1], 1).unwrap(), BlockAddr(7));
+        b.held.insert(x, (BlockKind::DeltaData, 2));
+        b.held.insert(seven, (BlockKind::Data, 1));
         let mut want = vec![
             (x, Some(3), Some(2)),
             (y, Some(1), None),

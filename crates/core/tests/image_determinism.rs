@@ -96,7 +96,7 @@ fn run(
     let mut marked: Vec<ObjectId> = Vec::new();
     let mut outcome = 0u64;
     let mut note = |ok: bool| outcome = outcome.wrapping_mul(31).wrapping_add(ok as u64 + 1);
-    let audit = |d: &S4Drive<MemDisk>| if audited { audit(d) } else { Ok(()) };
+    let check = |d: &S4Drive<MemDisk>| if audited { audit(d) } else { Ok(()) };
 
     for step in 0..1_500u32 {
         let at = |what: &str, e: String| format!("seed {seed:#x} step {step} {what}: {e}");
@@ -177,17 +177,17 @@ fn run(
             }
             98 => {
                 note(d.op_sync(&user).is_ok());
-                audit(&d).map_err(|e| at("before the crash", e))?;
+                check(&d).map_err(|e| at("before the crash", e))?;
                 d = S4Drive::mount(d.crash(), config(), clock.clone())
                     .map_err(|e| at("mount after crash", format!("{e:?}")))?;
-                audit(&d).map_err(|e| at("after mount", e))?;
+                check(&d).map_err(|e| at("after mount", e))?;
             }
             _ => {
-                audit(&d).map_err(|e| at("before unmount", e))?;
+                check(&d).map_err(|e| at("before unmount", e))?;
                 let dev = d.unmount().expect("unmount");
                 d = S4Drive::mount(dev, config(), clock.clone())
                     .map_err(|e| at("mount", format!("{e:?}")))?;
-                audit(&d).map_err(|e| at("after mount", e))?;
+                check(&d).map_err(|e| at("after mount", e))?;
             }
         }
     }
