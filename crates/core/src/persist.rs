@@ -67,6 +67,7 @@ impl<D: BlockDev> S4Drive<D> {
                         push_bytes(&mut payload, chunk);
                         let tag = BlockTag::new(BlockKind::ObjectCheckpoint, oid, i as u64);
                         next = inner.ledger.append(&self.log, tag, &payload, 1)?;
+                        self.stats.checkpoint_blocks(1);
                         new_blocks.push(next);
                     }
                     entry.checkpoint_root = next;
@@ -87,6 +88,8 @@ impl<D: BlockDev> S4Drive<D> {
                 entry.checkpoint_slot = slot;
             }
             self.stats.checkpoints(1);
+            // Slot 0 is placed once per container appended.
+            self.stats.checkpoint_blocks((slot == 0) as u64);
         })
     }
 

@@ -78,6 +78,7 @@ drive_counters!(
     (audit_blocks, "full audit blocks flushed to the log"),
     (journal_sectors, "journal subsectors packed into log entries"),
     (checkpoints, "object checkpoints written"),
+    (checkpoint_blocks, "blocks written to hold object checkpoints"),
     (expired_blocks, "history blocks expired past the window"),
     (cleaner_relocations, "live blocks relocated by the cleaner"),
     (cleaner_segments, "segments reclaimed by the cleaner"),
@@ -117,9 +118,13 @@ mod tests {
         let s = DriveStats::registered(&reg);
         s.requests(2);
         s.syncs(1);
+        s.checkpoints(9);
+        s.checkpoint_blocks(1);
         let text = reg.render_prometheus();
         assert!(text.contains("s4_requests_total 2"), "{text}");
         assert!(text.contains("s4_syncs_total 1"));
+        assert!(text.contains("s4_checkpoints_total 9"));
+        assert!(text.contains("s4_checkpoint_blocks_total 1"));
         assert!(text.contains("s4_anchors_total 0"));
     }
 

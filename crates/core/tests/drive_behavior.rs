@@ -578,6 +578,90 @@ fn four_versions_two_expiries_and_a_clean_remount_read_back_the_fourth() {
     assert_eq!((data[0], data.len()), (4, 4096), "version read back");
 }
 
+/// Creates `n` objects holding `object-<i>`, each synced as it is made.
+fn small_objects(d: &S4Drive<MemDisk>, n: u32) -> Vec<ObjectId> {
+    (0..n)
+        .map(|i| {
+            let oid = d.op_create(&alice(), None).unwrap();
+            d.op_write(&alice(), oid, 0, format!("object-{i}").as_bytes())
+                .unwrap();
+            d.op_sync(&alice()).unwrap();
+            oid
+        })
+        .collect()
+}
+
+/// Every object of [`small_objects`] reads back, and the ledger equals
+/// its recount.
+fn assert_small_objects(d: &S4Drive<MemDisk>, oids: &[ObjectId], suffix: &str) {
+    for (i, oid) in oids.iter().enumerate() {
+        let data = d.op_read(&alice(), *oid, 0, 100, None).unwrap();
+        assert_eq!(
+            String::from_utf8_lossy(&data),
+            format!("object-{i}{suffix}")
+        );
+    }
+    assert_eq!(d.check_image(), Ok((vec![], 0)));
+}
+
+/// Eviction hands the shared checkpoint container its victims as one
+/// batch: a 64-entry cache retires nine at a time (the 65th entry takes
+/// it down to 64 - 64/8 = 56), and nine small checkpoints are one 4 KiB
+/// block. One victim per turn was one block per victim.
+#[test]
+fn evicted_checkpoints_share_their_blocks() {
+    let clock = SimClock::new();
+    clock.advance(SimDuration::from_secs(1));
+    let mut config = DriveConfig::small_test();
+    config.object_cache_entries = 64;
+    let d = S4Drive::format(MemDisk::new(400_000), config, clock.clone()).unwrap();
+    let oids = small_objects(&d, 128);
+    let s = d.stats().snapshot();
+    // Every victim was born dirty, so each eviction wrote a checkpoint.
+    assert!(s.checkpoints >= 64, "{} evictions", s.checkpoints);
+    assert!(
+        s.checkpoint_blocks <= s.checkpoints.div_ceil(9),
+        "{} checkpoints took {} blocks",
+        s.checkpoints,
+        s.checkpoint_blocks
+    );
+    assert_small_objects(&d, &oids, "");
+    let d = S4Drive::mount(d.unmount().unwrap(), config, clock).unwrap();
+    assert_small_objects(&d, &oids, "");
+}
+
+/// An expiry pass over a fully cached drive checkpoints every object
+/// whose only description is the journal about to go — all of them in
+/// one batch, so 64 small checkpoints share a few blocks instead of
+/// taking one each.
+#[test]
+fn one_expiry_pass_checkpoints_its_objects_together() {
+    let clock = SimClock::new();
+    clock.advance(SimDuration::from_secs(1));
+    let mut config = DriveConfig::small_test();
+    config.detection_window = SimDuration::from_secs(1);
+    let d = S4Drive::format(MemDisk::new(400_000), config, clock.clone()).unwrap();
+    let oids = small_objects(&d, 64);
+    for oid in &oids {
+        d.op_append(&alice(), *oid, b"+v2").unwrap();
+        d.op_sync(&alice()).unwrap();
+    }
+    clock.advance(SimDuration::from_secs(2));
+    let before = d.stats().snapshot();
+    assert!(d.expire_versions().unwrap() > 0);
+    let pass = d.stats().snapshot().delta(&before);
+    assert!(pass.checkpoints >= 64, "{} checkpoints", pass.checkpoints);
+    assert!(
+        pass.checkpoint_blocks * 8 <= pass.checkpoints,
+        "{} checkpoints took {} blocks",
+        pass.checkpoints,
+        pass.checkpoint_blocks
+    );
+    assert_small_objects(&d, &oids, "+v2");
+    let d = S4Drive::mount(d.unmount().unwrap(), config, clock).unwrap();
+    assert_small_objects(&d, &oids, "+v2");
+}
+
 #[test]
 fn set_window_is_admin_only_and_effective() {
     let d = drive();
