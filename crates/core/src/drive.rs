@@ -917,10 +917,7 @@ impl<D: BlockDev> S4Drive<D> {
         };
         let base = self.materialize_block(entry, dref.base)?;
         let dblock = self.log.read_block(dref.block)?;
-        let subs = packed::DELTAS.split(&dblock)?;
-        let sub = subs
-            .get(dref.slot as usize)
-            .ok_or(S4Error::BadRequest("delta slot out of range"))?;
+        let sub = packed::DELTAS.slot(&dblock, dref.slot)?;
         if sub.len() < 16 {
             return Err(S4Error::BadRequest("delta payload truncated"));
         }

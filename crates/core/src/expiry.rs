@@ -24,18 +24,55 @@ use crate::{Result, S4Error};
 impl<D: BlockDev> S4Drive<D> {
     /// Releases every version older than the detection window; returns
     /// the number of blocks released. This is the scan the paper's
-    /// cleaner performs over the object map (§4.2.1).
+    /// cleaner performs over the object map (§4.2.1). Two phases over
+    /// the pass: never retire the only durable description of current
+    /// state before its replacement is written, so every object with a
+    /// sector about to go that its checkpoint does not cover (or no
+    /// checkpoint) is checkpointed first — all of them as one batch,
+    /// sharing blocks — and only then is any journal retired. An error
+    /// between the phases leaves extra checkpoints, never a hole. The
+    /// objects the pass loaded leave the cache with it.
     pub fn expire_versions(&self) -> Result<u64> {
-        let mut inner = self.inner.lock();
+        let inner = &mut *self.inner.lock();
         let now = self.clock.now();
-        let window = inner.window;
-        let cutoff = HybridTimestamp::upper_bound_at(now.saturating_sub(window));
-        let oids: Vec<u64> = inner.table.keys().copied().collect();
+        let cutoff = HybridTimestamp::upper_bound_at(now.saturating_sub(inner.window));
+        // Evicted objects that cannot have expirable state stay evicted.
+        let expirable = |slot: &Slot| match slot {
+            Slot::Cached(_) => true,
+            Slot::Evicted(info) => {
+                info.expiry_hint <= cutoff || info.deleted.is_some_and(|d| d <= cutoff)
+            }
+        };
+        let oids: Vec<u64> = inner
+            .table
+            .iter()
+            .filter(|(_, slot)| expirable(slot))
+            .map(|(&oid, _)| oid)
+            .collect();
+        let mut uncovered = Vec::new();
+        for &oid in &oids {
+            let exposed = self.with_object(inner, ObjectId(oid), |_, entry| {
+                // An object about to disappear whole needs no checkpoint.
+                let fully_expiring = entry.meta.deleted.is_some_and(|d| d <= cutoff)
+                    && entry.pending.is_empty()
+                    && entry.sectors.last().is_none_or(|s| s.newest <= cutoff);
+                let uncovered = |s: &SectorInfo| {
+                    s.newest <= cutoff
+                        && (entry.checkpoint_root.is_none() || s.newest > entry.covered)
+                };
+                Ok(!fully_expiring && entry.sectors.iter().any(uncovered))
+            })?;
+            if exposed {
+                uncovered.push(oid);
+            }
+        }
+        self.pack_checkpoints(inner, &uncovered)?;
         let mut released = 0u64;
         for oid in oids {
-            released += self.expire_object(&mut inner, ObjectId(oid), cutoff)?;
+            released += self.expire_object(inner, ObjectId(oid), cutoff)?;
         }
         self.stats.expired_blocks(released);
+        self.evict_excess(inner)?;
         Ok(released)
     }
 
@@ -149,36 +186,14 @@ impl<D: BlockDev> S4Drive<D> {
         Ok((encoded, encoded))
     }
 
-    /// Expires the history of one object up to `cutoff`.
+    /// Retires the history of one object up to `cutoff`; the caller has
+    /// checkpointed it if that journal was its only description.
     fn expire_object(
         &self,
         inner: &mut Inner,
         oid: ObjectId,
         cutoff: HybridTimestamp,
     ) -> Result<u64> {
-        // Skip loading evicted objects that cannot have expirable state.
-        if let Some(Slot::Evicted(info)) = inner.table.get(&oid.0) {
-            let deletable = info.deleted.is_some_and(|d| d <= cutoff);
-            if info.expiry_hint > cutoff && !deletable {
-                return Ok(0);
-            }
-        }
-        // Never retire the only durable description of current state
-        // before its replacement is durable: a sector about to be dropped
-        // that the checkpoint does not cover (or there is no checkpoint)
-        // gets one first — unless the whole object is about to disappear.
-        let needs_checkpoint = self.with_object(inner, oid, |_, entry| {
-            let fully_expiring = entry.meta.deleted.is_some_and(|d| d <= cutoff)
-                && entry.pending.is_empty()
-                && entry.sectors.last().is_none_or(|s| s.newest <= cutoff);
-            let uncovered = |s: &SectorInfo| {
-                s.newest <= cutoff && (entry.checkpoint_root.is_none() || s.newest > entry.covered)
-            };
-            Ok(!fully_expiring && entry.sectors.iter().any(uncovered))
-        })?;
-        if needs_checkpoint {
-            self.pack_checkpoints(inner, &[oid.0])?;
-        }
         let (released, fully_expired) = self.with_object(inner, oid, |inner, entry| {
             let mut released = 0u64;
             while let Some(first) = entry.sectors.first().copied() {

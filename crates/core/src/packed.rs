@@ -107,17 +107,28 @@ impl PackedBlocks {
         Ok(())
     }
 
-    /// Splits a container of this kind back into its slots.
-    pub(crate) fn split(self, buf: &[u8]) -> Result<Vec<Vec<u8>>> {
+    /// The slots of a container of this kind, in order, borrowed from
+    /// `buf`.
+    fn slots(self, buf: &[u8]) -> Result<impl Iterator<Item = Result<&[u8]>>> {
         let mut r = Reader::new(buf, "container block truncated");
         if r.u32()? != self.magic {
             return Err(S4Error::BadRequest("container block magic"));
         }
-        let mut out = Vec::new();
-        for _ in 0..r.u16()? {
-            out.push(r.bytes()?.to_vec());
-        }
-        Ok(out)
+        Ok((0..r.u16()?).map(move |_| Ok(r.bytes()?)))
+    }
+
+    /// Splits a container of this kind back into its slots — for the
+    /// cleaner, which wants them all.
+    pub(crate) fn split(self, buf: &[u8]) -> Result<Vec<Vec<u8>>> {
+        self.slots(buf)?.map(|s| s.map(<[u8]>::to_vec)).collect()
+    }
+
+    /// Slot `n` of a container of this kind, without materialising its
+    /// neighbours: a reader of one object's record pays for that record.
+    pub(crate) fn slot(self, buf: &[u8], n: u32) -> Result<&[u8]> {
+        self.slots(buf)?
+            .nth(n as usize)
+            .unwrap_or(Err(S4Error::BadRequest("container slot out of range")))
     }
 }
 

@@ -172,44 +172,54 @@ impl<D: BlockDev> S4Drive<D> {
         Ok(())
     }
 
-    /// Evicts least-recently-used objects beyond the object-cache limit,
-    /// checkpointing them first (§4.2.2: "an object's metadata is
-    /// checkpointed to a log segment before being evicted from the
-    /// cache").
-    fn evict_excess(&self, inner: &mut Inner) -> Result<()> {
+    /// Evicts least-recently-used objects once the object cache exceeds
+    /// its limit, checkpointing them first (§4.2.2: "an object's metadata
+    /// is checkpointed to a log segment before being evicted from the
+    /// cache") — as one batch, so that their small checkpoints share
+    /// blocks: the cache is taken down to `limit - limit / 8`, which for
+    /// a limit below 8 is the limit itself. A failing pack leaves every
+    /// victim cached.
+    pub(crate) fn evict_excess(&self, inner: &mut Inner) -> Result<()> {
         let limit = self.config.object_cache_entries.max(1);
-        loop {
-            let cached: Vec<(u64, u64)> = inner
-                .table
-                .iter()
-                .filter_map(|(&oid, slot)| match slot {
-                    Slot::Cached(e) => Some((e.last_used, oid)),
-                    _ => None,
-                })
-                .collect();
-            if cached.len() <= limit {
-                return Ok(());
-            }
-            let (_, victim) = cached.iter().copied().min().expect("non-empty");
-            self.pack_objects(inner, &[victim])?;
-            let stale = self.with_object(inner, ObjectId(victim), |_, entry| {
-                Ok(entry.dirty || entry.checkpoint_root.is_none())
-            })?;
-            if stale {
-                self.pack_checkpoints(inner, &[victim])?;
-            }
-            let info = self.with_object(inner, ObjectId(victim), |_, entry| {
-                Ok(EvictInfo {
-                    checkpoint_root: entry.checkpoint_root,
-                    checkpoint_slot: entry.checkpoint_slot,
-                    expiry_hint: entry.expiry_hint(),
-                    deleted: entry.meta.deleted,
-                })
-            })?;
+        let mut cached: Vec<(u64, u64)> = inner
+            .table
+            .iter()
+            .filter_map(|(&oid, slot)| match slot {
+                Slot::Cached(e) => Some((e.last_used, oid)),
+                _ => None,
+            })
+            .collect();
+        if cached.len() <= limit {
+            return Ok(());
+        }
+        cached.sort_unstable();
+        cached.truncate(cached.len() - (limit - limit / 8));
+        let victims: Vec<u64> = cached.into_iter().map(|(_, oid)| oid).collect();
+        self.pack_objects(inner, &victims)?;
+        let stale: Vec<u64> = victims
+            .iter()
+            .copied()
+            .filter(|oid| match inner.table.get(oid) {
+                Some(Slot::Cached(e)) => e.dirty || e.checkpoint_root.is_none(),
+                _ => false,
+            })
+            .collect();
+        self.pack_checkpoints(inner, &stale)?;
+        for oid in victims {
+            let Some(Slot::Cached(entry)) = inner.table.get(&oid) else {
+                continue;
+            };
+            let info = EvictInfo {
+                checkpoint_root: entry.checkpoint_root,
+                checkpoint_slot: entry.checkpoint_slot,
+                expiry_hint: entry.expiry_hint(),
+                deleted: entry.meta.deleted,
+            };
             // The one place a cached entry is retired on purpose: its
             // checkpoint now says everything the entry did.
-            inner.table.insert(victim, Slot::Evicted(info));
+            inner.table.insert(oid, Slot::Evicted(info));
         }
+        Ok(())
     }
 
     /// Writes a drive anchor: ensures every object is recoverable
@@ -370,16 +380,12 @@ pub(crate) fn read_checkpoint<D: BlockDev>(
     if root.is_none() {
         return Err(S4Error::NoSuchObject);
     }
-    let mut blob = Vec::new();
     let mut blocks = Vec::new();
-    if slot != u32::MAX {
-        // Shared checkpoint block.
-        let subs = packed::CHECKPOINTS.split(&log.read_block(root)?)?;
-        blob = subs
-            .into_iter()
-            .nth(slot as usize)
-            .ok_or(S4Error::BadRequest("checkpoint slot out of range"))?;
+    let mut entry = if slot != u32::MAX {
+        // Shared checkpoint block: decoded where it lies.
+        ObjectEntry::decode(packed::CHECKPOINTS.slot(&log.read_block(root)?, slot)?)?
     } else {
+        let mut blob = Vec::new();
         let mut addr = root;
         while !addr.is_none() {
             let block = log.read_block(addr)?;
@@ -389,8 +395,8 @@ pub(crate) fn read_checkpoint<D: BlockDev>(
             blocks.push(addr);
             addr = next;
         }
-    }
-    let mut entry = ObjectEntry::decode(&blob)?;
+        ObjectEntry::decode(&blob)?
+    };
     entry.checkpoint_root = root;
     entry.checkpoint_slot = slot;
     entry.checkpoint_blocks = blocks;
@@ -404,11 +410,7 @@ pub(crate) fn read_subsector<D: BlockDev>(
     slot: u32,
 ) -> Result<(u64, Vec<JournalEntry>)> {
     let block = log.read_block(addr)?;
-    let subs = packed::JOURNAL.split(&block)?;
-    let sub = subs
-        .get(slot as usize)
-        .ok_or(S4Error::BadRequest("journal slot out of range"))?;
-    let (oid, _prev, entries) = decode_sector(sub)?;
+    let (oid, _prev, entries) = decode_sector(packed::JOURNAL.slot(&block, slot)?)?;
     Ok((oid, entries))
 }
 

@@ -200,8 +200,8 @@ fn run(
 
 #[test]
 fn churn_image_is_one_value_across_runs() {
-    const IMAGE_HASH: u64 = 0xd88c_69b9_c1d6_7443;
-    const STATE_DIGEST: u64 = 0x0295_bce5_9269_34cc;
+    const IMAGE_HASH: u64 = 0xc51d_b005_2902_8f13;
+    const STATE_DIGEST: u64 = 0xbad7_b013_f842_8ef0;
     const OUTCOMES: u64 = 0x7a1d_7af5_6777_6fb7;
     let run = || run(SEEDS[0], &[MAINTENANCE], false).expect("the pinned stream completes");
     let (a, b) = (run(), run());
