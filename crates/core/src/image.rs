@@ -7,13 +7,14 @@
 //! through [`S4Drive::converge`], so a copy and its source agree on
 //! [`S4Drive::object_digest`].
 
-use s4_clock::{HybridTimestamp, SimClock, SimDuration, SimTime};
+use s4_clock::{SimClock, SimDuration, SimTime};
 use s4_journal::JournalEntry;
 use s4_simdisk::BlockDev;
 
 use crate::drive::{DriveConfig, Inner, S4Drive};
 use crate::ids::{ObjectId, RequestContext};
 use crate::object::Slot;
+use crate::persist::read_checkpoint;
 use crate::reserved::ResyncStream;
 use crate::{Result, S4Error};
 
@@ -24,7 +25,9 @@ impl<D: BlockDev> S4Drive<D> {
     /// logs, and the id allocator. Two mounts of the same device image
     /// must produce equal digests — the torture harness's journal-replay
     /// idempotence invariant. FNV-1a over a canonical (oid-sorted)
-    /// serialization; caches, statistics, and LRU state are excluded.
+    /// serialization; caches, statistics, and LRU state are excluded: an
+    /// evicted object hashes as the entry its checkpoint decodes to,
+    /// which is what a mount would cache.
     pub fn state_digest(&self) -> u64 {
         let inner = self.inner.lock();
         let mut h = Fnv::new();
@@ -32,28 +35,31 @@ impl<D: BlockDev> S4Drive<D> {
         h.u64(inner.window.as_micros());
         for (&oid, slot) in &inner.table {
             h.u64(oid);
-            match slot {
-                Slot::Cached(entry) => {
-                    h.u64(1);
-                    h.bytes(&entry.encode());
-                    h.u64(entry.pending.len() as u64);
-                    let mut buf = Vec::new();
-                    for e in &entry.pending {
-                        e.encode_into(&mut buf);
-                    }
-                    h.bytes(&buf);
-                }
-                Slot::Evicted(info) => {
-                    h.u64(2);
-                    h.u64(info.checkpoint_root.0);
-                    h.u64(info.checkpoint_slot as u64);
-                    h.stamp(info.expiry_hint);
-                    h.u64(info.deleted.is_some() as u64);
-                    if let Some(d) = info.deleted {
-                        h.stamp(d);
+            let loaded;
+            let entry = match slot {
+                Slot::Cached(entry) => &**entry,
+                Slot::Evicted(i) => {
+                    match read_checkpoint(&self.log, i.checkpoint_root, i.checkpoint_slot) {
+                        Ok(entry) => {
+                            loaded = entry;
+                            &loaded
+                        }
+                        // An unreadable checkpoint is a state of its own.
+                        Err(_) => {
+                            h.u64(2);
+                            continue;
+                        }
                     }
                 }
+            };
+            h.u64(1);
+            h.bytes(&entry.encode());
+            h.u64(entry.pending.len() as u64);
+            let mut buf = Vec::new();
+            for e in &entry.pending {
+                e.encode_into(&mut buf);
             }
+            h.bytes(&buf);
         }
         for s in [&inner.audit, &inner.alerts, &inner.traces] {
             s.digest(|b| h.bytes(b));
@@ -333,10 +339,6 @@ impl Fnv {
     }
     fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
-    }
-    fn stamp(&mut self, s: HybridTimestamp) {
-        self.u64(s.time.as_micros());
-        self.u64(s.seq);
     }
 }
 

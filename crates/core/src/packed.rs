@@ -153,13 +153,14 @@ mod tests {
     use s4_simdisk::MemDisk;
     use std::collections::BTreeMap;
 
+    const CONFIG: LogConfig = LogConfig {
+        blocks_per_segment: 16,
+        cache_blocks: 64,
+        readahead_blocks: 1,
+    };
+
     fn log() -> Log<MemDisk> {
-        let config = LogConfig {
-            blocks_per_segment: 16,
-            cache_blocks: 64,
-            readahead_blocks: 1,
-        };
-        Log::format(MemDisk::with_capacity_bytes(4 << 20), config).unwrap()
+        Log::format(MemDisk::with_capacity_bytes(4 << 20), CONFIG).unwrap()
     }
 
     type Placed = Vec<(BlockAddr, u32, u64, &'static str)>;
@@ -182,7 +183,7 @@ mod tests {
     /// The tag every block of the log was appended under, by address.
     fn tags(log: Log<MemDisk>) -> BTreeMap<u64, BlockTag> {
         log.flush().unwrap();
-        let Mounted { batches, .. } = Log::mount(log.into_device(), 64).unwrap();
+        let Mounted { batches, .. } = Log::mount(log.into_device(), CONFIG).unwrap();
         batches
             .iter()
             .flat_map(|b| b.blocks.iter().map(|&(a, t)| (a.0, t)))

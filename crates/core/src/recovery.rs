@@ -32,7 +32,7 @@ impl<D: BlockDev> S4Drive<D> {
             batches,
             superblock: sb,
             torn_batches,
-        } = Log::mount(dev, config.log.cache_blocks)?;
+        } = Log::mount(dev, config.log)?;
         clock.advance_to(SimTime::from_micros(sb.anchor_time_us));
 
         let (mut inner, records) = decode_anchor_payload(&payload, &config)?;

@@ -177,11 +177,12 @@ impl<D: BlockDev> Log<D> {
 
     /// Mounts an existing log: reads the latest superblock, rolls the log
     /// forward to the last complete batch, and loads the anchored system
-    /// state.
-    pub fn mount(dev: D, cache_blocks: usize) -> Result<Mounted<D>> {
+    /// state. `config` sizes the cache and the readahead; the segment
+    /// size is the one the log was formatted with.
+    pub fn mount(dev: D, config: LogConfig) -> Result<Mounted<D>> {
         let sb = Superblock::read_latest(&dev)?;
         let geo = sb.geometry();
-        let cache = BlockCache::new(cache_blocks);
+        let cache = BlockCache::new(config.cache_blocks);
         let anchored = |epoch: u64| !sb.has_no_state() && epoch <= sb.state_epoch_last;
 
         // Phase 1: scan forward from the anchored cursor, collecting every
@@ -300,7 +301,7 @@ impl<D: BlockDev> Log<D> {
             dev,
             geo,
             cache,
-            readahead: 32,
+            readahead: config.readahead_blocks,
             state: Mutex::new(WriterState {
                 seg,
                 cursor,
@@ -676,18 +677,16 @@ impl<D: BlockDev> Log<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s4_simdisk::MemDisk;
+    use s4_simdisk::{MemDisk, TraceDisk};
+
+    const SMALL: LogConfig = LogConfig {
+        blocks_per_segment: 16,
+        cache_blocks: 64,
+        readahead_blocks: 1,
+    };
 
     fn small_log() -> Log<MemDisk> {
-        Log::format(
-            MemDisk::new(200_000),
-            LogConfig {
-                blocks_per_segment: 16,
-                cache_blocks: 64,
-                readahead_blocks: 1,
-            },
-        )
-        .unwrap()
+        Log::format(MemDisk::new(200_000), SMALL).unwrap()
     }
 
     fn tag(obj: u64, aux: u64) -> BlockTag {
@@ -759,7 +758,7 @@ mod tests {
             payload,
             batches,
             ..
-        } = Log::mount(dev, 64).unwrap();
+        } = Log::mount(dev, SMALL).unwrap();
         assert!(payload.is_empty());
         let recovered: Vec<(BlockAddr, BlockTag)> =
             batches.iter().flat_map(|b| b.blocks.clone()).collect();
@@ -798,7 +797,7 @@ mod tests {
             batches,
             superblock: sb,
             ..
-        } = Log::mount(dev, 64).unwrap();
+        } = Log::mount(dev, SMALL).unwrap();
         assert_eq!(payload, b"OBJECT-MAP-STATE");
         assert_eq!(sb.next_stamp_seq, 555);
         assert_eq!(sb.anchor_time_us, 42);
@@ -826,7 +825,7 @@ mod tests {
             payload: restored,
             batches,
             ..
-        } = Log::mount(dev, 64).unwrap();
+        } = Log::mount(dev, SMALL).unwrap();
         assert_eq!(restored, payload);
         assert!(batches.is_empty());
     }
@@ -894,7 +893,7 @@ mod tests {
             .unwrap();
             let plan = FaultPlan::power_loss_with_pattern(0, torn, RequestClassMask::WRITES);
             let dev = FaultyDisk::new(dev, plan);
-            let log = Log::mount(dev, 64).unwrap().log;
+            let log = Log::mount(dev, SMALL).unwrap().log;
             for i in 1..=3u64 {
                 log.append(tag(1, i), &solid(i as u8)).unwrap();
             }
@@ -905,13 +904,13 @@ mod tests {
             // Mount stops at the previous batch; a data mismatch is
             // reported only when the summary itself survived.
             let summary_survived = (0..SUMMARY_SECTORS).all(|i| torn.keeps(i));
-            let first = Log::mount(dev, 64).unwrap();
+            let first = Log::mount(dev, SMALL).unwrap();
             assert_eq!(recovered_aux(&first), vec![0], "{torn:?}");
             assert_eq!(first.torn_batches, summary_survived as usize, "{torn:?}");
             assert_eq!(&first.log.read_block(a).unwrap()[..7], b"durable");
 
             // A second mount of the untouched image is identical.
-            let second = Log::mount(first.log.into_device(), 64).unwrap();
+            let second = Log::mount(first.log.into_device(), SMALL).unwrap();
             assert_eq!(recovered_aux(&second), vec![0], "{torn:?}");
             assert_eq!(second.torn_batches, first.torn_batches, "{torn:?}");
 
@@ -921,7 +920,7 @@ mod tests {
             let b = log.append(tag(1, 9), &solid(9)).unwrap();
             assert_eq!(b.0, a.0 + 2, "{torn:?}: cursor sits after batch one");
             log.flush().unwrap();
-            let third = Log::mount(log.into_device(), 64).unwrap();
+            let third = Log::mount(log.into_device(), SMALL).unwrap();
             assert_eq!(recovered_aux(&third), vec![0, 9], "{torn:?}");
             assert_eq!(third.torn_batches, 0, "{torn:?}");
             assert_eq!(&third.log.read_block(b).unwrap()[..], &solid(9)[..]);
@@ -947,7 +946,7 @@ mod tests {
         let geo = *log.geometry();
         let dev = log.into_device();
         flip_bit(&dev, &geo, last);
-        let m = Log::mount(dev, 64).unwrap();
+        let m = Log::mount(dev, SMALL).unwrap();
         assert_eq!(
             recovered_aux(&m),
             vec![0],
@@ -966,7 +965,7 @@ mod tests {
         let dev = log.into_device();
         flip_bit(&dev, &geo, state);
         assert_eq!(
-            Log::mount(dev, 64).err(),
+            Log::mount(dev, SMALL).err(),
             Some(LfsError::Corrupt("anchor state checksum")),
             "an anchored batch is never silently truncated"
         );
@@ -981,7 +980,7 @@ mod tests {
         let log = small_log();
         let a = log.append(tag(1, 0), b"x").unwrap();
         log.write_anchor(b"OBJECT-MAP-STATE", 1, 1).unwrap();
-        let log = Log::mount(log.into_device(), 64).unwrap().log;
+        let log = Log::mount(log.into_device(), SMALL).unwrap().log;
         log.rebuild_live_counts([a]);
         log.write_anchor(b"OBJECT-MAP-STATE", 2, 2).unwrap();
         let usage = log.usage_snapshot();
@@ -1005,7 +1004,7 @@ mod tests {
             let plan = FaultPlan::power_loss_after_requests(r, 0, RequestClassMask::READS);
             let dev = FaultyDisk::new(image.clone(), plan);
             assert!(
-                matches!(Log::mount(dev, 64).err(), Some(LfsError::Disk(_))),
+                matches!(Log::mount(dev, SMALL).err(), Some(LfsError::Disk(_))),
                 "read {r}"
             );
         }
@@ -1031,7 +1030,7 @@ mod tests {
         let segments = log.geometry().segment_of(*addrs.last().unwrap()) + 1;
         let dev = log.into_device();
         dev.clear();
-        let m = Log::mount(dev, 64).unwrap();
+        let m = Log::mount(dev, SMALL).unwrap();
         assert_eq!(m.batches.len(), 20);
         // Two superblock copies plus one transfer per segment.
         assert_eq!(m.log.device().reads(), 2 + segments as u64);
@@ -1113,6 +1112,27 @@ mod tests {
         }
     }
 
+    /// A mounted log reads ahead what its configuration says: one cold
+    /// block of a log mounted with readahead 1 is one block off the
+    /// device (it was a 16-block run when mount hard-coded 32).
+    #[test]
+    fn mount_keeps_the_configured_readahead() {
+        let log = small_log();
+        let addrs: Vec<BlockAddr> = (0..8u64)
+            .map(|i| log.append(tag(1, i), &i.to_le_bytes()).unwrap())
+            .collect();
+        log.flush().unwrap();
+        let dev = TraceDisk::new(log.into_device());
+        let trace = dev.handle();
+        let log = Log::mount(dev, SMALL).unwrap().log;
+        // Mount leaves the batches it replayed in the cache.
+        log.cache().clear();
+        trace.clear();
+        assert_eq!(&log.read_block(addrs[3]).unwrap()[..8], &3u64.to_le_bytes());
+        let read: Vec<usize> = trace.records().iter().map(|r| r.len).collect();
+        assert_eq!(read, [BLOCK_SIZE]);
+    }
+
     #[test]
     fn second_anchor_releases_first_anchor_state() {
         let log = small_log();
@@ -1120,7 +1140,7 @@ mod tests {
         log.write_anchor(b"A1", 1, 1).unwrap();
         log.write_anchor(b"A2-bigger-payload", 2, 2).unwrap();
         let dev = log.into_device();
-        let payload = Log::mount(dev, 16).unwrap().payload;
+        let payload = Log::mount(dev, SMALL).unwrap().payload;
         assert_eq!(payload, b"A2-bigger-payload");
     }
 
@@ -1139,13 +1159,13 @@ mod tests {
             dev = log.into_device();
         }
         for round in 0..3u64 {
-            let Mounted { log, payload, .. } = Log::mount(dev, 64).unwrap();
+            let Mounted { log, payload, .. } = Log::mount(dev, SMALL).unwrap();
             assert_eq!(payload, b"S");
             log.append(tag(2, round), b"more").unwrap();
             log.flush().unwrap();
             dev = log.into_device();
         }
-        let batches = Log::mount(dev, 64).unwrap().batches;
+        let batches = Log::mount(dev, SMALL).unwrap().batches;
         // Three post-anchor data batches survive.
         let n: usize = batches
             .iter()

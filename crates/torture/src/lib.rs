@@ -104,6 +104,17 @@ fn trace_blob_len(trace: &TraceCtx) -> usize {
 /// Device size for every torture drive (sparse in memory).
 const DISK_BYTES: u64 = 96 << 20;
 
+/// The configuration of every torture drive: `small_test` with an
+/// eight-entry object cache, so the workload's ninth cached object starts
+/// write-back in batches (down to seven) and the power cuts land on
+/// evictions, their shared checkpoint blocks and the reloads after them.
+fn drive_config() -> DriveConfig {
+    DriveConfig {
+        object_cache_entries: 8,
+        ..DriveConfig::small_test()
+    }
+}
+
 /// Parameters of one torture campaign.
 #[derive(Clone, Debug)]
 pub struct TortureConfig {
@@ -111,6 +122,8 @@ pub struct TortureConfig {
     pub seed: u64,
     /// Workload length in operations.
     pub ops: usize,
+    /// What those operations are.
+    pub workload: Workload,
     /// Torn-write patterns the campaign draws from: which sectors of the
     /// faulting write persist (prefix, interleaved, or holed).
     pub torn_patterns: Vec<TornPattern>,
@@ -123,6 +136,40 @@ pub struct TortureConfig {
     /// Cap on crash points (sampled evenly across the domain);
     /// `None` enumerates every countable request.
     pub max_crash_points: Option<usize>,
+}
+
+/// The request stream a campaign replays.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Workload {
+    /// The seeded mix of creates, writes, truncates, deletes, attribute
+    /// changes, syncs and idle ticks.
+    Mixed,
+    /// A fixed script around one large write-back: 24 objects are created
+    /// and written, one `Sync` makes them durable and then evicts 18 of
+    /// them as one batch — whose checkpoints sit in the open log batch —
+    /// three of the evicted are written again (reloaded from those
+    /// unflushed checkpoints) and a second `Sync` is the flush that
+    /// carries the batch; three more writes and a third `Sync` evict the
+    /// reloaded ones again.
+    BatchEviction,
+}
+
+/// Operation `i` of [`Workload::BatchEviction`], given the objects made
+/// so far.
+fn batch_eviction_op(i: usize, live: &[ObjectId]) -> Request {
+    const OBJECTS: usize = 24;
+    let write = |oid, fill: usize| Request::Write {
+        oid,
+        offset: 0,
+        data: vec![fill as u8; 100],
+    };
+    match i {
+        _ if i < OBJECTS => Request::Create,
+        _ if i < 2 * OBJECTS => write(live[i - OBJECTS], i),
+        49..=51 => write(live[i - 49], i),
+        53..=55 => write(live[i - 43], i),
+        _ => Request::Sync,
+    }
 }
 
 /// The standard torn-pattern mix: whole-write loss, a persisted prefix,
@@ -154,6 +201,7 @@ impl TortureConfig {
         TortureConfig {
             seed,
             ops: 120,
+            workload: Workload::Mixed,
             torn_patterns: standard_patterns(),
             patterns_per_point: Some(2),
             max_crash_points: Some(64),
@@ -166,8 +214,26 @@ impl TortureConfig {
         TortureConfig {
             seed,
             ops: 500,
+            workload: Workload::Mixed,
             torn_patterns: standard_patterns(),
             patterns_per_point: Some(2),
+            max_crash_points: None,
+        }
+    }
+
+    /// The batch-eviction campaign: the [`Workload::BatchEviction`]
+    /// script, every countable request, every torn pattern at each. The
+    /// first request of the flush after the eviction torn as
+    /// `Prefix(0)` is the power cut that finds the batch's checkpoints
+    /// still unflushed; the other points and patterns cut the flush that
+    /// carries them.
+    pub fn batch_eviction() -> Self {
+        TortureConfig {
+            seed: 0,
+            ops: 57,
+            workload: Workload::BatchEviction,
+            torn_patterns: standard_patterns(),
+            patterns_per_point: None,
             max_crash_points: None,
         }
     }
@@ -213,6 +279,10 @@ pub struct GoldenSummary {
     pub objects: usize,
     /// Oracle version entries validated.
     pub versions: usize,
+    /// Object checkpoints the workload wrote (every one of them for an
+    /// eviction: the workload neither expires nor anchors with stale
+    /// entries), and the blocks that hold them.
+    pub checkpoints: (u64, u64),
     /// XXH64 of the whole device image after an orderly unmount. Same
     /// requests produce the same bytes, so this is one value per
     /// `(seed, ops)` across runs and processes — the byte-level oracle
@@ -303,16 +373,15 @@ pub(crate) fn admin_ctx() -> RequestContext {
 fn run_workload<D: BlockDev>(
     drive: &S4Drive<D>,
     clock: &SimClock,
-    seed: u64,
-    ops: usize,
+    cfg: &TortureConfig,
 ) -> RunState {
-    let mut rng = Rng::new(seed);
+    let mut rng = Rng::new(cfg.seed);
     let ctx = user_ctx();
     let mut st = RunState::default();
     // Alive objects (targets for mutations), plus their oracle state.
     let mut live: Vec<ObjectId> = Vec::new();
 
-    for _ in 0..ops {
+    for i in 0..cfg.ops {
         // Distinct mutation instants keep oracle lookups unambiguous.
         clock.advance(SimDuration::from_millis(1));
         let roll = rng.below(100);
@@ -322,7 +391,9 @@ fn run_workload<D: BlockDev>(
             Req(Request),
             Tick(u64),
         }
-        let planned = if roll < 90 && live.is_empty() {
+        let planned = if cfg.workload == Workload::BatchEviction {
+            Planned::Req(batch_eviction_op(i, &live))
+        } else if roll < 90 && live.is_empty() {
             // Nothing to mutate yet.
             Planned::Req(Request::Create)
         } else if roll < 8 {
@@ -433,7 +504,7 @@ fn run_workload<D: BlockDev>(
                 // The sync's own record (just pushed) is post-flush.
                 st.records_at_sync = st.predicted.len() - 1;
                 st.syncs_ok += 1;
-                let interval = DriveConfig::small_test().anchor_interval_syncs as usize;
+                let interval = drive_config().anchor_interval_syncs as usize;
                 if st.syncs_ok.is_multiple_of(interval) {
                     st.records_at_anchor = st.records_at_sync;
                 }
@@ -562,11 +633,11 @@ pub fn golden_run(cfg: &TortureConfig) -> GoldenSummary {
     clock.advance(SimDuration::from_secs(1));
     let dev = TraceDisk::new(MemDisk::with_capacity_bytes(DISK_BYTES));
     let trace = dev.handle();
-    let drive = S4Drive::format(dev, DriveConfig::small_test(), clock.clone())
+    let drive = S4Drive::format(dev, drive_config(), clock.clone())
         .expect("golden: format failed");
     let format_points = trace.countable(CRASH_MASK);
     let format_syncs = trace.syncs();
-    let st = run_workload(&drive, &clock, cfg.seed, cfg.ops);
+    let st = run_workload(&drive, &clock, cfg);
     assert!(!st.stopped_early, "golden: fault-free run failed a dispatch");
     let end_points = trace.countable(CRASH_MASK);
     let sync_points = trace.syncs() - format_syncs;
@@ -594,6 +665,7 @@ pub fn golden_run(cfg: &TortureConfig) -> GoldenSummary {
     );
     verify_trace_prefix(&traces, &st, "golden");
 
+    let stats = drive.stats().snapshot();
     let dev = drive.unmount().expect("golden: unmount").into_inner();
     let mut image = vec![0u8; dev.capacity_bytes() as usize];
     dev.read(0, &mut image).expect("golden: image read");
@@ -605,6 +677,7 @@ pub fn golden_run(cfg: &TortureConfig) -> GoldenSummary {
         sync_points,
         objects: st.oracle.objects(),
         versions,
+        checkpoints: (stats.checkpoints, stats.checkpoint_blocks),
         image_hash: s4_lfs::crc::xxh64(&image),
     }
 }
@@ -636,9 +709,9 @@ fn crash_at(campaign: &str, cfg: &TortureConfig, k: u64, torn: TornPattern) -> (
     let plan = FaultPlan::power_loss_with_pattern(k, torn, CRASH_MASK);
     let dev = FaultyDisk::new(MemDisk::with_capacity_bytes(DISK_BYTES), plan);
     // k is at or past format's request count, so format always succeeds.
-    let drive = S4Drive::format(dev, DriveConfig::small_test(), clock.clone())
+    let drive = S4Drive::format(dev, drive_config(), clock.clone())
         .unwrap_or_else(|e| panic!("{what}: format failed (crash point inside format?): {e:?}"));
-    let st = run_workload(&drive, &clock, cfg.seed, cfg.ops);
+    let st = run_workload(&drive, &clock, cfg);
     // A sequence that ended before its crash point is flushed as the
     // golden run's is, so the power goes off on a completed workload
     // (unless the flush is what trips the fault).
@@ -652,7 +725,7 @@ fn crash_at(campaign: &str, cfg: &TortureConfig, k: u64, torn: TornPattern) -> (
 /// Mounts `dev` on a fresh clock. Recovery must always succeed — there
 /// is always at least the format-time anchor to fall back to.
 fn mount<D: BlockDev>(dev: D, what: &str, stage: &str) -> (S4Drive<D>, RecoveryReport) {
-    S4Drive::mount_with_report(dev, DriveConfig::small_test(), SimClock::new())
+    S4Drive::mount_with_report(dev, drive_config(), SimClock::new())
         .unwrap_or_else(|e| panic!("{what}: {stage} failed: {e:?}"))
 }
 
@@ -887,7 +960,7 @@ pub fn torture_crash_during_recovery(
             image.clone(),
             FaultPlan::power_loss_after_requests(r, 0, RequestClassMask::ALL),
         );
-        match S4Drive::mount_with_report(wrapped, DriveConfig::small_test(), SimClock::new()) {
+        match S4Drive::mount_with_report(wrapped, drive_config(), SimClock::new()) {
             Err(_) => second_died += 1,
             Ok((d, rep)) => {
                 // Tolerable only if the interrupted recovery still
@@ -1053,7 +1126,7 @@ mod tests {
     /// them depend on something other than the requests) and must say so.
     #[test]
     fn golden_image_is_one_value_across_runs() {
-        const GOLDEN_IMAGE_HASH: u64 = 0xe8d6_5866_4f40_3c80;
+        const GOLDEN_IMAGE_HASH: u64 = 0xe0e8_ed33_f669_36df;
         let cfg = TortureConfig::bounded(0xB0A710AD);
         let (a, b) = (golden_run(&cfg), golden_run(&cfg));
         assert_eq!(a.image_hash, b.image_hash, "two runs, two images");

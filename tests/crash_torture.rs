@@ -54,6 +54,35 @@ fn golden_run_validates_oracle_and_audit_predictor() {
     assert!(g.domain.1 > g.domain.0);
     assert!(g.versions > 0);
     assert!(g.audit_records > 0);
+    // The harness's eight-entry object cache makes the workload evict,
+    // several victims to a checkpoint block.
+    let (checkpoints, blocks) = g.checkpoints;
+    assert!(blocks > 0 && blocks < checkpoints, "{g:?}");
+}
+
+#[test]
+fn power_cuts_around_a_batch_eviction_hold_invariants() {
+    // The script's first sync evicts 18 objects at once and leaves their
+    // checkpoints in the open log batch; its second sync is the flush
+    // that carries them. Cutting every countable request under every
+    // torn pattern covers both the power loss that finds the batch
+    // unflushed (that flush's first request, nothing of it persisting)
+    // and every tear of the flush itself — alone, and with a maintenance
+    // pass between recovery and a second power-off.
+    let cfg = TortureConfig::batch_eviction();
+    let g = golden_run(&cfg);
+    let (checkpoints, blocks) = g.checkpoints;
+    assert!(
+        checkpoints >= 18 && blocks * 6 <= checkpoints,
+        "the script must write back in batches: {g:?}"
+    );
+    for campaign in [enumerate, enumerate_cleaner_between] {
+        let summary = campaign(&cfg);
+        assert_eq!(summary.crash_points as u64, g.domain.1 - g.domain.0, "{summary:?}");
+        assert_eq!(summary.replays, summary.crash_points * cfg.torn_patterns.len());
+        assert_eq!(summary.died, summary.replays, "some faults never fired: {summary:?}");
+        assert!(summary.versions_checked > 0, "{summary:?}");
+    }
 }
 
 #[test]

@@ -216,7 +216,7 @@ fn log_round_trips_all_blocks() {
                     oracle.iter_mut().for_each(|e| e.2 = true);
                 }
                 8 => {
-                    log = Log::mount(log.into_device(), 16).unwrap().log;
+                    log = Log::mount(log.into_device(), cfg).unwrap().log;
                     // Unflushed appends are gone.
                     oracle.retain(|(_, _, flushed)| *flushed);
                 }
@@ -255,7 +255,7 @@ fn recovery_reports_exactly_the_flushed_batches() {
         log.append(BlockTag::new(BlockKind::Data, 7, 9999), b"lost")
             .unwrap();
 
-        let recovered = Log::mount(log.into_device(), 16).unwrap().batches;
+        let recovered = Log::mount(log.into_device(), cfg).unwrap().batches;
         let got: Vec<(BlockAddr, u64)> = recovered
             .iter()
             .flat_map(|b| b.blocks.iter().map(|(a, t)| (*a, t.aux)))
