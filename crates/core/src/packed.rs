@@ -126,9 +126,12 @@ impl PackedBlocks {
     /// Slot `n` of a container of this kind, without materialising its
     /// neighbours: a reader of one object's record pays for that record.
     pub(crate) fn slot(self, buf: &[u8], n: u32) -> Result<&[u8]> {
-        self.slots(buf)?
-            .nth(n as usize)
-            .unwrap_or(Err(S4Error::BadRequest("container slot out of range")))
+        let mut slots = self.slots(buf)?;
+        for _ in 0..n {
+            slots.next().transpose()?; // a damaged neighbour is still damage
+        }
+        let missing = S4Error::BadRequest("container slot out of range");
+        slots.next().unwrap_or(Err(missing))
     }
 }
 
@@ -270,7 +273,17 @@ mod tests {
     fn split_rejects_wrong_magic_and_each_truncation() {
         let block = encode_container(0x5334_4A42, [&[1u8, 2, 3][..], &[4u8][..]].into_iter());
         assert_eq!(JOURNAL.split(&block).unwrap().len(), 2);
-        let err = |p: PackedBlocks, buf: &[u8]| p.split(buf).unwrap_err();
+        assert_eq!(JOURNAL.slot(&block, 0), Ok(&[1u8, 2, 3][..]));
+        assert_eq!(JOURNAL.slot(&block, 1), Ok(&[4u8][..]));
+        assert_eq!(
+            JOURNAL.slot(&block, 2),
+            Err(S4Error::BadRequest("container slot out of range"))
+        );
+        // One slot is read through the same walk, so it fails alike.
+        let err = |p: PackedBlocks, buf: &[u8]| {
+            assert_eq!(p.slot(buf, 1).unwrap_err(), p.split(buf).unwrap_err());
+            p.split(buf).unwrap_err()
+        };
         assert_eq!(
             err(DELTAS, &block),
             S4Error::BadRequest("container block magic")

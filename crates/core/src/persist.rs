@@ -181,6 +181,9 @@ impl<D: BlockDev> S4Drive<D> {
     /// victim cached.
     pub(crate) fn evict_excess(&self, inner: &mut Inner) -> Result<()> {
         let limit = self.config.object_cache_entries.max(1);
+        if inner.table.len() <= limit {
+            return Ok(()); // not even the whole table is too many
+        }
         let mut cached: Vec<(u64, u64)> = inner
             .table
             .iter()

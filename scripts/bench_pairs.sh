@@ -7,6 +7,7 @@
 # one run against one run.
 #
 #   scripts/bench_pairs.sh <parent-ref> <n> [workload] [--trace]
+#                          [--claim <metric> <workload>]
 #
 # The parent is `git archive`d into target/bench_pairs/parent (a plain
 # copy: nothing is left behind in .git, and it is rebuilt only when the
@@ -17,13 +18,33 @@
 # traced pass instead, whose result line carries the per-layer metrics
 # (slower, and not what the driver gates). Every run's result line is
 # kept in target/bench_pairs/runs/ and every value is printed.
+#
+# `--claim` ends the report with one verdict line by the rule a claimed
+# gain has to meet (choosing-metrics guide, section 8): the change wins
+# at least nine tenths of the pairs run, ties counting for neither side,
+# and the medians differ, in the metric's better direction, by more than
+# the distance between the parent's own quartiles. The exit status is 1
+# when it does not. With or without a claim, every end-to-end metric
+# whose change median is worse than the parent's by more than its
+# BENCHMARK.json bound is listed, and one whose parent runs spread wider
+# than the bound is listed as unresolved.
 set -euo pipefail
+usage="usage: $0 <parent-ref> <n> [workload] [--trace] [--claim <metric> <workload>]"
 traced=0
+claim=
 args=()
-for a in "$@"; do
-  if [ "$a" = --trace ]; then traced=1; else args+=("$a"); fi
+while [ $# -gt 0 ]; do
+  case $1 in
+    --trace) traced=1 ;;
+    --claim)
+      [ $# -ge 3 ] || { echo "$usage" >&2; exit 2; }
+      claim="$3 $2"
+      shift 2 ;;
+    *) args+=("$1") ;;
+  esac
+  shift
 done
-[ ${#args[@]} -ge 2 ] || { echo "usage: $0 <parent-ref> <n> [workload] [--trace]" >&2; exit 2; }
+[ ${#args[@]} -ge 2 ] || { echo "$usage" >&2; exit 2; }
 ref=${args[0]}
 n=${args[1]}
 only=${args[2]:-}
@@ -44,11 +65,16 @@ seconds=$(awk -F'[:,]' '/"run_seconds"/ { gsub(/ /, "", $2); print $2 }' "$spec"
 names=$(awk '/^  "[a-z_]+": \[/ { gsub(/[ ":\[]/, ""); section = $0 }
   /"name":/ { gsub(/^.*"name": "|",?[ \t]*$/, ""); name = $0
               if (section == "workloads") print section, name }
-  /"better":/ { gsub(/^.*"better": "|",?[ \t]*$/, ""); print section, name, $0 }' "$spec")
+  /"better":/ { gsub(/^.*"better": "|",?[ \t]*$/, ""); print section, name, $0 }
+  /"bound":/ { gsub(/^.*"bound": |,?[ \t]*$/, ""); print "bound", name, $0 }' "$spec")
 workloads=$(awk '$1 == "workloads" { print $2 }' <<<"$names")
 if [ -n "$only" ]; then
   grep -qx "$only" <<<"$workloads" || { echo "no workload $only in BENCHMARK.json" >&2; exit 2; }
   workloads=$only
+fi
+if [ -n "$claim" ]; then
+  grep -qx "${claim% *}" <<<"$workloads" || { echo "claimed workload ${claim% *} is not one this run measures" >&2; exit 2; }
+  grep -q " ${claim#* } \(lower\|higher\)$" <<<"$names" || { echo "no metric ${claim#* } in BENCHMARK.json" >&2; exit 2; }
 fi
 
 sha=$(git rev-parse --verify "$ref^{commit}")
@@ -98,7 +124,7 @@ for f in "$runs"/*.json; do
     awk -v p="$w $pair $side" '{ print p, "failed_ops", $2; print p, "attempted_ops", $1 }'
 done >"$work/values.txt"
 
-awk -v dirs="$names" '
+awk -v dirs="$names" -v claim="$claim" '
   function quantile(v, cnt, k,    pos, lo, frac) { # statistics.quantiles(n=4), exclusive
     if (cnt == 1) return v[1]
     pos = (cnt + 1) * k / 4
@@ -107,16 +133,26 @@ awk -v dirs="$names" '
     lo = int(pos); frac = pos - lo
     return lo == cnt ? v[cnt] : v[lo] + frac * (v[lo + 1] - v[lo])
   }
-  function summary(key, side,    cnt, i, v, tmp, j) {
+  # Sets q[1..3] to the quartiles of `key` on one side and lo/hi to its
+  # extremes; returns the number of runs.
+  function quartiles(key, side,    cnt, i, v, tmp, j) {
     cnt = 0
     for (i = 1; i <= pairs; i++) if ((key, i, side) in val) v[++cnt] = val[key, i, side]
     for (i = 2; i <= cnt; i++) for (j = i; j > 1 && v[j] < v[j - 1]; j--) { tmp = v[j]; v[j] = v[j - 1]; v[j - 1] = tmp }
-    if (cnt == 0) return "-"
-    return sprintf("%.6g [%.6g, %.6g]", quantile(v, cnt, 2), quantile(v, cnt, 1), quantile(v, cnt, 3))
+    for (i = 1; i <= 3 && cnt > 0; i++) q[i] = quantile(v, cnt, i)
+    lo = v[1]; hi = v[cnt]
+    return cnt
+  }
+  function summary(key, side) {
+    if (quartiles(key, side) == 0) return "-"
+    return sprintf("%.6g [%.6g, %.6g]", q[2], q[1], q[3])
   }
   BEGIN {
     m = split(dirs, line, "\n")
-    for (i = 1; i <= m; i++) { split(line[i], f, " "); if (f[3] != "") better[f[2]] = f[3] }
+    for (i = 1; i <= m; i++) {
+      split(line[i], f, " ")
+      if (f[1] == "bound") bound[f[2]] = f[3]; else if (f[3] != "") better[f[2]] = f[3]
+    }
     better["failed_ops"] = "lower"
   }
   $5 != "null" {
@@ -144,5 +180,32 @@ awk -v dirs="$names" '
         if (d < 0) won++; else if (d > 0) lost++; else tied++
       }
       printf "%s | %s | %s | %d / %d / %d\n", key, summary(key, "parent"), summary(key, "change"), won, lost, tied
+      wins[key] = won; run[key] = won + lost + tied
     }
+
+    # Every gated metric against its bound; `sign` turns "worse" into "+".
+    print "\nworse than the parent by more than the bound, or unresolved:"
+    for (k = 1; k <= keys; k++) {
+      key = order[k]; split(key, f, " ")
+      if (!(f[2] in bound) || quartiles(key, "parent") == 0) continue
+      pmed = q[2]; spread = q[3] - q[1]; plo = lo; phi = hi
+      if (quartiles(key, "change") == 0) continue
+      sign = better[f[2]] == "higher" ? -1 : 1
+      worse = sign * (q[2] - pmed)
+      clear = sign > 0 ? hi < plo : lo > phi
+      if (worse > bound[f[2]] * pmed)
+        printf "REGRESSION %s: %.6g -> %.6g (%+.1f %%, bound %g %%)\n", key, pmed, q[2], 100 * worse / pmed, 100 * bound[f[2]]
+      else if (spread > bound[f[2]] * pmed && !clear)
+        printf "unresolved %s: %.6g -> %.6g, the parent quartiles are %.0f %% of its median apart, wider than the %g %% bound\n", key, pmed, q[2], 100 * spread / pmed, 100 * bound[f[2]]
+    }
+
+    if (claim == "") exit 0
+    split(claim, f, " ")
+    quartiles(claim, "parent"); pmed = q[2]; spread = q[3] - q[1]
+    quartiles(claim, "change")
+    gain = better[f[2]] == "higher" ? q[2] - pmed : pmed - q[2]
+    met = run[claim] > 0 && 10 * wins[claim] >= 9 * run[claim] && gain > spread
+    printf("\nclaim %s: %s - the change won %d of %d pairs (needs nine tenths), medians %.6g -> %.6g, %s by %.6g against %.6g between the parent quartiles\n",
+      claim, met ? "MET" : "NOT MET", wins[claim], run[claim], pmed, q[2], gain > 0 ? "better" : "worse", gain < 0 ? -gain : gain, spread)
+    exit !met
   }' "$work/values.txt"

@@ -130,6 +130,7 @@ for metric in \
     s4_disk_latency_us \
     s4_detection_window_headroom_days \
     s4_history_pool_occupancy \
+    s4_checkpoint_blocks_total \
     s4_requests_total; do
   grep -qF "$metric" target/verify-stats.prom \
     || { echo "verify: exposition missing $metric" >&2; exit 1; }

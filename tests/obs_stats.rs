@@ -55,6 +55,8 @@ fn exposition_reports_per_layer_latency_and_gauges() {
     for needle in [
         "s4_requests_total",
         "s4_bytes_written_total",
+        "s4_checkpoints_total",
+        "s4_checkpoint_blocks_total",
         "s4_rpc_latency_us{quantile=\"0.5\"}",
         "s4_rpc_latency_us{quantile=\"0.9\"}",
         "s4_rpc_latency_us{quantile=\"0.99\"}",
