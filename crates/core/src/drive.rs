@@ -94,7 +94,8 @@ pub struct DriveConfig {
     /// Log layout and buffer-cache size.
     pub log: LogConfig,
     /// Maximum objects kept fully in memory (the paper's 32 MB object
-    /// cache); excess objects are checkpointed and evicted at sync.
+    /// cache); past it, a sync or an expiry pass checkpoints and evicts
+    /// the least recently used down to seven eighths of it, as one batch.
     pub object_cache_entries: usize,
     /// Guaranteed detection window (adjustable later via `SetWindow`).
     pub detection_window: SimDuration,

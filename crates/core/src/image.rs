@@ -14,7 +14,7 @@ use s4_simdisk::BlockDev;
 use crate::drive::{DriveConfig, Inner, S4Drive};
 use crate::ids::{ObjectId, RequestContext};
 use crate::object::Slot;
-use crate::persist::read_checkpoint;
+use crate::persist::slot_entry;
 use crate::reserved::ResyncStream;
 use crate::{Result, S4Error};
 
@@ -35,22 +35,9 @@ impl<D: BlockDev> S4Drive<D> {
         h.u64(inner.window.as_micros());
         for (&oid, slot) in &inner.table {
             h.u64(oid);
-            let loaded;
-            let entry = match slot {
-                Slot::Cached(entry) => &**entry,
-                Slot::Evicted(i) => {
-                    match read_checkpoint(&self.log, i.checkpoint_root, i.checkpoint_slot) {
-                        Ok(entry) => {
-                            loaded = entry;
-                            &loaded
-                        }
-                        // An unreadable checkpoint is a state of its own.
-                        Err(_) => {
-                            h.u64(2);
-                            continue;
-                        }
-                    }
-                }
+            let Ok(entry) = slot_entry(&self.log, slot) else {
+                h.u64(2); // an unreadable checkpoint is a state of its own
+                continue;
             };
             h.u64(1);
             h.bytes(&entry.encode());

@@ -24,8 +24,7 @@ use s4_lfs::{BlockAddr, BlockKind, BlockTag, Log};
 use s4_simdisk::BlockDev;
 
 use crate::drive::{old_blocks, Inner};
-use crate::object::Slot;
-use crate::persist::{read_checkpoint, read_subsector};
+use crate::persist::{read_subsector, slot_entry};
 use crate::Result;
 
 /// One address the running ledger and its recount disagree on.
@@ -139,14 +138,7 @@ impl Ledger {
             plain.extend(s.blocks().iter().map(|&a| (a, BlockKind::Audit)));
         }
         for s in inner.table.values() {
-            let loaded;
-            let entry = match s {
-                Slot::Cached(entry) => &**entry,
-                Slot::Evicted(i) => {
-                    loaded = read_checkpoint(log, i.checkpoint_root, i.checkpoint_slot)?;
-                    &loaded
-                }
-            };
+            let entry = &*slot_entry(log, s)?;
             // Checkpoint storage: chain blocks, or one shared-block reference.
             let chain = entry.checkpoint_blocks.iter();
             plain.extend(chain.map(|&a| (a, BlockKind::ObjectCheckpoint)));

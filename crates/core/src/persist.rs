@@ -8,6 +8,8 @@
 //! sector lists; the ledger of reachable blocks is derived from it at
 //! mount ([`crate::ledger`]), not persisted.
 
+use std::borrow::Cow;
+
 use s4_clock::{HybridTimestamp, SimDuration};
 use s4_journal::{decode_sector, encode_sectors, JournalEntry};
 use s4_lfs::{BlockAddr, BlockKind, BlockTag, Log, BLOCK_SIZE};
@@ -404,6 +406,18 @@ pub(crate) fn read_checkpoint<D: BlockDev>(
     entry.checkpoint_slot = slot;
     entry.checkpoint_blocks = blocks;
     Ok(entry)
+}
+
+/// The full entry behind a table slot: the cached one in place, an
+/// evicted one read back from its checkpoint.
+pub(crate) fn slot_entry<'a, D: BlockDev>(
+    log: &Log<D>,
+    slot: &'a Slot,
+) -> Result<Cow<'a, ObjectEntry>> {
+    Ok(match slot {
+        Slot::Cached(entry) => Cow::Borrowed(&**entry),
+        Slot::Evicted(i) => Cow::Owned(read_checkpoint(log, i.checkpoint_root, i.checkpoint_slot)?),
+    })
 }
 
 /// Reads one object's sector out of a shared journal block.

@@ -157,17 +157,16 @@ pub enum Workload {
 /// Operation `i` of [`Workload::BatchEviction`], given the objects made
 /// so far.
 fn batch_eviction_op(i: usize, live: &[ObjectId]) -> Request {
-    const OBJECTS: usize = 24;
-    let write = |oid, fill: usize| Request::Write {
-        oid,
+    let write = |obj: usize| Request::Write {
+        oid: live[obj],
         offset: 0,
-        data: vec![fill as u8; 100],
+        data: vec![i as u8; 100],
     };
     match i {
-        _ if i < OBJECTS => Request::Create,
-        _ if i < 2 * OBJECTS => write(live[i - OBJECTS], i),
-        49..=51 => write(live[i - 49], i),
-        53..=55 => write(live[i - 43], i),
+        0..=23 => Request::Create,
+        24..=47 => write(i - 24),
+        49..=51 => write(i - 49),
+        53..=55 => write(i - 43),
         _ => Request::Sync,
     }
 }
