@@ -1,10 +1,17 @@
-//! The device-I/O budget of a commit, as exact request counts.
+//! The device-I/O budget of a commit, as exact request counts and bytes.
 //!
 //! A log commit is one `[summary | data]` device write (see
 //! `s4_lfs::log`): the summary's checksum of the data, not a second
 //! ordered write, is what makes a torn commit detectable. The wall-clock
-//! benchmark's `disk_ios_per_op` measures the same thing end to end;
-//! this gate pins the count itself, deterministically, on `MemDisk`.
+//! benchmark's `disk_ios_per_op` and `disk_bytes_per_op` measure the same
+//! thing end to end; this gate pins the counts themselves,
+//! deterministically, on `MemDisk`.
+//!
+//! The bytes are the deterministic form of the carried-record claim: a
+//! commit's first short block (its journal container, nearly always)
+//! rides in the summary block, so every commit below is one 4 KiB block
+//! shorter than under format revision 2, whose values are quoted beside
+//! each assertion.
 
 use s4_array::{ArrayConfig, S4Array};
 use s4_clock::{SimClock, SimDuration};
@@ -12,7 +19,7 @@ use s4_core::{
     ClientId, DriveConfig, ObjectId, Request, RequestContext, Response, S4Drive, UserId,
 };
 use s4_fs::RpcHandler;
-use s4_simdisk::{MemDisk, TraceDisk, TraceHandle};
+use s4_simdisk::{MemDisk, TraceClass, TraceDisk, TraceHandle};
 
 type Disk = TraceDisk<MemDisk>;
 
@@ -56,6 +63,27 @@ fn write_4k(h: &impl RpcHandler, oid: ObjectId) {
     h.handle(&user(), &put_4k(oid)).unwrap();
 }
 
+fn set_attr(oid: ObjectId) -> Request {
+    Request::SetAttr {
+        oid,
+        attrs: b"mode=0644".to_vec(),
+    }
+}
+
+/// The byte length of every write request one device took, in order.
+fn write_lens(trace: &TraceHandle) -> Vec<usize> {
+    let writes = trace.records().into_iter();
+    writes
+        .filter(|r| r.class == TraceClass::Write)
+        .map(|r| r.len)
+        .collect()
+}
+
+/// Bytes written, summed over the traced devices.
+fn written(traces: &[TraceHandle]) -> usize {
+    traces.iter().flat_map(write_lens).sum()
+}
+
 /// `(writes, reads, syncs)` summed over the traced devices.
 fn io(traces: &[TraceHandle]) -> (u64, u64, u64) {
     traces.iter().fold((0, 0, 0), |(w, r, s), t| {
@@ -74,9 +102,19 @@ fn write_plus_sync_on_a_lone_drive_is_one_device_write() {
     assert_eq!(io(&traces), (0, 0, 0), "a write is buffered until the sync");
     drive.handle(&user(), &Request::Sync).unwrap();
     assert_eq!(io(&traces), (1, 0, 0), "one commit, one transfer");
+    // `[summary + journal container | data]`; revision 2 wrote 12 288:
+    // `[summary | data | journal container]`.
+    assert_eq!(write_lens(&traces[0]), [8192]);
 
     drive.handle(&user(), &Request::Sync).unwrap();
     assert_eq!(io(&traces), (1, 0, 0), "an empty sync touches nothing");
+
+    // A metadata-only commit is the summary block alone; revision 2
+    // wrote 8 192: `[summary | journal container]`.
+    traces[0].clear();
+    drive.handle(&user(), &set_attr(oid)).unwrap();
+    drive.handle(&user(), &Request::Sync).unwrap();
+    assert_eq!(write_lens(&traces[0]), [4096]);
 }
 
 /// A `shards × mirrors` array on traced devices (device `i` is member
@@ -120,6 +158,17 @@ fn write_plus_sync_on_a_mirrored_array_is_one_write_per_mirror() {
     array.handle(&user(), &batch).unwrap();
     assert_eq!(io(&traces), (2, 0, 0));
     assert_eq!(io(&traces[2..]), (0, 0, 0), "nothing on the idle shard");
+    // Each mirror commits what a lone drive does (revision 2: 12 288).
+    assert_eq!(write_lens(&traces[0]), [8192]);
+    assert_eq!(write_lens(&traces[1]), [8192]);
+
+    // And the metadata-only batch (revision 2: 8 192 per mirror).
+    traces.iter().for_each(TraceHandle::clear);
+    let batch = Request::Batch(vec![set_attr(oids[0]), Request::Sync]);
+    array.handle(&user(), &batch).unwrap();
+    assert_eq!(write_lens(&traces[0]), [4096]);
+    assert_eq!(write_lens(&traces[1]), [4096]);
+    assert_eq!(written(&traces[2..]), 0, "nothing on the idle shard");
     assert!(array
         .txn_status_text()
         .starts_with("committed=0 aborted=0 "));
@@ -157,6 +206,17 @@ fn a_cross_shard_batch_is_seven_writes_and_its_retire_rides_the_next_flush() {
             assert_eq!(notes.count(), 0, "decision note retired");
         }
         assert_eq!(io(&traces), (7 * m, 0, 0), "retiring paid no flush");
+        // Every one of the seven commits is a block shorter. Revision 2:
+        // [12 288, 16 384, 12 288, 12 288] on each member of shard 0 and
+        // [12 288, 16 384, 12 288] on each of shard 1 — 94 208 B on
+        // 2 × 1, 188 416 B on 2 × 2.
+        for member in shard0 {
+            assert_eq!(write_lens(member), [8192, 12288, 8192, 8192]);
+        }
+        for member in shard1 {
+            assert_eq!(write_lens(member), [8192, 12288, 8192]);
+        }
+        assert_eq!(written(&traces), 65_536 * mirrors);
         array.handle(&user(), &Request::Sync).unwrap();
         // (One commit per member — in one transfer, or two where it
         // straddles a segment boundary of `small_test`'s log.)
