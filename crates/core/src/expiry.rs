@@ -182,7 +182,7 @@ impl<D: BlockDev> S4Drive<D> {
                 }
             },
         )?;
-        self.log.flush()?;
+        self.flush_log()?;
         Ok((encoded, encoded))
     }
 

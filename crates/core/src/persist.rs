@@ -160,11 +160,18 @@ impl<D: BlockDev> S4Drive<D> {
             .collect()
     }
 
+    /// Commits the log's open batch, counting the blocks it wrote.
+    pub(crate) fn flush_log(&self) -> Result<()> {
+        let written = self.log.flush()?.blocks_written;
+        self.stats.commit_blocks(written as u64);
+        Ok(())
+    }
+
     /// Sync: pack all pending journal entries, flush the log, and perform
     /// periodic anchoring / object-cache eviction.
     pub(crate) fn sync_locked(&self, inner: &mut Inner) -> Result<()> {
         self.pack_objects(inner, &Self::pending_oids(inner))?;
-        self.log.flush()?;
+        self.flush_log()?;
         self.stats.syncs(1);
         inner.syncs_since_anchor += 1;
         if inner.syncs_since_anchor >= self.config.anchor_interval_syncs {

@@ -7,7 +7,7 @@
 
 use s4_clock::{HybridClock, HybridTimestamp, SimClock, SimTime};
 use s4_journal::{decode_sector, redo, JournalEntry, ObjectMeta};
-use s4_lfs::{BlockAddr, BlockKind, Log, Mounted};
+use s4_lfs::{BlockAddr, BlockKind, Log, Mounted, SegmentMismatch};
 use s4_simdisk::BlockDev;
 
 use crate::drive::{DriveConfig, Inner, S4Drive, TXN_OBJECT};
@@ -158,12 +158,19 @@ impl<D: BlockDev> S4Drive<D> {
 
     /// Audits the drive's space accounting: recounts the ledger as mount
     /// would (read-only, nothing flushed) and returns every address the
-    /// running ledger and the recount disagree on, plus the number of
+    /// running ledger and the recount disagree on, every segment whose
+    /// live count in the usage table is not the number of ledger
+    /// addresses in it ([`Log::check_live_counts`]), and the number of
     /// releases the ledger has refused since mount.
-    pub fn check_image(&self) -> Result<(Vec<Discrepancy>, u64)> {
+    pub fn check_image(&self) -> Result<(Vec<Discrepancy>, Vec<SegmentMismatch>, u64)> {
         let inner = self.inner.lock();
         let derived = Ledger::derive(&self.log, &inner)?;
-        Ok((inner.ledger.diff(&derived), inner.ledger.refused()))
+        let segments = self.log.check_live_counts(inner.ledger.addrs());
+        Ok((
+            inner.ledger.diff(&derived),
+            segments,
+            inner.ledger.refused(),
+        ))
     }
 }
 

@@ -84,6 +84,7 @@ drive_counters!(
     (cleaner_segments, "segments reclaimed by the cleaner"),
     (throttle_penalty_us, "simulated microseconds of throttle penalty"),
     (syncs, "log flushes (sync points)"),
+    (commit_blocks, "blocks written by log commits, summaries included"),
     (anchors, "recovery anchors written"),
 );
 
@@ -120,11 +121,13 @@ mod tests {
         s.syncs(1);
         s.checkpoints(9);
         s.checkpoint_blocks(1);
+        s.commit_blocks(2);
         let text = reg.render_prometheus();
         assert!(text.contains("s4_requests_total 2"), "{text}");
         assert!(text.contains("s4_syncs_total 1"));
         assert!(text.contains("s4_checkpoints_total 9"));
         assert!(text.contains("s4_checkpoint_blocks_total 1"));
+        assert!(text.contains("s4_commit_blocks_total 2"));
         assert!(text.contains("s4_anchors_total 0"));
     }
 

@@ -601,7 +601,7 @@ fn assert_small_objects(d: &S4Drive<MemDisk>, oids: &[ObjectId], suffix: &str) {
             format!("object-{i}{suffix}")
         );
     }
-    assert_eq!(d.check_image(), Ok((vec![], 0)));
+    assert_eq!(d.check_image(), Ok((vec![], vec![], 0)));
 }
 
 /// Eviction hands the shared checkpoint container its victims as one

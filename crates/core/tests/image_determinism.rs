@@ -10,7 +10,8 @@
 //!
 //! The same mix, over eight seeds, is also where the drive's space
 //! accounting is audited: [`S4Drive::check_image`] must find the running
-//! ledger equal to its recount before every unmount or crash and after
+//! ledger equal to its recount, and every segment's live count equal to
+//! the ledger's addresses in it, before every unmount or crash and after
 //! every mount.
 
 use std::ops::RangeInclusive;
@@ -62,16 +63,21 @@ const MAINTENANCE: RangeInclusive<u64> = 85..=97;
 /// The seeds every sweep below runs.
 const SEEDS: [u64; 8] = [0x5E_ED0F_5E1F, 1, 2, 3, 4, 5, 6, 7];
 
-/// Requires the running ledger to equal its recount.
+/// Requires the running ledger to equal its recount, and the segment
+/// usage table the ledger.
 fn audit(d: &S4Drive<MemDisk>) -> Result<(), String> {
-    let (found, refused) = d
+    let (found, segments, refused) = d
         .check_image()
         .map_err(|e| format!("the recount failed: {e:?}"))?;
-    match found.first() {
-        None => Ok(()),
-        Some(first) => Err(format!(
+    match (found.first(), segments.first()) {
+        (None, None) => Ok(()),
+        (Some(first), _) => Err(format!(
             "{} discrepancies, {refused} releases refused, first {first:?}",
             found.len()
+        )),
+        (None, Some(first)) => Err(format!(
+            "{} segment counts off, {refused} releases refused, first {first:?}",
+            segments.len()
         )),
     }
 }
@@ -208,8 +214,8 @@ fn run(
 
 #[test]
 fn churn_image_is_one_value_across_runs() {
-    const IMAGE_HASH: u64 = 0xc51d_b005_2902_8f13;
-    const STATE_DIGEST: u64 = 0x9a4d_649f_a36c_0b24;
+    const IMAGE_HASH: u64 = 0x1f53_d7ef_b15b_da5f;
+    const STATE_DIGEST: u64 = 0xcdd6_cf1a_6a4e_c931;
     const OUTCOMES: u64 = 0x7a1d_7af5_6777_6fb7;
     let run = || run(SEEDS[0], 6, &[MAINTENANCE], false).expect("the pinned stream completes");
     let (a, b) = (run(), run());
@@ -265,19 +271,19 @@ fn every_mount_of_the_full_mix_succeeds() {
 // named `--ignored` step prints the list, and each fix un-ignores its own.
 
 #[test]
-#[ignore = "ROADMAP item 2: seed 0x5eed0f5e1f cache 6 step 1139 before the crash: block 418 held by 1 reference, reachable from nothing"]
+#[ignore = "ROADMAP item 2: seed 0x5eed0f5e1f cache 6 step 1139 before the crash: block 327 held by 1 reference, reachable from nothing"]
 fn compact_history_keeps_the_ledger_equal_to_its_recount() {
     sweep(&[EXPIRE, CLEAN, COMPACT]);
 }
 
 #[test]
-#[ignore = "ROADMAP item 2: seed 0x6 cache 6 step 246 before the crash: block 10 released, still reachable by 1 reference"]
+#[ignore = "ROADMAP item 2: seed 0x6 cache 6 step 246 before the crash: block 8 released, still reachable by 1 reference"]
 fn flusho_keeps_the_ledger_equal_to_its_recount() {
     sweep(&[EXPIRE, CLEAN, FLUSHO]);
 }
 
 #[test]
-#[ignore = "ROADMAP item 2: seed 0x5eed0f5e1f cache 6 step 1115 before unmount: 2 discrepancies, the first block 191 released, still reachable by 1 reference (op_unmark_landmark tests the landmark's own stamp against the floor)"]
+#[ignore = "ROADMAP item 2: seed 0x5eed0f5e1f cache 6 step 1115 before unmount: 2 discrepancies, the first block 177 released, still reachable by 1 reference (op_unmark_landmark tests the landmark's own stamp against the floor)"]
 fn landmarks_keep_the_ledger_equal_to_its_recount() {
     sweep(&[EXPIRE, CLEAN, LANDMARKS]);
 }

@@ -22,9 +22,9 @@ pub struct BlockCache {
 
 struct Inner {
     /// addr -> (data, LRU generation).
-    map: HashMap<u64, (Bytes, u64)>,
+    map: HashMap<BlockAddr, (Bytes, u64)>,
     /// LRU generation -> addr, oldest first.
-    order: BTreeMap<u64, u64>,
+    order: BTreeMap<u64, BlockAddr>,
     next_gen: u64,
     hits: u64,
     misses: u64,
@@ -55,14 +55,14 @@ impl BlockCache {
     pub fn get(&self, addr: BlockAddr) -> Option<Bytes> {
         let mut g = self.inner.lock();
         let gen = g.next_gen;
-        match g.map.get_mut(&addr.0) {
+        match g.map.get_mut(&addr) {
             Some((data, old_gen)) => {
                 let data = data.clone();
                 let old = *old_gen;
                 *old_gen = gen;
                 g.next_gen += 1;
                 g.order.remove(&old);
-                g.order.insert(gen, addr.0);
+                g.order.insert(gen, addr);
                 g.hits += 1;
                 Some(data)
             }
@@ -82,10 +82,10 @@ impl BlockCache {
         let mut g = self.inner.lock();
         let gen = g.next_gen;
         g.next_gen += 1;
-        if let Some((_, old)) = g.map.insert(addr.0, (data, gen)) {
+        if let Some((_, old)) = g.map.insert(addr, (data, gen)) {
             g.order.remove(&old);
         }
-        g.order.insert(gen, addr.0);
+        g.order.insert(gen, addr);
         while g.map.len() > self.capacity {
             let (&oldest, &victim) = g.order.iter().next().expect("order tracks map");
             g.order.remove(&oldest);
@@ -96,22 +96,21 @@ impl BlockCache {
     /// Drops one block.
     pub fn invalidate(&self, addr: BlockAddr) {
         let mut g = self.inner.lock();
-        if let Some((_, gen)) = g.map.remove(&addr.0) {
+        if let Some((_, gen)) = g.map.remove(&addr) {
             g.order.remove(&gen);
         }
     }
 
-    /// Drops every cached block belonging to `seg` (called when a segment
-    /// is reclaimed for reuse).
+    /// Drops every cached block belonging to `seg` — the records its
+    /// summaries carry included — (called when a segment is reclaimed for
+    /// reuse).
     pub fn invalidate_segment(&self, geo: &Geometry, seg: SegmentId) {
-        let start = geo.addr_of(seg, 0).0;
-        let end = start + geo.blocks_per_segment as u64;
         let mut g = self.inner.lock();
-        let victims: Vec<u64> = g
+        let victims: Vec<BlockAddr> = g
             .map
             .keys()
             .copied()
-            .filter(|&a| (start..end).contains(&a))
+            .filter(|&a| geo.segment_of(a) == seg)
             .collect();
         for v in victims {
             if let Some((_, gen)) = g.map.remove(&v) {
@@ -193,11 +192,16 @@ mod tests {
     fn invalidate_segment_drops_only_that_segment() {
         let geo = Geometry::compute(1_000_000, 128).unwrap();
         let c = BlockCache::new(100);
+        let carried = |seg| BlockAddr::carried_by(geo.addr_of(seg, 9));
         c.insert(geo.addr_of(0, 5), b(1));
         c.insert(geo.addr_of(1, 5), b(2));
+        c.insert(carried(0), b(3));
+        c.insert(carried(1), b(4));
         c.invalidate_segment(&geo, 0);
         assert!(c.get(geo.addr_of(0, 5)).is_none());
         assert!(c.get(geo.addr_of(1, 5)).is_some());
+        assert!(c.get(carried(0)).is_none(), "carried records go too");
+        assert!(c.get(carried(1)).is_some());
     }
 
     #[test]

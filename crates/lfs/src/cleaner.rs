@@ -19,8 +19,7 @@
 use s4_simdisk::BlockDev;
 
 use crate::layout::{BlockAddr, BlockTag, SegmentId, BLOCK_SIZE};
-use crate::log::Log;
-use crate::summary::Summary;
+use crate::log::{summary_at, Log};
 use crate::Result;
 
 /// Upper-layer hooks the cleaner needs.
@@ -30,7 +29,9 @@ pub trait RelocationCallbacks {
     fn is_live(&self, tag: &BlockTag, addr: BlockAddr) -> bool;
 
     /// Re-home a live block: append it at the log head and update every
-    /// pointer that referenced `addr`.
+    /// pointer that referenced `addr`. `data` is the whole block, or —
+    /// for a carried record ([`BlockAddr::is_carried`]) — the payload at
+    /// the length it was appended with.
     fn relocate(&self, tag: &BlockTag, addr: BlockAddr, data: &[u8]) -> Result<()>;
 }
 
@@ -130,24 +131,22 @@ impl Cleaner {
         let raw = log.read_blocks_raw(head, written)?;
 
         // Structurally walk the batches inside the segment: a summary at
-        // offset p describes the blocks at p+1 ..= p+n.
+        // offset p describes the blocks at p+1 ..= p+n, and may carry one
+        // record itself — offered at its own length, so that a copy of it
+        // is short enough to be carried again.
         let mut relocated = 0;
         let mut p: u32 = 0;
         while p < written {
             let s = &raw[p as usize * BLOCK_SIZE..][..BLOCK_SIZE];
-            let Ok(summary) = Summary::decode(s) else {
+            let Some(summary) = summary_at(&geo, geo.addr_of(victim, p), s) else {
                 break;
             };
             let n = summary.entries.len() as u32;
-            for (i, e) in summary.entries.iter().enumerate() {
-                let off = p + 1 + i as u32;
-                if off >= written {
-                    break;
-                }
-                let addr = geo.addr_of(victim, off);
-                if callbacks.is_live(&e.tag, addr) {
-                    let data = &raw[off as usize * BLOCK_SIZE..][..BLOCK_SIZE];
-                    callbacks.relocate(&e.tag, addr, data)?;
+            let end = (p + 1 + n).min(written);
+            let data = &raw[(p + 1) as usize * BLOCK_SIZE..end as usize * BLOCK_SIZE];
+            for (addr, tag, bytes) in summary.blocks(&geo, data) {
+                if callbacks.is_live(&tag, addr) {
+                    callbacks.relocate(&tag, addr, bytes)?;
                     relocated += 1;
                 }
             }
@@ -256,6 +255,90 @@ mod tests {
             u.free_segments() + u.pending_free_segments()
         };
         assert!(after > free_before);
+    }
+
+    /// A live record carried by a summary is offered and copied like any
+    /// block; once its segment has been reclaimed, handed out again and
+    /// rewritten, its old address can no longer produce its bytes.
+    #[test]
+    fn cleaner_relocates_a_live_carried_record_and_its_old_address_dies() {
+        let cfg = LogConfig {
+            blocks_per_segment: 8,
+            cache_blocks: 256,
+            readahead_blocks: 1,
+        };
+        let log = Log::format(MemDisk::new(400_000), cfg).unwrap();
+        let current = Mutex::new(HashMap::new());
+        let record = |i: u64| vec![i as u8 + 1; 200];
+        let put = |i: u64, fill: u8| {
+            let tag = BlockTag::new(BlockKind::Data, 1, 100 + i);
+            let block = log.append(tag, &[fill; BLOCK_SIZE]).unwrap();
+            let old = current.lock().insert(100 + i, block);
+            log.release_blocks(old);
+        };
+        // Commits of `[summary + record i | block i]`; then every block
+        // is overwritten, so the first segments hold live records only.
+        for i in 0..20u64 {
+            let tag = BlockTag::new(BlockKind::JournalSector, 1, i);
+            let a = log.append(tag, &record(i)).unwrap();
+            assert!(a.is_carried());
+            current.lock().insert(i, a);
+            put(i, 0xAA);
+            log.flush().unwrap();
+        }
+        for i in 0..20u64 {
+            put(i, 0xBB);
+            log.flush().unwrap();
+        }
+        let old: Vec<BlockAddr> = (0..20).map(|i| current.lock()[&i]).collect();
+        let geo = *log.geometry();
+        assert_eq!(log.usage_snapshot().get(0).live_blocks, 4, "four summaries");
+
+        let free_before = log.usage_snapshot().free_segments();
+        let cleaner = Cleaner::new(CleanerConfig {
+            min_free_target: free_before + 1,
+            max_segments_per_pass: 1,
+        });
+        let cb = ToyCb {
+            current: &current,
+            log: &log,
+        };
+        let outcome = cleaner.clean_pass(&log, &cb).unwrap();
+        assert_eq!((outcome.copied_segments, outcome.blocks_relocated), (1, 4));
+        log.flush().unwrap();
+        for i in 0..4u64 {
+            let new = current.lock()[&i];
+            assert_ne!(new, old[i as usize]);
+            assert_ne!(geo.segment_of(new), 0);
+            assert_eq!(&log.read_block(new).unwrap()[..200], &record(i)[..]);
+        }
+        // The copies went out together: one carried again, three in blocks.
+        let carried = (0..4u64).filter(|i| current.lock()[i].is_carried());
+        assert_eq!(carried.count(), 1);
+
+        // Segment 0 is reclaimed; an anchor makes it allocatable, and the
+        // log gets there again when its active segment fills.
+        log.write_anchor(b"", 1, 1).unwrap();
+        let mut i = 0;
+        while log.usage_snapshot().get(0).written_blocks < 8 {
+            put(i % 20, 0xCC);
+            log.flush().unwrap();
+            i += 1;
+        }
+        for warm in [true, false] {
+            if !warm {
+                log.cache().clear();
+            }
+            for i in 0..4u64 {
+                let stale = old[i as usize];
+                assert_eq!(geo.segment_of(stale), 0);
+                let read = log.read_block(stale);
+                assert!(
+                    read.map_or(true, |b| b[..200] != record(i)[..]),
+                    "record {i}, cache warm: {warm}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,14 @@ pub type SegmentId = u32;
 /// Absolute index of a block within the data area of the device.
 ///
 /// Blocks are the unit of allocation and caching; the segment a block
-/// belongs to is `addr / blocks_per_segment`.
+/// belongs to is `addr / blocks_per_segment`. An address with the top
+/// bit set names not the block slot itself but the record *carried* by
+/// the summary block in that slot (see [`crate::summary`]): a payload too
+/// short to deserve a block of its own. The two never collide — a plain
+/// summary-slot address is never handed out — and everything that turns
+/// an address into a place on the device lives in this file and strips
+/// the bit ([`BlockAddr::slot`]); to every other layer an address is an
+/// opaque name.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct BlockAddr(pub u64);
 
@@ -26,9 +33,32 @@ impl BlockAddr {
     /// Sentinel for "no block" (used in on-disk pointers).
     pub const NONE: BlockAddr = BlockAddr(u64::MAX);
 
+    const CARRIED: u64 = 1 << 63;
+
     /// True if this address is the [`BlockAddr::NONE`] sentinel.
     pub fn is_none(self) -> bool {
         self == BlockAddr::NONE
+    }
+
+    /// The address of the record carried by the summary block at
+    /// `summary`.
+    pub fn carried_by(summary: BlockAddr) -> BlockAddr {
+        BlockAddr(summary.0 | Self::CARRIED)
+    }
+
+    /// True if this address names a record carried by a summary block.
+    pub fn is_carried(self) -> bool {
+        self.0 & Self::CARRIED != 0 && !self.is_none()
+    }
+
+    /// The block slot this address lives in: the address itself, or the
+    /// summary block carrying the record it names.
+    pub fn slot(self) -> BlockAddr {
+        if self.is_carried() {
+            BlockAddr(self.0 & !Self::CARRIED)
+        } else {
+            self
+        }
     }
 }
 
@@ -138,19 +168,20 @@ impl Geometry {
         self.superblock_sectors
     }
 
-    /// Translates a block address to its first sector on the device.
+    /// Translates a block address to the first sector of its slot on
+    /// the device.
     pub fn sector_of(&self, addr: BlockAddr) -> u64 {
-        self.data_start_sector() + addr.0 * SECTORS_PER_BLOCK
+        self.data_start_sector() + addr.slot().0 * SECTORS_PER_BLOCK
     }
 
     /// The segment containing `addr`.
     pub fn segment_of(&self, addr: BlockAddr) -> SegmentId {
-        (addr.0 / self.blocks_per_segment as u64) as SegmentId
+        (addr.slot().0 / self.blocks_per_segment as u64) as SegmentId
     }
 
     /// Block offset of `addr` within its segment.
     pub fn offset_in_segment(&self, addr: BlockAddr) -> u32 {
-        (addr.0 % self.blocks_per_segment as u64) as u32
+        (addr.slot().0 % self.blocks_per_segment as u64) as u32
     }
 
     /// Address of block `offset` within segment `seg`.
@@ -160,10 +191,41 @@ impl Geometry {
 
     /// Validates that `addr` falls inside the data area.
     pub fn check(&self, addr: BlockAddr) -> Result<BlockAddr> {
-        if addr.0 >= self.total_blocks() {
+        if addr.slot().0 >= self.total_blocks() {
             return Err(LfsError::BadAddress(addr.0));
         }
         Ok(addr)
+    }
+
+    /// Validates that the `n` block slots starting at `head` fall inside
+    /// the data area.
+    pub fn check_run(&self, head: BlockAddr, n: u32) -> Result<()> {
+        match head.slot().0.checked_add(n as u64) {
+            Some(end) if end <= self.total_blocks() => Ok(()),
+            _ => Err(LfsError::BadAddress(head.0)),
+        }
+    }
+
+    /// The readahead run around `addr`: the aligned run of up to `blocks`
+    /// slots holding it, clamped to its segment, as (first slot, length).
+    pub fn readahead_run(&self, addr: BlockAddr, blocks: u32) -> (BlockAddr, u32) {
+        let at = addr.slot().0;
+        let ra = blocks.max(1) as u64;
+        let seg_start = at - at % self.blocks_per_segment as u64;
+        let start = (at - at % ra).max(seg_start);
+        let end = (start + ra).min(seg_start + self.blocks_per_segment as u64);
+        (BlockAddr(start), (end - start) as u32)
+    }
+
+    /// The plain address `i` slots after `head`.
+    pub fn nth_after(&self, head: BlockAddr, i: u32) -> BlockAddr {
+        BlockAddr(head.slot().0 + i as u64)
+    }
+
+    /// How many slots after `head` the slot of `addr` lies (`addr` is at
+    /// or after `head`).
+    pub fn run_offset(&self, head: BlockAddr, addr: BlockAddr) -> usize {
+        (addr.slot().0 - head.slot().0) as usize
     }
 }
 
@@ -218,5 +280,43 @@ mod tests {
         let g = Geometry::compute(1_000_000, 128).unwrap();
         assert!(g.check(BlockAddr(g.total_blocks())).is_err());
         assert!(g.check(BlockAddr(0)).is_ok());
+        assert!(g.check(BlockAddr::NONE).is_err());
+        assert!(g.check_run(BlockAddr(g.total_blocks() - 2), 2).is_ok());
+        assert!(g.check_run(BlockAddr(g.total_blocks() - 2), 3).is_err());
+        assert!(g.check_run(BlockAddr(u64::MAX - 1), 3).is_err());
+    }
+
+    #[test]
+    fn a_carried_address_lives_where_its_summary_does() {
+        let g = Geometry::compute(1_000_000, 128).unwrap();
+        let summary = g.addr_of(3, 40);
+        let carried = BlockAddr::carried_by(summary);
+        assert!(carried.is_carried() && !summary.is_carried());
+        assert!(!BlockAddr::NONE.is_carried(), "the sentinel names nothing");
+        assert_ne!(carried, summary, "a cached raw block is another key");
+        assert_eq!(carried.slot(), summary);
+        assert_eq!(g.segment_of(carried), 3);
+        assert_eq!(g.offset_in_segment(carried), 40);
+        assert_eq!(g.sector_of(carried), g.sector_of(summary));
+        assert_eq!(g.check(carried), Ok(carried));
+        let outside = BlockAddr::carried_by(BlockAddr(g.total_blocks()));
+        assert!(g.check(outside).is_err());
+    }
+
+    #[test]
+    fn a_readahead_run_is_aligned_and_stays_inside_the_segment() {
+        let g = Geometry::compute(1_000_000, 48).unwrap();
+        // 48-block segments, 32-block runs: [0, 32) and [32, 48).
+        assert_eq!(g.readahead_run(BlockAddr(5), 32), (BlockAddr(0), 32));
+        assert_eq!(g.readahead_run(BlockAddr(40), 32), (BlockAddr(32), 16));
+        // Segment 1 starts at 48, inside the aligned run [32, 64): the run
+        // starts with the segment.
+        assert_eq!(g.readahead_run(BlockAddr(50), 32), (BlockAddr(48), 32));
+        assert_eq!(g.readahead_run(BlockAddr(70), 32), (BlockAddr(64), 32));
+        let carried = BlockAddr::carried_by(BlockAddr(70));
+        assert_eq!(g.readahead_run(carried, 32), (BlockAddr(64), 32));
+        assert_eq!(g.readahead_run(carried, 0), (BlockAddr(70), 1));
+        assert_eq!(g.nth_after(BlockAddr(64), 6), BlockAddr(70));
+        assert_eq!(g.run_offset(BlockAddr(64), carried), 6);
     }
 }

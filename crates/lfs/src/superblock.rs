@@ -22,7 +22,10 @@ const SB_BYTES: usize = 96;
 /// write whose summary carries a checksum of the data; a revision-1 image
 /// has no such checksums, so mounting it would reject every batch as torn
 /// and silently roll forward to an empty log. It is refused instead.
-const FORMAT_VERSION: u32 = 2;
+/// Revision 3 lets a summary block carry its batch's first short payload
+/// (see [`crate::summary`]); a revision-2 summary's reserved bytes read
+/// as a malformed record, so that image is refused the same way.
+const FORMAT_VERSION: u32 = 3;
 const UNSUPPORTED_FORMAT: LfsError = LfsError::Corrupt("unsupported on-disk format");
 
 /// Sentinel for "the log has never been anchored".

@@ -108,8 +108,10 @@ impl SegmentUsageTable {
         };
     }
 
-    /// Records `n` blocks appended to `seg`, `live` of which are
-    /// referenced (summary blocks are written but never referenced).
+    /// Records `n` blocks written to `seg`, `live` of which are newly
+    /// counted as referenced: every block a replayed batch holds (a
+    /// summary block is referenced only while it carries a record), none
+    /// at a running log's flush, which counted each at its append.
     pub fn note_append(&mut self, seg: SegmentId, n: u32, live: u32) {
         let s = &mut self.segs[seg as usize];
         debug_assert_eq!(s.state, SegmentState::InUse);

@@ -13,7 +13,11 @@
 #    in tier-1, and seeds are constants; and the ledger census: a
 #    non-test `.append(` on the log or `release_blocks(` under
 #    crates/core/src/ outside ledger.rs fails — which blocks are
-#    reachable is said once
+#    reachable is said once; and the address census: non-test
+#    arithmetic on a `BlockAddr`'s `.0` (or a `BlockAddr(` built from
+#    an expression) outside crates/lfs/src/layout.rs fails — an address
+#    may name a record carried by a summary block, and only `Geometry`
+#    knows how to turn one into a segment or a sector
 # 3. the full test suite, once (dev profile is optimized; see
 #    Cargo.toml). `--workspace` runs every crate's tests and every root
 #    tests/*.rs, so the bounded torture campaigns (write path with torn
@@ -111,6 +115,23 @@ done)
   exit 1
 }
 
+echo "== address census (BlockAddr arithmetic outside crates/lfs/src/layout.rs)"
+# By name, like the censuses above: a `.0` of something called addr, head,
+# root, slot, … beside an arithmetic or bit operator. Reading `.0` as a
+# key or to serialise it is not arithmetic.
+hand_addressed=$(find crates/*/src src -name '*.rs' ! -path crates/lfs/src/layout.rs | sort | while read -r f; do
+  awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+       /BlockAddr\([^)]*([-+*\/%^]|&[^&]|\|[^|]|<<|>>)/ ||
+       /(addr|head|root|slot|summary|block|base|prev|old|new)\.0[[:space:]]*([-+*\/%^]|&[^&]|\|[^|]|<<|>>)/ ||
+       /([-+*\/%^]|<<|>>)[[:space:]]*[a-z_.]*(addr|head|root|slot|summary|block|base|prev|old|new)\.0([^0-9a-z_]|$)/ {
+         print FILENAME ":" FNR ":" $0 }' "$f"
+done)
+[ -z "$hand_addressed" ] || {
+  echo "$hand_addressed" >&2
+  echo "verify: do address arithmetic behind a Geometry helper (crates/lfs/src/layout.rs)" >&2
+  exit 1
+}
+
 echo "== cargo test --workspace -q"
 cargo test --workspace -q
 
@@ -131,6 +152,7 @@ for metric in \
     s4_detection_window_headroom_days \
     s4_history_pool_occupancy \
     s4_checkpoint_blocks_total \
+    s4_commit_blocks_total \
     s4_requests_total; do
   grep -qF "$metric" target/verify-stats.prom \
     || { echo "verify: exposition missing $metric" >&2; exit 1; }

@@ -112,9 +112,12 @@ fn write_plus_sync_on_a_lone_drive_is_one_device_write() {
     // A metadata-only commit is the summary block alone; revision 2
     // wrote 8 192: `[summary | journal container]`.
     traces[0].clear();
+    let before = drive.stats().snapshot().commit_blocks;
     drive.handle(&user(), &set_attr(oid)).unwrap();
     drive.handle(&user(), &Request::Sync).unwrap();
     assert_eq!(write_lens(&traces[0]), [4096]);
+    // The drive's own count of it (`s4_commit_blocks_total`).
+    assert_eq!(drive.stats().snapshot().commit_blocks, before + 1);
 }
 
 /// A `shards × mirrors` array on traced devices (device `i` is member

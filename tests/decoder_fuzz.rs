@@ -31,7 +31,7 @@ use s4_fs::{RpcHandler, TcpServerHandle};
 use s4_journal::{
     decode_sector, encode_sectors, txn, JournalEntry, ObjectMeta, PtrChange, TxnRecord,
 };
-use s4_lfs::summary::{Summary, NO_NEXT_SEGMENT};
+use s4_lfs::summary::{Carried, Summary, NO_NEXT_SEGMENT};
 use s4_lfs::{
     BlockAddr, BlockKind, BlockTag, Geometry, SegmentUsageTable, SummaryEntry, Superblock,
 };
@@ -242,7 +242,22 @@ fn targets() -> Vec<(&'static str, Decoder, Vec<Vec<u8>>)> {
                 tag: BlockTag::new(BlockKind::Data, 100 + i, i * 7),
             })
             .collect(),
+        carried: None,
     };
+    // The same summary carrying a record (format revision 3). The byte
+    // mutations below put `7F`/`80`/`FF` into its length (40..42), its
+    // position (42..44: past the entry count) and the entry count
+    // (28..32: entries that would overlap the record) — behind the CRC in
+    // the resealed run.
+    let carrying = Summary {
+        carried: Some(Carried {
+            tag: BlockTag::new(BlockKind::JournalSector, 9, 2),
+            pos: 4,
+            data: (1..=200).collect(),
+        }),
+        ..summary.clone()
+    };
+    let summaries = || vec![summary.encode(), carrying.encode()];
     let usage = {
         let mut t = SegmentUsageTable::new(&Geometry::compute(20_000, 16).unwrap());
         let seg = t.allocate().unwrap();
@@ -350,7 +365,7 @@ fn targets() -> Vec<(&'static str, Decoder, Vec<Vec<u8>>)> {
         (
             "Summary::decode",
             |b| Summary::decode(b).ok().map(|s| s.encode()),
-            vec![summary.encode()],
+            summaries(),
         ),
         (
             "SegmentUsageTable::decode",
@@ -372,7 +387,7 @@ fn targets() -> Vec<(&'static str, Decoder, Vec<Vec<u8>>)> {
                     .ok()
                     .map(|s| s.encode())
             },
-            vec![summary.encode()],
+            summaries(),
         ),
         (
             "Superblock::decode, resealed",

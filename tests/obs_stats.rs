@@ -57,6 +57,7 @@ fn exposition_reports_per_layer_latency_and_gauges() {
         "s4_bytes_written_total",
         "s4_checkpoints_total",
         "s4_checkpoint_blocks_total",
+        "s4_commit_blocks_total",
         "s4_rpc_latency_us{quantile=\"0.5\"}",
         "s4_rpc_latency_us{quantile=\"0.9\"}",
         "s4_rpc_latency_us{quantile=\"0.99\"}",

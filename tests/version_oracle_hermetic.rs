@@ -153,7 +153,7 @@ fn run_case(ops: Vec<Op>, remount_each: usize) {
     d.op_sync(&ctx).unwrap();
     oracle.verify_full(d, "oracle");
     // ...and the space accounting it ends on is the one a mount would derive.
-    assert_eq!(d.check_image(), Ok((Vec::new(), 0)));
+    assert_eq!(d.check_image(), Ok((Vec::new(), Vec::new(), 0)));
 }
 
 /// Seeds chosen once, arbitrarily; each is a distinct deterministic case.
