@@ -393,9 +393,12 @@ impl<D: BlockDev> Log<D> {
         if data.len() > BLOCK_SIZE {
             return Err(LfsError::Oversize(data.len()));
         }
-        // Flush implicitly if the open batch hit the summary-entry limit or
-        // the end of the segment.
+        // A payload the open batch's summary can carry needs no slot.
+        // Anything else does: flush implicitly if the open batch hit the
+        // summary-entry limit or the end of the segment.
+        let carriable = self.carry_limit.is_some_and(|l| data.len() <= l);
         if st.batch_start.is_some()
+            && !(carriable && st.carried.is_none())
             && (st.pending.len() >= MAX_ENTRIES || st.cursor >= self.geo.blocks_per_segment)
         {
             self.flush_locked(st)?;
@@ -408,7 +411,7 @@ impl<D: BlockDev> Log<D> {
             st.cursor - 1
         });
         let idx = st.pending.len();
-        let carry = st.carried.is_none() && self.carry_limit.is_some_and(|l| data.len() <= l);
+        let carry = carriable && st.carried.is_none();
         let addr = if carry {
             BlockAddr::carried_by(self.geo.addr_of(st.seg, batch_start))
         } else {
@@ -1184,6 +1187,45 @@ mod tests {
         // Released, the summary blocks are dead and so is the segment.
         m.log.release_blocks(addrs[..15].iter().copied());
         assert_eq!(m.log.free_dead_segments(), 1);
+    }
+
+    /// A batch that has reached the end of its segment is cut there when
+    /// the next payload needs a slot — not when its summary can carry it:
+    /// `[Write 4 KiB, Sync]` is one device write wherever it falls.
+    #[test]
+    fn a_record_the_summary_can_carry_never_cuts_a_batch_at_the_segment_end() {
+        let dev = TraceDisk::new(MemDisk::new(200_000));
+        let trace = dev.handle();
+        let log = Log::format(dev, SMALL).unwrap();
+        // Seven two-block commits leave exactly two blocks of segment 0.
+        for i in 0..7u64 {
+            log.append(tag(1, i), &solid(i as u8 + 1)).unwrap();
+            log.append(tag(2, i), &short(i as u8 + 1)).unwrap();
+            assert!(!log.flush().unwrap().sealed);
+        }
+        trace.clear();
+        let data = log.append(tag(1, 7), &solid(8)).unwrap();
+        assert_eq!(data, BlockAddr(15), "the segment's last block");
+        let record = log.append(tag(2, 7), &short(8)).unwrap();
+        assert_eq!(record, BlockAddr::carried_by(BlockAddr(14)));
+        assert_eq!(trace.writes(), 0, "nothing cut the batch");
+        assert!(log.flush().unwrap().sealed);
+        assert_eq!(trace.writes(), 1);
+        // A second short payload needs a slot, and there the cut stays.
+        for i in 8..15u64 {
+            log.append(tag(1, i), &solid(i as u8 + 1)).unwrap();
+            log.append(tag(2, i), &short(i as u8 + 1)).unwrap();
+            log.flush().unwrap();
+        }
+        trace.clear();
+        log.append(tag(1, 15), &solid(16)).unwrap();
+        log.append(tag(2, 15), &short(16)).unwrap();
+        let third = log.append(tag(2, 16), &short(17)).unwrap();
+        assert_eq!(trace.writes(), 1, "the full batch went out first");
+        assert_eq!(third, BlockAddr::carried_by(BlockAddr(32)));
+        let m = Log::mount(log.into_device(), SMALL).unwrap();
+        assert_eq!(m.batches.len(), 16, "the open batch was never flushed");
+        reads_as(&m.log, record, &short(8));
     }
 
     #[test]
