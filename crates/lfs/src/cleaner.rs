@@ -19,7 +19,8 @@
 use s4_simdisk::BlockDev;
 
 use crate::layout::{BlockAddr, BlockTag, SegmentId, BLOCK_SIZE};
-use crate::log::{summary_at, Log};
+use crate::log::Log;
+use crate::summary::Summary;
 use crate::Result;
 
 /// Upper-layer hooks the cleaner needs.
@@ -138,7 +139,7 @@ impl Cleaner {
         let mut p: u32 = 0;
         while p < written {
             let s = &raw[p as usize * BLOCK_SIZE..][..BLOCK_SIZE];
-            let Some(summary) = summary_at(&geo, geo.addr_of(victim, p), s) else {
+            let Some(summary) = Summary::at(&geo, geo.addr_of(victim, p), s) else {
                 break;
             };
             let n = summary.entries.len() as u32;

@@ -221,12 +221,6 @@ impl Geometry {
     pub fn nth_after(&self, head: BlockAddr, i: u32) -> BlockAddr {
         BlockAddr(head.slot().0 + i as u64)
     }
-
-    /// How many slots after `head` the slot of `addr` lies (`addr` is at
-    /// or after `head`).
-    pub fn run_offset(&self, head: BlockAddr, addr: BlockAddr) -> usize {
-        (addr.slot().0 - head.slot().0) as usize
-    }
 }
 
 #[cfg(test)]
@@ -317,6 +311,5 @@ mod tests {
         assert_eq!(g.readahead_run(carried, 32), (BlockAddr(64), 32));
         assert_eq!(g.readahead_run(carried, 0), (BlockAddr(70), 1));
         assert_eq!(g.nth_after(BlockAddr(64), 6), BlockAddr(70));
-        assert_eq!(g.run_offset(BlockAddr(64), carried), 6);
     }
 }

@@ -159,8 +159,6 @@ pub struct Log<D: BlockDev> {
     geo: Geometry,
     cache: BlockCache,
     readahead: u32,
-    /// Longest payload a summary carries (a constant of the geometry).
-    carry_limit: Option<usize>,
     state: Mutex<WriterState>,
     usage: Mutex<SegmentUsageTable>,
 }
@@ -190,7 +188,6 @@ impl<D: BlockDev> Log<D> {
             geo,
             cache: BlockCache::new(config.cache_blocks),
             readahead: config.readahead_blocks,
-            carry_limit: carried_limit(geo.blocks_per_segment),
             state: Mutex::new(WriterState {
                 seg,
                 cursor: 0,
@@ -333,7 +330,6 @@ impl<D: BlockDev> Log<D> {
             geo,
             cache,
             readahead: config.readahead_blocks,
-            carry_limit: carried_limit(geo.blocks_per_segment),
             state: Mutex::new(WriterState {
                 seg,
                 cursor,
@@ -396,7 +392,7 @@ impl<D: BlockDev> Log<D> {
         // A payload the open batch's summary can carry needs no slot.
         // Anything else does: flush implicitly if the open batch hit the
         // summary-entry limit or the end of the segment.
-        let carriable = self.carry_limit.is_some_and(|l| data.len() <= l);
+        let carriable = carried_limit(self.geo.blocks_per_segment).is_some_and(|l| data.len() <= l);
         if st.batch_start.is_some()
             && !(carriable && st.carried.is_none())
             && (st.pending.len() >= MAX_ENTRIES || st.cursor >= self.geo.blocks_per_segment)
@@ -555,28 +551,27 @@ impl<D: BlockDev> Log<D> {
         let mut wanted = None;
         for (i, chunk) in buf.chunks_exact(BLOCK_SIZE).enumerate() {
             let slot = self.geo.nth_after(head, i as u32);
-            let (a, data) = match summary_at(&self.geo, slot, chunk) {
-                None => (slot, Bytes::from(chunk)),
-                Some(Summary {
-                    carried: Some(c), ..
-                }) => (BlockAddr::carried_by(slot), padded(&c.data)),
-                Some(_) => continue,
+            let filed = match Summary::at(&self.geo, slot, chunk) {
+                None => Some((slot, Bytes::from(chunk))),
+                Some(s) => s
+                    .carried
+                    .map(|c| (BlockAddr::carried_by(slot), padded(&c.data))),
             };
-            if a == addr {
-                wanted = Some(data.clone());
+            if let Some((a, data)) = filed {
+                if a == addr {
+                    wanted = Some(data.clone());
+                }
+                self.cache.insert(a, data);
             }
-            self.cache.insert(a, data);
+            if slot == addr && wanted.is_none() {
+                // A stale pointer at what is now a summary's slot reads
+                // the slot, as a stale pointer always has.
+                wanted = Some(Bytes::from(chunk));
+            }
         }
-        match wanted {
-            Some(data) => Ok(data),
-            // The slot holds no record to carry, or no summary at all.
-            None if addr.is_carried() => Err(LfsError::Corrupt("no carried record at address")),
-            // A stale pointer at what is now a summary's slot reads the
-            // slot, as a stale pointer always has.
-            None => Ok(Bytes::from(
-                &buf[self.geo.run_offset(head, addr) * BLOCK_SIZE..][..BLOCK_SIZE],
-            )),
-        }
+        // A carried address finds nothing if its slot holds no record to
+        // carry, or no summary at all.
+        wanted.ok_or(LfsError::Corrupt("no carried record at address"))
     }
 
     /// Reads `n` contiguous blocks starting at `head` in one device
@@ -782,13 +777,6 @@ fn padded(bytes: &[u8]) -> Bytes {
     let mut block = vec![0u8; BLOCK_SIZE];
     block[..bytes.len()].copy_from_slice(bytes);
     Bytes::from(block)
-}
-
-/// The summary in the block slot `at`, if `block` is one: a block that
-/// decodes as a summary of another place is some payload's bytes.
-pub(crate) fn summary_at(geo: &Geometry, at: BlockAddr, block: &[u8]) -> Option<Summary> {
-    let s = Summary::decode(block).ok()?;
-    (s.segment == geo.segment_of(at) && s.offset == geo.offset_in_segment(at)).then_some(s)
 }
 
 #[cfg(test)]

@@ -192,6 +192,13 @@ impl Summary {
         })
     }
 
+    /// The summary in the block slot `at`, if `block` is one: a block that
+    /// decodes as a summary of another place is some payload's bytes.
+    pub fn at(geo: &Geometry, at: BlockAddr, block: &[u8]) -> Option<Summary> {
+        let s = Summary::decode(block).ok()?;
+        (s.segment == geo.segment_of(at) && s.offset == geo.offset_in_segment(at)).then_some(s)
+    }
+
     /// Every block of the batch in append order — address, tag, bytes —
     /// given `data`, the blocks that follow the summary on the device.
     /// An entry's bytes are its 4 KiB block; the carried record's are the
