@@ -139,7 +139,8 @@ impl Cleaner {
         let mut p: u32 = 0;
         while p < written {
             let s = &raw[p as usize * BLOCK_SIZE..][..BLOCK_SIZE];
-            let Some(summary) = Summary::at(&geo, geo.addr_of(victim, p), s) else {
+            let at = geo.addr_of(victim, p);
+            let Some(summary) = Summary::decode(s).ok().filter(|s| s.is_at(&geo, at)) else {
                 break;
             };
             let n = summary.entries.len() as u32;

@@ -551,7 +551,7 @@ impl<D: BlockDev> Log<D> {
         let mut wanted = None;
         for (i, chunk) in buf.chunks_exact(BLOCK_SIZE).enumerate() {
             let slot = self.geo.nth_after(head, i as u32);
-            let filed = match Summary::at(&self.geo, slot, chunk) {
+            let filed = match Summary::passing(&self.geo, slot, chunk) {
                 None => Some((slot, Bytes::from(chunk))),
                 Some(s) => s
                     .carried
@@ -1026,12 +1026,10 @@ mod tests {
             assert_eq!(&first.log.read_block(a).unwrap()[..], &solid(0xD0)[..]);
             // Nothing recovered points at the torn commit's record; its
             // address reads like any address past the log's end — what
-            // the device holds there, if that is a summary at all.
-            assert_eq!(
-                first.log.read_block(carried).is_ok(),
-                summary_survived,
-                "{torn:?}"
-            );
+            // the device holds there.
+            if summary_survived {
+                reads_as(&first.log, carried, &record);
+            }
 
             // A second mount of the untouched image is identical.
             let second = Log::mount(first.log.into_device(), SMALL).unwrap();

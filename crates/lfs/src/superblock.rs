@@ -213,18 +213,21 @@ mod tests {
     }
 
     #[test]
-    fn pre_checksum_format_is_refused_not_skipped() {
-        // A revision-1 superblock: same magic and layout, zero padding
-        // where the format revision now lives, CRC valid.
-        let mut old = sample(3).encode();
-        old[72..76].fill(0);
-        let crc = crc32(&old[8..SB_BYTES]);
-        old[4..8].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(Superblock::decode(&old), Err(UNSUPPORTED_FORMAT));
+    fn an_earlier_format_is_refused_not_skipped() {
+        // A revision-1 superblock — same magic and layout, zero padding
+        // where the format revision now lives — and a revision-2 one
+        // (checksummed commits, no carried records), CRC valid.
+        for revision in [0u32, 2] {
+            let mut old = sample(3).encode();
+            old[72..76].copy_from_slice(&revision.to_le_bytes());
+            let crc = crc32(&old[8..SB_BYTES]);
+            old[4..8].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(Superblock::decode(&old), Err(UNSUPPORTED_FORMAT));
 
-        let dev = MemDisk::new(1024);
-        dev.write(Geometry::SUPERBLOCK_COPY_SECTORS, &old).unwrap();
-        assert_eq!(Superblock::read_latest(&dev), Err(UNSUPPORTED_FORMAT));
+            let dev = MemDisk::new(1024);
+            dev.write(Geometry::SUPERBLOCK_COPY_SECTORS, &old).unwrap();
+            assert_eq!(Superblock::read_latest(&dev), Err(UNSUPPORTED_FORMAT));
+        }
     }
 
     #[test]

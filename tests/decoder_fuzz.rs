@@ -367,6 +367,16 @@ fn targets() -> Vec<(&'static str, Decoder, Vec<Vec<u8>>)> {
             |b| Summary::decode(b).ok().map(|s| s.encode()),
             summaries(),
         ),
+        // The read path's parse of a summary it passes: no CRC in front
+        // of the field reads at all.
+        (
+            "Summary::passing",
+            |b| {
+                let geo = Geometry::compute(1_000_000, 128).unwrap();
+                Summary::passing(&geo, geo.addr_of(3, 40), b).map(|s| s.encode())
+            },
+            summaries(),
+        ),
         (
             "SegmentUsageTable::decode",
             |b| SegmentUsageTable::decode(b).ok().map(|t| t.encode()),
