@@ -212,6 +212,10 @@ fn run(
     Ok((s4_lfs::crc::xxh64(&image), digest, outcome))
 }
 
+/// Restated at format revision 3 (PR 24): the image differs from `format`
+/// on — the superblock's revision field, and format's own first commit,
+/// whose journal container rides in its summary block — and the digest
+/// with it (addresses are part of the state); the outcome hash is PR 23's.
 #[test]
 fn churn_image_is_one_value_across_runs() {
     const IMAGE_HASH: u64 = 0xf0a8_620b_52e5_d5d9;

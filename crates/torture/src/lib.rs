@@ -1124,6 +1124,9 @@ mod tests {
     /// runs agree with each other and with the committed constant. A
     /// change that moves this value changed the on-disk bytes (or made
     /// them depend on something other than the requests) and must say so.
+    /// (Format revision 3: it diverges from PR 23's at `format` — the
+    /// superblock's revision field and the first commit, one block
+    /// shorter for carrying its journal container in its summary.)
     #[test]
     fn golden_image_is_one_value_across_runs() {
         const GOLDEN_IMAGE_HASH: u64 = 0x0594_d79c_5757_2e48;
