@@ -10,7 +10,7 @@ use s4_clock::{NetworkModel, SimClock, SimDuration};
 use s4_core::rpc::LAST_CREATED;
 use s4_core::{
     AclEntry, ClientId, DriveConfig, ObjectId, OpKind, Perm, Request, RequestContext, Response,
-    S4Error, UserId,
+    S4Error, UserId, PARTITION_OBJECT,
 };
 use s4_fs::{FileServer, FsError, S4FileServer, S4FsConfig};
 use s4_simdisk::MemDisk;
@@ -580,5 +580,31 @@ fn reserved_partition_namespace_is_invisible_to_clients() {
             assert_eq!(list.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>(), vec!["vol"]);
         }
         other => panic!("unexpected response {other:?}"),
+    }
+
+    // Batched or not: a forged epoch note inside a batch — beside a
+    // `Sync`, or beside a write to shard 1 so that the batch takes the
+    // two-phase commit — is refused before any of it runs, and the array
+    // still mounts at its own epoch.
+    let forged = || Request::PCreate { name: "__s4/epoch/99/2/1".into(), oid: PARTITION_OBJECT };
+    for two_writers in [false, true] {
+        let a = array(2);
+        let mut batch = vec![forged()];
+        if two_writers {
+            let on_shard_1 = (0..2).map(|_| create(&a, &ctx)).find(|o| shard_of(*o, 2) == 1);
+            let write = Request::Write { oid: on_shard_1.unwrap(), offset: 0, data: vec![7; 16] };
+            batch.push(write);
+        }
+        batch.push(Request::Sync);
+        let reply = a.dispatch(&ctx, &Request::Batch(batch));
+        assert!(matches!(reply, Err(S4Error::BadRequest(_))), "two writers {two_writers}: {reply:?}");
+        let names: Vec<String> =
+            a.shard_drive(0).op_plist(&admin(), None).unwrap().into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names, vec!["__s4/epoch/1/2/0"], "two writers {two_writers}");
+        let devices = a.unmount().unwrap();
+        let mounted =
+            S4Array::mount(devices, DriveConfig::small_test(), ArrayConfig::default(), SimClock::new());
+        let (a, _) = mounted.unwrap_or_else(|e| panic!("two writers {two_writers}: mount: {e:?}"));
+        assert_eq!(a.epoch().seq, 1, "two writers {two_writers}");
     }
 }
