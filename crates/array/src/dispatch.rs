@@ -48,19 +48,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
     /// requests scatter to every shard and gather one merged response;
     /// batches are split per shard (see [`crate::router::split_batch`]).
     pub fn dispatch(&self, ctx: &RequestContext, req: &Request) -> s4_core::Result<Response> {
-        // The `__s4/` partition namespace carries array-internal state
-        // (epoch notes); clients cannot create, delete, or resolve it.
-        match req {
-            Request::PCreate { name, .. } | Request::PDelete { name }
-                if name.starts_with(RESERVED_NAME_PREFIX) =>
-            {
-                return Err(S4Error::BadRequest("array: reserved partition namespace"))
-            }
-            Request::PMount { name, .. } if name.starts_with(RESERVED_NAME_PREFIX) => {
-                return Err(S4Error::NoSuchPartition)
-            }
-            _ => {}
-        }
+        check_namespace(req)?;
         let mut ctx = self.traced(ctx);
         loop {
             let r = self.routing();
@@ -240,6 +228,23 @@ impl<D: BlockDev + 'static> S4Array<D> {
                 .map(|r| r.expect("every batch slot answered"))
                 .collect(),
         ))
+    }
+}
+
+/// The `__s4/` partition namespace carries array-internal state (epoch
+/// and decision notes): a client can neither create, delete nor resolve
+/// a name in it, batched or not. The whole request is refused before any
+/// of it runs.
+fn check_namespace(req: &Request) -> s4_core::Result<()> {
+    if let Request::Batch(reqs) = req {
+        return reqs.iter().try_for_each(check_namespace);
+    }
+    match req.partition_name() {
+        Some(name) if name.starts_with(RESERVED_NAME_PREFIX) => Err(match req {
+            Request::PMount { .. } => S4Error::NoSuchPartition,
+            _ => S4Error::BadRequest("array: reserved partition namespace"),
+        }),
+        _ => Ok(()),
     }
 }
 

@@ -28,7 +28,7 @@ use s4_clock::SimDuration;
 
 /// Prefix of partition names reserved for array-internal state. The
 /// dispatcher rejects client `PCreate`/`PDelete`/`PMount` under this
-/// prefix and filters it from merged `PList` responses.
+/// prefix, batched or not, and filters it from merged `PList` responses.
 pub const RESERVED_NAME_PREFIX: &str = "__s4/";
 
 /// Prefix of the epoch note's partition name.

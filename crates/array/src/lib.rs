@@ -61,6 +61,6 @@ pub use array::{format_group, ArrayConfig, S4Array};
 pub use dispatch::BatchOutcome;
 pub use epoch::{EpochInfo, FlipReport, EPOCH_NOTE_PREFIX, RESERVED_NAME_PREFIX};
 pub use forensics::Sharded;
-pub use router::{dense_of, is_reserved, shard_of, slot_of};
+pub use router::{dense_of, shard_of, slot_of};
 pub use shard::MemberState;
 pub use transport::ArrayTransport;

@@ -14,7 +14,7 @@
 //! reads every shard's copy and merges (see `forensics`).
 
 use s4_core::rpc::LAST_CREATED;
-use s4_core::{ObjectId, Request, S4Error, TRACE_OBJECT, TXN_OBJECT};
+use s4_core::{ObjectId, Request, S4Error};
 
 use crate::epoch::EpochInfo;
 
@@ -46,13 +46,6 @@ pub enum Route {
     SplitBatch,
 }
 
-/// Whether `oid` is one of the drive-local reserved objects that every
-/// shard keeps its own copy of (plus the 0 "not object-directed"
-/// placeholder).
-pub fn is_reserved(oid: ObjectId) -> bool {
-    oid.0 < 4 || oid == TRACE_OBJECT || oid == TXN_OBJECT
-}
-
 /// Home shard of `oid` in an `n`-shard array with no split in flight.
 pub fn shard_of(oid: ObjectId, n: usize) -> usize {
     slot_of(oid, &EpochInfo::initial(n))
@@ -62,7 +55,7 @@ pub fn shard_of(oid: ObjectId, n: usize) -> usize {
 /// that class's source has split, its pre-split owner otherwise.
 /// Degenerates to `oid % base` when no split is in flight.
 pub fn slot_of(oid: ObjectId, e: &EpochInfo) -> usize {
-    if is_reserved(oid) {
+    if oid.is_reserved() {
         return 0;
     }
     let c2 = (oid.0 % (2 * e.base as u64)) as usize;
@@ -148,14 +141,14 @@ pub fn split_batch(
     };
     let mut last_created: Option<usize> = None;
     for (idx, sub) in reqs.iter().enumerate() {
-        let shard = match sub {
-            Request::Batch(_) => return Err(S4Error::BadRequest("nested batch")),
-            Request::Create => {
+        let shard = match route(sub, e) {
+            Route::SplitBatch => return Err(S4Error::BadRequest("nested batch")),
+            Route::Create => {
                 let s = next_create_shard();
                 last_created = Some(s);
                 s
             }
-            Request::Sync => {
+            Route::Broadcast(_) if *sub == Request::Sync => {
                 // Durability barrier: every shard syncs, the single
                 // original index collapses to Ok iff all succeeded.
                 for s in 0..n {
@@ -164,18 +157,13 @@ pub fn split_batch(
                 }
                 continue;
             }
-            Request::PDelete { .. }
-            | Request::PList { .. }
-            | Request::PMount { .. }
-            | Request::Flush { .. }
-            | Request::SetWindow { .. }
-            | Request::FlushAlerts
-            | Request::FlushTraces => {
+            Route::Broadcast(_) => {
                 return Err(S4Error::BadRequest("array: broadcast op inside batch"))
             }
-            other if other.target() == LAST_CREATED => last_created
-                .ok_or(S4Error::BadRequest("LAST_CREATED before any batch Create"))?,
-            other => dense_of(other.target(), e),
+            Route::Shard(_) if sub.target() == LAST_CREATED => {
+                last_created.ok_or(S4Error::BadRequest("LAST_CREATED before any batch Create"))?
+            }
+            Route::Shard(s) => s,
         };
         plan.subs[shard].push(sub.clone());
         plan.slots[shard].push(idx);
@@ -265,7 +253,7 @@ mod tests {
         assert_eq!(dense_of(ObjectId(9), &e), 1);
         // Reserved objects pin to slot 0 in every epoch.
         assert_eq!(slot_of(ObjectId(2), &e), 0);
-        assert_eq!(slot_of(TRACE_OBJECT, &e), 0);
+        assert_eq!(slot_of(s4_core::TRACE_OBJECT, &e), 0);
     }
 
     #[test]

@@ -16,7 +16,8 @@ use crate::ids::{ClientId, ObjectId, UserId};
 use crate::{Result, S4Error};
 
 /// Operation classification recorded in audit records (mirrors Table 1).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// The code is also a request's tag on the wire ([`crate::Request::encode`]).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 #[repr(u8)]
 #[allow(missing_docs)]
 pub enum OpKind {
@@ -44,6 +45,16 @@ pub enum OpKind {
 }
 
 impl OpKind {
+    /// Every kind, in code order: `ALL[k as usize - 1] == k`.
+    pub const ALL: [OpKind; 21] = {
+        use OpKind::*;
+        [
+            Create, Delete, Read, Write, Append, Truncate, GetAttr, SetAttr, GetAclByUser,
+            GetAclByIndex, SetAcl, PCreate, PDelete, PList, PMount, Sync, Flush, FlushO,
+            SetWindow, FlushAlerts, FlushTraces,
+        ]
+    };
+
     /// True if an operation of this kind can change drive state — what
     /// [`crate::Request::mutates`] answers for a request, answerable
     /// from an audit record too: the records two mirror members share
@@ -53,36 +64,32 @@ impl OpKind {
         !matches!(self, Read | GetAttr | GetAclByUser | GetAclByIndex | PList | PMount)
     }
 
+    /// True if an operation of this kind creates a new version of its
+    /// target object (creation and deletion included): what forensics,
+    /// recovery planning and a reshard's catch-up follow an object by.
+    pub fn creates_version(self) -> bool {
+        use OpKind::*;
+        matches!(self, Create | Delete | Write | Append | Truncate | SetAttr | SetAcl)
+    }
+
+    /// True if an operation of this kind reads its object's data or
+    /// attributes.
+    pub fn reads_object(self) -> bool {
+        matches!(self, OpKind::Read | OpKind::GetAttr)
+    }
+
+    /// True for the administrative operations (§3.5): they require the
+    /// admin token and cannot be undone, so no transaction may hold one.
+    pub fn is_admin(self) -> bool {
+        use OpKind::*;
+        matches!(self, Flush | FlushO | SetWindow | FlushAlerts | FlushTraces)
+    }
+
     /// Parses the on-disk representation.
     pub fn from_u8(v: u8) -> Result<OpKind> {
-        if (1..=21).contains(&v) {
-            // SAFETY-free mapping: match keeps this total.
-            Ok(match v {
-                1 => OpKind::Create,
-                2 => OpKind::Delete,
-                3 => OpKind::Read,
-                4 => OpKind::Write,
-                5 => OpKind::Append,
-                6 => OpKind::Truncate,
-                7 => OpKind::GetAttr,
-                8 => OpKind::SetAttr,
-                9 => OpKind::GetAclByUser,
-                10 => OpKind::GetAclByIndex,
-                11 => OpKind::SetAcl,
-                12 => OpKind::PCreate,
-                13 => OpKind::PDelete,
-                14 => OpKind::PList,
-                15 => OpKind::PMount,
-                16 => OpKind::Sync,
-                17 => OpKind::Flush,
-                18 => OpKind::FlushO,
-                19 => OpKind::SetWindow,
-                20 => OpKind::FlushAlerts,
-                _ => OpKind::FlushTraces,
-            })
-        } else {
-            Err(S4Error::BadRequest("audit op kind"))
-        }
+        v.checked_sub(1)
+            .and_then(|i| OpKind::ALL.get(usize::from(i)).copied())
+            .ok_or(S4Error::BadRequest("audit op kind"))
     }
 }
 
@@ -116,6 +123,17 @@ pub const RECORD_BYTES: usize = 48;
 pub(crate) const RECORD_BLOCK_BYTES: usize = (BLOCK_SIZE / RECORD_BYTES) * RECORD_BYTES;
 
 impl AuditRecord {
+    /// Bytes of new data the request carried, read back from its audit
+    /// arguments ([`crate::Request::audit_args`]: `Write(offset, len)`,
+    /// `Append(len, _)`, `SetAttr(len, _)`).
+    pub fn bytes_written(&self) -> u64 {
+        match self.op {
+            OpKind::Write => self.arg2,
+            OpKind::Append | OpKind::SetAttr => self.arg1,
+            _ => 0,
+        }
+    }
+
     /// Appends the binary encoding to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.time.as_micros().to_le_bytes());
@@ -234,11 +252,13 @@ mod tests {
 
     #[test]
     fn op_kind_round_trip() {
-        for v in 1..=21u8 {
-            assert_eq!(OpKind::from_u8(v).unwrap() as u8, v);
+        for (i, &kind) in OpKind::ALL.iter().enumerate() {
+            assert_eq!(kind as usize, i + 1);
+            assert_eq!(OpKind::from_u8(kind as u8), Ok(kind));
         }
         assert!(OpKind::from_u8(0).is_err());
         assert!(OpKind::from_u8(22).is_err());
+        assert!(OpKind::from_u8(u8::MAX).is_err());
     }
 
     #[test]

@@ -88,6 +88,18 @@ pub const TXN_OBJECT: ObjectId = ObjectId(u64::MAX - 4);
 
 const FIRST_DYNAMIC_OID: u64 = 4;
 
+impl ObjectId {
+    /// Whether this is one of the reserved objects above. Each drive —
+    /// each shard of an array — keeps its own, only the drive writes
+    /// them, and no client request may name one.
+    pub fn is_reserved(self) -> bool {
+        matches!(
+            self,
+            AUDIT_OBJECT | PARTITION_OBJECT | ALERT_OBJECT | TRACE_OBJECT | TXN_OBJECT
+        )
+    }
+}
+
 /// Drive configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct DriveConfig {
@@ -725,12 +737,7 @@ impl<D: BlockDev> S4Drive<D> {
     // ------------------------------------------------------------------
 
     pub(crate) fn check_not_reserved(&self, oid: ObjectId) -> Result<()> {
-        if oid == AUDIT_OBJECT
-            || oid == PARTITION_OBJECT
-            || oid == ALERT_OBJECT
-            || oid == TRACE_OBJECT
-            || oid == TXN_OBJECT
-        {
+        if oid.is_reserved() {
             return Err(S4Error::AccessDenied);
         }
         Ok(())

@@ -159,7 +159,9 @@ impl Request {
         }
     }
 
-    /// Target object, for auditing (0 when not object-directed).
+    /// Target object, for auditing (0 when not object-directed). The one
+    /// list of object-directed requests: routing, transaction locks and
+    /// [`LAST_CREATED`] resolution all read it.
     pub fn target(&self) -> ObjectId {
         match self {
             Request::Delete { oid }
@@ -203,16 +205,23 @@ impl Request {
         self.op_kind().mutates()
     }
 
+    /// The partition name a namespace request carries.
+    pub fn partition_name(&self) -> Option<&str> {
+        match self {
+            Request::PCreate { name, .. }
+            | Request::PDelete { name }
+            | Request::PMount { name, .. } => Some(name),
+            _ => None,
+        }
+    }
+
     /// Approximate request size on the wire, for network cost models.
     pub fn wire_size(&self) -> usize {
         let body = match self {
             Request::Write { data, .. } | Request::Append { data, .. } => data.len(),
             Request::SetAttr { attrs, .. } => attrs.len(),
-            Request::PCreate { name, .. }
-            | Request::PDelete { name }
-            | Request::PMount { name, .. } => name.len(),
             Request::Batch(reqs) => reqs.iter().map(|r| r.wire_size()).sum(),
-            _ => 0,
+            _ => self.partition_name().map_or(0, str::len),
         };
         48 + body
     }
@@ -241,20 +250,25 @@ impl<D: BlockDev> S4Drive<D> {
     pub fn dispatch(&self, ctx: &RequestContext, req: &Request) -> Result<Response> {
         if let Request::Batch(reqs) = req {
             // Batches are not instrumented as a unit: each sub-request
-            // re-enters dispatch and gets its own span + trace record.
+            // passes the audited perimeter and gets its own span + trace
+            // record.
             return self.dispatch_batch(ctx, reqs);
         }
-        self.audited(ctx, req, |drive| drive.execute(ctx, req))
+        let target = req.target();
+        self.audited(ctx, req, target, |drive| drive.execute(ctx, req, target))
     }
 
-    /// The perimeter around one request: charge it, refuse it if its
-    /// object is pinned by a transaction, otherwise `run` it, then audit
-    /// and trace the outcome. `run` is [`Self::execute`] for every
-    /// request but one (see [`Self::txn_prepare_at`]).
+    /// The perimeter around one request on object `target` (its own,
+    /// or the object a batch's [`LAST_CREATED`] stands for): charge it,
+    /// refuse it if that object is pinned by a transaction, otherwise
+    /// `run` it, then audit and trace the outcome. `run` is
+    /// [`Self::execute`] for every request but one (see
+    /// [`Self::txn_prepare_at`]).
     fn audited(
         &self,
         ctx: &RequestContext,
         req: &Request,
+        target: ObjectId,
         run: impl FnOnce(&Self) -> Result<Response>,
     ) -> Result<Response> {
         self.stats().requests(1);
@@ -271,7 +285,6 @@ impl<D: BlockDev> S4Drive<D> {
         // outside mutations (abort compensation must be able to restore
         // the pre-transaction version without racing anyone). Reads stay
         // allowed. The refusal still flows through the audit path below.
-        let target = req.target();
         let locked = target.0 != 0
             && req.mutates()
             && self.txn_lock_holder(target).is_some();
@@ -286,7 +299,7 @@ impl<D: BlockDev> S4Drive<D> {
         // drive-assigned id so analysis can follow the object from birth.
         let object = match &result {
             Ok(Response::Created(oid)) => *oid,
-            _ => req.target(),
+            _ => target,
         };
         self.audit_append(&AuditRecord {
             time: self.now(),
@@ -340,9 +353,10 @@ impl<D: BlockDev> S4Drive<D> {
             if matches!(sub, Request::Batch(_)) {
                 return Err(fail(S4Error::BadRequest("nested batch")));
             }
-            // Substitute the LAST_CREATED placeholder.
-            let resolved = substitute_oid(sub, last_created).map_err(fail)?;
-            let resp = self.dispatch(ctx, &resolved).map_err(fail)?;
+            let target = resolved_target(sub, last_created).map_err(fail)?;
+            let resp = self
+                .audited(ctx, sub, target, |drive| drive.execute(ctx, sub, target))
+                .map_err(fail)?;
             if let Response::Created(oid) = &resp {
                 last_created = Some(*oid);
             }
@@ -351,43 +365,38 @@ impl<D: BlockDev> S4Drive<D> {
         Ok(Response::Batch(out))
     }
 
-    fn execute(&self, ctx: &RequestContext, req: &Request) -> Result<Response> {
+    /// Runs `req` against `oid`, which stands for the request's own
+    /// object field ([`Request::target`], resolved).
+    fn execute(&self, ctx: &RequestContext, req: &Request, oid: ObjectId) -> Result<Response> {
         match req {
             Request::Create => self.op_create(ctx, None).map(Response::Created),
-            Request::Delete { oid } => self.op_delete(ctx, *oid).map(|()| Response::Ok),
+            Request::Delete { .. } => self.op_delete(ctx, oid).map(|()| Response::Ok),
             Request::Read {
-                oid,
-                offset,
-                len,
-                time,
+                offset, len, time, ..
             } => self
-                .op_read(ctx, *oid, *offset, *len, *time)
+                .op_read(ctx, oid, *offset, *len, *time)
                 .map(Response::Data),
-            Request::Write { oid, offset, data } => self
-                .op_write(ctx, *oid, *offset, data)
+            Request::Write { offset, data, .. } => self
+                .op_write(ctx, oid, *offset, data)
                 .map(|()| Response::Ok),
-            Request::Append { oid, data } => self.op_append(ctx, *oid, data).map(Response::NewSize),
-            Request::Truncate { oid, len } => {
-                self.op_truncate(ctx, *oid, *len).map(|()| Response::Ok)
+            Request::Append { data, .. } => self.op_append(ctx, oid, data).map(Response::NewSize),
+            Request::Truncate { len, .. } => {
+                self.op_truncate(ctx, oid, *len).map(|()| Response::Ok)
             }
-            Request::GetAttr { oid, time } => {
-                self.op_getattr(ctx, *oid, *time).map(Response::Attrs)
-            }
-            Request::SetAttr { oid, attrs } => self
-                .op_setattr(ctx, *oid, attrs.clone())
+            Request::GetAttr { time, .. } => self.op_getattr(ctx, oid, *time).map(Response::Attrs),
+            Request::SetAttr { attrs, .. } => self
+                .op_setattr(ctx, oid, attrs.clone())
                 .map(|()| Response::Ok),
-            Request::GetAclByUser { oid, user, time } => self
-                .op_get_acl_by_user(ctx, *oid, *user, *time)
+            Request::GetAclByUser { user, time, .. } => self
+                .op_get_acl_by_user(ctx, oid, *user, *time)
                 .map(Response::Acl),
-            Request::GetAclByIndex { oid, index, time } => self
-                .op_get_acl_by_index(ctx, *oid, *index, *time)
+            Request::GetAclByIndex { index, time, .. } => self
+                .op_get_acl_by_index(ctx, oid, *index, *time)
                 .map(Response::Acl),
-            Request::SetAcl { oid, entry } => {
-                self.op_set_acl(ctx, *oid, *entry).map(|()| Response::Ok)
+            Request::SetAcl { entry, .. } => {
+                self.op_set_acl(ctx, oid, *entry).map(|()| Response::Ok)
             }
-            Request::PCreate { name, oid } => {
-                self.op_pcreate(ctx, name, *oid).map(|()| Response::Ok)
-            }
+            Request::PCreate { name, .. } => self.op_pcreate(ctx, name, oid).map(|()| Response::Ok),
             Request::PDelete { name } => self.op_pdelete(ctx, name).map(|()| Response::Ok),
             Request::PList { time } => self.op_plist(ctx, *time).map(Response::Partitions),
             Request::PMount { name, time } => {
@@ -395,8 +404,8 @@ impl<D: BlockDev> S4Drive<D> {
             }
             Request::Sync => self.op_sync(ctx).map(|()| Response::Ok),
             Request::Flush { from, to } => self.op_flush(ctx, *from, *to).map(|()| Response::Ok),
-            Request::FlushO { oid, from, to } => {
-                self.op_flusho(ctx, *oid, *from, *to).map(|()| Response::Ok)
+            Request::FlushO { from, to, .. } => {
+                self.op_flusho(ctx, oid, *from, *to).map(|()| Response::Ok)
             }
             Request::SetWindow { window } => {
                 self.op_set_window(ctx, *window).map(|()| Response::Ok)
@@ -459,32 +468,24 @@ impl<D: BlockDev> S4Drive<D> {
                     Request::PDelete { .. } => {
                         return Err(S4Error::BadRequest("pdelete inside a transaction"))
                     }
-                    Request::Flush { .. }
-                    | Request::FlushO { .. }
-                    | Request::SetWindow { .. }
-                    | Request::FlushAlerts
-                    | Request::FlushTraces => {
+                    _ if sub.op_kind().is_admin() => {
                         return Err(S4Error::BadRequest("admin op inside a transaction"))
                     }
                     _ => {}
                 }
-                let resolved = substitute_oid(sub, last_created)?;
-                let resp = match resolved {
-                    Request::Sync => self.audited(ctx, &resolved, |_| Ok(Response::Ok)),
-                    _ => self.dispatch(ctx, &resolved),
-                }?;
+                let target = resolved_target(sub, last_created)?;
+                let resp = self.audited(ctx, sub, target, |drive| match sub {
+                    Request::Sync => Ok(Response::Ok),
+                    _ => drive.execute(ctx, sub, target),
+                })?;
                 if let Response::Created(oid) = &resp {
                     last_created = Some(*oid);
                     touched_oids.push(oid.0);
-                } else if resolved.mutates() {
-                    match &resolved {
+                } else if sub.mutates() {
+                    match sub {
                         Request::PCreate { name, .. } => touched_names.push(name.clone()),
-                        _ => {
-                            let t = resolved.target();
-                            if t.0 != 0 {
-                                touched_oids.push(t.0);
-                            }
-                        }
+                        _ if target.0 != 0 => touched_oids.push(target.0),
+                        _ => {}
                     }
                 }
                 out.push(resp);
@@ -509,30 +510,13 @@ impl<D: BlockDev> S4Drive<D> {
     }
 }
 
-/// Rewrites [`LAST_CREATED`] object references inside `req` to `last`.
-fn substitute_oid(req: &Request, last: Option<ObjectId>) -> Result<Request> {
-    let mut out = req.clone();
-    let target = match &mut out {
-        Request::Delete { oid }
-        | Request::Read { oid, .. }
-        | Request::Write { oid, .. }
-        | Request::Append { oid, .. }
-        | Request::Truncate { oid, .. }
-        | Request::GetAttr { oid, .. }
-        | Request::SetAttr { oid, .. }
-        | Request::GetAclByUser { oid, .. }
-        | Request::GetAclByIndex { oid, .. }
-        | Request::SetAcl { oid, .. }
-        | Request::PCreate { oid, .. }
-        | Request::FlushO { oid, .. } => Some(oid),
-        _ => None,
-    };
-    if let Some(oid) = target {
-        if *oid == LAST_CREATED {
-            *oid = last.ok_or(S4Error::BadRequest("LAST_CREATED before any Create"))?;
-        }
+/// The object a batch's sub-request `req` acts on: its target, with
+/// [`LAST_CREATED`] standing for `last`.
+fn resolved_target(req: &Request, last: Option<ObjectId>) -> Result<ObjectId> {
+    match req.target() {
+        LAST_CREATED => last.ok_or(S4Error::BadRequest("LAST_CREATED before any Create")),
+        target => Ok(target),
     }
-    Ok(out)
 }
 
 // ----------------------------------------------------------------------
@@ -546,109 +530,88 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// The wire tag of a [`Request::Batch`]. Every other request is tagged
+/// with its [`OpKind`] code, the byte its audit record carries.
+pub const BATCH_TAG: u8 = 0x80;
+
 impl Request {
-    /// Serializes the request for a transport.
+    /// Serializes the request for a transport: its tag, then its fields.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let tag = match self {
+            Request::Batch(_) => BATCH_TAG,
+            _ => self.op_kind() as u8,
+        };
+        let mut out = vec![tag];
         match self {
-            Request::Create => out.push(1),
-            Request::Delete { oid } => {
-                out.push(2);
-                put_u64(&mut out, oid.0);
-            }
+            Request::Create | Request::Sync | Request::FlushAlerts | Request::FlushTraces => {}
+            Request::Delete { oid } => put_u64(&mut out, oid.0),
             Request::Read {
                 oid,
                 offset,
                 len,
                 time,
             } => {
-                out.push(3);
                 put_u64(&mut out, oid.0);
                 put_u64(&mut out, *offset);
                 put_u64(&mut out, *len);
                 push_time_opt(&mut out, *time);
             }
             Request::Write { oid, offset, data } => {
-                out.push(4);
                 put_u64(&mut out, oid.0);
                 put_u64(&mut out, *offset);
                 push_bytes(&mut out, data);
             }
             Request::Append { oid, data } => {
-                out.push(5);
                 put_u64(&mut out, oid.0);
                 push_bytes(&mut out, data);
             }
             Request::Truncate { oid, len } => {
-                out.push(6);
                 put_u64(&mut out, oid.0);
                 put_u64(&mut out, *len);
             }
             Request::GetAttr { oid, time } => {
-                out.push(7);
                 put_u64(&mut out, oid.0);
                 push_time_opt(&mut out, *time);
             }
             Request::SetAttr { oid, attrs } => {
-                out.push(8);
                 put_u64(&mut out, oid.0);
                 push_bytes(&mut out, attrs);
             }
             Request::GetAclByUser { oid, user, time } => {
-                out.push(9);
                 put_u64(&mut out, oid.0);
                 put_u32(&mut out, user.0);
                 push_time_opt(&mut out, *time);
             }
             Request::GetAclByIndex { oid, index, time } => {
-                out.push(10);
                 put_u64(&mut out, oid.0);
                 put_u32(&mut out, *index);
                 push_time_opt(&mut out, *time);
             }
             Request::SetAcl { oid, entry } => {
-                out.push(11);
                 put_u64(&mut out, oid.0);
                 entry.encode_into(&mut out);
             }
             Request::PCreate { name, oid } => {
-                out.push(12);
                 push_bytes(&mut out, name.as_bytes());
                 put_u64(&mut out, oid.0);
             }
-            Request::PDelete { name } => {
-                out.push(13);
-                push_bytes(&mut out, name.as_bytes());
-            }
-            Request::PList { time } => {
-                out.push(14);
-                push_time_opt(&mut out, *time);
-            }
+            Request::PDelete { name } => push_bytes(&mut out, name.as_bytes()),
+            Request::PList { time } => push_time_opt(&mut out, *time),
             Request::PMount { name, time } => {
-                out.push(15);
                 push_bytes(&mut out, name.as_bytes());
                 push_time_opt(&mut out, *time);
             }
-            Request::Sync => out.push(16),
             Request::Flush { from, to } => {
-                out.push(17);
                 put_u64(&mut out, from.as_micros());
                 put_u64(&mut out, to.as_micros());
             }
             Request::FlushO { oid, from, to } => {
-                out.push(18);
                 put_u64(&mut out, oid.0);
                 put_u64(&mut out, from.as_micros());
                 put_u64(&mut out, to.as_micros());
             }
-            Request::SetWindow { window } => {
-                out.push(19);
-                put_u64(&mut out, window.as_micros());
-            }
-            Request::FlushAlerts => out.push(21),
-            Request::FlushTraces => out.push(22),
+            Request::SetWindow { window } => put_u64(&mut out, window.as_micros()),
             Request::Batch(reqs) => {
-                out.push(20);
                 put_u32(&mut out, reqs.len() as u32);
                 for r in reqs {
                     push_bytes(&mut out, &r.encode());
@@ -661,92 +624,93 @@ impl Request {
     /// Deserializes a request from a transport.
     pub fn decode(buf: &[u8]) -> Result<Request> {
         let mut r = Reader::new(buf, "wire truncated");
-        Ok(match r.u8()? {
-            1 => Request::Create,
-            2 => Request::Delete {
+        let tag = r.u8()?;
+        if tag == BATCH_TAG {
+            let n = r.count(5)?; // a sub-request is at least its length and tag
+            let mut reqs = Vec::with_capacity(n);
+            for _ in 0..n {
+                let decoded = Request::decode(r.bytes()?)?;
+                if matches!(decoded, Request::Batch(_)) {
+                    return Err(S4Error::BadRequest("nested batch"));
+                }
+                reqs.push(decoded);
+            }
+            return Ok(Request::Batch(reqs));
+        }
+        let kind = OpKind::from_u8(tag).map_err(|_| S4Error::BadRequest("unknown request tag"))?;
+        Ok(match kind {
+            OpKind::Create => Request::Create,
+            OpKind::Delete => Request::Delete {
                 oid: ObjectId(r.u64()?),
             },
-            3 => Request::Read {
+            OpKind::Read => Request::Read {
                 oid: ObjectId(r.u64()?),
                 offset: r.u64()?,
                 len: r.u64()?,
                 time: r.time_opt()?,
             },
-            4 => Request::Write {
+            OpKind::Write => Request::Write {
                 oid: ObjectId(r.u64()?),
                 offset: r.u64()?,
                 data: r.bytes()?.to_vec(),
             },
-            5 => Request::Append {
+            OpKind::Append => Request::Append {
                 oid: ObjectId(r.u64()?),
                 data: r.bytes()?.to_vec(),
             },
-            6 => Request::Truncate {
+            OpKind::Truncate => Request::Truncate {
                 oid: ObjectId(r.u64()?),
                 len: r.u64()?,
             },
-            7 => Request::GetAttr {
+            OpKind::GetAttr => Request::GetAttr {
                 oid: ObjectId(r.u64()?),
                 time: r.time_opt()?,
             },
-            8 => Request::SetAttr {
+            OpKind::SetAttr => Request::SetAttr {
                 oid: ObjectId(r.u64()?),
                 attrs: r.bytes()?.to_vec(),
             },
-            9 => Request::GetAclByUser {
+            OpKind::GetAclByUser => Request::GetAclByUser {
                 oid: ObjectId(r.u64()?),
                 user: UserId(r.u32()?),
                 time: r.time_opt()?,
             },
-            10 => Request::GetAclByIndex {
+            OpKind::GetAclByIndex => Request::GetAclByIndex {
                 oid: ObjectId(r.u64()?),
                 index: r.u32()?,
                 time: r.time_opt()?,
             },
-            11 => Request::SetAcl {
+            OpKind::SetAcl => Request::SetAcl {
                 oid: ObjectId(r.u64()?),
                 entry: AclEntry::decode(&mut r)?,
             },
-            12 => Request::PCreate {
+            OpKind::PCreate => Request::PCreate {
                 name: r.string()?,
                 oid: ObjectId(r.u64()?),
             },
-            13 => Request::PDelete { name: r.string()? },
-            14 => Request::PList {
+            OpKind::PDelete => Request::PDelete { name: r.string()? },
+            OpKind::PList => Request::PList {
                 time: r.time_opt()?,
             },
-            15 => Request::PMount {
+            OpKind::PMount => Request::PMount {
                 name: r.string()?,
                 time: r.time_opt()?,
             },
-            16 => Request::Sync,
-            17 => Request::Flush {
+            OpKind::Sync => Request::Sync,
+            OpKind::Flush => Request::Flush {
                 from: SimTime::from_micros(r.u64()?),
                 to: SimTime::from_micros(r.u64()?),
             },
-            18 => Request::FlushO {
+            OpKind::FlushO => Request::FlushO {
                 oid: ObjectId(r.u64()?),
                 from: SimTime::from_micros(r.u64()?),
                 to: SimTime::from_micros(r.u64()?),
             },
-            19 => Request::SetWindow {
+            OpKind::SetWindow => Request::SetWindow {
                 window: SimDuration::from_micros(r.u64()?),
             },
-            20 => {
-                let n = r.count(5)?; // a sub-request is at least its length and tag
-                let mut reqs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let decoded = Request::decode(r.bytes()?)?;
-                    if matches!(decoded, Request::Batch(_)) {
-                        return Err(S4Error::BadRequest("nested batch"));
-                    }
-                    reqs.push(decoded);
-                }
-                Request::Batch(reqs)
-            }
-            21 => Request::FlushAlerts,
-            22 => Request::FlushTraces,
-            _ => return Err(S4Error::BadRequest("unknown request tag")),
+            OpKind::FlushAlerts => Request::FlushAlerts,
+            OpKind::FlushTraces => Request::FlushTraces,
         })
     }
 }
@@ -981,6 +945,8 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         assert!(Request::decode(&[]).is_err());
+        assert!(Request::decode(&[0]).is_err());
+        assert!(Request::decode(&[22]).is_err());
         assert!(Request::decode(&[99]).is_err());
         assert!(Response::decode(&[0]).is_err());
         // Truncated payloads error instead of panicking.
@@ -995,11 +961,27 @@ mod tests {
     #[test]
     fn table1_coverage() {
         // The 19 operations of Table 1 plus the two retention
-        // extensions (FlushAlerts / FlushTraces).
-        assert_eq!(all_requests().len(), 21);
-        let mut kinds: Vec<u8> = all_requests().iter().map(|r| r.op_kind() as u8).collect();
-        kinds.sort_unstable();
-        kinds.dedup();
-        assert_eq!(kinds.len(), 21);
+        // extensions (FlushAlerts / FlushTraces), one request each, each
+        // tagged on the wire with its kind's code.
+        let requests = all_requests();
+        assert_eq!(requests.len(), OpKind::ALL.len());
+        for kind in OpKind::ALL {
+            let req = requests.iter().find(|r| r.op_kind() == kind).unwrap();
+            let wire = req.encode();
+            assert_eq!(wire[0], kind as u8, "{kind:?}");
+            assert_eq!(Request::decode(&wire).unwrap().op_kind(), kind);
+        }
+    }
+
+    #[test]
+    fn wire_tags_are_pinned() {
+        // Renumbering a request is a deliberate edit of these bytes: a
+        // client and a server built on either side of it cannot talk.
+        assert_eq!(Request::FlushAlerts.encode(), [20]);
+        assert_eq!(Request::FlushTraces.encode(), [21]);
+        let batch = Request::Batch(vec![Request::Sync]);
+        // Tag, one sub-request, its length, its tag (Sync = 16).
+        assert_eq!(batch.encode(), [0x80, 1, 0, 0, 0, 1, 0, 0, 0, 16]);
+        assert_eq!(Request::decode(&batch.encode()).unwrap(), batch);
     }
 }

@@ -59,21 +59,12 @@ pub fn damage_report<D: BlockDev>(
         if is_suspect {
             report.request_count += 1;
         }
-        let modifies = matches!(
-            r.op,
-            OpKind::Write
-                | OpKind::Append
-                | OpKind::Truncate
-                | OpKind::SetAttr
-                | OpKind::SetAcl
-                | OpKind::Delete
-                | OpKind::Create
-        );
+        let modifies = r.op.creates_version();
         if is_suspect && r.ok {
             if modifies && r.object != ObjectId(0) {
                 report.modified.insert(r.object.0);
             }
-            if matches!(r.op, OpKind::Read | OpKind::GetAttr) && r.object != ObjectId(0) {
+            if r.op.reads_object() && r.object != ObjectId(0) {
                 report.read.insert(r.object.0);
                 last_suspect_read = Some(r.time);
             }

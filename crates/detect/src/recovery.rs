@@ -15,14 +15,13 @@ use s4_clock::SimTime;
 use s4_core::drive::ObjectAttrs;
 use s4_core::rpc::LAST_CREATED;
 use s4_core::{
-    AclEntry, AuditRecord, ClientId, ObjectId, Request, RequestContext, Response, S4Drive, S4Error,
-    UserId,
+    AclEntry, AuditRecord, ClientId, ObjectId, OpKind, Request, RequestContext, Response, S4Drive,
+    S4Error, UserId,
 };
 use s4_simdisk::BlockDev;
 
 use crate::dirblob::{self, EntryKind};
 use crate::forensics::tree_at;
-use crate::timeline::is_mutation;
 
 /// Which principals are considered compromised.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -162,10 +161,6 @@ pub struct RecoveryReport {
     pub undeleted: Vec<(ObjectId, ObjectId)>,
 }
 
-fn is_reserved(oid: u64) -> bool {
-    oid <= s4_core::ALERT_OBJECT.0
-}
-
 /// Builds a recovery plan: every object mutated after `t` by a suspect
 /// principal is classified against its state at `t` (admin only).
 ///
@@ -184,21 +179,21 @@ pub fn plan_recovery<D: BlockDev>(
     // Objects a suspect mutated after T, with op counts for the reason
     // string and the time of the last content-bearing mutation (the
     // quarantine instant for already-deleted evidence).
-    let mut touched: BTreeMap<u64, BTreeMap<&'static str, u32>> = BTreeMap::new();
+    let mut touched: BTreeMap<u64, BTreeMap<OpKind, u32>> = BTreeMap::new();
     let mut last_content_at: BTreeMap<u64, SimTime> = BTreeMap::new();
     for r in &records {
         if r.time <= t || !r.ok || !suspects.matches(r) {
             continue;
         }
-        if !is_mutation(r.op) || is_reserved(r.object.0) {
+        if !r.op.creates_version() || r.object.is_reserved() {
             continue;
         }
         *touched
             .entry(r.object.0)
             .or_default()
-            .entry(op_name(r.op))
+            .entry(r.op)
             .or_insert(0) += 1;
-        if !matches!(r.op, s4_core::OpKind::Delete) {
+        if r.op != OpKind::Delete {
             last_content_at.insert(r.object.0, r.time);
         }
     }
@@ -227,7 +222,7 @@ pub fn plan_recovery<D: BlockDev>(
         let live_now = drive.op_getattr(admin, oid, None).is_ok();
         let ops_desc = ops
             .iter()
-            .map(|(k, n)| format!("{k}x{n}"))
+            .map(|(k, n)| format!("{k:?}x{n}"))
             .collect::<Vec<_>>()
             .join(", ");
         let path_of = |idx: &BTreeMap<u64, NameInfo>| {
@@ -567,20 +562,6 @@ fn relink(
     batch.push(Request::Truncate { oid: dir, len });
     batch.extend(tail);
     dispatch(&Request::Batch(batch)).map(|_| ())
-}
-
-fn op_name(op: s4_core::OpKind) -> &'static str {
-    use s4_core::OpKind::*;
-    match op {
-        Create => "Create",
-        Delete => "Delete",
-        Write => "Write",
-        Append => "Append",
-        Truncate => "Truncate",
-        SetAttr => "SetAttr",
-        SetAcl => "SetAcl",
-        _ => "Other",
-    }
 }
 
 struct NameInfo {

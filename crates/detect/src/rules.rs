@@ -22,7 +22,7 @@ use s4_core::{AuditRecord, OpKind};
 
 use crate::alert::{Alert, Severity};
 use crate::detector::Detector;
-use crate::timeline::{is_mutation, write_bytes, ObjectProfile, ProfileEvent};
+use crate::timeline::{ObjectProfile, ProfileEvent};
 
 fn alert(rec: &AuditRecord, severity: Severity, rule: &str, message: String) -> Alert {
     Alert {
@@ -86,7 +86,7 @@ impl Detector for AppendOnlyViolation {
             OpKind::Delete => {
                 self.profiles.remove(&rec.object.0);
             }
-            OpKind::Write | OpKind::Append | OpKind::Truncate => {
+            op if op.creates_version() => {
                 let p = self.profiles.entry(rec.object.0).or_default();
                 if let ProfileEvent::Destructive { first: true } = p.observe(rec, self.min_appends)
                 {
@@ -155,7 +155,7 @@ impl Detector for ForeignClient {
             *ops += 1;
             return;
         }
-        if *ops < self.min_home_ops || !rec.ok || !is_mutation(rec.op) {
+        if *ops < self.min_home_ops || !rec.ok || !rec.op.creates_version() {
             return;
         }
         let home = *home;
@@ -235,7 +235,7 @@ impl Detector for RansomStorm {
                 self.profiles.remove(&rec.object.0);
                 return;
             }
-            OpKind::Write | OpKind::Append | OpKind::Truncate => {}
+            op if op.creates_version() => {}
             _ => return,
         }
         let p = self.profiles.entry(rec.object.0).or_default();
@@ -329,7 +329,7 @@ impl Detector for WriteRateSpike {
         if !rec.ok {
             return;
         }
-        let b = write_bytes(rec);
+        let b = rec.bytes_written();
         if b == 0 {
             return;
         }

@@ -10,30 +10,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use s4_clock::SimTime;
 use s4_core::{AuditRecord, ClientId, OpKind, UserId};
 
-/// True for operations that create a new version of the target object.
-pub fn is_mutation(op: OpKind) -> bool {
-    matches!(
-        op,
-        OpKind::Create
-            | OpKind::Delete
-            | OpKind::Write
-            | OpKind::Append
-            | OpKind::Truncate
-            | OpKind::SetAttr
-            | OpKind::SetAcl
-    )
-}
-
-/// Bytes of new data a record carries (per the audit arg conventions:
-/// `Write(offset, len)`, `Append(len, _)`, `SetAttr(len, _)`).
-pub fn write_bytes(rec: &AuditRecord) -> u64 {
-    match rec.op {
-        OpKind::Write => rec.arg2,
-        OpKind::Append | OpKind::SetAttr => rec.arg1,
-        _ => 0,
-    }
-}
-
 /// Everything one `(user, client)` pair did, in summary.
 #[derive(Clone, Debug)]
 pub struct PrincipalActivity {
@@ -108,11 +84,11 @@ impl ActivityTimeline {
             return;
         }
         *p.ops.entry(rec.op as u8).or_insert(0) += 1;
-        p.bytes_written += write_bytes(rec);
+        p.bytes_written += rec.bytes_written();
         if rec.object.0 != 0 {
-            if is_mutation(rec.op) {
+            if rec.op.creates_version() {
                 p.objects_modified.insert(rec.object.0);
-            } else if matches!(rec.op, OpKind::Read | OpKind::GetAttr) {
+            } else if rec.op.reads_object() {
                 p.objects_read.insert(rec.object.0);
             }
         }

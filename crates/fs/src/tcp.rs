@@ -8,7 +8,11 @@
 //! Frame format, both directions: `u32-le length || payload`.
 //! Request payload: `user:u32 || client:u32 || has_token:u8 (0 or 1) ||
 //! token:u64 || trace_id:u64 || origin:u8 || phase:u8 ||
-//! Request::encode()`. Response payload: `status:u8 || body` — status 0
+//! Request::encode()`, whose first byte is the request's tag: its
+//! `OpKind` code, the byte its audit record carries (1–21), or
+//! `s4_core::rpc::BATCH_TAG` (0x80) for a batch, whose sub-requests are
+//! length-prefixed encodings of their own. Response payload:
+//! `status:u8 || body` — status 0
 //! and `Response::encode()` on success; on failure the status is the
 //! kind of [`FsError`] the server's `S4Error` maps to (1 `Storage`,
 //! 2 `NotFound`, 3 `Denied`; the pair of functions next to

@@ -33,7 +33,7 @@
 
 use std::collections::BTreeSet;
 
-use s4_array::{format_group, is_reserved, FlipReport, S4Array};
+use s4_array::{format_group, FlipReport, S4Array};
 use s4_core::audit::OpKind;
 use s4_core::{
     ClientId, ObjectId, RequestContext, S4Drive, S4Error, TraceCtx, TraceIdGen, PHASE_CATCHUP,
@@ -120,20 +120,6 @@ impl Progress {
     }
 }
 
-/// True for ops that change the state an export would copy.
-fn mutates_object(op: OpKind) -> bool {
-    matches!(
-        op,
-        OpKind::Create
-            | OpKind::Delete
-            | OpKind::Write
-            | OpKind::Append
-            | OpKind::Truncate
-            | OpKind::SetAttr
-            | OpKind::SetAcl
-    )
-}
-
 /// Exports `oid`'s current state from `source` and applies it to every
 /// target (or deletes it from them if it is gone on the source).
 ///
@@ -205,7 +191,7 @@ pub fn split_shard<D: BlockDev + 'static>(
     };
     let stride = 2 * e.base as u64;
     let target_slot = e.base + source_slot;
-    let moving = |oid: u64| !is_reserved(ObjectId(oid)) && oid % stride == target_slot as u64;
+    let moving = |oid: u64| !ObjectId(oid).is_reserved() && oid % stride == target_slot as u64;
 
     let prog = Progress::new(array);
     prog.active.set(1.0);
@@ -245,7 +231,7 @@ pub fn split_shard<D: BlockDev + 'static>(
         let recs = source.read_audit_from(&admin, &mut cursor)?;
         let dirty: BTreeSet<u64> = recs
             .iter()
-            .filter(|r| r.ok && mutates_object(r.op) && moving(r.object.0))
+            .filter(|r| r.ok && r.op.creates_version() && moving(r.object.0))
             .map(|r| r.object.0)
             .collect();
         prog.lag.set(dirty.len() as f64);
@@ -295,7 +281,7 @@ pub fn split_shard<D: BlockDev + 'static>(
         let dirty: BTreeSet<u64> = if std::sync::Arc::ptr_eq(&source, src) {
             src.read_audit_from(&admin, &mut cursor)?
                 .iter()
-                .filter(|r| r.ok && mutates_object(r.op) && moving(r.object.0))
+                .filter(|r| r.ok && r.op.creates_version() && moving(r.object.0))
                 .map(|r| r.object.0)
                 .collect()
         } else {

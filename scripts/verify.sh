@@ -17,7 +17,10 @@
 #    arithmetic on a `BlockAddr`'s `.0` (or a `BlockAddr(` built from
 #    an expression) outside crates/lfs/src/layout.rs fails — an address
 #    may name a record carried by a summary block, and only `Geometry`
-#    knows how to turn one into a segment or a sector
+#    knows how to turn one into a segment or a sector; and the op-kind
+#    census: a non-test or-pattern over `OpKind::` variants outside
+#    crates/core/src/audit.rs fails — a set of operations is a predicate
+#    beside `OpKind::mutates`, said once
 # 3. the full test suite, once (dev profile is optimized; see
 #    Cargo.toml). `--workspace` runs every crate's tests and every root
 #    tests/*.rs, so the bounded torture campaigns (write path with torn
@@ -129,6 +132,21 @@ done)
 [ -z "$hand_addressed" ] || {
   echo "$hand_addressed" >&2
   echo "verify: do address arithmetic behind a Geometry helper (crates/lfs/src/layout.rs)" >&2
+  exit 1
+}
+
+echo "== op-kind census (or-patterns over OpKind:: outside crates/core/src/audit.rs)"
+# An alternation of `OpKind::` variants on one line, or wrapped with the
+# `|` leading or trailing a line, is a list of operations pasted into a
+# caller; name the set with a predicate in audit.rs instead.
+op_lists=$(find crates/*/src src -name '*.rs' ! -path crates/core/src/audit.rs | sort | while read -r f; do
+  awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+       /OpKind::[A-Za-z]+[[:space:]]*\|([^|]|$)/ || /^[[:space:]]*\|[[:space:]]*([a-z_0-9]+::)*OpKind::/ {
+         print FILENAME ":" FNR ":" $0 }' "$f"
+done)
+[ -z "$op_lists" ] || {
+  echo "$op_lists" >&2
+  echo "verify: name this set of operations with an OpKind predicate (crates/core/src/audit.rs)" >&2
   exit 1
 }
 

@@ -8,7 +8,6 @@ use std::sync::Arc;
 
 use s4_clock::{NetworkModel, SimClock, SimDuration, SimTime};
 use s4_core::{ClientId, DriveConfig, ObjectId, RequestContext, S4Drive, UserId};
-use s4_detect::timeline::is_mutation;
 use s4_detect::{
     execute_plan_on, install_standard_monitor, plan_recovery, read_alerts, scan_audit, tree_diff,
     RecoveryAction, Severity, Suspects,
@@ -129,7 +128,7 @@ fn section2_intrusion_is_detected_and_recovered() {
         .iter()
         .filter(|pa| !matches!(pa.action, RecoveryAction::Quarantine { .. }))
         .count();
-    let mutations = during_recovery.iter().filter(|r| is_mutation(r.op)).count();
+    let mutations = during_recovery.iter().filter(|r| r.op.creates_version()).count();
     assert!(
         mutating_actions > 0 && mutations >= mutating_actions,
         "{mutations} audited mutations for {mutating_actions} mutating actions"

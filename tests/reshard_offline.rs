@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use s4_array::{is_reserved, ArrayConfig, S4Array};
+use s4_array::{ArrayConfig, S4Array};
 use s4_clock::{SimClock, SimDuration};
 use s4_core::{ClientId, DriveConfig, ObjectId, Request, RequestContext, Response, S4Drive, UserId};
 use s4_reshard::{double_array, ReshardConfig};
@@ -139,7 +139,7 @@ fn live_split_matches_offline_copy_digests() {
         )
         .unwrap();
         for oid in src.live_object_ids(&admin).unwrap() {
-            if is_reserved(ObjectId(oid)) {
+            if ObjectId(oid).is_reserved() {
                 continue;
             }
             if oid % stride == (SHARDS + slot) as u64 {

@@ -16,7 +16,7 @@
 //!   disagree about the epoch; mount must pick the highest sequence
 //!   number and repair the stale member's partition table.
 
-use s4_array::{is_reserved, ArrayConfig, EpochInfo, S4Array, EPOCH_NOTE_PREFIX};
+use s4_array::{ArrayConfig, EpochInfo, S4Array, EPOCH_NOTE_PREFIX};
 use s4_clock::{SimClock, SimDuration};
 use s4_core::{
     ClientId, DriveConfig, ObjectId, Request, RequestContext, Response, S4Drive, UserId,
@@ -115,7 +115,7 @@ fn crash_during_catchup_remounts_wholly_old() {
         let t = src.clock().now();
         let mut copied = 0usize;
         for oid in src.live_object_ids(&admin()).unwrap() {
-            if is_reserved(ObjectId(oid)) || oid % 4 != 2 {
+            if ObjectId(oid).is_reserved() || oid % 4 != 2 {
                 continue;
             }
             if copied.is_multiple_of(2) {
