@@ -585,9 +585,11 @@ fn reserved_partition_namespace_is_invisible_to_clients() {
     // Batched or not: a forged epoch note inside a batch — beside a
     // `Sync`, or beside a write to shard 1 so that the batch takes the
     // two-phase commit — is refused before any of it runs, and the array
-    // still mounts at its own epoch.
+    // still mounts at its own epoch. So is the same batch handed to the
+    // public per-shard-outcome entry point, which `dispatch` itself uses.
     let forged = || Request::PCreate { name: "__s4/epoch/99/2/1".into(), oid: PARTITION_OBJECT };
-    for two_writers in [false, true] {
+    for (two_writers, outcomes) in [(false, false), (true, false), (false, true)] {
+        let case = format!("two writers {two_writers}, outcomes {outcomes}");
         let a = array(2);
         let mut batch = vec![forged()];
         if two_writers {
@@ -596,15 +598,19 @@ fn reserved_partition_namespace_is_invisible_to_clients() {
             batch.push(write);
         }
         batch.push(Request::Sync);
-        let reply = a.dispatch(&ctx, &Request::Batch(batch));
-        assert!(matches!(reply, Err(S4Error::BadRequest(_))), "two writers {two_writers}: {reply:?}");
+        let reply = if outcomes {
+            a.dispatch_batch_outcomes(&ctx, &batch).map(|r| format!("{r:?}"))
+        } else {
+            a.dispatch(&ctx, &Request::Batch(batch)).map(|r| format!("{r:?}"))
+        };
+        assert!(matches!(reply, Err(S4Error::BadRequest(_))), "{case}: {reply:?}");
         let names: Vec<String> =
             a.shard_drive(0).op_plist(&admin(), None).unwrap().into_iter().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["__s4/epoch/1/2/0"], "two writers {two_writers}");
+        assert_eq!(names, vec!["__s4/epoch/1/2/0"], "{case}");
         let devices = a.unmount().unwrap();
         let mounted =
             S4Array::mount(devices, DriveConfig::small_test(), ArrayConfig::default(), SimClock::new());
-        let (a, _) = mounted.unwrap_or_else(|e| panic!("two writers {two_writers}: mount: {e:?}"));
-        assert_eq!(a.epoch().seq, 1, "two writers {two_writers}");
+        let (a, _) = mounted.unwrap_or_else(|e| panic!("{case}: mount: {e:?}"));
+        assert_eq!(a.epoch().seq, 1, "{case}");
     }
 }
