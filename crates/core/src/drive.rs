@@ -80,7 +80,9 @@ pub const TRACE_OBJECT: ObjectId = ObjectId(u64::MAX - 3);
 /// here ([`s4_journal::txn`]). Unlike the alert and trace streams
 /// (whose volatile tails are only anchor-durable), this is a **real
 /// journaled table object** — a record followed by a sync is durable at
-/// that sync, which is exactly the commit-point discipline 2PC needs.
+/// that sync, which is exactly the commit-point discipline 2PC needs —
+/// and its pending entries are packed ahead of every other object's, so
+/// no commit carries a transaction's effects without its records.
 /// Created lazily on a drive's first transaction; truncated to zero
 /// whenever no transaction is pending. Another high sentinel id so the
 /// dynamic oid space can never collide with it.

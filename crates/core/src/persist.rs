@@ -16,7 +16,7 @@ use s4_lfs::{BlockAddr, BlockKind, BlockTag, Log, BLOCK_SIZE};
 use s4_simdisk::BlockDev;
 
 use crate::codec::{push_bytes, push_stamp, Reader};
-use crate::drive::{DriveConfig, Inner, S4Drive, AUDIT_OBJECT};
+use crate::drive::{DriveConfig, Inner, S4Drive, AUDIT_OBJECT, TXN_OBJECT};
 use crate::ids::ObjectId;
 use crate::object::{EvictInfo, ObjectEntry, SectorInfo, Slot};
 use crate::packed;
@@ -97,13 +97,21 @@ impl<D: BlockDev> S4Drive<D> {
 
     /// Packs the pending journal entries of `oids` into shared journal
     /// blocks (several objects' sectors per 4 KiB block, §4.2.2).
+    ///
+    /// The transaction log's pending entries are packed first, asked
+    /// for or not. A prepare's `Prepared` record is not flushed on its
+    /// own, so the commit that makes any of its effects durable must
+    /// carry it — and a commit the log cuts at a segment end reaches the
+    /// device in append order, so no effect's sector is ever durable
+    /// before the record that scopes its undo (DESIGN §6i).
     pub(crate) fn pack_objects(&self, inner: &mut Inner, oids: &[u64]) -> Result<()> {
         // Journal span: simulated time across packing, including any
         // log auto-flush the appends trigger.
         let journal_t0 = self.clock.now().as_micros();
         // Per sector: its oldest and newest stamp.
         let mut items: Vec<packed::Item<(HybridTimestamp, HybridTimestamp)>> = Vec::new();
-        for &oid in oids {
+        let others = oids.iter().copied().filter(|&oid| oid != TXN_OBJECT.0);
+        for oid in std::iter::once(TXN_OBJECT.0).chain(others) {
             let Some(Slot::Cached(entry)) = inner.table.get_mut(&oid) else {
                 continue;
             };

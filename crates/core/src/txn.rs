@@ -18,10 +18,16 @@ use crate::ids::ObjectId;
 use crate::{Result, S4Error};
 
 impl<D: BlockDev> S4Drive<D> {
-    /// Opens participation in transaction `txid`: flushes a `Prepared`
+    /// Opens participation in transaction `txid`: appends a `Prepared`
     /// record and returns `t0`, the instant compensation would restore
     /// to. The clock is nudged one microsecond past `t0` so every effect
     /// of the transaction is stamped *strictly* after it.
+    ///
+    /// The record is not flushed here. It becomes durable with the first
+    /// commit that carries any of the transaction's effects — normally
+    /// the vote's, or a `Sync` before it — because the journal packs the
+    /// transaction log ahead of every other object; a crash before that
+    /// commit leaves no trace of the transaction.
     pub fn txn_begin(&self, txid: u64) -> Result<SimTime> {
         let t0 = self.clock.now();
         self.clock.advance(SimDuration::from_micros(1));
@@ -32,7 +38,8 @@ impl<D: BlockDev> S4Drive<D> {
     /// [`txn_begin`](Self::txn_begin) with a caller-chosen `t0`. Mirror
     /// workers use this to record the *same* restore point on every
     /// member — [`S4Drive::now`] must already be strictly past `t0`, or
-    /// the transaction's effects would not sort after it.
+    /// the transaction's effects would not sort after it. Like
+    /// `txn_begin`, it issues no device write of its own.
     pub fn txn_begin_at(&self, txid: u64, t0: SimTime) -> Result<()> {
         let mut inner = self.inner.lock();
         if inner.txn_pending.contains_key(&txid) {
@@ -57,10 +64,11 @@ impl<D: BlockDev> S4Drive<D> {
 
     /// Casts this drive's yes-vote for `txid`: the sub-batch executed,
     /// touching exactly `oids` and adding partition `names`. The
-    /// `Touched` record is flushed (making the effects and their scope
-    /// durable) before this returns, so a vote that reached the
-    /// coordinator implies the effects survive any crash — which is
-    /// also all a `Sync` inside the sub-batch asked for.
+    /// `Touched` record is flushed — with `Prepared`, if nothing flushed
+    /// it yet, and the effects: one commit — before this returns, so a
+    /// vote that reached the coordinator implies the effects and their
+    /// scope survive any crash, which is also all a `Sync` inside the
+    /// sub-batch asked for.
     pub fn txn_vote(&self, txid: u64, oids: Vec<u64>, names: Vec<String>) -> Result<()> {
         let mut inner = self.inner.lock();
         if !inner.txn_pending.contains_key(&txid) {
@@ -74,6 +82,7 @@ impl<D: BlockDev> S4Drive<D> {
                 names: names.clone(),
             },
         )?;
+        self.sync_locked(&mut inner)?;
         for &o in &oids {
             inner.txn_locks.insert(o, txid);
         }
@@ -99,6 +108,9 @@ impl<D: BlockDev> S4Drive<D> {
             let scope = p.touched.clone();
             self.txn_compensate(&mut inner, txid, t0_us, scope.as_ref())?;
         }
+        // Flushed on its own: shard 0's lazy note retire must never be
+        // durable before this record, and nothing orders writes across
+        // drives but a flush that has returned.
         self.txn_append_record(
             &mut inner,
             &TxnRecord::Resolved {
@@ -106,6 +118,7 @@ impl<D: BlockDev> S4Drive<D> {
                 committed: commit,
             },
         )?;
+        self.sync_locked(&mut inner)?;
         inner.txn_pending.remove(&txid);
         inner.txn_locks.retain(|_, t| *t != txid);
         if inner.txn_pending.is_empty() {
@@ -132,9 +145,9 @@ impl<D: BlockDev> S4Drive<D> {
         self.inner.lock().txn_locks.get(&oid.0).copied()
     }
 
-    /// Appends `rec` to the transaction log and syncs, creating the log
-    /// object lazily on first use (no dynamic-oid consumption — the id
-    /// is a reserved sentinel).
+    /// Appends `rec` to the transaction log, creating the log object
+    /// lazily on first use (no dynamic-oid consumption — the id is a
+    /// reserved sentinel). The record rides the next sync.
     fn txn_append_record(&self, inner: &mut Inner, rec: &TxnRecord) -> Result<()> {
         if !inner.table.contains_key(&TXN_OBJECT.0) {
             self.insert_new(inner, TXN_OBJECT.0, self.stamps.next());
@@ -144,8 +157,7 @@ impl<D: BlockDev> S4Drive<D> {
         self.with_object(inner, TXN_OBJECT, |inner, entry| {
             let off = entry.meta.size;
             self.write_extent(inner, entry, off, &bytes)
-        })?;
-        self.sync_locked(inner)
+        })
     }
 
     /// Truncates the transaction log once nothing is pending. Lazy: the

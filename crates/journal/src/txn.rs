@@ -5,12 +5,16 @@
 //! the object; this module owns only the codec and the in-doubt fold).
 //! The record sequence per transaction is:
 //!
-//! 1. [`Prepared`] — flushed *before* the sub-batch executes, capturing
-//!    the pre-transaction time `t0`. A crash after this record but
-//!    before [`Touched`] means the sub-batch may have partially
-//!    executed; recovery compensates by restoring **everything** the
-//!    drive changed after `t0` (the worker holds the drive exclusively
-//!    during prepare, so nothing else can have written in between).
+//! 1. [`Prepared`] — appended *before* the sub-batch executes, capturing
+//!    the pre-transaction time `t0`. It is not flushed on its own: it is
+//!    durable in the same commit as the first of the sub-batch's effects,
+//!    or an earlier one — normally the vote's. A `Prepared` without
+//!    [`Touched`] means an effect was made durable before the vote (a
+//!    sync inside the prepare, or a commit cut at a segment end), so the
+//!    sub-batch may have partially executed; recovery compensates by
+//!    restoring **everything** the drive changed after `t0` (the worker
+//!    holds the drive exclusively during prepare, so nothing else can
+//!    have written in between).
 //! 2. [`Touched`] — flushed *after* the sub-batch executed, naming the
 //!    exact objects and partition names it touched. Its presence is the
 //!    participant's yes-vote: effects are durable and scoped.

@@ -7,10 +7,10 @@
 //! discipline):
 //!
 //! 1. **Prepare** — the coordinator sends each participant shard its
-//!    sub-batch. The shard executes it, force-flushes `Prepared`/
-//!    `Touched` records to its journaled transaction log, and the
-//!    successful reply is its yes-vote: the effects are durable and
-//!    their scope is recorded.
+//!    sub-batch. The shard executes it and force-flushes its `Prepared`
+//!    and `Touched` records to its journaled transaction log, in the
+//!    same commit as the effects; the successful reply is its yes-vote:
+//!    the effects are durable and their scope is recorded.
 //! 2. **Decide** — once every vote is in, the coordinator durably writes
 //!    a **decision note** (a `__s4/txn/<txid>` partition entry on shard
 //!    0, journal-flushed). That single write is the commit point: a

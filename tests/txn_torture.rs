@@ -3,7 +3,7 @@
 //!
 //! The bounded campaign is the CI gate: two unmirrored shards, every
 //! crash point of both devices' 2PC windows (the cap of 24 is above
-//! the window's 7), one torn-sector pattern per point rotating through
+//! the window's 5), one torn-sector pattern per point rotating through
 //! the standard mix.
 //! The exhaustive campaigns (`--ignored`) enumerate **every** countable
 //! device request of the window — on the two-shard array and on a
@@ -27,13 +27,13 @@ fn bounded_txn_campaign_is_atomic_at_every_sampled_point() {
     // One greppable line per campaign; verify.sh and CI tee these into
     // the txn-torture summary artifact.
     println!("TXN_TORTURE bounded {summary:?}");
-    // Seven log commits — `Prepared`, the vote (which is also the
-    // batch's `Sync`) and `Resolved` on each participant, the decision
-    // note on shard 0; none for the retire — in seven transfers. (A
-    // batch whose blocks reach the end of its segment is cut there and
-    // commits in two; on the seeded image the note's commit was, until
-    // format revision 3 made every commit a block shorter.)
-    assert_eq!(summary.domain, 7, "the 2PC window moved: {summary:?}");
+    // Five log commits — the vote (which carries `Prepared` and is also
+    // the batch's `Sync`) and `Resolved` on each participant, the
+    // decision note on shard 0; none for the retire — in five transfers.
+    // (A batch whose blocks reach the end of its segment is cut there
+    // and commits in two; on the seeded image the note's commit was,
+    // until format revision 3 made every commit a block shorter.)
+    assert_eq!(summary.domain, 5, "the 2PC window moved: {summary:?}");
     assert!(summary.crash_points <= 24, "bounded cap violated: {summary:?}");
     assert_eq!(summary.replays, summary.crash_points * cfg.replays_per_point());
     // Crash points cover both sides of the commit point, so the
