@@ -20,7 +20,7 @@ use crate::{Result, S4Error};
 
 impl<D: BlockDev> S4Drive<D> {
     /// Deterministic digest of the drive's logical state: the object
-    /// table (metadata, sector lists, forwarding/delta maps, landmarks,
+    /// table (metadata, sector lists, delta maps, landmarks,
     /// history floors, pending journal entries), the audit and alert
     /// logs, and the id allocator. Two mounts of the same device image
     /// must produce equal digests — the torture harness's journal-replay

@@ -7,9 +7,8 @@
 //! block the drive appends enters through [`Ledger::append`] and leaves
 //! through [`Ledger::release`] (the last reference returns the block to
 //! its segment's usage count) or, when the cleaner reclaims the segment
-//! under it, through [`Ledger::moved`] / [`Ledger::forget`]. Nothing
-//! else in this crate appends to the log or releases from it
-//! (`scripts/verify.sh` checks).
+//! under it, through [`Ledger::moved`]. Nothing else in this crate
+//! appends to the log or releases from it (`scripts/verify.sh` checks).
 //!
 //! The ledger is *derivable*: [`Ledger::derive`] recounts it from the
 //! object table and the reserved streams' block lists. Mount installs
@@ -91,12 +90,6 @@ impl Ledger {
         }
     }
 
-    /// Forgets the block at `addr` without releasing its storage — the
-    /// cleaner is reclaiming the segment under it.
-    pub(crate) fn forget(&mut self, addr: BlockAddr) {
-        self.held.remove(&addr);
-    }
-
     /// Whether the block at `addr` is reachable.
     pub(crate) fn holds(&self, addr: BlockAddr) -> bool {
         self.held.contains_key(&addr)
@@ -150,10 +143,8 @@ impl Ledger {
                 slot(dref.block, BlockKind::DeltaData);
             }
             let mut data = |addr| plain.push((addr, BlockKind::Data));
-            // Current data blocks (resolved through forwarding).
-            for a in entry.meta.blocks.values() {
-                data(entry.resolve_forward(*a));
-            }
+            // Current data blocks.
+            entry.meta.blocks.values().for_each(|&a| data(a));
             // Landmark versions pin their block maps.
             for m in &entry.landmarks {
                 m.blocks.values().for_each(|&a| data(a));
@@ -161,11 +152,10 @@ impl Ledger {
             // Journal blocks, and the history their old-pointers keep.
             let mut history = |entries: &[JournalEntry]| {
                 for c in entries.iter().flat_map(old_blocks) {
-                    let key = entry.resolve_forward(c.old);
                     // Delta-encoded history is accounted through its
                     // shared delta block, not the (released) original.
-                    if !entry.deltas.contains_key(&key.0) {
-                        data(key);
+                    if !entry.deltas.contains_key(&c.old.0) {
+                        data(c.old);
                     }
                 }
             };
@@ -231,7 +221,7 @@ mod tests {
     }
 
     #[test]
-    fn relocation_moves_the_count_and_forget_drops_it() {
+    fn relocation_moves_the_count() {
         let (log, mut l) = (log(), Ledger::default());
         let addr = container(JOURNAL, &log, &mut l, 2);
         let before = counted(&log, addr);
@@ -241,12 +231,10 @@ mod tests {
         assert_eq!(l.held, moved);
         l.moved(BlockAddr(12345), BlockAddr(6)); // unknown block: no-op
         assert_eq!(l.held, moved);
-        l.forget(new);
-        assert!(l.held.is_empty());
         assert_eq!(
             counted(&log, addr),
             before,
-            "moved and forget leave storage to the cleaner"
+            "moved leaves storage to the cleaner"
         );
     }
 

@@ -16,7 +16,7 @@
 //! * [`audit`] — audit records and the reserved, drive-written-only audit
 //!   object (§4.2.3).
 //! * [`object`] — the object table: journal-based metadata per object,
-//!   checkpoints, sector chains, forwarding of cleaned blocks.
+//!   checkpoints, sector chains, delta encodings and landmarks.
 //! * [`throttle`] — history-pool abuse detection and per-client
 //!   throttling (§3.3's hybrid answer to space-exhaustion attacks).
 //! * [`drive`] — [`S4Drive`]: format/mount/recovery, the internal

@@ -14,7 +14,6 @@ use crate::acl::{AclEntry, AclTable, Perm};
 use crate::codec::Reader;
 use crate::drive::{Inner, ObjectAttrs, S4Drive, VersionRecord, AUDIT_OBJECT, PARTITION_OBJECT};
 use crate::ids::{ClientId, ObjectId, RequestContext};
-use crate::persist::read_subsector;
 use crate::{Result, S4Error};
 
 impl<D: BlockDev> S4Drive<D> {
@@ -370,13 +369,9 @@ impl<D: BlockDev> S4Drive<D> {
         let mut inner = self.inner.lock();
         self.with_object(&mut inner, oid, |_, entry| {
             self.authorize(ctx, &entry.meta.acl, Perm::RECOVERY)?;
-            let mut out = Vec::new();
-            for s in &entry.sectors {
-                let (_oid, entries) = read_subsector(&self.log, s.addr, s.slot)?;
-                out.extend(entries.iter().map(VersionRecord::from_entry));
-            }
-            out.extend(entry.pending.iter().map(VersionRecord::from_entry));
-            Ok(out)
+            let history = self.history(entry)?;
+            let all = history.iter().chain(&entry.pending);
+            Ok(all.map(VersionRecord::from_entry).collect())
         })
     }
 
@@ -405,12 +400,9 @@ impl<D: BlockDev> S4Drive<D> {
             let lbns: Vec<u64> = meta.blocks.keys().copied().collect();
             for lbn in lbns {
                 let addr = meta.blocks[&lbn];
-                let resolved = entry.resolve_forward(addr);
-                if entry.deltas.contains_key(&resolved.0) {
-                    let new = self.rematerialize(inner, entry, resolved, lbn)?;
+                if entry.deltas.contains_key(&addr.0) {
+                    let new = self.rematerialize(inner, entry, addr, lbn)?;
                     meta.blocks.insert(lbn, new);
-                } else {
-                    meta.blocks.insert(lbn, resolved);
                 }
             }
             entry.landmarks.push(meta);

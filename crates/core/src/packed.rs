@@ -10,9 +10,7 @@
 //! [`Ledger`]'s business, like every other block's.
 //!
 //! What differs between the kinds is what a slot *means* (whose sector
-//! list, checkpoint root or delta map points at it) and what the cleaner
-//! does on relocation — journal and delta blocks are copied and
-//! re-pointed, checkpoint blocks are rewritten fresh — and both stay with
+//! list, checkpoint root or delta map points at it), and that stays with
 //! the callers: `pack` hands each placed slot to an install callback.
 //!
 //! The on-disk contract — pinned byte for byte by the tests below — is
@@ -20,7 +18,8 @@
 //! little-endian, and the tag `BlockTag::new(kind, oid of slot 0, aux)`
 //! with `aux` the slot count for journal and delta blocks and `u64::MAX`
 //! for shared checkpoint blocks (a dedicated checkpoint chain tags its
-//! blocks with their chunk index, so the cleaner can tell the two apart).
+//! blocks with their chunk index) and for journal blocks the drive
+//! rewrote, which mount tells from a sync's by that tag alone.
 
 use s4_lfs::{BlockAddr, BlockKind, BlockTag, Log, BLOCK_SIZE};
 use s4_simdisk::BlockDev;
@@ -41,19 +40,40 @@ pub(crate) type Item<T> = (u64, Vec<u8>, T);
 pub(crate) struct PackedBlocks {
     magic: u32,
     kind: BlockKind,
+    /// Whether the tag's `aux` is the slot count, or `u64::MAX`.
+    counted: bool,
 }
 
 /// Journal blocks: several objects' journal sectors per block.
-pub(crate) const JOURNAL: PackedBlocks = PackedBlocks::of(0x5334_4A42, BlockKind::JournalSector); // "S4JB"
+pub(crate) const JOURNAL: PackedBlocks =
+    PackedBlocks::of(0x5334_4A42, BlockKind::JournalSector, true); // "S4JB"
+/// Journal blocks the drive rewrote — a relocated journal block's copy,
+/// sectors re-pointed at moved blocks: read like [`JOURNAL`], but never
+/// replayed by mount (the anchor commits a history rewrite).
+pub(crate) const REWRITTEN: PackedBlocks = PackedBlocks {
+    counted: false,
+    ..JOURNAL
+};
 /// Shared checkpoint blocks: several objects' small metadata checkpoints.
 pub(crate) const CHECKPOINTS: PackedBlocks =
-    PackedBlocks::of(0x5334_4342, BlockKind::ObjectCheckpoint); // "S4CB"
+    PackedBlocks::of(0x5334_4342, BlockKind::ObjectCheckpoint, false); // "S4CB"
 /// Delta blocks: history blocks re-encoded against their successors.
-pub(crate) const DELTAS: PackedBlocks = PackedBlocks::of(0x5334_4444, BlockKind::DeltaData); // "S4DD"
+pub(crate) const DELTAS: PackedBlocks = PackedBlocks::of(0x5334_4444, BlockKind::DeltaData, true); // "S4DD"
 
 impl PackedBlocks {
-    const fn of(magic: u32, kind: BlockKind) -> PackedBlocks {
-        PackedBlocks { magic, kind }
+    const fn of(magic: u32, kind: BlockKind, counted: bool) -> PackedBlocks {
+        PackedBlocks {
+            magic,
+            kind,
+            counted,
+        }
+    }
+
+    /// The tag of a container of this kind holding `slots` slots, the
+    /// first of them `oid`'s.
+    pub(crate) fn tag(self, oid: u64, slots: usize) -> BlockTag {
+        let aux = if self.counted { slots as u64 } else { u64::MAX };
+        BlockTag::new(self.kind, oid, aux)
     }
 
     /// Packs `items`, in order, into as few blocks as hold them: a block
@@ -94,13 +114,8 @@ impl PackedBlocks {
             return Ok(());
         };
         let count = batch.len();
-        let aux = match self.kind {
-            BlockKind::ObjectCheckpoint => u64::MAX,
-            _ => count as u64,
-        };
         let payload = encode_container(self.magic, batch.iter().map(|(_, p, _)| p.as_slice()));
-        let tag = BlockTag::new(self.kind, first.0, aux);
-        let addr = ledger.append(log, tag, &payload, count as u32)?;
+        let addr = ledger.append(log, self.tag(first.0, count), &payload, count as u32)?;
         for (slot, (oid, _, what)) in batch.drain(..).enumerate() {
             install(ledger, addr, slot as u32, oid, what);
         }
@@ -219,6 +234,11 @@ mod tests {
                 BlockTag::new(BlockKind::ObjectCheckpoint, 7, u64::MAX),
             ),
             (DELTAS, *b"DD4S", BlockTag::new(BlockKind::DeltaData, 7, 2)),
+            (
+                REWRITTEN,
+                *b"BJ4S",
+                BlockTag::new(BlockKind::JournalSector, 7, u64::MAX),
+            ),
         ] {
             let (log, mut ledger, p) = (log(), Ledger::default(), kind);
             let placed = pack(p, &log, &mut ledger, two());

@@ -248,6 +248,8 @@ impl<D: BlockDev> S4Drive<D> {
     /// sector list), then persists the object map through the log's
     /// anchor mechanism.
     pub(crate) fn anchor_locked(&self, inner: &mut Inner) -> Result<()> {
+        // The anchor that frees moved blocks' old segments commits the rewrite.
+        self.rewrite_history(inner)?;
         // Pack any pending journal entries first.
         self.pack_objects(inner, &Self::pending_oids(inner))?;
 

@@ -212,14 +212,18 @@ fn run(
     Ok((s4_lfs::crc::xxh64(&image), digest, outcome))
 }
 
-/// Restated at format revision 3 (PR 24): the image differs from `format`
-/// on — the superblock's revision field, and format's own first commit,
-/// whose journal container rides in its summary block — and the digest
-/// with it (addresses are part of the state); the outcome hash is PR 23's.
+/// Restated at format revision 4, where object checkpoints lost their
+/// forwarding table and the cleaner rewrites the journal sectors that name
+/// a block it moves.
 #[test]
 fn churn_image_is_one_value_across_runs() {
-    const IMAGE_HASH: u64 = 0xf0a8_620b_52e5_d5d9;
-    const STATE_DIGEST: u64 = 0x689c_3872_ef28_fc62;
+    /// Revision 4 in the superblock, checkpoints four bytes shorter, and
+    /// rewritten sectors where forwards were.
+    const IMAGE_HASH: u64 = 0x879c_e253_ee94_33d8;
+    /// The digest hashes each checkpoint's encoding, which no longer
+    /// carries a forwarding table, and addresses the rewrite moved.
+    const STATE_DIGEST: u64 = 0x1c42_4fd6_15fd_4d55;
+    /// Unchanged: every request in the stream succeeds or fails as before.
     const OUTCOMES: u64 = 0x7a1d_7af5_6777_6fb7;
     let run = || run(SEEDS[0], 6, &[MAINTENANCE], false).expect("the pinned stream completes");
     let (a, b) = (run(), run());
