@@ -101,17 +101,18 @@ impl<D: BlockDev + 'static> S4Array<D> {
     }
 
     /// One-line cross-shard transaction status: coordinator outcome
-    /// counters plus mount-time recovery counts (served on the TCP txn
-    /// frame).
+    /// counters, mount-time recovery counts, and the decision notes
+    /// shard 0 still holds (served on the TCP txn frame).
     pub fn txn_status_text(&self) -> String {
         let counters = self.txn_registry().counter_values();
         format!(
-            "committed={} aborted={} lagging={} recovered_commit={} recovered_abort={}",
+            "committed={} aborted={} lagging={} recovered_commit={} recovered_abort={} unretired={}",
             get(&counters, "s4_txn_committed_total"),
             get(&counters, "s4_txn_aborted_total"),
             get(&counters, "s4_txn_lagging_total"),
             get(&counters, "s4_txn_recovered_commit_total"),
             get(&counters, "s4_txn_recovered_abort_total"),
+            self.txn_notes.lock().len(),
         )
     }
 

@@ -5,20 +5,20 @@
 
 use std::collections::BTreeMap;
 
-use s4_clock::sync::RwLock;
+use s4_clock::sync::{Mutex, RwLock};
 use s4_clock::{SimClock, SimDuration};
 use s4_core::{
     ClientId, ObjectId, OpKind, Request, RequestContext, Response, S4Error, TraceCtx,
     PARTITION_OBJECT, PHASE_DECIDE, PHASE_NOTE, PHASE_PREPARE,
 };
-use s4_obs::Registry;
+use s4_obs::{Gauge, Registry};
 use s4_simdisk::BlockDev;
 use s4_txn::{note_name, TwoPhaseOps, TxId, TxnOutcome};
 
 use crate::array::{Routing, S4Array};
 use crate::dispatch::{gather, send_each};
 use crate::router::BatchPlan;
-use crate::shard::{in_phase, Shard};
+use crate::shard::{in_phase, MemberState, Shard};
 
 impl<D: BlockDev> Shard<D> {
     /// Phase 1 of a cross-shard transaction on this shard: execute the
@@ -78,17 +78,19 @@ impl<D: BlockDev> Shard<D> {
     /// notes both ride this — the flush after the create *is* their
     /// durability commit point (recovery replays the journal, so the
     /// note survives a crash without paying for a full anchor in the
-    /// caller's window). A removal alone commits nothing, so it pays no
-    /// flush: it rides the shard's next one, and a crash that loses it
-    /// leaves a decision note whose transaction nobody is in doubt
-    /// about, which [`S4Array::mount`] retires again. It runs on the
+    /// caller's window). Earlier decision notes leave in the same call
+    /// as a later one's install, so their removal rides its flush. A
+    /// removal alone commits nothing, so it pays no flush: it rides the
+    /// shard's next one, and a crash that loses it leaves a decision
+    /// note whose transaction nobody is in doubt about, which
+    /// [`S4Array::mount`] retires again. It runs on the
     /// worker like any mutation, so the partition object's bytes stay
     /// identical across mirrors with respect to interleaved client
     /// `PCreate`s. Every step is idempotent: a crash between members
     /// leaves a divergence that mount repairs (epoch notes: highest
     /// sequence wins; transaction notes: any member's note commits the
     /// transaction). `trace` is the transaction whose decision this is
-    /// (default = untraced: epoch notes, lazy retires).
+    /// (default = untraced: epoch notes, scrubs, mount's retires).
     pub(crate) fn note(
         &self,
         create: Option<&str>,
@@ -124,6 +126,42 @@ impl<D: BlockDev> Shard<D> {
     }
 }
 
+/// A committed transaction's decision note that shard 0 still holds.
+/// Every participant has resolved the transaction, but a participant
+/// may not have made its resolution durable yet; until then a crash
+/// leaves it in doubt and the note is what mount redoes it from. The
+/// participants are named by slot, not by handle: a list of handles
+/// would keep shards referenced past [`S4Array::unmount`].
+pub(crate) struct UnretiredNote {
+    txid: TxId,
+    slots: Vec<usize>,
+}
+
+impl UnretiredNote {
+    /// Whether every live member of every participant reports the
+    /// resolution durable — a flush that has returned on each, which is
+    /// what orders the note's removal after them. A participant missing
+    /// from `r` keeps the note, for mount to retire.
+    fn resolved<D: BlockDev>(&self, r: &Routing<D>) -> bool {
+        self.slots.iter().all(|&slot| {
+            let Some(shard) = r.shards.iter().find(|s| s.slot == slot) else {
+                return false;
+            };
+            shard.members.iter().all(|m| {
+                m.state() == MemberState::Dead || !m.drive().txn_resolution_pending(self.txid.0)
+            })
+        })
+    }
+}
+
+/// The gauge that counts [`UnretiredNote`]s, on the stats wire.
+pub(crate) fn unretired_gauge(reg: &Registry) -> Gauge {
+    reg.gauge(
+        "s4_txn_notes_unretired",
+        "decision notes kept until a later note install retires them",
+    )
+}
+
 /// The array-side port of the two-phase-commit driver: protocol
 /// messages become shard-worker jobs against a held routing snapshot,
 /// and the decision note lives in shard 0's partition table with the
@@ -131,13 +169,28 @@ impl<D: BlockDev> Shard<D> {
 struct ArrayTxn<'a, D: BlockDev> {
     r: &'a Routing<D>,
     ctx: RequestContext,
-    subs: &'a [Vec<Request>],
+    plan: &'a BatchPlan,
     responses: BTreeMap<usize, Vec<Response>>,
     clock: &'a SimClock,
     reg: &'a Registry,
+    notes: &'a Mutex<Vec<UnretiredNote>>,
 }
 
 impl<D: BlockDev + 'static> ArrayTxn<'_, D> {
+    /// Takes the unretired notes whose resolutions are durable
+    /// everywhere (see [`UnretiredNote::resolved`]).
+    fn take_retirable(&self) -> Vec<UnretiredNote> {
+        let mut notes = self.notes.lock();
+        let (done, kept) = notes.drain(..).partition(|n| n.resolved(self.r));
+        *notes = kept;
+        done
+    }
+
+    /// Brings the gauge up to date with the list.
+    fn count_unretired(&self) {
+        unretired_gauge(self.reg).set(self.notes.lock().len() as f64);
+    }
+
     /// Runs one protocol step on `shard`'s worker, recording how long
     /// the coordinator waited for it under `metric`.
     fn timed<T: Send + 'static>(
@@ -158,7 +211,7 @@ impl<D: BlockDev + 'static> TwoPhaseOps for ArrayTxn<'_, D> {
     type Err = S4Error;
 
     fn prepare(&mut self, shard: usize, txid: TxId) -> Result<(), S4Error> {
-        let (ctx, reqs) = (self.ctx, self.subs[shard].clone());
+        let (ctx, reqs) = (self.ctx, self.plan.subs[shard].clone());
         let resps = self.timed(
             shard,
             (
@@ -172,17 +225,25 @@ impl<D: BlockDev + 'static> TwoPhaseOps for ArrayTxn<'_, D> {
     }
 
     fn record_decision(&mut self, txid: TxId) -> Result<(), S4Error> {
+        // Earlier notes whose resolutions are durable everywhere leave in
+        // the commit that installs this one: retiring costs no flush.
+        let retired = self.take_retirable();
+        let names: Vec<String> = retired.iter().map(|n| note_name(n.txid)).collect();
         let (name, trace) = (note_name(txid), self.ctx.trace);
-        let r = self.r.shards[0].call(move |s| s.note(Some(&name), &[], trace));
+        let r = self.r.shards[0].call(move |s| s.note(Some(&name), &names, trace));
         if r.is_err() {
-            // Best-effort scrub of a possibly half-installed note, so
-            // that absence — presumed abort, the decision the driver is
-            // about to fan out — is what recovery reads back. (A fault
-            // model where the note lands durably and this scrub *also*
-            // fails is outside the power-loss discipline the campaigns
-            // exercise; see DESIGN §6i.)
-            let _ = self.retire_decision(txid);
+            // Best-effort scrub of a possibly half-installed note, at
+            // once, so that absence — presumed abort, the decision the
+            // driver is about to fan out — is what recovery reads back.
+            // (A fault model where the note lands durably and this scrub
+            // *also* fails is outside the power-loss discipline the
+            // campaigns exercise; see DESIGN §6i.)
+            let name = note_name(txid);
+            let _ = self.r.shards[0].call(move |s| s.note(None, &[name], TraceCtx::default()));
+            // The removals may not have landed either.
+            self.notes.lock().extend(retired);
         }
+        self.count_unretired();
         r
     }
 
@@ -199,11 +260,17 @@ impl<D: BlockDev + 'static> TwoPhaseOps for ArrayTxn<'_, D> {
     }
 
     fn retire_decision(&mut self, txid: TxId) -> Result<(), S4Error> {
-        // Lazy cleanup, in the request's window but not part of its
-        // causal story (untraced) or of its cost (no flush: the
-        // `PDelete` rides shard 0's next one).
-        let name = note_name(txid);
-        self.r.shards[0].call(move |s| s.note(None, &[name], TraceCtx::default()))
+        // Not yet: the participants' resolutions ride their next
+        // commits, and until those return the note is what a crash
+        // would redo from. A later note install removes it.
+        let slots = self.plan.writers.iter().map(|&s| self.r.shards[s].slot);
+        let note = UnretiredNote {
+            txid,
+            slots: slots.collect(),
+        };
+        self.notes.lock().push(note);
+        self.count_unretired();
+        Ok(())
     }
 }
 
@@ -233,10 +300,11 @@ impl<D: BlockDev + 'static> S4Array<D> {
         let mut ops = ArrayTxn {
             r,
             ctx: *ctx,
-            subs: &plan.subs,
+            plan,
             responses: BTreeMap::new(),
             clock: &self.clock,
             reg: &self.txn_reg,
+            notes: &self.txn_notes,
         };
         let outcome = s4_txn::run(&mut ops, txid, &plan.writers);
         let mut responses = ops.responses;

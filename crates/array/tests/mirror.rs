@@ -215,6 +215,55 @@ fn resync_restores_redundancy_and_mirrors_reconverge() {
     }
 }
 
+/// A committed cross-shard batch leaves its resolution queued on every
+/// participant member until that member's next commit. A resync in that
+/// window copies the survivor's transaction log, so the copy must carry
+/// the resolution: otherwise the replica rebuilds a transaction its
+/// source has already resolved.
+#[test]
+fn resync_while_a_resolution_is_queued_leaves_nothing_in_doubt() {
+    let clock = SimClock::new();
+    clock.advance(SimDuration::from_secs(1));
+    // Shard 0's second member dies at its first post-mount write.
+    let mut plans = vec![FaultPlan::none(); 4];
+    plans[1] = FaultPlan::member_death_after_requests(0, RequestClassMask::WRITES);
+    let a = array_with_plans(2, 2, &clock, plans);
+    let ctx = user();
+    let (even, odd) = (create(&a, &ctx), create(&a, &ctx));
+    assert_eq!((even.0 % 2, odd.0 % 2), (0, 1), "one object per shard");
+    a.dispatch(&ctx, &Request::Sync).unwrap();
+    assert_eq!(a.member_states()[0][1], MemberState::Dead);
+
+    let put = |oid: ObjectId, data: &[u8]| Request::Write {
+        oid,
+        offset: 0,
+        data: data.to_vec(),
+    };
+    let batch = vec![put(even, b"both"), put(odd, b"both"), Request::Sync];
+    a.dispatch(&ctx, &Request::Batch(batch)).unwrap();
+    assert!(a.txn_status_text().starts_with("committed=1 aborted=0 "));
+
+    a.resync_member(0, 1, clean_disk()).unwrap();
+    for k in 0..2 {
+        assert!(
+            a.member_drive(0, k).txn_in_doubt().is_empty(),
+            "shard 0 member {k} left in doubt"
+        );
+    }
+    assert_mirrors_converged(&a);
+
+    // The survivor's next commit makes its copy of the resolution
+    // durable; the pair still agrees, and a remount finds nothing open.
+    a.dispatch(&ctx, &put(even, b"next")).unwrap();
+    a.dispatch(&ctx, &Request::Sync).unwrap();
+    assert_mirrors_converged(&a);
+    let devices = a.unmount().unwrap();
+    let (a, _) = S4Array::mount(devices, DriveConfig::small_test(), mirrored(2), clock).unwrap();
+    let status = a.txn_status_text();
+    assert!(status.contains(" recovered_commit=0 recovered_abort=0 "), "{status}");
+    assert_mirrors_converged(&a);
+}
+
 #[test]
 fn lone_member_falls_back_to_read_only_and_resyncs_in_place() {
     let clock = SimClock::new();
