@@ -4,19 +4,25 @@
 //! The coordinator's window runs: *prepare* each participant shard
 //! (execute + journal-flush the yes-vote, which also satisfies the
 //! batch's `Sync`), durably install the *decision note* on shard 0 —
-//! the commit point — *fan out* the decision, then *retire* the note,
-//! lazily: the removal waits for shard 0's next flush. This module
-//! sends one cross-shard batch through [`S4Array::dispatch`] — the
-//! coordinator that ships — with every member device on one power
-//! rail, and kills the power at
-//! **every countable device request inside the window, on every device,
-//! under every torn-sector pattern**, then remounts and asserts:
+//! the commit point — and *fan out* the decision. No participant
+//! flushes its resolution: it rides the participant's next commit, and
+//! the note stays until a later note install finds every resolution
+//! durable. So the stretch this module runs through
+//! [`S4Array::dispatch`] — the coordinator that ships — is longer than
+//! one batch: a cross-shard batch, a write and a `Sync` on every shard
+//! (the commit that carries the resolutions), and a second cross-shard
+//! batch (whose note install retires the first note). With every member
+//! device on one power rail it kills the power at **every countable
+//! device request of that stretch, on every device, under every
+//! torn-sector pattern**, then remounts and asserts:
 //!
-//! - **all-or-nothing**: after recovery, every participant object holds
-//!   the pre-transaction content or every one holds the
-//!   post-transaction content — never a mix, mirrors included;
+//! - **all-or-nothing**: after recovery, each transaction's content is
+//!   on every participant object or on none, mirrors included, and every
+//!   step that returned is durable;
 //! - **decision convergence**: no member is left in doubt, and no
-//!   decision note outlives the mount that resolved it;
+//!   decision note outlives the mount that resolved it; a live array
+//!   holds only the notes whose resolutions some member still has
+//!   queued;
 //! - **audit integrity**: every member's tamper-evident audit log is
 //!   still readable and retains the synced pre-transaction prefix;
 //! - **remount idempotence**: a second crash/remount pair reaches the
@@ -40,11 +46,31 @@ use s4_simdisk::{FaultPlan, FaultyDisk, MemDisk, TornPattern};
 
 use crate::{admin_ctx, patterns_at, standard_patterns, user_ctx, CRASH_MASK};
 
-/// The trace id every replay's batch carries, so `verify` can pick the
-/// transaction's spans out of each member's stream. (The array mints the
-/// transaction id itself, from the simulated clock: replays stay
+/// The trace id every replay's batches carry, so `verify` can pick the
+/// transactions' spans out of each member's stream. (The array mints the
+/// transaction ids itself, from the simulated clock: replays stay
 /// byte-identical.)
 const TXN_ID: u64 = 0x7777;
+
+/// Steps of the stretch every replay runs, in order: the first
+/// transaction, a plain write and `Sync` on every shard (the commit that
+/// carries the resolutions), and the second transaction (whose note
+/// install retires the first note). Each step rewrites every
+/// participant object, so the recovered content says how far each shard
+/// got.
+const STEPS: usize = 3;
+
+/// Whether step `step` (1-based) is a cross-shard transaction.
+fn is_txn(step: usize) -> bool {
+    step != 2
+}
+
+/// Content of shard `shard`'s object once step `step` has applied
+/// (step 0: the seeded content the stretch starts from).
+fn content(step: usize, shard: usize) -> Vec<u8> {
+    let tag = ["old", "NEW", "mid", "TWO"][step];
+    format!("{tag}-{shard:04}").into_bytes()
+}
 
 /// Device capacity for every member (sparse in memory).
 const DISK_BYTES: u64 = 64 << 20;
@@ -124,9 +150,12 @@ pub struct TxnCrashOutcome {
     pub torn: TornPattern,
     /// Whether the fault actually fired.
     pub died: bool,
-    /// The decision recovery converged on: `true` = every object holds
-    /// the post-transaction content, `false` = every object was rolled
-    /// back.
+    /// The step of the last transaction the run reached (1 or 3): the
+    /// one whose decision `committed` reports.
+    pub txn_step: usize,
+    /// The decision recovery converged on for that transaction: `true`
+    /// = every object holds its content, `false` = every object was
+    /// rolled back.
     pub committed: bool,
 }
 
@@ -141,9 +170,9 @@ pub struct TxnTortureSummary {
     pub replays: usize,
     /// Replays in which the fault fired mid-protocol.
     pub died: usize,
-    /// Replays that recovered to the committed state.
+    /// Replays whose last reached transaction recovered committed.
     pub committed: usize,
-    /// Replays that recovered to the rolled-back state.
+    /// Replays whose last reached transaction recovered rolled back.
     pub aborted: usize,
 }
 
@@ -160,14 +189,6 @@ fn array_cfg(mirrors: usize) -> ArrayConfig {
         mirrors,
         ..ArrayConfig::default()
     }
-}
-
-fn old_content(shard: usize) -> Vec<u8> {
-    format!("old-{shard:04}").into_bytes()
-}
-
-fn new_content(shard: usize) -> Vec<u8> {
-    format!("NEW-{shard:04}").into_bytes()
 }
 
 /// Formats a fresh array, seeds one synced object per shard, then
@@ -212,7 +233,7 @@ fn build(cfg: &TxnTortureConfig, plans: Vec<FaultPlan>) -> Rig {
             &Request::Write {
                 oid,
                 offset: 0,
-                data: old_content(s),
+                data: content(0, s),
             },
         )
         .unwrap();
@@ -237,37 +258,50 @@ fn build(cfg: &TxnTortureConfig, plans: Vec<FaultPlan>) -> Rig {
     Rig { array, oids }
 }
 
-/// Runs the transaction: one batch with a write to every shard's
-/// object and the `Sync` every translator batch ends with (§4.1.2; the
-/// vote's flush stands in for it, so every crash point of that flush is
-/// a crash point of the `Sync`), through the array's own dispatch —
-/// `split_batch`, the held gates, `s4_txn::run` and `ArrayTxn`'s abort
-/// and scrub branches included. The window runs traced (trace id = the pinned transaction
-/// id), so the shard workers leave their `PHASE_PREPARE` / `PHASE_NOTE`
-/// / `PHASE_DECIDE` spans and every replay also tortures the v2 trace
-/// records' crash survival alongside the data they annotate. Once the
-/// armed device dies the rail is dark, every later step fails, and the
-/// batch answers with an error.
-fn run_protocol(rig: &Rig) -> s4_core::Result<Response> {
-    let ctx = user_ctx().with_trace(TraceCtx {
+/// Runs the stretch ([`STEPS`]) through the array's own dispatch. A
+/// transaction is one batch with a write to every shard's object and
+/// the `Sync` every translator batch ends with (§4.1.2; the vote's flush
+/// stands in for it, so every crash point of that flush is a crash
+/// point of the `Sync`) — `split_batch`, the held gates, `s4_txn::run`
+/// and `ArrayTxn`'s abort and scrub branches included. Transactions run
+/// traced (trace id = the pinned transaction id), so the shard workers
+/// leave their `PHASE_PREPARE` / `PHASE_NOTE` / `PHASE_DECIDE` spans and
+/// every replay also tortures the v2 trace records' crash survival
+/// alongside the data they annotate. Once the armed device dies the rail
+/// is dark and every later request fails. Returns how many steps
+/// returned, and the first error.
+fn run_protocol(rig: &Rig) -> (usize, s4_core::Result<()>) {
+    let traced = user_ctx().with_trace(TraceCtx {
         trace_id: TXN_ID,
         origin: 0,
         phase: 0,
     });
-    let writes = rig.oids.iter().enumerate().map(|(s, &oid)| Request::Write {
-        oid,
-        offset: 0,
-        data: new_content(s),
-    });
-    let batch = writes.chain([Request::Sync]).collect();
-    rig.array.dispatch(&ctx, &Request::Batch(batch))
+    for step in 1..=STEPS {
+        let writes = rig.oids.iter().enumerate().map(|(s, &oid)| Request::Write {
+            oid,
+            offset: 0,
+            data: content(step, s),
+        });
+        let mut reqs = writes.chain([Request::Sync]);
+        let done = if is_txn(step) {
+            let batch = Request::Batch(reqs.collect());
+            rig.array.dispatch(&traced, &batch).map(drop)
+        } else {
+            reqs.try_for_each(|req| rig.array.dispatch(&user_ctx(), &req).map(drop))
+        };
+        if let Err(e) = done {
+            return (step - 1, Err(e));
+        }
+    }
+    (STEPS, Ok(()))
 }
 
-/// Post-recovery invariant check. Returns `true` if the array holds
-/// the committed state, `false` if the rolled-back state; panics on a
-/// mix or any other violation. Also returns the per-object digests so
-/// the caller can assert remount idempotence.
-fn verify(a: &S4Array<Disk>, oids: &[ObjectId], what: &str) -> (bool, Vec<u64>) {
+/// Post-recovery invariant check for a run in which `done` steps
+/// returned. Returns the step each shard's object holds the content of
+/// — panicking on a torn transaction, a lost step that returned, or any
+/// other violation — and the per-object digests, so the caller can
+/// assert remount idempotence.
+fn verify(a: &S4Array<Disk>, oids: &[ObjectId], done: usize, what: &str) -> (Vec<usize>, Vec<u64>) {
     let ctx = user_ctx();
     let adm = admin_ctx();
     let mut states = Vec::new();
@@ -287,19 +321,25 @@ fn verify(a: &S4Array<Disk>, oids: &[ObjectId], what: &str) -> (bool, Vec<u64>) 
             Response::Data(d) => d,
             other => panic!("unexpected response {other:?}"),
         };
-        if data == new_content(s) {
-            states.push(true);
-        } else if data == old_content(s) {
-            states.push(false);
-        } else {
-            panic!("{what}: object {oid} holds neither old nor new content: {data:?}");
-        }
+        let step = (0..=STEPS)
+            .find(|&k| data == content(k, s))
+            .unwrap_or_else(|| panic!("{what}: object {oid} holds no step's content: {data:?}"));
+        states.push(step);
     }
-    let committed = states[0];
+    // Every step that returned is durable; none past the one that was
+    // running when the power went ever reached a shard.
+    let reached = (done + 1).min(STEPS);
     assert!(
-        states.iter().all(|&c| c == committed),
-        "{what}: atomicity violated — per-shard states {states:?}"
+        states.iter().all(|&k| (done..=reached).contains(&k)),
+        "{what}: per-shard steps {states:?}, {done} step(s) returned"
     );
+    for t in (1..=STEPS).filter(|&t| is_txn(t)) {
+        let applied = states.iter().filter(|&&k| k >= t).count();
+        assert!(
+            applied == 0 || applied == states.len(),
+            "{what}: atomicity of the transaction at step {t} violated — per-shard steps {states:?}"
+        );
+    }
 
     let mut digests = Vec::new();
     for (s, &oid) in oids.iter().enumerate() {
@@ -316,16 +356,19 @@ fn verify(a: &S4Array<Disk>, oids: &[ObjectId], what: &str) -> (bool, Vec<u64>) 
                 records.len() >= 2,
                 "{what}: shard {s} member {m} lost its synced audit prefix"
             );
-            let notes = d
-                .op_plist(&adm, None)
-                .unwrap()
-                .into_iter()
-                .filter(|(n, _)| s4_txn::parse_note(n).is_some())
-                .count();
-            assert_eq!(
-                notes, 0,
-                "{what}: shard {s} member {m} kept a decision note past resolution"
-            );
+            // A note may stay only while some member still holds its
+            // transaction's resolution queued — never after a mount,
+            // which starts with nothing queued.
+            let listed = d.op_plist(&adm, None).unwrap();
+            for txid in listed.iter().filter_map(|(n, _)| s4_txn::parse_note(n)) {
+                let queued = |(s, m)| a.member_drive(s, m).txn_resolution_pending(txid.0);
+                let mut members =
+                    (0..oids.len()).flat_map(|s| (0..a.mirror_count()).map(move |m| (s, m)));
+                assert!(
+                    members.any(queued),
+                    "{what}: shard {s} member {m} kept the note of {txid} past every resolution"
+                );
+            }
             // The persisted trace stream (mixed v1/v2 after the traced
             // window) must still decode whole, and every span the
             // transaction's id vouches for must carry a protocol phase.
@@ -348,7 +391,16 @@ fn verify(a: &S4Array<Disk>, oids: &[ObjectId], what: &str) -> (bool, Vec<u64>) 
         }
         digests.push(a.shard_drive(s).object_digest(&adm, oid).unwrap());
     }
-    (committed, digests)
+    (states, digests)
+}
+
+/// The last transaction a run in which `done` steps returned reached,
+/// and whether recovery committed it, from the per-shard `states`
+/// [`verify`] returned.
+fn decision(done: usize, states: &[usize]) -> (usize, bool) {
+    let reached = (done + 1).min(STEPS);
+    let txn_step = (1..=reached).rev().find(|&t| is_txn(t)).unwrap_or(1);
+    (txn_step, states[0] >= txn_step)
 }
 
 /// Runs the protocol fault-free under counting plans and returns the
@@ -365,11 +417,12 @@ pub fn txn_golden(cfg: &TxnTortureConfig) -> TxnGoldenSummary {
     // not the window — the same remount replays see before their fault
     // arms, so it is excluded from the crash-point domain.
     let devices_at_mount = seen();
-    run_protocol(&rig).expect("golden protocol run must not fail");
-    let (committed, _) = verify(&rig.array, &rig.oids, "golden");
-    assert!(committed, "golden run must commit");
+    let (done, result) = run_protocol(&rig);
+    result.expect("golden protocol run must not fail");
+    let (states, _) = verify(&rig.array, &rig.oids, done, "golden");
+    assert!(states.iter().all(|&k| k == STEPS), "golden run must commit");
     // Fault-free, the array is still live and no pending tail was lost:
-    // the transaction's *complete* causal span set must be present —
+    // the transactions' *complete* causal span set must be present —
     // every member vouches for its own PREPARE and DECIDE, and exactly
     // the shard-0 (coordinator) members for the NOTE commit point.
     let adm = admin_ctx();
@@ -424,7 +477,7 @@ pub fn txn_torture_point(
     let mut plans = vec![FaultPlan::none(); cfg.devices()];
     plans[victim] = FaultPlan::power_loss_with_pattern(k, torn, CRASH_MASK);
     let rig = build(cfg, plans);
-    let result = run_protocol(&rig);
+    let (done, result) = run_protocol(&rig);
 
     let devices = rig.array.crash().unwrap();
     let died = devices[victim].is_dead();
@@ -435,38 +488,40 @@ pub fn txn_torture_point(
         );
     }
     let a2 = power_on(devices, cfg);
-    let (committed, digests) = verify(&a2, &rig.oids, "first remount");
-    if result.is_ok() {
-        assert!(committed, "a completed protocol must stay committed");
-    }
+    let (states, digests) = verify(&a2, &rig.oids, done, "first remount");
 
     // Idempotence: crash the recovered array and mount again — same
-    // decision, byte-identical objects, still nothing in doubt.
+    // decisions, byte-identical objects, still nothing in doubt.
     let a3 = power_on(a2.crash().unwrap(), cfg);
-    let (committed2, digests2) = verify(&a3, &rig.oids, "second remount");
-    assert_eq!(committed, committed2, "remount flipped the decision");
+    let (states2, digests2) = verify(&a3, &rig.oids, done, "second remount");
+    assert_eq!(states, states2, "remount flipped a decision");
     assert_eq!(digests, digests2, "remount changed recovered objects");
 
+    let (txn_step, committed) = decision(done, &states);
     TxnCrashOutcome {
         device: victim,
         crash_point: k,
         torn,
         died,
+        txn_step,
         committed,
     }
 }
 
-/// The crash no device request marks: the protocol completes — every
-/// participant resolved, the note retired in memory — and the power
-/// goes before shard 0 flushes again, so the lazy retire is lost.
-/// Returns how many shard-0 devices still hold the decision note (each
-/// is mounted alone to be asked, and cut off again). The array's mount
-/// must then find no participant in doubt, retire the note once more
-/// and leave every object new; a second crash and mount must change
+/// The crash no device request marks: the whole stretch completes — the
+/// second transaction resolved everywhere in memory, the first one's
+/// note retired inside the second's install, the second's note left for
+/// a later install — and the power goes before any participant commits
+/// again, so the second transaction's resolutions are lost. Returns how
+/// many shard-0 devices still hold a decision note (each is mounted
+/// alone to be asked, and cut off again). The array's mount must then
+/// redo the second transaction from its note, retire the note and leave
+/// every object at the last step; a second crash and mount must change
 /// nothing.
 pub fn txn_lost_retire(cfg: &TxnTortureConfig) -> usize {
     let rig = build(cfg, vec![FaultPlan::none(); cfg.devices()]);
-    run_protocol(&rig).expect("fault-free protocol run must not fail");
+    let (done, result) = run_protocol(&rig);
+    result.expect("fault-free protocol run must not fail");
     let mut notes_on_disk = 0;
     let mut devices = Vec::new();
     for (i, dev) in rig.array.crash().unwrap().into_iter().enumerate() {
@@ -486,14 +541,13 @@ pub fn txn_lost_retire(cfg: &TxnTortureConfig) -> usize {
     let a2 = power_on(devices, cfg);
     let status = a2.txn_status_text();
     assert!(
-        status.ends_with("recovered_commit=0 recovered_abort=0"),
-        "a lost retire left someone in doubt: {status}"
+        status.contains(" recovered_commit=1 recovered_abort=0 "),
+        "the lost resolutions were not redone from the note: {status}"
     );
-    let (committed, digests) = verify(&a2, &rig.oids, "first remount");
-    assert!(committed, "a completed protocol must stay committed");
+    let (states, digests) = verify(&a2, &rig.oids, done, "first remount");
     let a3 = power_on(a2.crash().unwrap(), cfg);
-    let (committed2, digests2) = verify(&a3, &rig.oids, "second remount");
-    assert!(committed2, "remount flipped the decision");
+    let (states2, digests2) = verify(&a3, &rig.oids, done, "second remount");
+    assert_eq!(states, states2, "remount flipped a decision");
     assert_eq!(digests, digests2, "remount changed recovered objects");
     notes_on_disk
 }
