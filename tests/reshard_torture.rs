@@ -19,7 +19,7 @@
 use s4_array::{ArrayConfig, EpochInfo, S4Array, EPOCH_NOTE_PREFIX};
 use s4_clock::{SimClock, SimDuration};
 use s4_core::{
-    ClientId, DriveConfig, ObjectId, Request, RequestContext, Response, S4Drive, UserId,
+    ClientId, DriveConfig, ObjectId, Request, RequestContext, Response, S4Drive, S4Error, UserId,
     PARTITION_OBJECT,
 };
 use s4_reshard::{split_shard, ReshardConfig};
@@ -182,6 +182,82 @@ fn crash_after_flip_remounts_wholly_new() {
         assert_eq!(a3.shard_slot(a3.shard_index_of(oid)), (oid.0 % 4) as usize);
     }
     assert_population(&a3, &digests);
+}
+
+/// A split anchors its source's members before the flip, packing what
+/// they hold pending: here an abort's compensation and a client write
+/// after it to the same object. The abort's queued resolution must
+/// become durable with them. Otherwise the client's next `Sync` finds
+/// nothing left to pack, and a crash leaves the transaction in doubt
+/// with no note: mount aborts it again and takes the acknowledged write
+/// back to the transaction's `t0`.
+#[test]
+fn a_split_anchors_a_queued_abort_with_the_writes_it_carries() {
+    let a = build(3);
+    let ctx = RequestContext::user(UserId(9), ClientId(3));
+    let put = |oid: ObjectId, data: &[u8]| Request::Write {
+        oid,
+        offset: 0,
+        data: data.to_vec(),
+    };
+    // Split shard 1 of three: shard 0 installs the new epoch note, a
+    // commit of its own, and shard 2 refuses the batch below after shard
+    // 1 prepared. One object stays on shard 1 through the split; nothing
+    // else is live, so the split's cleanup leaves nothing pending.
+    let stays = loop {
+        let Response::Created(oid) = a.dispatch(&ctx, &Request::Create).unwrap() else {
+            panic!("a create answers with an oid");
+        };
+        if oid.0 % 6 == 1 {
+            break oid;
+        }
+        a.dispatch(&ctx, &Request::Delete { oid }).unwrap();
+    };
+    a.dispatch(&ctx, &put(stays, b"stable")).unwrap();
+    a.dispatch(&ctx, &Request::Sync).unwrap();
+
+    // Shard 2 refuses its half, so shard 1 compensates and queues the
+    // abort's resolution.
+    let missing = ObjectId(stays.0 + 6001);
+    let batch = vec![put(stays, b"doomed"), put(missing, b"x"), Request::Sync];
+    let refused = a.dispatch(&ctx, &Request::Batch(batch));
+    assert!(matches!(refused, Err(S4Error::BatchFailed { .. })), "{refused:?}");
+    let status = a.txn_status_text();
+    assert!(status.starts_with("committed=0 aborted=1 "), "{status}");
+    a.dispatch(&ctx, &put(stays, b"acknowledged")).unwrap();
+
+    split_shard(&a, 1, (0..MIRRORS).map(|_| disk()).collect(), ReshardConfig::default())
+        .unwrap();
+    a.dispatch(&ctx, &Request::Sync).unwrap();
+    a.check_mirrors(&admin()).unwrap();
+    let devices = a.crash().unwrap();
+    // Shard 1's members made the abort durable with the writes the
+    // anchor packed. (Shard 2 may hold its refused prepare in doubt: it
+    // has no effect to undo, and mount aborts it again.)
+    let devices: Vec<MemDisk> = devices
+        .into_iter()
+        .enumerate()
+        .map(|(i, dev)| {
+            let d = S4Drive::mount(dev, DriveConfig::small_test(), SimClock::new()).unwrap();
+            if i / MIRRORS == 1 {
+                assert_eq!(d.txn_in_doubt(), Vec::new(), "shard 1 device {i} in doubt");
+            }
+            d.crash()
+        })
+        .collect();
+    let (a2, _) =
+        S4Array::mount(devices, DriveConfig::small_test(), array_cfg(), SimClock::new()).unwrap();
+    let read = Request::Read {
+        oid: stays,
+        offset: 0,
+        len: 64,
+        time: None,
+    };
+    assert_eq!(
+        a2.dispatch(&ctx, &read).unwrap(),
+        Response::Data(b"acknowledged".to_vec()),
+        "the acknowledged write survives the crash"
+    );
 }
 
 /// Crash between the per-member epoch-note installs: shard 0's two
