@@ -191,7 +191,7 @@ pub fn split_shard<D: BlockDev + 'static>(
     };
     let stride = 2 * e.base as u64;
     let target_slot = e.base + source_slot;
-    let moving = |oid: u64| !ObjectId(oid).is_reserved() && oid % stride == target_slot as u64;
+    let moving = move |oid: u64| !ObjectId(oid).is_reserved() && oid % stride == target_slot as u64;
 
     let prog = Progress::new(array);
     prog.active.set(1.0);
@@ -255,12 +255,10 @@ pub fn split_shard<D: BlockDev + 'static>(
     // Flush the source members *before* taking the gate: the quiesce
     // drain ends in a durability barrier, and paying for the dirty
     // segments out here keeps the client-visible pause down to the
-    // queue itself plus the (bounded) final delta.
-    for (k, state) in array.member_states()[source_slot].iter().enumerate() {
-        if *state != s4_array::MemberState::Dead {
-            array.member_drive(source_slot, k).force_anchor()?;
-        }
-    }
+    // queue itself plus the (bounded) final delta. The anchor is a job
+    // on the source's worker, so that the mirrors pack — and record
+    // queued transaction resolutions — at one point of their streams.
+    array.apply_to_shard(source_slot, |d| d.force_anchor())?;
     // Likewise pre-raise the targets' ObjectID allocators to the
     // source's current ceiling and anchor them durably now; the flip
     // re-checks the (post-drain) floor but usually finds nothing new to
@@ -309,26 +307,21 @@ pub fn split_shard<D: BlockDev + 'static>(
     prog.lag.set(0.0);
 
     // --- Lazy cleanup: the moved class is unreachable on the source as
-    // of the flip; delete it member by member. The deleted objects'
-    // history stays in each member's pool for the detection window —
-    // recoverable forensically, invisible to clients.
+    // of the flip; delete it one object at a time, each delete a job on
+    // the source's worker like any mutation of a mirror group. The
+    // deleted objects' history stays in each member's pool for the
+    // detection window — recoverable forensically, invisible to clients.
     let mut cleaned_objects = 0usize;
-    let states = array.member_states();
-    for (k, state) in states[source_slot].iter().enumerate() {
-        if *state == s4_array::MemberState::Dead {
-            continue;
-        }
-        let member = array.member_drive(source_slot, k);
-        let mut cleaned = 0usize;
-        for oid in member.live_object_ids(&admin)? {
-            if moving(oid) {
-                match member.op_delete(&admin, ObjectId(oid)) {
-                    Ok(()) | Err(S4Error::NoSuchObject) => cleaned += 1,
-                    Err(e) => return Err(e),
+    for oid in array.shard_drive(source_slot).live_object_ids(&admin)? {
+        if moving(oid) {
+            array.apply_to_shard(source_slot, move |d| {
+                match d.op_delete(&admin, ObjectId(oid)) {
+                    Ok(()) | Err(S4Error::NoSuchObject) => Ok(()),
+                    Err(e) => Err(e),
                 }
-            }
+            })?;
+            cleaned_objects += 1;
         }
-        cleaned_objects = cleaned_objects.max(cleaned);
     }
 
     prog.active.set(0.0);
