@@ -20,14 +20,15 @@ use crate::router::dense_of;
 use crate::shard::{MemberState, Shard, ShardHandle};
 use crate::txn::{unretired_gauge, UnretiredNote};
 
+/// Bound of each shard's request queue. A full queue blocks the
+/// submitting client thread (backpressure) instead of growing without
+/// limit — the array runs one worker per shard, not one thread per
+/// connection.
+pub const QUEUE_DEPTH: usize = 64;
+
 /// Array-level tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ArrayConfig {
-    /// Bound of each shard's request queue. A full queue blocks the
-    /// submitting client thread (backpressure) instead of growing
-    /// without limit — the array runs one worker per shard, not one
-    /// thread per connection.
-    pub queue_depth: usize,
     /// Member drives per shard (1 = no redundancy). With `m` mirrors,
     /// `devices.len()` must be a multiple of `m`; shard `s` owns
     /// devices `s*m .. (s+1)*m`, all formatted in the same ObjectID
@@ -46,7 +47,6 @@ pub struct ArrayConfig {
 impl Default for ArrayConfig {
     fn default() -> Self {
         ArrayConfig {
-            queue_depth: 64,
             mirrors: 1,
             trace: true,
         }
@@ -54,15 +54,11 @@ impl Default for ArrayConfig {
 }
 
 impl ArrayConfig {
-    /// Validates the knobs that workers would otherwise trip over at
-    /// runtime: a zero mirror count (shards with no members), and a
-    /// zero queue depth (a rendezvous channel every send deadlocks on).
+    /// Validates the knob that workers would otherwise trip over at
+    /// runtime: a zero mirror count (shards with no members).
     pub fn validate(&self) -> s4_core::Result<()> {
         if self.mirrors == 0 {
             return Err(S4Error::BadRequest("array: mirrors must be at least 1"));
-        }
-        if self.queue_depth == 0 {
-            return Err(S4Error::BadRequest("array: queue depth must be at least 1"));
         }
         Ok(())
     }
@@ -180,8 +176,8 @@ impl<D: BlockDev + 'static> S4Array<D> {
     /// Formats `devices` as a fresh array sharing `clock`. With
     /// `array.mirrors = m`, `devices.len()` must be a positive multiple
     /// of `m`: shard `s` of `n = devices.len()/m` owns devices
-    /// `s*m..(s+1)*m`, every member formatted with ObjectID class
-    /// `s (mod n)` by [`format_group`]. The initial routing epoch is
+    /// `s*m..(s+1)*m`, every member formatted by [`format_group`] and
+    /// allocating in ObjectID class `s (mod n)`. The initial routing epoch is
     /// persisted in shard 0's partition table before the array serves
     /// anything.
     pub fn format(
@@ -196,7 +192,6 @@ impl<D: BlockDev + 'static> S4Array<D> {
         let admin = RequestContext::admin(ClientId(0), config.admin_token);
         let mut drives = Vec::with_capacity(devices.len());
         for (s, devs) in group(devices, array.mirrors).into_iter().enumerate() {
-            let config = config.with_oid_class(n as u64, s as u64);
             drives.extend(format_group(devs, config, &clock, |first| {
                 if s == 0 {
                     first.op_pcreate(&admin, &epoch.note_name(), PARTITION_OBJECT)?;
@@ -261,14 +256,6 @@ impl<D: BlockDev + 'static> S4Array<D> {
             return Err(S4Error::BadRequest(
                 "array: device count does not match the persisted epoch",
             ));
-        }
-        // Only the epoch says which ObjectID class a member allocates
-        // in, and only a mounted shard-0 member can be asked for it, so
-        // everyone mounts first and is told its class after (the class
-        // matters at `Create` only).
-        for (i, drive) in drives.iter().enumerate() {
-            let (stride, offset) = epoch.class_of_dense(i / m);
-            drive.set_oid_class(stride, offset);
         }
         let shards = Self::shards(drives, &epoch, array);
 
@@ -360,18 +347,12 @@ impl<D: BlockDev + 'static> S4Array<D> {
 
     /// Builds an array over already-constructed drives (benchmarks use
     /// this to give each shard an independent clock). Drive `i` belongs
-    /// to shard `i / mirrors` and must already allocate in that shard's
-    /// residue class. The routing epoch starts fresh (no split in
-    /// flight) and nothing is persisted until a flip.
+    /// to shard `i / mirrors`. The routing epoch starts fresh (no split
+    /// in flight) and nothing is persisted until a flip.
     pub fn from_drives(drives: Vec<S4Drive<D>>, array: ArrayConfig) -> s4_core::Result<S4Array<D>> {
         array.validate()?;
         let n = shard_count_of(drives.len(), array.mirrors)?;
         let epoch = within_bitmap(EpochInfo::initial(n))?;
-        for (i, d) in drives.iter().enumerate() {
-            if d.oid_class() != (n as u64, (i / array.mirrors) as u64) {
-                return Err(S4Error::BadRequest("array member oid class mismatch"));
-            }
-        }
         Ok(Self::spawn(
             Self::shards(drives, &epoch, array),
             epoch,
@@ -379,12 +360,17 @@ impl<D: BlockDev + 'static> S4Array<D> {
         ))
     }
 
-    /// Groups `drives` (dense device order) into the shards of `epoch`.
+    /// Groups `drives` (dense device order) into the shards of `epoch`,
+    /// each member allocating in its shard's ObjectID class (which
+    /// matters at `Create` only).
     fn shards(drives: Vec<S4Drive<D>>, epoch: &EpochInfo, array: ArrayConfig) -> Vec<Shard<D>> {
-        group(drives, array.mirrors)
-            .into_iter()
-            .enumerate()
-            .map(|(p, members)| Shard::new(epoch.slot_of_dense(p), members, array))
+        let groups = group(drives, array.mirrors).into_iter().enumerate();
+        groups
+            .map(|(p, members)| {
+                let (stride, offset) = epoch.class_of_dense(p);
+                members.iter().for_each(|d| d.set_oid_class(stride, offset));
+                Shard::new(epoch.slot_of_dense(p), members)
+            })
             .collect()
     }
 

@@ -28,8 +28,8 @@ impl<D: BlockDev + 'static> S4Array<D> {
     ///    every member is durable);
     /// 3. hands the quiesced source members to `finish`, which replays
     ///    the final delta onto the prepared target member drives and
-    ///    returns them (one per mirror, formatted in class
-    ///    `base + source_slot (mod 2·base)`);
+    ///    returns them (one per mirror), which then allocate in class
+    ///    `base + source_slot (mod 2·base)`;
     /// 4. raises each target's ObjectID allocator above the source's
     ///    (moved-then-deleted oids must never be re-issued) and anchors
     ///    it, persists the new epoch note on shard 0 *through its worker
@@ -81,8 +81,8 @@ impl<D: BlockDev + 'static> S4Array<D> {
         if targets.len() != self.cfg.mirrors {
             return Err(S4Error::BadRequest("array: wrong target mirror count"));
         }
-        if targets.iter().any(|t| t.oid_class() != class) {
-            return Err(S4Error::BadRequest("array: target oid class mismatch"));
+        for t in &targets {
+            t.set_oid_class(class.0, class.1);
         }
         // The target must never re-issue an ObjectID the source already
         // allocated (a moved-then-deleted oid would resurrect). The
@@ -113,11 +113,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
                     .set_oid_class(2 * e.base as u64, source_slot as u64);
             }
         }
-        let target = Arc::new(ShardHandle::spawn(Shard::new(
-            target_slot,
-            targets,
-            self.cfg,
-        )));
+        let target = Arc::new(ShardHandle::spawn(Shard::new(target_slot, targets)));
         let mut shards = r.shards.clone();
         let dense = ne
             .dense_of_slot(target_slot)

@@ -57,7 +57,7 @@ mod shard;
 mod transport;
 mod txn;
 
-pub use array::{format_group, ArrayConfig, S4Array};
+pub use array::{format_group, ArrayConfig, S4Array, QUEUE_DEPTH};
 pub use dispatch::BatchOutcome;
 pub use epoch::{EpochInfo, FlipReport, EPOCH_NOTE_PREFIX, RESERVED_NAME_PREFIX};
 pub use forensics::Sharded;

@@ -3,7 +3,7 @@
 //! The flat object namespace is partitioned by residue class: shard `i`
 //! of an `n`-shard array owns every dynamic ObjectID `oid ≡ i (mod n)`.
 //! Because each member drive allocates only inside its own class (see
-//! [`s4_core::DriveConfig::with_oid_class`]), the ID a drive assigns at
+//! [`s4_core::S4Drive::set_oid_class`]), the ID a drive assigns at
 //! `Create` time already routes home — the array never needs a mapping
 //! table, and any client holding an ObjectID can compute its shard.
 //!

@@ -17,7 +17,7 @@ use s4_core::{
 };
 use s4_simdisk::BlockDev;
 
-use crate::array::ArrayConfig;
+use crate::array::QUEUE_DEPTH;
 
 /// Returned when a shard's worker thread is gone (array shutting down
 /// or worker panicked).
@@ -128,7 +128,7 @@ impl<D: BlockDev + 'static> ShardHandle<D> {
     /// Starts the worker thread that owns `shard` from here on.
     pub(crate) fn spawn(shard: Shard<D>) -> ShardHandle<D> {
         let (slot, members) = (shard.slot, shard.members.clone());
-        let (tx, rx) = mpsc::sync_channel(shard.cfg.queue_depth);
+        let (tx, rx) = mpsc::sync_channel(QUEUE_DEPTH);
         let thread = std::thread::Builder::new()
             .name(format!("s4-shard-{slot}"))
             .spawn(move || {
@@ -178,7 +178,6 @@ impl<D: BlockDev + 'static> ShardHandle<D> {
 pub(crate) struct Shard<D: BlockDev> {
     slot: usize,
     pub(crate) members: Vec<Arc<MemberSlot<D>>>,
-    cfg: ArrayConfig,
     /// The group's clock: its first member's (benchmarks that give
     /// each spindle its own still get one source of instants per group).
     pub(crate) clock: SimClock,
@@ -198,7 +197,7 @@ impl<D: BlockDev> Shard<D> {
     /// Wraps `drives` (the group's members, in device order) as shard
     /// `slot` — the stable residue-class id used in alerts and metric
     /// labels.
-    pub(crate) fn new(slot: usize, drives: Vec<S4Drive<D>>, cfg: ArrayConfig) -> Shard<D> {
+    pub(crate) fn new(slot: usize, drives: Vec<S4Drive<D>>) -> Shard<D> {
         let clock = drives[0].clock().clone();
         let members = drives
             .into_iter()
@@ -212,7 +211,6 @@ impl<D: BlockDev> Shard<D> {
         Shard {
             slot,
             members,
-            cfg,
             clock,
         }
     }
@@ -500,7 +498,7 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        Shard::new(0, drives, ArrayConfig::default())
+        Shard::new(0, drives)
     }
 
     fn states<D: BlockDev>(shard: &Shard<D>) -> Vec<MemberState> {

@@ -533,14 +533,6 @@ fn config_validation_rejects_degenerate_shapes() {
         S4Array::format(disks(4), DriveConfig::small_test(), zero_mirrors, clock.clone()),
         Err(S4Error::BadRequest(m)) if m.contains("mirrors")
     ));
-    let zero_queue = ArrayConfig {
-        queue_depth: 0,
-        ..ArrayConfig::default()
-    };
-    assert!(matches!(
-        S4Array::format(disks(4), DriveConfig::small_test(), zero_queue, clock.clone()),
-        Err(S4Error::BadRequest(m)) if m.contains("queue depth")
-    ));
     assert!(matches!(
         S4Array::mount(disks(4), DriveConfig::small_test(), zero_mirrors, clock.clone()),
         Err(S4Error::BadRequest(m)) if m.contains("mirrors")

@@ -125,7 +125,7 @@ fn elapsed_of<D: BlockDev + 'static>(array: &S4Array<D>, start: SimDuration) -> 
 fn run(n: usize, nfiles: usize, transactions: usize) -> RunResult {
     let start = SimDuration::from_secs(1);
     let drives: Vec<S4Drive<TimedDisk<MemDisk>>> = (0..n)
-        .map(|i| {
+        .map(|_| {
             let clock = SimClock::new();
             clock.advance(start);
             let disk = TimedDisk::new(
@@ -133,12 +133,7 @@ fn run(n: usize, nfiles: usize, transactions: usize) -> RunResult {
                 DiskModelParams::cheetah_9gb_10k(),
                 clock.clone(),
             );
-            S4Drive::format(
-                disk,
-                DriveConfig::default().with_oid_class(n as u64, i as u64),
-                clock,
-            )
-            .unwrap()
+            S4Drive::format(disk, DriveConfig::default(), clock).unwrap()
         })
         .collect();
     let array = S4Array::from_drives(drives, ArrayConfig::default()).unwrap();
@@ -162,7 +157,7 @@ fn run_mirrored(kill_one: bool, nfiles: usize, transactions: usize) -> RunResult
         .map(|i| {
             let clock = SimClock::new();
             clock.advance(start);
-            let config = DriveConfig::default().with_oid_class(SHARDS as u64, (i / MIRRORS) as u64);
+            let config = DriveConfig::default();
             // Format fault-free, then re-arm: the victim's death counter
             // must count workload writes, not format's.
             let disk = FaultyDisk::new(

@@ -40,7 +40,7 @@ impl Lcg {
 fn build_array() -> S4Array<TimedDisk<MemDisk>> {
     let start = SimDuration::from_secs(1);
     let drives: Vec<S4Drive<TimedDisk<MemDisk>>> = (0..SHARDS)
-        .map(|i| {
+        .map(|_| {
             let clock = SimClock::new();
             clock.advance(start);
             let disk = TimedDisk::new(
@@ -48,12 +48,7 @@ fn build_array() -> S4Array<TimedDisk<MemDisk>> {
                 DiskModelParams::cheetah_9gb_10k(),
                 clock.clone(),
             );
-            S4Drive::format(
-                disk,
-                DriveConfig::default().with_oid_class(SHARDS as u64, i as u64),
-                clock,
-            )
-            .unwrap()
+            S4Drive::format(disk, DriveConfig::default(), clock).unwrap()
         })
         .collect();
     S4Array::from_drives(drives, ArrayConfig::default()).unwrap()
@@ -190,7 +185,7 @@ fn main() {
         .map(|r| r.flip.pause.as_micros())
         .max()
         .unwrap();
-    let queue_depth = ArrayConfig::default().queue_depth;
+    let queue_depth = s4_array::QUEUE_DEPTH;
     let drain_bound_us = queue_depth as f64 * op_us + barrier_us;
 
     println!(

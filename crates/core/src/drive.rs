@@ -26,13 +26,12 @@
 //! beside the state it works on; DESIGN §5 has the module map.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use s4_clock::sync::Mutex;
 
 use s4_clock::{CpuModel, HybridClock, HybridTimestamp, SimClock, SimDuration, SimTime};
 use s4_journal::JournalEntry::{Truncate, Write};
-use s4_journal::{redo, undo, JournalEntry, ObjectMeta, PtrChange};
+use s4_journal::{redo, JournalEntry, ObjectMeta, PtrChange, UndoWalk};
 use s4_lfs::{BlockAddr, BlockKind, BlockTag, Cleaner, CleanerConfig, Log, LogConfig, BLOCK_SIZE};
 use s4_obs::{FlightRecorder, Gauge, Histogram, Registry, TraceRecord};
 use s4_simdisk::BlockDev;
@@ -131,14 +130,6 @@ pub struct DriveConfig {
     /// Fire a self-alert when the append-only alert object reaches this
     /// many flushed blocks (0 disables the warning).
     pub alert_warn_blocks: u64,
-    /// Object-id allocation stride. A lone drive uses 1; shard `i` of an
-    /// N-drive array uses stride N with [`DriveConfig::oid_offset`] `i`,
-    /// so every id the drive assigns routes back to it under the array's
-    /// `oid % N` placement rule — no cross-shard id coordination needed.
-    pub oid_stride: u64,
-    /// Residue (mod [`DriveConfig::oid_stride`]) of every object id this
-    /// drive assigns.
-    pub oid_offset: u64,
 }
 
 impl Default for DriveConfig {
@@ -155,8 +146,6 @@ impl Default for DriveConfig {
             cleaner: CleanerConfig::default(),
             flight_recorder_ring: 256,
             alert_warn_blocks: 1024, // ~4 MiB of alerts
-            oid_stride: 1,
-            oid_offset: 0,
         }
     }
 }
@@ -182,17 +171,6 @@ impl DriveConfig {
             alert_warn_blocks: 0,
             ..DriveConfig::default()
         }
-    }
-
-    /// The same configuration as `self`, allocating object ids in the
-    /// residue class `offset (mod stride)` — how an array builds its
-    /// member-drive configs.
-    pub fn with_oid_class(mut self, stride: u64, offset: u64) -> Self {
-        assert!(stride >= 1, "oid stride must be at least 1");
-        assert!(offset < stride, "oid offset must be < stride");
-        self.oid_stride = stride;
-        self.oid_offset = offset;
-        self
     }
 }
 
@@ -223,8 +201,6 @@ pub enum VersionKind {
     SetAttr,
     SetAcl,
     Delete,
-    /// Internal checkpoint marker (not a client mutation).
-    Checkpoint,
     /// Transaction-abort compensation cancelling a mid-transaction
     /// deletion (drive-originated, not a client mutation).
     Revive,
@@ -252,7 +228,6 @@ impl VersionRecord {
             JournalEntry::Truncate { new_size, .. } => (VersionKind::Truncate, Some(*new_size)),
             JournalEntry::SetAttr { .. } => (VersionKind::SetAttr, None),
             JournalEntry::SetAcl { .. } => (VersionKind::SetAcl, None),
-            JournalEntry::Checkpoint { .. } => (VersionKind::Checkpoint, None),
             JournalEntry::Revive { .. } => (VersionKind::Revive, None),
         };
         VersionRecord {
@@ -413,11 +388,9 @@ pub struct S4Drive<D: BlockDev> {
     pub(crate) clock: SimClock,
     pub(crate) stamps: HybridClock,
     pub(crate) config: DriveConfig,
-    // The oid residue class new objects are allocated in. Initialized
-    // from `config` but runtime-mutable: a reshard flip narrows a
-    // source member's class from (N, s) to (2N, s) without a remount.
-    oid_stride: AtomicU64,
-    oid_offset: AtomicU64,
+    // The oid residue class `(stride, offset)` new objects are allocated
+    // in: `(1, 0)` until an array sets its member's class.
+    oid_class: Mutex<(u64, u64)>,
     pub(crate) inner: Mutex<Inner>,
     pub(crate) stats: DriveStats,
     pub(crate) cleaner: Cleaner,
@@ -469,8 +442,7 @@ impl<D: BlockDev> S4Drive<D> {
             stamps,
             cleaner: Cleaner::new(config.cleaner),
             stats: DriveStats::registered(&obs.registry),
-            oid_stride: AtomicU64::new(config.oid_stride),
-            oid_offset: AtomicU64::new(config.oid_offset),
+            oid_class: Mutex::new((1, 0)),
             config,
             inner: Mutex::new(inner),
             observers: Mutex::new(Vec::new()),
@@ -548,26 +520,19 @@ impl<D: BlockDev> S4Drive<D> {
         &self.config
     }
 
-    /// The oid residue class new objects are allocated in, as
-    /// `(stride, offset)`. Starts from the formatted configuration;
-    /// [`S4Drive::set_oid_class`] narrows it at runtime during a
-    /// reshard flip.
+    /// The oid residue class `(stride, offset)` new objects get ids in.
     pub fn oid_class(&self) -> (u64, u64) {
-        (
-            self.oid_stride.load(Ordering::Acquire),
-            self.oid_offset.load(Ordering::Acquire),
-        )
+        *self.oid_class.lock()
     }
 
-    /// Changes the oid residue class new objects are allocated in. A
-    /// reshard flip calls this on the source shard's members to narrow
-    /// their class from `(N, s)` to `(2N, s)` the moment the split
-    /// class `(2N, s+N)` is handed to the new shard.
+    /// Allocates new object ids in the class `offset (mod stride)`: an
+    /// array gives shard `i` of `N` the class `(N, i)`, so every id a
+    /// member assigns routes home, and a reshard flip narrows `(N, s)` to
+    /// `(2N, s)` as it hands `(2N, s+N)` to the new shard.
     pub fn set_oid_class(&self, stride: u64, offset: u64) {
         assert!(stride >= 1, "oid stride must be at least 1");
         assert!(offset < stride, "oid offset must be below the stride");
-        self.oid_stride.store(stride, Ordering::Release);
-        self.oid_offset.store(offset, Ordering::Release);
+        *self.oid_class.lock() = (stride, offset);
     }
 
     /// The underlying log (exposed for benchmarks and tests).
@@ -1126,47 +1091,28 @@ impl<D: BlockDev> S4Drive<D> {
         }
     }
 
-    /// Materializes the version of `entry` current at `t`, falling back
-    /// to pinned landmark versions for instants below the history floor.
+    /// Materializes the version of `entry` current at `t`: the journal
+    /// walk above the history floor (which stamps the version the retired
+    /// entries left), a pinned landmark at or below it.
     pub(crate) fn version_at(&self, entry: &ObjectEntry, t: SimTime) -> Result<ObjectMeta> {
         let bound = HybridTimestamp::upper_bound_at(t);
         if bound <= entry.history_floor {
             // The journal no longer reaches t; a landmark may.
-            if let Some(m) = entry.landmarks.iter().rev().find(|m| m.modified <= bound) {
-                return Ok(m.clone());
-            }
-            return Err(S4Error::VersionUnavailable);
+            let m = entry.landmarks.iter().rev().find(|m| m.modified <= bound);
+            return m.cloned().ok_or(S4Error::VersionUnavailable);
         }
-        let mut meta = entry.meta.clone();
-        // Undoes `entries` newest first, down to (and returning the stamp
-        // of) the first one at or before the bound.
-        let mut undo_to_bound = |entries: &[JournalEntry]| {
-            for e in entries.iter().rev() {
-                if e.stamp() <= bound {
-                    return Ok(Some(e.stamp()));
-                }
-                if !undo(&mut meta, e) {
-                    return Err(S4Error::NoSuchObject);
-                }
-            }
-            Ok(None)
-        };
-        let mut boundary = undo_to_bound(&entry.pending)?;
+        // Pending entries are newer than every sector's. A sector is read
+        // only if its newest entry is above the bound.
+        let mut walk = UndoWalk::new(&entry.meta, bound);
+        walk.rewind(entry.pending.iter().rev());
         for s in entry.sectors.iter().rev() {
-            if boundary.is_some() {
+            if !walk.needs(s.newest) {
                 break;
             }
-            boundary = if s.newest <= bound {
-                Some(s.newest)
-            } else {
-                undo_to_bound(&read_subsector(&self.log, s.addr, s.slot)?.1)?
-            };
+            walk.rewind(read_subsector(&self.log, s.addr, s.slot)?.1.iter().rev());
         }
-        if meta.created > bound {
-            return Err(S4Error::NoSuchObject);
-        }
-        meta.modified = boundary.unwrap_or(meta.created);
-        Ok(meta)
+        walk.finish(entry.history_floor)
+            .ok_or(S4Error::NoSuchObject)
     }
 }
 

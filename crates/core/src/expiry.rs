@@ -58,14 +58,11 @@ impl<D: BlockDev> S4Drive<D> {
         for &oid in &oids {
             let exposed = self.with_object(inner, ObjectId(oid), |_, entry| {
                 // An object about to disappear whole needs no checkpoint.
-                let fully_expiring = entry.meta.deleted.is_some_and(|d| d <= cutoff)
-                    && entry.pending.is_empty()
-                    && entry.sectors.last().is_none_or(|s| s.newest <= cutoff);
                 let uncovered = |s: &SectorInfo| {
                     s.newest <= cutoff
                         && (entry.checkpoint_root.is_none() || s.newest > entry.covered)
                 };
-                Ok(!fully_expiring && entry.sectors.iter().any(uncovered))
+                Ok(!retires_whole(entry, cutoff) && entry.sectors.iter().any(uncovered))
             })?;
             if exposed {
                 uncovered.push(oid);
@@ -206,11 +203,7 @@ impl<D: BlockDev> S4Drive<D> {
                 entry.sectors.remove(0);
                 entry.dirty = true;
             }
-            // A deleted object whose entire history has aged out disappears.
-            let fully_expired = entry.meta.deleted.is_some_and(|d| d <= cutoff)
-                && entry.sectors.is_empty()
-                && entry.pending.is_empty()
-                && entry.landmarks.is_empty();
+            let fully_expired = retires_whole(entry, cutoff);
             if fully_expired {
                 let addrs: Vec<BlockAddr> = entry.meta.blocks.values().copied().collect();
                 for a in addrs {
@@ -528,6 +521,15 @@ impl<D: BlockDev> RelocationCallbacks for Pass<'_, D> {
     fn relocate(&self, tag: &BlockTag, addr: BlockAddr, data: &[u8]) -> s4_lfs::Result<()> {
         self.0.relocate(&mut self.1.borrow_mut(), tag, addr, data)
     }
+}
+
+/// True if expiry at `cutoff` retires `entry` whole: a deleted object
+/// whose history, all older than the cutoff, no landmark holds.
+fn retires_whole(entry: &ObjectEntry, cutoff: HybridTimestamp) -> bool {
+    entry.meta.deleted.is_some_and(|d| d <= cutoff)
+        && entry.pending.is_empty()
+        && entry.landmarks.is_empty()
+        && entry.sectors.last().is_none_or(|s| s.newest <= cutoff)
 }
 
 #[cfg(test)]

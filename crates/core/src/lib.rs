@@ -90,7 +90,7 @@ pub use ids::{
     PHASE_CATCHUP, PHASE_CLIENT, PHASE_DECIDE, PHASE_NOTE, PHASE_PREPARE,
 };
 pub use ledger::Discrepancy;
-pub use reserved::{ResyncStream, StreamCursor, MAX_ALERT_BYTES};
+pub use reserved::{Alert, ResyncStream, Severity, StreamCursor, MAX_ALERT_BYTES};
 pub use rpc::{Request, Response};
 pub use s4_obs::TraceRecord;
 pub use stats::{DriveStats, StatsSnapshot};

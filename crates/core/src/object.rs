@@ -103,8 +103,8 @@ pub struct ObjectEntry {
     /// long-term landmark versioning"): materialized metadata snapshots
     /// whose blocks are pinned past the detection window, newest last.
     pub landmarks: Vec<ObjectMeta>,
-    /// Versions at or before this stamp have been reclaimed; time-based
-    /// reads below it fail with `VersionUnavailable`.
+    /// The stamp of the newest retired journal entry: a time-based read
+    /// at or below it finds a landmark or `VersionUnavailable`.
     pub history_floor: HybridTimestamp,
     /// `meta.modified` as of the last checkpoint (in memory only): the
     /// checkpoint covers the journal up to this stamp, and no newer

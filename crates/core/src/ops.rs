@@ -21,21 +21,11 @@ impl<D: BlockDev> S4Drive<D> {
     /// entry unless an explicit table is supplied.
     pub fn op_create(&self, ctx: &RequestContext, acl: Option<AclTable>) -> Result<ObjectId> {
         let mut inner = self.inner.lock();
-        // Round up to the drive's oid residue class (stride 1 / offset 0
-        // degenerates to sequential allocation). Array members allocate
-        // in disjoint classes so drive-assigned ids route home.
+        // Round up to the drive's oid residue class: array members
+        // allocate in disjoint classes so drive-assigned ids route home.
         let (stride, offset) = self.oid_class();
-        let oid = if stride <= 1 {
-            inner.next_oid
-        } else {
-            let n = inner.next_oid;
-            let rem = n % stride;
-            if rem == offset {
-                n
-            } else {
-                n + (offset + stride - rem) % stride
-            }
-        };
+        let n = inner.next_oid;
+        let oid = n + (offset + stride - n % stride) % stride;
         inner.next_oid = oid + 1;
         self.insert_new(&mut inner, oid, self.stamps.next());
         let table = acl.unwrap_or_else(|| AclTable::owner_default(ctx.user));
@@ -390,19 +380,15 @@ impl<D: BlockDev> S4Drive<D> {
         let mut inner = self.inner.lock();
         self.with_object(&mut inner, oid, |inner, entry| {
             self.authorize(ctx, &entry.meta.acl, Perm::OWNER)?;
-            let meta = self.version_at(entry, time)?;
+            let mut meta = self.version_at(entry, time)?;
             if entry.landmarks.iter().any(|m| m.modified == meta.modified) {
                 return Ok(()); // already pinned
             }
             // Materialize any delta-encoded blocks: a landmark must not
             // depend on expirable delta bases.
-            let mut meta = meta;
-            let lbns: Vec<u64> = meta.blocks.keys().copied().collect();
-            for lbn in lbns {
-                let addr = meta.blocks[&lbn];
+            for (&lbn, addr) in meta.blocks.iter_mut() {
                 if entry.deltas.contains_key(&addr.0) {
-                    let new = self.rematerialize(inner, entry, addr, lbn)?;
-                    meta.blocks.insert(lbn, new);
+                    *addr = self.rematerialize(inner, entry, *addr, lbn)?;
                 }
             }
             entry.landmarks.push(meta);
@@ -426,15 +412,9 @@ impl<D: BlockDev> S4Drive<D> {
         let mut inner = self.inner.lock();
         self.with_object(&mut inner, oid, |inner, entry| {
             self.authorize(ctx, &entry.meta.acl, Perm::OWNER)?;
-            let before = entry.landmarks.len();
-            let removed: Vec<ObjectMeta> = entry
-                .landmarks
-                .iter()
-                .filter(|m| m.modified.time == modified)
-                .cloned()
-                .collect();
-            entry.landmarks.retain(|m| m.modified.time != modified);
-            if entry.landmarks.len() == before {
+            let at = |m: &mut ObjectMeta| m.modified.time == modified;
+            let removed: Vec<ObjectMeta> = entry.landmarks.extract_if(.., at).collect();
+            if removed.is_empty() {
                 return Err(S4Error::NoSuchObject);
             }
             // Blocks that only the landmark kept alive: if they are not
@@ -446,8 +426,7 @@ impl<D: BlockDev> S4Drive<D> {
                         continue; // still pinned by another landmark
                     }
                     let current = entry.meta.blocks.values().any(|&a| a == addr);
-                    let retained_floor = entry.history_floor;
-                    if !current && m.modified <= retained_floor {
+                    if !current && m.modified <= entry.history_floor {
                         inner.ledger.release(&self.log, addr, BlockKind::Data);
                     }
                 }

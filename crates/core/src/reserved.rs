@@ -32,6 +32,7 @@
 //! a record gains its trailer, `ReservedLog::replay_block` and the
 //! reader are where it is verified.
 
+use s4_clock::SimTime;
 use s4_lfs::{BlockAddr, BlockKind, BlockTag, Log, BLOCK_SIZE};
 use s4_obs::TraceRecord;
 use s4_simdisk::BlockDev;
@@ -39,7 +40,7 @@ use s4_simdisk::BlockDev;
 use crate::audit::{AuditRecord, AuditState, RECORD_BLOCK_BYTES};
 use crate::codec::Reader;
 use crate::drive::{Inner, S4Drive, ALERT_OBJECT};
-use crate::ids::{ObjectId, RequestContext};
+use crate::ids::{ClientId, ObjectId, RequestContext, UserId};
 use crate::ledger::Ledger;
 use crate::{Result, S4Error};
 
@@ -378,7 +379,7 @@ fn decode_traces(payload: &[u8]) -> Result<Vec<TraceRecord>> {
 
 /// Timestamp (µs) of one alert blob — every alert the drive or the
 /// `s4-detect` crate writes carries its time at bytes `[1..9]` (after
-/// the severity byte; see [`encode_system_alert`]). Undated blobs read
+/// the severity byte; see [`Alert::encode`]). Undated blobs read
 /// as time 0 (oldest), so retention treats them as expired.
 fn alert_blob_time(blob: &[u8]) -> u64 {
     Reader::at(blob, 1, "undated alert").u64().unwrap_or(0)
@@ -389,25 +390,105 @@ fn trace_blob_time(blob: &[u8]) -> u64 {
     TraceRecord::decode(blob).map(|r| r.time_us).unwrap_or(0)
 }
 
-/// Encodes a drive-raised self-alert in the `s4-detect` `Alert` wire
-/// format (severity, time, user, client, object, then length-prefixed
-/// rule and message strings), so the standard alert pollers decode it
-/// like any detector-raised alert. The drive cannot depend on
-/// `s4-detect` (the dependency points the other way), so the format is
-/// reproduced here; `s4-detect` has a test pinning the two together.
-pub(crate) fn encode_system_alert(rule: &[u8], time_us: u64, message: &[u8]) -> Vec<u8> {
-    const SEVERITY_WARNING: u8 = 2;
-    let mut out = Vec::with_capacity(29 + rule.len() + message.len());
-    out.push(SEVERITY_WARNING);
-    out.extend_from_slice(&time_us.to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes()); // user: the drive itself
-    out.extend_from_slice(&0u32.to_le_bytes()); // client: the drive itself
-    out.extend_from_slice(&ALERT_OBJECT.0.to_le_bytes());
-    out.extend_from_slice(&(rule.len() as u16).to_le_bytes());
-    out.extend_from_slice(rule);
-    out.extend_from_slice(&(message.len() as u16).to_le_bytes());
-    out.extend_from_slice(message);
-    out
+/// How bad an [`Alert`] is.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+#[repr(u8)]
+pub enum Severity {
+    /// Noteworthy but expected to be benign on its own.
+    Info = 1,
+    /// Suspicious; warrants a look at the forensic timeline.
+    Warning = 2,
+    /// Strong intrusion signal; start the §2 recovery procedure.
+    Critical = 3,
+}
+
+/// One alert blob of the alert stream: which rule fired, on whose
+/// request, against which object, and why. The `s4-detect` detectors and
+/// the drive's own self-alerts write this one format.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Alert {
+    /// Time of the triggering request (drive clock).
+    pub time: SimTime,
+    /// Escalation level.
+    pub severity: Severity,
+    /// Name of the rule that fired (e.g. `append-only-violation`).
+    pub rule: String,
+    /// User of the triggering request.
+    pub user: UserId,
+    /// Client machine of the triggering request.
+    pub client: ClientId,
+    /// Object concerned (0 when the alert is not object-specific).
+    pub object: ObjectId,
+    /// Free-form diagnosis.
+    pub message: String,
+}
+
+impl Alert {
+    /// Binary encoding: severity, time, user, client, object, then
+    /// `u16`-length-prefixed rule and message strings.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(29 + self.rule.len() + self.message.len());
+        out.push(self.severity as u8);
+        out.extend_from_slice(&self.time.as_micros().to_le_bytes());
+        out.extend_from_slice(&self.user.0.to_le_bytes());
+        out.extend_from_slice(&self.client.0.to_le_bytes());
+        out.extend_from_slice(&self.object.0.to_le_bytes());
+        for s in [&self.rule, &self.message] {
+            out.extend_from_slice(&(s.len() as u16).to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
+        }
+        out
+    }
+
+    /// Decodes one alert blob (as stored in the alert object).
+    pub fn decode(buf: &[u8]) -> Result<Alert> {
+        let mut r = Reader::new(buf, "alert blob truncated");
+        let severity = match r.u8()? {
+            1 => Severity::Info,
+            2 => Severity::Warning,
+            3 => Severity::Critical,
+            _ => return Err(S4Error::BadRequest("alert severity")),
+        };
+        let time = SimTime::from_micros(r.u64()?);
+        let (user, client, object) = (UserId(r.u32()?), ClientId(r.u32()?), ObjectId(r.u64()?));
+        let mut string = || -> Result<String> {
+            let n = r.u16()? as usize;
+            String::from_utf8(r.take(n)?.to_vec())
+                .map_err(|_| S4Error::BadRequest("alert string utf8"))
+        };
+        Ok(Alert {
+            rule: string()?,
+            message: string()?,
+            time,
+            severity,
+            user,
+            client,
+            object,
+        })
+    }
+}
+
+impl std::fmt::Display for Alert {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "[{:?}] {} at {}: ", self.severity, self.rule, self.time)?;
+        let (user, client, message) = (self.user.0, self.client.0, &self.message);
+        write!(f, "user={user} client={client} {} — {message}", self.object)
+    }
+}
+
+/// A drive-raised alert: a warning from the drive itself (user and
+/// client 0), filed against its alert object.
+pub(crate) fn encode_system_alert(rule: &str, time: SimTime, message: String) -> Vec<u8> {
+    Alert {
+        time,
+        severity: Severity::Warning,
+        rule: rule.into(),
+        user: UserId(0),
+        client: ClientId(0),
+        object: ALERT_OBJECT,
+        message,
+    }
+    .encode()
 }
 
 // ----------------------------------------------------------------------
@@ -453,12 +534,7 @@ impl<D: BlockDev> S4Drive<D> {
     /// layers use to surface member death and degraded mode, so the
     /// operator's existing alert poll sees infrastructure faults too.
     pub fn system_alert(&self, rule: &str, message: &str) {
-        let blob = encode_system_alert(
-            rule.as_bytes(),
-            self.now().as_micros(),
-            message.as_bytes(),
-        );
-        self.alert_append(&blob);
+        self.alert_append(&encode_system_alert(rule, self.now(), message.into()));
     }
 
     /// Appends one alert blob to the reserved alert object (drive
@@ -479,8 +555,7 @@ impl<D: BlockDev> S4Drive<D> {
             inner.alert_growth_warned = true;
             let msg =
                 format!("alert object reached {blocks} flushed blocks (warn threshold {warn})");
-            let now = self.now().as_micros();
-            let self_alert = encode_system_alert(b"alert-object-growth", now, msg.as_bytes());
+            let self_alert = encode_system_alert("alert-object-growth", self.now(), msg);
             inner
                 .alerts
                 .append_blob(&self.log, &mut inner.ledger, &self_alert);
@@ -629,9 +704,7 @@ impl<D: BlockDev> S4Drive<D> {
 mod tests {
     use super::*;
     use crate::audit::{OpKind, RECORD_BYTES};
-    use crate::drive::{ALERT_OBJECT, AUDIT_OBJECT};
-    use crate::ids::{ClientId, UserId};
-    use s4_clock::SimTime;
+    use crate::drive::AUDIT_OBJECT;
     use s4_lfs::LogConfig;
     use s4_simdisk::MemDisk;
 
@@ -967,5 +1040,40 @@ mod tests {
         assert_eq!(dst.export(&dst_log).unwrap(), image);
         assert_eq!(ledger.addrs().count(), dst.blocks().len());
         assert_eq!(dst.end_cursor().unwrap(), src.end_cursor().unwrap());
+    }
+
+    fn sample_alert() -> Alert {
+        Alert {
+            time: SimTime::from_micros(123_456),
+            severity: Severity::Critical,
+            rule: "append-only-violation".into(),
+            user: UserId(1),
+            client: ClientId(66),
+            object: ObjectId(42),
+            message: "auth.log truncated below its watermark".into(),
+        }
+    }
+
+    #[test]
+    fn alert_encode_decode_round_trip() {
+        let a = sample_alert();
+        assert_eq!(Alert::decode(&a.encode()).unwrap(), a);
+        assert_eq!(alert_blob_time(&a.encode()), 123_456);
+    }
+
+    #[test]
+    fn alert_decode_rejects_garbage() {
+        assert!(Alert::decode(&[]).is_err());
+        assert!(Alert::decode(&[9u8; 27]).is_err()); // bad severity
+        let mut enc = sample_alert().encode();
+        enc.truncate(enc.len() - 1); // cut the message short
+        assert!(Alert::decode(&enc).is_err());
+    }
+
+    #[test]
+    fn alert_display_is_informative() {
+        let s = sample_alert().to_string();
+        assert!(s.contains("append-only-violation"));
+        assert!(s.contains("client=66"));
     }
 }

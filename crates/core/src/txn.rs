@@ -308,13 +308,8 @@ impl<D: BlockDev> S4Drive<D> {
             if !touched_after {
                 return Ok(());
             }
-            let old = match self.version_at(entry, t0) {
-                Ok(m) => Some(m),
-                Err(S4Error::NoSuchObject) => None,
-                Err(e) => return Err(e),
-            };
-            match old {
-                Some(old) if old.is_live() => {
+            match self.version_at(entry, t0) {
+                Ok(old) if old.is_live() => {
                     if let Some(was_deleted) = entry.meta.deleted {
                         let stamp = self.stamps.next();
                         self.commit(entry, JournalEntry::Revive { stamp, was_deleted });
@@ -322,6 +317,7 @@ impl<D: BlockDev> S4Drive<D> {
                     let content = self.read_extent(entry, &old, 0, old.size)?;
                     self.converge(inner, entry, &content, &old.attrs, &old.acl, None)
                 }
+                Err(e) if e != S4Error::NoSuchObject => Err(e),
                 // Created inside the transaction: make it dead again (its
                 // id is never reused, so history stays sound). Or dead at
                 // t0: re-delete if the transaction revived or recreated

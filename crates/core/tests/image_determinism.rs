@@ -218,11 +218,15 @@ fn run(
 #[test]
 fn churn_image_is_one_value_across_runs() {
     /// Revision 4 in the superblock, checkpoints four bytes shorter, and
-    /// rewritten sectors where forwards were.
-    const IMAGE_HASH: u64 = 0x879c_e253_ee94_33d8;
+    /// rewritten sectors where forwards were. Re-pinned when a version
+    /// older than every retained entry took the history floor's time, not
+    /// its object's creation: the stream pins three landmarks on such
+    /// versions (objects 9, 22 and 65), and checkpoints store that time.
+    const IMAGE_HASH: u64 = 0xa462_523e_090f_0177;
     /// The digest hashes each checkpoint's encoding, which no longer
-    /// carries a forwarding table, and addresses the rewrite moved.
-    const STATE_DIGEST: u64 = 0x1c42_4fd6_15fd_4d55;
+    /// carries a forwarding table, addresses the rewrite moved, and those
+    /// three landmarks' times.
+    const STATE_DIGEST: u64 = 0x1fdc_3c5e_9b0d_e279;
     /// Unchanged: every request in the stream succeeds or fails as before.
     const OUTCOMES: u64 = 0x7a1d_7af5_6777_6fb7;
     let run = || run(SEEDS[0], 6, &[MAINTENANCE], false).expect("the pinned stream completes");

@@ -1,10 +1,9 @@
 //! The detector pipeline: pluggable rules, offline scans, and the
 //! online monitor that runs inside the drive.
 
-use s4_core::{AuditObserver, AuditRecord, RequestContext, S4Drive, S4Error, StreamCursor};
+use s4_core::{Alert, AuditObserver, AuditRecord, RequestContext, S4Drive, S4Error, StreamCursor};
 use s4_simdisk::BlockDev;
 
-use crate::alert::Alert;
 use crate::rules;
 
 /// A streaming intrusion-detection rule over the audit record stream.

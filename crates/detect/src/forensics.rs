@@ -791,14 +791,12 @@ mod tests {
         assert!(text.contains("member 1"), "{text}");
     }
 
-    /// The drive raises its alert-object-growth self-alert with a wire
-    /// format it encodes by hand (it cannot depend on this crate); pin
-    /// the two codecs together by driving a real spill and decoding the
+    /// The drive raises its alert-object-growth self-alert through the
+    /// one alert codec detectors use: drive a real spill and decode the
     /// blob with [`Alert::decode`].
     #[test]
     fn growth_self_alert_decodes_with_the_alert_codec() {
-        use crate::alert::{Alert, Severity};
-        use s4_core::{AuditObserver, AuditRecord, ALERT_OBJECT};
+        use s4_core::{Alert, AuditObserver, AuditRecord, Severity, ALERT_OBJECT};
 
         struct Noisy;
         impl AuditObserver for Noisy {

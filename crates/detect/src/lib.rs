@@ -44,7 +44,6 @@
 
 #![warn(missing_docs)]
 
-pub mod alert;
 pub mod detector;
 pub mod dirblob;
 pub mod forensics;
@@ -52,7 +51,6 @@ pub mod recovery;
 pub mod rules;
 pub mod timeline;
 
-pub use alert::{Alert, Severity};
 pub use detector::{
     install_standard_monitor, read_alerts, scan_audit, AlertPoller, Detector, DetectorSet,
     OnlineMonitor,
@@ -66,4 +64,5 @@ pub use recovery::{
     execute_plan, execute_plan_on, plan_recovery, Dispatch, Landmark, PlannedAction,
     RecoveryAction, RecoveryPlan, RecoveryReport, Suspects,
 };
+pub use s4_core::{Alert, Severity};
 pub use timeline::{ActivityTimeline, ObjectProfile, PrincipalActivity};

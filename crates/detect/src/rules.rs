@@ -18,9 +18,8 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use s4_clock::{SimDuration, SimTime};
-use s4_core::{AuditRecord, OpKind};
+use s4_core::{Alert, AuditRecord, OpKind, Severity};
 
-use crate::alert::{Alert, Severity};
 use crate::detector::Detector;
 use crate::timeline::{ObjectProfile, ProfileEvent};
 

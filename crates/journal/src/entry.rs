@@ -81,15 +81,6 @@ pub enum JournalEntry {
         /// New ACL bytes.
         new: Vec<u8>,
     },
-    /// A checkpoint marker: a consistent copy of the object's metadata was
-    /// written at `root` (§4.2.2: "it is necessary to have at least one
-    /// checkpoint of an object's metadata on disk at all times").
-    Checkpoint {
-        /// Version stamp at checkpoint time.
-        stamp: HybridTimestamp,
-        /// First block of the checkpoint chain.
-        root: BlockAddr,
-    },
     /// Un-deletion of a deleted object — the inverse of [`Delete`],
     /// used by transaction abort compensation to put a mid-transaction
     /// deletion back. A distinct variant (rather than reusing `Create`)
@@ -115,15 +106,8 @@ impl JournalEntry {
             | JournalEntry::Truncate { stamp, .. }
             | JournalEntry::SetAttr { stamp, .. }
             | JournalEntry::SetAcl { stamp, .. }
-            | JournalEntry::Checkpoint { stamp, .. }
             | JournalEntry::Revive { stamp, .. } => *stamp,
         }
-    }
-
-    /// True for entries that change visible object state (everything but
-    /// checkpoints).
-    pub fn is_mutation(&self) -> bool {
-        !matches!(self, JournalEntry::Checkpoint { .. })
     }
 
     /// Serialized size in bytes.
@@ -135,7 +119,6 @@ impl JournalEntry {
             JournalEntry::SetAttr { old, new, .. } | JournalEntry::SetAcl { old, new, .. } => {
                 4 + old.len() + 4 + new.len()
             }
-            JournalEntry::Checkpoint { .. } => 8,
             JournalEntry::Revive { .. } => 16,
         };
         1 + 16 + body // type + stamp + body
@@ -150,7 +133,6 @@ impl JournalEntry {
             JournalEntry::Truncate { .. } => 4,
             JournalEntry::SetAttr { .. } => 5,
             JournalEntry::SetAcl { .. } => 6,
-            JournalEntry::Checkpoint { .. } => 7,
             JournalEntry::Revive { .. } => 8,
         };
         out.push(tag);
@@ -181,9 +163,6 @@ impl JournalEntry {
             JournalEntry::SetAttr { old, new, .. } | JournalEntry::SetAcl { old, new, .. } => {
                 push_bytes(out, old);
                 push_bytes(out, new);
-            }
-            JournalEntry::Checkpoint { root, .. } => {
-                out.extend_from_slice(&root.0.to_le_bytes());
             }
             JournalEntry::Revive { was_deleted, .. } => push_stamp(out, *was_deleted),
         }
@@ -233,10 +212,6 @@ impl JournalEntry {
                     JournalEntry::SetAcl { stamp, old, new }
                 }
             }
-            7 => JournalEntry::Checkpoint {
-                stamp,
-                root: BlockAddr(r.u64()?),
-            },
             8 => JournalEntry::Revive {
                 stamp,
                 was_deleted: r.stamp()?,
@@ -297,10 +272,6 @@ mod tests {
                 old: vec![],
                 new: vec![9; 40],
             },
-            JournalEntry::Checkpoint {
-                stamp: st(6, 6),
-                root: BlockAddr(555),
-            },
             JournalEntry::Delete { stamp: st(7, 7) },
             JournalEntry::Revive {
                 stamp: st(8, 8),
@@ -344,10 +315,16 @@ mod tests {
 
     #[test]
     fn bad_tag_rejected() {
-        let mut buf = vec![0u8; 17];
-        buf[0] = 99;
-        let mut pos = 0;
-        assert!(JournalEntry::decode_from(&buf, &mut pos).is_err());
+        // 7 was a checkpoint marker no writer ever produced.
+        for tag in [0, 7, 9, 99] {
+            let mut buf = vec![0u8; 25];
+            buf[0] = tag;
+            let mut pos = 0;
+            assert!(
+                JournalEntry::decode_from(&buf, &mut pos).is_err(),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod txn;
 pub use conventional::{BlockSink, ConventionalMeta, CountingSink, UpdateCost};
 pub use entry::{JournalEntry, PtrChange};
 pub use meta::ObjectMeta;
-pub use replay::{reconstruct_at, redo, undo};
+pub use replay::{reconstruct_at, redo, undo, UndoWalk};
 pub use sector::{decode_sector, encode_sectors, SectorPayload, MAX_SECTOR_BYTES};
 pub use txn::{in_doubt, InDoubtTxn, TxnRecord};
 

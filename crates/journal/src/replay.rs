@@ -9,6 +9,8 @@
 //!   materialize "the version that was most current at time T" for
 //!   time-based reads of the history pool.
 
+use std::borrow::Borrow;
+
 use s4_clock::HybridTimestamp;
 
 use crate::entry::JournalEntry;
@@ -50,12 +52,11 @@ pub fn redo(meta: &mut ObjectMeta, e: &JournalEntry) {
         JournalEntry::SetAcl { new, .. } => {
             meta.acl = new.clone();
         }
-        JournalEntry::Checkpoint { .. } => {}
         JournalEntry::Revive { .. } => {
             meta.deleted = None;
         }
     }
-    if e.is_mutation() && e.stamp() > meta.modified {
+    if e.stamp() > meta.modified {
         meta.modified = e.stamp();
     }
 }
@@ -96,7 +97,6 @@ pub fn undo(meta: &mut ObjectMeta, e: &JournalEntry) -> bool {
         JournalEntry::SetAcl { old, .. } => {
             meta.acl = old.clone();
         }
-        JournalEntry::Checkpoint { .. } => {}
         JournalEntry::Revive { was_deleted, .. } => {
             meta.deleted = Some(*was_deleted);
         }
@@ -104,44 +104,67 @@ pub fn undo(meta: &mut ObjectMeta, e: &JournalEntry) -> bool {
     true
 }
 
-/// Reconstructs the metadata version that was current at `bound` by
-/// walking `entries_newest_first` (the object's full mutation history,
-/// newest first) backward from the current record.
-///
-/// Returns `None` if the object did not yet exist at `bound` — including
-/// the case where the entry stream shows a `Create` after `bound` (objects
-/// can be deleted and their IDs never reused, so one `Create` begins each
-/// object's history).
-pub fn reconstruct_at<I>(
+/// The one undo walk behind every time-based read: from an object's
+/// current metadata back to the version current at `bound`, fed entries
+/// newest first, a run (journal sector) at a time.
+pub struct UndoWalk {
+    meta: ObjectMeta,
+    bound: HybridTimestamp,
+    /// The newest stamp at or below the bound, once met: the version's time.
+    reached: Option<HybridTimestamp>,
+}
+
+impl UndoWalk {
+    /// Starts a walk from `current` toward `bound`.
+    pub fn new(current: &ObjectMeta, bound: HybridTimestamp) -> UndoWalk {
+        UndoWalk {
+            meta: current.clone(),
+            bound,
+            reached: None,
+        }
+    }
+
+    /// True if the walk needs a run whose newest entry is `newest`; a run
+    /// at or below the bound ends the walk there, unread.
+    pub fn needs(&mut self, newest: HybridTimestamp) -> bool {
+        if newest <= self.bound {
+            self.reached.get_or_insert(newest);
+        }
+        self.reached.is_none()
+    }
+
+    /// Undoes `newest_first` down to its first entry at or below the bound.
+    pub fn rewind<E: Borrow<JournalEntry>>(&mut self, newest_first: impl IntoIterator<Item = E>) {
+        for e in newest_first {
+            if !self.needs(e.borrow().stamp()) {
+                break;
+            }
+            undo(&mut self.meta, e.borrow());
+        }
+    }
+
+    /// The version at the bound, `None` if created after it. A walk that
+    /// undid every retained entry stands on the state the retired ones
+    /// left, stamped `floor`, the newest retired stamp (`ZERO`: none).
+    pub fn finish(mut self, floor: HybridTimestamp) -> Option<ObjectMeta> {
+        self.meta.modified = self.reached.unwrap_or(floor);
+        (self.meta.created <= self.bound).then_some(self.meta)
+    }
+}
+
+/// Reconstructs the version of `current` that was current at `bound`
+/// from `entries_newest_first`, the object's full history. `None` if the
+/// object did not yet exist then: one `Create` begins each object's
+/// history, and its id is never reused.
+pub fn reconstruct_at<I: IntoIterator<Item = JournalEntry>>(
     current: &ObjectMeta,
     entries_newest_first: I,
     bound: HybridTimestamp,
-) -> Option<ObjectMeta>
-where
-    I: IntoIterator<Item = JournalEntry>,
-{
-    let mut meta = current.clone();
-    let mut modified = HybridTimestamp::ZERO;
-    for e in entries_newest_first {
-        if e.stamp() <= bound {
-            // Everything from here back is already reflected; the first
-            // such entry is the version's own modification stamp.
-            if e.is_mutation() {
-                modified = e.stamp();
-            }
-            break;
-        }
-        if !undo(&mut meta, &e) {
-            return None; // Created after `bound`.
-        }
-    }
-    if meta.created > bound {
-        return None;
-    }
-    if modified != HybridTimestamp::ZERO {
-        meta.modified = modified;
-    }
-    Some(meta)
+) -> Option<ObjectMeta> {
+    let mut walk = UndoWalk::new(current, bound);
+    walk.rewind(entries_newest_first);
+    // A full history retires nothing.
+    walk.finish(HybridTimestamp::ZERO)
 }
 
 #[cfg(test)]
@@ -302,16 +325,24 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_entries_are_transparent() {
-        let (mut meta, _) = history();
-        let before = meta.clone();
-        let cp = JournalEntry::Checkpoint {
-            stamp: st(10),
-            root: BlockAddr(500),
-        };
-        redo(&mut meta, &cp);
-        assert_eq!(meta, before);
-        assert!(undo(&mut meta, &cp));
-        assert_eq!(meta, before);
+    fn a_walk_past_its_retained_entries_stands_on_the_floor() {
+        // Create@1 and the writes @2, @3 are retired; the floor is @3.
+        let (meta, entries) = history();
+        let mut walk = UndoWalk::new(&meta, st(3));
+        for run in entries[3..].rchunks(2) {
+            assert!(walk.needs(run.last().unwrap().stamp()));
+            walk.rewind(run.iter().rev());
+        }
+        let v = walk.finish(st(3)).unwrap();
+        assert_eq!((v.size, v.modified), (8192, st(3)));
+        assert!(v.attrs.is_empty());
+
+        // A run at or below the bound is not read: the walk ends there.
+        let mut walk = UndoWalk::new(&meta, st(4));
+        assert!(walk.needs(st(6)));
+        walk.rewind(entries[4..].iter().rev());
+        assert!(!walk.needs(st(4)));
+        let v = walk.finish(st(3)).unwrap();
+        assert_eq!((v.attrs.as_slice(), v.modified), (&[0xAA][..], st(4)));
     }
 }

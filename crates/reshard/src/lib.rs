@@ -200,10 +200,9 @@ pub fn split_shard<D: BlockDev + 'static>(
     prog.catchup.set(0.0);
     prog.rounds.set(0.0);
 
-    // Targets are formatted in the doubled class so every oid they ever
-    // assign (after the flip) stays in the migrated residue.
-    let target_cfg = drive_cfg.with_oid_class(stride, target_slot as u64);
-    let targets = format_group(target_devs, target_cfg, source.clock(), |_| Ok(()))?;
+    // The flip gives the targets the doubled class, so every oid they
+    // ever assign stays in the migrated residue.
+    let targets = format_group(target_devs, drive_cfg, source.clock(), |_| Ok(()))?;
 
     // --- Phase 1: snapshot at T via the history pool. The audit cursor
     // is taken *before* T so any mutation the snapshot misses is

@@ -5,11 +5,16 @@
 //! time `t` must return the last state at or before `t`. The crash
 //! campaigns, the golden run and `tests/version_oracle_hermetic.rs` all
 //! record into and verify through this one model.
+//!
+//! Retirement is modelled too: after [`Oracle::retire`] a read before
+//! the expiry cutoff may find its version gone, but never a wrong one —
+//! it returns the version current then, the newest landmark pinned at or
+//! before it ([`Oracle::mark`]), or `VersionUnavailable`.
 
 use std::collections::HashMap;
 
 use s4_clock::SimTime;
-use s4_core::{ObjectId, S4Drive};
+use s4_core::{ObjectId, S4Drive, S4Error};
 use s4_simdisk::BlockDev;
 
 use crate::admin_ctx;
@@ -35,6 +40,10 @@ pub struct Oracle {
     objects: HashMap<u64, Vec<Version>>,
     /// Creation order of object ids (deterministic iteration).
     order: Vec<u64>,
+    /// Each object's landmark versions, oldest first.
+    landmarks: HashMap<u64, Vec<Version>>,
+    /// The newest expiry cutoff: every read at or after it is exact.
+    retired: SimTime,
     /// Instants the cross-product check reads every object at; callers
     /// push the drive's time after each step.
     pub checkpoints: Vec<SimTime>,
@@ -100,6 +109,71 @@ impl Oracle {
         self.edit(oid, now, |v| v.attrs = attrs.to_vec());
     }
 
+    /// The state of `oid` at `t`: its last version at or before `t`.
+    pub fn version_at(&self, oid: ObjectId, t: SimTime) -> Option<&Version> {
+        self.objects.get(&oid.0)?.iter().rev().find(|v| v.t <= t)
+    }
+
+    /// Records an expiry pass whose cutoff was `before` (the drive's time
+    /// less its detection window): a version superseded before it may be
+    /// gone from the history.
+    pub fn retire(&mut self, before: SimTime) {
+        self.retired = self.retired.max(before);
+    }
+
+    /// The newest expiry cutoff [`Oracle::retire`] recorded.
+    pub fn retired(&self) -> SimTime {
+        self.retired
+    }
+
+    /// Records a landmark pinned on `oid` at `t`, an instant at or after
+    /// the expiry cutoff (below it the oracle cannot name the version).
+    pub fn mark(&mut self, oid: ObjectId, t: SimTime) {
+        assert!(t >= self.retired, "oracle: landmark at {t} below the cutoff");
+        let v = self.version_at(oid, t).expect("oracle: landmark before creation").clone();
+        let pinned = self.landmarks.entry(oid.0).or_default();
+        pinned.push(v);
+        pinned.sort_by_key(|v| v.t);
+    }
+
+    /// Checks a read of `oid` at `t`: exact at or after the expiry
+    /// cutoff ([`Oracle::check`]); before it, the read may also find the
+    /// newest landmark pinned at or before `t`, or `VersionUnavailable`.
+    fn check_at<D: BlockDev>(&self, drive: &S4Drive<D>, oid: ObjectId, t: SimTime, what: &str) {
+        let exact = self.version_at(oid, t);
+        if t >= self.retired {
+            match exact {
+                Some(want) => Self::check(drive, oid, t, want, what),
+                None => assert!(
+                    drive.op_getattr(&admin_ctx(), oid, Some(t)).is_err(),
+                    "{what}: {oid} should not exist at {t}"
+                ),
+            }
+            return;
+        }
+        let landmarks = self.landmarks.get(&oid.0).map_or(&[][..], |l| l);
+        let pinned = landmarks.iter().rev().find(|v| v.t <= t);
+        let gone = |v: Option<&Version>| v.is_none_or(|v| !v.alive);
+        match drive.op_read(&admin_ctx(), oid, 0, 1 << 16, Some(t)) {
+            Ok(got) => assert!(
+                [exact, pinned].into_iter().flatten().any(|v| v.alive && v.data == got),
+                "{what}: {oid} at {t}, below the cutoff {}, read back {} bytes that are \
+                 neither its version ({:?}) nor its landmark's ({:?})",
+                self.retired,
+                got.len(),
+                exact.map(|v| (v.t, v.data.len())),
+                pinned.map(|v| (v.t, v.data.len())),
+            ),
+            Err(S4Error::VersionUnavailable) => {}
+            // Refused as missing: the version or the landmark it would
+            // serve is a deletion, or expiry retired the object whole.
+            Err(err) => assert!(
+                gone(exact) || gone(self.current(oid)) || (pinned.is_some() && gone(pinned)),
+                "{what}: {oid} at {t}, below the cutoff: {err:?}"
+            ),
+        }
+    }
+
     /// Asserts that `drive` returns exactly `want` (or refuses, if the
     /// object is not alive) for a read of `oid` at time `t`.
     fn check<D: BlockDev>(
@@ -137,7 +211,8 @@ impl Oracle {
     }
 
     /// The durable-prefix check (invariant a): every version stamped at
-    /// or before `boundary` must read back exactly at its own time.
+    /// or before `boundary` must read back at its own time, exactly when
+    /// it is not older than the expiry cutoff.
     /// Returns the number of version checks performed; `what` labels
     /// failures.
     pub fn verify_durable<D: BlockDev>(
@@ -150,7 +225,7 @@ impl Oracle {
         for &raw in &self.order {
             for e in self.objects[&raw].iter().filter(|e| e.t <= boundary) {
                 checked += 1;
-                Self::check(drive, ObjectId(raw), e.t, e, what);
+                self.check_at(drive, ObjectId(raw), e.t, what);
             }
         }
         checked
@@ -165,14 +240,7 @@ impl Oracle {
             let oid = ObjectId(raw);
             for &t in &self.checkpoints {
                 checked += 1;
-                // The state at `t` is the last version at or before it.
-                match self.objects[&raw].iter().rev().find(|e| e.t <= t) {
-                    Some(e) => Self::check(drive, oid, t, e, what),
-                    None => assert!(
-                        drive.op_getattr(&admin_ctx(), oid, Some(t)).is_err(),
-                        "{what}: {oid} should not exist at {t}"
-                    ),
-                }
+                self.check_at(drive, oid, t, what);
             }
         }
         checked

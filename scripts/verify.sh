@@ -23,7 +23,11 @@
 #    beside `OpKind::mutates`, said once; and the one-path census: a
 #    non-test `TxnRecord::Resolved` built outside txn_record_resolutions
 #    (crates/core/src/txn.rs; the journal's codec aside), or a sync inside
-#    txn_decide, fails — commit and abort both queue their resolution
+#    txn_decide, fails — commit and abort both queue their resolution;
+#    and the one-walk census: a non-test call of s4_journal's `undo(`
+#    outside crates/journal/src/replay.rs (expiry's drop_versions aside),
+#    or a `JournalEntry::Checkpoint` anywhere, fails — every version at a
+#    time comes from the one s4_journal::UndoWalk
 # 3. the full test suite, once (dev profile is optimized; see
 #    Cargo.toml). `--workspace` runs every crate's tests and every root
 #    tests/*.rs, so the bounded torture campaigns (write path with torn
@@ -171,6 +175,30 @@ done)
 [ -z "$forked" ] || {
   echo "$forked" >&2
   echo "verify: queue resolutions in txn_decide; build Resolved only in txn_record_resolutions" >&2
+  exit 1
+}
+
+echo "== one-walk census (undo( in s4_journal::replay only; no checkpoint entry)"
+# A read at a time is one newest-first walk, s4_journal::UndoWalk, which
+# reconstruct_at and S4Drive::version_at both call. So a non-test call of
+# the free function `undo(` is in crates/journal/src/replay.rs and
+# nowhere else, but for expiry's drop_versions, which rolls a whole
+# history back to its start rather than to a time. And no writer makes a
+# checkpoint journal entry: `JournalEntry::Checkpoint` (tag 7) is gone.
+# Only a module-level or impl-level fn names the caller: drop_versions
+# holds a nested helper.
+walked=$(find crates/*/src src -name '*.rs' ! -path crates/journal/src/replay.rs | sort | while read -r f; do
+  awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+       /^(    )?(pub(\([a-z]+\))? )?fn [a-z_0-9]+/ {
+         fn = $0; sub(/.*fn /, "", fn); sub(/[(<].*/, "", fn) }
+       (/(^|[^A-Za-z0-9_.])undo\(/ || /::undo\(/) &&
+         !(FILENAME == "crates/core/src/expiry.rs" && fn == "drop_versions") {
+         print FILENAME ":" FNR ":" $0 }' "$f"
+done)
+walked="$walked$(grep -rn 'JournalEntry::Checkpoint' crates src tests examples --include='*.rs' || true)"
+[ -z "$walked" ] || {
+  echo "$walked" >&2
+  echo "verify: reconstruct a version with s4_journal::UndoWalk; no checkpoint entry" >&2
   exit 1
 }
 

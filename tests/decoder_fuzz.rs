@@ -75,10 +75,6 @@ fn entries() -> Vec<JournalEntry> {
             old: vec![],
             new: vec![9; 10],
         },
-        JournalEntry::Checkpoint {
-            stamp: st(6, 6),
-            root: BlockAddr(555),
-        },
         JournalEntry::Delete { stamp: st(7, 7) },
         JournalEntry::Revive {
             stamp: st(8, 8),

@@ -126,18 +126,10 @@ fn live_split_matches_offline_copy_digests() {
     let stride = 2 * SHARDS as u64;
     let mut offline: BTreeMap<u64, u64> = BTreeMap::new();
     for (slot, dev) in b.unmount().unwrap().into_iter().enumerate() {
-        let src = S4Drive::mount(
-            dev,
-            DriveConfig::small_test().with_oid_class(SHARDS as u64, slot as u64),
-            clock.clone(),
-        )
-        .unwrap();
-        let tgt = S4Drive::format(
-            disk(),
-            DriveConfig::small_test().with_oid_class(stride, (SHARDS + slot) as u64),
-            clock.clone(),
-        )
-        .unwrap();
+        let src = S4Drive::mount(dev, DriveConfig::small_test(), clock.clone()).unwrap();
+        src.set_oid_class(SHARDS as u64, slot as u64);
+        let tgt = S4Drive::format(disk(), DriveConfig::small_test(), clock.clone()).unwrap();
+        tgt.set_oid_class(stride, (SHARDS + slot) as u64);
         for oid in src.live_object_ids(&admin).unwrap() {
             if ObjectId(oid).is_reserved() {
                 continue;

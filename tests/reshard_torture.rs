@@ -108,8 +108,9 @@ fn crash_during_catchup_remounts_wholly_old() {
         let drive_cfg = *src.config();
         let tgts: Vec<S4Drive<MemDisk>> = (0..MIRRORS)
             .map(|_| {
-                S4Drive::format(disk(), drive_cfg.with_oid_class(4, 2), src.clock().clone())
-                    .unwrap()
+                let tgt = S4Drive::format(disk(), drive_cfg, src.clock().clone()).unwrap();
+                tgt.set_oid_class(4, 2);
+                tgt
             })
             .collect();
         let t = src.clock().now();

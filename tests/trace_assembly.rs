@@ -214,7 +214,6 @@ fn untraced_array_assembles_nothing_and_slowest_ranks_by_rpc() {
         ArrayConfig {
             mirrors: MIRRORS,
             trace: false,
-            ..ArrayConfig::default()
         },
         clock,
     )

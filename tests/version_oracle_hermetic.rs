@@ -6,15 +6,17 @@
 //! drive is compared against is `s4_torture::oracle::Oracle`, the one
 //! the crash campaigns use; this file adds what their workload lacks:
 //! operations aimed at deleted objects (which must fail), the
-//! differencing pass (`Compact`, invisible to every read) and clean
-//! remounts mid-sequence.
+//! differencing pass (`Compact`, invisible to every read), expiry past a
+//! short detection window (`Expire`), landmarks pinned inside it
+//! (`Landmark`) and clean remounts mid-sequence.
 //!
-//! After arbitrary create/write/truncate/delete/setattr/sync/tick/compact
-//! sequences comes the full cross-product check — every object at every
-//! mutation instant must read back exactly the contents, size and
-//! attribute blob the oracle recorded.
+//! After arbitrary sequences of those ops comes the full cross-product
+//! check — every object at every mutation instant must read back exactly
+//! the contents, size and attribute blob the oracle recorded, or, before
+//! the last expiry's cutoff, a pinned landmark's version or
+//! `VersionUnavailable`; never a version written after that instant.
 
-use s4_clock::{SimClock, SimDuration};
+use s4_clock::{SimClock, SimDuration, SimTime};
 use s4_core::{ClientId, DriveConfig, ObjectId, RequestContext, S4Drive, UserId};
 use s4_simdisk::MemDisk;
 use s4_torture::oracle::Oracle;
@@ -31,11 +33,19 @@ enum Op {
     Tick { secs: u8 },
     /// Runs the differencing pass; must be invisible to every read.
     Compact,
+    /// Retires every version older than the detection window.
+    Expire,
+    /// Pins the version current `back` instants ago (or at the expiry
+    /// cutoff, if that is later) as a landmark.
+    Landmark { obj: usize, back: u8 },
 }
 
-/// Draws one op, weighted 1:4:1:1:1:2:2:1 over the eight variants.
+/// The detection window: short beside the ticks, so `Expire` retires.
+const WINDOW: SimDuration = SimDuration::from_secs(20);
+
+/// Draws one op, weighted 1:4:1:1:1:2:2:1:1:1 over the ten variants.
 fn draw_op(rng: &mut Rng) -> Op {
-    match rng.below(13) {
+    match rng.below(15) {
         0 => Op::Create,
         1..=4 => Op::Write {
             obj: rng.index(6),
@@ -56,7 +66,12 @@ fn draw_op(rng: &mut Rng) -> Op {
         10 | 11 => Op::Tick {
             secs: rng.range(1, 29) as u8,
         },
-        _ => Op::Compact,
+        12 => Op::Compact,
+        13 => Op::Expire,
+        _ => Op::Landmark {
+            obj: rng.index(6),
+            back: rng.below(8) as u8,
+        },
     }
 }
 
@@ -68,13 +83,10 @@ fn gen_ops(seed: u64, n: usize) -> Vec<Op> {
 fn run_case(ops: Vec<Op>, remount_each: usize) {
     let clock = SimClock::new();
     clock.advance(SimDuration::from_secs(1));
+    let mut config = DriveConfig::small_test();
+    config.detection_window = WINDOW;
     let mut drive = Some(
-        S4Drive::format(
-            MemDisk::with_capacity_bytes(96 << 20),
-            DriveConfig::small_test(),
-            clock.clone(),
-        )
-        .unwrap(),
+        S4Drive::format(MemDisk::with_capacity_bytes(96 << 20), config, clock.clone()).unwrap(),
     );
     let ctx = RequestContext::user(UserId(1), ClientId(1));
 
@@ -138,13 +150,32 @@ fn run_case(ops: Vec<Op>, remount_each: usize) {
             Op::Compact => {
                 d.compact_history().unwrap();
             }
+            Op::Expire => {
+                d.expire_versions().unwrap();
+                oracle.retire(d.now().saturating_sub(WINDOW));
+            }
+            Op::Landmark { obj, back } => {
+                if let Some((oid, _)) = target(&oids, &oracle, obj) {
+                    let cps = &oracle.checkpoints;
+                    let back = cps.len().saturating_sub(1 + back as usize);
+                    let t = cps.get(back).copied().unwrap_or(SimTime::ZERO);
+                    let t = t.max(oracle.retired());
+                    let r = d.op_mark_landmark(&ctx, oid, t);
+                    if oracle.version_at(oid, t).is_some_and(|v| v.alive) {
+                        assert_eq!(r, Ok(()), "landmark on {oid} at {t}");
+                    }
+                    if r.is_ok() {
+                        oracle.mark(oid, t);
+                    }
+                }
+            }
         }
         oracle.checkpoints.push(d.now());
 
         // Periodic remount (clean unmount): everything must survive.
         if remount_each > 0 && i % remount_each == remount_each - 1 {
             let dev = drive.take().unwrap().unmount().unwrap();
-            drive = Some(S4Drive::mount(dev, DriveConfig::small_test(), clock.clone()).unwrap());
+            drive = Some(S4Drive::mount(dev, config, clock.clone()).unwrap());
         }
     }
 
