@@ -35,7 +35,7 @@ pub mod sector;
 pub mod txn;
 
 pub use conventional::{BlockSink, ConventionalMeta, CountingSink, UpdateCost};
-pub use entry::{JournalEntry, PtrChange};
+pub use entry::{JournalEntry, PtrChange, MAX_PTR_CHANGES};
 pub use meta::ObjectMeta;
 pub use replay::{reconstruct_at, redo, undo, UndoWalk};
 pub use sector::{decode_sector, encode_sectors, SectorPayload, MAX_SECTOR_BYTES};

@@ -19,9 +19,14 @@ use crate::{JournalError, Result};
 
 const MAGIC: u32 = 0x5334_4A53; // "S4JS"
 const HEADER_BYTES: usize = 28;
+/// What a sector costs in the shared container that carries it to the
+/// log (s4-core's `packed`): the container's magic and count, and the
+/// slot's length.
+const CONTAINER_BYTES: usize = 6 + 4;
 
-/// Maximum payload bytes of entries per sector block.
-pub const MAX_SECTOR_BYTES: usize = BLOCK_SIZE - HEADER_BYTES;
+/// Maximum payload bytes of entries per sector: a sector alone in a
+/// container fills one block.
+pub const MAX_SECTOR_BYTES: usize = BLOCK_SIZE - CONTAINER_BYTES - HEADER_BYTES;
 
 /// One encoded sector payload plus the entries it holds (handy for
 /// accounting in callers).
@@ -43,7 +48,7 @@ impl SectorPayload {
         out.extend_from_slice(&prev.0.to_le_bytes());
         out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
         push_bytes(&mut out, &self.encoded);
-        debug_assert!(out.len() <= BLOCK_SIZE);
+        debug_assert!(out.len() <= BLOCK_SIZE - CONTAINER_BYTES);
         out
     }
 }
@@ -158,6 +163,27 @@ mod tests {
         let mut short = block;
         short.truncate(10);
         assert!(decode_sector(&short).is_err());
+    }
+
+    /// The widest `Write` entry, alone in a sector, fits one container
+    /// slot; one more pointer change would not.
+    #[test]
+    fn the_widest_entry_fits_one_container_slot() {
+        let write = |n: usize| JournalEntry::Write {
+            stamp: HybridTimestamp::ZERO,
+            old_size: 0,
+            new_size: n as u64 * 4096,
+            changes: (0..n as u64)
+                .map(|lbn| PtrChange {
+                    lbn,
+                    old: BlockAddr::NONE,
+                    new: BlockAddr(lbn),
+                })
+                .collect(),
+        };
+        let widest = encode_sectors(&[write(crate::MAX_PTR_CHANGES)]);
+        assert!(widest[0].finish(1, BlockAddr::NONE).len() + CONTAINER_BYTES <= BLOCK_SIZE);
+        assert!(write(crate::MAX_PTR_CHANGES + 1).encoded_len() > MAX_SECTOR_BYTES);
     }
 
     #[test]
