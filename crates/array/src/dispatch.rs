@@ -57,7 +57,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
             let n = r.shards.len();
             let route = route(req, &r.epoch);
             let shards: Vec<usize> = match route {
-                Route::Create => vec![self.rr.fetch_add(1, Ordering::Relaxed) % n],
+                Route::Create => vec![self.round_robin(n)],
                 Route::Shard(s) => vec![s],
                 Route::Broadcast(_) => (0..n).collect(),
                 Route::SplitBatch => {
@@ -78,6 +78,12 @@ impl<D: BlockDev + 'static> S4Array<D> {
                 _ => results.pop().expect("one submission, one result"),
             };
         }
+    }
+
+    /// The next round-robin shard of `n`: where a `Create` goes when no
+    /// named object in its batch says where (see [`split_batch`]).
+    fn round_robin(&self, n: usize) -> usize {
+        self.rr.fetch_add(1, Ordering::Relaxed) % n
     }
 
     /// Takes the gates of `shards` (dense indices, ascending — one
@@ -146,9 +152,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
         let (plan, touched, results) = loop {
             let r = self.routing();
             let n = r.shards.len();
-            let plan = split_batch(reqs, &r.epoch, || {
-                self.rr.fetch_add(1, Ordering::Relaxed) % n
-            })?;
+            let plan = split_batch(reqs, &r.epoch, || self.round_robin(n))?;
             let touched: Vec<usize> = (0..n).filter(|&s| !plan.subs[s].is_empty()).collect();
             ctx.trace.origin = touched.first().map_or(0, |&s| s as u8);
             let results = if plan.writers.len() > 1 {

@@ -36,7 +36,9 @@ pub enum Merge {
 /// Where a single (non-batch) request goes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Route {
-    /// Round-robin shard choice; the drive assigns an ID in its class.
+    /// A lone `Create`: round-robin shard choice; the drive assigns an
+    /// ID in its class. Inside a batch, [`split_batch`] places a `Create`
+    /// beside the nearest named object before it.
     Create,
     /// One specific shard.
     Shard(usize),
@@ -116,10 +118,18 @@ pub struct BatchPlan {
 }
 
 /// Splits a batch into per-shard sub-batches, preserving each shard's
-/// relative order. `next_create_shard` supplies the round-robin shard
-/// for each `Create`; [`LAST_CREATED`] targets follow the most recent
-/// `Create`'s shard (its placeholder is substituted drive-side, inside
-/// that shard's sub-batch).
+/// relative order.
+///
+/// A `Create` goes where its batch already goes: to the home shard of
+/// the nearest *named* object before it — a sub-request routed to one
+/// shard whose target is not [`LAST_CREATED`] — so a file the
+/// translator creates beside a `GetAttr` of its directory shares the
+/// directory's shard, and the batches that later link and unlink it
+/// write one shard (DESIGN §6f). A `Create` with no named object before
+/// it takes the next round-robin shard from `next_create_shard`, which
+/// a placed `Create` does not call. [`LAST_CREATED`] targets follow the
+/// most recent `Create`'s shard (its placeholder is substituted
+/// drive-side, inside that shard's sub-batch).
 ///
 /// Semantics deviation, documented: a lone drive aborts a batch at the
 /// first failing sub-request. Split across shards, only the failing
@@ -140,11 +150,12 @@ pub fn split_batch(
         total: reqs.len(),
     };
     let mut last_created: Option<usize> = None;
+    let mut last_named: Option<usize> = None;
     for (idx, sub) in reqs.iter().enumerate() {
         let shard = match route(sub, e) {
             Route::SplitBatch => return Err(S4Error::BadRequest("nested batch")),
             Route::Create => {
-                let s = next_create_shard();
+                let s = last_named.unwrap_or_else(&mut next_create_shard);
                 last_created = Some(s);
                 s
             }
@@ -163,7 +174,10 @@ pub fn split_batch(
             Route::Shard(_) if sub.target() == LAST_CREATED => {
                 last_created.ok_or(S4Error::BadRequest("LAST_CREATED before any batch Create"))?
             }
-            Route::Shard(s) => s,
+            Route::Shard(s) => {
+                last_named = Some(s);
+                s
+            }
         };
         plan.subs[shard].push(sub.clone());
         plan.slots[shard].push(idx);
@@ -294,6 +308,110 @@ mod tests {
         let plan = split_batch(&one_writer, &EpochInfo::initial(2), || 1).unwrap();
         assert_eq!(plan.slots, vec![vec![1, 2], vec![0, 2]]);
         assert_eq!(plan.writers, vec![1]);
+    }
+
+    fn getattr(oid: u64) -> Request {
+        Request::GetAttr {
+            oid: ObjectId(oid),
+            time: None,
+        }
+    }
+
+    fn set_attr(oid: ObjectId) -> Request {
+        Request::SetAttr {
+            oid,
+            attrs: vec![1],
+        }
+    }
+
+    /// Splits `reqs` over `shards` shards, counting the round-robin
+    /// turns the plan took (each turn answers `rr`).
+    fn split_counting(reqs: &[Request], shards: usize, rr: usize) -> (BatchPlan, usize) {
+        let mut turns = 0;
+        let plan = split_batch(reqs, &EpochInfo::initial(shards), || {
+            turns += 1;
+            rr
+        })
+        .unwrap();
+        (plan, turns)
+    }
+
+    #[test]
+    fn a_create_after_a_named_object_lands_on_its_shard() {
+        // Oid 7 lives on shard 1 of 2; the Create and the SetAttr that
+        // follows it through LAST_CREATED go there too.
+        let reqs = [getattr(7), Request::Create, set_attr(LAST_CREATED)];
+        let (plan, turns) = split_counting(&reqs, 2, 0);
+        assert_eq!(plan.slots, vec![vec![], vec![0, 1, 2]]);
+        assert_eq!(turns, 0, "a placed Create takes no round-robin turn");
+
+        // The *nearest* named object wins; a LAST_CREATED target and a
+        // Sync name nothing, so a second Create still follows oid 6.
+        let reqs = [
+            getattr(7),
+            getattr(6),
+            Request::Create,
+            set_attr(LAST_CREATED),
+            Request::Sync,
+            Request::Create,
+        ];
+        let (plan, turns) = split_counting(&reqs, 2, 1);
+        assert_eq!(plan.slots, vec![vec![1, 2, 3, 4, 5], vec![0, 4]]);
+        assert_eq!(turns, 0);
+
+        // Four shards: oid 6's home is shard 2.
+        let reqs = [getattr(6), Request::Create];
+        let (plan, turns) = split_counting(&reqs, 4, 0);
+        assert_eq!(plan.slots[2], vec![0, 1]);
+        assert_eq!(turns, 0);
+    }
+
+    #[test]
+    fn a_create_with_no_named_object_before_it_is_round_robin() {
+        for reqs in [
+            vec![Request::Create],
+            vec![Request::Create, getattr(7)],
+            vec![Request::Sync, Request::Create, set_attr(LAST_CREATED)],
+        ] {
+            let (plan, turns) = split_counting(&reqs, 2, 0);
+            assert_eq!(turns, 1, "{reqs:?}");
+            let create = reqs.iter().position(|r| *r == Request::Create).unwrap();
+            assert!(plan.slots[0].contains(&create), "{reqs:?}");
+        }
+        // Only the unplaced Create turns the wheel.
+        let reqs = [Request::Create, getattr(7), Request::Create];
+        let (plan, turns) = split_counting(&reqs, 2, 0);
+        assert_eq!(plan.slots, vec![vec![0], vec![1, 2]]);
+        assert_eq!(turns, 1);
+    }
+
+    /// The translator's create, `[GetAttr(dir), Create]`, puts the file
+    /// beside its directory, so the batches that link and unlink it
+    /// write one shard: no transaction.
+    #[test]
+    fn a_file_created_beside_its_directory_is_linked_by_one_writer() {
+        for shards in [2, 4] {
+            for dir in [6u64, 7] {
+                let create = [getattr(dir), Request::Create];
+                let (plan, _) = split_counting(&create, shards, 0);
+                let home = shard_of(ObjectId(dir), shards);
+                assert_eq!(plan.writers, vec![home]);
+                // The drive of that shard names the file in its class.
+                let file = (16..).map(ObjectId).find(|&o| shard_of(o, shards) == home);
+                let file = file.unwrap();
+                let dir_block = Request::Write {
+                    oid: ObjectId(dir),
+                    offset: 0,
+                    data: vec![2],
+                };
+                let link = [set_attr(file), dir_block.clone(), Request::Sync];
+                let unlink = [Request::Delete { oid: file }, dir_block, Request::Sync];
+                for reqs in [link, unlink] {
+                    let (plan, _) = split_counting(&reqs, shards, 0);
+                    assert_eq!(plan.writers, vec![home], "{shards} shards, dir {dir}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -463,34 +463,36 @@ fn array_survives_unmount_and_remount() {
     }
 }
 
+/// Directories spread across the shards, and every file is born on its
+/// directory's shard (its `Create` rides with a `GetAttr` of the
+/// directory), so the batches that link and unlink it write one shard.
 #[test]
 fn file_system_runs_array_backed() {
     let a = Arc::new(array(4));
     let transport = ArrayTransport::new(a.clone(), NetworkModel::lan_100mbit());
     let fs = S4FileServer::mount(transport, user(), "vol", S4FsConfig::default()).unwrap();
     let root = fs.root();
-    let dir = fs.mkdir(root, "docs").unwrap();
-    let mut handles = Vec::new();
-    for i in 0..8 {
-        let f = fs.create(dir, &format!("file{i}")).unwrap();
-        fs.write(f, 0, format!("payload {i}").as_bytes()).unwrap();
-        handles.push(f);
+    let mut files = Vec::new();
+    for d in 0..4 {
+        let dir = fs.mkdir(root, &format!("docs{d}")).unwrap();
+        for i in 0..2 {
+            let name = format!("file{i}");
+            let f = fs.create(dir, &name).unwrap();
+            fs.write(f, 0, format!("payload {d}.{i}").as_bytes()).unwrap();
+            files.push((dir, name, f, format!("payload {d}.{i}")));
+        }
     }
-    // Directory entries resolve while payloads live on many shards.
-    let spread: std::collections::BTreeSet<usize> = handles
-        .iter()
-        .map(|h| shard_of(ObjectId(*h), 4))
-        .collect();
-    assert!(spread.len() >= 2, "files spread across shards: {spread:?}");
-    for (i, f) in handles.iter().enumerate() {
-        assert_eq!(
-            fs.read(*f, 0, 100).unwrap(),
-            format!("payload {i}").into_bytes()
-        );
-        assert_eq!(fs.lookup(dir, &format!("file{i}")).unwrap(), *f);
+    let home = |h: u64| shard_of(ObjectId(h), 4);
+    let dirs: std::collections::BTreeSet<usize> = files.iter().map(|f| home(f.0)).collect();
+    assert!(dirs.len() >= 2, "directories spread across shards: {dirs:?}");
+    for (dir, name, f, payload) in &files {
+        assert_eq!(home(*f), home(*dir), "{name} sits on its directory's shard");
+        assert_eq!(fs.read(*f, 0, 100).unwrap(), payload.as_bytes());
+        assert_eq!(fs.lookup(*dir, name).unwrap(), *f);
     }
-    let listing = fs.readdir(dir).unwrap();
-    assert_eq!(listing.len(), 8);
+    for (dir, ..) in files.iter().step_by(2) {
+        assert_eq!(fs.readdir(*dir).unwrap().len(), 2);
+    }
 }
 
 /// Two directories on two shards: a rename is one two-phase commit, so a

@@ -13,12 +13,14 @@
 //! shorter than under format revision 2, whose values are quoted beside
 //! each assertion.
 
-use s4_array::{ArrayConfig, S4Array};
-use s4_clock::{SimClock, SimDuration};
+use std::sync::Arc;
+
+use s4_array::{ArrayConfig, ArrayTransport, S4Array};
+use s4_clock::{NetworkModel, SimClock, SimDuration};
 use s4_core::{
     ClientId, DriveConfig, ObjectId, Request, RequestContext, Response, S4Drive, UserId,
 };
-use s4_fs::RpcHandler;
+use s4_fs::{FileServer, RpcHandler, S4FileServer, S4FsConfig};
 use s4_simdisk::{MemDisk, TraceClass, TraceDisk, TraceHandle};
 
 type Disk = TraceDisk<MemDisk>;
@@ -120,10 +122,9 @@ fn write_plus_sync_on_a_lone_drive_is_one_device_write() {
     assert_eq!(drive.stats().snapshot().commit_blocks, before + 1);
 }
 
-/// A `shards × mirrors` array on traced devices (device `i` is member
-/// `i % mirrors` of shard `i / mirrors`) with one settled object per
-/// shard, in shard order.
-fn traced_array(shards: usize, mirrors: usize) -> (S4Array<Disk>, Vec<TraceHandle>, Vec<ObjectId>) {
+/// A freshly formatted `shards × mirrors` array on traced devices
+/// (device `i` is member `i % mirrors` of shard `i / mirrors`).
+fn traced_format(shards: usize, mirrors: usize) -> (S4Array<Disk>, Vec<TraceHandle>) {
     let (devices, traces): (Vec<Disk>, Vec<TraceHandle>) =
         (0..shards * mirrors).map(|_| traced_disk()).unzip();
     let cfg = ArrayConfig {
@@ -131,6 +132,13 @@ fn traced_array(shards: usize, mirrors: usize) -> (S4Array<Disk>, Vec<TraceHandl
         ..ArrayConfig::default()
     };
     let array = S4Array::format(devices, DriveConfig::small_test(), cfg, clock()).unwrap();
+    (array, traces)
+}
+
+/// A [`traced_format`] array with one settled object per shard, in shard
+/// order.
+fn traced_array(shards: usize, mirrors: usize) -> (S4Array<Disk>, Vec<TraceHandle>, Vec<ObjectId>) {
+    let (array, traces) = traced_format(shards, mirrors);
     // `Create` is assigned round-robin.
     let oids: Vec<ObjectId> = (0..shards)
         .map(|_| settled_object(&array, &traces))
@@ -298,6 +306,82 @@ fn a_cross_shard_batch_is_its_votes_and_its_note() {
         let status = array.txn_status_text();
         assert!(status.starts_with("committed=2 aborted=0 "), "{status}");
         assert!(status.ends_with(" unretired=1"), "{status}");
+    }
+}
+
+/// The NFS translator on an array: a file is born on its directory's
+/// shard, because its `Create` rides with a `GetAttr` of the directory,
+/// so the batch that links it (`[SetAttr(file), Write(dir), Sync]`) and
+/// the one that unlinks it (`[Delete(file), Write(dir), Sync]`) write
+/// that shard alone: one device write per mirror each, none on the other
+/// shard, and no transaction. The directories are two mounted file
+/// systems' roots, one per shard (a mount's lone `Create` is placed
+/// round-robin).
+///
+/// Each directory's commits are what a lone drive writes: 8 192 B for
+/// the create (`[summary + journal container | directory block]`) and
+/// 12 288 B for the remove, per mirror.
+///
+/// The parent placed every `Create` round-robin, which put each file
+/// here on the other shard, so each of the four batches was a two-phase
+/// commit (4 committed, 1 note unretired). Writes per device, shard 0's
+/// members first, on 2 × 1: create in shard 1's directory `[2, 1]`
+/// (36 864 B), remove `[2, 1]` (57 344 B); create in shard 0's
+/// `[3, 1]` (57 344 B, one vote cut at a segment end), remove `[2, 1]`
+/// (57 344 B). On 2 × 2: `[2, 2, 1, 1]` (73 728 B), `[2, 2, 1, 1]`
+/// (114 688 B), `[3, 2, 1, 1]` (110 592 B), `[2, 3, 1, 1]` (118 784 B).
+#[test]
+fn a_file_is_created_and_removed_on_its_directorys_shard() {
+    for mirrors in [1, 2] {
+        let (array, traces) = traced_format(2, mirrors);
+        let array = Arc::new(array);
+        let mount = |name: &str| {
+            let transport = ArrayTransport::new(array.clone(), NetworkModel::free());
+            S4FileServer::mount(transport, user(), name, S4FsConfig::default()).unwrap()
+        };
+        let volumes = [mount("vol0"), mount("vol1")];
+        let lens = || -> Vec<Vec<usize>> { traces.iter().map(write_lens).collect() };
+        // Shard 1's directory first: round-robin would put each file on
+        // the other shard.
+        for (s, fs) in volumes.iter().enumerate().rev() {
+            let dir = fs.root();
+            assert_eq!(array.shard_index_of(ObjectId(dir)), s, "a root per shard");
+            // One write of `bytes` on each member of shard `s`, none
+            // elsewhere.
+            let only_here = |bytes: usize| -> Vec<Vec<usize>> {
+                let on = |i: usize| {
+                    if i / mirrors == s {
+                        vec![bytes]
+                    } else {
+                        vec![]
+                    }
+                };
+                (0..2 * mirrors).map(on).collect()
+            };
+
+            traces.iter().for_each(TraceHandle::clear);
+            let file = fs.create(dir, "f").unwrap();
+            assert_eq!(
+                array.shard_index_of(ObjectId(file)),
+                s,
+                "beside its directory"
+            );
+            assert_eq!(
+                lens(),
+                only_here(8192),
+                "create, shard {s}, {mirrors} mirror(s)"
+            );
+
+            traces.iter().for_each(TraceHandle::clear);
+            fs.remove(dir, "f").unwrap();
+            assert_eq!(
+                lens(),
+                only_here(12288),
+                "remove, shard {s}, {mirrors} mirror(s)"
+            );
+        }
+        let status = array.txn_status_text();
+        assert!(status.starts_with("committed=0 aborted=0 "), "{status}");
     }
 }
 
