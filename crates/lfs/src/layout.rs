@@ -207,13 +207,27 @@ impl Geometry {
     }
 
     /// The readahead run around `addr`: the aligned run of up to `blocks`
-    /// slots holding it, clamped to its segment, as (first slot, length).
-    pub fn readahead_run(&self, addr: BlockAddr, blocks: u32) -> (BlockAddr, u32) {
+    /// slots holding it, clamped to its segment and to `frontier`, the
+    /// first slot the log has not written yet, as (first slot, length).
+    /// The length is 0 when `addr` itself is at or past the frontier.
+    pub fn readahead_run(
+        &self,
+        addr: BlockAddr,
+        blocks: u32,
+        frontier: BlockAddr,
+    ) -> (BlockAddr, u32) {
         let at = addr.slot().0;
         let ra = blocks.max(1) as u64;
         let seg_start = at - at % self.blocks_per_segment as u64;
         let start = (at - at % ra).max(seg_start);
-        let end = (start + ra).min(seg_start + self.blocks_per_segment as u64);
+        let mut end = (start + ra).min(seg_start + self.blocks_per_segment as u64);
+        let f = frontier.slot().0;
+        if (seg_start..end).contains(&f) {
+            end = f;
+        }
+        if at >= end {
+            return (addr.slot(), 0);
+        }
         (BlockAddr(start), (end - start) as u32)
     }
 
@@ -300,16 +314,40 @@ mod tests {
     #[test]
     fn a_readahead_run_is_aligned_and_stays_inside_the_segment() {
         let g = Geometry::compute(1_000_000, 48).unwrap();
+        // A frontier in another segment clamps nothing.
+        let far = BlockAddr(480);
         // 48-block segments, 32-block runs: [0, 32) and [32, 48).
-        assert_eq!(g.readahead_run(BlockAddr(5), 32), (BlockAddr(0), 32));
-        assert_eq!(g.readahead_run(BlockAddr(40), 32), (BlockAddr(32), 16));
+        assert_eq!(g.readahead_run(BlockAddr(5), 32, far), (BlockAddr(0), 32));
+        assert_eq!(g.readahead_run(BlockAddr(40), 32, far), (BlockAddr(32), 16));
         // Segment 1 starts at 48, inside the aligned run [32, 64): the run
         // starts with the segment.
-        assert_eq!(g.readahead_run(BlockAddr(50), 32), (BlockAddr(48), 32));
-        assert_eq!(g.readahead_run(BlockAddr(70), 32), (BlockAddr(64), 32));
+        assert_eq!(g.readahead_run(BlockAddr(50), 32, far), (BlockAddr(48), 32));
+        assert_eq!(g.readahead_run(BlockAddr(70), 32, far), (BlockAddr(64), 32));
         let carried = BlockAddr::carried_by(BlockAddr(70));
-        assert_eq!(g.readahead_run(carried, 32), (BlockAddr(64), 32));
-        assert_eq!(g.readahead_run(carried, 0), (BlockAddr(70), 1));
+        assert_eq!(g.readahead_run(carried, 32, far), (BlockAddr(64), 32));
+        assert_eq!(g.readahead_run(carried, 0, far), (BlockAddr(70), 1));
         assert_eq!(g.nth_after(BlockAddr(64), 6), BlockAddr(70));
+        // The run ends at the frontier, and a slot at or past it has none.
+        assert_eq!(
+            g.readahead_run(BlockAddr(70), 32, BlockAddr(75)),
+            (BlockAddr(64), 11)
+        );
+        assert_eq!(
+            g.readahead_run(carried, 32, BlockAddr(71)),
+            (BlockAddr(64), 7)
+        );
+        assert_eq!(
+            g.readahead_run(carried, 32, BlockAddr(70)),
+            (BlockAddr(70), 0)
+        );
+        assert_eq!(
+            g.readahead_run(BlockAddr(90), 32, BlockAddr(70)),
+            (BlockAddr(90), 0)
+        );
+        // A frontier in an earlier segment clamps nothing either.
+        assert_eq!(
+            g.readahead_run(BlockAddr(60), 32, BlockAddr(40)),
+            (BlockAddr(48), 32)
+        );
     }
 }

@@ -529,7 +529,7 @@ impl<D: BlockDev> Log<D> {
     /// the device.
     pub fn read_block(&self, addr: BlockAddr) -> Result<Bytes> {
         self.geo.check(addr)?;
-        {
+        let frontier = {
             let st = self.state.lock();
             if let Some(&idx) = st.pending_map.get(&addr) {
                 return Ok(st.pending[idx].data.clone());
@@ -537,15 +537,24 @@ impl<D: BlockDev> Log<D> {
             if let Some(r) = st.carried.as_ref().filter(|r| r.block.addr == addr) {
                 return Ok(r.block.data.clone());
             }
-        }
+            // The first slot not on the device: the open batch's summary
+            // slot, or the cursor.
+            self.geo
+                .addr_of(st.seg, st.batch_start.unwrap_or(st.cursor))
+        };
         if let Some(hit) = self.cache.get(addr) {
             return Ok(hit);
         }
-        // Readahead: fetch an aligned run (clamped to the segment) in one
-        // transfer and cache every block of it. A summary block in the
-        // run is cached as the record it carries, under that record's
-        // address — nothing the log handed out names a summary's slot.
-        let (head, n) = self.geo.readahead_run(addr, self.readahead);
+        // Readahead: fetch an aligned run (clamped to the segment and to
+        // the write frontier) in one transfer and cache every block of
+        // it. A summary block in the run is cached as the record it
+        // carries, under that record's address — nothing the log handed
+        // out names a summary's slot. Past the frontier a slot holds
+        // what the segment's previous life left there: only a stale
+        // pointer names one, and it reads the slot alone, uncached.
+        let (head, n) = self.geo.readahead_run(addr, self.readahead, frontier);
+        let cache = n > 0;
+        let (head, n) = if cache { (head, n) } else { (addr.slot(), 1) };
         let mut buf = vec![0u8; n as usize * BLOCK_SIZE];
         self.dev.read(self.geo.sector_of(head), &mut buf)?;
         let mut wanted = None;
@@ -561,7 +570,9 @@ impl<D: BlockDev> Log<D> {
                 if a == addr {
                     wanted = Some(data.clone());
                 }
-                self.cache.insert(a, data);
+                if cache {
+                    self.cache.insert(a, data);
+                }
             }
             if slot == addr && wanted.is_none() {
                 // A stale pointer at what is now a summary's slot reads
@@ -1104,9 +1115,10 @@ mod tests {
             if readahead_blocks == 1 {
                 assert_eq!(read, [BLOCK_SIZE; 3], "a block each");
             } else {
-                // One run — the 16-block segment — serves both records
-                // and their neighbour.
-                assert_eq!(read, [16 * BLOCK_SIZE]);
+                // One run — the segment up to the write frontier, the
+                // two commits' four slots — serves both records and
+                // their neighbour.
+                assert_eq!(read, [4 * BLOCK_SIZE]);
             }
             reads_as(&log, r1, &short(0x11)); // filed by the cold read
             assert_eq!(trace.reads(), read.len() as u64);
@@ -1363,6 +1375,46 @@ mod tests {
             "replay reads hit the cache"
         );
         assert_eq!(m.log.device().writes(), 0, "mount is write-free");
+    }
+
+    /// Readahead in the open segment stops at the log's write frontier:
+    /// the slots past it hold whatever the segment's previous life left
+    /// there, and a cached copy of one would be served for the block the
+    /// log writes there next, unless that flush happened to overwrite the
+    /// entry. The frontier is the cursor with no batch open, and the open
+    /// batch's summary slot with one.
+    #[test]
+    fn readahead_in_the_open_segment_stops_at_the_write_frontier() {
+        let cfg = LogConfig {
+            readahead_blocks: 16,
+            ..SMALL
+        };
+        let log = Log::format(MemDisk::new(200_000), cfg).unwrap();
+        let geo = *log.geometry();
+        // `[summary | a]` at slots 0 and 1: the cursor is at slot 2.
+        let a = log.append(tag(1, 0), &solid(1)).unwrap();
+        log.flush().unwrap();
+        let seg = geo.segment_of(a);
+        let stale = |off: u32| geo.addr_of(seg, off);
+        for off in 2..16 {
+            log.device()
+                .write(geo.sector_of(stale(off)), &solid(0xEE))
+                .unwrap();
+        }
+        for open in [false, true] {
+            if open {
+                // Summary slot 2, the block at slot 3, both unwritten.
+                log.append(tag(1, 1), &solid(2)).unwrap();
+            }
+            log.cache().clear();
+            assert_eq!(log.read_block(a).unwrap()[0], 1);
+            for off in 2..16 {
+                assert!(
+                    log.cache().get(stale(off)).is_none(),
+                    "slot {off} cached past the frontier (batch open: {open})"
+                );
+            }
+        }
     }
 
     #[test]
