@@ -1151,3 +1151,68 @@ fn a_write_larger_than_a_journal_sector_is_durable_once_synced() {
     assert_eq!(d.op_read(&ctx, oid, 0, 2 << 20, None).unwrap(), big[..6]);
     assert_eq!(d.op_read(&ctx, oid, 0, 2 << 20, Some(written)).unwrap(), big);
 }
+
+/// An attribute or ACL change is one journal entry holding the old value
+/// and the new, and an entry must fit one journal sector
+/// (`s4_journal::MAX_SECTOR_BYTES`). A change that would not is refused
+/// before it changes anything — alone or as a batch's sub-request — and
+/// what was there before survives a crash.
+///
+/// The parent took the second 2 100-byte `SetAttr` (a 4 263-byte
+/// sector): both answered `Ok`, the `Sync` failed with
+/// `Storage(Oversize(4263))` after dropping the entry it could not pack,
+/// a second `Sync` answered `Ok`, and the live drive read the second
+/// value while a crash brought back the first. (A build with debug
+/// assertions stopped at `SectorPayload::finish` instead.)
+#[test]
+fn a_metadata_change_too_big_for_a_journal_sector_is_refused() {
+    let d = drive();
+    let ctx = alice();
+    let oid = d.op_create(&ctx, None).unwrap();
+    let first = vec![1u8; 2100];
+    d.op_setattr(&ctx, oid, first.clone()).unwrap();
+    // 2 100 old bytes and 2 100 new: 4 225 bytes of entry.
+    assert!(matches!(
+        d.op_setattr(&ctx, oid, vec![2u8; 2100]),
+        Err(S4Error::BadRequest(_))
+    ));
+    let batch = Request::Batch(vec![
+        Request::SetAttr {
+            oid,
+            attrs: vec![3u8; 2100],
+        },
+        Request::Sync,
+    ]);
+    match d.dispatch(&ctx, &batch) {
+        Err(S4Error::BatchFailed {
+            completed: 0,
+            error,
+            ..
+        }) => assert!(matches!(*error, S4Error::BadRequest(_)), "{error:?}"),
+        other => panic!("the batch ran: {other:?}"),
+    }
+    assert_eq!(d.op_getattr(&ctx, oid, None).unwrap().opaque, first);
+
+    // An ACL grows five bytes an entry; the change that would take its
+    // old and new tables past a sector is refused the same way.
+    let mut granted = 0u32;
+    let refused = loop {
+        let entry = AclEntry {
+            user: UserId(1000 + granted),
+            perm: Perm::READ,
+        };
+        match d.op_set_acl(&ctx, oid, entry) {
+            Ok(()) => granted += 1,
+            Err(e) => break e,
+        }
+        assert!(granted < 1000, "no ACL change was refused");
+    };
+    assert!(matches!(refused, S4Error::BadRequest(_)), "{refused:?}");
+    d.op_sync(&ctx).unwrap();
+
+    let d = S4Drive::mount(d.crash(), DriveConfig::small_test(), SimClock::new()).unwrap();
+    assert_eq!(d.op_getattr(&ctx, oid, None).unwrap().opaque, first);
+    let last = d.op_get_acl_by_user(&ctx, oid, UserId(1000 + granted - 1), None);
+    assert_eq!(last.unwrap().map(|e| e.perm), Some(Perm::READ));
+    assert_eq!(d.op_get_acl_by_user(&ctx, oid, UserId(1000 + granted), None).unwrap(), None);
+}
