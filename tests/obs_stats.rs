@@ -176,3 +176,56 @@ fn persisted_traces_survive_crash_and_remount() {
         .unwrap_err();
     assert!(matches!(err, s4_core::S4Error::AccessDenied));
 }
+
+/// The value of one unlabelled metric in a Prometheus exposition.
+fn metric(text: &str, name: &str) -> f64 {
+    let line = text.lines().find_map(|l| l.strip_prefix(name)?.strip_prefix(' '));
+    line.unwrap_or_else(|| panic!("no {name}:\n{text}"))
+        .parse()
+        .unwrap()
+}
+
+#[test]
+fn block_cache_hits_and_misses_are_on_the_stats_wire() {
+    let clock = SimClock::new();
+    clock.advance(SimDuration::from_secs(1));
+    let drive = S4Drive::format(MemDisk::new(200_000), DriveConfig::small_test(), clock).unwrap();
+    let (_, user) = contexts(drive.config());
+    let Ok(s4_core::Response::Created(oid)) = drive.dispatch(&user, &Request::Create) else {
+        panic!("create failed");
+    };
+    let data = vec![7; 4096];
+    let write = Request::Write {
+        oid,
+        offset: 0,
+        data: data.clone(),
+    };
+    drive.dispatch(&user, &write).unwrap();
+    drive.dispatch(&user, &Request::Sync).unwrap();
+    let counts = || {
+        let text = drive.metrics_text();
+        let hits = metric(&text, "s4_block_cache_hits");
+        (hits, metric(&text, "s4_block_cache_misses"))
+    };
+    let read = || {
+        let req = Request::Read {
+            oid,
+            offset: 0,
+            len: 4096,
+            time: None,
+        };
+        let got = drive.dispatch(&user, &req).unwrap();
+        assert_eq!(got, s4_core::Response::Data(data.clone()));
+    };
+
+    let (hits, misses) = counts();
+    read();
+    let (warm_hits, warm_misses) = counts();
+    assert!(warm_hits > hits, "the flushed block is served from the cache");
+    assert_eq!(warm_misses, misses);
+
+    drive.log().cache().clear();
+    read();
+    let (_, cold_misses) = counts();
+    assert!(cold_misses > warm_misses, "a read after a clear misses");
+}
