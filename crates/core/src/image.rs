@@ -79,15 +79,16 @@ impl<D: BlockDev> S4Drive<D> {
             h.u64(*o);
             h.u64(*t);
         }
-        // Decided but not yet durable. None are queued after a mount, or
-        // on a drive that never resolves a transaction, and then the
+        // Transaction-log records not yet durable. None are queued after
+        // a mount, or on a drive that runs no transaction, and then the
         // digest reads as it did before the queue existed.
-        if !inner.txn_resolved.is_empty() {
-            h.u64(inner.txn_resolved.len() as u64);
-            for &(txid, committed, recorded) in &inner.txn_resolved {
-                h.u64(txid);
-                h.u64(u64::from(committed));
-                h.u64(u64::from(recorded));
+        if !inner.txn_queue.is_empty() {
+            h.u64(inner.txn_queue.len() as u64);
+            for (rec, appended) in &inner.txn_queue {
+                let mut buf = Vec::new();
+                rec.encode_into(&mut buf);
+                h.bytes(&buf);
+                h.u64(u64::from(*appended));
             }
         }
         h.0
@@ -104,9 +105,10 @@ impl<D: BlockDev> S4Drive<D> {
         self.require_admin(ctx)?;
         let mut inner = self.inner.lock();
         // A resolution still queued here would reach the replica as a
-        // transaction in doubt: record it first, so that the exported
-        // log carries it (it stays volatile here until the next sync).
-        self.txn_record_resolutions(&mut inner)?;
+        // transaction in doubt: append the queue first, so that the
+        // exported log carries it (it stays volatile here until the next
+        // sync).
+        self.txn_append_queue(&mut inner)?;
         let oids: Vec<u64> = inner.table.keys().copied().collect();
         let mut objects = Vec::new();
         for oid in oids {

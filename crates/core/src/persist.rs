@@ -98,26 +98,25 @@ impl<D: BlockDev> S4Drive<D> {
     /// Packs the pending journal entries of `oids` into shared journal
     /// blocks (several objects' sectors per 4 KiB block, §4.2.2).
     ///
-    /// The transaction log's pending entries are packed first, asked
-    /// for or not. A prepare's `Prepared` record is not flushed on its
-    /// own, so the commit that makes any of its effects durable must
-    /// carry it — and a commit the log cuts at a segment end reaches the
-    /// device in append order, so no effect's sector is ever durable
-    /// before the record that scopes its undo (DESIGN §6i).
-    ///
-    /// A pack that writes anything carries the queued transaction
-    /// resolutions with it, whoever asked — a sync, an anchor, a
-    /// `FlushO`, an eviction: no entry becomes durable before the outcome
-    /// of a transaction decided ahead of it. Not another object's effect,
-    /// which a second abort would undo, and not a resolved transaction's
-    /// own `Prepared`, which would leave it in doubt. That trigger is the
-    /// same on every mirror, where the log's layout is not, and a sync
-    /// with nothing else to pack still writes nothing.
+    /// A pack that writes anything first appends the queued
+    /// transaction-log records, whoever asked — a sync, an anchor, a
+    /// `FlushO`, an eviction — and the transaction log's pending entries
+    /// are packed first, asked for or not. A prepare's `Prepared` record
+    /// is not flushed on its own, so the commit that makes any of its
+    /// effects durable must carry it — and a commit the log cuts at a
+    /// segment end reaches the device in append order, so no effect's
+    /// sector is ever durable before the record that scopes its undo
+    /// (DESIGN §6i). Nor does any entry become durable before the outcome
+    /// of a transaction decided ahead of it: not another object's
+    /// effect, which a second abort would undo, and not a resolved
+    /// transaction's own `Prepared`, which would leave it in doubt. That
+    /// trigger is the same on every mirror, where the log's layout is
+    /// not, and a sync with nothing else to pack still writes nothing.
     pub(crate) fn pack_objects(&self, inner: &mut Inner, oids: &[u64]) -> Result<()> {
         let writes = |oid: &u64| matches!(inner.table.get(oid), Some(Slot::Cached(e)) if !e.pending.is_empty());
         let mut packed = std::iter::once(&TXN_OBJECT.0).chain(oids);
-        if inner.txn_resolved.iter().any(|r| !r.2) && packed.any(writes) {
-            self.txn_record_resolutions(inner)?;
+        if inner.txn_queue.iter().any(|r| !r.1) && packed.any(writes) {
+            self.txn_append_queue(inner)?;
         }
         // Journal span: simulated time across packing, including any
         // log auto-flush the appends trigger.
@@ -194,8 +193,8 @@ impl<D: BlockDev> S4Drive<D> {
     pub(crate) fn sync_locked(&self, inner: &mut Inner) -> Result<()> {
         self.pack_objects(inner, &Self::pending_oids(inner))?;
         self.flush_log()?;
-        // The pack took every recorded resolution along; now it is durable.
-        inner.txn_resolved.retain(|r| !r.2);
+        // The pack took every queued record along; now it is durable.
+        inner.txn_queue.retain(|r| !r.1);
         self.stats.syncs(1);
         inner.syncs_since_anchor += 1;
         if inner.syncs_since_anchor >= self.config.anchor_interval_syncs {

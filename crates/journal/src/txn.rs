@@ -3,24 +3,32 @@
 //! Each participant drive in a distributed transaction appends these
 //! records to a reserved, journaled table object (the drive layer owns
 //! the object; this module owns only the codec and the in-doubt fold).
+//! The drive queues every record as it happens and writes none on its
+//! own: the next pack of journal entries that writes anything appends
+//! the whole queue to the log in one write, ahead of every other
+//! object's entries, and a vote forces that append before its flush.
 //! The record sequence per transaction is:
 //!
-//! 1. [`Prepared`] — appended *before* the sub-batch executes, capturing
-//!    the pre-transaction time `t0`. It is not flushed on its own: it is
-//!    durable in the same commit as the first of the sub-batch's effects,
-//!    or an earlier one — normally the vote's. A `Prepared` without
-//!    [`Touched`] means an effect was made durable before the vote (a
-//!    sync inside the prepare, or a commit cut at a segment end), so the
-//!    sub-batch may have partially executed; recovery compensates by
-//!    restoring **everything** the drive changed after `t0` (the worker
-//!    holds the drive exclusively during prepare, so nothing else can
-//!    have written in between).
-//! 2. [`Touched`] — flushed *after* the sub-batch executed, naming the
-//!    exact objects and partition names it touched. Its presence is the
-//!    participant's yes-vote: effects are durable and scoped.
+//! 1. [`Prepared`] — queued *before* the sub-batch executes, capturing
+//!    the pre-transaction time `t0`. It is written with the first pack
+//!    that carries any of the sub-batch's effects — normally the vote's,
+//!    in the same block as [`Touched`] — so it is durable in the same
+//!    commit as the first of those effects, or an earlier one. A
+//!    `Prepared` without [`Touched`] means an effect was made durable
+//!    before the vote (a sync inside the prepare, or a commit cut at a
+//!    segment end), so the sub-batch may have partially executed;
+//!    recovery compensates by restoring **everything** the drive changed
+//!    after `t0` (the worker holds the drive exclusively during prepare,
+//!    so nothing else can have written in between).
+//! 2. [`Touched`] — queued and flushed by the vote, *after* the
+//!    sub-batch executed, naming the exact objects and partition names
+//!    it touched. Its presence is the participant's yes-vote: effects
+//!    are durable and scoped.
 //! 3. [`Resolved`] — the coordinator's decision has been applied here
-//!    (commit: nothing to do; abort: compensation ran). Once every
-//!    pending transaction is resolved the drive truncates the log.
+//!    (commit: nothing to do; abort: compensation ran). It is queued,
+//!    and written by the next pack that writes anything. Once every
+//!    pending transaction is resolved the drive truncates the log
+//!    instead, which says the same for every record queued.
 //!
 //! A `Prepared` without a matching `Resolved` is an **in-doubt**
 //! transaction; mount-time recovery resolves it by consulting the

@@ -21,9 +21,10 @@
 #    census: a non-test or-pattern over `OpKind::` variants outside
 #    crates/core/src/audit.rs fails — a set of operations is a predicate
 #    beside `OpKind::mutates`, said once; and the one-path census: a
-#    non-test `TxnRecord::Resolved` built outside txn_record_resolutions
-#    (crates/core/src/txn.rs; the journal's codec aside), or a sync inside
-#    txn_decide, fails — commit and abort both queue their resolution;
+#    non-test `TxnRecord::` built outside crates/core/src/txn.rs (the
+#    journal's codec aside), a write of TXN_OBJECT outside
+#    txn_append_queue there, or a sync inside txn_decide, fails — every
+#    transaction-log record is queued, and one append writes the queue;
 #    and the one-walk census: a non-test call of s4_journal's `undo(`
 #    outside crates/journal/src/replay.rs (expiry's drop_versions aside),
 #    or a `JournalEntry::Checkpoint` anywhere, fails — every version at a
@@ -157,24 +158,30 @@ done)
   exit 1
 }
 
-echo "== one-path census (Resolved built once; txn_decide flushes nothing)"
-# A participant's resolution is queued by txn_decide, commit and abort
-# alike, and rides the next pack (DESIGN 6i). So a `TxnRecord::Resolved`
-# is built in txn_record_resolutions (crates/core/src/txn.rs) and nowhere
-# else but the record's own codec, and txn_decide calls no sync. A line
-# naming the variant with `=>` or `..` is a pattern, not a build.
+echo "== one-path census (every txn record queued; one append writes the log)"
+# Prepared, Touched and Resolved all go into the drive's one queue of
+# transaction-log records, and txn_append_queue (crates/core/src/txn.rs)
+# appends the queue in one write — the next pack that writes anything
+# calls it, and a vote forces it before its sync (DESIGN 6i). So a
+# non-test `TxnRecord::` is built in crates/core/src/txn.rs and nowhere
+# else but the record's own codec; TXN_OBJECT is created or opened for
+# writing (`insert_new(`, `with_object(`) only in txn_append_queue —
+# rebuild_txn_state opens it to read; and txn_decide calls no sync. A
+# line naming a variant with `=>` or `..` is a pattern, not a build.
 forked=$(find crates/*/src src -name '*.rs' ! -path crates/journal/src/txn.rs | sort | while read -r f; do
   awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
        /^[[:space:]]*(pub(\([a-z]+\))? )?fn [a-z_0-9]+/ {
          fn = $0; sub(/.*fn /, "", fn); sub(/[(<].*/, "", fn) }
-       /TxnRecord::Resolved/ && !/=>/ && !/\.\./ &&
-         !(FILENAME == "crates/core/src/txn.rs" && fn == "txn_record_resolutions") ||
+       /TxnRecord::[A-Z]/ && !/=>/ && !/\.\./ && FILENAME != "crates/core/src/txn.rs" ||
+       /TXN_OBJECT/ && /(insert_new|with_object)\(/ &&
+         !(FILENAME == "crates/core/src/txn.rs" &&
+           (fn == "txn_append_queue" || fn == "rebuild_txn_state")) ||
        FILENAME == "crates/core/src/txn.rs" && fn == "txn_decide" && /sync_locked/ {
          print FILENAME ":" FNR ":" $0 }' "$f"
 done)
 [ -z "$forked" ] || {
   echo "$forked" >&2
-  echo "verify: queue resolutions in txn_decide; build Resolved only in txn_record_resolutions" >&2
+  echo "verify: queue txn records in crates/core/src/txn.rs; write TXN_OBJECT only in txn_append_queue; no sync in txn_decide" >&2
   exit 1
 }
 

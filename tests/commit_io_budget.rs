@@ -242,22 +242,19 @@ fn a_cross_shard_batch_is_its_votes_and_its_note() {
         assert_eq!(flushes() - before, 3 * m, "the votes and the note");
 
         // A flush is one transfer. The vote's commit is `[summary +
-        // journal container | Prepared block | data | Prepared + Touched
-        // block]`: the block that held `Prepared` alone is superseded in
-        // the same commit, but it was appended when the prepare opened
-        // and goes out with it. The parent wrote [16 384, 8 192, 8 192]
-        // on every member of shard 0 and [16 384, 8 192] on every member
-        // of shard 1 (the last 8 192 each `Resolved`), plus, on 2 × 2,
-        // 8 192 on shard 0's second member where the retire's `PDelete`
-        // reached the end of a segment and the log cut the open batch:
-        // 57 344 B on 2 × 1, 122 880 on 2 × 2.
-        let mut want = vec![vec![16384, 8192]; mirrors];
-        want.extend(vec![vec![16384]; mirrors]);
+        // journal container | data | Prepared + Touched block]`: the vote
+        // appends both records in one write. The parent appended
+        // `Prepared` when the prepare opened, so its vote also carried
+        // the block that held `Prepared` alone, superseded in the same
+        // commit: 16 384 B per participant member, 40 960 B on 2 × 1 and
+        // 81 920 on 2 × 2.
+        let mut want = vec![vec![12288, 8192]; mirrors];
+        want.extend(vec![vec![12288]; mirrors]);
         let lens: Vec<Vec<usize>> = traces.iter().map(write_lens).collect();
         assert_eq!(lens, want, "{mirrors} mirror(s)");
         let (_, reads, syncs) = io(&traces);
         assert_eq!((reads, syncs), (0, 0));
-        assert_eq!(written(&traces), [40_960, 81_920][mirrors - 1]);
+        assert_eq!(written(&traces), [32_768, 65_536][mirrors - 1]);
 
         // A bare `Sync` has nothing to carry the resolutions: it writes
         // nothing, and they stay queued.
@@ -279,24 +276,23 @@ fn a_cross_shard_batch_is_its_votes_and_its_note() {
 
         // The next cross-shard batch retires the first note inside its own
         // note install: the same three flushes per mirror, no transfer of
-        // its own. The install is a block longer, because the `PDelete`
-        // writes the partition object's block twice (the new table, then
-        // its truncated tail).
+        // its own, and no byte more than the first batch, because the
+        // install adds the new note and drops the old one in one rewrite
+        // of the partition table. The parent wrote the table three times
+        // (`PCreate`, then `PDelete`'s new table and its truncated tail),
+        // [16 384, 16 384] on every member of shard 0 and [16 384] on
+        // every member of shard 1: 49 152 B on 2 × 1. On 2 × 2 shard 0's
+        // second member, four blocks earlier in its log, had its vote cut
+        // at a segment end, [8 192, 12 288, 16 384]: 102 400 B.
         traces.iter().for_each(TraceHandle::clear);
         let before = flushes();
         array.handle(&user(), &batch).unwrap();
         assert_eq!(flushes() - before, 3 * m, "the retire paid no flush");
         let lens: Vec<Vec<usize>> = traces.iter().map(write_lens).collect();
-        let mut want = vec![vec![16384, 16384]; mirrors];
-        want.extend(vec![vec![16384]; mirrors]);
-        if mirrors == 2 {
-            // Shard 0's second member, formatted from its sibling's
-            // image, sits four blocks earlier in its log. There the vote
-            // reaches the end of a segment, and the log cuts it: one
-            // transfer that no flush asked for.
-            want[1] = vec![8192, 12288, 16384];
-        }
+        let mut want = vec![vec![12288, 8192]; mirrors];
+        want.extend(vec![vec![12288]; mirrors]);
         assert_eq!(lens, want, "{mirrors} mirror(s)");
+        assert_eq!(written(&traces), [32_768, 65_536][mirrors - 1]);
         let second = notes_on(&array, 0);
         assert_eq!(second.len(), 1, "the first note retired: {second:?}");
         assert_ne!(second, first);
