@@ -1216,3 +1216,69 @@ fn a_metadata_change_too_big_for_a_journal_sector_is_refused() {
     assert_eq!(last.unwrap().map(|e| e.perm), Some(Perm::READ));
     assert_eq!(d.op_get_acl_by_user(&ctx, oid, UserId(1000 + granted), None).unwrap(), None);
 }
+
+/// A `Sync` whose pack fails part-way leaves every entry it did not write
+/// pending, so the next `Sync` that answers `Ok` has written each of them
+/// once.
+///
+/// Sixty objects each take a 3 000-byte `SetAttr`, one journal block
+/// each, and one `Sync` packs them: the log writes a batch at every
+/// segment end while the pack runs, then the final flush. The parent
+/// dropped every object's entries before packing them, so when the
+/// pack's first device write failed, that `Sync` returned
+/// `Err(Storage(Disk(Io)))`, the next `Sync` answered `Ok`, the live
+/// drive read all 60 new blobs, and after a crash 54 of 60 read the old
+/// one (38, 22 and 6 with the second, third or fourth write failed; none
+/// with the final flush failed, since the log keeps its open batch).
+#[test]
+fn a_sync_after_a_failed_pack_has_written_every_entry() {
+    use s4_simdisk::{FaultPlan, FaultyDisk, RequestClassMask};
+    let ctx = alice();
+    // Sixty objects with a synced "old" blob and an unsynced new one;
+    // returns the drive before the `Sync` and the writes it has seen.
+    let stage = |plan: FaultPlan| {
+        let clock = SimClock::new();
+        clock.advance(SimDuration::from_secs(1));
+        let dev = FaultyDisk::new(MemDisk::new(400_000), plan);
+        let d = S4Drive::format(dev, DriveConfig::small_test(), clock).unwrap();
+        let oids: Vec<ObjectId> = (0..60).map(|_| d.op_create(&ctx, None).unwrap()).collect();
+        for &oid in &oids {
+            d.op_setattr(&ctx, oid, b"old".to_vec()).unwrap();
+        }
+        d.op_sync(&ctx).unwrap();
+        d.clock().advance(SimDuration::from_millis(10));
+        for &oid in &oids {
+            d.op_setattr(&ctx, oid, vec![7u8; 3000]).unwrap();
+        }
+        let seen = d.log().device().requests_seen();
+        (d, oids, seen)
+    };
+    let (_, _, before_sync) = stage(FaultPlan::none());
+    for failed in 0..5 {
+        let plan =
+            FaultPlan::intermittent_io(before_sync + failed, u64::MAX, RequestClassMask::WRITES);
+        let (d, oids, _) = stage(plan);
+        assert!(
+            d.op_sync(&ctx).is_err(),
+            "write {failed} of the sync failed"
+        );
+        d.op_sync(&ctx).unwrap();
+        let d = S4Drive::mount(d.crash(), DriveConfig::small_test(), SimClock::new()).unwrap();
+        let lost = oids
+            .iter()
+            .filter(|&&oid| d.op_getattr(&ctx, oid, None).unwrap().opaque != vec![7u8; 3000])
+            .count();
+        for &oid in &oids {
+            let history = d.version_history(&admin(), oid).unwrap();
+            let stamps: Vec<_> = history.iter().map(|v| v.stamp).collect();
+            assert!(
+                stamps.windows(2).all(|w| w[0] < w[1]),
+                "{oid:?} repeats an entry"
+            );
+        }
+        assert_eq!(
+            lost, 0,
+            "write {failed} of the sync failed: {lost} of 60 lost"
+        );
+    }
+}
