@@ -121,8 +121,8 @@ impl<D: BlockDev> S4Drive<D> {
         // Journal span: simulated time across packing, including any
         // log auto-flush the appends trigger.
         let journal_t0 = self.clock.now().as_micros();
-        // Per sector: its oldest and newest stamp.
-        let mut items: Vec<packed::Item<(HybridTimestamp, HybridTimestamp)>> = Vec::new();
+        // Per sector: its oldest and newest stamp, and its entry count.
+        let mut items: Vec<packed::Item<(HybridTimestamp, HybridTimestamp, usize)>> = Vec::new();
         let others = oids.iter().copied().filter(|&oid| oid != TXN_OBJECT.0);
         for oid in std::iter::once(TXN_OBJECT.0).chain(others) {
             let Some(Slot::Cached(entry)) = inner.table.get_mut(&oid) else {
@@ -135,11 +135,10 @@ impl<D: BlockDev> S4Drive<D> {
                 let span = (
                     s.entries.first().expect("non-empty").stamp(),
                     s.entries.last().expect("non-empty").stamp(),
+                    s.entries.len(),
                 );
                 items.push((oid, s.finish(oid, entry.meta.journal_head), span));
             }
-            entry.pending.clear();
-            entry.dirty = true;
         }
         if items.is_empty() {
             return Ok(());
@@ -149,8 +148,11 @@ impl<D: BlockDev> S4Drive<D> {
             &self.log,
             ledger,
             items,
-            |_, addr, slot, oid, (oldest, newest)| {
+            |_, addr, slot, oid, (oldest, newest, count)| {
                 if let Some(Slot::Cached(entry)) = table.get_mut(&oid) {
+                    // Written: a failing append leaves the rest pending.
+                    entry.pending.drain(..count);
+                    entry.dirty = true;
                     entry.sectors.push(SectorInfo {
                         addr,
                         slot,
