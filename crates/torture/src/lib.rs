@@ -1,79 +1,46 @@
-//! Crash-consistency torture harness for the S4 drive.
+//! Crash-consistency torture harness for the S4 drive and array.
 //!
 //! The paper's core guarantee is that every version inside the detection
 //! window survives anything a client — or a power cut — does. This crate
-//! proves the crash half of that claim mechanically, in the CrashMonkey
-//! style: enumerate every point at which power can be lost along the
-//! write path, crash there, remount, and check the recovered drive
-//! against an in-memory oracle.
+//! checks the power-cut half in the CrashMonkey style, and every campaign
+//! is a [`Scenario`] run by one loop, [`enumerate`]. A scenario names its
+//! device count, a `setup` that is never cut (a format, or a seeded image
+//! and its mount), the `run` that is, and the `check` that runs after
+//! the power comes back. Its devices sit on one [`Rail`] of
+//! [`FaultyDisk`]s — a one-drive scenario is a rail of one. `enumerate`
+//! counts an uncut run's [`CRASH_MASK`] requests: a device's *window* is
+//! its count after `setup` up to its count after `run`, and the crash
+//! points are the windows device by device. It cuts every point, or a
+//! [`sample`] of them, each under its rotating slice of
+//! [`standard_patterns`] ([`patterns_at`]): the device's request `k`
+//! tears, the whole rail goes dark, and `check` runs on the revived
+//! images. Last it checks the uncut run, the control run, which no count
+//! in the [`Summary`] includes.
 //!
-//! **Phase 1 (golden run).** A deterministic workload (driven by the
-//! xoshiro256** PRNG from `s4-workloads`) runs against a
-//! [`TraceDisk`]-wrapped device. The trace yields the *crash-point
-//! domain*: the index range of countable device requests (writes and
-//! syncs — the classes a [`FaultPlan`] can fire on) the workload issues
-//! after format. The golden run also validates the oracle and the audit
-//! predictor against a fault-free drive, so replay failures can only
-//! come from recovery, not from harness bugs.
-//!
-//! **Phase 2 (replays).** For each crash point `k` and torn-sector
-//! pattern `p` (prefix, interleaved, or holed — see
-//! [`s4_simdisk::TornPattern`]), the same workload replays against
-//! `FaultyDisk::power_loss_with_pattern(k, p, WRITES|SYNCS)`. The
-//! drive dies mid-flight; the harness revives the device, remounts, and
-//! asserts five invariants:
-//!
-//! - **(a) durability**: every version the oracle saw durable at the
-//!   last *completed* sync is readable at its historical time, with the
-//!   exact content, size, and attributes the oracle recorded;
-//! - **(b) audit prefix**: the recovered audit log is an exact prefix of
-//!   the predicted record stream — no holes, no reordering — and at
-//!   least every full block flushed by the last completed sync survived;
-//! - **(c) idempotence**: remounting twice yields identical logical
-//!   state ([`S4Drive::state_digest`]) and identical
-//!   [`RecoveryReport`]s (mount performs no writes);
-//! - **(d) post-recovery retention**: a full cleaner pass after recovery
-//!   reclaims nothing inside the detection window — invariant (a) still
-//!   holds afterwards;
-//! - **(e) flight-recorder prefix**: the observability layer's
-//!   crash-surviving trace stream (see `s4_obs`) is an exact prefix of
-//!   the predicted request stream — trace records are written 1:1 with
-//!   audit records and share their identity fields — with the same
-//!   full-block durability floor as (b).
-//!
-//! Two harder campaigns build on the same machinery:
-//! [`torture_cleaner_between`] wedges a full maintenance pass (cleaner,
-//! history compaction, forced anchor) between recovery and a second
-//! power-off, and [`torture_crash_during_recovery`] crashes the drive a
-//! *second time inside the recovery replay itself* — legal because
-//! recovery is strictly read-only, which the harness proves by counting
-//! device writes during an undisturbed mount.
-//!
-//! Each replay is *self-contained*: it rebuilds its own oracle and
-//! predicted audit stream while driving the faulty drive, and records
-//! the last sync that returned `Ok` as the durability boundary. The
-//! golden run only supplies the crash-point domain. The drive walks its
-//! tables in key order, so a replay issues the golden run's request
-//! sequence exactly (the golden image hash below pins that); should a
-//! replay's sequence nevertheless end before its crash point fires, the
-//! harness flushes the completed workload and verifies it like a golden run.
+//! The scenarios here are the write path ([`workload::WritePath`],
+//! [`workload::CleanerBetween`]) and cross-shard two-phase commit
+//! ([`txn::Stretch`]); `tests/relocation_torture.rs` adds a relocating
+//! cleaner pass and expiry with compaction.
+//! [`workload::torture_crash_during_recovery`] stays a probe: its second
+//! cut falls inside `mount`, which only reads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod oracle;
 pub mod txn;
+pub mod workload;
 
-use s4_clock::{SimClock, SimDuration, SimTime};
-use s4_core::{
-    AuditRecord, ClientId, DriveConfig, ObjectId, RecoveryReport, Request, RequestContext,
-    Response, S4Drive, TraceCtx, TraceRecord, UserId,
-};
+use std::cell::RefCell;
+use std::fmt::Debug;
+use std::ops::AddAssign;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+use s4_array::S4Array;
+use s4_core::{ClientId, RequestContext, S4Drive, UserId};
 use s4_lfs::BLOCK_SIZE;
-use s4_simdisk::{BlockDev, FaultPlan, FaultyDisk, MemDisk, RequestClassMask, TornPattern, TraceDisk};
-use s4_workloads::Rng;
-
-use oracle::Oracle;
+use s4_simdisk::{FaultPlan, FaultyDisk, MemDisk, RequestClassMask, TornPattern};
 
 /// Request classes that count as crash points: the write path plus the
 /// superblock barrier (`BlockDev::sync`, issued when an anchor commits).
@@ -81,102 +48,15 @@ use oracle::Oracle;
 /// would make the domain depend on cache behaviour.
 pub const CRASH_MASK: RequestClassMask = RequestClassMask::WRITES.union(RequestClassMask::SYNCS);
 
-/// Whole audit records per 4 KiB audit block.
-const RECORDS_PER_BLOCK: usize = BLOCK_SIZE / s4_core::audit::RECORD_BYTES;
-
-/// Every third workload request carries a caller-stamped trace context,
-/// so the persisted flight-recorder stream interleaves 68-byte v1 and
-/// 78-byte v2 records and the durability floor in invariant (e) has to
-/// model real (mixed-size) block packing rather than a uniform count.
-const TRACED_EVERY: usize = 3;
-
-/// Encoded size of predicted trace record `i` as it lands in the spill
-/// buffer: a 2-byte length prefix plus the version the stamped context
-/// selects (untraced dispatches stay v1).
-fn trace_blob_len(trace: &TraceCtx) -> usize {
-    2 + if trace.trace_id == 0 {
-        s4_obs::TRACE_RECORD_BYTES
-    } else {
-        s4_obs::TRACE_RECORD_V2_BYTES
-    }
-}
-
-/// Device size for every torture drive (sparse in memory).
-const DISK_BYTES: u64 = 96 << 20;
-
-/// The configuration of every torture drive: `small_test` with an
-/// eight-entry object cache, so the workload's ninth cached object starts
-/// write-back in batches (down to seven) and the power cuts land on
-/// evictions, their shared checkpoint blocks and the reloads after them.
-fn drive_config() -> DriveConfig {
-    DriveConfig {
-        object_cache_entries: 8,
-        ..DriveConfig::small_test()
-    }
-}
-
-/// Parameters of one torture campaign.
-#[derive(Clone, Debug)]
-pub struct TortureConfig {
-    /// PRNG seed; the whole campaign is a pure function of it.
-    pub seed: u64,
-    /// Workload length in operations.
-    pub ops: usize,
-    /// What those operations are.
-    pub workload: Workload,
-    /// Torn-write patterns the campaign draws from: which sectors of the
-    /// faulting write persist (prefix, interleaved, or holed).
-    pub torn_patterns: Vec<TornPattern>,
-    /// How many of `torn_patterns` to replay per crash point. `None`
-    /// replays every pattern at every point; `Some(m)` cycles through
-    /// the pattern set across crash points, m per point, so the full
-    /// set is exercised over the campaign without multiplying the replay
-    /// budget.
-    pub patterns_per_point: Option<usize>,
-    /// Cap on crash points (sampled evenly across the domain);
-    /// `None` enumerates every countable request.
-    pub max_crash_points: Option<usize>,
-}
-
-/// The request stream a campaign replays.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Workload {
-    /// The seeded mix of creates, writes, truncates, deletes, attribute
-    /// changes, syncs and idle ticks.
-    Mixed,
-    /// A fixed script around one large write-back: 24 objects are created
-    /// and written, one `Sync` makes them durable and then evicts 18 of
-    /// them as one batch — whose checkpoints sit in the open log batch —
-    /// three of the evicted are written again (reloaded from those
-    /// unflushed checkpoints) and a second `Sync` is the flush that
-    /// carries the batch; three more writes and a third `Sync` evict the
-    /// reloaded ones again.
-    BatchEviction,
-}
-
-/// Operation `i` of [`Workload::BatchEviction`], given the objects made
-/// so far.
-fn batch_eviction_op(i: usize, live: &[ObjectId]) -> Request {
-    let write = |obj: usize| Request::Write {
-        oid: live[obj],
-        offset: 0,
-        data: vec![i as u8; 100],
-    };
-    match i {
-        0..=23 => Request::Create,
-        24..=47 => write(i - 24),
-        49..=51 => write(i - 49),
-        53..=55 => write(i - 43),
-        _ => Request::Sync,
-    }
-}
+/// Every device a scenario runs on.
+pub type Disk = FaultyDisk<MemDisk>;
 
 /// The standard torn-pattern mix: whole-write loss, a persisted prefix,
 /// alternating sectors of either parity, a mid-write hole — and, since
 /// a log commit is one `[summary | data]` write, the two tears only the
 /// summary's data checksum can catch: the whole summary block persists
 /// and all of the data, or just its first sector, does not.
-pub(crate) fn standard_patterns() -> Vec<TornPattern> {
+pub fn standard_patterns() -> Vec<TornPattern> {
     const SUMMARY_SECTORS: u64 = (BLOCK_SIZE / s4_simdisk::SECTOR_SIZE) as u64;
     vec![
         TornPattern::Prefix(0),
@@ -192,165 +72,242 @@ pub(crate) fn standard_patterns() -> Vec<TornPattern> {
     ]
 }
 
-impl TortureConfig {
-    /// The bounded CI campaign: small workload, ≤ 64 crash points,
-    /// 2 patterns per point (cycling through the standard mix, so the
-    /// replay budget matches the historical 2-prefix campaign).
-    pub fn bounded(seed: u64) -> Self {
-        TortureConfig {
-            seed,
-            ops: 120,
-            workload: Workload::Mixed,
-            torn_patterns: standard_patterns(),
-            patterns_per_point: Some(2),
-            max_crash_points: Some(64),
-        }
-    }
+/// The torn patterns cut at the `j`-th sampled crash point: a rotating
+/// window over [`standard_patterns`], `per_point` wide (`None`: every
+/// pattern at every point).
+pub fn patterns_at(per_point: Option<usize>, j: usize) -> Vec<TornPattern> {
+    let patterns = standard_patterns();
+    let n = patterns.len();
+    let m = per_point.map_or(n, |m| m.min(n));
+    (0..m).map(|i| patterns[(j * m + i) % n]).collect()
+}
 
-    /// The exhaustive campaign: 500-op workload, every crash point,
-    /// 2 patterns per point cycling through the standard mix.
-    pub fn exhaustive(seed: u64) -> Self {
-        TortureConfig {
-            seed,
-            ops: 500,
-            workload: Workload::Mixed,
-            torn_patterns: standard_patterns(),
-            patterns_per_point: Some(2),
-            max_crash_points: None,
-        }
-    }
+/// The indices `0..n`, or an even stride of them when `cap` is below `n`:
+/// every `n.div_ceil(cap)`-th, from the first.
+pub fn sample(n: u64, cap: Option<usize>) -> impl Iterator<Item = u64> {
+    let stride = match cap {
+        Some(cap) if n > cap as u64 => n.div_ceil(cap as u64),
+        _ => 1,
+    };
+    (0..n).step_by(stride as usize)
+}
 
-    /// The batch-eviction campaign: the [`Workload::BatchEviction`]
-    /// script, every countable request, every torn pattern at each. The
-    /// first request of the flush after the eviction torn as
-    /// `Prefix(0)` is the power cut that finds the batch's checkpoints
-    /// still unflushed; the other points and patterns cut the flush that
-    /// carries them.
-    pub fn batch_eviction() -> Self {
-        TortureConfig {
-            seed: 0,
-            ops: 57,
-            workload: Workload::BatchEviction,
-            torn_patterns: standard_patterns(),
-            patterns_per_point: None,
-            max_crash_points: None,
-        }
+/// How much of a scenario's domain a campaign cuts.
+#[derive(Clone, Copy, Debug)]
+pub struct Campaign {
+    /// Torn patterns per crash point, rotating through the standard mix
+    /// across points; `None` cuts every pattern at every point.
+    pub per_point: Option<usize>,
+    /// Cap on crash points, sampled by an even stride; `None` takes
+    /// every countable request.
+    pub cap: Option<usize>,
+}
+
+impl Campaign {
+    /// Every pattern at every crash point.
+    pub const EVERY: Campaign = Campaign::new(None, None);
+
+    /// `per_point` patterns at each of at most `cap` crash points.
+    pub const fn new(per_point: Option<usize>, cap: Option<usize>) -> Campaign {
+        Campaign { per_point, cap }
     }
 
     /// Replays performed per crash point.
     pub fn replays_per_point(&self) -> usize {
-        patterns_at(&self.torn_patterns, self.patterns_per_point, 0).len()
+        patterns_at(self.per_point, 0).len()
     }
 }
 
-/// The torn patterns replayed at the `j`-th sampled crash point: a
-/// deterministic rotating window over `patterns`, `per_point` wide
-/// (`None`: every pattern at every point).
-pub fn patterns_at(
-    patterns: &[TornPattern],
-    per_point: Option<usize>,
-    j: usize,
-) -> Vec<TornPattern> {
-    let n = patterns.len();
-    let m = match per_point {
-        Some(m) => m.min(n),
-        None => n,
-    };
-    (0..m).map(|i| patterns[(j * m + i) % n]).collect()
+/// The devices of one run, on one power rail: the instant any device's
+/// plan fires, every device on the rail refuses requests.
+pub struct Rail {
+    plans: RefCell<std::vec::IntoIter<FaultPlan>>,
+    power: Arc<AtomicBool>,
 }
 
-/// What the golden (fault-free) run established.
-#[derive(Clone, Copy, Debug)]
-pub struct GoldenSummary {
-    /// Crash-point domain `[start, end)`: countable request indices
-    /// issued by the workload (format's requests are excluded — crashing
-    /// inside format leaves no anchor to recover from).
-    pub domain: (u64, u64),
-    /// Audit records the workload produces.
-    pub audit_records: usize,
-    /// Syncs the workload issued.
-    pub syncs: usize,
-    /// Device-level sync requests inside the domain (anchor barriers;
-    /// the only `BlockDev::sync` call sites are superblock writes, so a
-    /// workload shorter than the anchor interval has none).
-    pub sync_points: u64,
-    /// Objects the workload created.
-    pub objects: usize,
-    /// Oracle version entries validated.
-    pub versions: usize,
-    /// Object checkpoints the workload wrote (every one of them for an
-    /// eviction: the workload neither expires nor anchors with stale
-    /// entries), and the blocks that hold them.
-    pub checkpoints: (u64, u64),
-    /// XXH64 of the whole device image after an orderly unmount. Same
-    /// requests produce the same bytes, so this is one value per
-    /// `(seed, ops)` across runs and processes — the byte-level oracle
-    /// for any change that claims to leave the on-disk format alone.
-    pub image_hash: u64,
+impl Rail {
+    /// A rail whose `i`-th plugged device runs `plans[i]`.
+    pub(crate) fn new(plans: Vec<FaultPlan>) -> Rail {
+        Rail {
+            plans: RefCell::new(plans.into_iter()),
+            power: Arc::default(),
+        }
+    }
+
+    /// Puts `dev` on the rail as the next device, under its plan.
+    pub fn plug(&self, dev: MemDisk) -> Disk {
+        let plan = self.plans.borrow_mut().next();
+        let plan = plan.expect("more devices plugged than the scenario declares");
+        FaultyDisk::on_rail(dev, plan, Arc::clone(&self.power))
+    }
+
+    fn dark(&self) -> bool {
+        self.power.load(Ordering::SeqCst)
+    }
 }
 
-/// Outcome of one crash-point replay (panics on invariant violation).
-#[derive(Clone, Copy, Debug)]
-pub struct CrashOutcome {
-    /// The countable-request index the fault was armed at.
-    pub crash_point: u64,
-    /// Torn-sector pattern applied to the faulting write.
-    pub torn: TornPattern,
-    /// Whether the fault actually fired (false = the replay's request
-    /// sequence ended before `crash_point`; the workload completed).
+/// What a scenario's `setup` leaves on the rail: a drive or an array.
+pub trait Rig {
+    /// Counted requests each device has seen, in plug order.
+    fn requests_seen(&self) -> Vec<u64>;
+    /// Power loss: drops every volatile state and returns the devices in
+    /// plug order.
+    fn crash(self) -> Vec<Disk>;
+}
+
+impl Rig for S4Drive<Disk> {
+    fn requests_seen(&self) -> Vec<u64> {
+        vec![self.log().device().requests_seen()]
+    }
+
+    fn crash(self) -> Vec<Disk> {
+        vec![S4Drive::crash(self)]
+    }
+}
+
+impl Rig for S4Array<Disk> {
+    fn requests_seen(&self) -> Vec<u64> {
+        let members = |s| (0..self.mirror_count()).map(move |m| (s, m));
+        let all = (0..self.shard_count()).flat_map(members);
+        all.map(|(s, m)| self.member_drive(s, m).log().device().requests_seen())
+            .collect()
+    }
+
+    fn crash(self) -> Vec<Disk> {
+        S4Array::crash(self).expect("an array crashes")
+    }
+}
+
+/// A rig, with what its setup learned on the side.
+impl<R: Rig, T> Rig for (R, T) {
+    fn requests_seen(&self) -> Vec<u64> {
+        self.0.requests_seen()
+    }
+
+    fn crash(self) -> Vec<Disk> {
+        self.0.crash()
+    }
+}
+
+/// A stretch of work whose every device request the power may be cut
+/// at, and what must hold after.
+pub trait Scenario {
+    /// What `setup` builds.
+    type Rig: Rig;
+    /// What `run` reports to `check`.
+    type Run;
+    /// What one `check` counts; a campaign sums them.
+    type Tally: Default + Debug + AddAssign;
+
+    /// Devices the scenario plugs into the rail.
+    fn devices(&self) -> usize;
+    /// Builds the system on devices from `rail`; no cut falls inside it.
+    fn setup(&self, rail: &Rail) -> Self::Rig;
+    /// The crash window: runs until it ends or the power goes.
+    fn run(&self, rig: &Self::Rig) -> Self::Run;
+    /// Runs after the power comes back, on the images the cut left, in
+    /// plug order; `died` says whether the power went during `run`.
+    /// Panics, labelled with `what`, on any violation.
+    fn check(&self, images: Vec<MemDisk>, run: &Self::Run, died: bool, what: &str) -> Self::Tally;
+}
+
+/// Runs `s` with power loss armed at request `k` of `device`, tearing
+/// per `torn` (`None`: uncut), then cuts the power and revives the rail.
+/// Returns each device's counted requests after `setup` and after `run`,
+/// the images the cut left, what `run` reported and whether the rail
+/// went dark.
+#[allow(clippy::type_complexity)]
+pub(crate) fn power_cut<S: Scenario>(
+    s: &S,
+    fault: Option<(usize, u64, TornPattern)>,
+) -> (Vec<(u64, u64)>, Vec<MemDisk>, S::Run, bool) {
+    let mut plans = vec![FaultPlan::count_only(CRASH_MASK); s.devices()];
+    if let Some((device, k, torn)) = fault {
+        plans[device] = FaultPlan::power_loss_with_pattern(k, torn, CRASH_MASK);
+    }
+    let rail = Rail::new(plans);
+    let rig = s.setup(&rail);
+    let start = rig.requests_seen();
+    let run = s.run(&rig);
+    let windows = start.into_iter().zip(rig.requests_seen()).collect();
+    let devices = rig.crash();
+    let died = rail.dark();
+    devices.iter().for_each(FaultyDisk::revive);
+    let images = devices.into_iter().map(FaultyDisk::into_inner).collect();
+    (windows, images, run, died)
+}
+
+/// Each device's window `[start, end)` of countable requests, from an
+/// uncut run.
+pub fn windows<S: Scenario>(s: &S) -> Vec<(u64, u64)> {
+    power_cut(s, None).0
+}
+
+/// Outcome of one cut (panics on invariant violation).
+pub struct Outcome<S: Scenario> {
+    /// Whether the power went during `run`.
     pub died: bool,
-    /// Versions verified readable post-recovery (invariant a, run twice:
-    /// after mount and after the cleaner pass).
-    pub versions_checked: usize,
-    /// Length of the recovered audit prefix (invariant b).
-    pub audit_prefix: usize,
-    /// The recovery report of the first remount.
-    pub report: RecoveryReport,
+    /// What `run` reported.
+    pub run: S::Run,
+    /// What `check` counted.
+    pub tally: S::Tally,
+}
+
+/// Cuts the power at request `k` of `device` under `torn`, and checks.
+pub fn replay<S: Scenario>(s: &S, device: usize, k: u64, torn: TornPattern) -> Outcome<S> {
+    let (_, images, run, died) = power_cut(s, Some((device, k, torn)));
+    let tally = s.check(
+        images,
+        &run,
+        died,
+        &format!("device {device} cut {k} {torn:?}"),
+    );
+    Outcome { died, run, tally }
 }
 
 /// Outcome of a whole campaign.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TortureSummary {
-    /// Crash-point domain the golden run established.
-    pub domain: (u64, u64),
-    /// Device-level sync (anchor barrier) requests inside the domain.
-    pub sync_points: u64,
-    /// Distinct crash points replayed.
+#[derive(Clone, Debug, Default)]
+pub struct Summary<T> {
+    /// Each device's window `[start, end)` of countable requests.
+    pub windows: Vec<(u64, u64)>,
+    /// Crash points in all the windows.
+    pub domain: u64,
+    /// Distinct crash points cut.
     pub crash_points: usize,
-    /// Total replays (crash points × torn prefixes).
+    /// Total replays (crash points × patterns per point).
     pub replays: usize,
-    /// Replays in which the fault fired.
+    /// Replays in which the power went.
     pub died: usize,
-    /// Versions verified readable across all replays.
-    pub versions_checked: usize,
-    /// Replays whose recovery dropped a commit for a data-checksum
-    /// mismatch (its summary persisted, its data did not).
-    pub torn_batches: usize,
+    /// The scenario's checks, summed over the replays.
+    pub tally: T,
 }
 
-/// Everything one workload run produced: the oracle, the predicted audit
-/// stream, and the durability boundary.
-#[derive(Default)]
-struct RunState {
-    oracle: Oracle,
-    predicted: Vec<AuditRecord>,
-    /// Trace context stamped on request `i` (default = untraced → v1
-    /// record); parallel to `predicted`, it is the trace-stream oracle.
-    predicted_trace: Vec<TraceCtx>,
-    /// Drive time of the last sync that returned `Ok`.
-    last_ok_sync: Option<SimTime>,
-    /// Predicted records audited *before* that sync executed (its own
-    /// record is appended after the flush and is volatile).
-    records_at_sync: usize,
-    /// The value `records_at_sync` had at the last completed sync that
-    /// also anchored (every `anchor_interval_syncs`-th one). An anchor
-    /// writes the audit and trace tails out as short blocks, so every
-    /// record before it is durable and both streams' block packing
-    /// starts afresh after it.
-    records_at_anchor: usize,
-    syncs_ok: usize,
-    /// True if a dispatch failed (the injected fault fired).
-    stopped_early: bool,
+/// Cuts `s` at the crash points and patterns `c` picks, then checks the
+/// uncut control run. Panics on the first invariant violation.
+pub fn enumerate<S: Scenario>(s: &S, c: Campaign) -> Summary<S::Tally> {
+    let (windows, images, run, died) = power_cut(s, None);
+    let points: Vec<(usize, u64)> = (windows.iter().enumerate())
+        .flat_map(|(device, &(start, end))| (start..end).map(move |k| (device, k)))
+        .collect();
+    assert!(!points.is_empty(), "the run issued no countable requests");
+    let mut summary = Summary {
+        domain: points.len() as u64,
+        windows,
+        ..Summary::default()
+    };
+    for (j, i) in sample(summary.domain, c.cap).enumerate() {
+        let (device, k) = points[i as usize];
+        summary.crash_points += 1;
+        for torn in patterns_at(c.per_point, j) {
+            let o = replay(s, device, k, torn);
+            summary.replays += 1;
+            summary.died += usize::from(o.died);
+            summary.tally += o.tally;
+        }
+    }
+    assert!(!died, "the uncut run lost power");
+    s.check(images, &run, false, "uncut");
+    summary
 }
 
 pub(crate) fn user_ctx() -> RequestContext {
@@ -362,855 +319,35 @@ pub(crate) fn admin_ctx() -> RequestContext {
     RequestContext::admin(ClientId(0), 42)
 }
 
-// ---------------------------------------------------------------------
-// Workload.
-// ---------------------------------------------------------------------
-
-/// Drives the deterministic workload against `drive`, maintaining the
-/// oracle and the predicted audit stream. Stops at the first failed
-/// dispatch (the injected fault; the fault-free golden run never fails).
-fn run_workload<D: BlockDev>(
-    drive: &S4Drive<D>,
-    clock: &SimClock,
-    cfg: &TortureConfig,
-) -> RunState {
-    let mut rng = Rng::new(cfg.seed);
-    let ctx = user_ctx();
-    let mut st = RunState::default();
-    // Alive objects (targets for mutations), plus their oracle state.
-    let mut live: Vec<ObjectId> = Vec::new();
-
-    for i in 0..cfg.ops {
-        // Distinct mutation instants keep oracle lookups unambiguous.
-        clock.advance(SimDuration::from_millis(1));
-        let roll = rng.below(100);
-
-        // Build the request; `Tick` advances time without a request.
-        enum Planned {
-            Req(Request),
-            Tick(u64),
-        }
-        let planned = if cfg.workload == Workload::BatchEviction {
-            Planned::Req(batch_eviction_op(i, &live))
-        } else if roll < 90 && live.is_empty() {
-            // Nothing to mutate yet.
-            Planned::Req(Request::Create)
-        } else if roll < 8 {
-            Planned::Req(Request::Create)
-        } else if roll < 48 {
-            let oid = live[rng.index(live.len())];
-            let offset = rng.below(12_000);
-            let len = rng.range(1, 6_000) as usize;
-            let fill = rng.below(256) as u8;
-            Planned::Req(Request::Write {
-                oid,
-                offset,
-                data: vec![fill; len],
-            })
-        } else if roll < 58 {
-            let oid = live[rng.index(live.len())];
-            let len = rng.below(12_000);
-            Planned::Req(Request::Truncate { oid, len })
-        } else if roll < 64 {
-            if live.len() > 1 {
-                let oid = live[rng.index(live.len())];
-                Planned::Req(Request::Delete { oid })
-            } else {
-                Planned::Req(Request::Sync)
-            }
-        } else if roll < 72 {
-            let oid = live[rng.index(live.len())];
-            let attr = rng.below(256) as u8;
-            Planned::Req(Request::SetAttr {
-                oid,
-                attrs: vec![attr],
-            })
-        } else if roll < 87 {
-            Planned::Req(Request::Sync)
-        } else {
-            Planned::Tick(rng.range(1, 400))
-        };
-
-        let req = match planned {
-            Planned::Tick(ms) => {
-                clock.advance(SimDuration::from_millis(ms));
-                st.oracle.checkpoints.push(drive.now());
-                continue;
-            }
-            Planned::Req(req) => req,
-        };
-
-        // Every TRACED_EVERY-th request opts into tracing (a stamped
-        // entry-point context, as the array router or a transport would
-        // provide), so replays exercise the mixed v1/v2 trace codec.
-        // The id is a deterministic function of the stream position.
-        let trace = if st.predicted.len().is_multiple_of(TRACED_EVERY) {
-            TraceCtx {
-                trace_id: st.predicted.len() as u64 + 1,
-                origin: 0,
-                phase: 0,
-            }
-        } else {
-            TraceCtx::default()
-        };
-        let result = drive.dispatch(&ctx.with_trace(trace), &req);
-
-        // Predict the audit record dispatch just appended (same
-        // construction as `S4Drive::dispatch`; CPU is free in
-        // `small_test`, so `now()` is unchanged by the op itself).
-        let object = match &result {
-            Ok(Response::Created(oid)) => *oid,
-            _ => req.target(),
-        };
-        let (arg1, arg2) = req.audit_args();
-        st.predicted_trace.push(trace);
-        st.predicted.push(AuditRecord {
-            time: drive.now(),
-            user: ctx.user,
-            client: ctx.client,
-            op: req.op_kind(),
-            ok: result.is_ok(),
-            object,
-            arg1,
-            arg2,
-        });
-
-        let resp = match result {
-            Ok(resp) => resp,
-            Err(_) => {
-                // The injected fault surfaced; the drive is dying.
-                st.stopped_early = true;
-                break;
-            }
-        };
-
-        // Mirror the mutation into the oracle.
-        let now = drive.now();
-        match (&req, &resp) {
-            (Request::Create, Response::Created(oid)) => {
-                live.push(*oid);
-                st.oracle.create(*oid, now);
-            }
-            (Request::Write { oid, offset, data }, _) => st.oracle.write(*oid, now, *offset, data),
-            (Request::Truncate { oid, len }, _) => st.oracle.truncate(*oid, now, *len),
-            (Request::Delete { oid }, _) => {
-                st.oracle.delete(*oid, now);
-                live.retain(|l| l != oid);
-            }
-            (Request::SetAttr { oid, attrs }, _) => st.oracle.set_attr(*oid, now, attrs),
-            (Request::Sync, _) => {
-                st.last_ok_sync = Some(now);
-                // The sync's own record (just pushed) is post-flush.
-                st.records_at_sync = st.predicted.len() - 1;
-                st.syncs_ok += 1;
-                let interval = drive_config().anchor_interval_syncs as usize;
-                if st.syncs_ok.is_multiple_of(interval) {
-                    st.records_at_anchor = st.records_at_sync;
-                }
-            }
-            _ => unreachable!("workload issues no other requests"),
-        }
-        st.oracle.checkpoints.push(now);
-    }
-    st
-}
-
-// ---------------------------------------------------------------------
-// Verification.
-// ---------------------------------------------------------------------
-
-/// Invariant (b): the recovered audit log must be an exact prefix of the
-/// predicted stream, and at least every record in a full block flushed
-/// by the last completed sync must have survived.
-fn verify_audit_prefix(recovered: &[AuditRecord], st: &RunState, what: &str) {
-    assert!(
-        recovered.len() <= st.predicted.len(),
-        "{what}: recovered {} audit records, predicted only {}",
-        recovered.len(),
-        st.predicted.len()
-    );
-    for (i, (got, want)) in recovered.iter().zip(&st.predicted).enumerate() {
-        assert_eq!(
-            got, want,
-            "{what}: audit record {i} diverged (hole or reordering)"
-        );
-    }
-    let min_durable = if st.last_ok_sync.is_some() {
-        let since_anchor = st.records_at_sync - st.records_at_anchor;
-        st.records_at_anchor + (since_anchor / RECORDS_PER_BLOCK) * RECORDS_PER_BLOCK
-    } else {
-        0
-    };
-    assert!(
-        recovered.len() >= min_durable,
-        "{what}: only {} audit records recovered; {} were in full blocks \
-         flushed by the last completed sync",
-        recovered.len(),
-        min_durable
-    );
-}
-
-/// Invariant (e): the recovered flight-recorder stream is an exact
-/// prefix of the predicted request stream. The drive writes one trace
-/// record per dispatched request, in dispatch order, sharing the audit
-/// record's identity fields — so the audit predictor doubles as the
-/// trace oracle, and the stamped contexts predict each record's trace
-/// id, origin, and phase (zeroes for the untraced v1 majority). The
-/// durability floor mirrors (b), but the stream mixes 68-byte v1 and
-/// 78-byte v2 records, so it re-runs the spill discipline over the
-/// predicted sizes: exactly the records in blocks spilled to the log
-/// before the last completed sync's flush are guaranteed.
-fn verify_trace_prefix(traces: &[TraceRecord], st: &RunState, what: &str) {
-    assert!(
-        traces.len() <= st.predicted.len(),
-        "{what}: recovered {} trace records, predicted only {}",
-        traces.len(),
-        st.predicted.len()
-    );
-    for (i, (got, want)) in traces.iter().zip(&st.predicted).enumerate() {
-        assert_eq!(got.seq, i as u64, "{what}: trace {i} seq (hole or reordering)");
-        let identity = (got.time_us, got.user, got.client, got.op, got.ok, got.object);
-        let expect = (
-            want.time.as_micros(),
-            want.user.0,
-            want.client.0,
-            want.op as u8,
-            want.ok,
-            want.object.0,
-        );
-        assert_eq!(
-            identity, expect,
-            "{what}: trace {i} diverged from its audit record"
-        );
-        let want_trace = &st.predicted_trace[i];
-        assert_eq!(
-            (got.trace_id, got.origin, got.phase),
-            (want_trace.trace_id, want_trace.origin, want_trace.phase),
-            "{what}: trace {i} carried the wrong trace context"
-        );
-    }
-    let min_durable = if st.last_ok_sync.is_some() {
-        // Replay the lazy spill: a record whose length-prefixed blob
-        // would overflow the 4 KiB block spills the buffered records
-        // first. Only blocks spilled by requests dispatched *before*
-        // the sync are covered by its flush; the open tail is volatile
-        // until the next anchor, which writes it out and starts a new
-        // block.
-        let mut durable = st.records_at_anchor;
-        let (mut in_block, mut pending) = (0usize, 0usize);
-        for trace in &st.predicted_trace[st.records_at_anchor..st.records_at_sync] {
-            let len = trace_blob_len(trace);
-            if pending + len > BLOCK_SIZE {
-                durable += in_block;
-                in_block = 0;
-                pending = 0;
-            }
-            pending += len;
-            in_block += 1;
-        }
-        durable
-    } else {
-        0
-    };
-    assert!(
-        traces.len() >= min_durable,
-        "{what}: only {} trace records recovered; {} were in blocks \
-         spilled before the last completed sync",
-        traces.len(),
-        min_durable
-    );
-}
-
-// ---------------------------------------------------------------------
-// Phase 1: golden run.
-// ---------------------------------------------------------------------
-
-/// Runs the workload fault-free on a traced device: validates the oracle
-/// and the audit predictor, and measures the crash-point domain.
-pub fn golden_run(cfg: &TortureConfig) -> GoldenSummary {
-    let clock = SimClock::new();
-    clock.advance(SimDuration::from_secs(1));
-    let dev = TraceDisk::new(MemDisk::with_capacity_bytes(DISK_BYTES));
-    let trace = dev.handle();
-    let drive = S4Drive::format(dev, drive_config(), clock.clone())
-        .expect("golden: format failed");
-    let format_points = trace.countable(CRASH_MASK);
-    let format_syncs = trace.syncs();
-    let st = run_workload(&drive, &clock, cfg);
-    assert!(!st.stopped_early, "golden: fault-free run failed a dispatch");
-    let end_points = trace.countable(CRASH_MASK);
-    let sync_points = trace.syncs() - format_syncs;
-
-    // Validate the oracle and predictor against the live drive.
-    drive.op_sync(&user_ctx()).expect("golden: final sync");
-    let versions = st.oracle.verify_full(&drive, "golden");
-    let recovered = drive
-        .read_audit_records(&admin_ctx())
-        .expect("golden: audit read");
-    assert_eq!(
-        recovered, st.predicted,
-        "golden: predictor diverged from the drive's audit log"
-    );
-    // On a live drive the flight recorder has lost nothing: the trace
-    // stream must cover the predicted stream exactly (validating the
-    // 1:1 trace-per-audit-record assumption replays depend on).
-    let traces = drive
-        .read_traces(&admin_ctx())
-        .expect("golden: trace read");
-    assert_eq!(
-        traces.len(),
-        st.predicted.len(),
-        "golden: trace stream incomplete on a fault-free run"
-    );
-    verify_trace_prefix(&traces, &st, "golden");
-
-    let stats = drive.stats().snapshot();
-    let dev = drive.unmount().expect("golden: unmount").into_inner();
-    let mut image = vec![0u8; dev.capacity_bytes() as usize];
-    dev.read(0, &mut image).expect("golden: image read");
-
-    GoldenSummary {
-        domain: (format_points, end_points),
-        audit_records: st.predicted.len(),
-        syncs: st.syncs_ok,
-        sync_points,
-        objects: st.oracle.objects(),
-        versions,
-        checkpoints: (stats.checkpoints, stats.checkpoint_blocks),
-        image_hash: s4_lfs::crc::xxh64(&image),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Phase 2: one crash-point replay, and the three campaigns over it.
-// ---------------------------------------------------------------------
-
-/// A workload run to its crash point, with the power back on: what the
-/// run established, against which every later mount of the image is
-/// checked.
-struct Crashed {
-    /// Labels failures: campaign, crash point, torn pattern.
-    what: String,
-    st: RunState,
-    /// Whether the fault fired (false = the request sequence ended
-    /// before the crash point; the workload completed and was flushed).
-    died: bool,
-}
-
-/// Runs the workload on a fresh drive with power loss armed at countable
-/// request `k` (tearing the faulting write per `torn`), drops all
-/// volatile state and revives the device. Returns the device image as
-/// the power cut left it.
-fn crash_at(campaign: &str, cfg: &TortureConfig, k: u64, torn: TornPattern) -> (MemDisk, Crashed) {
-    let what = format!("{campaign}@{k}/{torn:?}");
-    let clock = SimClock::new();
-    clock.advance(SimDuration::from_secs(1));
-    let plan = FaultPlan::power_loss_with_pattern(k, torn, CRASH_MASK);
-    let dev = FaultyDisk::new(MemDisk::with_capacity_bytes(DISK_BYTES), plan);
-    // k is at or past format's request count, so format always succeeds.
-    let drive = S4Drive::format(dev, drive_config(), clock.clone())
-        .unwrap_or_else(|e| panic!("{what}: format failed (crash point inside format?): {e:?}"));
-    let st = run_workload(&drive, &clock, cfg);
-    // A sequence that ended before its crash point is flushed as the
-    // golden run's is, so the power goes off on a completed workload
-    // (unless the flush is what trips the fault).
-    let flushed = !st.stopped_early && drive.op_sync(&user_ctx()).is_ok();
-    let faulty = drive.crash();
-    let died = faulty.is_dead() || !flushed;
-    faulty.revive();
-    (faulty.into_inner(), Crashed { what, st, died })
-}
-
-/// Mounts `dev` on a fresh clock. Recovery must always succeed — there
-/// is always at least the format-time anchor to fall back to.
-fn mount<D: BlockDev>(dev: D, what: &str, stage: &str) -> (S4Drive<D>, RecoveryReport) {
-    S4Drive::mount_with_report(dev, drive_config(), SimClock::new())
-        .unwrap_or_else(|e| panic!("{what}: {stage} failed: {e:?}"))
-}
-
-impl Crashed {
-    /// Invariants (a) and (d), against the durability boundary: the last
-    /// sync that completed before the crash. If the fault never fired,
-    /// the workload completed — hold the replay to the golden bar
-    /// instead (everything readable). Returns the version checks
-    /// performed.
-    fn check_versions<D: BlockDev>(&self, drive: &S4Drive<D>) -> usize {
-        if !self.died {
-            return self.st.oracle.verify_full(drive, &self.what);
-        }
-        match self.st.last_ok_sync {
-            Some(boundary) => self.st.oracle.verify_durable(drive, boundary, &self.what),
-            None => 0,
-        }
-    }
-
-    /// Invariants (b) and (e): the audit log and the flight recorder's
-    /// trace stream are exact prefixes of the predicted request stream.
-    /// Returns the length of the recovered audit prefix.
-    fn check_streams<D: BlockDev>(&self, drive: &S4Drive<D>) -> usize {
-        let what = &self.what;
-        let recovered = drive
-            .read_audit_records(&admin_ctx())
-            .unwrap_or_else(|e| panic!("{what}: audit read failed: {e:?}"));
-        verify_audit_prefix(&recovered, &self.st, what);
-        let traces = drive
-            .read_traces(&admin_ctx())
-            .unwrap_or_else(|e| panic!("{what}: trace read failed: {e:?}"));
-        verify_trace_prefix(&traces, &self.st, what);
-        recovered.len()
-    }
-
-    /// Invariant (c): journal replay is idempotent, space accounting
-    /// included. Powers `drive` off and mounts its image again: the
-    /// ledger it ran on must equal its recount and every segment's live
-    /// count the ledger's addresses in it
-    /// ([`S4Drive::check_image`]), the state digest must not move, and
-    /// — mount writes nothing — a second mount of one image must repeat
-    /// the `report` of the first (`None` when `drive` has written since
-    /// it was mounted). Returns the new mount.
-    fn check_remount<D: BlockDev>(
-        &self,
-        drive: S4Drive<D>,
-        report: Option<&RecoveryReport>,
-        stage: &str,
-    ) -> (S4Drive<D>, RecoveryReport) {
-        let what = &self.what;
-        let digest = drive.state_digest();
-        // The ledger this mount has been running on must be the one the
-        // next mount is about to derive.
-        let audit = drive.check_image();
-        assert!(
-            matches!(&audit, Ok((found, segments, _)) if found.is_empty() && segments.is_empty()),
-            "{what}: space accounting differs from its recount before {stage}: {audit:?}"
-        );
-        let (again, report2) = mount(drive.crash(), what, stage);
-        assert_eq!(
-            digest,
-            again.state_digest(),
-            "{what}: {stage} not idempotent — state digests differ"
-        );
-        if let Some(report) = report {
-            assert_eq!(
-                *report, report2,
-                "{what}: {stage} not idempotent — recovery reports differ"
-            );
-        }
-        (again, report2)
-    }
-}
-
-/// Replays the workload with power loss armed at countable request `k`
-/// (tearing the faulting write per `torn`), then remounts and
-/// asserts the five recovery invariants. Panics with a descriptive
-/// message on any violation.
-pub fn torture_crash_point(cfg: &TortureConfig, k: u64, torn: TornPattern) -> CrashOutcome {
-    let (image, c) = crash_at("crash", cfg, k, torn);
-    let what = &c.what;
-    let (d1, report) = mount(image, what, "recovery");
-    let (d2, _) = c.check_remount(d1, Some(&report), "second recovery");
-    // Only the one commit in flight when power died can be torn.
-    assert!(
-        report.torn_batches <= 1,
-        "{what}: recovery dropped {} checksum-mismatched batches",
-        report.torn_batches
-    );
-    // Sanity: recovery must not invent mutations from the future.
-    if let Some(&last_t) = c.st.oracle.checkpoints.last() {
-        assert!(
-            report.max_recovered_stamp.time <= last_t,
-            "{what}: recovered stamp {} past the last issued op at {last_t}",
-            report.max_recovered_stamp.time
-        );
-    }
-
-    let mut versions_checked = c.check_versions(&d2);
-    let audit_prefix = c.check_streams(&d2);
-    // Invariant (d): a cleaner pass must reclaim nothing inside the
-    // detection window (the workload spans seconds; the window is an
-    // hour) — every durable version must still read back.
-    d2.clean()
-        .unwrap_or_else(|e| panic!("{what}: post-recovery clean failed: {e:?}"));
-    versions_checked += c.check_versions(&d2);
-
-    CrashOutcome {
-        crash_point: k,
-        torn,
-        died: c.died,
-        versions_checked,
-        audit_prefix,
-        report,
-    }
-}
-
-/// Like [`torture_crash_point`], but with a full maintenance pass —
-/// cleaner, history compaction, and a forced anchor — wedged between
-/// the post-crash recovery and a second power-off/remount cycle. The
-/// cleaner must reclaim nothing inside the detection window even when
-/// it runs on freshly recovered (possibly torn-tail) state, and the
-/// compacted, re-anchored image must remount to the identical drive.
-pub fn torture_cleaner_between(cfg: &TortureConfig, k: u64, torn: TornPattern) -> CrashOutcome {
-    let (image, c) = crash_at("cleaner-crash", cfg, k, torn);
-    let what = &c.what;
-    let (d1, report) = mount(image, what, "recovery");
-
-    // Invariants (a)/(b)/(e) hold right after recovery…
-    let mut versions_checked = c.check_versions(&d1);
-    let audit_prefix = c.check_streams(&d1);
-
-    // …then the maintenance pass runs on the recovered state…
-    d1.clean()
-        .unwrap_or_else(|e| panic!("{what}: cleaner failed on recovered state: {e:?}"));
-    d1.compact_history()
-        .unwrap_or_else(|e| panic!("{what}: compaction failed on recovered state: {e:?}"));
-    d1.force_anchor()
-        .unwrap_or_else(|e| panic!("{what}: anchor failed after maintenance: {e:?}"));
-
-    // …and must not have eaten anything inside the window.
-    versions_checked += c.check_versions(&d1);
-
-    // Second power-off. The anchor committed everything, so the cleaned
-    // and compacted image must remount to the identical logical state,
-    // idempotently.
-    let (d2, report2) = c.check_remount(d1, None, "remount after maintenance");
-    let (d3, _) = c.check_remount(d2, Some(&report2), "third recovery");
-
-    // Durability and stream-prefix integrity survive the whole gauntlet.
-    versions_checked += c.check_versions(&d3);
-    c.check_streams(&d3);
-
-    CrashOutcome {
-        crash_point: k,
-        torn,
-        died: c.died,
-        versions_checked,
-        audit_prefix,
-        report,
-    }
-}
-
-/// Outcome of one crash-during-recovery probe (panics on violation).
-#[derive(Clone, Copy, Debug)]
-pub struct RecoveryCrashOutcome {
-    /// The first (workload) crash point.
-    pub crash_point: u64,
-    /// Torn pattern of the first crash.
-    pub torn: TornPattern,
-    /// Whether the first fault fired.
-    pub died: bool,
-    /// Device requests the undisturbed recovery issues — the domain the
-    /// second crash is sampled from.
-    pub recovery_requests: u64,
-    /// Device writes issued by recovery (must be zero: recovery is
-    /// read-only, which is what makes a crash inside it harmless).
-    pub recovery_writes: u64,
-    /// Second-crash points replayed.
-    pub second_replays: usize,
-    /// Replays in which the second fault aborted the mount.
-    pub second_died: usize,
-    /// Versions verified readable across all double-crash recoveries.
-    pub versions_checked: usize,
-}
-
-/// Crashes the workload at countable request `k`, then enumerates a
-/// second power loss at (sampled) device-request points *inside the
-/// recovery replay itself*. After each interrupted recovery the image
-/// is remounted again; the result must be byte-identical to the
-/// undisturbed recovery (same state digest, same [`RecoveryReport`]),
-/// remain idempotent across a further remount, and hold the durability,
-/// audit-prefix, trace-prefix, and post-cleaner invariants.
-///
-/// The probe first proves recovery performs **zero** device writes, so
-/// an interrupted recovery leaves the image bit-for-bit unchanged —
-/// replaying the second crash is then exactly "remount the same image".
-pub fn torture_crash_during_recovery(
-    cfg: &TortureConfig,
-    k: u64,
-    torn: TornPattern,
-    max_second_points: Option<usize>,
-) -> RecoveryCrashOutcome {
-    let (image, c) = crash_at("recovery-crash", cfg, k, torn);
-    let what = &c.what;
-
-    // Undisturbed recovery: the baseline every interrupted recovery must
-    // reproduce. The counting wrapper also measures the second-crash
-    // domain and proves recovery writes nothing.
-    let probe = FaultyDisk::new(image.clone(), FaultPlan::count_only(RequestClassMask::ALL));
-    let (baseline, base_report) = mount(probe, what, "baseline recovery");
-    let base_digest = baseline.state_digest();
-    let recovery_requests = baseline.crash().requests_seen();
-    let probe = FaultyDisk::new(image.clone(), FaultPlan::count_only(CRASH_MASK));
-    let (w, _) = mount(probe, what, "write-count recovery");
-    let recovery_writes = w.crash().requests_seen();
-    assert_eq!(
-        recovery_writes, 0,
-        "{what}: recovery wrote to the device — a crash inside it is no longer harmless"
-    );
-
-    let step = match max_second_points {
-        Some(cap) if recovery_requests > cap as u64 => recovery_requests.div_ceil(cap as u64),
-        _ => 1,
-    };
-    let mut second_replays = 0;
-    let mut second_died = 0;
-    let mut versions_checked = 0;
-    let mut r = 0u64;
-    while r < recovery_requests {
-        second_replays += 1;
-        let wrapped = FaultyDisk::new(
-            image.clone(),
-            FaultPlan::power_loss_after_requests(r, 0, RequestClassMask::ALL),
-        );
-        match S4Drive::mount_with_report(wrapped, drive_config(), SimClock::new()) {
-            Err(_) => second_died += 1,
-            Ok((d, rep)) => {
-                // Tolerable only if the interrupted recovery still
-                // reproduced the undisturbed result exactly.
-                assert_eq!(
-                    d.state_digest(),
-                    base_digest,
-                    "{what}@r{r}: recovery survived its fault with different state"
-                );
-                assert_eq!(rep, base_report, "{what}@r{r}: reports diverged");
-            }
-        }
-
-        // Reboot after the second crash: recovery wrote nothing (proved
-        // above), so the pre-crash image *is* the post-crash image.
-        let (d2, rep2) = mount(image.clone(), what, &format!("double-crash recovery @r{r}"));
-        assert_eq!(
-            d2.state_digest(),
-            base_digest,
-            "{what}@r{r}: double-crash recovery diverged from the undisturbed one"
-        );
-        assert_eq!(rep2, base_report, "{what}@r{r}: double-crash report diverged");
-
-        // Idempotence still holds after the double crash.
-        let (d3, _) = c.check_remount(d2, Some(&base_report), &format!("third recovery @r{r}"));
-
-        // Durability, audit-prefix, trace-prefix, and post-cleaner
-        // retention — the same bar as a single crash.
-        versions_checked += c.check_versions(&d3);
-        c.check_streams(&d3);
-        d3.clean()
-            .unwrap_or_else(|e| panic!("{what}@r{r}: post-recovery clean failed: {e:?}"));
-        versions_checked += c.check_versions(&d3);
-        r += step;
-    }
-
-    RecoveryCrashOutcome {
-        crash_point: k,
-        torn,
-        died: c.died,
-        recovery_requests,
-        recovery_writes,
-        second_replays,
-        second_died,
-        versions_checked,
-    }
-}
-
-/// Outcome of a crash-during-recovery campaign.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RecoverySummary {
-    /// First-crash points probed.
-    pub first_points: usize,
-    /// Total second-crash replays across all first points.
-    pub second_replays: usize,
-    /// Second faults that aborted the mount.
-    pub second_died: usize,
-    /// Total device requests across all undisturbed recoveries.
-    pub recovery_requests: u64,
-    /// Versions verified readable across all double-crash recoveries.
-    pub versions_checked: usize,
-}
-
-/// Crash-during-recovery campaign: probes `first_points` workload crash
-/// points spread across the golden domain (rotating through the torn
-/// patterns), and at each enumerates up to `second_per_point` second
-/// crashes inside the recovery replay.
-pub fn enumerate_recovery_crashes(
-    cfg: &TortureConfig,
-    first_points: usize,
-    second_per_point: Option<usize>,
-) -> RecoverySummary {
-    let golden = golden_run(cfg);
-    let (start, end) = golden.domain;
-    assert!(end > start, "workload issued no countable requests");
-    let n = first_points.max(1).min((end - start) as usize);
-    let mut summary = RecoverySummary::default();
-    for j in 0..n {
-        // Midpoints of n equal slices of the domain.
-        let k = start + (end - start) * (2 * j as u64 + 1) / (2 * n as u64);
-        let torn = cfg.torn_patterns[j % cfg.torn_patterns.len()];
-        let o = torture_crash_during_recovery(cfg, k, torn, second_per_point);
-        summary.first_points += 1;
-        summary.second_replays += o.second_replays;
-        summary.second_died += o.second_died;
-        summary.recovery_requests += o.recovery_requests;
-        summary.versions_checked += o.versions_checked;
-    }
-    summary
-}
-
-// ---------------------------------------------------------------------
-// Campaign driver.
-// ---------------------------------------------------------------------
-
-/// Shared campaign loop: golden run, then one `replay` call per sampled
-/// crash point with its rotating slice of the torn-pattern set.
-fn enumerate_with(
-    cfg: &TortureConfig,
-    replay: impl Fn(&TortureConfig, u64, TornPattern) -> CrashOutcome,
-) -> TortureSummary {
-    let golden = golden_run(cfg);
-    let (start, end) = golden.domain;
-    assert!(end > start, "workload issued no countable requests");
-    let domain = end - start;
-    let step = match cfg.max_crash_points {
-        Some(cap) if domain > cap as u64 => domain.div_ceil(cap as u64),
-        _ => 1,
-    };
-    let mut summary = TortureSummary {
-        domain: golden.domain,
-        sync_points: golden.sync_points,
-        ..TortureSummary::default()
-    };
-    let mut k = start;
-    let mut j = 0usize;
-    while k < end {
-        summary.crash_points += 1;
-        for torn in patterns_at(&cfg.torn_patterns, cfg.patterns_per_point, j) {
-            let outcome = replay(cfg, k, torn);
-            summary.replays += 1;
-            summary.died += outcome.died as usize;
-            summary.versions_checked += outcome.versions_checked;
-            summary.torn_batches += outcome.report.torn_batches;
-        }
-        k += step;
-        j += 1;
-    }
-    summary
-}
-
-/// Runs the golden run, then replays every (sampled) crash point with
-/// its rotating slice of the torn-pattern set. Panics on the first
-/// invariant violation.
-pub fn enumerate(cfg: &TortureConfig) -> TortureSummary {
-    enumerate_with(cfg, torture_crash_point)
-}
-
-/// The cleaner-between-crashes campaign: every (sampled) crash point is
-/// replayed through [`torture_cleaner_between`] — recovery, a full
-/// maintenance pass, a second power-off, and a final remount all hold
-/// the invariants.
-pub fn enumerate_cleaner_between(cfg: &TortureConfig) -> TortureSummary {
-    enumerate_with(cfg, torture_cleaner_between)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn golden_run_is_self_consistent() {
-        let g = golden_run(&TortureConfig::bounded(0xB0A710AD));
-        assert!(g.domain.1 > g.domain.0, "workload must hit the disk");
-        assert!(g.objects >= 1);
-        assert!(g.audit_records >= 100, "every op but ticks is audited");
-        assert!(g.syncs >= 1, "workload must sync at least once");
-    }
-
-    /// The device image is a pure function of the request stream: two
-    /// runs agree with each other and with the committed constant. A
-    /// change that moves this value changed the on-disk bytes (or made
-    /// them depend on something other than the requests) and must say so.
-    /// (Format revision 4: the superblock's revision field, and every
-    /// object checkpoint four bytes shorter without its forwarding table.)
-    #[test]
-    fn golden_image_is_one_value_across_runs() {
-        const GOLDEN_IMAGE_HASH: u64 = 0xc5d0_203f_6ea0_e1f1;
-        let cfg = TortureConfig::bounded(0xB0A710AD);
-        let (a, b) = (golden_run(&cfg), golden_run(&cfg));
-        assert_eq!(a.image_hash, b.image_hash, "two runs, two images");
-        assert_eq!(
-            a.image_hash, GOLDEN_IMAGE_HASH,
-            "golden image changed: {:#018x}",
-            a.image_hash
-        );
-    }
-
-    #[test]
-    fn single_crash_point_holds_invariants() {
-        let cfg = TortureConfig::bounded(0xB0A710AD);
-        let g = golden_run(&cfg);
-        // Crash mid-domain: the drive dies with real state at risk.
-        let mid = g.domain.0 + (g.domain.1 - g.domain.0) / 2;
-        let outcome = torture_crash_point(&cfg, mid, TornPattern::Prefix(0));
-        assert!(outcome.died, "mid-domain crash point must fire");
-        assert!(outcome.report.recovered_objects >= 1, "partition object");
-    }
-
-    /// A fault armed past the workload never fires: the run is flushed
-    /// like the golden run, the power goes off anyway, and every
-    /// campaign holds the recovered drive to the golden bar — every
-    /// object at every checkpoint, twice or more.
-    #[test]
-    fn unfired_fault_is_held_to_the_golden_bar() {
-        let cfg = TortureConfig::bounded(0xB0A710AD);
-        let g = golden_run(&cfg);
-        let (k, torn) = (g.domain.1 + 50, TornPattern::Prefix(0));
-        let plain = torture_crash_point(&cfg, k, torn);
-        assert!(!plain.died);
-        assert_eq!(plain.versions_checked, 2 * g.versions);
-        let cleaned = torture_cleaner_between(&cfg, k, torn);
-        assert!(!cleaned.died);
-        assert_eq!(cleaned.versions_checked, 3 * g.versions);
-        let twice = torture_crash_during_recovery(&cfg, k, torn, Some(2));
-        let rounds = twice.second_replays;
-        assert!(!twice.died);
-        assert_eq!(twice.versions_checked, rounds * 2 * g.versions);
-    }
-
-    #[test]
-    fn torn_write_crash_point_holds_invariants() {
-        let cfg = TortureConfig::bounded(0x5EED);
-        let g = golden_run(&cfg);
-        let late = g.domain.0 + (g.domain.1 - g.domain.0) * 3 / 4;
-        let outcome = torture_crash_point(&cfg, late, TornPattern::Prefix(4));
-        assert!(outcome.died);
-    }
-
-    #[test]
-    fn interleaved_and_holed_tears_hold_invariants() {
-        // One deep probe per new pattern kind: a late crash point where
-        // multi-sector segment writes are in flight, torn interleaved
-        // and holed.
-        let cfg = TortureConfig::bounded(0xB0A710AD);
-        let g = golden_run(&cfg);
-        let late = g.domain.0 + (g.domain.1 - g.domain.0) * 2 / 3;
-        for torn in [
-            TornPattern::Interleaved { phase: 0 },
-            TornPattern::Holed { start: 2, len: 4 },
-        ] {
-            let outcome = torture_crash_point(&cfg, late, torn);
-            assert!(outcome.died, "{torn:?} crash point must fire");
-        }
-    }
-
-    #[test]
     fn pattern_rotation_covers_the_whole_set() {
-        let cfg = TortureConfig::bounded(1);
-        assert_eq!(cfg.replays_per_point(), 2);
+        let per_point = Some(2);
+        assert_eq!(Campaign::new(per_point, None).replays_per_point(), 2);
+        let all = standard_patterns();
         let mut seen = std::collections::HashSet::new();
-        for j in 0..cfg.torn_patterns.len() {
-            for p in patterns_at(&cfg.torn_patterns, cfg.patterns_per_point, j) {
+        for j in 0..all.len() {
+            for p in patterns_at(per_point, j) {
                 seen.insert(format!("{p:?}"));
             }
         }
         assert_eq!(
             seen.len(),
-            cfg.torn_patterns.len(),
+            all.len(),
             "rotation must exercise every pattern across the campaign"
+        );
+    }
+
+    #[test]
+    fn the_sampler_strides_from_the_first_point() {
+        assert_eq!(sample(5, None).collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
+        assert_eq!(sample(5, Some(8)).collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
+        assert_eq!(
+            sample(20, Some(8)).collect::<Vec<_>>(),
+            [0, 3, 6, 9, 12, 15, 18]
         );
     }
 }

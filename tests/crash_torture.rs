@@ -1,4 +1,5 @@
-//! Crash-consistency torture campaigns (see `crates/torture`).
+//! Crash-consistency torture campaigns on the write path (see
+//! `crates/torture`).
 //!
 //! The bounded campaign is the CI gate: a fixed seed, crash points
 //! sampled down to ≤ 64, two torn-sector patterns per point (rotating
@@ -14,44 +15,46 @@
 //! only if recovery is correct at every crash point visited.
 
 use s4_simdisk::TornPattern;
-use s4_torture::{
-    enumerate, enumerate_cleaner_between, enumerate_recovery_crashes, golden_run,
-    torture_crash_during_recovery, torture_crash_point, TortureConfig,
+use s4_torture::workload::{
+    enumerate_recovery_crashes, golden_run, torture_crash_during_recovery, CleanerBetween,
+    WritePath,
 };
+use s4_torture::{enumerate, replay, windows, Campaign};
 
 /// Fixed CI seed; campaigns are pure functions of it.
 const SEED: u64 = 0xB0A710AD;
 
+/// The bounded CI campaign: ≤ 64 crash points, two patterns at each.
+const BOUNDED: Campaign = Campaign::new(Some(2), Some(64));
+
+/// The exhaustive campaign: every crash point, two patterns at each.
+const EXHAUSTIVE: Campaign = Campaign::new(Some(2), None);
+
 #[test]
 fn bounded_crash_enumeration_holds_invariants() {
-    let cfg = TortureConfig::bounded(SEED);
-    let summary = enumerate(&cfg);
-    assert!(
-        summary.crash_points >= 16,
-        "workload too small to be interesting: {summary:?}"
-    );
+    let summary = enumerate(&WritePath::bounded(SEED), BOUNDED);
+    assert!(summary.crash_points >= 16, "workload too small to be interesting: {summary:?}");
     assert!(summary.crash_points <= 64, "bounded cap violated: {summary:?}");
-    assert_eq!(summary.replays, summary.crash_points * cfg.replays_per_point());
+    assert_eq!(summary.replays, summary.crash_points * BOUNDED.replays_per_point());
     // Every sampled crash point is inside the workload, so every replay
     // must actually lose power.
     assert_eq!(summary.died, summary.replays, "some faults never fired: {summary:?}");
     // The mix includes tears that keep a commit's summary and lose its
     // data; the campaign must have exercised the checksum that catches
     // them.
-    assert!(summary.torn_batches > 0, "no torn commit seen: {summary:?}");
+    assert!(summary.tally.torn_batches > 0, "no torn commit seen: {summary:?}");
 }
 
 #[test]
 fn bounded_campaign_second_seed() {
     // A second seed guards against the first being accidentally benign.
-    let summary = enumerate(&TortureConfig::bounded(0x5EED_0002));
+    let summary = enumerate(&WritePath::bounded(0x5EED_0002), BOUNDED);
     assert_eq!(summary.died, summary.replays, "{summary:?}");
 }
 
 #[test]
 fn golden_run_validates_oracle_and_audit_predictor() {
-    let g = golden_run(&TortureConfig::bounded(SEED));
-    assert!(g.domain.1 > g.domain.0);
+    let g = golden_run(&WritePath::bounded(SEED));
     assert!(g.versions > 0);
     assert!(g.audit_records > 0);
     // The harness's eight-entry object cache makes the workload evict,
@@ -69,19 +72,20 @@ fn power_cuts_around_a_batch_eviction_hold_invariants() {
     // unflushed (that flush's first request, nothing of it persisting)
     // and every tear of the flush itself — alone, and with a maintenance
     // pass between recovery and a second power-off.
-    let cfg = TortureConfig::batch_eviction();
+    let cfg = WritePath::batch_eviction();
     let g = golden_run(&cfg);
     let (checkpoints, blocks) = g.checkpoints;
     assert!(
         checkpoints >= 18 && blocks * 6 <= checkpoints,
         "the script must write back in batches: {g:?}"
     );
-    for campaign in [enumerate, enumerate_cleaner_between] {
-        let summary = campaign(&cfg);
-        assert_eq!(summary.crash_points as u64, g.domain.1 - g.domain.0, "{summary:?}");
-        assert_eq!(summary.replays, summary.crash_points * cfg.torn_patterns.len());
+    let plain = enumerate(&cfg, Campaign::EVERY);
+    let cleaned = enumerate(&CleanerBetween(cfg), Campaign::EVERY);
+    for summary in [plain, cleaned] {
+        assert_eq!(summary.crash_points as u64, summary.domain, "{summary:?}");
+        assert_eq!(summary.replays, summary.crash_points * Campaign::EVERY.replays_per_point());
         assert_eq!(summary.died, summary.replays, "some faults never fired: {summary:?}");
-        assert!(summary.versions_checked > 0, "{summary:?}");
+        assert!(summary.tally.versions_checked > 0, "{summary:?}");
     }
 }
 
@@ -89,9 +93,9 @@ fn power_cuts_around_a_batch_eviction_hold_invariants() {
 fn crash_on_first_workload_request() {
     // The earliest possible workload crash: nothing synced yet, so
     // recovery must fall back to the format-time anchor.
-    let cfg = TortureConfig::bounded(SEED);
-    let g = golden_run(&cfg);
-    let outcome = torture_crash_point(&cfg, g.domain.0, TornPattern::Prefix(0));
+    let cfg = WritePath::bounded(SEED);
+    let (start, _) = windows(&cfg)[0];
+    let outcome = replay(&cfg, 0, start, TornPattern::Prefix(0));
     assert!(outcome.died);
 }
 
@@ -101,15 +105,11 @@ fn cleaner_between_crash_and_remount_holds_invariants() {
     // crash and the final remount must neither eat windowed versions
     // nor break remount idempotence. Smaller sample than the plain
     // campaign: each point costs three recoveries plus two cleans.
-    let cfg = TortureConfig {
-        max_crash_points: Some(12),
-        patterns_per_point: Some(1),
-        ..TortureConfig::bounded(SEED)
-    };
-    let summary = enumerate_cleaner_between(&cfg);
+    let c = Campaign::new(Some(1), Some(12));
+    let summary = enumerate(&CleanerBetween(WritePath::bounded(SEED)), c);
     assert!(summary.crash_points >= 8, "{summary:?}");
     assert_eq!(summary.died, summary.replays, "some faults never fired: {summary:?}");
-    assert!(summary.versions_checked > 0, "{summary:?}");
+    assert!(summary.tally.versions_checked > 0, "{summary:?}");
 }
 
 #[test]
@@ -117,13 +117,9 @@ fn crash_during_recovery_holds_invariants() {
     // Second power loss inside the recovery replay: sample three
     // first-crash points across the domain and a handful of
     // second-crash points inside each recovery.
-    let cfg = TortureConfig::bounded(SEED);
-    let summary = enumerate_recovery_crashes(&cfg, 3, Some(6));
+    let summary = enumerate_recovery_crashes(&WritePath::bounded(SEED), 3, Some(6));
     assert_eq!(summary.first_points, 3, "{summary:?}");
-    assert!(
-        summary.recovery_requests > 0,
-        "recovery issued no device requests: {summary:?}"
-    );
+    assert!(summary.recovery_requests > 0, "recovery issued no device requests: {summary:?}");
     // Every sampled second crash lands inside the recovery's request
     // stream, so every one must abort the interrupted mount.
     assert!(summary.second_replays >= 3, "{summary:?}");
@@ -134,9 +130,9 @@ fn crash_during_recovery_holds_invariants() {
 fn recovery_crash_on_first_recovery_read() {
     // The nastiest double crash: the workload dies mid-stream, then the
     // very first device request of the recovery replay dies too.
-    let cfg = TortureConfig::bounded(SEED);
-    let g = golden_run(&cfg);
-    let mid = g.domain.0 + (g.domain.1 - g.domain.0) / 2;
+    let cfg = WritePath::bounded(SEED);
+    let (start, end) = windows(&cfg)[0];
+    let mid = start + (end - start) / 2;
     let o = torture_crash_during_recovery(&cfg, mid, TornPattern::Prefix(0), Some(1));
     assert!(o.died, "first fault must fire");
     assert_eq!(o.recovery_writes, 0, "recovery must be read-only");
@@ -146,32 +142,29 @@ fn recovery_crash_on_first_recovery_read() {
 #[test]
 #[ignore = "exhaustive: replays every crash point of a 500-op workload; run with --ignored"]
 fn exhaustive_crash_enumeration_holds_invariants() {
-    let cfg = TortureConfig::exhaustive(SEED);
-    let summary = enumerate(&cfg);
-    let domain = (summary.domain.1 - summary.domain.0) as usize;
+    let cfg = WritePath::exhaustive(SEED);
+    let summary = enumerate(&cfg, EXHAUSTIVE);
     assert_eq!(
-        summary.crash_points, domain,
+        summary.crash_points as u64, summary.domain,
         "exhaustive mode must visit every countable request: {summary:?}"
     );
     assert_eq!(summary.died, summary.replays, "{summary:?}");
     // A 500-op workload crosses the anchor interval, so the domain must
     // include sync-class (anchor barrier) crash points.
-    assert!(
-        summary.sync_points > 0,
-        "exhaustive workload never hit the anchor barrier: {summary:?}"
-    );
+    let g = golden_run(&cfg);
+    assert!(g.sync_points > 0, "exhaustive workload never hit the anchor barrier: {g:?}");
 }
 
 #[test]
 #[ignore = "exhaustive: cleaner pass at every crash point of a 500-op workload; run with --ignored"]
 fn exhaustive_cleaner_between_holds_invariants() {
-    let summary = enumerate_cleaner_between(&TortureConfig::exhaustive(SEED));
+    let summary = enumerate(&CleanerBetween(WritePath::exhaustive(SEED)), EXHAUSTIVE);
     assert_eq!(summary.died, summary.replays, "{summary:?}");
 }
 
 #[test]
 #[ignore = "exhaustive: every second-crash point inside recovery at 16 first points; run with --ignored"]
 fn exhaustive_crash_during_recovery_holds_invariants() {
-    let summary = enumerate_recovery_crashes(&TortureConfig::exhaustive(SEED), 16, None);
+    let summary = enumerate_recovery_crashes(&WritePath::exhaustive(SEED), 16, None);
     assert_eq!(summary.second_died, summary.second_replays, "{summary:?}");
 }

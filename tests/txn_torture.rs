@@ -7,7 +7,8 @@
 //! install retires the first note). The bounded campaign is the CI
 //! gate: two unmirrored shards, every crash point of both devices'
 //! windows (the cap of 24 is above the window's 8), one torn-sector
-//! pattern per point rotating through the standard mix.
+//! pattern per point rotating through the standard mix, and the uncut
+//! control run.
 //! The exhaustive campaigns (`--ignored`) enumerate **every** countable
 //! device request of the window — on the two-shard array and on a
 //! three-shard × two-mirror array — under two patterns per point.
@@ -20,14 +21,18 @@
 //! only if the commit protocol is atomic at every power-loss point.
 
 use s4_simdisk::TornPattern;
-use s4_torture::txn::{
-    txn_campaign, txn_golden, txn_lost_retire, txn_torture_point, TxnTortureConfig,
-};
+use s4_torture::txn::{txn_lost_retire, Stretch};
+use s4_torture::{enumerate, replay, windows, Campaign};
+
+/// The bounded CI campaign: ≤ 24 crash points, one pattern at each.
+const BOUNDED: Campaign = Campaign::new(Some(1), Some(24));
+
+/// The exhaustive campaigns: every crash point, two patterns at each.
+const EXHAUSTIVE: Campaign = Campaign::new(Some(2), None);
 
 #[test]
 fn bounded_txn_campaign_is_atomic_at_every_sampled_point() {
-    let cfg = TxnTortureConfig::bounded();
-    let summary = txn_campaign(&cfg);
+    let summary = enumerate(&Stretch::TWO_SHARDS, BOUNDED);
     // One greppable line per campaign; verify.sh and CI tee these into
     // the txn-torture summary artifact.
     println!("TXN_TORTURE bounded {summary:?}");
@@ -42,11 +47,12 @@ fn bounded_txn_campaign_is_atomic_at_every_sampled_point() {
     // segment is cut there and commits in two.)
     assert_eq!(summary.domain, 8, "the 2PC window moved: {summary:?}");
     assert!(summary.crash_points <= 24, "bounded cap violated: {summary:?}");
-    assert_eq!(summary.replays, summary.crash_points * cfg.replays_per_point());
+    assert_eq!(summary.replays, summary.crash_points * BOUNDED.replays_per_point());
     // Crash points cover both sides of the commit point, so the
     // campaign must observe both recovered decisions.
-    assert!(summary.aborted > 0, "no pre-commit-point crash: {summary:?}");
-    assert!(summary.committed > 0, "no post-commit-point crash: {summary:?}");
+    let decisions = summary.tally;
+    assert!(decisions.aborted > 0, "no pre-commit-point crash: {summary:?}");
+    assert!(decisions.committed > 0, "no post-commit-point crash: {summary:?}");
 }
 
 #[test]
@@ -54,15 +60,14 @@ fn crash_on_first_and_last_window_request() {
     // The window edges: dying on the very first countable request of
     // the protocol must roll back cleanly; a fault armed past the
     // window never fires and the protocol simply completes.
-    let cfg = TxnTortureConfig::bounded();
-    let g = txn_golden(&cfg);
-    let (start, end) = g.windows[0];
-    let first = txn_torture_point(&cfg, 0, start, TornPattern::Prefix(0));
+    let s = Stretch::TWO_SHARDS;
+    let (start, end) = windows(&s)[0];
+    let first = replay(&s, 0, start, TornPattern::Prefix(0));
     assert!(first.died);
-    assert!(!first.committed, "first-request crash must abort");
-    let past = txn_torture_point(&cfg, 0, end + 100, TornPattern::Prefix(0));
+    assert_eq!(first.tally.aborted, 1, "first-request crash must abort");
+    let past = replay(&s, 0, end + 100, TornPattern::Prefix(0));
     assert!(!past.died);
-    assert!(past.committed, "undisturbed protocol must commit");
+    assert_eq!(past.tally.committed, 1, "undisturbed protocol must commit");
 }
 
 #[test]
@@ -73,8 +78,8 @@ fn a_lost_lazy_retire_leaves_a_note_that_mount_retires_again() {
     // platter and its participants in doubt (the harness asserts the
     // rest: redone from the note at mount, the note retired, objects at
     // the last step, idempotent).
-    for cfg in [TxnTortureConfig::bounded(), TxnTortureConfig::exhaustive()] {
-        assert_eq!(txn_lost_retire(&cfg), cfg.mirrors);
+    for s in [Stretch::TWO_SHARDS, Stretch::MIRRORED] {
+        assert_eq!(txn_lost_retire(&s), s.mirrors);
     }
 }
 
@@ -83,14 +88,13 @@ fn torn_decision_note_recovers_uniformly() {
     // Walk the shard-0 device (where the decision note lives) across
     // its whole window with a sector-holed tear — the nastiest pattern
     // for the single commit-point write. Every recovery must still be
-    // all-or-nothing (txn_torture_point panics otherwise).
-    let cfg = TxnTortureConfig::bounded();
-    let g = txn_golden(&cfg);
-    let (start, end) = g.windows[0];
+    // all-or-nothing (the scenario's check panics otherwise).
+    let s = Stretch::TWO_SHARDS;
+    let (start, end) = windows(&s)[0];
     let mut decisions = Vec::new();
     for k in start..end {
-        let out = txn_torture_point(&cfg, 0, k, TornPattern::Holed { start: 1, len: 2 });
-        decisions.push((out.txn_step, out.committed));
+        let out = replay(&s, 0, k, TornPattern::Holed { start: 1, len: 2 });
+        decisions.push((out.run.txn_step(), out.tally.committed == 1));
     }
     // Each transaction's decision must be monotone in the crash point on
     // the coordinator device: once a crash point recovers it committed,
@@ -115,20 +119,19 @@ fn torn_decision_note_recovers_uniformly() {
 #[test]
 #[ignore = "exhaustive: every crash point on every device; run explicitly"]
 fn exhaustive_txn_campaign_two_shards() {
-    let mut cfg = TxnTortureConfig::bounded();
-    cfg.max_crash_points = None;
-    cfg.patterns_per_point = Some(2);
-    let summary = txn_campaign(&cfg);
+    let summary = enumerate(&Stretch::TWO_SHARDS, EXHAUSTIVE);
     println!("TXN_TORTURE exhaustive-two-shard {summary:?}");
     assert_eq!(summary.crash_points as u64, summary.domain, "{summary:?}");
-    assert!(summary.committed > 0 && summary.aborted > 0, "{summary:?}");
+    let decisions = summary.tally;
+    assert!(decisions.committed > 0 && decisions.aborted > 0, "{summary:?}");
 }
 
 #[test]
 #[ignore = "exhaustive: mirrored 3-shard array, every crash point; run explicitly"]
 fn exhaustive_txn_campaign_mirrored() {
-    let summary = txn_campaign(&TxnTortureConfig::exhaustive());
+    let summary = enumerate(&Stretch::MIRRORED, EXHAUSTIVE);
     println!("TXN_TORTURE exhaustive-mirrored {summary:?}");
     assert_eq!(summary.crash_points as u64, summary.domain, "{summary:?}");
-    assert!(summary.committed > 0 && summary.aborted > 0, "{summary:?}");
+    let decisions = summary.tally;
+    assert!(decisions.committed > 0 && decisions.aborted > 0, "{summary:?}");
 }
