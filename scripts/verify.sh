@@ -28,12 +28,17 @@
 #    and the one-walk census: a non-test call of s4_journal's `undo(`
 #    outside crates/journal/src/replay.rs (expiry's drop_versions aside),
 #    or a `JournalEntry::Checkpoint` anywhere, fails — every version at a
-#    time comes from the one s4_journal::UndoWalk
+#    time comes from the one s4_journal::UndoWalk; and the one-crash-loop
+#    census: a `power_loss_with_pattern(` or `FaultPlan::count_only(`
+#    outside crates/torture/src and crates/simdisk/src — in a crate's
+#    code before its #[cfg(test)], or anywhere in an integration test —
+#    fails: a power-cut campaign is an s4_torture::Scenario, and
+#    s4_torture::enumerate is the one loop that arms and counts the cuts
 # 3. the full test suite, once (dev profile is optimized; see
 #    Cargo.toml). `--workspace` runs every crate's tests and every root
 #    tests/*.rs, so the bounded torture campaigns (write path with torn
 #    patterns, crash-during-recovery, cleaner-between-crashes, reshard,
-#    2PC), the array stress / member-kill / live-reshard drills, the
+#    2PC, a relocating cleaner pass, expiry with compaction), the array stress / member-kill / live-reshard drills, the
 #    trace-assembly smoke and the CLI drills all gate here; none is
 #    re-run by name below
 # 4. the §2 intrusion scenario end-to-end: the online detectors must
@@ -66,11 +71,13 @@
 #    so a simplicity PR quotes a counted figure
 #
 # The exhaustive campaigns (every crash point of a 500-op workload,
-# every second-crash point inside recovery, and every 2PC crash point
-# on both array shapes) are not part of tier-1 but are expected green —
-# CI runs them after this script; run them with:
+# every second-crash point inside recovery, every 2PC crash point on
+# both array shapes, and every cut of the relocating pass and of expiry
+# with compaction under every tear) are not part of tier-1 but are
+# expected green — CI runs them after this script; run them with:
 #   cargo test --test crash_torture -- --ignored
 #   cargo test --test txn_torture -- --ignored
+#   cargo test --test relocation_torture -- --ignored
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -206,6 +213,22 @@ walked="$walked$(grep -rn 'JournalEntry::Checkpoint' crates src tests examples -
 [ -z "$walked" ] || {
   echo "$walked" >&2
   echo "verify: reconstruct a version with s4_journal::UndoWalk; no checkpoint entry" >&2
+  exit 1
+}
+
+echo "== one-crash-loop census (power cuts armed only by s4_torture::enumerate)"
+# A campaign that arms its own power cuts or counts its own crash domain
+# is a second copy of the loop in crates/torture/src/lib.rs; write it as
+# a Scenario instead. The fault injector's own crate is exempt, and so is
+# a crate's unit-test module (the log's torn-commit tests arm one cut).
+looped=$(find crates/*/src src tests crates/*/tests crates/*/benches examples -name '*.rs' \
+    ! -path 'crates/torture/src/*' ! -path 'crates/simdisk/src/*' | sort | while read -r f; do
+  awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+       /power_loss_with_pattern\(|FaultPlan::count_only\(/ { print FILENAME ":" FNR ":" $0 }' "$f"
+done)
+[ -z "$looped" ] || {
+  echo "$looped" >&2
+  echo "verify: write the campaign as an s4_torture::Scenario and run it with s4_torture::enumerate" >&2
   exit 1
 }
 
