@@ -112,6 +112,9 @@ impl<D: BlockDev> S4Drive<D> {
     /// transaction's own `Prepared`, which would leave it in doubt. That
     /// trigger is the same on every mirror, where the log's layout is
     /// not, and a sync with nothing else to pack still writes nothing.
+    /// An entry leaves `pending` only when its sector's block is
+    /// appended, so a pack that fails part-way leaves the rest for the
+    /// next one, which neither loses nor repeats an entry.
     pub(crate) fn pack_objects(&self, inner: &mut Inner, oids: &[u64]) -> Result<()> {
         let writes = |oid: &u64| matches!(inner.table.get(oid), Some(Slot::Cached(e)) if !e.pending.is_empty());
         let mut packed = std::iter::once(&TXN_OBJECT.0).chain(oids);
