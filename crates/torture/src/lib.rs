@@ -256,12 +256,8 @@ pub struct Outcome<S: Scenario> {
 /// Cuts the power at request `k` of `device` under `torn`, and checks.
 pub fn replay<S: Scenario>(s: &S, device: usize, k: u64, torn: TornPattern) -> Outcome<S> {
     let (_, images, run, died) = power_cut(s, Some((device, k, torn)));
-    let tally = s.check(
-        images,
-        &run,
-        died,
-        &format!("device {device} cut {k} {torn:?}"),
-    );
+    let what = format!("device {device} cut {k} {torn:?}");
+    let tally = s.check(images, &run, died, &what);
     Outcome { died, run, tally }
 }
 
