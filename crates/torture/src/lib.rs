@@ -11,11 +11,11 @@
 //! counts an uncut run's [`CRASH_MASK`] requests: a device's *window* is
 //! its count after `setup` up to its count after `run`, and the crash
 //! points are the windows device by device. It cuts every point, or a
-//! [`sample`] of them, each under its rotating slice of
-//! [`standard_patterns`] ([`patterns_at`]): the device's request `k`
-//! tears, the whole rail goes dark, and `check` runs on the revived
-//! images. Last it checks the uncut run, the control run, which no count
-//! in the [`Summary`] includes.
+//! `div_ceil` stride of them, each under its rotating slice of the
+//! standard torn patterns: the device's request `k` tears, the whole rail
+//! goes dark, and `check` runs on the revived images. Last it checks the
+//! uncut run, the control run, which no count in the [`Summary`]
+//! includes.
 //!
 //! The scenarios here are the write path ([`workload::WritePath`],
 //! [`workload::CleanerBetween`]) and cross-shard two-phase commit
@@ -56,7 +56,7 @@ pub type Disk = FaultyDisk<MemDisk>;
 /// a log commit is one `[summary | data]` write, the two tears only the
 /// summary's data checksum can catch: the whole summary block persists
 /// and all of the data, or just its first sector, does not.
-pub fn standard_patterns() -> Vec<TornPattern> {
+pub(crate) fn standard_patterns() -> Vec<TornPattern> {
     const SUMMARY_SECTORS: u64 = (BLOCK_SIZE / s4_simdisk::SECTOR_SIZE) as u64;
     vec![
         TornPattern::Prefix(0),
@@ -75,7 +75,7 @@ pub fn standard_patterns() -> Vec<TornPattern> {
 /// The torn patterns cut at the `j`-th sampled crash point: a rotating
 /// window over [`standard_patterns`], `per_point` wide (`None`: every
 /// pattern at every point).
-pub fn patterns_at(per_point: Option<usize>, j: usize) -> Vec<TornPattern> {
+pub(crate) fn patterns_at(per_point: Option<usize>, j: usize) -> Vec<TornPattern> {
     let patterns = standard_patterns();
     let n = patterns.len();
     let m = per_point.map_or(n, |m| m.min(n));
@@ -84,7 +84,7 @@ pub fn patterns_at(per_point: Option<usize>, j: usize) -> Vec<TornPattern> {
 
 /// The indices `0..n`, or an even stride of them when `cap` is below `n`:
 /// every `n.div_ceil(cap)`-th, from the first.
-pub fn sample(n: u64, cap: Option<usize>) -> impl Iterator<Item = u64> {
+pub(crate) fn sample(n: u64, cap: Option<usize>) -> impl Iterator<Item = u64> {
     let stride = match cap {
         Some(cap) if n > cap as u64 => n.div_ceil(cap as u64),
         _ => 1,

@@ -198,7 +198,7 @@ impl Scenario for Stretch {
         (array, oids)
     }
 
-    /// Runs the stretch ([`STEPS`]) through the array's own dispatch. A
+    /// Runs the stretch's three steps through the array's own dispatch. A
     /// transaction is one batch with a write to every shard's object and
     /// the `Sync` every translator batch ends with (§4.1.2; the vote's
     /// flush stands in for it, so every crash point of that flush is a
