@@ -8,13 +8,14 @@
 //! scattered synchronous writes — exactly the pattern the log-structured
 //! S4 drive batches away.
 //!
-//! [`FfsServer`] models FreeBSD's behavior (every metadata update written
-//! synchronously); [`Ext2SyncServer`] models Linux's `sync` mount,
-//! including the paper's observed anomaly ("the superior performance of
-//! the Linux NFS server in the configure stage is due to a much lower
-//! number of write I/Os ... apparently due to a flaw in the synchronous
-//! mount option"): inode updates are batched instead of written per
-//! operation.
+//! One server, [`UipServer`], models both. `UipServer::format(dev, true,
+//! clock)` is FreeBSD's behavior (every metadata update written
+//! synchronously); `UipServer::format(dev, false, clock)` is Linux's
+//! `sync` mount, including the paper's observed anomaly ("the superior
+//! performance of the Linux NFS server in the configure stage is due to
+//! a much lower number of write I/Os ... apparently due to a flaw in the
+//! synchronous mount option"): inode updates are batched instead of
+//! written per operation.
 //!
 //! File *data* genuinely lives on the wrapped block device at allocated
 //! addresses; directory and inode structures are tracked in memory while
@@ -28,4 +29,4 @@
 
 pub mod uip;
 
-pub use uip::{ffs_server, Ext2SyncServer, FfsServer, UipConfig, UipServer};
+pub use uip::UipServer;

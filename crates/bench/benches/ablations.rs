@@ -11,60 +11,47 @@
 //!    ... caused by the set of files expanding beyond the drive's cache".
 //! 4. **Readahead** — segment-granular prefetch vs single-block reads on
 //!    the creation-order read scan.
+//!
+//! `scripts/verify.sh` pins the record's phase times (simulated µs) at
+//! scale 0.25 in `BENCH_ablations.json`; EXPERIMENTS.md has full scale.
 
-use std::sync::Arc;
-
-use s4_bench::{bench_ctx, scale};
-use s4_clock::{NetworkModel, SimClock, SimDuration};
-use s4_core::{DriveConfig, S4Drive};
-use s4_fs::{LoopbackTransport, S4FileServer, S4FsConfig};
+use s4_bench::{banner, lan_fs, scaled, secs, timed_drive, Record, DEFAULT_DISK_BYTES};
+use s4_clock::SimDuration;
+use s4_core::DriveConfig;
+use s4_fs::{LoopbackTransport, S4FileServer};
 use s4_lfs::LogConfig;
-use s4_simdisk::{DiskModelParams, MemDisk, TimedDisk};
+use s4_simdisk::{MemDisk, TimedDisk};
 use s4_workloads::micro::{micro_benchmark, MicroConfig};
 use s4_workloads::postmark::{self, PostmarkConfig};
-use s4_workloads::replay;
+use s4_workloads::{replay, FsOp};
 
 fn build(dconf: DriveConfig) -> S4FileServer<LoopbackTransport<TimedDisk<MemDisk>>> {
-    let clock = SimClock::new();
-    clock.advance(SimDuration::from_secs(1));
-    let disk = TimedDisk::new(
-        MemDisk::with_capacity_bytes(1 << 30),
-        DiskModelParams::cheetah_9gb_10k(),
-        clock.clone(),
-    );
-    let drive = Arc::new(S4Drive::format(disk, dconf, clock).unwrap());
-    S4FileServer::mount(
-        LoopbackTransport::new(drive, NetworkModel::lan_100mbit()),
-        bench_ctx(),
-        "abl",
-        S4FsConfig::default(),
-    )
-    .unwrap()
+    lan_fs(timed_drive(DEFAULT_DISK_BYTES, dconf), "abl")
 }
 
-fn postmark_secs(dconf: DriveConfig, pm: &postmark::PostmarkPhases) -> (f64, f64) {
+fn postmark_times(dconf: DriveConfig, pm: &postmark::PostmarkPhases) -> (SimDuration, SimDuration) {
     let fs = build(dconf);
     let create = replay(&fs, &pm.create);
     let txn = replay(&fs, &pm.transactions);
     assert_eq!(create.errors + txn.errors, 0);
-    (create.elapsed.as_secs_f64(), txn.elapsed.as_secs_f64())
+    (create.elapsed, txn.elapsed)
 }
 
 fn main() {
-    let s = scale();
     let pm = postmark::generate(&PostmarkConfig {
-        nfiles: ((2_000.0 * s) as usize).max(100),
-        transactions: ((8_000.0 * s) as usize).max(400),
+        nfiles: scaled(2_000, 100),
+        transactions: scaled(8_000, 400),
         ..PostmarkConfig::default()
     });
 
-    println!();
-    println!("================================================================");
-    println!("Ablations: the cost of each design choice (PostMark unless noted)");
-    println!("================================================================");
+    banner(
+        "Ablations: the cost of each design choice (PostMark unless noted)",
+        "",
+    );
+    let mut record = Record::new("ablations");
 
     // ---------------------------------------------------------- 1
-    let full = postmark_secs(DriveConfig::default(), &pm);
+    let full = postmark_times(DriveConfig::default(), &pm);
     let unprotected = {
         let dconf = DriveConfig {
             audit_enabled: false,
@@ -75,37 +62,34 @@ fn main() {
         // no history at all.
         let fs = build(dconf);
         let drive = fs.transport().drive().clone();
-        let mut total = (0.0, 0.0);
-        let t0 = drive.now();
-        for chunk in pm.create.chunks(1000) {
-            assert_eq!(replay(&fs, chunk).errors, 0);
-            drive.expire_versions().unwrap();
-            drive.log().free_dead_segments();
-        }
-        total.0 = (drive.now() - t0).as_secs_f64();
-        let t1 = drive.now();
-        for chunk in pm.transactions.chunks(1000) {
-            assert_eq!(replay(&fs, chunk).errors, 0);
-            drive.expire_versions().unwrap();
-            drive.log().free_dead_segments();
-        }
-        total.1 = (drive.now() - t1).as_secs_f64();
-        total
+        let phase = |ops: &[FsOp]| {
+            let t0 = drive.now();
+            for chunk in ops.chunks(1000) {
+                assert_eq!(replay(&fs, chunk).errors, 0);
+                drive.expire_versions().unwrap();
+                drive.log().free_dead_segments();
+            }
+            drive.now() - t0
+        };
+        (phase(&pm.create), phase(&pm.transactions))
+    };
+    let pct = |on: SimDuration, off: SimDuration| {
+        (on.as_secs_f64() - off.as_secs_f64()) / off.as_secs_f64() * 100.0
     };
     println!("[1] protection cost (versioning window + audit) vs none:");
-    println!(
-        "    full protection : create {:8.2}s  txns {:8.2}s",
-        full.0, full.1
-    );
-    println!(
-        "    no protection   : create {:8.2}s  txns {:8.2}s",
-        unprotected.0, unprotected.1
-    );
+    for (label, (create, txns)) in [("full protection", full), ("no protection  ", unprotected)] {
+        println!("    {label} : create {}  txns {}", secs(create), secs(txns));
+    }
     println!(
         "    overhead        : create {:+.1}%  txns {:+.1}%   (paper: <13%)",
-        (full.0 - unprotected.0) / unprotected.0 * 100.0,
-        (full.1 - unprotected.1) / unprotected.1 * 100.0
+        pct(full.0, unprotected.0),
+        pct(full.1, unprotected.1)
     );
+    record
+        .sim("protected_create_us", full.0)
+        .sim("protected_txn_us", full.1)
+        .sim("unprotected_create_us", unprotected.0)
+        .sim("unprotected_txn_us", unprotected.1);
 
     // ---------------------------------------------------------- 2
     println!();
@@ -118,58 +102,56 @@ fn main() {
             },
             ..DriveConfig::default()
         };
-        let (c, t) = postmark_secs(dconf, &pm);
+        let (c, t) = postmark_times(dconf, &pm);
         println!(
-            "    {:>4} KiB segments: create {c:8.2}s  txns {t:8.2}s",
-            blocks * 4
+            "    {:>4} KiB segments: create {}  txns {}",
+            blocks * 4,
+            secs(c),
+            secs(t)
         );
+        record
+            .sim(format!("segment_{}k_create_us", blocks * 4), c)
+            .sim(format!("segment_{}k_txn_us", blocks * 4), t);
     }
 
     // ---------------------------------------------------------- 3
     println!();
     println!("[3] buffer-cache size (micro-benchmark read phase):");
     let m = micro_benchmark(&MicroConfig {
-        files: ((6_000.0 * s) as usize).max(200),
+        files: scaled(6_000, 200),
         ..MicroConfig::default()
     });
-    for cache_mb in [2usize, 8, 32, 128] {
-        let dconf = DriveConfig {
-            log: LogConfig {
-                cache_blocks: cache_mb * 256,
-                ..LogConfig::default()
-            },
+    // The creation-order read scan on a drive whose log is `log`.
+    let read_scan = |log: LogConfig| {
+        let fs = build(DriveConfig {
+            log,
             ..DriveConfig::default()
-        };
-        let fs = build(dconf);
+        });
         assert_eq!(replay(&fs, &m.create).errors, 0);
         let read = replay(&fs, &m.read);
         assert_eq!(read.errors, 0);
-        println!(
-            "    {cache_mb:>4} MB cache: read {:8.2}s",
-            read.elapsed.as_secs_f64()
-        );
+        read.elapsed
+    };
+    for cache_mb in [2usize, 8, 32, 128] {
+        let read = read_scan(LogConfig {
+            cache_blocks: cache_mb * 256,
+            ..LogConfig::default()
+        });
+        println!("    {cache_mb:>4} MB cache: read {}", secs(read));
+        record.sim(format!("cache_{cache_mb}mb_read_us"), read);
     }
 
     // ---------------------------------------------------------- 4
     println!();
     println!("[4] readahead (creation-order read scan, cold-ish cache):");
     for ra in [1u32, 8, 32] {
-        let dconf = DriveConfig {
-            log: LogConfig {
-                cache_blocks: 2048, // 8 MB: the scan must hit the disk
-                readahead_blocks: ra,
-                ..LogConfig::default()
-            },
-            ..DriveConfig::default()
-        };
-        let fs = build(dconf);
-        assert_eq!(replay(&fs, &m.create).errors, 0);
-        let read = replay(&fs, &m.read);
-        assert_eq!(read.errors, 0);
-        println!(
-            "    {:>3}-block readahead: read {:8.2}s",
-            ra,
-            read.elapsed.as_secs_f64()
-        );
+        let read = read_scan(LogConfig {
+            cache_blocks: 2048, // 8 MB: the scan must hit the disk
+            readahead_blocks: ra,
+            ..LogConfig::default()
+        });
+        println!("    {ra:>3}-block readahead: read {}", secs(read));
+        record.sim(format!("readahead_{ra}_read_us"), read);
     }
+    record.emit();
 }

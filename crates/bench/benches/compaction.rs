@@ -5,47 +5,36 @@
 //!
 //! A synthetic development workload writes daily-edited source files
 //! through the full drive stack; we then run `compact_history` and
-//! compare the history pool's footprint.
+//! compare the history pool's footprint. `scripts/verify.sh` pins the
+//! record's counts, utilization (percent) and pass time (simulated µs)
+//! at scale 0.25 in `BENCH_compaction.json`.
 
-use std::sync::Arc;
-
-use s4_clock::{SimClock, SimDuration};
-use s4_core::{ClientId, DriveConfig, RequestContext, S4Drive, UserId};
-use s4_simdisk::{DiskModelParams, MemDisk, TimedDisk};
+use s4_bench::{banner, scaled, timed_drive, Record, DEFAULT_DISK_BYTES};
+use s4_clock::SimDuration;
+use s4_core::{ClientId, DriveConfig, RequestContext, UserId};
 use s4_workloads::srctree::{self, SourceTreeConfig};
 
 fn main() {
-    let scale = s4_bench::scale();
-    println!();
-    println!("================================================================");
-    println!("In-drive differencing: history-pool compaction on a live S4 drive");
-    println!("================================================================");
-
-    let clock = SimClock::new();
-    clock.advance(SimDuration::from_secs(1));
-    let disk = TimedDisk::new(
-        MemDisk::with_capacity_bytes(1 << 30),
-        DiskModelParams::cheetah_9gb_10k(),
-        clock.clone(),
+    banner(
+        "In-drive differencing: history-pool compaction on a live S4 drive",
+        "",
     );
-    let drive = Arc::new(S4Drive::format(disk, DriveConfig::default(), clock.clone()).unwrap());
+    let drive = timed_drive(DEFAULT_DISK_BYTES, DriveConfig::default());
     let ctx = RequestContext::user(UserId(1), ClientId(1));
 
     // Evolve a source tree through the drive: every daily version of
     // every file is written (and versioned) in place.
     let tree = srctree::generate(&SourceTreeConfig {
-        files: ((60.0 * scale) as usize).max(10),
+        files: scaled(60, 10),
         ..SourceTreeConfig::default()
     });
-    let mut oids = Vec::new();
     for f in &tree.files {
         let oid = drive.op_create(&ctx, None).unwrap();
-        oids.push(oid);
         for v in &f.versions {
             drive.op_truncate(&ctx, oid, 0).unwrap();
             drive.op_write(&ctx, oid, 0, v).unwrap();
             drive.op_sync(&ctx).unwrap();
-            clock.advance(SimDuration::from_secs(60));
+            drive.clock().advance(SimDuration::from_secs(60));
         }
     }
 
@@ -77,4 +66,13 @@ fn main() {
     println!("paper: \"once the differencing is complete, the old blocks can be");
     println!("discarded, and the difference left in its place\" — extending a 10GB");
     println!("pool's window by the measured factor (see fig7_capacity)");
+    Record::new("compaction")
+        .sim("files", files)
+        .sim("days", days)
+        .sim("blocks_encoded", encoded)
+        .sim("blocks_released", released)
+        .sim("utilization_before_pct", before_util * 100.0)
+        .sim("utilization_after_pct", after_util * 100.0)
+        .sim("pass_us", pass_time)
+        .emit();
 }

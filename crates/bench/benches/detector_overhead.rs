@@ -11,19 +11,18 @@
 //!   whole-run wall clocks drowns in warm-up noise). This is the
 //!   previously ad-hoc "~15µs/record" number, now tracked.
 //!
-//! The final line is machine-readable: `BENCH_JSON {...}` — one JSON
-//! object per run, suitable for appending to a BENCH_*.json series.
+//! In the record, simulated time, audit records and latency percentiles
+//! are `sim` fields, which `scripts/verify.sh` pins at scale 0.25 in
+//! `BENCH_obs.json` (EXPERIMENTS.md has full scale); host times are
+//! `wall` fields.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use s4_bench::{banner, bench_ctx, secs};
-use s4_clock::{NetworkModel, SimClock, SimDuration};
-use s4_core::{ClientId, DriveConfig, RequestContext, S4Drive};
-use s4_core::AuditRecord;
+use s4_bench::{banner, lan_fs, scaled, secs, timed_drive, Record, DEFAULT_DISK_BYTES};
+use s4_clock::SimDuration;
+use s4_core::{AuditRecord, ClientId, DriveConfig, RequestContext, S4Drive};
 use s4_detect::{install_standard_monitor, DetectorSet};
-use s4_fs::{LoopbackTransport, S4FileServer, S4FsConfig};
-use s4_simdisk::{DiskModelParams, MemDisk, TimedDisk};
+use s4_simdisk::BlockDev;
 use s4_workloads::postmark::{self, PostmarkConfig};
 use s4_workloads::replay;
 
@@ -31,56 +30,32 @@ struct Run {
     sim: SimDuration,
     wall: f64,
     records: Vec<AuditRecord>,
-    lat: LatencySummary,
+    lat: Vec<(&'static str, u64)>,
 }
 
 /// Per-layer latency percentiles (simulated µs) pulled from the drive's
-/// observability registry at the end of a run.
-struct LatencySummary {
-    rpc_p50: u64,
-    rpc_p90: u64,
-    rpc_p99: u64,
-    rpc_max: u64,
-    journal_p99: u64,
-    lfs_p99: u64,
-    disk_p99: u64,
-}
-
-impl LatencySummary {
-    fn capture<D: s4_simdisk::BlockDev>(drive: &S4Drive<D>) -> Self {
-        let reg = drive.registry();
-        let rpc = reg.histogram("s4_rpc_latency_us", "");
-        LatencySummary {
-            rpc_p50: rpc.percentile(0.5),
-            rpc_p90: rpc.percentile(0.9),
-            rpc_p99: rpc.percentile(0.99),
-            rpc_max: rpc.max(),
-            journal_p99: reg.histogram("s4_journal_latency_us", "").percentile(0.99),
-            lfs_p99: reg.histogram("s4_lfs_latency_us", "").percentile(0.99),
-            disk_p99: reg.histogram("s4_disk_latency_us", "").percentile(0.99),
-        }
-    }
+/// observability registry at the end of a run, each with its field name.
+fn latencies<D: BlockDev>(drive: &S4Drive<D>) -> Vec<(&'static str, u64)> {
+    let reg = drive.registry();
+    let rpc = reg.histogram("s4_rpc_latency_us", "");
+    let p99 = |name: &str| reg.histogram(name, "").percentile(0.99);
+    vec![
+        ("rpc_p50_us", rpc.percentile(0.5)),
+        ("rpc_p90_us", rpc.percentile(0.9)),
+        ("rpc_p99_us", rpc.percentile(0.99)),
+        ("rpc_max_us", rpc.max()),
+        ("journal_p99_us", p99("s4_journal_latency_us")),
+        ("lfs_p99_us", p99("s4_lfs_latency_us")),
+        ("disk_p99_us", p99("s4_disk_latency_us")),
+    ]
 }
 
 fn run(pm: &postmark::PostmarkPhases, monitor: bool) -> Run {
-    let clock = SimClock::new();
-    clock.advance(SimDuration::from_secs(1));
-    let disk = TimedDisk::new(
-        MemDisk::with_capacity_bytes(1 << 30),
-        DiskModelParams::cheetah_9gb_10k(),
-        clock.clone(),
-    );
-    let drive = Arc::new(S4Drive::format(disk, DriveConfig::default(), clock.clone()).unwrap());
+    let drive = timed_drive(DEFAULT_DISK_BYTES, DriveConfig::default());
     if monitor {
         install_standard_monitor(&drive);
     }
-    let fs = S4FileServer::mount(
-        LoopbackTransport::new(drive.clone(), NetworkModel::lan_100mbit()),
-        bench_ctx(),
-        "detov",
-        S4FsConfig::default(),
-    )
-    .unwrap();
+    let fs = lan_fs(drive.clone(), "detov");
 
     let t0 = Instant::now();
     let create = replay(&fs, &pm.create);
@@ -94,14 +69,13 @@ fn run(pm: &postmark::PostmarkPhases, monitor: bool) -> Run {
         sim: create.elapsed + txn.elapsed,
         wall,
         records,
-        lat: LatencySummary::capture(&drive),
+        lat: latencies(&drive),
     }
 }
 
 fn main() {
-    let scale = s4_bench::scale();
-    let nfiles = ((2_000.0 * scale) as usize).max(100);
-    let transactions = ((8_000.0 * scale) as usize).max(400);
+    let nfiles = scaled(2_000, 100);
+    let transactions = scaled(8_000, 400);
     let pm = postmark::generate(&PostmarkConfig {
         nfiles,
         transactions,
@@ -123,8 +97,7 @@ fn main() {
     );
     let records = mon.records.len();
 
-    let sim_pct =
-        (mon.sim.as_secs_f64() - base.sim.as_secs_f64()) / base.sim.as_secs_f64() * 100.0;
+    let sim_pct = (mon.sim.as_secs_f64() - base.sim.as_secs_f64()) / base.sim.as_secs_f64() * 100.0;
 
     // Detector CPU, measured directly: the standard rule set over the
     // workload's own audit stream (warm pass first, then timed).
@@ -154,37 +127,22 @@ fn main() {
         "simulated overhead {sim_pct:+.2}%   detector cpu {us_per_record:.2} us/record \
          (tracked; was ~15 us/record ad hoc)"
     );
-    println!(
-        "rpc latency (monitored, sim us): p50 {} p90 {} p99 {} max {}   \
-         p99 by layer: journal {} lfs {} disk {}",
-        mon.lat.rpc_p50,
-        mon.lat.rpc_p90,
-        mon.lat.rpc_p99,
-        mon.lat.rpc_max,
-        mon.lat.journal_p99,
-        mon.lat.lfs_p99,
-        mon.lat.disk_p99,
-    );
-    println!(
-        "BENCH_JSON {{\"bench\":\"detector_overhead\",\"nfiles\":{nfiles},\
-\"transactions\":{transactions},\"records\":{records},\
-\"sim_base_s\":{sim_base:.6},\"sim_monitored_s\":{sim_mon:.6},\
-\"sim_overhead_pct\":{sim_pct:.3},\"wall_base_s\":{wall_base:.3},\
-\"wall_monitored_s\":{wall_mon:.3},\"detector_us_per_record\":{us_per_record:.3},\
-\"rpc_p50_us\":{rpc_p50},\"rpc_p90_us\":{rpc_p90},\"rpc_p99_us\":{rpc_p99},\
-\"rpc_max_us\":{rpc_max},\"journal_p99_us\":{journal_p99},\
-\"lfs_p99_us\":{lfs_p99},\"disk_p99_us\":{disk_p99}}}",
-        records = records,
-        sim_base = base.sim.as_secs_f64(),
-        sim_mon = mon.sim.as_secs_f64(),
-        wall_base = base.wall,
-        wall_mon = mon.wall,
-        rpc_p50 = mon.lat.rpc_p50,
-        rpc_p90 = mon.lat.rpc_p90,
-        rpc_p99 = mon.lat.rpc_p99,
-        rpc_max = mon.lat.rpc_max,
-        journal_p99 = mon.lat.journal_p99,
-        lfs_p99 = mon.lat.lfs_p99,
-        disk_p99 = mon.lat.disk_p99,
-    );
+    let lat: Vec<String> = mon.lat.iter().map(|(n, v)| format!("{n} {v}")).collect();
+    println!("latency (monitored, sim us): {}", lat.join(", "));
+    let mut record = Record::new("detector_overhead");
+    record
+        .sim("nfiles", nfiles)
+        .sim("transactions", transactions)
+        .sim("records", records)
+        .sim("sim_base_us", base.sim)
+        .sim("sim_monitored_us", mon.sim)
+        .sim("sim_overhead_pct", sim_pct);
+    for (name, v) in mon.lat {
+        record.sim(name, v);
+    }
+    record
+        .wall("wall_base_s", base.wall)
+        .wall("wall_monitored_s", mon.wall)
+        .wall("detector_us_per_record", us_per_record)
+        .emit();
 }

@@ -10,25 +10,27 @@
 //! The harness updates single blocks of files at each indirection depth
 //! and reports the metadata written per update under both schemes, then
 //! measures total space growth for a burst of updates to a large file.
+//! `scripts/verify.sh` pins the record's byte counts in `BENCH_fig2.json`.
 
-use s4_bench::banner;
+use s4_bench::{banner, Record};
 use s4_clock::{HybridTimestamp, SimTime};
 use s4_journal::conventional::{ConventionalMeta, CountingSink, N_DIRECT, PTRS_PER_BLOCK};
 use s4_journal::{encode_sectors, JournalEntry, PtrChange};
 use s4_lfs::{BlockAddr, BLOCK_SIZE};
 
-fn journal_entry_bytes(lbn: u64, seq: u64) -> usize {
-    let e = JournalEntry::Write {
+/// The journal entry for rewriting block `lbn` of a `size`-byte file:
+/// one pointer change, stamped `seq`.
+fn write_entry(lbn: u64, seq: u64, size: u64) -> JournalEntry {
+    JournalEntry::Write {
         stamp: HybridTimestamp::new(SimTime::from_micros(seq), seq),
-        old_size: (lbn + 1) * BLOCK_SIZE as u64,
-        new_size: (lbn + 1) * BLOCK_SIZE as u64,
+        old_size: size,
+        new_size: size,
         changes: vec![PtrChange {
             lbn,
             old: BlockAddr(seq),
             new: BlockAddr(seq + 1),
         }],
-    };
-    e.encoded_len()
+    }
 }
 
 fn main() {
@@ -46,16 +48,18 @@ fn main() {
             N_DIRECT + PTRS_PER_BLOCK + PTRS_PER_BLOCK * PTRS_PER_BLOCK + 1,
         ),
     ];
+    let mut record = Record::new("fig2_metadata");
     println!(
         "{:<18} {:>24} {:>22}",
         "updated block", "conventional (bytes)", "journal entry (bytes)"
     );
     for (name, lbn) in cases {
+        let key = name.replace(' ', "_");
         let mut conv = ConventionalMeta::new();
         let mut sink = CountingSink::default();
         let cost = conv.update_block(lbn, BlockAddr(1), &mut sink);
         let conv_bytes = cost.metadata_bytes();
-        let j = journal_entry_bytes(lbn, 1);
+        let j = write_entry(lbn, 1, (lbn + 1) * BLOCK_SIZE as u64).encoded_len();
         println!(
             "{:<18} {:>17} ({} blks) {:>16}  ({:.0}x less)",
             name,
@@ -64,6 +68,9 @@ fn main() {
             j,
             conv_bytes as f64 / j as f64
         );
+        record
+            .sim(format!("{key}_conventional_bytes"), conv_bytes)
+            .sim(format!("{key}_journal_bytes"), j);
     }
 
     // Space growth for a burst of updates to a large (triple-indirect)
@@ -77,16 +84,7 @@ fn main() {
     for i in 0..updates {
         let lbn = base + (i % 512);
         conv.update_block(lbn, BlockAddr(i), &mut sink);
-        entries.push(JournalEntry::Write {
-            stamp: HybridTimestamp::new(SimTime::from_micros(i), i),
-            old_size: 0,
-            new_size: 0,
-            changes: vec![PtrChange {
-                lbn,
-                old: BlockAddr(i),
-                new: BlockAddr(i + 1),
-            }],
-        });
+        entries.push(write_entry(lbn, i, 0));
     }
     let data_bytes = updates * BLOCK_SIZE as u64;
     let conv_meta = sink.blocks * BLOCK_SIZE as u64;
@@ -111,4 +109,8 @@ fn main() {
     println!();
     println!("paper: conventional versioning caused up to 4x disk-usage growth;");
     println!("journal-based metadata reduces each update to a ~60-byte entry");
+    record
+        .sim("burst_conventional_bytes", conv_meta)
+        .sim("burst_journal_bytes", packed)
+        .emit();
 }

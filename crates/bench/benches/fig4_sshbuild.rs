@@ -4,8 +4,11 @@
 //! configurations. The superior performance of the Linux NFS server in
 //! the configure stage is due to a much lower number of write I/Os ...
 //! apparently due to a flaw in the synchronous mount option."
+//!
+//! `scripts/verify.sh` pins the record's phase times (simulated µs) and
+//! disk writes in `BENCH_fig4.json` (the workload does not scale).
 
-use s4_bench::{banner, build_system, run_phase, secs, SystemConfig, SystemKind};
+use s4_bench::{banner, run_phases, secs, Record, SystemKind};
 use s4_workloads::sshbuild::{sshbuild_phases, SshBuildConfig};
 
 fn main() {
@@ -23,39 +26,32 @@ fn main() {
         "{:<24} {:>10} {:>10} {:>12} {:>10}",
         "system", "unpack", "configure", "(cfg wIO)", "build"
     );
-    let mut cfg_rows = Vec::new();
-    for kind in SystemKind::ALL {
-        let sys = build_system(kind, &SystemConfig::default());
-        let unpack = run_phase(&sys, &phases.unpack);
-        let w0 = sys.disk_stats.snapshot();
-        let configure = run_phase(&sys, &phases.configure);
-        let w1 = sys.disk_stats.snapshot();
-        let build = run_phase(&sys, &phases.build);
-        assert_eq!(
-            unpack.errors + configure.errors + build.errors,
-            0,
-            "{kind:?} had errors"
+    let mut record = Record::new("fig4_sshbuild");
+    let cfg_writes = SystemKind::ALL.map(|kind| {
+        let [(unpack, _), (configure, cfg_wio), (build, _)] = run_phases(
+            kind,
+            [
+                ("unpack", &phases.unpack[..]),
+                ("configure", &phases.configure),
+                ("build", &phases.build),
+            ],
+            &mut record,
         );
-        let cfg_wio = w1.since(&w0).writes;
         println!(
             "{:<24} {:>10} {:>10} {:>12} {:>10}",
             kind.label(),
-            secs(unpack.elapsed),
-            secs(configure.elapsed),
+            secs(unpack),
+            secs(configure),
             cfg_wio,
-            secs(build.elapsed),
+            secs(build),
         );
-        cfg_rows.push((kind, configure.elapsed, cfg_wio));
-    }
+        cfg_wio
+    });
 
     // Paper-shape check: the Linux sync-mount "flaw" shows up as fewer
     // configure-phase write I/Os than BSD.
-    let get = |k: SystemKind| cfg_rows.iter().find(|(rk, _, _)| *rk == k).unwrap();
-    let bsd = get(SystemKind::FreeBsdNfs);
-    let linux = get(SystemKind::LinuxNfs);
+    let [_, _, bsd, linux] = cfg_writes;
     println!();
-    println!(
-        "configure-phase write I/Os: BSD {} vs Linux {} (paper: Linux much lower)",
-        bsd.2, linux.2
-    );
+    println!("configure-phase write I/Os: BSD {bsd} vs Linux {linux} (paper: Linux much lower)");
+    record.emit();
 }

@@ -18,29 +18,22 @@
 //!   chunk of foreground work.
 //!
 //! Reported metric: transactions per simulated second vs initial
-//! utilization.
+//! utilization, which also ends in one `s4_bench::Record` (an
+//! unattainable row is `null`). No committed file pins it: one run takes
+//! minutes even at the smallest scale.
 
-use s4_bench::bench_ctx;
-use s4_clock::{SimClock, SimDuration};
-use s4_core::{DriveConfig, S4Drive};
-use s4_fs::{FileServer, LoopbackTransport, S4FileServer, S4FsConfig};
+use s4_bench::{banner, lan_fs, scaled, timed_drive, Record};
+use s4_clock::SimDuration;
+use s4_core::DriveConfig;
+use s4_fs::FileServer;
 use s4_lfs::CleanerConfig;
-use s4_simdisk::{DiskModelParams, MemDisk, TimedDisk};
 use s4_workloads::postmark::{self, PostmarkConfig};
 use s4_workloads::replay;
-use std::sync::Arc;
 
 const DISK_BYTES: u64 = 192 << 20;
 const CHUNK: usize = 200;
 
 fn run_once(utilization_pct: u64, continuous: bool, transactions: usize) -> (f64, u64) {
-    let clock = SimClock::new();
-    clock.advance(SimDuration::from_secs(1));
-    let disk = TimedDisk::new(
-        MemDisk::with_capacity_bytes(DISK_BYTES),
-        DiskModelParams::cheetah_9gb_10k(),
-        clock.clone(),
-    );
     let dconf = DriveConfig {
         detection_window: SimDuration::ZERO,
         cleaner: if continuous {
@@ -56,14 +49,8 @@ fn run_once(utilization_pct: u64, continuous: bool, transactions: usize) -> (f64
         },
         ..DriveConfig::default()
     };
-    let drive = Arc::new(S4Drive::format(disk, dconf, clock.clone()).unwrap());
-    let fs = S4FileServer::mount(
-        LoopbackTransport::new(drive.clone(), s4_clock::NetworkModel::lan_100mbit()),
-        bench_ctx(),
-        "fig5",
-        S4FsConfig::default(),
-    )
-    .unwrap();
+    let drive = timed_drive(DISK_BYTES, dconf);
+    let fs = lan_fs(drive.clone(), "fig5");
 
     // Initial set sized to the requested utilization in *blocks* (a
     // 512B..9KB file occupies ceil(size/4K) blocks, ~6.7 KB on average).
@@ -166,39 +153,40 @@ fn run_once(utilization_pct: u64, continuous: bool, transactions: usize) -> (f64
 }
 
 fn main() {
-    let scale = s4_bench::scale();
     // Default is a 1/40 scale of the paper's 50,000 transactions: the
     // sweep runs 20 drive-lifetimes (10 utilizations x 2 modes) and the
     // 90% fills dominate; S4_BENCH_SCALE multiplies.
-    let transactions = ((1_250.0 * scale) as usize).max(400);
-    println!();
-    println!("================================================================");
-    println!("Figure 5: overhead of foreground cleaning in S4");
-    println!(
-        "PostMark, {transactions} transactions, {} MB drive, window=0",
-        DISK_BYTES >> 20
+    let transactions = scaled(1_250, 400);
+    banner(
+        "Figure 5: overhead of foreground cleaning in S4",
+        &format!(
+            "PostMark, {transactions} transactions, {} MB drive, window=0",
+            DISK_BYTES >> 20
+        ),
     );
-    println!("================================================================");
     println!(
         "{:>6} {:>16} {:>16} {:>12}",
         "util%", "no-clean txn/s", "cleaner txn/s", "overhead%"
     );
+    let mut record = Record::new("fig5_cleaner");
+    record.sim("transactions", transactions);
     for util in [2u64, 10, 20, 30, 40, 50, 60, 70, 80, 90] {
         let (base, bdone) = run_once(util, false, transactions);
         let (cleaned, cdone) = run_once(util, true, transactions);
+        record
+            .sim(format!("util_{util}_no_clean_txn_per_s"), base)
+            .sim(format!("util_{util}_cleaner_txn_per_s"), cleaned);
         if base.is_nan() || cleaned.is_nan() {
             println!("{util:>6} {:>16} {:>16} {:>12}", "-", "-", "unattainable");
             continue;
         }
         let overhead = (base - cleaned) / base * 100.0;
-        let note = if bdone < transactions as u64 * 2 || cdone < transactions as u64 * 2 {
-            " (partial)"
-        } else {
-            ""
-        };
+        let partial = bdone.min(cdone) < transactions as u64 * 2;
+        let note = if partial { " (partial)" } else { "" };
         println!("{util:>6} {base:>16.1} {cleaned:>16.1} {overhead:>11.1}%{note}");
     }
     println!();
     println!("paper shape: performance falls with utilization; continuous cleaning");
     println!("costs up to ~50% at high utilization (S4 cleans objects, not segments)");
+    record.emit();
 }

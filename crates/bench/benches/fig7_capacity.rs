@@ -8,8 +8,11 @@
 //! tree (standing in for the paper's CVS checkouts). Paper: differencing
 //! gave ~200% improvement, compression another ~200% (500% total), for
 //! windows between 50 and 470 days.
+//!
+//! `scripts/verify.sh` pins the record's byte counts and windows in
+//! `BENCH_fig7.json` (the workload does not scale).
 
-use s4_bench::banner;
+use s4_bench::{banner, Record};
 use s4_capacity::{figure7_rows, measure_factors};
 use s4_workloads::srctree::{self, SourceTreeConfig};
 
@@ -36,6 +39,11 @@ fn main() {
         m.compress_factor()
     );
     println!("  paper: ~3x from differencing, ~5x adding compression");
+    let mut record = Record::new("fig7_capacity");
+    record
+        .sim("full_bytes", m.full_bytes)
+        .sim("diff_bytes", m.diff_bytes)
+        .sim("diff_compress_bytes", m.diff_compress_bytes);
     println!();
 
     let pool_gb = 10.0;
@@ -48,8 +56,14 @@ fn main() {
             "{:<10} {:>14.0} {:>16.0} {:>22.0}",
             row.profile.name, row.baseline_days, row.diff_days, row.diff_compress_days
         );
+        let key = row.profile.name.to_lowercase();
+        record
+            .sim(format!("{key}_baseline_days"), row.baseline_days)
+            .sim(format!("{key}_diff_days"), row.diff_days)
+            .sim(format!("{key}_diff_compress_days"), row.diff_compress_days);
     }
     println!();
     println!("paper headline: 10GB yields >70 days (AFS), 10 days (NT), >90 days");
     println!("(Elephant) baseline; 50-470 days with differencing + compression");
+    record.emit();
 }

@@ -7,205 +7,61 @@
 //! stream is replayed against every array size; elapsed time is the
 //! *slowest shard's* busy time, so throughput reflects the parallelism
 //! actually extracted: perfect routing balance gives linear speedup,
-//! broadcast `Sync`s and residue skew eat into it.
+//! broadcast `Sync`s and residue skew eat into it. The workload is
+//! `s4_bench::scaleout`'s, shared with `fig_reshard`.
 //!
-//! The final line is machine-readable: `BENCH_JSON {...}` — the
-//! committed baseline lives in `BENCH_array.json`.
+//! The degraded datapoint replays the workload on a 4×2 mirrored array
+//! with one member of shard 0 killed early, against the same array
+//! healthy. Its ratio is exactly 1.000 by construction (13 150 / 13 150
+//! ops/sim-s at scale 0.25, 18 191 / 18 191 at full scale): each member
+//! has its own clock, and the surviving mirror does exactly the work the
+//! healthy array's read-serving member did, so the slowest member's
+//! time is the same. The ≥ 0.5× assertion therefore cannot fail; it
+//! measures that a dead member adds no work, not what a shared spindle
+//! would lose.
+//!
+//! `scripts/verify.sh` pins the record's `sim` fields at scale 0.25 in
+//! `BENCH_array.json`; EXPERIMENTS.md has full scale.
 
-use s4_array::{ArrayConfig, S4Array};
-use s4_bench::{banner, bench_ctx};
-use s4_clock::{SimClock, SimDuration};
-use s4_core::{DriveConfig, ObjectId, Request, Response, S4Drive};
-use s4_simdisk::{
-    BlockDev, DiskModelParams, FaultPlan, FaultyDisk, MemDisk, RequestClassMask, TimedDisk,
-};
-
-/// Deterministic 64-bit LCG (same constants as MMIX).
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 16
-    }
-}
-
-struct RunResult {
-    ops: u64,
-    elapsed: SimDuration,
-    wall: f64,
-}
-
-/// Replays the PostMark-style workload against `array`. Returns the
-/// operation count.
-fn workload<D: BlockDev + 'static>(
-    array: &S4Array<D>,
-    nfiles: usize,
-    transactions: usize,
-) -> u64 {
-    let ctx = bench_ctx();
-    let mut rng = Lcg(0x5345_4355);
-    let mut ops = 0u64;
-
-    // Population phase: PostMark's file set, written once.
-    let mut oids: Vec<ObjectId> = Vec::with_capacity(nfiles);
-    for _ in 0..nfiles {
-        let oid = match array.dispatch(&ctx, &Request::Create).unwrap() {
-            Response::Created(oid) => oid,
-            other => panic!("unexpected response {other:?}"),
-        };
-        let size = 512 + (rng.next() % 8704) as usize; // 512 B – 9 KiB
-        array
-            .dispatch(
-                &ctx,
-                &Request::Write {
-                    oid,
-                    offset: 0,
-                    data: vec![0xA5; size],
-                },
-            )
-            .unwrap();
-        oids.push(oid);
-        ops += 2;
-    }
-    array.dispatch(&ctx, &Request::Sync).unwrap();
-    ops += 1;
-
-    // Transaction phase: PostMark's equal read/write bias plus a tail
-    // of appends, with a periodic durability barrier.
-    for t in 0..transactions {
-        let oid = oids[(rng.next() as usize) % oids.len()];
-        let req = match rng.next() % 10 {
-            0..=4 => Request::Read {
-                oid,
-                offset: 0,
-                len: 512 + rng.next() % 4096,
-                time: None,
-            },
-            5..=8 => Request::Write {
-                oid,
-                offset: rng.next() % 4096,
-                data: vec![0x5A; 512 + (rng.next() % 4096) as usize],
-            },
-            _ => Request::Append {
-                oid,
-                data: vec![0x3C; 256],
-            },
-        };
-        array.dispatch(&ctx, &req).unwrap();
-        ops += 1;
-        if (t + 1) % 200 == 0 {
-            array.dispatch(&ctx, &Request::Sync).unwrap();
-            ops += 1;
-        }
-    }
-    array.dispatch(&ctx, &Request::Sync).unwrap();
-    ops += 1;
-    ops
-}
-
-/// The run takes as long as its busiest member drive.
-fn elapsed_of<D: BlockDev + 'static>(array: &S4Array<D>, start: SimDuration) -> SimDuration {
-    (0..array.shard_count())
-        .flat_map(|s| (0..array.mirror_count()).map(move |k| (s, k)))
-        .map(|(s, k)| {
-            SimDuration::from_micros(
-                array.member_drive(s, k).clock().now().as_micros() - start.as_micros(),
-            )
-        })
-        .max()
-        .unwrap()
-}
-
-/// Builds an `n`-shard array of independently-clocked timed drives and
-/// replays the mixed workload. Returns (ops, slowest-shard sim time).
-fn run(n: usize, nfiles: usize, transactions: usize) -> RunResult {
-    let start = SimDuration::from_secs(1);
-    let drives: Vec<S4Drive<TimedDisk<MemDisk>>> = (0..n)
-        .map(|_| {
-            let clock = SimClock::new();
-            clock.advance(start);
-            let disk = TimedDisk::new(
-                MemDisk::with_capacity_bytes(1 << 30),
-                DiskModelParams::cheetah_9gb_10k(),
-                clock.clone(),
-            );
-            S4Drive::format(disk, DriveConfig::default(), clock).unwrap()
-        })
-        .collect();
-    let array = S4Array::from_drives(drives, ArrayConfig::default()).unwrap();
-    let t0 = std::time::Instant::now();
-    let ops = workload(&array, nfiles, transactions);
-    let elapsed = elapsed_of(&array, start);
-    let wall = t0.elapsed().as_secs_f64();
-    array.unmount().unwrap();
-    RunResult { ops, elapsed, wall }
-}
+use s4_bench::scaleout::{array_of, mixed_workload, timed_array, Run};
+use s4_bench::{banner, scaled, timed_disk, Record, DEFAULT_DISK_BYTES};
+use s4_core::{DriveConfig, S4Drive};
+use s4_simdisk::{FaultPlan, FaultyDisk, RequestClassMask};
 
 /// A 4-shard, 2-mirror array of timed drives. With `kill_one`, shard
 /// 0's first replica dies a few device writes into the run, so almost
 /// the whole workload executes in degraded mode — the datapoint the
-/// healthy run is compared against.
-fn run_mirrored(kill_one: bool, nfiles: usize, transactions: usize) -> RunResult {
-    const SHARDS: usize = 4;
-    const MIRRORS: usize = 2;
-    let start = SimDuration::from_secs(1);
-    let drives: Vec<S4Drive<FaultyDisk<TimedDisk<MemDisk>>>> = (0..SHARDS * MIRRORS)
-        .map(|i| {
-            let clock = SimClock::new();
-            clock.advance(start);
-            let config = DriveConfig::default();
-            // Format fault-free, then re-arm: the victim's death counter
-            // must count workload writes, not format's.
-            let disk = FaultyDisk::new(
-                TimedDisk::new(
-                    MemDisk::with_capacity_bytes(1 << 30),
-                    DiskModelParams::cheetah_9gb_10k(),
-                    clock.clone(),
-                ),
-                FaultPlan::none(),
-            );
-            let drive = S4Drive::format(disk, config, clock.clone()).unwrap();
-            let disk = drive.unmount().unwrap().into_inner();
-            let plan = if kill_one && i == 0 {
-                FaultPlan::member_death_after_requests(
-                    10,
-                    RequestClassMask::WRITES.union(RequestClassMask::SYNCS),
-                )
-            } else {
-                FaultPlan::none()
-            };
-            S4Drive::mount(FaultyDisk::new(disk, plan), config, clock).unwrap()
-        })
-        .collect();
-    let array = S4Array::from_drives(
-        drives,
-        ArrayConfig {
-            mirrors: MIRRORS,
-            ..ArrayConfig::default()
-        },
-    )
-    .unwrap();
-    let t0 = std::time::Instant::now();
-    let ops = workload(&array, nfiles, transactions);
+/// healthy run is compared against. Returns its simulated throughput.
+fn run_mirrored(kill_one: bool, nfiles: usize, transactions: usize) -> f64 {
+    let array = array_of(4 * 2, 2, |i, clock| {
+        let config = DriveConfig::default();
+        // Format fault-free, then re-arm: the victim's death counter
+        // must count workload writes, not format's.
+        let disk = FaultyDisk::new(timed_disk(DEFAULT_DISK_BYTES, &clock), FaultPlan::none());
+        let drive = S4Drive::format(disk, config, clock.clone()).unwrap();
+        let disk = drive.unmount().unwrap().into_inner();
+        let plan = if kill_one && i == 0 {
+            FaultPlan::member_death_after_requests(
+                10,
+                RequestClassMask::WRITES.union(RequestClassMask::SYNCS),
+            )
+        } else {
+            FaultPlan::none()
+        };
+        S4Drive::mount(FaultyDisk::new(disk, plan), config, clock).unwrap()
+    });
+    let run = mixed_workload(&array, nfiles, transactions);
     if kill_one {
         assert!(array.shard_degraded(0), "victim member never died");
     }
-    let elapsed = elapsed_of(&array, start);
-    let wall = t0.elapsed().as_secs_f64();
     // A degraded array refuses to unmount (the dead member cannot
     // sync); dropping it joins the workers either way.
-    drop(array);
-    RunResult { ops, elapsed, wall }
+    run.ops_per_sim_s()
 }
 
 fn main() {
-    let scale = s4_bench::scale();
-    let nfiles = ((800.0 * scale) as usize).max(64);
-    let transactions = ((6_000.0 * scale) as usize).max(400);
+    let nfiles = scaled(800, 64);
+    let transactions = scaled(6_000, 400);
     banner(
         "Array scale-out: PostMark-style mixed workload",
         &format!("{nfiles} objects (512B-9KB), {transactions} transactions, shards 1/2/4/8"),
@@ -216,27 +72,26 @@ fn main() {
         "shards", "ops", "sim elapsed", "ops/sim-sec", "speedup"
     );
     let shard_counts = [1usize, 2, 4, 8];
-    let mut throughputs = Vec::new();
-    let mut base = 0.0f64;
-    for &n in &shard_counts {
-        let r = run(n, nfiles, transactions);
-        let tput = r.ops as f64 / r.elapsed.as_secs_f64();
-        if n == 1 {
-            base = tput;
-        }
+    let runs = shard_counts.map(|n| {
+        let array = timed_array(n);
+        let run = mixed_workload(&array, nfiles, transactions);
+        array.unmount().unwrap();
+        run
+    });
+    let throughputs = runs.each_ref().map(Run::ops_per_sim_s);
+    let speedups = throughputs.map(|t| t / throughputs[0]);
+    for (i, r) in runs.iter().enumerate() {
         println!(
             "{:<8} {:>10} {:>13.3}s {:>16.0} {:>9.2}x  (wall {:.2}s)",
-            n,
+            shard_counts[i],
             r.ops,
             r.elapsed.as_secs_f64(),
-            tput,
-            tput / base,
+            throughputs[i],
+            speedups[i],
             r.wall,
         );
-        throughputs.push(tput);
     }
 
-    let speedups: Vec<f64> = throughputs.iter().map(|t| t / base).collect();
     println!();
     println!(
         "4-shard speedup {:.2}x (acceptance: >= 2x), 8-shard {:.2}x",
@@ -253,10 +108,8 @@ fn main() {
     // mode must not collapse client throughput — reads fail over and
     // writes simply stop paying for the dead replica.
     println!();
-    let healthy = run_mirrored(false, nfiles, transactions);
-    let h_tput = healthy.ops as f64 / healthy.elapsed.as_secs_f64();
-    let degraded = run_mirrored(true, nfiles, transactions);
-    let d_tput = degraded.ops as f64 / degraded.elapsed.as_secs_f64();
+    let h_tput = run_mirrored(false, nfiles, transactions);
+    let d_tput = run_mirrored(true, nfiles, transactions);
     let ratio = d_tput / h_tput;
     println!(
         "4x2 mirrored: healthy {h_tput:.0} ops/sim-s, degraded (one member dead) \
@@ -267,20 +120,16 @@ fn main() {
         "degraded mode must not halve client throughput: {ratio:.2}x"
     );
 
-    let fmt = |v: &[f64], p: usize| {
-        v.iter()
-            .map(|x| format!("{x:.*}", p))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    println!(
-        "BENCH_JSON {{\"bench\":\"fig_array\",\"nfiles\":{nfiles},\
-\"transactions\":{transactions},\"shards\":[1,2,4,8],\
-\"throughput_ops_per_sim_s\":[{}],\"speedup_vs_1\":[{}],\
-\"mirrored_healthy_ops_per_sim_s\":{h_tput:.0},\
-\"mirrored_degraded_ops_per_sim_s\":{d_tput:.0},\
-\"degraded_over_healthy\":{ratio:.3}}}",
-        fmt(&throughputs, 0),
-        fmt(&speedups, 3),
-    );
+    Record::new("fig_array")
+        .sim("nfiles", nfiles)
+        .sim("transactions", transactions)
+        .sim("shards", &shard_counts[..])
+        .sim("elapsed_us", &runs.each_ref().map(|r| r.elapsed)[..])
+        .sim("throughput_ops_per_sim_s", &throughputs[..])
+        .sim("speedup_vs_1", &speedups[..])
+        .sim("mirrored_healthy_ops_per_sim_s", h_tput)
+        .sim("mirrored_degraded_ops_per_sim_s", d_tput)
+        .sim("degraded_over_healthy", ratio)
+        .wall("wall_s", &runs.each_ref().map(|r| r.wall)[..])
+        .emit();
 }

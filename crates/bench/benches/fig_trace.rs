@@ -18,13 +18,13 @@
 //! pair mostly cancels and a best-of-N over the whole bench does not),
 //! so it takes a few dozen pairs, not five, to resolve 5%.
 //!
-//! The final line is machine-readable: `BENCH_JSON {...}` — the
-//! committed baseline lives in `BENCH_trace.json`.
+//! Its record has `wall` fields only: CI uploads it, nothing compares
+//! it. The ≤ 5 % assertion is the gate.
 
 use std::sync::Arc;
 
 use s4_array::{ArrayConfig, S4Array};
-use s4_bench::banner;
+use s4_bench::{banner, scaled, Lcg, Record};
 use s4_clock::{SimClock, SimDuration};
 use s4_core::{ClientId, DriveConfig, ObjectId, Request, RequestContext, Response, UserId};
 use s4_simdisk::MemDisk;
@@ -35,24 +35,11 @@ const ROUNDS: usize = 30;
 /// Floor under `S4_BENCH_SCALE` (the full-scale count, so scaling only
 /// ever lengthens this bench): enough work that one measured run lasts
 /// a quarter second or more on the 2-core CI box.
-const MIN_OPS_PER_CLIENT: u64 = 3_000;
-
-/// Deterministic 64-bit LCG (same constants as MMIX).
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 16
-    }
-}
+const MIN_OPS_PER_CLIENT: usize = 3_000;
 
 /// One full 8-client stress run; returns the wall-clock seconds of the
 /// client phase and the array (still live) for post-run inspection.
-fn run(trace: bool, ops_per_client: u64) -> (f64, Arc<S4Array<MemDisk>>) {
+fn run(trace: bool, ops_per_client: usize) -> (f64, Arc<S4Array<MemDisk>>) {
     let clock = SimClock::new();
     clock.advance(SimDuration::from_secs(1));
     let devices = (0..SHARDS)
@@ -84,19 +71,19 @@ fn run(trace: bool, ops_per_client: u64) -> (f64, Arc<S4Array<MemDisk>>) {
                 };
                 let mut oids: Vec<ObjectId> = vec![oid];
                 for t in 0..ops_per_client {
-                    let oid = oids[(rng.next() as usize) % oids.len()];
-                    let req = match rng.next() % 10 {
+                    let oid = oids[(rng.next_u64() as usize) % oids.len()];
+                    let req = match rng.next_u64() % 10 {
                         0 => Request::Create,
                         1..=4 => Request::Read {
                             oid,
                             offset: 0,
-                            len: 256 + rng.next() % 2048,
+                            len: 256 + rng.next_u64() % 2048,
                             time: None,
                         },
                         5..=8 => Request::Write {
                             oid,
-                            offset: rng.next() % 2048,
-                            data: vec![0x5A; 256 + (rng.next() % 2048) as usize],
+                            offset: rng.next_u64() % 2048,
+                            data: vec![0x5A; 256 + (rng.next_u64() % 2048) as usize],
                         },
                         _ => Request::Append {
                             oid,
@@ -121,8 +108,7 @@ fn run(trace: bool, ops_per_client: u64) -> (f64, Arc<S4Array<MemDisk>>) {
 }
 
 fn main() {
-    let scale = s4_bench::scale();
-    let ops_per_client = ((3_000.0 * scale) as u64).max(MIN_OPS_PER_CLIENT);
+    let ops_per_client = scaled(3_000, MIN_OPS_PER_CLIENT);
     banner(
         "Tracing overhead: 8-client stress, tracing on vs off",
         &format!("{SHARDS} shards, {CLIENTS} clients x {ops_per_client} ops, {ROUNDS} pairs"),
@@ -172,7 +158,6 @@ fn main() {
     let ratios = traced_walls.iter().zip(&plain_walls).map(|(t, p)| t / p);
     let overhead = median(ratios.collect()) - 1.0;
     let (traced, plain) = (median(traced_walls), median(plain_walls));
-    let ops = u64::from(CLIENTS) * ops_per_client;
     println!();
     println!(
         "{ROUNDS} pairs: median traced {traced:.3}s, untraced {plain:.3}s; median pair ratio -> \
@@ -185,10 +170,9 @@ fn main() {
         overhead * 100.0
     );
 
-    println!(
-        "BENCH_JSON {{\"bench\":\"fig_trace\",\"shards\":{SHARDS},\"clients\":{CLIENTS},\
-\"ops_per_client\":{ops_per_client},\"total_ops\":{ops},\
-\"wall_traced_s\":{traced:.4},\"wall_untraced_s\":{plain:.4},\
-\"overhead_frac\":{overhead:.4},\"traces_assembled\":{traces_assembled}}}"
-    );
+    Record::new("fig_trace")
+        .wall("traced_s", traced)
+        .wall("untraced_s", plain)
+        .wall("overhead_frac", overhead)
+        .emit();
 }

@@ -16,13 +16,16 @@
 //!
 //! All four expose [`s4_fs::FileServer`], are driven by identical traces,
 //! and are measured on the same simulated clock.
+//!
+//! Every bench reports through one [`Record`]; the scale-out benches
+//! share one workload, [`scaleout`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::sync::Arc;
 
-use s4_baseline::{UipConfig, UipServer};
+use s4_baseline::UipServer;
 use s4_clock::{NetworkModel, SimClock, SimDuration};
 use s4_core::{ClientId, DriveConfig, RequestContext, S4Drive, UserId};
 use s4_fs::{
@@ -31,7 +34,10 @@ use s4_fs::{
 use s4_simdisk::{DiskModelParams, MemDisk, StatsHandle, TimedDisk};
 use s4_workloads::{replay_with_clock, FsOp, ReplayStats};
 
-pub use s4_workloads::ops::replay_with_clock as replay;
+mod record;
+pub mod scaleout;
+
+pub use record::{Field, Record};
 
 /// Default simulated disk size for experiments (bytes). The paper used a
 /// 9 GB drive; experiments here default to a smaller disk with the same
@@ -89,11 +95,6 @@ impl<S: FileServer> RemoteFs<S> {
     fn charge(&self, req_bytes: usize, resp_bytes: usize) {
         self.clock
             .advance(self.net.rpc_cost(64 + req_bytes, 32 + resp_bytes));
-    }
-
-    /// The wrapped server.
-    pub fn inner(&self) -> &S {
-        &self.inner
     }
 }
 
@@ -165,36 +166,13 @@ impl<S: FileServer> FileServer for RemoteFs<S> {
 }
 
 /// A fully assembled system under test.
-pub struct System {
-    /// Which configuration this is.
-    pub kind: SystemKind,
+pub(crate) struct System {
     /// The file server to drive.
     pub fs: Box<dyn FileServer>,
     /// The shared simulated clock.
     pub clock: SimClock,
     /// Disk counters.
     pub disk_stats: StatsHandle,
-    /// The S4 drive, for configurations that have one (maintenance hooks,
-    /// audit access).
-    pub drive: Option<Arc<S4Drive<TimedDisk<MemDisk>>>>,
-}
-
-/// Experiment-wide knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct SystemConfig {
-    /// Simulated disk capacity in bytes.
-    pub disk_bytes: u64,
-    /// Drive configuration for the S4 systems.
-    pub drive: DriveConfig,
-}
-
-impl Default for SystemConfig {
-    fn default() -> Self {
-        SystemConfig {
-            disk_bytes: DEFAULT_DISK_BYTES,
-            drive: DriveConfig::default(),
-        }
-    }
 }
 
 /// The benchmark client context.
@@ -202,71 +180,100 @@ pub fn bench_ctx() -> RequestContext {
     RequestContext::user(UserId(100), ClientId(1))
 }
 
-/// Builds one of the four systems.
-pub fn build_system(kind: SystemKind, config: &SystemConfig) -> System {
-    let clock = SimClock::new();
-    clock.advance(SimDuration::from_secs(1));
-    let disk = TimedDisk::new(
-        MemDisk::with_capacity_bytes(config.disk_bytes),
+/// A simulated Cheetah (the paper's 9 GB, 10k RPM disk) of `bytes`,
+/// charging its service times to `clock`.
+pub fn timed_disk(bytes: u64, clock: &SimClock) -> TimedDisk<MemDisk> {
+    TimedDisk::new(
+        MemDisk::with_capacity_bytes(bytes),
         DiskModelParams::cheetah_9gb_10k(),
         clock.clone(),
-    );
+    )
+}
+
+/// An S4 drive formatted with `config` on a [`timed_disk`] of `bytes`,
+/// on its own clock started at one second.
+pub fn timed_drive(bytes: u64, config: DriveConfig) -> Arc<S4Drive<TimedDisk<MemDisk>>> {
+    let clock = SimClock::new();
+    clock.advance(SimDuration::from_secs(1));
+    let disk = timed_disk(bytes, &clock);
+    Arc::new(S4Drive::format(disk, config, clock).expect("format S4 drive"))
+}
+
+/// Figure 1a over `drive`: the NFS translator on the client, every S4
+/// RPC across the LAN. `name` names the file system.
+pub fn lan_fs(
+    drive: Arc<S4Drive<TimedDisk<MemDisk>>>,
+    name: &str,
+) -> S4FileServer<LoopbackTransport<TimedDisk<MemDisk>>> {
+    let transport = LoopbackTransport::new(drive, NetworkModel::lan_100mbit());
+    S4FileServer::mount(transport, bench_ctx(), name, S4FsConfig::default()).expect("mount S4 fs")
+}
+
+/// Builds one of the four systems on a [`timed_disk`] of
+/// [`DEFAULT_DISK_BYTES`].
+pub(crate) fn build_system(kind: SystemKind) -> System {
+    let clock = SimClock::new();
+    clock.advance(SimDuration::from_secs(1));
+    let disk = timed_disk(DEFAULT_DISK_BYTES, &clock);
     let disk_stats = disk.stats_handle();
-    match kind {
+    let lan = NetworkModel::lan_100mbit();
+    let fs: Box<dyn FileServer> = match kind {
         SystemKind::S4Drive | SystemKind::S4Nfs => {
-            let drive = Arc::new(
-                S4Drive::format(disk, config.drive, clock.clone()).expect("format S4 drive"),
-            );
+            let drive = S4Drive::format(disk, DriveConfig::default(), clock.clone())
+                .expect("format S4 drive");
             // Figure 1a: S4 RPCs cross the LAN. Figure 1b: S4 RPCs are
             // server-internal; NFS ops cross the LAN instead.
             let (rpc_net, nfs_net) = match kind {
-                SystemKind::S4Drive => (NetworkModel::lan_100mbit(), None),
-                _ => (NetworkModel::free(), Some(NetworkModel::lan_100mbit())),
+                SystemKind::S4Drive => (lan, None),
+                _ => (NetworkModel::free(), Some(lan)),
             };
-            let transport = LoopbackTransport::new(drive.clone(), rpc_net);
+            let transport = LoopbackTransport::new(Arc::new(drive), rpc_net);
             let s4fs = S4FileServer::mount(transport, bench_ctx(), "bench", S4FsConfig::default())
                 .expect("mount S4 fs");
-            let fs: Box<dyn FileServer> = match nfs_net {
+            match nfs_net {
                 None => Box::new(s4fs),
                 Some(net) => Box::new(RemoteFs::new(s4fs, net, clock.clone())),
-            };
-            System {
-                kind,
-                fs,
-                clock,
-                disk_stats,
-                drive: Some(drive),
             }
         }
         SystemKind::FreeBsdNfs | SystemKind::LinuxNfs => {
-            let uip = UipServer::format(
-                disk,
-                UipConfig {
-                    sync_inodes: kind == SystemKind::FreeBsdNfs,
-                    ..UipConfig::default()
-                },
-                clock.clone(),
-            )
-            .expect("format baseline");
-            let fs: Box<dyn FileServer> = Box::new(RemoteFs::new(
-                uip,
-                NetworkModel::lan_100mbit(),
-                clock.clone(),
-            ));
-            System {
-                kind,
-                fs,
-                clock,
-                disk_stats,
-                drive: None,
-            }
+            // FFS writes every inode update; ext2-sync batches them.
+            let sync_inodes = kind == SystemKind::FreeBsdNfs;
+            let uip = UipServer::format(disk, sync_inodes, clock.clone()).expect("format baseline");
+            Box::new(RemoteFs::new(uip, lan, clock.clone()))
         }
+    };
+    System {
+        fs,
+        clock,
+        disk_stats,
     }
 }
 
 /// Replays a trace and returns its stats (think time honored).
-pub fn run_phase(system: &System, trace: &[FsOp]) -> ReplayStats {
+pub(crate) fn run_phase(system: &System, trace: &[FsOp]) -> ReplayStats {
     replay_with_clock(system.fs.as_ref(), trace, &system.clock)
+}
+
+/// Replays named `phases` in order on a fresh `kind` system: each one's
+/// simulated time and disk write requests, also recorded as, e.g.,
+/// `freebsdnfs_create_us` and `freebsdnfs_create_writes`.
+pub fn run_phases<const N: usize>(
+    kind: SystemKind,
+    phases: [(&str, &[FsOp]); N],
+    record: &mut Record,
+) -> [(SimDuration, u64); N] {
+    let sys = build_system(kind);
+    phases.map(|(phase, trace)| {
+        let before = sys.disk_stats.snapshot();
+        let stats = run_phase(&sys, trace);
+        assert_eq!(stats.errors, 0, "{kind:?} {phase} had errors");
+        let writes = sys.disk_stats.snapshot().since(&before).writes;
+        let key = format!("{kind:?}").to_lowercase();
+        record
+            .sim(format!("{key}_{phase}_us"), stats.elapsed)
+            .sim(format!("{key}_{phase}_writes"), writes);
+        (stats.elapsed, writes)
+    })
 }
 
 /// Pretty seconds.
@@ -275,8 +282,7 @@ pub fn secs(d: SimDuration) -> String {
 }
 
 /// The `S4_BENCH_SCALE` workload multiplier every bench sizes itself by
-/// (e.g. `0.1` for smoke runs): 1.0 when unset or unparsable. Each bench
-/// applies its own floors to the scaled counts.
+/// (e.g. `0.1` for smoke runs): 1.0 when unset or unparsable.
 pub fn scale() -> f64 {
     std::env::var("S4_BENCH_SCALE")
         .ok()
@@ -284,12 +290,35 @@ pub fn scale() -> f64 {
         .unwrap_or(1.0)
 }
 
-/// Prints a standard figure header.
+/// A full-scale count `full` times [`scale`], but at least the bench's
+/// own `floor`.
+pub fn scaled(full: usize, floor: usize) -> usize {
+    ((full as f64 * scale()) as usize).max(floor)
+}
+
+/// Deterministic 64-bit LCG (same constants as MMIX): the benches' one
+/// random stream.
+pub struct Lcg(pub u64);
+
+impl Lcg {
+    /// The next value (the state's high 48 bits).
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.0 >> 16
+    }
+}
+
+/// Prints a standard figure header; an empty `subtitle` is left out.
 pub fn banner(title: &str, subtitle: &str) {
     println!();
     println!("================================================================");
     println!("{title}");
-    println!("{subtitle}");
+    if !subtitle.is_empty() {
+        println!("{subtitle}");
+    }
     println!("================================================================");
 }
 
@@ -306,13 +335,7 @@ mod tests {
             ..MicroConfig::default()
         });
         for kind in SystemKind::ALL {
-            let sys = build_system(
-                kind,
-                &SystemConfig {
-                    disk_bytes: 64 << 20,
-                    ..SystemConfig::default()
-                },
-            );
+            let sys = build_system(kind);
             let create = run_phase(&sys, &m.create);
             assert_eq!(create.errors, 0, "{kind:?} create errors");
             let read = run_phase(&sys, &m.read);
@@ -334,10 +357,8 @@ mod tests {
             dirs: 2,
             ..MicroConfig::default()
         });
-        let a = build_system(SystemKind::S4Drive, &SystemConfig::default());
-        let b = build_system(SystemKind::S4Nfs, &SystemConfig::default());
-        let ta = run_phase(&a, &m.create).elapsed;
-        let tb = run_phase(&b, &m.create).elapsed;
+        let create = |kind| run_phase(&build_system(kind), &m.create).elapsed;
+        let (ta, tb) = (create(SystemKind::S4Drive), create(SystemKind::S4Nfs));
         assert!(ta > tb, "S4-drive {ta:?} vs S4-NFS {tb:?}");
     }
 }

@@ -258,12 +258,13 @@ fn baselines_and_s4_agree_on_file_semantics() {
     // baseline; final file contents must agree byte-for-byte.
     let (s4, _drive, _clock) = setup(128);
     let clock2 = SimClock::new();
-    let ffs = s4_baseline::ffs_server(
+    let ffs = s4_baseline::UipServer::format(
         TimedDisk::new(
             MemDisk::with_capacity_bytes(128 << 20),
             DiskModelParams::cheetah_9gb_10k(),
             clock2.clone(),
         ),
+        true,
         clock2,
     )
     .unwrap();
