@@ -150,7 +150,7 @@ fn within_bitmap(e: EpochInfo) -> s4_core::Result<EpochInfo> {
 /// as a resync would build them. Formatting moves the shared clock, so
 /// siblings formatted one after another would disagree on when their
 /// partition tables were created — a replica starts as a copy.
-pub fn format_group<D: BlockDev>(
+pub(crate) fn format_group<D: BlockDev>(
     devs: Vec<D>,
     config: DriveConfig,
     clock: &SimClock,
@@ -176,7 +176,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
     /// Formats `devices` as a fresh array sharing `clock`. With
     /// `array.mirrors = m`, `devices.len()` must be a positive multiple
     /// of `m`: shard `s` of `n = devices.len()/m` owns devices
-    /// `s*m..(s+1)*m`, every member formatted by [`format_group`] and
+    /// `s*m..(s+1)*m`, every member formatted by `format_group` and
     /// allocating in ObjectID class `s (mod n)`. The initial routing epoch is
     /// persisted in shard 0's partition table before the array serves
     /// anything.
@@ -440,7 +440,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
 
     /// Registry of reshard progress metrics (objects copied, catch-up
     /// lag, flip pauses), rendered into the array's expositions.
-    pub fn reshard_registry(&self) -> &Registry {
+    pub(crate) fn reshard_registry(&self) -> &Registry {
         &self.reshard_reg
     }
 

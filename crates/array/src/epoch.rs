@@ -150,9 +150,9 @@ impl EpochInfo {
     }
 }
 
-/// Progress and outcome of one flip, returned by
-/// [`crate::S4Array::install_split`]: how long the split shard was
-/// quiesced, on its own member clock.
+/// Progress and outcome of one flip, carried in a
+/// [`crate::ReshardReport`]: how long the split shard was quiesced, on
+/// its own member clock.
 #[derive(Clone, Copy, Debug)]
 pub struct FlipReport {
     /// Simulated time the source shard spent quiesced (write gate held):

@@ -41,7 +41,11 @@ impl<D: BlockDev + 'static> S4Array<D> {
     /// the flip can be retried. The returned [`FlipReport`] carries the
     /// pause duration (on the source's member clock) that
     /// `fig_reshard` asserts against.
-    pub fn install_split<F>(&self, source_slot: usize, finish: F) -> s4_core::Result<FlipReport>
+    pub(crate) fn install_split<F>(
+        &self,
+        source_slot: usize,
+        finish: F,
+    ) -> s4_core::Result<FlipReport>
     where
         F: FnOnce(&[Arc<S4Drive<D>>]) -> s4_core::Result<Vec<S4Drive<D>>>,
     {

@@ -40,8 +40,7 @@
 //!   a live array splits from `N` to `2N` shards one residue class at a
 //!   time, with the history pool serving as the migration mechanism and
 //!   only a brief per-shard quiesce at the flip
-//!   ([`S4Array::install_split`]; the full protocol lives in
-//!   `s4-reshard`, DESIGN §6h).
+//!   ([`reshard`], DESIGN §6h).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,15 +51,17 @@ pub mod epoch;
 mod flip;
 mod forensics;
 mod metrics;
+pub mod reshard;
 pub mod router;
 mod shard;
 mod transport;
 mod txn;
 
-pub use array::{format_group, ArrayConfig, S4Array, QUEUE_DEPTH};
+pub use array::{ArrayConfig, S4Array, QUEUE_DEPTH};
 pub use dispatch::BatchOutcome;
 pub use epoch::{EpochInfo, FlipReport, EPOCH_NOTE_PREFIX, RESERVED_NAME_PREFIX};
 pub use forensics::Sharded;
+pub use reshard::{double_array, split_shard, ReshardConfig, ReshardReport};
 pub use router::{dense_of, shard_of, slot_of};
 pub use shard::MemberState;
 pub use transport::ArrayTransport;

@@ -12,9 +12,8 @@
 //! measures total space growth for a burst of updates to a large file.
 //! `scripts/verify.sh` pins the record's byte counts in `BENCH_fig2.json`.
 
-use s4_bench::{banner, Record};
+use s4_bench::{banner, conventional_blocks, Record, N_DIRECT, PTRS_PER_BLOCK};
 use s4_clock::{HybridTimestamp, SimTime};
-use s4_journal::conventional::{ConventionalMeta, CountingSink, N_DIRECT, PTRS_PER_BLOCK};
 use s4_journal::{encode_sectors, JournalEntry, PtrChange};
 use s4_lfs::{BlockAddr, BLOCK_SIZE};
 
@@ -55,16 +54,14 @@ fn main() {
     );
     for (name, lbn) in cases {
         let key = name.replace(' ', "_");
-        let mut conv = ConventionalMeta::new();
-        let mut sink = CountingSink::default();
-        let cost = conv.update_block(lbn, BlockAddr(1), &mut sink);
-        let conv_bytes = cost.metadata_bytes();
+        let blocks = conventional_blocks(lbn);
+        let conv_bytes = blocks * BLOCK_SIZE as u64;
         let j = write_entry(lbn, 1, (lbn + 1) * BLOCK_SIZE as u64).encoded_len();
         println!(
             "{:<18} {:>17} ({} blks) {:>16}  ({:.0}x less)",
             name,
             conv_bytes,
-            cost.indirect_blocks + cost.inode_blocks,
+            blocks,
             j,
             conv_bytes as f64 / j as f64
         );
@@ -78,16 +75,15 @@ fn main() {
     println!();
     let updates = 10_000u64;
     let base = N_DIRECT + PTRS_PER_BLOCK + PTRS_PER_BLOCK * PTRS_PER_BLOCK;
-    let mut conv = ConventionalMeta::new();
-    let mut sink = CountingSink::default();
+    let mut conv_blocks = 0;
     let mut entries = Vec::new();
     for i in 0..updates {
         let lbn = base + (i % 512);
-        conv.update_block(lbn, BlockAddr(i), &mut sink);
+        conv_blocks += conventional_blocks(lbn);
         entries.push(write_entry(lbn, i, 0));
     }
     let data_bytes = updates * BLOCK_SIZE as u64;
-    let conv_meta = sink.blocks * BLOCK_SIZE as u64;
+    let conv_meta = conv_blocks * BLOCK_SIZE as u64;
     // Journal entries are packed into sectors; count real packed bytes.
     let packed: usize = encode_sectors(&entries)
         .iter()

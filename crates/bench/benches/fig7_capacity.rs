@@ -12,8 +12,8 @@
 //! `scripts/verify.sh` pins the record's byte counts and windows in
 //! `BENCH_fig7.json` (the workload does not scale).
 
+use s4_bench::capacity::{figure7_rows, measure_factors};
 use s4_bench::{banner, Record};
-use s4_capacity::{figure7_rows, measure_factors};
 use s4_workloads::srctree::{self, SourceTreeConfig};
 
 fn main() {

@@ -15,9 +15,9 @@
 //! `scripts/verify.sh` pins the record's `sim` fields at scale 0.25 in
 //! `BENCH_reshard.json`; EXPERIMENTS.md has full scale.
 
+use s4_array::{split_shard, ReshardConfig};
 use s4_bench::scaleout::{elapsed_of, mixed_workload, populate, timed_array, transactions, SEED};
 use s4_bench::{banner, scaled, timed_disk, Lcg, Record, DEFAULT_DISK_BYTES};
-use s4_reshard::{split_shard, ReshardConfig};
 
 const SHARDS: usize = 4;
 

@@ -18,7 +18,9 @@
 //! and are measured on the same simulated clock.
 //!
 //! Every bench reports through one [`Record`]; the scale-out benches
-//! share one workload, [`scaleout`].
+//! share one workload, [`scaleout`]. Figure 7's capacity model is
+//! [`capacity`], and Figure 2's conventional baseline is
+//! [`conventional_blocks`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,9 +33,11 @@ use s4_core::{ClientId, DriveConfig, RequestContext, S4Drive, UserId};
 use s4_fs::{
     FileAttr, FileKind, FileServer, FsResult, Handle, LoopbackTransport, S4FileServer, S4FsConfig,
 };
+use s4_lfs::BLOCK_SIZE;
 use s4_simdisk::{DiskModelParams, MemDisk, StatsHandle, TimedDisk};
 use s4_workloads::{replay_with_clock, FsOp, ReplayStats};
 
+pub mod capacity;
 mod record;
 pub mod scaleout;
 
@@ -311,6 +315,35 @@ impl Lcg {
     }
 }
 
+/// Direct block pointers in a conventional (FFS-style) inode.
+pub const N_DIRECT: u64 = 12;
+
+/// Block pointers per indirect block: 4 KiB of 8-byte pointers.
+pub const PTRS_PER_BLOCK: u64 = (BLOCK_SIZE / 8) as u64;
+
+/// Metadata blocks a conventional versioning system writes to update
+/// logical block `lbn` of a file (§4.2.2, Figure 2's left side). No
+/// version may share metadata with the next, so the update writes a new
+/// copy of every indirect block on the path to `lbn`, and a new inode:
+/// one block per indirect level plus one, from 1 for a direct block to 4
+/// for a triple-indirect one.
+///
+/// # Panics
+///
+/// If `lbn` lies past the triple-indirect range.
+pub fn conventional_blocks(lbn: u64) -> u64 {
+    // `end` is the first lbn past the pointers reached at `depth`.
+    let (mut end, mut span) = (N_DIRECT, 1);
+    for depth in 0..=3 {
+        if lbn < end {
+            return depth + 1;
+        }
+        span *= PTRS_PER_BLOCK;
+        end += span;
+    }
+    panic!("lbn {lbn} beyond triple-indirect range");
+}
+
 /// Prints a standard figure header; an empty `subtitle` is left out.
 pub fn banner(title: &str, subtitle: &str) {
     println!();
@@ -326,6 +359,33 @@ pub fn banner(title: &str, subtitle: &str) {
 mod tests {
     use super::*;
     use s4_workloads::{micro_benchmark, MicroConfig};
+
+    const SINGLE: u64 = PTRS_PER_BLOCK;
+    const DOUBLE: u64 = SINGLE * PTRS_PER_BLOCK;
+    const TRIPLE: u64 = DOUBLE * PTRS_PER_BLOCK;
+
+    #[test]
+    fn conventional_blocks_change_at_every_depth_boundary() {
+        assert_eq!((N_DIRECT, PTRS_PER_BLOCK), (12, 512));
+        for (lbn, blocks) in [
+            (0, 1),
+            (11, 1),
+            (12, 2),
+            (523, 2),
+            (524, 3),
+            (N_DIRECT + SINGLE + DOUBLE - 1, 3),
+            (N_DIRECT + SINGLE + DOUBLE, 4),
+            (N_DIRECT + SINGLE + DOUBLE + TRIPLE - 1, 4),
+        ] {
+            assert_eq!(conventional_blocks(lbn), blocks, "lbn {lbn}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond triple-indirect range")]
+    fn conventional_blocks_panics_past_triple_indirect() {
+        conventional_blocks(N_DIRECT + SINGLE + DOUBLE + TRIPLE);
+    }
 
     #[test]
     fn all_four_systems_run_the_same_trace() {

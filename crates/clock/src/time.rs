@@ -42,11 +42,6 @@ impl SimTime {
         self.0
     }
 
-    /// Returns the instant as (truncated) whole seconds.
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Returns the instant as fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6

@@ -689,7 +689,7 @@ impl<D: BlockDev> S4Drive<D> {
 
         // Detection-window headroom: how long the *free* pool lasts at
         // the observed write rate — the same projection as
-        // `s4_capacity::detection_window_days(pool_gb, write_mb_per_day,
+        // `s4_bench::capacity::detection_window_days(pool_gb, write_mb_per_day,
         // space_factor)` with space_factor 1.0 (raw versions; the
         // conservative bound). Clamped to 100 years when no write rate
         // is observable yet.

@@ -20,21 +20,16 @@
 //!   checkpoint codec.
 //! * [`replay`] — undo/redo of entries over a metadata record, and
 //!   point-in-time reconstruction.
-//! * [`conventional`] — the conventional copy-on-write metadata baseline
-//!   (new inode + indirect path per update), used by the Figure 2
-//!   experiment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod conventional;
 pub mod entry;
 pub mod meta;
 pub mod replay;
 pub mod sector;
 pub mod txn;
 
-pub use conventional::{BlockSink, ConventionalMeta, CountingSink, UpdateCost};
 pub use entry::{JournalEntry, PtrChange, MAX_PTR_CHANGES};
 pub use meta::ObjectMeta;
 pub use replay::{reconstruct_at, redo, undo, UndoWalk};

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use s4_clock::{SimClock, SimDuration, SimTime};
+use s4_clock::{SimClock, SimDuration};
 use s4_fs::{FileServer, FsError, Handle};
 
 /// One file-system operation in a trace. Paths are `/`-separated and
@@ -245,11 +245,6 @@ pub fn trace_write_bytes(trace: &[FsOp]) -> u64 {
             _ => 0,
         })
         .sum()
-}
-
-/// Current simulated time helper for building traces against a server.
-pub fn server_time<S: FileServer + ?Sized>(server: &S) -> SimTime {
-    server.now()
 }
 
 #[cfg(test)]

@@ -74,7 +74,14 @@
 #    its own): all four workloads end to end on the real stack, every
 #    read-back checked, including drive_churn_recover's crash -> mount
 #    -> read-back on FileDisk. Only its exit code gates; it compares no
-#    timings (result file: target/benchmark-smoke.json)
+#    timings (result file: target/benchmark-smoke.json). First, the
+#    lockfile freeze: benchmark/Cargo.lock changes only in a
+#    benchmark-only change, so a crate edge inside its closure (between
+#    crates the benchmark reaches) that moves fails here instead of
+#    rewriting the file. The suite builds with --locked, which fails on
+#    an edge or a crate the file lacks; cargo still lets a listed crate
+#    that nothing reaches any more stay in the file (a folded s4-txn
+#    would), so every crate it lists must be in `cargo tree` too
 # 10. scripts/loc.sh: non-test Rust lines per crate and the bench
 #    harnesses, printed (not gated) so a simplicity PR quotes a counted
 #    figure
@@ -305,8 +312,19 @@ grep -o 'TXN_TORTURE .*' target/txn-torture.out > target/txn-torture-summary.txt
 echo "== fig_trace bench (asserts tracing overhead <= 5%; record uploaded, not compared)"
 bench_record fig_trace trace
 
+echo "== benchmark lockfile freeze (benchmark/Cargo.lock lists what the benchmark reaches)"
+reached=$(cargo tree --locked --offline --manifest-path benchmark/Cargo.toml \
+    -e normal,build,dev --prefix none --format '{p}' | cut -d' ' -f1 | sort -u)
+unreached=$(sed -n 's/^name = "\(.*\)"$/\1/p' benchmark/Cargo.lock | sort -u | comm -23 - <(echo "$reached"))
+[ -z "$unreached" ] || {
+  echo "$unreached" >&2
+  echo "verify: benchmark/Cargo.lock lists crates the benchmark no longer reaches;" \
+    "an edge inside its closure moved, which only a benchmark-only change may do" >&2
+  exit 1
+}
+
 echo "== benchmark smoke suite (output checks only, no timing gate)"
-cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml -- \
   suite --smoke --out target/benchmark-smoke.json
 
 echo "== non-test Rust lines per crate (scripts/loc.sh)"

@@ -411,9 +411,9 @@ fn run() -> Result<(), CliError> {
                 .iter()
                 .map(|p| FileDisk::create(p, sectors).map_err(|e| format!("create {p}: {e}")))
                 .collect::<Result<Vec<_>, String>>()?;
-            let cfg = s4_reshard::ReshardConfig::default();
+            let cfg = s4_array::ReshardConfig::default();
             let reports = match args.number("--slot") {
-                Some(s) => vec![s4_reshard::split_shard(&array, s, targets, cfg)
+                Some(s) => vec![s4_array::split_shard(&array, s, targets, cfg)
                     .map_err(|e| format!("reshard: {e}"))?],
                 None => {
                     let base = array.epoch().base;
@@ -431,7 +431,7 @@ fn run() -> Result<(), CliError> {
                     for _ in 0..base {
                         groups.push(it.by_ref().take(mirrors).collect());
                     }
-                    s4_reshard::double_array(&array, groups, cfg)
+                    s4_array::double_array(&array, groups, cfg)
                         .map_err(|e| format!("reshard: {e}"))?
                 }
             };
@@ -449,7 +449,7 @@ fn run() -> Result<(), CliError> {
                     r.flip.pause.as_micros()
                 );
             }
-            println!("{}", s4_reshard::status_text(&array));
+            println!("{}", array.reshard_status_text());
             array.unmount().map_err(|e| format!("unmount array: {e}"))?;
         }
         "txn" => {

@@ -12,11 +12,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use common::{check_interleaving, hammer, unwrap_arc};
-use s4_array::{ArrayConfig, S4Array};
+use s4_array::{double_array, ArrayConfig, ReshardConfig, S4Array};
 use s4_clock::{SimClock, SimDuration};
 use s4_core::{AuditRecord, ClientId, DriveConfig, Request, RequestContext, Response, UserId};
 use s4_fs::{TcpServerHandle, TcpTransport};
-use s4_reshard::{double_array, ReshardConfig};
 use s4_simdisk::MemDisk;
 
 const SHARDS: usize = 4;

@@ -11,10 +11,9 @@
 
 use std::collections::BTreeMap;
 
-use s4_array::{ArrayConfig, S4Array};
+use s4_array::{double_array, ArrayConfig, ReshardConfig, S4Array};
 use s4_clock::{SimClock, SimDuration};
 use s4_core::{ClientId, DriveConfig, ObjectId, Request, RequestContext, Response, S4Drive, UserId};
-use s4_reshard::{double_array, ReshardConfig};
 use s4_simdisk::MemDisk;
 
 const SHARDS: usize = 4;

@@ -16,13 +16,12 @@
 //!   disagree about the epoch; mount must pick the highest sequence
 //!   number and repair the stale member's partition table.
 
-use s4_array::{ArrayConfig, EpochInfo, S4Array, EPOCH_NOTE_PREFIX};
+use s4_array::{split_shard, ArrayConfig, EpochInfo, ReshardConfig, S4Array, EPOCH_NOTE_PREFIX};
 use s4_clock::{SimClock, SimDuration};
 use s4_core::{
     ClientId, DriveConfig, ObjectId, Request, RequestContext, Response, S4Drive, S4Error, UserId,
     PARTITION_OBJECT,
 };
-use s4_reshard::{split_shard, ReshardConfig};
 use s4_simdisk::{BlockDev, DiskModelParams, MemDisk, TimedDisk};
 use std::collections::BTreeMap;
 
