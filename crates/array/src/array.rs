@@ -65,7 +65,7 @@ impl ArrayConfig {
 }
 
 /// A sharded array of [`S4Drive`]s presenting the single-drive RPC
-/// surface (it implements [`RpcHandler`], so the TCP server and the
+/// surface (it implements [`s4_fs::RpcHandler`], so the TCP server and the
 /// file-system layer run over it unchanged).
 ///
 /// Object placement is `oid % n` with reserved objects pinned (see
@@ -216,8 +216,8 @@ impl<D: BlockDev + 'static> S4Array<D> {
     /// a reshard remounts wholly old-epoch or wholly new-epoch. Returns
     /// the per-member [`RecoveryReport`]s in device order.
     ///
-    /// Repair and in-doubt resolution go through [`Shard::note`] and
-    /// [`Shard::decide`] like the running array's: one instant per
+    /// Repair and in-doubt resolution go through `Shard::note` and
+    /// `Shard::decide` like the running array's: one instant per
     /// group, and a member whose disk faults meanwhile leaves service
     /// (the array mounts degraded) as long as a sibling survives.
     pub fn mount(

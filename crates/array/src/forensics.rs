@@ -109,7 +109,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
     /// live member. Dead members are skipped (their logs are
     /// unreachable); a member whose stream fails to decode fails the
     /// whole read.
-    pub fn member_flight_logs(
+    fn member_flight_logs(
         &self,
         admin: &RequestContext,
     ) -> Result<Vec<(usize, usize, Vec<FlightEntry>)>, S4Error> {

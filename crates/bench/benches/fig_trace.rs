@@ -2,8 +2,8 @@
 //! with request tracing on (the default) vs. off.
 //!
 //! Every dispatch already persists a v1 flight-recorder record; tracing
-//! adds the entry-point id stamp, the 10 extra v2 bytes, the per-layer
-//! latency histograms, and the tail-latency exemplar buffer. The claim
+//! adds the entry-point id stamp, the 10 extra v2 bytes, and the
+//! per-layer latency histograms. The claim
 //! (DESIGN §6j) is that the whole causal-tracing pipeline costs at most
 //! 5% of client throughput. Eight threads hammer the array in-process
 //! (the transport stamp is one branch and an atomic increment — the

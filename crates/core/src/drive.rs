@@ -34,7 +34,7 @@ use s4_journal::txn::TxnRecord;
 use s4_journal::JournalEntry::{Truncate, Write};
 use s4_journal::{redo, JournalEntry, ObjectMeta, PtrChange, UndoWalk, MAX_PTR_CHANGES};
 use s4_lfs::{BlockAddr, BlockKind, BlockTag, Cleaner, CleanerConfig, Log, LogConfig, BLOCK_SIZE};
-use s4_obs::{FlightRecorder, Gauge, Histogram, Registry, TraceRecord};
+use s4_obs::{Gauge, Histogram, Registry, TraceRecord};
 use s4_simdisk::BlockDev;
 
 use crate::acl::{AclTable, Perm};
@@ -126,8 +126,6 @@ pub struct DriveConfig {
     pub admin_token: u64,
     /// Cleaner tuning.
     pub cleaner: CleanerConfig,
-    /// Requests retained by the in-memory flight-recorder ring.
-    pub flight_recorder_ring: usize,
     /// Fire a self-alert when the append-only alert object reaches this
     /// many flushed blocks (0 disables the warning).
     pub alert_warn_blocks: u64,
@@ -145,7 +143,6 @@ impl Default for DriveConfig {
             throttle: ThrottleConfig::default(),
             admin_token: 0x5345_4355_5245_5334, // "SECURES4"
             cleaner: CleanerConfig::default(),
-            flight_recorder_ring: 256,
             alert_warn_blocks: 1024, // ~4 MiB of alerts
         }
     }
@@ -166,7 +163,6 @@ impl DriveConfig {
             cpu: CpuModel::free(),
             throttle: ThrottleConfig::disabled(),
             admin_token: 42,
-            flight_recorder_ring: 64,
             // Disabled so tests that count exact alert streams are not
             // perturbed; the warn path has its own dedicated test.
             alert_warn_blocks: 0,
@@ -289,9 +285,8 @@ pub trait AuditObserver: Send {
 }
 
 /// Per-drive observability state: the metrics registry every layer
-/// reports into, the hot-path latency histograms, and the in-memory
-/// flight-recorder ring (the persisted trace stream lives in
-/// [`Inner::traces`]).
+/// reports into and the hot-path latency histograms (the persisted
+/// trace stream lives in [`Inner::traces`]).
 pub(crate) struct DriveObs {
     registry: Registry,
     rpc_hist: Histogram,
@@ -299,7 +294,6 @@ pub(crate) struct DriveObs {
     lfs_hist: Histogram,
     disk_hist: Histogram,
     gauges: Gauges,
-    pub(crate) recorder: FlightRecorder,
 }
 
 /// The operational gauges the paper's admin story cares about (§3.6,
@@ -363,7 +357,7 @@ impl Gauges {
 }
 
 impl DriveObs {
-    fn new(config: &DriveConfig) -> DriveObs {
+    fn new() -> DriveObs {
         let registry = Registry::new();
         let rpc_hist = registry.histogram(
             "s4_rpc_latency_us",
@@ -388,7 +382,6 @@ impl DriveObs {
             journal_hist,
             lfs_hist,
             disk_hist,
-            recorder: FlightRecorder::new(config.flight_recorder_ring),
         }
     }
 }
@@ -446,7 +439,7 @@ impl<D: BlockDev> S4Drive<D> {
         config: DriveConfig,
         inner: Inner,
     ) -> S4Drive<D> {
-        let obs = DriveObs::new(&config);
+        let obs = DriveObs::new();
         S4Drive {
             log,
             clock,
@@ -571,11 +564,12 @@ impl<D: BlockDev> S4Drive<D> {
         self.observers.lock().push(obs);
     }
 
-    /// Records one per-request trace: into the in-memory ring, and
-    /// appended to the reserved trace object so the stream's prefix
-    /// survives power loss. The persisted stream assigns `seq` — record `i` of the
-    /// stream always carries seq `i`, which recovery re-derives from
-    /// block contents, so forensics can detect gaps.
+    /// Records one per-request trace: its latencies into the histograms,
+    /// and the record appended to the reserved trace object so the
+    /// stream's prefix survives power loss. The persisted stream assigns
+    /// `seq` — record `i` of the stream always carries seq `i`, which
+    /// recovery re-derives from block contents, so forensics can detect
+    /// gaps.
     pub(crate) fn record_dispatch(&self, rec: TraceRecord) {
         self.obs.rpc_hist.record(rec.rpc_us);
         if rec.journal_us > 0 {
@@ -587,15 +581,6 @@ impl<D: BlockDev> S4Drive<D> {
         if rec.disk_us > 0 {
             self.obs.disk_hist.record(rec.disk_us);
         }
-        if rec.trace_id != 0 {
-            self.obs.registry.offer_exemplar(s4_obs::Exemplar {
-                trace_id: rec.trace_id,
-                time_us: rec.time_us,
-                op: rec.op,
-                object: rec.object,
-                rpc_us: rec.rpc_us,
-            });
-        }
         self.persist_trace(rec);
     }
 
@@ -604,9 +589,9 @@ impl<D: BlockDev> S4Drive<D> {
     /// a 2PC decision, a coordinator note install, or a reshard
     /// catch-up apply. No-op on an untraced context: the persisted
     /// stream (and the torture predictor over it) only grows when a
-    /// caller opted into tracing. Latency histograms and exemplars are
-    /// left alone — phase records annotate causality, they are not
-    /// client-visible requests.
+    /// caller opted into tracing. Latency histograms are left alone —
+    /// phase records annotate causality, they are not client-visible
+    /// requests.
     pub fn record_phase_trace(
         &self,
         ctx: &RequestContext,
@@ -634,13 +619,6 @@ impl<D: BlockDev> S4Drive<D> {
             origin: ctx.trace.origin,
             phase: ctx.trace.phase,
         });
-    }
-
-    /// The in-memory flight-recorder ring: the last N dispatched
-    /// requests with per-layer timings (unauthenticated — it exposes
-    /// aggregate operational data, not object contents).
-    pub fn flight_recent(&self) -> Vec<TraceRecord> {
-        self.obs.recorder.recent()
     }
 
     /// The drive's metrics registry; every layer's counters, gauges,

@@ -562,17 +562,15 @@ impl<D: BlockDev> S4Drive<D> {
         }
     }
 
-    /// Assigns the stream sequence number and persists one trace record
-    /// (the reserved trace object, then the in-memory ring).
+    /// Assigns the stream sequence number and appends one trace record
+    /// to the reserved trace object, the one place a record is kept:
+    /// admin-only to read, and its prefix survives power loss.
     pub(crate) fn persist_trace(&self, mut rec: TraceRecord) {
-        {
-            let inner = &mut *self.inner.lock();
-            rec.seq = inner.traces.total();
-            inner
-                .traces
-                .append_blob(&self.log, &mut inner.ledger, &rec.encode());
-        }
-        self.obs.recorder.push(rec);
+        let inner = &mut *self.inner.lock();
+        rec.seq = inner.traces.total();
+        inner
+            .traces
+            .append_blob(&self.log, &mut inner.ledger, &rec.encode());
     }
 
     /// Decodes every record currently in the audit log (admin only).

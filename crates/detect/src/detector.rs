@@ -34,12 +34,12 @@ impl DetectorSet {
     /// The built-in rules at their default thresholds.
     pub fn standard() -> Self {
         let mut set = DetectorSet::empty();
-        set.push(Box::new(rules::AppendOnlyViolation::new()));
-        set.push(Box::new(rules::ForeignClient::new()));
-        set.push(Box::new(rules::RansomStorm::new()));
-        set.push(Box::new(rules::WriteRateSpike::new()));
-        set.push(Box::new(rules::AclTamperBurst::new()));
-        set.push(Box::new(rules::AuditGapCheck::new()));
+        set.push(Box::new(rules::AppendOnlyViolation::default()));
+        set.push(Box::new(rules::ForeignClient::default()));
+        set.push(Box::new(rules::RansomStorm::default()));
+        set.push(Box::new(rules::WriteRateSpike::default()));
+        set.push(Box::new(rules::AclTamperBurst::default()));
+        set.push(Box::new(rules::AuditGapCheck::default()));
         set
     }
 

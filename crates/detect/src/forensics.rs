@@ -263,7 +263,7 @@ pub fn tree_at<D: BlockDev>(
 }
 
 /// Reads and decodes one directory object, optionally at a time.
-pub fn read_dir_object<D: BlockDev>(
+fn read_dir_object<D: BlockDev>(
     drive: &S4Drive<D>,
     ctx: &RequestContext,
     dir: ObjectId,

@@ -1,10 +1,9 @@
 //! Built-in detection rules.
 //!
-//! Each rule is a streaming [`Detector`](crate::Detector) over the
-//! audit stream, tuned so a heavy-but-honest workload (the PostMark
-//! harness: thousands of create/append/delete transactions from one
-//! client) raises **zero** alerts, while the §2 intrusion shapes fire
-//! reliably:
+//! Each rule is a streaming [`Detector`] over the audit stream, tuned
+//! so a heavy-but-honest workload (the PostMark harness: thousands of
+//! create/append/delete transactions from one client) raises **zero**
+//! alerts, while the §2 intrusion shapes fire reliably:
 //!
 //! | rule | intrusion shape |
 //! |------|-----------------|
@@ -41,33 +40,19 @@ fn alert(rec: &AuditRecord, severity: Severity, rule: &str, message: String) -> 
 
 /// Flags destruction of data in objects that have behaved append-only —
 /// the classic "intruders scrub the system log" move of §2.1. An object
-/// qualifies after [`min_appends`](Self::min_appends) strictly-appending
-/// mutations with no prior overwrite; directory blobs disqualify
-/// themselves immediately (their entry count at offset 0 is rewritten
-/// on every update), and deletes are deliberately *not* violations —
-/// a deleted log is trivially recovered from the history pool, while a
-/// scrubbed-in-place one is what the audit log exists to catch.
+/// qualifies after `MIN_APPENDS` (2) strictly-appending mutations with
+/// no prior overwrite; directory blobs disqualify themselves immediately
+/// (their entry count at offset 0 is rewritten on every update), and
+/// deletes are deliberately *not* violations — a deleted log is
+/// trivially recovered from the history pool, while a scrubbed-in-place
+/// one is what the audit log exists to catch.
+#[derive(Default)]
 pub struct AppendOnlyViolation {
-    /// Appending mutations required before an object qualifies.
-    pub min_appends: u32,
     profiles: HashMap<u64, ObjectProfile>,
 }
 
-impl AppendOnlyViolation {
-    /// Default thresholds.
-    pub fn new() -> Self {
-        AppendOnlyViolation {
-            min_appends: 2,
-            profiles: HashMap::new(),
-        }
-    }
-}
-
-impl Default for AppendOnlyViolation {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Appending mutations required before an object qualifies.
+const MIN_APPENDS: u32 = 2;
 
 impl Detector for AppendOnlyViolation {
     fn name(&self) -> &'static str {
@@ -87,8 +72,7 @@ impl Detector for AppendOnlyViolation {
             }
             op if op.creates_version() => {
                 let p = self.profiles.entry(rec.object.0).or_default();
-                if let ProfileEvent::Destructive { first: true } = p.observe(rec, self.min_appends)
-                {
+                if let ProfileEvent::Destructive { first: true } = p.observe(rec, MIN_APPENDS) {
                     sink.push(alert(
                         rec,
                         Severity::Critical,
@@ -114,31 +98,16 @@ impl Detector for AppendOnlyViolation {
 /// one their history established — §3.2's point that audit records name
 /// the *client machine*, bounding damage from a single compromised
 /// host. The home client is learned from the user's first
-/// [`min_home_ops`](Self::min_home_ops) requests; mutations from
-/// anywhere else then raise one warning per `(client, object)` pair.
+/// `MIN_HOME_OPS` (8) requests; mutations from anywhere else then raise
+/// one warning per `(client, object)` pair.
+#[derive(Default)]
 pub struct ForeignClient {
-    /// Requests from the home client required before alerting.
-    pub min_home_ops: u64,
     homes: HashMap<u32, (u32, u64)>,
     reported: HashSet<(u32, u32, u64)>,
 }
 
-impl ForeignClient {
-    /// Default thresholds.
-    pub fn new() -> Self {
-        ForeignClient {
-            min_home_ops: 8,
-            homes: HashMap::new(),
-            reported: HashSet::new(),
-        }
-    }
-}
-
-impl Default for ForeignClient {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Requests from the home client required before alerting.
+const MIN_HOME_OPS: u64 = 8;
 
 impl Detector for ForeignClient {
     fn name(&self) -> &'static str {
@@ -154,7 +123,7 @@ impl Detector for ForeignClient {
             *ops += 1;
             return;
         }
-        if *ops < self.min_home_ops || !rec.ok || !rec.op.creates_version() {
+        if *ops < MIN_HOME_OPS || !rec.ok || !rec.op.creates_version() {
             return;
         }
         let home = *home;
@@ -184,11 +153,8 @@ impl Detector for ForeignClient {
 /// deletion deliberately does not alarm: deleted objects remain fully
 /// recoverable inside the detection window (§3.1), whereas overwrites
 /// consume history-pool space and signal data replacement.
+#[derive(Default)]
 pub struct RansomStorm {
-    /// Sliding window length.
-    pub window: SimDuration,
-    /// Distinct destructively-modified objects that trip the alarm.
-    pub threshold: usize,
     profiles: HashMap<u64, ObjectProfile>,
     events: VecDeque<(SimTime, u64)>,
     // Multiplicity of each object in `events`, kept incrementally so
@@ -197,24 +163,10 @@ pub struct RansomStorm {
     in_window: HashMap<u64, u32>,
 }
 
-impl RansomStorm {
-    /// Default thresholds.
-    pub fn new() -> Self {
-        RansomStorm {
-            window: SimDuration::from_secs(60),
-            threshold: 24,
-            profiles: HashMap::new(),
-            events: VecDeque::new(),
-            in_window: HashMap::new(),
-        }
-    }
-}
-
-impl Default for RansomStorm {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Sliding window of [`RansomStorm`].
+const STORM_WINDOW: SimDuration = SimDuration::from_secs(60);
+/// Distinct destructively-modified objects that trip the alarm.
+const STORM_THRESHOLD: usize = 24;
 
 impl Detector for RansomStorm {
     fn name(&self) -> &'static str {
@@ -244,7 +196,7 @@ impl Detector for RansomStorm {
         self.events.push_back((rec.time, rec.object.0));
         *self.in_window.entry(rec.object.0).or_insert(0) += 1;
         while let Some(&(t, o)) = self.events.front() {
-            if rec.time.saturating_since(t) > self.window {
+            if rec.time.saturating_since(t) > STORM_WINDOW {
                 self.events.pop_front();
                 if let Some(n) = self.in_window.get_mut(&o) {
                     *n -= 1;
@@ -256,7 +208,7 @@ impl Detector for RansomStorm {
                 break;
             }
         }
-        if self.in_window.len() >= self.threshold {
+        if self.in_window.len() >= STORM_THRESHOLD {
             sink.push(alert(
                 rec,
                 Severity::Critical,
@@ -264,7 +216,7 @@ impl Detector for RansomStorm {
                 format!(
                     "{} distinct objects overwritten or shrunk within {:.0}s",
                     self.in_window.len(),
-                    self.window.as_secs_f64()
+                    STORM_WINDOW.as_secs_f64()
                 ),
             ));
             // Rearm rather than alert per record.
@@ -289,35 +241,19 @@ struct RateState {
 /// the same per-principal byte accounting the §3.3 throttle uses, but
 /// as a detector instead of a brake. The first active window only
 /// trains the baseline; subsequent windows alarm when they exceed
-/// `factor ×` the exponential moving average (with an absolute floor so
-/// modest workloads never alarm).
+/// 8 × the exponential moving average (with an 8 MiB floor so modest
+/// workloads never alarm).
+#[derive(Default)]
 pub struct WriteRateSpike {
-    /// Accounting window length.
-    pub window: SimDuration,
-    /// Multiple of the baseline that trips the alarm.
-    pub factor: u64,
-    /// Bytes below which a window never alarms, whatever the baseline.
-    pub min_bytes: u64,
     state: HashMap<(u32, u32), RateState>,
 }
 
-impl WriteRateSpike {
-    /// Default thresholds.
-    pub fn new() -> Self {
-        WriteRateSpike {
-            window: SimDuration::from_secs(10),
-            factor: 8,
-            min_bytes: 8 << 20,
-            state: HashMap::new(),
-        }
-    }
-}
-
-impl Default for WriteRateSpike {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Accounting window of [`WriteRateSpike`].
+const SPIKE_WINDOW: SimDuration = SimDuration::from_secs(10);
+/// Multiple of the baseline that trips the alarm.
+const SPIKE_FACTOR: u64 = 8;
+/// Bytes below which a window never alarms, whatever the baseline.
+const SPIKE_MIN_BYTES: u64 = 8 << 20;
 
 impl Detector for WriteRateSpike {
     fn name(&self) -> &'static str {
@@ -341,7 +277,7 @@ impl Detector for WriteRateSpike {
                 baseline: None,
                 alerted: false,
             });
-        if rec.time.saturating_since(st.window_start) >= self.window {
+        if rec.time.saturating_since(st.window_start) >= SPIKE_WINDOW {
             // Fold the completed window into the baseline. Idle windows
             // are skipped so a quiet hour does not erode it.
             let done = st.bytes as f64;
@@ -358,7 +294,7 @@ impl Detector for WriteRateSpike {
             return;
         }
         if let Some(ema) = st.baseline {
-            let threshold = (self.factor as f64 * ema).max(self.min_bytes as f64);
+            let threshold = (SPIKE_FACTOR as f64 * ema).max(SPIKE_MIN_BYTES as f64);
             if st.bytes as f64 > threshold {
                 st.alerted = true;
                 sink.push(alert(
@@ -368,7 +304,7 @@ impl Detector for WriteRateSpike {
                     format!(
                         "{} bytes written in the current {:.0}s window vs baseline {:.0}",
                         st.bytes,
-                        self.window.as_secs_f64(),
+                        SPIKE_WINDOW.as_secs_f64(),
                         ema
                     ),
                 ));
@@ -385,29 +321,20 @@ impl Detector for WriteRateSpike {
 /// requests of any kind, and attribute rewrites on long-established
 /// objects. Attribute writes right after creation are the file server
 /// initializing metadata and are ignored.
+#[derive(Default)]
 pub struct AclTamperBurst {
-    /// Sliding window length.
-    pub window: SimDuration,
-    /// Tamper-shaped events in the window that trip the alarm.
-    pub threshold: usize,
-    /// Object age below which `SetAttr` is considered initialization.
-    pub grace: SimDuration,
     created_at: HashMap<u64, SimTime>,
     events: HashMap<(u32, u32), VecDeque<SimTime>>,
 }
 
-impl AclTamperBurst {
-    /// Default thresholds.
-    pub fn new() -> Self {
-        AclTamperBurst {
-            window: SimDuration::from_secs(60),
-            threshold: 6,
-            grace: SimDuration::from_secs(60),
-            created_at: HashMap::new(),
-            events: HashMap::new(),
-        }
-    }
+/// Sliding window of [`AclTamperBurst`].
+const TAMPER_WINDOW: SimDuration = SimDuration::from_secs(60);
+/// Tamper-shaped events in the window that trip the alarm.
+const TAMPER_THRESHOLD: usize = 6;
+/// Object age below which `SetAttr` is considered initialization.
+const TAMPER_GRACE: SimDuration = SimDuration::from_secs(60);
 
+impl AclTamperBurst {
     fn is_tamper(&self, rec: &AuditRecord) -> bool {
         if !rec.ok {
             return true; // any denial counts
@@ -417,16 +344,10 @@ impl AclTamperBurst {
             OpKind::SetAttr => match self.created_at.get(&rec.object.0) {
                 // Unknown creation time = predates monitoring = established.
                 None => true,
-                Some(&t) => rec.time.saturating_since(t) > self.grace,
+                Some(&t) => rec.time.saturating_since(t) > TAMPER_GRACE,
             },
             _ => false,
         }
-    }
-}
-
-impl Default for AclTamperBurst {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -446,13 +367,13 @@ impl Detector for AclTamperBurst {
         let q = self.events.entry((rec.user.0, rec.client.0)).or_default();
         q.push_back(rec.time);
         while let Some(&t) = q.front() {
-            if rec.time.saturating_since(t) > self.window {
+            if rec.time.saturating_since(t) > TAMPER_WINDOW {
                 q.pop_front();
             } else {
                 break;
             }
         }
-        if q.len() >= self.threshold {
+        if q.len() >= TAMPER_THRESHOLD {
             q.clear(); // rearm
             sink.push(alert(
                 rec,
@@ -460,8 +381,8 @@ impl Detector for AclTamperBurst {
                 "acl-tamper-burst",
                 format!(
                     "{} ACL changes / denials / attr rewrites within {:.0}s",
-                    self.threshold,
-                    self.window.as_secs_f64()
+                    TAMPER_THRESHOLD,
+                    TAMPER_WINDOW.as_secs_f64()
                 ),
             ));
         }
@@ -481,13 +402,6 @@ impl Detector for AclTamperBurst {
 #[derive(Default)]
 pub struct AuditGapCheck {
     last: Option<SimTime>,
-}
-
-impl AuditGapCheck {
-    /// New streaming check.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 impl Detector for AuditGapCheck {
@@ -540,7 +454,7 @@ mod tests {
 
     #[test]
     fn append_only_rule_fires_on_log_scrub() {
-        let mut d = AppendOnlyViolation::new();
+        let mut d = AppendOnlyViolation::default();
         let mut sink = Vec::new();
         d.observe(&rec_at(1, 1, 1, OpKind::Create, true, 9, 0, 0), &mut sink);
         d.observe(&rec_at(2, 1, 1, OpKind::Write, true, 9, 0, 40), &mut sink);
@@ -555,7 +469,7 @@ mod tests {
 
     #[test]
     fn append_only_rule_ignores_scratch_files() {
-        let mut d = AppendOnlyViolation::new();
+        let mut d = AppendOnlyViolation::default();
         let mut sink = Vec::new();
         // Overwritten from the start: never qualifies.
         d.observe(&rec_at(1, 1, 1, OpKind::Create, true, 3, 0, 0), &mut sink);
@@ -567,7 +481,7 @@ mod tests {
 
     #[test]
     fn foreign_client_needs_a_learned_home() {
-        let mut d = ForeignClient::new();
+        let mut d = ForeignClient::default();
         let mut sink = Vec::new();
         // Only 3 home ops: a foreign mutation stays silent.
         for s in 0..3 {
@@ -592,47 +506,79 @@ mod tests {
 
     #[test]
     fn ransom_storm_fires_on_mass_overwrite_not_mass_delete() {
-        let mut d = RansomStorm::new();
+        let mut d = RansomStorm::default();
         let mut sink = Vec::new();
         // Mass delete: silent (recoverable in the window).
         for o in 100..200 {
             d.observe(&rec_at(1, 1, 1, OpKind::Delete, true, o, 0, 0), &mut sink);
         }
         assert!(sink.is_empty());
-        // Mass in-place overwrite: encrypt-in-place shape.
-        for o in 200..240 {
-            d.observe(&rec_at(2, 1, 1, OpKind::Write, true, o, 0, 100), &mut sink);
-            d.observe(&rec_at(2, 1, 1, OpKind::Write, true, o, 0, 100), &mut sink);
+        // Mass in-place overwrite: encrypt-in-place shape. Each object is
+        // written, then overwritten; 23 distinct overwrites in the window
+        // stay quiet and the 24th fires.
+        let mut overwrite = |o: u64, sink: &mut Vec<Alert>| {
+            d.observe(&rec_at(2, 1, 1, OpKind::Write, true, o, 0, 100), sink);
+            d.observe(&rec_at(2, 1, 1, OpKind::Write, true, o, 0, 100), sink);
+        };
+        for o in 200..223 {
+            overwrite(o, &mut sink);
         }
-        assert!(!sink.is_empty());
+        assert!(sink.is_empty(), "23 distinct overwrites stay quiet");
+        overwrite(223, &mut sink);
+        assert_eq!(sink.len(), 1, "the 24th distinct overwrite fires");
         assert_eq!(sink[0].rule, "ransom-storm");
+        assert_eq!(
+            sink[0].message,
+            "24 distinct objects overwritten or shrunk within 60s"
+        );
     }
 
     #[test]
     fn write_rate_spike_learns_then_alerts() {
-        let mut d = WriteRateSpike::new();
-        d.min_bytes = 1000; // small floor for the test
+        const MIB: u64 = 1 << 20;
+        let mut d = WriteRateSpike::default();
         let mut sink = Vec::new();
-        // Window 1 (learning): 400 bytes.
+        // Window 1 (learning): 4 MiB.
         for s in 0..4 {
-            d.observe(&rec_at(s, 1, 1, OpKind::Write, true, 5, 0, 100), &mut sink);
+            d.observe(&rec_at(s, 1, 1, OpKind::Write, true, 5, 0, MIB), &mut sink);
         }
         // Window 2: similar volume — quiet.
         for s in 10..14 {
-            d.observe(&rec_at(s, 1, 1, OpKind::Write, true, 5, 0, 100), &mut sink);
+            d.observe(&rec_at(s, 1, 1, OpKind::Write, true, 5, 0, MIB), &mut sink);
         }
         assert!(sink.is_empty());
-        // Window 3: 100x the baseline.
-        for s in 20..24 {
-            d.observe(&rec_at(s, 1, 1, OpKind::Write, true, 5, 0, 10_000), &mut sink);
+        // Window 3: 60 MiB, past 8x the baseline and the 8 MiB floor.
+        for s in 20..26 {
+            d.observe(
+                &rec_at(s, 1, 1, OpKind::Write, true, 5, 0, 10 * MIB),
+                &mut sink,
+            );
         }
         assert_eq!(sink.len(), 1, "alerts once, not per record");
         assert_eq!(sink[0].rule, "write-rate-spike");
+        assert_eq!(
+            sink[0].message,
+            "41943040 bytes written in the current 10s window vs baseline 4194304"
+        );
+
+        // Another principal: a 256 KiB baseline, then a 7 MiB window —
+        // 28x the baseline, but under the floor, so quiet.
+        sink.clear();
+        for s in 0..4 {
+            d.observe(
+                &rec_at(s, 2, 2, OpKind::Write, true, 6, 0, MIB / 16),
+                &mut sink,
+            );
+        }
+        for s in 10..17 {
+            d.observe(&rec_at(s, 2, 2, OpKind::Write, true, 6, 0, MIB), &mut sink);
+        }
+        assert!(sink.is_empty(), "a window under 8 MiB never alarms");
     }
 
     #[test]
     fn acl_burst_ignores_initialization_setattr() {
-        let mut d = AclTamperBurst::new();
+        let mut d = AclTamperBurst::default();
         let mut sink = Vec::new();
         // create+setattr pairs, the file-server shape: quiet.
         for o in 0..20 {
@@ -650,7 +596,7 @@ mod tests {
 
     #[test]
     fn audit_gap_flags_time_reversal() {
-        let mut d = AuditGapCheck::new();
+        let mut d = AuditGapCheck::default();
         let mut sink = Vec::new();
         d.observe(&rec_at(10, 1, 1, OpKind::Sync, true, 0, 0, 0), &mut sink);
         d.observe(&rec_at(11, 1, 1, OpKind::Sync, true, 0, 0, 0), &mut sink);

@@ -358,7 +358,7 @@ impl<T: Transport> S4FileServer<T> {
     }
 
     /// Resolves `name` in `dir` as of `time`.
-    pub fn lookup_at(&self, dir: Handle, name: &str, time: SimTime) -> FsResult<Handle> {
+    fn lookup_at(&self, dir: Handle, name: &str, time: SimTime) -> FsResult<Handle> {
         self.readdir_at(dir, time)?
             .into_iter()
             .find(|(n, _, _)| n == name)

@@ -65,11 +65,6 @@ impl ObjectMeta {
         self.deleted.is_none()
     }
 
-    /// Number of logical blocks currently mapped.
-    pub fn mapped_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Serializes the record (checkpoint / anchor format).
     pub fn encode(&self) -> Vec<u8> {
         let mut out =
@@ -191,7 +186,7 @@ mod tests {
     fn fresh_meta_is_live_and_empty() {
         let m = ObjectMeta::new(1, HybridTimestamp::ZERO);
         assert!(m.is_live());
-        assert_eq!(m.mapped_blocks(), 0);
+        assert!(m.blocks.is_empty());
         assert!(m.journal_head.is_none());
     }
 }

@@ -164,7 +164,7 @@ impl Geometry {
     }
 
     /// First sector of the data area.
-    pub fn data_start_sector(&self) -> u64 {
+    fn data_start_sector(&self) -> u64 {
         self.superblock_sectors
     }
 

@@ -1,9 +1,8 @@
 //! Log-linear latency histogram (HdrHistogram-style, much simpler).
 //!
 //! Values (simulated microseconds) land in one of a fixed set of
-//! buckets: exact buckets for 0..3, then [`SUB_BUCKETS`] linear
-//! sub-buckets per power-of-two octave up to 2^[`MAX_OCTAVE`], plus one
-//! overflow bucket. Relative quantile error is bounded by the
+//! buckets: exact buckets for 0..3, then 4 linear sub-buckets per
+//! power-of-two octave up to 2^39, plus one overflow bucket. Relative quantile error is bounded by the
 //! sub-bucket width (≤ 25%), memory is constant (~1.2 KiB), and
 //! recording is a single atomic increment — safe on the hot path.
 
@@ -11,18 +10,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Linear sub-buckets per power-of-two octave.
-pub const SUB_BUCKETS: usize = 4;
+const SUB_BUCKETS: usize = 4;
 /// Largest octave: values in [2^MAX_OCTAVE, 2^(MAX_OCTAVE+1)) still get
 /// a bucket; anything ≥ 2^(MAX_OCTAVE+1) overflows. 2^40 µs ≈ 12.7
 /// simulated days, far beyond any per-request latency.
-pub const MAX_OCTAVE: u32 = 39;
+const MAX_OCTAVE: u32 = 39;
 /// Index of the overflow bucket.
-pub const OVERFLOW_BUCKET: usize = (MAX_OCTAVE as usize - 1) * SUB_BUCKETS + SUB_BUCKETS;
+const OVERFLOW_BUCKET: usize = (MAX_OCTAVE as usize - 1) * SUB_BUCKETS + SUB_BUCKETS;
 /// Total bucket count, including overflow.
-pub const NUM_BUCKETS: usize = OVERFLOW_BUCKET + 1;
+const NUM_BUCKETS: usize = OVERFLOW_BUCKET + 1;
 
 /// Maps a value to its bucket index.
-pub fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> usize {
     if v < SUB_BUCKETS as u64 {
         return v as usize;
     }
@@ -37,7 +36,7 @@ pub fn bucket_index(v: u64) -> usize {
 
 /// Largest value that maps to bucket `i` (the bucket's inclusive upper
 /// bound); quantile queries report this bound.
-pub fn bucket_upper_bound(i: usize) -> u64 {
+fn bucket_upper_bound(i: usize) -> u64 {
     if i < SUB_BUCKETS {
         return i as u64;
     }
@@ -127,32 +126,6 @@ impl Histogram {
         }
         self.max()
     }
-
-    /// Folds another histogram's observations into this one.
-    pub fn merge(&self, other: &Histogram) {
-        for (a, b) in self.inner.buckets.iter().zip(other.inner.buckets.iter()) {
-            a.fetch_add(b.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.inner
-            .count
-            .fetch_add(other.count(), Ordering::Relaxed);
-        self.inner.sum.fetch_add(other.sum(), Ordering::Relaxed);
-        self.inner.max.fetch_max(other.max(), Ordering::Relaxed);
-    }
-
-    /// Non-empty buckets as `(inclusive_upper_bound, count)` pairs, in
-    /// ascending bound order (for exposition).
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.inner
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then(|| (bucket_upper_bound(i), n))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -227,29 +200,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counts_and_keeps_max() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        for v in [1u64, 5, 9] {
-            a.record(v);
-        }
-        for v in [2u64, 100] {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 5);
-        assert_eq!(a.sum(), 117);
-        assert_eq!(a.max(), 100);
-        assert_eq!(a.percentile(1.0), 100);
-        assert_eq!(a.nonzero_buckets().iter().map(|&(_, n)| n).sum::<u64>(), 5);
-    }
-
-    #[test]
     fn empty_histogram_is_zero() {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.percentile(0.5), 0);
         assert_eq!(h.max(), 0);
-        assert!(h.nonzero_buckets().is_empty());
     }
 }

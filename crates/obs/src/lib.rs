@@ -1,5 +1,5 @@
-//! Observability layer for the S4 stack: metrics, spans, and a
-//! crash-surviving flight recorder.
+//! Observability layer for the S4 stack: metrics, spans, and the
+//! per-request trace record the drive persists.
 //!
 //! The paper's administrative story (§3.6, §5) assumes the operator can
 //! *see* the drive: how much detection-window headroom the history pool
@@ -17,10 +17,10 @@
 //!   (rpc, journal, lfs, disk) charge simulated microseconds to, so one
 //!   request's latency decomposes by layer without threading a context
 //!   object through every call;
-//! * [`trace`] — the fixed-size [`TraceRecord`] codec and the in-memory
-//!   ring-buffer [`FlightRecorder`]. The drive additionally appends
-//!   every record to a reserved, drive-written-only object so the
-//!   recorder's prefix survives crashes (see `s4-core`).
+//! * [`trace`] — the fixed-size [`TraceRecord`] codec. The drive
+//!   appends every record to one reserved, drive-written-only object,
+//!   the persisted trace stream, whose prefix survives crashes and which
+//!   only an administrator reads (see `s4-core`).
 //!
 //! Everything here measures **simulated** time (the `SimClock` the rest
 //! of the stack runs on), never wall time, so recorded values are
@@ -33,9 +33,8 @@ pub mod span;
 pub mod trace;
 
 pub use hist::Histogram;
-pub use registry::{Counter, Exemplar, Gauge, HistogramSnapshot, Registry, Sample};
+pub use registry::{Counter, Gauge, HistogramSnapshot, Registry, Sample};
 pub use span::Layer;
 pub use trace::{
-    FlightRecorder, TraceRecord, TRACE_RECORD_BYTES, TRACE_RECORD_V2_BYTES, TRACE_VERSION_V1,
-    TRACE_VERSION_V2,
+    TraceRecord, TRACE_RECORD_BYTES, TRACE_RECORD_V2_BYTES, TRACE_VERSION_V1, TRACE_VERSION_V2,
 };

@@ -29,10 +29,6 @@ impl Counter {
         self.v.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     pub fn get(&self) -> u64 {
         self.v.load(Ordering::Relaxed)
     }
@@ -168,33 +164,10 @@ impl Sample {
     }
 }
 
-/// One tail-latency exemplar: a traced request slow enough to make the
-/// registry's top-K buffer, carrying the trace id an operator feeds to
-/// `s4 trace` to reconstruct the full cross-shard causal tree.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Exemplar {
-    /// Causal trace id of the slow request (always nonzero).
-    pub trace_id: u64,
-    /// Completion time, simulated µs.
-    pub time_us: u64,
-    /// Operation kind byte.
-    pub op: u8,
-    /// Object the request touched (0 when none).
-    pub object: u64,
-    /// Whole-dispatch latency, simulated µs.
-    pub rpc_us: u64,
-}
-
-/// Retained exemplars per registry. Small and fixed: the buffer answers
-/// "which recent requests were slowest", not "what happened" — the
-/// persisted trace stream holds the full record.
-const EXEMPLAR_CAP: usize = 64;
-
 /// The registry itself; cheap to clone (shared map).
 #[derive(Clone, Default)]
 pub struct Registry {
     inner: Arc<Mutex<BTreeMap<String, Entry>>>,
-    exemplars: Arc<Mutex<Vec<Exemplar>>>,
 }
 
 impl Registry {
@@ -288,36 +261,6 @@ impl Registry {
             .collect()
     }
 
-    /// Offers a traced request to the top-K tail-latency exemplar
-    /// buffer. Kept sorted slowest-first; a trace id already present
-    /// keeps only its slowest observation, so the buffer names K
-    /// *distinct* slow traces. O(log K) search + bounded shift — cheap
-    /// enough for the dispatch hot path.
-    pub fn offer_exemplar(&self, ex: Exemplar) {
-        if ex.trace_id == 0 {
-            return;
-        }
-        let mut buf = self.exemplars.lock().unwrap();
-        if let Some(i) = buf.iter().position(|e| e.trace_id == ex.trace_id) {
-            if buf[i].rpc_us >= ex.rpc_us {
-                return;
-            }
-            buf.remove(i);
-        } else if buf.len() >= EXEMPLAR_CAP && buf.last().is_some_and(|e| e.rpc_us >= ex.rpc_us) {
-            return; // slower than nothing we keep
-        }
-        let at = buf.partition_point(|e| e.rpc_us > ex.rpc_us);
-        buf.insert(at, ex);
-        buf.truncate(EXEMPLAR_CAP);
-    }
-
-    /// The `k` slowest distinct traced requests seen so far, slowest
-    /// first (`s4 trace --slowest K` reads this on a live registry).
-    pub fn slowest_exemplars(&self, k: usize) -> Vec<Exemplar> {
-        let buf = self.exemplars.lock().unwrap();
-        buf.iter().take(k).copied().collect()
-    }
-
     /// Prometheus text exposition: `# HELP`, `# TYPE` and the series of
     /// [`Sample::write_prometheus`] per metric.
     pub fn render_prometheus(&self) -> String {
@@ -360,7 +303,7 @@ mod tests {
         let r = Registry::new();
         let c = r.counter("s4_requests_total", "requests");
         c.add(3);
-        r.counter("s4_requests_total", "requests").inc();
+        r.counter("s4_requests_total", "requests").add(1);
         assert_eq!(c.get(), 4, "re-registration returns the same cell");
         let g = r.gauge("s4_occupancy", "fraction");
         g.set(0.25);
@@ -409,7 +352,7 @@ mod tests {
         for v in 1..=100u64 {
             h.record(v);
         }
-        r.counter("s4_c_total", "c").inc();
+        r.counter("s4_c_total", "c").add(1);
         let vals = r.samples();
         assert_eq!(vals.len(), 2);
         assert_eq!(vals[0], ("s4_c_total".into(), "c", Sample::Counter(1)));
@@ -422,55 +365,6 @@ mod tests {
         assert_eq!(snap.max, 100);
         assert!(snap.p50 >= 50 && snap.p50 <= 63, "p50 = {}", snap.p50);
         assert!(snap.p99 >= 99, "p99 = {}", snap.p99);
-    }
-
-    #[test]
-    fn exemplar_buffer_keeps_slowest_distinct_traces() {
-        let r = Registry::new();
-        // Untraced requests never enter the buffer.
-        r.offer_exemplar(Exemplar {
-            trace_id: 0,
-            time_us: 1,
-            op: 4,
-            object: 9,
-            rpc_us: 1_000_000,
-        });
-        for i in 1..=200u64 {
-            r.offer_exemplar(Exemplar {
-                trace_id: i,
-                time_us: i,
-                op: 4,
-                object: i,
-                rpc_us: i * 10,
-            });
-        }
-        // A repeat observation of a known trace keeps the max latency.
-        r.offer_exemplar(Exemplar {
-            trace_id: 150,
-            time_us: 999,
-            op: 4,
-            object: 150,
-            rpc_us: 99_999,
-        });
-        let top = r.slowest_exemplars(3);
-        assert_eq!(top.len(), 3);
-        assert_eq!(top[0].trace_id, 150);
-        assert_eq!(top[0].rpc_us, 99_999);
-        assert_eq!(top[1].trace_id, 200);
-        assert_eq!(top[2].trace_id, 199);
-        // The buffer is bounded and sorted slowest-first.
-        let all = r.slowest_exemplars(usize::MAX);
-        assert!(all.len() <= 64);
-        assert!(all.windows(2).all(|w| w[0].rpc_us >= w[1].rpc_us));
-        // A slower duplicate does not shrink to the faster repeat.
-        r.offer_exemplar(Exemplar {
-            trace_id: 150,
-            time_us: 1000,
-            op: 4,
-            object: 150,
-            rpc_us: 5,
-        });
-        assert_eq!(r.slowest_exemplars(1)[0].rpc_us, 99_999);
     }
 
     #[test]

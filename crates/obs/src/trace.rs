@@ -1,14 +1,13 @@
-//! Per-request trace records and the in-memory flight recorder.
+//! Per-request trace records.
 //!
 //! Every dispatched request produces one fixed-size [`TraceRecord`]
 //! carrying its identity (who/what/outcome) and per-layer simulated
-//! timings. The [`FlightRecorder`] keeps the last N records in a ring
-//! for cheap "what just happened" queries; the drive *additionally*
-//! appends every encoded record to a reserved, drive-written-only
-//! object (`TRACE_OBJECT` in `s4-core`) so the stream's prefix survives
-//! power loss and is readable by forensics after remount — an
-//! append-only black box an intruder with client privileges cannot
-//! scrub (§4.2.3 applies to it exactly as to the audit log).
+//! timings. The drive appends every encoded record to a reserved,
+//! drive-written-only object (`TRACE_OBJECT` in `s4-core`), the one
+//! place a record is kept: the stream's prefix survives power loss and
+//! is readable by forensics after remount — an append-only black box an
+//! intruder with client privileges cannot scrub (§4.2.3 applies to it
+//! exactly as to the audit log).
 
 /// Encoded size of an untraced (v1) record. Fixed so recovery can
 /// sanity-check blocks and the torture harness can predict spill
@@ -29,7 +28,7 @@ pub const TRACE_VERSION_V1: u8 = 0;
 /// to "versioned" with a single bit flip of the low bit.)
 pub const TRACE_VERSION_V2: u8 = 2;
 
-/// One dispatched request, as seen by the flight recorder.
+/// One dispatched request, as the drive's trace stream records it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Position in the drive's persisted trace stream (0-based).
@@ -153,68 +152,6 @@ impl TraceRecord {
             origin,
             phase,
         })
-    }
-}
-
-use std::sync::{Arc, Mutex};
-
-struct Ring {
-    buf: Vec<TraceRecord>,
-    cap: usize,
-    next: usize,
-    total: u64,
-}
-
-/// Ring buffer of the last `cap` trace records (shared handle).
-#[derive(Clone)]
-pub struct FlightRecorder {
-    inner: Arc<Mutex<Ring>>,
-}
-
-impl FlightRecorder {
-    /// `cap` is clamped to at least 1.
-    pub fn new(cap: usize) -> FlightRecorder {
-        FlightRecorder {
-            inner: Arc::new(Mutex::new(Ring {
-                buf: Vec::new(),
-                cap: cap.max(1),
-                next: 0,
-                total: 0,
-            })),
-        }
-    }
-
-    pub fn push(&self, rec: TraceRecord) {
-        let mut r = self.inner.lock().unwrap();
-        if r.buf.len() < r.cap {
-            r.buf.push(rec);
-        } else {
-            let i = r.next;
-            r.buf[i] = rec;
-        }
-        r.next = (r.next + 1) % r.cap;
-        r.total += 1;
-    }
-
-    /// The retained records, oldest first.
-    pub fn recent(&self) -> Vec<TraceRecord> {
-        let r = self.inner.lock().unwrap();
-        if r.buf.len() < r.cap {
-            return r.buf.clone();
-        }
-        let mut out = Vec::with_capacity(r.cap);
-        out.extend_from_slice(&r.buf[r.next..]);
-        out.extend_from_slice(&r.buf[..r.next]);
-        out
-    }
-
-    /// Total records ever pushed (≥ retained count).
-    pub fn total(&self) -> u64 {
-        self.inner.lock().unwrap().total
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.inner.lock().unwrap().cap
     }
 }
 
@@ -355,41 +292,5 @@ mod tests {
                 let _ = TraceRecord::decode(&spliced);
             }
         }
-    }
-
-    #[test]
-    fn ring_wraparound_keeps_newest_oldest_first() {
-        let fr = FlightRecorder::new(4);
-        for s in 0..10 {
-            fr.push(rec(s));
-        }
-        let got = fr.recent();
-        assert_eq!(got.len(), 4);
-        assert_eq!(
-            got.iter().map(|r| r.seq).collect::<Vec<_>>(),
-            vec![6, 7, 8, 9],
-            "last cap records, oldest first"
-        );
-        assert_eq!(fr.total(), 10);
-        assert_eq!(fr.capacity(), 4);
-    }
-
-    #[test]
-    fn ring_before_wrap_returns_all() {
-        let fr = FlightRecorder::new(8);
-        for s in 0..3 {
-            fr.push(rec(s));
-        }
-        assert_eq!(fr.recent().len(), 3);
-        assert_eq!(fr.recent()[0].seq, 0);
-    }
-
-    #[test]
-    fn zero_capacity_clamps_to_one() {
-        let fr = FlightRecorder::new(0);
-        fr.push(rec(0));
-        fr.push(rec(1));
-        assert_eq!(fr.recent().len(), 1);
-        assert_eq!(fr.recent()[0].seq, 1);
     }
 }

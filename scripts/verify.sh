@@ -2,9 +2,11 @@
 # Tier-1 verification: everything a reviewer needs to trust a change.
 #
 # 1. hermetic release build (no registry access required)
-# 2. lint gate: clippy over every target with warnings denied, then the
-#    hand-indexing census: a non-test `from_le_bytes(` anywhere but the
-#    cursor itself (crates/lfs/src/codec.rs), the checksum kernels
+# 2. lint gate: clippy over every target with warnings denied, then
+#    rustdoc over every crate with warnings denied (a broken or private
+#    intra-doc link fails), then the hand-indexing census: a non-test
+#    `from_le_bytes(` anywhere but the cursor itself
+#    (crates/lfs/src/codec.rs), the checksum kernels
 #    (crc.rs), the two dependency-free crates the cursor cannot reach
 #    (s4-delta, s4-obs) and the frame length in crates/fs/src/tcp.rs
 #    fails — every other decoder reads through s4_lfs::codec::Reader;
@@ -128,6 +130,9 @@ cargo build --release
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc --workspace --no-deps (rustdoc warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== hand-indexing census (non-test from_le_bytes( outside the cursor)"
 hand_indexed=$(find crates/*/src src -name '*.rs' \

@@ -1,7 +1,6 @@
 //! End-to-end checks of the observability layer (`crates/obs`): the
-//! metrics exposition a mounted drive serves, the in-memory flight
-//! recorder's ring semantics, and the persisted trace stream's
-//! crash-surviving readback.
+//! metrics exposition a mounted drive serves and the persisted trace
+//! stream's crash-surviving readback.
 
 use s4_clock::{SimClock, SimDuration};
 use s4_core::{
@@ -88,31 +87,6 @@ fn exposition_reports_per_layer_latency_and_gauges() {
         "\"p99_us\"",
     ] {
         assert!(json.contains(needle), "json exposition missing {needle}:\n{json}");
-    }
-}
-
-#[test]
-fn flight_ring_wraps_keeping_the_most_recent_requests() {
-    let clock = SimClock::new();
-    clock.advance(SimDuration::from_secs(1));
-    let mut config = DriveConfig::small_test();
-    config.flight_recorder_ring = 8;
-    let drive = S4Drive::format(MemDisk::new(200_000), config, clock.clone()).unwrap();
-    let (_, user) = contexts(drive.config());
-    for i in 0..15u8 {
-        write(&drive, &user, &[i]); // 2 dispatches each
-        clock.advance(SimDuration::from_millis(1));
-    }
-
-    let recent = drive.flight_recent();
-    assert_eq!(recent.len(), 8, "ring must cap at the configured size");
-    let total = 30; // 15 creates + 15 writes
-    for (i, rec) in recent.iter().enumerate() {
-        assert_eq!(
-            rec.seq,
-            (total - 8 + i) as u64,
-            "ring must hold the newest records oldest-first"
-        );
     }
 }
 
