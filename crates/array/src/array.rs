@@ -69,7 +69,7 @@ impl ArrayConfig {
 /// file-system layer run over it unchanged).
 ///
 /// Object placement is `oid % n` with reserved objects pinned (see
-/// [`crate::router`]); each member drive allocates ObjectIDs only in
+/// [`shard_of`](crate::shard_of)); each member drive allocates ObjectIDs only in
 /// its own residue class so drive-assigned IDs route home. With
 /// [`ArrayConfig::mirrors`] > 1 every residue class is served by a
 /// mirror group: mutations apply to all in-sync members, reads come
@@ -482,7 +482,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
     /// their request streams: what an anchor packs decides whether it
     /// records the queued transaction resolutions, and mirrors must
     /// agree on that.
-    pub fn apply_to_shard<T: Send + 'static>(
+    pub(crate) fn apply_to_shard<T: Send + 'static>(
         &self,
         i: usize,
         step: impl Fn(&S4Drive<D>) -> s4_core::Result<T> + Send + 'static,
@@ -564,7 +564,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
     /// a shard adjacent — the order [`S4Array::mount`] expects back).
     /// Fails if any member is dead — resync it first, or drop the array
     /// instead. Each mirror group first records its queued transaction
-    /// resolutions at one instant ([`S4Array::apply_to_shard`]), so that
+    /// resolutions at one instant (`apply_to_shard`), so that
     /// the members' own unmounts find none to stamp each at its own time.
     pub fn unmount(self) -> s4_core::Result<Vec<D>> {
         for i in 0..self.shard_count() {

@@ -46,7 +46,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
     /// the sharded equivalent of [`s4_core::S4Drive::dispatch`].
     /// Single-object requests go to the owning shard's queue; broadcast
     /// requests scatter to every shard and gather one merged response;
-    /// batches are split per shard (see [`crate::router::split_batch`]).
+    /// batches are split per shard (see `router::split_batch`).
     pub fn dispatch(&self, ctx: &RequestContext, req: &Request) -> s4_core::Result<Response> {
         // A batch names no partition itself: its sub-requests are
         // checked where it is split.
@@ -131,7 +131,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
     /// reserved for planning failures (nested batch, broadcast op
     /// inside a batch, orphan `LAST_CREATED`).
     ///
-    /// A batch that *writes* more than one shard ([`BatchPlan::writers`])
+    /// A batch that *writes* more than one shard (`BatchPlan::writers`)
     /// is not scattered independently — it runs as one
     /// two-phase-commit transaction (DESIGN §6i), so it takes effect on
     /// every shard or on none: success looks identical to the scatter
@@ -140,8 +140,6 @@ impl<D: BlockDev + 'static> S4Array<D> {
     /// batch with at most one writer keeps the plain scatter path — it
     /// is trivially atomic already, however many shards its reads and
     /// its `Sync` reach.
-    ///
-    /// [`BatchPlan::writers`]: crate::router::BatchPlan::writers
     pub fn dispatch_batch_outcomes(
         &self,
         ctx: &RequestContext,

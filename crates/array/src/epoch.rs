@@ -29,7 +29,7 @@ use s4_clock::SimDuration;
 /// Prefix of partition names reserved for array-internal state. The
 /// dispatcher rejects client `PCreate`/`PDelete`/`PMount` under this
 /// prefix, batched or not, and filters it from merged `PList` responses.
-pub const RESERVED_NAME_PREFIX: &str = "__s4/";
+pub(crate) const RESERVED_NAME_PREFIX: &str = "__s4/";
 
 /// Prefix of the epoch note's partition name.
 pub const EPOCH_NOTE_PREFIX: &str = "__s4/epoch/";
@@ -58,13 +58,13 @@ impl EpochInfo {
     }
 
     /// Number of live shards (sources plus in-flight split targets).
-    pub fn live_shards(&self) -> usize {
+    pub(crate) fn live_shards(&self) -> usize {
         self.base + self.bits.count_ones() as usize
     }
 
     /// Slot id of the shard at dense position `p` (sources first, then
     /// targets in slot order).
-    pub fn slot_of_dense(&self, p: usize) -> usize {
+    pub(crate) fn slot_of_dense(&self, p: usize) -> usize {
         if p < self.base {
             return p;
         }
@@ -82,7 +82,7 @@ impl EpochInfo {
 
     /// Dense position of `slot`, or `None` if that slot is not live in
     /// this epoch.
-    pub fn dense_of_slot(&self, slot: usize) -> Option<usize> {
+    pub(crate) fn dense_of_slot(&self, slot: usize) -> Option<usize> {
         if slot < self.base {
             return Some(slot);
         }
@@ -97,7 +97,7 @@ impl EpochInfo {
     /// ObjectID residue class `(stride, offset)` of the shard at dense
     /// position `p`: a split source or a target allocates in the
     /// doubled class; an unsplit source still owns its whole class.
-    pub fn class_of_dense(&self, p: usize) -> (u64, u64) {
+    pub(crate) fn class_of_dense(&self, p: usize) -> (u64, u64) {
         let slot = self.slot_of_dense(p);
         if slot < self.base && self.bits & (1u64 << slot) == 0 {
             (self.base as u64, slot as u64)
@@ -108,7 +108,7 @@ impl EpochInfo {
 
     /// The epoch after source `slot` finishes its split: the bit is
     /// set, and a complete generation collapses into the doubled base.
-    pub fn after_split(&self, slot: usize) -> EpochInfo {
+    pub(crate) fn after_split(&self, slot: usize) -> EpochInfo {
         let bits = self.bits | (1u64 << slot);
         let full = if self.base == 64 {
             u64::MAX

@@ -47,21 +47,21 @@
 
 mod array;
 mod dispatch;
-pub mod epoch;
+mod epoch;
 mod flip;
 mod forensics;
 mod metrics;
 pub mod reshard;
-pub mod router;
+mod router;
 mod shard;
 mod transport;
 mod txn;
 
 pub use array::{ArrayConfig, S4Array, QUEUE_DEPTH};
 pub use dispatch::BatchOutcome;
-pub use epoch::{EpochInfo, FlipReport, EPOCH_NOTE_PREFIX, RESERVED_NAME_PREFIX};
+pub use epoch::{EpochInfo, FlipReport, EPOCH_NOTE_PREFIX};
 pub use forensics::Sharded;
 pub use reshard::{double_array, split_shard, ReshardConfig, ReshardReport};
-pub use router::{dense_of, shard_of, slot_of};
+pub use router::shard_of;
 pub use shard::MemberState;
 pub use transport::ArrayTransport;

@@ -21,7 +21,7 @@ use crate::epoch::EpochInfo;
 /// How the scatter-gather layer combines per-shard responses of a
 /// broadcast request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Merge {
+pub(crate) enum Merge {
     /// Every shard must answer `Ok` (Sync, Flush, SetWindow).
     AllOk,
     /// Sum the per-shard `NewSize` counts (FlushAlerts, FlushTraces).
@@ -35,7 +35,7 @@ pub enum Merge {
 
 /// Where a single (non-batch) request goes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Route {
+pub(crate) enum Route {
     /// A lone `Create`: round-robin shard choice; the drive assigns an
     /// ID in its class. Inside a batch, [`split_batch`] places a `Create`
     /// beside the nearest named object before it.
@@ -56,7 +56,7 @@ pub fn shard_of(oid: ObjectId, n: usize) -> usize {
 /// Home *slot* of `oid` under epoch `e`: the doubled-class residue if
 /// that class's source has split, its pre-split owner otherwise.
 /// Degenerates to `oid % base` when no split is in flight.
-pub fn slot_of(oid: ObjectId, e: &EpochInfo) -> usize {
+pub(crate) fn slot_of(oid: ObjectId, e: &EpochInfo) -> usize {
     if oid.is_reserved() {
         return 0;
     }
@@ -70,14 +70,14 @@ pub fn slot_of(oid: ObjectId, e: &EpochInfo) -> usize {
 
 /// Dense index of `oid`'s home shard under epoch `e` (the index into
 /// the array's live-shard vector).
-pub fn dense_of(oid: ObjectId, e: &EpochInfo) -> usize {
+pub(crate) fn dense_of(oid: ObjectId, e: &EpochInfo) -> usize {
     e.dense_of_slot(slot_of(oid, e))
         .expect("slot_of only routes to live slots")
 }
 
 /// Computes the route of one request under epoch `e`. `Route::Shard`
 /// carries a *dense* index.
-pub fn route(req: &Request, e: &EpochInfo) -> Route {
+pub(crate) fn route(req: &Request, e: &EpochInfo) -> Route {
     match req {
         Request::Create => Route::Create,
         Request::Batch(_) => Route::SplitBatch,
@@ -103,7 +103,7 @@ pub fn route(req: &Request, e: &EpochInfo) -> Route {
 /// of shard `s`'s sub-batch. A `Sync` sub-request fans out to every
 /// shard (one slot per shard, all mapping to the same original index),
 /// so one original index may own several slots.
-pub struct BatchPlan {
+pub(crate) struct BatchPlan {
     /// Per-shard sub-batch (empty = shard not involved).
     pub subs: Vec<Vec<Request>>,
     /// Per-shard slot → original-index map.
@@ -137,7 +137,7 @@ pub struct BatchPlan {
 /// completed. This matches the paper's per-drive perimeter (a drive
 /// can only vouch for its own operations) and the existing "earlier
 /// effects remain" batch contract.
-pub fn split_batch(
+pub(crate) fn split_batch(
     reqs: &[Request],
     e: &EpochInfo,
     mut next_create_shard: impl FnMut() -> usize,

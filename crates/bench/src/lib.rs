@@ -14,8 +14,10 @@
 //! 4. **Linux NFS (ext2, sync)** — update-in-place with the paper's
 //!    observed batched-inode "sync-mount flaw".
 //!
-//! All four expose [`s4_fs::FileServer`], are driven by identical traces,
-//! and are measured on the same simulated clock.
+//! The last two are one update-in-place server, the crate-private
+//! `baseline` module, which only this harness builds. All four expose
+//! [`s4_fs::FileServer`], are driven by identical traces, and are
+//! measured on the same simulated clock.
 //!
 //! Every bench reports through one [`Record`]; the scale-out benches
 //! share one workload, [`scaleout`]. Figure 7's capacity model is
@@ -27,7 +29,6 @@
 
 use std::sync::Arc;
 
-use s4_baseline::UipServer;
 use s4_clock::{NetworkModel, SimClock, SimDuration};
 use s4_core::{ClientId, DriveConfig, RequestContext, S4Drive, UserId};
 use s4_fs::{
@@ -37,6 +38,9 @@ use s4_lfs::BLOCK_SIZE;
 use s4_simdisk::{DiskModelParams, MemDisk, StatsHandle, TimedDisk};
 use s4_workloads::{replay_with_clock, FsOp, ReplayStats};
 
+use baseline::UipServer;
+
+mod baseline;
 pub mod capacity;
 mod record;
 pub mod scaleout;

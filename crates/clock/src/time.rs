@@ -150,7 +150,7 @@ impl SimDuration {
 
     /// Multiplies the span by an integer factor.
     #[allow(clippy::should_implement_trait)] // `Mul<u64>` fits poorly in const fns
-    pub fn mul(self, factor: u64) -> SimDuration {
+    pub(crate) fn mul(self, factor: u64) -> SimDuration {
         SimDuration(self.0 * factor)
     }
 }

@@ -21,7 +21,7 @@ impl Perm {
     /// May write data, truncate, and set attributes.
     pub const WRITE: Perm = Perm(2);
     /// May change the object's ACL and delete the object.
-    pub const OWNER: Perm = Perm(4);
+    pub(crate) const OWNER: Perm = Perm(4);
     /// The Recovery flag: may read this object's history-pool versions.
     pub const RECOVERY: Perm = Perm(8);
 
@@ -107,12 +107,12 @@ impl AclTable {
     }
 
     /// Entry for `user`, if any.
-    pub fn get_user(&self, user: UserId) -> Option<AclEntry> {
+    pub(crate) fn get_user(&self, user: UserId) -> Option<AclEntry> {
         self.entries.iter().copied().find(|e| e.user == user)
     }
 
     /// Entry at table index `idx` (for `GetACLByIndex`).
-    pub fn get_index(&self, idx: usize) -> Option<AclEntry> {
+    pub(crate) fn get_index(&self, idx: usize) -> Option<AclEntry> {
         self.entries.get(idx).copied()
     }
 
@@ -126,7 +126,7 @@ impl AclTable {
     }
 
     /// Effective permissions of `user` (empty if absent).
-    pub fn perms_of(&self, user: UserId) -> Perm {
+    pub(crate) fn perms_of(&self, user: UserId) -> Perm {
         self.get_user(user).map(|e| e.perm).unwrap_or(Perm(0))
     }
 

@@ -80,7 +80,7 @@ impl OpKind {
 
     /// True for the administrative operations (§3.5): they require the
     /// admin token and cannot be undone, so no transaction may hold one.
-    pub fn is_admin(self) -> bool {
+    pub(crate) fn is_admin(self) -> bool {
         use OpKind::*;
         matches!(self, Flush | FlushO | SetWindow | FlushAlerts | FlushTraces)
     }

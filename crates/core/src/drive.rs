@@ -87,7 +87,7 @@ pub const TRACE_OBJECT: ObjectId = ObjectId(u64::MAX - 3);
 /// Created lazily on a drive's first transaction; truncated to zero
 /// whenever no transaction is pending. Another high sentinel id so the
 /// dynamic oid space can never collide with it.
-pub const TXN_OBJECT: ObjectId = ObjectId(u64::MAX - 4);
+pub(crate) const TXN_OBJECT: ObjectId = ObjectId(u64::MAX - 4);
 
 const FIRST_DYNAMIC_OID: u64 = 4;
 
@@ -545,7 +545,7 @@ impl<D: BlockDev> S4Drive<D> {
     }
 
     /// True if `ctx` carries the drive's administrative credential.
-    pub fn is_admin(&self, ctx: &RequestContext) -> bool {
+    pub(crate) fn is_admin(&self, ctx: &RequestContext) -> bool {
         ctx.admin_token == Some(self.config.admin_token)
     }
 

@@ -27,7 +27,7 @@ pub struct ClientId(pub u32);
 /// The drive administrator principal. Administrative commands
 /// additionally require the drive's admin token (modeling the paper's
 /// "physical access or well-protected cryptographic keys", §3.5).
-pub const ADMIN_USER: UserId = UserId(0);
+pub(crate) const ADMIN_USER: UserId = UserId(0);
 
 /// Causal trace context propagated with a request through every layer
 /// it touches: client entry → array router → shard worker → mirror

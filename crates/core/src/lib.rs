@@ -15,7 +15,7 @@
 //!   (who may read an object's history-pool versions).
 //! * [`audit`] — audit records and the reserved, drive-written-only audit
 //!   object (§4.2.3).
-//! * [`object`] — the object table: journal-based metadata per object,
+//! * `object` — the object table: journal-based metadata per object,
 //!   checkpoints, sector chains, delta encodings and landmarks.
 //! * [`throttle`] — history-pool abuse detection and per-client
 //!   throttling (§3.3's hybrid answer to space-exhaustion attacks).
@@ -68,7 +68,7 @@ mod expiry;
 pub mod ids;
 mod image;
 mod ledger;
-pub mod object;
+mod object;
 mod ops;
 mod packed;
 mod persist;
@@ -83,14 +83,14 @@ pub use acl::{AclEntry, AclTable, Perm};
 pub use audit::{AuditRecord, AuditState, OpKind};
 pub use drive::{
     AuditObserver, DriveConfig, RecoveryReport, ResyncImage, ResyncObject, S4Drive, VersionKind,
-    VersionRecord, ALERT_OBJECT, AUDIT_OBJECT, PARTITION_OBJECT, TRACE_OBJECT, TXN_OBJECT,
+    VersionRecord, ALERT_OBJECT, AUDIT_OBJECT, PARTITION_OBJECT, TRACE_OBJECT,
 };
 pub use ids::{
-    ClientId, ObjectId, RequestContext, TraceCtx, TraceIdGen, UserId, ADMIN_USER, PHASE_APPLY,
-    PHASE_CATCHUP, PHASE_CLIENT, PHASE_DECIDE, PHASE_NOTE, PHASE_PREPARE,
+    ClientId, ObjectId, RequestContext, TraceCtx, TraceIdGen, UserId, PHASE_APPLY, PHASE_CATCHUP,
+    PHASE_CLIENT, PHASE_DECIDE, PHASE_NOTE, PHASE_PREPARE,
 };
 pub use ledger::Discrepancy;
-pub use reserved::{Alert, ResyncStream, Severity, StreamCursor, MAX_ALERT_BYTES};
+pub use reserved::{Alert, ResyncStream, Severity, StreamCursor};
 pub use rpc::{Request, Response};
 pub use s4_obs::TraceRecord;
 pub use stats::{DriveStats, StatsSnapshot};

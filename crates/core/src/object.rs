@@ -26,7 +26,7 @@ use crate::Result;
 /// stored at `(block, slot)` to the (possibly itself delta-encoded)
 /// content at `base` reproduces the original block.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct DeltaRef {
+pub(crate) struct DeltaRef {
     /// Address whose content is the delta's source.
     pub base: BlockAddr,
     /// Shared delta block holding the encoded difference.
@@ -41,7 +41,7 @@ pub struct DeltaRef {
 /// *several* objects into each 4 KiB journal block; `slot` selects this
 /// object's sector within the block.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct SectorInfo {
+pub(crate) struct SectorInfo {
     /// Log address of the journal block holding the sector.
     pub addr: BlockAddr,
     /// Sub-sector index within the block.
@@ -76,7 +76,7 @@ impl SectorInfo {
 
 /// Full in-memory state of one object.
 #[derive(Clone, Debug)]
-pub struct ObjectEntry {
+pub(crate) struct ObjectEntry {
     /// Current metadata (attributes, ACL blob, block map, journal head).
     pub meta: ObjectMeta,
     /// On-disk journal sectors, oldest first.
@@ -174,7 +174,7 @@ impl ObjectEntry {
     /// True if `addr` belongs to a landmark version's block map (such
     /// blocks are pinned: never released by expiry, flushes, or the
     /// differencing pass).
-    pub fn is_landmark_block(&self, addr: BlockAddr) -> bool {
+    pub(crate) fn is_landmark_block(&self, addr: BlockAddr) -> bool {
         self.landmarks
             .iter()
             .any(|m| m.blocks.values().any(|&a| a == addr))
@@ -183,7 +183,7 @@ impl ObjectEntry {
     /// Stamp used to decide whether this object has journal history old
     /// enough to expire: the newest stamp of the oldest sector
     /// ([`HybridTimestamp::MAX`] if no sectors are on disk).
-    pub fn expiry_hint(&self) -> HybridTimestamp {
+    pub(crate) fn expiry_hint(&self) -> HybridTimestamp {
         self.sectors
             .first()
             .map(|s| s.newest)
@@ -258,7 +258,7 @@ impl ObjectEntry {
 /// Residual record for an object whose full state has been evicted from
 /// the object cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EvictInfo {
+pub(crate) struct EvictInfo {
     /// Checkpoint root holding the full [`ObjectEntry`].
     pub checkpoint_root: BlockAddr,
     /// Sub-slot within a shared checkpoint block (`u32::MAX` = dedicated
@@ -274,7 +274,7 @@ pub struct EvictInfo {
 
 /// A slot in the object table.
 #[derive(Clone, Debug)]
-pub enum Slot {
+pub(crate) enum Slot {
     /// Full state in memory.
     Cached(Box<ObjectEntry>),
     /// Only the checkpoint location retained.

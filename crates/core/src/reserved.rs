@@ -45,7 +45,7 @@ use crate::ledger::Ledger;
 use crate::{Result, S4Error};
 
 /// Largest alert blob that fits in one block after the length prefix.
-pub const MAX_ALERT_BYTES: usize = BLOCK_SIZE - 2;
+pub(crate) const MAX_ALERT_BYTES: usize = BLOCK_SIZE - 2;
 
 /// Resume point for incremental stream reads ([`S4Drive::read_alerts_from`],
 /// [`S4Drive::read_audit_from`]). Start from `StreamCursor::default()`

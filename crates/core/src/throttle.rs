@@ -62,7 +62,7 @@ struct Bucket {
 
 /// The drive's throttling state.
 #[derive(Clone, Debug)]
-pub struct ThrottleState {
+pub(crate) struct ThrottleState {
     config: ThrottleConfig,
     buckets: HashMap<u32, Bucket>,
     /// Total penalty ever charged (for stats/tests).
@@ -85,7 +85,7 @@ impl ThrottleState {
     /// Records a write of `bytes` by `client` at `now` with the given pool
     /// `pressure`, returning the latency penalty to charge (zero when the
     /// pool is healthy or the client is within budget).
-    pub fn on_write(
+    pub(crate) fn on_write(
         &mut self,
         client: u32,
         bytes: u64,

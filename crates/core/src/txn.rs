@@ -40,7 +40,7 @@ impl<D: BlockDev> S4Drive<D> {
     /// member — [`S4Drive::now`] must already be strictly past `t0`, or
     /// the transaction's effects would not sort after it. Like
     /// `txn_begin`, it issues no device write of its own.
-    pub fn txn_begin_at(&self, txid: u64, t0: SimTime) -> Result<()> {
+    pub(crate) fn txn_begin_at(&self, txid: u64, t0: SimTime) -> Result<()> {
         let mut inner = self.inner.lock();
         if inner.txn_pending.contains_key(&txid) {
             return Err(S4Error::BadRequest("duplicate transaction id"));

@@ -1,7 +1,7 @@
 //! The detector pipeline: pluggable rules, offline scans, and the
 //! online monitor that runs inside the drive.
 
-use s4_core::{Alert, AuditObserver, AuditRecord, RequestContext, S4Drive, S4Error, StreamCursor};
+use s4_core::{Alert, AuditObserver, AuditRecord, RequestContext, S4Drive, S4Error};
 use s4_simdisk::BlockDev;
 
 use crate::rules;
@@ -74,7 +74,7 @@ impl DetectorSet {
 /// every audited request is analysed as it happens and any alerts are
 /// returned encoded, which the drive persists to the tamper-proof
 /// alert object.
-pub struct OnlineMonitor {
+pub(crate) struct OnlineMonitor {
     set: DetectorSet,
 }
 
@@ -125,46 +125,41 @@ pub fn read_alerts<D: BlockDev>(
     Ok(blobs.iter().filter_map(|b| Alert::decode(b).ok()).collect())
 }
 
-/// Incremental alert reader. Where [`read_alerts`] rescans every alert
-/// block on each call, a poller carries a [`StreamCursor`] so each
-/// [`poll`](AlertPoller::poll) decodes only the blobs appended since the
-/// previous one — the natural shape for a monitoring loop that watches a
-/// long-lived drive. Undecodable blobs are skipped, as in
-/// [`read_alerts`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AlertPoller {
-    cursor: StreamCursor,
-}
-
-impl AlertPoller {
-    /// A poller positioned at the start of the alert object.
-    pub fn new() -> Self {
-        AlertPoller::default()
-    }
-
-    /// Decodes the alerts appended since the previous poll (admin only),
-    /// oldest first, and advances the cursor.
-    pub fn poll<D: BlockDev>(
-        &mut self,
-        drive: &S4Drive<D>,
-        admin: &RequestContext,
-    ) -> Result<Vec<Alert>, S4Error> {
-        let blobs = drive.read_alerts_from(admin, &mut self.cursor)?;
-        Ok(blobs.iter().filter_map(|b| Alert::decode(b).ok()).collect())
-    }
-
-    /// The poller's current resume point.
-    pub fn cursor(&self) -> StreamCursor {
-        self.cursor
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use s4_clock::{SimClock, SimDuration};
-    use s4_core::{ClientId, DriveConfig, UserId};
+    use s4_core::{ClientId, DriveConfig, StreamCursor, UserId};
     use s4_simdisk::MemDisk;
+
+    /// Incremental alert reader. Where [`read_alerts`] rescans every alert
+    /// block on each call, a poller carries a `StreamCursor` so each
+    /// [`poll`](AlertPoller::poll) decodes only the blobs appended since the
+    /// previous one — the natural shape for a monitoring loop that watches a
+    /// long-lived drive. Undecodable blobs are skipped, as in
+    /// [`read_alerts`].
+    #[derive(Clone, Copy, Debug, Default)]
+    struct AlertPoller {
+        cursor: StreamCursor,
+    }
+
+    impl AlertPoller {
+        /// A poller positioned at the start of the alert object.
+        fn new() -> Self {
+            AlertPoller::default()
+        }
+
+        /// Decodes the alerts appended since the previous poll (admin only),
+        /// oldest first, and advances the cursor.
+        fn poll<D: BlockDev>(
+            &mut self,
+            drive: &S4Drive<D>,
+            admin: &RequestContext,
+        ) -> Result<Vec<Alert>, S4Error> {
+            let blobs = drive.read_alerts_from(admin, &mut self.cursor)?;
+            Ok(blobs.iter().filter_map(|b| Alert::decode(b).ok()).collect())
+        }
+    }
 
     fn drive() -> S4Drive<MemDisk> {
         let clock = SimClock::new();

@@ -45,7 +45,7 @@ impl EntryKind {
 }
 
 /// One decoded directory entry: name, target object id, kind.
-pub type DirEntry = (String, u64, EntryKind);
+pub(crate) type DirEntry = (String, u64, EntryKind);
 
 /// Bytes of an entry with an empty name: the least a blob spends on one.
 const MIN_ENTRY_BYTES: usize = 2 + 8 + 1;

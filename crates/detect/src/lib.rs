@@ -8,7 +8,7 @@
 //! compromised. This crate is the machinery that *exploits* that vantage
 //! point, in three layers:
 //!
-//! * **Detection** ([`detector`], [`rules`]) — streaming analytics over
+//! * **Detection** ([`detector`]) — streaming analytics over
 //!   the drive-written audit log (§4.2.3). A pluggable [`Detector`]
 //!   trait consumes [`AuditRecord`](s4_core::AuditRecord)s one at a
 //!   time; the built-in rules flag the §2 intrusion shapes: scrubbing an
@@ -17,20 +17,19 @@
 //!   suddenly operating from a foreign client, and gaps in audit
 //!   coverage. Detectors run *offline* over the decoded log
 //!   ([`scan_audit`]) or *online* inside the drive via
-//!   [`OnlineMonitor`], with alerts persisted to a second reserved,
-//!   drive-writable-only object that the intruder can neither suppress
-//!   nor rewrite.
-//! * **Forensics** ([`forensics`], [`timeline`]) — given an intrusion
-//!   time `T`, reconstruct what happened: per-principal activity
-//!   summaries, per-object tamper timelines merging the journal's
-//!   version history with the audit stream, namespace tree diffs
+//!   [`install_standard_monitor`], with alerts persisted to a second
+//!   reserved, drive-writable-only object that the intruder can neither
+//!   suppress nor rewrite.
+//! * **Forensics** ([`forensics`]) — given an intrusion time `T`,
+//!   reconstruct what happened: per-object tamper timelines merging the
+//!   journal's version history with the audit stream, namespace tree diffs
 //!   between `T` and now, and the §3.6 damage report (reads, writes,
 //!   and crude taint propagation for a suspect principal).
 //! * **Recovery** ([`recovery`]) — turn the forensic picture into a
 //!   reviewable [`RecoveryPlan`]: restore tampered objects to their
 //!   pre-intrusion versions, undelete destroyed ones, remove planted
 //!   ones (landmark-pinned first, as evidence), and quarantine
-//!   already-deleted exploit tools. [`execute_plan`] applies it
+//!   already-deleted exploit tools. [`execute_plan_on`] applies it
 //!   through the drive's `dispatch` — time-based reads and copy-forward
 //!   writes, audited under the admin principal like any other request
 //!   — so history is never rewritten and recovery is itself on the
@@ -48,21 +47,17 @@ pub mod detector;
 pub mod dirblob;
 pub mod forensics;
 pub mod recovery;
-pub mod rules;
-pub mod timeline;
+mod rules;
+mod timeline;
 
-pub use detector::{
-    install_standard_monitor, read_alerts, scan_audit, AlertPoller, Detector, DetectorSet,
-    OnlineMonitor,
-};
+pub use detector::{install_standard_monitor, read_alerts, scan_audit, Detector, DetectorSet};
 pub use forensics::{
     assemble_traces, audit_coverage, damage_report, flight_log, object_timeline,
     render_trace_tree, slowest_traces, tree_at, tree_diff, CoverageReport, DamageReport,
     FlightEntry, TimelineEvent, TimelineSource, TraceSpan, TraceTree, TreeDiff, TreeNode,
 };
 pub use recovery::{
-    execute_plan, execute_plan_on, plan_recovery, Dispatch, Landmark, PlannedAction,
-    RecoveryAction, RecoveryPlan, RecoveryReport, Suspects,
+    execute_plan_on, plan_recovery, PlannedAction, RecoveryAction, RecoveryPlan, RecoveryReport,
+    Suspects,
 };
 pub use s4_core::{Alert, Severity};
-pub use timeline::{ActivityTimeline, ObjectProfile, PrincipalActivity};

@@ -137,7 +137,7 @@ pub struct PlannedAction {
 
 /// A reviewable recovery plan. Nothing here has touched the drive yet;
 /// an administrator inspects it (e.g. via the CLI) and then runs
-/// [`execute_plan`].
+/// [`execute_plan_on`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryPlan {
     /// The intrusion time `T` the plan restores to.
@@ -149,7 +149,7 @@ pub struct RecoveryPlan {
     pub actions: Vec<PlannedAction>,
 }
 
-/// What [`execute_plan`] did.
+/// What [`execute_plan_on`] did.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Actions applied successfully.
@@ -323,15 +323,15 @@ pub fn plan_recovery<D: BlockDev>(
     })
 }
 
-/// Mutation sink for [`execute_plan`]: dispatches one request
+/// Mutation sink for `execute_plan`: dispatches one request
 /// (reads included, so a single closure adapts a drive, an array, or a
 /// remote transport).
-pub type Dispatch<'a> = &'a mut dyn FnMut(&Request) -> Result<Response, S4Error>;
+pub(crate) type Dispatch<'a> = &'a mut dyn FnMut(&Request) -> Result<Response, S4Error>;
 
-/// Landmark sink for [`execute_plan`]. Landmark pinning has no
+/// Landmark sink for `execute_plan`. Landmark pinning has no
 /// RPC request variant, so it travels beside the dispatch closure;
 /// `at = None` pins the version current *now*.
-pub type Landmark<'a> = &'a mut dyn FnMut(ObjectId, Option<SimTime>) -> Result<(), S4Error>;
+pub(crate) type Landmark<'a> = &'a mut dyn FnMut(ObjectId, Option<SimTime>) -> Result<(), S4Error>;
 
 /// Executes a plan through `dispatch`, like any other client: every
 /// read and mutation is verified, audited under the caller's (admin)
@@ -344,7 +344,7 @@ pub type Landmark<'a> = &'a mut dyn FnMut(ObjectId, Option<SimTime>) -> Result<(
 /// batch still collapses the action into one dispatch with the
 /// drive's abort-at-first-failure contract. Execution continues past
 /// individual action failures and each is reported.
-pub fn execute_plan(
+pub(crate) fn execute_plan(
     dispatch: Dispatch<'_>,
     mark_landmark: Landmark<'_>,
     plan: &RecoveryPlan,
@@ -386,7 +386,7 @@ pub fn execute_plan(
     Ok(report)
 }
 
-/// [`execute_plan`] adapted to a single drive's dispatch path.
+/// `execute_plan` adapted to a single drive's dispatch path.
 pub fn execute_plan_on<D: BlockDev>(
     drive: &S4Drive<D>,
     admin: &RequestContext,

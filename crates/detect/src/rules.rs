@@ -47,7 +47,7 @@ fn alert(rec: &AuditRecord, severity: Severity, rule: &str, message: String) -> 
 /// trivially recovered from the history pool, while a scrubbed-in-place
 /// one is what the audit log exists to catch.
 #[derive(Default)]
-pub struct AppendOnlyViolation {
+pub(crate) struct AppendOnlyViolation {
     profiles: HashMap<u64, ObjectProfile>,
 }
 
@@ -101,7 +101,7 @@ impl Detector for AppendOnlyViolation {
 /// `MIN_HOME_OPS` (8) requests; mutations from anywhere else then raise
 /// one warning per `(client, object)` pair.
 #[derive(Default)]
-pub struct ForeignClient {
+pub(crate) struct ForeignClient {
     homes: HashMap<u32, (u32, u64)>,
     reported: HashSet<(u32, u32, u64)>,
 }
@@ -154,7 +154,7 @@ impl Detector for ForeignClient {
 /// recoverable inside the detection window (§3.1), whereas overwrites
 /// consume history-pool space and signal data replacement.
 #[derive(Default)]
-pub struct RansomStorm {
+pub(crate) struct RansomStorm {
     profiles: HashMap<u64, ObjectProfile>,
     events: VecDeque<(SimTime, u64)>,
     // Multiplicity of each object in `events`, kept incrementally so
@@ -244,7 +244,7 @@ struct RateState {
 /// 8 × the exponential moving average (with an 8 MiB floor so modest
 /// workloads never alarm).
 #[derive(Default)]
-pub struct WriteRateSpike {
+pub(crate) struct WriteRateSpike {
     state: HashMap<(u32, u32), RateState>,
 }
 
@@ -322,7 +322,7 @@ impl Detector for WriteRateSpike {
 /// objects. Attribute writes right after creation are the file server
 /// initializing metadata and are ignored.
 #[derive(Default)]
-pub struct AclTamperBurst {
+pub(crate) struct AclTamperBurst {
     created_at: HashMap<u64, SimTime>,
     events: HashMap<(u32, u32), VecDeque<SimTime>>,
 }
@@ -400,7 +400,7 @@ impl Detector for AclTamperBurst {
 /// [`audit_coverage`](crate::forensics::audit_coverage), which compares
 /// the decodable record count against the drive's append counter.)
 #[derive(Default)]
-pub struct AuditGapCheck {
+pub(crate) struct AuditGapCheck {
     last: Option<SimTime>,
 }
 

@@ -1,103 +1,11 @@
-//! Activity aggregation over the audit stream.
-//!
-//! Shared accounting used by both the forensic reports and the
-//! detection rules: per-principal summaries ([`ActivityTimeline`]) and
-//! the per-object append-only ledger ([`ObjectProfile`]) that the
-//! log-scrub and ransomware rules build on.
+//! The per-object append-only ledger ([`ObjectProfile`]) that the
+//! log-scrub and ransomware rules build on, fed from the audit stream.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use s4_clock::SimTime;
-use s4_core::{AuditRecord, ClientId, OpKind, UserId};
-
-/// Everything one `(user, client)` pair did, in summary.
-#[derive(Clone, Debug)]
-pub struct PrincipalActivity {
-    /// Acting user.
-    pub user: UserId,
-    /// Originating client machine.
-    pub client: ClientId,
-    /// First and last request times.
-    pub first_seen: SimTime,
-    /// Last request time.
-    pub last_seen: SimTime,
-    /// Total requests.
-    pub requests: u64,
-    /// Requests the drive refused.
-    pub denied: u64,
-    /// Total bytes written (writes + appends + attr blobs).
-    pub bytes_written: u64,
-    /// Successful request count per operation kind (keyed by wire code).
-    pub ops: BTreeMap<u8, u64>,
-    /// Objects this principal mutated.
-    pub objects_modified: BTreeSet<u64>,
-    /// Objects this principal read (data or attributes).
-    pub objects_read: BTreeSet<u64>,
-}
-
-impl PrincipalActivity {
-    fn new(rec: &AuditRecord) -> Self {
-        PrincipalActivity {
-            user: rec.user,
-            client: rec.client,
-            first_seen: rec.time,
-            last_seen: rec.time,
-            requests: 0,
-            denied: 0,
-            bytes_written: 0,
-            ops: BTreeMap::new(),
-            objects_modified: BTreeSet::new(),
-            objects_read: BTreeSet::new(),
-        }
-    }
-}
-
-/// Per-principal activity summaries over an audit interval — the
-/// "per-client and per-user timeline" view an administrator starts
-/// diagnosis from.
-#[derive(Clone, Debug, Default)]
-pub struct ActivityTimeline {
-    /// One summary per `(user, client)` pair, in id order.
-    pub principals: BTreeMap<(u32, u32), PrincipalActivity>,
-}
-
-impl ActivityTimeline {
-    /// Aggregates a full record slice.
-    pub fn build(records: &[AuditRecord]) -> Self {
-        let mut t = ActivityTimeline::default();
-        for r in records {
-            t.observe(r);
-        }
-        t
-    }
-
-    /// Folds one record into the summaries.
-    pub fn observe(&mut self, rec: &AuditRecord) {
-        let p = self
-            .principals
-            .entry((rec.user.0, rec.client.0))
-            .or_insert_with(|| PrincipalActivity::new(rec));
-        p.requests += 1;
-        p.last_seen = rec.time;
-        if !rec.ok {
-            p.denied += 1;
-            return;
-        }
-        *p.ops.entry(rec.op as u8).or_insert(0) += 1;
-        p.bytes_written += rec.bytes_written();
-        if rec.object.0 != 0 {
-            if rec.op.creates_version() {
-                p.objects_modified.insert(rec.object.0);
-            } else if rec.op.reads_object() {
-                p.objects_read.insert(rec.object.0);
-            }
-        }
-    }
-}
+use s4_core::{AuditRecord, OpKind};
 
 /// What one mutation did to an object's append-only ledger.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ProfileEvent {
+pub(crate) enum ProfileEvent {
     /// Data added strictly at or past the high-water mark.
     Appended,
     /// Existing bytes overwritten or truncated away. `first` is true on
@@ -119,7 +27,7 @@ pub enum ProfileEvent {
 /// signal. Directory blobs never qualify: the file server rewrites
 /// their block 0 (the entry count) on every update after the first.
 #[derive(Clone, Debug, Default)]
-pub struct ObjectProfile {
+pub(crate) struct ObjectProfile {
     /// High-water mark: the largest end offset ever written.
     pub watermark: u64,
     /// Count of strictly-appending mutations so far.
@@ -172,7 +80,85 @@ impl ObjectProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s4_core::ObjectId;
+    use s4_clock::SimTime;
+    use s4_core::{ClientId, ObjectId, UserId};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// Everything one `(user, client)` pair did, in summary.
+    #[derive(Clone, Debug)]
+    struct PrincipalActivity {
+        /// Last request time.
+        pub last_seen: SimTime,
+        /// Total requests.
+        pub requests: u64,
+        /// Requests the drive refused.
+        pub denied: u64,
+        /// Total bytes written (writes + appends + attr blobs).
+        pub bytes_written: u64,
+        /// Successful request count per operation kind (keyed by wire code).
+        pub ops: BTreeMap<u8, u64>,
+        /// Objects this principal mutated.
+        pub objects_modified: BTreeSet<u64>,
+        /// Objects this principal read (data or attributes).
+        pub objects_read: BTreeSet<u64>,
+    }
+
+    impl PrincipalActivity {
+        fn new(rec: &AuditRecord) -> Self {
+            PrincipalActivity {
+                last_seen: rec.time,
+                requests: 0,
+                denied: 0,
+                bytes_written: 0,
+                ops: BTreeMap::new(),
+                objects_modified: BTreeSet::new(),
+                objects_read: BTreeSet::new(),
+            }
+        }
+    }
+
+    /// Per-principal activity summaries over an audit interval — the
+    /// "per-client and per-user timeline" view an administrator starts
+    /// diagnosis from.
+    #[derive(Clone, Debug, Default)]
+    struct ActivityTimeline {
+        /// One summary per `(user, client)` pair, in id order.
+        pub principals: BTreeMap<(u32, u32), PrincipalActivity>,
+    }
+
+    impl ActivityTimeline {
+        /// Aggregates a full record slice.
+        fn build(records: &[AuditRecord]) -> Self {
+            let mut t = ActivityTimeline::default();
+            for r in records {
+                t.observe(r);
+            }
+            t
+        }
+
+        /// Folds one record into the summaries.
+        fn observe(&mut self, rec: &AuditRecord) {
+            let p = self
+                .principals
+                .entry((rec.user.0, rec.client.0))
+                .or_insert_with(|| PrincipalActivity::new(rec));
+            p.requests += 1;
+            p.last_seen = rec.time;
+            if !rec.ok {
+                p.denied += 1;
+                return;
+            }
+            *p.ops.entry(rec.op as u8).or_insert(0) += 1;
+            p.bytes_written += rec.bytes_written();
+            if rec.object.0 != 0 {
+                if rec.op.creates_version() {
+                    p.objects_modified.insert(rec.object.0);
+                } else if rec.op.reads_object() {
+                    p.objects_read.insert(rec.object.0);
+                }
+            }
+        }
+    }
 
     fn rec(op: OpKind, ok: bool, object: u64, arg1: u64, arg2: u64) -> AuditRecord {
         AuditRecord {

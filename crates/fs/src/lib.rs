@@ -36,9 +36,6 @@ pub mod transport;
 
 pub use s4fs::{S4FileServer, S4FsConfig};
 pub use server::{FileAttr, FileKind, FileServer, FsError, FsResult, Handle};
-pub use tcp::{
-    RpcHandler, TcpServerHandle, TcpTransport, RESHARD_FRAME_MARKER, STATS_FRAME_MARKER,
-    TXN_FRAME_MARKER,
-};
+pub use tcp::{RpcHandler, TcpServerHandle, TcpTransport};
 pub use tools::{ls_at, read_file_at, restore_file, split_path, write_file};
 pub use transport::{LoopbackTransport, Transport};

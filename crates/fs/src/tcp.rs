@@ -25,7 +25,7 @@
 //!
 //! Out-of-band frames: a request payload equal to one of the
 //! `*_FRAME_MARKER`s (too short to be a valid RPC frame, so it cannot
-//! collide) returns `0u8 || <text>` — [`STATS_FRAME_MARKER`] the
+//! collide) returns `0u8 || <text>` — `STATS_FRAME_MARKER` the
 //! Prometheus text exposition, the others a one-line status. They are
 //! unauthenticated by design: the texts carry aggregate operational
 //! metrics only — no object contents, names, or per-principal data —
@@ -50,19 +50,19 @@ use crate::transport::Transport;
 /// Request payload that asks the server for its metrics exposition
 /// instead of dispatching an RPC (9 bytes, shorter than the 27-byte
 /// minimum RPC frame).
-pub const STATS_FRAME_MARKER: &[u8] = b"__stats__";
+pub(crate) const STATS_FRAME_MARKER: &[u8] = b"__stats__";
 
 /// Request payload that asks the server for its reshard status line
 /// (progress of any live split) instead of dispatching an RPC. Like
 /// the stats frame: too short to be a valid RPC frame, and carries no
 /// object contents or per-principal data.
-pub const RESHARD_FRAME_MARKER: &[u8] = b"__reshard__";
+pub(crate) const RESHARD_FRAME_MARKER: &[u8] = b"__reshard__";
 
 /// Request payload that asks the server for its cross-shard transaction
 /// status line (commit/abort/recovery counters) instead of dispatching
 /// an RPC. Same discipline as the other markers: shorter than any valid
 /// RPC frame, no object contents or per-principal data.
-pub const TXN_FRAME_MARKER: &[u8] = b"__txn__";
+pub(crate) const TXN_FRAME_MARKER: &[u8] = b"__txn__";
 
 /// Anything that can sit behind the TCP server and execute S4 RPCs: a
 /// single [`S4Drive`] or a sharded drive array (`s4-array`). The server

@@ -5,7 +5,7 @@
 //! blocks keyed by [`BlockAddr`], sized in blocks. Entries are immutable
 //! [`crate::bytes::Bytes`] — the log never overwrites a block in place, so cached
 //! contents can only become irrelevant (when a segment is reclaimed and
-//! reused), handled by [`BlockCache::invalidate_segment`].
+//! reused), handled by `invalidate_segment`.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -104,7 +104,7 @@ impl BlockCache {
     /// Drops every cached block belonging to `seg` — the records its
     /// summaries carry included — (called when a segment is reclaimed for
     /// reuse).
-    pub fn invalidate_segment(&self, geo: &Geometry, seg: SegmentId) {
+    pub(crate) fn invalidate_segment(&self, geo: &Geometry, seg: SegmentId) {
         let mut g = self.inner.lock();
         let victims: Vec<BlockAddr> = g
             .map

@@ -13,7 +13,7 @@ pub const BLOCK_SIZE: usize = 4096;
 pub const SECTORS_PER_BLOCK: u64 = (BLOCK_SIZE / SECTOR_SIZE) as u64;
 
 /// Index of a segment within the data area.
-pub type SegmentId = u32;
+pub(crate) type SegmentId = u32;
 
 /// Absolute index of a block within the data area of the device.
 ///
@@ -42,7 +42,7 @@ impl BlockAddr {
 
     /// The address of the record carried by the summary block at
     /// `summary`.
-    pub fn carried_by(summary: BlockAddr) -> BlockAddr {
+    pub(crate) fn carried_by(summary: BlockAddr) -> BlockAddr {
         BlockAddr(summary.0 | Self::CARRIED)
     }
 
@@ -134,7 +134,7 @@ pub struct Geometry {
 
 impl Geometry {
     /// Sectors occupied by one superblock copy.
-    pub const SUPERBLOCK_COPY_SECTORS: u64 = 8;
+    pub(crate) const SUPERBLOCK_COPY_SECTORS: u64 = 8;
 
     /// Computes a geometry for a device of `num_sectors` sectors with the
     /// given segment size in blocks.
@@ -170,7 +170,7 @@ impl Geometry {
 
     /// Translates a block address to the first sector of its slot on
     /// the device.
-    pub fn sector_of(&self, addr: BlockAddr) -> u64 {
+    pub(crate) fn sector_of(&self, addr: BlockAddr) -> u64 {
         self.data_start_sector() + addr.slot().0 * SECTORS_PER_BLOCK
     }
 
@@ -180,7 +180,7 @@ impl Geometry {
     }
 
     /// Block offset of `addr` within its segment.
-    pub fn offset_in_segment(&self, addr: BlockAddr) -> u32 {
+    pub(crate) fn offset_in_segment(&self, addr: BlockAddr) -> u32 {
         (addr.slot().0 % self.blocks_per_segment as u64) as u32
     }
 
@@ -199,7 +199,7 @@ impl Geometry {
 
     /// Validates that the `n` block slots starting at `head` fall inside
     /// the data area.
-    pub fn check_run(&self, head: BlockAddr, n: u32) -> Result<()> {
+    pub(crate) fn check_run(&self, head: BlockAddr, n: u32) -> Result<()> {
         match head.slot().0.checked_add(n as u64) {
             Some(end) if end <= self.total_blocks() => Ok(()),
             _ => Err(LfsError::BadAddress(head.0)),
@@ -210,7 +210,7 @@ impl Geometry {
     /// slots holding it, clamped to its segment and to `frontier`, the
     /// first slot the log has not written yet, as (first slot, length).
     /// The length is 0 when `addr` itself is at or past the frontier.
-    pub fn readahead_run(
+    pub(crate) fn readahead_run(
         &self,
         addr: BlockAddr,
         blocks: u32,
@@ -232,7 +232,7 @@ impl Geometry {
     }
 
     /// The plain address `i` slots after `head`.
-    pub fn nth_after(&self, head: BlockAddr, i: u32) -> BlockAddr {
+    pub(crate) fn nth_after(&self, head: BlockAddr, i: u32) -> BlockAddr {
         BlockAddr(head.slot().0 + i as u64)
     }
 }

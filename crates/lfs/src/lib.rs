@@ -41,7 +41,7 @@ pub mod usage;
 pub use bytes::Bytes;
 pub use cache::BlockCache;
 pub use cleaner::{CleanOutcome, Cleaner, CleanerConfig, RelocationCallbacks};
-pub use layout::{BlockAddr, BlockKind, BlockTag, Geometry, SegmentId, BLOCK_SIZE};
+pub use layout::{BlockAddr, BlockKind, BlockTag, Geometry, BLOCK_SIZE};
 pub use log::{FlushStats, Log, LogConfig, Mounted, RecoveredBatch, SegmentMismatch};
 pub use summary::SummaryEntry;
 pub use superblock::Superblock;

@@ -6,7 +6,7 @@
 //! makes comprehensive versioning nearly free (§4.2.1): many small object
 //! updates coalesce into large sequential writes, and old versions are
 //! never moved because nothing is ever overwritten. The batch's first
-//! payload short enough ([`carried_limit`]) takes no block slot: the
+//! payload short enough (`carried_limit`) takes no block slot: the
 //! summary block carries it, so a `Write` + `Sync` commit is summary and
 //! data, its journal container riding in the summary.
 //!
@@ -377,7 +377,7 @@ impl<D: BlockDev> Log<D> {
     /// are zero-padded) and returns its assigned address. The block is
     /// buffered until the next [`Log::flush`] but is immediately readable
     /// through [`Log::read_block`]. The first payload of a batch within
-    /// [`carried_limit`] is carried by the batch's summary block instead
+    /// `carried_limit` is carried by the batch's summary block instead
     /// of taking a slot, and its address says so
     /// ([`BlockAddr::is_carried`]); it reads back zero-padded all the same.
     pub fn append(&self, tag: BlockTag, data: &[u8]) -> Result<BlockAddr> {
@@ -588,7 +588,7 @@ impl<D: BlockDev> Log<D> {
     /// Reads `n` contiguous blocks starting at `head` in one device
     /// transfer, bypassing the cache (used by the cleaner, whose large
     /// sequential reads the paper's Figure 5 cost model depends on).
-    pub fn read_blocks_raw(&self, head: BlockAddr, n: u32) -> Result<Vec<u8>> {
+    pub(crate) fn read_blocks_raw(&self, head: BlockAddr, n: u32) -> Result<Vec<u8>> {
         self.flush()?;
         self.geo.check_run(head, n)?;
         if n == 0 {
@@ -694,7 +694,7 @@ impl<D: BlockDev> Log<D> {
 
     /// Segments that must never be reclaimed: the active segment and the
     /// segments holding the current anchor state.
-    pub fn protected_segments(&self) -> Vec<SegmentId> {
+    pub(crate) fn protected_segments(&self) -> Vec<SegmentId> {
         let st = self.state.lock();
         let mut out = vec![st.seg];
         for a in &st.state_addrs {
@@ -714,7 +714,7 @@ impl<D: BlockDev> Log<D> {
 
     /// Marks `seg` pending-free after the cleaner has relocated its live
     /// blocks.
-    pub fn reclaim_segment(&self, seg: SegmentId) {
+    pub(crate) fn reclaim_segment(&self, seg: SegmentId) {
         let mut usage = self.usage.lock();
         // The cleaner has relocated everything; zero any residual count.
         let residual = usage.get(seg).live_blocks;

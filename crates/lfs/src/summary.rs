@@ -16,7 +16,7 @@
 //! of a `Sync`. So the summary *carries* the batch's first short payload
 //! in its own unused bytes instead of giving it a block slot: the record
 //! is covered by the summary's CRC (a torn record is a torn summary) and
-//! named by [`BlockAddr::carried_by`] the summary's slot.
+//! named by `BlockAddr::carried_by` the summary's slot.
 //!
 //! Block layout (format revision 3): magic (0..4), CRC-32 of bytes 8..
 //! (4..8), epoch (8..16), segment (16..20), offset (20..24), next segment
@@ -45,7 +45,7 @@ pub const NO_NEXT_SEGMENT: u32 = u32::MAX;
 /// entries, less the record's own tag. A batch ends with its segment at
 /// the latest, so a summary that carries a record within the limit
 /// always has room for every entry its batch can take.
-pub fn carried_limit(blocks_per_segment: u32) -> Option<usize> {
+pub(crate) fn carried_limit(blocks_per_segment: u32) -> Option<usize> {
     let tags = ENTRY_BYTES.checked_mul(blocks_per_segment as usize + 1)?;
     (BLOCK_SIZE - HEADER_BYTES).checked_sub(tags)
 }
@@ -90,7 +90,7 @@ pub struct Summary {
 }
 
 /// Maximum number of block entries one summary block can describe.
-pub const MAX_ENTRIES: usize = (BLOCK_SIZE - HEADER_BYTES) / ENTRY_BYTES;
+pub(crate) const MAX_ENTRIES: usize = (BLOCK_SIZE - HEADER_BYTES) / ENTRY_BYTES;
 
 fn put_tag(buf: &mut [u8], tag: &BlockTag) {
     buf[0] = tag.kind as u8;
@@ -110,7 +110,7 @@ impl Summary {
     ///
     /// Panics if the entries and the carried record overrun the block;
     /// the log writer limits batch size and record length
-    /// ([`MAX_ENTRIES`], [`carried_limit`]) so this cannot happen in
+    /// (`MAX_ENTRIES`, `carried_limit`) so this cannot happen in
     /// normal operation.
     pub fn encode(&self) -> Vec<u8> {
         let carried = self.carried.as_ref();
@@ -205,7 +205,7 @@ impl Summary {
     /// True if this is the summary of the batch at block slot `at`: a
     /// block that decodes as a summary of another place is some payload's
     /// bytes.
-    pub fn is_at(&self, geo: &Geometry, at: BlockAddr) -> bool {
+    pub(crate) fn is_at(&self, geo: &Geometry, at: BlockAddr) -> bool {
         self.segment == geo.segment_of(at) && self.offset == geo.offset_in_segment(at)
     }
 
@@ -243,7 +243,7 @@ impl Summary {
     }
 
     /// True if this flush sealed its segment.
-    pub fn seals_segment(&self) -> bool {
+    pub(crate) fn seals_segment(&self) -> bool {
         self.next_segment != NO_NEXT_SEGMENT
     }
 }

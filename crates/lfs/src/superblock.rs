@@ -30,7 +30,7 @@ const FORMAT_VERSION: u32 = 4;
 const UNSUPPORTED_FORMAT: LfsError = LfsError::Corrupt("unsupported on-disk format");
 
 /// Sentinel for "the log has never been anchored".
-pub const NO_STATE: u64 = u64::MAX;
+pub(crate) const NO_STATE: u64 = u64::MAX;
 
 /// On-disk superblock contents.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,7 +49,7 @@ pub struct Superblock {
     /// Epoch the first summary after the anchor carries; roll-forward
     /// accepts only exact epoch sequence from here.
     pub next_summary_epoch: u64,
-    /// First summary epoch of the system-state batches ([`NO_STATE`] if
+    /// First summary epoch of the system-state batches (`NO_STATE` if
     /// never anchored).
     pub state_epoch_first: u64,
     /// Last summary epoch of the system-state batches.
@@ -115,12 +115,12 @@ impl Superblock {
     }
 
     /// True if the log has never been anchored.
-    pub fn has_no_state(&self) -> bool {
+    pub(crate) fn has_no_state(&self) -> bool {
         self.state_epoch_first == NO_STATE
     }
 
     /// Writes this superblock to the copy slot selected by epoch parity.
-    pub fn write_to<D: BlockDev>(&self, dev: &D) -> Result<()> {
+    pub(crate) fn write_to<D: BlockDev>(&self, dev: &D) -> Result<()> {
         let slot = (self.epoch % 2) * Geometry::SUPERBLOCK_COPY_SECTORS;
         dev.write(slot, &self.encode())?;
         dev.sync()?;
@@ -130,7 +130,7 @@ impl Superblock {
     /// Reads both copies and returns the valid one with the larger epoch.
     /// A device error, or an intact copy of another format revision, fails
     /// the mount outright rather than being skipped like a torn copy.
-    pub fn read_latest<D: BlockDev>(dev: &D) -> Result<Superblock> {
+    pub(crate) fn read_latest<D: BlockDev>(dev: &D) -> Result<Superblock> {
         let mut best: Option<Superblock> = None;
         for copy in 0..2u64 {
             let mut buf = vec![0u8; SECTOR_SIZE];

@@ -96,7 +96,7 @@ impl SegmentUsageTable {
 
     /// Marks `seg` allocated (used during crash-recovery roll-forward when
     /// the log is discovered to have continued into `seg`).
-    pub fn force_allocate(&mut self, seg: SegmentId) {
+    pub(crate) fn force_allocate(&mut self, seg: SegmentId) {
         let s = &mut self.segs[seg as usize];
         if s.state == SegmentState::Free {
             self.free_count -= 1;
@@ -129,14 +129,14 @@ impl SegmentUsageTable {
     /// Zeroes every segment's live count (prelude to
     /// [`SegmentUsageTable::add_live`]-based reconstruction from an
     /// authoritative reachable-block set after crash recovery).
-    pub fn zero_live(&mut self) {
+    pub(crate) fn zero_live(&mut self) {
         for s in &mut self.segs {
             s.live_blocks = 0;
         }
     }
 
     /// Increments the live count of `seg` by `n`.
-    pub fn add_live(&mut self, seg: SegmentId, n: u32) {
+    pub(crate) fn add_live(&mut self, seg: SegmentId, n: u32) {
         self.segs[seg as usize].live_blocks += n;
     }
 
@@ -147,7 +147,7 @@ impl SegmentUsageTable {
     /// # Panics
     ///
     /// Panics in debug builds if the segment still has live blocks.
-    pub fn free_segment(&mut self, seg: SegmentId) {
+    pub(crate) fn free_segment(&mut self, seg: SegmentId) {
         let s = &mut self.segs[seg as usize];
         debug_assert_eq!(s.live_blocks, 0, "freeing a segment with live blocks");
         *s = SegmentUsage {
@@ -160,7 +160,7 @@ impl SegmentUsageTable {
     /// Promotes every pending-free segment to free. Safe only once a new
     /// anchor (whose object map no longer references those segments) is
     /// durable on disk.
-    pub fn promote_pending_free(&mut self) -> u32 {
+    pub(crate) fn promote_pending_free(&mut self) -> u32 {
         let mut n = 0;
         for s in &mut self.segs {
             if s.state == SegmentState::PendingFree {
@@ -182,7 +182,7 @@ impl SegmentUsageTable {
 
     /// Segments that are fully written, have zero live blocks, and can be
     /// freed without any copying.
-    pub fn dead_segments(&self, exclude: &[SegmentId]) -> Vec<SegmentId> {
+    pub(crate) fn dead_segments(&self, exclude: &[SegmentId]) -> Vec<SegmentId> {
         self.segs
             .iter()
             .enumerate()
@@ -199,7 +199,7 @@ impl SegmentUsageTable {
     /// The in-use, fully-or-partially written segment with the lowest
     /// live-block count (the cleaner's greedy victim), excluding the
     /// listed segments (e.g. the active one).
-    pub fn lowest_utilization(&self, exclude: &[SegmentId]) -> Option<(SegmentId, u32)> {
+    pub(crate) fn lowest_utilization(&self, exclude: &[SegmentId]) -> Option<(SegmentId, u32)> {
         self.segs
             .iter()
             .enumerate()

@@ -35,6 +35,4 @@ pub mod trace;
 pub use hist::Histogram;
 pub use registry::{Counter, Gauge, HistogramSnapshot, Registry, Sample};
 pub use span::Layer;
-pub use trace::{
-    TraceRecord, TRACE_RECORD_BYTES, TRACE_RECORD_V2_BYTES, TRACE_VERSION_V1, TRACE_VERSION_V2,
-};
+pub use trace::{TraceRecord, TRACE_RECORD_BYTES, TRACE_RECORD_V2_BYTES};

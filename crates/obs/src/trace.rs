@@ -21,12 +21,12 @@ pub const TRACE_RECORD_V2_BYTES: usize = TRACE_RECORD_BYTES + 10;
 /// Version byte of a legacy untraced record. v1 wrote its two reserved
 /// bytes (offsets 26–27) as zeros, so the byte doubles as the version
 /// marker retroactively.
-pub const TRACE_VERSION_V1: u8 = 0;
+pub(crate) const TRACE_VERSION_V1: u8 = 0;
 
 /// Version byte of a record carrying the causal extension. (1 is
 /// deliberately unused: a torn v1 record cannot silently promote itself
 /// to "versioned" with a single bit flip of the low bit.)
-pub const TRACE_VERSION_V2: u8 = 2;
+pub(crate) const TRACE_VERSION_V2: u8 = 2;
 
 /// One dispatched request, as the drive's trace stream records it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -133,12 +133,6 @@ impl MemDisk {
         Self::new(bytes.div_ceil(SECTOR_SIZE as u64))
     }
 
-    /// Number of bytes of backing memory currently allocated (test hook for
-    /// verifying sparseness).
-    pub fn allocated_bytes(&self) -> usize {
-        self.chunks.lock().len() * (CHUNK_SECTORS as usize) * SECTOR_SIZE
-    }
-
     /// Discards all contents, returning the device to all-zeros.
     pub fn wipe(&self) {
         self.chunks.lock().clear();
@@ -275,6 +269,11 @@ impl BlockDev for FileDisk {
 mod tests {
     use super::*;
 
+    /// Bytes of backing memory `d` has allocated.
+    fn allocated_bytes(d: &MemDisk) -> usize {
+        d.chunks.lock().len() * (CHUNK_SECTORS as usize) * SECTOR_SIZE
+    }
+
     #[test]
     fn memdisk_roundtrip() {
         let d = MemDisk::new(1024);
@@ -298,7 +297,7 @@ mod tests {
         let d = MemDisk::with_capacity_bytes(1 << 30); // 1 GiB logical
         d.write(0, &[1u8; SECTOR_SIZE]).unwrap();
         d.write(1_000_000, &[2u8; SECTOR_SIZE]).unwrap();
-        assert!(d.allocated_bytes() <= 2 * 64 * 1024);
+        assert!(allocated_bytes(&d) <= 2 * 64 * 1024);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The paper's S4 prototype stored its log on a 9 GB 10,000 RPM Seagate
 //! Cheetah SCSI drive. This crate substitutes a simulated drive: a sector
 //! store ([`MemDisk`] or [`FileDisk`]) wrapped by [`TimedDisk`], which
-//! charges a mechanical service-time model ([`DiskModel`]) to the shared
+//! charges a mechanical service-time model (`DiskModel`) to the shared
 //! simulated clock and keeps I/O statistics. A [`FaultyDisk`] wrapper
 //! injects failures and torn writes for crash-recovery testing.
 //!
@@ -24,6 +24,6 @@ pub mod trace;
 pub use dev::{BlockDev, DiskError, FileDisk, MemDisk, SECTOR_SIZE};
 pub use fault::{FaultMode, FaultPlan, FaultyDisk, RequestClassMask, TornPattern};
 pub use trace::{TraceClass, TraceDisk, TraceHandle, TraceRecord};
-pub use model::{DiskModel, DiskModelParams};
+pub use model::DiskModelParams;
 pub use stats::{DiskStats, StatsHandle};
 pub use timed::TimedDisk;

@@ -62,7 +62,7 @@ impl DiskModelParams {
 /// Stateful service-time model: remembers where the head is and where the
 /// platter is in its rotation.
 #[derive(Clone, Debug)]
-pub struct DiskModel {
+pub(crate) struct DiskModel {
     params: DiskModelParams,
     num_cylinders: u64,
     /// Track the head currently sits on.
@@ -83,11 +83,6 @@ impl DiskModel {
             current_track: 0,
             angular_sector: 0,
         }
-    }
-
-    /// Returns the model parameters.
-    pub fn params(&self) -> &DiskModelParams {
-        &self.params
     }
 
     /// Seek time for a move of `distance` cylinders, using the standard

@@ -73,7 +73,7 @@ impl StatsHandle {
     }
 
     /// Records one read of `sectors` sectors taking `t`.
-    pub fn record_read(&self, sectors: u64, t: SimDuration) {
+    pub(crate) fn record_read(&self, sectors: u64, t: SimDuration) {
         self.inner.reads.fetch_add(1, Ordering::Relaxed);
         self.inner
             .sectors_read
@@ -84,7 +84,7 @@ impl StatsHandle {
     }
 
     /// Records one write of `sectors` sectors taking `t`.
-    pub fn record_write(&self, sectors: u64, t: SimDuration) {
+    pub(crate) fn record_write(&self, sectors: u64, t: SimDuration) {
         self.inner.writes.fetch_add(1, Ordering::Relaxed);
         self.inner
             .sectors_written

@@ -10,7 +10,7 @@ use crate::model::{DiskModel, DiskModelParams};
 use crate::stats::{DiskStats, StatsHandle};
 use crate::SECTOR_SIZE;
 
-/// A block device that charges a [`DiskModel`]'s service time to a
+/// A block device that charges a `DiskModel`'s service time to a
 /// [`SimClock`] and records [`DiskStats`] for every request, delegating
 /// the actual data movement to an inner [`BlockDev`].
 pub struct TimedDisk<D: BlockDev> {

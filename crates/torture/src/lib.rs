@@ -8,7 +8,7 @@
 //! and its mount), the `run` that is, and the `check` that runs after
 //! the power comes back. Its devices sit on one [`Rail`] of
 //! [`FaultyDisk`]s — a one-drive scenario is a rail of one. `enumerate`
-//! counts an uncut run's [`CRASH_MASK`] requests: a device's *window* is
+//! counts an uncut run's `CRASH_MASK` requests: a device's *window* is
 //! its count after `setup` up to its count after `run`, and the crash
 //! points are the windows device by device. It cuts every point, or a
 //! `div_ceil` stride of them, each under its rotating slice of the
@@ -46,7 +46,8 @@ use s4_simdisk::{FaultPlan, FaultyDisk, MemDisk, RequestClassMask, TornPattern};
 /// superblock barrier (`BlockDev::sync`, issued when an anchor commits).
 /// Reads are excluded — they cannot affect durability, and counting them
 /// would make the domain depend on cache behaviour.
-pub const CRASH_MASK: RequestClassMask = RequestClassMask::WRITES.union(RequestClassMask::SYNCS);
+pub(crate) const CRASH_MASK: RequestClassMask =
+    RequestClassMask::WRITES.union(RequestClassMask::SYNCS);
 
 /// Every device a scenario runs on.
 pub type Disk = FaultyDisk<MemDisk>;

@@ -215,7 +215,7 @@ impl Oracle {
     /// it is not older than the expiry cutoff.
     /// Returns the number of version checks performed; `what` labels
     /// failures.
-    pub fn verify_durable<D: BlockDev>(
+    pub(crate) fn verify_durable<D: BlockDev>(
         &self,
         drive: &S4Drive<D>,
         boundary: SimTime,
@@ -233,7 +233,7 @@ impl Oracle {
 
     /// The cross-product check: every object at every checkpoint instant
     /// — the strongest validation; crashed replays use the cheaper
-    /// per-version [`Oracle::verify_durable`].
+    /// per-version `verify_durable`.
     pub fn verify_full<D: BlockDev>(&self, drive: &S4Drive<D>, what: &str) -> usize {
         let mut checked = 0;
         for &raw in &self.order {

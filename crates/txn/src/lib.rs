@@ -74,7 +74,7 @@ impl TxIdGen {
 /// Namespace prefix of coordinator decision notes: they live in the
 /// partition table of shard 0 under the array's reserved name prefix, so
 /// clients can never collide with (or forge) them.
-pub const TXN_NOTE_PREFIX: &str = "__s4/txn/";
+pub(crate) const TXN_NOTE_PREFIX: &str = "__s4/txn/";
 
 /// The decision-note partition name for `txid`.
 pub fn note_name(txid: TxId) -> String {

@@ -47,7 +47,7 @@ pub mod srctree;
 pub mod sshbuild;
 
 pub use micro::{micro_benchmark, MicroConfig, MicroPhases};
-pub use ops::{replay, replay_with_clock, trace_write_bytes, FsOp, ReplayStats};
+pub use ops::{replay, replay_with_clock, FsOp, ReplayStats};
 pub use postmark::{PostmarkConfig, PostmarkPhases};
 pub use profiles::{WorkloadProfile, AFS_SERVER, ELEPHANT_FS, NT_PERSONAL};
 pub use rng::Rng;

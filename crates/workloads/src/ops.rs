@@ -236,8 +236,9 @@ pub fn replay_with_clock<S: FileServer + ?Sized>(
     stats
 }
 
-/// Total bytes a trace writes (for capacity accounting).
-pub fn trace_write_bytes(trace: &[FsOp]) -> u64 {
+/// Total bytes a trace writes.
+#[cfg(test)]
+pub(crate) fn trace_write_bytes(trace: &[FsOp]) -> u64 {
     trace
         .iter()
         .map(|op| match op {

@@ -251,54 +251,3 @@ fn history_pool_grows_and_cleaner_reclaims_under_pressure() {
     let data = fs.read(f, 0, 16 * 1024).unwrap();
     assert!(data.iter().all(|&b| b == 199));
 }
-
-#[test]
-fn baselines_and_s4_agree_on_file_semantics() {
-    // Differential test: replay the same trace against S4 and the FFS
-    // baseline; final file contents must agree byte-for-byte.
-    let (s4, _drive, _clock) = setup(128);
-    let clock2 = SimClock::new();
-    let ffs = s4_baseline::UipServer::format(
-        TimedDisk::new(
-            MemDisk::with_capacity_bytes(128 << 20),
-            DiskModelParams::cheetah_9gb_10k(),
-            clock2.clone(),
-        ),
-        true,
-        clock2,
-    )
-    .unwrap();
-
-    let pm = postmark::generate(&PostmarkConfig {
-        nfiles: 60,
-        transactions: 200,
-        seed: 99,
-        ..PostmarkConfig::default()
-    });
-    let trace: Vec<_> = pm
-        .create
-        .iter()
-        .chain(pm.transactions.iter())
-        .cloned()
-        .collect();
-    assert_eq!(replay(&s4, &trace).errors, 0);
-    assert_eq!(replay(&ffs, &trace).errors, 0);
-
-    let collect = |srv: &dyn FileServer| {
-        let mut out = std::collections::BTreeMap::new();
-        for (dname, dh, kind) in srv.readdir(srv.root()).unwrap() {
-            if kind != s4_fs::FileKind::Dir {
-                continue;
-            }
-            for (fname, fh, _) in srv.readdir(dh).unwrap() {
-                let size = srv.getattr(fh).unwrap().size;
-                out.insert(format!("{dname}/{fname}"), srv.read(fh, 0, size).unwrap());
-            }
-        }
-        out
-    };
-    let a = collect(&s4);
-    let b = collect(&ffs);
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a, b, "S4 and FFS disagree on final contents");
-}
