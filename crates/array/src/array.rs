@@ -13,7 +13,7 @@ use s4_core::{
 };
 use s4_obs::Registry;
 use s4_simdisk::BlockDev;
-use s4_txn::{parse_note, TxIdGen};
+use s4_txn::parse_note;
 
 use crate::epoch::{EpochInfo, EPOCH_NOTE_PREFIX};
 use crate::router::dense_of;
@@ -88,7 +88,9 @@ pub struct S4Array<D: BlockDev> {
     pub(crate) clock: SimClock,
     pub(crate) cfg: ArrayConfig,
     pub(crate) reshard_reg: Registry,
-    pub(crate) txn_ids: TxIdGen,
+    /// Mints transaction ids: the trace-id generator's scheme, in an
+    /// instance of its own.
+    pub(crate) txn_ids: TraceIdGen,
     pub(crate) txn_reg: Registry,
     /// Decision notes of committed transactions that shard 0 still
     /// holds: the next note install retires those whose participants
@@ -390,7 +392,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
             clock,
             cfg: array,
             reshard_reg: Registry::new(),
-            txn_ids: TxIdGen::new(),
+            txn_ids: TraceIdGen::new(),
             txn_reg,
             txn_notes: Mutex::new(Vec::new()),
             trace_ids: TraceIdGen::new(),

@@ -9,10 +9,8 @@
 //! so compromising one shard (or the array frontend itself) cannot
 //! rewrite another shard's history.
 
-use s4_core::{AuditRecord, ObjectId, RequestContext, S4Drive, S4Error};
-use s4_detect::{
-    assemble_traces, flight_log, object_timeline, Alert, FlightEntry, TimelineEvent, TraceTree,
-};
+use s4_core::{AuditRecord, ObjectId, RequestContext, S4Drive, S4Error, TraceRecord};
+use s4_detect::{assemble_traces, object_timeline, Alert, TimelineEvent, TraceTree};
 use s4_simdisk::BlockDev;
 
 use crate::array::S4Array;
@@ -67,12 +65,13 @@ impl<D: BlockDev + 'static> S4Array<D> {
         )
     }
 
-    /// Every shard's flight recorder merged, sorted by completion time.
-    pub fn flight_log_merged(
+    /// Every shard's persisted trace stream merged, sorted by
+    /// completion time.
+    pub fn read_traces_merged(
         &self,
         admin: &RequestContext,
-    ) -> Result<Vec<Sharded<FlightEntry>>, S4Error> {
-        self.merged(|d| flight_log(d, admin), |e| e.time)
+    ) -> Result<Vec<Sharded<TraceRecord>>, S4Error> {
+        self.merged(|d| d.read_traces(admin), |r| r.time_us)
     }
 
     /// Do the mirrors agree? Compares the in-sync members of every
@@ -102,35 +101,35 @@ impl<D: BlockDev + 'static> S4Array<D> {
         Ok(())
     }
 
-    /// Every *member* drive's flight log, labeled `(shard, member,
-    /// entries)` — the input to cross-shard trace assembly, where
+    /// Every *member* drive's trace stream, labeled `(shard, member,
+    /// records)` — the input to cross-shard trace assembly, where
     /// provenance is which stream vouches for a span, so mirrors are
     /// read individually rather than collapsed to the shard's first
     /// live member. Dead members are skipped (their logs are
     /// unreachable); a member whose stream fails to decode fails the
     /// whole read.
-    fn member_flight_logs(
+    fn member_traces(
         &self,
         admin: &RequestContext,
-    ) -> Result<Vec<(usize, usize, Vec<FlightEntry>)>, S4Error> {
+    ) -> Result<Vec<(usize, usize, Vec<TraceRecord>)>, S4Error> {
         let mut all = Vec::new();
         for (s, shard_states) in self.member_states().iter().enumerate() {
             for (k, state) in shard_states.iter().enumerate() {
                 if *state == MemberState::Dead {
                     continue;
                 }
-                all.push((s, k, flight_log(&self.member_drive(s, k), admin)?));
+                all.push((s, k, self.member_drive(s, k).read_traces(admin)?));
             }
         }
         Ok(all)
     }
 
     /// Assembles every causal trace recorded anywhere in the array:
-    /// reads all member flight logs and joins them on trace id (DESIGN
+    /// reads all member trace streams and joins them on trace id (DESIGN
     /// §6j). Entirely computed from the crash-surviving per-drive
     /// streams, so it works identically on a freshly mounted array.
     pub fn assemble_all_traces(&self, admin: &RequestContext) -> Result<Vec<TraceTree>, S4Error> {
-        Ok(assemble_traces(&self.member_flight_logs(admin)?))
+        Ok(assemble_traces(&self.member_traces(admin)?))
     }
 
     /// Forensic timeline of one object, served by its home shard

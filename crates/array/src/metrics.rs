@@ -1,17 +1,18 @@
 //! Aggregated observability over the member drives' registries.
 //!
 //! Each shard keeps its own [`s4_obs::Registry`]; the array renders one
-//! exposition in which every family a lone drive exposes appears as the
-//! same series ([`Sample::write_prometheus`], [`Sample::to_json`]) with a
-//! `shard` label, plus an array total for counters and gauges (both are
-//! per-drive magnitudes: request counts, occupancy blocks, queue
-//! depths). Histograms never sum — quantiles of quantiles are
-//! meaningless — so they are shard-labeled only.
+//! Prometheus text exposition in which every family a lone drive
+//! exposes appears as the same series ([`Sample::write_prometheus`])
+//! with a `shard` label, plus an unlabeled array total for counters
+//! (request counts, bytes, blocks: per-drive magnitudes that add up).
+//! Gauges are per-drive levels — occupancy fractions, the detection
+//! window, queue depths — and two shards keeping a 7-day window do not
+//! make a 14-day array; histograms never sum either (quantiles of
+//! quantiles are meaningless). Both are shard-labeled only.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use s4_core::S4Drive;
 use s4_obs::Sample;
 use s4_simdisk::BlockDev;
 
@@ -30,31 +31,25 @@ fn get(values: &[(String, u64)], name: &str) -> u64 {
         .map_or(0, |(_, v)| *v)
 }
 
-/// The array total of one family: the sum of its shards' counters or
-/// gauges, none for a histogram.
+/// The array total of one family: the sum of its shards' counters,
+/// none for a gauge or a histogram.
 fn total(samples: &[(usize, Sample)]) -> Option<Sample> {
-    let summable = samples.iter().map(|&(_, s)| match s {
-        Sample::Histogram(_) => None,
-        s => Some(s),
-    });
-    let sum = summable.reduce(|a, b| match (a?, b?) {
-        (Sample::Counter(x), Sample::Counter(y)) => Some(Sample::Counter(x + y)),
-        (Sample::Gauge(x), Sample::Gauge(y)) => Some(Sample::Gauge(x + y)),
+    let counts = samples.iter().map(|&(_, s)| match s {
+        Sample::Counter(v) => Some(v),
         _ => None,
     });
-    sum.flatten()
+    counts.sum::<Option<u64>>().map(Sample::Counter)
 }
 
 impl<D: BlockDev + 'static> S4Array<D> {
     /// Reads every shard's registry (its first live member's) after
-    /// `refresh` has made the drive bring its operational gauges up to
-    /// date.
-    fn gather(&self, mut refresh: impl FnMut(&S4Drive<D>)) -> Families {
+    /// the drive has brought its operational gauges up to date.
+    fn gather(&self) -> Families {
         let mut families = Families::new();
         for s in 0..self.shard_count() {
             let drive = self.shard_drive(s);
             let slot = self.shard_slot(s);
-            refresh(&drive);
+            drive.refresh_gauges();
             for (name, help, sample) in drive.registry().samples() {
                 let family = families.entry(name).or_insert((help, Vec::new()));
                 family.1.push((slot, sample));
@@ -64,9 +59,9 @@ impl<D: BlockDev + 'static> S4Array<D> {
     }
 
     /// Prometheus-style text exposition: one `name{shard="i"}` sample
-    /// per member drive plus an unlabeled array total per name.
+    /// per member drive plus an unlabeled array total per counter.
     pub fn metrics_text(&self) -> String {
-        let mut families = self.gather(S4Drive::refresh_gauges);
+        let mut families = self.gather();
         let degraded = (0..self.shard_count())
             .map(|s| {
                 let degraded = f64::from(u8::from(self.shard_degraded(s)));
@@ -136,45 +131,6 @@ impl<D: BlockDev + 'static> S4Array<D> {
             gauge("s4_reshard_catchup_objects"),
             gauge("s4_reshard_lag"),
             gauge("s4_reshard_rounds"),
-        )
-    }
-
-    /// JSON exposition:
-    /// `{"shards":N,"shard_metrics":[…],"aggregate":{"counters":…,"gauges":…,"histograms":…}}`
-    /// where `shard_metrics[i]` is shard `i`'s full single-drive
-    /// document, `aggregate` sums counters and gauges across shards,
-    /// and `aggregate.histograms` carries each histogram's single-drive
-    /// object per shard label: `{"name":{"<slot>":{…}}}`.
-    pub fn metrics_json(&self) -> String {
-        let n = self.shard_count();
-        let mut per_shard = Vec::with_capacity(n);
-        let families = self.gather(|drive| per_shard.push(drive.metrics_json()));
-        let (mut counters, mut gauges, mut histograms) = (Vec::new(), Vec::new(), Vec::new());
-        for (name, (_, samples)) in &families {
-            let (group, value) = match total(samples) {
-                Some(sum @ Sample::Counter(_)) => (&mut counters, sum.to_json()),
-                Some(sum) => (&mut gauges, sum.to_json()),
-                None => {
-                    let per = samples
-                        .iter()
-                        .map(|(slot, h)| format!("\"{slot}\":{}", h.to_json()));
-                    let per = per.collect::<Vec<_>>().join(",");
-                    (&mut histograms, format!("{{{per}}}"))
-                }
-            };
-            group.push(format!("\"{name}\":{value}"));
-        }
-        let [counters, gauges, histograms] = [counters, gauges, histograms].map(|g| g.join(","));
-        let degraded = (0..n)
-            .map(|s| if self.shard_degraded(s) { "1" } else { "0" })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"shards\":{n},\"mirrors\":{},\"degraded\":[{degraded}],\"reshard\":{},\"txn\":{},\"shard_metrics\":[{}],\"aggregate\":{{\"counters\":{{{counters}}},\"gauges\":{{{gauges}}},\"histograms\":{{{histograms}}}}}}}",
-            self.mirror_count(),
-            self.reshard_registry().render_json(),
-            self.txn_registry().render_json(),
-            per_shard.join(",")
         )
     }
 }

@@ -287,7 +287,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
         touched: &[usize],
     ) -> Option<Vec<s4_core::Result<Response>>> {
         let gates = self.hold(r, touched, RwLock::read)?;
-        let txid = self.txn_ids.next(self.clock.now().as_micros());
+        let txid = TxId(self.txn_ids.next(self.clock.now().as_micros()));
         let mut ops = ArrayTxn {
             r,
             ctx: *ctx,

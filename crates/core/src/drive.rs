@@ -634,15 +634,8 @@ impl<D: BlockDev> S4Drive<D> {
         self.obs.registry.render_prometheus()
     }
 
-    /// JSON exposition of every drive metric, with operational gauges
-    /// refreshed first.
-    pub fn metrics_json(&self) -> String {
-        self.refresh_gauges();
-        self.obs.registry.render_json()
-    }
-
-    /// Recomputes the operational gauges. The two expositions above do
-    /// it before rendering; an aggregator that reads the registry itself
+    /// Recomputes the operational gauges. The exposition above does it
+    /// before rendering; an aggregator that reads the registry itself
     /// (the array) calls it first.
     pub fn refresh_gauges(&self) {
         let (journal_depth, audit_blocks, alert_blocks, trace_blocks, objects, window_us) = {

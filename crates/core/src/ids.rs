@@ -182,6 +182,7 @@ mod tests {
         let a = g.next(1_000_000);
         let b = g.next(1_000_000);
         assert_ne!(a, b, "same-microsecond ids must differ");
+        assert!(b < g.next(2_000_000), "later micros dominate the counter");
 
         // `stamp` mints for an untraced context and leaves a traced one.
         let clock = s4_clock::SimClock::new();

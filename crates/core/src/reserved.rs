@@ -37,7 +37,7 @@ use s4_lfs::{BlockAddr, BlockKind, BlockTag, Log, BLOCK_SIZE};
 use s4_obs::TraceRecord;
 use s4_simdisk::BlockDev;
 
-use crate::audit::{AuditRecord, AuditState, RECORD_BLOCK_BYTES};
+use crate::audit::{AuditRecord, AuditState, OpKind, RECORD_BLOCK_BYTES};
 use crate::codec::Reader;
 use crate::drive::{Inner, S4Drive, ALERT_OBJECT};
 use crate::ids::{ClientId, ObjectId, RequestContext, UserId};
@@ -370,10 +370,17 @@ pub(crate) fn decode_blobs(payload: &[u8]) -> Result<Vec<Vec<u8>>> {
     Ok(out)
 }
 
+/// Decodes every record in a trace block payload. The drive writes only
+/// the op codes of requests it dispatched, so a record whose op byte
+/// names no [`OpKind`] is as malformed as a torn one.
 fn decode_traces(payload: &[u8]) -> Result<Vec<TraceRecord>> {
     decode_blobs(payload)?
         .iter()
-        .map(|b| TraceRecord::decode(b).ok_or(S4Error::BadRequest("malformed trace record")))
+        .map(|b| {
+            TraceRecord::decode(b)
+                .filter(|r| OpKind::from_u8(r.op).is_ok())
+                .ok_or(S4Error::BadRequest("malformed trace record"))
+        })
         .collect()
 }
 
@@ -701,7 +708,7 @@ impl<D: BlockDev> S4Drive<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::{OpKind, RECORD_BYTES};
+    use crate::audit::RECORD_BYTES;
     use crate::drive::AUDIT_OBJECT;
     use s4_lfs::LogConfig;
     use s4_simdisk::MemDisk;
@@ -914,6 +921,39 @@ mod tests {
         let mut b = alerts();
         b.replay_block(BlockAddr(10), &block).unwrap();
         assert_eq!((b.total(), b.blocks()), (2, &[BlockAddr(10)][..]));
+    }
+
+    /// A trace record whose op byte no `OpKind` names fails the read of
+    /// the block that holds it — in the volatile tail and once spilled —
+    /// with an error, not a panic and not a record.
+    #[test]
+    fn a_trace_record_with_an_unknown_op_byte_fails_the_read() {
+        let good = TraceRecord {
+            time_us: 5,
+            user: 1,
+            client: 1,
+            op: OpKind::Write as u8,
+            ok: true,
+            ..TraceRecord::default()
+        };
+        let bad = TraceRecord { op: 0xEE, ..good };
+        assert!(OpKind::from_u8(bad.op).is_err());
+        let mut block = ReservedLog::new(crate::drive::TRACE_OBJECT, Framing::Blobs);
+        block.push_blob(&good.encode()).unwrap();
+        assert_eq!(decode_traces(&block.pending).unwrap(), [good]);
+        block.push_blob(&bad.encode()).unwrap();
+        assert!(decode_traces(&block.pending).is_err());
+
+        let clock = s4_clock::SimClock::new();
+        let config = crate::DriveConfig::small_test();
+        let d = S4Drive::format(MemDisk::new(400_000), config, clock).unwrap();
+        let admin = RequestContext::admin(ClientId(9), d.config().admin_token);
+        d.persist_trace(good);
+        assert_eq!(d.read_traces(&admin).unwrap().len(), 1);
+        d.persist_trace(bad);
+        assert!(d.read_traces(&admin).is_err(), "unknown op in the tail");
+        d.force_anchor().unwrap();
+        assert!(d.read_traces(&admin).is_err(), "unknown op in a block");
     }
 
     /// Appends `n` numbered blobs, anchoring (spilling the partial tail)

@@ -3,7 +3,7 @@
 //! Since the observability PR these are backed by [`s4_obs`] registry
 //! counters: a drive's `DriveStats` registers each counter as
 //! `s4_<name>_total` in its metrics [`Registry`], so the same cells
-//! feed both the long-standing `snapshot()` API and the Prometheus/JSON
+//! feed both the long-standing `snapshot()` API and the Prometheus text
 //! exposition (`S4Drive::metrics_text`). The public API is unchanged.
 
 use s4_obs::{Counter, Registry};

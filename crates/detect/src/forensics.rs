@@ -1,5 +1,6 @@
 //! Forensic analysis: damage reports, per-object tamper timelines,
-//! namespace tree diffs, and audit-coverage accounting.
+//! namespace tree diffs, audit-coverage accounting, and cross-shard
+//! trace assembly.
 //!
 //! Everything here runs against the drive interface with the admin
 //! context — the administrator's console inside the security perimeter
@@ -9,16 +10,17 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use s4_clock::{SimDuration, SimTime};
 use s4_core::{
-    ClientId, ObjectId, OpKind, RequestContext, S4Drive, S4Error, UserId, VersionRecord,
+    ClientId, ObjectId, OpKind, RequestContext, S4Drive, S4Error, TraceRecord, UserId,
+    VersionRecord,
 };
 use s4_simdisk::BlockDev;
 
 use crate::dirblob::{self, EntryKind};
 
 // ---------------------------------------------------------------------
-// Damage report (§3.6). Migrated from `s4_fs::tools`, which re-exports
-// it for compatibility: diagnosis is drive-level work and must not
-// require a file-server mount.
+// Damage report (§3.6). It lives here, not in `s4_fs::tools`:
+// diagnosis is drive-level work and must not require a file-server
+// mount.
 // ---------------------------------------------------------------------
 
 /// The outcome of an audit-log damage analysis.
@@ -328,81 +330,6 @@ pub fn tree_diff<D: BlockDev>(
 }
 
 // ---------------------------------------------------------------------
-// Flight-recorder readback. The drive persists a trace record per
-// dispatched request to a reserved, drive-written-only object (see
-// `s4_core::TRACE_OBJECT`); like the audit log it survives crashes and
-// host compromise, so the administrator can reconstruct the request
-// stream — with per-layer latency attribution — leading up to an
-// incident or power loss.
-// ---------------------------------------------------------------------
-
-/// One decoded flight-recorder trace: a dispatched request with its
-/// per-layer latency attribution (simulated microseconds).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FlightEntry {
-    /// Position in the drive's trace stream (contiguous from 0).
-    pub seq: u64,
-    /// Drive-clock time the request completed.
-    pub time: SimTime,
-    /// Requesting user.
-    pub user: UserId,
-    /// Requesting client machine.
-    pub client: ClientId,
-    /// Operation kind.
-    pub op: OpKind,
-    /// Whether the request succeeded.
-    pub ok: bool,
-    /// Primary object touched (0 when not object-specific).
-    pub object: ObjectId,
-    /// End-to-end dispatch latency.
-    pub rpc_us: u64,
-    /// Time spent in the metadata journal (including its flushes).
-    pub journal_us: u64,
-    /// Disk time incurred inside LFS segment writes.
-    pub lfs_us: u64,
-    /// Raw device service time.
-    pub disk_us: u64,
-    /// Causal trace id this record belongs to (0 = untraced v1 record).
-    pub trace_id: u64,
-    /// Dense shard index the traced request entered the array at.
-    pub origin: u8,
-    /// Dispatch phase (one of `s4_core`'s `PHASE_*` constants).
-    pub phase: u8,
-}
-
-/// Reads back the drive's persisted flight-recorder stream, oldest
-/// first (admin only). After a crash this returns the prefix of the
-/// trace stream that had spilled to stable storage — the last moments
-/// before the lights went out.
-pub fn flight_log<D: BlockDev>(
-    drive: &S4Drive<D>,
-    admin: &RequestContext,
-) -> Result<Vec<FlightEntry>, S4Error> {
-    drive
-        .read_traces(admin)?
-        .into_iter()
-        .map(|r| {
-            Ok(FlightEntry {
-                seq: r.seq,
-                time: SimTime::from_micros(r.time_us),
-                user: UserId(r.user),
-                client: ClientId(r.client),
-                op: OpKind::from_u8(r.op)?,
-                ok: r.ok,
-                object: ObjectId(r.object),
-                rpc_us: r.rpc_us,
-                journal_us: r.journal_us,
-                lfs_us: r.lfs_us,
-                disk_us: r.disk_us,
-                trace_id: r.trace_id,
-                origin: r.origin,
-                phase: r.phase,
-            })
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
 // Cross-shard trace assembly (DESIGN §6j). Each member drive persists
 // v2 trace records carrying a causal trace id; joining every member's
 // stream on that id reconstructs the whole distributed request — which
@@ -412,9 +339,9 @@ pub fn flight_log<D: BlockDev>(
 // ---------------------------------------------------------------------
 
 /// One span of an assembled trace: a trace record read back from a
-/// specific member drive's stream. The (shard, member) provenance comes
-/// from *which stream vouches for it*, not from the record bytes — a
-/// drive can only write its own stream.
+/// specific member drive's stream ([`S4Drive::read_traces`]). The
+/// (shard, member) provenance comes from *which stream vouches for it*,
+/// not from the record bytes — a drive can only write its own stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceSpan {
     /// Dense shard index whose member stream held the record.
@@ -422,7 +349,7 @@ pub struct TraceSpan {
     /// Mirror member index within the shard.
     pub member: usize,
     /// The record itself.
-    pub entry: FlightEntry,
+    pub record: TraceRecord,
 }
 
 /// One distributed request, re-joined from every member stream that
@@ -442,13 +369,18 @@ pub struct TraceTree {
 impl TraceTree {
     /// Earliest span completion time (drive clock).
     pub fn start(&self) -> SimTime {
-        self.spans.iter().map(|s| s.entry.time).min().unwrap_or(SimTime::ZERO)
+        let first = self.spans.iter().map(|s| s.record.time_us).min();
+        SimTime::from_micros(first.unwrap_or(0))
     }
 
     /// Slowest single span's end-to-end latency — the trace's critical
     /// path lower bound (spans on distinct shards overlap).
     pub fn max_rpc_us(&self) -> u64 {
-        self.spans.iter().map(|s| s.entry.rpc_us).max().unwrap_or(0)
+        self.spans
+            .iter()
+            .map(|s| s.record.rpc_us)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Distinct dense shard indices the trace touched.
@@ -478,28 +410,28 @@ fn phase_rank(phase: u8) -> u8 {
 }
 
 /// Joins per-member trace streams on trace id: `streams` pairs each
-/// `(shard, member)` with that member drive's flight log (see
-/// [`flight_log`]). Untraced (v1) records are skipped. Returns one
-/// [`TraceTree`] per distinct id, ordered by first span time.
-pub fn assemble_traces(streams: &[(usize, usize, Vec<FlightEntry>)]) -> Vec<TraceTree> {
+/// `(shard, member)` with that member drive's persisted trace stream
+/// ([`S4Drive::read_traces`]). Untraced (v1) records are skipped.
+/// Returns one [`TraceTree`] per distinct id, ordered by first span time.
+pub fn assemble_traces(streams: &[(usize, usize, Vec<TraceRecord>)]) -> Vec<TraceTree> {
     let mut by_id: BTreeMap<u64, Vec<TraceSpan>> = BTreeMap::new();
-    for (shard, member, entries) in streams {
-        for e in entries {
-            if e.trace_id == 0 {
+    for (shard, member, records) in streams {
+        for &record in records {
+            if record.trace_id == 0 {
                 continue;
             }
-            by_id.entry(e.trace_id).or_default().push(TraceSpan {
+            by_id.entry(record.trace_id).or_default().push(TraceSpan {
                 shard: *shard,
                 member: *member,
-                entry: e.clone(),
+                record,
             });
         }
     }
     let mut trees: Vec<TraceTree> = by_id
         .into_iter()
         .map(|(trace_id, mut spans)| {
-            spans.sort_by_key(|s| (phase_rank(s.entry.phase), s.shard, s.member, s.entry.seq));
-            let origin = spans[0].entry.origin;
+            spans.sort_by_key(|s| (phase_rank(s.record.phase), s.shard, s.member, s.record.seq));
+            let origin = spans[0].record.origin;
             TraceTree {
                 trace_id,
                 origin,
@@ -519,6 +451,13 @@ pub fn slowest_traces(trees: &[TraceTree], k: usize) -> Vec<&TraceTree> {
     refs.sort_by_key(|t| (std::cmp::Reverse(t.max_rpc_us()), t.trace_id));
     refs.truncate(k);
     refs
+}
+
+/// An op byte as its `OpKind` name; a byte no kind names (only a
+/// hand-built record carries one: the drive's decoder refuses it)
+/// prints as `op<N>`.
+fn op_name(op: u8) -> String {
+    OpKind::from_u8(op).map_or_else(|_| format!("op{op}"), |k| format!("{k:?}"))
 }
 
 /// Renders one assembled trace as a causal tree, one span per line,
@@ -545,13 +484,10 @@ pub fn render_trace_tree(tree: &TraceTree) -> String {
     let mut last_phase: Option<u8> = None;
     let mut last_shard: Option<usize> = None;
     for s in &tree.spans {
-        if last_phase != Some(s.entry.phase) {
-            let _ = writeln!(
-                out,
-                "  phase {}",
-                s4_core::TraceCtx::phase_name(s.entry.phase)
-            );
-            last_phase = Some(s.entry.phase);
+        let r = &s.record;
+        if last_phase != Some(r.phase) {
+            let _ = writeln!(out, "  phase {}", s4_core::TraceCtx::phase_name(r.phase));
+            last_phase = Some(r.phase);
             last_shard = None;
         }
         if last_shard != Some(s.shard) {
@@ -560,16 +496,16 @@ pub fn render_trace_tree(tree: &TraceTree) -> String {
         }
         let _ = writeln!(
             out,
-            "      member {}: {:?} {} {} rpc={}us journal={}us lfs={}us disk={}us @{}us",
+            "      member {}: {} {} {} rpc={}us journal={}us lfs={}us disk={}us @{}us",
             s.member,
-            s.entry.op,
-            s.entry.object,
-            if s.entry.ok { "ok" } else { "FAILED" },
-            s.entry.rpc_us,
-            s.entry.journal_us,
-            s.entry.lfs_us,
-            s.entry.disk_us,
-            s.entry.time.as_micros(),
+            op_name(r.op),
+            ObjectId(r.object),
+            if r.ok { "ok" } else { "FAILED" },
+            r.rpc_us,
+            r.journal_us,
+            r.lfs_us,
+            r.disk_us,
+            r.time_us,
         );
     }
     out
@@ -690,7 +626,7 @@ mod tests {
     }
 
     #[test]
-    fn flight_log_mirrors_the_request_stream() {
+    fn read_traces_mirrors_the_request_stream() {
         let (d, admin, user) = drive();
         let oid = create(&d, &user);
         tick(&d);
@@ -717,49 +653,44 @@ mod tests {
             )
             .is_err());
 
-        let log = flight_log(&d, &admin).unwrap();
+        let log = d.read_traces(&admin).unwrap();
         assert!(log.len() >= 3);
         for (i, e) in log.iter().enumerate() {
             assert_eq!(e.seq, i as u64, "trace stream must be contiguous");
         }
         let write = log
             .iter()
-            .find(|e| e.op == OpKind::Write && e.user == UserId(1))
+            .find(|e| e.op == OpKind::Write as u8 && e.user == 1)
             .unwrap();
         assert!(write.ok);
-        assert_eq!(write.object, oid);
+        assert_eq!(write.object, oid.0);
         let denied = log
             .iter()
-            .find(|e| e.user == UserId(7))
+            .find(|e| e.user == 7)
             .expect("denied request must still be traced");
         assert!(!denied.ok);
-        assert_eq!(denied.op, OpKind::Write);
+        assert_eq!(denied.op, OpKind::Write as u8);
 
         // Non-admin principals cannot read the flight recorder.
-        assert!(matches!(
-            flight_log(&d, &user),
-            Err(S4Error::AccessDenied)
-        ));
+        assert!(matches!(d.read_traces(&user), Err(S4Error::AccessDenied)));
     }
 
     #[test]
     fn trace_assembly_joins_member_streams_on_id() {
         use s4_core::{PHASE_APPLY, PHASE_DECIDE, PHASE_PREPARE};
-        let entry = |seq: u64, id: u64, phase: u8, rpc: u64| FlightEntry {
+        let entry = |seq: u64, id: u64, phase: u8, rpc: u64| TraceRecord {
             seq,
-            time: SimTime::from_micros(1_000 + seq),
-            user: UserId(1),
-            client: ClientId(1),
-            op: OpKind::Write,
+            time_us: 1_000 + seq,
+            user: 1,
+            client: 1,
+            op: OpKind::Write as u8,
             ok: true,
-            object: ObjectId(9),
+            object: 9,
             rpc_us: rpc,
-            journal_us: 0,
-            lfs_us: 0,
-            disk_us: 0,
             trace_id: id,
             origin: 1,
             phase,
+            ..TraceRecord::default()
         };
         // Two shards, two members each; trace 0x42 touches both shards
         // (prepare + decide), trace 0x43 only shard 0; untraced records
@@ -778,8 +709,14 @@ mod tests {
         assert_eq!(t42.max_rpc_us(), 55);
         assert_eq!(t42.origin, 1);
         // Causal order: every prepare span precedes every decide span.
-        let last_prepare = t42.spans.iter().rposition(|s| s.entry.phase == PHASE_PREPARE);
-        let first_decide = t42.spans.iter().position(|s| s.entry.phase == PHASE_DECIDE);
+        let last_prepare = t42
+            .spans
+            .iter()
+            .rposition(|s| s.record.phase == PHASE_PREPARE);
+        let first_decide = t42
+            .spans
+            .iter()
+            .position(|s| s.record.phase == PHASE_DECIDE);
         assert!(last_prepare.unwrap() < first_decide.unwrap());
 
         let slow = slowest_traces(&trees, 1);
@@ -789,6 +726,7 @@ mod tests {
         assert!(text.contains("phase decide"), "{text}");
         assert!(text.contains("shard 1"), "{text}");
         assert!(text.contains("member 1"), "{text}");
+        assert!(text.contains("member 0: Write obj:9 ok rpc=55us"), "{text}");
     }
 
     /// The drive raises its alert-object-growth self-alert through the

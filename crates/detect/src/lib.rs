@@ -52,9 +52,9 @@ mod timeline;
 
 pub use detector::{install_standard_monitor, read_alerts, scan_audit, Detector, DetectorSet};
 pub use forensics::{
-    assemble_traces, audit_coverage, damage_report, flight_log, object_timeline,
-    render_trace_tree, slowest_traces, tree_at, tree_diff, CoverageReport, DamageReport,
-    FlightEntry, TimelineEvent, TimelineSource, TraceSpan, TraceTree, TreeDiff, TreeNode,
+    assemble_traces, audit_coverage, damage_report, object_timeline, render_trace_tree,
+    slowest_traces, tree_at, tree_diff, CoverageReport, DamageReport, TimelineEvent,
+    TimelineSource, TraceSpan, TraceTree, TreeDiff, TreeNode,
 };
 pub use recovery::{
     execute_plan_on, plan_recovery, PlannedAction, RecoveryAction, RecoveryPlan, RecoveryReport,

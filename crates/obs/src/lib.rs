@@ -9,7 +9,7 @@
 //!
 //! * [`registry`] — a named-metric registry holding monotonic
 //!   [`Counter`]s, float [`Gauge`]s, and log-linear latency
-//!   [`Histogram`]s, rendered as Prometheus-style text or JSON;
+//!   [`Histogram`]s, rendered as Prometheus-style text;
 //! * [`hist`] — the histogram itself (4 linear sub-buckets per
 //!   power-of-two octave; constant memory, lock-free recording,
 //!   p50/p90/p99/max queries);

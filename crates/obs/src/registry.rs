@@ -1,5 +1,4 @@
-//! Named-metric registry with Prometheus-style text and JSON
-//! exposition.
+//! Named-metric registry with a Prometheus-style text exposition.
 //!
 //! Names follow Prometheus conventions (`s4_requests_total`,
 //! `s4_rpc_latency_us`). The registry hands out shared handles —
@@ -46,7 +45,7 @@ impl Gauge {
     }
 
     pub fn set(&self, v: f64) {
-        // Non-finite values would corrupt JSON output; clamp to zero.
+        // Non-finite values clamp to zero: every series is a number.
         let v = if v.is_finite() { v } else { 0.0 };
         self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
@@ -87,8 +86,8 @@ struct Entry {
     metric: Metric,
 }
 
-/// Point-in-time view of one histogram: count plus the quantile bounds
-/// array aggregation and the JSON exposition report.
+/// Point-in-time view of one histogram: count, sum and the quantile
+/// bounds its summary series report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     pub count: u64,
@@ -145,21 +144,6 @@ impl Sample {
                 let _ = writeln!(out, "{name}_sum{braced} {}", h.sum);
                 let _ = writeln!(out, "{name}_count{braced} {}", h.count);
             }
-        }
-    }
-
-    /// The value in JSON: a number (`{}` on a finite f64 prints `12` for
-    /// 12.0, valid in JSON and Prometheus alike), or for a histogram its
-    /// count/sum/max and p50/p90/p99. Hand-rolled — no strings to escape.
-    pub fn to_json(&self) -> String {
-        match self {
-            Sample::Counter(v) => v.to_string(),
-            Sample::Gauge(v) => v.to_string(),
-            Sample::Histogram(h) => format!(
-                "{{\"count\":{},\"sum_us\":{},\"max_us\":{},\
-                 \"p50_us\":{},\"p90_us\":{},\"p99_us\":{}}}",
-                h.count, h.sum, h.max, h.p50, h.p90, h.p99,
-            ),
         }
     }
 }
@@ -272,26 +256,6 @@ impl Registry {
         }
         out
     }
-
-    /// JSON exposition: `{"counters":{…},"gauges":{…},"histograms":{…}}`,
-    /// each member `"name":` [`Sample::to_json`].
-    pub fn render_json(&self) -> String {
-        let (mut counters, mut gauges, mut hists) = (Vec::new(), Vec::new(), Vec::new());
-        for (name, _, sample) in self.samples() {
-            let group = match sample {
-                Sample::Counter(_) => &mut counters,
-                Sample::Gauge(_) => &mut gauges,
-                Sample::Histogram(_) => &mut hists,
-            };
-            group.push(format!("\"{name}\":{}", sample.to_json()));
-        }
-        format!(
-            "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
-            counters.join(","),
-            gauges.join(","),
-            hists.join(",")
-        )
-    }
 }
 
 #[cfg(test)]
@@ -365,24 +329,5 @@ mod tests {
         assert_eq!(snap.max, 100);
         assert!(snap.p50 >= 50 && snap.p50 <= 63, "p50 = {}", snap.p50);
         assert!(snap.p99 >= 99, "p99 = {}", snap.p99);
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let r = Registry::new();
-        r.counter("s4_x_total", "x").add(1);
-        r.gauge("s4_y", "y").set(2.5);
-        r.histogram("s4_z_us", "z").record(100);
-        let j = r.render_json();
-        assert!(j.starts_with("{\"counters\":{"));
-        assert!(j.contains("\"s4_x_total\":1"));
-        assert!(j.contains("\"s4_y\":2.5"));
-        assert!(j.contains("\"s4_z_us\":{\"count\":1"));
-        assert!(j.ends_with("}"));
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "balanced braces"
-        );
     }
 }

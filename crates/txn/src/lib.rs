@@ -28,16 +28,17 @@
 //! note: present ⇒ redo (effects are already durable — commit is pure
 //! bookkeeping), absent ⇒ abort via compensation.
 //!
-//! This crate is dependency-free: it owns transaction-id generation, the
+//! This crate is dependency-free: it owns the transaction-id type, the
 //! decision-note naming scheme, and the generic coordinator driver
 //! ([`run`]) over an abstract [`TwoPhaseOps`] port, so the state-machine
-//! logic is unit-testable without spinning up an array.
+//! logic is unit-testable without spinning up an array. The array mints
+//! ids with the same clock-and-counter generator as trace ids
+//! (`s4_core::TraceIdGen`, an instance of its own).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A transaction identifier, unique per array lifetime.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -46,28 +47,6 @@ pub struct TxId(pub u64);
 impl fmt::Display for TxId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:016x}", self.0)
-    }
-}
-
-/// Allocates [`TxId`]s: the caller's clock supplies the high bits (so
-/// ids are roughly time-ordered and survive restarts without
-/// coordination) and a process-local counter disambiguates ids minted in
-/// the same microsecond.
-#[derive(Debug, Default)]
-pub struct TxIdGen {
-    counter: AtomicU64,
-}
-
-impl TxIdGen {
-    /// A fresh generator.
-    pub fn new() -> Self {
-        TxIdGen::default()
-    }
-
-    /// Mints the next id for a transaction starting at `now_micros`.
-    pub fn next(&self, now_micros: u64) -> TxId {
-        let c = self.counter.fetch_add(1, Ordering::Relaxed);
-        TxId((now_micros << 16) | (c & 0xFFFF))
     }
 }
 
@@ -189,16 +168,6 @@ pub fn run<O: TwoPhaseOps>(ops: &mut O, txid: TxId, shards: &[usize]) -> TxnOutc
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn txids_are_unique_and_time_ordered() {
-        let g = TxIdGen::new();
-        let a = g.next(1_000);
-        let b = g.next(1_000);
-        let c = g.next(2_000);
-        assert_ne!(a, b);
-        assert!(b < c, "later micros dominate the counter");
-    }
 
     #[test]
     fn note_names_round_trip_and_reject_garbage() {

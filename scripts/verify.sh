@@ -55,7 +55,11 @@
 #    pre-intrusion state (the example asserts both)
 # 5. the observability smoke check: format a scratch image, drive it
 #    through the CLI, and require `s4 stats` to expose the per-layer
-#    latency summaries and window gauges (saved to target/verify-stats.prom)
+#    latency summaries and window gauges (saved to target/verify-stats.prom);
+#    then split it onto a second image with `s4 reshard` and require the
+#    two-image array's exposition to carry shard-labeled series and an
+#    unlabeled counter total but no unlabeled gauge total (a gauge is a
+#    per-drive level; saved to target/verify-stats-array.prom)
 # 6. the simulated figures, gated: fig2_metadata, fig3_postmark,
 #    fig4_sshbuild, fig6_audit, fig7_capacity, ablations, compaction,
 #    detector_overhead, fig_array and fig_reshard at scale 0.25. Each
@@ -285,7 +289,7 @@ echo "== pub census (every pub item outside s4-bench has a user outside its crat
 pub_allowed='
 core      op_*                  Table 1: the drive serves every RPC the paper lists, whoever calls it
 array     FlipReport            the type of ReshardReport::flip
-array     Sharded               returned by S4Array::{read_audit,read_alerts,flight_log}_merged
+array     Sharded               returned by S4Array::{read_audit,read_alerts,read_traces}_merged
 array     ReshardReport         returned by split_shard and double_array
 core      VersionKind           the type of VersionRecord::kind
 core      ResyncObject          returned by S4Drive::reshard_export, taken by reshard_apply
@@ -389,8 +393,19 @@ for metric in \
   grep -qF "$metric" target/verify-stats.prom \
     || { echo "verify: exposition missing $metric" >&2; exit 1; }
 done
+# Array mode: split the image's one residue class onto a fresh image.
+T="$(dirname "$S4_IMG")/verify-split.s4"
+./target/release/s4 reshard "$S4_IMG" --targets "$T"
+./target/release/s4 stats "$S4_IMG" "$T" > target/verify-stats-array.prom
+grep -qF 's4_requests_total{shard="1"}' target/verify-stats-array.prom \
+  || { echo "verify: array exposition missing s4_requests_total{shard=\"1\"}" >&2; exit 1; }
+grep -q '^s4_requests_total ' target/verify-stats-array.prom \
+  || { echo "verify: array exposition missing the unlabeled s4_requests_total" >&2; exit 1; }
+if grep -q '^s4_detection_window_days ' target/verify-stats-array.prom; then
+  echo "verify: array exposition sums the s4_detection_window_days gauge" >&2; exit 1
+fi
 rm -rf "$(dirname "$S4_IMG")"
-echo "exposition OK: target/verify-stats.prom"
+echo "exposition OK: target/verify-stats.prom, target/verify-stats-array.prom"
 
 echo "== simulated figures at scale 0.25 (each sim object must equal its BENCH_<name>.json)"
 bench_json fig2_metadata fig2

@@ -25,7 +25,9 @@ use std::sync::Arc;
 
 use s4_array::{ArrayConfig, S4Array};
 use s4_clock::{NetworkModel, SimClock, SimDuration, SimTime};
-use s4_core::{ClientId, DriveConfig, RequestContext, S4Drive, UserId};
+use s4_core::{
+    ClientId, DriveConfig, ObjectId, OpKind, RequestContext, S4Drive, TraceRecord, UserId,
+};
 use s4_fs::tools;
 use s4_fs::{FileKind, FileServer, LoopbackTransport, S4FileServer, S4FsConfig};
 use s4_simdisk::{BlockDev, FileDisk};
@@ -63,7 +65,7 @@ fn usage() -> ExitCode {
            pin <image> <path> <secs>     (landmark: survives the window)\n\
            pins <image> <path>\n\
            audit <image>\n\
-           stats <image> [<image>...] [--json]\n\
+           stats <image> [<image>...]\n\
                                          (metrics + flight-recorder tail; several\n\
                                           images = array mode, per-shard + aggregate)\n\
            reshard <image>... --targets <new-image>... [--slot <n>] [--mirrors <m>]\n\
@@ -85,20 +87,32 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// Every flag a subcommand reads; each takes a value (`--targets` one or
+/// more).
+const FLAGS: [&str; 7] = [
+    "--at",
+    "--targets",
+    "--slot",
+    "--mirrors",
+    "--slowest",
+    "--client",
+    "--user",
+];
+
 /// The command line after the subcommand, scanned once for every
-/// subcommand: `--json` is a switch, `--targets` takes each argument up
-/// to the next flag, any other `--flag` takes the one argument after
-/// it, and everything else is a positional (the images first) — so a
-/// flag may stand anywhere on the line.
+/// subcommand: `--targets` takes each argument up to the next flag,
+/// every other flag in [`FLAGS`] takes the one argument after it, any
+/// other `--flag` is an error, and everything else is a positional (the
+/// images first) — so a flag may stand anywhere on the line.
 struct Args<'a> {
     positional: Vec<&'a str>,
     /// `(flag, value)` in order; a repeated or multi-valued flag has
-    /// one pair per value, a switch an empty value.
+    /// one pair per value.
     flags: Vec<(&'a str, &'a str)>,
 }
 
 impl<'a> Args<'a> {
-    fn scan(args: &'a [String]) -> Self {
+    fn scan(args: &'a [String]) -> Result<Self, String> {
         let mut out = Args {
             positional: Vec::new(),
             flags: Vec::new(),
@@ -106,7 +120,6 @@ impl<'a> Args<'a> {
         let mut it = args.iter().map(String::as_str).peekable();
         while let Some(a) = it.next() {
             match a {
-                "--json" => out.flags.push((a, "")),
                 "--targets" => {
                     while let Some(v) = it.next_if(|v| !v.starts_with("--")) {
                         out.flags.push((a, v));
@@ -114,11 +127,12 @@ impl<'a> Args<'a> {
                 }
                 // A flag that ends the line gets the empty value, which
                 // no parser below accepts.
-                _ if a.starts_with("--") => out.flags.push((a, it.next().unwrap_or(""))),
+                _ if FLAGS.contains(&a) => out.flags.push((a, it.next().unwrap_or(""))),
+                _ if a.starts_with("--") => return Err(format!("unknown flag {a}")),
                 _ => out.positional.push(a),
             }
         }
-        out
+        Ok(out)
     }
 
     /// Every value given for `flag`, in order.
@@ -168,6 +182,26 @@ impl<'a> Args<'a> {
         }
         Ok(suspects)
     }
+}
+
+/// One persisted trace record as a line of the `stats` flight-recorder
+/// tail.
+fn trace_line(r: &TraceRecord) -> Result<String, CliError> {
+    Ok(format!(
+        "#{:<6} {:>14} user={:<4} client={:<4} {:<14} {} ok={} \
+         rpc={}us journal={}us lfs={}us disk={}us",
+        r.seq,
+        SimTime::from_micros(r.time_us).to_string(),
+        r.user,
+        r.client,
+        format!("{:?}", OpKind::from_u8(r.op)?),
+        ObjectId(r.object),
+        r.ok,
+        r.rpc_us,
+        r.journal_us,
+        r.lfs_us,
+        r.disk_us
+    ))
 }
 
 /// A point on the image's timeline, as `s4 now` prints it (minus the `s`).
@@ -222,7 +256,7 @@ fn run() -> Result<(), CliError> {
         return Err("missing arguments".into());
     }
     let cmd = argv[0].as_str();
-    let args = Args::scan(&argv[1..]);
+    let args = Args::scan(&argv[1..])?;
     let image = args.pos(0, &format!("{cmd}: need at least one image"))?;
     let mirrors = args.number("--mirrors").unwrap_or(1);
     match cmd {
@@ -328,7 +362,7 @@ fn run() -> Result<(), CliError> {
             let h = fs.resolve_path_at(path, t)?;
             {
                 let drive = fs.transport().drive();
-                drive.op_mark_landmark(fs.context(), s4_core::ObjectId(h), t)?;
+                drive.op_mark_landmark(fs.context(), ObjectId(h), t)?;
             }
             println!("pinned {path} @ {t} as a landmark (survives the detection window)");
             close(fs)?;
@@ -339,7 +373,7 @@ fn run() -> Result<(), CliError> {
             let h = fs.resolve_path(path)?;
             let rows = {
                 let drive = fs.transport().drive();
-                drive.landmarks(fs.context(), s4_core::ObjectId(h))?
+                drive.landmarks(fs.context(), ObjectId(h))?
             };
             for (t, size) in rows {
                 println!("{t}  {size} bytes");
@@ -372,30 +406,16 @@ fn run() -> Result<(), CliError> {
             // across the member drives and the flight-recorder tail is
             // the time-merged view.
             let array = open_array(&args.positional, ArrayConfig::default().mirrors)?;
-            if args.values("--json").next().is_some() {
-                println!("{}", array.metrics_json());
-            } else {
-                print!("{}", array.metrics_text());
-                let admin = admin_of(&array.shard_drive(0));
-                let log = array.flight_log_merged(&admin)?;
-                eprintln!(
-                    "flight recorder: {} persisted traces across {} shards",
-                    log.len(),
-                    array.shard_count()
-                );
-                for e in log.iter().rev().take(10).rev() {
-                    eprintln!(
-                        "  shard={} #{:<6} {:>14} user={:<4} client={:<4} {:<14} {} ok={}",
-                        e.shard,
-                        e.record.seq,
-                        e.record.time.to_string(),
-                        e.record.user.0,
-                        e.record.client.0,
-                        format!("{:?}", e.record.op),
-                        e.record.object,
-                        e.record.ok
-                    );
-                }
+            print!("{}", array.metrics_text());
+            let admin = admin_of(&array.shard_drive(0));
+            let log = array.read_traces_merged(&admin)?;
+            eprintln!(
+                "flight recorder: {} persisted traces across {} shards",
+                log.len(),
+                array.shard_count()
+            );
+            for e in log.iter().rev().take(10).rev() {
+                eprintln!("  shard={} {}", e.shard, trace_line(&e.record)?);
             }
             array.unmount().map_err(|e| format!("unmount array: {e}"))?;
         }
@@ -512,33 +532,14 @@ fn run() -> Result<(), CliError> {
         "stats" => {
             let fs = open_fs(image)?;
             {
+                // Prometheus-style exposition on stdout; the
+                // flight-recorder tail as human context on stderr.
                 let drive = fs.transport().drive();
-                if args.values("--json").next().is_some() {
-                    println!("{}", drive.metrics_json());
-                } else {
-                    // Prometheus-style exposition on stdout; the
-                    // flight-recorder tail as human context on stderr.
-                    print!("{}", drive.metrics_text());
-                    let admin = admin_of(drive);
-                    let log = s4_detect::flight_log(drive, &admin)?;
-                    eprintln!("flight recorder: {} persisted traces", log.len());
-                    for e in log.iter().rev().take(10).rev() {
-                        eprintln!(
-                            "  #{:<6} {:>14} user={:<4} client={:<4} {:<14} {} ok={} \
-                             rpc={}us journal={}us lfs={}us disk={}us",
-                            e.seq,
-                            e.time.to_string(),
-                            e.user.0,
-                            e.client.0,
-                            format!("{:?}", e.op),
-                            e.object,
-                            e.ok,
-                            e.rpc_us,
-                            e.journal_us,
-                            e.lfs_us,
-                            e.disk_us
-                        );
-                    }
+                print!("{}", drive.metrics_text());
+                let log = drive.read_traces(&admin_of(drive))?;
+                eprintln!("flight recorder: {} persisted traces", log.len());
+                for r in log.iter().rev().take(10).rev() {
+                    eprintln!("  {}", trace_line(r)?);
                 }
             }
             close(fs)?;

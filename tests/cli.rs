@@ -113,14 +113,41 @@ fn cli_versioning_workflow_across_invocations() {
         "stats tail: {stats_err}"
     );
     assert!(stats_err.contains("ok=true"), "traces span sessions: {stats_err}");
-    let (json_out, _, ok) = s4(&["stats", "--json"], &image);
-    assert!(ok);
-    assert!(json_out.starts_with('{') && json_out.contains("\"histograms\""));
 
     // unknown command fails politely
     let (_, err, ok) = s4(&["frobnicate"], &image);
     assert!(!ok);
     assert!(err.contains("unknown command"));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A flag no subcommand reads is refused by name, wherever it stands:
+/// `--as` is not `--at` (it would list the present, not the past), and
+/// `stats` has one output format, so `--json` must not swallow the image.
+#[test]
+fn cli_refuses_a_flag_it_does_not_know() {
+    let dir = std::env::temp_dir().join(format!("s4-cli-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let image = dir.join("disk.s4");
+    let (_out, err, ok) = s4(&["format", "64"], &image);
+    assert!(ok, "format failed: {err}");
+
+    let (out, err, ok) = s4(&["ls", "--as", "0.5"], &image);
+    assert!(!ok, "ls --as succeeded: {out}");
+    assert!(err.contains("--as"), "error does not name the flag: {err}");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_s4"))
+        .args(["stats", "--json"])
+        .arg(&image)
+        .output()
+        .expect("spawn s4");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "stats --json succeeded");
+    assert!(
+        err.contains("--json"),
+        "error does not name the flag: {err}"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -102,11 +102,11 @@ fn span_set(tree: &TraceTree) -> BTreeSet<(usize, usize, u64, u8, u8, bool, u64)
             (
                 s.shard,
                 s.member,
-                s.entry.seq,
-                s.entry.phase,
-                s.entry.op as u8,
-                s.entry.ok,
-                s.entry.object.0,
+                s.record.seq,
+                s.record.phase,
+                s.record.op,
+                s.record.ok,
+                s.record.object,
             )
         })
         .collect()
@@ -133,7 +133,7 @@ fn assert_full_span_set(tree: &TraceTree) {
                 .spans
                 .iter()
                 .filter(|sp| sp.shard == s && sp.member == m)
-                .map(|sp| sp.entry.phase)
+                .map(|sp| sp.record.phase)
                 .collect();
             assert!(
                 phases.contains(&PHASE_PREPARE),
