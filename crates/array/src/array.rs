@@ -56,7 +56,7 @@ impl Default for ArrayConfig {
 impl ArrayConfig {
     /// Validates the knob that workers would otherwise trip over at
     /// runtime: a zero mirror count (shards with no members).
-    pub fn validate(&self) -> s4_core::Result<()> {
+    pub(crate) fn validate(&self) -> s4_core::Result<()> {
         if self.mirrors == 0 {
             return Err(S4Error::BadRequest("array: mirrors must be at least 1"));
         }
@@ -514,7 +514,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
     }
 
     /// The simulated clock requests are timed on (shard 0's).
-    pub fn clock(&self) -> &SimClock {
+    pub(crate) fn clock(&self) -> &SimClock {
         &self.clock
     }
 

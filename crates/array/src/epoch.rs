@@ -137,7 +137,7 @@ impl EpochInfo {
 
     /// Parses an epoch note name; `None` for anything else (including
     /// other reserved names).
-    pub fn parse_note(name: &str) -> Option<EpochInfo> {
+    pub(crate) fn parse_note(name: &str) -> Option<EpochInfo> {
         let rest = name.strip_prefix(EPOCH_NOTE_PREFIX)?;
         let mut it = rest.split('/');
         let seq = it.next()?.parse().ok()?;

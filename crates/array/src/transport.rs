@@ -28,11 +28,6 @@ impl<D: BlockDev + 'static> ArrayTransport<D> {
         let clock = array.clock().clone();
         ArrayTransport { array, net, clock }
     }
-
-    /// The wrapped array.
-    pub fn array(&self) -> &Arc<S4Array<D>> {
-        &self.array
-    }
 }
 
 impl<D: BlockDev + 'static> Transport for ArrayTransport<D> {

@@ -140,11 +140,6 @@ impl HybridClock {
     pub fn peek_seq(&self) -> u64 {
         self.seq.load(Ordering::SeqCst)
     }
-
-    /// Returns the underlying simulated clock.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
-    }
 }
 
 #[cfg(test)]

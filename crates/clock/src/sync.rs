@@ -35,12 +35,6 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
-
-    /// Returns a mutable reference to the underlying data without
-    /// locking (possible because `&mut self` proves unique access).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 /// A reader-writer lock with the same non-poisoning ergonomics as
@@ -55,11 +49,6 @@ impl<T> RwLock<T> {
     /// Creates a new reader-writer lock guarding `value`.
     pub fn new(value: T) -> Self {
         RwLock(std::sync::RwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -89,7 +78,7 @@ mod tests {
             assert_eq!(*r1 + *r2, 10, "shared readers coexist");
         }
         *l.write() += 1;
-        assert_eq!(l.into_inner(), 6);
+        assert_eq!(*l.read(), 6);
     }
 
     #[test]

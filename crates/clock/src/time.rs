@@ -27,11 +27,6 @@ impl SimTime {
         SimTime(us)
     }
 
-    /// Builds an instant from whole milliseconds.
-    pub const fn from_millis(ms: u64) -> Self {
-        SimTime(ms * 1_000)
-    }
-
     /// Builds an instant from whole seconds.
     pub const fn from_secs(s: u64) -> Self {
         SimTime(s * 1_000_000)
@@ -43,18 +38,13 @@ impl SimTime {
     }
 
     /// Returns the instant as fractional seconds.
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// Saturating difference between two instants.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked addition of a duration; `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
     }
 
     /// Saturating subtraction of a duration (clamps at the origin).
@@ -123,11 +113,6 @@ impl SimDuration {
         SimDuration(d * 86_400 * 1_000_000)
     }
 
-    /// Builds a span from fractional seconds, rounding to microseconds.
-    pub fn from_secs_f64(s: f64) -> Self {
-        SimDuration((s * 1e6).round().max(0.0) as u64)
-    }
-
     /// Returns the span in microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -144,7 +129,7 @@ impl SimDuration {
     }
 
     /// Saturating addition.
-    pub fn saturating_add(self, rhs: SimDuration) -> SimDuration {
+    pub(crate) fn saturating_add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(rhs.0))
     }
 
@@ -247,8 +232,7 @@ mod tests {
 
     #[test]
     fn simtime_constructors_agree() {
-        assert_eq!(SimTime::from_secs(2), SimTime::from_millis(2_000));
-        assert_eq!(SimTime::from_millis(3), SimTime::from_micros(3_000));
+        assert_eq!(SimTime::from_secs(2), SimTime::from_micros(2_000_000));
     }
 
     #[test]
@@ -264,14 +248,8 @@ mod tests {
 
     #[test]
     fn simtime_saturating_sub_clamps_at_origin() {
-        let t = SimTime::from_millis(1);
+        let t = SimTime::from_micros(1_000);
         assert_eq!(t.saturating_sub(SimDuration::from_secs(1)), SimTime::ZERO);
-    }
-
-    #[test]
-    fn duration_from_secs_f64_rounds() {
-        assert_eq!(SimDuration::from_secs_f64(0.0000015).as_micros(), 2);
-        assert_eq!(SimDuration::from_secs_f64(-1.0).as_micros(), 0);
     }
 
     #[test]
@@ -320,7 +298,7 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        assert_eq!(format!("{}", SimTime::from_millis(1500)), "1.500000s");
+        assert_eq!(format!("{}", SimTime::from_micros(1_500_000)), "1.500000s");
         assert_eq!(format!("{:?}", SimDuration::from_micros(3)), "3us");
     }
 }

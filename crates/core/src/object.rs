@@ -124,7 +124,7 @@ pub(crate) struct ObjectEntry {
 
 impl ObjectEntry {
     /// Fresh entry for a newly created object.
-    pub fn new(meta: ObjectMeta) -> Self {
+    pub(crate) fn new(meta: ObjectMeta) -> Self {
         ObjectEntry {
             covered: meta.modified,
             meta,
@@ -191,7 +191,7 @@ impl ObjectEntry {
     }
 
     /// Serializes the entry for its metadata checkpoint.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = self.meta.encode();
         out.extend_from_slice(&(self.sectors.len() as u32).to_le_bytes());
         for s in &self.sectors {
@@ -217,7 +217,7 @@ impl ObjectEntry {
     /// The decoded entry is clean (`dirty == false`) and has no pending
     /// journal entries; `checkpoint_root`/`checkpoint_blocks` are set by
     /// the caller, which knows where the blob was read from.
-    pub fn decode(buf: &[u8]) -> Result<ObjectEntry> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<ObjectEntry> {
         let mut pos = 0;
         let meta = ObjectMeta::decode_from(buf, &mut pos)?;
         let mut r = Reader::at(buf, pos, "object checkpoint truncated");

@@ -24,14 +24,9 @@ macro_rules! drive_counters {
         }
 
         impl DriveStats {
-            /// Fresh zeroed counters, not attached to any registry.
-            pub fn new() -> Self {
-                Self::default()
-            }
-
             /// Fresh counters registered as `s4_<name>_total` in
             /// `registry`, so exposition sees every bump.
-            pub fn registered(registry: &Registry) -> Self {
+            pub(crate) fn registered(registry: &Registry) -> Self {
                 DriveStats {
                     $($name: registry.counter(
                         concat!("s4_", stringify!($name), "_total"),
@@ -42,7 +37,7 @@ macro_rules! drive_counters {
 
             $(
                 #[doc = concat!("Increments `", stringify!($name), "` by `n`.")]
-                pub fn $name(&self, n: u64) {
+                pub(crate) fn $name(&self, n: u64) {
                     self.$name.add(n);
                 }
             )*
@@ -102,7 +97,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_share() {
-        let s = DriveStats::new();
+        let s = DriveStats::default();
         let s2 = s.clone();
         s.requests(3);
         s2.requests(1);
@@ -133,7 +128,7 @@ mod tests {
 
     #[test]
     fn snapshot_delta_subtracts_fieldwise() {
-        let s = DriveStats::new();
+        let s = DriveStats::default();
         s.requests(10);
         s.bytes_written(100);
         let a = s.snapshot();

@@ -43,7 +43,7 @@ impl Default for ThrottleConfig {
 
 impl ThrottleConfig {
     /// A disabled throttler.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         ThrottleConfig {
             enabled: false,
             ..ThrottleConfig::default()
@@ -73,7 +73,7 @@ pub(crate) struct ThrottleState {
 
 impl ThrottleState {
     /// Creates throttle state under `config`.
-    pub fn new(config: ThrottleConfig) -> Self {
+    pub(crate) fn new(config: ThrottleConfig) -> Self {
         ThrottleState {
             config,
             buckets: HashMap::new(),

@@ -7,7 +7,9 @@ use s4_core::rpc::LAST_CREATED;
 use s4_core::{
     ClientId, DriveConfig, ObjectId, Request, RequestContext, Response, S4Drive, S4Error, UserId,
 };
-use s4_simdisk::{BlockDev, FaultPlan, FaultyDisk, MemDisk, TraceClass, TraceDisk};
+use s4_simdisk::{
+    BlockDev, FaultPlan, FaultyDisk, MemDisk, RequestClassMask, TraceClass, TraceDisk,
+};
 
 fn drive() -> S4Drive<MemDisk> {
     let clock = SimClock::new();
@@ -484,7 +486,7 @@ fn a_vote_cut_at_a_segment_end_stays_atomic() {
     // The same run with the power failing on the second transfer.
     let dev = FaultyDisk::new(
         MemDisk::with_capacity_bytes(64 << 20),
-        FaultPlan::power_loss_after_writes(last_write, 0),
+        FaultPlan::power_loss_after_requests(last_write, RequestClassMask::WRITES),
     );
     let (d, answer, oids) = split_vote_run(dev, pad);
     assert!(answer.is_err(), "the prepare lost its device");

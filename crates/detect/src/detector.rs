@@ -1,4 +1,4 @@
-//! The detector pipeline: pluggable rules, offline scans, and the
+//! The detector pipeline: the standard rule set, offline scans, and the
 //! online monitor that runs inside the drive.
 
 use s4_core::{Alert, AuditObserver, AuditRecord, RequestContext, S4Drive, S4Error};
@@ -6,58 +6,43 @@ use s4_simdisk::BlockDev;
 
 use crate::rules;
 
-/// A streaming intrusion-detection rule over the audit record stream.
+/// The standard rule set, fed as one unit at its default thresholds.
 ///
-/// Detectors are fed records in append order and push any findings into
-/// the `sink`; they carry their own state, so one instance analyses one
-/// stream (offline scan or online drive feed, not both).
-pub trait Detector: Send {
-    /// Stable rule name (also stamped on raised alerts).
-    fn name(&self) -> &'static str;
-    /// Consumes one record, pushing zero or more alerts.
-    fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<Alert>);
-}
-
-/// An ordered collection of detectors fed as one unit.
+/// Every record goes to the rules in field order, so the alerts one
+/// record raises come out as append-only, foreign-client, ransom-storm,
+/// write-rate-spike, acl-tamper-burst, audit-gap. The rules carry their
+/// own state, so one set analyses one stream (offline scan or online
+/// drive feed, not both).
 pub struct DetectorSet {
-    detectors: Vec<Box<dyn Detector>>,
+    append_only: rules::AppendOnlyViolation,
+    foreign_client: rules::ForeignClient,
+    ransom_storm: rules::RansomStorm,
+    write_rate: rules::WriteRateSpike,
+    acl_tamper: rules::AclTamperBurst,
+    audit_gap: rules::AuditGapCheck,
 }
 
 impl DetectorSet {
-    /// An empty set; add rules with [`push`](Self::push).
-    pub fn empty() -> Self {
-        DetectorSet {
-            detectors: Vec::new(),
-        }
-    }
-
     /// The built-in rules at their default thresholds.
     pub fn standard() -> Self {
-        let mut set = DetectorSet::empty();
-        set.push(Box::new(rules::AppendOnlyViolation::default()));
-        set.push(Box::new(rules::ForeignClient::default()));
-        set.push(Box::new(rules::RansomStorm::default()));
-        set.push(Box::new(rules::WriteRateSpike::default()));
-        set.push(Box::new(rules::AclTamperBurst::default()));
-        set.push(Box::new(rules::AuditGapCheck::default()));
-        set
-    }
-
-    /// Adds a rule to the set.
-    pub fn push(&mut self, d: Box<dyn Detector>) {
-        self.detectors.push(d);
-    }
-
-    /// Names of the registered rules, in feed order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.detectors.iter().map(|d| d.name()).collect()
+        DetectorSet {
+            append_only: Default::default(),
+            foreign_client: Default::default(),
+            ransom_storm: Default::default(),
+            write_rate: Default::default(),
+            acl_tamper: Default::default(),
+            audit_gap: Default::default(),
+        }
     }
 
     /// Feeds one record to every rule.
-    pub fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<Alert>) {
-        for d in &mut self.detectors {
-            d.observe(rec, sink);
-        }
+    fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<Alert>) {
+        self.append_only.observe(rec, sink);
+        self.foreign_client.observe(rec, sink);
+        self.ransom_storm.observe(rec, sink);
+        self.write_rate.observe(rec, sink);
+        self.acl_tamper.observe(rec, sink);
+        self.audit_gap.observe(rec, sink);
     }
 
     /// Runs the whole set over a record slice, returning every alert.
@@ -70,27 +55,13 @@ impl DetectorSet {
     }
 }
 
-/// Adapts a [`DetectorSet`] to the drive's [`AuditObserver`] hook:
-/// every audited request is analysed as it happens and any alerts are
-/// returned encoded, which the drive persists to the tamper-proof
-/// alert object.
-pub(crate) struct OnlineMonitor {
-    set: DetectorSet,
-}
-
-impl OnlineMonitor {
-    /// Monitor running the standard rules.
-    pub fn standard() -> Self {
-        OnlineMonitor {
-            set: DetectorSet::standard(),
-        }
-    }
-}
-
-impl AuditObserver for OnlineMonitor {
+/// The set on the drive's [`AuditObserver`] hook: every audited request
+/// is analysed as it happens and any alerts are returned encoded, which
+/// the drive persists to the tamper-proof alert object.
+impl AuditObserver for DetectorSet {
     fn on_record(&mut self, rec: &AuditRecord) -> Vec<Vec<u8>> {
         let mut sink = Vec::new();
-        self.set.observe(rec, &mut sink);
+        self.observe(rec, &mut sink);
         sink.iter().map(Alert::encode).collect()
     }
 }
@@ -99,7 +70,7 @@ impl AuditObserver for OnlineMonitor {
 /// From this point every audited request is analysed inside the
 /// security perimeter and alerts land in the drive's alert object.
 pub fn install_standard_monitor<D: BlockDev>(drive: &S4Drive<D>) {
-    drive.register_audit_observer(Box::new(OnlineMonitor::standard()));
+    drive.register_audit_observer(Box::new(DetectorSet::standard()));
 }
 
 /// Offline sweep: decodes the full audit log (admin only) and runs the
@@ -128,8 +99,8 @@ pub fn read_alerts<D: BlockDev>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s4_clock::{SimClock, SimDuration};
-    use s4_core::{ClientId, DriveConfig, StreamCursor, UserId};
+    use s4_clock::{SimClock, SimDuration, SimTime};
+    use s4_core::{ClientId, DriveConfig, ObjectId, OpKind, StreamCursor, UserId};
     use s4_simdisk::MemDisk;
 
     /// Incremental alert reader. Where [`read_alerts`] rescans every alert
@@ -167,19 +138,82 @@ mod tests {
         S4Drive::format(MemDisk::new(400_000), DriveConfig::small_test(), clock).unwrap()
     }
 
-    #[test]
-    fn standard_set_lists_all_rules() {
-        let names = DetectorSet::standard().names();
-        for n in [
-            "append-only-violation",
-            "foreign-client",
-            "ransom-storm",
-            "write-rate-spike",
-            "acl-tamper-burst",
-            "audit-gap",
-        ] {
-            assert!(names.contains(&n), "missing rule {n}");
+    #[allow(clippy::too_many_arguments)]
+    fn rec(
+        secs: u64,
+        user: u32,
+        client: u32,
+        op: OpKind,
+        ok: bool,
+        object: u64,
+        arg1: u64,
+        arg2: u64,
+    ) -> AuditRecord {
+        AuditRecord {
+            time: SimTime::from_secs(secs),
+            user: UserId(user),
+            client: ClientId(client),
+            op,
+            ok,
+            object: ObjectId(object),
+            arg1,
+            arg2,
         }
+    }
+
+    /// One record can trip several rules; its alerts come out in the
+    /// set's feed order. Two records between them trip all six rules, and
+    /// each trips four or more, which pins the whole order.
+    #[test]
+    fn alerts_from_one_record_come_out_in_rule_order() {
+        use OpKind::*;
+        const MIB: u64 = 1 << 20;
+        let mut s = vec![
+            // User 1's home is client 1. Client 66 writes a byte before
+            // the home is established: no alert, but it opens a
+            // write-rate window for (user 1, client 66).
+            rec(1, 1, 1, Create, true, 100, 0, 0),
+            rec(1, 1, 66, Write, true, 200, 0, 1),
+            rec(1, 1, 1, Create, true, 101, 0, 0),
+            // Object 100 turns append-only.
+            rec(2, 1, 1, Write, true, 100, 0, 10),
+            rec(3, 1, 1, Append, true, 100, 10, 0),
+        ];
+        // Eight home requests in all.
+        s.extend((0..4).map(|_| rec(4, 1, 1, Read, true, 100, 0, 10)));
+        // User 3 shrinks 23 objects at t = 30: one short of a storm.
+        for o in 1..=23 {
+            s.push(rec(30, 3, 3, Write, true, o, 0, 10));
+            s.push(rec(30, 3, 3, Truncate, true, o, 0, 0));
+        }
+        // R1, back at t = 20: client 66 overwrites 16 MiB of the log.
+        s.push(rec(20, 1, 66, Write, true, 100, 0, 16 * MIB));
+        // Five denials for client 66, then a later record.
+        s.extend((100..105).map(|t| rec(t, 1, 66, Read, false, 101, 0, 0)));
+        s.push(rec(200, 3, 3, Read, true, 1, 0, 0));
+        // R2, back at t = 150: a 64 MiB attribute rewrite of an
+        // established object from client 66.
+        s.push(rec(150, 1, 66, SetAttr, true, 101, 64 * MIB, 0));
+
+        let alerts = DetectorSet::standard().scan(&s);
+        let got: Vec<(u64, &str)> = alerts
+            .iter()
+            .map(|a| (a.time.as_micros() / 1_000_000, a.rule.as_str()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (20, "append-only-violation"),
+                (20, "foreign-client"),
+                (20, "ransom-storm"),
+                (20, "write-rate-spike"),
+                (20, "audit-gap"),
+                (150, "foreign-client"),
+                (150, "write-rate-spike"),
+                (150, "acl-tamper-burst"),
+                (150, "audit-gap"),
+            ]
+        );
     }
 
     #[test]

@@ -292,13 +292,6 @@ pub struct TreeDiff {
     pub modified: Vec<(String, TreeNode)>,
 }
 
-impl TreeDiff {
-    /// True when nothing changed.
-    pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty() && self.modified.is_empty()
-    }
-}
-
 /// Diffs the namespace under `root` between `then` and `now_time`
 /// (`None` = now) — "what did the intruder change" at a glance.
 pub fn tree_diff<D: BlockDev>(
@@ -368,7 +361,7 @@ pub struct TraceTree {
 
 impl TraceTree {
     /// Earliest span completion time (drive clock).
-    pub fn start(&self) -> SimTime {
+    pub(crate) fn start(&self) -> SimTime {
         let first = self.spans.iter().map(|s| s.record.time_us).min();
         SimTime::from_micros(first.unwrap_or(0))
     }

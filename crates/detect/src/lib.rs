@@ -9,9 +9,9 @@
 //! point, in three layers:
 //!
 //! * **Detection** ([`detector`]) — streaming analytics over
-//!   the drive-written audit log (§4.2.3). A pluggable [`Detector`]
-//!   trait consumes [`AuditRecord`](s4_core::AuditRecord)s one at a
-//!   time; the built-in rules flag the §2 intrusion shapes: scrubbing an
+//!   the drive-written audit log (§4.2.3). The standard rule set
+//!   ([`DetectorSet`]) consumes [`AuditRecord`](s4_core::AuditRecord)s
+//!   one at a time; its rules flag the §2 intrusion shapes: scrubbing an
 //!   append-only log, bursts of ACL/attribute tampering, mass overwrite
 //!   storms (the ransomware shape), write-rate spikes, a known user
 //!   suddenly operating from a foreign client, and gaps in audit
@@ -50,7 +50,7 @@ pub mod recovery;
 mod rules;
 mod timeline;
 
-pub use detector::{install_standard_monitor, read_alerts, scan_audit, Detector, DetectorSet};
+pub use detector::{install_standard_monitor, read_alerts, scan_audit, DetectorSet};
 pub use forensics::{
     assemble_traces, audit_coverage, damage_report, object_timeline, render_trace_tree,
     slowest_traces, tree_at, tree_diff, CoverageReport, DamageReport, TimelineEvent,

@@ -1,6 +1,7 @@
 //! Built-in detection rules.
 //!
-//! Each rule is a streaming [`Detector`] over the audit stream, tuned
+//! Each rule is a streaming detector over the audit stream, fed by
+//! [`DetectorSet`](crate::DetectorSet) in a fixed order and tuned
 //! so a heavy-but-honest workload (the PostMark harness: thousands of
 //! create/append/delete transactions from one client) raises **zero**
 //! alerts, while the §2 intrusion shapes fire reliably:
@@ -19,7 +20,6 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use s4_clock::{SimDuration, SimTime};
 use s4_core::{Alert, AuditRecord, OpKind, Severity};
 
-use crate::detector::Detector;
 use crate::timeline::{ObjectProfile, ProfileEvent};
 
 fn alert(rec: &AuditRecord, severity: Severity, rule: &str, message: String) -> Alert {
@@ -54,12 +54,8 @@ pub(crate) struct AppendOnlyViolation {
 /// Appending mutations required before an object qualifies.
 const MIN_APPENDS: u32 = 2;
 
-impl Detector for AppendOnlyViolation {
-    fn name(&self) -> &'static str {
-        "append-only-violation"
-    }
-
-    fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<Alert>) {
+impl AppendOnlyViolation {
+    pub(crate) fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<Alert>) {
         if !rec.ok || rec.object.0 == 0 {
             return;
         }
@@ -109,12 +105,8 @@ pub(crate) struct ForeignClient {
 /// Requests from the home client required before alerting.
 const MIN_HOME_OPS: u64 = 8;
 
-impl Detector for ForeignClient {
-    fn name(&self) -> &'static str {
-        "foreign-client"
-    }
-
-    fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<Alert>) {
+impl ForeignClient {
+    pub(crate) fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<Alert>) {
         let (home, ops) = self
             .homes
             .entry(rec.user.0)
@@ -168,12 +160,8 @@ const STORM_WINDOW: SimDuration = SimDuration::from_secs(60);
 /// Distinct destructively-modified objects that trip the alarm.
 const STORM_THRESHOLD: usize = 24;
 
-impl Detector for RansomStorm {
-    fn name(&self) -> &'static str {
-        "ransom-storm"
-    }
-
-    fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<Alert>) {
+impl RansomStorm {
+    pub(crate) fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<Alert>) {
         if !rec.ok || rec.object.0 == 0 {
             return;
         }
@@ -255,12 +243,8 @@ const SPIKE_FACTOR: u64 = 8;
 /// Bytes below which a window never alarms, whatever the baseline.
 const SPIKE_MIN_BYTES: u64 = 8 << 20;
 
-impl Detector for WriteRateSpike {
-    fn name(&self) -> &'static str {
-        "write-rate-spike"
-    }
-
-    fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<Alert>) {
+impl WriteRateSpike {
+    pub(crate) fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<Alert>) {
         if !rec.ok {
             return;
         }
@@ -351,12 +335,8 @@ impl AclTamperBurst {
     }
 }
 
-impl Detector for AclTamperBurst {
-    fn name(&self) -> &'static str {
-        "acl-tamper-burst"
-    }
-
-    fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<Alert>) {
+impl AclTamperBurst {
+    pub(crate) fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<Alert>) {
         if rec.ok && rec.op == OpKind::Create {
             self.created_at.insert(rec.object.0, rec.time);
             return;
@@ -404,12 +384,8 @@ pub(crate) struct AuditGapCheck {
     last: Option<SimTime>,
 }
 
-impl Detector for AuditGapCheck {
-    fn name(&self) -> &'static str {
-        "audit-gap"
-    }
-
-    fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<Alert>) {
+impl AuditGapCheck {
+    pub(crate) fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<Alert>) {
         if let Some(last) = self.last {
             if rec.time < last {
                 sink.push(alert(

@@ -39,7 +39,7 @@ pub(crate) struct ObjectProfile {
 impl ObjectProfile {
     /// Folds one successful mutation in; `min_appends` is the
     /// qualification threshold.
-    pub fn observe(&mut self, rec: &AuditRecord, min_appends: u32) -> ProfileEvent {
+    pub(crate) fn observe(&mut self, rec: &AuditRecord, min_appends: u32) -> ProfileEvent {
         let qualified = self.appends >= min_appends && !self.destructive;
         match rec.op {
             OpKind::Write => {

@@ -76,15 +76,6 @@ pub enum TxnRecord {
 }
 
 impl TxnRecord {
-    /// The transaction this record belongs to.
-    pub fn txid(&self) -> u64 {
-        match self {
-            TxnRecord::Prepared { txid, .. }
-            | TxnRecord::Touched { txid, .. }
-            | TxnRecord::Resolved { txid, .. } => *txid,
-        }
-    }
-
     /// Appends the binary encoding to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
@@ -114,7 +105,7 @@ impl TxnRecord {
     }
 
     /// Decodes one record from `buf[*pos..]`, advancing `pos`.
-    pub fn decode_from(buf: &[u8], pos: &mut usize) -> Result<TxnRecord> {
+    pub(crate) fn decode_from(buf: &[u8], pos: &mut usize) -> Result<TxnRecord> {
         let mut r = Reader::at(buf, *pos, "txn record truncated");
         let tag = r.u8()?;
         let txid = r.u64()?;

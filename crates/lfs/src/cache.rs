@@ -46,11 +46,6 @@ impl BlockCache {
         }
     }
 
-    /// Creates a cache sized for `bytes` bytes of block data.
-    pub fn with_capacity_bytes(bytes: u64) -> Self {
-        Self::new((bytes / crate::layout::BLOCK_SIZE as u64) as usize)
-    }
-
     /// Looks up a block, refreshing its LRU position.
     pub fn get(&self, addr: BlockAddr) -> Option<Bytes> {
         let mut g = self.inner.lock();
@@ -131,16 +126,6 @@ impl BlockCache {
         let g = self.inner.lock();
         (g.hits, g.misses)
     }
-
-    /// Number of blocks currently cached.
-    pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
-    }
-
-    /// True if nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -149,6 +134,11 @@ mod tests {
 
     fn b(v: u8) -> Bytes {
         Bytes::from(vec![v; 4])
+    }
+
+    /// Blocks currently cached.
+    fn len(c: &BlockCache) -> usize {
+        c.inner.lock().map.len()
     }
 
     #[test]
@@ -177,7 +167,7 @@ mod tests {
         let c = BlockCache::new(2);
         c.insert(BlockAddr(1), b(1));
         c.insert(BlockAddr(1), b(9));
-        assert_eq!(c.len(), 1);
+        assert_eq!(len(&c), 1);
         assert_eq!(c.get(BlockAddr(1)).unwrap(), b(9));
     }
 
@@ -209,7 +199,7 @@ mod tests {
         let c = BlockCache::new(10);
         c.insert(BlockAddr(1), b(1));
         c.clear();
-        assert!(c.is_empty());
+        assert_eq!(len(&c), 0);
     }
 
     #[test]
@@ -222,15 +212,6 @@ mod tests {
         assert!(c.get(BlockAddr(5)).is_some());
         // Invalidating a missing block is a no-op.
         c.invalidate(BlockAddr(99));
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn with_capacity_bytes_sizes_in_blocks() {
-        let c = BlockCache::with_capacity_bytes(8 * 4096);
-        for i in 0..20u64 {
-            c.insert(BlockAddr(i), b(i as u8));
-        }
-        assert!(c.len() <= 8);
+        assert_eq!(len(&c), 1);
     }
 }

@@ -24,7 +24,7 @@ pub(crate) type SegmentId = u32;
 /// short to deserve a block of its own. The two never collide — a plain
 /// summary-slot address is never handed out — and everything that turns
 /// an address into a place on the device lives in this file and strips
-/// the bit ([`BlockAddr::slot`]); to every other layer an address is an
+/// the bit (`BlockAddr::slot`); to every other layer an address is an
 /// opaque name.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct BlockAddr(pub u64);
@@ -53,7 +53,7 @@ impl BlockAddr {
 
     /// The block slot this address lives in: the address itself, or the
     /// summary block carrying the record it names.
-    pub fn slot(self) -> BlockAddr {
+    pub(crate) fn slot(self) -> BlockAddr {
         if self.is_carried() {
             BlockAddr(self.0 & !Self::CARRIED)
         } else {
@@ -85,7 +85,7 @@ pub enum BlockKind {
 
 impl BlockKind {
     /// Parses the on-disk representation.
-    pub fn from_u8(v: u8) -> Result<BlockKind> {
+    pub(crate) fn from_u8(v: u8) -> Result<BlockKind> {
         Ok(match v {
             1 => BlockKind::Data,
             2 => BlockKind::JournalSector,
@@ -154,13 +154,8 @@ impl Geometry {
     }
 
     /// Total blocks in the data area.
-    pub fn total_blocks(&self) -> u64 {
+    pub(crate) fn total_blocks(&self) -> u64 {
         self.num_segments as u64 * self.blocks_per_segment as u64
-    }
-
-    /// Total data-area capacity in bytes.
-    pub fn data_bytes(&self) -> u64 {
-        self.total_blocks() * BLOCK_SIZE as u64
     }
 
     /// First sector of the data area.
@@ -190,7 +185,7 @@ impl Geometry {
     }
 
     /// Validates that `addr` falls inside the data area.
-    pub fn check(&self, addr: BlockAddr) -> Result<BlockAddr> {
+    pub(crate) fn check(&self, addr: BlockAddr) -> Result<BlockAddr> {
         if addr.slot().0 >= self.total_blocks() {
             return Err(LfsError::BadAddress(addr.0));
         }

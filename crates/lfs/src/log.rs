@@ -1333,7 +1333,7 @@ mod tests {
         // Both superblock copies and the one segment tail, failed in turn:
         // none may pass for a torn copy or the end of the log.
         for r in 0..3 {
-            let plan = FaultPlan::power_loss_after_requests(r, 0, RequestClassMask::READS);
+            let plan = FaultPlan::power_loss_after_requests(r, RequestClassMask::READS);
             let dev = FaultyDisk::new(image.clone(), plan);
             assert!(
                 matches!(Log::mount(dev, SMALL).err(), Some(LfsError::Disk(_))),
@@ -1350,7 +1350,9 @@ mod tests {
             cache_blocks: 64,
             readahead_blocks: 1,
         };
-        let log = Log::format(TraceDisk::new(MemDisk::new(200_000)), cfg).unwrap();
+        let dev = TraceDisk::new(MemDisk::new(200_000));
+        let trace = dev.handle();
+        let log = Log::format(dev, cfg).unwrap();
         // Twenty single-block batches: two sealed segments and a partial.
         let addrs: Vec<BlockAddr> = (0..20u64)
             .map(|i| {
@@ -1360,21 +1362,20 @@ mod tests {
             })
             .collect();
         let segments = log.geometry().segment_of(*addrs.last().unwrap()) + 1;
-        let dev = log.into_device();
-        dev.clear();
-        let m = Log::mount(dev, SMALL).unwrap();
+        trace.clear();
+        let m = Log::mount(log.into_device(), SMALL).unwrap();
         assert_eq!(m.batches.len(), 20);
         // Two superblock copies plus one transfer per segment.
-        assert_eq!(m.log.device().reads(), 2 + segments as u64);
+        assert_eq!(trace.reads(), 2 + segments as u64);
         for (i, a) in addrs.iter().enumerate() {
             assert_eq!(m.log.read_block(*a).unwrap()[0], i as u8 + 1);
         }
         assert_eq!(
-            m.log.device().reads(),
+            trace.reads(),
             2 + segments as u64,
             "replay reads hit the cache"
         );
-        assert_eq!(m.log.device().writes(), 0, "mount is write-free");
+        assert_eq!(trace.writes(), 0, "mount is write-free");
     }
 
     /// Readahead in the open segment stops at the log's write frontier:

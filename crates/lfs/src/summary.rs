@@ -224,7 +224,7 @@ impl Summary {
     /// given `data`, the blocks that follow the summary on the device.
     /// An entry's bytes are its 4 KiB block; the carried record's are the
     /// payload at its own length, under its carried address.
-    pub fn blocks<'a>(
+    pub(crate) fn blocks<'a>(
         &'a self,
         geo: &Geometry,
         data: &'a [u8],

@@ -147,7 +147,7 @@ impl Superblock {
     }
 
     /// Geometry implied by this superblock.
-    pub fn geometry(&self) -> Geometry {
+    pub(crate) fn geometry(&self) -> Geometry {
         Geometry {
             superblock_sectors: Geometry::SUPERBLOCK_COPY_SECTORS * 2,
             blocks_per_segment: self.blocks_per_segment,

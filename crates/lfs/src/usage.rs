@@ -64,7 +64,7 @@ impl SegmentUsageTable {
     }
 
     /// Number of segments in the table.
-    pub fn num_segments(&self) -> u32 {
+    pub(crate) fn num_segments(&self) -> u32 {
         self.segs.len() as u32
     }
 
@@ -121,7 +121,7 @@ impl SegmentUsageTable {
 
     /// Decrements the live count of `seg` by `n` (versions aged out or
     /// administratively flushed).
-    pub fn release_blocks(&mut self, seg: SegmentId, n: u32) {
+    pub(crate) fn release_blocks(&mut self, seg: SegmentId, n: u32) {
         let s = &mut self.segs[seg as usize];
         s.live_blocks = s.live_blocks.saturating_sub(n);
     }
@@ -213,7 +213,7 @@ impl SegmentUsageTable {
     }
 
     /// Fraction of data-area blocks currently referenced.
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         let live: u64 = self.segs.iter().map(|s| s.live_blocks as u64).sum();
         live as f64 / (self.segs.len() as u64 * self.blocks_per_segment as u64) as f64
     }

@@ -65,12 +65,6 @@ pub struct Histogram {
 
 impl Default for Histogram {
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    pub fn new() -> Histogram {
         let mut buckets = Vec::with_capacity(NUM_BUCKETS);
         buckets.resize_with(NUM_BUCKETS, AtomicU64::default);
         Histogram {
@@ -82,7 +76,9 @@ impl Histogram {
             }),
         }
     }
+}
 
+impl Histogram {
     /// Records one value (relaxed atomics; totals are eventually
     /// consistent across threads, exact under the single-threaded
     /// simulation).
@@ -93,11 +89,11 @@ impl Histogram {
         self.inner.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.inner.count.load(Ordering::Relaxed)
     }
 
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.inner.sum.load(Ordering::Relaxed)
     }
 
@@ -171,7 +167,7 @@ mod tests {
     fn overflow_bucket_catches_huge_values() {
         assert_eq!(bucket_index(u64::MAX), OVERFLOW_BUCKET);
         assert_eq!(bucket_index(1u64 << (MAX_OCTAVE + 1)), OVERFLOW_BUCKET);
-        let h = Histogram::new();
+        let h = Histogram::default();
         h.record(u64::MAX);
         h.record(u64::MAX - 1);
         assert_eq!(h.count(), 2);
@@ -182,7 +178,7 @@ mod tests {
 
     #[test]
     fn percentiles_bound_true_quantiles() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for v in 1..=1000u64 {
             h.record(v);
         }
@@ -201,7 +197,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_is_zero() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         assert_eq!(h.count(), 0);
         assert_eq!(h.percentile(0.5), 0);
         assert_eq!(h.max(), 0);

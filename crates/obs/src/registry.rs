@@ -20,10 +20,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
     pub fn add(&self, n: u64) {
         self.v.fetch_add(n, Ordering::Relaxed);
     }
@@ -40,10 +36,6 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
     pub fn set(&self, v: f64) {
         // Non-finite values clamp to zero: every series is a number.
         let v = if v.is_finite() { v } else { 0.0 };
@@ -168,7 +160,7 @@ impl Registry {
             .entry(name.to_string())
             .or_insert_with(|| Entry {
                 help,
-                metric: Metric::Counter(Counter::new()),
+                metric: Metric::Counter(Counter::default()),
             })
             .metric
         {
@@ -184,7 +176,7 @@ impl Registry {
             .entry(name.to_string())
             .or_insert_with(|| Entry {
                 help,
-                metric: Metric::Gauge(Gauge::new()),
+                metric: Metric::Gauge(Gauge::default()),
             })
             .metric
         {
@@ -200,7 +192,7 @@ impl Registry {
             .entry(name.to_string())
             .or_insert_with(|| Entry {
                 help,
-                metric: Metric::Histogram(Histogram::new()),
+                metric: Metric::Histogram(Histogram::default()),
             })
             .metric
         {

@@ -65,7 +65,7 @@ pub struct TraceRecord {
 impl TraceRecord {
     /// Encoded size of *this* record: untraced records keep the v1
     /// 68-byte layout, traced records append the 10-byte extension.
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         if self.trace_id == 0 {
             TRACE_RECORD_BYTES
         } else {
@@ -74,7 +74,7 @@ impl TraceRecord {
     }
 
     /// Appends the fixed-size encoding to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.seq.to_le_bytes());
         out.extend_from_slice(&self.time_us.to_le_bytes());
         out.extend_from_slice(&self.user.to_le_bytes());

@@ -132,11 +132,6 @@ impl MemDisk {
     pub fn with_capacity_bytes(bytes: u64) -> Self {
         Self::new(bytes.div_ceil(SECTOR_SIZE as u64))
     }
-
-    /// Discards all contents, returning the device to all-zeros.
-    pub fn wipe(&self) {
-        self.chunks.lock().clear();
-    }
 }
 
 impl Clone for MemDisk {
@@ -328,16 +323,6 @@ mod tests {
         let mut out = vec![0u8; data.len()];
         d.read(CHUNK_SECTORS - 2, &mut out).unwrap();
         assert_eq!(out, data);
-    }
-
-    #[test]
-    fn memdisk_wipe_clears() {
-        let d = MemDisk::new(64);
-        d.write(0, &[9u8; SECTOR_SIZE]).unwrap();
-        d.wipe();
-        let mut out = [1u8; SECTOR_SIZE];
-        d.read(0, &mut out).unwrap();
-        assert!(out.iter().all(|&b| b == 0));
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //! Which request classes count toward the fault trigger is controlled by
 //! [`RequestClassMask`]. Historically only `write()` requests counted,
 //! which made crash points *between* a data write and its `sync()`
-//! unreachable; plans can now count sync and read requests too. A fault
-//! that fires on a write tears it per [`FaultPlan::torn`] — a
-//! [`TornPattern`] deciding sector-by-sector what persists (prefix,
-//! interleaved, or holed); a fault that fires on a sync or read simply
-//! fails the request (there is nothing to tear).
+//! unreachable; plans can now count sync and read requests too. A power
+//! loss that fires on a write tears it per the plan's [`TornPattern`],
+//! which decides sector-by-sector what persists (prefix, interleaved, or
+//! holed); a fault that fires on a sync or read simply fails the request
+//! (there is nothing to tear).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,7 +48,7 @@ impl RequestClassMask {
     }
 
     /// True if every class in `other` is present in `self`.
-    pub const fn contains(self, other: RequestClassMask) -> bool {
+    pub(crate) const fn contains(self, other: RequestClassMask) -> bool {
         self.0 & other.0 == other.0
     }
 }
@@ -97,13 +97,17 @@ impl TornPattern {
     }
 }
 
-/// How the fault manifests once the trigger count is reached.
+/// How the fault manifests once the trigger count is reached. The mode
+/// alone decides whether the device dies and whether a write tears.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultMode {
-    /// The historical crash model: the firing write tears per
-    /// [`FaultPlan::torn`], then (with `die_after_fault`) the whole
-    /// device refuses requests until [`FaultyDisk::revive`].
-    PowerLoss,
+enum FaultMode {
+    /// The crash model: the firing write persists only the sectors
+    /// `torn` keeps, then every device on the rail refuses requests
+    /// until [`FaultyDisk::revive`].
+    PowerLoss {
+        /// Which sectors of the firing write persist.
+        torn: TornPattern,
+    },
     /// Whole-member death: the firing request and every request after it
     /// fail with [`DiskError::DeviceFailed`], permanently (no revive is
     /// expected — the member is replaced, not rebooted). Nothing tears:
@@ -120,96 +124,43 @@ pub enum FaultMode {
     },
 }
 
-/// What should go wrong, and when.
+/// What should go wrong, and when; built by its constructors.
 #[derive(Clone, Copy, Debug)]
 pub struct FaultPlan {
     /// Number of counted requests to let through untouched before the
-    /// fault fires. `u64::MAX` means never. (The name predates
-    /// [`FaultPlan::counted`]; with a wider mask it counts every request
-    /// class in the mask, not just writes.)
-    pub writes_until_fault: u64,
-    /// When the fault fires on a write, which sectors of the offending
-    /// write persist. Ignored when the fault fires on a sync or read.
-    pub torn: TornPattern,
-    /// If true, every request after the fault fails with
-    /// [`DiskError::DeviceFailed`] until [`FaultyDisk::revive`] is called —
-    /// emulating power loss.
-    pub die_after_fault: bool,
-    /// Which request classes count toward `writes_until_fault`. Defaults
-    /// to [`RequestClassMask::WRITES`] in the stock constructors, matching
-    /// the historical behaviour.
-    pub counted: RequestClassMask,
-    /// How the fault manifests (power loss, member death, intermittent).
-    pub mode: FaultMode,
+    /// fault fires. `u64::MAX` means never.
+    fires_at: u64,
+    /// Which request classes count toward `fires_at`.
+    counted: RequestClassMask,
+    mode: FaultMode,
 }
 
 impl FaultPlan {
     /// A plan that never faults.
     pub fn none() -> Self {
-        FaultPlan {
-            writes_until_fault: u64::MAX,
-            torn: TornPattern::Prefix(0),
-            die_after_fault: false,
-            counted: RequestClassMask::WRITES,
-            mode: FaultMode::PowerLoss,
-        }
+        Self::count_only(RequestClassMask::WRITES)
     }
 
     /// A plan that never faults but counts requests of the given classes,
     /// observable via [`FaultyDisk::requests_seen`] — used to measure a
     /// workload's fault domain before enumerating injection points.
     pub fn count_only(counted: RequestClassMask) -> Self {
-        FaultPlan {
-            writes_until_fault: u64::MAX,
-            torn: TornPattern::Prefix(0),
-            die_after_fault: false,
-            counted,
-            mode: FaultMode::PowerLoss,
-        }
+        Self::power_loss_after_requests(u64::MAX, counted)
     }
 
-    /// Power loss after `n` successful writes, tearing the (n+1)-th write
-    /// to a `torn_sectors`-sector prefix. Only writes count.
-    pub fn power_loss_after_writes(n: u64, torn_sectors: u64) -> Self {
-        FaultPlan {
-            writes_until_fault: n,
-            torn: TornPattern::Prefix(torn_sectors),
-            die_after_fault: true,
-            counted: RequestClassMask::WRITES,
-            mode: FaultMode::PowerLoss,
-        }
-    }
-
-    /// Power loss after `n` counted requests of the given classes, tearing
-    /// the offending request to a `torn_sectors`-sector prefix if it is a
-    /// write.
-    pub fn power_loss_after_requests(
-        n: u64,
-        torn_sectors: u64,
-        counted: RequestClassMask,
-    ) -> Self {
-        FaultPlan {
-            writes_until_fault: n,
-            torn: TornPattern::Prefix(torn_sectors),
-            die_after_fault: true,
-            counted,
-            mode: FaultMode::PowerLoss,
-        }
+    /// Power loss after `n` counted requests of the given classes,
+    /// dropping the offending request entirely if it is a write.
+    pub fn power_loss_after_requests(n: u64, counted: RequestClassMask) -> Self {
+        Self::power_loss_with_pattern(n, TornPattern::Prefix(0), counted)
     }
 
     /// Power loss after `n` counted requests, tearing the offending write
     /// per an arbitrary [`TornPattern`].
-    pub fn power_loss_with_pattern(
-        n: u64,
-        torn: TornPattern,
-        counted: RequestClassMask,
-    ) -> Self {
+    pub fn power_loss_with_pattern(n: u64, torn: TornPattern, counted: RequestClassMask) -> Self {
         FaultPlan {
-            writes_until_fault: n,
-            torn,
-            die_after_fault: true,
+            fires_at: n,
             counted,
-            mode: FaultMode::PowerLoss,
+            mode: FaultMode::PowerLoss { torn },
         }
     }
 
@@ -218,9 +169,7 @@ impl FaultPlan {
     /// [`DiskError::DeviceFailed`].
     pub fn member_death_after_requests(n: u64, counted: RequestClassMask) -> Self {
         FaultPlan {
-            writes_until_fault: n,
-            torn: TornPattern::Prefix(0),
-            die_after_fault: true,
+            fires_at: n,
             counted,
             mode: FaultMode::MemberDeath,
         }
@@ -231,9 +180,7 @@ impl FaultPlan {
     /// [`DiskError::Io`]; the device stays alive throughout.
     pub fn intermittent_io(start: u64, period: u64, counted: RequestClassMask) -> Self {
         FaultPlan {
-            writes_until_fault: start,
-            torn: TornPattern::Prefix(0),
-            die_after_fault: false,
+            fires_at: start,
             counted,
             mode: FaultMode::Intermittent { period },
         }
@@ -244,7 +191,7 @@ impl FaultPlan {
 pub struct FaultyDisk<D: BlockDev> {
     inner: D,
     plan: FaultPlan,
-    /// Live copy of `plan.writes_until_fault`; set to `u64::MAX` on revive
+    /// Live copy of `plan.fires_at`; set to `u64::MAX` on revive
     /// so the fault does not re-fire.
     armed_at: AtomicU64,
     requests_seen: AtomicU64,
@@ -267,7 +214,7 @@ impl<D: BlockDev> FaultyDisk<D> {
         FaultyDisk {
             inner,
             plan,
-            armed_at: AtomicU64::new(plan.writes_until_fault),
+            armed_at: AtomicU64::new(plan.fires_at),
             requests_seen: AtomicU64::new(0),
             dead: rail,
         }
@@ -289,11 +236,6 @@ impl<D: BlockDev> FaultyDisk<D> {
     /// Consumes the wrapper, returning the inner device.
     pub fn into_inner(self) -> D {
         self.inner
-    }
-
-    /// Returns a reference to the inner device.
-    pub fn inner(&self) -> &D {
-        &self.inner
     }
 
     /// Counted requests observed so far (only classes in the plan's
@@ -321,7 +263,7 @@ impl<D: BlockDev> FaultyDisk<D> {
         }
         if n == armed_at {
             Counted::Fire
-        } else if n > armed_at && self.plan.die_after_fault {
+        } else if n > armed_at {
             Counted::Dead
         } else {
             Counted::Pass
@@ -336,10 +278,8 @@ impl<D: BlockDev> FaultyDisk<D> {
                 DiskError::DeviceFailed
             }
             FaultMode::Intermittent { .. } => DiskError::Io(format!("injected {what} fault")),
-            FaultMode::PowerLoss => {
-                if self.plan.die_after_fault {
-                    self.dead.store(true, Ordering::SeqCst);
-                }
+            FaultMode::PowerLoss { .. } => {
+                self.dead.store(true, Ordering::SeqCst);
                 DiskError::Io(format!("injected {what} fault"))
             }
         }
@@ -378,7 +318,7 @@ impl<D: BlockDev> BlockDev for FaultyDisk<D> {
         }
         match self.count(RequestClassMask::WRITES) {
             Counted::Fire => {
-                match self.plan.mode {
+                let torn = match self.plan.mode {
                     FaultMode::MemberDeath => {
                         self.dead.store(true, Ordering::SeqCst);
                         return Err(DiskError::DeviceFailed);
@@ -389,14 +329,14 @@ impl<D: BlockDev> BlockDev for FaultyDisk<D> {
                     FaultMode::Intermittent { .. } => {
                         return Err(DiskError::Io("injected write fault".into()));
                     }
-                    FaultMode::PowerLoss => {}
-                }
+                    FaultMode::PowerLoss { torn } => torn,
+                };
                 // Tear the write: persist only the sectors the pattern
                 // keeps, as maximal contiguous runs.
                 let nsectors = buf.len().div_ceil(SECTOR_SIZE) as u64;
                 let mut run_start: Option<u64> = None;
                 for i in 0..=nsectors {
-                    let keep = i < nsectors && self.plan.torn.keeps(i);
+                    let keep = i < nsectors && torn.keeps(i);
                     match (keep, run_start) {
                         (true, None) => run_start = Some(i),
                         (false, Some(s)) => {
@@ -408,9 +348,7 @@ impl<D: BlockDev> BlockDev for FaultyDisk<D> {
                         _ => {}
                     }
                 }
-                if self.plan.die_after_fault {
-                    self.dead.store(true, Ordering::SeqCst);
-                }
+                self.dead.store(true, Ordering::SeqCst);
                 Err(DiskError::Io("injected torn write".into()))
             }
             Counted::Dead => Err(DiskError::DeviceFailed),
@@ -446,7 +384,10 @@ mod tests {
 
     #[test]
     fn torn_write_persists_prefix_only() {
-        let d = FaultyDisk::new(MemDisk::new(64), FaultPlan::power_loss_after_writes(1, 1));
+        let d = FaultyDisk::new(
+            MemDisk::new(64),
+            FaultPlan::power_loss_with_pattern(1, TornPattern::Prefix(1), RequestClassMask::WRITES),
+        );
         d.write(0, &[1u8; SECTOR_SIZE]).unwrap();
         // This 4-sector write tears after 1 sector.
         let err = d.write(8, &[2u8; SECTOR_SIZE * 4]).unwrap_err();
@@ -520,7 +461,7 @@ mod tests {
     #[test]
     fn devices_on_one_rail_die_and_revive_together() {
         let rail = Arc::default();
-        let plan = FaultPlan::power_loss_after_writes(0, 0);
+        let plan = FaultPlan::power_loss_after_requests(0, RequestClassMask::WRITES);
         let a = FaultyDisk::on_rail(MemDisk::new(64), plan, Arc::clone(&rail));
         let b = FaultyDisk::on_rail(MemDisk::new(64), FaultPlan::none(), rail);
         let alone = FaultyDisk::new(MemDisk::new(64), FaultPlan::none());
@@ -549,7 +490,10 @@ mod tests {
 
     #[test]
     fn revive_disarms_plan() {
-        let d = FaultyDisk::new(MemDisk::new(64), FaultPlan::power_loss_after_writes(0, 0));
+        let d = FaultyDisk::new(
+            MemDisk::new(64),
+            FaultPlan::power_loss_after_requests(0, RequestClassMask::WRITES),
+        );
         assert!(d.write(0, &[1u8; SECTOR_SIZE]).is_err());
         d.revive();
         for i in 0..10 {
@@ -561,7 +505,10 @@ mod tests {
     fn writes_only_mask_ignores_sync_and_reads() {
         // Fault after 1 counted request, writes-only: sync and read must
         // neither count nor fire.
-        let d = FaultyDisk::new(MemDisk::new(64), FaultPlan::power_loss_after_writes(1, 0));
+        let d = FaultyDisk::new(
+            MemDisk::new(64),
+            FaultPlan::power_loss_after_requests(1, RequestClassMask::WRITES),
+        );
         d.sync().unwrap();
         d.read(0, &mut [0u8; SECTOR_SIZE]).unwrap();
         d.write(0, &[1u8; SECTOR_SIZE]).unwrap();
@@ -575,7 +522,7 @@ mod tests {
         let mask = RequestClassMask::WRITES | RequestClassMask::SYNCS;
         let d = FaultyDisk::new(
             MemDisk::new(64),
-            FaultPlan::power_loss_after_requests(2, 0, mask),
+            FaultPlan::power_loss_after_requests(2, mask),
         );
         d.write(0, &[1u8; SECTOR_SIZE]).unwrap(); // request 0
         d.sync().unwrap(); // request 1
@@ -593,7 +540,7 @@ mod tests {
     fn read_counts_and_fires_with_reads_mask() {
         let d = FaultyDisk::new(
             MemDisk::new(64),
-            FaultPlan::power_loss_after_requests(1, 0, RequestClassMask::ALL),
+            FaultPlan::power_loss_after_requests(1, RequestClassMask::ALL),
         );
         d.write(0, &[7u8; SECTOR_SIZE]).unwrap(); // request 0
         let err = d.read(0, &mut [0u8; SECTOR_SIZE]).unwrap_err(); // request 1: fires
@@ -608,7 +555,7 @@ mod tests {
         let mask = RequestClassMask::WRITES | RequestClassMask::SYNCS;
         let d = FaultyDisk::new(
             MemDisk::new(64),
-            FaultPlan::power_loss_after_requests(3, 0, mask),
+            FaultPlan::power_loss_after_requests(3, mask),
         );
         d.write(0, &[1u8; SECTOR_SIZE]).unwrap(); // 0
         d.write(1, &[2u8; SECTOR_SIZE]).unwrap(); // 1

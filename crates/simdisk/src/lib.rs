@@ -22,8 +22,8 @@ pub mod timed;
 pub mod trace;
 
 pub use dev::{BlockDev, DiskError, FileDisk, MemDisk, SECTOR_SIZE};
-pub use fault::{FaultMode, FaultPlan, FaultyDisk, RequestClassMask, TornPattern};
-pub use trace::{TraceClass, TraceDisk, TraceHandle, TraceRecord};
+pub use fault::{FaultPlan, FaultyDisk, RequestClassMask, TornPattern};
 pub use model::DiskModelParams;
 pub use stats::{DiskStats, StatsHandle};
 pub use timed::TimedDisk;
+pub use trace::{TraceClass, TraceDisk, TraceHandle, TraceRecord};

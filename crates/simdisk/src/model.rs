@@ -75,7 +75,7 @@ pub(crate) struct DiskModel {
 
 impl DiskModel {
     /// Creates a model for a device of `num_sectors` sectors.
-    pub fn new(params: DiskModelParams, num_sectors: u64) -> Self {
+    pub(crate) fn new(params: DiskModelParams, num_sectors: u64) -> Self {
         let num_cylinders = num_sectors.div_ceil(params.sectors_per_track).max(1);
         DiskModel {
             params,
@@ -131,7 +131,7 @@ impl DiskModel {
     /// A request that begins exactly where the previous one ended pays
     /// neither seek nor rotational latency — the sequential-append fast
     /// path that log-structured layouts exploit.
-    pub fn service(&mut self, sector: u64, count: u64) -> SimDuration {
+    pub(crate) fn service(&mut self, sector: u64, count: u64) -> SimDuration {
         let spt = self.params.sectors_per_track;
         let target_track = sector / spt;
         let target_angle = sector % spt;

@@ -22,21 +22,6 @@ pub struct DiskStats {
 }
 
 impl DiskStats {
-    /// Total bytes read.
-    pub fn bytes_read(&self) -> u64 {
-        self.sectors_read * crate::SECTOR_SIZE as u64
-    }
-
-    /// Total bytes written.
-    pub fn bytes_written(&self) -> u64 {
-        self.sectors_written * crate::SECTOR_SIZE as u64
-    }
-
-    /// Total busy time as a duration.
-    pub fn busy(&self) -> SimDuration {
-        SimDuration::from_micros(self.busy_us)
-    }
-
     /// Counter-wise difference `self - earlier`; useful for measuring a
     /// benchmark phase.
     pub fn since(&self, earlier: &DiskStats) -> DiskStats {
@@ -67,11 +52,6 @@ struct Counters {
 }
 
 impl StatsHandle {
-    /// Creates a fresh set of zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one read of `sectors` sectors taking `t`.
     pub(crate) fn record_read(&self, sectors: u64, t: SimDuration) {
         self.inner.reads.fetch_add(1, Ordering::Relaxed);
@@ -112,7 +92,7 @@ mod tests {
 
     #[test]
     fn record_and_snapshot() {
-        let h = StatsHandle::new();
+        let h = StatsHandle::default();
         h.record_read(8, SimDuration::from_micros(100));
         h.record_write(16, SimDuration::from_micros(200));
         h.record_write(16, SimDuration::from_micros(200));
@@ -122,12 +102,11 @@ mod tests {
         assert_eq!(s.sectors_read, 8);
         assert_eq!(s.sectors_written, 32);
         assert_eq!(s.busy_us, 500);
-        assert_eq!(s.bytes_written(), 32 * 512);
     }
 
     #[test]
     fn since_subtracts() {
-        let h = StatsHandle::new();
+        let h = StatsHandle::default();
         h.record_read(1, SimDuration::from_micros(10));
         let mark = h.snapshot();
         h.record_read(2, SimDuration::from_micros(20));

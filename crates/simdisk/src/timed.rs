@@ -7,11 +7,11 @@ use s4_clock::SimClock;
 
 use crate::dev::{BlockDev, DiskError};
 use crate::model::{DiskModel, DiskModelParams};
-use crate::stats::{DiskStats, StatsHandle};
+use crate::stats::StatsHandle;
 use crate::SECTOR_SIZE;
 
 /// A block device that charges a `DiskModel`'s service time to a
-/// [`SimClock`] and records [`DiskStats`] for every request, delegating
+/// [`SimClock`] and records [`DiskStats`](crate::DiskStats) for every request, delegating
 /// the actual data movement to an inner [`BlockDev`].
 pub struct TimedDisk<D: BlockDev> {
     inner: D,
@@ -29,28 +29,13 @@ impl<D: BlockDev> TimedDisk<D> {
             inner,
             model: Mutex::new(model),
             clock,
-            stats: StatsHandle::new(),
+            stats: StatsHandle::default(),
         }
     }
 
     /// Returns a handle to the live statistics counters.
     pub fn stats_handle(&self) -> StatsHandle {
         self.stats.clone()
-    }
-
-    /// Returns a snapshot of the statistics counters.
-    pub fn stats(&self) -> DiskStats {
-        self.stats.snapshot()
-    }
-
-    /// Returns the simulated clock this device charges.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
-    }
-
-    /// Returns a reference to the wrapped device.
-    pub fn inner(&self) -> &D {
-        &self.inner
     }
 }
 
@@ -108,7 +93,7 @@ mod tests {
         let mut out = vec![0u8; SECTOR_SIZE * 8];
         d.read(0, &mut out).unwrap();
         assert_eq!(out, buf);
-        let s = d.stats();
+        let s = d.stats_handle().snapshot();
         assert_eq!((s.reads, s.writes), (1, 1));
         assert_eq!(s.sectors_written, 8);
         assert!(clock.now().as_micros() > 0, "mechanical time was charged");
@@ -126,7 +111,7 @@ mod tests {
         let buf = vec![0u8; SECTOR_SIZE * 16];
         assert!(d.write(0, &buf).is_err());
         assert_eq!(clock.now().as_micros(), 0);
-        assert_eq!(d.stats().writes, 0);
+        assert_eq!(d.stats_handle().snapshot().writes, 0);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! then becomes one crash point for a subsequent
 //! [`FaultyDisk`](crate::FaultyDisk) replay.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::dev::{BlockDev, DiskError};
@@ -27,7 +26,7 @@ pub enum TraceClass {
 
 impl TraceClass {
     /// The [`RequestClassMask`] bit corresponding to this class.
-    pub fn mask(self) -> RequestClassMask {
+    pub(crate) fn mask(self) -> RequestClassMask {
         match self {
             TraceClass::Write => RequestClassMask::WRITES,
             TraceClass::Sync => RequestClassMask::SYNCS,
@@ -51,13 +50,10 @@ pub struct TraceRecord {
 /// [`TraceDisk::handle`]: a handle keeps observing requests after the
 /// disk itself has been consumed by a drive (`S4Drive::format` takes the
 /// device by value, so the trace must be readable from outside while the
-/// drive runs).
+/// drive runs). Every count is a count of [`records`](Self::records).
 #[derive(Clone, Default)]
 pub struct TraceHandle {
     records: Arc<Mutex<Vec<TraceRecord>>>,
-    writes: Arc<AtomicU64>,
-    syncs: Arc<AtomicU64>,
-    reads: Arc<AtomicU64>,
 }
 
 impl TraceHandle {
@@ -68,17 +64,17 @@ impl TraceHandle {
 
     /// Total write requests recorded.
     pub fn writes(&self) -> u64 {
-        self.writes.load(Ordering::SeqCst)
+        self.countable(RequestClassMask::WRITES)
     }
 
     /// Total sync requests recorded.
     pub fn syncs(&self) -> u64 {
-        self.syncs.load(Ordering::SeqCst)
+        self.countable(RequestClassMask::SYNCS)
     }
 
     /// Total read requests recorded.
     pub fn reads(&self) -> u64 {
-        self.reads.load(Ordering::SeqCst)
+        self.countable(RequestClassMask::READS)
     }
 
     /// Number of recorded requests whose class is in `mask` — the size of
@@ -93,20 +89,12 @@ impl TraceHandle {
             .count() as u64
     }
 
-    /// Discards the trace collected so far (counts reset too).
+    /// Discards the trace collected so far.
     pub fn clear(&self) {
         self.records.lock().unwrap().clear();
-        self.writes.store(0, Ordering::SeqCst);
-        self.syncs.store(0, Ordering::SeqCst);
-        self.reads.store(0, Ordering::SeqCst);
     }
 
     fn record(&self, class: TraceClass, sector: u64, len: usize) {
-        match class {
-            TraceClass::Write => self.writes.fetch_add(1, Ordering::SeqCst),
-            TraceClass::Sync => self.syncs.fetch_add(1, Ordering::SeqCst),
-            TraceClass::Read => self.reads.fetch_add(1, Ordering::SeqCst),
-        };
         self.records
             .lock()
             .unwrap()
@@ -115,7 +103,7 @@ impl TraceHandle {
 }
 
 /// A [`BlockDev`] wrapper that records every request while mirroring it
-/// to the inner device.
+/// to the inner device; read the trace through [`handle`](Self::handle).
 pub struct TraceDisk<D: BlockDev> {
     inner: D,
     trace: TraceHandle,
@@ -136,46 +124,9 @@ impl<D: BlockDev> TraceDisk<D> {
         self.trace.clone()
     }
 
-    /// Snapshot of every request recorded so far, in arrival order.
-    pub fn records(&self) -> Vec<TraceRecord> {
-        self.trace.records()
-    }
-
-    /// Total write requests recorded.
-    pub fn writes(&self) -> u64 {
-        self.trace.writes()
-    }
-
-    /// Total sync requests recorded.
-    pub fn syncs(&self) -> u64 {
-        self.trace.syncs()
-    }
-
-    /// Total read requests recorded.
-    pub fn reads(&self) -> u64 {
-        self.trace.reads()
-    }
-
-    /// Number of recorded requests whose class is in `mask` — the size of
-    /// the crash-point domain a [`FaultPlan`](crate::FaultPlan) with that
-    /// `counted` mask would enumerate over this trace.
-    pub fn countable(&self, mask: RequestClassMask) -> u64 {
-        self.trace.countable(mask)
-    }
-
-    /// Discards the trace collected so far (counts reset too).
-    pub fn clear(&self) {
-        self.trace.clear();
-    }
-
     /// Consumes the wrapper, returning the inner device.
     pub fn into_inner(self) -> D {
         self.inner
-    }
-
-    /// Returns a reference to the inner device.
-    pub fn inner(&self) -> &D {
-        &self.inner
     }
 }
 
@@ -209,20 +160,21 @@ mod tests {
     #[test]
     fn trace_mirrors_and_records() {
         let d = TraceDisk::new(MemDisk::new(64));
+        let t = d.handle();
         d.write(4, &[9u8; SECTOR_SIZE * 2]).unwrap();
         d.sync().unwrap();
         let mut out = [0u8; SECTOR_SIZE];
         d.read(5, &mut out).unwrap();
         assert_eq!(out[0], 9, "write mirrored to inner device");
 
-        let recs = d.records();
+        let recs = t.records();
         assert_eq!(recs.len(), 3);
         assert_eq!(recs[0].class, TraceClass::Write);
         assert_eq!(recs[0].sector, 4);
         assert_eq!(recs[0].len, SECTOR_SIZE * 2);
         assert_eq!(recs[1].class, TraceClass::Sync);
         assert_eq!(recs[2].class, TraceClass::Read);
-        assert_eq!((d.writes(), d.syncs(), d.reads()), (1, 1, 1));
+        assert_eq!((t.writes(), t.syncs(), t.reads()), (1, 1, 1));
     }
 
     #[test]
@@ -232,12 +184,13 @@ mod tests {
         d.write(1, &[1u8; SECTOR_SIZE]).unwrap();
         d.sync().unwrap();
         d.read(0, &mut [0u8; SECTOR_SIZE]).unwrap();
-        assert_eq!(d.countable(RequestClassMask::WRITES), 2);
+        let t = d.handle();
+        assert_eq!(t.countable(RequestClassMask::WRITES), 2);
         assert_eq!(
-            d.countable(RequestClassMask::WRITES | RequestClassMask::SYNCS),
+            t.countable(RequestClassMask::WRITES | RequestClassMask::SYNCS),
             3
         );
-        assert_eq!(d.countable(RequestClassMask::ALL), 4);
+        assert_eq!(t.countable(RequestClassMask::ALL), 4);
     }
 
     #[test]
@@ -248,15 +201,19 @@ mod tests {
         moved.write(0, &[1u8; SECTOR_SIZE]).unwrap();
         moved.sync().unwrap();
         assert_eq!(h.writes(), 1);
-        assert_eq!(h.countable(RequestClassMask::WRITES | RequestClassMask::SYNCS), 2);
+        assert_eq!(
+            h.countable(RequestClassMask::WRITES | RequestClassMask::SYNCS),
+            2
+        );
     }
 
     #[test]
     fn clear_resets_trace() {
         let d = TraceDisk::new(MemDisk::new(64));
         d.write(0, &[1u8; SECTOR_SIZE]).unwrap();
-        d.clear();
-        assert!(d.records().is_empty());
-        assert_eq!(d.writes(), 0);
+        let t = d.handle();
+        t.clear();
+        assert!(t.records().is_empty());
+        assert_eq!(t.writes(), 0);
     }
 }

@@ -51,7 +51,7 @@ pub struct Oracle {
 
 impl Oracle {
     /// Objects ever created.
-    pub fn objects(&self) -> usize {
+    pub(crate) fn objects(&self) -> usize {
         self.order.len()
     }
 

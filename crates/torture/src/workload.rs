@@ -802,7 +802,7 @@ pub fn torture_crash_during_recovery(
         second_replays += 1;
         let wrapped = FaultyDisk::new(
             image.clone(),
-            FaultPlan::power_loss_after_requests(r, 0, RequestClassMask::ALL),
+            FaultPlan::power_loss_after_requests(r, RequestClassMask::ALL),
         );
         match S4Drive::mount_with_report(wrapped, drive_config(), SimClock::new()) {
             Err(_) => second_died += 1,

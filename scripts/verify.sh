@@ -36,13 +36,17 @@
 #    code before its #[cfg(test)], or anywhere in an integration test —
 #    fails: a power-cut campaign is an s4_torture::Scenario, and
 #    s4_torture::enumerate is the one loop that arms and counts the cuts;
-#    and the pub census: a `pub fn|struct|enum|const|type|trait|static|mod`
+#    and the pub census: a `pub struct|enum|const|type|trait|static|mod`
 #    before its file's #[cfg(test)], in any crate but s4-bench, whose name
 #    appears in no .rs file outside its crate's src/ (other crates, src/,
 #    tests/, examples/, benchmark/src, the crate's own tests/, benches/
 #    and examples/) fails unless the allow-list names it with the reason
 #    it stays pub — an item nothing outside its crate names is
-#    pub(crate), under #[cfg(test)] if only unit tests call it, or gone
+#    pub(crate), under #[cfg(test)] if only unit tests call it, or gone;
+#    and the compiler census (scripts/pub_fn_census.sh): every `pub fn`
+#    there is made pub(crate) on a copy of the tree, `cargo check` puts
+#    back what the workspace, its tests and benchmark/ call, and one still
+#    narrowed fails unless that script's allow-list says why it stays pub
 # 3. the full test suite, once (dev profile is optimized; see
 #    Cargo.toml). `--workspace` runs every crate's tests and every root
 #    tests/*.rs, so the bounded torture campaigns (write path with torn
@@ -280,14 +284,14 @@ done)
   exit 1
 }
 
-echo "== pub census (every pub item outside s4-bench has a user outside its crate)"
-# By name, like the censuses above: a name that collides with another
+echo "== pub census (every pub type, const, static and mod outside s4-bench is named outside its crate)"
+# Functions are the compiler census's (below). This one is
+# by name, like the censuses above: a name that collides with another
 # item's counts as used. One allow-list line per item that stays pub
 # with no outside user: crate, item name (a glob), why. Most are types
 # that outside code holds but never names, because a public signature
 # returns or exposes them; narrowing one is a private-interfaces error.
 pub_allowed='
-core      op_*                  Table 1: the drive serves every RPC the paper lists, whoever calls it
 array     FlipReport            the type of ReshardReport::flip
 array     Sharded               returned by S4Array::{read_audit,read_alerts,read_traces}_merged
 array     ReshardReport         returned by split_shard and double_array
@@ -312,12 +316,12 @@ lfs       RecoveredBatch        the element type of Mounted::batches
 lfs       SegmentState          the type of SegmentUsage::state
 lfs       SegmentUsage          returned by SegmentUsageTable::get
 obs       HistogramSnapshot     the payload of Sample::Histogram
-simdisk   FaultMode             the type of FaultPlan::mode
-simdisk   DiskStats             returned by StatsHandle::snapshot and TimedDisk::stats
+simdisk   DiskStats             returned by StatsHandle::snapshot
 torture   Reached               the Run of the two-phase-commit Stretch scenario
 torture   Decisions             the Tally of the two-phase-commit Stretch scenario
 torture   GoldenSummary         returned by golden_run
 torture   RunState              the Run of the WritePath and CleanerBetween scenarios
+torture   Checked               the Tally of the WritePath and CleanerBetween scenarios
 torture   RecoveryCrashOutcome  returned by torture_crash_during_recovery
 torture   RecoverySummary       returned by enumerate_recovery_crashes
 workloads MicroPhases           returned by micro_benchmark
@@ -332,7 +336,7 @@ pub_is_allowed() { # crate name
   done <<< "$pub_allowed"
   return 1
 }
-pub_decl='^[[:space:]]*pub (fn|struct|enum|const|type|trait|static|mod) '
+pub_decl='^[[:space:]]*pub (struct|enum|const|type|trait|static|mod) '
 outside_words=$(mktemp -d)
 for dir in crates/*/src; do
   c=$(basename "$(dirname "$dir")")
@@ -367,6 +371,9 @@ rm -r "$outside_words"
     "or allow-list it in scripts/verify.sh with the reason it stays pub" >&2
   exit 1
 }
+
+echo "== compiler census (every pub fn outside s4-bench has a caller outside its crate)"
+scripts/pub_fn_census.sh
 
 echo "== cargo test --workspace -q"
 cargo test --workspace -q

@@ -65,7 +65,7 @@ fn usage() -> ExitCode {
            pin <image> <path> <secs>     (landmark: survives the window)\n\
            pins <image> <path>\n\
            audit <image>\n\
-           stats <image> [<image>...]\n\
+           stats <image> [<image>...] [--mirrors <m>]\n\
                                          (metrics + flight-recorder tail; several\n\
                                           images = array mode, per-shard + aggregate)\n\
            reshard <image>... --targets <new-image>... [--slot <n>] [--mirrors <m>]\n\
@@ -405,7 +405,7 @@ fn run() -> Result<(), CliError> {
             // Array mode: every image is one shard; metrics aggregate
             // across the member drives and the flight-recorder tail is
             // the time-merged view.
-            let array = open_array(&args.positional, ArrayConfig::default().mirrors)?;
+            let array = open_array(&args.positional, mirrors)?;
             print!("{}", array.metrics_text());
             let admin = admin_of(&array.shard_drive(0));
             let log = array.read_traces_merged(&admin)?;

@@ -337,3 +337,49 @@ fn cli_trace_assembles_across_invocations() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `s4 stats` on a mirrored image set: `--mirrors` groups the images into
+/// shards as `s4 txn` and `s4 trace` do, so one shard of two mirrors
+/// mounts against its persisted epoch.
+#[test]
+fn cli_stats_mounts_a_mirrored_array() {
+    use s4_array::{ArrayConfig, S4Array};
+    use s4_clock::{SimClock, SimDuration};
+    use s4_core::{ClientId, DriveConfig, Request, RequestContext, UserId};
+    use s4_simdisk::FileDisk;
+
+    let dir = std::env::temp_dir().join(format!("s4-cli-mirrors-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let img = |n: &str| dir.join(n);
+
+    let clock = SimClock::new();
+    clock.advance(SimDuration::from_secs(1));
+    let devices = ["m0.s4", "m1.s4"]
+        .iter()
+        .map(|n| FileDisk::create(img(n), 64 * 2048).unwrap())
+        .collect();
+    let cfg = ArrayConfig {
+        mirrors: 2,
+        ..ArrayConfig::default()
+    };
+    let a = S4Array::format(devices, DriveConfig::default(), cfg, clock).unwrap();
+    let ctx = RequestContext::user(UserId(5), ClientId(2));
+    a.dispatch(&ctx, &Request::Create).unwrap();
+    a.dispatch(&ctx, &Request::Sync).unwrap();
+    a.unmount().unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_s4"))
+        .arg("stats")
+        .args([img("m0.s4"), img("m1.s4")])
+        .args(["--mirrors", "2"])
+        .output()
+        .expect("spawn s4");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "stats failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("s4_array_mirrors 2"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
