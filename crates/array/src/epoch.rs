@@ -132,7 +132,10 @@ impl EpochInfo {
 
     /// The partition-table entry name this epoch persists under.
     pub fn note_name(&self) -> String {
-        format!("{EPOCH_NOTE_PREFIX}{}/{}/{}", self.seq, self.base, self.bits)
+        format!(
+            "{EPOCH_NOTE_PREFIX}{}/{}/{}",
+            self.seq, self.base, self.bits
+        )
     }
 
     /// Parses an epoch note name; `None` for anything else (including

@@ -16,7 +16,9 @@ use s4_fs::{FileServer, FsError, S4FileServer, S4FsConfig};
 use s4_simdisk::MemDisk;
 
 fn disks(n: usize) -> Vec<MemDisk> {
-    (0..n).map(|_| MemDisk::with_capacity_bytes(64 << 20)).collect()
+    (0..n)
+        .map(|_| MemDisk::with_capacity_bytes(64 << 20))
+        .collect()
 }
 
 fn array(n: usize) -> S4Array<MemDisk> {
@@ -185,12 +187,22 @@ fn partition_table_is_distributed_across_home_shards() {
     // PDelete succeeds via whichever shard holds the name, and an
     // unknown name is NoSuchPartition from every shard.
     assert_eq!(
-        a.dispatch(&ctx, &Request::PDelete { name: "vol2".into() })
-            .unwrap(),
+        a.dispatch(
+            &ctx,
+            &Request::PDelete {
+                name: "vol2".into()
+            }
+        )
+        .unwrap(),
         Response::Ok
     );
     assert!(matches!(
-        a.dispatch(&ctx, &Request::PDelete { name: "vol2".into() }),
+        a.dispatch(
+            &ctx,
+            &Request::PDelete {
+                name: "vol2".into()
+            }
+        ),
         Err(S4Error::NoSuchPartition)
     ));
     assert!(matches!(
@@ -493,13 +505,17 @@ fn file_system_runs_array_backed() {
         for i in 0..2 {
             let name = format!("file{i}");
             let f = fs.create(dir, &name).unwrap();
-            fs.write(f, 0, format!("payload {d}.{i}").as_bytes()).unwrap();
+            fs.write(f, 0, format!("payload {d}.{i}").as_bytes())
+                .unwrap();
             files.push((dir, name, f, format!("payload {d}.{i}")));
         }
     }
     let home = |h: u64| shard_of(ObjectId(h), 4);
     let dirs: std::collections::BTreeSet<usize> = files.iter().map(|f| home(f.0)).collect();
-    assert!(dirs.len() >= 2, "directories spread across shards: {dirs:?}");
+    assert!(
+        dirs.len() >= 2,
+        "directories spread across shards: {dirs:?}"
+    );
     for (dir, name, f, payload) in &files {
         assert_eq!(home(*f), home(*dir), "{name} sits on its directory's shard");
         assert_eq!(fs.read(*f, 0, 100).unwrap(), payload.as_bytes());
@@ -530,13 +546,24 @@ fn refused_rename_across_shards_is_all_or_nothing() {
         perm: Perm::ALL.without(Perm::WRITE),
     };
     let oid = ObjectId(src);
-    a.dispatch(&user(), &Request::SetAcl { oid, entry: no_write }).unwrap();
+    a.dispatch(
+        &user(),
+        &Request::SetAcl {
+            oid,
+            entry: no_write,
+        },
+    )
+    .unwrap();
     assert_eq!(fs.rename(src, "f", dst, "g"), Err(FsError::Denied));
 
     let fresh = mount();
     assert_eq!(fresh.resolve_path("src/f"), Ok(f));
     assert_eq!(fresh.resolve_path("dst/g"), Err(FsError::NotFound));
-    assert!(a.txn_status_text().contains("aborted=1"), "{}", a.txn_status_text());
+    assert!(
+        a.txn_status_text().contains("aborted=1"),
+        "{}",
+        a.txn_status_text()
+    );
 }
 
 #[test]
@@ -570,23 +597,50 @@ fn reserved_partition_namespace_is_invisible_to_clients() {
     let oid = create(&a, &ctx);
     // Clients cannot create, delete, or resolve `__s4/…` names…
     assert!(matches!(
-        a.dispatch(&ctx, &Request::PCreate { name: "__s4/x".into(), oid }),
+        a.dispatch(
+            &ctx,
+            &Request::PCreate {
+                name: "__s4/x".into(),
+                oid
+            }
+        ),
         Err(S4Error::BadRequest(_))
     ));
     assert!(matches!(
-        a.dispatch(&ctx, &Request::PDelete { name: "__s4/x".into() }),
+        a.dispatch(
+            &ctx,
+            &Request::PDelete {
+                name: "__s4/x".into()
+            }
+        ),
         Err(S4Error::BadRequest(_))
     ));
     assert!(matches!(
-        a.dispatch(&admin(), &Request::PMount { name: "__s4/epoch/1/2/0".into(), time: None }),
+        a.dispatch(
+            &admin(),
+            &Request::PMount {
+                name: "__s4/epoch/1/2/0".into(),
+                time: None
+            }
+        ),
         Err(S4Error::NoSuchPartition)
     ));
     // …and the epoch note the array persists for itself never shows up
     // in a merged listing, while real partitions do.
-    a.dispatch(&ctx, &Request::PCreate { name: "vol".into(), oid }).unwrap();
+    a.dispatch(
+        &ctx,
+        &Request::PCreate {
+            name: "vol".into(),
+            oid,
+        },
+    )
+    .unwrap();
     match a.dispatch(&ctx, &Request::PList { time: None }).unwrap() {
         Response::Partitions(list) => {
-            assert_eq!(list.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>(), vec!["vol"]);
+            assert_eq!(
+                list.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>(),
+                vec!["vol"]
+            );
         }
         other => panic!("unexpected response {other:?}"),
     }
@@ -596,29 +650,52 @@ fn reserved_partition_namespace_is_invisible_to_clients() {
     // two-phase commit — is refused before any of it runs, and the array
     // still mounts at its own epoch. So is the same batch handed to the
     // public per-shard-outcome entry point, which `dispatch` itself uses.
-    let forged = || Request::PCreate { name: "__s4/epoch/99/2/1".into(), oid: PARTITION_OBJECT };
+    let forged = || Request::PCreate {
+        name: "__s4/epoch/99/2/1".into(),
+        oid: PARTITION_OBJECT,
+    };
     for (two_writers, outcomes) in [(false, false), (true, false), (false, true)] {
         let case = format!("two writers {two_writers}, outcomes {outcomes}");
         let a = array(2);
         let mut batch = vec![forged()];
         if two_writers {
-            let on_shard_1 = (0..2).map(|_| create(&a, &ctx)).find(|o| shard_of(*o, 2) == 1);
-            let write = Request::Write { oid: on_shard_1.unwrap(), offset: 0, data: vec![7; 16] };
+            let on_shard_1 = (0..2)
+                .map(|_| create(&a, &ctx))
+                .find(|o| shard_of(*o, 2) == 1);
+            let write = Request::Write {
+                oid: on_shard_1.unwrap(),
+                offset: 0,
+                data: vec![7; 16],
+            };
             batch.push(write);
         }
         batch.push(Request::Sync);
         let reply = if outcomes {
-            a.dispatch_batch_outcomes(&ctx, &batch).map(|r| format!("{r:?}"))
+            a.dispatch_batch_outcomes(&ctx, &batch)
+                .map(|r| format!("{r:?}"))
         } else {
-            a.dispatch(&ctx, &Request::Batch(batch)).map(|r| format!("{r:?}"))
+            a.dispatch(&ctx, &Request::Batch(batch))
+                .map(|r| format!("{r:?}"))
         };
-        assert!(matches!(reply, Err(S4Error::BadRequest(_))), "{case}: {reply:?}");
-        let names: Vec<String> =
-            a.shard_drive(0).op_plist(&admin(), None).unwrap().into_iter().map(|(n, _)| n).collect();
+        assert!(
+            matches!(reply, Err(S4Error::BadRequest(_))),
+            "{case}: {reply:?}"
+        );
+        let names: Vec<String> = a
+            .shard_drive(0)
+            .op_plist(&admin(), None)
+            .unwrap()
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
         assert_eq!(names, vec!["__s4/epoch/1/2/0"], "{case}");
         let devices = a.unmount().unwrap();
-        let mounted =
-            S4Array::mount(devices, DriveConfig::small_test(), ArrayConfig::default(), SimClock::new());
+        let mounted = S4Array::mount(
+            devices,
+            DriveConfig::small_test(),
+            ArrayConfig::default(),
+            SimClock::new(),
+        );
         let (a, _) = mounted.unwrap_or_else(|e| panic!("{case}: mount: {e:?}"));
         assert_eq!(a.epoch().seq, 1, "{case}");
     }

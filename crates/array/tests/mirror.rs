@@ -137,7 +137,8 @@ fn member_death_mid_workload_is_invisible_to_clients() {
     // Shard 0, member 0 dies half-way through its post-mount commits;
     // everyone else stays healthy.
     let mut plans = vec![FaultPlan::none(); 4];
-    plans[0] = FaultPlan::member_death_after_requests(WRITES_BEFORE_DEATH, RequestClassMask::WRITES);
+    plans[0] =
+        FaultPlan::member_death_after_requests(WRITES_BEFORE_DEATH, RequestClassMask::WRITES);
     let a = array_with_plans(2, 2, &clock, plans);
     let ctx = user();
 
@@ -163,8 +164,14 @@ fn member_death_mid_workload_is_invisible_to_clients() {
     // Degraded mode is surfaced: gauge in the metrics exposition and an
     // alert on the survivor's tamper-evident stream.
     let metrics = a.metrics_text();
-    assert!(metrics.contains("s4_array_degraded{shard=\"0\"} 1"), "{metrics}");
-    assert!(metrics.contains("s4_array_degraded{shard=\"1\"} 0"), "{metrics}");
+    assert!(
+        metrics.contains("s4_array_degraded{shard=\"0\"} 1"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("s4_array_degraded{shard=\"1\"} 0"),
+        "{metrics}"
+    );
     assert!(metrics.contains("s4_array_mirrors 2"), "{metrics}");
     assert!(has_alert(&a, b"array-degraded"));
 }
@@ -174,7 +181,8 @@ fn resync_restores_redundancy_and_mirrors_reconverge() {
     let clock = SimClock::new();
     clock.advance(SimDuration::from_secs(1));
     let mut plans = vec![FaultPlan::none(); 4];
-    plans[2] = FaultPlan::member_death_after_requests(WRITES_BEFORE_DEATH, RequestClassMask::WRITES);
+    plans[2] =
+        FaultPlan::member_death_after_requests(WRITES_BEFORE_DEATH, RequestClassMask::WRITES);
     let a = array_with_plans(2, 2, &clock, plans);
     let ctx = user();
 
@@ -198,7 +206,9 @@ fn resync_restores_redundancy_and_mirrors_reconverge() {
         ]
     );
     assert!(!a.shard_degraded(1));
-    assert!(a.metrics_text().contains("s4_array_degraded{shard=\"1\"} 0"));
+    assert!(a
+        .metrics_text()
+        .contains("s4_array_degraded{shard=\"1\"} 0"));
     assert!(has_alert(&a, b"array-resync"));
     assert_mirrors_converged(&a);
 
@@ -258,7 +268,10 @@ fn resync_while_a_resolution_is_queued_leaves_nothing_in_doubt() {
     let devices = a.unmount().unwrap();
     let (a, _) = S4Array::mount(devices, DriveConfig::small_test(), mirrored(2), clock).unwrap();
     let status = a.txn_status_text();
-    assert!(status.contains(" recovered_commit=0 recovered_abort=0 "), "{status}");
+    assert!(
+        status.contains(" recovered_commit=0 recovered_abort=0 "),
+        "{status}"
+    );
     assert_mirrors_converged(&a);
 }
 
@@ -314,7 +327,11 @@ fn transient_faults_are_retried_without_client_errors() {
     // One early transient I/O error (period far beyond the workload's
     // write count, so it fires exactly once per long stretch): bounded
     // retry absorbs it and the member stays in sync.
-    let plans = vec![FaultPlan::intermittent_io(0, 100_000, RequestClassMask::WRITES)];
+    let plans = vec![FaultPlan::intermittent_io(
+        0,
+        100_000,
+        RequestClassMask::WRITES,
+    )];
     let a = array_with_plans(1, 1, &clock, plans);
     let ctx = user();
 
@@ -410,7 +427,10 @@ fn batch_outcomes_map_failures_to_original_indices() {
     // original batch's coordinates, nothing in doubt.
     let (slots, outcomes) = a.dispatch_batch_outcomes(&ctx, &reqs).unwrap();
     assert_eq!(slots.len(), 3);
-    assert!(slots.iter().all(Option::is_none), "aborted batch leaves no responses");
+    assert!(
+        slots.iter().all(Option::is_none),
+        "aborted batch leaves no responses"
+    );
     assert_eq!(
         outcomes,
         vec![BatchOutcome {
@@ -457,8 +477,13 @@ fn charging_cpu() -> DriveConfig {
 fn mirrors_agree_when_the_clock_moves_between_members() {
     let clock = SimClock::new();
     clock.advance(SimDuration::from_secs(1));
-    let a = S4Array::format(vec![clean_disk(), clean_disk()], charging_cpu(), mirrored(2), clock)
-        .unwrap();
+    let a = S4Array::format(
+        vec![clean_disk(), clean_disk()],
+        charging_cpu(),
+        mirrored(2),
+        clock,
+    )
+    .unwrap();
     let ctx = user();
     let oid = create(&a, &ctx);
     write(&a, &ctx, oid, b"one instant per job");
@@ -507,8 +532,11 @@ fn mirrors_agree_on_timed_disks_through_every_fan_out_user() {
     a.dispatch(&ctx, &Request::Sync).unwrap();
     // One shard's batch on the plain path: the CPU charge moves the
     // clock between its sub-requests.
-    a.dispatch(&ctx, &Request::Batch(vec![put(even, b"first"), put(even, b"second")]))
-        .unwrap();
+    a.dispatch(
+        &ctx,
+        &Request::Batch(vec![put(even, b"first"), put(even, b"second")]),
+    )
+    .unwrap();
     // The same with a flush in the middle — a device write. `Sync`
     // inside a batch goes to every shard, but only shard 0 is written:
     // still the plain path, `[Write, Sync, Write]` there, `[Sync]` on
@@ -523,12 +551,18 @@ fn mirrors_agree_on_timed_disks_through_every_fan_out_user() {
     a.dispatch(&ctx, &Request::Batch(voted)).unwrap();
     // A cross-shard batch that commits: prepare, decision note on shard
     // 0, decide, note retired.
-    a.dispatch(&ctx, &Request::Batch(vec![put(even, b"both"), put(odd, b"both")]))
-        .unwrap();
+    a.dispatch(
+        &ctx,
+        &Request::Batch(vec![put(even, b"both"), put(odd, b"both")]),
+    )
+    .unwrap();
     // One that aborts on shard 1: shard 0 is compensated.
     let missing = ObjectId(odd.0 + 1000);
-    a.dispatch(&ctx, &Request::Batch(vec![put(even, b"undone"), put(missing, b"ghost")]))
-        .unwrap_err();
+    a.dispatch(
+        &ctx,
+        &Request::Batch(vec![put(even, b"undone"), put(missing, b"ghost")]),
+    )
+    .unwrap_err();
     assert!(
         a.txn_status_text().starts_with("committed=2 aborted=1"),
         "status: {}",

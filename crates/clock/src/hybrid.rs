@@ -208,7 +208,11 @@ mod tests {
         let hc2 = hc.clone();
         let unwound = std::panic::catch_unwind(move || hc2.pinned(at, || panic!("step failed")));
         assert!(unwound.is_err());
-        assert_eq!(hc.next().time, clock.now(), "an unwinding step leaves no pin behind");
+        assert_eq!(
+            hc.next().time,
+            clock.now(),
+            "an unwinding step leaves no pin behind"
+        );
     }
 
     #[test]

@@ -67,19 +67,34 @@ drive_counters!(
     (denied, "requests rejected (access, bounds, bad args)"),
     (bytes_written, "object payload bytes written"),
     (bytes_read, "object payload bytes read"),
-    (versions_created, "object versions created in the history pool"),
+    (
+        versions_created,
+        "object versions created in the history pool"
+    ),
     (time_based_reads, "history reads at an explicit time"),
     (audit_records, "audit records appended"),
     (audit_blocks, "full audit blocks flushed to the log"),
-    (journal_sectors, "journal subsectors packed into log entries"),
+    (
+        journal_sectors,
+        "journal subsectors packed into log entries"
+    ),
     (checkpoints, "object checkpoints written"),
-    (checkpoint_blocks, "blocks written to hold object checkpoints"),
+    (
+        checkpoint_blocks,
+        "blocks written to hold object checkpoints"
+    ),
     (expired_blocks, "history blocks expired past the window"),
     (cleaner_relocations, "live blocks relocated by the cleaner"),
     (cleaner_segments, "segments reclaimed by the cleaner"),
-    (throttle_penalty_us, "simulated microseconds of throttle penalty"),
+    (
+        throttle_penalty_us,
+        "simulated microseconds of throttle penalty"
+    ),
     (syncs, "log flushes (sync points)"),
-    (commit_blocks, "blocks written by log commits, summaries included"),
+    (
+        commit_blocks,
+        "blocks written by log commits, summaries included"
+    ),
     (anchors, "recovery anchors written"),
 );
 

@@ -97,22 +97,28 @@ impl core::fmt::Display for RecoveryAction {
                 write!(f, "restore {object} to its version at {to}")
             }
             RecoveryAction::Undelete {
-                object,
-                to,
-                parent,
-                ..
+                object, to, parent, ..
             } => match parent {
                 Some((dir, name)) => write!(
                     f,
                     "undelete {object} from its version at {to}, relinked as '{name}' in {dir}"
                 ),
-                None => write!(f, "undelete {object} from its version at {to} (path unknown)"),
+                None => write!(
+                    f,
+                    "undelete {object} from its version at {to} (path unknown)"
+                ),
             },
             RecoveryAction::RemovePlanted { object, .. } => {
-                write!(f, "remove planted {object} (landmark-pinned as evidence first)")
+                write!(
+                    f,
+                    "remove planted {object} (landmark-pinned as evidence first)"
+                )
             }
             RecoveryAction::Quarantine { object, at } => {
-                write!(f, "quarantine {object}: pin its version at {at} as evidence")
+                write!(
+                    f,
+                    "quarantine {object}: pin its version at {at} as evidence"
+                )
             }
         }
     }
@@ -365,9 +371,12 @@ pub(crate) fn execute_plan(
                     report.undeleted.push((*object, new_oid));
                 })
             }
-            RecoveryAction::RemovePlanted { object, parent } => {
-                remove_planted(&mut *dispatch, &mut *mark_landmark, *object, parent.as_ref())
-            }
+            RecoveryAction::RemovePlanted { object, parent } => remove_planted(
+                &mut *dispatch,
+                &mut *mark_landmark,
+                *object,
+                parent.as_ref(),
+            ),
             RecoveryAction::Quarantine { object, at } => mark_landmark(*object, Some(*at)),
         };
         match r {
@@ -499,7 +508,13 @@ fn undelete(
         _ => return Err(S4Error::BadRequest("expected Batch response")),
     };
     if let Some((dir, name)) = parent {
-        relink(&mut *dispatch, *dir, name, Some((new_oid, kind)), Vec::new())?;
+        relink(
+            &mut *dispatch,
+            *dir,
+            name,
+            Some((new_oid, kind)),
+            Vec::new(),
+        )?;
     }
     Ok(new_oid)
 }
@@ -515,7 +530,13 @@ fn remove_planted(
     if let Some((dir, name)) = parent {
         // Unlink and delete ride one batch — a failure between the two
         // can no longer leave a dangling directory entry.
-        match relink(&mut *dispatch, *dir, name, None, vec![Request::Delete { oid }]) {
+        match relink(
+            &mut *dispatch,
+            *dir,
+            name,
+            None,
+            vec![Request::Delete { oid }],
+        ) {
             Ok(()) => return Ok(()),
             // The parent directory may itself be a removed plant.
             Err(S4Error::NoSuchObject) => {}
@@ -588,7 +609,12 @@ mod tests {
     use s4_core::{DriveConfig, Request, Response, UserId};
     use s4_simdisk::MemDisk;
 
-    fn setup() -> (S4Drive<MemDisk>, RequestContext, RequestContext, RequestContext) {
+    fn setup() -> (
+        S4Drive<MemDisk>,
+        RequestContext,
+        RequestContext,
+        RequestContext,
+    ) {
         let clock = SimClock::new();
         clock.advance(SimDuration::from_secs(1));
         let d = S4Drive::format(MemDisk::new(400_000), DriveConfig::small_test(), clock).unwrap();
@@ -614,27 +640,64 @@ mod tests {
         let (d, admin, user, intruder) = setup();
         // Pre-intrusion state, created through the audited path.
         let tampered = create(&d, &user);
-        d.dispatch(&user, &Request::Write { oid: tampered, offset: 0, data: b"good".to_vec() })
-            .unwrap();
+        d.dispatch(
+            &user,
+            &Request::Write {
+                oid: tampered,
+                offset: 0,
+                data: b"good".to_vec(),
+            },
+        )
+        .unwrap();
         let destroyed = create(&d, &user);
-        d.dispatch(&user, &Request::Write { oid: destroyed, offset: 0, data: b"keep me".to_vec() })
-            .unwrap();
+        d.dispatch(
+            &user,
+            &Request::Write {
+                oid: destroyed,
+                offset: 0,
+                data: b"keep me".to_vec(),
+            },
+        )
+        .unwrap();
         tick(&d);
         let t = d.now();
         tick(&d);
 
         // The intrusion: tamper, destroy, plant, plant-and-delete.
-        d.dispatch(&intruder, &Request::Write { oid: tampered, offset: 0, data: b"EVIL".to_vec() })
+        d.dispatch(
+            &intruder,
+            &Request::Write {
+                oid: tampered,
+                offset: 0,
+                data: b"EVIL".to_vec(),
+            },
+        )
+        .unwrap();
+        d.dispatch(&intruder, &Request::Delete { oid: destroyed })
             .unwrap();
-        d.dispatch(&intruder, &Request::Delete { oid: destroyed }).unwrap();
         let planted = create(&d, &intruder);
-        d.dispatch(&intruder, &Request::Write { oid: planted, offset: 0, data: b"backdoor".to_vec() })
-            .unwrap();
+        d.dispatch(
+            &intruder,
+            &Request::Write {
+                oid: planted,
+                offset: 0,
+                data: b"backdoor".to_vec(),
+            },
+        )
+        .unwrap();
         let tool = create(&d, &intruder);
-        d.dispatch(&intruder, &Request::Write { oid: tool, offset: 0, data: b"exploit".to_vec() })
-            .unwrap();
+        d.dispatch(
+            &intruder,
+            &Request::Write {
+                oid: tool,
+                offset: 0,
+                data: b"exploit".to_vec(),
+            },
+        )
+        .unwrap();
         tick(&d);
-        d.dispatch(&intruder, &Request::Delete { oid: tool }).unwrap();
+        d.dispatch(&intruder, &Request::Delete { oid: tool })
+            .unwrap();
 
         let plan = plan_recovery(&d, &admin, &Suspects::client(ClientId(66)), t).unwrap();
         let find = |o: ObjectId| {
@@ -648,10 +711,22 @@ mod tests {
                 })
                 .unwrap_or_else(|| panic!("no action for {o}"))
         };
-        assert!(matches!(find(tampered).action, RecoveryAction::RestoreContent { .. }));
-        assert!(matches!(find(destroyed).action, RecoveryAction::Undelete { .. }));
-        assert!(matches!(find(planted).action, RecoveryAction::RemovePlanted { .. }));
-        assert!(matches!(find(tool).action, RecoveryAction::Quarantine { .. }));
+        assert!(matches!(
+            find(tampered).action,
+            RecoveryAction::RestoreContent { .. }
+        ));
+        assert!(matches!(
+            find(destroyed).action,
+            RecoveryAction::Undelete { .. }
+        ));
+        assert!(matches!(
+            find(planted).action,
+            RecoveryAction::RemovePlanted { .. }
+        ));
+        assert!(matches!(
+            find(tool).action,
+            RecoveryAction::Quarantine { .. }
+        ));
 
         // Execute, counting batch dispatches: every action's mutations
         // must arrive as a single Request::Batch, never as loose writes.
@@ -674,7 +749,10 @@ mod tests {
         assert!(batches >= 3, "restore/undelete/remove each batch once");
         // The drive state.
         assert_eq!(d.op_read(&user, tampered, 0, 4, None).unwrap(), b"good");
-        assert!(d.op_getattr(&user, planted, None).is_err(), "planted object removed");
+        assert!(
+            d.op_getattr(&user, planted, None).is_err(),
+            "planted object removed"
+        );
         let (_, new_oid) = report.undeleted[0];
         assert_eq!(d.op_read(&user, new_oid, 0, 7, None).unwrap(), b"keep me");
         // The quarantined tool's last version is pinned as a landmark.
@@ -694,12 +772,21 @@ mod tests {
         let dir = create(&d, &user);
         let planted = create(&d, &intruder);
         // 22 bytes an entry: 400 entries span 8 804 bytes, three blocks.
-        let mut entries: Vec<_> =
-            (0..400).map(|i| (format!("file-{i:06}"), 1_000 + i, EntryKind::File)).collect();
+        let mut entries: Vec<_> = (0..400)
+            .map(|i| (format!("file-{i:06}"), 1_000 + i, EntryKind::File))
+            .collect();
         entries[380].1 = planted.0;
         let blob = dirblob::encode(&entries);
         assert_eq!(blob.len().div_ceil(4096), 3);
-        d.dispatch(&user, &Request::Write { oid: dir, offset: 0, data: blob }).unwrap();
+        d.dispatch(
+            &user,
+            &Request::Write {
+                oid: dir,
+                offset: 0,
+                data: blob,
+            },
+        )
+        .unwrap();
         let audited = d.read_audit_records(&admin).unwrap().len();
 
         let plan = RecoveryPlan {
@@ -738,16 +825,32 @@ mod tests {
         let (d, admin, user, intruder) = setup();
         let dir = create(&d, &user);
         let victim = create(&d, &user);
-        d.dispatch(&user, &Request::Write { oid: victim, offset: 0, data: b"keep me".to_vec() })
-            .unwrap();
+        d.dispatch(
+            &user,
+            &Request::Write {
+                oid: victim,
+                offset: 0,
+                data: b"keep me".to_vec(),
+            },
+        )
+        .unwrap();
         let kept = ("kept".to_string(), 1_000, EntryKind::File);
         let mut blob = dirblob::encode(std::slice::from_ref(&kept));
         blob.extend_from_slice(&[0xEE; 64]);
-        d.dispatch(&user, &Request::Write { oid: dir, offset: 0, data: blob }).unwrap();
+        d.dispatch(
+            &user,
+            &Request::Write {
+                oid: dir,
+                offset: 0,
+                data: blob,
+            },
+        )
+        .unwrap();
         tick(&d);
         let t = d.now();
         tick(&d);
-        d.dispatch(&intruder, &Request::Delete { oid: victim }).unwrap();
+        d.dispatch(&intruder, &Request::Delete { oid: victim })
+            .unwrap();
 
         let plan = RecoveryPlan {
             actions: vec![PlannedAction {
@@ -779,8 +882,15 @@ mod tests {
         let t = d.now();
         tick(&d);
         // Post-T activity by the honest client only.
-        d.dispatch(&user, &Request::Write { oid: mine, offset: 0, data: b"work".to_vec() })
-            .unwrap();
+        d.dispatch(
+            &user,
+            &Request::Write {
+                oid: mine,
+                offset: 0,
+                data: b"work".to_vec(),
+            },
+        )
+        .unwrap();
         let plan = plan_recovery(&d, &admin, &Suspects::client(ClientId(66)), t).unwrap();
         assert!(plan.actions.is_empty());
     }

@@ -96,7 +96,10 @@ fn rename_within_and_across_directories() {
     // Same-directory rename with overwrite: one entry left, the victim gone.
     let victim = fs.create(d2, "old").unwrap();
     fs.rename(d2, "dest", d2, "old").unwrap();
-    assert_eq!(fs.readdir(d2).unwrap(), vec![("old".to_string(), f, FileKind::File)]);
+    assert_eq!(
+        fs.readdir(d2).unwrap(),
+        vec![("old".to_string(), f, FileKind::File)]
+    );
     assert_eq!(fs.getattr(victim).unwrap_err(), FsError::NotFound);
 }
 

@@ -194,15 +194,27 @@ mod tests {
 
     fn samples() -> Vec<TxnRecord> {
         vec![
-            TxnRecord::Prepared { txid: 7, t0_us: 1_000_000 },
+            TxnRecord::Prepared {
+                txid: 7,
+                t0_us: 1_000_000,
+            },
             TxnRecord::Touched {
                 txid: 7,
                 oids: vec![4, 12, 9000],
                 names: vec!["home".into(), "спул".into()],
             },
-            TxnRecord::Resolved { txid: 7, committed: true },
-            TxnRecord::Prepared { txid: 9, t0_us: 2_000_000 },
-            TxnRecord::Resolved { txid: 9, committed: false },
+            TxnRecord::Resolved {
+                txid: 7,
+                committed: true,
+            },
+            TxnRecord::Prepared {
+                txid: 9,
+                t0_us: 2_000_000,
+            },
+            TxnRecord::Resolved {
+                txid: 9,
+                committed: false,
+            },
         ]
     }
 
@@ -260,13 +272,19 @@ mod tests {
         let mut recs = samples();
         assert!(in_doubt(&recs).is_empty(), "all sample txns resolved");
 
-        recs.push(TxnRecord::Prepared { txid: 11, t0_us: 3_000_000 });
+        recs.push(TxnRecord::Prepared {
+            txid: 11,
+            t0_us: 3_000_000,
+        });
         recs.push(TxnRecord::Touched {
             txid: 11,
             oids: vec![42],
             names: vec![],
         });
-        recs.push(TxnRecord::Prepared { txid: 13, t0_us: 4_000_000 });
+        recs.push(TxnRecord::Prepared {
+            txid: 13,
+            t0_us: 4_000_000,
+        });
         let open = in_doubt(&recs);
         assert_eq!(open.len(), 2);
         assert_eq!(open[0].txid, 11);

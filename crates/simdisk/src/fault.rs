@@ -622,7 +622,10 @@ mod tests {
 
     #[test]
     fn count_only_observes_without_firing() {
-        let d = FaultyDisk::new(MemDisk::new(64), FaultPlan::count_only(RequestClassMask::ALL));
+        let d = FaultyDisk::new(
+            MemDisk::new(64),
+            FaultPlan::count_only(RequestClassMask::ALL),
+        );
         d.write(0, &[1u8; SECTOR_SIZE]).unwrap();
         d.sync().unwrap();
         d.read(0, &mut [0u8; SECTOR_SIZE]).unwrap();

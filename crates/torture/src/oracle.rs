@@ -129,8 +129,14 @@ impl Oracle {
     /// Records a landmark pinned on `oid` at `t`, an instant at or after
     /// the expiry cutoff (below it the oracle cannot name the version).
     pub fn mark(&mut self, oid: ObjectId, t: SimTime) {
-        assert!(t >= self.retired, "oracle: landmark at {t} below the cutoff");
-        let v = self.version_at(oid, t).expect("oracle: landmark before creation").clone();
+        assert!(
+            t >= self.retired,
+            "oracle: landmark at {t} below the cutoff"
+        );
+        let v = self
+            .version_at(oid, t)
+            .expect("oracle: landmark before creation")
+            .clone();
         let pinned = self.landmarks.entry(oid.0).or_default();
         pinned.push(v);
         pinned.sort_by_key(|v| v.t);
@@ -156,7 +162,10 @@ impl Oracle {
         let gone = |v: Option<&Version>| v.is_none_or(|v| !v.alive);
         match drive.op_read(&admin_ctx(), oid, 0, 1 << 16, Some(t)) {
             Ok(got) => assert!(
-                [exact, pinned].into_iter().flatten().any(|v| v.alive && v.data == got),
+                [exact, pinned]
+                    .into_iter()
+                    .flatten()
+                    .any(|v| v.alive && v.data == got),
                 "{what}: {oid} at {t}, below the cutoff {}, read back {} bytes that are \
                  neither its version ({:?}) nor its landmark's ({:?})",
                 self.retired,

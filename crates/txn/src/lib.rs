@@ -208,8 +208,10 @@ mod tests {
             Ok(())
         }
         fn decide(&mut self, shard: usize, _txid: TxId, commit: bool) -> Result<(), String> {
-            self.events
-                .push(format!("{}:{shard}", if commit { "commit" } else { "abort" }));
+            self.events.push(format!(
+                "{}:{shard}",
+                if commit { "commit" } else { "abort" }
+            ));
             if commit && self.fail_commit_on.contains(&shard) {
                 return Err(format!("shard {shard} unreachable"));
             }
@@ -229,8 +231,14 @@ mod tests {
         assert_eq!(
             m.events,
             vec![
-                "prepare:0", "prepare:2", "prepare:3", "note", "commit:0", "commit:2",
-                "commit:3", "retire"
+                "prepare:0",
+                "prepare:2",
+                "prepare:3",
+                "note",
+                "commit:0",
+                "commit:2",
+                "commit:3",
+                "retire"
             ]
         );
     }
@@ -284,7 +292,15 @@ mod tests {
         // No retire: shard 4's mount recovery still needs the note.
         assert_eq!(
             m.events,
-            vec!["prepare:1", "prepare:4", "prepare:5", "note", "commit:1", "commit:4", "commit:5"]
+            vec![
+                "prepare:1",
+                "prepare:4",
+                "prepare:5",
+                "note",
+                "commit:1",
+                "commit:4",
+                "commit:5"
+            ]
         );
     }
 }

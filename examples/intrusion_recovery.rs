@@ -117,7 +117,10 @@ fn main() {
     // the intrusion by the drive itself.
     clock.advance(SimDuration::from_secs(7200));
     let alerts = read_alerts(&drive, &admin).unwrap();
-    println!("T2  {} alerts waiting in the drive's alert object:", alerts.len());
+    println!(
+        "T2  {} alerts waiting in the drive's alert object:",
+        alerts.len()
+    );
     for a in &alerts {
         println!("      {a}");
     }
@@ -163,7 +166,10 @@ fn main() {
     let diff = tree_diff(&drive, &admin, rootfs, t, None).unwrap();
     println!(
         "    namespace diff since T: added {:?}, modified {} entries",
-        diff.added.iter().map(|(p, _)| p.as_str()).collect::<Vec<_>>(),
+        diff.added
+            .iter()
+            .map(|(p, _)| p.as_str())
+            .collect::<Vec<_>>(),
         diff.modified.len()
     );
     println!("    tamper timeline of var/log/auth.log:");
@@ -216,7 +222,10 @@ fn main() {
     let log_now = read_file_at(&check, "var/log/auth.log", now).unwrap();
     assert_eq!(log_now, log_mid);
     assert!(String::from_utf8_lossy(&log_now).contains("6.6.6.6"));
-    assert!(check.resolve_path("tmp").is_err(), "planted /tmp not removed");
+    assert!(
+        check.resolve_path("tmp").is_err(),
+        "planted /tmp not removed"
+    );
     // The wiped exploit tool survives as landmark-pinned evidence.
     assert!(!drive.landmarks(&admin, ObjectId(tool)).unwrap().is_empty());
     println!("T5  restored: backdoor gone, log intact, planted files removed");

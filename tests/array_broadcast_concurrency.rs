@@ -51,7 +51,8 @@ fn broadcast_sync_overlaps_shard_workers() {
     )
     .unwrap();
     for s in 0..SHARDS {
-        a.shard_drive(s).register_audit_observer(Box::new(SleepyObserver));
+        a.shard_drive(s)
+            .register_audit_observer(Box::new(SleepyObserver));
     }
 
     let ctx = RequestContext::user(UserId(1), ClientId(1));

@@ -44,8 +44,13 @@ fn member_kill_under_tcp_stress_is_invisible_and_resyncable() {
     // the clients are hammering; the workload commits at least six
     // times per shard.
     let devices = (0..SHARDS * MIRRORS).map(|_| clean_disk()).collect();
-    let a = S4Array::format(devices, DriveConfig::small_test(), array_cfg(), clock.clone())
-        .unwrap();
+    let a = S4Array::format(
+        devices,
+        DriveConfig::small_test(),
+        array_cfg(),
+        clock.clone(),
+    )
+    .unwrap();
     let devices = a.unmount().unwrap();
     let devices: Vec<Disk> = devices
         .into_iter()
@@ -78,7 +83,10 @@ fn member_kill_under_tcp_stress_is_invisible_and_resyncable() {
         .unwrap();
     assert!(stats.contains("s4_array_shards 4"), "{stats}");
     assert!(stats.contains("s4_array_mirrors 2"), "{stats}");
-    assert!(stats.contains("s4_array_degraded{shard=\"0\"} 1"), "{stats}");
+    assert!(
+        stats.contains("s4_array_degraded{shard=\"0\"} 1"),
+        "{stats}"
+    );
     server.shutdown();
 
     let a = unwrap_arc(array);
@@ -92,7 +100,10 @@ fn member_kill_under_tcp_stress_is_invisible_and_resyncable() {
         .unwrap()
         .iter()
         .any(|s| s.record.windows(14).any(|w| w == b"array-degraded"));
-    assert!(degraded_alert, "degraded alert missing from the merged stream");
+    assert!(
+        degraded_alert,
+        "degraded alert missing from the merged stream"
+    );
 
     // Online resync onto a fresh device restores full redundancy and
     // the replicas converge object-for-object.
@@ -112,8 +123,13 @@ fn member_kill_under_tcp_stress_is_invisible_and_resyncable() {
     // …and survives a full unmount/remount cycle, rebuilt member
     // included.
     let devices = a.unmount().unwrap();
-    let (a2, _) = S4Array::mount(devices, DriveConfig::small_test(), array_cfg(), SimClock::new())
-        .unwrap();
+    let (a2, _) = S4Array::mount(
+        devices,
+        DriveConfig::small_test(),
+        array_cfg(),
+        SimClock::new(),
+    )
+    .unwrap();
     let merged: Vec<AuditRecord> = a2
         .read_audit_merged(&admin)
         .unwrap()

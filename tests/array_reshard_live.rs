@@ -40,8 +40,13 @@ fn live_split_4_to_8_under_tcp_load_is_invisible() {
     let admin = RequestContext::admin(ClientId(0), 42);
 
     let devices = (0..SHARDS * MIRRORS).map(|_| disk()).collect();
-    let a =
-        S4Array::format(devices, DriveConfig::small_test(), array_cfg(), clock.clone()).unwrap();
+    let a = S4Array::format(
+        devices,
+        DriveConfig::small_test(),
+        array_cfg(),
+        clock.clone(),
+    )
+    .unwrap();
 
     // Preload a population of objects so the snapshot phase has real
     // residue classes to migrate, and remember every digest.
@@ -83,12 +88,16 @@ fn live_split_4_to_8_under_tcp_load_is_invisible() {
         })
     };
 
-    let groups: Vec<Vec<MemDisk>> = (0..SHARDS).map(|_| (0..MIRRORS).map(|_| disk()).collect()).collect();
+    let groups: Vec<Vec<MemDisk>> = (0..SHARDS)
+        .map(|_| (0..MIRRORS).map(|_| disk()).collect())
+        .collect();
     let reports = double_array(&array, groups, ReshardConfig::default()).unwrap();
     assert_eq!(reports.len(), SHARDS);
     for r in &reports {
-        assert!(r.snapshot_objects + r.catchup_objects + r.final_delta_objects > 0
-            || r.cleaned_objects == 0);
+        assert!(
+            r.snapshot_objects + r.catchup_objects + r.final_delta_objects > 0
+                || r.cleaned_objects == 0
+        );
     }
 
     let oids = hammer_thread.join().unwrap();
@@ -137,8 +146,13 @@ fn live_split_4_to_8_under_tcp_load_is_invisible() {
     // read back from the partition table and every object still reads.
     let devices = a.unmount().unwrap();
     assert_eq!(devices.len(), 2 * SHARDS * MIRRORS);
-    let (a2, _) =
-        S4Array::mount(devices, DriveConfig::small_test(), array_cfg(), SimClock::new()).unwrap();
+    let (a2, _) = S4Array::mount(
+        devices,
+        DriveConfig::small_test(),
+        array_cfg(),
+        SimClock::new(),
+    )
+    .unwrap();
     assert_eq!(a2.epoch().base, 2 * SHARDS);
     for (i, &oid) in oids.iter().enumerate() {
         let ctx = RequestContext::user(UserId(100 + i as u32), ClientId(i as u32));

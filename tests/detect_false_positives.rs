@@ -44,8 +44,14 @@ fn clean_postmark_run_raises_no_alerts() {
     }
 
     let online = read_alerts(&drive, &admin).unwrap();
-    assert!(online.is_empty(), "clean PostMark raised alerts: {online:#?}");
+    assert!(
+        online.is_empty(),
+        "clean PostMark raised alerts: {online:#?}"
+    );
     // The offline sweep over the same audit log must agree.
     let offline = scan_audit(&drive, &admin).unwrap();
-    assert!(offline.is_empty(), "offline scan raised alerts: {offline:#?}");
+    assert!(
+        offline.is_empty(),
+        "offline scan raised alerts: {offline:#?}"
+    );
 }

@@ -47,7 +47,9 @@ fn section2_intrusion_is_detected_and_recovered() {
     fs.mkdir(root, "etc").unwrap();
     fs.mkdir(root, "var").unwrap();
     fs.mkdir(fs.resolve_path("var").unwrap(), "log").unwrap();
-    let passwd = fs.create(fs.resolve_path("etc").unwrap(), "passwd").unwrap();
+    let passwd = fs
+        .create(fs.resolve_path("etc").unwrap(), "passwd")
+        .unwrap();
     fs.write(passwd, 0, PASSWD0).unwrap();
     let log = fs
         .create(fs.resolve_path("var/log").unwrap(), "auth.log")
@@ -73,7 +75,8 @@ fn section2_intrusion_is_detected_and_recovered() {
     evil.truncate(log, 0).unwrap(); // scrub the log...
     evil.write(log, 0, LOG0).unwrap(); // ...and re-write it sanitized
     let scrub_end = drive.now();
-    evil.write(passwd, PASSWD0.len() as u64, b"evil:x:0:0\n").unwrap();
+    evil.write(passwd, PASSWD0.len() as u64, b"evil:x:0:0\n")
+        .unwrap();
     let tmp = evil.mkdir(evil.root(), "tmp").unwrap();
     let tool = evil.create(tmp, ".scan").unwrap();
     evil.write(tool, 0, b"nc -l 31337 &\n").unwrap();
@@ -97,13 +100,17 @@ fn section2_intrusion_is_detected_and_recovered() {
         .find(|a| a.rule == "foreign-client" && a.object == ObjectId(passwd))
         .expect("backdoor plant not flagged");
     assert!(plant.time >= scrub_end && plant.time <= post_intrusion);
-    assert!(alerts
-        .iter()
-        .all(|a| a.client == ClientId(66)), "honest activity flagged: {alerts:?}");
+    assert!(
+        alerts.iter().all(|a| a.client == ClientId(66)),
+        "honest activity flagged: {alerts:?}"
+    );
     // The offline audit sweep agrees with the online monitor.
     let offline = scan_audit(&drive, &admin).unwrap();
     assert_eq!(
-        offline.iter().filter(|a| a.rule == "append-only-violation").count(),
+        offline
+            .iter()
+            .filter(|a| a.rule == "append-only-violation")
+            .count(),
         1
     );
 
@@ -128,7 +135,10 @@ fn section2_intrusion_is_detected_and_recovered() {
         .iter()
         .filter(|pa| !matches!(pa.action, RecoveryAction::Quarantine { .. }))
         .count();
-    let mutations = during_recovery.iter().filter(|r| r.op.creates_version()).count();
+    let mutations = during_recovery
+        .iter()
+        .filter(|r| r.op.creates_version())
+        .count();
     assert!(
         mutating_actions > 0 && mutations >= mutating_actions,
         "{mutations} audited mutations for {mutating_actions} mutating actions"

@@ -179,7 +179,10 @@ impl Scenario for Relocation {
     }
 
     fn check(&self, images: Vec<MemDisk>, &relocated: &u32, died: bool, what: &str) -> usize {
-        assert!(died || relocated >= 8, "{what}: the pass must move data: {relocated}");
+        assert!(
+            died || relocated >= 8,
+            "{what}: the pass must move data: {relocated}"
+        );
         self.0.check(images, SimTime::ZERO, what)
     }
 }
@@ -187,7 +190,10 @@ impl Scenario for Relocation {
 #[test]
 fn bounded_cuts_through_a_relocating_pass_hold_invariants() {
     let summary = enumerate(&Relocation(history()), BOUNDED);
-    assert!(summary.domain >= 4, "the pass and its anchor write: {summary:?}");
+    assert!(
+        summary.domain >= 4,
+        "the pass and its anchor write: {summary:?}"
+    );
     assert!(summary.replays >= 4, "{summary:?}");
     assert_eq!(summary.died, summary.replays, "{summary:?}");
 }
@@ -243,7 +249,10 @@ impl Scenario for Expiry {
     }
 
     fn check(&self, images: Vec<MemDisk>, &returned: &bool, died: bool, what: &str) -> usize {
-        assert!(died || returned, "{what}: the uncut pass failed or expired nothing");
+        assert!(
+            died || returned,
+            "{what}: the uncut pass failed or expired nothing"
+        );
         self.history.check(images, self.floor, what)
     }
 }

@@ -13,7 +13,9 @@ use std::collections::BTreeMap;
 
 use s4_array::{double_array, ArrayConfig, ReshardConfig, S4Array};
 use s4_clock::{SimClock, SimDuration};
-use s4_core::{ClientId, DriveConfig, ObjectId, Request, RequestContext, Response, S4Drive, UserId};
+use s4_core::{
+    ClientId, DriveConfig, ObjectId, Request, RequestContext, Response, S4Drive, UserId,
+};
 use s4_simdisk::MemDisk;
 
 const SHARDS: usize = 4;
@@ -71,7 +73,8 @@ fn workload(a: &S4Array<MemDisk>) -> Vec<ObjectId> {
                 .unwrap();
             }
             1 => {
-                a.dispatch(&ctx, &Request::Truncate { oid, len: 8 }).unwrap();
+                a.dispatch(&ctx, &Request::Truncate { oid, len: 8 })
+                    .unwrap();
             }
             2 => {
                 a.dispatch(
@@ -154,7 +157,11 @@ fn live_split_matches_offline_copy_digests() {
     // changed nothing relative to the offline copy.
     for &oid in &live_a {
         let s = a.shard_index_of(oid);
-        assert_eq!(a.shard_slot(s), (oid.0 % stride) as usize, "wrong home for {oid:?}");
+        assert_eq!(
+            a.shard_slot(s),
+            (oid.0 % stride) as usize,
+            "wrong home for {oid:?}"
+        );
         assert_eq!(
             a.shard_drive(s).object_digest(&admin, oid).unwrap(),
             offline[&oid.0],

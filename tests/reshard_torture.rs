@@ -136,8 +136,13 @@ fn crash_during_catchup_remounts_wholly_old() {
 
     let devices = a.crash().unwrap();
     assert_eq!(devices.len(), 2 * MIRRORS);
-    let (a2, _) =
-        S4Array::mount(devices, DriveConfig::small_test(), array_cfg(), SimClock::new()).unwrap();
+    let (a2, _) = S4Array::mount(
+        devices,
+        DriveConfig::small_test(),
+        array_cfg(),
+        SimClock::new(),
+    )
+    .unwrap();
     assert_eq!(a2.epoch(), epoch_before, "epoch moved without a flip");
     assert_eq!(a2.shard_count(), 2);
     assert_population(&a2, &digests);
@@ -153,30 +158,69 @@ fn crash_after_flip_remounts_wholly_new() {
 
     // Split slot 0 only, then crash: the remount set is six devices in
     // dense order (sources 0,1 then target 2), epoch base=2 bits=0b01.
-    let r = split_shard(&a, 0, (0..MIRRORS).map(|_| disk()).collect(), ReshardConfig::default())
-        .unwrap();
+    let r = split_shard(
+        &a,
+        0,
+        (0..MIRRORS).map(|_| disk()).collect(),
+        ReshardConfig::default(),
+    )
+    .unwrap();
     assert_eq!(r.target_slot, 2);
     let devices = a.crash().unwrap();
     assert_eq!(devices.len(), 3 * MIRRORS);
-    let (a2, _) =
-        S4Array::mount(devices, DriveConfig::small_test(), array_cfg(), SimClock::new()).unwrap();
-    assert_eq!(a2.epoch(), EpochInfo { seq: 2, base: 2, bits: 0b01 });
+    let (a2, _) = S4Array::mount(
+        devices,
+        DriveConfig::small_test(),
+        array_cfg(),
+        SimClock::new(),
+    )
+    .unwrap();
+    assert_eq!(
+        a2.epoch(),
+        EpochInfo {
+            seq: 2,
+            base: 2,
+            bits: 0b01
+        }
+    );
     assert_eq!(a2.shard_count(), 3);
     for &oid in digests.keys() {
         let slot = a2.shard_slot(a2.shard_index_of(oid));
-        let want = if oid.0 % 4 == 2 { 2 } else { (oid.0 % 2) as usize };
+        let want = if oid.0 % 4 == 2 {
+            2
+        } else {
+            (oid.0 % 2) as usize
+        };
         assert_eq!(slot, want, "hybrid routing for {oid:?} after crash");
     }
     assert_population(&a2, &digests);
 
     // Finish the generation on the remounted array, crash again: the
     // epoch collapses to base=4 and routes by `oid mod 4`.
-    split_shard(&a2, 1, (0..MIRRORS).map(|_| disk()).collect(), ReshardConfig::default()).unwrap();
+    split_shard(
+        &a2,
+        1,
+        (0..MIRRORS).map(|_| disk()).collect(),
+        ReshardConfig::default(),
+    )
+    .unwrap();
     let devices = a2.crash().unwrap();
     assert_eq!(devices.len(), 4 * MIRRORS);
-    let (a3, _) =
-        S4Array::mount(devices, DriveConfig::small_test(), array_cfg(), SimClock::new()).unwrap();
-    assert_eq!(a3.epoch(), EpochInfo { seq: 3, base: 4, bits: 0 });
+    let (a3, _) = S4Array::mount(
+        devices,
+        DriveConfig::small_test(),
+        array_cfg(),
+        SimClock::new(),
+    )
+    .unwrap();
+    assert_eq!(
+        a3.epoch(),
+        EpochInfo {
+            seq: 3,
+            base: 4,
+            bits: 0
+        }
+    );
     assert_eq!(a3.shard_count(), 4);
     for &oid in digests.keys() {
         assert_eq!(a3.shard_slot(a3.shard_index_of(oid)), (oid.0 % 4) as usize);
@@ -221,13 +265,21 @@ fn a_split_anchors_a_queued_abort_with_the_writes_it_carries() {
     let missing = ObjectId(stays.0 + 6001);
     let batch = vec![put(stays, b"doomed"), put(missing, b"x"), Request::Sync];
     let refused = a.dispatch(&ctx, &Request::Batch(batch));
-    assert!(matches!(refused, Err(S4Error::BatchFailed { .. })), "{refused:?}");
+    assert!(
+        matches!(refused, Err(S4Error::BatchFailed { .. })),
+        "{refused:?}"
+    );
     let status = a.txn_status_text();
     assert!(status.starts_with("committed=0 aborted=1 "), "{status}");
     a.dispatch(&ctx, &put(stays, b"acknowledged")).unwrap();
 
-    split_shard(&a, 1, (0..MIRRORS).map(|_| disk()).collect(), ReshardConfig::default())
-        .unwrap();
+    split_shard(
+        &a,
+        1,
+        (0..MIRRORS).map(|_| disk()).collect(),
+        ReshardConfig::default(),
+    )
+    .unwrap();
     a.dispatch(&ctx, &Request::Sync).unwrap();
     a.check_mirrors(&admin()).unwrap();
     let devices = a.crash().unwrap();
@@ -245,8 +297,13 @@ fn a_split_anchors_a_queued_abort_with_the_writes_it_carries() {
             d.crash()
         })
         .collect();
-    let (a2, _) =
-        S4Array::mount(devices, DriveConfig::small_test(), array_cfg(), SimClock::new()).unwrap();
+    let (a2, _) = S4Array::mount(
+        devices,
+        DriveConfig::small_test(),
+        array_cfg(),
+        SimClock::new(),
+    )
+    .unwrap();
     let read = Request::Read {
         oid: stays,
         offset: 0,
@@ -269,10 +326,22 @@ fn crash_between_note_installs_repairs_divergent_member() {
     let a = build(2);
     let digests = populate(&a, 20);
 
-    split_shard(&a, 0, (0..MIRRORS).map(|_| disk()).collect(), ReshardConfig::default())
-        .unwrap();
+    split_shard(
+        &a,
+        0,
+        (0..MIRRORS).map(|_| disk()).collect(),
+        ReshardConfig::default(),
+    )
+    .unwrap();
     let new_epoch = a.epoch();
-    assert_eq!(new_epoch, EpochInfo { seq: 2, base: 2, bits: 0b01 });
+    assert_eq!(
+        new_epoch,
+        EpochInfo {
+            seq: 2,
+            base: 2,
+            bits: 0b01
+        }
+    );
 
     // Rewind member 1 of shard 0 to the pre-flip note, exactly the
     // state a crash leaves if it lands between the two installs.
@@ -280,14 +349,23 @@ fn crash_between_note_installs_repairs_divergent_member() {
         let stale = a.member_drive(0, 1);
         stale.op_pdelete(&admin(), &new_epoch.note_name()).unwrap();
         stale
-            .op_pcreate(&admin(), &EpochInfo::initial(2).note_name(), PARTITION_OBJECT)
+            .op_pcreate(
+                &admin(),
+                &EpochInfo::initial(2).note_name(),
+                PARTITION_OBJECT,
+            )
             .unwrap();
         stale.force_anchor().unwrap();
     }
 
     let devices = a.crash().unwrap();
-    let (a2, _) =
-        S4Array::mount(devices, DriveConfig::small_test(), array_cfg(), SimClock::new()).unwrap();
+    let (a2, _) = S4Array::mount(
+        devices,
+        DriveConfig::small_test(),
+        array_cfg(),
+        SimClock::new(),
+    )
+    .unwrap();
     // Highest seq wins: the flip is not lost to the stale mirror.
     assert_eq!(a2.epoch(), new_epoch);
     assert_eq!(a2.shard_count(), 3);
@@ -304,13 +382,22 @@ fn crash_between_note_installs_repairs_divergent_member() {
             .map(|(n, _)| n)
             .filter(|n| n.starts_with(EPOCH_NOTE_PREFIX))
             .collect();
-        assert_eq!(notes, vec![new_epoch.note_name()], "member {k} not repaired");
+        assert_eq!(
+            notes,
+            vec![new_epoch.note_name()],
+            "member {k} not repaired"
+        );
     }
 
     // And the repair is durable: one more crash/mount pair agrees.
     let devices = a2.crash().unwrap();
-    let (a3, _) =
-        S4Array::mount(devices, DriveConfig::small_test(), array_cfg(), SimClock::new()).unwrap();
+    let (a3, _) = S4Array::mount(
+        devices,
+        DriveConfig::small_test(),
+        array_cfg(),
+        SimClock::new(),
+    )
+    .unwrap();
     assert_eq!(a3.epoch(), new_epoch);
     assert_population(&a3, &digests);
 }
@@ -324,7 +411,13 @@ fn split_targets_on_timed_disks_are_identical_mirrors() {
     clock.advance(SimDuration::from_secs(1));
     let timed = || TimedDisk::new(disk(), DiskModelParams::cheetah_9gb_10k(), clock.clone());
     let devices = (0..2 * MIRRORS).map(|_| timed()).collect();
-    let a = S4Array::format(devices, DriveConfig::small_test(), array_cfg(), clock.clone()).unwrap();
+    let a = S4Array::format(
+        devices,
+        DriveConfig::small_test(),
+        array_cfg(),
+        clock.clone(),
+    )
+    .unwrap();
     populate(&a, 12);
     split_shard(&a, 0, vec![timed(), timed()], ReshardConfig::default()).unwrap();
     assert_eq!(a.check_mirrors(&admin()), Ok(()));

@@ -20,8 +20,7 @@ use common::{unwrap_arc, CLIENTS};
 use s4_array::{ArrayConfig, MemberState, S4Array};
 use s4_clock::{SimClock, SimDuration};
 use s4_core::{
-    AuditRecord, ClientId, DriveConfig, ObjectId, OpKind, Request, RequestContext, Response,
-    UserId,
+    AuditRecord, ClientId, DriveConfig, ObjectId, OpKind, Request, RequestContext, Response, UserId,
 };
 use s4_fs::{TcpServerHandle, TcpTransport, Transport};
 use s4_simdisk::{BlockDev, FaultPlan, FaultyDisk, MemDisk, RequestClassMask};
@@ -169,7 +168,10 @@ fn overlapping_cross_shard_batches_commit_atomically() {
         .unwrap()
         .fetch_txn_status()
         .unwrap();
-    let want = format!("committed={} aborted=0", CLIENTS as u64 * BATCHES_PER_CLIENT);
+    let want = format!(
+        "committed={} aborted=0",
+        CLIENTS as u64 * BATCHES_PER_CLIENT
+    );
     assert!(status.starts_with(&want), "txn status wire: {status}");
     server.shutdown();
 
@@ -188,8 +190,13 @@ fn overlapping_cross_shard_batches_commit_atomically() {
 
     // The same answers after a clean unmount/remount.
     let devices = a.unmount().unwrap();
-    let (a2, _) =
-        S4Array::mount(devices, DriveConfig::small_test(), array_cfg(), SimClock::new()).unwrap();
+    let (a2, _) = S4Array::mount(
+        devices,
+        DriveConfig::small_test(),
+        array_cfg(),
+        SimClock::new(),
+    )
+    .unwrap();
     check_converged_and_clean(&a2);
     check_contents(&a2, &oids);
     let merged: Vec<AuditRecord> = a2
@@ -286,8 +293,13 @@ fn member_death_mid_prepare_stays_atomic_for_every_client() {
     // Unmount/remount the healed array: the decisions stay decided,
     // the contents stay uniform.
     let devices = a.unmount().unwrap();
-    let (a2, _) =
-        S4Array::mount(devices, DriveConfig::small_test(), array_cfg(), SimClock::new()).unwrap();
+    let (a2, _) = S4Array::mount(
+        devices,
+        DriveConfig::small_test(),
+        array_cfg(),
+        SimClock::new(),
+    )
+    .unwrap();
     check_contents(&a2, &oids);
     for s in 0..SHARDS {
         for k in 0..MIRRORS {

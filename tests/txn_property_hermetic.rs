@@ -17,9 +17,7 @@ use std::collections::BTreeMap;
 
 use s4_array::{ArrayConfig, S4Array};
 use s4_clock::{SimClock, SimDuration};
-use s4_core::{
-    ClientId, DriveConfig, ObjectId, Request, RequestContext, Response, UserId,
-};
+use s4_core::{ClientId, DriveConfig, ObjectId, Request, RequestContext, Response, UserId};
 use s4_simdisk::MemDisk;
 use s4_workloads::Rng;
 
@@ -29,12 +27,22 @@ const POOL: usize = 6;
 /// One sub-request shape; `obj` indexes the pre-created pool.
 #[derive(Debug, Clone)]
 enum OpShape {
-    Write { obj: usize, offset: u8, len: u8, fill: u8 },
-    Truncate { obj: usize, len: u8 },
+    Write {
+        obj: usize,
+        offset: u8,
+        len: u8,
+        fill: u8,
+    },
+    Truncate {
+        obj: usize,
+        len: u8,
+    },
     Create,
     /// A write aimed at an object that does not exist on `shard` —
     /// guaranteed to fail that shard's prepare and poison the batch.
-    Poison { shard: usize },
+    Poison {
+        shard: usize,
+    },
 }
 
 fn draw_op(rng: &mut Rng) -> OpShape {
@@ -119,13 +127,14 @@ fn run_case(batches: Vec<Vec<OpShape>>) {
         let mut poisoned = false;
         for shape in shapes {
             match shape {
-                OpShape::Write { obj, offset, len, fill } => {
+                OpShape::Write {
+                    obj,
+                    offset,
+                    len,
+                    fill,
+                } => {
                     let oid = pool[obj % POOL];
-                    reqs.push(write_req(
-                        oid,
-                        *offset as u64,
-                        vec![*fill; *len as usize],
-                    ));
+                    reqs.push(write_req(oid, *offset as u64, vec![*fill; *len as usize]));
                 }
                 OpShape::Truncate { obj, len } => {
                     let oid = pool[obj % POOL];

@@ -46,13 +46,25 @@ fn bounded_txn_campaign_is_atomic_at_every_sampled_point() {
     // each participant. A batch whose blocks reach the end of its
     // segment is cut there and commits in two.)
     assert_eq!(summary.domain, 8, "the 2PC window moved: {summary:?}");
-    assert!(summary.crash_points <= 24, "bounded cap violated: {summary:?}");
-    assert_eq!(summary.replays, summary.crash_points * BOUNDED.replays_per_point());
+    assert!(
+        summary.crash_points <= 24,
+        "bounded cap violated: {summary:?}"
+    );
+    assert_eq!(
+        summary.replays,
+        summary.crash_points * BOUNDED.replays_per_point()
+    );
     // Crash points cover both sides of the commit point, so the
     // campaign must observe both recovered decisions.
     let decisions = summary.tally;
-    assert!(decisions.aborted > 0, "no pre-commit-point crash: {summary:?}");
-    assert!(decisions.committed > 0, "no post-commit-point crash: {summary:?}");
+    assert!(
+        decisions.aborted > 0,
+        "no pre-commit-point crash: {summary:?}"
+    );
+    assert!(
+        decisions.committed > 0,
+        "no post-commit-point crash: {summary:?}"
+    );
 }
 
 #[test]
@@ -123,7 +135,10 @@ fn exhaustive_txn_campaign_two_shards() {
     println!("TXN_TORTURE exhaustive-two-shard {summary:?}");
     assert_eq!(summary.crash_points as u64, summary.domain, "{summary:?}");
     let decisions = summary.tally;
-    assert!(decisions.committed > 0 && decisions.aborted > 0, "{summary:?}");
+    assert!(
+        decisions.committed > 0 && decisions.aborted > 0,
+        "{summary:?}"
+    );
 }
 
 #[test]
@@ -133,5 +148,8 @@ fn exhaustive_txn_campaign_mirrored() {
     println!("TXN_TORTURE exhaustive-mirrored {summary:?}");
     assert_eq!(summary.crash_points as u64, summary.domain, "{summary:?}");
     let decisions = summary.tally;
-    assert!(decisions.committed > 0 && decisions.aborted > 0, "{summary:?}");
+    assert!(
+        decisions.committed > 0 && decisions.aborted > 0,
+        "{summary:?}"
+    );
 }

@@ -25,19 +25,37 @@ use s4_workloads::Rng;
 #[derive(Debug, Clone)]
 enum Op {
     Create,
-    Write { obj: usize, offset: u16, len: u16, fill: u8 },
-    Truncate { obj: usize, len: u16 },
-    Delete { obj: usize },
-    SetAttr { obj: usize, attr: u8 },
+    Write {
+        obj: usize,
+        offset: u16,
+        len: u16,
+        fill: u8,
+    },
+    Truncate {
+        obj: usize,
+        len: u16,
+    },
+    Delete {
+        obj: usize,
+    },
+    SetAttr {
+        obj: usize,
+        attr: u8,
+    },
     Sync,
-    Tick { secs: u8 },
+    Tick {
+        secs: u8,
+    },
     /// Runs the differencing pass; must be invisible to every read.
     Compact,
     /// Retires every version older than the detection window.
     Expire,
     /// Pins the version current `back` instants ago (or at the expiry
     /// cutoff, if that is later) as a landmark.
-    Landmark { obj: usize, back: u8 },
+    Landmark {
+        obj: usize,
+        back: u8,
+    },
 }
 
 /// The detection window: short beside the ticks, so `Expire` retires.
@@ -86,7 +104,12 @@ fn run_case(ops: Vec<Op>, remount_each: usize) {
     let mut config = DriveConfig::small_test();
     config.detection_window = WINDOW;
     let mut drive = Some(
-        S4Drive::format(MemDisk::with_capacity_bytes(96 << 20), config, clock.clone()).unwrap(),
+        S4Drive::format(
+            MemDisk::with_capacity_bytes(96 << 20),
+            config,
+            clock.clone(),
+        )
+        .unwrap(),
     );
     let ctx = RequestContext::user(UserId(1), ClientId(1));
 
@@ -109,7 +132,12 @@ fn run_case(ops: Vec<Op>, remount_each: usize) {
                 oids.push(oid);
                 oracle.create(oid, d.now());
             }
-            Op::Write { obj, offset, len, fill } => {
+            Op::Write {
+                obj,
+                offset,
+                len,
+                fill,
+            } => {
                 if let Some((oid, alive)) = target(&oids, &oracle, obj) {
                     let data = vec![fill; len as usize];
                     let r = d.op_write(&ctx, oid, offset as u64, &data);
@@ -217,9 +245,19 @@ fn drive_matches_oracle_across_remounts() {
 fn write_past_a_truncated_tail_matches_oracle() {
     let ops = vec![
         Op::Create,
-        Op::Write { obj: 0, offset: 0, len: 3639, fill: 1 },
+        Op::Write {
+            obj: 0,
+            offset: 0,
+            len: 3639,
+            fill: 1,
+        },
         Op::Truncate { obj: 0, len: 1 },
-        Op::Write { obj: 0, offset: 2, len: 1, fill: 0 },
+        Op::Write {
+            obj: 0,
+            offset: 2,
+            len: 1,
+            fill: 0,
+        },
     ];
     run_case(ops.clone(), 0);
     run_case(ops, 2);
