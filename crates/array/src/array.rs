@@ -37,10 +37,10 @@ pub struct ArrayConfig {
     /// faults.
     pub mirrors: usize,
     /// Assign a causal trace id to every request entering the array
-    /// whose context carries none, so member drives persist v2 trace
-    /// records joinable across shards (DESIGN §6j). Off, requests the
-    /// caller left untraced stay untraced and records encode as v1 —
-    /// the `fig_trace` benchmark's baseline.
+    /// whose context carries none, so member drives' audit records are
+    /// joinable across shards (DESIGN §6j). Off, requests the caller
+    /// left untraced stay untraced (trace id 0) — the `fig_trace`
+    /// benchmark's baseline.
     pub trace: bool,
 }
 
@@ -78,8 +78,8 @@ impl ArrayConfig {
 /// — the shard keeps serving from the survivor in *degraded mode*,
 /// surfaced through a `s4_array_degraded` gauge and an
 /// `array-degraded` alert on each survivor's tamper-evident alert
-/// stream. Every member keeps its own audit log, alert stream, and
-/// flight recorder — the security perimeter stays per-drive, exactly
+/// stream. Every member keeps its own audit log and alert stream — the
+/// security perimeter stays per-drive, exactly
 /// as §3.2 argues: a compromised client (or even a compromised sibling
 /// drive) cannot forge or truncate another drive's history.
 pub struct S4Array<D: BlockDev> {

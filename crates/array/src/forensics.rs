@@ -1,15 +1,15 @@
 //! Merged admin plane: audit, alerts, detection, and forensics across
 //! shards.
 //!
-//! Every member drive keeps its own tamper-resistant audit log, alert
-//! stream, and flight recorder — the array merely *reads* them all and
+//! Every member drive keeps its own tamper-resistant audit log and alert
+//! stream — the array merely *reads* them all and
 //! merges, tagging each record with its shard so an analyst can always
 //! trace a finding back to the drive that vouches for it. Merging is a
 //! view, not a copy: no cross-shard object ever holds security state,
 //! so compromising one shard (or the array frontend itself) cannot
 //! rewrite another shard's history.
 
-use s4_core::{AuditRecord, ObjectId, RequestContext, S4Drive, S4Error, TraceRecord};
+use s4_core::{AuditRecord, ObjectId, RequestContext, S4Drive, S4Error};
 use s4_detect::{assemble_traces, object_timeline, Alert, TimelineEvent, TraceTree};
 use s4_simdisk::BlockDev;
 
@@ -65,21 +65,12 @@ impl<D: BlockDev + 'static> S4Array<D> {
         )
     }
 
-    /// Every shard's persisted trace stream merged, sorted by
-    /// completion time.
-    pub fn read_traces_merged(
-        &self,
-        admin: &RequestContext,
-    ) -> Result<Vec<Sharded<TraceRecord>>, S4Error> {
-        self.merged(|d| d.read_traces(admin), |r| r.time_us)
-    }
-
     /// Do the mirrors agree? Compares the in-sync members of every
     /// shard — live-object set, [`S4Drive::object_digest`] per object,
-    /// the audit records of mutations, and alerts (a read is served,
-    /// audited and traced by one member only, so it is no part of what
-    /// replicas share) — and names the first difference with the fields
-    /// that differ.
+    /// the identity of the audit records of mutations, and alerts (a
+    /// read is served and audited by one member only, and each member
+    /// times its own work, so neither is part of what replicas share) —
+    /// and names the first difference with the fields that differ.
     pub fn check_mirrors(&self, admin: &RequestContext) -> Result<(), String> {
         for (s, states) in self.member_states().iter().enumerate() {
             let in_sync: Vec<usize> = (0..states.len())
@@ -101,7 +92,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
         Ok(())
     }
 
-    /// Every *member* drive's trace stream, labeled `(shard, member,
+    /// Every *member* drive's whole audit log, labeled `(shard, member,
     /// records)` — the input to cross-shard trace assembly, where
     /// provenance is which stream vouches for a span, so mirrors are
     /// read individually rather than collapsed to the shard's first
@@ -111,7 +102,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
     fn member_traces(
         &self,
         admin: &RequestContext,
-    ) -> Result<Vec<(usize, usize, Vec<TraceRecord>)>, S4Error> {
+    ) -> Result<Vec<(usize, usize, Vec<AuditRecord>)>, S4Error> {
         let mut all = Vec::new();
         for (s, shard_states) in self.member_states().iter().enumerate() {
             for (k, state) in shard_states.iter().enumerate() {
@@ -125,9 +116,9 @@ impl<D: BlockDev + 'static> S4Array<D> {
     }
 
     /// Assembles every causal trace recorded anywhere in the array:
-    /// reads all member trace streams and joins them on trace id (DESIGN
+    /// reads all member audit logs and joins them on trace id (DESIGN
     /// §6j). Entirely computed from the crash-surviving per-drive
-    /// streams, so it works identically on a freshly mounted array.
+    /// logs, so it works identically on a freshly mounted array.
     pub fn assemble_all_traces(&self, admin: &RequestContext) -> Result<Vec<TraceTree>, S4Error> {
         Ok(assemble_traces(&self.member_traces(admin)?))
     }

@@ -8,7 +8,7 @@
 //! table, and any client holding an ObjectID can compute its shard.
 //!
 //! Reserved drive-local objects (audit log, partition table, alert
-//! stream, flight recorder) exist *per shard* — each member drive keeps
+//! stream) exist *per shard* — each member drive keeps
 //! its own security perimeter — so a request explicitly addressed to a
 //! reserved ID routes to shard 0 by convention, while the admin plane
 //! reads every shard's copy and merges (see `forensics`).
@@ -24,7 +24,7 @@ use crate::epoch::EpochInfo;
 pub(crate) enum Merge {
     /// Every shard must answer `Ok` (Sync, Flush, SetWindow).
     AllOk,
-    /// Sum the per-shard `NewSize` counts (FlushAlerts, FlushTraces).
+    /// Sum the per-shard `NewSize` counts (FlushAlerts).
     SumNewSize,
     /// Concatenate partition listings, sorted by name (PList).
     Partitions,
@@ -91,7 +91,7 @@ pub(crate) fn route(req: &Request, e: &EpochInfo) -> Route {
         Request::Sync => Route::Broadcast(Merge::AllOk),
         Request::Flush { .. } => Route::Broadcast(Merge::AllOk),
         Request::SetWindow { .. } => Route::Broadcast(Merge::AllOk),
-        Request::FlushAlerts | Request::FlushTraces => Route::Broadcast(Merge::SumNewSize),
+        Request::FlushAlerts => Route::Broadcast(Merge::SumNewSize),
         // Everything else is object-directed.
         _ => Route::Shard(dense_of(req.target(), e)),
     }
@@ -267,7 +267,7 @@ mod tests {
         assert_eq!(dense_of(ObjectId(9), &e), 1);
         // Reserved objects pin to slot 0 in every epoch.
         assert_eq!(slot_of(ObjectId(2), &e), 0);
-        assert_eq!(slot_of(s4_core::TRACE_OBJECT, &e), 0);
+        assert_eq!(slot_of(s4_core::ALERT_OBJECT, &e), 0);
     }
 
     #[test]

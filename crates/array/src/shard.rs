@@ -411,12 +411,13 @@ impl<D: BlockDev> Shard<D> {
 /// — live-object set, an object's [`S4Drive::object_digest`] (named
 /// with the fields that differ), a reserved stream — or `None`.
 ///
-/// A freshly resynced replica copied its source's audit, alert and
-/// trace streams byte for byte: `whole_streams` compares all three
-/// entire. Two running members share only what was fanned out to both
-/// — a read is served, so audited and traced, by one member, and a
-/// trace record is that member's own measurement — so they compare on
-/// the audit records of mutations and on alerts.
+/// A freshly resynced replica copied its source's audit and alert
+/// streams byte for byte: `whole_streams` compares both entire, layer
+/// times and protocol steps included. Two running members share only
+/// what was fanned out to both — a read is served, so audited, by one
+/// member, and a record's layer times are that member's own
+/// measurement — so they compare the identity of the requests' records
+/// of mutations ([`s4_core::AuditRecord::identity`]), and alerts.
 pub(crate) fn first_difference<D: BlockDev>(
     a: &S4Drive<D>,
     b: &S4Drive<D>,
@@ -444,10 +445,18 @@ pub(crate) fn first_difference<D: BlockDev>(
             oid.0, x.created, y.created, x.modified, y.modified
         )));
     }
-    let mut audit = [a.read_audit_records(admin)?, b.read_audit_records(admin)?];
-    if !whole_streams {
-        audit.iter_mut().for_each(|s| s.retain(|r| r.op.mutates()));
-    }
+    let shared = |d: &S4Drive<D>| -> s4_core::Result<Vec<_>> {
+        let records = d.read_audit_records(admin)?.into_iter();
+        Ok(records
+            .filter(|r| r.op.mutates())
+            .map(|r| r.identity())
+            .collect())
+    };
+    let audit = if whole_streams {
+        [a.read_traces(admin)?, b.read_traces(admin)?]
+    } else {
+        [shared(a)?, shared(b)?]
+    };
     let [x, y] = &audit;
     let i = x.iter().zip(y).take_while(|(p, q)| p == q).count();
     if i < x.len().max(y.len()) {
@@ -459,9 +468,6 @@ pub(crate) fn first_difference<D: BlockDev>(
     }
     if a.read_alerts(admin)? != b.read_alerts(admin)? {
         return Ok(Some("alert streams differ".to_string()));
-    }
-    if whole_streams && a.read_traces(admin)? != b.read_traces(admin)? {
-        return Ok(Some("trace streams differ".to_string()));
     }
     Ok(None)
 }

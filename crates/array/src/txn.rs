@@ -52,9 +52,9 @@ impl<D: BlockDev> Shard<D> {
 
     /// Phase 2 on this shard: commit or abort `txid` on every in-sync
     /// member (an abort's compensation is stamped at the job's
-    /// instant). A traced decide leaves a synthetic span on each
-    /// member's trace stream (`txn_decide` is a direct call, not a
-    /// dispatched request, so no record would exist otherwise); `ok`
+    /// instant). A traced decide leaves a step record in each member's
+    /// audit log (`txn_decide` is a direct call, not a dispatched
+    /// request, so no record would exist otherwise); `ok`
     /// carries the decision. Deciding a transaction a member never saw
     /// is an idempotent no-op.
     pub(crate) fn decide(
@@ -66,7 +66,7 @@ impl<D: BlockDev> Shard<D> {
         let ctx = in_phase(ctx, PHASE_DECIDE);
         self.fan_out(self.instant(), true, |drive| {
             drive.txn_decide(txid, commit)?;
-            drive.record_phase_trace(&ctx, OpKind::Sync, ObjectId(txid), commit, 0);
+            drive.record_phase_trace(&ctx, OpKind::Sync, ObjectId(txid), commit);
             Ok(())
         })
     }
@@ -106,12 +106,12 @@ impl<D: BlockDev> Shard<D> {
                 return Ok(());
             }
             drive.op_sync(&admin)?;
-            // A traced note (a 2PC decision install) leaves a span on
-            // the member's trace stream *after* its durability barrier
+            // A traced note (a 2PC decision install) leaves a step record
+            // in the member's audit log *after* its durability barrier
             // — the record's presence means the commit point really
             // passed here.
             let ctx = in_phase(&admin.with_trace(trace), PHASE_NOTE);
-            drive.record_phase_trace(&ctx, OpKind::PCreate, PARTITION_OBJECT, true, 0);
+            drive.record_phase_trace(&ctx, OpKind::PCreate, PARTITION_OBJECT, true);
             Ok(())
         })
     }

@@ -1,9 +1,9 @@
 //! Tracing overhead: the 8-client stress workload on a 4-shard array,
 //! with request tracing on (the default) vs. off.
 //!
-//! Every dispatch already persists a v1 flight-recorder record; tracing
-//! adds the entry-point id stamp, the 10 extra v2 bytes, and the
-//! per-layer latency histograms. The claim
+//! Every dispatch already persists one audit record, trace fields
+//! included; tracing adds the entry-point id stamp and the protocol
+//! steps' records. The claim
 //! (DESIGN §6j) is that the whole causal-tracing pipeline costs at most
 //! 5% of client throughput. Eight threads hammer the array in-process
 //! (the transport stamp is one branch and an atomic increment — the

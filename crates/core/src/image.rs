@@ -48,7 +48,7 @@ impl<D: BlockDev> S4Drive<D> {
             }
             h.bytes(&buf);
         }
-        for s in [&inner.audit, &inner.alerts, &inner.traces] {
+        for s in [&inner.audit, &inner.alerts] {
             s.digest(|b| h.bytes(b));
         }
         // Unresolved-transaction state (the log object itself is hashed
@@ -95,8 +95,8 @@ impl<D: BlockDev> S4Drive<D> {
     }
 
     /// Exports the drive's logical state for mirror resync (admin only):
-    /// every live object's current version plus the raw audit, alert,
-    /// and trace streams. Deleted objects and expired history are *not*
+    /// every live object's current version plus the raw audit and alert
+    /// streams. Deleted objects and expired history are *not*
     /// exported — clients observe `NoSuchObject` either way, and the
     /// replacement member starts its history pool from the survivor's
     /// present (the paper's window guarantee is per-drive; a rebuilt
@@ -121,14 +121,13 @@ impl<D: BlockDev> S4Drive<D> {
             objects,
             audit: inner.audit.export(&self.log)?,
             alerts: inner.alerts.export(&self.log)?,
-            traces: inner.traces.export(&self.log)?,
         })
     }
 
     /// Formats `dev` and replays `image` onto it: each live object is
     /// recreated with its original creation/modification *times* (the
-    /// stamp sequence component is drive-local), and the audit, alert,
-    /// and trace streams are copied byte for byte. The result is a
+    /// stamp sequence component is drive-local), and the audit and alert
+    /// streams are copied byte for byte. The result is a
     /// mounted, anchored drive whose client-visible state matches the
     /// image's source — [`S4Drive::object_digest`] verifies the claim
     /// per object.
@@ -148,7 +147,7 @@ impl<D: BlockDev> S4Drive<D> {
             inner.next_oid = inner.next_oid.max(image.next_oid);
 
             let (streams, ledger) = inner.streams_mut();
-            let images = [&image.audit, &image.alerts, &image.traces];
+            let images = [&image.audit, &image.alerts];
             for (s, image) in streams.into_iter().zip(images) {
                 s.restore(&drive.log, ledger, image)?;
             }
@@ -380,6 +379,4 @@ pub struct ResyncImage {
     pub audit: ResyncStream,
     /// The alert object stream.
     pub alerts: ResyncStream,
-    /// The flight-recorder trace stream.
-    pub traces: ResyncStream,
 }

@@ -127,7 +127,7 @@ impl Ledger {
         let mut held: BTreeMap<BlockAddr, (BlockKind, u32)> = BTreeMap::new();
         let mut slot = |addr, kind| held.entry(addr).or_insert((kind, 0)).1 += 1;
         let mut plain: Vec<(BlockAddr, BlockKind)> = Vec::new();
-        for s in [&inner.audit, &inner.alerts, &inner.traces] {
+        for s in [&inner.audit, &inner.alerts] {
             plain.extend(s.blocks().iter().map(|&a| (a, BlockKind::Audit)));
         }
         for s in inner.table.values() {

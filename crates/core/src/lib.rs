@@ -83,7 +83,7 @@ pub use acl::{AclEntry, AclTable, Perm};
 pub use audit::{AuditRecord, AuditState, OpKind};
 pub use drive::{
     AuditObserver, DriveConfig, RecoveryReport, ResyncImage, ResyncObject, S4Drive, VersionKind,
-    VersionRecord, ALERT_OBJECT, AUDIT_OBJECT, PARTITION_OBJECT, TRACE_OBJECT,
+    VersionRecord, ALERT_OBJECT, AUDIT_OBJECT, PARTITION_OBJECT,
 };
 pub use ids::{
     ClientId, ObjectId, RequestContext, TraceCtx, TraceIdGen, UserId, PHASE_APPLY, PHASE_CATCHUP,
@@ -92,7 +92,6 @@ pub use ids::{
 pub use ledger::Discrepancy;
 pub use reserved::{Alert, ResyncStream, Severity, StreamCursor};
 pub use rpc::{Request, Response};
-pub use s4_obs::TraceRecord;
 pub use stats::{DriveStats, StatsSnapshot};
 pub use throttle::ThrottleConfig;
 
@@ -157,7 +156,9 @@ impl S4Error {
                 | s4_simdisk::DiskError::OutOfRange { .. }
                 | s4_simdisk::DiskError::UnalignedLength(_) => Some(DiskFaultKind::Fatal),
             },
-            S4Error::Storage(s4_lfs::LfsError::Corrupt(_)) => Some(DiskFaultKind::Fatal),
+            S4Error::Storage(s4_lfs::LfsError::Corrupt(_) | s4_lfs::LfsError::Format(_)) => {
+                Some(DiskFaultKind::Fatal)
+            }
             S4Error::BatchFailed { error, .. } => error.disk_fault(),
             _ => None,
         }

@@ -293,8 +293,8 @@ impl<D: BlockDev> S4Drive<D> {
         self.pack_checkpoints(inner, &need_cp)?;
 
         // Persist the buffered stream tails so audit records and alerts
-        // survive restarts, and the persisted trace stream stays an exact
-        // prefix of the request stream across an orderly shutdown.
+        // survive restarts: the audit log stays an exact prefix of the
+        // request stream across an orderly shutdown.
         let (streams, ledger) = inner.streams_mut();
         for s in streams {
             if s.spill_tail(&self.log, ledger)? && s.oid() == AUDIT_OBJECT.0 {
@@ -367,9 +367,8 @@ fn encode_anchor_payload(inner: &Inner) -> Vec<u8> {
             }
         }
     }
-    // The alert and flight-recorder streams trail the table.
+    // The alert stream trails the table.
     inner.alerts.encode_anchor(&mut out);
-    inner.traces.encode_anchor(&mut out);
     out
 }
 
@@ -408,7 +407,6 @@ pub(crate) fn decode_anchor_payload(
         });
     }
     inner.alerts.decode_anchor(&mut r)?;
-    inner.traces.decode_anchor(&mut r)?;
     Ok((inner, records))
 }
 

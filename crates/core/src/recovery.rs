@@ -135,7 +135,6 @@ impl<D: BlockDev> S4Drive<D> {
 
         report.audit_blocks = inner.audit.blocks().len();
         report.alert_blocks = inner.alerts.blocks().len();
-        report.trace_blocks = inner.traces.blocks().len();
         report.recovered_objects = inner.table.len();
         report.next_oid = inner.next_oid;
 
@@ -201,8 +200,6 @@ pub struct RecoveryReport {
     pub audit_blocks: usize,
     /// Alert-object blocks reachable after recovery (anchored + replayed).
     pub alert_blocks: usize,
-    /// Flight-recorder (trace) blocks reachable after recovery.
-    pub trace_blocks: usize,
     /// Objects in the recovered table (anchored plus any created in
     /// replayed batches).
     pub recovered_objects: usize,

@@ -158,6 +158,11 @@ mod tests {
             object: ObjectId(object),
             arg1,
             arg2,
+            trace: Default::default(),
+            rpc_us: 0,
+            journal_us: 0,
+            lfs_us: 0,
+            disk_us: 0,
         }
     }
 

@@ -22,9 +22,9 @@
 //! (`extend_from_slice(&x.to_le_bytes())`); only the multi-field layouts
 //! several formats share have a push function beside their reader.
 //!
-//! **What stays hand-indexed, and why.** `s4_obs::TraceRecord::decode` and
-//! `s4-delta`'s `xdelta`/`lzss` decoders: both crates depend on nothing, so
-//! the cursor is out of their reach. [`crate::crc`]: checksum kernels, not
+//! **What stays hand-indexed, and why.** `s4-delta`'s `xdelta`/`lzss`
+//! decoders: the crate depends on nothing, so the cursor is out of its
+//! reach. [`crate::crc`]: checksum kernels, not
 //! decoders. The four-byte frame length in `s4_fs::tcp`: a fixed array read
 //! whole from the socket. `scripts/verify.sh` fails on a hand-indexed
 //! little-endian read anywhere else outside tests.

@@ -64,6 +64,9 @@ pub enum LfsError {
     BadAddress(u64),
     /// A block payload exceeded [`BLOCK_SIZE`].
     Oversize(usize),
+    /// The superblock names an on-disk format revision this build does
+    /// not read.
+    Format(u32),
 }
 
 impl fmt::Display for LfsError {
@@ -75,6 +78,12 @@ impl fmt::Display for LfsError {
             LfsError::TooSmall => write!(f, "device too small for log geometry"),
             LfsError::BadAddress(a) => write!(f, "block address {a} out of range"),
             LfsError::Oversize(n) => write!(f, "payload of {n} bytes exceeds block size"),
+            LfsError::Format(found) => write!(
+                f,
+                "unsupported on-disk format revision {found} (this build reads revision {}); \
+                 reformat the image",
+                superblock::FORMAT_VERSION
+            ),
         }
     }
 }

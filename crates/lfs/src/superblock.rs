@@ -26,8 +26,11 @@ const SB_BYTES: usize = 96;
 /// (see [`crate::summary`]); a revision-2 summary's reserved bytes read
 /// as a malformed record, so that image is refused the same way.
 /// Revision 4 drops the forwarding table from the drive's checkpoints.
-const FORMAT_VERSION: u32 = 4;
-const UNSUPPORTED_FORMAT: LfsError = LfsError::Corrupt("unsupported on-disk format");
+/// Revision 5 keeps one 68-byte audit record per request, with its trace
+/// context and layer times, and no separate trace stream: a revision-4
+/// audit block reads as malformed records and its anchor payload as a
+/// truncated one.
+pub(crate) const FORMAT_VERSION: u32 = 5;
 
 /// Sentinel for "the log has never been anchored".
 pub(crate) const NO_STATE: u64 = u64::MAX;
@@ -108,8 +111,9 @@ impl Superblock {
             next_stamp_seq: r.u64()?,
             anchor_time_us: r.u64()?,
         };
-        if r.u32()? != FORMAT_VERSION {
-            return Err(UNSUPPORTED_FORMAT);
+        match r.u32()? {
+            FORMAT_VERSION => {}
+            other => return Err(LfsError::Format(other)),
         }
         Ok(sb)
     }
@@ -139,7 +143,7 @@ impl Superblock {
             dev.read(copy * Geometry::SUPERBLOCK_COPY_SECTORS, &mut buf)?;
             match Superblock::decode(&buf) {
                 Ok(sb) if best.as_ref().is_none_or(|b| sb.epoch > b.epoch) => best = Some(sb),
-                Err(e) if e == UNSUPPORTED_FORMAT => return Err(e),
+                Err(e @ LfsError::Format(_)) => return Err(e),
                 _ => {}
             }
         }
@@ -216,33 +220,25 @@ mod tests {
     #[test]
     fn an_earlier_format_is_refused_not_skipped() {
         // A revision-1 superblock — same magic and layout, zero padding
-        // where the format revision now lives — and a revision-2 one
-        // (checksummed commits, no carried records), CRC valid.
-        for revision in [0u32, 2] {
+        // where the format revision now lives — and revisions 2 to 4,
+        // CRC valid: each refused, by name, beside this build's revision.
+        for revision in [0u32, 2, 3, 4] {
             let mut old = sample(3).encode();
             old[72..76].copy_from_slice(&revision.to_le_bytes());
             let crc = crc32(&old[8..SB_BYTES]);
             old[4..8].copy_from_slice(&crc.to_le_bytes());
-            assert_eq!(Superblock::decode(&old), Err(UNSUPPORTED_FORMAT));
+            assert_eq!(Superblock::decode(&old), Err(LfsError::Format(revision)));
 
             let dev = MemDisk::new(1024);
             dev.write(Geometry::SUPERBLOCK_COPY_SECTORS, &old).unwrap();
-            assert_eq!(Superblock::read_latest(&dev), Err(UNSUPPORTED_FORMAT));
+            let err = Superblock::read_latest(&dev).unwrap_err();
+            assert_eq!(err, LfsError::Format(revision));
+            let text = err.to_string();
+            assert!(
+                text.contains(&format!("revision {revision} ")) && text.contains("revision 5"),
+                "{text}"
+            );
         }
-    }
-
-    /// Revision 3 differs from 4 only above the log, in the drive's
-    /// checkpoints; its superblock is refused all the same, by name.
-    #[test]
-    fn a_revision_3_image_is_refused_as_an_unsupported_format() {
-        let mut old = sample(3).encode();
-        old[72..76].copy_from_slice(&3u32.to_le_bytes());
-        let crc = crc32(&old[8..SB_BYTES]);
-        old[4..8].copy_from_slice(&crc.to_le_bytes());
-        let dev = MemDisk::new(1024);
-        dev.write(Geometry::SUPERBLOCK_COPY_SECTORS, &old).unwrap();
-        let err = Superblock::read_latest(&dev).unwrap_err().to_string();
-        assert!(err.ends_with("unsupported on-disk format"), "{err}");
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Observability layer for the S4 stack: metrics, spans, and the
-//! per-request trace record the drive persists.
+//! Observability layer for the S4 stack: metrics and spans.
 //!
 //! The paper's administrative story (§3.6, §5) assumes the operator can
 //! *see* the drive: how much detection-window headroom the history pool
@@ -16,23 +15,17 @@
 //! * [`span`] — a thread-local per-request span that hot-path layers
 //!   (rpc, journal, lfs, disk) charge simulated microseconds to, so one
 //!   request's latency decomposes by layer without threading a context
-//!   object through every call;
-//! * [`trace`] — the fixed-size [`TraceRecord`] codec. The drive
-//!   appends every record to one reserved, drive-written-only object,
-//!   the persisted trace stream, whose prefix survives crashes and which
-//!   only an administrator reads (see `s4-core`).
+//!   object through every call. The drive stores each request's span
+//!   in the request's audit record (see `s4-core`).
 //!
 //! Everything here measures **simulated** time (the `SimClock` the rest
 //! of the stack runs on), never wall time, so recorded values are
-//! deterministic and replayable — a property the crash-torture harness
-//! relies on when it byte-compares recovered trace streams.
+//! deterministic and replayable.
 
 pub mod hist;
 pub mod registry;
 pub mod span;
-pub mod trace;
 
 pub use hist::Histogram;
 pub use registry::{Counter, Gauge, HistogramSnapshot, Registry, Sample};
 pub use span::Layer;
-pub use trace::{TraceRecord, TRACE_RECORD_BYTES, TRACE_RECORD_V2_BYTES};

@@ -206,7 +206,7 @@ impl Scenario for Stretch {
     /// `s4_txn::run` and `ArrayTxn`'s abort and scrub branches included.
     /// Transactions run traced (trace id = the pinned transaction id),
     /// so the shard workers leave their `PHASE_PREPARE` / `PHASE_NOTE` /
-    /// `PHASE_DECIDE` spans and every replay also tortures the v2 trace
+    /// `PHASE_DECIDE` spans and every replay also tortures the traced
     /// records' crash survival alongside the data they annotate. Once a
     /// device dies the rail is dark and every later request fails.
     fn run(&self, (array, oids): &Self::Rig) -> Reached {
@@ -253,8 +253,8 @@ impl Scenario for Stretch {
                 let traces = array.member_drive(s, m).read_traces(&admin_ctx()).unwrap();
                 let phases: Vec<u8> = traces
                     .iter()
-                    .filter(|t| t.trace_id == TXN_ID)
-                    .map(|t| t.phase)
+                    .filter(|t| t.trace.trace_id == TXN_ID)
+                    .map(|t| t.trace.phase)
                     .collect();
                 let has = |phase| phases.contains(&phase);
                 let what = format!("shard {s} member {m}");
@@ -377,23 +377,23 @@ fn verify(
                     "{what}: shard {s} member {m} kept the note of {txid} past every resolution"
                 );
             }
-            // The persisted trace stream (mixed v1/v2 after the traced
-            // window) must still decode whole, and every span the
-            // transaction's id vouches for must carry a protocol phase.
-            // Presence is not asserted: trace durability is bounded by
-            // the last flush, and the crash may predate it.
+            // The whole audit log, protocol steps included, must still
+            // decode, and every span the transaction's id vouches for
+            // must carry a protocol phase. Presence is not asserted:
+            // durability is bounded by the last flush, and the crash may
+            // predate it.
             let traces = d.read_traces(&adm).unwrap_or_else(|e| {
-                panic!("{what}: shard {s} member {m} trace stream unreadable: {e}")
+                panic!("{what}: shard {s} member {m} audit log unreadable: {e}")
             });
-            for t in traces.iter().filter(|t| t.trace_id == TXN_ID) {
+            for t in traces.iter().filter(|t| t.trace.trace_id == TXN_ID) {
                 assert_eq!(
-                    t.origin, 0,
+                    t.trace.origin, 0,
                     "{what}: shard {s} member {m} trace span with foreign origin"
                 );
                 assert!(
-                    [PHASE_PREPARE, PHASE_NOTE, PHASE_DECIDE].contains(&t.phase),
+                    [PHASE_PREPARE, PHASE_NOTE, PHASE_DECIDE].contains(&t.trace.phase),
                     "{what}: shard {s} member {m} trace span with phase {} outside the 2PC window",
-                    t.phase
+                    t.trace.phase
                 );
             }
         }

@@ -2,22 +2,19 @@
 //!
 //! [`WritePath`] formats a drive (its setup), runs a deterministic
 //! workload (its window: xoshiro256** from `s4-workloads`, or a script)
-//! and holds the recovered drive to five invariants:
+//! and holds the recovered drive to four invariants:
 //!
 //! - **(a) durability**: every version the oracle saw durable at the
 //!   last *completed* sync reads back at its historical time, with the
 //!   exact content, size and attributes;
 //! - **(b) audit prefix**: the recovered audit log is an exact prefix of
-//!   the predicted record stream, and every full block flushed by the
-//!   last completed sync survived;
+//!   the predicted record stream, trace contexts included, and every
+//!   full block flushed by the last completed sync survived;
 //! - **(c) idempotence**: two mounts of one image give the same
 //!   [`S4Drive::state_digest`] and [`RecoveryReport`] (mount writes
 //!   nothing), and the running ledger equals its recount;
 //! - **(d) post-recovery retention**: a cleaner pass after recovery
-//!   reclaims nothing inside the detection window;
-//! - **(e) flight-recorder prefix**: the persisted trace stream, written
-//!   1:1 with the audit records, is an exact prefix of the predicted
-//!   requests, with the same full-block floor as (b).
+//!   reclaims nothing inside the detection window.
 //!
 //! Each replay rebuilds its own oracle and predicted streams and takes
 //! the last sync that returned `Ok` as its durability boundary; a
@@ -34,7 +31,6 @@ use std::ops::AddAssign;
 use s4_clock::{SimClock, SimDuration, SimTime};
 use s4_core::{
     AuditRecord, DriveConfig, ObjectId, RecoveryReport, Request, Response, S4Drive, TraceCtx,
-    TraceRecord,
 };
 use s4_lfs::BLOCK_SIZE;
 use s4_simdisk::{
@@ -52,21 +48,8 @@ use crate::{
 const RECORDS_PER_BLOCK: usize = BLOCK_SIZE / s4_core::audit::RECORD_BYTES;
 
 /// Every third workload request carries a caller-stamped trace context,
-/// so the persisted flight-recorder stream interleaves 68-byte v1 and
-/// 78-byte v2 records and the durability floor in invariant (e) has to
-/// model real (mixed-size) block packing rather than a uniform count.
+/// so the recovered audit log must hold each request's trace id too.
 const TRACED_EVERY: usize = 3;
-
-/// Encoded size of predicted trace record `i` as it lands in the spill
-/// buffer: a 2-byte length prefix plus the version the stamped context
-/// selects (untraced dispatches stay v1).
-fn trace_blob_len(trace: &TraceCtx) -> usize {
-    2 + if trace.trace_id == 0 {
-        s4_obs::TRACE_RECORD_BYTES
-    } else {
-        s4_obs::TRACE_RECORD_V2_BYTES
-    }
-}
 
 /// Device size for every torture drive (sparse in memory).
 const DISK_BYTES: u64 = 96 << 20;
@@ -208,10 +191,9 @@ impl AddAssign for Checked {
 #[derive(Default)]
 pub struct RunState {
     oracle: Oracle,
+    /// The records dispatch appends, without their layer times
+    /// ([`AuditRecord::identity`]), which the workload cannot predict.
     predicted: Vec<AuditRecord>,
-    /// Trace context stamped on request `i` (default = untraced → v1
-    /// record); parallel to `predicted`, it is the trace-stream oracle.
-    predicted_trace: Vec<TraceCtx>,
     /// Drive time of the last sync that returned `Ok`.
     last_ok_sync: Option<SimTime>,
     /// Predicted records audited *before* that sync executed (its own
@@ -219,9 +201,9 @@ pub struct RunState {
     records_at_sync: usize,
     /// The value `records_at_sync` had at the last completed sync that
     /// also anchored (every `anchor_interval_syncs`-th one). An anchor
-    /// writes the audit and trace tails out as short blocks, so every
-    /// record before it is durable and both streams' block packing
-    /// starts afresh after it.
+    /// writes the audit tail out as a short block, so every record
+    /// before it is durable and the block packing starts afresh after
+    /// it.
     records_at_anchor: usize,
     syncs_ok: usize,
 }
@@ -280,8 +262,8 @@ fn run_workload<D: BlockDev>(drive: &S4Drive<D>, cfg: &WritePath) -> RunState {
 
         // Every TRACED_EVERY-th request opts into tracing (a stamped
         // entry-point context, as the array router or a transport would
-        // provide), so replays exercise the mixed v1/v2 trace codec.
-        // The id is a deterministic function of the stream position.
+        // provide). The id is a deterministic function of the stream
+        // position.
         let stamped = st.predicted.len().is_multiple_of(TRACED_EVERY);
         let trace_id = if stamped {
             st.predicted.len() as u64 + 1
@@ -302,7 +284,6 @@ fn run_workload<D: BlockDev>(drive: &S4Drive<D>, cfg: &WritePath) -> RunState {
             _ => req.target(),
         };
         let (arg1, arg2) = req.audit_args();
-        st.predicted_trace.push(trace);
         st.predicted.push(AuditRecord {
             time: drive.now(),
             user: ctx.user,
@@ -312,6 +293,11 @@ fn run_workload<D: BlockDev>(drive: &S4Drive<D>, cfg: &WritePath) -> RunState {
             object,
             arg1,
             arg2,
+            trace,
+            rpc_us: 0,
+            journal_us: 0,
+            lfs_us: 0,
+            disk_us: 0,
         });
 
         // A failed dispatch is the injected fault: the drive is dying.
@@ -349,7 +335,8 @@ fn run_workload<D: BlockDev>(drive: &S4Drive<D>, cfg: &WritePath) -> RunState {
 }
 
 /// Invariant (b): the recovered audit log must be an exact prefix of the
-/// predicted stream, and at least every record in a full block flushed
+/// predicted stream — identity and trace context of every request, in
+/// dispatch order — and at least every record in a full block flushed
 /// by the last completed sync must have survived.
 fn verify_audit_prefix(recovered: &[AuditRecord], st: &RunState, what: &str) {
     assert!(
@@ -360,7 +347,8 @@ fn verify_audit_prefix(recovered: &[AuditRecord], st: &RunState, what: &str) {
     );
     for (i, (got, want)) in recovered.iter().zip(&st.predicted).enumerate() {
         assert_eq!(
-            got, want,
+            got.identity(),
+            *want,
             "{what}: audit record {i} diverged (hole or reordering)"
         );
     }
@@ -375,87 +363,6 @@ fn verify_audit_prefix(recovered: &[AuditRecord], st: &RunState, what: &str) {
         "{what}: only {} audit records recovered; {} were in full blocks \
          flushed by the last completed sync",
         recovered.len(),
-        min_durable
-    );
-}
-
-/// Invariant (e): the recovered flight-recorder stream is an exact
-/// prefix of the predicted request stream. The drive writes one trace
-/// record per dispatched request, in dispatch order, sharing the audit
-/// record's identity fields — so the audit predictor doubles as the
-/// trace oracle, and the stamped contexts predict each record's trace
-/// id, origin, and phase (zeroes for the untraced v1 majority). The
-/// durability floor mirrors (b), but the stream mixes 68-byte v1 and
-/// 78-byte v2 records, so it re-runs the spill discipline over the
-/// predicted sizes: exactly the records in blocks spilled to the log
-/// before the last completed sync's flush are guaranteed.
-fn verify_trace_prefix(traces: &[TraceRecord], st: &RunState, what: &str) {
-    assert!(
-        traces.len() <= st.predicted.len(),
-        "{what}: recovered {} trace records, predicted only {}",
-        traces.len(),
-        st.predicted.len()
-    );
-    for (i, (got, want)) in traces.iter().zip(&st.predicted).enumerate() {
-        assert_eq!(
-            got.seq, i as u64,
-            "{what}: trace {i} seq (hole or reordering)"
-        );
-        let identity = (
-            got.time_us,
-            got.user,
-            got.client,
-            got.op,
-            got.ok,
-            got.object,
-        );
-        let expect = (
-            want.time.as_micros(),
-            want.user.0,
-            want.client.0,
-            want.op as u8,
-            want.ok,
-            want.object.0,
-        );
-        assert_eq!(
-            identity, expect,
-            "{what}: trace {i} diverged from its audit record"
-        );
-        let want_trace = &st.predicted_trace[i];
-        assert_eq!(
-            (got.trace_id, got.origin, got.phase),
-            (want_trace.trace_id, want_trace.origin, want_trace.phase),
-            "{what}: trace {i} carried the wrong trace context"
-        );
-    }
-    let min_durable = if st.last_ok_sync.is_some() {
-        // Replay the lazy spill: a record whose length-prefixed blob
-        // would overflow the 4 KiB block spills the buffered records
-        // first. Only blocks spilled by requests dispatched *before*
-        // the sync are covered by its flush; the open tail is volatile
-        // until the next anchor, which writes it out and starts a new
-        // block.
-        let mut durable = st.records_at_anchor;
-        let (mut in_block, mut pending) = (0usize, 0usize);
-        for trace in &st.predicted_trace[st.records_at_anchor..st.records_at_sync] {
-            let len = trace_blob_len(trace);
-            if pending + len > BLOCK_SIZE {
-                durable += in_block;
-                in_block = 0;
-                pending = 0;
-            }
-            pending += len;
-            in_block += 1;
-        }
-        durable
-    } else {
-        0
-    };
-    assert!(
-        traces.len() >= min_durable,
-        "{what}: only {} trace records recovered; {} were in blocks \
-         spilled before the last completed sync",
-        traces.len(),
         min_durable
     );
 }
@@ -481,19 +388,11 @@ pub fn golden_run(cfg: &WritePath) -> GoldenSummary {
         .read_audit_records(&admin_ctx())
         .expect("golden: audit read");
     assert_eq!(
-        recovered, st.predicted,
-        "golden: predictor diverged from the drive's audit log"
-    );
-    // On a live drive the flight recorder has lost nothing: the trace
-    // stream must cover the predicted stream exactly (validating the
-    // 1:1 trace-per-audit-record assumption replays depend on).
-    let traces = drive.read_traces(&admin_ctx()).expect("golden: trace read");
-    assert_eq!(
-        traces.len(),
+        recovered.len(),
         st.predicted.len(),
-        "golden: trace stream incomplete on a fault-free run"
+        "golden: audit log incomplete on a fault-free run"
     );
-    verify_trace_prefix(&traces, &st, "golden");
+    verify_audit_prefix(&recovered, &st, "golden");
 
     let stats = drive.stats().snapshot();
     let dev = drive.unmount().expect("golden: unmount").into_inner();
@@ -569,7 +468,7 @@ impl Scenario for WritePath {
         }
 
         let mut versions_checked = c.check_versions(&d2);
-        c.check_streams(&d2);
+        c.check_audit(&d2);
         // Invariant (d): a cleaner pass must reclaim nothing inside the
         // detection window (the workload spans seconds; the window is an
         // hour) — every durable version must still read back.
@@ -613,9 +512,9 @@ impl Scenario for CleanerBetween {
         let c = Crashed { what, st, died };
         let (d1, report) = mount(one(images), what, "recovery");
 
-        // Invariants (a)/(b)/(e) hold right after recovery…
+        // Invariants (a) and (b) hold right after recovery…
         let mut versions_checked = c.check_versions(&d1);
-        c.check_streams(&d1);
+        c.check_audit(&d1);
 
         // …then the maintenance pass runs on the recovered state…
         d1.clean()
@@ -636,7 +535,7 @@ impl Scenario for CleanerBetween {
 
         // Durability and stream-prefix integrity survive the whole gauntlet.
         versions_checked += c.check_versions(&d3);
-        c.check_streams(&d3);
+        c.check_audit(&d3);
         Checked {
             versions_checked,
             torn_batches: report.torn_batches,
@@ -683,18 +582,14 @@ impl Crashed<'_> {
         }
     }
 
-    /// Invariants (b) and (e): the audit log and the flight recorder's
-    /// trace stream are exact prefixes of the predicted request stream.
-    fn check_streams<D: BlockDev>(&self, drive: &S4Drive<D>) {
+    /// Invariant (b): the whole audit log is an exact prefix of the
+    /// predicted request stream.
+    fn check_audit<D: BlockDev>(&self, drive: &S4Drive<D>) {
         let what = self.what;
         let recovered = drive
-            .read_audit_records(&admin_ctx())
+            .read_traces(&admin_ctx())
             .unwrap_or_else(|e| panic!("{what}: audit read failed: {e:?}"));
         verify_audit_prefix(&recovered, self.st, what);
-        let traces = drive
-            .read_traces(&admin_ctx())
-            .unwrap_or_else(|e| panic!("{what}: trace read failed: {e:?}"));
-        verify_trace_prefix(&traces, self.st, what);
     }
 
     /// Invariant (c): journal replay is idempotent, space accounting
@@ -837,7 +732,7 @@ pub fn torture_crash_during_recovery(
         // Durability, audit-prefix, trace-prefix, and post-cleaner
         // retention — the same bar as a single crash.
         versions_checked += c.check_versions(&d3);
-        c.check_streams(&d3);
+        c.check_audit(&d3);
         d3.clean()
             .unwrap_or_else(|e| panic!("{what}@r{r}: post-recovery clean failed: {e:?}"));
         versions_checked += c.check_versions(&d3);
@@ -913,11 +808,11 @@ mod tests {
     /// runs agree with each other and with the committed constant. A
     /// change that moves this value changed the on-disk bytes (or made
     /// them depend on something other than the requests) and must say so.
-    /// (Format revision 4: the superblock's revision field, and every
-    /// object checkpoint four bytes shorter without its forwarding table.)
+    /// (Format revision 5: the superblock's revision field, 68-byte
+    /// audit records 60 to a block, and no trace stream.)
     #[test]
     fn golden_image_is_one_value_across_runs() {
-        const GOLDEN_IMAGE_HASH: u64 = 0xc5d0_203f_6ea0_e1f1;
+        const GOLDEN_IMAGE_HASH: u64 = 0xb7c9_f5b6_1ecd_166b;
         let cfg = WritePath::bounded(0xB0A710AD);
         let (a, b) = (golden_run(&cfg), golden_run(&cfg));
         assert_eq!(a.image_hash, b.image_hash, "two runs, two images");

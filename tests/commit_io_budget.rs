@@ -19,9 +19,12 @@ use s4_array::{ArrayConfig, ArrayTransport, S4Array};
 use s4_clock::{NetworkModel, SimClock, SimDuration};
 use s4_core::{
     ClientId, DriveConfig, ObjectId, Request, RequestContext, Response, S4Drive, UserId,
+    AUDIT_OBJECT,
 };
 use s4_fs::{FileServer, RpcHandler, S4FileServer, S4FsConfig};
-use s4_simdisk::{MemDisk, TraceClass, TraceDisk, TraceHandle};
+use s4_lfs::summary::Summary;
+use s4_lfs::{BlockKind, BlockTag, BLOCK_SIZE};
+use s4_simdisk::{BlockDev, MemDisk, TraceClass, TraceDisk, TraceHandle};
 
 type Disk = TraceDisk<MemDisk>;
 
@@ -400,4 +403,56 @@ fn forced_anchor_of_a_ten_object_drive_fits_three_writes_and_a_sync() {
     let (writes, reads, syncs) = io(&[trace]);
     assert!(writes <= 3, "anchor took {writes} writes");
     assert_eq!((reads, syncs), (0, 1));
+}
+
+/// Every block tag the traced writes carried: each log commit is one
+/// `[summary | data]` write, and its summary names its blocks (and the
+/// record riding in the summary itself). Superblock writes are a sector.
+fn written_tags(drive: &S4Drive<Disk>, trace: &TraceHandle) -> Vec<BlockTag> {
+    let mut tags = Vec::new();
+    for w in trace.records() {
+        if w.class != TraceClass::Write || w.len < BLOCK_SIZE {
+            continue;
+        }
+        let mut summary = vec![0; BLOCK_SIZE];
+        drive.log().device().read(w.sector, &mut summary).unwrap();
+        let summary = Summary::decode(&summary).unwrap();
+        tags.extend(summary.entries.iter().map(|e| e.tag));
+        tags.extend(summary.carried.map(|c| c.tag));
+    }
+    tags
+}
+
+/// A read writes nothing but its record, and a request's record is one
+/// fixed-size record in one stream, the audit log: `n` reads and the
+/// anchor that spills their tail write ⌈n / records-per-block⌉
+/// reserved-stream blocks, every one of them the audit log's.
+#[test]
+fn reads_write_one_audit_stream_of_fixed_size_records() {
+    let (dev, trace) = traced_disk();
+    let drive = S4Drive::format(dev, DriveConfig::small_test(), clock()).unwrap();
+    let oid = settled_object(&drive, std::slice::from_ref(&trace));
+    drive.force_anchor().unwrap();
+    trace.clear();
+
+    let n: usize = 150;
+    for _ in 0..n {
+        let read = Request::Read {
+            oid,
+            offset: 0,
+            len: 64,
+            time: None,
+        };
+        drive.handle(&user(), &read).unwrap();
+    }
+    drive.force_anchor().unwrap();
+
+    let per_block = BLOCK_SIZE / s4_core::audit::RECORD_BYTES;
+    let streams: Vec<u64> = written_tags(&drive, &trace)
+        .into_iter()
+        .filter(|t| t.kind == BlockKind::Audit)
+        .map(|t| t.object)
+        .collect();
+    assert_eq!(streams.len(), n.div_ceil(per_block), "{streams:?}");
+    assert!(streams.iter().all(|&o| o == AUDIT_OBJECT.0), "{streams:?}");
 }

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use s4_clock::{HybridTimestamp, SimDuration, SimTime};
 use s4_core::{
     AclEntry, AclTable, AuditRecord, AuditState, ClientId, ObjectId, OpKind, Perm, Request,
-    RequestContext, Response, TraceRecord, UserId,
+    RequestContext, Response, TraceCtx, UserId,
 };
 use s4_detect::{dirblob, Alert, Severity};
 use s4_fs::{RpcHandler, TcpServerHandle};
@@ -149,6 +149,7 @@ fn responses() -> Vec<Response> {
     ]
 }
 
+/// Record `i` of a test stream: odd ones traced, every one timed.
 fn audit_record(i: u64) -> AuditRecord {
     AuditRecord {
         time: SimTime::from_micros(1_000 + i),
@@ -159,26 +160,25 @@ fn audit_record(i: u64) -> AuditRecord {
         object: ObjectId(40 + i),
         arg1: i,
         arg2: 4096,
-    }
-}
-
-fn trace_record(trace_id: u64) -> TraceRecord {
-    TraceRecord {
-        seq: 5,
-        time_us: 1_000_000,
-        user: 7,
-        client: 66,
-        op: OpKind::Write as u8,
-        ok: true,
-        object: 40,
+        trace: match i % 2 {
+            0 => TraceCtx::default(),
+            _ => TraceCtx {
+                trace_id: 0xABCD + i,
+                origin: 1,
+                phase: 2,
+            },
+        },
         rpc_us: 120,
         journal_us: 10,
         lfs_us: 70,
-        disk_us: 60,
-        trace_id,
-        origin: 1,
-        phase: 2,
+        disk_us: 60 + i as u32,
     }
+}
+
+fn encoded(r: &AuditRecord) -> Vec<u8> {
+    let mut out = Vec::new();
+    r.encode_into(&mut out);
+    out
 }
 
 /// `buf` with the CRC at `4..8` recomputed over `buf[8..end]`, as `Summary`
@@ -406,12 +406,8 @@ fn targets() -> Vec<(&'static str, Decoder, Vec<Vec<u8>>)> {
         ),
         (
             "AuditRecord::decode",
-            |b| {
-                let mut out = Vec::new();
-                AuditRecord::decode(b).ok()?.encode_into(&mut out);
-                Some(out)
-            },
-            vec![audit_block[..s4_core::audit::RECORD_BYTES].to_vec()],
+            |b| AuditRecord::decode(b).ok().map(|r| encoded(&r)),
+            vec![encoded(&audit_record(0)), encoded(&audit_record(1))],
         ),
         (
             "AuditState::decode_block",
@@ -437,11 +433,6 @@ fn targets() -> Vec<(&'static str, Decoder, Vec<Vec<u8>>)> {
             "AclTable::decode",
             |b| AclTable::decode(b).ok().map(|t| t.encode()),
             vec![acl.encode()],
-        ),
-        (
-            "TraceRecord::decode",
-            |b| TraceRecord::decode(b).map(|r| r.encode()),
-            vec![trace_record(0).encode(), trace_record(0xABCD).encode()],
         ),
         (
             "Delta::decode",
@@ -513,6 +504,61 @@ fn fuzz(seed: u64) {
 fn every_decoder_returns_on_fixed_seeds() {
     for seed in [0x5345_4355_5245_5334, 1, 2] {
         fuzz(seed);
+    }
+}
+
+/// The audit-block decoder over hostile blocks, answer by answer: a cut
+/// leaves the whole records before it, an op byte 0 ends the block,
+/// and an unknown op, an `ok` byte past 1, or an origin or phase on an
+/// untraced record fails the block. A single record's mutations reach
+/// the record and the block decoder alike, and both answer the same.
+#[test]
+fn audit_blocks_answer_hostile_bytes_as_the_drive_wrote_them() {
+    const N: usize = s4_core::audit::RECORD_BYTES;
+    let records: Vec<AuditRecord> = (0..6).map(audit_record).collect();
+    let block: Vec<u8> = records.iter().flat_map(encoded).collect();
+    let decode = |b: &[u8]| AuditState::decode_block(b);
+    for cut in 0..=block.len() {
+        assert_eq!(decode(&block[..cut]).unwrap(), records[..cut / N]);
+    }
+    let with = |at: usize, byte: u8| {
+        let mut bad = block.clone();
+        bad[at] = byte;
+        bad
+    };
+    for k in 0..records.len() {
+        assert_eq!(
+            decode(&with(k * N + 16, 0)).unwrap(),
+            records[..k],
+            "padding"
+        );
+        for (at, byte) in [(16, 0x7F), (16, 21), (17, 2)] {
+            assert!(
+                decode(&with(k * N + at, byte)).is_err(),
+                "byte {at} = {byte}"
+            );
+        }
+        // Origin (18) and phase (19): refused on an untraced record, any
+        // value on a traced one (a phase this build does not name reads
+        // as unknown).
+        for at in [18, 19] {
+            let answer = decode(&with(k * N + at, 0xEE));
+            match records[k].trace.trace_id {
+                0 => assert!(answer.is_err(), "record {k} byte {at}"),
+                _ => assert_eq!(answer.unwrap().len(), records.len()),
+            }
+        }
+    }
+    let mut rng = Rng::new(0x5345_4355_5245_5334);
+    for r in &records[..2] {
+        for (what, bytes) in mutations(&encoded(r), &mut rng) {
+            let as_block = decode(&bytes);
+            let expect = match AuditRecord::decode(&bytes) {
+                _ if bytes.len() < N || bytes[16] == 0 => Ok(vec![]),
+                one => one.map(|r| vec![r]),
+            };
+            assert_eq!(as_block, expect, "{what}");
+        }
     }
 }
 
