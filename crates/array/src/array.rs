@@ -77,8 +77,8 @@ impl ArrayConfig {
 /// fatally (or exhausts its transient-fault retries) is declared dead
 /// — the shard keeps serving from the survivor in *degraded mode*,
 /// surfaced through a `s4_array_degraded` gauge and an
-/// `array-degraded` alert on each survivor's tamper-evident alert
-/// stream. Every member keeps its own audit log and alert stream — the
+/// `array-degraded` alert in each survivor's tamper-evident audit log.
+/// Every member keeps its own audit log, alerts included — the
 /// security perimeter stays per-drive, exactly
 /// as §3.2 argues: a compromised client (or even a compromised sibling
 /// drive) cannot forge or truncate another drive's history.

@@ -297,16 +297,6 @@ fn merge_broadcast(
             }
             Ok(Response::Ok)
         }
-        Merge::SumNewSize => {
-            let mut total = 0u64;
-            for r in results {
-                match r? {
-                    Response::NewSize(k) => total += k,
-                    _ => return Err(BAD_SHAPE),
-                }
-            }
-            Ok(Response::NewSize(total))
-        }
         Merge::Partitions => {
             let mut all = Vec::new();
             for r in results {

@@ -1,16 +1,16 @@
 //! Merged admin plane: audit, alerts, detection, and forensics across
 //! shards.
 //!
-//! Every member drive keeps its own tamper-resistant audit log and alert
-//! stream — the array merely *reads* them all and
-//! merges, tagging each record with its shard so an analyst can always
-//! trace a finding back to the drive that vouches for it. Merging is a
+//! Every member drive keeps its own tamper-resistant audit log, alerts
+//! included — the array merely *reads* them all and merges, tagging
+//! each record with its shard so an analyst can always trace a finding
+//! back to the drive that vouches for it. Merging is a
 //! view, not a copy: no cross-shard object ever holds security state,
 //! so compromising one shard (or the array frontend itself) cannot
 //! rewrite another shard's history.
 
 use s4_core::{AuditRecord, ObjectId, RequestContext, S4Drive, S4Error};
-use s4_detect::{assemble_traces, object_timeline, Alert, TimelineEvent, TraceTree};
+use s4_detect::{assemble_traces, object_timeline, read_alerts, Alert, TimelineEvent, TraceTree};
 use s4_simdisk::BlockDev;
 
 use crate::array::S4Array;
@@ -39,8 +39,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
             let records = read(&self.shard_drive(shard))?;
             all.extend(records.into_iter().map(|record| Sharded { shard, record }));
         }
-        // Each key is computed once (an alert's takes a decode).
-        all.sort_by_cached_key(|r| key(&r.record));
+        all.sort_by_key(|r| key(&r.record));
         Ok(all)
     }
 
@@ -53,16 +52,12 @@ impl<D: BlockDev + 'static> S4Array<D> {
         self.merged(|d| d.read_audit_records(admin), |r| r.time)
     }
 
-    /// Every shard's alert stream merged, sorted by raise time as the
-    /// alert codec reads it (a blob it cannot decode sorts first).
+    /// Every shard's alerts merged, rendered, and sorted by raise time.
     pub fn read_alerts_merged(
         &self,
         admin: &RequestContext,
-    ) -> Result<Vec<Sharded<Vec<u8>>>, S4Error> {
-        self.merged(
-            |d| d.read_alerts(admin),
-            |blob| Alert::decode(blob).ok().map(|a| a.time),
-        )
+    ) -> Result<Vec<Sharded<Alert>>, S4Error> {
+        self.merged(|d| read_alerts(d, admin), |a| a.time)
     }
 
     /// Do the mirrors agree? Compares the in-sync members of every
@@ -79,8 +74,9 @@ impl<D: BlockDev + 'static> S4Array<D> {
             // Agreement is transitive: neighbours suffice.
             for pair in in_sync.windows(2) {
                 let (a, b) = (self.member_drive(s, pair[0]), self.member_drive(s, pair[1]));
-                let diff =
-                    first_difference(&a, &b, admin, false).unwrap_or_else(|e| Some(e.to_string()));
+                let diff = first_difference(&a, &b, admin, false)
+                    .map(|d| d.map(|(_, diff)| diff))
+                    .unwrap_or_else(|e| Some(e.to_string()));
                 if let Some(diff) = diff {
                     return Err(format!(
                         "shard {s} members {} and {}: {diff}",

@@ -17,8 +17,8 @@
 //!   `SetWindow`, retention flushes, partition lookups) broadcast to
 //!   every shard concurrently and merge the responses; batches split
 //!   into per-shard sub-batches that run in parallel.
-//! * **Security perimeter stays per drive.** Audit logs and alert
-//!   streams are shard-local and tamper-resistant exactly
+//! * **Security perimeter stays per drive.** Audit logs, alerts
+//!   included, are shard-local and tamper-resistant exactly
 //!   as on a lone drive; the array only ever *reads* and merges them
 //!   ([`Sharded`] tags each record with the vouching shard). Recovery
 //!   and mount are strictly per shard.

@@ -24,8 +24,6 @@ use crate::epoch::EpochInfo;
 pub(crate) enum Merge {
     /// Every shard must answer `Ok` (Sync, Flush, SetWindow).
     AllOk,
-    /// Sum the per-shard `NewSize` counts (FlushAlerts).
-    SumNewSize,
     /// Concatenate partition listings, sorted by name (PList).
     Partitions,
     /// The one shard that knows the name answers (PMount, PDelete —
@@ -91,7 +89,6 @@ pub(crate) fn route(req: &Request, e: &EpochInfo) -> Route {
         Request::Sync => Route::Broadcast(Merge::AllOk),
         Request::Flush { .. } => Route::Broadcast(Merge::AllOk),
         Request::SetWindow { .. } => Route::Broadcast(Merge::AllOk),
-        Request::FlushAlerts => Route::Broadcast(Merge::SumNewSize),
         // Everything else is object-directed.
         _ => Route::Shard(dense_of(req.target(), e)),
     }
@@ -195,7 +192,7 @@ mod tests {
 
     #[test]
     fn reserved_objects_pin_to_shard_zero() {
-        for oid in [0u64, 1, 2, 3, u64::MAX - 3] {
+        for oid in [0u64, 1, 2, u64::MAX - 4, u64::MAX - 3] {
             assert_eq!(shard_of(ObjectId(oid), 4), 0, "oid {oid}");
         }
         assert_eq!(shard_of(ObjectId(7), 4), 3);
@@ -219,10 +216,6 @@ mod tests {
             Route::Shard(2)
         );
         assert_eq!(route(&Request::Sync, &e), Route::Broadcast(Merge::AllOk));
-        assert_eq!(
-            route(&Request::FlushAlerts, &e),
-            Route::Broadcast(Merge::SumNewSize)
-        );
         assert_eq!(
             route(&Request::PList { time: None }, &e),
             Route::Broadcast(Merge::Partitions)
@@ -266,8 +259,8 @@ mod tests {
         assert_eq!(dense_of(ObjectId(5), &e), 4);
         assert_eq!(dense_of(ObjectId(9), &e), 1);
         // Reserved objects pin to slot 0 in every epoch.
+        assert_eq!(slot_of(ObjectId(1), &e), 0);
         assert_eq!(slot_of(ObjectId(2), &e), 0);
-        assert_eq!(slot_of(s4_core::ALERT_OBJECT, &e), 0);
     }
 
     #[test]
@@ -417,7 +410,11 @@ mod tests {
     #[test]
     fn batch_split_rejects_broadcast_admin_ops_and_orphan_last_created() {
         let e = EpochInfo::initial(2);
-        assert!(split_batch(&[Request::FlushAlerts], &e, || 0).is_err());
+        let flush = Request::Flush {
+            from: s4_clock::SimTime::ZERO,
+            to: s4_clock::SimTime::from_secs(1),
+        };
+        assert!(split_batch(&[flush], &e, || 0).is_err());
         let orphan = [Request::Delete { oid: LAST_CREATED }];
         assert!(split_batch(&orphan, &e, || 0).is_err());
         assert!(split_batch(&[Request::Batch(Vec::new())], &e, || 0).is_err());

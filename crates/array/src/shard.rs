@@ -3,6 +3,7 @@
 //! every in-sync member *at one instant*, member failure, and online
 //! resync.
 
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::mpsc::{self, SyncSender};
@@ -12,8 +13,8 @@ use std::thread::JoinHandle;
 use s4_clock::sync::{Mutex, RwLock};
 use s4_clock::{SimClock, SimDuration, SimTime};
 use s4_core::{
-    ClientId, DiskFaultKind, ObjectId, Request, RequestContext, Response, S4Drive, S4Error,
-    TraceCtx, PHASE_APPLY,
+    AlertRule, ClientId, DiskFaultKind, ObjectId, Request, RequestContext, Response, S4Drive,
+    S4Error, TraceCtx, AUDIT_OBJECT, PHASE_APPLY,
 };
 use s4_simdisk::BlockDev;
 
@@ -278,7 +279,7 @@ impl<D: BlockDev> Shard<D> {
             }
         }
         // Failed members go after the survivors have all applied the
-        // job, so every survivor's alert stream reads "job, then the
+        // job, so every survivor's audit log reads "job, then the
         // sibling's death" in the same order.
         for (k, fault) in &faults {
             self.fail_member(*k, fault, at);
@@ -293,16 +294,27 @@ impl<D: BlockDev> Shard<D> {
         })
     }
 
-    /// Raises `rule`, dated `at`, on every live member's tamper-evident
-    /// alert stream — the same channel the operator already polls for
-    /// intrusion alerts.
-    fn announce(&self, at: SimTime, rule: &str, msg: &str) {
+    /// Files `rule` about `member`, dated `at`, in every live member's
+    /// tamper-evident audit log — the same channel the operator already
+    /// polls for intrusion alerts. The record's `arg1` names the member
+    /// as `shard << 32 | member` ([`AlertRule`] gives the rest).
+    fn announce(
+        &self,
+        at: SimTime,
+        rule: AlertRule,
+        ok: bool,
+        object: ObjectId,
+        member: usize,
+        arg2: u64,
+    ) {
+        let who = (self.slot as u64) << 32 | member as u64;
         for m in self
             .members
             .iter()
             .filter(|m| m.state() != MemberState::Dead)
         {
-            m.drive().at(at, |d| d.system_alert(rule, msg));
+            m.drive()
+                .at(at, |d| d.system_alert(rule, ok, object, who, arg2));
         }
     }
 
@@ -313,14 +325,15 @@ impl<D: BlockDev> Shard<D> {
     fn fail_member(&self, k: usize, error: &S4Error, at: SimTime) {
         let others_alive =
             (0..self.members.len()).any(|i| i != k && self.members[i].state() != MemberState::Dead);
-        let (new_state, what) = if others_alive {
-            (MemberState::Dead, "dead")
+        let new_state = if others_alive {
+            MemberState::Dead
         } else {
-            (MemberState::ReadOnly, "read-only")
+            MemberState::ReadOnly
         };
         self.members[k].set_state(new_state);
-        let msg = format!("member {k} of shard {} marked {what}: {error}", self.slot);
-        self.announce(at, "array-degraded", &msg);
+        let read_only = u64::from(new_state == MemberState::ReadOnly);
+        let fault = u64::from(error.kind()) | read_only << 8;
+        self.announce(at, AlertRule::ArrayDegraded, false, ObjectId(0), k, fault);
     }
 
     /// Processes one client request: mutations apply to every in-sync
@@ -381,12 +394,15 @@ impl<D: BlockDev> Shard<D> {
 
         // Verify the replica object by object and stream by stream
         // before trusting it with client reads.
-        if let Some(diff) = first_difference(&survivor, &rebuilt, &admin, true)? {
-            let msg = format!(
-                "member {member} of shard {} not resynced: {diff}",
-                self.slot
+        if let Some((differs, _)) = first_difference(&survivor, &rebuilt, &admin, true)? {
+            self.announce(
+                self.instant(),
+                AlertRule::ArrayResync,
+                false,
+                differs,
+                member,
+                0,
             );
-            self.announce(self.instant(), "array-resync", &msg);
             return Err(S4Error::BadRequest(
                 "array resync: replica differs from its source",
             ));
@@ -398,35 +414,42 @@ impl<D: BlockDev> Shard<D> {
         if members[survivor_idx].state() == MemberState::ReadOnly {
             members[survivor_idx].set_state(MemberState::InSync);
         }
-        let msg = format!(
-            "member {member} of shard {} resynced and back in sync",
-            self.slot
+        self.announce(
+            self.instant(),
+            AlertRule::ArrayResync,
+            true,
+            ObjectId(0),
+            member,
+            0,
         );
-        self.announce(self.instant(), "array-resync", &msg);
         Ok(())
     }
 }
 
 /// The first thing members `a` and `b` of one mirror group disagree on
 /// — live-object set, an object's [`S4Drive::object_digest`] (named
-/// with the fields that differ), a reserved stream — or `None`.
+/// with the fields that differ), the audit log — as the object or stream
+/// it is in and a description, or `None`.
 ///
-/// A freshly resynced replica copied its source's audit and alert
-/// streams byte for byte: `whole_streams` compares both entire, layer
-/// times and protocol steps included. Two running members share only
-/// what was fanned out to both — a read is served, so audited, by one
-/// member, and a record's layer times are that member's own
-/// measurement — so they compare the identity of the requests' records
-/// of mutations ([`s4_core::AuditRecord::identity`]), and alerts.
+/// A freshly resynced replica copied its source's audit log byte for
+/// byte: `whole_streams` compares it entire, layer times, protocol steps
+/// and alerts included. Two running members share only what was fanned
+/// out to both — a read is served, so audited, by one member, and a
+/// record's layer times are that member's own measurement — so they
+/// compare the identity of the requests' records of mutations
+/// ([`s4_core::AuditRecord::identity`]), and alerts.
 pub(crate) fn first_difference<D: BlockDev>(
     a: &S4Drive<D>,
     b: &S4Drive<D>,
     admin: &RequestContext,
     whole_streams: bool,
-) -> s4_core::Result<Option<String>> {
+) -> s4_core::Result<Option<(ObjectId, String)>> {
     let (ids, other) = (a.live_object_ids(admin)?, b.live_object_ids(admin)?);
     if ids != other {
-        return Ok(Some(format!("live objects {ids:?} vs {other:?}")));
+        let (x, y) = (BTreeSet::from_iter(&ids), BTreeSet::from_iter(&other));
+        let first = x.symmetric_difference(&y).next().map_or(0, |&&oid| oid);
+        let diff = format!("live objects {ids:?} vs {other:?}");
+        return Ok(Some((ObjectId(first), diff)));
     }
     for oid in ids.into_iter().map(ObjectId) {
         if a.object_digest(admin, oid)? == b.object_digest(admin, oid)? {
@@ -437,13 +460,16 @@ pub(crate) fn first_difference<D: BlockDev>(
             b.reshard_export(admin, oid, None)?,
         );
         let (Some(x), Some(y)) = versions else {
-            return Ok(Some(format!("object {} deleted mid-comparison", oid.0)));
+            return Ok(Some((
+                oid,
+                format!("object {} deleted mid-comparison", oid.0),
+            )));
         };
         let same = (x.content == y.content, x.attrs == y.attrs, x.acl == y.acl);
-        return Ok(Some(format!(
+        return Ok(Some((oid, format!(
             "object {}: created {:?} vs {:?}, modified {:?} vs {:?}; content, attrs, acl equal: {same:?}",
             oid.0, x.created, y.created, x.modified, y.modified
-        )));
+        ))));
     }
     let shared = |d: &S4Drive<D>| -> s4_core::Result<Vec<_>> {
         let records = d.read_audit_records(admin)?.into_iter();
@@ -460,14 +486,11 @@ pub(crate) fn first_difference<D: BlockDev>(
     let [x, y] = &audit;
     let i = x.iter().zip(y).take_while(|(p, q)| p == q).count();
     if i < x.len().max(y.len()) {
-        return Ok(Some(format!(
-            "audit record {i}: {:?} vs {:?}",
-            x.get(i),
-            y.get(i)
-        )));
+        let diff = format!("audit record {i}: {:?} vs {:?}", x.get(i), y.get(i));
+        return Ok(Some((AUDIT_OBJECT, diff)));
     }
     if a.read_alerts(admin)? != b.read_alerts(admin)? {
-        return Ok(Some("alert streams differ".to_string()));
+        return Ok(Some((AUDIT_OBJECT, "alerts differ".to_string())));
     }
     Ok(None)
 }

@@ -134,14 +134,6 @@ fn broadcast_ops_scatter_and_merge() {
     };
     assert!(a.dispatch(&ctx, &w).is_err());
     assert_eq!(a.dispatch(&adm, &w).unwrap(), Response::Ok);
-
-    // Retention flushes sum their per-shard released-block counts
-    // (nothing is expired here, so the sum is zero — the shape is
-    // what's under test).
-    assert_eq!(
-        a.dispatch(&adm, &Request::FlushAlerts).unwrap(),
-        Response::NewSize(0)
-    );
 }
 
 #[test]
@@ -276,9 +268,10 @@ fn batches_split_per_shard_and_follow_last_created() {
     }
 
     // Broadcast admin ops are not batchable in an array.
-    assert!(a
-        .dispatch(&ctx, &Request::Batch(vec![Request::FlushAlerts]))
-        .is_err());
+    let window = Request::SetWindow {
+        window: SimDuration::from_secs(1800),
+    };
+    assert!(a.dispatch(&ctx, &Request::Batch(vec![window])).is_err());
 }
 
 #[test]

@@ -279,7 +279,7 @@ fn only_writers_vote_and_the_other_shards_follow_the_decision() {
 struct PanickingObserver;
 
 impl AuditObserver for PanickingObserver {
-    fn on_record(&mut self, _rec: &AuditRecord) -> Vec<Vec<u8>> {
+    fn on_record(&mut self, _rec: &AuditRecord) -> Vec<AuditRecord> {
         panic!("detector bug");
     }
 }

@@ -4,8 +4,8 @@
 //! without [`install_standard_monitor`] — and reports the cost along both
 //! axes the monitor can show up on:
 //!
-//! * **simulated time** — extra storage work (alert blobs persisted to
-//!   the reserved alert object ride the same log as data);
+//! * **simulated time** — extra storage work (alert records filed in
+//!   the audit log ride the same log as data);
 //! * **host CPU per audit record** — the rule set timed directly over
 //!   the workload's captured audit stream (differencing the two
 //!   whole-run wall clocks drowns in warm-up noise). This is the

@@ -6,13 +6,14 @@
 //! be written by the drive front end, it need not be versioned."
 //!
 //! This module is the record codec; buffering, block spill and recovery
-//! are the shared reserved-stream mechanism in [`crate::reserved`].
+//! are the reserved-stream mechanism in [`crate::reserved`]. An alert is
+//! a record of this stream too ([`AuditRecord::alert`]).
 
 use s4_clock::SimTime;
 use s4_lfs::BLOCK_SIZE;
 
 use crate::codec::Reader;
-use crate::ids::{ClientId, ObjectId, TraceCtx, UserId};
+use crate::ids::{ClientId, ObjectId, TraceCtx, UserId, PHASE_ALERT};
 use crate::{Result, S4Error};
 
 /// Operation classification recorded in audit records (mirrors Table 1).
@@ -40,12 +41,11 @@ pub enum OpKind {
     Flush = 17,
     FlushO = 18,
     SetWindow = 19,
-    FlushAlerts = 20,
 }
 
 impl OpKind {
     /// Every kind, in code order: `ALL[k as usize - 1] == k`.
-    pub const ALL: [OpKind; 20] = {
+    pub const ALL: [OpKind; 19] = {
         use OpKind::*;
         [
             Create,
@@ -67,7 +67,6 @@ impl OpKind {
             Flush,
             FlushO,
             SetWindow,
-            FlushAlerts,
         ]
     };
 
@@ -104,7 +103,7 @@ impl OpKind {
     /// admin token and cannot be undone, so no transaction may hold one.
     pub(crate) fn is_admin(self) -> bool {
         use OpKind::*;
-        matches!(self, Flush | FlushO | SetWindow | FlushAlerts)
+        matches!(self, Flush | FlushO | SetWindow)
     }
 
     /// Parses the on-disk representation.
@@ -115,14 +114,69 @@ impl OpKind {
     }
 }
 
+/// The rule an alert record names, in its origin byte (an alert's
+/// phase is [`crate::PHASE_ALERT`]): the six detector rules of the
+/// `s4-detect` crate, then the array's two. A detector's alert is the
+/// triggering record with the rule's numbers in `arg1` and `arg2`, as
+/// each variant states; `s4-detect` renders the alert's text from them.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[repr(u8)]
+pub enum AlertRule {
+    /// `arg1`: the object's strictly-appending mutations.
+    AppendOnlyViolation = 1,
+    /// `arg1`: the user's home client.
+    ForeignClient = 2,
+    /// `arg1`: the distinct objects overwritten or shrunk in the window.
+    RansomStorm = 3,
+    /// `arg1`: the bytes written in the current window; `arg2`: the
+    /// baseline, as `f64` bits.
+    WriteRateSpike = 4,
+    /// No numbers: the rule's threshold and window are constants.
+    AclTamperBurst = 5,
+    /// `arg1`: the latest time recorded before the trigger, µs.
+    AuditGap = 6,
+    /// A member left service (a drive-controller alert,
+    /// [`crate::S4Drive::system_alert`]). `arg1`: `shard << 32 |
+    /// member`; `arg2`: the fault's [`crate::S4Error::kind`], plus
+    /// `1 << 8` when the member went read-only rather than dead.
+    ArrayDegraded = 7,
+    /// A resync ended. `ok`: whether the replica was promoted; `object`:
+    /// the first object or stream the replica differed in (0 on
+    /// success); `arg1`: `shard << 32 | member`.
+    ArrayResync = 8,
+}
+
+impl AlertRule {
+    /// Every rule, in code order: `ALL[r as usize - 1] == r`.
+    pub const ALL: [AlertRule; 8] = {
+        use AlertRule::*;
+        [
+            AppendOnlyViolation,
+            ForeignClient,
+            RansomStorm,
+            WriteRateSpike,
+            AclTamperBurst,
+            AuditGap,
+            ArrayDegraded,
+            ArrayResync,
+        ]
+    };
+
+    fn from_u8(v: u8) -> Result<AlertRule> {
+        v.checked_sub(1)
+            .and_then(|i| AlertRule::ALL.get(usize::from(i)).copied())
+            .ok_or(S4Error::BadRequest("alert rule"))
+    }
+}
+
 /// One record of the audit log: who did what to which object, when,
 /// and whether it succeeded, with the request's causal trace context and
 /// the simulated time each layer spent on it. One per request, in
 /// dispatch order; a distributed-protocol step that is no request (a 2PC
 /// decision, a note install, a reshard catch-up) is one record too,
-/// marked by its phase (decide, note or catchup). A record's sequence
-/// number is its position in the stream. Fixed [`RECORD_BYTES`]-byte
-/// encoding.
+/// marked by its phase (decide, note or catchup), and so is an alert
+/// (phase alert, [`AuditRecord::alert`]). A record's sequence number is
+/// its position in the stream. Fixed [`RECORD_BYTES`]-byte encoding.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AuditRecord {
     /// When the request was processed (the drive's persisted instant,
@@ -186,6 +240,31 @@ impl AuditRecord {
         }
     }
 
+    /// The alert `rule` raised on `trigger`: the trigger's time, user,
+    /// client, op, outcome, object and trace id, the rule in the origin
+    /// byte, the rule's two numbers in place of the arguments, and no
+    /// layer times.
+    pub fn alert(trigger: &AuditRecord, rule: AlertRule, arg1: u64, arg2: u64) -> AuditRecord {
+        AuditRecord {
+            arg1,
+            arg2,
+            trace: TraceCtx {
+                trace_id: trigger.trace.trace_id,
+                origin: rule as u8,
+                phase: PHASE_ALERT,
+            },
+            ..trigger.identity()
+        }
+    }
+
+    /// The rule an alert's record names; `None` for any other record.
+    pub fn alert_rule(&self) -> Option<AlertRule> {
+        self.trace
+            .is_alert()
+            .then(|| AlertRule::from_u8(self.trace.origin).ok())
+            .flatten()
+    }
+
     /// Appends the binary encoding to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.time.as_micros().to_le_bytes());
@@ -205,9 +284,10 @@ impl AuditRecord {
         }
     }
 
-    /// Decodes one record. The drive writes `ok` as 0 or 1 and an
-    /// untraced record's origin and phase as 0, so any other byte there
-    /// is a torn or forged record, refused like an unknown op.
+    /// Decodes one record. The drive writes `ok` as 0 or 1, an alert's
+    /// origin as a known [`AlertRule`], and any other untraced record's
+    /// origin and phase as 0, so any other byte there is a torn or forged
+    /// record, refused like an unknown op.
     pub fn decode(buf: &[u8]) -> Result<AuditRecord> {
         let mut r = Reader::new(buf, "audit record truncated");
         let time = SimTime::from_micros(r.u64()?);
@@ -226,7 +306,9 @@ impl AuditRecord {
             origin,
             phase,
         };
-        if trace.trace_id == 0 && trace != TraceCtx::default() {
+        if trace.is_alert() {
+            AlertRule::from_u8(origin)?;
+        } else if trace.trace_id == 0 && trace != TraceCtx::default() {
             return Err(S4Error::BadRequest("audit trace context"));
         }
         Ok(AuditRecord {
@@ -248,7 +330,7 @@ impl AuditRecord {
 }
 
 /// Codec for audit block payloads. (The stream's block list and tail
-/// buffer are a [`crate::reserved`] stream, like the alert object.)
+/// buffer are the [`crate::reserved`] stream.)
 pub struct AuditState;
 
 impl AuditState {
@@ -339,6 +421,82 @@ mod tests {
         assert_eq!(AuditRecord::decode(&traced).unwrap().trace.phase, 0xEE);
     }
 
+    /// An alert's origin byte names its rule, traced trigger or not; a
+    /// code no rule has is refused, and an untraced record of any other
+    /// phase still carries origin and phase 0.
+    #[test]
+    fn an_alert_names_a_known_rule() {
+        for (trace_id, rule) in [(0, AlertRule::AuditGap), (9, AlertRule::ArrayResync)] {
+            let trigger = AuditRecord {
+                trace: TraceCtx {
+                    trace_id,
+                    ..TraceCtx::default()
+                },
+                ..rec(0)
+            };
+            let alert = AuditRecord::alert(&trigger, rule, 3, 4);
+            let mut good = Vec::new();
+            alert.encode_into(&mut good);
+            let back = AuditRecord::decode(&good).unwrap();
+            assert_eq!((back, back.alert_rule()), (alert, Some(rule)));
+            for code in [0, 9, 0xFF] {
+                let mut bad = good.clone();
+                bad[18] = code;
+                assert_eq!(
+                    AuditRecord::decode(&bad),
+                    Err(S4Error::BadRequest("alert rule"))
+                );
+            }
+        }
+        let mut untraced = Vec::new();
+        rec(0).encode_into(&mut untraced);
+        for phase in (0..=u8::MAX).filter(|&p| p != PHASE_ALERT) {
+            for (origin, phase) in [(1, phase), (0, phase)] {
+                let mut bad = untraced.clone();
+                (bad[18], bad[19]) = (origin, phase);
+                let refused = AuditRecord::decode(&bad).is_err();
+                assert_eq!(refused, (origin, phase) != (0, 0), "{origin} {phase}");
+            }
+        }
+        assert_eq!(rec(1).alert_rule(), None);
+    }
+
+    /// One alert record, byte for byte: the append-only rule fired on a
+    /// `Truncate` of object 42 by user 1 from client 66 at t = 1 s, the
+    /// object having had 3 appends.
+    #[test]
+    fn an_alert_record_is_pinned_byte_for_byte() {
+        const HEX: &str = "40420f0000000000\
+                           0100000042000000\
+                           06010106\
+                           2a00000000000000\
+                           0300000000000000\
+                           0000000000000000\
+                           0000000000000000\
+                           00000000000000000000000000000000";
+        let trigger = AuditRecord {
+            time: SimTime::from_micros(1_000_000),
+            user: UserId(1),
+            client: ClientId(66),
+            op: OpKind::Truncate,
+            ok: true,
+            object: ObjectId(42),
+            arg1: 0,
+            arg2: 0,
+            trace: TraceCtx::default(),
+            rpc_us: 7,
+            journal_us: 0,
+            lfs_us: 0,
+            disk_us: 5,
+        };
+        let alert = AuditRecord::alert(&trigger, AlertRule::AppendOnlyViolation, 3, 0);
+        let mut enc = Vec::new();
+        alert.encode_into(&mut enc);
+        let hex: String = enc.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, HEX);
+        assert_eq!(AuditRecord::decode(&enc), Ok(alert));
+    }
+
     #[test]
     fn decode_block_rejects_corruption_without_panicking() {
         let mut payload = Vec::new();
@@ -373,13 +531,17 @@ mod tests {
     }
 
     #[test]
-    fn op_kind_round_trip() {
+    fn op_kind_and_alert_rule_round_trip() {
+        for (i, &rule) in AlertRule::ALL.iter().enumerate() {
+            assert_eq!(rule as usize, i + 1);
+            assert_eq!(AlertRule::from_u8(rule as u8), Ok(rule));
+        }
         for (i, &kind) in OpKind::ALL.iter().enumerate() {
             assert_eq!(kind as usize, i + 1);
             assert_eq!(OpKind::from_u8(kind as u8), Ok(kind));
         }
         assert!(OpKind::from_u8(0).is_err());
-        assert!(OpKind::from_u8(21).is_err());
+        assert!(OpKind::from_u8(20).is_err());
         assert!(OpKind::from_u8(u8::MAX).is_err());
     }
 

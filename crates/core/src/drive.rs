@@ -44,7 +44,7 @@ use crate::ledger::Ledger;
 use crate::object::{ObjectEntry, Slot};
 use crate::packed;
 use crate::persist::{read_checkpoint, read_subsector};
-use crate::reserved::{Framing, ReservedLog};
+use crate::reserved::ReservedLog;
 use crate::stats::DriveStats;
 use crate::throttle::{ThrottleConfig, ThrottleState};
 use crate::txn::TxnPending;
@@ -62,16 +62,10 @@ pub const AUDIT_OBJECT: ObjectId = ObjectId(1);
 /// RPC calls ... versioned in the same manner as other objects".
 pub const PARTITION_OBJECT: ObjectId = ObjectId(2);
 
-/// The reserved alert object: detectors running inside the security
-/// perimeter persist their findings here. Like the audit log it is
-/// writable only by the drive itself, so an intruder with full client
-/// privileges can neither suppress nor rewrite raised alerts.
-pub const ALERT_OBJECT: ObjectId = ObjectId(3);
-
 /// The reserved per-drive transaction log for cross-shard two-phase
 /// commit: participants persist `Prepared`/`Touched`/`Resolved` records
-/// here ([`s4_journal::txn`]). Unlike the audit and alert streams
-/// (whose volatile tails are only anchor-durable), this is a **real
+/// here ([`s4_journal::txn`]). Unlike the audit stream (whose
+/// volatile tail is only anchor-durable), this is a **real
 /// journaled table object** — a record followed by a sync is durable at
 /// that sync, which is exactly the commit-point discipline 2PC needs —
 /// and its pending entries are packed ahead of every other object's, so
@@ -82,6 +76,8 @@ pub const ALERT_OBJECT: ObjectId = ObjectId(3);
 /// bound) can never collide with it.
 pub(crate) const TXN_OBJECT: ObjectId = ObjectId(u64::MAX - 4);
 
+/// The first id a client's object gets. Id 3 is unused: it held the alert
+/// stream until format revision 6 filed alerts in the audit log.
 const FIRST_DYNAMIC_OID: u64 = 4;
 
 impl ObjectId {
@@ -89,10 +85,7 @@ impl ObjectId {
     /// each shard of an array — keeps its own, only the drive writes
     /// them, and no client request may name one.
     pub fn is_reserved(self) -> bool {
-        matches!(
-            self,
-            AUDIT_OBJECT | PARTITION_OBJECT | ALERT_OBJECT | TXN_OBJECT
-        )
+        matches!(self, AUDIT_OBJECT | PARTITION_OBJECT | TXN_OBJECT)
     }
 }
 
@@ -119,9 +112,6 @@ pub struct DriveConfig {
     pub admin_token: u64,
     /// Cleaner tuning.
     pub cleaner: CleanerConfig,
-    /// Fire a self-alert when the append-only alert object reaches this
-    /// many flushed blocks (0 disables the warning).
-    pub alert_warn_blocks: u64,
 }
 
 impl Default for DriveConfig {
@@ -136,7 +126,6 @@ impl Default for DriveConfig {
             throttle: ThrottleConfig::default(),
             admin_token: 0x5345_4355_5245_5334, // "SECURES4"
             cleaner: CleanerConfig::default(),
-            alert_warn_blocks: 1024, // ~4 MiB of alerts
         }
     }
 }
@@ -156,9 +145,6 @@ impl DriveConfig {
             cpu: CpuModel::free(),
             throttle: ThrottleConfig::disabled(),
             admin_token: 42,
-            // Disabled so tests that count exact alert streams are not
-            // perturbed; the warn path has its own dedicated test.
-            alert_warn_blocks: 0,
             ..DriveConfig::default()
         }
     }
@@ -232,11 +218,8 @@ pub(crate) struct Inner {
     pub(crate) table: BTreeMap<u64, Slot>,
     pub(crate) next_oid: u64,
     pub(crate) window: SimDuration,
-    /// The two reserved streams (see [`crate::reserved`]).
+    /// The audit log (see [`crate::reserved`]).
     pub(crate) audit: ReservedLog,
-    pub(crate) alerts: ReservedLog,
-    /// One-shot latch for the alert-object growth self-alert.
-    pub(crate) alert_growth_warned: bool,
     /// Every reachable block (current data, in-window history, journal
     /// blocks, checkpoints, deltas, stream blocks) and the references
     /// holding it. Derived from the rest of this state at mount.
@@ -265,14 +248,15 @@ pub(crate) struct Inner {
     pub(crate) txn_queue: Vec<(TxnRecord, bool)>,
 }
 
-/// An online detector fed every freshly appended audit record (the
-/// `s4-detect` crate provides implementations). Runs inside the drive's
-/// security perimeter: any blobs it returns are persisted to the
-/// reserved alert object, which clients cannot write.
+/// An online detector fed every freshly appended request's audit record
+/// (the `s4-detect` crate provides implementations). Runs inside the
+/// drive's security perimeter: the alerts it returns are filed in the
+/// audit log, which clients cannot write.
 pub trait AuditObserver: Send {
-    /// Called after each audited request; returns encoded alert blobs
-    /// to persist (empty when the record is unremarkable).
-    fn on_record(&mut self, rec: &AuditRecord) -> Vec<Vec<u8>>;
+    /// Called after each audited request; returns the alerts' records
+    /// ([`AuditRecord::alert`]) to file after it (empty when the record
+    /// is unremarkable). A returned record that is no alert is dropped.
+    fn on_record(&mut self, rec: &AuditRecord) -> Vec<AuditRecord>;
 }
 
 /// Per-drive observability state: the metrics registry every layer
@@ -296,7 +280,6 @@ struct Gauges {
     free_segments: Gauge,
     journal_depth: Gauge,
     audit_object_blocks: Gauge,
-    alert_object_blocks: Gauge,
     objects: Gauge,
     detection_window_days: Gauge,
     write_mb_per_day: Gauge,
@@ -318,7 +301,6 @@ impl Gauges {
                 "journal entries pending (not yet packed) across cached objects",
             ),
             audit_object_blocks: r.gauge("s4_audit_object_blocks", "flushed audit-log blocks"),
-            alert_object_blocks: r.gauge("s4_alert_object_blocks", "flushed alert-object blocks"),
             objects: r.gauge("s4_objects", "objects in the drive's object table"),
             detection_window_days: r.gauge(
                 "s4_detection_window_days",
@@ -547,7 +529,7 @@ impl<D: BlockDev> S4Drive<D> {
     }
 
     /// Registers an online detector. Every subsequently audited request
-    /// is passed to it; returned blobs land in the alert object.
+    /// is passed to it; the alerts it returns land in the audit log.
     pub fn register_audit_observer(&self, obs: Box<dyn AuditObserver>) {
         self.observers.lock().push(obs);
     }
@@ -611,7 +593,7 @@ impl<D: BlockDev> S4Drive<D> {
     /// before rendering; an aggregator that reads the registry itself
     /// (the array) calls it first.
     pub fn refresh_gauges(&self) {
-        let (journal_depth, audit_blocks, alert_blocks, objects, window_us) = {
+        let (journal_depth, audit_blocks, objects, window_us) = {
             let inner = self.inner.lock();
             let depth: usize = inner
                 .table
@@ -624,7 +606,6 @@ impl<D: BlockDev> S4Drive<D> {
             (
                 depth,
                 inner.audit.blocks().len(),
-                inner.alerts.blocks().len(),
                 inner.table.len(),
                 inner.window.as_micros(),
             )
@@ -658,7 +639,6 @@ impl<D: BlockDev> S4Drive<D> {
         g.free_segments.set(self.log.free_segments() as f64);
         g.journal_depth.set(journal_depth as f64);
         g.audit_object_blocks.set(audit_blocks as f64);
-        g.alert_object_blocks.set(alert_blocks as f64);
         g.objects.set(objects as f64);
         g.detection_window_days.set(window_us as f64 / 86_400e6);
         g.write_mb_per_day.set(rate_mb_per_day);
@@ -1101,9 +1081,7 @@ impl Inner {
             table: BTreeMap::new(),
             next_oid: FIRST_DYNAMIC_OID,
             window: config.detection_window,
-            audit: ReservedLog::new(AUDIT_OBJECT, Framing::Records),
-            alerts: ReservedLog::new(ALERT_OBJECT, Framing::Blobs),
-            alert_growth_warned: false,
+            audit: ReservedLog::default(),
             ledger: Ledger::default(),
             moved: BTreeMap::new(),
             throttle: ThrottleState::new(config.throttle),
@@ -1113,18 +1091,6 @@ impl Inner {
             txn_locks: BTreeMap::new(),
             txn_queue: Vec::new(),
         }
-    }
-
-    /// The two reserved streams, in the order their blocks reach the
-    /// log at an anchor, beside the ledger their appends enter.
-    pub(crate) fn streams_mut(&mut self) -> ([&mut ReservedLog; 2], &mut Ledger) {
-        ([&mut self.audit, &mut self.alerts], &mut self.ledger)
-    }
-
-    /// The reserved stream stored as object `oid`, if it is one.
-    pub(crate) fn stream_mut(&mut self, oid: u64) -> Option<&mut ReservedLog> {
-        let (streams, _) = self.streams_mut();
-        streams.into_iter().find(|s| s.oid() == oid)
     }
 
     /// Notes that `oid`'s block at `from` now lives at `to`, composed

@@ -494,9 +494,9 @@ impl<D: BlockDev> S4Drive<D> {
         };
         let new = inner.ledger.append(&self.log, tag, data, 1)?;
         inner.ledger.moved(addr, new);
-        if let Some(stream) = inner.stream_mut(tag.object) {
-            // A reserved stream's block: the stream lists it.
-            stream.relocate(addr, new);
+        if tag.kind == BlockKind::Audit {
+            // The audit log's block: the stream lists it.
+            inner.audit.relocate(addr, new);
         }
         for oid in owners {
             // No entry: the object vanished and the pointer was stale.

@@ -58,6 +58,10 @@ pub const PHASE_DECIDE: u8 = 3;
 pub const PHASE_NOTE: u8 = 4;
 /// Reshard snapshot/catch-up write replayed onto a split target.
 pub const PHASE_CATCHUP: u8 = 5;
+/// An alert: a record the drive files after the record that triggered
+/// it, naming the rule that fired in its origin byte
+/// ([`crate::AlertRule`]).
+pub const PHASE_ALERT: u8 = 6;
 
 impl TraceCtx {
     /// Human name of a phase byte (unknown bytes print as `phase-N`
@@ -70,6 +74,7 @@ impl TraceCtx {
             PHASE_DECIDE => "decide",
             PHASE_NOTE => "note",
             PHASE_CATCHUP => "catchup",
+            PHASE_ALERT => "alert",
             _ => "unknown",
         }
     }
@@ -81,13 +86,25 @@ impl TraceCtx {
         matches!(self.phase, PHASE_DECIDE | PHASE_NOTE | PHASE_CATCHUP)
     }
 
+    /// True for an alert's record ([`PHASE_ALERT`]).
+    pub fn is_alert(&self) -> bool {
+        self.phase == PHASE_ALERT
+    }
+
+    /// True for a record of a request: neither a protocol step nor an
+    /// alert, the two kinds the drive writes on its own account.
+    pub(crate) fn is_request(&self) -> bool {
+        !self.is_step() && !self.is_alert()
+    }
+
     /// The context a dispatched request's record carries: all zero when
-    /// untraced, and a step's phase, which a client could send to hide
-    /// its request from the detectors, read as the entry point's.
+    /// untraced, and a step's or an alert's phase, which a client could
+    /// send to hide its request from the detectors or to pass it off as
+    /// an alert, read as the entry point's.
     pub(crate) fn of_request(self) -> TraceCtx {
         match self {
             t if t.trace_id == 0 => TraceCtx::default(),
-            t if t.is_step() => TraceCtx {
+            t if !t.is_request() => TraceCtx {
                 phase: PHASE_CLIENT,
                 ..t
             },
@@ -215,6 +232,7 @@ mod tests {
     fn phase_names() {
         assert_eq!(TraceCtx::phase_name(PHASE_CLIENT), "client");
         assert_eq!(TraceCtx::phase_name(PHASE_CATCHUP), "catchup");
+        assert_eq!(TraceCtx::phase_name(PHASE_ALERT), "alert");
         assert_eq!(TraceCtx::phase_name(99), "unknown");
     }
 

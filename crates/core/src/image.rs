@@ -1,8 +1,8 @@
 //! One object's — or a whole drive's — *logical* state, detached from
 //! block addresses: the export/replay surface behind mirror resync
 //! (DESIGN §6g) and online reshard (DESIGN §6h), and the two digests
-//! that check a replay. Resync moves every live object plus the three
-//! reserved streams onto a fresh drive; reshard moves one object's
+//! that check a replay. Resync moves every live object plus the audit
+//! log onto a fresh drive; reshard moves one object's
 //! current or historical version at a time onto a live one. Both replay
 //! through [`S4Drive::converge`], so a copy and its source agree on
 //! [`S4Drive::object_digest`].
@@ -21,8 +21,8 @@ use crate::{Result, S4Error};
 impl<D: BlockDev> S4Drive<D> {
     /// Deterministic digest of the drive's logical state: the object
     /// table (metadata, sector lists, delta maps, landmarks,
-    /// history floors, pending journal entries), the audit and alert
-    /// logs, and the id allocator. Two mounts of the same device image
+    /// history floors, pending journal entries), the audit log, and the
+    /// id allocator. Two mounts of the same device image
     /// must produce equal digests — the torture harness's journal-replay
     /// idempotence invariant. FNV-1a over a canonical (oid-sorted)
     /// serialization; caches, statistics, and LRU state are excluded: an
@@ -48,9 +48,7 @@ impl<D: BlockDev> S4Drive<D> {
             }
             h.bytes(&buf);
         }
-        for s in [&inner.audit, &inner.alerts] {
-            s.digest(|b| h.bytes(b));
-        }
+        inner.audit.digest(|b| h.bytes(b));
         // Unresolved-transaction state (the log object itself is hashed
         // with the table; this covers the derived pending/lock maps so
         // a rebuild divergence shows up as a digest mismatch).
@@ -95,8 +93,7 @@ impl<D: BlockDev> S4Drive<D> {
     }
 
     /// Exports the drive's logical state for mirror resync (admin only):
-    /// every live object's current version plus the raw audit and alert
-    /// streams. Deleted objects and expired history are *not*
+    /// every live object's current version plus the raw audit log. Deleted objects and expired history are *not*
     /// exported — clients observe `NoSuchObject` either way, and the
     /// replacement member starts its history pool from the survivor's
     /// present (the paper's window guarantee is per-drive; a rebuilt
@@ -120,14 +117,13 @@ impl<D: BlockDev> S4Drive<D> {
             window: inner.window,
             objects,
             audit: inner.audit.export(&self.log)?,
-            alerts: inner.alerts.export(&self.log)?,
         })
     }
 
     /// Formats `dev` and replays `image` onto it: each live object is
     /// recreated with its original creation/modification *times* (the
-    /// stamp sequence component is drive-local), and the audit and alert
-    /// streams are copied byte for byte. The result is a
+    /// stamp sequence component is drive-local), and the audit log is
+    /// copied byte for byte. The result is a
     /// mounted, anchored drive whose client-visible state matches the
     /// image's source — [`S4Drive::object_digest`] verifies the claim
     /// per object.
@@ -146,11 +142,9 @@ impl<D: BlockDev> S4Drive<D> {
             }
             inner.next_oid = inner.next_oid.max(image.next_oid);
 
-            let (streams, ledger) = inner.streams_mut();
-            let images = [&image.audit, &image.alerts];
-            for (s, image) in streams.into_iter().zip(images) {
-                s.restore(&drive.log, ledger, image)?;
-            }
+            inner
+                .audit
+                .restore(&drive.log, &mut inner.ledger, &image.audit)?;
         }
         drive.force_anchor()?;
         // The image may carry an in-doubt transaction log (a resync
@@ -375,8 +369,6 @@ pub struct ResyncImage {
     pub window: SimDuration,
     /// Every live object's current version, ascending by id.
     pub objects: Vec<ResyncObject>,
-    /// The audit log stream.
+    /// The audit log, alerts included.
     pub audit: ResyncStream,
-    /// The alert object stream.
-    pub alerts: ResyncStream,
 }

@@ -11,7 +11,7 @@
 //! appends to the log or releases from it (`scripts/verify.sh` checks).
 //!
 //! The ledger is *derivable*: [`Ledger::derive`] recounts it from the
-//! object table and the reserved streams' block lists. Mount installs
+//! object table and the audit log's block list. Mount installs
 //! that recount, and [`S4Drive::check_image`](crate::S4Drive::check_image)
 //! compares the running ledger against it — nrfs rebuilds its allocator
 //! from its records the same way.
@@ -120,16 +120,15 @@ impl Ledger {
             .collect()
     }
 
-    /// Recounts the ledger from the reserved streams' block lists and
+    /// Recounts the ledger from the audit log's block list and
     /// the object table: evicted objects through their checkpoints,
     /// cached ones in place.
     pub(crate) fn derive<D: BlockDev>(log: &Log<D>, inner: &Inner) -> Result<Ledger> {
         let mut held: BTreeMap<BlockAddr, (BlockKind, u32)> = BTreeMap::new();
         let mut slot = |addr, kind| held.entry(addr).or_insert((kind, 0)).1 += 1;
         let mut plain: Vec<(BlockAddr, BlockKind)> = Vec::new();
-        for s in [&inner.audit, &inner.alerts] {
-            plain.extend(s.blocks().iter().map(|&a| (a, BlockKind::Audit)));
-        }
+        let audit = inner.audit.blocks().iter();
+        plain.extend(audit.map(|&a| (a, BlockKind::Audit)));
         for s in inner.table.values() {
             let entry = &*slot_entry(log, s)?;
             // Checkpoint storage: chain blocks, or one shared-block reference.

@@ -14,7 +14,7 @@
 //! * [`acl`] — per-object ACL table with the paper's **Recovery flag**
 //!   (who may read an object's history-pool versions).
 //! * [`audit`] — audit records and the reserved, drive-written-only audit
-//!   object (§4.2.3).
+//!   object (§4.2.3), alerts included.
 //! * `object` — the object table: journal-based metadata per object,
 //!   checkpoints, sector chains, delta encodings and landmarks.
 //! * [`throttle`] — history-pool abuse detection and per-client
@@ -80,17 +80,17 @@ pub mod throttle;
 mod txn;
 
 pub use acl::{AclEntry, AclTable, Perm};
-pub use audit::{AuditRecord, AuditState, OpKind};
+pub use audit::{AlertRule, AuditRecord, AuditState, OpKind};
 pub use drive::{
     AuditObserver, DriveConfig, RecoveryReport, ResyncImage, ResyncObject, S4Drive, VersionKind,
-    VersionRecord, ALERT_OBJECT, AUDIT_OBJECT, PARTITION_OBJECT,
+    VersionRecord, AUDIT_OBJECT, PARTITION_OBJECT,
 };
 pub use ids::{
-    ClientId, ObjectId, RequestContext, TraceCtx, TraceIdGen, UserId, PHASE_APPLY, PHASE_CATCHUP,
-    PHASE_CLIENT, PHASE_DECIDE, PHASE_NOTE, PHASE_PREPARE,
+    ClientId, ObjectId, RequestContext, TraceCtx, TraceIdGen, UserId, PHASE_ALERT, PHASE_APPLY,
+    PHASE_CATCHUP, PHASE_CLIENT, PHASE_DECIDE, PHASE_NOTE, PHASE_PREPARE,
 };
 pub use ledger::Discrepancy;
-pub use reserved::{Alert, ResyncStream, Severity, StreamCursor};
+pub use reserved::{ResyncStream, StreamCursor};
 pub use rpc::{Request, Response};
 pub use stats::{DriveStats, StatsSnapshot};
 pub use throttle::ThrottleConfig;
@@ -144,6 +144,38 @@ pub enum DiskFaultKind {
 }
 
 impl S4Error {
+    /// The variants' names, in declaration order. An `array-degraded`
+    /// alert keeps the fault that took a member out of service as its
+    /// index here, [`S4Error::kind`].
+    pub const KINDS: [&str; 10] = [
+        "access denied",
+        "no such object",
+        "version unavailable",
+        "no such partition",
+        "partition exists",
+        "bad request",
+        "history pool full",
+        "storage error",
+        "journal error",
+        "batch failed",
+    ];
+
+    /// The variant, as its index into [`S4Error::KINDS`].
+    pub fn kind(&self) -> u8 {
+        match self {
+            S4Error::AccessDenied => 0,
+            S4Error::NoSuchObject => 1,
+            S4Error::VersionUnavailable => 2,
+            S4Error::NoSuchPartition => 3,
+            S4Error::PartitionExists => 4,
+            S4Error::BadRequest(_) => 5,
+            S4Error::PoolFull => 6,
+            S4Error::Storage(_) => 7,
+            S4Error::Journal(_) => 8,
+            S4Error::BatchFailed { .. } => 9,
+        }
+    }
+
     /// Classifies this error as a disk fault, if it is one. Logical
     /// errors (denials, missing objects, malformed requests, a full
     /// history pool) return `None` — they are properties of the request

@@ -16,7 +16,7 @@ use s4_lfs::{BlockAddr, BlockKind, BlockTag, Log, BLOCK_SIZE};
 use s4_simdisk::BlockDev;
 
 use crate::codec::{push_bytes, push_stamp, Reader};
-use crate::drive::{DriveConfig, Inner, S4Drive, AUDIT_OBJECT, TXN_OBJECT};
+use crate::drive::{DriveConfig, Inner, S4Drive, TXN_OBJECT};
 use crate::ids::ObjectId;
 use crate::object::{EvictInfo, ObjectEntry, SectorInfo, Slot};
 use crate::packed;
@@ -292,14 +292,11 @@ impl<D: BlockDev> S4Drive<D> {
             .collect();
         self.pack_checkpoints(inner, &need_cp)?;
 
-        // Persist the buffered stream tails so audit records and alerts
-        // survive restarts: the audit log stays an exact prefix of the
-        // request stream across an orderly shutdown.
-        let (streams, ledger) = inner.streams_mut();
-        for s in streams {
-            if s.spill_tail(&self.log, ledger)? && s.oid() == AUDIT_OBJECT.0 {
-                self.stats.audit_blocks(1);
-            }
+        // Persist the buffered audit tail so its records survive
+        // restarts: the audit log stays an exact prefix of the request
+        // stream across an orderly shutdown.
+        if inner.audit.spill_tail(&self.log, &mut inner.ledger)? {
+            self.stats.audit_blocks(1);
         }
 
         let payload = encode_anchor_payload(inner);
@@ -367,8 +364,6 @@ fn encode_anchor_payload(inner: &Inner) -> Vec<u8> {
             }
         }
     }
-    // The alert stream trails the table.
-    inner.alerts.encode_anchor(&mut out);
     out
 }
 
@@ -406,7 +401,6 @@ pub(crate) fn decode_anchor_payload(
             sectors,
         });
     }
-    inner.alerts.decode_anchor(&mut r)?;
     Ok((inner, records))
 }
 

@@ -8,7 +8,7 @@
 
 use s4_clock::{HybridClock, HybridTimestamp, SimClock, SimTime};
 use s4_journal::{decode_sector, redo, JournalEntry, ObjectMeta};
-use s4_lfs::{BlockAddr, BlockKind, Log, Mounted, SegmentMismatch};
+use s4_lfs::{BlockAddr, BlockKind, LfsError, Log, Mounted, SegmentMismatch};
 use s4_simdisk::BlockDev;
 
 use crate::drive::{DriveConfig, Inner, S4Drive, TXN_OBJECT};
@@ -115,10 +115,12 @@ impl<D: BlockDev> S4Drive<D> {
                             }
                         }
                     }
+                    // The audit log's block at its next position; a
+                    // cleaner's copy of one it lists is skipped.
                     BlockKind::Audit => {
-                        if let Some(stream) = inner.stream_mut(tag.object) {
-                            stream.replay_block(addr, &log.read_block(addr)?)?;
-                        }
+                        inner
+                            .audit
+                            .replay_block(addr, tag, &log.read_block(addr)?)?;
                     }
                     // Data blocks become reachable via the journal entries
                     // referencing them; orphaned post-anchor checkpoints
@@ -134,7 +136,6 @@ impl<D: BlockDev> S4Drive<D> {
         log.rebuild_live_counts(inner.ledger.addrs());
 
         report.audit_blocks = inner.audit.blocks().len();
-        report.alert_blocks = inner.alerts.blocks().len();
         report.recovered_objects = inner.table.len();
         report.next_oid = inner.next_oid;
 
@@ -163,9 +164,14 @@ impl<D: BlockDev> S4Drive<D> {
     /// running ledger and the recount disagree on, every segment whose
     /// live count in the usage table is not the number of ledger
     /// addresses in it ([`Log::check_live_counts`]), and the number of
-    /// releases the ledger has refused since mount.
+    /// releases the ledger has refused since mount. A block the audit log
+    /// lists at position `i` must be tagged with `i` — what roll-forward
+    /// replays by — or the image is corrupt.
     pub fn check_image(&self) -> Result<(Vec<Discrepancy>, Vec<SegmentMismatch>, u64)> {
         let inner = self.inner.lock();
+        if !inner.audit.tagged_in_order(&self.log)? {
+            return Err(LfsError::Corrupt("audit block tagged out of its position").into());
+        }
         let derived = Ledger::derive(&self.log, &inner)?;
         let segments = self.log.check_live_counts(inner.ledger.addrs());
         Ok((
@@ -198,8 +204,6 @@ pub struct RecoveryReport {
     pub replayed_entries: usize,
     /// Audit-log blocks reachable after recovery (anchored + replayed).
     pub audit_blocks: usize,
-    /// Alert-object blocks reachable after recovery (anchored + replayed).
-    pub alert_blocks: usize,
     /// Objects in the recovered table (anchored plus any created in
     /// replayed batches).
     pub recovered_objects: usize,

@@ -85,9 +85,6 @@ pub enum Request {
     },
     /// Admin: adjust the guaranteed detection window.
     SetWindow { window: SimDuration },
-    /// Admin: truncate alert-object blocks strictly older than the
-    /// detection window (retention for the append-only alert stream).
-    FlushAlerts,
     /// Several operations in one round trip (§4.1.2: "the drive also
     /// supports batching of setattr, getattr, and sync operations with
     /// create, read, write, and append operations"). Sub-requests run in
@@ -149,7 +146,6 @@ impl Request {
             Request::Flush { .. } => OpKind::Flush,
             Request::FlushO { .. } => OpKind::FlushO,
             Request::SetWindow { .. } => OpKind::SetWindow,
-            Request::FlushAlerts => OpKind::FlushAlerts,
             // Batches are audited per sub-request, not as a whole.
             Request::Batch(_) => OpKind::Sync,
         }
@@ -399,7 +395,6 @@ impl<D: BlockDev> S4Drive<D> {
             Request::SetWindow { window } => {
                 self.op_set_window(ctx, *window).map(|()| Response::Ok)
             }
-            Request::FlushAlerts => self.op_flush_alerts(ctx).map(Response::NewSize),
             Request::Batch(_) => Err(S4Error::BadRequest("batch inside execute")),
         }
     }
@@ -531,7 +526,7 @@ impl Request {
         };
         let mut out = vec![tag];
         match self {
-            Request::Create | Request::Sync | Request::FlushAlerts => {}
+            Request::Create | Request::Sync => {}
             Request::Delete { oid } => put_u64(&mut out, oid.0),
             Request::Read {
                 oid,
@@ -697,7 +692,6 @@ impl Request {
             OpKind::SetWindow => Request::SetWindow {
                 window: SimDuration::from_micros(r.u64()?),
             },
-            OpKind::FlushAlerts => Request::FlushAlerts,
         })
     }
 }
@@ -888,7 +882,6 @@ mod tests {
             Request::SetWindow {
                 window: SimDuration::from_days(7),
             },
-            Request::FlushAlerts,
         ]
     }
 
@@ -946,9 +939,8 @@ mod tests {
 
     #[test]
     fn table1_coverage() {
-        // The 19 operations of Table 1 plus the alert-retention
-        // extension (FlushAlerts), one request each, each
-        // tagged on the wire with its kind's code.
+        // The 19 operations of Table 1, one request each, each tagged
+        // on the wire with its kind's code.
         let requests = all_requests();
         assert_eq!(requests.len(), OpKind::ALL.len());
         for kind in OpKind::ALL {
@@ -963,8 +955,11 @@ mod tests {
     fn wire_tags_are_pinned() {
         // Renumbering a request is a deliberate edit of these bytes: a
         // client and a server built on either side of it cannot talk.
-        assert_eq!(Request::FlushAlerts.encode(), [20]);
-        assert!(Request::decode(&[21]).is_err(), "21 is no request");
+        let window = Request::SetWindow {
+            window: SimDuration::from_micros(1),
+        };
+        assert_eq!(window.encode(), [19, 1, 0, 0, 0, 0, 0, 0, 0]);
+        assert!(Request::decode(&[20]).is_err(), "20 is no request");
         let batch = Request::Batch(vec![Request::Sync]);
         // Tag, one sub-request, its length, its tag (Sync = 16).
         assert_eq!(batch.encode(), [0x80, 1, 0, 0, 0, 1, 0, 0, 0, 16]);

@@ -4,8 +4,9 @@
 
 use s4_clock::{SimClock, SimDuration, SimTime};
 use s4_core::{
-    AclEntry, AuditObserver, AuditRecord, DriveConfig, ObjectId, OpKind, Perm, Request,
-    RequestContext, Response, S4Drive, S4Error, TraceCtx, UserId, PHASE_CLIENT, PHASE_DECIDE,
+    AclEntry, AlertRule, AuditObserver, AuditRecord, DriveConfig, ObjectId, OpKind, Perm, Request,
+    RequestContext, Response, S4Drive, S4Error, TraceCtx, UserId, PHASE_ALERT, PHASE_CLIENT,
+    PHASE_DECIDE,
 };
 use s4_simdisk::{BlockDev, DiskError, MemDisk};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -726,11 +727,8 @@ fn version_counter_tracks_mutations() {
 struct AlertPerRecord;
 
 impl AuditObserver for AlertPerRecord {
-    fn on_record(&mut self, rec: &AuditRecord) -> Vec<Vec<u8>> {
-        let mut blob = vec![2]; // severity, then the time retention reads
-        blob.extend_from_slice(&rec.time.as_micros().to_le_bytes());
-        blob.resize(200, 0xAB);
-        vec![blob]
+    fn on_record(&mut self, rec: &AuditRecord) -> Vec<AuditRecord> {
+        vec![AuditRecord::alert(rec, AlertRule::AuditGap, 1, 2)]
     }
 }
 
@@ -748,7 +746,7 @@ fn audited_writes(d: &S4Drive<MemDisk>, oid: ObjectId, n: u64) {
 }
 
 #[test]
-fn replay_counts_post_anchor_records_on_every_reserved_stream() {
+fn replay_counts_post_anchor_records_alerts_included() {
     let d = drive();
     d.register_audit_observer(Box::new(AlertPerRecord));
     let oid = d.op_create(&alice(), None).unwrap();
@@ -757,22 +755,23 @@ fn replay_counts_post_anchor_records_on_every_reserved_stream() {
     audited_writes(&d, oid, 100);
     d.op_sync(&alice()).unwrap();
 
-    // Power loss: each stream keeps its anchored blocks plus the blocks
-    // spilled (and flushed) since; the buffered tails are gone. The
-    // totals must describe exactly what survived.
+    // Power loss: the log keeps its anchored blocks plus the blocks
+    // spilled (and flushed) since; the buffered tail is gone. The total
+    // must describe exactly what survived.
     let totals = |d: &S4Drive<MemDisk>| {
         let image = d.resync_image(&admin()).unwrap();
-        let audit = d.read_audit_records(&admin()).unwrap().len() as u64;
-        assert_eq!(d.audit_total_records(&admin()).unwrap(), audit);
-        assert_eq!(image.audit.total, audit);
+        let whole = d.read_traces(&admin()).unwrap().len() as u64;
+        assert_eq!(d.audit_total_records(&admin()).unwrap(), whole);
+        assert_eq!(image.audit.total, whole);
+        let requests = d.read_audit_records(&admin()).unwrap().len() as u64;
         let alerts = d.read_alerts(&admin()).unwrap().len() as u64;
-        assert_eq!(image.alerts.total, alerts);
-        (audit, alerts)
+        assert_eq!(requests + alerts, whole);
+        (requests, alerts)
     };
     let d2 = S4Drive::mount(d.crash(), DriveConfig::small_test(), SimClock::new()).unwrap();
     let recovered = totals(&d2);
-    assert_eq!(recovered.0, 10 + 60, "one full post-anchor audit block");
-    assert!(recovered.1 > 10, "post-anchor alert blocks replayed");
+    // Three full post-anchor blocks, each request beside its alert.
+    assert_eq!(recovered, (10 + 90, 10 + 90));
 
     // Replay is idempotent: a second crash before any new anchor
     // recovers the same state.
@@ -1309,40 +1308,110 @@ fn a_sync_after_a_failed_pack_has_written_every_entry() {
     }
 }
 
-/// A step's phase marks the drive's own record of a protocol step, which
-/// the detectors and `read_audit_records` skip. A client that sends one
-/// on a request is recorded at the entry point's phase instead: fed to
-/// the detectors and listed as a request. A step the drive records
-/// itself is one record of the whole log and nothing more.
+/// A step's phase marks the drive's own record of a protocol step, and
+/// the alert phase an alert's: the detectors and `read_audit_records`
+/// skip both. A client that sends either on a request is recorded at the
+/// entry point's phase instead: fed to the detectors, listed as a
+/// request, and no alert. A step the drive records itself is one record
+/// of the whole log and nothing more.
 #[test]
 fn a_request_cannot_pass_as_a_protocol_step() {
     let d = drive();
     d.register_audit_observer(Box::new(AlertPerRecord));
-    let forged = alice().with_trace(TraceCtx {
-        trace_id: 7,
-        origin: 0,
-        phase: PHASE_DECIDE,
-    });
-    let Response::Created(oid) = d.dispatch(&forged, &Request::Create).unwrap() else {
+    let forged = |phase| {
+        alice().with_trace(TraceCtx {
+            trace_id: 7,
+            origin: AlertRule::AppendOnlyViolation as u8,
+            phase,
+        })
+    };
+    let step = forged(PHASE_DECIDE);
+    let Response::Created(oid) = d.dispatch(&step, &Request::Create).unwrap() else {
         panic!("create did not return an object id");
     };
+    d.dispatch(&forged(PHASE_ALERT), &Request::Sync).unwrap();
     let requests = d.read_audit_records(&admin()).unwrap();
-    assert_eq!(requests.len(), 1);
-    assert_eq!(
-        requests[0].trace,
-        TraceCtx {
+    assert_eq!(requests.len(), 2);
+    for r in &requests {
+        let as_sent = TraceCtx {
             phase: PHASE_CLIENT,
-            ..forged.trace
-        }
-    );
-    assert_eq!(d.read_alerts(&admin()).unwrap().len(), 1, "detectors fed");
+            ..step.trace
+        };
+        assert_eq!((r.trace, r.alert_rule()), (as_sent, None));
+    }
+    let alerts = d.read_alerts(&admin()).unwrap();
+    assert_eq!(alerts.len(), 2, "detectors fed");
+    assert!(alerts
+        .iter()
+        .all(|a| a.alert_rule() == Some(AlertRule::AuditGap)));
 
-    d.record_phase_trace(&forged, OpKind::Sync, oid, true);
+    d.record_phase_trace(&step, OpKind::Sync, oid, true);
     assert_eq!(d.read_audit_records(&admin()).unwrap(), requests);
     let whole = d.read_traces(&admin()).unwrap();
-    assert_eq!(whole.len(), 2);
-    assert_eq!(whole[1].trace, forged.trace);
-    assert_eq!(d.audit_total_records(&admin()).unwrap(), 2);
+    assert_eq!(whole.len(), 5, "two requests, their two alerts, one step");
+    assert_eq!(whole[4].trace, step.trace);
+    assert_eq!(d.audit_total_records(&admin()).unwrap(), 5);
     let alerts = d.read_alerts(&admin()).unwrap();
-    assert_eq!(alerts.len(), 1, "a step is not fed to the detectors");
+    assert_eq!(alerts.len(), 2, "a step is not fed to the detectors");
+}
+
+/// The cleaner copies live audit blocks forward with their tags. Mount
+/// replays the post-anchor audit blocks in log order, and a copy names
+/// a position the stream already holds, so roll-forward must not count
+/// it in again: a log of 2 259 records comes back as exactly its durable
+/// prefix — all but the buffered tail, which a crash loses by design
+/// (§5.1.4) — not with the copies appended a second time.
+#[test]
+fn a_cleaner_pass_does_not_double_the_audit_log_across_a_crash() {
+    let mut config = DriveConfig::small_test();
+    config.cleaner.min_free_target = 150;
+    config.cleaner.max_segments_per_pass = 8;
+    let clock = SimClock::new();
+    clock.advance(SimDuration::from_secs(1));
+    let d = S4Drive::format(MemDisk::new(20_000), config, clock).unwrap();
+    let ctx = alice();
+    let oids: Vec<ObjectId> = (0..8)
+        .map(|_| match d.dispatch(&ctx, &Request::Create).unwrap() {
+            Response::Created(oid) => oid,
+            other => panic!("unexpected {other:?}"),
+        })
+        .collect();
+    d.dispatch(&ctx, &Request::Sync).unwrap();
+    let mut relocated = 0;
+    for round in 1..=250u32 {
+        for &oid in &oids {
+            let data = vec![round as u8; 4096];
+            let write = Request::Write {
+                oid,
+                offset: 0,
+                data,
+            };
+            d.dispatch(&ctx, &write).unwrap();
+        }
+        d.dispatch(&ctx, &Request::Sync).unwrap();
+        if round % 10 == 0 {
+            d.clock().advance(SimDuration::from_secs(4_000));
+            relocated += d.clean().unwrap().blocks_relocated;
+        }
+    }
+    assert!(relocated > 0, "the recipe's passes copy segments");
+    let before = d.read_traces(&admin()).unwrap();
+    assert_eq!(before.len(), 2_259);
+    let durable = before.len() - d.audit_cursor(&admin()).unwrap().tail_records;
+    assert_eq!(d.check_image(), Ok((vec![], vec![], 0)));
+
+    let d = S4Drive::mount(d.crash(), config, SimClock::new()).unwrap();
+    let after = d.read_traces(&admin()).unwrap();
+    let same = before
+        .iter()
+        .zip(&after)
+        .take_while(|(a, b)| a == b)
+        .count();
+    assert_eq!(
+        (after.len(), same),
+        (durable, durable),
+        "the remounted log first differs at record {same}"
+    );
+    assert_eq!(d.audit_total_records(&admin()).unwrap(), durable as u64);
+    assert_eq!(d.check_image(), Ok((vec![], vec![], 0)));
 }

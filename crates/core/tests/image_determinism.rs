@@ -211,18 +211,16 @@ fn run(
     Ok((s4_lfs::crc::xxh64(&image), digest, outcome))
 }
 
-/// Restated at format revision 5, where a request's one record is a
-/// 68-byte audit record carrying its trace context and layer times and no
-/// trace stream is written beside it.
+/// Restated at format revision 6, where an alert is an audit record and
+/// no alert stream is kept beside the audit log.
 #[test]
 fn churn_image_is_one_value_across_runs() {
-    /// Revision 5 in the superblock, audit blocks of 60 records instead
-    /// of 85, no trace blocks, and the anchor payload without the trace
-    /// stream's section.
-    const IMAGE_HASH: u64 = 0xd98d_efdd_343a_cf00;
-    /// The digest hashes the reserved streams' block lists and tails,
-    /// one stream fewer, and the addresses every later block moved to.
-    const STATE_DIGEST: u64 = 0x6d95_597e_3f3c_5f19;
+    /// Revision 6 in the superblock, and the anchor payload without the
+    /// alert stream's 20-byte section.
+    const IMAGE_HASH: u64 = 0xeb38_c637_374c_a1c7;
+    /// The digest hashes the audit log's block list and tail, without
+    /// the alert stream's (and its retention base).
+    const STATE_DIGEST: u64 = 0x01fa_d1c8_4626_d299;
     /// Unchanged: every request in the stream succeeds or fails as before.
     const OUTCOMES: u64 = 0x7a1d_7af5_6777_6fb7;
     let run = || run(SEEDS[0], 6, &[MAINTENANCE], false).expect("the pinned stream completes");

@@ -5,8 +5,8 @@
 
 use s4_clock::{SimClock, SimDuration};
 use s4_core::{
-    AclEntry, AclTable, ClientId, DriveConfig, ObjectId, Perm, RequestContext, S4Drive, S4Error,
-    UserId,
+    AclEntry, AclTable, AlertRule, ClientId, DriveConfig, ObjectId, Perm, RequestContext, S4Drive,
+    S4Error, UserId,
 };
 use s4_simdisk::MemDisk;
 
@@ -51,7 +51,15 @@ fn populated_drive(clock: &SimClock) -> S4Drive<MemDisk> {
     drive.op_write(&alice, d, 0, b"doomed").unwrap();
     drive.op_delete(&alice, d).unwrap();
 
-    drive.system_alert("array-degraded", "member 1 of shard 0 died");
+    // Member 1 of shard 0 died of a storage error.
+    let storage = S4Error::Storage(s4_lfs::LfsError::Corrupt("test")).kind();
+    drive.system_alert(
+        AlertRule::ArrayDegraded,
+        false,
+        ObjectId(0),
+        1,
+        storage.into(),
+    );
     drive.op_sync(&admin()).unwrap();
     drive
 }
@@ -93,7 +101,7 @@ fn image_replay_reproduces_objects_and_streams() {
         Err(S4Error::NoSuchObject)
     );
 
-    // Reserved streams decode identically.
+    // The audit log, alerts included, decodes identically.
     assert_eq!(
         src.read_traces(&adm).unwrap(),
         dst.read_traces(&adm).unwrap()

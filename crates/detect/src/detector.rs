@@ -1,10 +1,10 @@
 //! The detector pipeline: the standard rule set, offline scans, and the
 //! online monitor that runs inside the drive.
 
-use s4_core::{Alert, AuditObserver, AuditRecord, RequestContext, S4Drive, S4Error};
+use s4_core::{AuditObserver, AuditRecord, RequestContext, S4Drive, S4Error};
 use s4_simdisk::BlockDev;
 
-use crate::rules;
+use crate::{rules, Alert};
 
 /// The standard rule set, fed as one unit at its default thresholds.
 ///
@@ -35,8 +35,8 @@ impl DetectorSet {
         }
     }
 
-    /// Feeds one record to every rule.
-    fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<Alert>) {
+    /// Feeds one record to every rule, collecting the alerts' records.
+    fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<AuditRecord>) {
         self.append_only.observe(rec, sink);
         self.foreign_client.observe(rec, sink);
         self.ransom_storm.observe(rec, sink);
@@ -51,24 +51,24 @@ impl DetectorSet {
         for r in records {
             self.observe(r, &mut sink);
         }
-        sink
+        sink.iter().filter_map(Alert::render).collect()
     }
 }
 
 /// The set on the drive's [`AuditObserver`] hook: every audited request
-/// is analysed as it happens and any alerts are returned encoded, which
-/// the drive persists to the tamper-proof alert object.
+/// is analysed as it happens, and the drive files the alerts' records
+/// in its tamper-proof audit log right after the request's.
 impl AuditObserver for DetectorSet {
-    fn on_record(&mut self, rec: &AuditRecord) -> Vec<Vec<u8>> {
+    fn on_record(&mut self, rec: &AuditRecord) -> Vec<AuditRecord> {
         let mut sink = Vec::new();
         self.observe(rec, &mut sink);
-        sink.iter().map(Alert::encode).collect()
+        sink
     }
 }
 
 /// Registers the standard rule set as an online monitor on `drive`.
 /// From this point every audited request is analysed inside the
-/// security perimeter and alerts land in the drive's alert object.
+/// security perimeter and alerts land in the drive's audit log.
 pub fn install_standard_monitor<D: BlockDev>(drive: &S4Drive<D>) {
     drive.register_audit_observer(Box::new(DetectorSet::standard()));
 }
@@ -84,38 +84,35 @@ pub fn scan_audit<D: BlockDev>(
     Ok(DetectorSet::standard().scan(&records))
 }
 
-/// Decodes every alert the drive has persisted (admin only), oldest
-/// first. Blobs that fail to decode are skipped rather than failing the
-/// whole read — the alert object must stay readable even if a future
-/// version wrote records this build does not understand.
+/// Every alert the drive has filed in its audit log (admin only),
+/// rendered, oldest first.
 pub fn read_alerts<D: BlockDev>(
     drive: &S4Drive<D>,
     admin: &RequestContext,
 ) -> Result<Vec<Alert>, S4Error> {
-    let blobs = drive.read_alerts(admin)?;
-    Ok(blobs.iter().filter_map(|b| Alert::decode(b).ok()).collect())
+    let records = drive.read_alerts(admin)?;
+    Ok(records.iter().filter_map(Alert::render).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use s4_clock::{SimClock, SimDuration, SimTime};
-    use s4_core::{ClientId, DriveConfig, ObjectId, OpKind, StreamCursor, UserId};
+    use s4_core::{ClientId, DriveConfig, ObjectId, OpKind, Request, StreamCursor, UserId};
     use s4_simdisk::MemDisk;
 
-    /// Incremental alert reader. Where [`read_alerts`] rescans every alert
-    /// block on each call, a poller carries a `StreamCursor` so each
-    /// [`poll`](AlertPoller::poll) decodes only the blobs appended since the
-    /// previous one — the natural shape for a monitoring loop that watches a
-    /// long-lived drive. Undecodable blobs are skipped, as in
-    /// [`read_alerts`].
+    /// Incremental alert reader. Where [`read_alerts`] rescans the whole
+    /// audit log on each call, a poller carries a `StreamCursor` so each
+    /// [`poll`](AlertPoller::poll) decodes only the records appended since
+    /// the previous one — the natural shape for a monitoring loop that
+    /// watches a long-lived drive.
     #[derive(Clone, Copy, Debug, Default)]
     struct AlertPoller {
         cursor: StreamCursor,
     }
 
     impl AlertPoller {
-        /// A poller positioned at the start of the alert object.
+        /// A poller positioned at the start of the audit log.
         fn new() -> Self {
             AlertPoller::default()
         }
@@ -127,8 +124,8 @@ mod tests {
             drive: &S4Drive<D>,
             admin: &RequestContext,
         ) -> Result<Vec<Alert>, S4Error> {
-            let blobs = drive.read_alerts_from(admin, &mut self.cursor)?;
-            Ok(blobs.iter().filter_map(|b| Alert::decode(b).ok()).collect())
+            let records = drive.read_alerts_from(admin, &mut self.cursor)?;
+            Ok(records.iter().filter_map(Alert::render).collect())
         }
     }
 
@@ -223,7 +220,6 @@ mod tests {
 
     #[test]
     fn online_monitor_persists_alerts_in_the_drive() {
-        use s4_core::Request;
         let drive = drive();
         install_standard_monitor(&drive);
         let admin = RequestContext::admin(ClientId(9), drive.config().admin_token);
@@ -255,16 +251,105 @@ mod tests {
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].rule, "append-only-violation");
         assert_eq!(alerts[0].object, oid);
-        // And the offline scan over the same audit log agrees.
-        let offline = scan_audit(&drive, &admin).unwrap();
-        assert_eq!(offline.len(), 1);
-        assert_eq!(offline[0].rule, alerts[0].rule);
-        assert_eq!(offline[0].object, alerts[0].object);
+        assert_eq!(
+            alerts[0].message,
+            "Truncate destroyed data in an object with 3 strictly-appending \
+             mutations (log-scrub shape)"
+        );
+        // The alert is one record of the log, filed right after its
+        // trigger's, which the request readers skip.
+        let whole = drive.read_traces(&admin).unwrap();
+        assert_eq!(whole.len(), 6);
+        assert_eq!(Alert::render(&whole[5]).as_ref(), Some(&alerts[0]));
+        assert_eq!(
+            whole[5].identity(),
+            AuditRecord {
+                arg1: 3,
+                arg2: 0,
+                ..whole[5]
+            }
+        );
+        assert_eq!(drive.read_audit_records(&admin).unwrap(), whole[..5]);
+        // And the offline scan over the same audit log agrees, field for
+        // field.
+        assert_eq!(scan_audit(&drive, &admin).unwrap(), alerts);
+    }
+
+    /// Every rule, online and offline: the alerts a drive's monitor files
+    /// render to exactly what the set computes over the drive's requests
+    /// afterwards. The records are fed in as requests that trip each rule
+    /// once (rule order pinned by the test above).
+    #[test]
+    fn every_rule_renders_online_as_offline() {
+        let drive = drive();
+        install_standard_monitor(&drive);
+        let admin = RequestContext::admin(ClientId(9), drive.config().admin_token);
+        let home = RequestContext::user(UserId(1), ClientId(1));
+        let foreign = RequestContext::user(UserId(1), ClientId(66));
+        let create = |ctx: &RequestContext| match drive.dispatch(ctx, &Request::Create).unwrap() {
+            s4_core::Response::Created(oid) => oid,
+            other => panic!("unexpected {other:?}"),
+        };
+        let write = |ctx: &RequestContext, oid, offset, len: usize| {
+            let data = vec![7u8; len];
+            let req = Request::Write { oid, offset, data };
+            let _ = drive.dispatch(ctx, &req);
+        };
+        // A home of eight requests, then a log-shaped object.
+        let log = create(&home);
+        for i in 0..7 {
+            write(&home, log, i * 10, 10);
+        }
+        // Twenty-four fresh objects shrunk within a minute: a storm. The
+        // last also trips the write-rate baseline.
+        for _ in 0..24 {
+            let oid = create(&home);
+            write(&home, oid, 0, 100);
+            let _ = drive.dispatch(&home, &Request::Truncate { oid, len: 0 });
+        }
+        drive.clock().advance(SimDuration::from_secs(11));
+        write(&home, log, 0, 9 << 20); // scrub the log; spike the rate
+        write(&foreign, log, 0, 1); // stolen credentials
+        for _ in 0..6 {
+            let read = Request::Read {
+                oid: ObjectId(999_999),
+                offset: 0,
+                len: 1,
+                time: None,
+            };
+            let _ = drive.dispatch(&foreign, &read); // six denials
+        }
+        let online = read_alerts(&drive, &admin).unwrap();
+        let rules: Vec<&str> = online.iter().map(|a| a.rule.as_str()).collect();
+        for rule in [
+            "append-only-violation",
+            "foreign-client",
+            "ransom-storm",
+            "write-rate-spike",
+            "acl-tamper-burst",
+        ] {
+            assert!(rules.contains(&rule), "{rule} missing from {rules:?}");
+        }
+        assert_eq!(scan_audit(&drive, &admin).unwrap(), online);
+        // The audit-gap rule needs time to run backwards, which the drive
+        // never records; offline, over a spliced stream, it renders the
+        // same way.
+        let mut records = drive.read_audit_records(&admin).unwrap();
+        let last = records.pop().unwrap();
+        records.insert(1, last);
+        let gaps = DetectorSet::standard().scan(&records);
+        let gap = gaps.iter().find(|a| a.rule == "audit-gap").unwrap();
+        assert_eq!(
+            gap.message,
+            format!(
+                "audit time went backwards ({} then {})",
+                last.time, records[2].time
+            )
+        );
     }
 
     #[test]
     fn alert_poller_is_incremental() {
-        use s4_core::Request;
         let drive = drive();
         install_standard_monitor(&drive);
         let admin = RequestContext::admin(ClientId(9), drive.config().admin_token);
@@ -331,7 +416,6 @@ mod tests {
         // Force the pending tail to spill into flushed blocks and check
         // the cursor's skip-count hand-off: nothing is dropped, nothing
         // is repeated.
-        use s4_core::Request;
         let drive = drive();
         install_standard_monitor(&drive);
         let admin = RequestContext::admin(ClientId(9), drive.config().admin_token);
@@ -371,14 +455,9 @@ mod tests {
     }
 
     #[test]
-    fn alert_object_is_not_client_writable() {
+    fn alerts_are_read_with_the_admin_token_only() {
         let drive = drive();
         let user = RequestContext::user(UserId(1), ClientId(1));
-        let err = drive
-            .op_write(&user, s4_core::ALERT_OBJECT, 0, b"forged")
-            .unwrap_err();
-        assert_eq!(err, S4Error::AccessDenied);
-        // Reading alerts requires the admin token.
-        assert!(drive.read_alerts(&user).is_err());
+        assert_eq!(drive.read_alerts(&user), Err(S4Error::AccessDenied));
     }
 }

@@ -407,13 +407,14 @@ fn phase_rank(phase: u8) -> u8 {
 
 /// Joins per-member audit logs on trace id: `streams` pairs each
 /// `(shard, member)` with that member drive's whole log
-/// ([`S4Drive::read_traces`]). Untraced records are skipped. Returns
-/// one [`TraceTree`] per distinct id, ordered by first span time.
+/// ([`S4Drive::read_traces`]). Untraced records and alerts (which carry
+/// their trigger's id) are skipped. Returns one [`TraceTree`] per
+/// distinct id, ordered by first span time.
 pub fn assemble_traces(streams: &[(usize, usize, Vec<AuditRecord>)]) -> Vec<TraceTree> {
     let mut by_id: BTreeMap<u64, Vec<TraceSpan>> = BTreeMap::new();
     for (shard, member, records) in streams {
         for (seq, &record) in (0u64..).zip(records) {
-            if record.trace.trace_id == 0 {
+            if record.trace.trace_id == 0 || record.trace.is_alert() {
                 continue;
             }
             by_id
@@ -762,66 +763,5 @@ mod tests {
         assert!(text.contains("shard 1"), "{text}");
         assert!(text.contains("member 1"), "{text}");
         assert!(text.contains("member 0: Write obj:9 ok rpc=55us"), "{text}");
-    }
-
-    /// The drive raises its alert-object-growth self-alert through the
-    /// one alert codec detectors use: drive a real spill and decode the
-    /// blob with [`Alert::decode`].
-    #[test]
-    fn growth_self_alert_decodes_with_the_alert_codec() {
-        use s4_core::{Alert, AuditObserver, AuditRecord, Severity, ALERT_OBJECT};
-
-        struct Noisy;
-        impl AuditObserver for Noisy {
-            fn on_record(&mut self, rec: &AuditRecord) -> Vec<Vec<u8>> {
-                // A fat but decodable alert per request so the alert
-                // object spills a block quickly (~3 per 4 KiB block).
-                vec![Alert {
-                    time: rec.time,
-                    severity: Severity::Info,
-                    rule: "noisy-test-rule".into(),
-                    user: rec.user,
-                    client: rec.client,
-                    object: rec.object,
-                    message: "x".repeat(1200),
-                }
-                .encode()]
-            }
-        }
-
-        let clock = SimClock::new();
-        clock.advance(SimDuration::from_secs(1));
-        let mut cfg = DriveConfig::small_test();
-        cfg.alert_warn_blocks = 1; // warn as soon as one block spills
-        let d = S4Drive::format(MemDisk::new(400_000), cfg, clock).unwrap();
-        let admin = RequestContext::admin(ClientId(9), d.config().admin_token);
-        let user = RequestContext::user(UserId(1), ClientId(1));
-        d.register_audit_observer(Box::new(Noisy));
-
-        let oid = create(&d, &user);
-        for i in 0..8 {
-            tick(&d);
-            d.dispatch(
-                &user,
-                &Request::Write {
-                    oid,
-                    offset: 0,
-                    data: vec![i as u8; 16],
-                },
-            )
-            .unwrap();
-        }
-
-        let blobs = d.read_alerts(&admin).unwrap();
-        let growth: Vec<Alert> = blobs
-            .iter()
-            .map(|b| Alert::decode(b).expect("every persisted blob must decode"))
-            .filter(|a| a.rule == "alert-object-growth")
-            .collect();
-        assert_eq!(growth.len(), 1, "warn threshold fires exactly once");
-        assert_eq!(growth[0].severity, Severity::Warning);
-        assert_eq!(growth[0].object, ALERT_OBJECT);
-        assert_eq!(growth[0].user, UserId(0));
-        assert!(growth[0].message.contains("warn threshold"));
     }
 }

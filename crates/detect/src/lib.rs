@@ -17,9 +17,9 @@
 //!   suddenly operating from a foreign client, and gaps in audit
 //!   coverage. Detectors run *offline* over the decoded log
 //!   ([`scan_audit`]) or *online* inside the drive via
-//!   [`install_standard_monitor`], with alerts persisted to a second
-//!   reserved, drive-writable-only object that the intruder can neither
-//!   suppress nor rewrite.
+//!   [`install_standard_monitor`], with each alert filed as one record of
+//!   the drive-written audit log itself, which the intruder can neither
+//!   suppress nor rewrite; [`read_alerts`] puts those records in words.
 //! * **Forensics** ([`forensics`]) — given an intrusion time `T`,
 //!   reconstruct what happened: per-object tamper timelines merging the
 //!   journal's version history with the audit stream, namespace tree diffs
@@ -43,6 +43,7 @@
 
 #![warn(missing_docs)]
 
+mod alert;
 pub mod detector;
 pub mod dirblob;
 pub mod forensics;
@@ -50,6 +51,7 @@ pub mod recovery;
 mod rules;
 mod timeline;
 
+pub use alert::{Alert, Severity};
 pub use detector::{install_standard_monitor, read_alerts, scan_audit, DetectorSet};
 pub use forensics::{
     assemble_traces, audit_coverage, damage_report, object_timeline, render_trace_tree,
@@ -60,4 +62,3 @@ pub use recovery::{
     execute_plan_on, plan_recovery, PlannedAction, RecoveryAction, RecoveryPlan, RecoveryReport,
     Suspects,
 };
-pub use s4_core::{Alert, Severity};

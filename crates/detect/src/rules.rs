@@ -1,7 +1,10 @@
 //! Built-in detection rules.
 //!
 //! Each rule is a streaming detector over the audit stream, fed by
-//! [`DetectorSet`](crate::DetectorSet) in a fixed order and tuned
+//! [`DetectorSet`](crate::DetectorSet) in a fixed order. It raises an
+//! alert as the triggering record marked with the rule and carrying the
+//! rule's numbers ([`AuditRecord::alert`]), which the crate's `Alert`
+//! view puts in words. Each is tuned
 //! so a heavy-but-honest workload (the PostMark harness: thousands of
 //! create/append/delete transactions from one client) raises **zero**
 //! alerts, while the §2 intrusion shapes fire reliably:
@@ -18,21 +21,9 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use s4_clock::{SimDuration, SimTime};
-use s4_core::{Alert, AuditRecord, OpKind, Severity};
+use s4_core::{AlertRule, AuditRecord, OpKind};
 
 use crate::timeline::{ObjectProfile, ProfileEvent};
-
-fn alert(rec: &AuditRecord, severity: Severity, rule: &str, message: String) -> Alert {
-    Alert {
-        time: rec.time,
-        severity,
-        rule: rule.to_string(),
-        user: rec.user,
-        client: rec.client,
-        object: rec.object,
-        message,
-    }
-}
 
 // ---------------------------------------------------------------------
 // Append-only violation (log scrubbing).
@@ -55,7 +46,7 @@ pub(crate) struct AppendOnlyViolation {
 const MIN_APPENDS: u32 = 2;
 
 impl AppendOnlyViolation {
-    pub(crate) fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<Alert>) {
+    pub(crate) fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<AuditRecord>) {
         if !rec.ok || rec.object.0 == 0 {
             return;
         }
@@ -69,15 +60,12 @@ impl AppendOnlyViolation {
             op if op.creates_version() => {
                 let p = self.profiles.entry(rec.object.0).or_default();
                 if let ProfileEvent::Destructive { first: true } = p.observe(rec, MIN_APPENDS) {
-                    sink.push(alert(
+                    let appends = p.appends.into();
+                    sink.push(AuditRecord::alert(
                         rec,
-                        Severity::Critical,
-                        "append-only-violation",
-                        format!(
-                            "{:?} destroyed data in an object with {} strictly-appending \
-                             mutations (log-scrub shape)",
-                            rec.op, p.appends
-                        ),
+                        AlertRule::AppendOnlyViolation,
+                        appends,
+                        0,
                     ));
                 }
             }
@@ -106,7 +94,7 @@ pub(crate) struct ForeignClient {
 const MIN_HOME_OPS: u64 = 8;
 
 impl ForeignClient {
-    pub(crate) fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<Alert>) {
+    pub(crate) fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<AuditRecord>) {
         let (home, ops) = self.homes.entry(rec.user.0).or_insert((rec.client.0, 0));
         if *home == rec.client.0 {
             *ops += 1;
@@ -115,20 +103,12 @@ impl ForeignClient {
         if *ops < MIN_HOME_OPS || !rec.ok || !rec.op.creates_version() {
             return;
         }
-        let home = *home;
+        let home = (*home).into();
         if self
             .reported
             .insert((rec.user.0, rec.client.0, rec.object.0))
         {
-            sink.push(alert(
-                rec,
-                Severity::Warning,
-                "foreign-client",
-                format!(
-                    "user {} (home client {}) issued {:?} from client {} — stolen credentials?",
-                    rec.user.0, home, rec.op, rec.client.0
-                ),
-            ));
+            sink.push(AuditRecord::alert(rec, AlertRule::ForeignClient, home, 0));
         }
     }
 }
@@ -153,12 +133,12 @@ pub(crate) struct RansomStorm {
 }
 
 /// Sliding window of [`RansomStorm`].
-const STORM_WINDOW: SimDuration = SimDuration::from_secs(60);
+pub(crate) const STORM_WINDOW: SimDuration = SimDuration::from_secs(60);
 /// Distinct destructively-modified objects that trip the alarm.
 const STORM_THRESHOLD: usize = 24;
 
 impl RansomStorm {
-    pub(crate) fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<Alert>) {
+    pub(crate) fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<AuditRecord>) {
         if !rec.ok || rec.object.0 == 0 {
             return;
         }
@@ -194,16 +174,8 @@ impl RansomStorm {
             }
         }
         if self.in_window.len() >= STORM_THRESHOLD {
-            sink.push(alert(
-                rec,
-                Severity::Critical,
-                "ransom-storm",
-                format!(
-                    "{} distinct objects overwritten or shrunk within {:.0}s",
-                    self.in_window.len(),
-                    STORM_WINDOW.as_secs_f64()
-                ),
-            ));
+            let objects = self.in_window.len() as u64;
+            sink.push(AuditRecord::alert(rec, AlertRule::RansomStorm, objects, 0));
             // Rearm rather than alert per record.
             self.events.clear();
             self.in_window.clear();
@@ -234,14 +206,14 @@ pub(crate) struct WriteRateSpike {
 }
 
 /// Accounting window of [`WriteRateSpike`].
-const SPIKE_WINDOW: SimDuration = SimDuration::from_secs(10);
+pub(crate) const SPIKE_WINDOW: SimDuration = SimDuration::from_secs(10);
 /// Multiple of the baseline that trips the alarm.
 const SPIKE_FACTOR: u64 = 8;
 /// Bytes below which a window never alarms, whatever the baseline.
 const SPIKE_MIN_BYTES: u64 = 8 << 20;
 
 impl WriteRateSpike {
-    pub(crate) fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<Alert>) {
+    pub(crate) fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<AuditRecord>) {
         if !rec.ok {
             return;
         }
@@ -278,16 +250,12 @@ impl WriteRateSpike {
             let threshold = (SPIKE_FACTOR as f64 * ema).max(SPIKE_MIN_BYTES as f64);
             if st.bytes as f64 > threshold {
                 st.alerted = true;
-                sink.push(alert(
+                let baseline = ema.to_bits();
+                sink.push(AuditRecord::alert(
                     rec,
-                    Severity::Warning,
-                    "write-rate-spike",
-                    format!(
-                        "{} bytes written in the current {:.0}s window vs baseline {:.0}",
-                        st.bytes,
-                        SPIKE_WINDOW.as_secs_f64(),
-                        ema
-                    ),
+                    AlertRule::WriteRateSpike,
+                    st.bytes,
+                    baseline,
                 ));
             }
         }
@@ -309,9 +277,9 @@ pub(crate) struct AclTamperBurst {
 }
 
 /// Sliding window of [`AclTamperBurst`].
-const TAMPER_WINDOW: SimDuration = SimDuration::from_secs(60);
+pub(crate) const TAMPER_WINDOW: SimDuration = SimDuration::from_secs(60);
 /// Tamper-shaped events in the window that trip the alarm.
-const TAMPER_THRESHOLD: usize = 6;
+pub(crate) const TAMPER_THRESHOLD: usize = 6;
 /// Object age below which `SetAttr` is considered initialization.
 const TAMPER_GRACE: SimDuration = SimDuration::from_secs(60);
 
@@ -333,7 +301,7 @@ impl AclTamperBurst {
 }
 
 impl AclTamperBurst {
-    pub(crate) fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<Alert>) {
+    pub(crate) fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<AuditRecord>) {
         if rec.ok && rec.op == OpKind::Create {
             self.created_at.insert(rec.object.0, rec.time);
             return;
@@ -352,16 +320,7 @@ impl AclTamperBurst {
         }
         if q.len() >= TAMPER_THRESHOLD {
             q.clear(); // rearm
-            sink.push(alert(
-                rec,
-                Severity::Warning,
-                "acl-tamper-burst",
-                format!(
-                    "{} ACL changes / denials / attr rewrites within {:.0}s",
-                    TAMPER_THRESHOLD,
-                    TAMPER_WINDOW.as_secs_f64()
-                ),
-            ));
+            sink.push(AuditRecord::alert(rec, AlertRule::AclTamperBurst, 0, 0));
         }
     }
 }
@@ -382,15 +341,11 @@ pub(crate) struct AuditGapCheck {
 }
 
 impl AuditGapCheck {
-    pub(crate) fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<Alert>) {
+    pub(crate) fn observe(&mut self, rec: &AuditRecord, sink: &mut Vec<AuditRecord>) {
         if let Some(last) = self.last {
             if rec.time < last {
-                sink.push(alert(
-                    rec,
-                    Severity::Critical,
-                    "audit-gap",
-                    format!("audit time went backwards ({last} then {})", rec.time),
-                ));
+                let last = last.as_micros();
+                sink.push(AuditRecord::alert(rec, AlertRule::AuditGap, last, 0));
             }
         }
         self.last = Some(self.last.unwrap_or(rec.time).max(rec.time));
@@ -400,7 +355,12 @@ impl AuditGapCheck {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Alert, Severity};
     use s4_core::{ClientId, ObjectId, UserId};
+
+    fn render(rec: &AuditRecord) -> Alert {
+        Alert::render(rec).expect("a rule raises alerts")
+    }
 
     #[allow(clippy::too_many_arguments)]
     fn rec_at(
@@ -443,9 +403,9 @@ mod tests {
             &mut sink,
         );
         assert_eq!(sink.len(), 1);
-        assert_eq!(sink[0].rule, "append-only-violation");
-        assert_eq!(sink[0].object, ObjectId(9));
-        assert_eq!(sink[0].severity, Severity::Critical);
+        assert_eq!(render(&sink[0]).rule, "append-only-violation");
+        assert_eq!(render(&sink[0]).object, ObjectId(9));
+        assert_eq!(render(&sink[0]).severity, Severity::Critical);
     }
 
     #[test]
@@ -479,7 +439,7 @@ mod tests {
         }
         d.observe(&rec_at(30, 7, 9, OpKind::Write, true, 2, 0, 10), &mut sink);
         assert_eq!(sink.len(), 1);
-        assert_eq!(sink[0].rule, "foreign-client");
+        assert_eq!(render(&sink[0]).rule, "foreign-client");
         // Same (client, object) pair does not repeat-alert.
         d.observe(&rec_at(31, 7, 9, OpKind::Write, true, 2, 0, 10), &mut sink);
         assert_eq!(sink.len(), 1);
@@ -500,7 +460,7 @@ mod tests {
         // Mass in-place overwrite: encrypt-in-place shape. Each object is
         // written, then overwritten; 23 distinct overwrites in the window
         // stay quiet and the 24th fires.
-        let mut overwrite = |o: u64, sink: &mut Vec<Alert>| {
+        let mut overwrite = |o: u64, sink: &mut Vec<AuditRecord>| {
             d.observe(&rec_at(2, 1, 1, OpKind::Write, true, o, 0, 100), sink);
             d.observe(&rec_at(2, 1, 1, OpKind::Write, true, o, 0, 100), sink);
         };
@@ -510,9 +470,9 @@ mod tests {
         assert!(sink.is_empty(), "23 distinct overwrites stay quiet");
         overwrite(223, &mut sink);
         assert_eq!(sink.len(), 1, "the 24th distinct overwrite fires");
-        assert_eq!(sink[0].rule, "ransom-storm");
+        assert_eq!(render(&sink[0]).rule, "ransom-storm");
         assert_eq!(
-            sink[0].message,
+            render(&sink[0]).message,
             "24 distinct objects overwritten or shrunk within 60s"
         );
     }
@@ -539,9 +499,9 @@ mod tests {
             );
         }
         assert_eq!(sink.len(), 1, "alerts once, not per record");
-        assert_eq!(sink[0].rule, "write-rate-spike");
+        assert_eq!(render(&sink[0]).rule, "write-rate-spike");
         assert_eq!(
-            sink[0].message,
+            render(&sink[0]).message,
             "41943040 bytes written in the current 10s window vs baseline 4194304"
         );
 
@@ -581,7 +541,7 @@ mod tests {
             d.observe(&rec_at(s, 6, 6, OpKind::Read, false, 50, 0, 0), &mut sink);
         }
         assert_eq!(sink.len(), 1);
-        assert_eq!(sink[0].rule, "acl-tamper-burst");
+        assert_eq!(render(&sink[0]).rule, "acl-tamper-burst");
     }
 
     #[test]
@@ -593,6 +553,6 @@ mod tests {
         assert!(sink.is_empty());
         d.observe(&rec_at(5, 1, 1, OpKind::Sync, true, 0, 0, 0), &mut sink);
         assert_eq!(sink.len(), 1);
-        assert_eq!(sink[0].rule, "audit-gap");
+        assert_eq!(render(&sink[0]).rule, "audit-gap");
     }
 }

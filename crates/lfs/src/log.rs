@@ -585,6 +585,37 @@ impl<D: BlockDev> Log<D> {
         wanted.ok_or(LfsError::Corrupt("no carried record at address"))
     }
 
+    /// The tag the block at `addr` was appended with — the open batch's,
+    /// or what the summary of the flushed batch holding it records — or
+    /// `None` when no batch of its segment's current life names it. A
+    /// diagnostic: it walks the segment's summaries, a device read each.
+    pub fn tag_of(&self, addr: BlockAddr) -> Result<Option<BlockTag>> {
+        let seg = self.geo.segment_of(self.geo.check(addr)?);
+        let frontier = {
+            let st = self.state.lock();
+            let carried = st.carried.as_ref().map(|r| &r.block);
+            if let Some(p) = st.pending.iter().chain(carried).find(|p| p.addr == addr) {
+                return Ok(Some(p.tag));
+            }
+            let open = (seg == st.seg).then(|| st.batch_start.unwrap_or(st.cursor));
+            open.unwrap_or(self.geo.blocks_per_segment)
+        };
+        let (mut block, mut p) = (vec![0u8; BLOCK_SIZE], 0);
+        while p < frontier {
+            let at = self.geo.addr_of(seg, p);
+            self.dev.read(self.geo.sector_of(at), &mut block)?;
+            let Some(s) = Summary::passing(&self.geo, at, &block) else {
+                break;
+            };
+            let zeros = vec![0; s.entries.len() * BLOCK_SIZE];
+            if let Some(&(_, tag, _)) = s.blocks(&self.geo, &zeros).iter().find(|b| b.0 == addr) {
+                return Ok(Some(tag));
+            }
+            p += 1 + s.entries.len() as u32;
+        }
+        Ok(None)
+    }
+
     /// Reads `n` contiguous blocks starting at `head` in one device
     /// transfer, bypassing the cache (used by the cleaner, whose large
     /// sequential reads the paper's Figure 5 cost model depends on).

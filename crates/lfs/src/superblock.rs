@@ -29,8 +29,9 @@ const SB_BYTES: usize = 96;
 /// Revision 5 keeps one 68-byte audit record per request, with its trace
 /// context and layer times, and no separate trace stream: a revision-4
 /// audit block reads as malformed records and its anchor payload as a
-/// truncated one.
-pub(crate) const FORMAT_VERSION: u32 = 5;
+/// truncated one. Revision 6 files each alert as one audit record and
+/// drops the alert stream with its blocks and its anchor-payload section.
+pub(crate) const FORMAT_VERSION: u32 = 6;
 
 /// Sentinel for "the log has never been anchored".
 pub(crate) const NO_STATE: u64 = u64::MAX;
@@ -220,9 +221,9 @@ mod tests {
     #[test]
     fn an_earlier_format_is_refused_not_skipped() {
         // A revision-1 superblock — same magic and layout, zero padding
-        // where the format revision now lives — and revisions 2 to 4,
+        // where the format revision now lives — and revisions 2 to 5,
         // CRC valid: each refused, by name, beside this build's revision.
-        for revision in [0u32, 2, 3, 4] {
+        for revision in [0u32, 2, 3, 4, 5] {
             let mut old = sample(3).encode();
             old[72..76].copy_from_slice(&revision.to_le_bytes());
             let crc = crc32(&old[8..SB_BYTES]);
@@ -235,7 +236,7 @@ mod tests {
             assert_eq!(err, LfsError::Format(revision));
             let text = err.to_string();
             assert!(
-                text.contains(&format!("revision {revision} ")) && text.contains("revision 5"),
+                text.contains(&format!("revision {revision} ")) && text.contains("revision 6"),
                 "{text}"
             );
         }

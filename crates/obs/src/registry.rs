@@ -42,7 +42,7 @@ impl Gauge {
         self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 

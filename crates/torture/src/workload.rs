@@ -808,11 +808,11 @@ mod tests {
     /// runs agree with each other and with the committed constant. A
     /// change that moves this value changed the on-disk bytes (or made
     /// them depend on something other than the requests) and must say so.
-    /// (Format revision 5: the superblock's revision field, 68-byte
-    /// audit records 60 to a block, and no trace stream.)
+    /// (Format revision 6: the superblock's revision field, and the
+    /// anchor payload without the alert stream's section.)
     #[test]
     fn golden_image_is_one_value_across_runs() {
-        const GOLDEN_IMAGE_HASH: u64 = 0xb7c9_f5b6_1ecd_166b;
+        const GOLDEN_IMAGE_HASH: u64 = 0xe39e_2576_bb27_79d6;
         let cfg = WritePath::bounded(0xB0A710AD);
         let (a, b) = (golden_run(&cfg), golden_run(&cfg));
         assert_eq!(a.image_hash, b.image_hash, "two runs, two images");

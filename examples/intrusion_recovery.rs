@@ -4,8 +4,8 @@
 //! An intruder compromises a client, scrubs the system log, plants a
 //! backdoor, briefly stores an exploit tool, and deletes it. The drive
 //! cannot refuse the requests (they carry valid credentials), but its
-//! online detectors analyse every audited request and persist alerts to
-//! an object only the drive itself can write. The administrator reads
+//! online detectors analyse every audited request and file alerts in the
+//! audit log, which only the drive itself can write. The administrator reads
 //! the alerts, reconstructs the damage with the forensic tools, and
 //! executes a reviewable recovery plan — all without a backup and
 //! without trusting the compromised host.
@@ -37,7 +37,7 @@ fn main() {
 
     // The detectors live behind the security perimeter from day one:
     // every audited request is analysed as it arrives, and alerts land
-    // in the reserved alert object no client credential can modify.
+    // in the audit log, which no client credential can modify.
     install_standard_monitor(&drive);
 
     // The legitimate system: a root user on client 1 sets up /etc and
@@ -118,7 +118,7 @@ fn main() {
     clock.advance(SimDuration::from_secs(7200));
     let alerts = read_alerts(&drive, &admin).unwrap();
     println!(
-        "T2  {} alerts waiting in the drive's alert object:",
+        "T2  {} alerts waiting in the drive's audit log:",
         alerts.len()
     );
     for a in &alerts {

@@ -303,7 +303,7 @@ core      VersionKind           the type of VersionRecord::kind
 core      ResyncObject          returned by S4Drive::reshard_export, taken by reshard_apply
 core      ResyncImage           returned by S4Drive::resync_image, taken by format_from_image
 core      Discrepancy           returned by S4Drive::check_image
-core      ResyncStream          the type of ResyncImage::{audit,alerts}
+core      ResyncStream          the type of ResyncImage::audit
 core      DriveStats            returned by S4Drive::stats
 delta     DeltaError            the error of s4_delta::Result
 delta     DeltaOp               the element type of Delta::ops

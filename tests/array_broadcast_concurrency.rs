@@ -25,7 +25,7 @@ const DELAY: Duration = Duration::from_millis(150);
 struct SleepyObserver;
 
 impl AuditObserver for SleepyObserver {
-    fn on_record(&mut self, rec: &AuditRecord) -> Vec<Vec<u8>> {
+    fn on_record(&mut self, rec: &AuditRecord) -> Vec<AuditRecord> {
         if rec.op == OpKind::Sync {
             std::thread::sleep(DELAY);
         }

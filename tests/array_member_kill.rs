@@ -2,7 +2,7 @@
 //! mirrored 4×2 array while one replica's device dies mid-run. The
 //! clients must see zero errors, the degraded state must surface
 //! through the stats wire (`s4_array_degraded` gauge) and the
-//! tamper-evident alert stream, an online resync must restore full
+//! alerts in the tamper-evident audit log, an online resync must restore full
 //! redundancy, and the merged audit stream — live and again after a
 //! full unmount/remount cycle — must stay a serializable interleaving
 //! of what the clients issued.
@@ -99,7 +99,7 @@ fn member_kill_under_tcp_stress_is_invisible_and_resyncable() {
         .read_alerts_merged(&admin)
         .unwrap()
         .iter()
-        .any(|s| s.record.windows(14).any(|w| w == b"array-degraded"));
+        .any(|s| s.record.rule == "array-degraded");
     assert!(
         degraded_alert,
         "degraded alert missing from the merged stream"

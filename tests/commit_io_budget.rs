@@ -456,3 +456,62 @@ fn reads_write_one_audit_stream_of_fixed_size_records() {
     assert_eq!(streams.len(), n.div_ceil(per_block), "{streams:?}");
     assert!(streams.iter().all(|&o| o == AUDIT_OBJECT.0), "{streams:?}");
 }
+
+/// A `Read` of the audit object reads the blocks its range covers and no
+/// others. The stream is positional — block `i` at byte `i × 4 096`, then
+/// the buffered tail — so a cold one-block read at any offset is one
+/// device read request, and a read of the tail is none.
+#[test]
+fn a_chunk_of_the_audit_log_reads_only_its_blocks() {
+    let (dev, trace) = traced_disk();
+    let config = DriveConfig::small_test();
+    let drive = S4Drive::format(dev, config, clock()).unwrap();
+    let oid = settled_object(&drive, std::slice::from_ref(&trace));
+    let read = Request::Read {
+        oid,
+        offset: 0,
+        len: 64,
+        time: None,
+    };
+    for _ in 0..650 {
+        drive.handle(&user(), &read).unwrap();
+    }
+    // An orderly remount: every audit block anchored, none cached.
+    let drive = S4Drive::mount(drive.unmount().unwrap(), config, clock()).unwrap();
+    let admin = RequestContext::admin(ClientId(0), config.admin_token);
+    let chunk = |offset, len| {
+        let req = Request::Read {
+            oid: AUDIT_OBJECT,
+            offset,
+            len,
+            time: None,
+        };
+        match drive.handle(&admin, &req).unwrap() {
+            Response::Data(d) => d,
+            other => panic!("unexpected {other:?}"),
+        }
+    };
+    let b = BLOCK_SIZE as u64;
+    let mut got = Vec::new();
+    for (offset, len, reads) in [
+        (0, b, 1),
+        (5 * b + 1000, 64, 1),
+        (9 * b + 4000, 96, 1),
+        (2 * b + 4000, 200, 2),
+        (u64::MAX, 64, 0),
+    ] {
+        trace.clear();
+        got.push((offset, len, chunk(offset, len)));
+        assert_eq!(trace.reads(), reads, "offset {offset} len {len}");
+    }
+    // The tail: the records appended since the remount, read from memory.
+    let whole = chunk(0, u64::MAX);
+    trace.clear();
+    assert_eq!(chunk(whole.len() as u64 - 68, 68).len(), 68);
+    assert_eq!(trace.reads(), 0, "the tail is in memory");
+    for (offset, len, bytes) in got {
+        let start = (offset as usize).min(whole.len());
+        let end = (start + len as usize).min(whole.len());
+        assert_eq!(bytes, whole[start..end], "offset {offset} len {len}");
+    }
+}

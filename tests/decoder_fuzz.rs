@@ -23,10 +23,10 @@ use std::sync::Arc;
 
 use s4_clock::{HybridTimestamp, SimDuration, SimTime};
 use s4_core::{
-    AclEntry, AclTable, AuditRecord, AuditState, ClientId, ObjectId, OpKind, Perm, Request,
-    RequestContext, Response, TraceCtx, UserId,
+    AclEntry, AclTable, AlertRule, AuditRecord, AuditState, ClientId, ObjectId, OpKind, Perm,
+    Request, RequestContext, Response, TraceCtx, UserId, PHASE_ALERT,
 };
-use s4_detect::{dirblob, Alert, Severity};
+use s4_detect::dirblob;
 use s4_fs::{RpcHandler, TcpServerHandle};
 use s4_journal::{
     decode_sector, encode_sectors, txn, JournalEntry, ObjectMeta, PtrChange, TxnRecord,
@@ -175,6 +175,11 @@ fn audit_record(i: u64) -> AuditRecord {
     }
 }
 
+/// The storm rule's alert on record 2 (untraced): 24 objects.
+fn alert_record() -> AuditRecord {
+    AuditRecord::alert(&audit_record(2), AlertRule::RansomStorm, 24, 0)
+}
+
 fn encoded(r: &AuditRecord) -> Vec<u8> {
     let mut out = Vec::new();
     r.encode_into(&mut out);
@@ -276,15 +281,6 @@ fn targets() -> Vec<(&'static str, Decoder, Vec<Vec<u8>>)> {
         let mut buf = Vec::new();
         (0..5).for_each(|i| audit_record(i).encode_into(&mut buf));
         buf
-    };
-    let alert = Alert {
-        time: SimTime::from_secs(3),
-        severity: Severity::Critical,
-        rule: "append-only-violation".into(),
-        user: UserId(7),
-        client: ClientId(66),
-        object: ObjectId(40),
-        message: "log truncated".into(),
     };
     let dir = dirblob::encode(&[
         ("etc".into(), 5, dirblob::EntryKind::Dir),
@@ -407,7 +403,11 @@ fn targets() -> Vec<(&'static str, Decoder, Vec<Vec<u8>>)> {
         (
             "AuditRecord::decode",
             |b| AuditRecord::decode(b).ok().map(|r| encoded(&r)),
-            vec![encoded(&audit_record(0)), encoded(&audit_record(1))],
+            vec![
+                encoded(&audit_record(0)),
+                encoded(&audit_record(1)),
+                encoded(&alert_record()),
+            ],
         ),
         (
             "AuditState::decode_block",
@@ -418,11 +418,6 @@ fn targets() -> Vec<(&'static str, Decoder, Vec<Vec<u8>>)> {
                 Some(out)
             },
             vec![audit_block],
-        ),
-        (
-            "Alert::decode",
-            |b| Alert::decode(b).ok().map(|a| a.encode()),
-            vec![alert.encode()],
         ),
         (
             "dirblob::decode",
@@ -509,13 +504,15 @@ fn every_decoder_returns_on_fixed_seeds() {
 
 /// The audit-block decoder over hostile blocks, answer by answer: a cut
 /// leaves the whole records before it, an op byte 0 ends the block,
-/// and an unknown op, an `ok` byte past 1, or an origin or phase on an
-/// untraced record fails the block. A single record's mutations reach
-/// the record and the block decoder alike, and both answer the same.
+/// and an unknown op, an `ok` byte past 1, an alert naming no known
+/// rule, or an origin or phase on any other untraced record fails the
+/// block. A single record's mutations reach the record and the block
+/// decoder alike, and both answer the same.
 #[test]
 fn audit_blocks_answer_hostile_bytes_as_the_drive_wrote_them() {
     const N: usize = s4_core::audit::RECORD_BYTES;
-    let records: Vec<AuditRecord> = (0..6).map(audit_record).collect();
+    let mut records: Vec<AuditRecord> = (0..6).map(audit_record).collect();
+    records.push(alert_record());
     let block: Vec<u8> = records.iter().flat_map(encoded).collect();
     let decode = |b: &[u8]| AuditState::decode_block(b);
     for cut in 0..=block.len() {
@@ -549,8 +546,21 @@ fn audit_blocks_answer_hostile_bytes_as_the_drive_wrote_them() {
             }
         }
     }
+    // The alert (untraced, as its trigger): its origin byte names a rule,
+    // and only a known one decodes; under any other phase its nonzero
+    // origin is what an untraced record never carries.
+    let alert = records.len() - 1;
+    for origin in 0..=u8::MAX {
+        let known = AlertRule::ALL.iter().any(|&r| r as u8 == origin);
+        let answer = decode(&with(alert * N + 18, origin));
+        assert_eq!(answer.is_ok(), known, "rule code {origin}");
+    }
+    for phase in (0..=u8::MAX).filter(|&p| p != PHASE_ALERT) {
+        let answer = decode(&with(alert * N + 19, phase));
+        assert!(answer.is_err(), "untraced phase {phase} with an origin");
+    }
     let mut rng = Rng::new(0x5345_4355_5245_5334);
-    for r in &records[..2] {
+    for r in [&records[0], &records[1], &records[alert]] {
         for (what, bytes) in mutations(&encoded(r), &mut rng) {
             let as_block = decode(&bytes);
             let expect = match AuditRecord::decode(&bytes) {

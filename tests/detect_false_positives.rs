@@ -3,7 +3,7 @@
 //! is a heavy but entirely honest workload — creates, appends, reads,
 //! and deletes from a single client. Running it through the standard
 //! detector set must raise **zero** alerts; anything else would make
-//! the alert object useless noise in production.
+//! its alerts useless noise in production.
 
 use std::sync::Arc;
 

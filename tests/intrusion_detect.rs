@@ -104,8 +104,11 @@ fn section2_intrusion_is_detected_and_recovered() {
         alerts.iter().all(|a| a.client == ClientId(66)),
         "honest activity flagged: {alerts:?}"
     );
-    // The offline audit sweep agrees with the online monitor.
+    // The offline audit sweep agrees with the online monitor, field for
+    // field: the alerts the drive filed render to what the rules compute
+    // over the same requests, message included.
     let offline = scan_audit(&drive, &admin).unwrap();
+    assert_eq!(offline, alerts);
     assert_eq!(
         offline
             .iter()

@@ -67,7 +67,6 @@ fn exposition_reports_per_layer_latency_and_gauges() {
         "s4_detection_window_headroom_days",
         "s4_journal_depth",
         "s4_audit_object_blocks",
-        "s4_alert_object_blocks",
     ] {
         assert!(
             text.contains(needle),
