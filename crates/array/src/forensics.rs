@@ -62,10 +62,10 @@ impl<D: BlockDev + 'static> S4Array<D> {
 
     /// Do the mirrors agree? Compares the in-sync members of every
     /// shard — live-object set, [`S4Drive::object_digest`] per object,
-    /// the identity of the audit records of mutations, and alerts (a
-    /// read is served and audited by one member only, and each member
-    /// times its own work, so neither is part of what replicas share) —
-    /// and names the first difference with the fields that differ.
+    /// and the identity of the audit records of mutations — and names
+    /// the first difference with the fields that differ. Reads, layer
+    /// times and alerts are each member's own: a read is served, audited
+    /// and watched by one member only, and each member times its work.
     pub fn check_mirrors(&self, admin: &RequestContext) -> Result<(), String> {
         for (s, states) in self.member_states().iter().enumerate() {
             let in_sync: Vec<usize> = (0..states.len())

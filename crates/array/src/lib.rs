@@ -40,7 +40,7 @@
 //!   a live array splits from `N` to `2N` shards one residue class at a
 //!   time, with the history pool serving as the migration mechanism and
 //!   only a brief per-shard quiesce at the flip
-//!   ([`reshard`], DESIGN §6h).
+//!   ([`split_shard`], [`double_array`], DESIGN §6h).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +51,7 @@ mod epoch;
 mod flip;
 mod forensics;
 mod metrics;
-pub mod reshard;
+mod reshard;
 mod router;
 mod shard;
 mod transport;

@@ -30,7 +30,7 @@
 
 use std::collections::BTreeSet;
 
-use s4_core::audit::OpKind;
+use s4_core::OpKind;
 use s4_core::{
     ClientId, ObjectId, RequestContext, S4Drive, S4Error, TraceCtx, TraceIdGen, PHASE_CATCHUP,
 };

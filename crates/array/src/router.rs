@@ -13,7 +13,7 @@
 //! reserved ID routes to shard 0 by convention, while the admin plane
 //! reads every shard's copy and merges (see `forensics`).
 
-use s4_core::rpc::LAST_CREATED;
+use s4_core::LAST_CREATED;
 use s4_core::{ObjectId, Request, S4Error};
 
 use crate::epoch::EpochInfo;

@@ -434,10 +434,10 @@ impl<D: BlockDev> Shard<D> {
 /// A freshly resynced replica copied its source's audit log byte for
 /// byte: `whole_streams` compares it entire, layer times, protocol steps
 /// and alerts included. Two running members share only what was fanned
-/// out to both — a read is served, so audited, by one member, and a
-/// record's layer times are that member's own measurement — so they
-/// compare the identity of the requests' records of mutations
-/// ([`s4_core::AuditRecord::identity`]), and alerts.
+/// out to both — a read is served by one member, which alone audits it
+/// and runs its detectors over it, and a record's layer times are that
+/// member's own measurement — so they compare only the identity of the
+/// requests' records of mutations ([`s4_core::AuditRecord::identity`]).
 pub(crate) fn first_difference<D: BlockDev>(
     a: &S4Drive<D>,
     b: &S4Drive<D>,
@@ -488,9 +488,6 @@ pub(crate) fn first_difference<D: BlockDev>(
     if i < x.len().max(y.len()) {
         let diff = format!("audit record {i}: {:?} vs {:?}", x.get(i), y.get(i));
         return Ok(Some((AUDIT_OBJECT, diff)));
-    }
-    if a.read_alerts(admin)? != b.read_alerts(admin)? {
-        return Ok(Some((AUDIT_OBJECT, "alerts differ".to_string())));
     }
     Ok(None)
 }

@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use s4_clock::{NetworkModel, SimClock};
 use s4_core::{Request, RequestContext, Response};
+use s4_fs::call_in_process;
 use s4_fs::server::FsResult;
-use s4_fs::transport::call_in_process;
 use s4_fs::Transport;
 use s4_simdisk::BlockDev;
 

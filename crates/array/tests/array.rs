@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use s4_array::{shard_of, ArrayConfig, ArrayTransport, S4Array};
 use s4_clock::{NetworkModel, SimClock, SimDuration};
-use s4_core::rpc::LAST_CREATED;
+use s4_core::LAST_CREATED;
 use s4_core::{
     AclEntry, ClientId, DriveConfig, ObjectId, OpKind, Perm, Request, RequestContext, Response,
     S4Error, UserId, PARTITION_OBJECT,

@@ -575,3 +575,26 @@ fn mirrors_agree_on_timed_disks_through_every_fan_out_user() {
     let (a, _) = S4Array::mount(devices, cfg, mirrored(2), clock).unwrap();
     assert_mirrors_converged(&a);
 }
+
+/// A read is served, so audited and watched, by one member only: the
+/// detectors of two healthy mirrors see different streams, and an alert
+/// one of them raises is no divergence.
+#[test]
+fn an_alert_one_member_raises_is_no_divergence() {
+    let clock = SimClock::new();
+    let a = array_with_plans(1, 2, &clock, vec![FaultPlan::none(); 2]);
+    for m in 0..2 {
+        s4_detect::install_standard_monitor(&a.member_drive(0, m));
+    }
+    let missing = Request::Read {
+        oid: ObjectId(999),
+        offset: 0,
+        len: 16,
+        time: None,
+    };
+    for _ in 0..6 {
+        assert!(a.dispatch(&user(), &missing).is_err());
+    }
+    assert!(has_alert(&a, "acl-tamper-burst"));
+    assert_mirrors_converged(&a);
+}

@@ -6,7 +6,7 @@
 
 use s4_array::{ArrayConfig, BatchOutcome, S4Array};
 use s4_clock::{SimClock, SimDuration};
-use s4_core::rpc::LAST_CREATED;
+use s4_core::LAST_CREATED;
 use s4_core::{
     AuditObserver, AuditRecord, ClientId, DriveConfig, ObjectId, OpKind, Request, RequestContext,
     Response, S4Error, UserId,

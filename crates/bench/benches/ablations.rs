@@ -21,8 +21,8 @@ use s4_core::DriveConfig;
 use s4_fs::{LoopbackTransport, S4FileServer};
 use s4_lfs::LogConfig;
 use s4_simdisk::{MemDisk, TimedDisk};
-use s4_workloads::micro::{micro_benchmark, MicroConfig};
 use s4_workloads::postmark::{self, PostmarkConfig};
+use s4_workloads::{micro_benchmark, MicroConfig};
 use s4_workloads::{replay, FsOp};
 
 fn build(dconf: DriveConfig) -> S4FileServer<LoopbackTransport<TimedDisk<MemDisk>>> {

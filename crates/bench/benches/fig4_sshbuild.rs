@@ -9,7 +9,7 @@
 //! disk writes in `BENCH_fig4.json` (the workload does not scale).
 
 use s4_bench::{banner, run_phases, secs, Record, SystemKind};
-use s4_workloads::sshbuild::{sshbuild_phases, SshBuildConfig};
+use s4_workloads::{sshbuild_phases, SshBuildConfig};
 
 fn main() {
     let config = SshBuildConfig::default();

@@ -14,9 +14,9 @@ use s4_clock::SimDuration;
 use s4_core::DriveConfig;
 use s4_fs::{LoopbackTransport, S4FileServer};
 use s4_simdisk::{MemDisk, TimedDisk};
-use s4_workloads::micro::{micro_benchmark, MicroConfig};
 use s4_workloads::postmark::{self, PostmarkConfig};
 use s4_workloads::replay;
+use s4_workloads::{micro_benchmark, MicroConfig};
 
 fn build(audit: bool, cache_blocks: usize) -> S4FileServer<LoopbackTransport<TimedDisk<MemDisk>>> {
     let mut dconf = DriveConfig {

@@ -14,7 +14,7 @@
 //!   synthetic daily-evolving source tree (standing in for the paper's
 //!   CVS checkouts).
 
-use s4_delta::chain::ChainMode;
+use s4_delta::ChainMode;
 use s4_delta::DeltaChain;
 use s4_workloads::{SourceTree, WorkloadProfile};
 

@@ -35,10 +35,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod hybrid;
-pub mod models;
+mod hybrid;
+mod models;
 pub mod sync;
-pub mod time;
+mod time;
 
 pub use hybrid::{HybridClock, HybridTimestamp};
 pub use models::{CpuModel, NetworkModel};

@@ -20,7 +20,7 @@ impl SimTime {
 
     /// The greatest representable instant; used as an "end of time" sentinel
     /// (e.g. the upper bound of the version that is currently live).
-    pub const MAX: SimTime = SimTime(u64::MAX);
+    pub(crate) const MAX: SimTime = SimTime(u64::MAX);
 
     /// Builds an instant from whole microseconds.
     pub const fn from_micros(us: u64) -> Self {

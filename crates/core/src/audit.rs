@@ -6,7 +6,7 @@
 //! be written by the drive front end, it need not be versioned."
 //!
 //! This module is the record codec; buffering, block spill and recovery
-//! are the reserved-stream mechanism in [`crate::reserved`]. An alert is
+//! are the reserved-stream mechanism in `reserved`. An alert is
 //! a record of this stream too ([`AuditRecord::alert`]).
 
 use s4_clock::SimTime;
@@ -45,7 +45,7 @@ pub enum OpKind {
 
 impl OpKind {
     /// Every kind, in code order: `ALL[k as usize - 1] == k`.
-    pub const ALL: [OpKind; 19] = {
+    pub(crate) const ALL: [OpKind; 19] = {
         use OpKind::*;
         [
             Create,
@@ -330,7 +330,7 @@ impl AuditRecord {
 }
 
 /// Codec for audit block payloads. (The stream's block list and tail
-/// buffer are the [`crate::reserved`] stream.)
+/// buffer are the `reserved` stream.)
 pub struct AuditState;
 
 impl AuditState {

@@ -22,7 +22,7 @@
 //! helpers every operation is built from (`with_object`, `commit`,
 //! `converge`, `version_for`, the extent read/write path). The
 //! operations are further `impl S4Drive` blocks in `ops`, `image`,
-//! `expiry`, `persist`, `txn`, `recovery` and [`crate::reserved`], each
+//! `expiry`, `persist`, `txn`, `recovery` and `reserved`, each
 //! beside the state it works on; DESIGN §5 has the module map.
 
 use std::collections::BTreeMap;

@@ -10,20 +10,22 @@
 //!
 //! This crate is the drive itself:
 //!
-//! * [`ids`] — object/user/client identifiers and the per-request context.
-//! * [`acl`] — per-object ACL table with the paper's **Recovery flag**
-//!   (who may read an object's history-pool versions).
-//! * [`audit`] — audit records and the reserved, drive-written-only audit
-//!   object (§4.2.3), alerts included.
+//! * `ids` — object/user/client identifiers ([`ObjectId`], [`UserId`],
+//!   [`ClientId`]) and the per-request context ([`RequestContext`]).
+//! * `acl` — per-object ACL table ([`AclTable`]) with the paper's
+//!   **Recovery flag** (who may read an object's history-pool versions).
+//! * `audit` — audit records ([`AuditRecord`]) and the reserved,
+//!   drive-written-only audit object (§4.2.3), alerts included.
 //! * `object` — the object table: journal-based metadata per object,
 //!   checkpoints, sector chains, delta encodings and landmarks.
-//! * [`throttle`] — history-pool abuse detection and per-client
-//!   throttling (§3.3's hybrid answer to space-exhaustion attacks).
-//! * [`drive`] — [`S4Drive`]: format/mount/recovery, the internal
+//! * `throttle` — history-pool abuse detection and per-client
+//!   throttling ([`ThrottleConfig`], §3.3's answer to space exhaustion).
+//! * `drive` — [`S4Drive`]: format/mount/recovery, the internal
 //!   operation implementations, version expiry, and cleaner integration.
-//! * [`rpc`] — the Table-1 RPC request/response types, their wire codec,
-//!   and the authenticated dispatch entry point.
-//! * [`stats`] — operation counters exposed to the benchmarks.
+//! * `rpc` — the Table-1 RPC request/response types ([`Request`],
+//!   [`Response`]), their wire codec, and the authenticated dispatch
+//!   entry point.
+//! * `stats` — operation counters for the benchmarks ([`DriveStats`]).
 //!
 //! [`S4Drive::dispatch`] is the audited front door — every request
 //! (including denials) lands in the audit log. The `op_*` methods are the
@@ -60,12 +62,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod acl;
-pub mod audit;
+mod acl;
+mod audit;
 pub mod codec;
-pub mod drive;
+mod drive;
 mod expiry;
-pub mod ids;
+mod ids;
 mod image;
 mod ledger;
 mod object;
@@ -73,17 +75,17 @@ mod ops;
 mod packed;
 mod persist;
 mod recovery;
-pub mod reserved;
-pub mod rpc;
-pub mod stats;
-pub mod throttle;
+mod reserved;
+mod rpc;
+mod stats;
+mod throttle;
 mod txn;
 
 pub use acl::{AclEntry, AclTable, Perm};
-pub use audit::{AlertRule, AuditRecord, AuditState, OpKind};
+pub use audit::{AlertRule, AuditRecord, AuditState, OpKind, RECORD_BYTES};
 pub use drive::{
-    AuditObserver, DriveConfig, RecoveryReport, ResyncImage, ResyncObject, S4Drive, VersionKind,
-    VersionRecord, AUDIT_OBJECT, PARTITION_OBJECT,
+    AuditObserver, DriveConfig, ObjectAttrs, RecoveryReport, ResyncImage, ResyncObject, S4Drive,
+    VersionKind, VersionRecord, AUDIT_OBJECT, PARTITION_OBJECT,
 };
 pub use ids::{
     ClientId, ObjectId, RequestContext, TraceCtx, TraceIdGen, UserId, PHASE_ALERT, PHASE_APPLY,
@@ -91,7 +93,7 @@ pub use ids::{
 };
 pub use ledger::Discrepancy;
 pub use reserved::{ResyncStream, StreamCursor};
-pub use rpc::{Request, Response};
+pub use rpc::{Request, Response, LAST_CREATED};
 pub use stats::{DriveStats, StatsSnapshot};
 pub use throttle::ThrottleConfig;
 

@@ -515,7 +515,7 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 
 /// The wire tag of a [`Request::Batch`]. Every other request is tagged
 /// with its [`OpKind`] code, the byte its audit record carries.
-pub const BATCH_TAG: u8 = 0x80;
+const BATCH_TAG: u8 = 0x80;
 
 impl Request {
     /// Serializes the request for a transport: its tag, then its fields.

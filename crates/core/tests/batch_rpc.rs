@@ -2,7 +2,7 @@
 //! placeholder, per-sub-request auditing, and failure behavior.
 
 use s4_clock::{SimClock, SimDuration};
-use s4_core::rpc::LAST_CREATED;
+use s4_core::LAST_CREATED;
 use s4_core::{
     ClientId, DriveConfig, ObjectId, Request, RequestContext, Response, S4Drive, S4Error, UserId,
 };

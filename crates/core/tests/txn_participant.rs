@@ -3,7 +3,7 @@
 //! and in-doubt recovery across a crash.
 
 use s4_clock::{SimClock, SimDuration, SimTime};
-use s4_core::rpc::LAST_CREATED;
+use s4_core::LAST_CREATED;
 use s4_core::{
     ClientId, DriveConfig, ObjectId, Request, RequestContext, Response, S4Drive, S4Error, UserId,
 };

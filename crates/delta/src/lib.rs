@@ -12,10 +12,10 @@
 //! detection window to 50–470 days (Figure 7). This crate implements
 //! both technologies from scratch:
 //!
-//! * [`xdelta`] — a rolling-hash copy/insert differencer in the spirit of
+//! * [`diff`] / [`apply`] — a rolling-hash copy/insert differencer in the spirit of
 //!   Xdelta (MacDonald), with a byte-stable binary encoding.
-//! * [`lzss`] — LZ77/LZSS compression with a 4 KiB window.
-//! * [`chain`] — reverse delta chains: newest version stored whole, each
+//! * [`compress`] / [`decompress`] — LZ77/LZSS compression with a 4 KiB window.
+//! * [`DeltaChain`] — reverse delta chains: newest version stored whole, each
 //!   older version as a delta against its successor, exactly how the S4
 //!   cleaner would repack expired-adjacent history.
 //!
@@ -41,11 +41,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chain;
-pub mod lzss;
-pub mod xdelta;
+mod chain;
+mod lzss;
+mod xdelta;
 
-pub use chain::DeltaChain;
+pub use chain::{ChainMode, DeltaChain};
 pub use lzss::{compress, decompress};
 pub use xdelta::{apply, diff, Delta, DeltaOp};
 
@@ -72,4 +72,4 @@ impl fmt::Display for DeltaError {
 impl std::error::Error for DeltaError {}
 
 /// Result alias for delta operations.
-pub type Result<T> = std::result::Result<T, DeltaError>;
+pub(crate) type Result<T> = std::result::Result<T, DeltaError>;

@@ -17,9 +17,9 @@ use s4_simdisk::BlockDev;
 use crate::dirblob::{self, EntryKind};
 
 // ---------------------------------------------------------------------
-// Damage report (§3.6). It lives here, not in `s4_fs::tools`:
-// diagnosis is drive-level work and must not require a file-server
-// mount.
+// Damage report (§3.6). It lives here, not beside `s4-fs`'s
+// time-enhanced tools: diagnosis is drive-level work and must not
+// require a file-server mount.
 // ---------------------------------------------------------------------
 
 /// The outcome of an audit-log damage analysis.
@@ -218,7 +218,7 @@ pub struct TreeNode {
 /// (`None` = now), returning `path -> node` with `/`-joined relative
 /// paths. Entries whose target object cannot be read are still listed
 /// (with zero size); unreadable subdirectories are not descended into.
-pub fn tree_at<D: BlockDev>(
+pub(crate) fn tree_at<D: BlockDev>(
     drive: &S4Drive<D>,
     ctx: &RequestContext,
     root: ObjectId,

@@ -8,9 +8,8 @@
 //! compromised. This crate is the machinery that *exploits* that vantage
 //! point, in three layers:
 //!
-//! * **Detection** ([`detector`]) — streaming analytics over
-//!   the drive-written audit log (§4.2.3). The standard rule set
-//!   ([`DetectorSet`]) consumes [`AuditRecord`](s4_core::AuditRecord)s
+//! * **Detection** — streaming analytics over the drive-written audit
+//!   log (§4.2.3). The standard rule set ([`DetectorSet`]) consumes [`AuditRecord`](s4_core::AuditRecord)s
 //!   one at a time; its rules flag the §2 intrusion shapes: scrubbing an
 //!   append-only log, bursts of ACL/attribute tampering, mass overwrite
 //!   storms (the ransomware shape), write-rate spikes, a known user
@@ -20,13 +19,14 @@
 //!   [`install_standard_monitor`], with each alert filed as one record of
 //!   the drive-written audit log itself, which the intruder can neither
 //!   suppress nor rewrite; [`read_alerts`] puts those records in words.
-//! * **Forensics** ([`forensics`]) — given an intrusion time `T`,
-//!   reconstruct what happened: per-object tamper timelines merging the
-//!   journal's version history with the audit stream, namespace tree diffs
-//!   between `T` and now, and the §3.6 damage report (reads, writes,
-//!   and crude taint propagation for a suspect principal).
-//! * **Recovery** ([`recovery`]) — turn the forensic picture into a
-//!   reviewable [`RecoveryPlan`]: restore tampered objects to their
+//! * **Forensics** — given an intrusion time `T`, reconstruct what
+//!   happened: per-object tamper timelines ([`object_timeline`]) merging
+//!   the journal's version history with the audit stream, namespace tree
+//!   diffs between `T` and now ([`tree_diff`]), and the §3.6 damage
+//!   report ([`damage_report`]: reads, writes, and crude taint
+//!   propagation for a suspect principal).
+//! * **Recovery** — turn the forensic picture into a reviewable
+//!   [`RecoveryPlan`] ([`plan_recovery`]): restore tampered objects to their
 //!   pre-intrusion versions, undelete destroyed ones, remove planted
 //!   ones (landmark-pinned first, as evidence), and quarantine
 //!   already-deleted exploit tools. [`execute_plan_on`] applies it
@@ -44,10 +44,10 @@
 #![warn(missing_docs)]
 
 mod alert;
-pub mod detector;
+mod detector;
 pub mod dirblob;
-pub mod forensics;
-pub mod recovery;
+mod forensics;
+mod recovery;
 mod rules;
 mod timeline;
 
@@ -55,8 +55,8 @@ pub use alert::{Alert, Severity};
 pub use detector::{install_standard_monitor, read_alerts, scan_audit, DetectorSet};
 pub use forensics::{
     assemble_traces, audit_coverage, damage_report, object_timeline, render_trace_tree,
-    slowest_traces, tree_at, tree_diff, CoverageReport, DamageReport, TimelineEvent,
-    TimelineSource, TraceSpan, TraceTree, TreeDiff, TreeNode,
+    slowest_traces, tree_diff, CoverageReport, DamageReport, TimelineEvent, TimelineSource,
+    TraceSpan, TraceTree, TreeDiff, TreeNode,
 };
 pub use recovery::{
     execute_plan_on, plan_recovery, PlannedAction, RecoveryAction, RecoveryPlan, RecoveryReport,

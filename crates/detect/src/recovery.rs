@@ -12,8 +12,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use s4_clock::SimTime;
-use s4_core::drive::ObjectAttrs;
-use s4_core::rpc::LAST_CREATED;
+use s4_core::ObjectAttrs;
+use s4_core::LAST_CREATED;
 use s4_core::{
     AclEntry, AuditRecord, ClientId, ObjectId, OpKind, Request, RequestContext, Response, S4Drive,
     S4Error,

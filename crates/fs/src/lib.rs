@@ -12,15 +12,15 @@
 //! * [`server`] — the transport-agnostic [`FileServer`] trait all
 //!   benchmarked systems implement (S4 and the baselines), mirroring the
 //!   NFSv2 operation set.
-//! * [`s4fs`] — [`S4FileServer`], the S4 client translator, including
+//! * [`S4FileServer`] — the S4 client translator, including
 //!   time-travel variants of the read operations.
-//! * [`transport`] — the [`Transport`] abstraction plus the in-process
+//! * [`Transport`] — the transport abstraction, plus the in-process
 //!   [`LoopbackTransport`] that charges the network cost model.
-//! * [`tcp`] — a real framed-TCP transport and server for the S4 RPC
-//!   protocol.
-//! * [`tools`] — §3.6's "time-enhanced" administrative utilities
-//!   (`ls`/`cat` at a point in time, file restoration from the history
-//!   pool).
+//! * [`TcpTransport`] and [`TcpServerHandle`] — a real framed-TCP
+//!   transport and server for the S4 RPC protocol.
+//! * [`ls_at`], [`read_file_at`], [`restore_file`] — §3.6's
+//!   "time-enhanced" administrative utilities (`ls`/`cat` at a point in
+//!   time, file restoration from the history pool).
 //!
 //! The directory-object format the translator reads and writes is
 //! `s4_detect::dirblob` (see there for why it lives on that side).
@@ -28,14 +28,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod s4fs;
+mod s4fs;
 pub mod server;
-pub mod tcp;
-pub mod tools;
-pub mod transport;
+mod tcp;
+mod tools;
+mod transport;
 
 pub use s4fs::{S4FileServer, S4FsConfig};
 pub use server::{FileAttr, FileKind, FileServer, FsError, FsResult, Handle};
 pub use tcp::{RpcHandler, TcpServerHandle, TcpTransport};
 pub use tools::{ls_at, read_file_at, restore_file, split_path, write_file};
-pub use transport::{LoopbackTransport, Transport};
+pub use transport::{call_in_process, LoopbackTransport, Transport};

@@ -9,8 +9,8 @@
 //! Request payload: `user:u32 || client:u32 || has_token:u8 (0 or 1) ||
 //! token:u64 || trace_id:u64 || origin:u8 || phase:u8 ||
 //! Request::encode()`, whose first byte is the request's tag: its
-//! `OpKind` code, the byte its audit record carries (1–21), or
-//! `s4_core::rpc::BATCH_TAG` (0x80) for a batch, whose sub-requests are
+//! `OpKind` code, the byte its audit record carries (1–19), or
+//! the batch tag 0x80 for a batch, whose sub-requests are
 //! length-prefixed encodings of their own. Response payload:
 //! `status:u8 || body` — status 0
 //! and `Response::encode()` on success; on failure the status is the
@@ -439,7 +439,7 @@ mod tests {
         assert_eq!(err, FsError::Denied);
 
         // Batched RPCs cross the wire as one exchange.
-        use s4_core::rpc::LAST_CREATED;
+        use s4_core::LAST_CREATED;
         match t
             .call(
                 &ctx,

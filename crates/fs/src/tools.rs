@@ -14,7 +14,7 @@
 //!   (§3.3).
 //!
 //! Intrusion diagnosis over the audit log (the damage report) is
-//! drive-level work and lives in `s4_detect::forensics`.
+//! drive-level work and lives in `s4-detect` ([`s4_detect::damage_report`]).
 
 use s4_clock::SimTime;
 
@@ -32,8 +32,7 @@ pub fn split_path(path: &str) -> (&str, &str) {
 /// Note: this is the *file-server-side* view (it resolves `path`
 /// through a mounted [`S4FileServer`]). For drive-side forensics
 /// without a file-server mount — historical namespace walks and tree
-/// diffs by object id — use [`s4_detect::forensics::tree_at`] and
-/// [`s4_detect::forensics::tree_diff`] instead.
+/// diffs by object id — use [`s4_detect::tree_diff`] instead.
 pub fn ls_at<T: Transport>(
     fs: &S4FileServer<T>,
     path: &str,

@@ -12,22 +12,22 @@
 //! metadata can then be recreated by replaying entries from the nearest
 //! checkpoint.
 //!
-//! Modules:
+//! The API:
 //!
-//! * [`entry`] — the journal entry types and their binary codec.
-//! * [`sector`] — packing entries into chained journal-sector blocks.
-//! * [`meta`] — the object metadata record ([`ObjectMeta`]) and its
-//!   checkpoint codec.
-//! * [`replay`] — undo/redo of entries over a metadata record, and
-//!   point-in-time reconstruction.
+//! * [`JournalEntry`] — the journal entry types and their binary codec.
+//! * [`encode_sectors`] / [`decode_sector`] — packing entries into
+//!   chained journal-sector blocks.
+//! * [`ObjectMeta`] — the object metadata record and its checkpoint codec.
+//! * [`undo`] / [`redo`] of entries over a metadata record, and
+//!   point-in-time reconstruction ([`UndoWalk`], [`reconstruct_at`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod entry;
-pub mod meta;
-pub mod replay;
-pub mod sector;
+mod entry;
+mod meta;
+mod replay;
+mod sector;
 pub mod txn;
 
 pub use entry::{JournalEntry, PtrChange, MAX_PTR_CHANGES};
@@ -62,4 +62,4 @@ impl From<s4_lfs::codec::Malformed> for JournalError {
 }
 
 /// Result alias for journal operations.
-pub type Result<T> = std::result::Result<T, JournalError>;
+pub(crate) type Result<T> = std::result::Result<T, JournalError>;

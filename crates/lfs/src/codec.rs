@@ -25,9 +25,9 @@
 //! **What stays hand-indexed, and why.** `s4-delta`'s `xdelta`/`lzss`
 //! decoders: the crate depends on nothing, so the cursor is out of its
 //! reach. [`crate::crc`]: checksum kernels, not
-//! decoders. The four-byte frame length in `s4_fs::tcp`: a fixed array read
-//! whole from the socket. `scripts/verify.sh` fails on a hand-indexed
-//! little-endian read anywhere else outside tests.
+//! decoders. The four-byte frame length in `s4-fs`'s TCP transport: a
+//! fixed array read whole from the socket. `scripts/verify.sh` fails on a
+//! hand-indexed little-endian read anywhere else outside tests.
 
 use s4_clock::{HybridTimestamp, SimTime};
 

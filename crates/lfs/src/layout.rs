@@ -10,7 +10,7 @@ use crate::{LfsError, Result};
 pub const BLOCK_SIZE: usize = 4096;
 
 /// Sectors per log block.
-pub const SECTORS_PER_BLOCK: u64 = (BLOCK_SIZE / SECTOR_SIZE) as u64;
+const SECTORS_PER_BLOCK: u64 = (BLOCK_SIZE / SECTOR_SIZE) as u64;
 
 /// Index of a segment within the data area.
 pub(crate) type SegmentId = u32;

@@ -7,18 +7,19 @@
 //! the paper). This crate implements that layout over any
 //! [`s4_simdisk::BlockDev`]:
 //!
-//! * [`layout`] — geometry, block addressing, block kinds and tags.
-//! * [`superblock`] — dual-copy checksummed superblock with the log anchor.
+//! * [`Geometry`], [`BlockAddr`], [`BlockKind`], [`BlockTag`] — geometry,
+//!   block addressing, block kinds and tags.
+//! * [`Superblock`] — dual-copy checksummed superblock with the log anchor.
 //! * [`summary`] — partial-segment summary blocks, chained by epoch, that
 //!   describe every block appended to the log.
-//! * [`log`] — the [`Log`]: buffered append, flush (one sequential write
+//! * [`Log`] — buffered append, flush (one sequential write
 //!   per batch, summary first), read-through block cache, anchor
 //!   checkpointing, and crash-recovery roll-forward.
-//! * [`usage`] — the segment usage table tracking live blocks per segment.
-//! * [`cleaner`] — the S4 cleaner: reclaims segments whose contents have
+//! * [`SegmentUsageTable`] — the segment usage table tracking live blocks per segment.
+//! * [`Cleaner`] — the S4 cleaner: reclaims segments whose contents have
 //!   aged out of the detection window, copying still-live blocks forward
 //!   through upper-layer callbacks.
-//! * [`cache`] — the block (buffer) cache.
+//! * [`BlockCache`] — the block (buffer) cache.
 //! * [`crc`] — the format's checksums: CRC-32 over each superblock and
 //!   summary block, XXH64 over each batch's data blocks.
 //! * [`codec`] — the bounds-checked cursor every decoder of stored or
@@ -27,16 +28,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bytes;
-pub mod cache;
-pub mod cleaner;
+mod bytes;
+mod cache;
+mod cleaner;
 pub mod codec;
 pub mod crc;
-pub mod layout;
-pub mod log;
+mod layout;
+mod log;
 pub mod summary;
-pub mod superblock;
-pub mod usage;
+mod superblock;
+mod usage;
 
 pub use bytes::Bytes;
 pub use cache::BlockCache;

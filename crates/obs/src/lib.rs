@@ -6,10 +6,10 @@
 //! looked like before an intrusion. This crate provides the plumbing,
 //! with zero external dependencies so every other crate can use it:
 //!
-//! * [`registry`] — a named-metric registry holding monotonic
+//! * [`Registry`] — a named-metric registry holding monotonic
 //!   [`Counter`]s, float [`Gauge`]s, and log-linear latency
 //!   [`Histogram`]s, rendered as Prometheus-style text;
-//! * [`hist`] — the histogram itself (4 linear sub-buckets per
+//! * [`Histogram`] — the histogram itself (4 linear sub-buckets per
 //!   power-of-two octave; constant memory, lock-free recording,
 //!   p50/p90/p99/max queries);
 //! * [`span`] — a thread-local per-request span that hot-path layers
@@ -22,8 +22,8 @@
 //! of the stack runs on), never wall time, so recorded values are
 //! deterministic and replayable.
 
-pub mod hist;
-pub mod registry;
+mod hist;
+mod registry;
 pub mod span;
 
 pub use hist::Histogram;

@@ -39,8 +39,6 @@ impl RequestClassMask {
     pub const READS: RequestClassMask = RequestClassMask(0b100);
     /// Every request class.
     pub const ALL: RequestClassMask = RequestClassMask(0b111);
-    /// No request class (the plan can never fire).
-    pub const NONE: RequestClassMask = RequestClassMask(0);
 
     /// Union of two masks.
     pub const fn union(self, other: RequestClassMask) -> RequestClassMask {
@@ -640,6 +638,6 @@ mod tests {
         assert!(m.contains(RequestClassMask::READS));
         assert!(!m.contains(RequestClassMask::SYNCS));
         assert!(RequestClassMask::ALL.contains(m));
-        assert!(!RequestClassMask::NONE.contains(RequestClassMask::WRITES));
+        assert!(!RequestClassMask(0).contains(RequestClassMask::WRITES));
     }
 }

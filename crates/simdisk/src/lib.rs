@@ -14,12 +14,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dev;
-pub mod fault;
-pub mod model;
-pub mod stats;
-pub mod timed;
-pub mod trace;
+mod dev;
+mod fault;
+mod model;
+mod stats;
+mod timed;
+mod trace;
 
 pub use dev::{BlockDev, DiskError, FileDisk, MemDisk, SECTOR_SIZE};
 pub use fault::{FaultPlan, FaultyDisk, RequestClassMask, TornPattern};

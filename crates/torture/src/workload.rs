@@ -45,7 +45,7 @@ use crate::{
 };
 
 /// Whole audit records per 4 KiB audit block.
-const RECORDS_PER_BLOCK: usize = BLOCK_SIZE / s4_core::audit::RECORD_BYTES;
+const RECORDS_PER_BLOCK: usize = BLOCK_SIZE / s4_core::RECORD_BYTES;
 
 /// Every third workload request carries a caller-stamped trace context,
 /// so the recovered audit log must hold each request's trace id too.
@@ -74,12 +74,12 @@ pub struct WritePath {
     /// Workload length in operations.
     pub ops: usize,
     /// What those operations are.
-    pub workload: Workload,
+    pub(crate) workload: Workload,
 }
 
 /// The request stream a campaign replays.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Workload {
+pub(crate) enum Workload {
     /// The seeded mix of creates, writes, truncates, deletes, attribute
     /// changes, syncs and idle ticks.
     Mixed,
@@ -129,7 +129,7 @@ impl WritePath {
         }
     }
 
-    /// The [`Workload::BatchEviction`] script. The first request of the
+    /// The `Workload::BatchEviction` script. The first request of the
     /// flush after the eviction torn as `Prefix(0)` is the power cut
     /// that finds the batch's checkpoints still unflushed; the other
     /// points and patterns cut the flush that carries them.
@@ -609,11 +609,11 @@ impl Crashed<'_> {
         let what = self.what;
         let digest = drive.state_digest();
         // The ledger this mount has been running on must be the one the
-        // next mount is about to derive.
+        // next mount is about to derive, and must have refused no release.
         let audit = drive.check_image();
         assert!(
-            matches!(&audit, Ok((found, segments, _)) if found.is_empty() && segments.is_empty()),
-            "{what}: space accounting differs from its recount before {stage}: {audit:?}"
+            matches!(&audit, Ok((found, segments, 0)) if found.is_empty() && segments.is_empty()),
+            "{what}: space accounting differs from its recount, or refused a release, before {stage}: {audit:?}"
         );
         let (again, report2) = mount(drive.crash(), what, stage);
         assert_eq!(

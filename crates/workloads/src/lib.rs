@@ -7,16 +7,16 @@
 //! deterministic operation traces that replay against anything
 //! implementing [`s4_fs::FileServer`]:
 //!
-//! * [`rng`] — seedable xoshiro256\*\* PRNG (vendored so traces are
+//! * [`Rng`] — seedable xoshiro256\*\* PRNG (vendored so traces are
 //!   byte-stable regardless of external crate versions).
-//! * [`ops`] — the [`FsOp`] trace vocabulary and the [`replay`] driver.
+//! * [`FsOp`] — the trace vocabulary, and the [`replay`] driver.
 //! * [`postmark`] — PostMark (Katcher, TR3022): file pool, paired
 //!   create/delete + read/append transactions.
-//! * [`sshbuild`] — SSH-build's unpack / configure / build phases, with
-//!   CPU think time for the compile-heavy parts.
-//! * [`micro`] — the Figure 6 micro-benchmark: 10,000 1 KiB files in 10
-//!   directories; create, read in creation order, delete in creation
-//!   order.
+//! * [`sshbuild_phases`] — SSH-build's unpack / configure / build
+//!   phases, with CPU think time for the compile-heavy parts.
+//! * [`micro_benchmark`] — the Figure 6 micro-benchmark: 10,000 1 KiB
+//!   files in 10 directories; create, read in creation order, delete in
+//!   creation order.
 //! * [`srctree`] — synthetic source-tree evolution (daily edits) for the
 //!   §5.2 differencing/compression study.
 //! * [`profiles`] — the three workload-study write rates behind
@@ -38,13 +38,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod micro;
-pub mod ops;
+mod micro;
+mod ops;
 pub mod postmark;
 pub mod profiles;
-pub mod rng;
+mod rng;
 pub mod srctree;
-pub mod sshbuild;
+mod sshbuild;
 
 pub use micro::{micro_benchmark, MicroConfig, MicroPhases};
 pub use ops::{replay, replay_with_clock, FsOp, ReplayStats};

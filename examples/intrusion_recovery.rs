@@ -20,7 +20,7 @@ use s4_detect::{
     damage_report, execute_plan_on, install_standard_monitor, object_timeline, plan_recovery,
     read_alerts, scan_audit, tree_diff, Severity, Suspects,
 };
-use s4_fs::tools::{ls_at, read_file_at};
+use s4_fs::{ls_at, read_file_at};
 use s4_fs::{FileServer, LoopbackTransport, S4FileServer, S4FsConfig};
 use s4_simdisk::{DiskModelParams, MemDisk, TimedDisk};
 

@@ -37,17 +37,14 @@
 #    code before its #[cfg(test)], or anywhere in an integration test —
 #    fails: a power-cut campaign is an s4_torture::Scenario, and
 #    s4_torture::enumerate is the one loop that arms and counts the cuts;
-#    and the pub census: a `pub struct|enum|const|type|trait|static|mod`
-#    before its file's #[cfg(test)], in any crate but s4-bench, whose name
-#    appears in no .rs file outside its crate's src/ (other crates, src/,
-#    tests/, examples/, benchmark/src, the crate's own tests/, benches/
-#    and examples/) fails unless the allow-list names it with the reason
-#    it stays pub — an item nothing outside its crate names is
-#    pub(crate), under #[cfg(test)] if only unit tests call it, or gone;
-#    and the compiler census (scripts/pub_fn_census.sh): every `pub fn`
-#    there is made pub(crate) on a copy of the tree, `cargo check` puts
-#    back what the workspace, its tests and benchmark/ call, and one still
-#    narrowed fails unless that script's allow-list says why it stays pub
+#    and the pub census (scripts/pub_census.sh), by the compiler, not
+#    by name: every `pub fn|struct|enum|const|type|trait|static|mod`
+#    before its file's #[cfg(test)], in any crate but s4-bench, is made
+#    pub(crate) on a copy of the tree, `cargo check` puts back what the
+#    workspace, its tests and benchmark/ use, and one still narrowed
+#    fails unless that script's allow-list says why it stays pub — an
+#    item nothing outside its crate uses is pub(crate), under
+#    #[cfg(test)] if only unit tests use it, or gone
 # 3. the full test suite, once (dev profile is optimized; see
 #    Cargo.toml). `--workspace` runs every crate's tests and every root
 #    tests/*.rs, so the bounded torture campaigns (write path with torn
@@ -248,7 +245,7 @@ done)
   exit 1
 }
 
-echo "== one-walk census (undo( in s4_journal::replay only; no checkpoint entry)"
+echo "== one-walk census (undo( in crates/journal/src/replay.rs only; no checkpoint entry)"
 # A read at a time is one newest-first walk, s4_journal::UndoWalk, which
 # reconstruct_at and S4Drive::version_at both call. So a non-test call of
 # the free function `undo(` is in crates/journal/src/replay.rs and
@@ -288,97 +285,8 @@ done)
   exit 1
 }
 
-echo "== pub census (every pub type, const, static and mod outside s4-bench is named outside its crate)"
-# Functions are the compiler census's (below). This one is
-# by name, like the censuses above: a name that collides with another
-# item's counts as used. One allow-list line per item that stays pub
-# with no outside user: crate, item name (a glob), why. Most are types
-# that outside code holds but never names, because a public signature
-# returns or exposes them; narrowing one is a private-interfaces error.
-pub_allowed='
-array     FlipReport            the type of ReshardReport::flip
-array     Sharded               returned by S4Array::{read_audit,read_alerts}_merged
-array     ReshardReport         returned by split_shard and double_array
-core      VersionKind           the type of VersionRecord::kind
-core      ResyncObject          returned by S4Drive::reshard_export, taken by reshard_apply
-core      ResyncImage           returned by S4Drive::resync_image, taken by format_from_image
-core      Discrepancy           returned by S4Drive::check_image
-core      ResyncStream          the type of ResyncImage::audit
-core      DriveStats            returned by S4Drive::stats
-delta     DeltaError            the error of s4_delta::Result
-delta     DeltaOp               the element type of Delta::ops
-detect    DamageReport          returned by damage_report
-detect    CoverageReport        returned by audit_coverage
-detect    TimelineSource        the type of TimelineEvent::source
-detect    TreeNode              returned by tree_at
-detect    TreeDiff              returned by tree_diff
-detect    TraceSpan             the element type of TraceTree::spans
-detect    PlannedAction         the element type of RecoveryPlan::actions
-detect    RecoveryPlan          returned by plan_recovery, taken by execute_plan_on
-lfs       FlushStats            returned by Log::flush
-lfs       RecoveredBatch        the element type of Mounted::batches
-lfs       SegmentState          the type of SegmentUsage::state
-lfs       SegmentUsage          returned by SegmentUsageTable::get
-obs       HistogramSnapshot     the payload of Sample::Histogram
-simdisk   DiskStats             returned by StatsHandle::snapshot
-simdisk   TraceRecord           returned by TraceHandle::records
-torture   Reached               the Run of the two-phase-commit Stretch scenario
-torture   Decisions             the Tally of the two-phase-commit Stretch scenario
-torture   GoldenSummary         returned by golden_run
-torture   RunState              the Run of the WritePath and CleanerBetween scenarios
-torture   Checked               the Tally of the WritePath and CleanerBetween scenarios
-torture   RecoveryCrashOutcome  returned by torture_crash_during_recovery
-torture   RecoverySummary       returned by enumerate_recovery_crashes
-workloads MicroPhases           returned by micro_benchmark
-workloads FileHistory           the element type of SourceTree::files
-workloads SshBuildPhases        returned by sshbuild_phases
-'
-pub_is_allowed() { # crate name
-  local c pat why
-  while read -r c pat why; do
-    # shellcheck disable=SC2053 # $pat is a glob on purpose
-    [ "$c" = "$1" ] && [[ $2 == $pat ]] && return 0
-  done <<< "$pub_allowed"
-  return 1
-}
-pub_decl='^[[:space:]]*pub (struct|enum|const|type|trait|static|mod) '
-outside_words=$(mktemp -d)
-for dir in crates/*/src; do
-  c=$(basename "$(dirname "$dir")")
-  [ "$c" = bench ] && continue
-  find crates src tests examples benchmark/src -name '*.rs' ! -path "$dir/*" \
-    -exec grep -ohwE '[A-Za-z_][A-Za-z0-9_]*' {} + | sort -u > "$outside_words/$c"
-done
-unused_pub=$(for c in $(ls "$outside_words"); do
-  find "crates/$c/src" -name '*.rs' | sort | while read -r f; do
-    awk -v decl="$pub_decl" '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
-         match($0, decl "[A-Za-z_][A-Za-z0-9_]*") {
-           n = split(substr($0, RSTART, RLENGTH), w, " "); print w[n], FILENAME ":" FNR }' "$f"
-  done | while read -r name at; do
-    grep -qxF "$name" "$outside_words/$c" || pub_is_allowed "$c" "$name" || echo "$at: $name"
-  done
-done)
-# An exact allow-list entry goes when its item does, or when outside
-# code starts naming it.
-while read -r c pat why; do
-  case "$c $pat" in " " | *[*?]*) continue ;; esac
-  if grep -qxF "$pat" "$outside_words/$c"; then
-    unused_pub="${unused_pub:+$unused_pub$'\n'}allow-list: $c $pat is named outside its crate now; drop the entry"
-  elif ! grep -rqE "$pub_decl$pat\b" "crates/$c/src"; then
-    unused_pub="${unused_pub:+$unused_pub$'\n'}allow-list: $c has no pub $pat; drop the entry"
-  fi
-done <<< "$pub_allowed"
-rm -r "$outside_words"
-[ -z "$unused_pub" ] || {
-  echo "$unused_pub" >&2
-  echo "verify: nothing outside its crate names these; make each pub(crate)" \
-    "(#[cfg(test)] if only unit tests call it, deleted if nothing does)," \
-    "or allow-list it in scripts/verify.sh with the reason it stays pub" >&2
-  exit 1
-}
-
-echo "== compiler census (every pub fn outside s4-bench has a caller outside its crate)"
-scripts/pub_fn_census.sh
+echo "== pub census (every pub item outside s4-bench is used outside its crate, by the compiler)"
+scripts/pub_census.sh
 
 echo "== cargo test --workspace -q"
 cargo test --workspace -q

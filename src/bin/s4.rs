@@ -26,7 +26,6 @@ use std::sync::Arc;
 use s4_array::{ArrayConfig, S4Array};
 use s4_clock::{NetworkModel, SimClock, SimDuration, SimTime};
 use s4_core::{AuditRecord, ClientId, DriveConfig, ObjectId, RequestContext, S4Drive, UserId};
-use s4_fs::tools;
 use s4_fs::{FileKind, FileServer, LoopbackTransport, S4FileServer, S4FsConfig};
 use s4_simdisk::{BlockDev, FileDisk};
 
@@ -282,7 +281,7 @@ fn run() -> Result<(), CliError> {
             let mut data = Vec::new();
             std::io::stdin().read_to_end(&mut data)?;
             let fs = open_fs(image)?;
-            tools::write_file(&fs, path, &data)?;
+            s4_fs::write_file(&fs, path, &data)?;
             println!("wrote {} bytes to {path} at {}", data.len(), fs.now());
             close(fs)?;
         }
@@ -290,7 +289,7 @@ fn run() -> Result<(), CliError> {
             let path = args.pos(1, "cat: need a path")?;
             let fs = open_fs(image)?;
             let data = match args.at() {
-                Some(t) => tools::read_file_at(&fs, path, t)?,
+                Some(t) => s4_fs::read_file_at(&fs, path, t)?,
                 None => {
                     let h = fs.resolve_path(path)?;
                     let size = fs.getattr(h)?.size;
@@ -305,7 +304,7 @@ fn run() -> Result<(), CliError> {
             let path = args.positional.get(1).copied().unwrap_or("");
             let fs = open_fs(image)?;
             let rows = match args.at() {
-                Some(t) => tools::ls_at(&fs, path, t)?,
+                Some(t) => s4_fs::ls_at(&fs, path, t)?,
                 None => {
                     let dir = fs.resolve_path(path)?;
                     fs.readdir(dir)?
@@ -330,7 +329,7 @@ fn run() -> Result<(), CliError> {
         "rm" => {
             let path = args.pos(1, "rm: need a path")?;
             let fs = open_fs(image)?;
-            let (dir_path, name) = tools::split_path(path);
+            let (dir_path, name) = s4_fs::split_path(path);
             let dir = fs.resolve_path(dir_path)?;
             fs.remove(dir, name)?;
             println!("removed {path} (recoverable until the window expires)");
@@ -339,7 +338,7 @@ fn run() -> Result<(), CliError> {
         "mkdir" => {
             let path = args.pos(1, "mkdir: need a path")?;
             let fs = open_fs(image)?;
-            let (dir_path, name) = tools::split_path(path);
+            let (dir_path, name) = s4_fs::split_path(path);
             let dir = fs.resolve_path(dir_path)?;
             fs.mkdir(dir, name)?;
             close(fs)?;
@@ -348,7 +347,7 @@ fn run() -> Result<(), CliError> {
             let path = args.pos(1, "restore: need a path")?;
             let t = args.secs(2, "restore: need a time in seconds")?;
             let fs = open_fs(image)?;
-            tools::restore_file(&fs, path, t)?;
+            s4_fs::restore_file(&fs, path, t)?;
             println!("restored {path} to its contents at {t}");
             close(fs)?;
         }

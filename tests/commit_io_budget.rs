@@ -1,7 +1,7 @@
 //! The device-I/O budget of a commit, as exact request counts and bytes.
 //!
 //! A log commit is one `[summary | data]` device write (see
-//! `s4_lfs::log`): the summary's checksum of the data, not a second
+//! `crates/lfs/src/log.rs`): the summary's checksum of the data, not a second
 //! ordered write, is what makes a torn commit detectable. The wall-clock
 //! benchmark's `disk_ios_per_op` and `disk_bytes_per_op` measure the same
 //! thing end to end; this gate pins the counts themselves,
@@ -447,7 +447,7 @@ fn reads_write_one_audit_stream_of_fixed_size_records() {
     }
     drive.force_anchor().unwrap();
 
-    let per_block = BLOCK_SIZE / s4_core::audit::RECORD_BYTES;
+    let per_block = BLOCK_SIZE / s4_core::RECORD_BYTES;
     let streams: Vec<u64> = written_tags(&drive, &trace)
         .into_iter()
         .filter(|t| t.kind == BlockKind::Audit)

@@ -124,7 +124,7 @@ fn requests() -> Vec<Request> {
 
 fn responses() -> Vec<Response> {
     vec![
-        Response::Attrs(s4_core::drive::ObjectAttrs {
+        Response::Attrs(s4_core::ObjectAttrs {
             size: 10,
             created: SimTime::from_secs(1),
             modified: SimTime::from_secs(2),
@@ -510,7 +510,7 @@ fn every_decoder_returns_on_fixed_seeds() {
 /// decoder alike, and both answer the same.
 #[test]
 fn audit_blocks_answer_hostile_bytes_as_the_drive_wrote_them() {
-    const N: usize = s4_core::audit::RECORD_BYTES;
+    const N: usize = s4_core::RECORD_BYTES;
     let mut records: Vec<AuditRecord> = (0..6).map(audit_record).collect();
     records.push(alert_record());
     let block: Vec<u8> = records.iter().flat_map(encoded).collect();

@@ -12,7 +12,7 @@ use s4_detect::{
     execute_plan_on, install_standard_monitor, plan_recovery, read_alerts, scan_audit, tree_diff,
     RecoveryAction, Severity, Suspects,
 };
-use s4_fs::tools::read_file_at;
+use s4_fs::read_file_at;
 use s4_fs::{FileServer, LoopbackTransport, S4FileServer, S4FsConfig};
 use s4_simdisk::MemDisk;
 

@@ -9,7 +9,7 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use s4_clock::{HybridTimestamp, SimTime};
-use s4_delta::chain::ChainMode;
+use s4_delta::ChainMode;
 use s4_delta::{apply, compress, decompress, diff, Delta, DeltaChain};
 use s4_journal::{
     decode_sector, encode_sectors, reconstruct_at, redo, undo, JournalEntry, ObjectMeta, PtrChange,

@@ -13,6 +13,9 @@
 //!
 //! * every version inside the window reads back exactly, and so does the
 //!   landmark once the window has passed it;
+//! * the audit log is exactly the one before the pass — the history's
+//!   requests go through `dispatch`, so the log fills a block, and the
+//!   uncut pass must copy that block forward;
 //! * `check_image` finds nothing, with no release refused;
 //! * a second mount of the same image has the same `state_digest`;
 //! * no journal entry appears twice in any object's history — a history
@@ -21,9 +24,15 @@
 //! The bounded campaigns sample the cut points under one rotating tear;
 //! the exhaustive ones (`--ignored`) cut every point under every tear.
 
+use std::collections::BTreeMap;
+
 use s4_clock::{SimClock, SimDuration, SimTime};
-use s4_core::{ClientId, DriveConfig, ObjectId, RequestContext, S4Drive, UserId};
-use s4_simdisk::MemDisk;
+use s4_core::{
+    AuditRecord, ClientId, DriveConfig, ObjectId, Request, RequestContext, Response, S4Drive,
+    UserId,
+};
+use s4_lfs::{BlockAddr, BlockKind};
+use s4_simdisk::{BlockDev, MemDisk};
 use s4_torture::{enumerate, Campaign, Disk, Rail, Scenario};
 
 /// `DriveConfig::small_test`'s admin token.
@@ -54,11 +63,25 @@ fn text(oid: ObjectId, round: u32) -> Vec<u8> {
 }
 
 /// What the history wrote: every version with the instant it became
-/// current, in write order.
+/// current, in write order, and the audit log it left.
 struct History {
     image: MemDisk,
     versions: Vec<(ObjectId, SimTime, Vec<u8>)>,
     landmark: (ObjectId, SimTime, Vec<u8>),
+    log: Vec<AuditRecord>,
+}
+
+/// Every block at a plain address of `d`'s log that its summary tags as
+/// an audit-log block, with its position in the stream. (A partial tail
+/// carried in a summary block has no plain address.)
+fn audit_blocks<D: BlockDev>(d: &S4Drive<D>) -> BTreeMap<BlockAddr, u64> {
+    let geo = d.log().geometry();
+    let blocks = u64::from(geo.num_segments) * u64::from(geo.blocks_per_segment);
+    let tags =
+        (0..blocks).filter_map(|a| Some((BlockAddr(a), d.log().tag_of(BlockAddr(a)).ok()??)));
+    tags.filter(|(_, t)| t.kind == BlockKind::Audit)
+        .map(|(a, t)| (a, t.aux))
+        .collect()
 }
 
 /// Six objects written in rounds, two to a 16-block segment. The first is
@@ -77,17 +100,33 @@ fn history() -> History {
     )
     .unwrap();
     let user = RequestContext::user(UserId(1), ClientId(1));
-    let oids: Vec<ObjectId> = (0..6).map(|_| d.op_create(&user, None).unwrap()).collect();
+    let request = |req: Request| d.dispatch(&user, &req).unwrap();
+    let create = |_| match request(Request::Create) {
+        Response::Created(oid) => oid,
+        other => panic!("unexpected response {other:?}"),
+    };
+    let oids: Vec<ObjectId> = (0..6).map(create).collect();
     let mut versions = Vec::new();
     for round in 0..8 {
         for (i, &oid) in oids.iter().enumerate() {
             if i == 1 && round > 2 {
                 continue;
             }
-            d.op_write(&user, oid, 0, &text(oid, round)).unwrap();
-            versions.push((oid, d.now(), text(oid, round)));
+            let data = text(oid, round);
+            request(Request::Write {
+                oid,
+                offset: 0,
+                data: data.clone(),
+            });
+            versions.push((oid, d.now(), data));
+            request(Request::Read {
+                oid,
+                offset: 0,
+                len: 16,
+                time: None,
+            });
         }
-        d.op_sync(&user).unwrap();
+        request(Request::Sync);
         if round == 0 {
             d.op_mark_landmark(&user, oids[0], d.now()).unwrap();
         }
@@ -96,10 +135,13 @@ fn history() -> History {
     let (encoded, _) = d.compact_history().unwrap();
     assert!(encoded >= 30, "history must delta-encode: {encoded}");
     let landmark = versions[0].clone();
+    let image = d.unmount().unwrap();
+    let d = S4Drive::mount(image.clone(), config(), SimClock::new()).unwrap();
     History {
-        image: d.unmount().unwrap(),
+        image,
         versions,
         landmark,
+        log: d.read_traces(&admin()).unwrap(),
     }
 }
 
@@ -116,6 +158,13 @@ impl History {
         let image = images.into_iter().next().expect("one device");
         let d = S4Drive::mount(image, config(), SimClock::new())
             .unwrap_or_else(|e| panic!("{what}: mount failed: {e:?}"));
+        let log = d.read_traces(&admin()).unwrap();
+        assert!(
+            log == self.log,
+            "{what}: the audit log is not the one before the pass: {} records, {} before",
+            log.len(),
+            self.log.len()
+        );
         let mut read = 0;
         for (i, (oid, t, want)) in self.versions.iter().enumerate() {
             let superseded = self.versions[i + 1..].iter().find(|v| v.0 == *oid);
@@ -183,6 +232,18 @@ impl Scenario for Relocation {
             died || relocated >= 8,
             "{what}: the pass must move data: {relocated}"
         );
+        if !died {
+            let mount = |image: &MemDisk| S4Drive::mount(image.clone(), config(), SimClock::new());
+            let before = audit_blocks(&mount(&self.0.image).unwrap());
+            let after = audit_blocks(&mount(&images[0]).unwrap());
+            let moved = after
+                .iter()
+                .filter(|&(a, p)| !before.contains_key(a) && before.values().any(|q| q == p));
+            assert!(
+                moved.count() >= 1,
+                "{what}: the pass must move an audit block: {before:?} became {after:?}"
+            );
+        }
         self.0.check(images, SimTime::ZERO, what)
     }
 }
