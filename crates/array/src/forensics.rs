@@ -105,7 +105,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
                 if *state == MemberState::Dead {
                     continue;
                 }
-                all.push((s, k, self.member_drive(s, k).read_traces(admin)?));
+                all.push((s, k, self.member_drive(s, k).read_log_from(admin, &mut 0)?));
             }
         }
         Ok(all)

@@ -14,7 +14,7 @@
 //!    maintains for intrusion survival doubles as a consistent
 //!    copy-on-write snapshot, so clients keep writing, no freeze.
 //! 2. **Catch-up.** The audit log records *all* requests (§4.2.3), so
-//!    replaying mutations newer than the snapshot cursor is a matter
+//!    replaying mutations newer than the snapshot's audit position is a matter
 //!    of reading the source's audit stream from a record index and
 //!    re-exporting each touched object's current state. Rounds repeat
 //!    until the remaining lag drops below a threshold.
@@ -200,10 +200,10 @@ pub fn split_shard<D: BlockDev + 'static>(
     // ever assign stays in the migrated residue.
     let targets = format_group(target_devs, drive_cfg, source.clock(), |_| Ok(()))?;
 
-    // --- Phase 1: snapshot at T via the history pool. The audit cursor
-    // is taken *before* T so any mutation the snapshot misses is
+    // --- Phase 1: snapshot at T via the history pool. The audit
+    // position is taken *before* T so any mutation the snapshot misses is
     // guaranteed to appear in the catch-up stream.
-    let mut cursor = source.audit_cursor(&admin)?;
+    let mut position = source.audit_len(&admin)?;
     let t = source.clock().now();
     let mut snapshot_objects = 0usize;
     for oid in source.live_object_ids(&admin)? {
@@ -223,10 +223,11 @@ pub fn split_shard<D: BlockDev + 'static>(
     let mut catchup_rounds = 0usize;
     let mut catchup_objects = 0usize;
     loop {
-        let recs = source.read_audit_from(&admin, &mut cursor)?;
+        let recs = source.read_log_from(&admin, &mut position)?;
         let dirty: BTreeSet<u64> = recs
             .iter()
-            .filter(|r| r.ok && r.op.creates_version() && moving(r.object.0))
+            .filter(|r| r.trace.is_request() && r.ok && r.op.creates_version())
+            .filter(|r| moving(r.object.0))
             .map(|r| r.object.0)
             .collect();
         prog.lag.set(dirty.len() as f64);
@@ -266,15 +267,16 @@ pub fn split_shard<D: BlockDev + 'static>(
     let mut final_delta_objects = 0usize;
     let flip = array.install_split(source_slot, |live| {
         let src = &live[0];
-        // The audit cursor indexes *one member's* stream (reads are
+        // The audit position indexes *one member's* stream (reads are
         // served — and audited — by the first live member only). If
         // membership changed under us and the flip handed back a
         // different member, fall back to an exact full pass over the
-        // moving class instead of trusting a foreign cursor.
+        // moving class instead of trusting a foreign position.
         let dirty: BTreeSet<u64> = if std::sync::Arc::ptr_eq(&source, src) {
-            src.read_audit_from(&admin, &mut cursor)?
+            src.read_log_from(&admin, &mut position)?
                 .iter()
-                .filter(|r| r.ok && r.op.creates_version() && moving(r.object.0))
+                .filter(|r| r.trace.is_request() && r.ok && r.op.creates_version())
+                .filter(|r| moving(r.object.0))
                 .map(|r| r.object.0)
                 .collect()
         } else {

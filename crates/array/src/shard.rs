@@ -479,7 +479,10 @@ pub(crate) fn first_difference<D: BlockDev>(
             .collect())
     };
     let audit = if whole_streams {
-        [a.read_traces(admin)?, b.read_traces(admin)?]
+        [
+            a.read_log_from(admin, &mut 0)?,
+            b.read_log_from(admin, &mut 0)?,
+        ]
     } else {
         [shared(a)?, shared(b)?]
     };
@@ -560,9 +563,8 @@ mod tests {
         assert_eq!(states(&shard), [MemberState::InSync, MemberState::Dead]);
         let fault = create_and_flush(&shard.members[1].drive()).unwrap_err();
         assert_eq!(fault.disk_fault(), Some(DiskFaultKind::Fatal));
-        let alerts = shard.members[0]
-            .drive()
-            .read_alerts(&RequestContext::admin(ClientId(0), 42));
+        let admin = RequestContext::admin(ClientId(0), 42);
+        let alerts = s4_detect::read_alerts(&shard.members[0].drive(), &admin);
         assert_eq!(
             alerts.unwrap().len(),
             1,

@@ -12,7 +12,8 @@ use s4_core::{
     AclEntry, ClientId, DriveConfig, ObjectId, OpKind, Perm, Request, RequestContext, Response,
     S4Error, UserId, PARTITION_OBJECT,
 };
-use s4_fs::{FileServer, FsError, S4FileServer, S4FsConfig};
+use s4_fs::server::FsError;
+use s4_fs::{FileServer, S4FileServer, S4FsConfig};
 use s4_simdisk::MemDisk;
 
 fn disks(n: usize) -> Vec<MemDisk> {

@@ -29,7 +29,8 @@ use std::collections::HashMap;
 use s4_clock::sync::Mutex;
 
 use s4_clock::{CpuModel, SimClock, SimTime};
-use s4_fs::{FileAttr, FileKind, FileServer, FsError, FsResult, Handle};
+use s4_fs::server::{FsError, FsResult};
+use s4_fs::{FileAttr, FileKind, FileServer, Handle};
 use s4_lfs::{BlockAddr, BlockCache, Bytes};
 use s4_simdisk::{BlockDev, SECTOR_SIZE};
 

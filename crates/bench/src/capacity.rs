@@ -16,7 +16,8 @@
 
 use s4_delta::ChainMode;
 use s4_delta::DeltaChain;
-use s4_workloads::{SourceTree, WorkloadProfile};
+use s4_workloads::profiles::WorkloadProfile;
+use s4_workloads::srctree::SourceTree;
 
 /// Days of history a pool retains at a given write rate and
 /// space-efficiency factor.
@@ -104,8 +105,8 @@ pub fn measure_factors(tree: &SourceTree) -> MeasuredFactors {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use s4_workloads::profiles::{AFS_SERVER, ELEPHANT_FS, NT_PERSONAL};
     use s4_workloads::srctree::{self, SourceTreeConfig};
-    use s4_workloads::{AFS_SERVER, ELEPHANT_FS, NT_PERSONAL};
 
     #[test]
     fn paper_headline_numbers() {

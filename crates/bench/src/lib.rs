@@ -31,9 +31,8 @@ use std::sync::Arc;
 
 use s4_clock::{NetworkModel, SimClock, SimDuration};
 use s4_core::{ClientId, DriveConfig, RequestContext, S4Drive, UserId};
-use s4_fs::{
-    FileAttr, FileKind, FileServer, FsResult, Handle, LoopbackTransport, S4FileServer, S4FsConfig,
-};
+use s4_fs::server::FsResult;
+use s4_fs::{FileAttr, FileKind, FileServer, Handle, LoopbackTransport, S4FileServer, S4FsConfig};
 use s4_lfs::BLOCK_SIZE;
 use s4_simdisk::{DiskModelParams, MemDisk, StatsHandle, TimedDisk};
 use s4_workloads::{replay_with_clock, FsOp, ReplayStats};

@@ -334,9 +334,10 @@ impl AuditRecord {
 pub struct AuditState;
 
 impl AuditState {
-    /// Decodes every record in an audit block payload. Blocks flushed at
-    /// anchor time may be partially filled; zero padding (op byte 0 —
-    /// never a valid [`OpKind`]) terminates the scan.
+    /// Decodes every record in an audit block payload. A flushed block
+    /// holds 60 records and the tail fewer; zero padding (op byte 0 —
+    /// never a valid [`OpKind`]) terminates the scan, so a block read
+    /// back padded to its 4 096 bytes decodes to its records alone.
     pub fn decode_block(payload: &[u8]) -> Result<Vec<AuditRecord>> {
         let mut out = Vec::new();
         let usable = RECORD_BLOCK_BYTES.min(payload.len());

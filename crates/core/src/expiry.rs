@@ -105,7 +105,7 @@ impl<D: BlockDev> S4Drive<D> {
         let inner = &mut *self.inner.lock();
         // Pack pending entries so the journal reflects every mutation.
         let oids: Vec<u64> = inner.table.keys().copied().collect();
-        self.pack_objects(inner, &oids)?;
+        self.pack_objects(inner, &oids, packed::JOURNAL)?;
         // Collected payloads: object, delta bytes, (key, base).
         let mut payloads: Vec<packed::Item<(u64, BlockAddr)>> = Vec::new();
         for oid in oids {
@@ -265,7 +265,10 @@ impl<D: BlockDev> S4Drive<D> {
     }
 
     /// Rewrites one object's history with versions in `[from, to]`
-    /// removed (the chain surgery behind `Flush`/`FlushO`).
+    /// removed (the chain surgery behind `Flush`/`FlushO`). The new chain
+    /// is packed as [`packed::REWRITTEN`], as the cleaner's rewrite is:
+    /// mount must not replay it over the anchored chain, so the caller
+    /// anchors before it returns.
     pub(crate) fn flush_object_range(
         &self,
         inner: &mut Inner,
@@ -279,7 +282,11 @@ impl<D: BlockDev> S4Drive<D> {
             self.drop_versions(inner, entry, lo, hi)
         })?;
         if rewritten {
-            self.pack_objects(inner, &[oid.0])?;
+            // Queued transaction records go to a journal block mount
+            // replays: only the rewritten chain waits for the anchor.
+            self.txn_append_queue(inner)?;
+            self.pack_objects(inner, &[], packed::JOURNAL)?;
+            self.pack_objects(inner, &[oid.0], packed::REWRITTEN)?;
         }
         self.rewrite_history(inner)
     }

@@ -93,7 +93,7 @@ impl TraceCtx {
 
     /// True for a record of a request: neither a protocol step nor an
     /// alert, the two kinds the drive writes on its own account.
-    pub(crate) fn is_request(&self) -> bool {
+    pub fn is_request(&self) -> bool {
         !self.is_step() && !self.is_alert()
     }
 

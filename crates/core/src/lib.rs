@@ -92,7 +92,7 @@ pub use ids::{
     PHASE_CATCHUP, PHASE_CLIENT, PHASE_DECIDE, PHASE_NOTE, PHASE_PREPARE,
 };
 pub use ledger::Discrepancy;
-pub use reserved::{ResyncStream, StreamCursor};
+pub use reserved::ResyncStream;
 pub use rpc::{Request, Response, LAST_CREATED};
 pub use stats::{DriveStats, StatsSnapshot};
 pub use throttle::ThrottleConfig;

@@ -373,7 +373,8 @@ impl<D: BlockDev> S4Drive<D> {
     }
 
     /// Administrative: removes all versions of all objects whose creating
-    /// mutation falls in `[from, to]`.
+    /// mutation falls in `[from, to]`, and anchors, which commits the
+    /// rewritten histories.
     pub fn op_flush(&self, ctx: &RequestContext, from: SimTime, to: SimTime) -> Result<()> {
         self.require_admin(ctx)?;
         let mut inner = self.inner.lock();
@@ -381,10 +382,11 @@ impl<D: BlockDev> S4Drive<D> {
         for oid in oids {
             self.flush_object_range(&mut inner, ObjectId(oid), from, to)?;
         }
-        Ok(())
+        self.anchor_locked(&mut inner)
     }
 
-    /// Administrative: removes versions of one object in `[from, to]`.
+    /// Administrative: removes versions of one object in `[from, to]`, and
+    /// anchors, which commits the rewritten history.
     pub fn op_flusho(
         &self,
         ctx: &RequestContext,
@@ -394,7 +396,8 @@ impl<D: BlockDev> S4Drive<D> {
     ) -> Result<()> {
         self.require_admin(ctx)?;
         let mut inner = self.inner.lock();
-        self.flush_object_range(&mut inner, oid, from, to)
+        self.flush_object_range(&mut inner, oid, from, to)?;
+        self.anchor_locked(&mut inner)
     }
 
     /// Walks an object's retained journal history, oldest first: one

@@ -96,7 +96,10 @@ impl<D: BlockDev> S4Drive<D> {
     }
 
     /// Packs the pending journal entries of `oids` into shared journal
-    /// blocks (several objects' sectors per 4 KiB block, §4.2.2).
+    /// blocks (several objects' sectors per 4 KiB block, §4.2.2) of
+    /// `container`: [`packed::JOURNAL`], which mount replays, or
+    /// [`packed::REWRITTEN`] for a rewritten history, which only the
+    /// anchor that follows commits.
     ///
     /// A pack that writes anything first appends the queued
     /// transaction-log records, whoever asked — a sync, an anchor, a
@@ -115,7 +118,12 @@ impl<D: BlockDev> S4Drive<D> {
     /// An entry leaves `pending` only when its sector's block is
     /// appended, so a pack that fails part-way leaves the rest for the
     /// next one, which neither loses nor repeats an entry.
-    pub(crate) fn pack_objects(&self, inner: &mut Inner, oids: &[u64]) -> Result<()> {
+    pub(crate) fn pack_objects(
+        &self,
+        inner: &mut Inner,
+        oids: &[u64],
+        container: packed::PackedBlocks,
+    ) -> Result<()> {
         let writes = |oid: &u64| matches!(inner.table.get(oid), Some(Slot::Cached(e)) if !e.pending.is_empty());
         let mut packed = std::iter::once(&TXN_OBJECT.0).chain(oids);
         if inner.txn_queue.iter().any(|r| !r.1) && packed.any(writes) {
@@ -147,7 +155,7 @@ impl<D: BlockDev> S4Drive<D> {
             return Ok(());
         }
         let Inner { table, ledger, .. } = inner;
-        packed::JOURNAL.pack(
+        container.pack(
             &self.log,
             ledger,
             items,
@@ -168,7 +176,7 @@ impl<D: BlockDev> S4Drive<D> {
             },
         )?;
         s4_obs::span::charge(
-            s4_obs::Layer::Journal,
+            s4_obs::span::Layer::Journal,
             self.clock.now().as_micros() - journal_t0,
         );
         Ok(())
@@ -196,7 +204,7 @@ impl<D: BlockDev> S4Drive<D> {
     /// Sync: pack all pending journal entries, flush the log, and perform
     /// periodic anchoring / object-cache eviction.
     pub(crate) fn sync_locked(&self, inner: &mut Inner) -> Result<()> {
-        self.pack_objects(inner, &Self::pending_oids(inner))?;
+        self.pack_objects(inner, &Self::pending_oids(inner), packed::JOURNAL)?;
         self.flush_log()?;
         // The pack took every queued record along; now it is durable.
         inner.txn_queue.retain(|r| !r.1);
@@ -235,7 +243,7 @@ impl<D: BlockDev> S4Drive<D> {
         cached.sort_unstable();
         cached.truncate(cached.len() - (limit - limit / 8));
         let victims: Vec<u64> = cached.into_iter().map(|(_, oid)| oid).collect();
-        self.pack_objects(inner, &victims)?;
+        self.pack_objects(inner, &victims, packed::JOURNAL)?;
         let stale: Vec<u64> = victims
             .iter()
             .copied()
@@ -271,7 +279,7 @@ impl<D: BlockDev> S4Drive<D> {
         // The anchor that frees moved blocks' old segments commits the rewrite.
         self.rewrite_history(inner)?;
         // Pack any pending journal entries first.
-        self.pack_objects(inner, &Self::pending_oids(inner))?;
+        self.pack_objects(inner, &Self::pending_oids(inner), packed::JOURNAL)?;
 
         // Checkpoint objects that a crash could not otherwise recover: a
         // checkpoint-less object is fine as long as its full journal
@@ -291,13 +299,6 @@ impl<D: BlockDev> S4Drive<D> {
             })
             .collect();
         self.pack_checkpoints(inner, &need_cp)?;
-
-        // Persist the buffered audit tail so its records survive
-        // restarts: the audit log stays an exact prefix of the request
-        // stream across an orderly shutdown.
-        if inner.audit.spill_tail(&self.log, &mut inner.ledger)? {
-            self.stats.audit_blocks(1);
-        }
 
         let payload = encode_anchor_payload(inner);
         self.log.write_anchor(

@@ -8,7 +8,7 @@
 
 use s4_clock::{HybridClock, HybridTimestamp, SimClock, SimTime};
 use s4_journal::{decode_sector, redo, JournalEntry, ObjectMeta};
-use s4_lfs::{BlockAddr, BlockKind, LfsError, Log, Mounted, SegmentMismatch};
+use s4_lfs::{BlockAddr, BlockKind, Log, Mounted, SegmentMismatch};
 use s4_simdisk::BlockDev;
 
 use crate::drive::{DriveConfig, Inner, S4Drive, TXN_OBJECT};
@@ -115,13 +115,9 @@ impl<D: BlockDev> S4Drive<D> {
                             }
                         }
                     }
-                    // The audit log's block at its next position; a
+                    // The audit log's block at its next index; a
                     // cleaner's copy of one it lists is skipped.
-                    BlockKind::Audit => {
-                        inner
-                            .audit
-                            .replay_block(addr, tag, &log.read_block(addr)?)?;
-                    }
+                    BlockKind::Audit => inner.audit.replay_block(addr, tag),
                     // Data blocks become reachable via the journal entries
                     // referencing them; orphaned post-anchor checkpoints
                     // and relocated copies are intentionally dropped.
@@ -165,13 +161,11 @@ impl<D: BlockDev> S4Drive<D> {
     /// live count in the usage table is not the number of ledger
     /// addresses in it ([`Log::check_live_counts`]), and the number of
     /// releases the ledger has refused since mount. A block the audit log
-    /// lists at position `i` must be tagged with `i` — what roll-forward
-    /// replays by — or the image is corrupt.
+    /// lists at index `i` must be tagged with `i` — what roll-forward
+    /// replays by — and hold sixty records, or the image is corrupt.
     pub fn check_image(&self) -> Result<(Vec<Discrepancy>, Vec<SegmentMismatch>, u64)> {
         let inner = self.inner.lock();
-        if !inner.audit.tagged_in_order(&self.log)? {
-            return Err(LfsError::Corrupt("audit block tagged out of its position").into());
-        }
+        inner.audit.check(&self.log)?;
         let derived = Ledger::derive(&self.log, &inner)?;
         let segments = self.log.check_live_counts(inner.ledger.addrs());
         Ok((

@@ -7,84 +7,77 @@
 //! (with its trace context and layer times), per distributed-protocol
 //! step, and per alert the in-perimeter detectors raise (see the
 //! `s4-detect` crate). `ReservedLog` is its mechanism: records accumulate
-//! in a volatile tail, a tail that fills a block spills it to the log
+//! in a volatile tail, a tail that fills a block is appended to the log
 //! beside the data (which is what produces the Figure 6 effect), every
-//! anchor writes the partial tail out and persists the block list, and
-//! roll-forward re-attaches the blocks flushed after the anchor. An
-//! intruder with full client privileges can neither suppress nor rewrite
-//! any of it.
+//! anchor carries the block list and the tail's bytes, and roll-forward
+//! re-attaches the blocks flushed after the anchor. An intruder with
+//! full client privileges can neither suppress nor rewrite any of it.
 //!
-//! One framing: 60 records to a 4 KiB block, a zero op byte as padding
-//! that ends a block.
+//! A record's position is its address: every flushed block holds
+//! exactly [`PER_BLOCK`] (60) records, so position `p` is record
+//! `p % 60` of block `p / 60`, or of the tail once `p / 60` is the
+//! number of blocks. Kimberlite's log maps a position to its segment the
+//! same way.
 //!
 //! The on-disk contract — pinned byte for byte by the tests below — is
-//! the block payloads, the tag `BlockTag::new(BlockKind::Audit,
-//! AUDIT_OBJECT, position in the stream)`, and the anchor-payload layout
-//! `total u64, n u32, n × addr u64`. A block's tag names its position:
-//! the cleaner copies a block forward under its old tag, and roll-forward
-//! replays a block only at the stream's next position, so a copy is never
-//! counted in twice.
+//! the block payloads (60 records, then zero padding), the tag
+//! `BlockTag::new(BlockKind::Audit, AUDIT_OBJECT, block index)`, and the
+//! anchor-payload layout `dropped u64, n u32, n × addr u64, tail bytes
+//! (u32 length, then at most 4 080 bytes)`. A block's tag names its
+//! index: the cleaner copies a block forward under its old tag, and
+//! roll-forward replays a block only at the stream's next index, so a
+//! copy is never counted in twice.
 //!
 //! Per-record checksums and a prev-hash chain (Kimberlite's
-//! length/CRC/prev-hash record) belong here: the push function is where
-//! a record gains its trailer, `ReservedLog::replay_block` and the
-//! reader are where it is verified.
+//! length/CRC/prev-hash record) belong here: a block covers a fixed range
+//! of positions, `ReservedLog::push` is where a block is sealed, and
+//! `ReservedLog::check` and the reader are where it is verified.
 
-use s4_lfs::{BlockAddr, BlockKind, BlockTag, Log, BLOCK_SIZE};
+use s4_lfs::{BlockAddr, BlockKind, BlockTag, LfsError, Log, BLOCK_SIZE};
 use s4_simdisk::BlockDev;
 
-use crate::audit::{AlertRule, AuditRecord, AuditState, OpKind, RECORD_BLOCK_BYTES};
-use crate::codec::Reader;
+use crate::audit::{AlertRule, AuditRecord, AuditState, OpKind, RECORD_BLOCK_BYTES, RECORD_BYTES};
+use crate::codec::{push_bytes, Reader};
 use crate::drive::{S4Drive, AUDIT_OBJECT};
 use crate::ids::{ClientId, ObjectId, RequestContext, TraceCtx, UserId};
 use crate::ledger::Ledger;
-use crate::Result;
+use crate::{Result, S4Error};
 
-/// Resume point for incremental reads of the audit log
-/// ([`S4Drive::read_audit_from`], [`S4Drive::read_alerts_from`]). Start
-/// from `StreamCursor::default()` (or [`S4Drive::audit_cursor`] for
-/// "from now on"); the drive advances it on every poll.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StreamCursor {
-    /// Flushed blocks fully consumed, counted from the start of the
-    /// stream.
-    pub blocks: usize,
-    /// Records of the in-memory pending tail already consumed (they
-    /// become the prefix of the next flushed block when the tail spills).
-    pub tail_records: usize,
-}
+/// Records in every flushed audit block.
+pub(crate) const PER_BLOCK: usize = RECORD_BLOCK_BYTES / RECORD_BYTES;
 
 /// The audit stream as exported by [`S4Drive::resync_image`]: flushed
-/// block payloads plus the buffered tail, with the counter recovery
-/// re-derives seq from.
+/// block payloads plus the buffered tail.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResyncStream {
     /// Flushed block payloads, oldest first.
     pub blocks: Vec<Vec<u8>>,
     /// The in-memory pending tail.
     pub pending: Vec<u8>,
-    /// Total records ever appended.
-    pub total: u64,
+    /// Records in blocks the source's log refused.
+    pub dropped: u64,
 }
 
 /// Drive-internal state of the audit stream: the addresses of its
 /// flushed blocks plus the in-memory tail buffer.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ReservedLog {
-    /// Addresses of the flushed blocks, in append order.
+    /// Addresses of the flushed blocks, in append order; each holds
+    /// [`PER_BLOCK`] records.
     blocks: Vec<BlockAddr>,
-    /// Records buffered toward the next block. Volatile by design (§5.1.4
-    /// models one audit block write per ~hundred operations, not per
-    /// operation) until an anchor spills it.
+    /// Records buffered toward the next block, fewer than
+    /// [`PER_BLOCK`]. Volatile between anchors by design (§5.1.4 models
+    /// one audit block write per ~hundred operations, not per operation);
+    /// an anchor carries it.
     pending: Vec<u8>,
-    /// Total records ever appended.
-    total: u64,
+    /// Records in blocks the log refused: appended, never decodable.
+    dropped: u64,
 }
 
 impl ReservedLog {
-    /// Total records ever appended.
-    pub(crate) fn total(&self) -> u64 {
-        self.total
+    /// The position one past the last record.
+    pub(crate) fn len(&self) -> u64 {
+        (self.blocks.len() * PER_BLOCK + self.pending.len() / RECORD_BYTES) as u64
     }
 
     /// Addresses of the flushed blocks, in append order.
@@ -92,23 +85,37 @@ impl ReservedLog {
         &self.blocks
     }
 
-    /// Buffers one record; returns the block payload to append when this
-    /// record filled the block.
-    pub(crate) fn push_record(&mut self, rec: &AuditRecord) -> Option<Vec<u8>> {
+    /// The tag of the stream's block at `index`.
+    fn tag(index: usize) -> BlockTag {
+        BlockTag::new(BlockKind::Audit, AUDIT_OBJECT.0, index as u64)
+    }
+
+    /// Buffers one record; a record that fills the tail appends it as
+    /// the stream's next block. A block the log refuses is dropped, its
+    /// records counted in `dropped`, rather than failing the request the
+    /// record audits. Returns whether a block was written.
+    pub(crate) fn push<D: BlockDev>(
+        &mut self,
+        log: &Log<D>,
+        ledger: &mut Ledger,
+        rec: &AuditRecord,
+    ) -> bool {
         rec.encode_into(&mut self.pending);
-        self.total += 1;
-        (self.pending.len() >= RECORD_BLOCK_BYTES).then(|| std::mem::take(&mut self.pending))
+        if self.pending.len() < RECORD_BLOCK_BYTES {
+            return false;
+        }
+        let block = std::mem::take(&mut self.pending);
+        let written = self.append_block(log, ledger, &block).is_ok();
+        if !written {
+            self.dropped += PER_BLOCK as u64;
+        }
+        written
     }
 
-    /// The tag of the stream's block at `position`.
-    fn tag(position: usize) -> BlockTag {
-        BlockTag::new(BlockKind::Audit, AUDIT_OBJECT.0, position as u64)
-    }
-
-    /// Appends one block payload to the log as the stream's next block
-    /// and registers it reachable. The only place a stream block is
-    /// written.
-    pub(crate) fn append_block<D: BlockDev>(
+    /// Appends one full block payload to the log as the stream's next
+    /// block and registers it reachable. The only place a stream block
+    /// is written.
+    fn append_block<D: BlockDev>(
         &mut self,
         log: &Log<D>,
         ledger: &mut Ledger,
@@ -119,52 +126,31 @@ impl ReservedLog {
         Ok(())
     }
 
-    /// Anchor-time spill: writes the buffered (partial) tail out as a
-    /// block so the records survive restarts. Returns whether there was
-    /// one.
-    pub(crate) fn spill_tail<D: BlockDev>(
-        &mut self,
-        log: &Log<D>,
-        ledger: &mut Ledger,
-    ) -> Result<bool> {
-        if self.pending.is_empty() {
-            return Ok(false);
-        }
-        let tail = std::mem::take(&mut self.pending);
-        self.append_block(log, ledger, &tail)?;
-        Ok(true)
-    }
-
     /// Mount replay of one block flushed after the anchor, tagged `tag`.
-    /// Only the stream's next position is taken: a block tagged with an
+    /// Only the stream's next index is taken: a block tagged with an
     /// earlier one is a cleaner's copy of a block the stream already
-    /// lists, and is skipped. The anchored total only covers anchored
-    /// blocks (the volatile tail died with the crash), so a replayed
-    /// block's records are counted back in: `total` stays the number of
-    /// records the stream has ever durably held.
-    pub(crate) fn replay_block(
-        &mut self,
-        addr: BlockAddr,
-        tag: BlockTag,
-        payload: &[u8],
-    ) -> Result<()> {
-        if tag != Self::tag(self.blocks.len()) {
-            return Ok(());
+    /// lists, and is skipped. A block taken begins with the anchored
+    /// tail's records, so it replaces the tail.
+    pub(crate) fn replay_block(&mut self, addr: BlockAddr, tag: BlockTag) {
+        if tag == Self::tag(self.blocks.len()) {
+            self.blocks.push(addr);
+            self.pending.clear();
         }
-        self.total += AuditState::decode_block(payload)?.len() as u64;
-        self.blocks.push(addr);
-        Ok(())
     }
 
-    /// Whether the log tags every listed block with the stream's kind,
-    /// object and the block's position: 0, 1, …, n−1.
-    pub(crate) fn tagged_in_order<D: BlockDev>(&self, log: &Log<D>) -> Result<bool> {
+    /// Refuses a stream whose listed blocks the log does not tag with
+    /// the stream's kind, object and index (0, 1, …, n−1), or that do
+    /// not hold [`PER_BLOCK`] records each.
+    pub(crate) fn check<D: BlockDev>(&self, log: &Log<D>) -> Result<()> {
         for (i, &addr) in self.blocks.iter().enumerate() {
             if log.tag_of(addr)? != Some(Self::tag(i)) {
-                return Ok(false);
+                return Err(LfsError::Corrupt("audit block tagged out of its position").into());
+            }
+            if AuditState::decode_block(&log.read_block(addr)?)?.len() != PER_BLOCK {
+                return Err(LfsError::Corrupt("audit block short of its records").into());
             }
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Cleaner relocation: re-points the block at `old` to `new`.
@@ -181,27 +167,34 @@ impl ReservedLog {
             eat(&a.0.to_le_bytes());
         }
         eat(&self.pending);
-        eat(&self.total.to_le_bytes());
+        eat(&self.dropped.to_le_bytes());
     }
 
-    /// Serializes the durable part (block list + counter) into the
-    /// anchor payload; the tail has just been spilled.
+    /// Serializes the stream into the anchor payload: the dropped count,
+    /// the block list and the tail.
     pub(crate) fn encode_anchor(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.total.to_le_bytes());
+        out.extend_from_slice(&self.dropped.to_le_bytes());
         out.extend_from_slice(&(self.blocks.len() as u32).to_le_bytes());
         for b in &self.blocks {
             out.extend_from_slice(&b.0.to_le_bytes());
         }
+        push_bytes(out, &self.pending);
     }
 
-    /// Restores the durable part from the anchor payload, advancing
-    /// the reader. A payload that ends early is corruption.
+    /// Restores the stream from the anchor payload, advancing the
+    /// reader. A payload that ends early, or a tail that is not whole
+    /// records short of a block, is corruption.
     pub(crate) fn decode_anchor(&mut self, r: &mut Reader) -> Result<()> {
-        self.total = r.u64()?;
+        self.dropped = r.u64()?;
         let n = r.count(8)?;
         self.blocks = (0..n)
             .map(|_| Ok(BlockAddr(r.u64()?)))
             .collect::<Result<_>>()?;
+        let tail = r.bytes()?;
+        if tail.len() % RECORD_BYTES != 0 || tail.len() >= RECORD_BLOCK_BYTES {
+            return Err(S4Error::BadRequest("anchored audit tail"));
+        }
+        self.pending = tail.to_vec();
         Ok(())
     }
 
@@ -214,7 +207,7 @@ impl ReservedLog {
         Ok(ResyncStream {
             blocks,
             pending: self.pending.clone(),
-            total: self.total,
+            dropped: self.dropped,
         })
     }
 
@@ -230,46 +223,34 @@ impl ReservedLog {
             self.append_block(log, ledger, payload)?;
         }
         self.pending = image.pending.clone();
-        self.total = image.total;
+        self.dropped = image.dropped;
         Ok(())
     }
 
-    /// A cursor positioned at the current end of the stream.
-    pub(crate) fn end_cursor(&self) -> Result<StreamCursor> {
-        Ok(StreamCursor {
-            blocks: self.blocks.len(),
-            tail_records: AuditState::decode_block(&self.pending)?.len(),
-        })
-    }
-
-    /// Decodes the records appended since `cursor`, oldest first —
-    /// flushed blocks, then the pending tail — and advances the cursor.
-    ///
-    /// The cursor exploits the spill discipline: when the pending tail
-    /// spills (full, or partial at an anchor), the previously buffered
-    /// records form the *prefix* of the newly flushed block, so
-    /// `tail_records` carries over as a skip count into the first unread
-    /// block. Blocks may therefore be partial and are never assumed
-    /// full. A cursor that is ahead of the drive (reused across a crash
-    /// that lost un-anchored blocks) rereads everything that survives.
+    /// Decodes every record from position `*from` on, oldest first —
+    /// flushed blocks, then the pending tail — and advances `*from` to
+    /// [`ReservedLog::len`]. Blocks below the position are not read. A
+    /// position past the end (kept across a crash that lost un-anchored
+    /// records) rereads the stream from 0.
     pub(crate) fn read_from<D: BlockDev>(
         &self,
         log: &Log<D>,
-        cursor: &mut StreamCursor,
+        from: &mut u64,
     ) -> Result<Vec<AuditRecord>> {
-        if cursor.blocks > self.blocks.len() {
-            *cursor = StreamCursor::default();
+        if *from > self.len() {
+            *from = 0;
         }
-        let mut skip = cursor.tail_records;
+        let start = usize::try_from(*from).unwrap_or(usize::MAX);
+        let (first, mut skip) = (start / PER_BLOCK, start % PER_BLOCK);
         let mut out = Vec::new();
-        for &addr in &self.blocks[cursor.blocks..] {
-            let mut recs = AuditState::decode_block(&log.read_block(addr)?)?;
-            out.extend(recs.drain(skip.min(recs.len())..));
+        for &addr in &self.blocks[first..] {
+            let recs = AuditState::decode_block(&log.read_block(addr)?)?;
+            out.extend(recs.into_iter().skip(skip));
             skip = 0;
         }
-        let mut tail = AuditState::decode_block(&self.pending)?;
-        (cursor.blocks, cursor.tail_records) = (self.blocks.len(), tail.len());
-        out.extend(tail.drain(skip.min(tail.len())..));
+        let tail = AuditState::decode_block(&self.pending)?;
+        out.extend(tail.into_iter().skip(skip));
+        *from = self.len();
         Ok(out)
     }
 
@@ -320,16 +301,8 @@ impl<D: BlockDev> S4Drive<D> {
         {
             let inner = &mut *self.inner.lock();
             self.stats.audit_records(1);
-            if let Some(block) = inner.audit.push_record(rec) {
-                // A block the log cannot take is dropped rather than
-                // failing the request it audits.
-                if inner
-                    .audit
-                    .append_block(&self.log, &mut inner.ledger, &block)
-                    .is_ok()
-                {
-                    self.stats.audit_blocks(1);
-                }
+            if inner.audit.push(&self.log, &mut inner.ledger, rec) {
+                self.stats.audit_blocks(1);
             }
         }
         if !rec.trace.is_request() {
@@ -377,45 +350,27 @@ impl<D: BlockDev> S4Drive<D> {
     /// Decodes every request's record currently in the audit log (admin
     /// only), protocol steps and alerts left out.
     pub fn read_audit_records(&self, ctx: &RequestContext) -> Result<Vec<AuditRecord>> {
-        self.read_audit_from(ctx, &mut StreamCursor::default())
-    }
-
-    /// A cursor at the current end of the audit log (admin only): a
-    /// later [`S4Drive::read_audit_from`] returns exactly the records
-    /// appended after this call.
-    pub fn audit_cursor(&self, ctx: &RequestContext) -> Result<StreamCursor> {
-        self.require_admin(ctx)?;
-        self.inner.lock().audit.end_cursor()
-    }
-
-    /// Decodes only the requests' records appended since `cursor` (admin
-    /// only), oldest first, and advances the cursor. Blocks below the
-    /// cursor are skipped without a device read.
-    pub fn read_audit_from(
-        &self,
-        ctx: &RequestContext,
-        cursor: &mut StreamCursor,
-    ) -> Result<Vec<AuditRecord>> {
-        let mut records = self.read_stream_from(ctx, cursor)?;
+        let mut records = self.read_log_from(ctx, &mut 0)?;
         records.retain(|r| r.trace.is_request());
         Ok(records)
     }
 
-    /// Every record appended since `cursor` (admin only), oldest first.
-    fn read_stream_from(
-        &self,
-        ctx: &RequestContext,
-        cursor: &mut StreamCursor,
-    ) -> Result<Vec<AuditRecord>> {
+    /// Every record of the audit log from position `*from` on (admin
+    /// only), oldest first, protocol steps and alerts included, and
+    /// advances `*from` past them: a record's position is its sequence
+    /// number, so a poller that keeps `*from` reads each record once. A
+    /// position past the end (kept across a crash) rereads from 0.
+    pub fn read_log_from(&self, ctx: &RequestContext, from: &mut u64) -> Result<Vec<AuditRecord>> {
         self.require_admin(ctx)?;
-        self.inner.lock().audit.read_from(&self.log, cursor)
+        self.inner.lock().audit.read_from(&self.log, from)
     }
 
-    /// The whole audit log (admin only), oldest first, protocol steps and
-    /// alerts included: record `i` is the stream's `i`-th, so its
-    /// position is its sequence number. What trace assembly joins on.
-    pub fn read_traces(&self, ctx: &RequestContext) -> Result<Vec<AuditRecord>> {
-        self.read_stream_from(ctx, &mut StreamCursor::default())
+    /// The position one past the audit log's last record (admin only):
+    /// a later [`S4Drive::read_log_from`] at it returns exactly the
+    /// records appended after this call.
+    pub fn audit_len(&self, ctx: &RequestContext) -> Result<u64> {
+        self.require_admin(ctx)?;
+        Ok(self.inner.lock().audit.len())
     }
 
     /// The audit log as the raw byte stream a `Read` of the reserved
@@ -430,42 +385,22 @@ impl<D: BlockDev> S4Drive<D> {
         self.inner.lock().audit.read_raw(&self.log, offset, len)
     }
 
-    /// Total records ever appended to the audit log (admin only). A
-    /// mismatch against the decodable record count exposes an audit
-    /// coverage gap (a spilled block the log refused).
+    /// Records ever appended to the audit log (admin only): its length
+    /// plus the records in blocks the log refused. More than
+    /// [`S4Drive::audit_len`] exposes an audit coverage gap.
     pub fn audit_total_records(&self, ctx: &RequestContext) -> Result<u64> {
         self.require_admin(ctx)?;
-        Ok(self.inner.lock().audit.total())
-    }
-
-    /// Every alert's record in the audit log (admin only), oldest first.
-    pub fn read_alerts(&self, ctx: &RequestContext) -> Result<Vec<AuditRecord>> {
-        self.read_alerts_from(ctx, &mut StreamCursor::default())
-    }
-
-    /// The alerts' records appended since `cursor` (admin only), oldest
-    /// first, advancing the cursor: repeated polls are incremental
-    /// instead of rescanning the log.
-    pub fn read_alerts_from(
-        &self,
-        ctx: &RequestContext,
-        cursor: &mut StreamCursor,
-    ) -> Result<Vec<AuditRecord>> {
-        let mut records = self.read_stream_from(ctx, cursor)?;
-        records.retain(|r| r.trace.is_alert());
-        Ok(records)
+        let inner = self.inner.lock();
+        Ok(inner.audit.len() + inner.audit.dropped)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::RECORD_BYTES;
     use s4_clock::SimTime;
     use s4_lfs::LogConfig;
     use s4_simdisk::MemDisk;
-
-    const PER_BLOCK: usize = RECORD_BLOCK_BYTES / RECORD_BYTES;
 
     fn rec(i: u64) -> AuditRecord {
         AuditRecord {
@@ -494,66 +429,81 @@ mod tests {
         Log::format(MemDisk::with_capacity_bytes(4 << 20), config).unwrap()
     }
 
-    #[test]
-    fn records_spill_the_instant_a_block_fills() {
-        let mut st = ReservedLog::default();
-        let mut emitted = Vec::new();
-        for i in 0..PER_BLOCK as u64 - 1 {
-            assert!(
-                st.push_record(&rec(i)).is_none(),
-                "record {i} spilled early"
-            );
-        }
-        // The boundary record: the push that fills the block emits it
-        // and leaves the tail empty.
-        emitted.extend(st.push_record(&rec(PER_BLOCK as u64 - 1)));
-        assert_eq!(emitted.len(), 1);
-        assert_eq!(emitted[0].len(), RECORD_BLOCK_BYTES);
-        assert!(st.pending.is_empty());
-        for i in PER_BLOCK as u64..PER_BLOCK as u64 * 2 + 3 {
-            emitted.extend(st.push_record(&rec(i)));
-        }
-        assert_eq!(emitted.len(), 2);
-        assert_eq!(st.total(), PER_BLOCK as u64 * 2 + 3);
-        assert_eq!(st.pending.len(), 3 * RECORD_BYTES);
-        // Emitted blocks plus the tail reassemble the stream: nothing
-        // lost, reordered or altered at the seams.
-        emitted.push(st.pending.clone());
-        let decoded: Vec<AuditRecord> = emitted
-            .iter()
-            .flat_map(|b| AuditState::decode_block(b).unwrap())
-            .collect();
-        assert_eq!(decoded.len() as u64, st.total());
-        for (i, d) in decoded.iter().enumerate() {
-            assert_eq!(*d, rec(i as u64), "record {i} damaged crossing blocks");
+    /// Appends records `from..from + n`.
+    fn fill(st: &mut ReservedLog, log: &Log<MemDisk>, from: u64, n: u64) {
+        let mut ledger = Ledger::default();
+        for i in from..from + n {
+            st.push(log, &mut ledger, &rec(i));
         }
     }
 
-    /// The anchor-payload layout is an on-disk contract.
+    fn ids(records: Vec<AuditRecord>) -> Vec<u64> {
+        records.iter().map(|r| r.time.as_micros()).collect()
+    }
+
+    #[test]
+    fn records_spill_the_instant_a_block_fills() {
+        assert_eq!(PER_BLOCK, 60);
+        let log = log();
+        let mut ledger = Ledger::default();
+        let mut st = ReservedLog::default();
+        for i in 0..PER_BLOCK as u64 - 1 {
+            assert!(
+                !st.push(&log, &mut ledger, &rec(i)),
+                "record {i} wrote a block"
+            );
+        }
+        // The boundary record: the push that fills the block writes it
+        // and leaves the tail empty.
+        assert!(st.push(&log, &mut ledger, &rec(PER_BLOCK as u64 - 1)));
+        assert_eq!((st.blocks().len(), st.pending.len()), (1, 0));
+        fill(&mut st, &log, PER_BLOCK as u64, PER_BLOCK as u64 + 3);
+        assert_eq!(st.blocks().len(), 2);
+        assert_eq!(st.len(), PER_BLOCK as u64 * 2 + 3);
+        assert_eq!(st.pending.len(), 3 * RECORD_BYTES);
+        // Blocks plus the tail reassemble the stream: nothing lost,
+        // reordered or altered at the seams.
+        let mut decoded = Vec::new();
+        for &addr in st.blocks() {
+            decoded.extend(AuditState::decode_block(&log.read_block(addr).unwrap()).unwrap());
+        }
+        decoded.extend(AuditState::decode_block(&st.pending).unwrap());
+        assert_eq!(ids(decoded), (0..st.len()).collect::<Vec<_>>());
+    }
+
+    /// The anchor-payload layout (format revision 7) is an on-disk
+    /// contract.
     #[test]
     fn anchor_layout_is_pinned_byte_for_byte() {
+        let mut tail = Vec::new();
+        rec(3).encode_into(&mut tail);
         let a = ReservedLog {
             blocks: vec![BlockAddr(5), BlockAddr(0x0102)],
-            pending: vec![1, 2, 3],
-            total: 42,
+            pending: tail.clone(),
+            dropped: 42,
         };
         let mut enc = Vec::new();
         a.encode_anchor(&mut enc);
         #[rustfmt::skip]
-        assert_eq!(enc, [
-            42, 0, 0, 0, 0, 0, 0, 0, // total
+        assert_eq!(enc[..32], [
+            42, 0, 0, 0, 0, 0, 0, 0, // dropped
             2, 0, 0, 0,              // n
             5, 0, 0, 0, 0, 0, 0, 0,  // addr
             2, 1, 0, 0, 0, 0, 0, 0,  // addr
+            68, 0, 0, 0,             // tail bytes
         ]);
+        assert_eq!(enc[32..], tail[..], "the tail's records, as encoded");
     }
 
     #[test]
     fn anchor_round_trips_and_refuses_truncation() {
+        let mut pending = Vec::new();
+        rec(1).encode_into(&mut pending);
+        rec(2).encode_into(&mut pending);
         let st = ReservedLog {
             blocks: vec![BlockAddr(11), BlockAddr(42)],
-            pending: vec![1, 2],
-            total: 7,
+            pending,
+            dropped: 7,
         };
         let mut enc = vec![0xEE]; // the stream state is mid-payload
         st.encode_anchor(&mut enc);
@@ -561,8 +511,11 @@ mod tests {
         let mut r = Reader::new(&enc[1..], "truncated");
         d.decode_anchor(&mut r).unwrap();
         assert!(r.take(1).is_err(), "the whole trailer is consumed");
-        assert_eq!((&d.blocks, d.total), (&st.blocks, st.total));
-        assert!(d.pending.is_empty(), "the pending tail is volatile");
+        assert_eq!(
+            (&d.blocks, &d.pending, d.dropped),
+            (&st.blocks, &st.pending, 7)
+        );
+        assert_eq!(d.len(), 2 * PER_BLOCK as u64 + 2);
         // A trailer that ends early is corruption, never a silently
         // shorter (or empty) stream.
         for cut in 1..enc.len() {
@@ -572,6 +525,21 @@ mod tests {
                     .is_err(),
                 "decoded from {cut} of {} bytes",
                 enc.len()
+            );
+        }
+        // So is a tail that is not whole records, or a whole block.
+        for bad in [RECORD_BYTES - 1, RECORD_BLOCK_BYTES] {
+            let st = ReservedLog {
+                pending: vec![1; bad],
+                ..ReservedLog::default()
+            };
+            let mut enc = Vec::new();
+            st.encode_anchor(&mut enc);
+            let mut d = ReservedLog::default();
+            assert!(
+                d.decode_anchor(&mut Reader::new(&enc, "truncated"))
+                    .is_err(),
+                "{bad}"
             );
         }
     }
@@ -588,85 +556,52 @@ mod tests {
         assert_eq!(st.blocks, [BlockAddr(11), BlockAddr(900), BlockAddr(77)]);
     }
 
-    /// Replay counts a block's records back in at the stream's next
-    /// position only: a block tagged with a position the stream already
-    /// holds is a cleaner's copy.
+    /// Replay takes a block at the stream's next index only, and the
+    /// block replaces the anchored tail it begins with: a block tagged
+    /// with an index the stream already holds is a cleaner's copy.
     #[test]
     fn replay_takes_only_the_next_position() {
         let mut st = ReservedLog::default();
-        let mut block = Vec::new();
-        for i in 0..5 {
-            rec(i).encode_into(&mut block);
-        }
-        block.resize(BLOCK_SIZE, 0); // as read back from the log
-        st.replay_block(BlockAddr(9), ReservedLog::tag(0), &block)
-            .unwrap();
-        assert_eq!((st.total(), st.blocks()), (5, &[BlockAddr(9)][..]));
+        rec(0).encode_into(&mut st.pending);
+        st.replay_block(BlockAddr(9), ReservedLog::tag(0));
+        assert_eq!((st.len(), st.blocks()), (60, &[BlockAddr(9)][..]));
         for stale in [ReservedLog::tag(0), ReservedLog::tag(2)] {
-            st.replay_block(BlockAddr(10), stale, &block).unwrap();
+            st.replay_block(BlockAddr(10), stale);
         }
-        st.replay_block(BlockAddr(11), ReservedLog::tag(1), &block)
-            .unwrap();
+        st.replay_block(BlockAddr(11), ReservedLog::tag(1));
         let listed = [BlockAddr(9), BlockAddr(11)];
-        assert_eq!((st.total(), st.blocks()), (10, &listed[..]));
-    }
-
-    /// Appends records `from..from + n`, anchoring (spilling the partial
-    /// tail) after each index in `anchor_after`.
-    fn fill(st: &mut ReservedLog, log: &Log<MemDisk>, from: u64, n: u64, anchor_after: &[u64]) {
-        let mut ledger = Ledger::default();
-        for i in from..from + n {
-            if let Some(block) = st.push_record(&rec(i)) {
-                st.append_block(log, &mut ledger, &block).unwrap();
-            }
-            if anchor_after.contains(&i) {
-                st.spill_tail(log, &mut ledger).unwrap();
-            }
-        }
-    }
-
-    fn ids(records: Vec<AuditRecord>) -> Vec<u64> {
-        records.iter().map(|r| r.time.as_micros()).collect()
+        assert_eq!((st.len(), st.blocks()), (120, &listed[..]));
     }
 
     #[test]
-    fn cursor_survives_partial_anchor_spilled_blocks() {
+    fn a_position_names_its_block_and_a_read_resumes_there() {
         let log = log();
         let mut st = ReservedLog::default();
-        let mut cursor = StreamCursor::default();
-        // Two records, then an anchor spills them as a *partial* block.
-        fill(&mut st, &log, 0, 2, &[1]);
-        assert_eq!(st.blocks().len(), 1);
-        assert_eq!(ids(st.read_from(&log, &mut cursor).unwrap()), [0, 1]);
-        // A cursor taken mid-tail: the consumed records become the
-        // prefix of the block the tail later spills into.
-        fill(&mut st, &log, 2, 3, &[]);
-        assert_eq!(ids(st.read_from(&log, &mut cursor).unwrap()), [2, 3, 4]);
-        assert_eq!(cursor, st.end_cursor().unwrap());
-        assert_eq!(
-            cursor,
-            StreamCursor {
-                blocks: 1,
-                tail_records: 3
-            }
-        );
+        let mut at = 0;
+        fill(&mut st, &log, 0, 2);
+        assert_eq!(ids(st.read_from(&log, &mut at).unwrap()), [0, 1]);
+        assert_eq!(at, 2);
+        // The consumed tail records become the prefix of the block the
+        // tail fills into.
         let n = PER_BLOCK as u64 + 6;
-        fill(&mut st, &log, 5, n, &[]);
-        assert_eq!(st.blocks().len(), 2, "the tail spilled one full block");
+        fill(&mut st, &log, 2, n);
+        assert_eq!(st.blocks().len(), 1);
         assert_eq!(
-            ids(st.read_from(&log, &mut cursor).unwrap()),
-            (5..5 + n).collect::<Vec<_>>()
+            ids(st.read_from(&log, &mut at).unwrap()),
+            (2..2 + n).collect::<Vec<_>>()
         );
-        assert!(st.read_from(&log, &mut cursor).unwrap().is_empty());
-        // The whole stream, from a fresh cursor.
-        let whole = &mut StreamCursor::default();
-        let all = (0..5 + n).collect::<Vec<_>>();
-        assert_eq!(ids(st.read_from(&log, whole).unwrap()), all);
-        // A cursor ahead of the stream (blocks lost in a crash) resets.
-        let mut ahead = StreamCursor {
-            blocks: 99,
-            tail_records: 1,
-        };
+        assert!(st.read_from(&log, &mut at).unwrap().is_empty());
+        assert_eq!(at, st.len());
+        // Any position, mid-block or mid-tail, reads from there on.
+        let all = (0..2 + n).collect::<Vec<_>>();
+        for from in [0, 1, 59, 60, 61, 2 + n] {
+            let mut p = from;
+            let got = ids(st.read_from(&log, &mut p).unwrap());
+            assert_eq!(got, all[from as usize..], "from {from}");
+        }
+        // A position ahead of the stream (records lost in a crash) rereads
+        // from 0.
+        let mut ahead = st.len() + 1;
         assert_eq!(ids(st.read_from(&log, &mut ahead).unwrap()), all);
     }
 
@@ -676,13 +611,13 @@ mod tests {
     fn raw_reads_cut_the_positional_stream_anywhere() {
         let log = log();
         let mut st = ReservedLog::default();
-        fill(&mut st, &log, 0, 2 * PER_BLOCK as u64 + 7, &[3]);
+        fill(&mut st, &log, 0, 2 * PER_BLOCK as u64 + 7);
         let mut whole = Vec::new();
         for &addr in st.blocks() {
             whole.extend_from_slice(&log.read_block(addr).unwrap());
         }
         whole.extend_from_slice(&st.pending);
-        assert_eq!(whole.len(), 3 * BLOCK_SIZE + st.pending.len());
+        assert_eq!(whole.len(), 2 * BLOCK_SIZE + 7 * RECORD_BYTES);
         let size = whole.len() as u64;
         for (offset, len) in [
             (0, size),
@@ -707,16 +642,34 @@ mod tests {
     fn export_restore_copies_the_stream_byte_for_byte() {
         let (src_log, dst_log) = (log(), log());
         let mut src = ReservedLog::default();
-        fill(&mut src, &src_log, 0, PER_BLOCK as u64 + 10, &[5]);
+        fill(&mut src, &src_log, 0, 2 * PER_BLOCK as u64 + 10);
+        src.dropped = 3;
         let image = src.export(&src_log).unwrap();
         let mut dst = ReservedLog::default();
         let mut ledger = Ledger::default();
         dst.restore(&dst_log, &mut ledger, &image).unwrap();
         assert_eq!(dst.export(&dst_log).unwrap(), image);
         assert_eq!(ledger.addrs().count(), dst.blocks().len());
-        assert_eq!(dst.end_cursor().unwrap(), src.end_cursor().unwrap());
-        assert!(dst.tagged_in_order(&dst_log).unwrap());
+        assert_eq!((dst.len(), dst.dropped), (src.len(), 3));
+        dst.check(&dst_log).unwrap();
         dst.blocks.swap(0, 1);
-        assert!(!dst.tagged_in_order(&dst_log).unwrap());
+        assert!(dst.check(&dst_log).is_err(), "blocks out of position");
+    }
+
+    /// Every listed block holds sixty records: a short one is corruption.
+    #[test]
+    fn check_refuses_a_short_block() {
+        let log = log();
+        let mut ledger = Ledger::default();
+        let mut st = ReservedLog::default();
+        fill(&mut st, &log, 0, PER_BLOCK as u64);
+        st.check(&log).unwrap();
+        let mut short = Vec::new();
+        for i in 0..PER_BLOCK as u64 - 1 {
+            rec(i).encode_into(&mut short);
+        }
+        st.append_block(&log, &mut ledger, &short).unwrap();
+        let err = st.check(&log).unwrap_err();
+        assert!(err.to_string().contains("short"), "{err}");
     }
 }

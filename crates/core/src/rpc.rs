@@ -313,9 +313,9 @@ impl<D: BlockDev> S4Drive<D> {
             arg2,
             trace: ctx.trace.of_request(),
             rpc_us: us(self.clock().now().as_micros() - t_start),
-            journal_us: us(span[s4_obs::Layer::Journal as usize]),
-            lfs_us: us(span[s4_obs::Layer::Lfs as usize]),
-            disk_us: us(span[s4_obs::Layer::Disk as usize]),
+            journal_us: us(span[s4_obs::span::Layer::Journal as usize]),
+            lfs_us: us(span[s4_obs::span::Layer::Lfs as usize]),
+            disk_us: us(span[s4_obs::span::Layer::Disk as usize]),
         };
         self.record_latency(&rec);
         self.audit_append(&rec);

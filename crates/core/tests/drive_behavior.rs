@@ -491,6 +491,36 @@ fn flusho_removes_middle_versions_only() {
     assert_eq!(d.op_read(&ctx, oid, 0, 20, None).unwrap(), b"version-3");
 }
 
+/// A `FlushO` rewrites history, which only an anchor commits: a crash
+/// after it and a `Sync` must not replay the old chain's entries on top
+/// of the rewritten one and list the flushed version again.
+#[test]
+fn a_flushed_version_stays_gone_across_a_crash() {
+    let d = drive();
+    let ctx = alice();
+    let oid = d.op_create(&ctx, None).unwrap();
+    d.op_write(&ctx, oid, 0, b"version-1").unwrap();
+    d.clock().advance(SimDuration::from_secs(10));
+    let flush_from = d.now();
+    d.op_write(&ctx, oid, 0, b"v2-secret").unwrap();
+    let t2 = d.now();
+    d.clock().advance(SimDuration::from_secs(10));
+    let flush_to = d.now();
+    d.clock().advance(SimDuration::from_secs(10));
+    d.op_write(&ctx, oid, 0, b"version-3").unwrap();
+    d.force_anchor().unwrap();
+    d.op_flusho(&admin(), oid, flush_from, flush_to).unwrap();
+    d.op_sync(&ctx).unwrap();
+    let history = d.version_history(&admin(), oid).unwrap();
+    assert_eq!(history.len(), 4, "{history:?}");
+
+    let d = S4Drive::mount(d.crash(), DriveConfig::small_test(), SimClock::new()).unwrap();
+    assert_eq!(d.version_history(&admin(), oid).unwrap(), history);
+    let at_t2 = d.op_read(&admin(), oid, 0, 20, Some(t2)).unwrap();
+    assert_eq!(at_t2, b"version-1");
+    assert_eq!(d.check_image(), Ok((vec![], vec![], 0)));
+}
+
 #[test]
 fn object_cache_eviction_round_trips_objects() {
     let clock = SimClock::new();
@@ -755,23 +785,24 @@ fn replay_counts_post_anchor_records_alerts_included() {
     audited_writes(&d, oid, 100);
     d.op_sync(&alice()).unwrap();
 
-    // Power loss: the log keeps its anchored blocks plus the blocks
-    // spilled (and flushed) since; the buffered tail is gone. The total
-    // must describe exactly what survived.
+    // Power loss: the anchor carried the 20-record tail; the blocks
+    // filled (and flushed) since replace it, and the tail after them is
+    // gone. The length and the total must describe exactly what survived.
     let totals = |d: &S4Drive<MemDisk>| {
-        let image = d.resync_image(&admin()).unwrap();
-        let whole = d.read_traces(&admin()).unwrap().len() as u64;
-        assert_eq!(d.audit_total_records(&admin()).unwrap(), whole);
-        assert_eq!(image.audit.total, whole);
+        let whole = d.read_log_from(&admin(), &mut 0).unwrap();
+        let len = whole.len() as u64;
+        assert_eq!(d.audit_len(&admin()).unwrap(), len);
+        assert_eq!(d.audit_total_records(&admin()).unwrap(), len);
         let requests = d.read_audit_records(&admin()).unwrap().len() as u64;
-        let alerts = d.read_alerts(&admin()).unwrap().len() as u64;
-        assert_eq!(requests + alerts, whole);
+        let alerts = whole.iter().filter(|r| r.trace.is_alert()).count() as u64;
+        assert_eq!(requests + alerts, len);
         (requests, alerts)
     };
     let d2 = S4Drive::mount(d.crash(), DriveConfig::small_test(), SimClock::new()).unwrap();
     let recovered = totals(&d2);
-    // Three full post-anchor blocks, each request beside its alert.
-    assert_eq!(recovered, (10 + 90, 10 + 90));
+    // Three full blocks, positions 0..180, each request beside its
+    // alert: the anchored tail's 20 records open the first.
+    assert_eq!(recovered, (90, 90));
 
     // Replay is idempotent: a second crash before any new anchor
     // recovers the same state.
@@ -782,27 +813,29 @@ fn replay_counts_post_anchor_records_alerts_included() {
 }
 
 #[test]
-fn audit_cursor_resumes_exactly_across_an_anchor_spilled_block() {
+fn audit_position_resumes_exactly_across_an_anchor() {
     let d = drive();
     let oid = d.op_create(&alice(), None).unwrap();
-    // The anchor spills a 10-record *partial* block, so later blocks do
-    // not start on multiples of the per-block record count.
+    // The anchor carries a 10-record tail; the block it later fills into
+    // starts at position 0 all the same.
     audited_writes(&d, oid, 10);
     d.force_anchor().unwrap();
     audited_writes(&d, oid, 90);
-    let mut cursor = d.audit_cursor(&admin()).unwrap();
+    let mut at = d.audit_len(&admin()).unwrap();
+    assert_eq!(at, 100);
     audited_writes(&d, oid, 10);
 
     let all = d.read_audit_records(&admin()).unwrap();
     assert_eq!(all.len(), 110);
-    let fresh = d.read_audit_from(&admin(), &mut cursor).unwrap();
+    let fresh = d.read_log_from(&admin(), &mut at).unwrap();
     assert_eq!(fresh, all[100..]);
     // Nothing new: nothing returned; then only the next record.
-    assert!(d.read_audit_from(&admin(), &mut cursor).unwrap().is_empty());
+    assert!(d.read_log_from(&admin(), &mut at).unwrap().is_empty());
     audited_writes(&d, oid, 1);
-    assert_eq!(d.read_audit_from(&admin(), &mut cursor).unwrap().len(), 1);
-    assert_eq!(cursor, d.audit_cursor(&admin()).unwrap());
-    assert!(d.audit_cursor(&alice()).is_err(), "admin only");
+    assert_eq!(d.read_log_from(&admin(), &mut at).unwrap().len(), 1);
+    assert_eq!(at, d.audit_len(&admin()).unwrap());
+    assert!(d.audit_len(&alice()).is_err(), "admin only");
+    assert!(d.read_log_from(&alice(), &mut 0).is_err(), "admin only");
 }
 
 // ---------------------------------------------------------------------
@@ -1339,7 +1372,14 @@ fn a_request_cannot_pass_as_a_protocol_step() {
         };
         assert_eq!((r.trace, r.alert_rule()), (as_sent, None));
     }
-    let alerts = d.read_alerts(&admin()).unwrap();
+    let alerts_of = |d: &S4Drive<MemDisk>| {
+        let whole = d.read_log_from(&admin(), &mut 0).unwrap();
+        whole
+            .into_iter()
+            .filter(|r| r.trace.is_alert())
+            .collect::<Vec<_>>()
+    };
+    let alerts = alerts_of(&d);
     assert_eq!(alerts.len(), 2, "detectors fed");
     assert!(alerts
         .iter()
@@ -1347,20 +1387,20 @@ fn a_request_cannot_pass_as_a_protocol_step() {
 
     d.record_phase_trace(&step, OpKind::Sync, oid, true);
     assert_eq!(d.read_audit_records(&admin()).unwrap(), requests);
-    let whole = d.read_traces(&admin()).unwrap();
+    let whole = d.read_log_from(&admin(), &mut 0).unwrap();
     assert_eq!(whole.len(), 5, "two requests, their two alerts, one step");
     assert_eq!(whole[4].trace, step.trace);
     assert_eq!(d.audit_total_records(&admin()).unwrap(), 5);
-    let alerts = d.read_alerts(&admin()).unwrap();
-    assert_eq!(alerts.len(), 2, "a step is not fed to the detectors");
+    assert_eq!(alerts_of(&d), alerts, "a step is not fed to the detectors");
 }
 
 /// The cleaner copies live audit blocks forward with their tags. Mount
 /// replays the post-anchor audit blocks in log order, and a copy names
 /// a position the stream already holds, so roll-forward must not count
 /// it in again: a log of 2 259 records comes back as exactly its durable
-/// prefix — all but the buffered tail, which a crash loses by design
-/// (§5.1.4) — not with the copies appended a second time.
+/// prefix — its 37 full blocks, all but the buffered tail, which a crash
+/// loses by design (§5.1.4) — not with the copies appended a second
+/// time.
 #[test]
 fn a_cleaner_pass_does_not_double_the_audit_log_across_a_crash() {
     let mut config = DriveConfig::small_test();
@@ -1395,13 +1435,14 @@ fn a_cleaner_pass_does_not_double_the_audit_log_across_a_crash() {
         }
     }
     assert!(relocated > 0, "the recipe's passes copy segments");
-    let before = d.read_traces(&admin()).unwrap();
+    let before = d.read_log_from(&admin(), &mut 0).unwrap();
     assert_eq!(before.len(), 2_259);
-    let durable = before.len() - d.audit_cursor(&admin()).unwrap().tail_records;
+    // No anchor since the last full block: the tail after it is volatile.
+    let durable = before.len() / 60 * 60;
     assert_eq!(d.check_image(), Ok((vec![], vec![], 0)));
 
     let d = S4Drive::mount(d.crash(), config, SimClock::new()).unwrap();
-    let after = d.read_traces(&admin()).unwrap();
+    let after = d.read_log_from(&admin(), &mut 0).unwrap();
     let same = before
         .iter()
         .zip(&after)

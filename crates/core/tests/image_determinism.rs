@@ -211,18 +211,20 @@ fn run(
     Ok((s4_lfs::crc::xxh64(&image), digest, outcome))
 }
 
-/// Restated at format revision 6, where an alert is an audit record and
-/// no alert stream is kept beside the audit log.
+/// Restated at format revision 7, where every audit block is full and
+/// the anchor carries the audit tail, and `FlushO` anchors.
 #[test]
 fn churn_image_is_one_value_across_runs() {
-    /// Revision 6 in the superblock, and the anchor payload without the
-    /// alert stream's 20-byte section.
-    const IMAGE_HASH: u64 = 0xeb38_c637_374c_a1c7;
-    /// The digest hashes the audit log's block list and tail, without
-    /// the alert stream's (and its retention base).
-    const STATE_DIGEST: u64 = 0x01fa_d1c8_4626_d299;
-    /// Unchanged: every request in the stream succeeds or fails as before.
-    const OUTCOMES: u64 = 0x7a1d_7af5_6777_6fb7;
+    /// Revision 7 in the superblock, the anchor payload's audit section
+    /// (`dropped`, and the tail's length after the block list), and the
+    /// anchor each `FlushO` now writes.
+    const IMAGE_HASH: u64 = 0x6462_9219_1c0b_94de;
+    /// The digest hashes the audit log's block list, tail and dropped
+    /// count, and the state the `FlushO` anchors leave.
+    const STATE_DIGEST: u64 = 0x2fc9_21db_e75a_2fbf;
+    /// A crash after a `FlushO` no longer replays the old chain, so some
+    /// later requests succeed or fail differently.
+    const OUTCOMES: u64 = 0xe14a_ad17_f7f3_516b;
     let run = || run(SEEDS[0], 6, &[MAINTENANCE], false).expect("the pinned stream completes");
     let (a, b) = (run(), run());
     assert_eq!(a, b, "two runs of one request stream diverged");
@@ -283,7 +285,6 @@ fn compact_history_keeps_the_ledger_equal_to_its_recount() {
 }
 
 #[test]
-#[ignore = "ROADMAP item 2: seed 0x6 cache 6 step 246 before the crash: block 8 released, still reachable by 1 reference"]
 fn flusho_keeps_the_ledger_equal_to_its_recount() {
     sweep(&[EXPIRE, CLEAN, FLUSHO]);
 }

@@ -103,12 +103,8 @@ fn image_replay_reproduces_objects_and_streams() {
 
     // The audit log, alerts included, decodes identically.
     assert_eq!(
-        src.read_traces(&adm).unwrap(),
-        dst.read_traces(&adm).unwrap()
-    );
-    assert_eq!(
-        src.read_alerts(&adm).unwrap(),
-        dst.read_alerts(&adm).unwrap()
+        src.read_log_from(&adm, &mut 0).unwrap(),
+        dst.read_log_from(&adm, &mut 0).unwrap()
     );
 
     // Id allocation resumes past the source's floor — no id reuse.
@@ -149,8 +145,8 @@ fn replayed_drive_survives_remount() {
         );
     }
     assert_eq!(
-        src.read_alerts(&adm).unwrap(),
-        dst.read_alerts(&adm).unwrap()
+        src.read_log_from(&adm, &mut 0).unwrap(),
+        dst.read_log_from(&adm, &mut 0).unwrap()
     );
 }
 

@@ -47,7 +47,7 @@ mod xdelta;
 
 pub use chain::{ChainMode, DeltaChain};
 pub use lzss::{compress, decompress};
-pub use xdelta::{apply, diff, Delta, DeltaOp};
+pub use xdelta::{apply, diff, Delta};
 
 use core::fmt;
 

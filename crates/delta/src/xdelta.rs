@@ -16,7 +16,7 @@ const SEED: usize = 16;
 
 /// One delta instruction.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum DeltaOp {
+pub(crate) enum DeltaOp {
     /// Copy `len` bytes from source offset `src`.
     Copy {
         /// Source offset.
@@ -33,7 +33,7 @@ pub enum DeltaOp {
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Delta {
     /// Instructions, in target order.
-    pub ops: Vec<DeltaOp>,
+    pub(crate) ops: Vec<DeltaOp>,
     /// Length of the target this delta produces.
     pub target_len: u64,
 }

@@ -90,7 +90,7 @@ pub fn read_alerts<D: BlockDev>(
     drive: &S4Drive<D>,
     admin: &RequestContext,
 ) -> Result<Vec<Alert>, S4Error> {
-    let records = drive.read_alerts(admin)?;
+    let records = drive.read_log_from(admin, &mut 0)?;
     Ok(records.iter().filter_map(Alert::render).collect())
 }
 
@@ -98,17 +98,17 @@ pub fn read_alerts<D: BlockDev>(
 mod tests {
     use super::*;
     use s4_clock::{SimClock, SimDuration, SimTime};
-    use s4_core::{ClientId, DriveConfig, ObjectId, OpKind, Request, StreamCursor, UserId};
+    use s4_core::{ClientId, DriveConfig, ObjectId, OpKind, Request, UserId};
     use s4_simdisk::MemDisk;
 
     /// Incremental alert reader. Where [`read_alerts`] rescans the whole
-    /// audit log on each call, a poller carries a `StreamCursor` so each
-    /// [`poll`](AlertPoller::poll) decodes only the records appended since
-    /// the previous one — the natural shape for a monitoring loop that
-    /// watches a long-lived drive.
+    /// audit log on each call, a poller keeps the log position it has
+    /// read up to, so each [`poll`](AlertPoller::poll) decodes only the
+    /// records appended since the previous one — the natural shape for a
+    /// monitoring loop that watches a long-lived drive.
     #[derive(Clone, Copy, Debug, Default)]
     struct AlertPoller {
-        cursor: StreamCursor,
+        position: u64,
     }
 
     impl AlertPoller {
@@ -118,13 +118,13 @@ mod tests {
         }
 
         /// Decodes the alerts appended since the previous poll (admin only),
-        /// oldest first, and advances the cursor.
+        /// oldest first, and advances the position.
         fn poll<D: BlockDev>(
             &mut self,
             drive: &S4Drive<D>,
             admin: &RequestContext,
         ) -> Result<Vec<Alert>, S4Error> {
-            let records = drive.read_alerts_from(admin, &mut self.cursor)?;
+            let records = drive.read_log_from(admin, &mut self.position)?;
             Ok(records.iter().filter_map(Alert::render).collect())
         }
     }
@@ -258,7 +258,7 @@ mod tests {
         );
         // The alert is one record of the log, filed right after its
         // trigger's, which the request readers skip.
-        let whole = drive.read_traces(&admin).unwrap();
+        let whole = drive.read_log_from(&admin, &mut 0).unwrap();
         assert_eq!(whole.len(), 6);
         assert_eq!(Alert::render(&whole[5]).as_ref(), Some(&alerts[0]));
         assert_eq!(
@@ -413,9 +413,9 @@ mod tests {
 
     #[test]
     fn alert_poller_survives_spill_to_block() {
-        // Force the pending tail to spill into flushed blocks and check
-        // the cursor's skip-count hand-off: nothing is dropped, nothing
-        // is repeated.
+        // Fill the pending tail into flushed blocks, and read across the
+        // hand-off from the tail to the block at the same positions:
+        // nothing is dropped, nothing is repeated.
         let drive = drive();
         install_standard_monitor(&drive);
         let admin = RequestContext::admin(ClientId(9), drive.config().admin_token);
@@ -445,7 +445,7 @@ mod tests {
                 .unwrap();
             seen += poller.poll(&drive, &admin).unwrap().len();
             if round == 20 {
-                // Mid-stream sync exercises the anchor-persist path too.
+                // Mid-stream sync exercises the anchor path too.
                 drive.op_sync(&user).unwrap();
             }
         }
@@ -458,6 +458,6 @@ mod tests {
     fn alerts_are_read_with_the_admin_token_only() {
         let drive = drive();
         let user = RequestContext::user(UserId(1), ClientId(1));
-        assert_eq!(drive.read_alerts(&user), Err(S4Error::AccessDenied));
+        assert_eq!(read_alerts(&drive, &user), Err(S4Error::AccessDenied));
     }
 }

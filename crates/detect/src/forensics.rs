@@ -90,9 +90,10 @@ pub fn damage_report<D: BlockDev>(
 /// Accounting of audit-log completeness.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CoverageReport {
-    /// Records the drive has ever appended (its monotonic counter).
+    /// Records the drive has appended: the log's length plus the records
+    /// of blocks its log refused.
     pub appended: u64,
-    /// Records currently decodable from the log (blocks + tail).
+    /// Records decodable from the log (blocks + tail): its length.
     pub decodable: u64,
 }
 
@@ -112,7 +113,7 @@ pub fn audit_coverage<D: BlockDev>(
     admin: &RequestContext,
 ) -> Result<CoverageReport, S4Error> {
     let appended = drive.audit_total_records(admin)?;
-    let decodable = drive.read_traces(admin)?.len() as u64;
+    let decodable = drive.audit_len(admin)?;
     Ok(CoverageReport {
         appended,
         decodable,
@@ -125,7 +126,7 @@ pub fn audit_coverage<D: BlockDev>(
 
 /// Where a timeline event was reconstructed from.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TimelineSource {
+pub(crate) enum TimelineSource {
     /// The object's retained journal history (what the version became).
     Journal,
     /// The audit log (who asked for what, and whether it was allowed).
@@ -145,7 +146,7 @@ pub struct TimelineEvent {
     /// When it happened (drive clock).
     pub time: SimTime,
     /// Journal or audit provenance.
-    pub source: TimelineSource,
+    pub(crate) source: TimelineSource,
     /// Human-readable description.
     pub description: String,
 }
@@ -331,7 +332,7 @@ pub fn tree_diff<D: BlockDev>(
 // ---------------------------------------------------------------------
 
 /// One span of an assembled trace: an audit record read back from a
-/// specific member drive's log ([`S4Drive::read_traces`]). The
+/// specific member drive's log ([`S4Drive::read_log_from`]). The
 /// (shard, member) provenance comes from *which stream vouches for it*,
 /// not from the record bytes — a drive can only write its own stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -407,7 +408,7 @@ fn phase_rank(phase: u8) -> u8 {
 
 /// Joins per-member audit logs on trace id: `streams` pairs each
 /// `(shard, member)` with that member drive's whole log
-/// ([`S4Drive::read_traces`]). Untraced records and alerts (which carry
+/// ([`S4Drive::read_log_from`]). Untraced records and alerts (which carry
 /// their trigger's id) are skipped. Returns one [`TraceTree`] per
 /// distinct id, ordered by first span time.
 pub fn assemble_traces(streams: &[(usize, usize, Vec<AuditRecord>)]) -> Vec<TraceTree> {
@@ -627,7 +628,7 @@ mod tests {
     }
 
     #[test]
-    fn read_traces_mirrors_the_request_stream() {
+    fn the_whole_log_mirrors_the_request_stream() {
         let (d, admin, user) = drive();
         let oid = create(&d, &user);
         tick(&d);
@@ -654,7 +655,7 @@ mod tests {
             )
             .is_err());
 
-        let log = d.read_traces(&admin).unwrap();
+        let log = d.read_log_from(&admin, &mut 0).unwrap();
         assert_eq!(log, d.read_audit_records(&admin).unwrap(), "no steps");
         assert!(log.len() >= 3);
         let write = log
@@ -671,7 +672,10 @@ mod tests {
         assert_eq!(denied.op, OpKind::Write);
 
         // Non-admin principals cannot read the audit log.
-        assert!(matches!(d.read_traces(&user), Err(S4Error::AccessDenied)));
+        assert!(matches!(
+            d.read_log_from(&user, &mut 0),
+            Err(S4Error::AccessDenied)
+        ));
     }
 
     #[test]

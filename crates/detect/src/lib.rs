@@ -55,8 +55,8 @@ pub use alert::{Alert, Severity};
 pub use detector::{install_standard_monitor, read_alerts, scan_audit, DetectorSet};
 pub use forensics::{
     assemble_traces, audit_coverage, damage_report, object_timeline, render_trace_tree,
-    slowest_traces, tree_diff, CoverageReport, DamageReport, TimelineEvent, TimelineSource,
-    TraceSpan, TraceTree, TreeDiff, TreeNode,
+    slowest_traces, tree_diff, CoverageReport, DamageReport, TimelineEvent, TraceSpan, TraceTree,
+    TreeDiff, TreeNode,
 };
 pub use recovery::{
     execute_plan_on, plan_recovery, PlannedAction, RecoveryAction, RecoveryPlan, RecoveryReport,

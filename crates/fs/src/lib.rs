@@ -9,9 +9,11 @@
 //!
 //! This crate provides:
 //!
-//! * [`server`] — the transport-agnostic [`FileServer`] trait all
-//!   benchmarked systems implement (S4 and the baselines), mirroring the
-//!   NFSv2 operation set.
+//! * [`FileServer`] — the transport-agnostic trait all benchmarked
+//!   systems implement (S4 and the baselines), mirroring the NFSv2
+//!   operation set.
+//! * [`server`] — its error and result types, [`server::FsError`] and
+//!   [`server::FsResult`], one error whatever the transport.
 //! * [`S4FileServer`] — the S4 client translator, including
 //!   time-travel variants of the read operations.
 //! * [`Transport`] — the transport abstraction, plus the in-process
@@ -28,14 +30,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod fileserver;
 mod s4fs;
 pub mod server;
 mod tcp;
 mod tools;
 mod transport;
 
+pub use fileserver::{FileAttr, FileKind, FileServer, Handle};
 pub use s4fs::{S4FileServer, S4FsConfig};
-pub use server::{FileAttr, FileKind, FileServer, FsError, FsResult, Handle};
 pub use tcp::{RpcHandler, TcpServerHandle, TcpTransport};
 pub use tools::{ls_at, read_file_at, restore_file, split_path, write_file};
 pub use transport::{call_in_process, LoopbackTransport, Transport};

@@ -24,7 +24,8 @@ use s4_core::codec::Reader;
 use s4_core::{ObjectId, Request, RequestContext, Response};
 use s4_detect::dirblob;
 
-use crate::server::{FileAttr, FileKind, FileServer, FsError, FsResult, Handle};
+use crate::fileserver::{FileAttr, FileKind, FileServer, Handle};
+use crate::server::{FsError, FsResult};
 use crate::transport::Transport;
 
 /// Translator configuration. The attribute and directory caches and the

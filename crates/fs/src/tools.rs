@@ -18,8 +18,9 @@
 
 use s4_clock::SimTime;
 
+use crate::fileserver::{FileKind, FileServer, Handle};
 use crate::s4fs::S4FileServer;
-use crate::server::{FileKind, FileServer, FsError, FsResult, Handle};
+use crate::server::{FsError, FsResult};
 use crate::transport::Transport;
 
 /// Splits `dir/name` at the last `/`; a bare name is in the root (`""`).

@@ -130,6 +130,6 @@ mod tests {
                 },
             )
             .unwrap_err();
-        assert_eq!(err, crate::FsError::NotFound);
+        assert_eq!(err, crate::server::FsError::NotFound);
     }
 }

@@ -5,7 +5,8 @@ use std::sync::Arc;
 
 use s4_clock::{NetworkModel, SimClock, SimDuration};
 use s4_core::{AclEntry, ClientId, DriveConfig, ObjectId, Perm, RequestContext, S4Drive, UserId};
-use s4_fs::{FileKind, FileServer, FsError, LoopbackTransport, S4FileServer, S4FsConfig};
+use s4_fs::server::FsError;
+use s4_fs::{FileKind, FileServer, LoopbackTransport, S4FileServer, S4FsConfig};
 use s4_simdisk::MemDisk;
 
 type Fs = S4FileServer<LoopbackTransport<MemDisk>>;

@@ -34,7 +34,6 @@ pub use entry::{JournalEntry, PtrChange, MAX_PTR_CHANGES};
 pub use meta::ObjectMeta;
 pub use replay::{reconstruct_at, redo, undo, UndoWalk};
 pub use sector::{decode_sector, encode_sectors, SectorPayload, MAX_SECTOR_BYTES};
-pub use txn::{in_doubt, InDoubtTxn, TxnRecord};
 
 use std::fmt;
 

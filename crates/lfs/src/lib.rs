@@ -44,9 +44,8 @@ pub use cache::BlockCache;
 pub use cleaner::{CleanOutcome, Cleaner, CleanerConfig, RelocationCallbacks};
 pub use layout::{BlockAddr, BlockKind, BlockTag, Geometry, BLOCK_SIZE};
 pub use log::{FlushStats, Log, LogConfig, Mounted, RecoveredBatch, SegmentMismatch};
-pub use summary::SummaryEntry;
 pub use superblock::Superblock;
-pub use usage::{SegmentState, SegmentUsageTable};
+pub use usage::SegmentUsageTable;
 
 use std::fmt;
 

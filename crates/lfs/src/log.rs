@@ -495,12 +495,12 @@ impl<D: BlockDev> Log<D> {
             }),
         };
         buf[..BLOCK_SIZE].copy_from_slice(&summary.encode());
-        let disk_before = s4_obs::span::charged(s4_obs::Layer::Disk);
+        let disk_before = s4_obs::span::charged(s4_obs::span::Layer::Disk);
         let sum_addr = self.geo.addr_of(seg, batch_start);
         self.dev.write(self.geo.sector_of(sum_addr), &buf)?;
         s4_obs::span::charge(
-            s4_obs::Layer::Lfs,
-            s4_obs::span::charged(s4_obs::Layer::Disk) - disk_before,
+            s4_obs::span::Layer::Lfs,
+            s4_obs::span::charged(s4_obs::span::Layer::Disk) - disk_before,
         );
 
         // Account (every block was counted live as it was appended) and

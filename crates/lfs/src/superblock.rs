@@ -31,7 +31,10 @@ const SB_BYTES: usize = 96;
 /// audit block reads as malformed records and its anchor payload as a
 /// truncated one. Revision 6 files each alert as one audit record and
 /// drops the alert stream with its blocks and its anchor-payload section.
-pub(crate) const FORMAT_VERSION: u32 = 6;
+/// Revision 7 flushes only full audit blocks and carries the audit tail's
+/// records in the anchor payload: a revision-6 image may list a partial
+/// block, and its anchor payload lacks the tail.
+pub(crate) const FORMAT_VERSION: u32 = 7;
 
 /// Sentinel for "the log has never been anchored".
 pub(crate) const NO_STATE: u64 = u64::MAX;
@@ -221,9 +224,9 @@ mod tests {
     #[test]
     fn an_earlier_format_is_refused_not_skipped() {
         // A revision-1 superblock — same magic and layout, zero padding
-        // where the format revision now lives — and revisions 2 to 5,
+        // where the format revision now lives — and revisions 2 to 6,
         // CRC valid: each refused, by name, beside this build's revision.
-        for revision in [0u32, 2, 3, 4, 5] {
+        for revision in [0u32, 2, 3, 4, 5, 6] {
             let mut old = sample(3).encode();
             old[72..76].copy_from_slice(&revision.to_le_bytes());
             let crc = crc32(&old[8..SB_BYTES]);
@@ -236,7 +239,7 @@ mod tests {
             assert_eq!(err, LfsError::Format(revision));
             let text = err.to_string();
             assert!(
-                text.contains(&format!("revision {revision} ")) && text.contains("revision 6"),
+                text.contains(&format!("revision {revision} ")) && text.contains("revision 7"),
                 "{text}"
             );
         }

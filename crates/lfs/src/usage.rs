@@ -15,7 +15,7 @@ use crate::{LfsError, Result};
 /// Lifecycle state of a segment.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
-pub enum SegmentState {
+pub(crate) enum SegmentState {
     /// On the free list; contents are garbage.
     Free = 0,
     /// The log cursor is (or has been) inside; blocks may be referenced.
@@ -30,7 +30,7 @@ pub enum SegmentState {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SegmentUsage {
     /// Lifecycle state.
-    pub state: SegmentState,
+    pub(crate) state: SegmentState,
     /// Referenced (current + in-window history) blocks.
     pub live_blocks: u32,
     /// Blocks appended so far (summaries included); equals the write

@@ -27,5 +27,4 @@ mod registry;
 pub mod span;
 
 pub use hist::Histogram;
-pub use registry::{Counter, Gauge, HistogramSnapshot, Registry, Sample};
-pub use span::Layer;
+pub use registry::{Counter, Gauge, Registry, Sample};

@@ -49,7 +49,7 @@ impl<D: BlockDev> BlockDev for TimedDisk<D> {
         let count = (buf.len() / SECTOR_SIZE) as u64;
         let t = self.model.lock().service(sector, count);
         self.clock.advance(t);
-        s4_obs::span::charge(s4_obs::Layer::Disk, t.as_micros());
+        s4_obs::span::charge(s4_obs::span::Layer::Disk, t.as_micros());
         self.stats.record_read(count, t);
         Ok(())
     }
@@ -59,7 +59,7 @@ impl<D: BlockDev> BlockDev for TimedDisk<D> {
         let count = (buf.len() / SECTOR_SIZE) as u64;
         let t = self.model.lock().service(sector, count);
         self.clock.advance(t);
-        s4_obs::span::charge(s4_obs::Layer::Disk, t.as_micros());
+        s4_obs::span::charge(s4_obs::span::Layer::Disk, t.as_micros());
         self.stats.record_write(count, t);
         Ok(())
     }

@@ -250,7 +250,10 @@ impl Scenario for Stretch {
         }
         for s in 0..self.shards {
             for m in 0..self.mirrors {
-                let traces = array.member_drive(s, m).read_traces(&admin_ctx()).unwrap();
+                let traces = array
+                    .member_drive(s, m)
+                    .read_log_from(&admin_ctx(), &mut 0)
+                    .unwrap();
                 let phases: Vec<u8> = traces
                     .iter()
                     .filter(|t| t.trace.trace_id == TXN_ID)
@@ -382,7 +385,7 @@ fn verify(
             // must carry a protocol phase. Presence is not asserted:
             // durability is bounded by the last flush, and the crash may
             // predate it.
-            let traces = d.read_traces(&adm).unwrap_or_else(|e| {
+            let traces = d.read_log_from(&adm, &mut 0).unwrap_or_else(|e| {
                 panic!("{what}: shard {s} member {m} audit log unreadable: {e}")
             });
             for t in traces.iter().filter(|t| t.trace.trace_id == TXN_ID) {

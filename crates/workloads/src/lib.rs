@@ -48,8 +48,5 @@ mod sshbuild;
 
 pub use micro::{micro_benchmark, MicroConfig, MicroPhases};
 pub use ops::{replay, replay_with_clock, FsOp, ReplayStats};
-pub use postmark::{PostmarkConfig, PostmarkPhases};
-pub use profiles::{WorkloadProfile, AFS_SERVER, ELEPHANT_FS, NT_PERSONAL};
 pub use rng::Rng;
-pub use srctree::{SourceTree, SourceTreeConfig};
 pub use sshbuild::{sshbuild_phases, SshBuildConfig, SshBuildPhases};

@@ -3,7 +3,8 @@
 use std::collections::HashMap;
 
 use s4_clock::{SimClock, SimDuration};
-use s4_fs::{FileServer, FsError, Handle};
+use s4_fs::server::FsError;
+use s4_fs::{FileServer, Handle};
 
 /// One file-system operation in a trace. Paths are `/`-separated and
 /// relative to the server root.

@@ -44,6 +44,7 @@ allowed='
 delta     encoded_len  the s4-delta crate doc calls Delta::encoded_len
 workloads tiny         the s4-workloads crate doc calls PostmarkConfig::tiny
 torture   Rig          the bound of Scenario::Rig, which tests/ implement
+obs       HistogramSnapshot  the payload of Sample::Histogram, named by no path outside
 '
 is_allowed() { # crate name
   local c pat why

@@ -182,7 +182,7 @@ impl<'a> Args<'a> {
 }
 
 /// One audit record as a line of `s4 audit` and of the `s4 stats`
-/// flight-recorder tail.
+/// flight-recorder tail, after its position in the log.
 fn record_line(r: &AuditRecord) -> String {
     format!(
         "{:>14} user={:<4} client={:<4} {:<14} {} ok={} \
@@ -380,13 +380,17 @@ fn run() -> Result<(), CliError> {
             let fs = open_fs(image)?;
             let records = {
                 let drive = fs.transport().drive();
-                let admin = admin_of(drive);
-                drive.read_audit_records(&admin)?
+                drive.read_log_from(&admin_of(drive), &mut 0)?
             };
-            for r in &records {
-                println!("{}", record_line(r));
+            // Requests only; each keeps its position in the whole log.
+            let requests: Vec<_> = (0u64..)
+                .zip(&records)
+                .filter(|(_, r)| r.trace.is_request())
+                .collect();
+            for (position, r) in &requests {
+                println!("{position:>8} {}", record_line(r));
             }
-            eprintln!("{} records", records.len());
+            eprintln!("{} records", requests.len());
             close(fs)?;
         }
         "stats" if args.positional.len() > 1 => {
@@ -524,10 +528,13 @@ fn run() -> Result<(), CliError> {
                 // tail as human context on stderr.
                 let drive = fs.transport().drive();
                 print!("{}", drive.metrics_text());
-                let log = drive.read_audit_records(&admin_of(drive))?;
-                eprintln!("flight recorder: {} audit records", log.len());
-                for r in log.iter().rev().take(10).rev() {
-                    eprintln!("  {}", record_line(r));
+                let admin = admin_of(drive);
+                let len = drive.audit_len(&admin)?;
+                let mut position = len.saturating_sub(10);
+                let tail = drive.read_log_from(&admin, &mut position)?;
+                eprintln!("flight recorder: {len} audit records");
+                for (position, r) in (len - tail.len() as u64..).zip(&tail) {
+                    eprintln!("  {position:>8} {}", record_line(r));
                 }
             }
             close(fs)?;

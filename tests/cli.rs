@@ -96,6 +96,14 @@ fn cli_versioning_workflow_across_invocations() {
     assert!(audit_out.contains("Write"), "audit: {audit_out}");
     assert!(audit_out.contains("Delete"));
     assert!(audit_err.contains("records"));
+    // Each line opens with the record's position in the whole log.
+    let first_field = |l: &str| -> u64 {
+        let field = l.split_whitespace().next().unwrap_or_default();
+        field.parse().unwrap_or_else(|_| panic!("no position: {l}"))
+    };
+    let positions: Vec<u64> = audit_out.lines().map(first_field).collect();
+    assert_eq!(positions[0], 0, "audit: {audit_out}");
+    assert!(positions.windows(2).all(|w| w[0] < w[1]), "{positions:?}");
 
     // stats serves the metrics exposition and the tail of the audit
     // log persisted by the earlier invocations.
@@ -116,6 +124,24 @@ fn cli_versioning_workflow_across_invocations() {
         stats_err.contains("ok=true"),
         "traces span sessions: {stats_err}"
     );
+    // The tail is the log's last ten positions, read from there alone.
+    let len: u64 = stats_err
+        .lines()
+        .find_map(|l| l.strip_prefix("flight recorder: "))
+        .and_then(|l| l.strip_suffix(" audit records"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no log length: {stats_err}"));
+    assert!(
+        len > *positions.last().unwrap(),
+        "{len} after {positions:?}"
+    );
+    let tail: Vec<u64> = stats_err
+        .lines()
+        .skip_while(|l| !l.starts_with("flight recorder"))
+        .skip(1)
+        .map(first_field)
+        .collect();
+    assert_eq!(tail, (len - 10..len).collect::<Vec<_>>(), "{stats_err}");
 
     // unknown command fails politely
     let (_, err, ok) = s4(&["frobnicate"], &image);

@@ -424,9 +424,9 @@ fn written_tags(drive: &S4Drive<Disk>, trace: &TraceHandle) -> Vec<BlockTag> {
 }
 
 /// A read writes nothing but its record, and a request's record is one
-/// fixed-size record in one stream, the audit log: `n` reads and the
-/// anchor that spills their tail write ⌈n / records-per-block⌉
-/// reserved-stream blocks, every one of them the audit log's.
+/// fixed-size record in one stream, the audit log: `n` reads and an
+/// anchor write ⌊n / records-per-block⌋ reserved-stream blocks, every
+/// one of them the audit log's and full — the anchor carries the tail.
 #[test]
 fn reads_write_one_audit_stream_of_fixed_size_records() {
     let (dev, trace) = traced_disk();
@@ -453,7 +453,7 @@ fn reads_write_one_audit_stream_of_fixed_size_records() {
         .filter(|t| t.kind == BlockKind::Audit)
         .map(|t| t.object)
         .collect();
-    assert_eq!(streams.len(), n.div_ceil(per_block), "{streams:?}");
+    assert_eq!(streams.len(), n / per_block, "{streams:?}");
     assert!(streams.iter().all(|&o| o == AUDIT_OBJECT.0), "{streams:?}");
 }
 
@@ -504,7 +504,7 @@ fn a_chunk_of_the_audit_log_reads_only_its_blocks() {
         got.push((offset, len, chunk(offset, len)));
         assert_eq!(trace.reads(), reads, "offset {offset} len {len}");
     }
-    // The tail: the records appended since the remount, read from memory.
+    // The tail: the anchor carried it, and mount restored it to memory.
     let whole = chunk(0, u64::MAX);
     trace.clear();
     assert_eq!(chunk(whole.len() as u64 - 68, 68).len(), 68);

@@ -28,13 +28,10 @@ use s4_core::{
 };
 use s4_detect::dirblob;
 use s4_fs::{RpcHandler, TcpServerHandle};
-use s4_journal::{
-    decode_sector, encode_sectors, txn, JournalEntry, ObjectMeta, PtrChange, TxnRecord,
-};
-use s4_lfs::summary::{Carried, Summary, NO_NEXT_SEGMENT};
-use s4_lfs::{
-    BlockAddr, BlockKind, BlockTag, Geometry, SegmentUsageTable, SummaryEntry, Superblock,
-};
+use s4_journal::txn::{self, TxnRecord};
+use s4_journal::{decode_sector, encode_sectors, JournalEntry, ObjectMeta, PtrChange};
+use s4_lfs::summary::{Carried, Summary, SummaryEntry, NO_NEXT_SEGMENT};
+use s4_lfs::{BlockAddr, BlockKind, BlockTag, Geometry, SegmentUsageTable, Superblock};
 use s4_workloads::Rng;
 
 /// A decoder under test: `Some(re-encoding)` of what it decoded, `None`

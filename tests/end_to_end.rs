@@ -7,8 +7,9 @@ use std::sync::Arc;
 use s4_clock::{NetworkModel, SimClock, SimDuration};
 use s4_core::{ClientId, DriveConfig, RequestContext, S4Drive, UserId};
 use s4_detect::damage_report;
+use s4_fs::server::FsError;
 use s4_fs::{ls_at, read_file_at, restore_file};
-use s4_fs::{FileServer, FsError, LoopbackTransport, S4FileServer, S4FsConfig};
+use s4_fs::{FileServer, LoopbackTransport, S4FileServer, S4FsConfig};
 use s4_simdisk::{DiskModelParams, MemDisk, TimedDisk};
 use s4_workloads::postmark::{self, PostmarkConfig};
 use s4_workloads::{replay, replay_with_clock};

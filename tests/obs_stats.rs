@@ -101,7 +101,7 @@ fn persisted_traces_survive_crash_and_remount() {
     drive.dispatch(&user, &Request::Sync).unwrap();
     let live: Vec<AuditRecord> = {
         let (admin, _) = contexts(drive.config());
-        drive.read_traces(&admin).unwrap()
+        drive.read_log_from(&admin, &mut 0).unwrap()
     };
     assert_eq!(live.len(), 139, "one record per dispatched request");
 
@@ -114,7 +114,7 @@ fn persisted_traces_survive_crash_and_remount() {
         "spilled audit blocks must be recovered: {report:?}"
     );
     let (admin, _) = contexts(d2.config());
-    let recovered = d2.read_traces(&admin).unwrap();
+    let recovered = d2.read_log_from(&admin, &mut 0).unwrap();
     assert!(
         recovered.len() >= 2 * 60,
         "full audit blocks flushed by the sync must survive, got {}",
@@ -128,7 +128,7 @@ fn persisted_traces_survive_crash_and_remount() {
     // New requests keep extending the stream contiguously: a record's
     // position is its sequence number, and the append counter agrees.
     write(&d2, &user, b"post-crash");
-    let after = d2.read_traces(&admin).unwrap();
+    let after = d2.read_log_from(&admin, &mut 0).unwrap();
     assert_eq!(after.len(), recovered.len() + 2);
     assert_eq!(d2.audit_total_records(&admin).unwrap(), after.len() as u64);
 

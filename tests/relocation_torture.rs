@@ -141,7 +141,7 @@ fn history() -> History {
         image,
         versions,
         landmark,
-        log: d.read_traces(&admin()).unwrap(),
+        log: d.read_log_from(&admin(), &mut 0).unwrap(),
     }
 }
 
@@ -158,7 +158,7 @@ impl History {
         let image = images.into_iter().next().expect("one device");
         let d = S4Drive::mount(image, config(), SimClock::new())
             .unwrap_or_else(|e| panic!("{what}: mount failed: {e:?}"));
-        let log = d.read_traces(&admin()).unwrap();
+        let log = d.read_log_from(&admin(), &mut 0).unwrap();
         assert!(
             log == self.log,
             "{what}: the audit log is not the one before the pass: {} records, {} before",

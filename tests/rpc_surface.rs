@@ -10,7 +10,8 @@ use s4_core::{
     AclEntry, ClientId, DriveConfig, ObjectId, OpKind, Perm, Request, RequestContext, Response,
     S4Drive, UserId,
 };
-use s4_fs::{FsError, LoopbackTransport, TcpServerHandle, TcpTransport, Transport};
+use s4_fs::server::FsError;
+use s4_fs::{LoopbackTransport, TcpServerHandle, TcpTransport, Transport};
 use s4_simdisk::MemDisk;
 
 fn drive() -> S4Drive<MemDisk> {
