@@ -23,6 +23,7 @@ use s4_lfs::{BlockAddr, BlockKind, BlockTag, Log};
 use s4_simdisk::BlockDev;
 
 use crate::drive::{old_blocks, Inner};
+use crate::object::ObjectEntry;
 use crate::persist::{read_subsector, slot_entry};
 use crate::Result;
 
@@ -148,20 +149,10 @@ impl Ledger {
             for m in &entry.landmarks {
                 m.blocks.values().for_each(|&a| data(a));
             }
-            // Journal blocks, and the history their old-pointers keep.
-            let mut history = |entries: &[JournalEntry]| {
-                for c in entries.iter().flat_map(old_blocks) {
-                    // Delta-encoded history is accounted through its
-                    // shared delta block, not the (released) original.
-                    if !entry.deltas.contains_key(&c.old.0) {
-                        data(c.old);
-                    }
-                }
-            };
-            history(&entry.pending);
+            // The history the retained journal keeps, and its blocks.
+            retained_history(log, entry)?.into_iter().for_each(data);
             for s in &entry.sectors {
                 slot(s.addr, BlockKind::JournalSector);
-                history(&read_subsector(log, s.addr, s.slot)?.1);
             }
         }
         // A container's count stands where a stale plain pointer shares
@@ -171,6 +162,26 @@ impl Ledger {
         }
         Ok(Ledger { held, refused: 0 })
     }
+}
+
+/// The history blocks an object's retained journal keeps alive: every
+/// old pointer its pending entries and its sectors name, save the
+/// delta-encoded ones, which are accounted through their shared delta
+/// block.
+pub(crate) fn retained_history<D: BlockDev>(
+    log: &Log<D>,
+    entry: &ObjectEntry,
+) -> Result<Vec<BlockAddr>> {
+    let mut out = Vec::new();
+    let mut history = |entries: &[JournalEntry]| {
+        let old = entries.iter().flat_map(old_blocks).map(|c| c.old);
+        out.extend(old.filter(|a| !entry.deltas.contains_key(&a.0)));
+    };
+    history(&entry.pending);
+    for s in &entry.sectors {
+        history(&read_subsector(log, s.addr, s.slot)?.1);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -5,15 +5,18 @@
 //! dispatcher. Every operation is one `with_object` closure around the
 //! shared helpers in [`crate::drive`] — this file owns no state.
 
+use std::collections::BTreeSet;
+
 use s4_clock::{HybridTimestamp, SimDuration, SimTime};
 use s4_journal::{JournalEntry, ObjectMeta, MAX_SECTOR_BYTES};
-use s4_lfs::BlockKind;
+use s4_lfs::{BlockAddr, BlockKind};
 use s4_simdisk::BlockDev;
 
 use crate::acl::{AclEntry, AclTable, Perm};
 use crate::codec::Reader;
 use crate::drive::{Inner, ObjectAttrs, S4Drive, VersionRecord, AUDIT_OBJECT, PARTITION_OBJECT};
 use crate::ids::{ClientId, ObjectId, RequestContext};
+use crate::ledger::retained_history;
 use crate::object::ObjectEntry;
 use crate::{Result, S4Error};
 
@@ -470,18 +473,19 @@ impl<D: BlockDev> S4Drive<D> {
             if removed.is_empty() {
                 return Err(S4Error::NoSuchObject);
             }
-            // Blocks that only the landmark kept alive: if they are not
-            // referenced by current state and their journal entries have
-            // already expired, release them now.
-            for m in removed {
-                for (_lbn, addr) in m.blocks {
-                    if entry.is_landmark_block(addr) {
-                        continue; // still pinned by another landmark
-                    }
-                    let current = entry.meta.blocks.values().any(|&a| a == addr);
-                    if !current && m.modified <= entry.history_floor {
-                        inner.ledger.release(&self.log, addr, BlockKind::Data);
-                    }
+            // Blocks that only the landmark kept alive: neither current
+            // state, another landmark nor a retained journal entry names
+            // them, so they are released now — what `Ledger::derive`
+            // counts.
+            let history = retained_history(&self.log, entry)?;
+            let addrs: BTreeSet<BlockAddr> = removed
+                .iter()
+                .flat_map(|m| m.blocks.values().copied())
+                .collect();
+            for addr in addrs {
+                let current = entry.meta.blocks.values().any(|&a| a == addr);
+                if !current && !entry.is_landmark_block(addr) && !history.contains(&addr) {
+                    inner.ledger.release(&self.log, addr, BlockKind::Data);
                 }
             }
             entry.needs_checkpoint = true;

@@ -212,16 +212,19 @@ fn run(
 }
 
 /// Restated at format revision 7, where every audit block is full and
-/// the anchor carries the audit tail, and `FlushO` anchors.
+/// the anchor carries the audit tail, and `FlushO` anchors; then when
+/// removing a landmark stopped releasing blocks a retained journal entry
+/// still names.
 #[test]
 fn churn_image_is_one_value_across_runs() {
     /// Revision 7 in the superblock, the anchor payload's audit section
-    /// (`dropped`, and the tail's length after the block list), and the
-    /// anchor each `FlushO` now writes.
-    const IMAGE_HASH: u64 = 0x6462_9219_1c0b_94de;
+    /// (`dropped`, and the tail's length after the block list), the
+    /// anchor each `FlushO` now writes, and the landmark blocks kept.
+    const IMAGE_HASH: u64 = 0x023d_096e_1f19_7bbb;
     /// The digest hashes the audit log's block list, tail and dropped
-    /// count, and the state the `FlushO` anchors leave.
-    const STATE_DIGEST: u64 = 0x2fc9_21db_e75a_2fbf;
+    /// count, the state the `FlushO` anchors leave, and the addresses
+    /// the cleaner assigns, which the kept landmark blocks move.
+    const STATE_DIGEST: u64 = 0xd5d5_c2bf_d519_22e6;
     /// A crash after a `FlushO` no longer replays the old chain, so some
     /// later requests succeed or fail differently.
     const OUTCOMES: u64 = 0xe14a_ad17_f7f3_516b;
@@ -274,12 +277,13 @@ fn every_mount_of_the_full_mix_succeeds() {
     }
 }
 
-// One sibling per maintenance operation that still breaks the equality
-// once expiry moves the history floor under it (ROADMAP item 2); CI's
-// named `--ignored` step prints the list, and each fix un-ignores its own.
+// One sibling per maintenance operation run with expiry moving the
+// history floor under it; one that still breaks the equality is
+// `#[ignore]`d (ROADMAP item 5), CI's named `--ignored` step prints the
+// list, and each fix un-ignores its own.
 
 #[test]
-#[ignore = "ROADMAP item 2: seed 0x5eed0f5e1f cache 6 step 1139 before the crash: block 327 held by 1 reference, reachable from nothing"]
+#[ignore = "ROADMAP item 5: seed 0x5eed0f5e1f cache 6 step 1139 before the crash: block 327 held by 1 reference, reachable from nothing"]
 fn compact_history_keeps_the_ledger_equal_to_its_recount() {
     sweep(&[EXPIRE, CLEAN, COMPACT]);
 }
@@ -290,7 +294,6 @@ fn flusho_keeps_the_ledger_equal_to_its_recount() {
 }
 
 #[test]
-#[ignore = "ROADMAP item 2: seed 0x5eed0f5e1f cache 6 step 1115 before unmount: 2 discrepancies, the first block 60 released, still reachable by 1 reference (op_unmark_landmark tests the landmark's own stamp against the floor)"]
 fn landmarks_keep_the_ledger_equal_to_its_recount() {
     sweep(&[EXPIRE, CLEAN, LANDMARKS]);
 }
