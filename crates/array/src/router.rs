@@ -7,8 +7,8 @@
 //! `Create` time already routes home — the array never needs a mapping
 //! table, and any client holding an ObjectID can compute its shard.
 //!
-//! Reserved drive-local objects (audit log, partition table, alert
-//! stream) exist *per shard* — each member drive keeps
+//! Reserved drive-local objects (audit log, partition table,
+//! transaction log) exist *per shard* — each member drive keeps
 //! its own security perimeter — so a request explicitly addressed to a
 //! reserved ID routes to shard 0 by convention, while the admin plane
 //! reads every shard's copy and merges (see `forensics`).

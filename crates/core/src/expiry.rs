@@ -389,7 +389,6 @@ impl<D: BlockDev> S4Drive<D> {
                 .ledger
                 .release(&self.log, s.addr, BlockKind::JournalSector);
         }
-        entry.meta.journal_head = BlockAddr::NONE;
         entry.pending = kept;
         entry.dirty = true;
         entry.needs_checkpoint = true;
@@ -452,9 +451,6 @@ impl<D: BlockDev> S4Drive<D> {
                 let s = &mut entry.sectors[i];
                 ledger.release(&self.log, s.addr, BlockKind::JournalSector);
                 (s.addr, s.slot) = (addr, slot);
-                if i + 1 == entry.sectors.len() {
-                    entry.meta.journal_head = addr;
-                }
                 entry.dirty = true;
             }
         })?;

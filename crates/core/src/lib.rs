@@ -268,3 +268,15 @@ pub(crate) fn hostile(valid: &[u8]) -> Vec<Vec<u8>> {
         .chain(fields.map(|at| set(at, 4, 0xFF)))
         .collect()
 }
+
+#[cfg(test)]
+/// The bytes a byte fixture's hex literal spells; whitespace separates
+/// its fields.
+pub(crate) fn unhex(hex: &str) -> Vec<u8> {
+    let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+    let digit = |d: u8| (d as char).to_digit(16).expect("a hex digit") as u8;
+    digits
+        .chunks(2)
+        .map(|p| digit(p[0]) << 4 | digit(p[1]))
+        .collect()
+}

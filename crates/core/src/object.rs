@@ -46,21 +46,18 @@ pub(crate) struct SectorInfo {
     pub addr: BlockAddr,
     /// Sub-sector index within the block.
     pub slot: u32,
-    /// Stamp of the oldest entry in the sector.
-    pub oldest: HybridTimestamp,
     /// Stamp of the newest entry in the sector.
     pub newest: HybridTimestamp,
 }
 
 impl SectorInfo {
     /// What a sector list entry takes in a checkpoint blob and in the
-    /// anchor payload: address, slot, two stamps.
-    pub(crate) const BYTES: usize = 8 + 4 + 16 + 16;
+    /// anchor payload: address, slot, the newest entry's stamp.
+    pub(crate) const BYTES: usize = 8 + 4 + 16;
 
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.addr.0.to_le_bytes());
         out.extend_from_slice(&self.slot.to_le_bytes());
-        push_stamp(out, self.oldest);
         push_stamp(out, self.newest);
     }
 
@@ -68,7 +65,6 @@ impl SectorInfo {
         Ok(SectorInfo {
             addr: BlockAddr(r.u64()?),
             slot: r.u32()?,
-            oldest: r.stamp()?,
             newest: r.stamp()?,
         })
     }
@@ -77,7 +73,7 @@ impl SectorInfo {
 /// Full in-memory state of one object.
 #[derive(Clone, Debug)]
 pub(crate) struct ObjectEntry {
-    /// Current metadata (attributes, ACL blob, block map, journal head).
+    /// Current metadata (attributes, ACL blob, block map).
     pub meta: ObjectMeta,
     /// On-disk journal sectors, oldest first.
     pub sectors: Vec<SectorInfo>,
@@ -162,8 +158,7 @@ impl ObjectEntry {
         for a in state.filter(at_from) {
             (*a, self.dirty, self.needs_checkpoint) = (to, true, true);
         }
-        let sectors = self.sectors.iter_mut().map(|s| &mut s.addr);
-        for a in sectors.chain([&mut self.meta.journal_head]).filter(at_from) {
+        for a in self.sectors.iter_mut().map(|s| &mut s.addr).filter(at_from) {
             (*a, self.dirty) = (to, true);
         }
         if self.checkpoint_root == from {
@@ -300,13 +295,11 @@ mod tests {
         e.sectors.push(SectorInfo {
             addr: BlockAddr(50),
             slot: 0,
-            oldest: stamp(1),
             newest: stamp(5),
         });
         e.sectors.push(SectorInfo {
             addr: BlockAddr(60),
             slot: 3,
-            oldest: stamp(6),
             newest: stamp(9),
         });
         e.deltas.insert(
@@ -369,12 +362,10 @@ mod tests {
         // A journal block's move re-points its sectors, and needs no
         // checkpoint of its own.
         let mut e = sample();
-        e.meta.journal_head = BlockAddr(60);
         e.needs_checkpoint = false;
         e.repoint(BlockAddr(60), BlockAddr(61));
         let at: Vec<_> = e.sectors.iter().map(|s| s.addr).collect();
         assert_eq!(at, [BlockAddr(50), BlockAddr(61)]);
-        assert_eq!(e.meta.journal_head, BlockAddr(61));
         assert!(e.dirty && !e.needs_checkpoint);
     }
 
@@ -384,6 +375,65 @@ mod tests {
         assert_eq!(e.expiry_hint(), stamp(5));
         e.sectors.clear();
         assert_eq!(e.expiry_hint(), HybridTimestamp::MAX);
+    }
+
+    /// A sector-list entry, format revision 8: `addr u64 | slot u32 |
+    /// newest stamp` (28 bytes).
+    const SECTOR: &str = "3200000000000000 03000000 0900000000000000 0900000000000000";
+
+    /// A checkpoint blob, format revision 8: the metadata (81 bytes
+    /// here), one sector, one delta (`key | base | block | slot`), no
+    /// landmark, the history floor.
+    const CHECKPOINT: &str = "
+        544d3453 0900000000000000 0100000000000000 0100000000000000
+        0100000000000000 0100000000000000 00 0010000000000000 00000000 00000000
+        01000000 0000000000000000 6400000000000000
+        01000000 3200000000000000 00000000 0500000000000000 0500000000000000
+        01000000 5a00000000000000 6400000000000000 4600000000000000 02000000
+        00000000
+        0200000000000000 0200000000000000";
+
+    #[test]
+    fn a_sector_list_entry_is_its_fixture() {
+        let info = SectorInfo {
+            addr: BlockAddr(50),
+            slot: 3,
+            newest: stamp(9),
+        };
+        let bytes = crate::unhex(SECTOR);
+        let mut out = Vec::new();
+        info.encode_into(&mut out);
+        assert_eq!((out.len(), &out), (SectorInfo::BYTES, &bytes));
+        let mut r = Reader::new(&bytes, "fixture");
+        assert_eq!(SectorInfo::decode(&mut r).unwrap(), info);
+    }
+
+    #[test]
+    fn a_checkpoint_blob_is_its_fixture() {
+        let mut meta = ObjectMeta::new(9, stamp(1));
+        meta.size = 4096;
+        meta.blocks.insert(0, BlockAddr(100));
+        let mut e = ObjectEntry::new(meta);
+        e.sectors.push(SectorInfo {
+            addr: BlockAddr(50),
+            slot: 0,
+            newest: stamp(5),
+        });
+        let delta = DeltaRef {
+            base: BlockAddr(100),
+            block: BlockAddr(70),
+            slot: 2,
+        };
+        e.deltas.insert(90, delta);
+        e.history_floor = stamp(2);
+        let bytes = crate::unhex(CHECKPOINT);
+        assert_eq!(e.encode(), bytes);
+        let d = ObjectEntry::decode(&bytes).unwrap();
+        assert_eq!(
+            (&d.meta, &d.sectors, &d.deltas),
+            (&e.meta, &e.sectors, &e.deltas)
+        );
+        assert_eq!((d.landmarks.len(), d.history_floor), (0, e.history_floor));
     }
 
     #[test]

@@ -132,8 +132,8 @@ impl<D: BlockDev> S4Drive<D> {
         // Journal span: simulated time across packing, including any
         // log auto-flush the appends trigger.
         let journal_t0 = self.clock.now().as_micros();
-        // Per sector: its oldest and newest stamp, and its entry count.
-        let mut items: Vec<packed::Item<(HybridTimestamp, HybridTimestamp, usize)>> = Vec::new();
+        // Per sector: its newest stamp and its entry count.
+        let mut items: Vec<packed::Item<(HybridTimestamp, usize)>> = Vec::new();
         let others = oids.iter().copied().filter(|&oid| oid != TXN_OBJECT.0);
         for oid in std::iter::once(TXN_OBJECT.0).chain(others) {
             let Some(Slot::Cached(entry)) = inner.table.get_mut(&oid) else {
@@ -142,13 +142,14 @@ impl<D: BlockDev> S4Drive<D> {
             if entry.pending.is_empty() {
                 continue;
             }
+            // The sector's `prev` names the newest sector on disk.
+            let prev = entry.sectors.last().map_or(BlockAddr::NONE, |s| s.addr);
             for s in encode_sectors(&entry.pending) {
                 let span = (
-                    s.entries.first().expect("non-empty").stamp(),
                     s.entries.last().expect("non-empty").stamp(),
                     s.entries.len(),
                 );
-                items.push((oid, s.finish(oid, entry.meta.journal_head), span));
+                items.push((oid, s.finish(oid, prev), span));
             }
         }
         if items.is_empty() {
@@ -159,18 +160,12 @@ impl<D: BlockDev> S4Drive<D> {
             &self.log,
             ledger,
             items,
-            |_, addr, slot, oid, (oldest, newest, count)| {
+            |_, addr, slot, oid, (newest, count)| {
                 if let Some(Slot::Cached(entry)) = table.get_mut(&oid) {
                     // Written: a failing append leaves the rest pending.
                     entry.pending.drain(..count);
                     entry.dirty = true;
-                    entry.sectors.push(SectorInfo {
-                        addr,
-                        slot,
-                        oldest,
-                        newest,
-                    });
-                    entry.meta.journal_head = addr;
+                    entry.sectors.push(SectorInfo { addr, slot, newest });
                 }
                 self.stats.journal_sectors(1);
             },
@@ -320,24 +315,26 @@ impl<D: BlockDev> S4Drive<D> {
     }
 }
 
+/// One object's record in the anchor payload: `oid u64 | root u64 |
+/// slot u32 | 0`, or `… | 1 | floor | count u32 | sectors` for a cached
+/// object, whose history floor and sector list may have moved on from its
+/// checkpoint.
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct AnchorRecord {
     pub(crate) oid: u64,
     pub(crate) root: BlockAddr,
     pub(crate) slot: u32,
-    pub(crate) floor: HybridTimestamp,
-    /// `None` means "use the sector list inside the checkpoint blob"
-    /// (always the case for evicted objects, whose checkpoint is exact).
-    pub(crate) sectors: Option<Vec<SectorInfo>>,
+    /// A cached object's history floor and sector list; `None` means
+    /// "use the checkpoint blob's" (always the case for evicted objects,
+    /// whose checkpoint is exact).
+    pub(crate) listed: Option<(HybridTimestamp, Vec<SectorInfo>)>,
 }
 
-fn encode_anchor_payload(inner: &Inner) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&ANCHOR_MAGIC.to_le_bytes());
-    out.extend_from_slice(&inner.next_oid.to_le_bytes());
-    out.extend_from_slice(&inner.window.as_micros().to_le_bytes());
-    inner.audit.encode_anchor(&mut out);
-    out.extend_from_slice(&(inner.table.len() as u32).to_le_bytes());
-    for (&oid, slot) in &inner.table {
+impl AnchorRecord {
+    /// The least a record takes: an evicted object's.
+    const MIN_BYTES: usize = 8 + 8 + 4 + 1;
+
+    fn encode_into(out: &mut Vec<u8>, oid: u64, slot: &Slot) {
         out.extend_from_slice(&oid.to_le_bytes());
         match slot {
             Slot::Cached(e) => {
@@ -350,20 +347,51 @@ fn encode_anchor_payload(inner: &Inner) -> Vec<u8> {
                 );
                 out.extend_from_slice(&e.checkpoint_root.0.to_le_bytes());
                 out.extend_from_slice(&e.checkpoint_slot.to_le_bytes());
-                push_stamp(&mut out, e.history_floor);
-                out.push(1); // explicit sector list
+                out.push(1); // explicit floor and sector list
+                push_stamp(out, e.history_floor);
                 out.extend_from_slice(&(e.sectors.len() as u32).to_le_bytes());
                 for s in &e.sectors {
-                    s.encode_into(&mut out);
+                    s.encode_into(out);
                 }
             }
             Slot::Evicted(i) => {
                 out.extend_from_slice(&i.checkpoint_root.0.to_le_bytes());
                 out.extend_from_slice(&i.checkpoint_slot.to_le_bytes());
-                push_stamp(&mut out, HybridTimestamp::ZERO); // floor from blob
-                out.push(0); // sector list from blob
+                out.push(0); // floor and sector list from blob
             }
         }
+    }
+
+    fn decode(r: &mut Reader) -> Result<AnchorRecord> {
+        let (oid, root, slot) = (r.u64()?, BlockAddr(r.u64()?), r.u32()?);
+        let listed = if r.u8()? == 1 {
+            let floor = r.stamp()?;
+            let mut sectors = Vec::new();
+            for _ in 0..r.count(SectorInfo::BYTES)? {
+                sectors.push(SectorInfo::decode(r)?);
+            }
+            Some((floor, sectors))
+        } else {
+            None
+        };
+        Ok(AnchorRecord {
+            oid,
+            root,
+            slot,
+            listed,
+        })
+    }
+}
+
+fn encode_anchor_payload(inner: &Inner) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&ANCHOR_MAGIC.to_le_bytes());
+    out.extend_from_slice(&inner.next_oid.to_le_bytes());
+    out.extend_from_slice(&inner.window.as_micros().to_le_bytes());
+    inner.audit.encode_anchor(&mut out);
+    out.extend_from_slice(&(inner.table.len() as u32).to_le_bytes());
+    for (&oid, slot) in &inner.table {
+        AnchorRecord::encode_into(&mut out, oid, slot);
     }
     out
 }
@@ -384,23 +412,8 @@ pub(crate) fn decode_anchor_payload(
     inner.window = SimDuration::from_micros(r.u64()?);
     inner.audit.decode_anchor(&mut r)?;
     let mut records = Vec::new();
-    for _ in 0..r.count(8 + 8 + 4 + 16 + 1)? {
-        let (oid, root) = (r.u64()?, BlockAddr(r.u64()?));
-        let (slot, floor) = (r.u32()?, r.stamp()?);
-        let explicit = r.u8()? == 1;
-        let mut sectors = explicit.then(Vec::new);
-        if let Some(list) = &mut sectors {
-            for _ in 0..r.count(SectorInfo::BYTES)? {
-                list.push(SectorInfo::decode(&mut r)?);
-            }
-        }
-        records.push(AnchorRecord {
-            oid,
-            root,
-            slot,
-            floor,
-            sectors,
-        });
+    for _ in 0..r.count(AnchorRecord::MIN_BYTES)? {
+        records.push(AnchorRecord::decode(&mut r)?);
     }
     Ok((inner, records))
 }
@@ -466,28 +479,80 @@ mod tests {
     use super::*;
     use crate::object::EvictInfo;
 
+    fn stamp(t: u64) -> HybridTimestamp {
+        HybridTimestamp::new(s4_clock::SimTime::from_micros(t), t)
+    }
+
+    /// A cached object at checkpoint 40 (a dedicated chain) with history
+    /// floor 2 and one sector, and an evicted one at slot 3 of block 60.
+    fn sample() -> [(u64, Slot); 2] {
+        let mut entry = ObjectEntry::new(s4_journal::ObjectMeta::new(9, stamp(1)));
+        entry.checkpoint_root = BlockAddr(40);
+        entry.history_floor = stamp(2);
+        entry.sectors.push(SectorInfo {
+            addr: BlockAddr(50),
+            slot: 1,
+            newest: stamp(5),
+        });
+        let evicted = EvictInfo {
+            checkpoint_root: BlockAddr(60),
+            checkpoint_slot: 3,
+            expiry_hint: stamp(5),
+            deleted: None,
+        };
+        [
+            (9, Slot::Cached(Box::new(entry))),
+            (10, Slot::Evicted(evicted)),
+        ]
+    }
+
+    /// Anchor records, format revision 8: `oid | root | slot | 1 | floor
+    /// | count | sectors` for a cached object, `oid | root | slot | 0`
+    /// (21 bytes) for an evicted one.
+    const CACHED: &str = "
+        0900000000000000 2800000000000000 ffffffff 01
+        0200000000000000 0200000000000000
+        01000000 3200000000000000 01000000 0500000000000000 0500000000000000";
+    const EVICTED: &str = "0a00000000000000 3c00000000000000 03000000 00";
+
+    #[test]
+    fn an_anchor_record_is_its_fixture() {
+        let [(cached, c), (evicted, e)] = sample();
+        let listed = (
+            stamp(2),
+            vec![SectorInfo {
+                addr: BlockAddr(50),
+                slot: 1,
+                newest: stamp(5),
+            }],
+        );
+        let records = [
+            (cached, c, CACHED, BlockAddr(40), u32::MAX, Some(listed)),
+            (evicted, e, EVICTED, BlockAddr(60), 3, None),
+        ];
+        for (oid, slot, hex, root, at, listed) in records {
+            let bytes = crate::unhex(hex);
+            let mut out = Vec::new();
+            AnchorRecord::encode_into(&mut out, oid, &slot);
+            assert_eq!(out, bytes, "object {oid}");
+            let mut r = Reader::new(&bytes, "fixture");
+            let want = AnchorRecord {
+                oid,
+                root,
+                slot: at,
+                listed,
+            };
+            assert_eq!(AnchorRecord::decode(&mut r).unwrap(), want);
+        }
+        assert_eq!(crate::unhex(EVICTED).len(), AnchorRecord::MIN_BYTES);
+    }
+
     #[test]
     fn anchor_payload_round_trips_and_hostile_bytes_are_an_error_not_a_panic() {
         let config = DriveConfig::small_test();
         let mut inner = Inner::new(&config);
         inner.next_oid = 77;
-        let stamp = HybridTimestamp::new(s4_clock::SimTime::from_micros(5), 2);
-        let mut entry = ObjectEntry::new(s4_journal::ObjectMeta::new(9, stamp));
-        entry.checkpoint_root = BlockAddr(40);
-        entry.sectors.push(SectorInfo {
-            addr: BlockAddr(50),
-            slot: 1,
-            oldest: stamp,
-            newest: stamp,
-        });
-        inner.table.insert(9, Slot::Cached(Box::new(entry)));
-        let evicted = EvictInfo {
-            checkpoint_root: BlockAddr(60),
-            checkpoint_slot: 3,
-            expiry_hint: stamp,
-            deleted: None,
-        };
-        inner.table.insert(10, Slot::Evicted(evicted));
+        inner.table.extend(sample());
 
         let payload = encode_anchor_payload(&inner);
         let (decoded, records) = decode_anchor_payload(&payload, &config).unwrap();
@@ -497,8 +562,8 @@ mod tests {
             roots,
             [(9, BlockAddr(40), u32::MAX), (10, BlockAddr(60), 3)]
         );
-        assert_eq!(records[0].sectors.as_ref().map(Vec::len), Some(1));
-        assert!(records[1].sectors.is_none());
+        assert_eq!(records[0].listed.as_ref().map(|l| l.1.len()), Some(1));
+        assert!(records[1].listed.is_none());
         for cut in 1..payload.len() {
             assert!(decode_anchor_payload(&payload[..cut], &config).is_err());
         }

@@ -51,8 +51,7 @@ impl<D: BlockDev> S4Drive<D> {
             let mut entry = if rec.root.is_none() {
                 // Journal-only object: its entire history (from the
                 // Create entry) is in the anchored sector list.
-                let sectors = rec.sectors.clone().unwrap_or_default();
-                let Some(first) = sectors.first() else {
+                let Some(first) = rec.listed.as_ref().and_then(|(_, s)| s.first()) else {
                     return Err(S4Error::BadRequest("anchored object with no state"));
                 };
                 let (_o, entries) = read_subsector(&log, first.addr, first.slot)?;
@@ -63,13 +62,13 @@ impl<D: BlockDev> S4Drive<D> {
             } else {
                 read_checkpoint(&log, rec.root, rec.slot)?
             };
-            if let Some(sectors) = &rec.sectors {
+            if let Some((floor, sectors)) = &rec.listed {
                 // An anchored sector list that has moved on from the
                 // checkpoint's — grown past it, expired or relocated
                 // since — leaves the entry ahead of its checkpoint.
                 entry.dirty |= *sectors != entry.sectors;
                 entry.sectors = sectors.clone();
-                entry.history_floor = entry.history_floor.max(rec.floor);
+                entry.history_floor = entry.history_floor.max(*floor);
             }
             for s in entry.sectors.iter().filter(|s| s.newest > entry.covered) {
                 let (_oid, entries) = read_subsector(&log, s.addr, s.slot)?;
@@ -78,7 +77,6 @@ impl<D: BlockDev> S4Drive<D> {
                 }
             }
             if let Some(last) = entry.sectors.last() {
-                entry.meta.journal_head = last.addr;
                 report.max_recovered_stamp = report.max_recovered_stamp.max(last.newest);
             }
             report.max_recovered_stamp = report.max_recovered_stamp.max(entry.meta.modified);
@@ -229,22 +227,14 @@ fn apply_recovered_sector(
         // All anchored objects are Cached during mount.
         return Err(S4Error::BadRequest("recovered sector for evicted object"));
     };
-    let mut oldest = None;
     let mut newest = HybridTimestamp::ZERO;
     for e in entries {
         if e.stamp() > entry.meta.modified || matches!(e, JournalEntry::Create { .. }) {
             redo(&mut entry.meta, e);
         }
-        oldest.get_or_insert(e.stamp());
         newest = newest.max(e.stamp());
     }
-    entry.sectors.push(SectorInfo {
-        addr,
-        slot,
-        oldest: oldest.unwrap_or(HybridTimestamp::ZERO),
-        newest,
-    });
-    entry.meta.journal_head = addr;
+    entry.sectors.push(SectorInfo { addr, slot, newest });
     entry.dirty = true;
     inner.next_oid = inner.next_oid.max(oid + 1);
     Ok(())

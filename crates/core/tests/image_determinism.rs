@@ -211,20 +211,18 @@ fn run(
     Ok((s4_lfs::crc::xxh64(&image), digest, outcome))
 }
 
-/// Restated at format revision 7, where every audit block is full and
-/// the anchor carries the audit tail, and `FlushO` anchors; then when
-/// removing a landmark stopped releasing blocks a retained journal entry
-/// still names.
+/// Restated at format revision 8, which persists only what is read
+/// back; before it, when removing a landmark stopped releasing blocks a
+/// retained journal entry still names.
 #[test]
 fn churn_image_is_one_value_across_runs() {
-    /// Revision 7 in the superblock, the anchor payload's audit section
-    /// (`dropped`, and the tail's length after the block list), the
-    /// anchor each `FlushO` now writes, and the landmark blocks kept.
-    const IMAGE_HASH: u64 = 0x023d_096e_1f19_7bbb;
-    /// The digest hashes the audit log's block list, tail and dropped
-    /// count, the state the `FlushO` anchors leave, and the addresses
-    /// the cleaner assigns, which the kept landmark blocks move.
-    const STATE_DIGEST: u64 = 0xd5d5_c2bf_d519_22e6;
+    /// Revision 8 in the superblock, its smaller checkpoints, anchor
+    /// records and usage table, and the landmark blocks kept.
+    const IMAGE_HASH: u64 = 0x1201_a11e_611f_f853;
+    /// The digest hashes each object's checkpoint encoding (revision 8's
+    /// sector lists and metadata), the audit log's block list, tail and
+    /// dropped count, and the addresses the cleaner assigns.
+    const STATE_DIGEST: u64 = 0x9f2c_516a_273c_247e;
     /// A crash after a `FlushO` no longer replays the old chain, so some
     /// later requests succeed or fail differently.
     const OUTCOMES: u64 = 0xe14a_ad17_f7f3_516b;

@@ -1,8 +1,8 @@
 //! The object metadata record and its checkpoint codec.
 //!
 //! [`ObjectMeta`] is the drive's in-memory "inode" for one object: sizes,
-//! stamps, opaque client attributes, the encoded ACL table, the sparse
-//! logical-block map, and the head of the object's journal-sector chain.
+//! stamps, opaque client attributes, the encoded ACL table and the
+//! sparse logical-block map.
 //! Checkpoints serialize the whole record; unlike conventional journaling,
 //! checkpointing never prunes journal space — only aging may prune
 //! (§4.2.2).
@@ -39,9 +39,6 @@ pub struct ObjectMeta {
     pub acl: Vec<u8>,
     /// Sparse logical-block map: logical block number → log address.
     pub blocks: BTreeMap<u64, BlockAddr>,
-    /// Newest journal sector of this object's backward chain
-    /// ([`BlockAddr::NONE`] if nothing has been packed to disk yet).
-    pub journal_head: BlockAddr,
 }
 
 impl ObjectMeta {
@@ -56,7 +53,6 @@ impl ObjectMeta {
             attrs: Vec::new(),
             acl: Vec::new(),
             blocks: BTreeMap::new(),
-            journal_head: BlockAddr::NONE,
         }
     }
 
@@ -88,7 +84,6 @@ impl ObjectMeta {
             out.extend_from_slice(&lbn.to_le_bytes());
             out.extend_from_slice(&addr.0.to_le_bytes());
         }
-        out.extend_from_slice(&self.journal_head.0.to_le_bytes());
         out
     }
 
@@ -110,7 +105,6 @@ impl ObjectMeta {
             let lbn = r.u64()?;
             blocks.insert(lbn, BlockAddr(r.u64()?));
         }
-        let journal_head = BlockAddr(r.u64()?);
         *pos = r.pos();
         Ok(ObjectMeta {
             id,
@@ -121,7 +115,6 @@ impl ObjectMeta {
             attrs,
             acl,
             blocks,
-            journal_head,
         })
     }
 }
@@ -139,7 +132,6 @@ mod tests {
         m.acl = vec![7; 33];
         m.blocks.insert(0, BlockAddr(10));
         m.blocks.insert(2, BlockAddr(12));
-        m.journal_head = BlockAddr(777);
         m
     }
 
@@ -150,6 +142,42 @@ mod tests {
         let mut pos = 0;
         assert_eq!(ObjectMeta::decode_from(&buf, &mut pos).unwrap(), m);
         assert_eq!(pos, buf.len());
+    }
+
+    /// The bytes a fixture's hex literal spells; whitespace separates
+    /// its fields.
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        let digit = |d: u8| (d as char).to_digit(16).expect("a hex digit") as u8;
+        digits
+            .chunks(2)
+            .map(|p| digit(p[0]) << 4 | digit(p[1]))
+            .collect()
+    }
+
+    /// A live object's metadata, format revision 8: `magic | id |
+    /// created | modified | 0 (not deleted) | size | attrs | acl |
+    /// block count | (lbn, addr)…` — 103 bytes, and no journal head.
+    const META: &str = "
+        544d3453 6300000000000000
+        0500000000000000 0100000000000000 0900000000000000 0400000000000000 00
+        3930000000000000 04000000 01020304 02000000 0707
+        02000000 0000000000000000 0a00000000000000 0200000000000000 0c00000000000000";
+
+    #[test]
+    fn object_meta_is_its_fixture() {
+        let mut m = ObjectMeta::new(99, HybridTimestamp::new(SimTime::from_micros(5), 1));
+        m.modified = HybridTimestamp::new(SimTime::from_micros(9), 4);
+        m.size = 12_345;
+        m.attrs = vec![1, 2, 3, 4];
+        m.acl = vec![7; 2];
+        m.blocks.insert(0, BlockAddr(10));
+        m.blocks.insert(2, BlockAddr(12));
+        let bytes = unhex(META);
+        assert_eq!((bytes.len(), m.encode()), (103, bytes.clone()));
+        let mut pos = 0;
+        assert_eq!(ObjectMeta::decode_from(&bytes, &mut pos).unwrap(), m);
+        assert_eq!(pos, bytes.len());
     }
 
     #[test]
@@ -187,6 +215,5 @@ mod tests {
         let m = ObjectMeta::new(1, HybridTimestamp::ZERO);
         assert!(m.is_live());
         assert!(m.blocks.is_empty());
-        assert!(m.journal_head.is_none());
     }
 }

@@ -7,9 +7,9 @@
 //! backward in time to allow for version reconstruction." (§4.2.2)
 //!
 //! [`encode_sectors`] splits a run of entries into one or more sector
-//! payloads; the caller appends each to the log in order, threading the
-//! address the log assigns to sector *k* into the `prev` pointer of sector
-//! *k+1*, so the newest sector always heads the chain.
+//! payloads; the caller appends each to the log in order, naming the
+//! object's newest sector already on disk as `prev`. Nothing reads `prev`
+//! back: the drive keeps each object's sector list itself.
 
 use s4_lfs::codec::{push_bytes, Reader};
 use s4_lfs::{BlockAddr, BLOCK_SIZE};

@@ -76,7 +76,9 @@ pub struct FlushStats {
 
 /// Everything [`Log::mount`] recovers.
 pub struct Mounted<D: BlockDev> {
-    /// The log, positioned after the last complete batch.
+    /// The log, positioned after the last complete batch. Every
+    /// segment's live count is zero until the upper layer installs its
+    /// recount ([`Log::rebuild_live_counts`]).
     pub log: Log<D>,
     /// The upper layer's opaque anchor payload (empty if the log was
     /// never anchored).
@@ -303,16 +305,17 @@ impl<D: BlockDev> Log<D> {
             (payload, SegmentUsageTable::decode(r.rest())?)
         };
 
-        // Phase 3: replay usage accounting for every scanned batch on top
-        // of the anchored table. The anchor is durable, so segments the
-        // previous incarnation had reclaimed become allocatable.
+        // Phase 3: replay the written counts of every scanned batch on top
+        // of the anchored table; every live count stays zero until the
+        // upper layer recounts them (`rebuild_live_counts`). The anchor
+        // is durable, so segments the previous incarnation had reclaimed
+        // become allocatable.
         usage.promote_pending_free();
         if sb.has_no_state() {
             usage.force_allocate(sb.cursor_segment);
         }
-        for (batch, bseg, entries, seal) in &scanned {
-            // A summary block is live while the record it carries is.
-            usage.note_append(*bseg, entries + 1, batch.blocks.len() as u32);
+        for (_, bseg, entries, seal) in &scanned {
+            usage.note_append(*bseg, entries + 1);
             if let Some(next) = seal {
                 usage.force_allocate(*next);
             }
@@ -505,7 +508,7 @@ impl<D: BlockDev> Log<D> {
 
         // Account (every block was counted live as it was appended) and
         // cache.
-        self.usage.lock().note_append(seg, n + 1, 0);
+        self.usage.lock().note_append(seg, n + 1);
         let carried = st.carried.take().map(|r| r.block);
         for p in st.pending.drain(..).chain(carried) {
             self.cache.insert(p.addr, p.data);
@@ -757,11 +760,12 @@ impl<D: BlockDev> Log<D> {
     }
 
     /// Replaces every segment's live count with counts recomputed from an
-    /// authoritative set of reachable block addresses (used after crash
-    /// recovery, when batches replayed from the log may include blocks —
-    /// e.g. cleaner relocations or orphaned checkpoints — that the
-    /// recovered object state no longer references). The current anchor's
-    /// own state blocks stay counted: the next anchor releases them.
+    /// authoritative set of reachable block addresses. No live count is
+    /// persisted, so after [`Log::mount`] this is their only source; the
+    /// batches replayed from the log may include blocks — e.g. cleaner
+    /// relocations or orphaned checkpoints — that the recovered object
+    /// state no longer references. The current anchor's own state blocks
+    /// stay counted: the next anchor releases them.
     pub fn rebuild_live_counts<I: IntoIterator<Item = BlockAddr>>(&self, live: I) {
         let st = self.state.lock();
         let mut usage = self.usage.lock();
@@ -1183,9 +1187,12 @@ mod tests {
         assert_eq!(m.batches[0].blocks, appended);
         reads_as(&m.log, appended[1].0, &short(7));
         reads_as(&m.log, appended[2].0, &short(8));
-        // Both are counted: three blocks and the summary that carries one.
-        assert_eq!(m.log.usage_snapshot().get(0).live_blocks, 4);
         assert_eq!(m.log.usage_snapshot().get(0).written_blocks, 4);
+        // The recount counts both: three blocks and the summary that
+        // carries one.
+        assert_eq!(m.log.usage_snapshot().get(0).live_blocks, 0);
+        m.log.rebuild_live_counts(appended.map(|(a, _)| a));
+        assert_eq!(m.log.usage_snapshot().get(0).live_blocks, 4);
     }
 
     #[test]
@@ -1208,6 +1215,7 @@ mod tests {
         let m = Log::mount(log.into_device(), SMALL).unwrap();
         assert_eq!(m.batches.len(), 40);
         assert_eq!(recovered_aux(&m), (0..40).collect::<Vec<u64>>());
+        m.log.rebuild_live_counts(addrs.iter().copied());
         assert_eq!(m.log.usage_snapshot().get(0).live_blocks, 15);
         m.log.cache().clear();
         for (i, a) in addrs.iter().enumerate() {

@@ -33,8 +33,13 @@ const SB_BYTES: usize = 96;
 /// drops the alert stream with its blocks and its anchor-payload section.
 /// Revision 7 flushes only full audit blocks and carries the audit tail's
 /// records in the anchor payload: a revision-6 image may list a partial
-/// block, and its anchor payload lacks the tail.
-pub(crate) const FORMAT_VERSION: u32 = 7;
+/// block, and its anchor payload lacks the tail. Revision 8 persists
+/// only what is read back: a sector-list entry drops its oldest stamp,
+/// an object's metadata its journal head, an evicted object's anchor
+/// record its always-zero floor, and the anchored usage table its live
+/// counts, which mount recounts — every revision-7 record reads
+/// misaligned.
+pub(crate) const FORMAT_VERSION: u32 = 8;
 
 /// Sentinel for "the log has never been anchored".
 pub(crate) const NO_STATE: u64 = u64::MAX;
@@ -224,9 +229,9 @@ mod tests {
     #[test]
     fn an_earlier_format_is_refused_not_skipped() {
         // A revision-1 superblock — same magic and layout, zero padding
-        // where the format revision now lives — and revisions 2 to 6,
+        // where the format revision now lives — and revisions 2 to 7,
         // CRC valid: each refused, by name, beside this build's revision.
-        for revision in [0u32, 2, 3, 4, 5, 6] {
+        for revision in [0u32, 2, 3, 4, 5, 6, 7] {
             let mut old = sample(3).encode();
             old[72..76].copy_from_slice(&revision.to_le_bytes());
             let crc = crc32(&old[8..SB_BYTES]);
@@ -239,7 +244,7 @@ mod tests {
             assert_eq!(err, LfsError::Format(revision));
             let text = err.to_string();
             assert!(
-                text.contains(&format!("revision {revision} ")) && text.contains("revision 7"),
+                text.contains(&format!("revision {revision} ")) && text.contains("revision 8"),
                 "{text}"
             );
         }

@@ -39,7 +39,7 @@ pub struct SegmentUsage {
 }
 
 /// The usage table for every segment on the device.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SegmentUsageTable {
     segs: Vec<SegmentUsage>,
     blocks_per_segment: u32,
@@ -108,15 +108,13 @@ impl SegmentUsageTable {
         };
     }
 
-    /// Records `n` blocks written to `seg`, `live` of which are newly
-    /// counted as referenced: every block a replayed batch holds (a
-    /// summary block is referenced only while it carries a record), none
-    /// at a running log's flush, which counted each at its append.
-    pub fn note_append(&mut self, seg: SegmentId, n: u32, live: u32) {
+    /// Records `n` blocks written to `seg`. A block's live count is
+    /// taken at its append, or recounted at mount
+    /// ([`crate::Log::rebuild_live_counts`]), not here.
+    pub fn note_append(&mut self, seg: SegmentId, n: u32) {
         let s = &mut self.segs[seg as usize];
         debug_assert_eq!(s.state, SegmentState::InUse);
         s.written_blocks = (s.written_blocks + n).min(self.blocks_per_segment);
-        s.live_blocks += live;
     }
 
     /// Decrements the live count of `seg` by `n` (versions aged out or
@@ -218,23 +216,24 @@ impl SegmentUsageTable {
         live as f64 / (self.segs.len() as u64 * self.blocks_per_segment as u64) as f64
     }
 
-    /// Serializes for inclusion in the anchor's system state.
+    /// Serializes for inclusion in the anchor's system state: per
+    /// segment its state and written count. No live count is persisted;
+    /// mount recounts every one from what the upper layer reaches.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.segs.len() * 9);
+        let mut out = Vec::with_capacity(8 + self.segs.len() * 5);
         out.extend_from_slice(&(self.segs.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.blocks_per_segment.to_le_bytes());
         for s in &self.segs {
             out.push(s.state as u8);
-            out.extend_from_slice(&s.live_blocks.to_le_bytes());
             out.extend_from_slice(&s.written_blocks.to_le_bytes());
         }
         out
     }
 
-    /// Deserializes from anchor system state.
+    /// Deserializes from anchor system state, every live count zero.
     pub fn decode(buf: &[u8]) -> Result<SegmentUsageTable> {
         let mut r = Reader::new(buf, "usage table truncated");
-        let n = r.count(9)?;
+        let n = r.count(5)?;
         let blocks_per_segment = r.u32()?;
         let mut segs = Vec::with_capacity(n);
         let mut free_count = 0;
@@ -250,7 +249,7 @@ impl SegmentUsageTable {
             }
             segs.push(SegmentUsage {
                 state,
-                live_blocks: r.u32()?,
+                live_blocks: 0,
                 written_blocks: r.u32()?,
             });
         }
@@ -279,7 +278,8 @@ mod tests {
         let b = t.allocate().unwrap();
         assert_ne!(a, b);
         assert_eq!(t.free_segments(), total - 2);
-        t.note_append(a, 4, 3);
+        t.note_append(a, 4);
+        t.add_live(a, 3);
         t.release_blocks(a, 3);
         t.free_segment(a);
         // Pending-free is not yet allocatable.
@@ -305,8 +305,10 @@ mod tests {
         let mut t = table();
         let a = t.allocate().unwrap();
         let b = t.allocate().unwrap();
-        t.note_append(a, 4, 3);
-        t.note_append(b, 4, 4);
+        t.note_append(a, 4);
+        t.add_live(a, 3);
+        t.note_append(b, 4);
+        t.add_live(b, 4);
         assert!(t.dead_segments(&[]).is_empty());
         t.release_blocks(a, 3);
         assert_eq!(t.dead_segments(&[]), vec![a]);
@@ -318,8 +320,10 @@ mod tests {
         let mut t = table();
         let a = t.allocate().unwrap();
         let b = t.allocate().unwrap();
-        t.note_append(a, 10, 9);
-        t.note_append(b, 10, 2);
+        t.note_append(a, 10);
+        t.add_live(a, 9);
+        t.note_append(b, 10);
+        t.add_live(b, 2);
         assert_eq!(t.lowest_utilization(&[]), Some((b, 2)));
         assert_eq!(t.lowest_utilization(&[b]), Some((a, 9)));
     }
@@ -328,11 +332,53 @@ mod tests {
     fn encode_decode_round_trip() {
         let mut t = table();
         let a = t.allocate().unwrap();
-        t.note_append(a, 7, 5);
+        t.note_append(a, 7);
+        t.add_live(a, 5);
         let d = SegmentUsageTable::decode(&t.encode()).unwrap();
-        assert_eq!(d.get(a), t.get(a));
+        let unlive = SegmentUsage {
+            live_blocks: 0,
+            ..t.get(a)
+        };
+        assert_eq!(d.get(a), unlive, "no live count is persisted");
         assert_eq!(d.free_segments(), t.free_segments());
         assert_eq!(d.num_segments(), t.num_segments());
+    }
+
+    /// The bytes a fixture's hex literal spells; whitespace separates
+    /// its fields.
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        let digit = |d: u8| (d as char).to_digit(16).expect("a hex digit") as u8;
+        digits
+            .chunks(2)
+            .map(|p| digit(p[0]) << 4 | digit(p[1]))
+            .collect()
+    }
+
+    /// Three segments of 16 blocks, format revision 8: `count |
+    /// blocks per segment | (state, written)…` — 5 bytes per segment, and
+    /// no live count.
+    const TABLE: &str = "03000000 10000000 01 07000000 00 00000000 02 00000000";
+
+    #[test]
+    fn a_usage_table_is_its_fixture() {
+        let seg = |state, written_blocks| SegmentUsage {
+            state,
+            live_blocks: 0,
+            written_blocks,
+        };
+        let table = SegmentUsageTable {
+            segs: vec![
+                seg(SegmentState::InUse, 7),
+                seg(SegmentState::Free, 0),
+                seg(SegmentState::PendingFree, 0),
+            ],
+            blocks_per_segment: 16,
+            free_count: 1,
+        };
+        let bytes = unhex(TABLE);
+        assert_eq!(table.encode(), bytes);
+        assert_eq!(SegmentUsageTable::decode(&bytes).unwrap(), table);
     }
 
     #[test]
@@ -351,7 +397,8 @@ mod tests {
         let mut t = table();
         assert_eq!(t.utilization(), 0.0);
         let a = t.allocate().unwrap();
-        t.note_append(a, 16, 16);
+        t.note_append(a, 16);
+        t.add_live(a, 16);
         assert!(t.utilization() > 0.0);
     }
 }

@@ -807,11 +807,13 @@ mod tests {
     /// runs agree with each other and with the committed constant. A
     /// change that moves this value changed the on-disk bytes (or made
     /// them depend on something other than the requests) and must say so.
-    /// (Format revision 7: the superblock's revision field, full audit
-    /// blocks, and the audit tail in the anchor payload.)
+    /// (Format revision 8: the superblock's revision field, sector-list
+    /// entries without their oldest stamp, metadata without its journal
+    /// head, evicted anchor records without a floor, and a usage table
+    /// without live counts.)
     #[test]
     fn golden_image_is_one_value_across_runs() {
-        const GOLDEN_IMAGE_HASH: u64 = 0x4038_df1b_9f6d_8859;
+        const GOLDEN_IMAGE_HASH: u64 = 0x1973_5b79_f634_142a;
         let cfg = WritePath::bounded(0xB0A710AD);
         let (a, b) = (golden_run(&cfg), golden_run(&cfg));
         assert_eq!(a.image_hash, b.image_hash, "two runs, two images");

@@ -181,6 +181,17 @@ impl<'a> Args<'a> {
     }
 }
 
+/// The audit log's length and its last ten records, alerts and protocol
+/// steps included, each with its position: the `s4 stats` flight
+/// recorder, read from `len − 10` rather than decoding the whole log.
+fn audit_tail<D: BlockDev>(drive: &S4Drive<D>) -> Result<(u64, Vec<(u64, AuditRecord)>), CliError> {
+    let admin = admin_of(drive);
+    let len = drive.audit_len(&admin)?;
+    let mut position = len.saturating_sub(10);
+    let tail = drive.read_log_from(&admin, &mut position)?;
+    Ok((len, (len - tail.len() as u64..).zip(tail).collect()))
+}
+
 /// One audit record as a line of `s4 audit` and of the `s4 stats`
 /// flight-recorder tail, after its position in the log.
 fn record_line(r: &AuditRecord) -> String {
@@ -395,19 +406,22 @@ fn run() -> Result<(), CliError> {
         }
         "stats" if args.positional.len() > 1 => {
             // Array mode: every image is one shard; metrics aggregate
-            // across the member drives and the audit log's tail is the
-            // time-merged view.
+            // across the member drives, and each shard's audit log shows
+            // its own tail.
             let array = open_array(&args.positional, mirrors)?;
             print!("{}", array.metrics_text());
-            let admin = admin_of(&array.shard_drive(0));
-            let log = array.read_audit_merged(&admin)?;
+            let tails = (0..array.shard_count())
+                .map(|shard| audit_tail(&array.shard_drive(shard)))
+                .collect::<Result<Vec<_>, _>>()?;
+            let total: u64 = tails.iter().map(|(len, _)| len).sum();
             eprintln!(
-                "flight recorder: {} audit records across {} shards",
-                log.len(),
-                array.shard_count()
+                "flight recorder: {total} audit records across {} shards",
+                tails.len()
             );
-            for e in log.iter().rev().take(10).rev() {
-                eprintln!("  shard={} {}", e.shard, record_line(&e.record));
+            for (shard, (_, tail)) in tails.iter().enumerate() {
+                for (position, r) in tail {
+                    eprintln!("  shard={shard} {position:>8} {}", record_line(r));
+                }
             }
             array.unmount().map_err(|e| format!("unmount array: {e}"))?;
         }
@@ -528,12 +542,9 @@ fn run() -> Result<(), CliError> {
                 // tail as human context on stderr.
                 let drive = fs.transport().drive();
                 print!("{}", drive.metrics_text());
-                let admin = admin_of(drive);
-                let len = drive.audit_len(&admin)?;
-                let mut position = len.saturating_sub(10);
-                let tail = drive.read_log_from(&admin, &mut position)?;
+                let (len, tail) = audit_tail(drive)?;
                 eprintln!("flight recorder: {len} audit records");
-                for (position, r) in (len - tail.len() as u64..).zip(&tail) {
+                for (position, r) in &tail {
                     eprintln!("  {position:>8} {}", record_line(r));
                 }
             }

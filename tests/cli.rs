@@ -376,7 +376,8 @@ fn cli_trace_assembles_across_invocations() {
 
 /// `s4 stats` on a mirrored image set: `--mirrors` groups the images into
 /// shards as `s4 txn` and `s4 trace` do, so one shard of two mirrors
-/// mounts against its persisted epoch.
+/// mounts against its persisted epoch; the flight recorder prints each
+/// shard's last ten records at their positions, read from there.
 #[test]
 fn cli_stats_mounts_a_mirrored_array() {
     use s4_array::{ArrayConfig, S4Array};
@@ -400,7 +401,9 @@ fn cli_stats_mounts_a_mirrored_array() {
     };
     let a = S4Array::format(devices, DriveConfig::default(), cfg, clock).unwrap();
     let ctx = RequestContext::user(UserId(5), ClientId(2));
-    a.dispatch(&ctx, &Request::Create).unwrap();
+    for _ in 0..11 {
+        a.dispatch(&ctx, &Request::Create).unwrap();
+    }
     a.dispatch(&ctx, &Request::Sync).unwrap();
     a.unmount().unwrap();
 
@@ -417,5 +420,25 @@ fn cli_stats_mounts_a_mirrored_array() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("s4_array_mirrors 2"), "{stdout}");
+    // The shard's last ten of its twelve records, each at its position
+    // in the shard's log.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("flight recorder: 12 audit records across 1 shards"),
+        "{stderr}"
+    );
+    let tail: Vec<(&str, u64, &str)> = stderr
+        .lines()
+        .filter_map(|l| {
+            let mut words = l.split_whitespace();
+            let shard = words.next()?.strip_prefix("shard=")?;
+            let position = words.next()?.parse().ok()?;
+            Some((shard, position, words.nth(3)?))
+        })
+        .collect();
+    let want: Vec<(&str, u64, &str)> = (2..=11)
+        .map(|p| ("0", p, if p == 11 { "Sync" } else { "Create" }))
+        .collect();
+    assert_eq!(tail, want, "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }

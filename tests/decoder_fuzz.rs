@@ -12,7 +12,7 @@
 //! so CI is deterministic, and a failure names the decoder, the mutation
 //! and the seed.
 //!
-//! This is the seed of ROADMAP item 8's structure-aware fuzzer; the
+//! This is the seed of ROADMAP item 20's structure-aware fuzzer; the
 //! round-trip and model properties of the same codecs are in
 //! `tests/properties.rs`. Core's crate-private decoders take the same
 //! mutations in their own unit tests.
@@ -205,7 +205,6 @@ fn targets() -> Vec<(&'static str, Decoder, Vec<Vec<u8>>)> {
         m.acl = vec![7; 13];
         m.blocks.insert(0, BlockAddr(10));
         m.blocks.insert(2, BlockAddr(12));
-        m.journal_head = BlockAddr(777);
         m
     };
     let txn_log = {
@@ -259,7 +258,7 @@ fn targets() -> Vec<(&'static str, Decoder, Vec<Vec<u8>>)> {
     let usage = {
         let mut t = SegmentUsageTable::new(&Geometry::compute(20_000, 16).unwrap());
         let seg = t.allocate().unwrap();
-        t.note_append(seg, 7, 5);
+        t.note_append(seg, 7);
         t
     };
     let superblock = Superblock {
