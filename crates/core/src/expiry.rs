@@ -19,7 +19,7 @@ use crate::drive::{changes, changes_mut, old_blocks, Inner, S4Drive};
 use crate::ids::ObjectId;
 use crate::object::{DeltaRef, ObjectEntry, SectorInfo, Slot};
 use crate::packed::{self, PackedBlocks};
-use crate::persist::read_subsector;
+use crate::persist::{read_subsector, retained};
 use crate::{Result, S4Error};
 
 /// One cleaner pass's hold on the drive's lock, through the history
@@ -114,7 +114,7 @@ impl<D: BlockDev> S4Drive<D> {
                 // Build per-lbn history chains (oldest first) from the
                 // retained journal.
                 let mut chains: BTreeMap<u64, Vec<BlockAddr>> = BTreeMap::new();
-                for c in self.history(entry)?.iter().flat_map(old_blocks) {
+                for c in retained(&self.log, entry)?.iter().flat_map(old_blocks) {
                     chains.entry(c.lbn).or_default().push(c.old);
                 }
                 for (lbn, olds) in chains {
@@ -302,8 +302,7 @@ impl<D: BlockDev> S4Drive<D> {
         hi: HybridTimestamp,
     ) -> Result<bool> {
         // Collect the object's full retained history, oldest first.
-        let mut all = self.history(entry)?;
-        all.extend(entry.pending.iter().cloned());
+        let mut all = retained(&self.log, entry)?;
 
         // Pass 1 (newest -> oldest): an in-range entry is droppable only
         // if every item it touches is superseded by a kept, later entry
@@ -396,15 +395,6 @@ impl<D: BlockDev> S4Drive<D> {
             self.release_history_block(inner, entry, a)?;
         }
         Ok(true)
-    }
-
-    /// Every entry in `entry`'s on-disk sectors, oldest first.
-    pub(crate) fn history(&self, entry: &ObjectEntry) -> Result<Vec<JournalEntry>> {
-        let mut all = Vec::new();
-        for s in &entry.sectors {
-            all.extend(read_subsector(&self.log, s.addr, s.slot)?.1);
-        }
-        Ok(all)
     }
 
     /// Commits the moves in `inner.moved`: each retained sector whose entry

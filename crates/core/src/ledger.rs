@@ -18,13 +18,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use s4_journal::JournalEntry;
 use s4_lfs::{BlockAddr, BlockKind, BlockTag, Log};
 use s4_simdisk::BlockDev;
 
 use crate::drive::{old_blocks, Inner};
 use crate::object::ObjectEntry;
-use crate::persist::{read_subsector, slot_entry};
+use crate::persist::{retained, slot_entry};
 use crate::Result;
 
 /// One address the running ledger and its recount disagree on.
@@ -165,23 +164,15 @@ impl Ledger {
 }
 
 /// The history blocks an object's retained journal keeps alive: every
-/// old pointer its pending entries and its sectors name, save the
-/// delta-encoded ones, which are accounted through their shared delta
-/// block.
+/// old pointer it names, save the delta-encoded ones, which are
+/// accounted through their shared delta block.
 pub(crate) fn retained_history<D: BlockDev>(
     log: &Log<D>,
     entry: &ObjectEntry,
 ) -> Result<Vec<BlockAddr>> {
-    let mut out = Vec::new();
-    let mut history = |entries: &[JournalEntry]| {
-        let old = entries.iter().flat_map(old_blocks).map(|c| c.old);
-        out.extend(old.filter(|a| !entry.deltas.contains_key(&a.0)));
-    };
-    history(&entry.pending);
-    for s in &entry.sectors {
-        history(&read_subsector(log, s.addr, s.slot)?.1);
-    }
-    Ok(out)
+    let journal = retained(log, entry)?;
+    let old = journal.iter().flat_map(old_blocks).map(|c| c.old);
+    Ok(old.filter(|a| !entry.deltas.contains_key(&a.0)).collect())
 }
 
 #[cfg(test)]

@@ -53,20 +53,29 @@ pub(crate) struct SectorInfo {
 impl SectorInfo {
     /// What a sector list entry takes in a checkpoint blob and in the
     /// anchor payload: address, slot, the newest entry's stamp.
-    pub(crate) const BYTES: usize = 8 + 4 + 16;
+    const BYTES: usize = 8 + 4 + 16;
 
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.addr.0.to_le_bytes());
-        out.extend_from_slice(&self.slot.to_le_bytes());
-        push_stamp(out, self.newest);
+    /// Appends a sector list: `n u32 | n × (addr u64, slot u32, newest)`.
+    pub(crate) fn encode_list(list: &[SectorInfo], out: &mut Vec<u8>) {
+        out.extend_from_slice(&(list.len() as u32).to_le_bytes());
+        for s in list {
+            out.extend_from_slice(&s.addr.0.to_le_bytes());
+            out.extend_from_slice(&s.slot.to_le_bytes());
+            push_stamp(out, s.newest);
+        }
     }
 
-    pub(crate) fn decode(r: &mut Reader) -> Result<SectorInfo> {
-        Ok(SectorInfo {
-            addr: BlockAddr(r.u64()?),
-            slot: r.u32()?,
-            newest: r.stamp()?,
-        })
+    pub(crate) fn decode_list(r: &mut Reader) -> Result<Vec<SectorInfo>> {
+        let n = r.count(Self::BYTES)?;
+        let one = |r: &mut Reader| -> Result<SectorInfo> {
+            let (addr, slot) = (BlockAddr(r.u64()?), r.u32()?);
+            Ok(SectorInfo {
+                addr,
+                slot,
+                newest: r.stamp()?,
+            })
+        };
+        (0..n).map(|_| one(r)).collect()
     }
 }
 
@@ -188,10 +197,7 @@ impl ObjectEntry {
     /// Serializes the entry for its metadata checkpoint.
     pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = self.meta.encode();
-        out.extend_from_slice(&(self.sectors.len() as u32).to_le_bytes());
-        for s in &self.sectors {
-            s.encode_into(&mut out);
-        }
+        SectorInfo::encode_list(&self.sectors, &mut out);
         out.extend_from_slice(&(self.deltas.len() as u32).to_le_bytes());
         for (key, d) in &self.deltas {
             out.extend_from_slice(&key.to_le_bytes());
@@ -216,10 +222,7 @@ impl ObjectEntry {
         let mut pos = 0;
         let meta = ObjectMeta::decode_from(buf, &mut pos)?;
         let mut r = Reader::at(buf, pos, "object checkpoint truncated");
-        let mut sectors = Vec::new();
-        for _ in 0..r.count(SectorInfo::BYTES)? {
-            sectors.push(SectorInfo::decode(&mut r)?);
-        }
+        let sectors = SectorInfo::decode_list(&mut r)?;
         let mut deltas = BTreeMap::new();
         for _ in 0..r.count(8 + 8 + 8 + 4)? {
             let key = r.u64()?;
@@ -377,9 +380,9 @@ mod tests {
         assert_eq!(e.expiry_hint(), HybridTimestamp::MAX);
     }
 
-    /// A sector-list entry, format revision 8: `addr u64 | slot u32 |
-    /// newest stamp` (28 bytes).
-    const SECTOR: &str = "3200000000000000 03000000 0900000000000000 0900000000000000";
+    /// A sector list of one entry, format revision 8: `n u32`, then per
+    /// entry `addr u64 | slot u32 | newest stamp` (28 bytes).
+    const SECTORS: &str = "01000000 3200000000000000 03000000 0900000000000000 0900000000000000";
 
     /// A checkpoint blob, format revision 8: the metadata (81 bytes
     /// here), one sector, one delta (`key | base | block | slot`), no
@@ -400,12 +403,12 @@ mod tests {
             slot: 3,
             newest: stamp(9),
         };
-        let bytes = crate::unhex(SECTOR);
+        let bytes = crate::unhex(SECTORS);
         let mut out = Vec::new();
-        info.encode_into(&mut out);
-        assert_eq!((out.len(), &out), (SectorInfo::BYTES, &bytes));
+        SectorInfo::encode_list(&[info], &mut out);
+        assert_eq!((out.len(), &out), (4 + SectorInfo::BYTES, &bytes));
         let mut r = Reader::new(&bytes, "fixture");
-        assert_eq!(SectorInfo::decode(&mut r).unwrap(), info);
+        assert_eq!(SectorInfo::decode_list(&mut r).unwrap(), [info]);
     }
 
     #[test]

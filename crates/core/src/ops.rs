@@ -18,6 +18,7 @@ use crate::drive::{Inner, ObjectAttrs, S4Drive, VersionRecord, AUDIT_OBJECT, PAR
 use crate::ids::{ClientId, ObjectId, RequestContext};
 use crate::ledger::retained_history;
 use crate::object::ObjectEntry;
+use crate::persist::retained;
 use crate::{Result, S4Error};
 
 impl<D: BlockDev> S4Drive<D> {
@@ -415,9 +416,8 @@ impl<D: BlockDev> S4Drive<D> {
         let mut inner = self.inner.lock();
         self.with_object(&mut inner, oid, |_, entry| {
             self.authorize(ctx, &entry.meta.acl, Perm::RECOVERY)?;
-            let history = self.history(entry)?;
-            let all = history.iter().chain(&entry.pending);
-            Ok(all.map(VersionRecord::from_entry).collect())
+            let all = retained(&self.log, entry)?;
+            Ok(all.iter().map(VersionRecord::from_entry).collect())
         })
     }
 

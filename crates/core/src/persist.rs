@@ -315,10 +315,6 @@ impl<D: BlockDev> S4Drive<D> {
     }
 }
 
-/// One object's record in the anchor payload: `oid u64 | root u64 |
-/// slot u32 | 0`, or `… | 1 | floor | count u32 | sectors` for a cached
-/// object, whose history floor and sector list may have moved on from its
-/// checkpoint.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct AnchorRecord {
     pub(crate) oid: u64,
@@ -330,11 +326,14 @@ pub(crate) struct AnchorRecord {
     pub(crate) listed: Option<(HybridTimestamp, Vec<SectorInfo>)>,
 }
 
-impl AnchorRecord {
-    /// The least a record takes: an evicted object's.
-    const MIN_BYTES: usize = 8 + 8 + 4 + 1;
-
-    fn encode_into(out: &mut Vec<u8>, oid: u64, slot: &Slot) {
+fn encode_anchor_payload(inner: &Inner) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&ANCHOR_MAGIC.to_le_bytes());
+    out.extend_from_slice(&inner.next_oid.to_le_bytes());
+    out.extend_from_slice(&inner.window.as_micros().to_le_bytes());
+    inner.audit.encode_anchor(&mut out);
+    out.extend_from_slice(&(inner.table.len() as u32).to_le_bytes());
+    for (&oid, slot) in &inner.table {
         out.extend_from_slice(&oid.to_le_bytes());
         match slot {
             Slot::Cached(e) => {
@@ -348,11 +347,8 @@ impl AnchorRecord {
                 out.extend_from_slice(&e.checkpoint_root.0.to_le_bytes());
                 out.extend_from_slice(&e.checkpoint_slot.to_le_bytes());
                 out.push(1); // explicit floor and sector list
-                push_stamp(out, e.history_floor);
-                out.extend_from_slice(&(e.sectors.len() as u32).to_le_bytes());
-                for s in &e.sectors {
-                    s.encode_into(out);
-                }
+                push_stamp(&mut out, e.history_floor);
+                SectorInfo::encode_list(&e.sectors, &mut out);
             }
             Slot::Evicted(i) => {
                 out.extend_from_slice(&i.checkpoint_root.0.to_le_bytes());
@@ -360,38 +356,6 @@ impl AnchorRecord {
                 out.push(0); // floor and sector list from blob
             }
         }
-    }
-
-    fn decode(r: &mut Reader) -> Result<AnchorRecord> {
-        let (oid, root, slot) = (r.u64()?, BlockAddr(r.u64()?), r.u32()?);
-        let listed = if r.u8()? == 1 {
-            let floor = r.stamp()?;
-            let mut sectors = Vec::new();
-            for _ in 0..r.count(SectorInfo::BYTES)? {
-                sectors.push(SectorInfo::decode(r)?);
-            }
-            Some((floor, sectors))
-        } else {
-            None
-        };
-        Ok(AnchorRecord {
-            oid,
-            root,
-            slot,
-            listed,
-        })
-    }
-}
-
-fn encode_anchor_payload(inner: &Inner) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&ANCHOR_MAGIC.to_le_bytes());
-    out.extend_from_slice(&inner.next_oid.to_le_bytes());
-    out.extend_from_slice(&inner.window.as_micros().to_le_bytes());
-    inner.audit.encode_anchor(&mut out);
-    out.extend_from_slice(&(inner.table.len() as u32).to_le_bytes());
-    for (&oid, slot) in &inner.table {
-        AnchorRecord::encode_into(&mut out, oid, slot);
     }
     out
 }
@@ -412,8 +376,18 @@ pub(crate) fn decode_anchor_payload(
     inner.window = SimDuration::from_micros(r.u64()?);
     inner.audit.decode_anchor(&mut r)?;
     let mut records = Vec::new();
-    for _ in 0..r.count(AnchorRecord::MIN_BYTES)? {
-        records.push(AnchorRecord::decode(&mut r)?);
+    for _ in 0..r.count(8 + 8 + 4 + 1)? {
+        let (oid, root, slot) = (r.u64()?, BlockAddr(r.u64()?), r.u32()?);
+        let listed = match r.u8()? {
+            1 => Some((r.stamp()?, SectorInfo::decode_list(&mut r)?)),
+            _ => None,
+        };
+        records.push(AnchorRecord {
+            oid,
+            root,
+            slot,
+            listed,
+        });
     }
     Ok((inner, records))
 }
@@ -461,6 +435,20 @@ pub(crate) fn slot_entry<'a, D: BlockDev>(
         Slot::Cached(entry) => Cow::Borrowed(&**entry),
         Slot::Evicted(i) => Cow::Owned(read_checkpoint(log, i.checkpoint_root, i.checkpoint_slot)?),
     })
+}
+
+/// An object's retained journal, oldest first: its sectors' entries,
+/// then the pending ones.
+pub(crate) fn retained<D: BlockDev>(
+    log: &Log<D>,
+    entry: &ObjectEntry,
+) -> Result<Vec<JournalEntry>> {
+    let mut all = Vec::new();
+    for s in &entry.sectors {
+        all.extend(read_subsector(log, s.addr, s.slot)?.1);
+    }
+    all.extend(entry.pending.iter().cloned());
+    Ok(all)
 }
 
 /// Reads one object's sector out of a shared journal block.
@@ -517,7 +505,9 @@ mod tests {
 
     #[test]
     fn an_anchor_record_is_its_fixture() {
-        let [(cached, c), (evicted, e)] = sample();
+        let config = DriveConfig::small_test();
+        let header = encode_anchor_payload(&Inner::new(&config)).len();
+        let [cached, evicted] = sample();
         let listed = (
             stamp(2),
             vec![SectorInfo {
@@ -527,24 +517,24 @@ mod tests {
             }],
         );
         let records = [
-            (cached, c, CACHED, BlockAddr(40), u32::MAX, Some(listed)),
-            (evicted, e, EVICTED, BlockAddr(60), 3, None),
+            (cached, CACHED, BlockAddr(40), u32::MAX, Some(listed)),
+            (evicted, EVICTED, BlockAddr(60), 3, None),
         ];
-        for (oid, slot, hex, root, at, listed) in records {
-            let bytes = crate::unhex(hex);
-            let mut out = Vec::new();
-            AnchorRecord::encode_into(&mut out, oid, &slot);
-            assert_eq!(out, bytes, "object {oid}");
-            let mut r = Reader::new(&bytes, "fixture");
+        for ((oid, slot), hex, root, at, listed) in records {
+            let mut inner = Inner::new(&config);
+            inner.table.insert(oid, slot);
+            let payload = encode_anchor_payload(&inner);
+            assert_eq!(payload[header..], crate::unhex(hex), "object {oid}");
             let want = AnchorRecord {
                 oid,
                 root,
                 slot: at,
                 listed,
             };
-            assert_eq!(AnchorRecord::decode(&mut r).unwrap(), want);
+            let (_, decoded) = decode_anchor_payload(&payload, &config).unwrap();
+            assert_eq!(decoded, [want]);
         }
-        assert_eq!(crate::unhex(EVICTED).len(), AnchorRecord::MIN_BYTES);
+        assert_eq!(crate::unhex(EVICTED).len(), 21);
     }
 
     #[test]

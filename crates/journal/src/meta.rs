@@ -157,7 +157,7 @@ mod tests {
 
     /// A live object's metadata, format revision 8: `magic | id |
     /// created | modified | 0 (not deleted) | size | attrs | acl |
-    /// block count | (lbn, addr)…` — 103 bytes, and no journal head.
+    /// block count | (lbn, addr)…` — 103 bytes.
     const META: &str = "
         544d3453 6300000000000000
         0500000000000000 0100000000000000 0900000000000000 0400000000000000 00

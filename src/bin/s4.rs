@@ -181,15 +181,19 @@ impl<'a> Args<'a> {
     }
 }
 
-/// The audit log's length and its last ten records, alerts and protocol
-/// steps included, each with its position: the `s4 stats` flight
-/// recorder, read from `len − 10` rather than decoding the whole log.
-fn audit_tail<D: BlockDev>(drive: &S4Drive<D>) -> Result<(u64, Vec<(u64, AuditRecord)>), CliError> {
+/// The `s4 stats` flight recorder, on stderr: the audit log's length,
+/// then its last ten records (alerts and protocol steps included) at
+/// their positions, each after `label`. It reads from `len − 10`, not
+/// the whole log.
+fn print_tail<D: BlockDev>(drive: &S4Drive<D>, label: &str) -> Result<(), CliError> {
     let admin = admin_of(drive);
     let len = drive.audit_len(&admin)?;
-    let mut position = len.saturating_sub(10);
-    let tail = drive.read_log_from(&admin, &mut position)?;
-    Ok((len, (len - tail.len() as u64..).zip(tail).collect()))
+    let tail = drive.read_log_from(&admin, &mut len.saturating_sub(10))?;
+    eprintln!("flight recorder: {label}{len} audit records");
+    for (position, r) in (len - tail.len() as u64..).zip(&tail) {
+        eprintln!("  {label}{position:>8} {}", record_line(r));
+    }
+    Ok(())
 }
 
 /// One audit record as a line of `s4 audit` and of the `s4 stats`
@@ -410,18 +414,8 @@ fn run() -> Result<(), CliError> {
             // its own tail.
             let array = open_array(&args.positional, mirrors)?;
             print!("{}", array.metrics_text());
-            let tails = (0..array.shard_count())
-                .map(|shard| audit_tail(&array.shard_drive(shard)))
-                .collect::<Result<Vec<_>, _>>()?;
-            let total: u64 = tails.iter().map(|(len, _)| len).sum();
-            eprintln!(
-                "flight recorder: {total} audit records across {} shards",
-                tails.len()
-            );
-            for (shard, (_, tail)) in tails.iter().enumerate() {
-                for (position, r) in tail {
-                    eprintln!("  shard={shard} {position:>8} {}", record_line(r));
-                }
+            for shard in 0..array.shard_count() {
+                print_tail(&array.shard_drive(shard), &format!("shard={shard} "))?;
             }
             array.unmount().map_err(|e| format!("unmount array: {e}"))?;
         }
@@ -542,11 +536,7 @@ fn run() -> Result<(), CliError> {
                 // tail as human context on stderr.
                 let drive = fs.transport().drive();
                 print!("{}", drive.metrics_text());
-                let (len, tail) = audit_tail(drive)?;
-                eprintln!("flight recorder: {len} audit records");
-                for (position, r) in &tail {
-                    eprintln!("  {position:>8} {}", record_line(r));
-                }
+                print_tail(drive, "")?;
             }
             close(fs)?;
         }

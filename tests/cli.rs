@@ -424,7 +424,7 @@ fn cli_stats_mounts_a_mirrored_array() {
     // in the shard's log.
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("flight recorder: 12 audit records across 1 shards"),
+        stderr.contains("flight recorder: shard=0 12 audit records"),
         "{stderr}"
     );
     let tail: Vec<(&str, u64, &str)> = stderr
