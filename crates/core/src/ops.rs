@@ -468,6 +468,8 @@ impl<D: BlockDev> S4Drive<D> {
         let mut inner = self.inner.lock();
         self.with_object(&mut inner, oid, |inner, entry| {
             self.authorize(ctx, &entry.meta.acl, Perm::OWNER)?;
+            // Read before the landmark leaves: a failed read changes nothing.
+            let history = retained_history(&self.log, entry)?;
             let at = |m: &mut ObjectMeta| m.modified.time == modified;
             let removed: Vec<ObjectMeta> = entry.landmarks.extract_if(.., at).collect();
             if removed.is_empty() {
@@ -477,7 +479,6 @@ impl<D: BlockDev> S4Drive<D> {
             // state, another landmark nor a retained journal entry names
             // them, so they are released now — what `Ledger::derive`
             // counts.
-            let history = retained_history(&self.log, entry)?;
             let addrs: BTreeSet<BlockAddr> = removed
                 .iter()
                 .flat_map(|m| m.blocks.values().copied())
