@@ -67,7 +67,7 @@ fn main() {
             for chunk in ops.chunks(1000) {
                 assert_eq!(replay(&fs, chunk).errors, 0);
                 drive.expire_versions().unwrap();
-                drive.log().free_dead_segments();
+                drive.free_dead_segments();
             }
             drive.now() - t0
         };

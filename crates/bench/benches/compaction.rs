@@ -42,7 +42,7 @@ fn main() {
     let before_util = drive.utilization();
     let t0 = drive.now();
     let (encoded, released) = drive.compact_history().unwrap();
-    drive.log().free_dead_segments();
+    drive.free_dead_segments();
     drive.force_anchor().unwrap();
     let pass_time = drive.now() - t0;
     let after_util = drive.utilization();

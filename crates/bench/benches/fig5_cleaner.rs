@@ -24,9 +24,8 @@
 
 use s4_bench::{banner, lan_fs, scaled, timed_drive, Record};
 use s4_clock::SimDuration;
-use s4_core::DriveConfig;
+use s4_core::{CleanerConfig, DriveConfig};
 use s4_fs::FileServer;
-use s4_lfs::CleanerConfig;
 use s4_workloads::postmark::{self, PostmarkConfig};
 use s4_workloads::replay;
 
@@ -78,7 +77,7 @@ fn run_once(utilization_pct: u64, continuous: bool, transactions: usize) -> (f64
     // row is then reported unattainable.
     let reclaim_to = |target: u32, copy: bool| -> Result<(), s4_core::S4Error> {
         drive.expire_versions()?;
-        drive.log().free_dead_segments();
+        drive.free_dead_segments();
         if copy {
             // Bounded per invocation: at very high utilization the
             // cleaner cannot keep up with foreground churn no matter

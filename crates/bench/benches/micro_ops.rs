@@ -131,7 +131,7 @@ fn bench_drive(rec: &mut Record) {
             clock.advance(s4_clock::SimDuration::from_secs(1));
             drive.op_sync(&ctx).unwrap();
             drive.expire_versions().unwrap();
-            drive.log().free_dead_segments();
+            drive.free_dead_segments();
             drive.force_anchor().unwrap();
         }
         drive.op_write(&ctx, oid, 0, black_box(&payload)).unwrap()

@@ -15,7 +15,7 @@
 //! Crash recovery (mount) reloads the anchored object map, re-applies
 //! journal sectors newer than each checkpoint and every journal block
 //! flushed after the anchor, then derives the ledger of reachable blocks
-//! (and from it the segment usage counts) from the recovered table.
+//! (and with it each segment's live count) from the recovered table.
 //!
 //! This file holds the configuration, the drive's state (`Inner`, behind
 //! one mutex), the format/mount entry points, the accessors, and the
@@ -32,13 +32,16 @@ use s4_clock::sync::Mutex;
 use s4_clock::{CpuModel, HybridClock, HybridTimestamp, SimClock, SimDuration, SimTime};
 use s4_journal::txn::TxnRecord;
 use s4_journal::JournalEntry::{Truncate, Write};
-use s4_journal::{redo, JournalEntry, ObjectMeta, PtrChange, UndoWalk, MAX_PTR_CHANGES};
-use s4_lfs::{BlockAddr, BlockKind, BlockTag, Cleaner, CleanerConfig, Log, LogConfig, BLOCK_SIZE};
+use s4_journal::{
+    redo, JournalEntry, ObjectMeta, PtrChange, UndoWalk, MAX_PTR_CHANGES, MAX_SECTOR_BYTES,
+};
+use s4_lfs::{BlockAddr, BlockKind, BlockTag, Log, LogConfig, BLOCK_SIZE};
 use s4_obs::{Gauge, Histogram, Registry};
 use s4_simdisk::BlockDev;
 
 use crate::acl::{AclTable, Perm};
 use crate::audit::{AuditRecord, OpKind};
+use crate::expiry::CleanerConfig;
 use crate::ids::{ObjectId, RequestContext};
 use crate::ledger::Ledger;
 use crate::object::{ObjectEntry, Slot};
@@ -367,7 +370,6 @@ pub struct S4Drive<D: BlockDev> {
     oid_class: Mutex<(u64, u64)>,
     pub(crate) inner: Mutex<Inner>,
     pub(crate) stats: DriveStats,
-    pub(crate) cleaner: Cleaner,
     pub(crate) observers: Mutex<Vec<Box<dyn AuditObserver>>>,
     pub(crate) obs: DriveObs,
 }
@@ -414,7 +416,6 @@ impl<D: BlockDev> S4Drive<D> {
             log,
             clock,
             stamps,
-            cleaner: Cleaner::new(config.cleaner),
             stats: DriveStats::registered(&obs.registry),
             oid_class: Mutex::new((1, 0)),
             config,
@@ -474,9 +475,16 @@ impl<D: BlockDev> S4Drive<D> {
         &self.stats
     }
 
-    /// Fraction of data-area blocks referenced (current + history).
+    /// Fraction of data-area blocks referenced (current + history, and
+    /// the current anchor's state).
     pub fn utilization(&self) -> f64 {
-        self.log.utilization()
+        self.utilization_of(&self.inner.lock().ledger)
+    }
+
+    fn utilization_of(&self, ledger: &Ledger) -> f64 {
+        let geo = self.log.geometry();
+        let live = ledger.total() as u64 + self.log.state_blocks() as u64;
+        live as f64 / (geo.num_segments as u64 * geo.blocks_per_segment as u64) as f64
     }
 
     /// Free segments remaining in the log.
@@ -635,7 +643,7 @@ impl<D: BlockDev> S4Drive<D> {
         };
 
         let g = &self.obs.gauges;
-        g.history_pool_occupancy.set(self.log.utilization());
+        g.history_pool_occupancy.set(self.utilization());
         g.free_segments.set(self.log.free_segments() as f64);
         g.journal_depth.set(journal_depth as f64);
         g.audit_object_blocks.set(audit_blocks as f64);
@@ -660,13 +668,12 @@ impl<D: BlockDev> S4Drive<D> {
     }
 
     pub(crate) fn throttle(&self, ctx: &RequestContext, bytes: u64) {
-        let pressure = self.log.utilization();
         let now = self.clock.now();
-        let penalty = self
-            .inner
-            .lock()
-            .throttle
-            .on_write(ctx.client.0, bytes, now, pressure);
+        let penalty = {
+            let inner = &mut *self.inner.lock();
+            let pressure = self.utilization_of(&inner.ledger);
+            inner.throttle.on_write(ctx.client.0, bytes, now, pressure)
+        };
         if penalty > SimDuration::ZERO {
             self.clock.advance(penalty);
             self.stats.throttle_penalty_us(penalty.as_micros());
@@ -1026,28 +1033,46 @@ impl<D: BlockDev> S4Drive<D> {
                 }
                 self.write_extent(inner, entry, 0, content)?;
             }
-            if entry.meta.attrs != attrs {
-                let e = JournalEntry::SetAttr {
-                    stamp: self.stamps.next(),
-                    old: entry.meta.attrs.clone(),
-                    new: attrs.to_vec(),
-                };
-                self.commit(entry, e);
-            }
-            if entry.meta.acl != acl {
-                let e = JournalEntry::SetAcl {
-                    stamp: self.stamps.next(),
-                    old: entry.meta.acl.clone(),
-                    new: acl.to_vec(),
-                };
-                self.commit(entry, e);
-            }
+            let old = entry.meta.attrs.clone();
+            self.commit_blob(entry, &old, attrs, |stamp, old, new| {
+                JournalEntry::SetAttr { stamp, old, new }
+            });
+            let old = entry.meta.acl.clone();
+            self.commit_blob(entry, &old, acl, |stamp, old, new| JournalEntry::SetAcl {
+                stamp,
+                old,
+                new,
+            });
             Ok(())
         };
         match at {
             Some(t) => self.stamps.pinned(t, run),
             None => run(),
         }
+    }
+
+    /// Journals a metadata blob's change from `old` to `new`, built by
+    /// `make(stamp, old, new)`: one entry holding both blobs, or — when
+    /// two blobs each one sector holds sum past one — two entries at one
+    /// instant through the empty blob, as a long write is cut into runs.
+    fn commit_blob(
+        &self,
+        entry: &mut ObjectEntry,
+        old: &[u8],
+        new: &[u8],
+        make: impl Fn(HybridTimestamp, Vec<u8>, Vec<u8>) -> JournalEntry,
+    ) {
+        if old == new {
+            return;
+        }
+        let mut stamps = self.stamps_from(self.stamps.next());
+        let stamp = stamps();
+        let whole = make(stamp, old.to_vec(), new.to_vec());
+        if whole.encoded_len() <= MAX_SECTOR_BYTES {
+            return self.commit(entry, whole);
+        }
+        self.commit(entry, make(stamp, old.to_vec(), Vec::new()));
+        self.commit(entry, make(stamps(), Vec::new(), new.to_vec()));
     }
 
     /// Materializes the version of `entry` current at `t`: the journal

@@ -1,30 +1,70 @@
-//! Retiring history: the detection-window expiry scan, the cleaner's
-//! relocation and the history rewrite after it, the differencing pass
-//! that re-encodes history blocks as deltas, and the administrative flush
-//! that cuts versions out of the middle of an object's journal. Everything
-//! here *releases* blocks, and every path that walks an object's history
-//! to do so runs inside `with_object`: a device error halfway leaves the
-//! entry in the table, never a hole where it was.
+//! Retiring history: the detection-window expiry scan, the cleaner pass
+//! (§4.2.1, Figure 5 of the paper) with its relocation and the history
+//! rewrite after it, the differencing pass that re-encodes history
+//! blocks as deltas, and the administrative flush that cuts versions out
+//! of the middle of an object's journal. Everything here *releases*
+//! blocks, and every path that walks an object's history to do so runs
+//! inside `with_object`: a device error halfway leaves the entry in the
+//! table, never a hole where it was.
+//!
+//! Unlike a classic LFS cleaner, S4's may reclaim only blocks whose
+//! versions have aged out of the detection window, and only the drive
+//! knows which those are: the ledger's live count per segment is what
+//! the pass reads. It frees *dead* segments (no live block) without
+//! copying; then, while more space is needed, it takes the segment with
+//! the fewest live blocks, has the log read the whole segment and walk
+//! its summaries ([`s4_lfs::Log::walk_segment`]), copies forward every
+//! block the ledger holds — rewriting every pointer to it — and
+//! reclaims the segment, which must then hold none.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet};
 
 use s4_clock::{HybridTimestamp, SimTime};
 use s4_journal::{decode_sector, encode_sectors, redo, undo, JournalEntry};
-use s4_lfs::{BlockAddr, BlockKind, BlockTag, CleanOutcome, RelocationCallbacks, BLOCK_SIZE};
+use s4_lfs::{BlockAddr, BlockKind, BlockTag, LfsError, BLOCK_SIZE};
 use s4_simdisk::BlockDev;
 
 use crate::codec::Reader;
 use crate::drive::{changes, changes_mut, old_blocks, Inner, S4Drive};
 use crate::ids::ObjectId;
+use crate::ledger::Ledger;
 use crate::object::{DeltaRef, ObjectEntry, SectorInfo, Slot};
 use crate::packed::{self, PackedBlocks};
 use crate::persist::{read_subsector, retained};
-use crate::{Result, S4Error};
+use crate::Result;
 
-/// One cleaner pass's hold on the drive's lock, through the history
-/// rewrite: no request walks history that names addresses the pass left.
-struct Pass<'a, D: BlockDev>(&'a S4Drive<D>, RefCell<&'a mut Inner>);
+/// Cleaner tuning knobs.
+#[derive(Clone, Copy, Debug)]
+pub struct CleanerConfig {
+    /// Keep cleaning until at least this many segments are free (or
+    /// pending-free).
+    pub min_free_target: u32,
+    /// Upper bound on segments copied per [`S4Drive::clean`] call,
+    /// bounding how much a foreground pass steals from request service.
+    pub max_segments_per_pass: u32,
+}
+
+impl Default for CleanerConfig {
+    fn default() -> Self {
+        CleanerConfig {
+            min_free_target: 8,
+            max_segments_per_pass: 4,
+        }
+    }
+}
+
+/// Outcome of one cleaning pass.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CleanOutcome {
+    /// Segments freed without copying (fully expired).
+    pub dead_freed: u32,
+    /// Segments reclaimed by copy-forward.
+    pub copied_segments: u32,
+    /// Live blocks relocated.
+    pub blocks_relocated: u32,
+    /// Blocks read while examining victim segments.
+    pub blocks_read: u32,
+}
 
 impl<D: BlockDev> S4Drive<D> {
     /// Releases every version older than the detection window; returns
@@ -80,19 +120,78 @@ impl<D: BlockDev> S4Drive<D> {
     }
 
     /// Runs one cleaner pass: expiry, then reclamation and the rewrite of
-    /// the history naming blocks it moved, under one hold of the lock.
+    /// the history naming blocks it moved, under one hold of the lock —
+    /// no request walks history that names addresses the pass left.
     pub fn clean(&self) -> Result<CleanOutcome> {
         self.expire_versions()?;
         let inner = &mut *self.inner.lock();
-        let pass = Pass(self, RefCell::new(inner));
-        let outcome = self.cleaner.clean_pass(&self.log, &pass);
+        let outcome = self.clean_pass(inner);
         // What the pass moved is rewritten whether or not it finished.
-        self.rewrite_history(pass.1.into_inner())?;
-        let outcome = outcome.map_err(S4Error::from)?;
+        self.rewrite_history(inner)?;
+        let outcome = outcome?;
         self.stats
             .cleaner_relocations(outcome.blocks_relocated as u64);
         self.stats
             .cleaner_segments((outcome.dead_freed + outcome.copied_segments) as u64);
+        Ok(outcome)
+    }
+
+    /// Moves every segment holding no live block to pending-free,
+    /// without copying; returns how many it freed.
+    pub fn free_dead_segments(&self) -> u32 {
+        self.free_dead(&self.inner.lock().ledger)
+    }
+
+    fn free_dead(&self, ledger: &Ledger) -> u32 {
+        let segs = self.log.reclaimable_segments().into_iter();
+        let dead: Vec<u32> = segs
+            .map(|(s, _)| s)
+            .filter(|&s| ledger.live(s) == 0)
+            .collect();
+        for &seg in &dead {
+            self.log.reclaim_segment(seg);
+        }
+        dead.len() as u32
+    }
+
+    /// Frees the dead segments, then copies forward the emptiest ones
+    /// until the free target holds or the pass has copied its bound.
+    fn clean_pass(&self, inner: &mut Inner) -> s4_lfs::Result<CleanOutcome> {
+        let CleanerConfig {
+            min_free_target,
+            max_segments_per_pass,
+        } = self.config.cleaner;
+        let mut outcome = CleanOutcome {
+            dead_freed: self.free_dead(&inner.ledger),
+            ..CleanOutcome::default()
+        };
+        while outcome.copied_segments < max_segments_per_pass {
+            let usage = self.log.usage_snapshot();
+            if usage.free_segments() + usage.pending_free_segments() >= min_free_target {
+                break;
+            }
+            let segs = self.log.reclaimable_segments();
+            let Some(victim) = victim(segs, |s| inner.ledger.live(s)) else {
+                break;
+            };
+            self.log.walk_segment(victim, |tag, addr, data| {
+                if inner.ledger.holds(addr) {
+                    self.relocate(inner, tag, addr, data)?;
+                    outcome.blocks_relocated += 1;
+                }
+                Ok(())
+            })?;
+            let live = inner.ledger.live(victim);
+            if live > 0 {
+                return Err(LfsError::NotEmpty {
+                    segment: victim,
+                    live,
+                });
+            }
+            self.log.reclaim_segment(victim);
+            outcome.blocks_read += self.log.geometry().blocks_per_segment;
+            outcome.copied_segments += 1;
+        }
         Ok(outcome)
     }
 
@@ -486,7 +585,7 @@ impl<D: BlockDev> S4Drive<D> {
             _ => *tag,
         };
         let new = inner.ledger.append(&self.log, tag, data, 1)?;
-        inner.ledger.moved(addr, new);
+        inner.ledger.moved(&self.log, addr, new);
         if tag.kind == BlockKind::Audit {
             // The audit log's block: the stream lists it.
             inner.audit.relocate(addr, new);
@@ -506,14 +605,12 @@ impl<D: BlockDev> S4Drive<D> {
     }
 }
 
-impl<D: BlockDev> RelocationCallbacks for Pass<'_, D> {
-    fn is_live(&self, _tag: &BlockTag, addr: BlockAddr) -> bool {
-        self.1.borrow().ledger.holds(addr)
-    }
-
-    fn relocate(&self, tag: &BlockTag, addr: BlockAddr, data: &[u8]) -> s4_lfs::Result<()> {
-        self.0.relocate(&mut self.1.borrow_mut(), tag, addr, data)
-    }
+/// The segment of `segs` (segment, written blocks) with the fewest live
+/// blocks, the lowest-numbered on a tie — unless it is fully live: then
+/// copying its blocks forward would consume as much as it frees.
+fn victim(segs: Vec<(u32, u32)>, live: impl Fn(u32) -> u32) -> Option<u32> {
+    let (seg, written) = segs.into_iter().min_by_key(|&(s, _)| live(s))?;
+    (live(seg) < written).then_some(seg)
 }
 
 /// True if expiry at `cutoff` retires `entry` whole: a deleted object
@@ -530,8 +627,101 @@ mod tests {
     use super::*;
     use crate::drive::DriveConfig;
     use crate::ids::{ClientId, RequestContext, UserId};
-    use s4_clock::SimClock;
+    use s4_clock::{SimClock, SimDuration};
     use s4_simdisk::MemDisk;
+
+    /// A drive whose history expires at once, after 40 synced block
+    /// writes and then 14 overwrites of every third block: its sealed
+    /// segments are partly live.
+    fn churned(cleaner: CleanerConfig) -> S4Drive<MemDisk> {
+        let config = DriveConfig {
+            detection_window: SimDuration::ZERO,
+            cleaner,
+            ..DriveConfig::small_test()
+        };
+        let disk = MemDisk::with_capacity_bytes(8 << 20);
+        let d = S4Drive::format(disk, config, SimClock::new()).unwrap();
+        let ctx = RequestContext::user(UserId(1), ClientId(1));
+        let oid = d.op_create(&ctx, None).unwrap();
+        for (round, step) in [(1u8, 1), (2, 3)] {
+            for lbn in (0..40).step_by(step) {
+                d.op_write(&ctx, oid, lbn * 4096, &[round; 4096]).unwrap();
+                d.op_sync(&ctx).unwrap();
+            }
+        }
+        d
+    }
+
+    #[test]
+    fn cleaner_respects_target_and_pass_bound() {
+        // Target already satisfied: nothing happens.
+        let d = churned(CleanerConfig::default());
+        assert_eq!(d.clean().unwrap(), CleanOutcome::default());
+        // Never satisfied: the pass copies its bound, reading each victim
+        // whole.
+        let bound = CleanerConfig {
+            min_free_target: u32::MAX,
+            max_segments_per_pass: 2,
+        };
+        let outcome = churned(bound).clean().unwrap();
+        assert_eq!((outcome.copied_segments, outcome.blocks_read), (2, 32));
+        assert!(outcome.blocks_relocated > 0);
+    }
+
+    /// Utilization is the ledger's held blocks plus the current anchor's
+    /// state blocks, over the data area.
+    #[test]
+    fn utilization_fraction() {
+        let d = churned(CleanerConfig::default());
+        let geo = *d.log.geometry();
+        let capacity = (geo.num_segments * geo.blocks_per_segment) as f64;
+        let held = d.inner.lock().ledger.total() as f64;
+        let state = d.log.state_blocks() as f64;
+        assert!(held > 40.0 && state > 0.0);
+        assert_eq!(d.utilization(), (held + state) / capacity);
+        d.expire_versions().unwrap();
+        assert!(
+            d.utilization() < (held + state) / capacity,
+            "expiry releases"
+        );
+    }
+
+    #[test]
+    fn lowest_utilization_picks_emptiest() {
+        let live = |s| [9, 2, 2, 10][s as usize];
+        let segs = vec![(0, 10), (1, 10), (2, 10), (3, 10)];
+        assert_eq!(victim(segs.clone(), live), Some(1), "the lowest on a tie");
+        assert_eq!(victim(segs[2..].to_vec(), live), Some(2));
+        assert_eq!(victim(vec![(3, 10)], live), None, "fully live");
+        assert_eq!(victim(Vec::new(), live), None);
+    }
+
+    /// A victim whose summaries no longer describe the blocks the ledger
+    /// holds in it — here its first summary is zeroed on the device — is
+    /// left holding them after its copy: the pass refuses it, naming the
+    /// segment, and it stays in use.
+    #[test]
+    fn a_victim_left_holding_live_blocks_is_refused() {
+        let d = churned(CleanerConfig {
+            min_free_target: u32::MAX,
+            max_segments_per_pass: 1,
+        });
+        d.expire_versions().unwrap();
+        let geo = *d.log.geometry();
+        for (seg, _) in d.log.reclaimable_segments() {
+            let head = geo.addr_of(seg, 0).0;
+            let sector = geo.superblock_sectors + head * (BLOCK_SIZE / 512) as u64;
+            d.log.device().write(sector, &[0; BLOCK_SIZE]).unwrap();
+        }
+        let inner = &mut *d.inner.lock();
+        let err = d.clean_pass(inner).unwrap_err();
+        let LfsError::NotEmpty { segment, live } = err else {
+            panic!("{err:?}");
+        };
+        assert!(live > 0 && live == inner.ledger.live(segment));
+        let in_use = d.log.reclaimable_segments().into_iter().map(|(s, _)| s);
+        assert!(in_use.collect::<Vec<_>>().contains(&segment));
+    }
 
     /// A dedicated checkpoint chain's non-root block is named by its
     /// predecessor's `next`, so moving it re-points the entry and demands

@@ -5,10 +5,14 @@
 //! checkpoint chain) is held by one reference; a shared container (see
 //! [`crate::packed`]) by one per slot some object still points at. Every
 //! block the drive appends enters through [`Ledger::append`] and leaves
-//! through [`Ledger::release`] (the last reference returns the block to
-//! its segment's usage count) or, when the cleaner reclaims the segment
-//! under it, through [`Ledger::moved`]. Nothing else in this crate
-//! appends to the log or releases from it (`scripts/verify.sh` checks).
+//! through [`Ledger::release`] (the last reference) or, when the cleaner
+//! copies it out of a victim segment, through [`Ledger::moved`]. Nothing
+//! else in this crate appends to the log (`scripts/verify.sh` checks).
+//!
+//! Those three are also the only writers of each segment's *live count*
+//! — the number of held addresses in it, which the cleaner
+//! ([`crate::expiry`]) reads to pick a victim, and a segment freed only
+//! at zero. It is the drive's one count of liveness; the log keeps none.
 //!
 //! The ledger is *derivable*: [`Ledger::derive`] recounts it from the
 //! object table and the audit log's block list. Mount installs
@@ -37,10 +41,25 @@ pub struct Discrepancy {
     pub derived: Option<u32>,
 }
 
-/// Every reachable block: its kind and the references holding it.
+/// One segment whose running live count is not the number of held
+/// addresses in it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SegmentMismatch {
+    /// The segment.
+    pub segment: u32,
+    /// Live blocks the running count holds.
+    pub counted: u32,
+    /// Held addresses in the segment.
+    pub derived: u32,
+}
+
+/// Every reachable block: its kind and the references holding it; and
+/// per segment, how many of them it holds.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Ledger {
     held: BTreeMap<BlockAddr, (BlockKind, u32)>,
+    /// Held addresses per segment; a segment holding none has no entry.
+    live: BTreeMap<u32, u32>,
     refused: u64,
 }
 
@@ -54,7 +73,10 @@ impl Ledger {
         refs: u32,
     ) -> s4_lfs::Result<BlockAddr> {
         let addr = log.append(tag, data)?;
-        self.held.insert(addr, (tag.kind, refs));
+        // A stale hold at a reused address is already counted.
+        if self.held.insert(addr, (tag.kind, refs)).is_none() {
+            *self.live.entry(segment(log, addr)).or_default() += 1;
+        }
         Ok(addr)
     }
 
@@ -78,16 +100,37 @@ impl Ledger {
             return 0;
         }
         self.held.remove(&addr);
-        log.release_blocks([addr]);
+        self.uncount(log, addr);
         1
     }
 
-    /// The cleaner copied the block at `old` to `new`: its references
-    /// move, and `old`'s storage goes with the segment being reclaimed.
-    pub(crate) fn moved(&mut self, old: BlockAddr, new: BlockAddr) {
+    /// The cleaner copied the block at `old` to `new`, which
+    /// [`Ledger::append`] holds: `old`'s references move to it, and
+    /// `old` leaves its segment's live count.
+    pub(crate) fn moved<D: BlockDev>(&mut self, log: &Log<D>, old: BlockAddr, new: BlockAddr) {
         if let Some(held) = self.held.remove(&old) {
             self.held.insert(new, held);
+            self.uncount(log, old);
         }
+    }
+
+    fn uncount<D: BlockDev>(&mut self, log: &Log<D>, addr: BlockAddr) {
+        let seg = segment(log, addr);
+        let n = self.live.get_mut(&seg).expect("a held address is counted");
+        *n -= 1;
+        if *n == 0 {
+            self.live.remove(&seg);
+        }
+    }
+
+    /// Held addresses in `seg`: its live blocks.
+    pub(crate) fn live(&self, seg: u32) -> u32 {
+        self.live.get(&seg).copied().unwrap_or(0)
+    }
+
+    /// Held addresses in every segment.
+    pub(crate) fn total(&self) -> usize {
+        self.held.len()
     }
 
     /// Whether the block at `addr` is reachable.
@@ -103,6 +146,22 @@ impl Ledger {
     /// Releases refused since mount.
     pub(crate) fn refused(&self) -> u64 {
         self.refused
+    }
+
+    /// Every segment whose running live count is not the number of
+    /// addresses held in it.
+    pub(crate) fn check_segments<D: BlockDev>(&self, log: &Log<D>) -> Vec<SegmentMismatch> {
+        let recount = counts(log, self.held.keys());
+        let segs: BTreeSet<u32> = self.live.keys().chain(recount.keys()).copied().collect();
+        let count = |m: &BTreeMap<u32, u32>, s| m.get(&s).copied().unwrap_or(0);
+        segs.into_iter()
+            .map(|segment| SegmentMismatch {
+                segment,
+                counted: count(&self.live, segment),
+                derived: count(&recount, segment),
+            })
+            .filter(|m| m.counted != m.derived)
+            .collect()
     }
 
     /// Every address `self` and `derived` hold by different counts.
@@ -159,8 +218,34 @@ impl Ledger {
         for (addr, kind) in plain {
             held.entry(addr).or_insert((kind, 1));
         }
-        Ok(Ledger { held, refused: 0 })
+        Ok(Ledger::with_held(log, held))
     }
+
+    /// A ledger holding `held`, each segment's live count bucketed from it.
+    fn with_held<D: BlockDev>(log: &Log<D>, held: BTreeMap<BlockAddr, (BlockKind, u32)>) -> Ledger {
+        let live = counts(log, held.keys());
+        Ledger {
+            held,
+            live,
+            refused: 0,
+        }
+    }
+}
+
+fn segment<D: BlockDev>(log: &Log<D>, addr: BlockAddr) -> u32 {
+    log.geometry().segment_of(addr)
+}
+
+/// `addrs` bucketed by segment.
+fn counts<'a, D: BlockDev>(
+    log: &Log<D>,
+    addrs: impl Iterator<Item = &'a BlockAddr>,
+) -> BTreeMap<u32, u32> {
+    let mut live = BTreeMap::new();
+    for &a in addrs {
+        *live.entry(segment(log, a)).or_default() += 1;
+    }
+    live
 }
 
 /// The history blocks an object's retained journal keeps alive: every
@@ -179,7 +264,7 @@ pub(crate) fn retained_history<D: BlockDev>(
 mod tests {
     use super::*;
     use crate::packed::{PackedBlocks, DELTAS, JOURNAL};
-    use s4_lfs::LogConfig;
+    use s4_lfs::{LogConfig, BLOCK_SIZE};
     use s4_simdisk::MemDisk;
 
     fn log() -> Log<MemDisk> {
@@ -201,42 +286,87 @@ mod tests {
         at
     }
 
-    /// Live blocks the usage table counts in the segment holding `addr`.
-    fn counted(log: &Log<MemDisk>, addr: BlockAddr) -> u32 {
-        let seg = log.geometry().segment_of(addr);
-        log.usage_snapshot().get(seg).live_blocks
+    /// The live count of the segment holding `addr`.
+    fn counted(log: &Log<MemDisk>, l: &Ledger, addr: BlockAddr) -> u32 {
+        l.live(segment(log, addr))
+    }
+
+    /// Each segment's count is the number of addresses held in it, the
+    /// running check finds nothing, and derive's bucketing of the same
+    /// holds gives the same counts.
+    fn agrees(log: &Log<MemDisk>, l: &Ledger) {
+        for seg in 0..log.geometry().num_segments {
+            let held = l.held.keys().filter(|&&a| segment(log, a) == seg);
+            assert_eq!(l.live(seg), held.count() as u32, "segment {seg}");
+        }
+        assert_eq!(l.check_segments(log), []);
+        assert_eq!(Ledger::with_held(log, l.held.clone()).live, l.live);
+    }
+
+    #[test]
+    fn each_segment_counts_its_held_addresses() {
+        let (log, mut l) = (log(), Ledger::default());
+        let tag = |i| BlockTag::new(BlockKind::Data, 1, i);
+        let block = [1; BLOCK_SIZE];
+        let plain: Vec<BlockAddr> = (0..20)
+            .map(|i| l.append(&log, tag(i), &block, 1).unwrap())
+            .collect();
+        let (first, last) = (segment(&log, plain[0]), segment(&log, plain[19]));
+        assert_ne!(first, last, "appends across two segments");
+        // Released before the flush that writes it.
+        assert_eq!(l.release(&log, plain[19], BlockKind::Data), 1);
+        agrees(&log, &l);
+        // A shared container leaves its count at its last reference.
+        let shared = container(DELTAS, &log, &mut l, 2);
+        let before = counted(&log, &l, shared);
+        assert_eq!(l.release(&log, shared, BlockKind::DeltaData), 0);
+        assert_eq!(counted(&log, &l, shared), before);
+        agrees(&log, &l);
+        assert_eq!(l.release(&log, shared, BlockKind::DeltaData), 1);
+        assert_eq!(counted(&log, &l, shared), before - 1);
+        agrees(&log, &l);
+        // A stale release is refused and counts nothing.
+        assert_eq!(l.release(&log, plain[19], BlockKind::Data), 0);
+        assert_eq!(l.refused(), 1);
+        agrees(&log, &l);
+        // A copy at the head takes the count from the first segment.
+        let (old, new) = (plain[0], l.append(&log, tag(0), &block, 1).unwrap());
+        let (a, b) = (counted(&log, &l, old), counted(&log, &l, new));
+        assert_ne!(segment(&log, new), first);
+        l.moved(&log, old, new);
+        assert_eq!(counted(&log, &l, old), a - 1);
+        assert_eq!(counted(&log, &l, new), b);
+        agrees(&log, &l);
     }
 
     #[test]
     fn release_frees_at_zero_and_only_at_zero() {
         let (log, mut l) = (log(), Ledger::default());
         let addr = container(DELTAS, &log, &mut l, 3);
-        let before = counted(&log, addr);
+        let before = counted(&log, &l, addr);
         assert_eq!(l.release(&log, addr, BlockKind::DeltaData), 0);
         assert_eq!(l.release(&log, addr, BlockKind::DeltaData), 0);
         assert!(l.holds(addr), "one reference left");
-        assert_eq!(counted(&log, addr), before);
+        assert_eq!(counted(&log, &l, addr), before);
         assert_eq!(l.release(&log, addr, BlockKind::DeltaData), 1);
         assert!(l.held.is_empty());
-        assert_eq!((counted(&log, addr), l.refused()), (before - 1, 0));
+        assert_eq!((counted(&log, &l, addr), l.refused()), (before - 1, 0));
     }
 
     #[test]
     fn relocation_moves_the_count() {
         let (log, mut l) = (log(), Ledger::default());
         let addr = container(JOURNAL, &log, &mut l, 2);
-        let before = counted(&log, addr);
-        let new = BlockAddr(addr.0 + 100);
-        l.moved(addr, new);
+        let tag = BlockTag::new(BlockKind::JournalSector, 0, 0);
+        let new = l.append(&log, tag, &[0; BLOCK_SIZE], 1).unwrap();
+        assert_eq!(counted(&log, &l, addr), 2, "the container and its copy");
+        l.moved(&log, addr, new);
         let moved = BTreeMap::from([(new, (BlockKind::JournalSector, 2))]);
         assert_eq!(l.held, moved);
-        l.moved(BlockAddr(12345), BlockAddr(6)); // unknown block: no-op
+        assert_eq!(counted(&log, &l, addr), 1, "the copy alone");
+        l.moved(&log, BlockAddr(12345), BlockAddr(6)); // unknown block: no-op
         assert_eq!(l.held, moved);
-        assert_eq!(
-            counted(&log, addr),
-            before,
-            "moved leaves storage to the cleaner"
-        );
+        agrees(&log, &l);
     }
 
     /// The parent's event on `image_determinism`'s pinned stream: at step
@@ -247,11 +377,11 @@ mod tests {
     fn a_stale_pointer_of_another_kind_releases_nothing() {
         let (log, mut l) = (log(), Ledger::default());
         let x = container(DELTAS, &log, &mut l, 3);
-        let before = counted(&log, x);
+        let before = counted(&log, &l, x);
         assert_eq!(l.release(&log, x, BlockKind::Data), 0);
         assert_eq!(l.held[&x], (BlockKind::DeltaData, 3));
         assert_eq!(l.release(&log, BlockAddr(x.0 + 1), BlockKind::Data), 0);
-        assert_eq!((counted(&log, x), l.refused()), (before, 2));
+        assert_eq!((counted(&log, &l, x), l.refused()), (before, 2));
     }
 
     #[test]

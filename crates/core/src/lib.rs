@@ -20,8 +20,13 @@
 //!   checkpoints, sector chains, delta encodings and landmarks.
 //! * `throttle` — history-pool abuse detection and per-client
 //!   throttling ([`ThrottleConfig`], §3.3's answer to space exhaustion).
-//! * `drive` — [`S4Drive`]: format/mount/recovery, the internal
-//!   operation implementations, version expiry, and cleaner integration.
+//! * `drive` — [`S4Drive`]: format/mount/recovery and the internal
+//!   operation implementations.
+//! * `expiry` — version expiry and the cleaner pass ([`CleanerConfig`],
+//!   [`CleanOutcome`]), which reclaims segments by the live counts of
+//!   the ledger.
+//! * `ledger` — the ledger of reachable blocks, audited by
+//!   [`S4Drive::check_image`] ([`Discrepancy`], [`SegmentMismatch`]).
 //! * `rpc` — the Table-1 RPC request/response types ([`Request`],
 //!   [`Response`]), their wire codec, and the authenticated dispatch
 //!   entry point.
@@ -87,11 +92,12 @@ pub use drive::{
     AuditObserver, DriveConfig, ObjectAttrs, RecoveryReport, ResyncImage, ResyncObject, S4Drive,
     VersionKind, VersionRecord, AUDIT_OBJECT, PARTITION_OBJECT,
 };
+pub use expiry::{CleanOutcome, CleanerConfig};
 pub use ids::{
     ClientId, ObjectId, RequestContext, TraceCtx, TraceIdGen, UserId, PHASE_ALERT, PHASE_APPLY,
     PHASE_CATCHUP, PHASE_CLIENT, PHASE_DECIDE, PHASE_NOTE, PHASE_PREPARE,
 };
-pub use ledger::Discrepancy;
+pub use ledger::{Discrepancy, SegmentMismatch};
 pub use reserved::ResyncStream;
 pub use rpc::{Request, Response, LAST_CREATED};
 pub use stats::{DriveStats, StatsSnapshot};

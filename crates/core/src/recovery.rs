@@ -8,11 +8,11 @@
 
 use s4_clock::{HybridClock, HybridTimestamp, SimClock, SimTime};
 use s4_journal::{decode_sector, redo, JournalEntry, ObjectMeta};
-use s4_lfs::{BlockAddr, BlockKind, Log, Mounted, SegmentMismatch};
+use s4_lfs::{BlockAddr, BlockKind, Log, Mounted};
 use s4_simdisk::BlockDev;
 
 use crate::drive::{DriveConfig, Inner, S4Drive, TXN_OBJECT};
-use crate::ledger::{Discrepancy, Ledger};
+use crate::ledger::{Discrepancy, Ledger, SegmentMismatch};
 use crate::object::{ObjectEntry, SectorInfo, Slot};
 use crate::packed;
 use crate::persist::{decode_anchor_payload, read_checkpoint, read_subsector};
@@ -124,10 +124,9 @@ impl<D: BlockDev> S4Drive<D> {
             }
         }
 
-        // Phase 3: derive the ledger of reachable blocks, and from it the
-        // segment usage counts, from the recovered object table.
+        // Phase 3: derive the ledger of reachable blocks, and with it
+        // each segment's live count, from the recovered object table.
         inner.ledger = Ledger::derive(&log, &inner)?;
-        log.rebuild_live_counts(inner.ledger.addrs());
 
         report.audit_blocks = inner.audit.blocks().len();
         report.recovered_objects = inner.table.len();
@@ -156,16 +155,16 @@ impl<D: BlockDev> S4Drive<D> {
     /// Audits the drive's space accounting: recounts the ledger as mount
     /// would (read-only, nothing flushed) and returns every address the
     /// running ledger and the recount disagree on, every segment whose
-    /// live count in the usage table is not the number of ledger
-    /// addresses in it ([`Log::check_live_counts`]), and the number of
-    /// releases the ledger has refused since mount. A block the audit log
+    /// running live count is not the number of addresses the running
+    /// ledger holds in it, and the number of releases the ledger has
+    /// refused since mount. A block the audit log
     /// lists at index `i` must be tagged with `i` — what roll-forward
     /// replays by — and hold sixty records, or the image is corrupt.
     pub fn check_image(&self) -> Result<(Vec<Discrepancy>, Vec<SegmentMismatch>, u64)> {
         let inner = self.inner.lock();
         inner.audit.check(&self.log)?;
         let derived = Ledger::derive(&self.log, &inner)?;
-        let segments = self.log.check_live_counts(inner.ledger.addrs());
+        let segments = inner.ledger.check_segments(&self.log);
         Ok((
             inner.ledger.diff(&derived),
             segments,

@@ -76,7 +76,7 @@ fn compaction_releases_space() {
     let (encoded, _) = d.compact_history().unwrap();
     assert!(encoded >= 20);
     // Free the dead segments the released blocks left behind.
-    d.log().free_dead_segments();
+    d.free_dead_segments();
     d.force_anchor().unwrap();
     let after = d.utilization();
     assert!(

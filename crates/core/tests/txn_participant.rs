@@ -6,6 +6,7 @@ use s4_clock::{SimClock, SimDuration, SimTime};
 use s4_core::LAST_CREATED;
 use s4_core::{
     ClientId, DriveConfig, ObjectId, Request, RequestContext, Response, S4Drive, S4Error, UserId,
+    VersionKind,
 };
 use s4_simdisk::{
     BlockDev, FaultPlan, FaultyDisk, MemDisk, RequestClassMask, TraceClass, TraceDisk,
@@ -509,4 +510,44 @@ fn a_vote_cut_at_a_segment_end_stays_atomic() {
             "pad {pad}: object {k} reads as of t0"
         );
     }
+}
+
+/// Two attribute blobs each one journal sector holds can sum past one:
+/// an abort's compensation converges from the transaction's blob back
+/// to the first, which `op_setattr` would refuse as one entry. It is
+/// journaled as two entries at one instant, through the empty blob, and
+/// the restored attributes survive a sync and a crash.
+#[test]
+fn an_abort_restoring_a_large_blob_over_another_journals_two_entries() {
+    let clock = SimClock::new();
+    clock.advance(SimDuration::from_secs(1));
+    let config = DriveConfig::small_test();
+    let d = S4Drive::format(
+        MemDisk::with_capacity_bytes(64 << 20),
+        config,
+        clock.clone(),
+    )
+    .unwrap();
+    let c = ctx();
+    let a = d.op_create(&c, None).unwrap();
+    d.op_setattr(&c, a, vec![0x11; 4000]).unwrap();
+    d.op_sync(&c).unwrap();
+    let set = |attrs: Vec<u8>| Request::SetAttr { oid: a, attrs };
+    d.txn_prepare(&c, 76, &[set(Vec::new()), set(vec![0x22; 4000])])
+        .unwrap();
+    assert_eq!(d.op_getattr(&c, a, None).unwrap().opaque, [0x22; 4000]);
+    let admin = RequestContext::admin(ClientId(9), config.admin_token);
+    let before = d.version_history(&admin, a).unwrap().len();
+    d.txn_decide(76, false).unwrap();
+    assert_eq!(d.op_getattr(&c, a, None).unwrap().opaque, [0x11; 4000]);
+    d.op_sync(&c).unwrap();
+    let d = S4Drive::mount(d.crash(), config, clock).unwrap();
+    assert_eq!(d.op_getattr(&c, a, None).unwrap().opaque, [0x11; 4000]);
+    assert_eq!(d.check_image(), Ok((vec![], vec![], 0)));
+    let versions = d.version_history(&admin, a).unwrap();
+    assert_eq!(versions.len(), before + 2, "two entries");
+    let (cleared, restored) = (&versions[before], &versions[before + 1]);
+    assert_eq!(cleared.stamp.time, restored.stamp.time, "at one instant");
+    let kinds = (cleared.kind, restored.kind);
+    assert_eq!(kinds, (VersionKind::SetAttr, VersionKind::SetAttr));
 }

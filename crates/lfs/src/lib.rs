@@ -14,11 +14,14 @@
 //!   describe every block appended to the log.
 //! * [`Log`] — buffered append, flush (one sequential write
 //!   per batch, summary first), read-through block cache, anchor
-//!   checkpointing, and crash-recovery roll-forward.
-//! * [`SegmentUsageTable`] — the segment usage table tracking live blocks per segment.
-//! * [`Cleaner`] — the S4 cleaner: reclaims segments whose contents have
-//!   aged out of the detection window, copying still-live blocks forward
-//!   through upper-layer callbacks.
+//!   checkpointing, and crash-recovery roll-forward; and the log's half
+//!   of the S4 cleaner — [`Log::walk_segment`] reads a victim segment in
+//!   one transfer and offers each block its summaries describe,
+//!   [`Log::reclaim_segment`] frees it. Which blocks are still
+//!   referenced, and so which segment is the victim, is the upper
+//!   layer's to count: only it knows what has aged out of the detection
+//!   window.
+//! * [`SegmentUsageTable`] — each segment's state and written count.
 //! * [`BlockCache`] — the block (buffer) cache.
 //! * [`crc`] — the format's checksums: CRC-32 over each superblock and
 //!   summary block, XXH64 over each batch's data blocks.
@@ -41,9 +44,8 @@ mod usage;
 
 pub use bytes::Bytes;
 pub use cache::BlockCache;
-pub use cleaner::{CleanOutcome, Cleaner, CleanerConfig, RelocationCallbacks};
 pub use layout::{BlockAddr, BlockKind, BlockTag, Geometry, BLOCK_SIZE};
-pub use log::{FlushStats, Log, LogConfig, Mounted, RecoveredBatch, SegmentMismatch};
+pub use log::{FlushStats, Log, LogConfig, Mounted, RecoveredBatch};
 pub use superblock::Superblock;
 pub use usage::SegmentUsageTable;
 
@@ -67,6 +69,14 @@ pub enum LfsError {
     /// The superblock names an on-disk format revision this build does
     /// not read.
     Format(u32),
+    /// A cleaner victim still holds live blocks after every block its
+    /// summaries describe was offered for copying; it stays in use.
+    NotEmpty {
+        /// The victim segment.
+        segment: u32,
+        /// Live blocks the upper layer still counts in it.
+        live: u32,
+    },
 }
 
 impl fmt::Display for LfsError {
@@ -83,6 +93,10 @@ impl fmt::Display for LfsError {
                 "unsupported on-disk format revision {found} (this build reads revision {}); \
                  reformat the image",
                 superblock::FORMAT_VERSION
+            ),
+            LfsError::NotEmpty { segment, live } => write!(
+                f,
+                "segment {segment} still holds {live} live blocks after its copy"
             ),
         }
     }

@@ -76,9 +76,7 @@ pub struct FlushStats {
 
 /// Everything [`Log::mount`] recovers.
 pub struct Mounted<D: BlockDev> {
-    /// The log, positioned after the last complete batch. Every
-    /// segment's live count is zero until the upper layer installs its
-    /// recount ([`Log::rebuild_live_counts`]).
+    /// The log, positioned after the last complete batch.
     pub log: Log<D>,
     /// The upper layer's opaque anchor payload (empty if the log was
     /// never anchored).
@@ -104,18 +102,6 @@ pub struct RecoveredBatch {
     /// `(address, tag)` for every block in the batch — the record its
     /// summary carries included — in append order.
     pub blocks: Vec<(BlockAddr, BlockTag)>,
-}
-
-/// One segment whose live count in the usage table differs from a
-/// recount ([`Log::check_live_counts`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SegmentMismatch {
-    /// The segment.
-    pub segment: SegmentId,
-    /// Live blocks the usage table counts.
-    pub counted: u32,
-    /// Live blocks the reachable addresses account for.
-    pub derived: u32,
 }
 
 struct PendingBlock {
@@ -306,10 +292,8 @@ impl<D: BlockDev> Log<D> {
         };
 
         // Phase 3: replay the written counts of every scanned batch on top
-        // of the anchored table; every live count stays zero until the
-        // upper layer recounts them (`rebuild_live_counts`). The anchor
-        // is durable, so segments the previous incarnation had reclaimed
-        // become allocatable.
+        // of the anchored table. The anchor is durable, so segments the
+        // previous incarnation had reclaimed become allocatable.
         usage.promote_pending_free();
         if sb.has_no_state() {
             usage.force_allocate(sb.cursor_segment);
@@ -432,10 +416,6 @@ impl<D: BlockDev> Log<D> {
             st.pending.push(block);
             st.pending_map.insert(addr, idx);
         }
-        // Counted live from now, not from the flush: a release may come
-        // first, and must find the count it takes back. (A carried
-        // record's count is its summary block's.)
-        self.usage.lock().add_live(st.seg, 1);
         Ok(addr)
     }
 
@@ -506,8 +486,7 @@ impl<D: BlockDev> Log<D> {
             s4_obs::span::charged(s4_obs::span::Layer::Disk) - disk_before,
         );
 
-        // Account (every block was counted live as it was appended) and
-        // cache.
+        // Account and cache.
         self.usage.lock().note_append(seg, n + 1);
         let carried = st.carried.take().map(|r| r.block);
         for p in st.pending.drain(..).chain(carried) {
@@ -674,14 +653,8 @@ impl<D: BlockDev> Log<D> {
         self.flush_locked(&mut st)?;
         let state_epoch_last = st.next_epoch - 1;
 
-        // Release the previous anchor's state blocks and install the new.
-        let old_state = std::mem::replace(&mut st.state_addrs, new_state_addrs);
-        {
-            let mut usage = self.usage.lock();
-            for a in old_state {
-                usage.release_blocks(self.geo.segment_of(a), 1);
-            }
-        }
+        // The new state blocks supersede the previous anchor's.
+        st.state_addrs = new_state_addrs;
 
         st.sb_epoch += 1;
         let sb = Superblock {
@@ -703,114 +676,38 @@ impl<D: BlockDev> Log<D> {
         Ok(())
     }
 
-    /// Decrements the live count of the segment holding each address
-    /// (called when versions age out of the detection window or are
-    /// administratively flushed).
-    pub fn release_blocks<I: IntoIterator<Item = BlockAddr>>(&self, addrs: I) {
-        let mut usage = self.usage.lock();
-        for a in addrs {
-            usage.release_blocks(self.geo.segment_of(a), 1);
-        }
-    }
-
-    /// Moves every fully-dead segment (zero live blocks) to pending-free
-    /// without copying; returns how many were reclaimed.
-    pub fn free_dead_segments(&self) -> u32 {
-        let exclude = self.protected_segments();
-        let mut usage = self.usage.lock();
-        let dead = usage.dead_segments(&exclude);
-        for &seg in &dead {
-            usage.free_segment(seg);
-            self.cache.invalidate_segment(&self.geo, seg);
-        }
-        dead.len() as u32
-    }
-
-    /// Segments that must never be reclaimed: the active segment and the
-    /// segments holding the current anchor state.
-    pub(crate) fn protected_segments(&self) -> Vec<SegmentId> {
-        let st = self.state.lock();
-        let mut out = vec![st.seg];
-        for a in &st.state_addrs {
-            let seg = self.geo.segment_of(*a);
-            if !out.contains(&seg) {
-                out.push(seg);
-            }
-        }
-        out
-    }
-
-    /// Snapshot of the usage table (for the cleaner and for utilization
-    /// reporting).
+    /// Snapshot of the usage table.
     pub fn usage_snapshot(&self) -> SegmentUsageTable {
         self.usage.lock().clone()
     }
 
-    /// Marks `seg` pending-free after the cleaner has relocated its live
-    /// blocks.
-    pub(crate) fn reclaim_segment(&self, seg: SegmentId) {
-        let mut usage = self.usage.lock();
-        // The cleaner has relocated everything; zero any residual count.
-        let residual = usage.get(seg).live_blocks;
-        if residual > 0 {
-            usage.release_blocks(seg, residual);
-        }
-        usage.free_segment(seg);
+    /// Every segment the cleaner may reclaim — in use, written, and
+    /// neither the active segment nor one holding the current anchor's
+    /// state, which must never be reclaimed — with its written count,
+    /// ascending.
+    pub fn reclaimable_segments(&self) -> Vec<(SegmentId, u32)> {
+        let st = self.state.lock();
+        let state = st.state_addrs.iter().map(|&a| self.geo.segment_of(a));
+        let exclude: Vec<SegmentId> = state.chain([st.seg]).collect();
+        self.usage.lock().reclaimable(&exclude)
+    }
+
+    /// Moves `seg` to pending-free: the upper layer references none of
+    /// its blocks, or has copied forward every one it does.
+    pub fn reclaim_segment(&self, seg: SegmentId) {
+        self.usage.lock().free_segment(seg);
         self.cache.invalidate_segment(&self.geo, seg);
     }
 
-    /// Replaces every segment's live count with counts recomputed from an
-    /// authoritative set of reachable block addresses. No live count is
-    /// persisted, so after [`Log::mount`] this is their only source; the
-    /// batches replayed from the log may include blocks — e.g. cleaner
-    /// relocations or orphaned checkpoints — that the recovered object
-    /// state no longer references. The current anchor's own state blocks
-    /// stay counted: the next anchor releases them.
-    pub fn rebuild_live_counts<I: IntoIterator<Item = BlockAddr>>(&self, live: I) {
-        let st = self.state.lock();
-        let mut usage = self.usage.lock();
-        usage.zero_live();
-        for a in live.into_iter().chain(st.state_addrs.iter().copied()) {
-            usage.add_live(self.geo.segment_of(a), 1);
-        }
-    }
-
-    /// Audits the usage table against the same recount
-    /// [`Log::rebuild_live_counts`] would install — `live`, the upper
-    /// layer's reachable addresses, plus the current anchor's state
-    /// blocks — and returns every segment whose live count differs. A
-    /// block is counted from its append, so the open batch needs no
-    /// flush to be compared. Read-only.
-    pub fn check_live_counts<I: IntoIterator<Item = BlockAddr>>(
-        &self,
-        live: I,
-    ) -> Vec<SegmentMismatch> {
-        let st = self.state.lock();
-        let usage = self.usage.lock();
-        let mut counts: Vec<(u32, u32)> = (0..usage.num_segments())
-            .map(|seg| (usage.get(seg).live_blocks, 0))
-            .collect();
-        for a in live.into_iter().chain(st.state_addrs.iter().copied()) {
-            counts[self.geo.segment_of(a) as usize].1 += 1;
-        }
-        let differing = counts.iter().enumerate().filter(|(_, (c, d))| c != d);
-        differing
-            .map(|(seg, &(counted, derived))| SegmentMismatch {
-                segment: seg as SegmentId,
-                counted,
-                derived,
-            })
-            .collect()
+    /// Blocks of the current anchor's system state: referenced until the
+    /// next anchor supersedes them, and counted by no upper layer.
+    pub fn state_blocks(&self) -> u32 {
+        self.state.lock().state_addrs.len() as u32
     }
 
     /// Free segments remaining (excludes pending-free).
     pub fn free_segments(&self) -> u32 {
         self.usage.lock().free_segments()
-    }
-
-    /// Fraction of data-area blocks currently referenced.
-    pub fn utilization(&self) -> f64 {
-        self.usage.lock().utilization()
     }
 }
 
@@ -1188,11 +1085,6 @@ mod tests {
         reads_as(&m.log, appended[1].0, &short(7));
         reads_as(&m.log, appended[2].0, &short(8));
         assert_eq!(m.log.usage_snapshot().get(0).written_blocks, 4);
-        // The recount counts both: three blocks and the summary that
-        // carries one.
-        assert_eq!(m.log.usage_snapshot().get(0).live_blocks, 0);
-        m.log.rebuild_live_counts(appended.map(|(a, _)| a));
-        assert_eq!(m.log.usage_snapshot().get(0).live_blocks, 4);
     }
 
     #[test]
@@ -1210,20 +1102,18 @@ mod tests {
                 a
             })
             .collect();
-        assert_eq!(log.geometry().segment_of(addrs[39]), 2);
-        assert_eq!(log.usage_snapshot().get(0).live_blocks, 15);
+        let geo = *log.geometry();
+        assert_eq!(geo.segment_of(addrs[39]), 2);
+        assert!(addrs[..15].iter().all(|&a| geo.segment_of(a) == 0));
         let m = Log::mount(log.into_device(), SMALL).unwrap();
         assert_eq!(m.batches.len(), 40);
         assert_eq!(recovered_aux(&m), (0..40).collect::<Vec<u64>>());
-        m.log.rebuild_live_counts(addrs.iter().copied());
-        assert_eq!(m.log.usage_snapshot().get(0).live_blocks, 15);
         m.log.cache().clear();
         for (i, a) in addrs.iter().enumerate() {
             reads_as(&m.log, *a, &short(i as u8 + 1));
         }
-        // Released, the summary blocks are dead and so is the segment.
-        m.log.release_blocks(addrs[..15].iter().copied());
-        assert_eq!(m.log.free_dead_segments(), 1);
+        // The sealed segments are whole summary blocks.
+        assert_eq!(m.log.reclaimable_segments(), [(0, 15), (1, 15)]);
     }
 
     /// A batch that has reached the end of its segment is cut there when
@@ -1342,24 +1232,22 @@ mod tests {
         );
     }
 
-    /// The anchor's own state blocks are live until the next anchor
-    /// releases them, so mount's recount must go on counting them: a
-    /// count that leaves them out sinks one lower at every remount, until
-    /// the cleaner frees a segment that still holds a referenced block.
+    /// The anchor's own state blocks are referenced until the next
+    /// anchor supersedes them, and no upper layer counts them: a mounted
+    /// log goes on counting them, and keeps their segment from the
+    /// cleaner, or it would free a segment that still holds them.
     #[test]
     fn a_recount_at_mount_keeps_the_anchor_state_blocks_counted() {
         let log = small_log();
-        let a = log.append(tag(1, 0), b"x").unwrap();
-        log.write_anchor(b"OBJECT-MAP-STATE", 1, 1).unwrap();
+        log.append(tag(1, 0), b"x").unwrap();
+        log.write_anchor(&[7; 2 * BLOCK_SIZE], 1, 1).unwrap();
+        let state = log.state_blocks();
+        assert!(state > 2, "the payload and the usage table");
         let log = Log::mount(log.into_device(), SMALL).unwrap().log;
-        log.rebuild_live_counts([a]);
+        assert_eq!(log.state_blocks(), state);
+        assert_eq!(log.reclaimable_segments(), [], "the state's segment");
         log.write_anchor(b"OBJECT-MAP-STATE", 2, 2).unwrap();
-        let usage = log.usage_snapshot();
-        let counted: u32 = (0..usage.num_segments())
-            .map(|s| usage.get(s).live_blocks)
-            .sum();
-        let state = log.state.lock().state_addrs.len() as u32;
-        assert_eq!(counted, 1 + state, "`a` and the current anchor's state");
+        assert_eq!(log.state_blocks(), state - 2, "the current anchor's alone");
     }
 
     #[test]
@@ -1462,37 +1350,16 @@ mod tests {
         let log = small_log();
         let a = log.append(tag(1, 0), b"x").unwrap();
         let _b = log.append(tag(1, 1), b"y").unwrap();
+        assert_eq!(log.usage_snapshot().get(0).written_blocks, 0, "open batch");
         log.flush().unwrap();
         let seg = log.geometry().segment_of(a);
-        let u = log.usage_snapshot();
-        assert_eq!(u.get(seg).live_blocks, 2);
-        // `y` and the summary, which is live for carrying `x`.
-        assert_eq!(u.get(seg).written_blocks, 2);
+        // `y` and the summary, which carries `x`.
+        assert_eq!(log.usage_snapshot().get(seg).written_blocks, 2);
         assert!(a.is_carried());
-        log.release_blocks([a]);
-        assert_eq!(log.usage_snapshot().get(seg).live_blocks, 1);
-    }
-
-    /// A block can be released before the flush that writes it (a
-    /// checkpoint superseded within one expiry pass). Counted only at the
-    /// flush, its release found nothing to take back in a fresh segment —
-    /// the count saturates at zero — and the flush then counted it live
-    /// for good: `check_live_counts` found segment 36 one over on
-    /// `image_determinism`'s seed 4 at step 398.
-    #[test]
-    fn a_block_released_before_its_flush_is_not_counted_by_it() {
-        let log = small_log();
-        let a = log.append(tag(1, 0), &solid(1)).unwrap();
-        let b = log.append(tag(1, 1), &solid(2)).unwrap();
-        assert_eq!(log.check_live_counts([a, b]), []);
-        log.release_blocks([a]);
-        assert_eq!(log.check_live_counts([b]), []);
-        log.flush().unwrap();
-        assert_eq!(log.usage_snapshot().get(0).live_blocks, 1);
-        assert_eq!(log.check_live_counts([b]), []);
-        let off = log.check_live_counts([a, b]);
-        assert_eq!(off.len(), 1);
-        assert_eq!((off[0].segment, off[0].counted, off[0].derived), (0, 1, 2));
+        // Released, the segment leaves the table's written count behind.
+        log.reclaim_segment(seg);
+        assert_eq!(log.usage_snapshot().get(seg).written_blocks, 0);
+        assert_eq!(log.usage_snapshot().pending_free_segments(), 1);
     }
 
     #[test]
@@ -1509,9 +1376,12 @@ mod tests {
             log.flush().unwrap();
         }
         let before = log.free_segments();
-        log.release_blocks(addrs.iter().copied());
-        let freed = log.free_dead_segments();
-        assert!(freed > 0);
+        // Nothing is referenced any more: every sealed segment is dead.
+        let dead = log.reclaimable_segments();
+        assert!(!dead.is_empty());
+        for (seg, _) in dead {
+            log.reclaim_segment(seg);
+        }
         // Not yet allocatable: pending until the next anchor.
         assert_eq!(log.free_segments(), before);
         log.write_anchor(b"", 1, 1).unwrap();

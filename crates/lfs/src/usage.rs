@@ -1,12 +1,12 @@
 //! Segment usage table and free-segment allocation.
 //!
-//! Tracks, per segment, how many blocks are *referenced* — reachable from
-//! current object state **or** from any history-pool version still inside
-//! the detection window. A block's count is decremented only when the
-//! version holding it ages out of the window (or is administratively
-//! flushed); a segment whose count reaches zero can be reclaimed without
-//! copying (§4.2.1). Segments with a few stragglers are reclaimed by the
-//! cleaner, which copies live blocks forward.
+//! Tracks, per segment, its lifecycle state and how many blocks have
+//! been written into it. How many of those blocks are still *referenced*
+//! — reachable from current object state or from a history-pool version
+//! inside the detection window — is the upper layer's to count: only it
+//! knows which versions have aged out (§4.2.1). It frees a segment none
+//! of its blocks are referenced in through [`crate::Log::reclaim_segment`],
+//! after copying forward whatever was still live.
 
 use crate::codec::Reader;
 use crate::layout::{Geometry, SegmentId};
@@ -28,14 +28,12 @@ pub(crate) enum SegmentState {
 
 /// Per-segment accounting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SegmentUsage {
+pub(crate) struct SegmentUsage {
     /// Lifecycle state.
     pub(crate) state: SegmentState,
-    /// Referenced (current + in-window history) blocks.
-    pub live_blocks: u32,
     /// Blocks appended so far (summaries included); equals the write
     /// cursor if this is the active segment.
-    pub written_blocks: u32,
+    pub(crate) written_blocks: u32,
 }
 
 /// The usage table for every segment on the device.
@@ -53,7 +51,6 @@ impl SegmentUsageTable {
             segs: vec![
                 SegmentUsage {
                     state: SegmentState::Free,
-                    live_blocks: 0,
                     written_blocks: 0,
                 };
                 geo.num_segments as usize
@@ -63,18 +60,13 @@ impl SegmentUsageTable {
         }
     }
 
-    /// Number of segments in the table.
-    pub(crate) fn num_segments(&self) -> u32 {
-        self.segs.len() as u32
-    }
-
     /// Number of free segments.
     pub fn free_segments(&self) -> u32 {
         self.free_count
     }
 
     /// Usage record for `seg`.
-    pub fn get(&self, seg: SegmentId) -> SegmentUsage {
+    pub(crate) fn get(&self, seg: SegmentId) -> SegmentUsage {
         self.segs[seg as usize]
     }
 
@@ -87,7 +79,6 @@ impl SegmentUsageTable {
             .ok_or(LfsError::NoFreeSegments)?;
         self.segs[idx] = SegmentUsage {
             state: SegmentState::InUse,
-            live_blocks: 0,
             written_blocks: 0,
         };
         self.free_count -= 1;
@@ -103,54 +94,23 @@ impl SegmentUsageTable {
         }
         *s = SegmentUsage {
             state: SegmentState::InUse,
-            live_blocks: 0,
             written_blocks: 0,
         };
     }
 
-    /// Records `n` blocks written to `seg`. A block's live count is
-    /// taken at its append, or recounted at mount
-    /// ([`crate::Log::rebuild_live_counts`]), not here.
+    /// Records `n` blocks written to `seg`.
     pub fn note_append(&mut self, seg: SegmentId, n: u32) {
         let s = &mut self.segs[seg as usize];
         debug_assert_eq!(s.state, SegmentState::InUse);
         s.written_blocks = (s.written_blocks + n).min(self.blocks_per_segment);
     }
 
-    /// Decrements the live count of `seg` by `n` (versions aged out or
-    /// administratively flushed).
-    pub(crate) fn release_blocks(&mut self, seg: SegmentId, n: u32) {
-        let s = &mut self.segs[seg as usize];
-        s.live_blocks = s.live_blocks.saturating_sub(n);
-    }
-
-    /// Zeroes every segment's live count (prelude to
-    /// [`SegmentUsageTable::add_live`]-based reconstruction from an
-    /// authoritative reachable-block set after crash recovery).
-    pub(crate) fn zero_live(&mut self) {
-        for s in &mut self.segs {
-            s.live_blocks = 0;
-        }
-    }
-
-    /// Increments the live count of `seg` by `n`.
-    pub(crate) fn add_live(&mut self, seg: SegmentId, n: u32) {
-        self.segs[seg as usize].live_blocks += n;
-    }
-
     /// Moves `seg` to the pending-free list; it becomes allocatable only
     /// after [`SegmentUsageTable::promote_pending_free`] (called once the
     /// next anchor is durable).
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the segment still has live blocks.
     pub(crate) fn free_segment(&mut self, seg: SegmentId) {
-        let s = &mut self.segs[seg as usize];
-        debug_assert_eq!(s.live_blocks, 0, "freeing a segment with live blocks");
-        *s = SegmentUsage {
+        self.segs[seg as usize] = SegmentUsage {
             state: SegmentState::PendingFree,
-            live_blocks: 0,
             written_blocks: 0,
         };
     }
@@ -178,47 +138,19 @@ impl SegmentUsageTable {
             .count() as u32
     }
 
-    /// Segments that are fully written, have zero live blocks, and can be
-    /// freed without any copying.
-    pub(crate) fn dead_segments(&self, exclude: &[SegmentId]) -> Vec<SegmentId> {
-        self.segs
-            .iter()
-            .enumerate()
-            .filter(|(i, s)| {
-                s.state == SegmentState::InUse
-                    && s.live_blocks == 0
-                    && s.written_blocks > 0
-                    && !exclude.contains(&(*i as SegmentId))
-            })
-            .map(|(i, _)| i as SegmentId)
-            .collect()
-    }
-
-    /// The in-use, fully-or-partially written segment with the lowest
-    /// live-block count (the cleaner's greedy victim), excluding the
-    /// listed segments (e.g. the active one).
-    pub(crate) fn lowest_utilization(&self, exclude: &[SegmentId]) -> Option<(SegmentId, u32)> {
-        self.segs
-            .iter()
-            .enumerate()
-            .filter(|(i, s)| {
-                s.state == SegmentState::InUse
-                    && s.written_blocks > 0
-                    && !exclude.contains(&(*i as SegmentId))
-            })
-            .map(|(i, s)| (i as SegmentId, s.live_blocks))
-            .min_by_key(|&(_, live)| live)
-    }
-
-    /// Fraction of data-area blocks currently referenced.
-    pub(crate) fn utilization(&self) -> f64 {
-        let live: u64 = self.segs.iter().map(|s| s.live_blocks as u64).sum();
-        live as f64 / (self.segs.len() as u64 * self.blocks_per_segment as u64) as f64
+    /// Every in-use segment with blocks written, outside `exclude`, and
+    /// its written count, ascending: what the cleaner may reclaim.
+    pub(crate) fn reclaimable(&self, exclude: &[SegmentId]) -> Vec<(SegmentId, u32)> {
+        let segs = (0..).zip(&self.segs);
+        segs.filter(|(i, s)| {
+            s.state == SegmentState::InUse && s.written_blocks > 0 && !exclude.contains(i)
+        })
+        .map(|(i, s)| (i, s.written_blocks))
+        .collect()
     }
 
     /// Serializes for inclusion in the anchor's system state: per
-    /// segment its state and written count. No live count is persisted;
-    /// mount recounts every one from what the upper layer reaches.
+    /// segment its state and written count.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + self.segs.len() * 5);
         out.extend_from_slice(&(self.segs.len() as u32).to_le_bytes());
@@ -230,7 +162,7 @@ impl SegmentUsageTable {
         out
     }
 
-    /// Deserializes from anchor system state, every live count zero.
+    /// Deserializes from anchor system state.
     pub fn decode(buf: &[u8]) -> Result<SegmentUsageTable> {
         let mut r = Reader::new(buf, "usage table truncated");
         let n = r.count(5)?;
@@ -249,7 +181,6 @@ impl SegmentUsageTable {
             }
             segs.push(SegmentUsage {
                 state,
-                live_blocks: 0,
                 written_blocks: r.u32()?,
             });
         }
@@ -279,8 +210,6 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(t.free_segments(), total - 2);
         t.note_append(a, 4);
-        t.add_live(a, 3);
-        t.release_blocks(a, 3);
         t.free_segment(a);
         // Pending-free is not yet allocatable.
         assert_eq!(t.free_segments(), total - 2);
@@ -301,31 +230,21 @@ mod tests {
     }
 
     #[test]
-    fn dead_segment_detection() {
+    fn reclaimable_lists_written_in_use_segments() {
         let mut t = table();
         let a = t.allocate().unwrap();
         let b = t.allocate().unwrap();
+        t.allocate().unwrap(); // nothing written: nothing to reclaim
         t.note_append(a, 4);
-        t.add_live(a, 3);
-        t.note_append(b, 4);
-        t.add_live(b, 4);
-        assert!(t.dead_segments(&[]).is_empty());
-        t.release_blocks(a, 3);
-        assert_eq!(t.dead_segments(&[]), vec![a]);
-        assert!(t.dead_segments(&[a]).is_empty(), "exclusion respected");
-    }
-
-    #[test]
-    fn lowest_utilization_picks_emptiest() {
-        let mut t = table();
-        let a = t.allocate().unwrap();
-        let b = t.allocate().unwrap();
-        t.note_append(a, 10);
-        t.add_live(a, 9);
-        t.note_append(b, 10);
-        t.add_live(b, 2);
-        assert_eq!(t.lowest_utilization(&[]), Some((b, 2)));
-        assert_eq!(t.lowest_utilization(&[b]), Some((a, 9)));
+        t.note_append(b, 7);
+        assert_eq!(t.reclaimable(&[]), vec![(a, 4), (b, 7)]);
+        assert_eq!(t.reclaimable(&[a]), vec![(b, 7)], "exclusion respected");
+        t.free_segment(b);
+        assert_eq!(
+            t.reclaimable(&[]),
+            vec![(a, 4)],
+            "pending-free is not in use"
+        );
     }
 
     #[test]
@@ -333,15 +252,7 @@ mod tests {
         let mut t = table();
         let a = t.allocate().unwrap();
         t.note_append(a, 7);
-        t.add_live(a, 5);
-        let d = SegmentUsageTable::decode(&t.encode()).unwrap();
-        let unlive = SegmentUsage {
-            live_blocks: 0,
-            ..t.get(a)
-        };
-        assert_eq!(d.get(a), unlive, "no live count is persisted");
-        assert_eq!(d.free_segments(), t.free_segments());
-        assert_eq!(d.num_segments(), t.num_segments());
+        assert_eq!(SegmentUsageTable::decode(&t.encode()).unwrap(), t);
     }
 
     /// The bytes a fixture's hex literal spells; whitespace separates
@@ -356,15 +267,13 @@ mod tests {
     }
 
     /// Three segments of 16 blocks, format revision 8: `count |
-    /// blocks per segment | (state, written)…` — 5 bytes per segment, and
-    /// no live count.
+    /// blocks per segment | (state, written)…` — 5 bytes per segment.
     const TABLE: &str = "03000000 10000000 01 07000000 00 00000000 02 00000000";
 
     #[test]
     fn a_usage_table_is_its_fixture() {
         let seg = |state, written_blocks| SegmentUsage {
             state,
-            live_blocks: 0,
             written_blocks,
         };
         let table = SegmentUsageTable {
@@ -390,15 +299,5 @@ mod tests {
         assert_eq!(t.free_segments(), free);
         t.force_allocate(a + 1);
         assert_eq!(t.free_segments(), free - 1);
-    }
-
-    #[test]
-    fn utilization_fraction() {
-        let mut t = table();
-        assert_eq!(t.utilization(), 0.0);
-        let a = t.allocate().unwrap();
-        t.note_append(a, 16);
-        t.add_live(a, 16);
-        assert!(t.utilization() > 0.0);
     }
 }

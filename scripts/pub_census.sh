@@ -4,13 +4,17 @@
 #
 # On a copy of the tree in a temporary directory, every `pub fn`,
 # `pub const fn`, `pub struct`, `enum`, `const`, `type`, `trait`,
-# `static` and `mod` before its file's first `#[cfg(test)]`, in every
-# crate but s4-bench, is made `pub(crate)`. Then `cargo check --workspace
-# --all-targets` and the benchmark's `cargo check --locked` run in
-# rounds, and each round puts `pub` back on what its errors name:
+# `static`, `mod` and `use` before its file's first `#[cfg(test)]`, in
+# every crate but s4-bench, is made `pub(crate)` — a `pub use` group
+# first split into one `pub use` per name, so that a crate's own
+# re-export is not a use of what it re-exports (a glob `pub use …::*`
+# stays). Then `cargo check --workspace --all-targets` and the
+# benchmark's `cargo check --locked` run in rounds, and each round puts
+# `pub` back on what its errors name:
 #
 #   E0603, E0624  a private item or method: the error points at the
-#                 definition, which is restored;
+#                 definition — and, through a re-export, at the `use`
+#                 too — which is restored;
 #   E0364, E0365, a re-export of one, or an import through a glob
 #   E0432         re-export that no longer carries it: the error points
 #                 at the `use`, so the item of that name is restored in
@@ -35,7 +39,7 @@
 # the list. A name match is not a use: an item named only in another
 # crate's comment fails.
 #
-#   scripts/pub_census.sh       # ~2 min cold on 2 cores, 26 rounds
+#   scripts/pub_census.sh       # ~2.5 min cold on 2 cores, 62 rounds
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,11 +67,23 @@ git ls-files --cached --others --exclude-standard -z \
   | while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done \
   | tar --null -T - -cf - | tar -xf - -C "$tree"
 
+# `pub use a::{B, C as D};` becomes `pub use a::B;` and `pub use a::C as D;`.
+srcs=$(cd "$tree" && find crates/*/src -name '*.rs' ! -path 'crates/bench/*' | sort)
+for f in $srcs; do
+  perl -0pi -e 's{^([ \t]*)pub use ([\w:]+)::\{([^{}]*)\};}{
+    my ($ind, $path) = ($1, $2);
+    join "\n", map { $_ eq "self" ? "${ind}pub use $path;" : "${ind}pub use ${path}::$_;" }
+      grep { length } split /\s*,\s*/, $3 =~ s/^\s+|\s+$//gr }gme' "$tree/$f"
+done
+
 # One line per narrowed item: file line kind name. An item a macro
-# declares (`pub fn $name`) counts once, as `$name`.
+# declares (`pub fn $name`) counts once, as `$name`; a re-export is the
+# kind `use`, named by its last segment or its alias.
 narrowed=$work/narrowed
-for f in $(cd "$tree" && find crates/*/src -name '*.rs' ! -path 'crates/bench/*' | sort); do
+for f in $srcs; do
   awk -v f="$f" '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+       match($0, /^[[:space:]]*pub use [A-Za-z0-9_:]+( as [A-Za-z_][A-Za-z0-9_]*)?;/) {
+         n = split(substr($0, RSTART, RLENGTH - 1), w, /[ :]+/); print f, FNR, "use", w[n]; next }
        match($0, /^[[:space:]]*pub ((const )?fn|struct|enum|const|type|trait|static|mod) \$?[A-Za-z_][A-Za-z0-9_]*/) {
          n = split(substr($0, RSTART, RLENGTH), w, " "); print f, FNR, w[n - 1], w[n] }' "$tree/$f"
 done > "$narrowed"

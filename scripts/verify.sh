@@ -14,9 +14,10 @@
 #    and the test-fork census: a `cfg(feature` or an `env::var(` under
 #    tests/ or crates/*/tests/ fails — every test file compiles and runs
 #    in tier-1, and seeds are constants; and the ledger census: a
-#    non-test `.append(` on the log or `release_blocks(` under
-#    crates/core/src/ outside ledger.rs fails — which blocks are
-#    reachable is said once; and the address census: non-test
+#    non-test `.append(` on the log under crates/core/src/ outside
+#    ledger.rs fails — which blocks are reachable is said once (each
+#    segment's live count is a private field of `Ledger`, so the
+#    compiler keeps its writers there); and the address census: non-test
 #    arithmetic on a `BlockAddr`'s `.0` (or a `BlockAddr(` built from
 #    an expression) outside crates/lfs/src/layout.rs fails — an address
 #    may name a record carried by a summary block, and only `Geometry`
@@ -173,16 +174,16 @@ forks=$(grep -rnE 'cfg\(feature|env::var\(' tests crates/*/tests || true)
   exit 1
 }
 
-echo "== ledger census (log appends and releases in s4-core outside ledger.rs)"
+echo "== ledger census (log appends in s4-core outside ledger.rs)"
 unledgered=$(find crates/core/src -name '*.rs' ! -name ledger.rs | sort | while read -r f; do
   # Every append goes through a Ledger or PackedBlocks method; a bare
   # `.append(` at the start of a line is a wrapped `self.log.append(`.
   awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
-       /release_blocks\(/ || (/\.append\(/ && !/(ledger|self)\.append\(/) { print FILENAME ":" FNR ":" $0 }' "$f"
+       /\.append\(/ && !/(ledger|self)\.append\(/ { print FILENAME ":" FNR ":" $0 }' "$f"
 done)
 [ -z "$unledgered" ] || {
   echo "$unledgered" >&2
-  echo "verify: append and release blocks through crates/core/src/ledger.rs" >&2
+  echo "verify: append blocks through crates/core/src/ledger.rs" >&2
   exit 1
 }
 

@@ -240,7 +240,7 @@ fn history_pool_grows_and_cleaner_reclaims_under_pressure() {
     drive.op_sync(&admin).unwrap();
     drive.expire_versions().unwrap();
     drive.clean().unwrap();
-    drive.log().free_dead_segments();
+    drive.free_dead_segments();
     drive.force_anchor().unwrap();
     assert!(
         drive.utilization() < util_with_history / 4.0,
